@@ -76,7 +76,21 @@ step_chaos() {
     test -f BENCH_chaos.json
 }
 
-ALL_STEPS=(pipeline stream monitor zoom store serve lint chaos)
+step_e2e() {
+    # The interaction-level benchmark, built and run the way BENCHMARK.json
+    # runs it (a package of its own), on the two workloads that walk the
+    # store read path: a fresh session per cycle, and a served store capped
+    # at half its size. Every answer is checked against a resident session
+    # before the result line says `"correct": true`.
+    local workload
+    for workload in cold_open store_pressure; do
+        cargo run --release --quiet --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 2 --trace 0 | tee e2e_smoke.txt
+        grep -q '"correct": true' e2e_smoke.txt
+    done
+}
+
+ALL_STEPS=(pipeline stream monitor zoom store serve lint chaos e2e)
 
 if [ "$#" -eq 0 ]; then
     echo "usage: ci/smoke.sh <step>... | all" >&2
@@ -91,7 +105,7 @@ fi
 
 for step in "${steps[@]}"; do
     case "$step" in
-    pipeline | stream | monitor | zoom | store | serve | lint | chaos)
+    pipeline | stream | monitor | zoom | store | serve | lint | chaos | e2e)
         echo "== smoke: $step"
         "step_$step"
         ;;

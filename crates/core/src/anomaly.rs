@@ -54,7 +54,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use aftermath_exec::{parallel_map, Threads};
-use aftermath_trace::{CpuId, TaskId, TaskInstance, TimeInterval, WorkerState};
+use aftermath_trace::{CpuId, SamplesView, TaskId, TaskInstance, TimeInterval, WorkerState};
 
 use crate::derived::state_concurrency;
 use crate::error::AnalysisError;
@@ -220,8 +220,8 @@ pub trait Detector {
     /// parameters), not for traces that simply lack the relevant data.
     fn detect(&self, session: &AnalysisSession<'_>) -> Result<Vec<Anomaly>, AnalysisError>;
 
-    /// Like [`Detector::detect`] but may fan its internal units (per-counter,
-    /// per-task-type, ...) out over the execution layer.
+    /// Like [`Detector::detect`] but may fan its internal units (task chunks,
+    /// `(counter, task type)` pairs, task types, ...) out over the execution layer.
     ///
     /// Implementations **must** return the findings of [`Detector::detect`] in the
     /// same order regardless of `threads` — the engine's ranked report relies on it.
@@ -379,16 +379,30 @@ impl Detector for NumaLocalityDetector {
     }
 
     fn detect(&self, session: &AnalysisSession<'_>) -> Result<Vec<Anomaly>, AnalysisError> {
+        self.detect_with(session, Threads::single())
+    }
+
+    fn detect_with(
+        &self,
+        session: &AnalysisSession<'_>,
+        threads: Threads,
+    ) -> Result<Vec<Anomaly>, AnalysisError> {
         let trace = session.trace();
         if trace.accesses().is_empty() || trace.topology().num_nodes() < 2 {
             return Ok(Vec::new());
         }
-        let mut tasks: Vec<(&TaskInstance, f64)> = Vec::new();
-        for task in trace.tasks() {
-            if let Some(fraction) = task_remote_fraction(trace, task) {
-                tasks.push((task, fraction));
-            }
-        }
+        // The per-task fractions are the scan's cost and fan out over chunks of
+        // the task table; the baseline below reduces them in task order, so its
+        // floating-point sums do not depend on how the chunks were scheduled.
+        let fractions = parallel_map(threads, trace.tasks(), |task| {
+            task_remote_fraction(trace, task)
+        });
+        let tasks: Vec<(&TaskInstance, f64)> = trace
+            .tasks()
+            .iter()
+            .zip(fractions)
+            .filter_map(|(task, fraction)| Some((task, fraction?)))
+            .collect();
         if tasks.len() < 2 {
             return Ok(Vec::new());
         }
@@ -479,84 +493,72 @@ impl Default for CounterOutlierDetector {
 }
 
 impl CounterOutlierDetector {
-    /// Scans one monotone counter against every task type; the per-counter unit of
-    /// both the sequential and the parallel scan.
-    ///
-    /// The per-CPU sample views are resolved once up front (one map lookup per CPU
-    /// instead of one per task) and all scoring buffers live in a scratch that is
-    /// reused across the per-type loop, so the inner loop performs no allocation
-    /// on the no-findings path.
-    fn detect_counter(
+    /// Scores one monotone counter against the tasks of one type into `out`; the
+    /// `(counter, task type)` unit of the scan. `counter` pairs the description
+    /// with the counter's sample view of every CPU (one map lookup per CPU
+    /// instead of one per task).
+    fn detect_counter_type<'t>(
         &self,
-        session: &AnalysisSession<'_>,
-        tasks_by_type: &[Vec<&TaskInstance>],
+        counter: &(&aftermath_trace::CounterDescription, Vec<SamplesView<'t>>),
+        ty: &aftermath_trace::TaskType,
+        group: &[&'t TaskInstance],
         gap: u64,
-        desc: &aftermath_trace::CounterDescription,
-    ) -> Vec<Anomaly> {
-        let trace = session.trace();
-        let mut anomalies = Vec::new();
-        let samples_by_cpu: Vec<_> = trace
-            .topology()
-            .cpu_ids()
-            .map(|cpu| session.samples(cpu, desc.id))
-            .collect();
-        let mut scratch = OutlierScratch::default();
-        for ty in trace.task_types() {
-            let group = &tasks_by_type[ty.id.0 as usize];
-            scratch.tasks.clear();
-            for &task in group {
-                let samples = samples_by_cpu[task.cpu.0 as usize];
-                if let Some(delta) = crate::counters::counter_delta_for_task(samples, task) {
-                    scratch.tasks.push((task, delta));
-                }
-            }
-            if scratch.tasks.len() < self.min_samples.max(2) {
-                continue;
-            }
-            scratch.values.clear();
-            scratch.values.extend(scratch.tasks.iter().map(|(_, d)| *d));
-            if !robust_z_scores_into(&scratch.values, &mut scratch.z) {
-                continue;
-            }
-            scratch.flagged.clear();
-            scratch.flagged.extend(
-                scratch
-                    .tasks
-                    .iter()
-                    .zip(&scratch.z)
-                    .filter(|(_, &z)| z.abs() > self.k_mad)
-                    .map(|(&(t, _), &z)| (t, z)),
-            );
-            if scratch.flagged.is_empty() {
-                continue;
-            }
-            // Findings path: the median only appears in explanations, so its
-            // sorted-copy cost is paid per reported type, not per scanned type.
-            let median = median_of(&scratch.values).unwrap_or(0.0);
-            scratch.flagged.sort_by_key(|(t, _)| t.execution.start);
-            for cluster in cluster_by_time(&scratch.flagged, |(t, _)| t.execution, gap) {
-                let interval = hull_of(cluster.iter().map(|(t, _)| t.execution));
-                let peak = cluster.iter().map(|(_, z)| z.abs()).fold(0.0, f64::max);
-                anomalies.push(Anomaly {
-                    kind: AnomalyKind::CounterOutlier,
-                    interval,
-                    cpus: distinct_cpus(cluster.iter().map(|(t, _)| t.cpu)),
-                    tasks: cluster.iter().map(|(t, _)| t.id).collect(),
-                    severity: severity_from_z(peak, self.k_mad),
-                    score: peak,
-                    explanation: format!(
-                        "{} `{}` task(s) in {interval} with outlying `{}` increase \
-                         (robust z up to {:.1}; type median {:.0})",
-                        cluster.len(),
-                        ty.name,
-                        desc.name,
-                        peak,
-                        median,
-                    ),
-                });
+        scratch: &mut OutlierScratch<'t>,
+        out: &mut Vec<Anomaly>,
+    ) {
+        let (desc, samples_by_cpu) = counter;
+        scratch.tasks.clear();
+        for &task in group {
+            let samples = samples_by_cpu[task.cpu.0 as usize];
+            if let Some(delta) = crate::counters::counter_delta_for_task(samples, task) {
+                scratch.tasks.push((task, delta));
             }
         }
-        anomalies
+        if scratch.tasks.len() < self.min_samples.max(2) {
+            return;
+        }
+        scratch.values.clear();
+        scratch.values.extend(scratch.tasks.iter().map(|(_, d)| *d));
+        if !robust_z_scores_into(&scratch.values, &mut scratch.z) {
+            return;
+        }
+        scratch.flagged.clear();
+        scratch.flagged.extend(
+            scratch
+                .tasks
+                .iter()
+                .zip(&scratch.z)
+                .filter(|(_, &z)| z.abs() > self.k_mad)
+                .map(|(&(t, _), &z)| (t, z)),
+        );
+        if scratch.flagged.is_empty() {
+            return;
+        }
+        // Findings path: the median only appears in explanations, so its
+        // sorted-copy cost is paid per reported type, not per scanned type.
+        let median = median_of(&scratch.values).unwrap_or(0.0);
+        scratch.flagged.sort_by_key(|(t, _)| t.execution.start);
+        for cluster in cluster_by_time(&scratch.flagged, |(t, _)| t.execution, gap) {
+            let interval = hull_of(cluster.iter().map(|(t, _)| t.execution));
+            let peak = cluster.iter().map(|(_, z)| z.abs()).fold(0.0, f64::max);
+            out.push(Anomaly {
+                kind: AnomalyKind::CounterOutlier,
+                interval,
+                cpus: distinct_cpus(cluster.iter().map(|(t, _)| t.cpu)),
+                tasks: cluster.iter().map(|(t, _)| t.id).collect(),
+                severity: severity_from_z(peak, self.k_mad),
+                score: peak,
+                explanation: format!(
+                    "{} `{}` task(s) in {interval} with outlying `{}` increase \
+                     (robust z up to {:.1}; type median {:.0})",
+                    cluster.len(),
+                    ty.name,
+                    desc.name,
+                    peak,
+                    median,
+                ),
+            });
+        }
     }
 }
 
@@ -568,6 +570,31 @@ struct OutlierScratch<'t> {
     values: Vec<f64>,
     z: Vec<f64>,
     flagged: Vec<(&'t TaskInstance, f64)>,
+}
+
+/// Runs `scan` over the independent `units` of a statistics-heavy detector and
+/// returns their findings concatenated in unit order, whatever `threads` is: on one
+/// thread every unit shares one scratch and one findings buffer (no allocation on
+/// the no-findings path), on several each unit brings its own.
+fn scan_units<'t, U: Sync>(
+    threads: Threads,
+    units: &[U],
+    scan: impl Fn(&U, &mut OutlierScratch<'t>, &mut Vec<Anomaly>) + Sync,
+) -> Vec<Anomaly> {
+    if threads.is_single() {
+        let mut scratch = OutlierScratch::default();
+        let mut out = Vec::new();
+        for unit in units {
+            scan(unit, &mut scratch, &mut out);
+        }
+        return out;
+    }
+    let per_unit = parallel_map(threads, units, |unit| {
+        let mut out = Vec::new();
+        scan(unit, &mut OutlierScratch::default(), &mut out);
+        out
+    });
+    per_unit.into_iter().flatten().collect()
 }
 
 impl Detector for CounterOutlierDetector {
@@ -588,16 +615,36 @@ impl Detector for CounterOutlierDetector {
         let gap = self
             .merge_gap_cycles
             .unwrap_or_else(|| session.time_bounds().duration() / 64);
-        // Group tasks by type once; every per-counter unit then only touches the
-        // relevant group instead of re-scanning the whole trace per (counter, type).
+        // Group tasks by type and resolve every counter's per-CPU sample views
+        // once; a unit then only touches its own group.
         let tasks_by_type = group_tasks_by_type(trace);
-        let counters: Vec<_> = trace.counters().iter().filter(|d| d.monotone).collect();
-        // One parallel unit per monotone counter; flattening in counter order keeps
-        // the findings identical to the sequential scan.
-        let per_counter = parallel_map(threads, &counters, |desc| {
-            self.detect_counter(session, &tasks_by_type, gap, desc)
-        });
-        Ok(per_counter.into_iter().flatten().collect())
+        let counters: Vec<_> = trace
+            .counters()
+            .iter()
+            .filter(|desc| desc.monotone)
+            .map(|desc| {
+                let samples_by_cpu: Vec<_> = trace
+                    .topology()
+                    .cpu_ids()
+                    .map(|cpu| session.samples(cpu, desc.id))
+                    .collect();
+                (desc, samples_by_cpu)
+            })
+            .collect();
+        // One unit per (monotone counter, task type) — most traces carry one
+        // counter, so per-counter units would leave the scan on one thread.
+        let units: Vec<_> = counters
+            .iter()
+            .flat_map(|counter| trace.task_types().iter().map(move |ty| (counter, ty)))
+            .collect();
+        Ok(scan_units(
+            threads,
+            &units,
+            |&(counter, ty), scratch, out| {
+                let group = &tasks_by_type[ty.id.0 as usize];
+                self.detect_counter_type(counter, ty, group, gap, scratch, out);
+            },
+        ))
     }
 }
 
@@ -701,24 +748,7 @@ impl Detector for DurationOutlierDetector {
     }
 
     fn detect(&self, session: &AnalysisSession<'_>) -> Result<Vec<Anomaly>, AnalysisError> {
-        // Sequential scan: one scratch and one findings buffer across every type.
-        let trace = session.trace();
-        let gap = self
-            .merge_gap_cycles
-            .unwrap_or_else(|| session.time_bounds().duration() / 64);
-        let tasks_by_type = group_tasks_by_type(trace);
-        let mut scratch = OutlierScratch::default();
-        let mut anomalies = Vec::new();
-        for ty in trace.task_types() {
-            self.detect_type(
-                ty,
-                &tasks_by_type[ty.id.0 as usize],
-                gap,
-                &mut scratch,
-                &mut anomalies,
-            );
-        }
-        Ok(anomalies)
+        self.detect_with(session, Threads::single())
     }
 
     fn detect_with(
@@ -726,30 +756,19 @@ impl Detector for DurationOutlierDetector {
         session: &AnalysisSession<'_>,
         threads: Threads,
     ) -> Result<Vec<Anomaly>, AnalysisError> {
-        if threads.is_single() {
-            return self.detect(session);
-        }
         let trace = session.trace();
         let gap = self
             .merge_gap_cycles
             .unwrap_or_else(|| session.time_bounds().duration() / 64);
         let tasks_by_type = group_tasks_by_type(trace);
-        // One parallel unit per task type (each with its own scratch); flattening
-        // in type order keeps the findings identical to the sequential scan.
-        let types: Vec<_> = trace.task_types().iter().collect();
-        let per_type = parallel_map(threads, &types, |ty| {
-            let mut scratch = OutlierScratch::default();
-            let mut out = Vec::new();
-            self.detect_type(
-                ty,
-                &tasks_by_type[ty.id.0 as usize],
-                gap,
-                &mut scratch,
-                &mut out,
-            );
-            out
-        });
-        Ok(per_type.into_iter().flatten().collect())
+        // One unit per task type.
+        Ok(scan_units(
+            threads,
+            trace.task_types(),
+            |ty, scratch, out| {
+                self.detect_type(ty, &tasks_by_type[ty.id.0 as usize], gap, scratch, out);
+            },
+        ))
     }
 }
 
@@ -864,16 +883,20 @@ pub fn detect_anomalies(
 }
 
 /// Like [`detect_anomalies`] but lets every enabled detector fan its internal units
-/// (per counter, per task type) out over up to `threads` workers of the execution
-/// layer via [`Detector::detect_with`].
+/// out over up to `threads` workers of the execution layer via
+/// [`Detector::detect_with`].
 ///
 /// The detectors themselves run in their fixed order (idle, NUMA, counter,
-/// duration): the cheap global detectors have nothing to fan out, while the
-/// statistics-heavy ones get the full thread budget for their many units — one
-/// parallel level, so a scan never runs more than `threads` workers at a time and
-/// no detector is starved by a static budget split. Findings merge in detector
-/// order before the stable severity sort, which makes the ranked report
-/// **identical** to the sequential scan regardless of the thread count.
+/// duration), each with the whole budget — one parallel level, so a scan never runs
+/// more than `threads` workers at a time and no detector is starved by a static
+/// budget split. What a detector can spread is its own units: the NUMA detector
+/// chunks of the task table, the counter detector `(counter, task type)` pairs, the
+/// duration detector task types; the idle-phase detector (a few per cent of a scan)
+/// and each detector's clustering of its flagged tasks stay on the calling thread.
+/// A trace with one task type and one counter therefore spreads only its NUMA scan.
+/// Findings merge in detector → unit order before the stable severity sort, which
+/// makes the ranked report **identical** to the sequential scan regardless of the
+/// thread count.
 ///
 /// # Errors
 ///

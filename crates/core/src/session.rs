@@ -5,6 +5,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use aftermath_exec::{parallel_map, Threads};
+use aftermath_trace::store::LaneId;
 use aftermath_trace::{
     AccessKind, AnnotatedTrace, CounterId, CpuId, LintSummary, NumaNodeId, SamplesView, StatesView,
     TaskId, TaskInstance, TaskTypeId, TimeInterval, Timestamp, Trace, WorkerState,
@@ -528,23 +529,28 @@ impl<'t> AnalysisSession<'t> {
     /// from a warm index. The shards are independent [`OnceLock`]s, so prewarming may
     /// race with concurrent queries without ever duplicating or tearing an index.
     pub fn prewarm(&self, threads: Threads) -> usize {
-        enum Shard {
-            Counter(CpuId, CounterId),
-            Pyramid(CpuId),
-        }
-        let mut shards: Vec<Shard> = self
+        self.prewarm_lanes(threads, |_| true)
+    }
+
+    /// [`AnalysisSession::prewarm`] restricted to the shards whose backing lane
+    /// — [`LaneId::Samples`] for a counter index, [`LaneId::States`] for a
+    /// pyramid — `wanted` accepts. The one shard-building routine:
+    /// [`crate::shared::SharedSession`] wants every lane, a
+    /// [`crate::store_session::StoreSession`] only the fully resident ones.
+    pub(crate) fn prewarm_lanes(&self, threads: Threads, wanted: impl Fn(LaneId) -> bool) -> usize {
+        let lanes: Vec<LaneId> = self
             .counter_shards
             .keys()
-            .map(|&(cpu, counter)| Shard::Counter(cpu, counter))
+            .map(|&(cpu, counter)| LaneId::Samples(cpu, counter))
+            .chain((0..self.pyramids.len()).map(|cpu| LaneId::States(CpuId(cpu as u32))))
+            .filter(|&lane| wanted(lane))
             .collect();
-        shards.extend((0..self.pyramids.len()).map(|cpu| Shard::Pyramid(CpuId(cpu as u32))));
-        let built = parallel_map(threads, &shards, |shard| match shard {
-            Shard::Counter(cpu, counter) => {
-                usize::from(self.counter_shard(*cpu, *counter).is_some())
-            }
-            Shard::Pyramid(cpu) => usize::from(self.pyramid(*cpu).is_some()),
+        let built = parallel_map(threads, &lanes, |lane| match *lane {
+            LaneId::Samples(cpu, counter) => self.counter_shard(cpu, counter).is_some(),
+            LaneId::States(cpu) => self.pyramid(cpu).is_some(),
+            _ => unreachable!("only sample and state lanes back a shard"),
         });
-        built.into_iter().sum()
+        built.into_iter().filter(|&built| built).count()
     }
 
     /// Number of counter index shards built so far (diagnostics; grows on demand and

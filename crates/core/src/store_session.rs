@@ -6,11 +6,26 @@
 //!
 //! A [`StoreSession`] owns the [`StoredTrace`] plus the durable per-session
 //! analysis state — built counter indexes, state pyramids, result caches and
-//! the adaptive engine's cost model. Each query constructs a short-lived
-//! [`AnalysisSession`] *view* over the currently resident lanes, pre-seeded
-//! with every index whose backing lane is fully resident
-//! (`AnalysisSession::with_prebuilt`); the view is dropped when the query
-//! returns, the seeded `Arc`s keep the indexes alive across queries.
+//! the adaptive engine's cost model. Each request runs in three steps:
+//!
+//! 1. everything it needs is materialised in **one** batch
+//!    ([`StoredTrace::ensure_batch`]);
+//! 2. a short-lived [`AnalysisSession`] *view* over the resident lanes is
+//!    seeded with every persisted shard whose lane is fully resident
+//!    (`AnalysisSession::with_prebuilt`), and — for every request that reads
+//!    shards: queries, reports, pyramid and adaptive frames — the missing
+//!    shards of fully resident lanes are built in parallel, each **once per
+//!    session**, by the routine [`crate::SharedSession`] prewarms with
+//!    (`AnalysisSession::prewarm_lanes`);
+//! 3. when the request is answered the view's shards are harvested
+//!    (`AnalysisSession::built_shards`) and the view dropped; the `Arc`s keep
+//!    the shards alive across requests.
+//!
+//! A stored trace answers one request at a time (a server holds it behind a
+//! mutex), so the other cores are idle by construction: block decoding, shard
+//! building and the anomaly scan all run on the one thread budget of the
+//! store ([`StoredTrace::set_decode_threads`], the machine's parallelism by
+//! default). No answer depends on it. [`StoreSession::stats`] counts the work.
 //!
 //! # Residency semantics
 //!
@@ -23,15 +38,16 @@
 //! budget — the budget trades repeated decode work for memory, never accuracy.
 //!
 //! Index-carrying structures use absolute row indices into their lane, so
-//! pyramids and counter indexes are persisted and re-seeded **only** while
-//! their lane is fully resident; a view over a partially resident lane builds
-//! its own consistent throwaway pyramid instead.
+//! pyramids and counter indexes are built ahead, persisted and re-seeded
+//! **only** while their lane is fully resident (they survive its eviction and
+//! are seeded again once it is back); a view over a partially resident lane
+//! builds its own consistent throwaway pyramid, lazily, instead.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use aftermath_trace::store::{DamageReport, LaneId, LaneResidency, StoredTrace};
+use aftermath_trace::store::{DamageReport, LaneId, LaneRequest, LaneResidency, StoredTrace};
 use aftermath_trace::{CounterId, CpuId, TimeInterval};
 
 use crate::error::AnalysisError;
@@ -122,6 +138,27 @@ pub struct StoreSession {
     anomaly_cache: AnomalyCacheHandle,
     timeline_cache: TimelineCacheHandle,
     cost_model: CostModelHandle,
+    pyramid_builds: u64,
+    index_builds: u64,
+    shards_reseeded: u64,
+}
+
+/// Lifetime work counters of one [`StoreSession`] ([`StoreSession::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreSessionStats {
+    /// Lane runs decoded and installed (a re-materialised lane counts again).
+    pub lanes_materialised: u64,
+    /// Blocks verified and decoded.
+    pub blocks_decoded: u64,
+    /// Block bytes read from the cold tier.
+    pub bytes_read: u64,
+    /// State pyramids built — once per fully resident lane, plus every
+    /// throwaway pyramid a view built over a partially resident one.
+    pub pyramid_builds: u64,
+    /// Counter indexes built (see `pyramid_builds`).
+    pub index_builds: u64,
+    /// Persisted shards handed to a view instead of being rebuilt.
+    pub shards_reseeded: u64,
 }
 
 /// Intersection of two optional spans; `None` annihilates.
@@ -166,6 +203,9 @@ impl StoreSession {
             anomaly_cache: new_anomaly_cache(),
             timeline_cache: new_timeline_cache(),
             cost_model: new_cost_model(),
+            pyramid_builds: 0,
+            index_builds: 0,
+            shards_reseeded: 0,
         }
     }
 
@@ -233,6 +273,19 @@ impl StoreSession {
         self.stored.resident_event_bytes()
     }
 
+    /// What this session has read, decoded, built and re-used so far.
+    pub fn stats(&self) -> StoreSessionStats {
+        let store = self.stored.materialise_stats();
+        StoreSessionStats {
+            lanes_materialised: store.lanes_materialised,
+            blocks_decoded: store.blocks_decoded,
+            bytes_read: store.bytes_read,
+            pyramid_builds: self.pyramid_builds,
+            index_builds: self.index_builds,
+            shards_reseeded: self.shards_reseeded,
+        }
+    }
+
     /// The time bounds of the *full* trace, answered from the store directory
     /// without materialising any lane.
     pub fn time_bounds(&self) -> TimeInterval {
@@ -270,7 +323,8 @@ impl StoreSession {
     ///   for task-based modes and the access table for NUMA modes;
     /// - the pyramid and adaptive engines materialise state, task and access
     ///   lanes in full (pyramid construction aggregates per-task and per-node
-    ///   data) and persist the built pyramids for later frames.
+    ///   data), build the missing pyramids in parallel and persist them for
+    ///   later requests.
     ///
     /// Afterwards residency is brought back under the configured budget. The
     /// produced frame is byte-identical to the same call on a fully resident
@@ -287,13 +341,29 @@ impl StoreSession {
         filter: &TaskFilter,
         engine: TimelineEngine,
     ) -> Result<TimelineModel, AnalysisError> {
-        self.ensure_for_timeline(mode, interval, engine)?;
-        let model = {
-            let view = self.view();
-            TimelineModel::build_with_engine(&view, mode, interval, columns, filter, engine)?
-        };
-        self.stored.evict_to_budget();
-        Ok(model)
+        let scan = matches!(engine, TimelineEngine::Scan);
+        let mut lanes: Vec<LaneRequest> = self
+            .stored
+            .lanes()
+            .filter(|lane| matches!(lane, LaneId::States(_)))
+            .map(|lane| match scan {
+                true => LaneRequest::StatesCovering(lane, interval),
+                false => LaneRequest::Full(lane),
+            })
+            .collect();
+        if !scan || !matches!(mode, TimelineMode::State) {
+            lanes.push(LaneRequest::Full(LaneId::Tasks));
+        }
+        let numa_mode = matches!(
+            mode,
+            TimelineMode::NumaRead | TimelineMode::NumaWrite | TimelineMode::NumaHeat
+        );
+        if !scan || numa_mode {
+            lanes.push(LaneRequest::Full(LaneId::Accesses));
+        }
+        self.answer(&lanes, !scan, |view| {
+            TimelineModel::build_with_engine(view, mode, interval, columns, filter, engine)
+        })?
     }
 
     /// The open-to-first-frame path: a zoomed-out state-mode frame over the
@@ -316,9 +386,10 @@ impl StoreSession {
 
     /// Runs an interval query against the store: state lanes materialise only
     /// the block runs overlapping `interval`; sample, task and access lanes
-    /// (whole-lane granularity) materialise in full, and counter indexes built
-    /// over them persist for later queries. Afterwards residency is brought
-    /// back under the configured budget.
+    /// (whole-lane granularity) materialise in full, and the counter indexes
+    /// and pyramids of every fully resident lane are built once and persist
+    /// for later requests. Afterwards residency is brought back under the
+    /// configured budget.
     ///
     /// The closure receives the same [`IntervalQuery`] API a fully resident
     /// [`AnalysisSession::query`] returns, with identical answers.
@@ -331,29 +402,24 @@ impl StoreSession {
         interval: TimeInterval,
         f: impl FnOnce(&IntervalQuery<'_, '_>) -> R,
     ) -> Result<R, AnalysisError> {
-        let lanes: Vec<LaneId> = self.stored.lanes().collect();
-        for lane in lanes {
-            match lane {
-                LaneId::States(_) => self.stored.ensure_states_covering(lane, interval)?,
-                _ => self.stored.ensure(lane)?,
-            }
-        }
-        self.persist_counter_indexes();
-        let result = {
-            let view = self.view();
-            let query = view.query(interval);
-            f(&query)
-        };
-        self.stored.evict_to_budget();
-        Ok(result)
+        let lanes: Vec<LaneRequest> = self
+            .stored
+            .lanes()
+            .map(|lane| match lane {
+                LaneId::States(_) => LaneRequest::StatesCovering(lane, interval),
+                _ => LaneRequest::Full(lane),
+            })
+            .collect();
+        self.answer(&lanes, true, |view| f(&view.query(interval)))
     }
 
     /// Runs the anomaly engine against the store: every lane materialises in
     /// full (the detectors scan states, tasks, accesses and counters alike),
-    /// built indexes and pyramids persist for later queries, and the ranked
-    /// report lands in the session's shared anomaly cache — a repeated call
-    /// with an equal `config` is a cache hit without touching the store.
-    /// Afterwards residency is brought back under the configured budget.
+    /// built indexes and pyramids persist for later requests, the scan fans
+    /// out over the store's thread budget, and the ranked report lands in the
+    /// session's shared anomaly cache — a repeated call with an equal
+    /// `config` is a cache hit. Afterwards residency is brought back under
+    /// the configured budget.
     ///
     /// # Errors
     ///
@@ -362,129 +428,62 @@ impl StoreSession {
         &mut self,
         config: &crate::anomaly::AnomalyConfig,
     ) -> Result<Arc<crate::anomaly::AnomalyReport>, AnalysisError> {
-        let lanes: Vec<LaneId> = self.stored.lanes().collect();
-        for lane in lanes {
-            self.stored.ensure(lane)?;
-        }
-        self.persist_counter_indexes();
-        self.persist_pyramids();
-        let report = {
-            let view = self.view();
-            view.detect_anomalies(config)?
-        };
-        self.stored.evict_to_budget();
-        Ok(report)
+        let lanes: Vec<LaneRequest> = self.stored.lanes().map(LaneRequest::Full).collect();
+        let threads = self.stored.decode_threads();
+        self.answer(&lanes, true, |view| {
+            view.detect_anomalies_with(config, threads)
+        })?
     }
 
-    /// Materialises what one timeline frame needs (see
-    /// [`StoreSession::timeline_with_engine`]).
-    fn ensure_for_timeline(
+    /// One request against the store: materialises `lanes` in one batch, runs
+    /// `f` on a short-lived [`AnalysisSession`] over the resident lanes, and
+    /// brings residency back under the budget.
+    ///
+    /// The view is seeded with every persisted shard whose lane is *fully*
+    /// resident (absolute row indexes must align; see the module docs). With
+    /// `warm`, the missing shards of fully resident lanes are first built in
+    /// parallel on the store's thread budget; either way, what the view built
+    /// over fully resident lanes is harvested and persisted afterwards.
+    fn answer<R>(
         &mut self,
-        mode: TimelineMode,
-        interval: TimeInterval,
-        engine: TimelineEngine,
-    ) -> Result<(), AnalysisError> {
-        let scan = matches!(engine, TimelineEngine::Scan);
-        let state_lanes: Vec<LaneId> = self
-            .stored
-            .lanes()
-            .filter(|l| matches!(l, LaneId::States(_)))
-            .collect();
-        for lane in state_lanes {
-            if scan {
-                self.stored.ensure_states_covering(lane, interval)?;
-            } else {
-                self.stored.ensure(lane)?;
-            }
-        }
-        let task_mode = !matches!(mode, TimelineMode::State);
-        if task_mode || !scan {
-            self.stored.ensure(LaneId::Tasks)?;
-        }
-        let numa_mode = matches!(
-            mode,
-            TimelineMode::NumaRead | TimelineMode::NumaWrite | TimelineMode::NumaHeat
-        );
-        if numa_mode || !scan {
-            self.stored.ensure(LaneId::Accesses)?;
-        }
-        if !scan {
-            self.persist_pyramids();
-        }
-        Ok(())
-    }
-
-    /// Builds and persists pyramids for every fully resident state lane that
-    /// does not have one yet. Requires the task and access tables to be
-    /// resident (pyramid construction aggregates both).
-    fn persist_pyramids(&mut self) {
-        let trace = self.stored.trace();
-        let built: Vec<(u32, Arc<StatePyramid>)> = trace
-            .per_cpu()
-            .iter()
-            .filter(|pc| !pc.states().is_empty())
-            .filter(|pc| !self.pyramids.contains_key(&pc.cpu().0))
-            .filter(|pc| self.stored.residency(LaneId::States(pc.cpu())) == LaneResidency::Full)
-            .map(|pc| {
-                (
-                    pc.cpu().0,
-                    Arc::new(StatePyramid::build(trace, pc.states())),
-                )
-            })
-            .collect();
-        self.pyramids.extend(built);
-    }
-
-    /// Builds and persists counter indexes for every fully resident sample
-    /// lane that does not have one yet.
-    fn persist_counter_indexes(&mut self) {
-        let trace = self.stored.trace();
-        let built: Vec<((CpuId, CounterId), Arc<CounterIndex>)> = self
-            .stored
-            .lanes()
-            .filter_map(|lane| match lane {
-                LaneId::Samples(cpu, ctr) => Some((cpu, ctr)),
-                _ => None,
-            })
-            .filter(|&(cpu, ctr)| !self.indexes.contains_key(&(cpu, ctr)))
-            .filter(|&(cpu, ctr)| {
-                self.stored.residency(LaneId::Samples(cpu, ctr)) == LaneResidency::Full
-            })
-            .filter_map(|(cpu, ctr)| {
-                let samples = trace.cpu(cpu)?.samples(ctr)?;
-                Some(((cpu, ctr), Arc::new(CounterIndex::new(samples))))
-            })
-            .collect();
-        self.indexes.extend(built);
-    }
-
-    /// A short-lived [`AnalysisSession`] over the resident lanes, pre-seeded
-    /// with every persisted index whose backing lane is *fully* resident
-    /// (absolute row indexes must align; see the module docs).
-    fn view(&self) -> AnalysisSession<'_> {
-        let indexes: HashMap<(CpuId, CounterId), Arc<CounterIndex>> = self
-            .indexes
-            .iter()
-            .filter(|&(&(cpu, ctr), _)| {
-                self.stored.residency(LaneId::Samples(cpu, ctr)) == LaneResidency::Full
-            })
-            .map(|(k, v)| (*k, Arc::clone(v)))
-            .collect();
-        let pyramids: HashMap<u32, Arc<StatePyramid>> = self
-            .pyramids
-            .iter()
-            .filter(|&(&cpu, _)| {
-                self.stored.residency(LaneId::States(CpuId(cpu))) == LaneResidency::Full
-            })
-            .map(|(k, v)| (*k, Arc::clone(v)))
-            .collect();
-        AnalysisSession::with_prebuilt(
-            self.stored.trace(),
+        lanes: &[LaneRequest],
+        warm: bool,
+        f: impl FnOnce(&AnalysisSession<'_>) -> R,
+    ) -> Result<R, AnalysisError> {
+        self.stored.ensure_batch(lanes)?;
+        let stored = &self.stored;
+        let full = |lane| stored.residency(lane) == LaneResidency::Full;
+        let mut indexes = self.indexes.clone();
+        indexes.retain(|&(cpu, ctr), _| full(LaneId::Samples(cpu, ctr)));
+        let mut pyramids = self.pyramids.clone();
+        pyramids.retain(|&cpu, _| full(LaneId::States(CpuId(cpu))));
+        let view = AnalysisSession::with_prebuilt(
+            stored.trace(),
             &indexes,
             &pyramids,
             Arc::clone(&self.anomaly_cache),
             Arc::clone(&self.timeline_cache),
             Arc::clone(&self.cost_model),
-        )
+        );
+        if warm {
+            view.prewarm_lanes(stored.decode_threads(), full);
+        }
+        let result = f(&view);
+        let (built_indexes, built_pyramids) = view.built_shards();
+        self.shards_reseeded += (indexes.len() + pyramids.len()) as u64;
+        self.index_builds += built_indexes.len().saturating_sub(indexes.len()) as u64;
+        self.pyramid_builds += built_pyramids.len().saturating_sub(pyramids.len()) as u64;
+        self.indexes.extend(
+            built_indexes
+                .into_iter()
+                .filter(|&((cpu, ctr), _)| full(LaneId::Samples(cpu, ctr))),
+        );
+        self.pyramids.extend(
+            built_pyramids
+                .into_iter()
+                .filter(|&(cpu, _)| full(LaneId::States(CpuId(cpu)))),
+        );
+        self.stored.evict_to_budget();
+        Ok(result)
     }
 }

@@ -257,3 +257,398 @@ fn adaptive_frames_match_and_reuse_pyramids() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// One thread budget, one shard-building routine, finer detector units: no
+// answer may depend on any of them.
+// ---------------------------------------------------------------------------
+
+use aftermath_core::anomaly::{detect_anomalies_with, AnomalyConfig};
+use aftermath_core::Threads;
+use aftermath_trace::error::TraceError;
+use aftermath_trace::store::{ColdTier, MemoryTier};
+use aftermath_trace::{FaultConfig, FaultEvent, FaultyTier};
+
+fn thread_budgets() -> [Threads; 3] {
+    [Threads::single(), Threads::new(2), Threads::auto()]
+}
+
+/// Everything `IntervalQuery` answers for one CPU, as one comparable value.
+fn query_bundle(
+    q: &aftermath_core::IntervalQuery<'_, '_>,
+    cpu: CpuId,
+    ctr: aftermath_trace::CounterId,
+) -> String {
+    let filter = TaskFilter::new();
+    format!(
+        "{:?}",
+        (
+            q.state_cycles(cpu),
+            q.predominant_state(cpu),
+            q.predominant_task(cpu, &filter),
+            q.exec_stats(cpu),
+            q.task_type_cycles(cpu),
+            q.numa_bytes(cpu, AccessKind::Read),
+            q.numa_bytes(cpu, AccessKind::Write),
+            q.counter_min_max(cpu, ctr),
+            q.counter_average(cpu, ctr),
+        )
+    )
+}
+
+/// Frames (scan, pyramid and adaptive engines), the query bundle and the
+/// anomaly report of a store session equal the resident session's at every
+/// thread budget and at no, half and zero residency budget.
+#[test]
+fn answers_do_not_depend_on_thread_or_residency_budget() {
+    let trace = planted_trace(1, 3);
+    let resident = AnalysisSession::new(&trace);
+    let bounds = resident.time_bounds();
+    let ctr = resident.counter_id("counter0").unwrap();
+    let window = TimeInterval::from_cycles(
+        bounds.start.0 + bounds.duration() / 3,
+        bounds.start.0 + bounds.duration() / 2,
+    );
+    let config = AnomalyConfig::default();
+    let want_report = resident.detect_anomalies(&config).unwrap();
+    assert!(!want_report.is_empty(), "the fixture must rank something");
+    let full = trace.resident_event_bytes();
+    for threads in thread_budgets() {
+        for budget in [None, Some(full / 2), Some(0)] {
+            let what = format!("threads {threads}, budget {budget:?}");
+            let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 16 }).unwrap();
+            let mut stored = StoredTrace::from_bytes(bytes).unwrap();
+            stored.set_decode_threads(threads);
+            let mut store = StoreSession::from_store(stored);
+            store.set_residency_budget(budget);
+            assert_eq!(
+                store.first_frame(48).unwrap(),
+                reference_frame(
+                    &trace,
+                    TimelineMode::State,
+                    bounds,
+                    48,
+                    TimelineEngine::Scan
+                ),
+                "{what}"
+            );
+            for cpu in (0..4).map(CpuId) {
+                let got = store.query(window, |q| query_bundle(q, cpu, ctr)).unwrap();
+                assert_eq!(
+                    got,
+                    query_bundle(&resident.query(window), cpu, ctr),
+                    "{what}"
+                );
+            }
+            let report = store.detect_anomalies(&config).unwrap();
+            assert_eq!(*report, *want_report, "{what}");
+            for engine in [TimelineEngine::Pyramid, TimelineEngine::Adaptive] {
+                for mode in all_modes() {
+                    let got = store
+                        .timeline_with_engine(mode, window, 24, &TaskFilter::new(), engine)
+                        .unwrap();
+                    let want = TimelineModel::build_with_engine(
+                        &resident,
+                        mode,
+                        window,
+                        24,
+                        &TaskFilter::new(),
+                        engine,
+                    )
+                    .unwrap();
+                    assert_eq!(got, want, "{what}, {engine:?}");
+                }
+            }
+            if let Some(budget) = budget {
+                assert!(store.resident_event_bytes() <= budget, "{what}");
+            }
+        }
+    }
+}
+
+/// A salvaged store answers frames and queries inside its covered span
+/// byte-identically at every thread budget (whole-trace scans are not exact
+/// on a damaged store and are not asked for).
+#[test]
+fn salvaged_answers_inside_the_covered_span_at_every_thread_budget() {
+    let trace = numa_trace(160);
+    let resident = AnalysisSession::new(&trace);
+    let ctr = resident.counter_id("cycles").unwrap();
+    let mut bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 8 }).unwrap();
+    let probe = StoredTrace::from_bytes(bytes.clone()).unwrap();
+    let first = probe
+        .lane_directory(LaneId::States(CpuId(1)))
+        .unwrap()
+        .blocks[0];
+    bytes[first.offset as usize + 2] ^= 0x20;
+    for threads in thread_budgets() {
+        let mut stored = StoredTrace::from_bytes_salvage(bytes.clone()).unwrap();
+        stored.set_decode_threads(threads);
+        let mut store = StoreSession::from_store(stored);
+        let coverage = store.coverage().expect("salvaged");
+        assert!(!coverage.clean);
+        let span = coverage
+            .full_span
+            .expect("time-sorted lanes survive in part");
+        let end = span.end.0.min(store.time_bounds().end.0);
+        let window =
+            TimeInterval::from_cycles(span.start.0, span.start.0 + (end - span.start.0) / 2);
+        assert!(coverage.allows_query(window) && !window.is_empty());
+        for mode in all_modes() {
+            assert!(coverage.allows_timeline(mode, window));
+            for engine in [TimelineEngine::Scan, TimelineEngine::Adaptive] {
+                let got = store
+                    .timeline_with_engine(mode, window, 24, &TaskFilter::new(), engine)
+                    .unwrap();
+                let want = TimelineModel::build_with_engine(
+                    &resident,
+                    mode,
+                    window,
+                    24,
+                    &TaskFilter::new(),
+                    engine,
+                )
+                .unwrap();
+                assert_eq!(got, want, "threads {threads}, {mode:?}, {engine:?}");
+            }
+        }
+        for cpu in (0..4).map(CpuId) {
+            let got = store.query(window, |q| query_bundle(q, cpu, ctr)).unwrap();
+            assert_eq!(got, query_bundle(&resident.query(window), cpu, ctr));
+        }
+    }
+}
+
+/// The point of building shards through one routine: after the first frame,
+/// a query and a report on an unbudgeted session, every pyramid and every
+/// counter index has been built exactly once — and a second query builds
+/// nothing, it re-seeds.
+#[test]
+fn stats_show_every_shard_built_once() {
+    let trace = numa_trace(160);
+    let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 16 }).unwrap();
+    let stored = StoredTrace::from_bytes(bytes).unwrap();
+    let lanes: Vec<LaneId> = stored.lanes().collect();
+    let stored_bytes: u64 = lanes
+        .iter()
+        .flat_map(|&lane| &stored.lane_directory(lane).unwrap().blocks)
+        .map(|b| b.len)
+        .sum();
+    let stored_blocks: usize = lanes
+        .iter()
+        .map(|&lane| stored.lane_directory(lane).unwrap().blocks.len())
+        .sum();
+    let state_lanes = lanes
+        .iter()
+        .filter(|l| matches!(l, LaneId::States(_)))
+        .count();
+    let sample_lanes = lanes
+        .iter()
+        .filter(|l| matches!(l, LaneId::Samples(..)))
+        .count();
+    assert!(state_lanes > 0 && sample_lanes > 0);
+
+    let mut store = StoreSession::from_store(stored);
+    let bounds = store.time_bounds();
+    let window = TimeInterval::from_cycles(bounds.start.0, bounds.start.0 + bounds.duration() / 4);
+    store.first_frame(32).unwrap();
+    let after_frame = store.stats();
+    assert_eq!(after_frame.lanes_materialised as usize, state_lanes);
+    assert_eq!(
+        (after_frame.pyramid_builds, after_frame.index_builds),
+        (0, 0)
+    );
+    store.query(window, |q| q.state_cycles(CpuId(0))).unwrap();
+    store.detect_anomalies(&AnomalyConfig::default()).unwrap();
+    let warm = store.stats();
+    assert_eq!(warm.pyramid_builds as usize, state_lanes);
+    assert_eq!(warm.index_builds as usize, sample_lanes);
+    // Every lane was read and decoded once, whole.
+    assert_eq!(warm.lanes_materialised as usize, lanes.len());
+    assert_eq!(warm.blocks_decoded as usize, stored_blocks);
+    assert_eq!(warm.bytes_read, stored_bytes);
+
+    store.query(window, |q| q.state_cycles(CpuId(1))).unwrap();
+    let again = store.stats();
+    assert_eq!(
+        (again.pyramid_builds, again.index_builds, again.bytes_read),
+        (warm.pyramid_builds, warm.index_builds, warm.bytes_read),
+        "a second query builds and reads nothing"
+    );
+    assert_eq!(
+        (again.shards_reseeded - warm.shards_reseeded) as usize,
+        state_lanes + sample_lanes
+    );
+}
+
+/// Shares one [`FaultyTier`] between the store (which owns its tier box) and
+/// the test (which reads the fault log afterwards).
+#[derive(Debug)]
+struct SharedTier(std::sync::Arc<FaultyTier>);
+
+impl ColdTier for SharedTier {
+    fn size(&self) -> Result<u64, TraceError> {
+        self.0.size()
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), TraceError> {
+        self.0.read_at(offset, buf)
+    }
+}
+
+/// `FaultyTier` decides the fault of read `n` from `(seed, n)` alone, so a
+/// request script replays exactly — provided reads are issued in one fixed
+/// order. They are: on the calling thread, whatever the thread budget.
+#[test]
+fn fault_replay_is_deterministic_at_every_thread_budget() {
+    let trace = numa_trace(160);
+    let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 8 }).unwrap();
+    let bounds = trace.time_bounds();
+    let window = TimeInterval::from_cycles(bounds.start.0, bounds.start.0 + bounds.duration() / 3);
+    let faults = FaultConfig {
+        io_per_10k: 1_500,
+        short_read_per_10k: 1_000,
+        bit_flip_per_10k: 1_500,
+        ..FaultConfig::default()
+    };
+    // A seed whose schedule spares the four reads of the open.
+    let (seed, _) = (0..64u64)
+        .map(|seed| {
+            let tier = FaultyTier::new(
+                Box::new(MemoryTier::new(bytes.clone())),
+                FaultConfig { seed, ..faults },
+            );
+            (seed, StoredTrace::open_with_tier(Box::new(tier)))
+        })
+        .find(|(_, opened)| opened.is_ok())
+        .expect("some seed opens the faulty store");
+
+    let replay = |threads: Threads| -> (u64, Vec<FaultEvent>, Vec<String>) {
+        let tier = std::sync::Arc::new(FaultyTier::new(
+            Box::new(MemoryTier::new(bytes.clone())),
+            FaultConfig { seed, ..faults },
+        ));
+        let shared = SharedTier(std::sync::Arc::clone(&tier));
+        let mut stored = StoredTrace::open_with_tier(Box::new(shared)).unwrap();
+        stored.set_decode_threads(threads);
+        let mut store = StoreSession::from_store(stored);
+        store.set_residency_budget(Some(0)); // every request reads again
+        let mut outcomes = Vec::new();
+        for _ in 0..6 {
+            outcomes.push(match store.first_frame(32) {
+                Ok(frame) => format!("frame {:?}", frame.cells.len()),
+                Err(e) => format!("frame error: {e}"),
+            });
+            outcomes.push(match store.query(window, |q| q.state_cycles(CpuId(0))) {
+                Ok(cycles) => format!("query {cycles:?}"),
+                Err(e) => format!("query error: {e}"),
+            });
+            outcomes.push(match store.detect_anomalies(&AnomalyConfig::default()) {
+                Ok(report) => format!("report {}", report.len()),
+                Err(e) => format!("report error: {e}"),
+            });
+        }
+        (tier.reads(), tier.fault_log(), outcomes)
+    };
+
+    let baseline = replay(Threads::single());
+    assert!(
+        baseline.2.iter().any(|o| o.contains("error"))
+            && baseline.2.iter().any(|o| !o.contains("error")),
+        "the schedule must fail some requests and spare others: {:?}",
+        baseline.2
+    );
+    for threads in [Threads::new(2), Threads::auto(), Threads::single()] {
+        assert_eq!(replay(threads), baseline, "threads {threads}");
+    }
+}
+
+/// A trace with `counters` monotone counters (0, 1 or 2) over `types` task
+/// types, with planted slow tasks, counter jumps, an idle phase and remote
+/// accesses — so the detectors with finer parallel units all have findings
+/// to order.
+fn planted_trace(counters: usize, types: u32) -> Trace {
+    let mut b = TraceBuilder::new(MachineTopology::uniform(2, 2));
+    let tys: Vec<_> = (0..types)
+        .map(|i| b.add_task_type(format!("type{i}"), 0x1000 * u64::from(i + 1)))
+        .collect();
+    let ctrs: Vec<_> = (0..counters)
+        .map(|i| b.add_counter(format!("counter{i}"), true))
+        .collect();
+    b.add_region(0x10_000, 0x1000, Some(NumaNodeId(0)));
+    b.add_region(0x20_000, 0x1000, Some(NumaNodeId(1)));
+    let mut totals = vec![[0.0f64; 4]; counters];
+    for i in 0..400u64 {
+        let cpu = CpuId((i % 4) as u32);
+        let t0 = i * 100 + if i >= 200 { 30_000 } else { 0 }; // an idle phase
+        let slow = i % 97 == 13;
+        let t1 = t0 + if slow { 95 } else { 20 + i % 3 };
+        let task = b.add_task(
+            tys[(i % u64::from(types)) as usize],
+            cpu,
+            Timestamp(t0),
+            Timestamp(t0),
+            Timestamp(t1),
+        );
+        b.add_state(
+            cpu,
+            WorkerState::TaskExecution,
+            Timestamp(t0),
+            Timestamp(t1),
+            Some(task),
+        )
+        .unwrap();
+        let remote = (120..140).contains(&i);
+        let local = if cpu.0 < 2 { 0x10_000 } else { 0x20_000 };
+        let addr = if remote { local ^ 0x30_000 } else { local };
+        b.add_access(task, AccessKind::Read, addr + (i % 8) * 64, 64)
+            .unwrap();
+        for (c, &ctr) in ctrs.iter().enumerate() {
+            let total = &mut totals[c][cpu.0 as usize];
+            b.add_sample(ctr, cpu, Timestamp(t0), *total).unwrap();
+            *total += if i % 89 == 7 + c as u64 {
+                5_000.0
+            } else {
+                10.0 + (i % 4) as f64
+            };
+            b.add_sample(ctr, cpu, Timestamp(t1), *total).unwrap();
+        }
+    }
+    b.finish().unwrap()
+}
+
+/// The ranked report is the same at 1…8 threads on the adversarial
+/// ground-truth corpus and on traces with two, one and no counters and with
+/// one and several task types.
+#[test]
+fn anomaly_reports_are_identical_for_one_to_eight_threads() {
+    use aftermath_sim::{SimConfig, Simulator};
+    let mut traces: Vec<(String, Trace)> = aftermath_workloads::adversarial::all(42)
+        .into_iter()
+        .map(|w| {
+            let trace = Simulator::new(SimConfig::small_test())
+                .run(&w.spec)
+                .expect("adversarial workload simulates")
+                .trace;
+            (w.spec.name.clone(), trace)
+        })
+        .collect();
+    for (counters, types) in [(2, 5), (1, 5), (0, 5), (1, 1)] {
+        traces.push((
+            format!("planted, {counters} counter(s), {types} type(s)"),
+            planted_trace(counters, types),
+        ));
+    }
+    let config = AnomalyConfig::default();
+    for (name, trace) in &traces {
+        let session = AnalysisSession::new(trace);
+        let sequential = detect_anomalies_with(&session, &config, Threads::single()).unwrap();
+        if name.starts_with("planted") {
+            assert!(!sequential.is_empty(), "{name}: nothing to order");
+        }
+        for threads in 2..=8 {
+            let parallel = detect_anomalies_with(&session, &config, Threads::new(threads)).unwrap();
+            assert_eq!(parallel, sequential, "{name} at {threads} threads");
+        }
+    }
+}

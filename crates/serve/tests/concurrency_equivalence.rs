@@ -262,3 +262,77 @@ fn malformed_frames_get_typed_errors_not_crashes() {
     client.close(session).expect("closes");
     server.shutdown();
 }
+
+/// A served store answers the whole script — frames, the query result,
+/// the anomaly report, the drill-in — byte-identically to a direct session at
+/// every thread budget of the store and at no, half and zero residency
+/// budget; a salvaged store does so for everything it does not refuse.
+#[test]
+fn store_backed_answers_do_not_depend_on_thread_or_residency_budget() {
+    let trace = Arc::new(sim_trace());
+    let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 8 }).expect("store writes");
+    let direct = AnalysisSession::new(&trace);
+    let bounds = direct.time_bounds();
+    let expected: Vec<Vec<u8>> = script(0, bounds)
+        .iter()
+        .map(|request| direct_response(&direct, request).encode())
+        .collect();
+    // The last block of one states lane is damaged: the salvaged store still
+    // answers whatever lies inside the surviving span before it.
+    let mut damaged = bytes.clone();
+    let probe = StoredTrace::from_bytes(bytes.clone()).expect("store opens");
+    let lane = probe
+        .lanes()
+        .filter(|lane| matches!(lane, aftermath_trace::store::LaneId::States(_)))
+        .max_by_key(|&lane| probe.lane_rows(lane))
+        .expect("a states lane");
+    let blocks = &probe.lane_directory(lane).expect("directory").blocks;
+    assert!(
+        blocks.len() > 4,
+        "the script's windows need a surviving head"
+    );
+    damaged[blocks[blocks.len() - 1].offset as usize + 3] ^= 0x04;
+
+    let full = trace.resident_event_bytes();
+    for threads in [Threads::single(), Threads::new(2), Threads::auto()] {
+        for budget in [None, Some(full / 2), Some(0)] {
+            for salvaged in [false, true] {
+                let mut stored = if salvaged {
+                    StoredTrace::from_bytes_salvage(damaged.clone()).expect("salvage opens")
+                } else {
+                    StoredTrace::from_bytes(bytes.clone()).expect("store opens")
+                };
+                stored.set_decode_threads(threads);
+                let mut store = StoreSession::from_store(stored);
+                store.set_residency_budget(budget);
+                let mut manager = SessionManager::new(4);
+                manager.register_store("disk", store);
+                let Response::Opened { session, .. } = manager.handle(&Request::Open {
+                    trace: "disk".into(),
+                }) else {
+                    panic!("disk trace must open");
+                };
+                let mut identical = 0;
+                for (request, expected) in script(session, bounds).iter().zip(&expected) {
+                    if matches!(request, Request::Lint { .. }) {
+                        continue; // the store pipeline has no lint stage
+                    }
+                    let response = manager.handle(request);
+                    if salvaged && matches!(response, Response::Error { .. }) {
+                        continue; // refused explicitly, never answered approximately
+                    }
+                    assert_eq!(
+                        &response.encode(),
+                        expected,
+                        "threads {threads}, budget {budget:?}, salvaged {salvaged}: {request:?}"
+                    );
+                    identical += 1;
+                }
+                assert!(
+                    identical > 0,
+                    "a salvaged store must still answer something"
+                );
+            }
+        }
+    }
+}

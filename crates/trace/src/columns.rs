@@ -133,6 +133,42 @@ impl TaskRefColumn {
         }
     }
 
+    /// Builds the column from already biased values (`0` = no task), in the
+    /// width [`TaskRefColumn::push`] would have ended in: narrow unless some
+    /// value needs 64 bits.
+    pub(crate) fn from_biased(biased: Vec<u64>) -> Self {
+        if biased.iter().all(|&v| v <= u64::from(u32::MAX)) {
+            TaskRefColumn::Narrow(biased.iter().map(|&v| v as u32).collect())
+        } else {
+            TaskRefColumn::Wide(biased)
+        }
+    }
+
+    /// Reserves room for exactly `additional` more entries.
+    fn reserve_exact(&mut self, additional: usize) {
+        match self {
+            TaskRefColumn::Narrow(v) => v.reserve_exact(additional),
+            TaskRefColumn::Wide(v) => v.reserve_exact(additional),
+        }
+    }
+
+    /// Appends every entry of `other`, widening when either side is wide.
+    fn append(&mut self, other: &TaskRefColumn) {
+        match (&mut *self, other) {
+            (TaskRefColumn::Narrow(a), TaskRefColumn::Narrow(b)) => a.extend_from_slice(b),
+            (TaskRefColumn::Wide(a), TaskRefColumn::Wide(b)) => a.extend_from_slice(b),
+            (TaskRefColumn::Wide(a), TaskRefColumn::Narrow(b)) => {
+                a.extend(b.iter().map(|&x| u64::from(x)));
+            }
+            (TaskRefColumn::Narrow(a), TaskRefColumn::Wide(b)) => {
+                let mut wide = Vec::with_capacity(a.capacity().max(a.len() + b.len()));
+                wide.extend(a.iter().map(|&x| u64::from(x)));
+                wide.extend_from_slice(b);
+                *self = TaskRefColumn::Wide(wide);
+            }
+        }
+    }
+
     /// The entry at `i`.
     #[inline]
     pub fn get(&self, i: usize) -> Option<TaskId> {
@@ -277,6 +313,45 @@ impl StateColumns {
             cpu,
             ..Default::default()
         }
+    }
+
+    /// Assembles a store from whole columns of equal length (the column
+    /// store's block decoders, [`crate::store`]); `states` must hold valid
+    /// [`WorkerState`] discriminants.
+    pub(crate) fn from_parts(
+        cpu: CpuId,
+        starts: Vec<u64>,
+        ends: Vec<u64>,
+        states: Vec<u8>,
+        tasks: TaskRefColumn,
+    ) -> Self {
+        debug_assert!(
+            starts.len() == ends.len() && ends.len() == states.len() && states.len() == tasks.len()
+        );
+        StateColumns {
+            cpu,
+            starts,
+            ends,
+            states,
+            tasks,
+        }
+    }
+
+    /// Reserves room for exactly `additional` more intervals.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.starts.reserve_exact(additional);
+        self.ends.reserve_exact(additional);
+        self.states.reserve_exact(additional);
+        self.tasks.reserve_exact(additional);
+    }
+
+    /// Appends every interval of `other` (a later chunk of the same stream).
+    pub(crate) fn append(&mut self, other: &StateColumns) {
+        debug_assert_eq!(self.cpu, other.cpu, "chunk of another stream");
+        self.starts.extend_from_slice(&other.starts);
+        self.ends.extend_from_slice(&other.ends);
+        self.states.extend_from_slice(&other.states);
+        self.tasks.append(&other.tasks);
     }
 
     /// Number of stored intervals.
@@ -626,6 +701,55 @@ impl EventColumns {
         }
     }
 
+    /// Assembles a store from whole columns (the column store's block
+    /// decoders, [`crate::store`]): `tags` must hold valid kind tags;
+    /// `payload_b` / `payload_c` are either empty (all zero) or full length.
+    pub(crate) fn from_parts(
+        cpu: CpuId,
+        timestamps: Vec<u64>,
+        tags: Vec<u8>,
+        payload_a: Vec<u64>,
+        payload_b: Vec<u64>,
+        payload_c: Vec<u64>,
+    ) -> Self {
+        let rows = timestamps.len();
+        debug_assert!(tags.len() == rows && payload_a.len() == rows);
+        debug_assert!(payload_b.is_empty() || payload_b.len() == rows);
+        debug_assert!(payload_c.is_empty() || payload_c.len() == rows);
+        EventColumns {
+            cpu,
+            timestamps,
+            tags,
+            payload_a,
+            payload_b,
+            payload_c,
+        }
+    }
+
+    /// Reserves room for exactly `additional` more events (in the lazily
+    /// materialised lanes only once they exist).
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.timestamps.reserve_exact(additional);
+        self.tags.reserve_exact(additional);
+        self.payload_a.reserve_exact(additional);
+        for lane in [&mut self.payload_b, &mut self.payload_c] {
+            if !lane.is_empty() {
+                lane.reserve_exact(additional);
+            }
+        }
+    }
+
+    /// Appends every event of `other` (a later chunk of the same stream).
+    pub(crate) fn append(&mut self, other: &EventColumns) {
+        debug_assert_eq!(self.cpu, other.cpu, "chunk of another stream");
+        let (prior, added) = (self.len(), other.len());
+        self.timestamps.extend_from_slice(&other.timestamps);
+        self.tags.extend_from_slice(&other.tags);
+        self.payload_a.extend_from_slice(&other.payload_a);
+        append_lazy(&mut self.payload_b, prior, &other.payload_b, added);
+        append_lazy(&mut self.payload_c, prior, &other.payload_c, added);
+    }
+
     /// Number of stored events.
     pub fn len(&self) -> usize {
         self.timestamps.len()
@@ -763,6 +887,22 @@ fn push_lazy(lane: &mut Vec<u64>, prior: usize, value: u64) {
         lane.resize(prior, 0);
     }
     lane.push(value);
+}
+
+/// Appends the `added`-entry lane `other` to a lane covering `prior` entries;
+/// either may be absent (all zero), and the result stays absent when both are.
+fn append_lazy(lane: &mut Vec<u64>, prior: usize, other: &[u64], added: usize) {
+    if other.is_empty() {
+        if !lane.is_empty() {
+            lane.resize(prior + added, 0);
+        }
+    } else {
+        if lane.is_empty() {
+            lane.reserve_exact(prior + added);
+            lane.resize(prior, 0);
+        }
+        lane.extend_from_slice(other);
+    }
 }
 
 /// Equality of two lazily materialised lanes of logical length `len`.
@@ -904,6 +1044,36 @@ impl SampleColumns {
             cpu,
             ..Default::default()
         }
+    }
+
+    /// Assembles a store from whole columns of equal length (the column
+    /// store's block decoders, [`crate::store`]).
+    pub(crate) fn from_parts(
+        counter: CounterId,
+        cpu: CpuId,
+        timestamps: Vec<u64>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(timestamps.len(), values.len());
+        SampleColumns {
+            counter,
+            cpu,
+            timestamps,
+            values,
+        }
+    }
+
+    /// Reserves room for exactly `additional` more samples.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.timestamps.reserve_exact(additional);
+        self.values.reserve_exact(additional);
+    }
+
+    /// Appends every sample of `other` (a later chunk of the same stream).
+    pub(crate) fn append(&mut self, other: &SampleColumns) {
+        debug_assert_eq!((self.counter, self.cpu), (other.counter, other.cpu));
+        self.timestamps.extend_from_slice(&other.timestamps);
+        self.values.extend_from_slice(&other.values);
     }
 
     /// Number of stored samples.
@@ -1099,6 +1269,42 @@ impl AccessColumns {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Assembles a table from whole columns of equal length (the column
+    /// store's block decoders, [`crate::store`]): every task reference must
+    /// be present and `kinds` hold `0` (read) or `1` (write).
+    pub(crate) fn from_parts(
+        tasks: TaskRefColumn,
+        kinds: Vec<u8>,
+        addrs: Vec<u64>,
+        sizes: Vec<u64>,
+    ) -> Self {
+        debug_assert!(
+            tasks.len() == kinds.len() && kinds.len() == addrs.len() && addrs.len() == sizes.len()
+        );
+        AccessColumns {
+            tasks,
+            kinds,
+            addrs,
+            sizes,
+        }
+    }
+
+    /// Reserves room for exactly `additional` more accesses.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.tasks.reserve_exact(additional);
+        self.kinds.reserve_exact(additional);
+        self.addrs.reserve_exact(additional);
+        self.sizes.reserve_exact(additional);
+    }
+
+    /// Appends every access of `other` (a later chunk of the same table).
+    pub(crate) fn append(&mut self, other: &AccessColumns) {
+        self.tasks.append(&other.tasks);
+        self.kinds.extend_from_slice(&other.kinds);
+        self.addrs.extend_from_slice(&other.addrs);
+        self.sizes.extend_from_slice(&other.sizes);
     }
 
     /// Number of stored accesses.

@@ -40,7 +40,8 @@ mod writer;
 
 pub use reader::{read_trace, read_trace_file, read_trace_file_with, read_trace_with};
 pub use varint::{
-    read_f64, read_string, read_varint, write_f64, write_string, write_varint, MAX_VARINT_LEN,
+    get_varint, put_varint, read_f64, read_string, read_varint, write_f64, write_string,
+    write_varint, VarintError, MAX_VARINT_LEN,
 };
 pub use writer::{write_trace, write_trace_file};
 

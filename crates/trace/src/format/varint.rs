@@ -5,26 +5,95 @@ use std::io::{self, Read, Write};
 /// Maximum number of bytes a LEB128-encoded `u64` may occupy.
 pub const MAX_VARINT_LEN: usize = 10;
 
+/// Why [`get_varint`] could not decode a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VarintError {
+    /// The buffer ended before the terminating byte.
+    Truncated,
+    /// The encoding does not fit a `u64` (more than 64 significant bits, or
+    /// longer than [`MAX_VARINT_LEN`] bytes).
+    Overflow,
+}
+
+/// Encodes `value` into `buf`, returning the number of bytes used.
+#[inline]
+fn encode_varint(mut value: u64, buf: &mut [u8; MAX_VARINT_LEN]) -> usize {
+    let mut n = 0;
+    while value >= 0x80 {
+        buf[n] = (value as u8) | 0x80;
+        value >>= 7;
+        n += 1;
+    }
+    buf[n] = value as u8;
+    n + 1
+}
+
+/// Appends `value` to `out` as an unsigned LEB128 varint — the one encoder of
+/// the crate; [`write_varint`] is its `io::Write` adapter.
+#[inline]
+pub fn put_varint(out: &mut Vec<u8>, value: u64) {
+    if value < 0x80 {
+        out.push(value as u8);
+    } else {
+        let mut buf = [0u8; MAX_VARINT_LEN];
+        let n = encode_varint(value, &mut buf);
+        out.extend_from_slice(&buf[..n]);
+    }
+}
+
+/// Decodes one unsigned LEB128 varint from `buf` at `*pos`, advancing `*pos`
+/// past it — the one decoder of the crate; [`read_varint`] is its `io::Read`
+/// adapter. On error `*pos` is left where it was.
+///
+/// Values of up to eight encoded bytes (56 bits — every delta, duration and
+/// id a real trace produces) decode from a single bounds-checked window, with
+/// no per-byte bounds or overflow check; longer encodings and the last seven
+/// bytes of a buffer take the byte-wise path.
+///
+/// # Errors
+///
+/// [`VarintError::Truncated`] when `buf` ends inside the value,
+/// [`VarintError::Overflow`] when it does not fit a `u64`.
+#[inline]
+pub fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
+    if let Some(window) = buf.get(*pos..).and_then(|rest| rest.first_chunk::<8>()) {
+        let mut value = 0u64;
+        for (i, &byte) in window.iter().enumerate() {
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte & 0x80 == 0 {
+                *pos += i + 1;
+                return Ok(value);
+            }
+        }
+    }
+    get_varint_bytewise(buf, pos)
+}
+
+#[cold]
+fn get_varint_bytewise(buf: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
+    let mut value = 0u64;
+    for (i, &byte) in buf.get(*pos..).unwrap_or(&[]).iter().enumerate() {
+        // The tenth byte carries bit 63 only; an eleventh cannot exist.
+        if i == MAX_VARINT_LEN - 1 && byte > 1 {
+            return Err(VarintError::Overflow);
+        }
+        value |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            *pos += i + 1;
+            return Ok(value);
+        }
+    }
+    Err(VarintError::Truncated)
+}
+
 /// Writes `value` as an unsigned LEB128 varint.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn write_varint<W: Write>(w: &mut W, mut value: u64) -> io::Result<usize> {
+pub fn write_varint<W: Write>(w: &mut W, value: u64) -> io::Result<usize> {
     let mut buf = [0u8; MAX_VARINT_LEN];
-    let mut n = 0;
-    loop {
-        let mut byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value != 0 {
-            byte |= 0x80;
-        }
-        buf[n] = byte;
-        n += 1;
-        if value == 0 {
-            break;
-        }
-    }
+    let n = encode_varint(value, &mut buf);
     w.write_all(&buf[..n])?;
     Ok(n)
 }
@@ -37,29 +106,21 @@ pub fn write_varint<W: Write>(w: &mut W, mut value: u64) -> io::Result<usize> {
 /// `u64` or is longer than [`MAX_VARINT_LEN`] bytes, and propagates reader errors
 /// (including `UnexpectedEof` on truncated input).
 pub fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut result: u64 = 0;
-    let mut shift = 0u32;
-    for _ in 0..MAX_VARINT_LEN {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        let b = byte[0];
-        let low = (b & 0x7f) as u64;
-        if shift >= 64 || (shift == 63 && low > 1) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "varint overflows u64",
-            ));
+    // Gather the value's bytes (a reader has no length to look ahead by), then
+    // decode them with the slice codec.
+    let mut buf = [0u8; MAX_VARINT_LEN];
+    let mut n = 0;
+    loop {
+        r.read_exact(&mut buf[n..=n])?;
+        n += 1;
+        if buf[n - 1] & 0x80 == 0 || n == MAX_VARINT_LEN {
+            break;
         }
-        result |= low << shift;
-        if b & 0x80 == 0 {
-            return Ok(result);
-        }
-        shift += 7;
     }
-    Err(io::Error::new(
-        io::ErrorKind::InvalidData,
-        "varint longer than 10 bytes",
-    ))
+    // Ten bytes without a terminator fail the tenth byte's range check, so
+    // the only error left to map is the overflow.
+    get_varint(&buf[..n], &mut 0)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "varint overflows u64"))
 }
 
 /// Writes an `f64` as its IEEE-754 bit pattern in little-endian order.
@@ -157,6 +218,59 @@ mod tests {
         // 10 bytes with the last contributing more than the remaining bit.
         let buf = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
         assert!(read_varint(&mut &buf[..]).is_err());
+    }
+
+    #[test]
+    fn slice_codec_agrees_with_the_io_adapters() {
+        let values = [
+            0u64,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            (1 << 56) - 1,
+            1 << 56,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut packed = Vec::new();
+        for &v in &values {
+            let mut via_io = Vec::new();
+            write_varint(&mut via_io, v).unwrap();
+            let at = packed.len();
+            put_varint(&mut packed, v);
+            assert_eq!(packed[at..], via_io[..], "value {v}");
+        }
+        // Decoding walks the packed buffer, through the windowed path and —
+        // for the long values and the buffer's tail — the byte-wise one.
+        let mut pos = 0;
+        for &v in &values {
+            assert_eq!(get_varint(&packed, &mut pos), Ok(v));
+        }
+        assert_eq!(pos, packed.len());
+        assert_eq!(get_varint(&packed, &mut pos), Err(VarintError::Truncated));
+    }
+
+    #[test]
+    fn slice_decoder_rejects_what_the_reader_rejects() {
+        // Non-canonical but in-range encodings decode like the reader's.
+        let padded = [0x80u8, 0x80, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff];
+        assert_eq!(get_varint(&padded, &mut 0), Ok(0));
+        assert_eq!(read_varint(&mut &padded[..]).unwrap(), 0);
+        for bad in [
+            &[0xffu8; 11][..],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+        ] {
+            let mut pos = 0;
+            assert_eq!(get_varint(bad, &mut pos), Err(VarintError::Overflow));
+            assert_eq!(pos, 0, "a failed decode does not advance");
+            assert!(read_varint(&mut &bad[..]).is_err());
+        }
+        for cut in [&[0x80u8][..], &[0xff; 9], &[]] {
+            assert_eq!(get_varint(cut, &mut 0), Err(VarintError::Truncated));
+        }
     }
 
     #[test]

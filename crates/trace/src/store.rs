@@ -59,20 +59,20 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
-use std::sync::Mutex;
 
 use aftermath_exec::{parallel_map, Threads};
 
-use crate::columns::{decode_kind, encode_kind, SampleColumns};
+use crate::columns::{
+    decode_kind, encode_kind, AccessColumns, EventColumns, SampleColumns, StateColumns,
+    TaskRefColumn,
+};
 use crate::crc::crc32;
 use crate::error::TraceError;
-use crate::event::{CounterSample, DiscreteEvent};
-use crate::format::{self, write_varint};
+use crate::format::{self, put_varint, VarintError};
 use crate::ids::{CounterId, CpuId, TaskId, TaskTypeId, TimeInterval, Timestamp};
-use crate::memory::{AccessKind, MemoryAccess};
-use crate::state::{StateInterval, WorkerState};
+use crate::memory::AccessKind;
+use crate::state::WorkerState;
 use crate::task::TaskInstance;
 use crate::trace::Trace;
 
@@ -369,40 +369,35 @@ impl Default for StoreOptions {
 // Varint / zigzag helpers over byte slices
 // ---------------------------------------------------------------------------
 
-/// Decodes one LEB128 varint from `buf` starting at `*pos`, advancing `*pos`.
-/// A slice-based twin of [`format::read_varint`] — block decoding is the hot
-/// path of lane materialisation, and going through `io::Read` per byte would
-/// dominate it.
+/// Decodes one varint of a store block or directory ([`format::get_varint`],
+/// the crate's slice codec) with the store's error wording.
 #[inline]
 fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf
-            .get(*pos)
-            .ok_or_else(|| TraceError::Format("truncated varint in store block".into()))?;
-        *pos += 1;
-        if shift >= 63 && byte > 1 {
-            return Err(TraceError::Format("varint overflow in store block".into()));
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-    }
+    format::get_varint(buf, pos).map_err(|e| {
+        TraceError::Format(
+            match e {
+                VarintError::Truncated => "truncated varint in store block",
+                VarintError::Overflow => "varint overflow in store block",
+            }
+            .into(),
+        )
+    })
 }
 
-/// Reads the raw IEEE-754 bits of an `f64` (little-endian), advancing `*pos`.
-#[inline]
-fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64, TraceError> {
-    let bytes: [u8; 8] = buf
-        .get(*pos..*pos + 8)
-        .ok_or_else(|| TraceError::Format("truncated f64 in store block".into()))?
-        .try_into()
-        .expect("slice of length 8");
-    *pos += 8;
-    Ok(f64::from_le_bytes(bytes))
+/// The next `len` raw bytes of a block, advancing `*pos`; `truncated` is the
+/// error message when the block ends first.
+fn take<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+    len: usize,
+    truncated: &str,
+) -> Result<&'a [u8], TraceError> {
+    let bytes = pos
+        .checked_add(len)
+        .and_then(|end| buf.get(*pos..end))
+        .ok_or_else(|| TraceError::Format(truncated.into()))?;
+    *pos += len;
+    Ok(bytes)
 }
 
 /// The error for delta/duration accumulations that leave `u64`/`i64` range —
@@ -419,12 +414,6 @@ fn zigzag(v: i64) -> u64 {
 #[inline]
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Appends a varint to a `Vec` (infallible `Write`).
-#[inline]
-fn put_varint(out: &mut Vec<u8>, v: u64) {
-    write_varint(out, v).expect("writing to a Vec cannot fail");
 }
 
 // ---------------------------------------------------------------------------
@@ -458,52 +447,49 @@ fn encode_states_block(
     (starts[0], max_end)
 }
 
-fn decode_states_block(
-    buf: &[u8],
-    cpu: CpuId,
-    rows: usize,
-) -> Result<Vec<StateInterval>, TraceError> {
-    let mut pos = 0usize;
-    let mut starts = Vec::with_capacity(rows);
+/// Decodes `rows` delta-coded keys (the first one absolute) into an
+/// exact-capacity column.
+fn decode_deltas(buf: &[u8], pos: &mut usize, rows: usize) -> Result<Vec<u64>, TraceError> {
+    let mut keys = Vec::with_capacity(rows);
     let mut prev = 0u64;
-    for i in 0..rows {
-        let d = get_varint(buf, &mut pos)?;
-        prev = if i == 0 {
-            d
-        } else {
-            prev.checked_add(d).ok_or_else(delta_overflow)?
-        };
-        starts.push(prev);
-    }
-    let mut durations = Vec::with_capacity(rows);
     for _ in 0..rows {
-        durations.push(get_varint(buf, &mut pos)?);
-    }
-    let tags = buf
-        .get(pos..pos + rows)
-        .ok_or_else(|| TraceError::Format("truncated state tag lane".into()))?;
-    pos += rows;
-    let mut rows_out = Vec::with_capacity(rows);
-    for i in 0..rows {
-        let state = WorkerState::from_index(tags[i] as usize)
-            .ok_or_else(|| TraceError::Format(format!("invalid state tag {}", tags[i])))?;
-        let biased = get_varint(buf, &mut pos)?;
-        let task = if biased == 0 {
-            None
-        } else {
-            Some(TaskId(biased - 1))
-        };
-        let end = starts[i]
-            .checked_add(durations[i])
+        prev = prev
+            .checked_add(get_varint(buf, pos)?)
             .ok_or_else(delta_overflow)?;
-        rows_out.push(StateInterval::new(
-            cpu,
-            state,
-            TimeInterval::from_cycles(starts[i], end),
-            task,
-        ));
+        keys.push(prev);
     }
-    Ok(rows_out)
+    Ok(keys)
+}
+
+/// Decodes `rows` plain varints into an exact-capacity column.
+fn decode_varints(buf: &[u8], pos: &mut usize, rows: usize) -> Result<Vec<u64>, TraceError> {
+    let mut values = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        values.push(get_varint(buf, pos)?);
+    }
+    Ok(values)
+}
+
+fn decode_states_block(buf: &[u8], cpu: CpuId, rows: usize) -> Result<StateColumns, TraceError> {
+    let mut pos = 0usize;
+    let starts = decode_deltas(buf, &mut pos, rows)?;
+    let mut ends = Vec::with_capacity(rows);
+    for &start in &starts {
+        let duration = get_varint(buf, &mut pos)?;
+        ends.push(start.checked_add(duration).ok_or_else(delta_overflow)?);
+    }
+    let tags = take(buf, &mut pos, rows, "truncated state tag lane")?;
+    if let Some(&bad) = tags.iter().find(|&&t| usize::from(t) >= WorkerState::COUNT) {
+        return Err(TraceError::Format(format!("invalid state tag {bad}")));
+    }
+    let tasks = TaskRefColumn::from_biased(decode_varints(buf, &mut pos, rows)?);
+    Ok(StateColumns::from_parts(
+        cpu,
+        starts,
+        ends,
+        tags.to_vec(),
+        tasks,
+    ))
 }
 
 /// Encodes event rows `[lo, hi)`; lazy payload lanes are elided per block when
@@ -554,61 +540,44 @@ fn encode_events_block(
     (ts[0], ts[n - 1])
 }
 
-fn decode_events_block(
-    buf: &[u8],
-    cpu: CpuId,
-    rows: usize,
-) -> Result<Vec<DiscreteEvent>, TraceError> {
+fn decode_events_block(buf: &[u8], cpu: CpuId, rows: usize) -> Result<EventColumns, TraceError> {
     let mut pos = 0usize;
-    let flags = *buf
-        .get(pos)
-        .ok_or_else(|| TraceError::Format("truncated event block".into()))?;
-    pos += 1;
-    let (has_b, has_c) = (flags & 1 != 0, flags & 2 != 0);
-    let mut ts = Vec::with_capacity(rows);
-    let mut prev = 0u64;
-    for i in 0..rows {
-        let d = get_varint(buf, &mut pos)?;
-        prev = if i == 0 {
-            d
-        } else {
-            prev.checked_add(d).ok_or_else(delta_overflow)?
-        };
-        ts.push(prev);
-    }
-    let tags = buf
-        .get(pos..pos + rows)
-        .ok_or_else(|| TraceError::Format("truncated event tag lane".into()))?
-        .to_vec();
-    pos += rows;
+    let flags = take(buf, &mut pos, 1, "truncated event block")?[0];
+    let timestamps = decode_deltas(buf, &mut pos, rows)?;
+    let tags = take(buf, &mut pos, rows, "truncated event tag lane")?;
     if let Some(&bad) = tags.iter().find(|&&t| t > 6) {
         return Err(TraceError::Format(format!("invalid event tag {bad}")));
     }
-    let mut pa = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        pa.push(get_varint(buf, &mut pos)?);
+    let mut payload_a = decode_varints(buf, &mut pos, rows)?;
+    let mut stored_lane = |stored: bool| -> Result<Vec<u64>, TraceError> {
+        if stored {
+            decode_varints(buf, &mut pos, rows)
+        } else {
+            Ok(vec![0; rows])
+        }
+    };
+    let mut payload_b = stored_lane(flags & 1 != 0)?;
+    let mut payload_c = stored_lane(flags & 2 != 0)?;
+    // Keep only what each row's kind carries (a damaged block may hold more),
+    // and leave a lane that ends up all zero absent — the columns are then
+    // exactly what pushing the decoded events one by one would have built.
+    for i in 0..rows {
+        let kind = decode_kind(tags[i], payload_a[i], payload_b[i], payload_c[i]);
+        (_, payload_a[i], payload_b[i], payload_c[i]) = encode_kind(kind);
     }
-    let mut pb = vec![0u64; rows];
-    if has_b {
-        for b in pb.iter_mut() {
-            *b = get_varint(buf, &mut pos)?;
+    for lane in [&mut payload_b, &mut payload_c] {
+        if lane.iter().all(|&v| v == 0) {
+            *lane = Vec::new();
         }
     }
-    let mut pc = vec![0u64; rows];
-    if has_c {
-        for c in pc.iter_mut() {
-            *c = get_varint(buf, &mut pos)?;
-        }
-    }
-    Ok((0..rows)
-        .map(|i| {
-            DiscreteEvent::new(
-                cpu,
-                Timestamp(ts[i]),
-                decode_kind(tags[i], pa[i], pb[i], pc[i]),
-            )
-        })
-        .collect())
+    Ok(EventColumns::from_parts(
+        cpu,
+        timestamps,
+        tags.to_vec(),
+        payload_a,
+        payload_b,
+        payload_c,
+    ))
 }
 
 fn encode_samples_block(
@@ -641,25 +610,20 @@ fn decode_samples_block(
     cpu: CpuId,
     counter: CounterId,
     rows: usize,
-) -> Result<Vec<CounterSample>, TraceError> {
+) -> Result<SampleColumns, TraceError> {
     let mut pos = 0usize;
-    let mut ts = Vec::with_capacity(rows);
-    let mut prev = 0u64;
-    for i in 0..rows {
-        let d = get_varint(buf, &mut pos)?;
-        prev = if i == 0 {
-            d
-        } else {
-            prev.checked_add(d).ok_or_else(delta_overflow)?
-        };
-        ts.push(prev);
-    }
-    let mut rows_out = Vec::with_capacity(rows);
-    for &t in &ts {
-        let v = get_f64(buf, &mut pos)?;
-        rows_out.push(CounterSample::new(counter, cpu, Timestamp(t), v));
-    }
-    Ok(rows_out)
+    let timestamps = decode_deltas(buf, &mut pos, rows)?;
+    let raw = take(
+        buf,
+        &mut pos,
+        rows.saturating_mul(8),
+        "truncated f64 in store block",
+    )?;
+    let values = raw
+        .chunks_exact(8)
+        .map(|bits| f64::from_le_bytes(bits.try_into().expect("chunk of 8 bytes")))
+        .collect();
+    Ok(SampleColumns::from_parts(counter, cpu, timestamps, values))
 }
 
 fn encode_accesses_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) -> (u64, u64) {
@@ -686,31 +650,36 @@ fn encode_accesses_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>)
     (min_key, prev)
 }
 
-fn decode_accesses_block(buf: &[u8], rows: usize) -> Result<Vec<MemoryAccess>, TraceError> {
+fn decode_accesses_block(buf: &[u8], rows: usize) -> Result<AccessColumns, TraceError> {
     let mut pos = 0usize;
     let mut prev = 0u64;
-    let mut rows_out = Vec::with_capacity(rows);
-    for i in 0..rows {
-        let d = get_varint(buf, &mut pos)?;
-        prev = if i == 0 {
-            d
-        } else {
-            prev.checked_add(d).ok_or_else(delta_overflow)?
-        };
+    let mut tasks = Vec::with_capacity(rows);
+    let mut kinds = Vec::with_capacity(rows);
+    let mut addrs = Vec::with_capacity(rows);
+    let mut sizes = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        prev = prev
+            .checked_add(get_varint(buf, &mut pos)?)
+            .ok_or_else(delta_overflow)?;
         if prev == 0 {
             return Err(TraceError::Format("zero biased task ref".into()));
         }
         let kind = match buf.get(pos) {
-            Some(0) => AccessKind::Read,
-            Some(1) => AccessKind::Write,
+            Some(&kind @ 0..=1) => kind,
             _ => return Err(TraceError::Format("invalid access kind".into())),
         };
         pos += 1;
-        let addr = get_varint(buf, &mut pos)?;
-        let size = get_varint(buf, &mut pos)?;
-        rows_out.push(MemoryAccess::new(TaskId(prev - 1), kind, addr, size));
+        tasks.push(prev);
+        kinds.push(kind);
+        addrs.push(get_varint(buf, &mut pos)?);
+        sizes.push(get_varint(buf, &mut pos)?);
     }
-    Ok(rows_out)
+    Ok(AccessColumns::from_parts(
+        TaskRefColumn::from_biased(tasks),
+        kinds,
+        addrs,
+        sizes,
+    ))
 }
 
 fn encode_tasks_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) -> (u64, u64) {
@@ -853,7 +822,9 @@ pub fn write_store_bytes_versioned(
             )));
         }
     }
-    let mut out = Vec::new();
+    // The encodings come to about a third of the resident columns; half of
+    // them holds the file without growing (and copying) `out` on the way.
+    let mut out = Vec::with_capacity(trace.resident_event_bytes() / 2);
     out.extend_from_slice(&STORE_MAGIC);
     out.extend_from_slice(&version.to_le_bytes());
 
@@ -1024,10 +995,11 @@ pub trait ColdTier: fmt::Debug + Send + Sync {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), TraceError>;
 }
 
-/// [`ColdTier`] backed by a local file.
+/// [`ColdTier`] backed by a local file. Reads are positioned (`pread`), so
+/// concurrent readers share the handle without a lock or a seek cursor.
 #[derive(Debug)]
 pub struct FileTier {
-    file: Mutex<File>,
+    file: File,
 }
 
 impl FileTier {
@@ -1038,22 +1010,42 @@ impl FileTier {
     /// Propagates the underlying `File::open` error.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, TraceError> {
         let file = File::open(path).map_err(TraceError::Io)?;
-        Ok(FileTier {
-            file: Mutex::new(file),
-        })
+        Ok(FileTier { file })
     }
 }
 
 impl ColdTier for FileTier {
     fn size(&self) -> Result<u64, TraceError> {
-        let file = self.file.lock().expect("file tier lock");
-        file.metadata().map(|m| m.len()).map_err(TraceError::Io)
+        self.file
+            .metadata()
+            .map(|m| m.len())
+            .map_err(TraceError::Io)
     }
 
+    #[cfg(unix)]
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), TraceError> {
-        let mut file = self.file.lock().expect("file tier lock");
-        file.seek(SeekFrom::Start(offset)).map_err(TraceError::Io)?;
-        file.read_exact(buf).map_err(TraceError::Io)
+        use std::os::unix::fs::FileExt;
+        self.file.read_exact_at(buf, offset).map_err(TraceError::Io)
+    }
+
+    #[cfg(windows)]
+    fn read_at(&self, mut offset: u64, mut buf: &mut [u8]) -> Result<(), TraceError> {
+        use std::os::windows::fs::FileExt;
+        // `seek_read` may return short, like `read`.
+        while !buf.is_empty() {
+            match self.file.seek_read(buf, offset) {
+                Ok(0) => {
+                    return Err(TraceError::Io(std::io::ErrorKind::UnexpectedEof.into()));
+                }
+                Ok(n) => {
+                    buf = &mut buf[n..];
+                    offset += n as u64;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(TraceError::Io(e)),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1224,17 +1216,50 @@ fn validate_directory(
     Ok(())
 }
 
-/// Attempts a full decode of one block and discards the rows. This is how a
-/// salvage open classifies version-1 blocks, which carry no checksum to check
-/// against.
-fn try_decode_block(buf: &[u8], lane: LaneId, footer: &BlockFooter) -> Result<(), TraceError> {
-    let rows = footer.rows as usize;
-    match lane {
-        LaneId::States(cpu) => decode_states_block(buf, cpu, rows).map(drop),
-        LaneId::Events(cpu) => decode_events_block(buf, cpu, rows).map(drop),
-        LaneId::Samples(cpu, ctr) => decode_samples_block(buf, cpu, ctr, rows).map(drop),
-        LaneId::Accesses => decode_accesses_block(buf, rows).map(drop),
-        LaneId::Tasks => decode_tasks_block(buf, footer.min_key, rows).map(drop),
+/// One decoded block: an exact-capacity chunk of its lane's column type.
+#[derive(Debug)]
+enum Chunk {
+    States(StateColumns),
+    Events(EventColumns),
+    Samples(SampleColumns),
+    Accesses(AccessColumns),
+    Tasks(Vec<TaskInstance>),
+}
+
+impl Chunk {
+    /// Decodes the payload of one block of `lane` straight into columns.
+    fn decode(buf: &[u8], lane: LaneId, footer: &BlockFooter) -> Result<Chunk, TraceError> {
+        let rows = footer.rows as usize;
+        Ok(match lane {
+            LaneId::States(cpu) => Chunk::States(decode_states_block(buf, cpu, rows)?),
+            LaneId::Events(cpu) => Chunk::Events(decode_events_block(buf, cpu, rows)?),
+            LaneId::Samples(cpu, ctr) => Chunk::Samples(decode_samples_block(buf, cpu, ctr, rows)?),
+            LaneId::Accesses => Chunk::Accesses(decode_accesses_block(buf, rows)?),
+            LaneId::Tasks => Chunk::Tasks(decode_tasks_block(buf, footer.min_key, rows)?),
+        })
+    }
+
+    /// Reserves room for exactly `additional` more rows.
+    fn reserve_exact(&mut self, additional: usize) {
+        match self {
+            Chunk::States(c) => c.reserve_exact(additional),
+            Chunk::Events(c) => c.reserve_exact(additional),
+            Chunk::Samples(c) => c.reserve_exact(additional),
+            Chunk::Accesses(c) => c.reserve_exact(additional),
+            Chunk::Tasks(c) => c.reserve_exact(additional),
+        }
+    }
+
+    /// Appends the next block's chunk of the same lane.
+    fn append(&mut self, next: Chunk) {
+        match (self, next) {
+            (Chunk::States(a), Chunk::States(b)) => a.append(&b),
+            (Chunk::Events(a), Chunk::Events(b)) => a.append(&b),
+            (Chunk::Samples(a), Chunk::Samples(b)) => a.append(&b),
+            (Chunk::Accesses(a), Chunk::Accesses(b)) => a.append(&b),
+            (Chunk::Tasks(a), Chunk::Tasks(b)) => a.extend(b),
+            _ => unreachable!("blocks of one lane decode to one chunk kind"),
+        }
     }
 }
 
@@ -1303,6 +1328,28 @@ impl Residency {
     }
 }
 
+/// One lane a batch materialisation ([`StoredTrace::ensure_batch`]) must make
+/// resident.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneRequest {
+    /// The whole lane (after a salvage open: its surviving block run).
+    Full(LaneId),
+    /// The minimal contiguous block run of a *states* lane covering every
+    /// interval that overlaps the window (block-skipping).
+    StatesCovering(LaneId, TimeInterval),
+}
+
+/// Lifetime counters of one [`StoredTrace`]'s materialisation work.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MaterialiseStats {
+    /// Lane runs decoded and installed (a re-materialised lane counts again).
+    pub lanes_materialised: u64,
+    /// Blocks verified and decoded.
+    pub blocks_decoded: u64,
+    /// Block bytes read from the cold tier.
+    pub bytes_read: u64,
+}
+
 /// A trace opened from the column store: metadata resident, lanes lazy.
 ///
 /// The embedded [`Trace`] is fully usable at all times — absent lanes simply
@@ -1336,6 +1383,7 @@ pub struct StoredTrace {
     surviving: Vec<(usize, usize)>,
     /// `Some` after a salvage open (clean or not); `None` after a strict open.
     damage: Option<DamageReport>,
+    stats: MaterialiseStats,
 }
 
 impl StoredTrace {
@@ -1510,6 +1558,7 @@ impl StoredTrace {
             has_checksums,
             surviving,
             damage: None,
+            stats: MaterialiseStats::default(),
         };
         if salvage {
             stored.scan_for_damage();
@@ -1548,7 +1597,7 @@ impl StoredTrace {
                             )
                         })
                     }
-                    Ok(()) => try_decode_block(&buf, dir.lane, footer)
+                    Ok(()) => Chunk::decode(&buf, dir.lane, footer)
                         .err()
                         .map(|e| (DamageCode::BlockUndecodable, e.to_string())),
                 };
@@ -1618,9 +1667,23 @@ impl StoredTrace {
             .map_or(0, |&i| self.directory[i].rows)
     }
 
-    /// The thread pool hint used for parallel block decoding.
+    /// Sets the thread budget of this trace: how many workers a batch
+    /// materialisation decodes blocks on, and — since a stored trace serves
+    /// one request at a time — what a [`aftermath-core` store session] spends
+    /// on index builds and anomaly scans over it. Defaults to
+    /// [`Threads::auto`]. Answers never depend on it.
     pub fn set_decode_threads(&mut self, threads: Threads) {
         self.threads = threads;
+    }
+
+    /// The thread budget set by [`StoredTrace::set_decode_threads`].
+    pub fn decode_threads(&self) -> Threads {
+        self.threads
+    }
+
+    /// Lifetime counters of the materialisation work done so far.
+    pub fn materialise_stats(&self) -> MaterialiseStats {
+        self.stats
     }
 
     /// Sets (or clears) the residency budget in bytes enforced by
@@ -1728,141 +1791,79 @@ impl StoredTrace {
     }
 
     /// Reads the contiguous byte range of blocks `[lo, hi)` of one lane.
-    fn read_block_run(
-        &self,
-        dir: &LaneDirectory,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<u8>, TraceError> {
-        let first = &dir.blocks[lo];
-        let last = &dir.blocks[hi - 1];
+    ///
+    /// The buffer is zero-initialised although the read overwrites it:
+    /// [`ColdTier::read_at`] fills a `&mut [u8]`, which must be initialised,
+    /// and a tier may leave part of it unwritten when it fails (a short
+    /// read). For run-sized buffers `vec![0; len]` is a zeroed allocation —
+    /// fresh pages from the OS, not a second pass over the bytes.
+    fn read_block_run(&self, idx: usize, lo: usize, hi: usize) -> Result<Vec<u8>, TraceError> {
+        let blocks = &self.directory[idx].blocks;
+        let first = &blocks[lo];
+        let last = &blocks[hi - 1];
         let len = (last.offset + last.len - first.offset) as usize;
         let mut buf = vec![0u8; len];
         self.tier.read_at(first.offset, &mut buf)?;
         Ok(buf)
     }
 
-    /// Decodes blocks `[lo, hi)` of `lane` and installs them, replacing any
-    /// previously resident rows of that lane.
-    fn materialise_run(&mut self, idx: usize, lo: usize, hi: usize) -> Result<(), TraceError> {
-        let dir = self.directory[idx].clone();
-        let lane = dir.lane;
-        let buf = self.read_block_run(&dir, lo, hi)?;
-        let base = dir.blocks[lo].offset;
-        let slices: Vec<(usize, &[u8])> = dir.blocks[lo..hi]
-            .iter()
-            .enumerate()
-            .map(|(k, b)| {
-                let s = (b.offset - base) as usize;
-                (lo + k, &buf[s..s + b.len as usize])
-            })
-            .collect();
-        let threads = self.threads;
+    /// Verifies (version 2) and decodes block `k` of lane `idx` out of `run`,
+    /// the bytes of the lane's block run starting at block `lo`.
+    fn decode_block(
+        &self,
+        idx: usize,
+        lo: usize,
+        k: usize,
+        run: &[u8],
+    ) -> Result<Chunk, TraceError> {
+        let dir = &self.directory[idx];
+        let footer = &dir.blocks[k];
+        let start = (footer.offset - dir.blocks[lo].offset) as usize;
+        let bytes = &run[start..start + footer.len as usize];
         if self.has_checksums {
             // Verify before decoding: damaged bytes must surface as a typed
             // error, never as silently wrong rows.
-            let checks: Vec<Result<(), TraceError>> = parallel_map(threads, &slices, |&(k, s)| {
-                let footer = &dir.blocks[k];
-                let got = crc32(s);
-                if got == footer.crc {
-                    Ok(())
-                } else {
-                    Err(TraceError::Corrupted(format!(
-                        "lane {lane}: block {k} checksum mismatch \
-                             (stored {:#010x}, computed {got:#010x})",
-                        footer.crc
-                    )))
-                }
-            });
-            for check in checks {
-                check?;
+            let got = crc32(bytes);
+            if got != footer.crc {
+                return Err(TraceError::Corrupted(format!(
+                    "lane {}: block {k} checksum mismatch \
+                     (stored {:#010x}, computed {got:#010x})",
+                    dir.lane, footer.crc
+                )));
             }
         }
-        match lane {
-            LaneId::States(cpu) => {
-                let decoded: Vec<Result<Vec<StateInterval>, TraceError>> =
-                    parallel_map(threads, &slices, |&(k, s)| {
-                        decode_states_block(s, cpu, dir.blocks[k].rows as usize)
-                    });
-                let pc = self.per_cpu_mut(cpu)?;
-                pc.states = crate::columns::StateColumns::new(cpu);
-                for d in decoded {
-                    for r in d? {
-                        pc.states.push(r);
-                    }
-                }
-                pc.states.shrink_to_fit();
-            }
-            LaneId::Events(cpu) => {
-                let decoded: Vec<Result<Vec<DiscreteEvent>, TraceError>> =
-                    parallel_map(threads, &slices, |&(k, s)| {
-                        decode_events_block(s, cpu, dir.blocks[k].rows as usize)
-                    });
-                let pc = self.per_cpu_mut(cpu)?;
-                pc.events = crate::columns::EventColumns::new(cpu);
-                for d in decoded {
-                    for r in d? {
-                        pc.events.push(r);
-                    }
-                }
-                pc.events.shrink_to_fit();
-            }
-            LaneId::Samples(cpu, ctr) => {
-                let decoded: Vec<Result<Vec<CounterSample>, TraceError>> =
-                    parallel_map(threads, &slices, |&(k, s)| {
-                        decode_samples_block(s, cpu, ctr, dir.blocks[k].rows as usize)
-                    });
-                let mut col = SampleColumns::new(ctr, cpu);
-                for d in decoded {
-                    for r in d? {
-                        col.push(r);
-                    }
-                }
+        Chunk::decode(bytes, dir.lane, footer)
+    }
+
+    /// Installs the decoded rows of one lane, replacing whatever was resident.
+    /// The chunks were reserved from the directory's row counts, so the
+    /// `shrink_to_fit`s only act on a lazily materialised event lane.
+    fn install(&mut self, lane: LaneId, rows: Chunk) {
+        let known = "ensure_batch plans loads for CPUs of the topology only";
+        match (lane, rows) {
+            (LaneId::States(cpu), Chunk::States(mut col)) => {
                 col.shrink_to_fit();
-                let pc = self.per_cpu_mut(cpu)?;
-                pc.samples.insert(ctr, col);
+                self.per_cpu_mut(cpu).expect(known).states = col;
             }
-            LaneId::Accesses => {
-                let decoded: Vec<Result<Vec<MemoryAccess>, TraceError>> =
-                    parallel_map(threads, &slices, |&(k, s)| {
-                        decode_accesses_block(s, dir.blocks[k].rows as usize)
-                    });
-                let parts = self.skeleton.streaming_parts_mut();
-                *parts.accesses = crate::columns::AccessColumns::new();
-                for d in decoded {
-                    for r in d? {
-                        parts.accesses.push(r);
-                    }
-                }
-                parts.accesses.sort_by_task();
-                parts.accesses.shrink_to_fit();
+            (LaneId::Events(cpu), Chunk::Events(mut col)) => {
+                col.shrink_to_fit();
+                self.per_cpu_mut(cpu).expect(known).events = col;
             }
-            LaneId::Tasks => {
-                let decoded: Vec<Result<Vec<TaskInstance>, TraceError>> =
-                    parallel_map(threads, &slices, |&(k, s)| {
-                        decode_tasks_block(s, dir.blocks[k].min_key, dir.blocks[k].rows as usize)
-                    });
-                let parts = self.skeleton.streaming_parts_mut();
-                parts.tasks.clear();
-                for d in decoded {
-                    parts.tasks.extend(d?);
-                }
-                parts.tasks.shrink_to_fit();
+            (LaneId::Samples(cpu, ctr), Chunk::Samples(mut col)) => {
+                col.shrink_to_fit();
+                self.per_cpu_mut(cpu).expect(known).samples.insert(ctr, col);
             }
+            (LaneId::Accesses, Chunk::Accesses(mut col)) => {
+                col.sort_by_task();
+                col.shrink_to_fit();
+                *self.skeleton.streaming_parts_mut().accesses = col;
+            }
+            (LaneId::Tasks, Chunk::Tasks(mut tasks)) => {
+                tasks.shrink_to_fit();
+                *self.skeleton.streaming_parts_mut().tasks = tasks;
+            }
+            _ => unreachable!("a lane's blocks decode to its own chunk kind"),
         }
-        self.clock += 1;
-        self.residency[idx] = if lo == 0 && hi == self.directory[idx].blocks.len() {
-            Residency::Full {
-                touched: self.clock,
-            }
-        } else {
-            Residency::Partial {
-                block_lo: lo,
-                block_hi: hi,
-                touched: self.clock,
-            }
-        };
-        Ok(())
     }
 
     fn per_cpu_mut(&mut self, cpu: CpuId) -> Result<&mut crate::trace::PerCpuEvents, TraceError> {
@@ -1895,6 +1896,166 @@ impl StoredTrace {
         }
     }
 
+    /// The block run `[lo, hi)` of lane `idx` a request needs: the surviving
+    /// run for a whole-lane request, its part overlapping `window` otherwise.
+    fn needed_run(&self, idx: usize, window: Option<TimeInterval>) -> (usize, usize) {
+        let (slo, shi) = self.surviving[idx];
+        let Some(window) = window else {
+            return (slo, shi);
+        };
+        // Per-CPU states are sorted and non-overlapping, so both the min and
+        // max keys of consecutive blocks are non-decreasing; the overlapping
+        // blocks form one contiguous run.
+        let blocks = &self.directory[idx].blocks;
+        let lo = blocks.partition_point(|b| b.max_key <= window.start.0);
+        let hi = blocks.partition_point(|b| b.min_key < window.end.0);
+        (lo.max(slo), hi.min(shi))
+    }
+
+    /// Makes every requested lane resident in **one** batch — the single
+    /// materialisation routine of the store; [`StoredTrace::ensure`],
+    /// [`StoredTrace::ensure_states_covering`] and
+    /// [`StoredTrace::materialise_all`] are wrappers over it.
+    ///
+    /// The batch runs in four steps:
+    ///
+    /// 1. **plan** — each request becomes a *touch* (its rows are already
+    ///    resident) or a *load* of one contiguous block run;
+    /// 2. **read** — one [`ColdTier::read_at`] per load, on the calling
+    ///    thread, in request order: the tier sees exactly the read sequence
+    ///    the same requests issued one by one would produce, whatever the
+    ///    thread budget (a [`crate::fault::FaultyTier`] schedule replays);
+    /// 3. **verify + decode** — one parallel pass over every `(lane, block)`
+    ///    of the batch on the [decode thread budget](Self::set_decode_threads):
+    ///    CRC first, then the block's bytes straight into column chunks;
+    /// 4. **install** — chunks are joined per lane and installed, and touches
+    ///    applied, in request order (so least-recently-used eviction sees the
+    ///    requests in the order they were made).
+    ///
+    /// **All or nothing:** steps 1–3 change nothing. On any error — a failed
+    /// read (the batch stops reading there), else the first checksum
+    /// mismatch or undecodable block in request order — residency, rows and
+    /// touch order are exactly what they were, so no lane is ever left torn.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Format`] for a [`LaneRequest::StatesCovering`]
+    /// naming a lane that is not a states lane, and propagates cold-tier read
+    /// failures, [`TraceError::Corrupted`] checksum mismatches and block
+    /// decoding errors.
+    pub fn ensure_batch(&mut self, requests: &[LaneRequest]) -> Result<(), TraceError> {
+        enum Step {
+            Touch(usize),
+            Load { idx: usize, lo: usize, hi: usize },
+        }
+        // Plan. `planned` holds the runs earlier loads of this batch install,
+        // so a lane requested twice is judged as if the batch ran one by one.
+        let mut steps = Vec::with_capacity(requests.len());
+        let mut planned: HashMap<usize, (usize, usize)> = HashMap::new();
+        for request in requests {
+            let (lane, window) = match *request {
+                LaneRequest::Full(lane) => (lane, None),
+                LaneRequest::StatesCovering(lane @ LaneId::States(_), window) => {
+                    (lane, Some(window))
+                }
+                LaneRequest::StatesCovering(lane, _) => {
+                    return Err(TraceError::Format(format!(
+                        "ensure_states_covering expects a states lane, got {lane}"
+                    )));
+                }
+            };
+            let Some(&idx) = self.lane_index.get(&lane) else {
+                continue; // lane without stored rows: trivially resident
+            };
+            let resident = planned.get(&idx).copied().or(match self.residency[idx] {
+                Residency::Absent => None,
+                Residency::Partial {
+                    block_lo, block_hi, ..
+                } => Some((block_lo, block_hi)),
+                Residency::Full { .. } => Some((0, self.directory[idx].blocks.len())),
+            });
+            let (lo, hi) = self.needed_run(idx, window);
+            if lo >= hi {
+                // A lane quarantined whole reads as empty; a window no block
+                // overlaps needs nothing, but still counts as a use.
+                if window.is_some() && resident.is_some() {
+                    steps.push(Step::Touch(idx));
+                }
+            } else if resident.is_some_and(|(rlo, rhi)| rlo <= lo && hi <= rhi) {
+                steps.push(Step::Touch(idx));
+            } else {
+                // Checked here so that installing cannot fail half-way.
+                if let LaneId::States(cpu) | LaneId::Events(cpu) | LaneId::Samples(cpu, _) = lane {
+                    self.skeleton.cpu(cpu).ok_or(TraceError::UnknownCpu(cpu))?;
+                }
+                planned.insert(idx, (lo, hi));
+                steps.push(Step::Load { idx, lo, hi });
+            }
+        }
+
+        // Read, in request order, on this thread.
+        let mut runs = Vec::new();
+        for step in &steps {
+            if let Step::Load { idx, lo, hi } = *step {
+                let bytes = self.read_block_run(idx, lo, hi)?;
+                self.stats.bytes_read += bytes.len() as u64;
+                runs.push((idx, lo, bytes));
+            }
+        }
+
+        // Verify + decode every block of the batch in one parallel pass.
+        let items: Vec<(usize, usize)> = steps
+            .iter()
+            .filter_map(|step| match *step {
+                Step::Load { lo, hi, .. } => Some(lo..hi),
+                Step::Touch(_) => None,
+            })
+            .enumerate()
+            .flat_map(|(run, blocks)| blocks.map(move |k| (run, k)))
+            .collect();
+        let decoded = parallel_map(self.threads, &items, |&(run, k)| {
+            let (idx, lo, ref bytes) = runs[run];
+            self.decode_block(idx, lo, k, bytes)
+        });
+        drop(runs);
+        let mut chunks = decoded
+            .into_iter()
+            .collect::<Result<Vec<Chunk>, TraceError>>()?
+            .into_iter();
+
+        // Install and touch, in request order.
+        self.stats.blocks_decoded += items.len() as u64;
+        for step in steps {
+            match step {
+                Step::Touch(idx) => self.touch(idx),
+                Step::Load { idx, lo, hi } => {
+                    let dir = &self.directory[idx];
+                    let (lane, total) = (dir.lane, dir.blocks.len());
+                    let run_rows: u64 = dir.blocks[lo..hi].iter().map(|b| b.rows).sum();
+                    let mut rows = chunks.next().expect("one chunk per planned block");
+                    rows.reserve_exact((run_rows - dir.blocks[lo].rows) as usize);
+                    for _ in lo + 1..hi {
+                        rows.append(chunks.next().expect("one chunk per planned block"));
+                    }
+                    self.install(lane, rows);
+                    self.stats.lanes_materialised += 1;
+                    self.clock += 1;
+                    let touched = self.clock;
+                    self.residency[idx] = if lo == 0 && hi == total {
+                        Residency::Full { touched }
+                    } else {
+                        Residency::Partial {
+                            block_lo: lo,
+                            block_hi: hi,
+                            touched,
+                        }
+                    };
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Materialises `lane` in full (decodes every block). A no-op when the
     /// lane is already fully resident.
     ///
@@ -1902,26 +2063,7 @@ impl StoredTrace {
     ///
     /// Propagates cold-tier read failures and block decoding errors.
     pub fn ensure(&mut self, lane: LaneId) -> Result<(), TraceError> {
-        let Some(&idx) = self.lane_index.get(&lane) else {
-            return Ok(()); // lane without stored rows: trivially resident
-        };
-        let (slo, shi) = self.surviving[idx];
-        if slo >= shi {
-            return Ok(()); // salvage quarantined the whole lane: reads empty
-        }
-        match self.residency[idx] {
-            Residency::Full { .. } => {
-                self.touch(idx);
-                Ok(())
-            }
-            Residency::Partial {
-                block_lo, block_hi, ..
-            } if block_lo <= slo && shi <= block_hi => {
-                self.touch(idx);
-                Ok(())
-            }
-            _ => self.materialise_run(idx, slo, shi),
-        }
+        self.ensure_batch(&[LaneRequest::Full(lane)])
     }
 
     /// Materialises the minimal contiguous block run of a states lane that
@@ -1939,45 +2081,7 @@ impl StoredTrace {
         lane: LaneId,
         window: TimeInterval,
     ) -> Result<(), TraceError> {
-        if !matches!(lane, LaneId::States(_)) {
-            return Err(TraceError::Format(format!(
-                "ensure_states_covering expects a states lane, got {lane}"
-            )));
-        }
-        let Some(&idx) = self.lane_index.get(&lane) else {
-            return Ok(());
-        };
-        let blocks = &self.directory[idx].blocks;
-        // Per-CPU states are sorted and non-overlapping, so both the min and
-        // max keys of consecutive blocks are non-decreasing; the overlapping
-        // blocks form one contiguous run.
-        let (slo, shi) = self.surviving[idx];
-        let lo = blocks
-            .partition_point(|b| b.max_key <= window.start.0)
-            .max(slo);
-        let hi = blocks
-            .partition_point(|b| b.min_key < window.end.0)
-            .min(shi);
-        if lo >= hi {
-            // Nothing overlaps; any resident state (even Absent) is fine.
-            if !matches!(self.residency[idx], Residency::Absent) {
-                self.touch(idx);
-            }
-            return Ok(());
-        }
-        match self.residency[idx] {
-            Residency::Full { .. } => {
-                self.touch(idx);
-                Ok(())
-            }
-            Residency::Partial {
-                block_lo, block_hi, ..
-            } if block_lo <= lo && hi <= block_hi => {
-                self.touch(idx);
-                Ok(())
-            }
-            _ => self.materialise_run(idx, lo, hi),
-        }
+        self.ensure_batch(&[LaneRequest::StatesCovering(lane, window)])
     }
 
     /// Materialises every lane and returns the fully resident trace.
@@ -1986,9 +2090,8 @@ impl StoredTrace {
     ///
     /// Propagates read/decode failures.
     pub fn materialise_all(&mut self) -> Result<&Trace, TraceError> {
-        for lane in self.lanes().collect::<Vec<_>>() {
-            self.ensure(lane)?;
-        }
+        let all: Vec<LaneRequest> = self.lanes().map(LaneRequest::Full).collect();
+        self.ensure_batch(&all)?;
         Ok(&self.skeleton)
     }
 
@@ -2052,6 +2155,192 @@ impl StoredTrace {
             evicted.push(lane);
         }
         evicted
+    }
+}
+
+/// The row-at-a-time block decoders the store shipped with before blocks
+/// decoded straight into columns: varints → temporary vectors → owned structs.
+/// Kept as the independent oracle the column-direct decoders are tested
+/// against (rows, error variants) — never compiled into the library.
+#[cfg(test)]
+mod aos_oracle {
+    use super::{delta_overflow, get_varint};
+    use crate::columns::decode_kind;
+    use crate::error::TraceError;
+    use crate::event::{CounterSample, DiscreteEvent};
+    use crate::ids::{CounterId, CpuId, TaskId, TimeInterval, Timestamp};
+    use crate::memory::{AccessKind, MemoryAccess};
+    use crate::state::{StateInterval, WorkerState};
+
+    fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64, TraceError> {
+        let bytes: [u8; 8] = buf
+            .get(*pos..*pos + 8)
+            .ok_or_else(|| TraceError::Format("truncated f64 in store block".into()))?
+            .try_into()
+            .expect("slice of length 8");
+        *pos += 8;
+        Ok(f64::from_le_bytes(bytes))
+    }
+
+    pub(super) fn decode_states_block(
+        buf: &[u8],
+        cpu: CpuId,
+        rows: usize,
+    ) -> Result<Vec<StateInterval>, TraceError> {
+        let mut pos = 0usize;
+        let mut starts = Vec::with_capacity(rows);
+        let mut prev = 0u64;
+        for i in 0..rows {
+            let d = get_varint(buf, &mut pos)?;
+            prev = if i == 0 {
+                d
+            } else {
+                prev.checked_add(d).ok_or_else(delta_overflow)?
+            };
+            starts.push(prev);
+        }
+        let mut durations = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            durations.push(get_varint(buf, &mut pos)?);
+        }
+        let tags = buf
+            .get(pos..pos + rows)
+            .ok_or_else(|| TraceError::Format("truncated state tag lane".into()))?;
+        pos += rows;
+        let mut rows_out = Vec::with_capacity(rows);
+        for i in 0..rows {
+            let state = WorkerState::from_index(tags[i] as usize)
+                .ok_or_else(|| TraceError::Format(format!("invalid state tag {}", tags[i])))?;
+            let biased = get_varint(buf, &mut pos)?;
+            let task = if biased == 0 {
+                None
+            } else {
+                Some(TaskId(biased - 1))
+            };
+            let end = starts[i]
+                .checked_add(durations[i])
+                .ok_or_else(delta_overflow)?;
+            rows_out.push(StateInterval::new(
+                cpu,
+                state,
+                TimeInterval::from_cycles(starts[i], end),
+                task,
+            ));
+        }
+        Ok(rows_out)
+    }
+
+    pub(super) fn decode_events_block(
+        buf: &[u8],
+        cpu: CpuId,
+        rows: usize,
+    ) -> Result<Vec<DiscreteEvent>, TraceError> {
+        let mut pos = 0usize;
+        let flags = *buf
+            .get(pos)
+            .ok_or_else(|| TraceError::Format("truncated event block".into()))?;
+        pos += 1;
+        let (has_b, has_c) = (flags & 1 != 0, flags & 2 != 0);
+        let mut ts = Vec::with_capacity(rows);
+        let mut prev = 0u64;
+        for i in 0..rows {
+            let d = get_varint(buf, &mut pos)?;
+            prev = if i == 0 {
+                d
+            } else {
+                prev.checked_add(d).ok_or_else(delta_overflow)?
+            };
+            ts.push(prev);
+        }
+        let tags = buf
+            .get(pos..pos + rows)
+            .ok_or_else(|| TraceError::Format("truncated event tag lane".into()))?
+            .to_vec();
+        pos += rows;
+        if let Some(&bad) = tags.iter().find(|&&t| t > 6) {
+            return Err(TraceError::Format(format!("invalid event tag {bad}")));
+        }
+        let mut pa = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            pa.push(get_varint(buf, &mut pos)?);
+        }
+        let mut pb = vec![0u64; rows];
+        if has_b {
+            for b in pb.iter_mut() {
+                *b = get_varint(buf, &mut pos)?;
+            }
+        }
+        let mut pc = vec![0u64; rows];
+        if has_c {
+            for c in pc.iter_mut() {
+                *c = get_varint(buf, &mut pos)?;
+            }
+        }
+        Ok((0..rows)
+            .map(|i| {
+                DiscreteEvent::new(
+                    cpu,
+                    Timestamp(ts[i]),
+                    decode_kind(tags[i], pa[i], pb[i], pc[i]),
+                )
+            })
+            .collect())
+    }
+
+    pub(super) fn decode_samples_block(
+        buf: &[u8],
+        cpu: CpuId,
+        counter: CounterId,
+        rows: usize,
+    ) -> Result<Vec<CounterSample>, TraceError> {
+        let mut pos = 0usize;
+        let mut ts = Vec::with_capacity(rows);
+        let mut prev = 0u64;
+        for i in 0..rows {
+            let d = get_varint(buf, &mut pos)?;
+            prev = if i == 0 {
+                d
+            } else {
+                prev.checked_add(d).ok_or_else(delta_overflow)?
+            };
+            ts.push(prev);
+        }
+        let mut rows_out = Vec::with_capacity(rows);
+        for &t in &ts {
+            let v = get_f64(buf, &mut pos)?;
+            rows_out.push(CounterSample::new(counter, cpu, Timestamp(t), v));
+        }
+        Ok(rows_out)
+    }
+
+    pub(super) fn decode_accesses_block(
+        buf: &[u8],
+        rows: usize,
+    ) -> Result<Vec<MemoryAccess>, TraceError> {
+        let mut pos = 0usize;
+        let mut prev = 0u64;
+        let mut rows_out = Vec::with_capacity(rows);
+        for i in 0..rows {
+            let d = get_varint(buf, &mut pos)?;
+            prev = if i == 0 {
+                d
+            } else {
+                prev.checked_add(d).ok_or_else(delta_overflow)?
+            };
+            if prev == 0 {
+                return Err(TraceError::Format("zero biased task ref".into()));
+            }
+            let kind = match buf.get(pos) {
+                Some(0) => AccessKind::Read,
+                Some(1) => AccessKind::Write,
+                _ => return Err(TraceError::Format("invalid access kind".into())),
+            };
+            pos += 1;
+            let addr = get_varint(buf, &mut pos)?;
+            let size = get_varint(buf, &mut pos)?;
+            rows_out.push(MemoryAccess::new(TaskId(prev - 1), kind, addr, size));
+        }
+        Ok(rows_out)
     }
 }
 
@@ -2424,6 +2713,255 @@ mod tests {
         assert_eq!(labels.len(), DamageCode::ALL.len());
         for code in DamageCode::ALL {
             assert_eq!(DamageCode::from_label(code.label()), Some(code));
+        }
+    }
+
+    /// Every block of `stored`, with its lane, footer and payload bytes.
+    fn blocks_of(stored: &StoredTrace, bytes: &[u8]) -> Vec<(LaneId, BlockFooter, Vec<u8>)> {
+        stored
+            .directory
+            .iter()
+            .flat_map(|dir| dir.blocks.iter().map(move |b| (dir.lane, *b)))
+            .map(|(lane, b)| {
+                let payload = bytes[b.offset as usize..(b.offset + b.len) as usize].to_vec();
+                (lane, b, payload)
+            })
+            .collect()
+    }
+
+    /// Decodes one block with the row-at-a-time oracle and pushes the rows the
+    /// way the store used to, giving the chunk the column-direct path must equal.
+    fn oracle_chunk(buf: &[u8], lane: LaneId, footer: &BlockFooter) -> Result<Chunk, TraceError> {
+        let rows = footer.rows as usize;
+        Ok(match lane {
+            LaneId::States(cpu) => {
+                let mut col = StateColumns::new(cpu);
+                for r in aos_oracle::decode_states_block(buf, cpu, rows)? {
+                    col.push(r);
+                }
+                Chunk::States(col)
+            }
+            LaneId::Events(cpu) => {
+                let mut col = EventColumns::new(cpu);
+                for r in aos_oracle::decode_events_block(buf, cpu, rows)? {
+                    col.push(r);
+                }
+                Chunk::Events(col)
+            }
+            LaneId::Samples(cpu, ctr) => {
+                let mut col = SampleColumns::new(ctr, cpu);
+                for r in aos_oracle::decode_samples_block(buf, cpu, ctr, rows)? {
+                    col.push(r);
+                }
+                Chunk::Samples(col)
+            }
+            LaneId::Accesses => {
+                let mut col = AccessColumns::new();
+                for r in aos_oracle::decode_accesses_block(buf, rows)? {
+                    col.push(r);
+                }
+                Chunk::Accesses(col)
+            }
+            LaneId::Tasks => Chunk::Tasks(decode_tasks_block(buf, footer.min_key, rows)?),
+        })
+    }
+
+    fn assert_same_chunk(direct: &Chunk, oracle: &Chunk, what: &str) {
+        match (direct, oracle) {
+            (Chunk::States(a), Chunk::States(b)) => assert_eq!(a, b, "{what}"),
+            (Chunk::Events(a), Chunk::Events(b)) => assert_eq!(a, b, "{what}"),
+            (Chunk::Samples(a), Chunk::Samples(b)) => assert_eq!(a, b, "{what}"),
+            (Chunk::Accesses(a), Chunk::Accesses(b)) => assert_eq!(a, b, "{what}"),
+            (Chunk::Tasks(a), Chunk::Tasks(b)) => assert_eq!(a, b, "{what}"),
+            _ => panic!("{what}: chunk kinds differ"),
+        }
+    }
+
+    #[test]
+    fn column_direct_decoders_match_the_aos_oracle() {
+        let trace = sample_trace();
+        for block_rows in [1, 3, 7, DEFAULT_BLOCK_ROWS] {
+            let bytes = write_store_bytes(&trace, &StoreOptions { block_rows }).unwrap();
+            let stored = StoredTrace::from_bytes(bytes.clone()).unwrap();
+            for (lane, footer, payload) in blocks_of(&stored, &bytes) {
+                let what = format!("{lane} @ {block_rows} rows/block");
+                let direct = Chunk::decode(&payload, lane, &footer).unwrap();
+                let oracle = oracle_chunk(&payload, lane, &footer).unwrap();
+                assert_same_chunk(&direct, &oracle, &what);
+                // Truncated at every length and with every byte damaged in
+                // turn, both decoders accept or reject together, with the
+                // same error variant — and equal rows when they accept.
+                let damaged = (0..payload.len()).map(|cut| payload[..cut].to_vec()).chain(
+                    (0..payload.len()).map(|at| {
+                        let mut flipped = payload.clone();
+                        flipped[at] ^= 0xa5;
+                        flipped
+                    }),
+                );
+                for bad in damaged {
+                    match (
+                        Chunk::decode(&bad, lane, &footer),
+                        oracle_chunk(&bad, lane, &footer),
+                    ) {
+                        (Ok(d), Ok(o)) => assert_same_chunk(&d, &o, &what),
+                        (Err(d), Err(o)) => assert_eq!(
+                            std::mem::discriminant(&d),
+                            std::mem::discriminant(&o),
+                            "{what}: {d} vs {o}"
+                        ),
+                        (d, o) => panic!("{what}: decoders disagree: {d:?} vs {o:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_payloads_keep_the_width_and_lane_shape_of_pushed_rows() {
+        // A task ref beyond 32 bits widens the column exactly as `push` would.
+        let mut block = Vec::new();
+        put_varint(&mut block, 10); // start
+        put_varint(&mut block, 5); // duration
+        block.push(WorkerState::TaskExecution as u8);
+        put_varint(&mut block, u64::from(u32::MAX) + 2); // biased task ref
+        let footer = BlockFooter {
+            offset: 0,
+            len: block.len() as u64,
+            rows: 1,
+            min_key: 10,
+            max_key: 15,
+            crc: 0,
+        };
+        let lane = LaneId::States(CpuId(0));
+        let direct = Chunk::decode(&block, lane, &footer).unwrap();
+        let oracle = oracle_chunk(&block, lane, &footer).unwrap();
+        assert_same_chunk(&direct, &oracle, "wide task ref");
+        let (Chunk::States(d), Chunk::States(mut o)) = (direct, oracle) else {
+            unreachable!()
+        };
+        o.shrink_to_fit();
+        assert_eq!(d.memory_bytes(), o.memory_bytes());
+        // An event block that stores a payload lane of zeros leaves it absent.
+        let mut block = vec![0b11u8];
+        put_varint(&mut block, 7); // timestamp
+        block.push(6); // marker
+        for payload in [9, 0, 0] {
+            put_varint(&mut block, payload);
+        }
+        let footer = BlockFooter {
+            len: block.len() as u64,
+            min_key: 7,
+            max_key: 7,
+            ..footer
+        };
+        let lane = LaneId::Events(CpuId(0));
+        let (Chunk::Events(mut d), Chunk::Events(mut o)) = (
+            Chunk::decode(&block, lane, &footer).unwrap(),
+            oracle_chunk(&block, lane, &footer).unwrap(),
+        ) else {
+            unreachable!()
+        };
+        d.shrink_to_fit();
+        o.shrink_to_fit();
+        assert_eq!(d, o);
+        assert_eq!(d.memory_bytes(), o.memory_bytes());
+    }
+
+    #[test]
+    fn batch_equals_one_by_one_and_a_failed_batch_changes_nothing() {
+        let trace = sample_trace();
+        let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 4 }).unwrap();
+        let window = TimeInterval::from_cycles(410, 590);
+        let requests = [
+            LaneRequest::StatesCovering(LaneId::States(CpuId(0)), window),
+            LaneRequest::Full(LaneId::Tasks),
+            LaneRequest::Full(LaneId::States(CpuId(1))),
+            LaneRequest::StatesCovering(LaneId::States(CpuId(1)), window), // a touch
+            LaneRequest::Full(LaneId::Samples(CpuId(0), CounterId(0))),
+        ];
+        let mut batched = StoredTrace::from_bytes(bytes.clone()).unwrap();
+        batched.ensure_batch(&requests).unwrap();
+        let mut stepped = StoredTrace::from_bytes(bytes.clone()).unwrap();
+        stepped.set_decode_threads(Threads::single());
+        for request in requests {
+            stepped.ensure_batch(&[request]).unwrap();
+        }
+        assert_eq!(batched.trace(), stepped.trace());
+        assert_eq!(
+            batched.resident_event_bytes(),
+            stepped.resident_event_bytes()
+        );
+        for lane in batched.lanes().collect::<Vec<_>>() {
+            assert_eq!(batched.residency(lane), stepped.residency(lane), "{lane}");
+            assert_eq!(batched.covered_span(lane), stepped.covered_span(lane));
+        }
+        for stored in [&mut batched, &mut stepped] {
+            stored.set_residency_budget(Some(0));
+        }
+        assert_eq!(batched.evict_to_budget(), stepped.evict_to_budget());
+        assert_eq!(
+            batched.materialise_stats().lanes_materialised,
+            stepped.materialise_stats().lanes_materialised
+        );
+
+        // One damaged block late in the batch: the typed error comes back and
+        // the lanes that decoded cleanly are *not* installed either.
+        let probe = StoredTrace::from_bytes(bytes.clone()).unwrap();
+        let idx = probe.lane_index[&LaneId::Tasks];
+        let mut corrupt = bytes;
+        corrupt[probe.directory[idx].blocks[1].offset as usize] ^= 0x08;
+        let mut stored = StoredTrace::from_bytes(corrupt).unwrap();
+        stored.ensure(LaneId::States(CpuId(1))).unwrap();
+        let before = stored.trace().clone();
+        let err = stored
+            .ensure_batch(&[
+                LaneRequest::Full(LaneId::States(CpuId(0))),
+                LaneRequest::Full(LaneId::States(CpuId(1))),
+                LaneRequest::Full(LaneId::Tasks),
+            ])
+            .unwrap_err();
+        assert!(matches!(err, TraceError::Corrupted(_)), "{err}");
+        assert_eq!(*stored.trace(), before);
+        assert_eq!(
+            stored.residency(LaneId::States(CpuId(0))),
+            LaneResidency::Absent
+        );
+        assert_eq!(stored.residency(LaneId::Tasks), LaneResidency::Absent);
+        // ... and the untouched lane is still the least recently used one.
+        stored.ensure(LaneId::States(CpuId(0))).unwrap();
+        stored.set_residency_budget(Some(0));
+        assert_eq!(
+            stored.evict_to_budget(),
+            vec![LaneId::States(CpuId(1)), LaneId::States(CpuId(0))]
+        );
+        // A windowed request for a lane that is not a states lane is refused.
+        assert!(matches!(
+            stored.ensure_batch(&[LaneRequest::StatesCovering(LaneId::Tasks, window)]),
+            Err(TraceError::Format(_))
+        ));
+    }
+
+    #[test]
+    fn writer_output_is_pinned_byte_for_byte() {
+        // The encoders may change how they produce bytes, never which bytes:
+        // `store_bytes_per_event` and every existing file depend on it.
+        fn fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let trace = sample_trace();
+        let pinned = [
+            (3usize, (993usize, 0x4f04_e7d5_b588_f852u64)),
+            (DEFAULT_BLOCK_ROWS, (706, 0x1a1a_1cbd_0295_d15d)),
+        ];
+        for (block_rows, (len, digest)) in pinned {
+            let bytes = write_store_bytes(&trace, &StoreOptions { block_rows }).unwrap();
+            assert_eq!(
+                (bytes.len(), fnv1a(&bytes)),
+                (len, digest),
+                "store bytes changed at {block_rows} rows per block"
+            );
         }
     }
 
