@@ -78,12 +78,14 @@ step_chaos() {
 
 step_e2e() {
     # The interaction-level benchmark, built and run the way BENCHMARK.json
-    # runs it (a package of its own), on the two workloads that walk the
-    # store read path: a fresh session per cycle, and a served store capped
-    # at half its size. Every answer is checked against a resident session
-    # before the result line says `"correct": true`.
+    # runs it (a package of its own), all four workloads for 2 s each: a
+    # fresh store session per cycle, a served store capped at half its size,
+    # a served memory-backed trace (the report, the NUMA frames and the
+    # connect path through the server) and an in-process walk of distinct
+    # views. Every answer is checked against a resident session before the
+    # result line says `"correct": true`.
     local workload
-    for workload in cold_open store_pressure; do
+    for workload in cold_open store_pressure serve_shared navigate; do
         cargo run --release --quiet --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
             --workload "$workload" --seed 1 --seconds 2 --trace 0 | tee e2e_smoke.txt
         grep -q '"correct": true' e2e_smoke.txt

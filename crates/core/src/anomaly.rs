@@ -16,7 +16,8 @@
 //!   series ([`crate::derived::state_concurrency`], the paper's Figure 3 metric)
 //!   against a configurable idle-fraction threshold,
 //! * [`NumaLocalityDetector`] — tasks whose remote-access fraction
-//!   ([`crate::numa::task_remote_fraction`], Figures 14e–f) exceeds the trace-wide
+//!   ([`crate::numa::task_remote_fraction`], Figures 14e–f; read through the
+//!   session's [`crate::access_index`]) exceeds the trace-wide
 //!   baseline by a configurable number of standard deviations,
 //! * [`CounterOutlierDetector`] — per-task monotone-counter increases
 //!   ([`crate::counters`], Figure 18) flagged by robust z-score (median/MAD),
@@ -54,13 +55,16 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use aftermath_exec::{parallel_map, Threads};
-use aftermath_trace::{CpuId, SamplesView, TaskId, TaskInstance, TimeInterval, WorkerState};
+use aftermath_trace::{
+    CpuId, SamplesView, TaskId, TaskInstance, TaskTypeId, TimeInterval, Trace, WorkerState,
+};
 
+use crate::counters::SampleCursor;
 use crate::derived::state_concurrency;
 use crate::error::AnalysisError;
-use crate::numa::task_remote_fraction;
+use crate::numa::task_remote_fraction_from;
 use crate::session::AnalysisSession;
-use crate::stats::{median_of, robust_z_scores_into, state_fractions_per_cpu};
+use crate::stats::{robust_z_scores_into, state_fractions_per_cpu};
 
 /// The category of a detected anomaly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -341,7 +345,7 @@ impl Detector for IdlePhaseDetector {
 
 /// Detects clusters of tasks whose NUMA-remote access fraction is anomalously high.
 ///
-/// Every task's remote fraction ([`task_remote_fraction`]) is compared against the
+/// Every task's remote fraction ([`crate::numa::task_remote_fraction`]) is compared against the
 /// trace-wide baseline: tasks above `mean + k_sigma · σ` *and* above
 /// `min_remote_fraction` are flagged, then merged into time-clustered
 /// [`AnomalyKind::NumaLocality`] anomalies. The lower bound keeps a well-behaved,
@@ -391,36 +395,34 @@ impl Detector for NumaLocalityDetector {
         if trace.accesses().is_empty() || trace.topology().num_nodes() < 2 {
             return Ok(Vec::new());
         }
-        // The per-task fractions are the scan's cost and fan out over chunks of
-        // the task table; the baseline below reduces them in task order, so its
-        // floating-point sums do not depend on how the chunks were scheduled.
+        // One pass over the access index in task order, fanned out over chunks of
+        // the task table; the baseline below reduces the fractions in task order,
+        // so its floating-point sums do not depend on how the chunks were
+        // scheduled.
+        let source = session.accesses();
+        // A remote fraction lies in [0, 1]: NaN marks a task without one.
         let fractions = parallel_map(threads, trace.tasks(), |task| {
-            task_remote_fraction(trace, task)
+            task_remote_fraction_from(trace, &source, task).unwrap_or(f64::NAN)
         });
-        let tasks: Vec<(&TaskInstance, f64)> = trace
-            .tasks()
-            .iter()
-            .zip(fractions)
-            .filter_map(|(task, fraction)| Some((task, fraction?)))
-            .collect();
-        if tasks.len() < 2 {
+        let attributable = || fractions.iter().filter(|f| !f.is_nan());
+        let (n, sum) = attributable().fold((0usize, 0.0), |(n, sum), f| (n + 1, sum + f));
+        if n < 2 {
             return Ok(Vec::new());
         }
-        let fractions: Vec<f64> = tasks.iter().map(|(_, f)| *f).collect();
-        let n = fractions.len() as f64;
-        let mean = fractions.iter().sum::<f64>() / n;
-        let sigma = (fractions
-            .iter()
-            .map(|f| (f - mean) * (f - mean))
-            .sum::<f64>()
-            / n)
-            .sqrt();
+        let n = n as f64;
+        let mean = sum / n;
+        let sigma = (attributable().map(|f| (f - mean) * (f - mean)).sum::<f64>() / n).sqrt();
         let threshold = (mean + self.k_sigma * sigma)
             .min(self.max_threshold)
             .max(self.min_remote_fraction);
 
-        let mut flagged: Vec<(&TaskInstance, f64)> =
-            tasks.into_iter().filter(|(_, f)| *f > threshold).collect();
+        let mut flagged: Vec<(&TaskInstance, f64)> = trace
+            .tasks()
+            .iter()
+            .zip(&fractions)
+            .filter(|(_, &fraction)| fraction > threshold)
+            .map(|(task, &fraction)| (task, fraction))
+            .collect();
         if flagged.is_empty() {
             return Ok(Vec::new());
         }
@@ -495,48 +497,46 @@ impl Default for CounterOutlierDetector {
 impl CounterOutlierDetector {
     /// Scores one monotone counter against the tasks of one type into `out`; the
     /// `(counter, task type)` unit of the scan. `counter` pairs the description
-    /// with the counter's sample view of every CPU (one map lookup per CPU
-    /// instead of one per task).
+    /// with the counter's increase during every task (`None` where it cannot be
+    /// attributed), laid out like `groups` ([`TypeGroups::attribute`]).
     fn detect_counter_type<'t>(
         &self,
-        counter: &(&aftermath_trace::CounterDescription, Vec<SamplesView<'t>>),
+        counter: (&aftermath_trace::CounterDescription, &[Option<f64>]),
         ty: &aftermath_trace::TaskType,
-        group: &[&'t TaskInstance],
+        groups: &TypeGroups<'t>,
         gap: u64,
         scratch: &mut OutlierScratch<'t>,
         out: &mut Vec<Anomaly>,
     ) {
-        let (desc, samples_by_cpu) = counter;
-        scratch.tasks.clear();
-        for &task in group {
-            let samples = samples_by_cpu[task.cpu.0 as usize];
-            if let Some(delta) = crate::counters::counter_delta_for_task(samples, task) {
-                scratch.tasks.push((task, delta));
+        let (desc, deltas) = counter;
+        let tasks = groups.tasks;
+        let run = groups.run_of(ty.id);
+        scratch.members.clear();
+        scratch.values.clear();
+        for (&i, delta) in groups.order[run.clone()].iter().zip(&deltas[run]) {
+            if let Some(delta) = *delta {
+                scratch.members.push(i);
+                scratch.values.push(delta);
             }
         }
-        if scratch.tasks.len() < self.min_samples.max(2) {
+        if scratch.members.len() < self.min_samples.max(2) {
             return;
         }
-        scratch.values.clear();
-        scratch.values.extend(scratch.tasks.iter().map(|(_, d)| *d));
-        if !robust_z_scores_into(&scratch.values, &mut scratch.z) {
+        let Some(median) = robust_z_scores_into(&scratch.values, &mut scratch.z) else {
             return;
-        }
+        };
         scratch.flagged.clear();
         scratch.flagged.extend(
             scratch
-                .tasks
+                .members
                 .iter()
                 .zip(&scratch.z)
                 .filter(|(_, &z)| z.abs() > self.k_mad)
-                .map(|(&(t, _), &z)| (t, z)),
+                .map(|(&i, &z)| (&tasks[i as usize], z)),
         );
         if scratch.flagged.is_empty() {
             return;
         }
-        // Findings path: the median only appears in explanations, so its
-        // sorted-copy cost is paid per reported type, not per scanned type.
-        let median = median_of(&scratch.values).unwrap_or(0.0);
         scratch.flagged.sort_by_key(|(t, _)| t.execution.start);
         for cluster in cluster_by_time(&scratch.flagged, |(t, _)| t.execution, gap) {
             let interval = hull_of(cluster.iter().map(|(t, _)| t.execution));
@@ -560,16 +560,141 @@ impl CounterOutlierDetector {
             });
         }
     }
+
+    /// The scan over the tasks as grouped by `groups`. Every monotone counter is
+    /// first attributed to all tasks in one pass in task order
+    /// ([`TypeGroups::attribute`]); its `(counter, task type)` units then fan out
+    /// — most traces carry one counter, so per-counter units would leave the
+    /// scoring on one thread.
+    fn scan(
+        &self,
+        session: &AnalysisSession<'_>,
+        groups: &TypeGroups<'_>,
+        threads: Threads,
+    ) -> Vec<Anomaly> {
+        let trace = session.trace();
+        let gap = self
+            .merge_gap_cycles
+            .unwrap_or_else(|| session.time_bounds().duration() / 64);
+        let mut out = Vec::new();
+        for desc in trace.counters().iter().filter(|desc| desc.monotone) {
+            // One map lookup per CPU instead of one per task.
+            let samples_by_cpu: Vec<_> = trace
+                .topology()
+                .cpu_ids()
+                .map(|cpu| session.samples(cpu, desc.id))
+                .collect();
+            let deltas = groups.attribute(&samples_by_cpu);
+            out.extend(scan_units(
+                threads,
+                trace.task_types(),
+                |ty, scratch, out| {
+                    self.detect_counter_type((desc, &deltas), ty, groups, gap, scratch, out);
+                },
+            ));
+        }
+        out
+    }
 }
 
 /// Reusable scoring buffers of the statistics-heavy detectors: cleared and refilled
 /// per scanned group instead of reallocated.
 #[derive(Default)]
 struct OutlierScratch<'t> {
-    tasks: Vec<(&'t TaskInstance, f64)>,
+    /// The group's tasks the counter could be attributed to (task indices).
+    members: Vec<u32>,
     values: Vec<f64>,
     z: Vec<f64>,
     flagged: Vec<(&'t TaskInstance, f64)>,
+}
+
+/// The trace's tasks grouped by task type, once per report, as a counting sort:
+/// `order` lists indices into `tasks` type by type, every run in task order,
+/// `durations` holds the tasks' execution durations in the same order, and
+/// `starts[ty] .. starts[ty + 1]` is the run of `TaskTypeId(ty)` in both.
+///
+/// Task-type ids are assigned densely by the trace builder, so runs are indexed
+/// directly by `id.0` (the same layout [`crate::stats::task_type_breakdown`] relies
+/// on); a task naming a type beyond the table belongs to no run.
+struct TypeGroups<'t> {
+    tasks: &'t [TaskInstance],
+    order: Vec<u32>,
+    durations: Vec<f64>,
+    starts: Vec<usize>,
+}
+
+impl<'t> TypeGroups<'t> {
+    fn of(trace: &'t Trace) -> Self {
+        let tasks = trace.tasks();
+        assert!(
+            u32::try_from(tasks.len()).is_ok(),
+            "task indices are u32: {} tasks do not fit",
+            tasks.len()
+        );
+        let num_types = trace.task_types().len();
+        let mut starts = vec![0usize; num_types + 1];
+        for task in tasks {
+            if let Some(count) = starts.get_mut(task.task_type.0 as usize + 1) {
+                *count += 1;
+            }
+        }
+        for ty in 0..num_types {
+            starts[ty + 1] += starts[ty];
+        }
+        let mut order = vec![0u32; starts[num_types]];
+        let mut durations = vec![0.0; starts[num_types]];
+        for_each_slot(&starts, tasks, |slot, i, task| {
+            order[slot] = i as u32;
+            durations[slot] = task.duration() as f64;
+        });
+        TypeGroups {
+            tasks,
+            order,
+            durations,
+            starts,
+        }
+    }
+
+    /// The run of `ty` in `order` and in every column laid out like it.
+    fn run_of(&self, ty: TaskTypeId) -> std::ops::Range<usize> {
+        let ty = ty.0 as usize;
+        self.starts[ty]..self.starts[ty + 1]
+    }
+
+    /// The increase of one counter during every task, laid out like `order`
+    /// (`None` where it cannot be attributed): one pass over the tasks in task
+    /// order, each CPU's sample column walked by a cursor of its own. A CPU's
+    /// tasks usually come in time order, which makes each lookup `O(1)`; in any
+    /// order it returns what [`crate::counters::counter_delta_for_task`] returns.
+    fn attribute(&self, samples_by_cpu: &[SamplesView<'_>]) -> Vec<Option<f64>> {
+        let mut cursors: Vec<_> = samples_by_cpu
+            .iter()
+            .copied()
+            .map(SampleCursor::new)
+            .collect();
+        let mut deltas = vec![None; self.order.len()];
+        for_each_slot(&self.starts, self.tasks, |slot, _, task| {
+            deltas[slot] = cursors[task.cpu.0 as usize].delta_for_task(task);
+        });
+        deltas
+    }
+}
+
+/// Visits the tasks in task order, each with its slot in the counting sort whose
+/// runs begin at `starts` (one more entry than there are task types): `visit`
+/// receives the slot, the task's index and the task.
+fn for_each_slot<'t>(
+    starts: &[usize],
+    tasks: &'t [TaskInstance],
+    mut visit: impl FnMut(usize, usize, &'t TaskInstance),
+) {
+    let mut next = starts[..starts.len() - 1].to_vec();
+    for (i, task) in tasks.iter().enumerate() {
+        if let Some(slot) = next.get_mut(task.task_type.0 as usize) {
+            visit(*slot, i, task);
+            *slot += 1;
+        }
+    }
 }
 
 /// Runs `scan` over the independent `units` of a statistics-heavy detector and
@@ -611,40 +736,7 @@ impl Detector for CounterOutlierDetector {
         session: &AnalysisSession<'_>,
         threads: Threads,
     ) -> Result<Vec<Anomaly>, AnalysisError> {
-        let trace = session.trace();
-        let gap = self
-            .merge_gap_cycles
-            .unwrap_or_else(|| session.time_bounds().duration() / 64);
-        // Group tasks by type and resolve every counter's per-CPU sample views
-        // once; a unit then only touches its own group.
-        let tasks_by_type = group_tasks_by_type(trace);
-        let counters: Vec<_> = trace
-            .counters()
-            .iter()
-            .filter(|desc| desc.monotone)
-            .map(|desc| {
-                let samples_by_cpu: Vec<_> = trace
-                    .topology()
-                    .cpu_ids()
-                    .map(|cpu| session.samples(cpu, desc.id))
-                    .collect();
-                (desc, samples_by_cpu)
-            })
-            .collect();
-        // One unit per (monotone counter, task type) — most traces carry one
-        // counter, so per-counter units would leave the scan on one thread.
-        let units: Vec<_> = counters
-            .iter()
-            .flat_map(|counter| trace.task_types().iter().map(move |ty| (counter, ty)))
-            .collect();
-        Ok(scan_units(
-            threads,
-            &units,
-            |&(counter, ty), scratch, out| {
-                let group = &tasks_by_type[ty.id.0 as usize];
-                self.detect_counter_type(counter, ty, group, gap, scratch, out);
-            },
-        ))
+        Ok(self.scan(session, &TypeGroups::of(session.trace()), threads))
     }
 }
 
@@ -683,39 +775,37 @@ impl Default for DurationOutlierDetector {
 
 impl DurationOutlierDetector {
     /// Scores the durations of one task type into `out`; the per-type unit of both
-    /// the sequential and the parallel scan. `scratch` is reused across types by
-    /// the sequential scan, so the inner loop allocates nothing on the
-    /// no-findings path.
+    /// the sequential and the parallel scan; the type's durations are a slice of
+    /// the grouped column. `scratch` is reused across types by the sequential
+    /// scan, so the inner loop allocates nothing on the no-findings path.
     fn detect_type<'t>(
         &self,
         ty: &aftermath_trace::TaskType,
-        tasks: &[&'t TaskInstance],
+        groups: &TypeGroups<'t>,
         gap: u64,
         scratch: &mut OutlierScratch<'t>,
         out: &mut Vec<Anomaly>,
     ) {
-        if tasks.len() < self.min_samples.max(2) {
+        let tasks = groups.tasks;
+        let run = groups.run_of(ty.id);
+        let group = &groups.order[run.clone()];
+        if group.len() < self.min_samples.max(2) {
             return;
         }
-        scratch.values.clear();
-        scratch
-            .values
-            .extend(tasks.iter().map(|t| t.duration() as f64));
-        if !robust_z_scores_into(&scratch.values, &mut scratch.z) {
+        let Some(median) = robust_z_scores_into(&groups.durations[run], &mut scratch.z) else {
             return;
-        }
+        };
         scratch.flagged.clear();
         scratch.flagged.extend(
-            tasks
+            group
                 .iter()
                 .zip(&scratch.z)
                 .filter(|(_, &z)| z > self.k_mad || (self.detect_fast && z < -self.k_mad))
-                .map(|(&t, &z)| (t, z)),
+                .map(|(&i, &z)| (&tasks[i as usize], z)),
         );
         if scratch.flagged.is_empty() {
             return;
         }
-        let median = median_of(&scratch.values).unwrap_or(0.0);
         scratch.flagged.sort_by_key(|(t, _)| t.execution.start);
         for cluster in cluster_by_time(&scratch.flagged, |(t, _)| t.execution, gap) {
             let interval = hull_of(cluster.iter().map(|(t, _)| t.execution));
@@ -740,6 +830,21 @@ impl DurationOutlierDetector {
             });
         }
     }
+
+    /// The scan over the tasks as grouped by `groups`: one unit per task type.
+    fn scan(
+        &self,
+        session: &AnalysisSession<'_>,
+        groups: &TypeGroups<'_>,
+        threads: Threads,
+    ) -> Vec<Anomaly> {
+        let gap = self
+            .merge_gap_cycles
+            .unwrap_or_else(|| session.time_bounds().duration() / 64);
+        scan_units(threads, session.trace().task_types(), |ty, scratch, out| {
+            self.detect_type(ty, groups, gap, scratch, out);
+        })
+    }
 }
 
 impl Detector for DurationOutlierDetector {
@@ -756,19 +861,7 @@ impl Detector for DurationOutlierDetector {
         session: &AnalysisSession<'_>,
         threads: Threads,
     ) -> Result<Vec<Anomaly>, AnalysisError> {
-        let trace = session.trace();
-        let gap = self
-            .merge_gap_cycles
-            .unwrap_or_else(|| session.time_bounds().duration() / 64);
-        let tasks_by_type = group_tasks_by_type(trace);
-        // One unit per task type.
-        Ok(scan_units(
-            threads,
-            trace.task_types(),
-            |ty, scratch, out| {
-                self.detect_type(ty, &tasks_by_type[ty.id.0 as usize], gap, scratch, out);
-            },
-        ))
+        Ok(self.scan(session, &TypeGroups::of(session.trace()), threads))
     }
 }
 
@@ -883,16 +976,17 @@ pub fn detect_anomalies(
 }
 
 /// Like [`detect_anomalies`] but lets every enabled detector fan its internal units
-/// out over up to `threads` workers of the execution layer via
-/// [`Detector::detect_with`].
+/// out over up to `threads` workers of the execution layer.
 ///
 /// The detectors themselves run in their fixed order (idle, NUMA, counter,
 /// duration), each with the whole budget — one parallel level, so a scan never runs
 /// more than `threads` workers at a time and no detector is starved by a static
 /// budget split. What a detector can spread is its own units: the NUMA detector
-/// chunks of the task table, the counter detector `(counter, task type)` pairs, the
-/// duration detector task types; the idle-phase detector (a few per cent of a scan)
-/// and each detector's clustering of its flagged tasks stay on the calling thread.
+/// chunks of the task table, the counter detector the `(counter, task type)` pairs
+/// it scores, the duration detector task types; the idle-phase detector, the
+/// grouping of the tasks by type (once, shared by both outlier detectors), the
+/// counter detector's attribution pass and each detector's clustering of its
+/// flagged tasks stay on the calling thread.
 /// A trace with one task type and one counter therefore spreads only its NUMA scan.
 /// Findings merge in detector → unit order before the stable severity sort, which
 /// makes the ranked report **identical** to the sequential scan regardless of the
@@ -906,18 +1000,22 @@ pub fn detect_anomalies_with(
     config: &AnomalyConfig,
     threads: Threads,
 ) -> Result<AnomalyReport, AnalysisError> {
-    let detectors: [Option<&(dyn Detector + Sync)>; 4] = [
-        config.idle.as_ref().map(|d| d as &(dyn Detector + Sync)),
-        config.numa.as_ref().map(|d| d as &(dyn Detector + Sync)),
-        config.counter.as_ref().map(|d| d as &(dyn Detector + Sync)),
-        config
-            .duration
-            .as_ref()
-            .map(|d| d as &(dyn Detector + Sync)),
-    ];
     let mut anomalies = Vec::new();
-    for detector in detectors.into_iter().flatten() {
+    if let Some(detector) = &config.idle {
         anomalies.extend(detector.detect_with(session, threads)?);
+    }
+    if let Some(detector) = &config.numa {
+        anomalies.extend(detector.detect_with(session, threads)?);
+    }
+    if config.counter.is_some() || config.duration.is_some() {
+        // Both statistics-heavy detectors score per task type: group once.
+        let groups = TypeGroups::of(session.trace());
+        if let Some(detector) = &config.counter {
+            anomalies.extend(detector.scan(session, &groups, threads));
+        }
+        if let Some(detector) = &config.duration {
+            anomalies.extend(detector.scan(session, &groups, threads));
+        }
     }
     Ok(AnomalyReport::from_anomalies(
         anomalies,
@@ -971,20 +1069,6 @@ fn hull_of(intervals: impl Iterator<Item = TimeInterval>) -> TimeInterval {
         .expect("hull of at least one interval")
 }
 
-/// Groups the trace's tasks by task type in one pass, indexed by `TaskTypeId`.
-///
-/// Task-type ids are assigned densely by the trace builder, so the vector is indexed
-/// directly by `id.0` (the same layout [`crate::stats::task_type_breakdown`] relies on).
-fn group_tasks_by_type(trace: &aftermath_trace::Trace) -> Vec<Vec<&TaskInstance>> {
-    let mut groups: Vec<Vec<&TaskInstance>> = vec![Vec::new(); trace.task_types().len()];
-    for task in trace.tasks() {
-        if let Some(group) = groups.get_mut(task.task_type.0 as usize) {
-            group.push(task);
-        }
-    }
-    groups
-}
-
 /// Distinct CPUs, preserving first-seen order.
 fn distinct_cpus(cpus: impl Iterator<Item = CpuId>) -> Vec<CpuId> {
     let mut out: Vec<CpuId> = Vec::new();
@@ -994,6 +1078,227 @@ fn distinct_cpus(cpus: impl Iterator<Item = CpuId>) -> Vec<CpuId> {
         }
     }
     out
+}
+
+/// The per-task detector bodies the streaming ones replaced, kept as the oracle
+/// the equivalence tests compare whole reports against: every task searches the
+/// access table and the region table ([`crate::numa::task_remote_fraction`]) and
+/// bisects its CPU's sample column ([`crate::counters::counter_delta_for_task`]),
+/// groups are vectors of task references, medians are read off sorted copies
+/// ([`crate::stats::reference`]).
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::counters::counter_delta_for_task;
+    use crate::numa::task_remote_fraction;
+    use crate::stats::reference::{robust_z_scores, sorted_median};
+
+    fn merge_gap(session: &AnalysisSession<'_>, configured: Option<u64>) -> u64 {
+        configured.unwrap_or_else(|| session.time_bounds().duration() / 64)
+    }
+
+    fn group_tasks_by_type(trace: &Trace) -> Vec<Vec<&TaskInstance>> {
+        let mut groups: Vec<Vec<&TaskInstance>> = vec![Vec::new(); trace.task_types().len()];
+        for task in trace.tasks() {
+            if let Some(group) = groups.get_mut(task.task_type.0 as usize) {
+                group.push(task);
+            }
+        }
+        groups
+    }
+
+    fn numa(d: &NumaLocalityDetector, session: &AnalysisSession<'_>) -> Vec<Anomaly> {
+        let trace = session.trace();
+        if trace.accesses().is_empty() || trace.topology().num_nodes() < 2 {
+            return Vec::new();
+        }
+        let tasks: Vec<(&TaskInstance, f64)> = trace
+            .tasks()
+            .iter()
+            .filter_map(|task| Some((task, task_remote_fraction(trace, task)?)))
+            .collect();
+        if tasks.len() < 2 {
+            return Vec::new();
+        }
+        let fractions: Vec<f64> = tasks.iter().map(|(_, f)| *f).collect();
+        let n = fractions.len() as f64;
+        let mean = fractions.iter().sum::<f64>() / n;
+        let sigma = (fractions
+            .iter()
+            .map(|f| (f - mean) * (f - mean))
+            .sum::<f64>()
+            / n)
+            .sqrt();
+        let threshold = (mean + d.k_sigma * sigma)
+            .min(d.max_threshold)
+            .max(d.min_remote_fraction);
+        let mut flagged: Vec<(&TaskInstance, f64)> =
+            tasks.into_iter().filter(|(_, f)| *f > threshold).collect();
+        if flagged.is_empty() {
+            return Vec::new();
+        }
+        flagged.sort_by_key(|(t, _)| t.execution.start);
+        let gap = merge_gap(session, d.merge_gap_cycles);
+        let mut anomalies = Vec::new();
+        for cluster in cluster_by_time(&flagged, |(t, _)| t.execution, gap) {
+            let interval = hull_of(cluster.iter().map(|(t, _)| t.execution));
+            let mean_remote = cluster.iter().map(|(_, f)| *f).sum::<f64>() / cluster.len() as f64;
+            let peak = cluster.iter().map(|(_, f)| *f).fold(0.0, f64::max);
+            let z_peak = if sigma > 0.0 {
+                (peak - mean) / sigma
+            } else {
+                f64::INFINITY
+            };
+            anomalies.push(Anomaly {
+                kind: AnomalyKind::NumaLocality,
+                interval,
+                cpus: distinct_cpus(cluster.iter().map(|(t, _)| t.cpu)),
+                tasks: cluster.iter().map(|(t, _)| t.id).collect(),
+                severity: mean_remote.clamp(0.0, 1.0),
+                score: z_peak.min(1e6),
+                explanation: format!(
+                    "{} task(s) in {interval} access on average {:.0} % remote memory \
+                     (trace baseline {:.0} % ± {:.0} %)",
+                    cluster.len(),
+                    100.0 * mean_remote,
+                    100.0 * mean,
+                    100.0 * sigma,
+                ),
+            });
+        }
+        anomalies
+    }
+
+    fn counter(d: &CounterOutlierDetector, session: &AnalysisSession<'_>) -> Vec<Anomaly> {
+        let trace = session.trace();
+        let gap = merge_gap(session, d.merge_gap_cycles);
+        let tasks_by_type = group_tasks_by_type(trace);
+        let mut out = Vec::new();
+        for desc in trace.counters().iter().filter(|desc| desc.monotone) {
+            for ty in trace.task_types() {
+                let tasks: Vec<(&TaskInstance, f64)> = tasks_by_type[ty.id.0 as usize]
+                    .iter()
+                    .filter_map(|&task| {
+                        let samples = session.samples(task.cpu, desc.id);
+                        Some((task, counter_delta_for_task(samples, task)?))
+                    })
+                    .collect();
+                if tasks.len() < d.min_samples.max(2) {
+                    continue;
+                }
+                let values: Vec<f64> = tasks.iter().map(|(_, delta)| *delta).collect();
+                let Some(z) = robust_z_scores(&values) else {
+                    continue;
+                };
+                let mut flagged: Vec<(&TaskInstance, f64)> = tasks
+                    .iter()
+                    .zip(&z)
+                    .filter(|(_, &z)| z.abs() > d.k_mad)
+                    .map(|(&(t, _), &z)| (t, z))
+                    .collect();
+                if flagged.is_empty() {
+                    continue;
+                }
+                let median = sorted_median(&values);
+                flagged.sort_by_key(|(t, _)| t.execution.start);
+                for cluster in cluster_by_time(&flagged, |(t, _)| t.execution, gap) {
+                    let interval = hull_of(cluster.iter().map(|(t, _)| t.execution));
+                    let peak = cluster.iter().map(|(_, z)| z.abs()).fold(0.0, f64::max);
+                    out.push(Anomaly {
+                        kind: AnomalyKind::CounterOutlier,
+                        interval,
+                        cpus: distinct_cpus(cluster.iter().map(|(t, _)| t.cpu)),
+                        tasks: cluster.iter().map(|(t, _)| t.id).collect(),
+                        severity: severity_from_z(peak, d.k_mad),
+                        score: peak,
+                        explanation: format!(
+                            "{} `{}` task(s) in {interval} with outlying `{}` increase \
+                             (robust z up to {:.1}; type median {:.0})",
+                            cluster.len(),
+                            ty.name,
+                            desc.name,
+                            peak,
+                            median,
+                        ),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    fn duration(d: &DurationOutlierDetector, session: &AnalysisSession<'_>) -> Vec<Anomaly> {
+        let trace = session.trace();
+        let gap = merge_gap(session, d.merge_gap_cycles);
+        let tasks_by_type = group_tasks_by_type(trace);
+        let mut out = Vec::new();
+        for ty in trace.task_types() {
+            let tasks = &tasks_by_type[ty.id.0 as usize];
+            if tasks.len() < d.min_samples.max(2) {
+                continue;
+            }
+            let values: Vec<f64> = tasks.iter().map(|t| t.duration() as f64).collect();
+            let Some(z) = robust_z_scores(&values) else {
+                continue;
+            };
+            let mut flagged: Vec<(&TaskInstance, f64)> = tasks
+                .iter()
+                .zip(&z)
+                .filter(|(_, &z)| z > d.k_mad || (d.detect_fast && z < -d.k_mad))
+                .map(|(&t, &z)| (t, z))
+                .collect();
+            if flagged.is_empty() {
+                continue;
+            }
+            let median = sorted_median(&values);
+            flagged.sort_by_key(|(t, _)| t.execution.start);
+            for cluster in cluster_by_time(&flagged, |(t, _)| t.execution, gap) {
+                let interval = hull_of(cluster.iter().map(|(t, _)| t.execution));
+                let peak = cluster.iter().map(|(_, z)| z.abs()).fold(0.0, f64::max);
+                let worst = cluster.iter().map(|(t, _)| t.duration()).max().unwrap_or(0);
+                out.push(Anomaly {
+                    kind: AnomalyKind::DurationOutlier,
+                    interval,
+                    cpus: distinct_cpus(cluster.iter().map(|(t, _)| t.cpu)),
+                    tasks: cluster.iter().map(|(t, _)| t.id).collect(),
+                    severity: severity_from_z(peak, d.k_mad),
+                    score: peak,
+                    explanation: format!(
+                        "{} `{}` task(s) in {interval} with outlying duration \
+                         (up to {} cycles vs. type median {:.0}; robust z up to {:.1})",
+                        cluster.len(),
+                        ty.name,
+                        worst,
+                        median,
+                        peak,
+                    ),
+                });
+            }
+        }
+        out
+    }
+
+    /// [`detect_anomalies`] with the reference bodies (the idle-phase detector
+    /// never streamed anything and is shared).
+    pub(super) fn detect_anomalies(
+        session: &AnalysisSession<'_>,
+        config: &AnomalyConfig,
+    ) -> AnomalyReport {
+        let mut anomalies = Vec::new();
+        if let Some(d) = &config.idle {
+            anomalies.extend(d.detect(session).expect("idle detection"));
+        }
+        if let Some(d) = &config.numa {
+            anomalies.extend(numa(d, session));
+        }
+        if let Some(d) = &config.counter {
+            anomalies.extend(counter(d, session));
+        }
+        if let Some(d) = &config.duration {
+            anomalies.extend(duration(d, session));
+        }
+        AnomalyReport::from_anomalies(anomalies, config.max_anomalies)
+    }
 }
 
 #[cfg(test)]
@@ -1403,5 +1708,179 @@ mod tests {
         assert_ne!(a.cache_key(), b.cache_key());
         assert_ne!(a.cache_key(), c.cache_key());
         assert_eq!(a.cache_key(), AnomalyConfig::default().cache_key());
+    }
+
+    /// The configurations the equivalence tests scan with: the defaults, and a
+    /// sensitive one (low thresholds, both tails, tight merge gap) under which
+    /// almost every group reports something.
+    fn probing_configs() -> [AnomalyConfig; 2] {
+        let sensitive = AnomalyConfig {
+            idle: Some(IdlePhaseDetector {
+                idle_fraction: 0.2,
+                ..Default::default()
+            }),
+            numa: Some(NumaLocalityDetector {
+                k_sigma: 0.5,
+                min_remote_fraction: 0.01,
+                merge_gap_cycles: Some(10),
+                ..Default::default()
+            }),
+            counter: Some(CounterOutlierDetector {
+                k_mad: 0.5,
+                min_samples: 2,
+                merge_gap_cycles: Some(10),
+            }),
+            duration: Some(DurationOutlierDetector {
+                k_mad: 0.5,
+                min_samples: 2,
+                detect_fast: true,
+                merge_gap_cycles: Some(10),
+            }),
+            max_anomalies: 10_000,
+        };
+        [AnomalyConfig::default(), sensitive]
+    }
+
+    /// Streaming detectors ≡ reference bodies on `trace`: whole reports, at every
+    /// thread budget, on a lazy and on a prewarmed session.
+    fn assert_reports_equal_reference(trace: &Trace, what: &str) {
+        let lazy = AnalysisSession::new(trace);
+        let warm = AnalysisSession::new(trace);
+        warm.prewarm(Threads::new(2));
+        let mut findings = 0;
+        for config in probing_configs() {
+            let expected = reference::detect_anomalies(&lazy, &config);
+            findings += expected.len();
+            for threads in [Threads::single(), Threads::new(2), Threads::auto()] {
+                for session in [&lazy, &warm] {
+                    let got = detect_anomalies_with(session, &config, threads).unwrap();
+                    assert_eq!(got, expected, "{what}, {threads:?}");
+                }
+            }
+            // Every detector alone, through the trait's own entry points.
+            for kind in AnomalyKind::ALL {
+                let alone = AnomalyConfig {
+                    idle: config.idle.filter(|_| kind == AnomalyKind::IdlePhase),
+                    numa: config.numa.filter(|_| kind == AnomalyKind::NumaLocality),
+                    counter: config
+                        .counter
+                        .filter(|_| kind == AnomalyKind::CounterOutlier),
+                    duration: config
+                        .duration
+                        .filter(|_| kind == AnomalyKind::DurationOutlier),
+                    max_anomalies: config.max_anomalies,
+                };
+                assert_eq!(
+                    detect_anomalies(&lazy, &alone).unwrap(),
+                    reference::detect_anomalies(&lazy, &alone),
+                    "{what}, {kind} alone"
+                );
+            }
+        }
+        assert!(findings > 0, "{what}: a vacuous comparison proves nothing");
+    }
+
+    #[test]
+    fn streaming_detectors_equal_reference_on_the_adversarial_corpus() {
+        use aftermath_sim::{SimConfig, Simulator};
+        for workload in aftermath_workloads::adversarial::all(42) {
+            let trace = Simulator::new(SimConfig::small_test())
+                .run(&workload.spec)
+                .expect("adversarial workload simulates")
+                .trace;
+            assert_reports_equal_reference(&trace, &workload.manifest.note);
+        }
+        assert_reports_equal_reference(&small_sim_trace(), "seidel");
+        assert_reports_equal_reference(&numa_outlier_trace(), "numa outlier");
+        assert_reports_equal_reference(&duration_outlier_trace(), "duration outlier");
+    }
+
+    /// `counters` monotone counters (the last of three is non-monotone and must be
+    /// ignored) over 4 CPUs × 2 task types, with everything that makes counter
+    /// attribution awkward: tasks registered in *descending* time order per CPU
+    /// (cursors must walk backwards), values that fall as well as rise, a counter
+    /// whose sampling starts late (early tasks unattributable), a CPU it never
+    /// samples, a counter that overflows to infinity on one CPU (increases of inf
+    /// and NaN), and a task type with no task at all.
+    fn awkward_counter_trace(counters: usize) -> Trace {
+        let mut b = TraceBuilder::new(MachineTopology::uniform(2, 2));
+        let types = [b.add_task_type("even", 0), b.add_task_type("odd", 0)];
+        b.add_task_type("never-run", 0);
+        b.add_region(0x1000, 4096, Some(NumaNodeId(0)));
+        b.add_region(0x10_000, 4096, Some(NumaNodeId(1)));
+        let ids: Vec<_> = (0..counters)
+            .map(|c| b.add_counter(format!("c{c}"), c != 2))
+            .collect();
+        const TASKS_PER_CPU: u64 = 40;
+        for cpu in 0..4u32 {
+            // Latest first: task order is the reverse of time order on every CPU.
+            for slot in (0..TASKS_PER_CPU).rev() {
+                let start = slot * 100 + u64::from(cpu);
+                let end =
+                    start + 40 + (slot * 7 + u64::from(cpu)) % 50 + 900 * u64::from(slot == 17);
+                let end = end.min(start + 99);
+                let t = b.add_task(
+                    types[(slot % 2) as usize],
+                    CpuId(cpu),
+                    Timestamp(start),
+                    Timestamp(start),
+                    Timestamp(end),
+                );
+                b.add_state(
+                    CpuId(cpu),
+                    WorkerState::TaskExecution,
+                    Timestamp(start),
+                    Timestamp(end),
+                    Some(t),
+                )
+                .unwrap();
+                let remote = slot % 9 == 4;
+                let addr = if (cpu < 2) != remote {
+                    0x1000
+                } else {
+                    0x10_000
+                };
+                b.add_access(t, AccessKind::Read, addr, 64 + slot).unwrap();
+            }
+            for (c, &id) in ids.iter().enumerate() {
+                if c == 1 && cpu == 3 {
+                    continue;
+                }
+                let first = if c == 1 { TASKS_PER_CPU / 4 } else { 0 };
+                let mut value = 1_000.0;
+                for slot in first..TASKS_PER_CPU {
+                    // Sampled before and after every task; the "monotone" counters
+                    // dip now and then and spike once.
+                    b.add_sample(id, CpuId(cpu), Timestamp(slot * 100), value)
+                        .unwrap();
+                    value += match slot % 11 {
+                        3 => -25.0,
+                        7 => 4_000.0,
+                        // From here on this CPU's increases are inf and NaN.
+                        _ if c == 0 && cpu == 2 && slot == 30 => f64::INFINITY,
+                        _ => 10.0 + (slot % 3) as f64,
+                    };
+                    b.add_sample(id, CpuId(cpu), Timestamp(slot * 100 + 99), value)
+                        .unwrap();
+                }
+            }
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn streaming_detectors_equal_reference_on_awkward_counters() {
+        for counters in 0..=3 {
+            let trace = awkward_counter_trace(counters);
+            assert_reports_equal_reference(&trace, &format!("{counters} counter(s)"));
+            // The awkwardness is real: tasks run against time order per CPU.
+            let on_cpu0: Vec<_> = trace
+                .tasks()
+                .iter()
+                .filter(|t| t.cpu == CpuId(0))
+                .map(|t| t.execution.start)
+                .collect();
+            assert!(on_cpu0.windows(2).all(|w| w[0] > w[1]));
+        }
     }
 }

@@ -9,7 +9,9 @@
 //!
 //! * **indexed access** to per-CPU event streams via binary search and an n-ary counter
 //!   min/max/sum tree ([`index`], paper Section VI-B); index shards build lazily on first
-//!   touch, or all at once in parallel via [`AnalysisSession::prewarm`],
+//!   touch, or all at once in parallel via [`AnalysisSession::prewarm`]; the
+//!   once-per-session [`access_index`] turns "which accesses does this task have,
+//!   and on which node do they live?" into array lookups for every NUMA analysis,
 //! * **multi-resolution aggregation** — per-CPU summary pyramids over the state
 //!   streams ([`pyramid`]) behind the [`AnalysisSession::query`] interval API, so
 //!   timeline frames cost `O(columns · log n)` at any zoom level while staying
@@ -74,6 +76,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod access_index;
 pub mod anomaly;
 pub mod correlate;
 pub mod counters;
@@ -97,6 +100,7 @@ pub mod timeline;
 #[cfg(test)]
 pub(crate) mod testutil;
 
+pub use access_index::{AccessIndex, AccessSource, IndexedAccesses};
 pub use aftermath_exec::Threads;
 pub use anomaly::{Anomaly, AnomalyConfig, AnomalyKind, AnomalyReport, Detector};
 pub use correlate::{correlate_duration_with_counter, CorrelationStudy, LinearRegression};

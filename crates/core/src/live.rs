@@ -59,10 +59,7 @@ use crate::error::AnalysisError;
 use crate::filter::TaskFilter;
 use crate::index::CounterIndex;
 use crate::pyramid::StatePyramid;
-use crate::session::{
-    new_anomaly_cache, new_cost_model, new_timeline_cache, AnalysisSession, AnomalyCacheHandle,
-    CostModelHandle, TimelineCacheHandle,
-};
+use crate::session::{AnalysisSession, SessionHandles};
 use crate::timeline::{TimelineMode, TimelineModel};
 
 /// What one [`LiveSession::advance`] call did, for latency accounting and for
@@ -92,14 +89,12 @@ pub struct LiveSession {
     indexes: HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
     /// Incrementally maintained state pyramids, keyed by CPU id.
     pyramids: HashMap<u32, Arc<StatePyramid>>,
-    /// Result caches shared by this epoch's session views; replaced on `advance`.
-    anomaly_cache: AnomalyCacheHandle,
-    timeline_cache: TimelineCacheHandle,
-    /// The adaptive engine's cost model, shared by every epoch's session views.
-    /// Unlike the result caches it is **not** replaced on `advance`: the model
-    /// describes the machine (per-event and per-cell costs), not the data, so
+    /// What this epoch's session views share: the result caches and the access
+    /// index (built lazily by the first view that needs it) are replaced when an
+    /// `advance` appends anything; the adaptive engine's cost model is **not** —
+    /// it describes the machine (per-event and per-cell costs), not the data, so
     /// one calibration serves the whole live session.
-    cost_model: CostModelHandle,
+    handles: SessionHandles,
     /// Total summary nodes rebuilt since the session opened (cold build included).
     total_nodes_rebuilt: u64,
     /// Accumulated lint summary across all [`LiveSession::advance_lint`] calls;
@@ -129,9 +124,7 @@ impl LiveSession {
             epoch,
             indexes: HashMap::new(),
             pyramids: HashMap::new(),
-            anomaly_cache: new_anomaly_cache(),
-            timeline_cache: new_timeline_cache(),
-            cost_model: new_cost_model(),
+            handles: SessionHandles::new(),
             total_nodes_rebuilt: 0,
             lint: None,
         };
@@ -234,13 +227,13 @@ impl LiveSession {
 
         self.epoch += 1;
         self.total_nodes_rebuilt += nodes_rebuilt as u64;
-        // Per-epoch invalidation: swap in fresh caches; views of the old epoch (all
-        // dropped by now) kept the old ones alive only as long as they needed them.
+        // Per-epoch invalidation: swap in fresh caches and an empty access-index
+        // slot; views of the old epoch (all dropped by now) kept the old ones
+        // alive only as long as they needed them.
         // An empty chunk (a keepalive epoch from a live source) changes no answer,
         // so its caches survive and nothing is recomputed.
         if appended_items > 0 {
-            self.anomaly_cache = new_anomaly_cache();
-            self.timeline_cache = new_timeline_cache();
+            self.handles.invalidate_data();
         }
         Ok(EpochStats {
             epoch: self.epoch,
@@ -376,8 +369,7 @@ impl LiveSession {
         self.epoch = self.stream.epochs();
         self.total_nodes_rebuilt += nodes_rebuilt as u64;
         if appended_items > 0 {
-            self.anomaly_cache = new_anomaly_cache();
-            self.timeline_cache = new_timeline_cache();
+            self.handles.invalidate_data();
         }
         EpochStats {
             epoch: self.epoch,
@@ -397,9 +389,7 @@ impl LiveSession {
             self.stream.trace(),
             &self.indexes,
             &self.pyramids,
-            Arc::clone(&self.anomaly_cache),
-            Arc::clone(&self.timeline_cache),
-            Arc::clone(&self.cost_model),
+            self.handles.clone(),
         );
         match &self.lint {
             Some(summary) => session.with_lint_summary(summary.clone()),

@@ -11,13 +11,45 @@
 //!   the quantity behind the NUMA heatmap mode (Figures 14e–f),
 //! * [`IncidenceMatrix`] — the application-wide node-to-node communication matrix
 //!   (Figure 15).
+//!
+//! Every fold is written once, generic over where a task's accesses and their nodes
+//! come from ([`AccessSource`]): the per-task functions taking a `&Trace` search the
+//! access and region tables, their `_from` forms take any source — a session passes
+//! its access index ([`AnalysisSession::accesses`]), which answers by table — and
+//! the session-level analyses read through the index themselves.
 
 use aftermath_trace::{AccessKind, NumaNodeId, TaskId, TaskInstance, Trace};
 use serde::{Deserialize, Serialize};
 
+use crate::access_index::AccessSource;
 use crate::error::AnalysisError;
 use crate::filter::TaskFilter;
 use crate::session::AnalysisSession;
+
+/// Adds the bytes `task` accessed to `bytes`, indexed by the id of the node holding
+/// the data — the one definition of per-node attribution. `kind = None` aggregates
+/// reads and writes; accesses without a known placement, or placed on a node beyond
+/// `bytes`, are ignored.
+fn add_bytes_per_node<S: AccessSource + ?Sized>(
+    trace: &Trace,
+    source: &S,
+    task: TaskId,
+    kind: Option<AccessKind>,
+    bytes: &mut [u64],
+) {
+    let accesses = trace.accesses();
+    for row in source.rows_of(task) {
+        if kind.is_some_and(|k| accesses.kind(row) != k) {
+            continue;
+        }
+        if let Some(slot) = source
+            .node_of_row(row)
+            .and_then(|node| bytes.get_mut(node.0 as usize))
+        {
+            *slot += accesses.size(row);
+        }
+    }
+}
 
 /// Bytes accessed by `task`, grouped by the NUMA node holding the data.
 ///
@@ -28,20 +60,19 @@ pub fn bytes_per_node(
     task: TaskId,
     kind: Option<AccessKind>,
 ) -> Vec<(NumaNodeId, u64)> {
+    bytes_per_node_from(trace, trace, task, kind)
+}
+
+/// [`bytes_per_node`] over any [`AccessSource`] of `trace` (a session's
+/// [`AnalysisSession::accesses`] answers by table instead of by search).
+pub fn bytes_per_node_from<S: AccessSource + ?Sized>(
+    trace: &Trace,
+    source: &S,
+    task: TaskId,
+    kind: Option<AccessKind>,
+) -> Vec<(NumaNodeId, u64)> {
     let mut bytes = vec![0u64; trace.topology().num_nodes()];
-    let accesses = trace.accesses_of_task(task);
-    for i in 0..accesses.len() {
-        if let Some(k) = kind {
-            if accesses.kind(i) != k {
-                continue;
-            }
-        }
-        if let Some(node) = trace.node_of_addr(accesses.addr(i)) {
-            if let Some(slot) = bytes.get_mut(node.0 as usize) {
-                *slot += accesses.size(i);
-            }
-        }
-    }
+    add_bytes_per_node(trace, source, task, kind, &mut bytes);
     bytes
         .into_iter()
         .enumerate()
@@ -50,68 +81,88 @@ pub fn bytes_per_node(
         .collect()
 }
 
-fn dominant_node(trace: &Trace, task: TaskId, kind: AccessKind) -> Option<NumaNodeId> {
-    bytes_per_node(trace, task, Some(kind))
-        .into_iter()
-        .max_by_key(|(_, b)| *b)
-        .map(|(n, _)| n)
+/// The node holding most of the bytes `task` accessed with `kind`; among equals the
+/// highest node id wins. `scratch` is the per-node accumulator, reused across calls
+/// so that a timeline frame allocates it once instead of once per cell.
+pub fn dominant_node_from<S: AccessSource + ?Sized>(
+    trace: &Trace,
+    source: &S,
+    task: TaskId,
+    kind: AccessKind,
+    scratch: &mut Vec<u64>,
+) -> Option<NumaNodeId> {
+    scratch.clear();
+    scratch.resize(trace.topology().num_nodes(), 0);
+    add_bytes_per_node(trace, source, task, Some(kind), scratch);
+    let mut best: Option<(usize, u64)> = None;
+    for (node, &bytes) in scratch.iter().enumerate() {
+        if bytes > 0 && best.is_none_or(|(_, most)| bytes >= most) {
+            best = Some((node, bytes));
+        }
+    }
+    best.map(|(node, _)| NumaNodeId(node as u32))
 }
 
 /// The NUMA node containing the largest fraction of the data read by `task`
 /// (the colour of the task in NUMA read-map mode), or `None` when the task reads nothing
 /// with a known placement.
 pub fn dominant_read_node(trace: &Trace, task: TaskId) -> Option<NumaNodeId> {
-    dominant_node(trace, task, AccessKind::Read)
+    dominant_node_from(trace, trace, task, AccessKind::Read, &mut Vec::new())
 }
 
 /// The NUMA node receiving the largest fraction of the data written by `task`.
 pub fn dominant_write_node(trace: &Trace, task: TaskId) -> Option<NumaNodeId> {
-    dominant_node(trace, task, AccessKind::Write)
+    dominant_node_from(trace, trace, task, AccessKind::Write, &mut Vec::new())
+}
+
+/// `(local, remote)` bytes accessed by `task` relative to the node of the CPU that
+/// executed it; `None` when that CPU has no node. Accesses without a known
+/// placement count for neither.
+fn local_remote_bytes<S: AccessSource + ?Sized>(
+    trace: &Trace,
+    source: &S,
+    task: &TaskInstance,
+) -> Option<(u64, u64)> {
+    let my_node = trace.topology().node_of(task.cpu)?;
+    let accesses = trace.accesses();
+    let (mut local, mut remote) = (0u64, 0u64);
+    for row in source.rows_of(task.id) {
+        match source.node_of_row(row) {
+            Some(node) if node == my_node => local += accesses.size(row),
+            Some(_) => remote += accesses.size(row),
+            None => {}
+        }
+    }
+    Some((local, remote))
 }
 
 /// Fraction of the bytes accessed by `task` (reads and writes) that reside on a node
 /// different from the node of the CPU executing the task. Returns `None` when the task
 /// has no attributable accesses.
 pub fn task_remote_fraction(trace: &Trace, task: &TaskInstance) -> Option<f64> {
-    let my_node = trace.topology().node_of(task.cpu)?;
-    let mut local = 0u64;
-    let mut remote = 0u64;
-    let accesses = trace.accesses_of_task(task.id);
-    for i in 0..accesses.len() {
-        if let Some(node) = trace.node_of_addr(accesses.addr(i)) {
-            if node == my_node {
-                local += accesses.size(i);
-            } else {
-                remote += accesses.size(i);
-            }
-        }
-    }
+    task_remote_fraction_from(trace, trace, task)
+}
+
+/// [`task_remote_fraction`] over any [`AccessSource`] of `trace`.
+pub fn task_remote_fraction_from<S: AccessSource + ?Sized>(
+    trace: &Trace,
+    source: &S,
+    task: &TaskInstance,
+) -> Option<f64> {
+    let (local, remote) = local_remote_bytes(trace, source, task)?;
     let total = local + remote;
-    if total == 0 {
-        None
-    } else {
-        Some(remote as f64 / total as f64)
-    }
+    (total > 0).then(|| remote as f64 / total as f64)
 }
 
 /// Application-wide remote-access fraction over the tasks accepted by `filter`.
 pub fn remote_access_fraction(session: &AnalysisSession<'_>, filter: &TaskFilter) -> f64 {
     let trace = session.trace();
-    let mut local = 0u64;
-    let mut remote = 0u64;
+    let source = session.accesses();
+    let (mut local, mut remote) = (0u64, 0u64);
     for task in filter.filter_tasks(trace) {
-        let Some(my_node) = trace.topology().node_of(task.cpu) else {
-            continue;
-        };
-        let accesses = trace.accesses_of_task(task.id);
-        for i in 0..accesses.len() {
-            if let Some(node) = trace.node_of_addr(accesses.addr(i)) {
-                if node == my_node {
-                    local += accesses.size(i);
-                } else {
-                    remote += accesses.size(i);
-                }
-            }
+        if let Some((l, r)) = local_remote_bytes(trace, &source, task) {
+            local += l;
+            remote += r;
         }
     }
     let total = local + remote;
@@ -153,20 +204,25 @@ impl IncidenceMatrix {
             ));
         }
         let n = trace.topology().num_nodes();
+        let source = session.accesses();
+        let accesses = trace.accesses();
         let mut bytes = vec![0u64; n * n];
+        // Only nodes of the topology have a row and a column.
+        let in_matrix = |node: NumaNodeId| (node.0 as usize) < n;
         for task in filter.filter_tasks(trace) {
-            let Some(cpu_node) = trace.topology().node_of(task.cpu) else {
+            let Some(cpu_node) = trace.topology().node_of(task.cpu).filter(|&c| in_matrix(c))
+            else {
                 continue;
             };
-            for access in trace.accesses_of_task(task.id) {
-                let Some(data_node) = trace.node_of_addr(access.addr) else {
+            for row in source.rows_of(task.id) {
+                let Some(data_node) = source.node_of_row(row).filter(|&d| in_matrix(d)) else {
                     continue;
                 };
-                let (from, to) = match access.kind {
+                let (from, to) = match accesses.kind(row) {
                     AccessKind::Read => (data_node, cpu_node),
                     AccessKind::Write => (cpu_node, data_node),
                 };
-                bytes[from.0 as usize * n + to.0 as usize] += access.size;
+                bytes[from.0 as usize * n + to.0 as usize] += accesses.size(row);
             }
         }
         Ok(IncidenceMatrix {

@@ -47,6 +47,7 @@ use aftermath_trace::{
     AccessKind, NumaNodeId, StatesView, TaskTypeId, TimeInterval, Trace, WorkerState,
 };
 
+use crate::access_index::AccessSource;
 use crate::filter::TaskFilter;
 use crate::kernels;
 
@@ -120,7 +121,14 @@ impl NodeAccum {
     /// ([`kernels::for_each_tag_match`]) visits exactly the execution intervals,
     /// in stream order — so `best_candidate`'s strict-improvement rule sees
     /// candidates in the same order as a scalar loop.
-    fn add_chunk(&mut self, trace: &Trace, states: StatesView<'_>, lo: usize, hi: usize) {
+    fn add_chunk<S: AccessSource + ?Sized>(
+        &mut self,
+        trace: &Trace,
+        source: &S,
+        states: StatesView<'_>,
+        lo: usize,
+        hi: usize,
+    ) {
         let chunk = states.slice(lo, hi);
         kernels::tag_duration_sums(
             chunk.starts(),
@@ -131,13 +139,19 @@ impl NodeAccum {
         kernels::for_each_tag_match(
             chunk.state_tags(),
             WorkerState::TaskExecution as u8,
-            |off| self.add_exec(trace, states, lo + off),
+            |off| self.add_exec(trace, source, states, lo + off),
         );
     }
 
     /// Folds the execution interval `i` (state lane already checked by the
     /// caller) into the execution aggregates.
-    fn add_exec(&mut self, trace: &Trace, states: StatesView<'_>, i: usize) {
+    fn add_exec<S: AccessSource + ?Sized>(
+        &mut self,
+        trace: &Trace,
+        source: &S,
+        states: StatesView<'_>,
+        i: usize,
+    ) {
         debug_assert!(states.is_exec(i));
         let duration = states.duration(i);
         self.exec_count += 1;
@@ -154,16 +168,16 @@ impl NodeAccum {
             self.best_candidate = Some((duration, idx));
         }
         *self.type_cycles.entry(task.task_type).or_insert(0) += duration;
-        let accesses = trace.accesses_of_task(task.id);
-        for a in 0..accesses.len() {
-            let Some(node) = trace.node_of_addr(accesses.addr(a)) else {
+        let accesses = trace.accesses();
+        for row in source.rows_of(task.id) {
+            let Some(node) = source.node_of_row(row) else {
                 continue;
             };
-            let map = match accesses.kind(a) {
+            let map = match accesses.kind(row) {
                 AccessKind::Read => &mut self.node_read_bytes,
                 AccessKind::Write => &mut self.node_write_bytes,
             };
-            *map.entry(node).or_insert(0) += accesses.size(a);
+            *map.entry(node).or_insert(0) += accesses.size(row);
         }
     }
 
@@ -247,6 +261,23 @@ impl StatePyramid {
     ///
     /// Panics if `fanout < 2`.
     pub fn with_fanout(trace: &Trace, states: StatesView<'_>, fanout: usize) -> Self {
+        Self::build_from(trace, trace, states, fanout)
+    }
+
+    /// [`StatePyramid::with_fanout`] reading the tasks' accesses through any
+    /// [`AccessSource`] of `trace`: a session passes its access index
+    /// ([`crate::AnalysisSession::accesses`]), `&Trace` itself searches. Both
+    /// produce the same pyramid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fanout < 2`.
+    pub fn build_from<S: AccessSource + ?Sized>(
+        trace: &Trace,
+        source: &S,
+        states: StatesView<'_>,
+        fanout: usize,
+    ) -> Self {
         assert!(fanout >= 2, "pyramid fanout must be at least 2");
         let mut levels = Vec::new();
         if !states.is_empty() {
@@ -255,7 +286,13 @@ impl StatePyramid {
                 .step_by(fanout)
                 .map(|chunk_start| {
                     let mut acc = NodeAccum::default();
-                    acc.add_chunk(trace, states, chunk_start, (chunk_start + fanout).min(n));
+                    acc.add_chunk(
+                        trace,
+                        source,
+                        states,
+                        chunk_start,
+                        (chunk_start + fanout).min(n),
+                    );
                     acc.finish()
                 })
                 .collect();
@@ -322,7 +359,13 @@ impl StatePyramid {
             old_len,
             (first * fanout..n).step_by(fanout).map(|chunk_start| {
                 let mut acc = NodeAccum::default();
-                acc.add_chunk(trace, states, chunk_start, (chunk_start + fanout).min(n));
+                acc.add_chunk(
+                    trace,
+                    trace,
+                    states,
+                    chunk_start,
+                    (chunk_start + fanout).min(n),
+                );
                 acc.finish()
             }),
             |nodes| {
@@ -536,6 +579,21 @@ impl StatePyramid {
         hi: usize,
         kind: AccessKind,
     ) -> Vec<(NumaNodeId, u64)> {
+        self.numa_bytes_from(trace, trace, states, lo, hi, kind)
+    }
+
+    /// [`StatePyramid::numa_bytes`] reading the raw edge intervals' accesses
+    /// through any [`AccessSource`] of `trace`.
+    pub fn numa_bytes_from<S: AccessSource + ?Sized>(
+        &self,
+        trace: &Trace,
+        source: &S,
+        states: StatesView<'_>,
+        lo: usize,
+        hi: usize,
+        kind: AccessKind,
+    ) -> Vec<(NumaNodeId, u64)> {
+        let accesses = trace.accesses();
         let mut acc: BTreeMap<NumaNodeId, u64> = BTreeMap::new();
         self.fold(
             states,
@@ -552,13 +610,12 @@ impl StatePyramid {
                 else {
                     return;
                 };
-                let accesses = trace.accesses_of_task(task.id);
-                for a in 0..accesses.len() {
-                    if accesses.kind(a) != kind {
+                for row in source.rows_of(task.id) {
+                    if accesses.kind(row) != kind {
                         continue;
                     }
-                    if let Some(node) = trace.node_of_addr(accesses.addr(a)) {
-                        *acc.entry(node).or_insert(0) += accesses.size(a);
+                    if let Some(node) = source.node_of_row(row) {
+                        *acc.entry(node).or_insert(0) += accesses.size(row);
                     }
                 }
             },

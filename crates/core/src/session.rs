@@ -11,12 +11,13 @@ use aftermath_trace::{
     TaskId, TaskInstance, TaskTypeId, TimeInterval, Timestamp, Trace, WorkerState,
 };
 
+use crate::access_index::{AccessIndex, IndexedAccesses};
 use crate::anomaly::{self, AnomalyConfig, AnomalyReport};
 use crate::counters::counter_delta_for_task;
 use crate::error::AnalysisError;
 use crate::filter::TaskFilter;
 use crate::index::{samples_in, states_overlapping, value_at, CounterIndex};
-use crate::pyramid::{overlap_range, ExecStats, StatePyramid};
+use crate::pyramid::{overlap_range, ExecStats, StatePyramid, DEFAULT_PYRAMID_FANOUT};
 use crate::taskgraph::TaskGraph;
 use crate::timeline::{CostModel, EngineDecision, TimelineEngine, TimelineMode, TimelineModel};
 
@@ -65,15 +66,9 @@ pub struct AnalysisSession<'t> {
     /// all at once by [`AnalysisSession::prewarm`].
     pyramids: Vec<OnceLock<Arc<StatePyramid>>>,
     task_graph: OnceLock<TaskGraph>,
-    anomaly_cache: AnomalyCacheHandle,
-    timeline_cache: TimelineCacheHandle,
-    /// The adaptive timeline engine's measured cost model, calibrated lazily on
-    /// first use and persisted for the session's lifetime (like the pyramid
-    /// shards). An `Arc` handle so a [`crate::live::LiveSession`] can carry one
-    /// calibration across the session views of all epochs — the constants
-    /// describe the machine, not the data, so appending events never
-    /// invalidates them.
-    cost_model: CostModelHandle,
+    /// The result caches, the cost model and the access index: the state a
+    /// longer-lived owner shares with every view it hands out.
+    handles: SessionHandles,
     /// Ordered log of the adaptive engine's per-frame resolutions
     /// ([`AnalysisSession::engine_decisions`]).
     engine_log: Mutex<Vec<EngineDecision>>,
@@ -91,22 +86,50 @@ pub(crate) type AnomalyCacheHandle = Arc<SharedCache<AnomalyConfig, AnomalyRepor
 /// Shared handle to a timeline-model cache (see [`AnomalyCacheHandle`]).
 pub(crate) type TimelineCacheHandle = Arc<SharedCache<TimelineKey, TimelineModel>>;
 
-/// Shared handle to a (lazily calibrated) adaptive-engine cost model.
-pub(crate) type CostModelHandle = Arc<OnceLock<CostModel>>;
-
-/// Creates an empty (not yet calibrated) cost-model handle.
-pub(crate) fn new_cost_model() -> CostModelHandle {
-    Arc::new(OnceLock::new())
+/// The shareable, internally synchronised state of a session. A batch session owns
+/// its handles exclusively; [`crate::SharedSession`], [`crate::StoreSession`] and
+/// [`crate::live::LiveSession`] keep one set and clone it into every view they hand
+/// out, so views share results — and replace a handle when what it holds no longer
+/// describes the data.
+#[derive(Debug, Clone)]
+pub(crate) struct SessionHandles {
+    /// Ranked anomaly reports per configuration.
+    pub(crate) anomaly_cache: AnomalyCacheHandle,
+    /// Timeline models per viewport.
+    pub(crate) timeline_cache: TimelineCacheHandle,
+    /// The adaptive timeline engine's measured cost model, calibrated lazily on
+    /// first use. The constants describe the machine, not the data, so a
+    /// [`crate::live::LiveSession`] carries one calibration across all epochs.
+    pub(crate) cost_model: Arc<OnceLock<CostModel>>,
+    /// The access index ([`crate::access_index`]), built on first use — by
+    /// [`AnalysisSession::prewarm`], a pyramid build, a NUMA-mode frame or a
+    /// whole-trace NUMA analysis — over the task and access tables as they are
+    /// then. An owner whose tables change hands out a different slot: a live
+    /// session a fresh one per epoch, a store session an empty throwaway while
+    /// either table is not fully resident.
+    pub(crate) access_index: Arc<OnceLock<AccessIndex>>,
 }
 
-/// Creates an empty anomaly-report cache at the session's default capacity.
-pub(crate) fn new_anomaly_cache() -> AnomalyCacheHandle {
-    Arc::new(SharedCache::new(AnalysisSession::ANOMALY_CACHE_CAPACITY))
-}
+impl SessionHandles {
+    /// Empty caches at the session's default capacities, nothing calibrated or
+    /// indexed yet.
+    pub(crate) fn new() -> Self {
+        SessionHandles {
+            anomaly_cache: Arc::new(SharedCache::new(AnalysisSession::ANOMALY_CACHE_CAPACITY)),
+            timeline_cache: Arc::new(SharedCache::new(AnalysisSession::TIMELINE_CACHE_CAPACITY)),
+            cost_model: Arc::new(OnceLock::new()),
+            access_index: Arc::new(OnceLock::new()),
+        }
+    }
 
-/// Creates an empty timeline-model cache at the session's default capacity.
-pub(crate) fn new_timeline_cache() -> TimelineCacheHandle {
-    Arc::new(SharedCache::new(AnalysisSession::TIMELINE_CACHE_CAPACITY))
+    /// Forgets everything derived from the trace's data (results and the access
+    /// index); the cost model stays.
+    pub(crate) fn invalidate_data(&mut self) {
+        *self = SessionHandles {
+            cost_model: Arc::clone(&self.cost_model),
+            ..SessionHandles::new()
+        };
+    }
 }
 
 /// Cache key of one timeline-model computation: everything the model depends on.
@@ -114,7 +137,8 @@ pub(crate) type TimelineKey = (TimelineMode, TimeInterval, usize, TaskFilter);
 
 /// Seedable maps of every counter-index shard and state pyramid built so far:
 /// what [`AnalysisSession::built_shards`] harvests and
-/// [`AnalysisSession::with_prebuilt`] re-seeds from.
+/// [`AnalysisSession::with_prebuilt`] re-seeds from. (The access index needs no
+/// harvest: its slot is one of the [`SessionHandles`].)
 pub(crate) type BuiltShards = (
     HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
     HashMap<u32, Arc<StatePyramid>>,
@@ -308,18 +332,14 @@ impl<'t> AnalysisSession<'t> {
     /// first touch, and state pyramids lazily per CPU. Call
     /// [`AnalysisSession::prewarm`] to build them all up front.
     pub fn new(trace: &'t Trace) -> Self {
-        Self::with_caches(trace, new_anomaly_cache(), new_timeline_cache())
+        Self::with_handles(trace, SessionHandles::new())
     }
 
-    /// Like [`AnalysisSession::new`] but sharing externally owned result caches —
-    /// the seam [`crate::live::LiveSession`] uses to keep cached timeline models and
+    /// Like [`AnalysisSession::new`] but sharing externally owned handles — the
+    /// seam [`crate::live::LiveSession`] uses to keep cached timeline models and
     /// anomaly reports alive across the session views of one epoch and invalidate
     /// them per epoch (by swapping the handles) instead of wholesale.
-    pub(crate) fn with_caches(
-        trace: &'t Trace,
-        anomaly_cache: AnomalyCacheHandle,
-        timeline_cache: TimelineCacheHandle,
-    ) -> Self {
+    fn with_handles(trace: &'t Trace, handles: SessionHandles) -> Self {
         // One empty slot per (CPU, counter) pair that has samples; the indexes
         // themselves are built on first touch.
         let counter_shards = trace
@@ -339,9 +359,7 @@ impl<'t> AnalysisSession<'t> {
             counter_shards,
             pyramids,
             task_graph: OnceLock::new(),
-            anomaly_cache,
-            timeline_cache,
-            cost_model: new_cost_model(),
+            handles,
             engine_log: Mutex::new(Vec::new()),
             lint: None,
         }
@@ -373,7 +391,7 @@ impl<'t> AnalysisSession<'t> {
 
     /// Builds a session view whose index shards are pre-seeded from externally
     /// maintained indexes ([`crate::live::LiveSession`] passes its incrementally
-    /// updated shards), sharing the given result caches.
+    /// updated shards), sharing the given handles.
     ///
     /// Seeding costs `O(number of shards)` `Arc` clones — no index is copied or
     /// rebuilt — so opening a fresh view per epoch is cheap. Shards not present in
@@ -382,12 +400,9 @@ impl<'t> AnalysisSession<'t> {
         trace: &'t Trace,
         indexes: &HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
         pyramids: &HashMap<u32, Arc<StatePyramid>>,
-        anomaly_cache: AnomalyCacheHandle,
-        timeline_cache: TimelineCacheHandle,
-        cost_model: CostModelHandle,
+        handles: SessionHandles,
     ) -> Self {
-        let mut session = Self::with_caches(trace, anomaly_cache, timeline_cache);
-        session.cost_model = cost_model;
+        let session = Self::with_handles(trace, handles);
         for (key, index) in indexes {
             if let Some(slot) = session.counter_shards.get(key) {
                 let _ = slot.set(Arc::clone(index));
@@ -453,9 +468,35 @@ impl<'t> AnalysisSession<'t> {
             return None;
         }
         Some(
-            slot.get_or_init(|| Arc::new(StatePyramid::build(self.trace, states)))
-                .as_ref(),
+            slot.get_or_init(|| {
+                Arc::new(StatePyramid::build_from(
+                    self.trace,
+                    &self.accesses(),
+                    states,
+                    DEFAULT_PYRAMID_FANOUT,
+                ))
+            })
+            .as_ref(),
         )
+    }
+
+    /// The access index of this session's trace ([`crate::access_index`]), built
+    /// on first use in one linear pass over the access table.
+    pub fn access_index(&self) -> &AccessIndex {
+        self.handles
+            .access_index
+            .get_or_init(|| AccessIndex::build(self.trace))
+    }
+
+    /// Whether the access index has been built (diagnostics).
+    pub fn access_index_built(&self) -> bool {
+        self.handles.access_index.get().is_some()
+    }
+
+    /// The table-based [`crate::access_index::AccessSource`] every in-session NUMA
+    /// analysis reads a task's accesses and their nodes through.
+    pub fn accesses(&self) -> IndexedAccesses<'_> {
+        IndexedAccesses::new(self.access_index(), self.trace)
     }
 
     /// The adaptive timeline engine's cost model, calibrated on first use by
@@ -463,7 +504,10 @@ impl<'t> AnalysisSession<'t> {
     /// ([`CostModel::calibrate`]) and then persisted for the session's lifetime
     /// like the pyramid shards.
     pub fn cost_model(&self) -> CostModel {
-        *self.cost_model.get_or_init(|| CostModel::calibrate(self))
+        *self
+            .handles
+            .cost_model
+            .get_or_init(|| CostModel::calibrate(self))
     }
 
     /// Installs a pre-computed cost model, skipping calibration. Returns `false`
@@ -473,7 +517,7 @@ impl<'t> AnalysisSession<'t> {
     /// Intended for tests and benchmarks that need deterministic — or
     /// deliberately wrong — predictions; see `CostModel::from_timings`.
     pub fn install_cost_model(&self, model: CostModel) -> bool {
-        self.cost_model.set(model).is_ok()
+        self.handles.cost_model.set(model).is_ok()
     }
 
     /// Resolves [`TimelineEngine::Adaptive`] for one frame: counts the state
@@ -520,23 +564,29 @@ impl<'t> AnalysisSession<'t> {
         self.engine_log.lock().expect("engine log poisoned").clone()
     }
 
-    /// Builds every not-yet-built index shard — counter min/max/sum indexes *and*
-    /// per-CPU state pyramids — in parallel on up to `threads` workers, and returns
-    /// the total number of built shards.
+    /// Builds every not-yet-built index shard — the access index, then counter
+    /// min/max/sum indexes *and* per-CPU state pyramids in parallel on up to
+    /// `threads` workers — and returns the total number of built shards.
     ///
     /// An interactive front-end calls this right after loading a trace so that every
     /// later [`counter_min_max`](Self::counter_min_max) or timeline query is answered
     /// from a warm index. The shards are independent [`OnceLock`]s, so prewarming may
     /// race with concurrent queries without ever duplicating or tearing an index.
     pub fn prewarm(&self, threads: Threads) -> usize {
-        self.prewarm_lanes(threads, |_| true)
+        self.access_index();
+        1 + self.prewarm_lanes(threads, |_| true)
     }
 
-    /// [`AnalysisSession::prewarm`] restricted to the shards whose backing lane
-    /// — [`LaneId::Samples`] for a counter index, [`LaneId::States`] for a
-    /// pyramid — `wanted` accepts. The one shard-building routine:
-    /// [`crate::shared::SharedSession`] wants every lane, a
-    /// [`crate::store_session::StoreSession`] only the fully resident ones.
+    /// The per-lane half of [`AnalysisSession::prewarm`], restricted to the
+    /// shards whose backing lane — [`LaneId::Samples`] for a counter index,
+    /// [`LaneId::States`] for a pyramid — `wanted` accepts. The one
+    /// shard-building routine: [`crate::shared::SharedSession`] wants every lane,
+    /// a [`crate::store_session::StoreSession`] only the fully resident ones.
+    ///
+    /// The access index is not a per-lane shard and is not built ahead here: the
+    /// first pyramid build reads through it and builds it (the other workers wait
+    /// on its [`OnceLock`]), and a store session that only ever serves state,
+    /// heatmap or typemap frames from persisted pyramids never pays for it.
     pub(crate) fn prewarm_lanes(&self, threads: Threads, wanted: impl Fn(LaneId) -> bool) -> usize {
         let lanes: Vec<LaneId> = self
             .counter_shards
@@ -720,7 +770,7 @@ impl<'t> AnalysisSession<'t> {
         let key = config.cache_key();
         // Single-flight: concurrent callers with the same configuration share
         // one detection pass instead of each scanning the trace.
-        self.anomaly_cache.get_or_compute(key, config, || {
+        self.handles.anomaly_cache.get_or_compute(key, config, || {
             anomaly::detect_anomalies_with(self, config, threads)
         })
     }
@@ -762,9 +812,11 @@ impl<'t> AnalysisSession<'t> {
     ) -> Result<Arc<TimelineModel>, AnalysisError> {
         let key: TimelineKey = (mode, interval, columns, filter.clone());
         let digest = timeline_cache_key(&key);
-        self.timeline_cache.get_or_compute(digest, &key, || {
-            TimelineModel::build_filtered(self, mode, interval, columns, filter)
-        })
+        self.handles
+            .timeline_cache
+            .get_or_compute(digest, &key, || {
+                TimelineModel::build_filtered(self, mode, interval, columns, filter)
+            })
     }
 
     /// Starts an interval query over `interval`: exact aggregate and predominance
@@ -1026,7 +1078,14 @@ impl<'s, 't> IntervalQuery<'s, 't> {
             return Vec::new();
         };
         pyramid
-            .numa_bytes(self.session.trace(), states, first, last, kind)
+            .numa_bytes_from(
+                self.session.trace(),
+                &self.session.accesses(),
+                states,
+                first,
+                last,
+                kind,
+            )
             .into_iter()
             .filter(|&(_, v)| v > 0)
             .collect()
@@ -1188,11 +1247,13 @@ mod tests {
             .iter()
             .filter(|pc| !pc.states().is_empty())
             .count();
-        let expected = expected_counters + expected_pyramids;
+        // + 1: the access index.
+        let expected = expected_counters + expected_pyramids + 1;
         for threads in [Threads::single(), Threads::new(2), Threads::auto()] {
             assert_eq!(warmed.prewarm(threads), expected);
         }
         assert_eq!(warmed.built_counter_indexes(), expected_counters);
+        assert!(warmed.access_index_built() && !lazy.access_index_built());
         assert!(warmed.pyramid_memory_bytes() > 0);
         assert!(
             warmed.pyramid_overhead_ratio() < 0.15,

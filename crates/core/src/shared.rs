@@ -5,9 +5,9 @@
 //! single analysis run but not for a server that must hold many traces open
 //! across requests from hundreds of clients. A [`SharedSession`] owns the
 //! trace behind an [`Arc`] together with every piece of per-trace state worth
-//! sharing — built counter indexes, state pyramids, the timeline/anomaly LRU
-//! caches and the adaptive engine's cost model — and hands out cheap
-//! [`AnalysisSession`] *views* pre-seeded with all of it
+//! sharing — built counter indexes, state pyramids, the access index, the
+//! timeline/anomaly LRU caches and the adaptive engine's cost model — and
+//! hands out cheap [`AnalysisSession`] *views* pre-seeded with all of it
 //! (`AnalysisSession::with_prebuilt`, the same seam `StoreSession` and
 //! `LiveSession` use).
 //!
@@ -28,10 +28,7 @@ use aftermath_trace::{CounterId, CpuId, LintSummary, Trace};
 
 use crate::index::CounterIndex;
 use crate::pyramid::StatePyramid;
-use crate::session::{
-    new_anomaly_cache, new_cost_model, new_timeline_cache, AnalysisSession, AnomalyCacheHandle,
-    CostModelHandle, TimelineCacheHandle,
-};
+use crate::session::{AnalysisSession, SessionHandles};
 
 /// Hit/miss totals of a shared result cache ([`SharedSession::cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,29 +59,25 @@ pub struct SharedSession {
     lint: Option<LintSummary>,
     indexes: HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
     pyramids: HashMap<u32, Arc<StatePyramid>>,
-    anomaly_cache: AnomalyCacheHandle,
-    timeline_cache: TimelineCacheHandle,
-    cost_model: CostModelHandle,
+    /// Result caches, cost model and the (prewarmed) access index.
+    handles: SessionHandles,
 }
 
 impl SharedSession {
-    /// Opens shared state over `trace`: prewarms every counter index and state
-    /// pyramid on up to `threads` workers and keeps them for all later views.
+    /// Opens shared state over `trace`: prewarms every counter index, every state
+    /// pyramid and the access index on up to `threads` workers and keeps them for
+    /// all later views.
     ///
     /// This is the expensive, once-per-trace step — the server pays it when a
     /// trace is registered, not when a client connects.
     pub fn open(trace: Arc<Trace>, threads: Threads) -> Self {
-        let anomaly_cache = new_anomaly_cache();
-        let timeline_cache = new_timeline_cache();
-        let cost_model = new_cost_model();
+        let handles = SessionHandles::new();
         let (indexes, pyramids) = {
             let warm = AnalysisSession::with_prebuilt(
                 &trace,
                 &HashMap::new(),
                 &HashMap::new(),
-                Arc::clone(&anomaly_cache),
-                Arc::clone(&timeline_cache),
-                Arc::clone(&cost_model),
+                handles.clone(),
             );
             warm.prewarm(threads);
             warm.built_shards()
@@ -94,9 +87,7 @@ impl SharedSession {
             lint: None,
             indexes,
             pyramids,
-            anomaly_cache,
-            timeline_cache,
-            cost_model,
+            handles,
         }
     }
 
@@ -114,17 +105,15 @@ impl SharedSession {
     }
 
     /// A cheap [`AnalysisSession`] view pre-seeded with every shared index,
-    /// pyramid, cache handle and the cost model: `O(built shards)` `Arc`
-    /// clones, no data copied or rebuilt. Views from concurrent threads share
-    /// results through the cache handles.
+    /// pyramid, the access index, cache handle and the cost model: `O(built
+    /// shards)` `Arc` clones, no data copied or rebuilt. Views from concurrent
+    /// threads share results through the cache handles.
     pub fn view(&self) -> AnalysisSession<'_> {
         let session = AnalysisSession::with_prebuilt(
             &self.trace,
             &self.indexes,
             &self.pyramids,
-            Arc::clone(&self.anomaly_cache),
-            Arc::clone(&self.timeline_cache),
-            Arc::clone(&self.cost_model),
+            self.handles.clone(),
         );
         match &self.lint {
             Some(summary) => session.with_lint_summary(summary.clone()),
@@ -134,12 +123,17 @@ impl SharedSession {
 
     /// Bytes of per-trace state shared by *all* sessions over this trace:
     /// resident columnar event data plus every built counter index and
-    /// pyramid. Opening another session adds none of this — that is the
-    /// sharing the serve bench's sessions-per-GB metric measures.
+    /// pyramid and the access index. Opening another session adds none of
+    /// this — that is the sharing the serve bench's sessions-per-GB metric
+    /// measures.
     pub fn shared_bytes(&self) -> usize {
         let indexes: usize = self.indexes.values().map(|i| i.memory_bytes()).sum();
         let pyramids: usize = self.pyramids.values().map(|p| p.memory_bytes()).sum();
-        self.trace.resident_event_bytes() + indexes + pyramids
+        let access_index = self.handles.access_index.get();
+        self.trace.resident_event_bytes()
+            + indexes
+            + pyramids
+            + access_index.map_or(0, |index| index.memory_bytes())
     }
 
     /// Number of shared counter-index shards.
@@ -155,8 +149,8 @@ impl SharedSession {
     /// Combined hit/miss totals of the shared timeline-model and
     /// anomaly-report caches, accumulated across every view of this trace.
     pub fn cache_stats(&self) -> CacheStats {
-        let (th, tm) = self.timeline_cache.stats();
-        let (ah, am) = self.anomaly_cache.stats();
+        let (th, tm) = self.handles.timeline_cache.stats();
+        let (ah, am) = self.handles.anomaly_cache.stats();
         CacheStats {
             hits: th + ah,
             misses: tm + am,
@@ -195,6 +189,11 @@ mod tests {
         let view = shared.view();
         assert_eq!(view.built_counter_indexes(), shared.num_indexes());
         assert!(view.pyramid_memory_bytes() > 0, "pyramids arrive pre-built");
+        assert!(view.access_index_built(), "so does the access index");
+        assert!(std::ptr::eq(
+            view.access_index(),
+            shared.view().access_index()
+        ));
     }
 
     #[test]

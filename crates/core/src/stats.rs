@@ -121,20 +121,36 @@ impl Histogram {
     }
 }
 
-/// Median of `values` (`None` when empty). The input is copied and sorted; NaNs are
-/// not expected (analysis values are always finite).
+/// Median of a non-empty slice by selection, reordering it: `O(n)` instead of a
+/// full sort, and bit-identical to the median read off the sorted slice (the
+/// `reference` oracle). Values are ordered by [`f64::total_cmp`], a total order,
+/// so the sorted sequence — and with it the middle elements — is unique: the
+/// upper middle is what selection places at `n / 2`, and for even `n` the lower
+/// middle is the maximum of the partition left of it.
+///
+/// For the finite values the analyses produce this is the numeric order; it only
+/// adds that `-0.0` sorts before `+0.0`.
+fn median_in_place(values: &mut [f64]) -> f64 {
+    let n = values.len();
+    let (below, &mut upper, _) = values.select_nth_unstable_by(n / 2, f64::total_cmp);
+    if n % 2 == 1 {
+        return upper;
+    }
+    let lower = below
+        .iter()
+        .copied()
+        .max_by(f64::total_cmp)
+        .expect("an even, non-zero length has a lower half");
+    (lower + upper) / 2.0
+}
+
+/// Median of `values` (`None` when empty). The input is copied; NaNs are not
+/// expected (analysis values are always finite).
 pub fn median_of(values: &[f64]) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = sorted.len();
-    if n % 2 == 1 {
-        Some(sorted[n / 2])
-    } else {
-        Some((sorted[n / 2 - 1] + sorted[n / 2]) / 2.0)
-    }
+    Some(median_in_place(&mut values.to_vec()))
 }
 
 /// Median absolute deviation of `values` around `center` (`None` when empty).
@@ -146,8 +162,8 @@ pub fn mad_of(values: &[f64], center: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
-    let deviations: Vec<f64> = values.iter().map(|v| (v - center).abs()).collect();
-    median_of(&deviations)
+    let mut deviations: Vec<f64> = values.iter().map(|v| (v - center).abs()).collect();
+    Some(median_in_place(&mut deviations))
 }
 
 /// Scale factor turning a MAD into a standard-deviation-consistent estimate for
@@ -167,35 +183,33 @@ pub const MEAN_AD_CONSISTENCY: f64 = 1.2533;
 /// values scores moderately, and fully identical inputs score a harmless all-zero.
 pub fn robust_z_scores(values: &[f64]) -> Option<Vec<f64>> {
     let mut out = Vec::new();
-    robust_z_scores_into(values, &mut out).then_some(out)
+    robust_z_scores_into(values, &mut out).map(|_| out)
 }
 
 /// [`robust_z_scores`] writing into a caller-provided buffer (cleared first), so
 /// scoring loops over many groups — the anomaly detectors score one group per
 /// (counter, task type) — reuse one allocation instead of allocating per group.
-/// `out` doubles as the sorting scratch, so a warm buffer makes the whole scoring
-/// pass allocation-free. Returns `false` (leaving `out` empty) only for an empty
-/// input.
-pub fn robust_z_scores_into(values: &[f64], out: &mut Vec<f64>) -> bool {
+/// `out` doubles as the selection scratch, so a warm buffer makes the whole scoring
+/// pass allocation-free. Returns the median the scores are centred on — `None`
+/// (leaving `out` empty) only for an empty input.
+pub fn robust_z_scores_into(values: &[f64], out: &mut Vec<f64>) -> Option<f64> {
     out.clear();
     if values.is_empty() {
-        return false;
+        return None;
     }
-    // Median: sort a copy of the values in `out`.
+    // Median: select in a copy of the values in `out`.
     out.extend_from_slice(values);
-    out.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let median = sorted_median(out);
-    // MAD: the deviations' multiset is order-independent, so the sorted copy can be
-    // rewritten in place (one wide elementwise pass) and re-sorted.
+    let median = median_in_place(out);
+    // MAD: the deviations' multiset is order-independent, so the reordered copy
+    // can be rewritten in place (one wide elementwise pass) and selected again.
     crate::kernels::abs_offsets_in_place(out, median);
-    out.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let mad = sorted_median(out);
+    let mad = median_in_place(out);
     let scale = if mad > 0.0 {
         mad * MAD_CONSISTENCY
     } else {
         // Summed over `values` in input order — float addition is
-        // order-sensitive, and this fallback must stay bit-identical to the
-        // pre-scratch implementation (which never sorted the deviations here).
+        // order-sensitive, and the reordered deviations in `out` would sum to
+        // different last bits.
         let mean_ad = values.iter().map(|v| (v - median).abs()).sum::<f64>() / values.len() as f64;
         if mean_ad > 0.0 {
             mean_ad * MEAN_AD_CONSISTENCY
@@ -206,16 +220,47 @@ pub fn robust_z_scores_into(values: &[f64], out: &mut Vec<f64>) -> bool {
     };
     out.resize(values.len(), 0.0);
     crate::kernels::scaled_offsets(values, median, scale, out);
-    true
+    Some(median)
 }
 
-/// Median of an already sorted, non-empty slice.
-fn sorted_median(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+/// The sort-based statistics the selection-based ones replaced, kept as the test
+/// oracle: same definitions, read off a fully sorted copy.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{MAD_CONSISTENCY, MEAN_AD_CONSISTENCY};
+
+    /// Median of a non-empty slice, by sorting a copy.
+    pub(crate) fn sorted_median(values: &[f64]) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        if n % 2 == 1 {
+            sorted[n / 2]
+        } else {
+            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+        }
+    }
+
+    /// [`super::robust_z_scores`] with both medians read off sorted copies and
+    /// the scores computed one by one.
+    pub(crate) fn robust_z_scores(values: &[f64]) -> Option<Vec<f64>> {
+        if values.is_empty() {
+            return None;
+        }
+        let median = sorted_median(values);
+        let deviations: Vec<f64> = values.iter().map(|v| (v - median).abs()).collect();
+        let mad = sorted_median(&deviations);
+        let scale = if mad > 0.0 {
+            mad * MAD_CONSISTENCY
+        } else {
+            let mean_ad = deviations.iter().sum::<f64>() / values.len() as f64;
+            if mean_ad > 0.0 {
+                mean_ad * MEAN_AD_CONSISTENCY
+            } else {
+                1.0
+            }
+        };
+        Some(values.iter().map(|v| (v - median) / scale).collect())
     }
 }
 
@@ -447,6 +492,63 @@ mod tests {
         assert_eq!(median_of(&[1.0, 2.0, 3.0, 4.0]), Some(2.5));
         assert_eq!(mad_of(&[1.0, 2.0, 3.0], 2.0), Some(1.0));
         assert_eq!(mad_of(&[], 0.0), None);
+    }
+
+    /// Bit patterns, so that `-0.0 != 0.0` and a NaN equals itself.
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn selection_statistics_equal_the_sorted_ones_bit_for_bit() {
+        // A deterministic scramble with heavy ties, a wide range and both zeros.
+        let scramble = |n: usize, modulus: u64| -> Vec<f64> {
+            (0..n as u64)
+                .map(|i| {
+                    let x = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) % modulus;
+                    (x as f64 - modulus as f64 / 3.0) * 1.25
+                })
+                .collect()
+        };
+        let mut cases: Vec<Vec<f64>> = vec![
+            vec![42.0],
+            vec![1.0, 2.0],
+            vec![2.0, 1.0, 3.0],
+            vec![7.0; 6],
+            vec![7.0; 7],
+            vec![0.0, -0.0, 0.0, -0.0],
+            vec![-0.0, 0.0, 1.0],
+            // MAD = 0 (more than half identical) with a non-zero mean AD.
+            [vec![100.0; 11], vec![160.0; 9]].concat(),
+            [vec![5.0; 20], vec![1_000.0]].concat(),
+            vec![f64::MAX, f64::MIN, 0.0, 1e-300, -1e-300, 3.0],
+        ];
+        for n in [2, 3, 10, 11, 64, 1_000, 1_001] {
+            for modulus in [3, 17, 1_000_003] {
+                cases.push(scramble(n, modulus));
+            }
+        }
+        for values in &cases {
+            let expected = reference::sorted_median(values);
+            assert_eq!(
+                median_of(values).unwrap().to_bits(),
+                expected.to_bits(),
+                "median of {values:?}"
+            );
+            let deviations: Vec<f64> = values.iter().map(|v| (v - expected).abs()).collect();
+            assert_eq!(
+                mad_of(values, expected).unwrap().to_bits(),
+                reference::sorted_median(&deviations).to_bits(),
+                "MAD of {values:?}"
+            );
+            assert_eq!(
+                bits(&robust_z_scores(values).unwrap()),
+                bits(&reference::robust_z_scores(values).unwrap()),
+                "z-scores of {values:?}"
+            );
+        }
+        assert_eq!(reference::robust_z_scores(&[]), None);
+        assert_eq!(robust_z_scores(&[]), None);
     }
 
     #[test]

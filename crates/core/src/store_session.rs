@@ -5,8 +5,9 @@
 //! lanes after every query.
 //!
 //! A [`StoreSession`] owns the [`StoredTrace`] plus the durable per-session
-//! analysis state — built counter indexes, state pyramids, result caches and
-//! the adaptive engine's cost model. Each request runs in three steps:
+//! analysis state — built counter indexes, state pyramids, the access index,
+//! result caches and the adaptive engine's cost model. Each request runs in
+//! three steps:
 //!
 //! 1. everything it needs is materialised in **one** batch
 //!    ([`StoredTrace::ensure_batch`]);
@@ -41,7 +42,9 @@
 //! pyramids and counter indexes are built ahead, persisted and re-seeded
 //! **only** while their lane is fully resident (they survive its eviction and
 //! are seeded again once it is back); a view over a partially resident lane
-//! builds its own consistent throwaway pyramid, lazily, instead.
+//! builds its own consistent throwaway pyramid, lazily, instead. The access
+//! index ([`crate::access_index`]) follows the same rule over its two lanes,
+//! tasks and accesses.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -54,10 +57,7 @@ use crate::error::AnalysisError;
 use crate::filter::TaskFilter;
 use crate::index::CounterIndex;
 use crate::pyramid::StatePyramid;
-use crate::session::{
-    new_anomaly_cache, new_cost_model, new_timeline_cache, AnalysisSession, AnomalyCacheHandle,
-    CostModelHandle, IntervalQuery, TimelineCacheHandle,
-};
+use crate::session::{AnalysisSession, IntervalQuery, SessionHandles};
 use crate::timeline::{TimelineEngine, TimelineMode, TimelineModel};
 
 /// Degraded-coverage summary of a salvage-opened store session: what spans
@@ -135,11 +135,14 @@ pub struct StoreSession {
     indexes: HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
     /// State pyramids built over fully resident state lanes (see `indexes`).
     pyramids: HashMap<u32, Arc<StatePyramid>>,
-    anomaly_cache: AnomalyCacheHandle,
-    timeline_cache: TimelineCacheHandle,
-    cost_model: CostModelHandle,
+    /// Result caches, cost model and the access-index slot. Like a pyramid, the
+    /// access index is built over fully resident lanes (tasks and accesses),
+    /// survives their eviction and is shared with a view only while both are
+    /// back.
+    handles: SessionHandles,
     pyramid_builds: u64,
     index_builds: u64,
+    access_index_builds: u64,
     shards_reseeded: u64,
 }
 
@@ -157,6 +160,9 @@ pub struct StoreSessionStats {
     pub pyramid_builds: u64,
     /// Counter indexes built (see `pyramid_builds`).
     pub index_builds: u64,
+    /// Access indexes built — once over the fully resident task and access
+    /// lanes, plus every throwaway a view built while one of them was not.
+    pub access_index_builds: u64,
     /// Persisted shards handed to a view instead of being rebuilt.
     pub shards_reseeded: u64,
 }
@@ -200,11 +206,10 @@ impl StoreSession {
             stored,
             indexes: HashMap::new(),
             pyramids: HashMap::new(),
-            anomaly_cache: new_anomaly_cache(),
-            timeline_cache: new_timeline_cache(),
-            cost_model: new_cost_model(),
+            handles: SessionHandles::new(),
             pyramid_builds: 0,
             index_builds: 0,
+            access_index_builds: 0,
             shards_reseeded: 0,
         }
     }
@@ -282,6 +287,7 @@ impl StoreSession {
             bytes_read: store.bytes_read,
             pyramid_builds: self.pyramid_builds,
             index_builds: self.index_builds,
+            access_index_builds: self.access_index_builds,
             shards_reseeded: self.shards_reseeded,
         }
     }
@@ -457,14 +463,14 @@ impl StoreSession {
         indexes.retain(|&(cpu, ctr), _| full(LaneId::Samples(cpu, ctr)));
         let mut pyramids = self.pyramids.clone();
         pyramids.retain(|&cpu, _| full(LaneId::States(CpuId(cpu))));
-        let view = AnalysisSession::with_prebuilt(
-            stored.trace(),
-            &indexes,
-            &pyramids,
-            Arc::clone(&self.anomaly_cache),
-            Arc::clone(&self.timeline_cache),
-            Arc::clone(&self.cost_model),
-        );
+        // The access index spans two lanes: the view shares the persisted slot
+        // while both are fully resident and gets an empty throwaway otherwise.
+        let mut handles = self.handles.clone();
+        if !(full(LaneId::Tasks) && full(LaneId::Accesses)) {
+            handles.access_index = Arc::default();
+        }
+        let access_index_seeded = handles.access_index.get().is_some();
+        let view = AnalysisSession::with_prebuilt(stored.trace(), &indexes, &pyramids, handles);
         if warm {
             view.prewarm_lanes(stored.decode_threads(), full);
         }
@@ -473,6 +479,7 @@ impl StoreSession {
         self.shards_reseeded += (indexes.len() + pyramids.len()) as u64;
         self.index_builds += built_indexes.len().saturating_sub(indexes.len()) as u64;
         self.pyramid_builds += built_pyramids.len().saturating_sub(pyramids.len()) as u64;
+        self.access_index_builds += u64::from(!access_index_seeded && view.access_index_built());
         self.indexes.extend(
             built_indexes
                 .into_iter()

@@ -17,7 +17,7 @@
 //! binary-search-plus-scan path, kept both as the equivalence baseline (the two
 //! engines produce byte-identical cells) and for the ablation benchmarks.
 
-use aftermath_trace::{CpuId, NumaNodeId, TaskTypeId, TimeInterval, WorkerState};
+use aftermath_trace::{AccessKind, CpuId, NumaNodeId, TaskTypeId, TimeInterval, WorkerState};
 
 use std::time::Instant;
 
@@ -25,7 +25,7 @@ use crate::error::AnalysisError;
 use crate::filter::TaskFilter;
 use crate::index::states_overlapping;
 use crate::kernels;
-use crate::numa::{dominant_read_node, dominant_write_node, task_remote_fraction};
+use crate::numa::{dominant_node_from, task_remote_fraction_from};
 use crate::session::AnalysisSession;
 
 /// The five timeline modes of the paper (Section II-B).
@@ -180,15 +180,17 @@ impl TimelineModel {
         let trace = session.trace();
         let cpus: Vec<CpuId> = trace.topology().cpu_ids().collect();
         let mut cells = Vec::with_capacity(cpus.len());
+        // The NUMA map modes' per-node byte accumulator, one for the whole frame.
+        let mut scratch = Vec::new();
         for &cpu in &cpus {
             let row = match engine {
                 TimelineEngine::Pyramid => {
-                    pyramid_row(session, mode, cpu, interval, columns, filter)
+                    pyramid_row(session, mode, cpu, interval, columns, filter, &mut scratch)
                 }
                 _ => (0..columns)
                     .map(|col| {
                         let cell_iv = column_interval(interval, columns, col);
-                        scan_cell(session, mode, cpu, cell_iv, filter)
+                        scan_cell(session, mode, cpu, cell_iv, filter, &mut scratch)
                     })
                     .collect(),
             };
@@ -248,17 +250,25 @@ fn state_cell(state: Option<WorkerState>) -> TimelineCell {
 }
 
 /// Maps a predominant task (index into `trace.tasks()`) to its cell for the
-/// task-based modes (heatmap, typemap, NUMA read/write/heat).
+/// task-based modes (heatmap, typemap, NUMA read/write/heat). The NUMA modes read
+/// the task's accesses through the session's access index; `scratch` is the map
+/// modes' per-node accumulator.
 fn task_cell(
     session: &AnalysisSession<'_>,
     mode: TimelineMode,
     task: Option<usize>,
+    scratch: &mut Vec<u64>,
 ) -> TimelineCell {
     let Some(task) = task else {
         return TimelineCell::Empty;
     };
     let trace = session.trace();
     let t = &trace.tasks()[task];
+    let dominant_node = |kind: AccessKind, scratch: &mut Vec<u64>| {
+        dominant_node_from(trace, &session.accesses(), t.id, kind, scratch)
+            .map(TimelineCell::Node)
+            .unwrap_or(TimelineCell::Empty)
+    };
     match mode {
         TimelineMode::Heatmap {
             min_duration,
@@ -270,13 +280,9 @@ fn task_cell(
             TimelineCell::Shade(shade)
         }
         TimelineMode::TaskType => TimelineCell::Type(t.task_type),
-        TimelineMode::NumaRead => dominant_read_node(trace, t.id)
-            .map(TimelineCell::Node)
-            .unwrap_or(TimelineCell::Empty),
-        TimelineMode::NumaWrite => dominant_write_node(trace, t.id)
-            .map(TimelineCell::Node)
-            .unwrap_or(TimelineCell::Empty),
-        TimelineMode::NumaHeat => task_remote_fraction(trace, t)
+        TimelineMode::NumaRead => dominant_node(AccessKind::Read, scratch),
+        TimelineMode::NumaWrite => dominant_node(AccessKind::Write, scratch),
+        TimelineMode::NumaHeat => task_remote_fraction_from(trace, &session.accesses(), t)
             .map(TimelineCell::Shade)
             .unwrap_or(TimelineCell::Empty),
         TimelineMode::State => unreachable!("state mode resolves states, not tasks"),
@@ -290,6 +296,7 @@ fn scan_cell(
     cpu: CpuId,
     cell_iv: TimeInterval,
     filter: &TaskFilter,
+    scratch: &mut Vec<u64>,
 ) -> TimelineCell {
     match mode {
         TimelineMode::State => state_cell(predominant_state_scan(session, cpu, cell_iv)),
@@ -297,6 +304,7 @@ fn scan_cell(
             session,
             mode,
             predominant_task_scan(session, cpu, cell_iv, filter),
+            scratch,
         ),
     }
 }
@@ -315,6 +323,7 @@ fn pyramid_row(
     interval: TimeInterval,
     columns: usize,
     filter: &TaskFilter,
+    scratch: &mut Vec<u64>,
 ) -> Vec<TimelineCell> {
     use crate::pyramid::{overlap_range, predominant_state_in_range, predominant_task_in_range};
     let trace = session.trace();
@@ -332,6 +341,7 @@ fn pyramid_row(
                 session,
                 mode,
                 predominant_task_in_range(pyramid, trace, states, filter, cell_iv, first, last),
+                scratch,
             ),
         };
         row.push(cell);

@@ -420,9 +420,9 @@ fn salvaged_answers_inside_the_covered_span_at_every_thread_budget() {
 }
 
 /// The point of building shards through one routine: after the first frame,
-/// a query and a report on an unbudgeted session, every pyramid and every
-/// counter index has been built exactly once — and a second query builds
-/// nothing, it re-seeds.
+/// a query and a report on an unbudgeted session, every pyramid, every
+/// counter index and the access index has been built exactly once — and a
+/// second query builds nothing, it re-seeds.
 #[test]
 fn stats_show_every_shard_built_once() {
     let trace = numa_trace(160);
@@ -458,11 +458,13 @@ fn stats_show_every_shard_built_once() {
         (after_frame.pyramid_builds, after_frame.index_builds),
         (0, 0)
     );
+    assert_eq!(after_frame.access_index_builds, 0);
     store.query(window, |q| q.state_cycles(CpuId(0))).unwrap();
     store.detect_anomalies(&AnomalyConfig::default()).unwrap();
     let warm = store.stats();
     assert_eq!(warm.pyramid_builds as usize, state_lanes);
     assert_eq!(warm.index_builds as usize, sample_lanes);
+    assert_eq!(warm.access_index_builds, 1);
     // Every lane was read and decoded once, whole.
     assert_eq!(warm.lanes_materialised as usize, lanes.len());
     assert_eq!(warm.blocks_decoded as usize, stored_blocks);
@@ -475,10 +477,115 @@ fn stats_show_every_shard_built_once() {
         (warm.pyramid_builds, warm.index_builds, warm.bytes_read),
         "a second query builds and reads nothing"
     );
+    assert_eq!(again.access_index_builds, 1);
     assert_eq!(
         (again.shards_reseeded - warm.shards_reseeded) as usize,
         state_lanes + sample_lanes
     );
+}
+
+/// The access index is persisted like a pyramid: built once over the fully
+/// resident task and access lanes, it survives their eviction at any budget
+/// and is shared again once they are back — and no answer changes. Strict and
+/// salvaged stores, the latter inside its covered span.
+#[test]
+fn access_index_survives_eviction_and_is_built_once() {
+    let trace = numa_trace(160);
+    let resident = AnalysisSession::new(&trace);
+    let ctr = resident.counter_id("cycles").unwrap();
+    let config = AnomalyConfig::default();
+    let want_report = resident.detect_anomalies(&config).unwrap();
+    let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 8 }).unwrap();
+    let mut damaged = bytes.clone();
+    let probe = StoredTrace::from_bytes(bytes.clone()).unwrap();
+    let first = probe
+        .lane_directory(LaneId::States(CpuId(1)))
+        .unwrap()
+        .blocks[0];
+    damaged[first.offset as usize + 2] ^= 0x20;
+    let full = trace.resident_event_bytes();
+
+    for budget in [Some(0), Some(full / 2)] {
+        for salvaged in [false, true] {
+            let what = format!("budget {budget:?}, salvaged {salvaged}");
+            let stored = if salvaged {
+                StoredTrace::from_bytes_salvage(damaged.clone()).unwrap()
+            } else {
+                StoredTrace::from_bytes(bytes.clone()).unwrap()
+            };
+            let mut store = StoreSession::from_store(stored);
+            store.set_residency_budget(budget);
+            let window = match store.coverage() {
+                Some(coverage) => {
+                    let span = coverage.full_span.expect("lanes survive in part");
+                    let end = span.end.0.min(store.time_bounds().end.0);
+                    TimeInterval::from_cycles(span.start.0, span.start.0 + (end - span.start.0) / 2)
+                }
+                None => {
+                    let bounds = store.time_bounds();
+                    TimeInterval::from_cycles(
+                        bounds.start.0 + bounds.duration() / 4,
+                        bounds.start.0 + bounds.duration() / 2,
+                    )
+                }
+            };
+            let frame = |store: &mut StoreSession, mode, engine| {
+                let got = store
+                    .timeline_with_engine(mode, window, 24, &TaskFilter::new(), engine)
+                    .unwrap();
+                let want = TimelineModel::build_with_engine(
+                    &resident,
+                    mode,
+                    window,
+                    24,
+                    &TaskFilter::new(),
+                    engine,
+                )
+                .unwrap();
+                assert_eq!(got, want, "{what}, {mode:?}, {engine:?}");
+            };
+            // A scan-engine state frame touches neither lane and builds nothing.
+            frame(&mut store, TimelineMode::State, TimelineEngine::Scan);
+            assert_eq!(store.stats().access_index_builds, 0, "{what}");
+            let mut evictions = 0;
+            for round in 0..3 {
+                type Request<'a> = &'a dyn Fn(&mut StoreSession);
+                let script: [Request<'_>; 6] = [
+                    &|s| frame(s, TimelineMode::NumaRead, TimelineEngine::Pyramid),
+                    &|s| frame(s, TimelineMode::State, TimelineEngine::Scan),
+                    &|s| frame(s, TimelineMode::NumaHeat, TimelineEngine::Scan),
+                    &|s| {
+                        for cpu in (0..4).map(CpuId) {
+                            let got = s.query(window, |q| query_bundle(q, cpu, ctr)).unwrap();
+                            assert_eq!(got, query_bundle(&resident.query(window), cpu, ctr));
+                        }
+                    },
+                    &|s| frame(s, TimelineMode::NumaWrite, TimelineEngine::Adaptive),
+                    &|s| {
+                        if !salvaged {
+                            assert_eq!(*s.detect_anomalies(&config).unwrap(), *want_report);
+                        }
+                    },
+                ];
+                for (step, request) in script.into_iter().enumerate() {
+                    request(&mut store);
+                    assert_eq!(
+                        store.stats().access_index_builds,
+                        1,
+                        "{what}, round {round}, step {step}"
+                    );
+                    evictions += [LaneId::Tasks, LaneId::Accesses]
+                        .iter()
+                        .filter(|&&lane| store.store().residency(lane) != LaneResidency::Full)
+                        .count();
+                    if let Some(budget) = budget {
+                        assert!(store.resident_event_bytes() <= budget, "{what}");
+                    }
+                }
+            }
+            assert!(evictions > 0, "{what}: the lanes were never evicted");
+        }
+    }
 }
 
 /// Shares one [`FaultyTier`] between the store (which owns its tier box) and

@@ -10,11 +10,14 @@
 //! [`SessionManager`]; requests on memory-backed traces execute concurrently
 //! across workers because sessions are cheap `Sync` views over shared state.
 //!
-//! Connections read with a short poll timeout so every worker notices
-//! shutdown within one tick even while idle. A client that starts a frame
-//! but stalls mid-payload is cut off after the configured request timeout —
-//! a half-open socket must not pin a pool worker forever. When a connection
-//! closes, every session it opened and did not close is closed for it.
+//! The acceptor blocks in `accept`, so a connection is handed to the pool the
+//! moment it arrives; shutdown sets the flag and wakes the acceptor with a
+//! loopback connection to its own port. Connections read with a short poll
+//! timeout so every worker notices shutdown within one tick even while idle. A
+//! client that starts a frame but stalls mid-payload is cut off after the
+//! configured request timeout — a half-open socket must not pin a pool worker
+//! forever. When a connection closes, every session it opened and did not close
+//! is closed for it.
 //!
 //! A request that panics while computing its response is contained twice
 //! over: the connection loop catches the unwind and answers a typed
@@ -23,7 +26,7 @@
 //! itself survives for the next connection.
 
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -59,7 +62,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// How often idle connections and the accept loop re-check the shutdown flag.
+/// How often idle connections re-check the shutdown flag.
 const POLL_TICK: Duration = Duration::from_millis(100);
 
 /// A running server; dropping it shuts it down.
@@ -82,8 +85,6 @@ impl Server {
     pub fn start(manager: Arc<SessionManager>, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
-        // Accepts must wake up to observe shutdown even with no clients.
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(WorkerPool::new(config.workers, config.backlog));
         let acceptor = {
@@ -121,6 +122,20 @@ impl Server {
     fn shutdown_in_place(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
+            // The acceptor blocks in `accept`: a connection to its own port wakes
+            // it, and it re-checks the flag before doing anything with it. An
+            // unspecified bind address (0.0.0.0, ::) is reached through loopback.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            // A wake-up that cannot be delivered means the accept queue is full
+            // or `accept` itself is failing: either way the acceptor is about to
+            // come round to the flag on its own.
+            let _ = TcpStream::connect_timeout(&wake, POLL_TICK);
             let _ = acceptor.join();
         }
         // Joins connection workers; each exits within one poll tick.
@@ -141,14 +156,14 @@ fn accept_loop(
     shutdown: Arc<AtomicBool>,
     request_timeout: Duration,
 ) {
-    while !shutdown.load(Ordering::SeqCst) {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_TICK);
-                continue;
-            }
-            Err(_) => continue,
+    loop {
+        let accepted = listener.accept();
+        // Checked after every accept: shutdown wakes the acceptor by connecting.
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((stream, _)) = accepted else {
+            continue;
         };
         let job = {
             let manager = Arc::clone(&manager);
@@ -186,9 +201,6 @@ fn serve_connection(
 ) {
     // Sessions opened over this connection, auto-closed on disconnect.
     let mut sessions: Vec<u64> = Vec::new();
-    // The listener is non-blocking so the acceptor can poll the shutdown
-    // flag; the connection itself must block (with a poll-tick read timeout).
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_nodelay(true);
     let outcome = connection_loop(
         &mut stream,

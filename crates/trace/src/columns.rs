@@ -1464,14 +1464,20 @@ impl<'a> AccessesView<'a> {
     /// The contiguous run of accesses performed by `task` (the table is sorted by
     /// task id, so two binary searches locate it).
     pub fn of_task(&self, task: TaskId) -> AccessesView<'a> {
+        let rows = self.task_rows(task);
+        self.slice(rows.start, rows.end)
+    }
+
+    /// The row range of [`AccessesView::of_task`] within this view.
+    pub fn task_rows(&self, task: TaskId) -> std::ops::Range<usize> {
         // The biased encoding cannot represent TaskId(u64::MAX) — and no stored
         // access can reference it either — so the run is empty by definition.
         let Some(key) = task.0.checked_add(1) else {
-            return self.slice(0, 0);
+            return 0..0;
         };
         let lo = partition_point(self.len(), |i| self.tasks_raw(i) < key);
         let hi = partition_point(self.len(), |i| self.tasks_raw(i) <= key);
-        self.slice(lo, hi)
+        lo..hi
     }
 
     #[inline]
