@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# Non-test Rust line counts per crate, as a markdown table.
+#
+#   ci/loc.sh [<repo root>]
+#
+# Each file is cut at its first `#[cfg(test)]`; `tests/`, `benches/` and
+# `examples/` are skipped; the offline stand-ins under `crates/compat/` are
+# listed apart from the code that is ours. `code` leaves out blank and `//`
+# comment lines, `lines` does not. The last row sums the five files that
+# answer "where do a session's lanes come from" — the trajectory the
+# ROADMAP's one-session-core item is measured by.
+set -euo pipefail
+cd "${1:-$(dirname "$0")/..}"
+
+SESSION_FILES=(
+    crates/core/src/session.rs
+    crates/core/src/shared.rs
+    crates/core/src/store_session.rs
+    crates/core/src/live.rs
+    crates/serve/src/manager.rs
+)
+
+# Prints "<code> <lines>" summed over the files given on stdin.
+count() {
+    xargs -r awk '
+        FNR == 1 { test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+        test { next }
+        { lines++ }
+        !/^[[:space:]]*(\/\/|$)/ { code++ }
+        END { print code + 0, lines + 0 }
+    '
+}
+
+row() {
+    read -r code lines
+    printf '| %s | %s | %s |\n' "$1" "$code" "$lines"
+}
+
+echo '| crate | code | lines |'
+echo '| --- | ---: | ---: |'
+find src -name '*.rs' | count | row aftermath
+for dir in crates/*/; do
+    name=$(basename "$dir")
+    [ "$name" = compat ] && continue
+    find "$dir/src" -name '*.rs' | count | row "$name"
+done
+find crates/compat -path '*/src/*' -name '*.rs' | count | row 'compat/* (stand-ins)'
+find src crates -path crates/compat -prune -o -path '*/src/*' -name '*.rs' -print \
+    | count | row '**total (without compat)**'
+printf '%s\n' "${SESSION_FILES[@]}" | count | row '**the five session files**'

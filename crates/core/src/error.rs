@@ -25,6 +25,12 @@ pub enum AnalysisError {
     /// Reading or decoding the backing trace store failed
     /// ([`crate::store_session::StoreSession`]).
     Trace(aftermath_trace::TraceError),
+    /// A salvage-opened store refused a request whose answer would depend on
+    /// quarantined rows ([`crate::store_session::StoreSession::with_view`]).
+    OutsideCoverage {
+        /// Fraction of stored rows that survived quarantine, in `[0, 1]`.
+        row_coverage: f64,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -39,6 +45,12 @@ impl fmt::Display for AnalysisError {
             AnalysisError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             AnalysisError::Io(e) => write!(f, "i/o error: {e}"),
             AnalysisError::Trace(e) => write!(f, "trace store error: {e}"),
+            AnalysisError::OutsideCoverage { row_coverage } => write!(
+                f,
+                "trace was salvage-opened ({:.1}% of rows survive) and the request \
+                 falls outside the surviving coverage",
+                row_coverage * 100.0
+            ),
         }
     }
 }

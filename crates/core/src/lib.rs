@@ -114,7 +114,7 @@ pub use live::{EpochStats, LiveSession};
 pub use numa::IncidenceMatrix;
 pub use pyramid::{ExecStats, StatePyramid};
 pub use series::TimeSeries;
-pub use session::{AnalysisSession, IntervalQuery, TaskDetails};
+pub use session::{AnalysisSession, IntervalQuery, Need, TaskDetails};
 pub use shared::{CacheStats, SharedSession};
 pub use stats::Histogram;
 pub use store_session::{SalvageCoverage, StoreSession};

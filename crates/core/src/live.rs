@@ -17,9 +17,10 @@
 //!   `advance` swaps in fresh caches instead of letting stale viewports survive.
 //!
 //! Queries go through [`session`](LiveSession::session), which opens a warm
-//! [`AnalysisSession`] view seeded with the incrementally maintained shards
-//! (`O(number of shards)` `Arc` clones, no index copies). Because every
-//! incrementally updated index is structurally identical to a fresh build over the
+//! [`AnalysisSession`] view seeded with the incrementally maintained shards:
+//! the shards live in the same `SessionState` every other owner keeps, the
+//! live session just writes them itself instead of harvesting views. Because
+//! every incrementally updated index is structurally identical to a fresh build over the
 //! same stream, every answer — interval queries, timeline models, anomaly
 //! rankings — is **byte-identical** to a from-scratch batch session over the same
 //! prefix at every epoch (property-tested in `tests/streaming_equivalence.rs`).
@@ -50,8 +51,8 @@ use std::sync::Arc;
 
 use aftermath_trace::streaming::{StreamingTrace, TraceChunk};
 use aftermath_trace::{
-    CounterId, CpuId, LintMode, LintReport, LintSummary, TimeInterval, Trace, TraceBuilder,
-    TraceError,
+    CounterId, CpuId, LintMode, LintReport, LintSummary, SamplesView, StatesView, TimeInterval,
+    Trace, TraceBuilder, TraceError,
 };
 
 use crate::anomaly::{AnomalyConfig, AnomalyReport};
@@ -59,7 +60,7 @@ use crate::error::AnalysisError;
 use crate::filter::TaskFilter;
 use crate::index::CounterIndex;
 use crate::pyramid::StatePyramid;
-use crate::session::{AnalysisSession, SessionHandles};
+use crate::session::{AnalysisSession, SessionState};
 use crate::timeline::{TimelineMode, TimelineModel};
 
 /// What one [`LiveSession::advance`] call did, for latency accounting and for
@@ -85,16 +86,11 @@ pub struct EpochStats {
 pub struct LiveSession {
     stream: StreamingTrace,
     epoch: u64,
-    /// Incrementally maintained counter index shards, one per sampled pair.
-    indexes: HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
-    /// Incrementally maintained state pyramids, keyed by CPU id.
-    pyramids: HashMap<u32, Arc<StatePyramid>>,
-    /// What this epoch's session views share: the result caches and the access
-    /// index (built lazily by the first view that needs it) are replaced when an
-    /// `advance` appends anything; the adaptive engine's cost model is **not** —
-    /// it describes the machine (per-event and per-cell costs), not the data, so
-    /// one calibration serves the whole live session.
-    handles: SessionHandles,
+    /// The incrementally maintained shards (one counter index per sampled pair,
+    /// one pyramid per CPU with states) and what this epoch's views share: the
+    /// result caches and the access index are replaced when an `advance`
+    /// appends anything, the cost model is not.
+    state: SessionState,
     /// Total summary nodes rebuilt since the session opened (cold build included).
     total_nodes_rebuilt: u64,
     /// Accumulated lint summary across all [`LiveSession::advance_lint`] calls;
@@ -118,34 +114,14 @@ impl LiveSession {
     /// ([`StreamingTrace::epochs`]), so epoch numbers stay aligned with the
     /// stream's accepted-chunk sequence across a resume.
     pub fn from_stream(stream: StreamingTrace) -> Self {
-        let epoch = stream.epochs();
         let mut live = LiveSession {
             stream,
-            epoch,
-            indexes: HashMap::new(),
-            pyramids: HashMap::new(),
-            handles: SessionHandles::new(),
+            epoch: 0,
+            state: SessionState::new(),
             total_nodes_rebuilt: 0,
             lint: None,
         };
-        let trace = live.stream.trace();
-        let mut cold = 0;
-        for (cpu, pc) in trace.per_cpu().iter().enumerate() {
-            let cpu = CpuId(cpu as u32);
-            if !pc.states().is_empty() {
-                let pyramid = StatePyramid::build(trace, pc.states());
-                cold += pyramid.num_nodes();
-                live.pyramids.insert(cpu.0, Arc::new(pyramid));
-            }
-            for (counter, samples) in pc.sample_streams() {
-                if !samples.is_empty() {
-                    let index = CounterIndex::new(samples);
-                    cold += index.num_nodes();
-                    live.indexes.insert((cpu, counter), Arc::new(index));
-                }
-            }
-        }
-        live.total_nodes_rebuilt = cold as u64;
+        live.absorb_since(&StreamSnapshot::default());
         live
     }
 
@@ -193,36 +169,14 @@ impl LiveSession {
         let mut nodes_rebuilt = 0;
         for (&cpu, &old_len) in touched_cpus.iter().zip(&old_state_lens) {
             let states = trace.cpu(cpu).expect("validated by append").states();
-            nodes_rebuilt += match self.pyramids.entry(cpu.0) {
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    // Unique at this point: session views borrow `self`, so none can
-                    // be alive across this `&mut self` call; make_mut never clones.
-                    Arc::make_mut(slot.get_mut()).append_tail(trace, states, old_len)
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    let pyramid = StatePyramid::build(trace, states);
-                    let nodes = pyramid.num_nodes();
-                    slot.insert(Arc::new(pyramid));
-                    nodes
-                }
-            };
+            nodes_rebuilt += grow_pyramid(&mut self.state.pyramids, trace, states, old_len);
         }
         for (&(cpu, counter), &old_len) in touched_pairs.iter().zip(&old_sample_lens) {
             let samples = trace
                 .cpu(cpu)
                 .and_then(|pc| pc.samples(counter))
                 .expect("validated by append");
-            nodes_rebuilt += match self.indexes.entry((cpu, counter)) {
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    Arc::make_mut(slot.get_mut()).append_tail(samples, old_len)
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    let index = CounterIndex::new(samples);
-                    let nodes = index.num_nodes();
-                    slot.insert(Arc::new(index));
-                    nodes
-                }
-            };
+            nodes_rebuilt += grow_index(&mut self.state.indexes, samples, old_len);
         }
 
         self.epoch += 1;
@@ -233,7 +187,7 @@ impl LiveSession {
         // An empty chunk (a keepalive epoch from a live source) changes no answer,
         // so its caches survive and nothing is recomputed.
         if appended_items > 0 {
-            self.handles.invalidate_data();
+            self.state.invalidate_data();
         }
         Ok(EpochStats {
             epoch: self.epoch,
@@ -334,34 +288,14 @@ impl LiveSession {
             let old_len = snapshot.state_lens.get(cpu).copied().unwrap_or(0);
             let states = pc.states();
             if states.len() > old_len {
-                nodes_rebuilt += match self.pyramids.entry(cpu as u32) {
-                    std::collections::hash_map::Entry::Occupied(mut slot) => {
-                        Arc::make_mut(slot.get_mut()).append_tail(trace, states, old_len)
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        let pyramid = StatePyramid::build(trace, states);
-                        let nodes = pyramid.num_nodes();
-                        slot.insert(Arc::new(pyramid));
-                        nodes
-                    }
-                };
+                nodes_rebuilt += grow_pyramid(&mut self.state.pyramids, trace, states, old_len);
             }
             for (counter, samples) in pc.sample_streams() {
                 item_count += samples.len();
                 let key = (CpuId(cpu as u32), counter);
                 let old_len = snapshot.sample_lens.get(&key).copied().unwrap_or(0);
                 if samples.len() > old_len {
-                    nodes_rebuilt += match self.indexes.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(mut slot) => {
-                            Arc::make_mut(slot.get_mut()).append_tail(samples, old_len)
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            let index = CounterIndex::new(samples);
-                            let nodes = index.num_nodes();
-                            slot.insert(Arc::new(index));
-                            nodes
-                        }
-                    };
+                    nodes_rebuilt += grow_index(&mut self.state.indexes, samples, old_len);
                 }
             }
         }
@@ -369,7 +303,7 @@ impl LiveSession {
         self.epoch = self.stream.epochs();
         self.total_nodes_rebuilt += nodes_rebuilt as u64;
         if appended_items > 0 {
-            self.handles.invalidate_data();
+            self.state.invalidate_data();
         }
         EpochStats {
             epoch: self.epoch,
@@ -385,16 +319,8 @@ impl LiveSession {
     /// [`advance_lint`](LiveSession::advance_lint) hands its accumulated lint
     /// summary to every view ([`AnalysisSession::lint_summary`]).
     pub fn session(&self) -> AnalysisSession<'_> {
-        let session = AnalysisSession::with_prebuilt(
-            self.stream.trace(),
-            &self.indexes,
-            &self.pyramids,
-            self.handles.clone(),
-        );
-        match &self.lint {
-            Some(summary) => session.with_lint_summary(summary.clone()),
-            None => session,
-        }
+        self.state
+            .view(self.stream.trace(), self.lint.as_ref(), |_| true)
     }
 
     /// The current epoch (number of accepted chunks).
@@ -425,8 +351,9 @@ impl LiveSession {
 
     /// Total summary nodes currently held across all indexes and pyramids.
     pub fn num_index_nodes(&self) -> usize {
-        self.indexes.values().map(|i| i.num_nodes()).sum::<usize>()
-            + self.pyramids.values().map(|p| p.num_nodes()).sum::<usize>()
+        let indexes = self.state.indexes.values().map(|i| i.num_nodes());
+        let pyramids = self.state.pyramids.values().map(|p| p.num_nodes());
+        indexes.chain(pyramids).sum()
     }
 
     /// Total summary nodes rebuilt since the session opened, cold builds included
@@ -483,8 +410,49 @@ impl LiveSession {
     }
 }
 
+/// Lets a CPU's pyramid absorb the states appended after the first `old_len`
+/// by rebuilding its rightmost spine — or builds it, when these are the CPU's
+/// first states. Returns the number of summary nodes (re)computed.
+fn grow_pyramid(
+    pyramids: &mut HashMap<u32, Arc<StatePyramid>>,
+    trace: &Trace,
+    states: StatesView<'_>,
+    old_len: usize,
+) -> usize {
+    match pyramids.get_mut(&states.cpu().0) {
+        // Unique at this point: session views borrow the `LiveSession`, so none
+        // is alive across a `&mut self` call; make_mut never clones.
+        Some(pyramid) => Arc::make_mut(pyramid).append_tail(trace, states, old_len),
+        None => {
+            let pyramid = StatePyramid::build(trace, states);
+            let nodes = pyramid.num_nodes();
+            pyramids.insert(states.cpu().0, Arc::new(pyramid));
+            nodes
+        }
+    }
+}
+
+/// [`grow_pyramid`] for the counter index of one sampled pair.
+fn grow_index(
+    indexes: &mut HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
+    samples: SamplesView<'_>,
+    old_len: usize,
+) -> usize {
+    let key = (samples.cpu(), samples.counter());
+    match indexes.get_mut(&key) {
+        Some(index) => Arc::make_mut(index).append_tail(samples, old_len),
+        None => {
+            let index = CounterIndex::new(samples);
+            let nodes = index.num_nodes();
+            indexes.insert(key, Arc::new(index));
+            nodes
+        }
+    }
+}
+
 /// Per-stream lengths (and the total item count) at one point in time; see
-/// [`LiveSession::snapshot`].
+/// [`LiveSession::snapshot`]. The default is the empty stream.
+#[derive(Default)]
 struct StreamSnapshot {
     /// States per CPU, indexed by CPU id.
     state_lens: Vec<usize>,
@@ -535,7 +503,7 @@ mod tests {
             let view = live.session();
             // Every maintained shard is pre-seeded: the view reports them as built
             // without having answered a single query.
-            assert_eq!(view.built_counter_indexes(), live.indexes.len());
+            assert_eq!(view.built_counter_indexes(), live.state.indexes.len());
             let batch = AnalysisSession::new(live.trace());
             assert_eq!(live.time_bounds(), batch.time_bounds());
             let bounds = live.time_bounds();

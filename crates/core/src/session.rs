@@ -18,6 +18,7 @@ use crate::error::AnalysisError;
 use crate::filter::TaskFilter;
 use crate::index::{samples_in, states_overlapping, value_at, CounterIndex};
 use crate::pyramid::{overlap_range, ExecStats, StatePyramid, DEFAULT_PYRAMID_FANOUT};
+use crate::shared::CacheStats;
 use crate::taskgraph::TaskGraph;
 use crate::timeline::{CostModel, EngineDecision, TimelineEngine, TimelineMode, TimelineModel};
 
@@ -57,9 +58,8 @@ pub struct AnalysisSession<'t> {
     /// that actually has samples. Keying by the exact pair (instead of a dense
     /// `cpu × counter` table) keeps session open cost proportional to the data —
     /// a sparse trace on a many-CPU, many-counter machine allocates one slot per
-    /// present pair, not the full cross product. Shards are `Arc`s so a
-    /// [`crate::live::LiveSession`] can seed a session view with its incrementally
-    /// maintained indexes without copying them.
+    /// present pair, not the full cross product. Shards are `Arc`s so an owner's
+    /// `SessionState` seeds a view without copying them.
     counter_shards: HashMap<(CpuId, CounterId), OnceLock<Arc<CounterIndex>>>,
     /// Lazily built multi-resolution state pyramids, one per CPU with a non-empty
     /// state stream ([`crate::pyramid`]); built on first timeline/interval query or
@@ -76,44 +76,45 @@ pub struct AnalysisSession<'t> {
     /// the lint pipeline ([`aftermath_trace::lint`]). `None` means "never
     /// linted" — an empty summary means "linted and clean".
     lint: Option<LintSummary>,
+    /// Thread budget of [`AnalysisSession::detect_anomalies`]. Single, unless the
+    /// owner knows the other cores are idle: a [`crate::StoreSession`] answers one
+    /// request at a time and hands its views the store's budget.
+    pub(crate) scan_threads: Threads,
+    /// What `SessionState::view` put into this view, for `SessionState::absorb`.
+    seeded: Seeded,
 }
 
-/// Shared handle to an anomaly-report cache. Batch sessions own theirs exclusively;
-/// a [`crate::live::LiveSession`] shares one handle across the session views of an
-/// epoch and swaps it for a fresh one when the epoch advances.
-pub(crate) type AnomalyCacheHandle = Arc<SharedCache<AnomalyConfig, AnomalyReport>>;
-
-/// Shared handle to a timeline-model cache (see [`AnomalyCacheHandle`]).
-pub(crate) type TimelineCacheHandle = Arc<SharedCache<TimelineKey, TimelineModel>>;
+/// What a view was seeded with: the owner's counters tell re-use from building.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seeded {
+    indexes: usize,
+    pyramids: usize,
+    access_index: bool,
+}
 
 /// The shareable, internally synchronised state of a session. A batch session owns
-/// its handles exclusively; [`crate::SharedSession`], [`crate::StoreSession`] and
-/// [`crate::live::LiveSession`] keep one set and clone it into every view they hand
-/// out, so views share results — and replace a handle when what it holds no longer
-/// describes the data.
+/// its handles exclusively; a [`SessionState`] keeps one set and clones it into
+/// every view it hands out, so views share results.
 #[derive(Debug, Clone)]
-pub(crate) struct SessionHandles {
+struct SessionHandles {
     /// Ranked anomaly reports per configuration.
-    pub(crate) anomaly_cache: AnomalyCacheHandle,
+    anomaly_cache: Arc<SharedCache<AnomalyConfig, AnomalyReport>>,
     /// Timeline models per viewport.
-    pub(crate) timeline_cache: TimelineCacheHandle,
+    timeline_cache: Arc<SharedCache<TimelineKey, TimelineModel>>,
     /// The adaptive timeline engine's measured cost model, calibrated lazily on
-    /// first use. The constants describe the machine, not the data, so a
-    /// [`crate::live::LiveSession`] carries one calibration across all epochs.
-    pub(crate) cost_model: Arc<OnceLock<CostModel>>,
+    /// first use. The constants describe the machine, not the data.
+    cost_model: Arc<OnceLock<CostModel>>,
     /// The access index ([`crate::access_index`]), built on first use — by
     /// [`AnalysisSession::prewarm`], a pyramid build, a NUMA-mode frame or a
     /// whole-trace NUMA analysis — over the task and access tables as they are
-    /// then. An owner whose tables change hands out a different slot: a live
-    /// session a fresh one per epoch, a store session an empty throwaway while
-    /// either table is not fully resident.
-    pub(crate) access_index: Arc<OnceLock<AccessIndex>>,
+    /// then.
+    access_index: Arc<OnceLock<AccessIndex>>,
 }
 
 impl SessionHandles {
     /// Empty caches at the session's default capacities, nothing calibrated or
     /// indexed yet.
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         SessionHandles {
             anomaly_cache: Arc::new(SharedCache::new(AnalysisSession::ANOMALY_CACHE_CAPACITY)),
             timeline_cache: Arc::new(SharedCache::new(AnalysisSession::TIMELINE_CACHE_CAPACITY)),
@@ -121,25 +122,165 @@ impl SessionHandles {
             access_index: Arc::new(OnceLock::new()),
         }
     }
+}
 
-    /// Forgets everything derived from the trace's data (results and the access
-    /// index); the cost model stays.
+/// What one request reads: the single input to a store's lane plan
+/// ([`crate::StoreSession::with_view`]) and to the coverage rule of a salvaged
+/// one ([`crate::SalvageCoverage::allows`]). Owners whose trace is always whole
+/// ignore it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Need {
+    /// No event data (metadata, the lint summary).
+    Nothing,
+    /// One timeline frame.
+    Frame {
+        /// The frame's mode: task-based modes read the task table, NUMA modes
+        /// the access table too.
+        mode: TimelineMode,
+        /// The visible interval.
+        interval: TimeInterval,
+        /// The scan engine reads only the block runs overlapping `interval`;
+        /// the others read whole lanes and build pyramids over them.
+        engine: TimelineEngine,
+    },
+    /// Interval-query aggregates over every table.
+    Query {
+        /// The queried window.
+        interval: TimeInterval,
+    },
+    /// A whole-trace scan (anomaly detection, drill-in).
+    WholeTrace,
+}
+
+/// What every long-lived owner of a trace — [`crate::SharedSession`],
+/// [`crate::StoreSession`], [`crate::live::LiveSession`] — keeps between the
+/// [`AnalysisSession`] views it hands out: the index shards built so far, the
+/// result caches, cost model and access index every view shares, and counters of
+/// what was built and what was re-used.
+///
+/// Shards hold absolute row indices into their lane, so [`SessionState::view`]
+/// seeds a shard only while the owner calls its lane `usable` (a store: fully
+/// resident) and [`SessionState::absorb`] keeps only shards built over usable
+/// lanes; a kept shard survives its lane becoming unusable and is seeded again
+/// once the lane is back. The access index follows the same rule over its two
+/// lanes, tasks and accesses.
+#[derive(Debug)]
+pub(crate) struct SessionState {
+    /// Counter indexes by `(CPU, counter)`; a live session maintains them in place.
+    pub(crate) indexes: HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
+    /// State pyramids by CPU id (see `indexes`).
+    pub(crate) pyramids: HashMap<u32, Arc<StatePyramid>>,
+    handles: SessionHandles,
+    /// Pyramids views built — over usable lanes (kept), or throwaways over others.
+    pub(crate) pyramid_builds: u64,
+    /// Counter indexes views built (see `pyramid_builds`).
+    pub(crate) index_builds: u64,
+    /// Access indexes views built (see `pyramid_builds`).
+    pub(crate) access_index_builds: u64,
+    /// Kept shards handed to a view instead of being rebuilt.
+    pub(crate) shards_reseeded: u64,
+}
+
+impl SessionState {
+    /// Nothing built, empty caches.
+    pub(crate) fn new() -> Self {
+        SessionState {
+            indexes: HashMap::new(),
+            pyramids: HashMap::new(),
+            handles: SessionHandles::new(),
+            pyramid_builds: 0,
+            index_builds: 0,
+            access_index_builds: 0,
+            shards_reseeded: 0,
+        }
+    }
+
+    /// A view over `trace` sharing the result caches and the cost model, seeded
+    /// with every kept shard whose lane is `usable`, and with the kept access
+    /// index while `Tasks` and `Accesses` both are (an empty throwaway slot
+    /// otherwise). Costs `O(kept shards)` `Arc` clones; whatever is not seeded
+    /// stays lazy exactly like in [`AnalysisSession::new`].
+    pub(crate) fn view<'t>(
+        &self,
+        trace: &'t Trace,
+        lint: Option<&LintSummary>,
+        usable: impl Fn(LaneId) -> bool,
+    ) -> AnalysisSession<'t> {
+        let mut handles = self.handles.clone();
+        if !(usable(LaneId::Tasks) && usable(LaneId::Accesses)) {
+            handles.access_index = Arc::default();
+        }
+        let indexes = self
+            .indexes
+            .iter()
+            .filter(|(&(cpu, counter), _)| usable(LaneId::Samples(cpu, counter)));
+        let pyramids = self
+            .pyramids
+            .iter()
+            .filter(|(&cpu, _)| usable(LaneId::States(CpuId(cpu))));
+        let mut view = AnalysisSession::with_prebuilt(trace, indexes, pyramids, handles);
+        view.lint = lint.cloned();
+        view
+    }
+
+    /// Keeps what `view` built over `usable` lanes and counts what it built and
+    /// what it was handed.
+    pub(crate) fn absorb(&mut self, view: &AnalysisSession<'_>, usable: impl Fn(LaneId) -> bool) {
+        let (indexes, pyramids) = view.built_shards();
+        let seeded = view.seeded;
+        self.shards_reseeded += (seeded.indexes + seeded.pyramids) as u64;
+        self.index_builds += indexes.len().saturating_sub(seeded.indexes) as u64;
+        self.pyramid_builds += pyramids.len().saturating_sub(seeded.pyramids) as u64;
+        self.access_index_builds += u64::from(!seeded.access_index && view.access_index_built());
+        self.indexes.extend(
+            indexes
+                .into_iter()
+                .filter(|&((cpu, counter), _)| usable(LaneId::Samples(cpu, counter))),
+        );
+        self.pyramids.extend(
+            pyramids
+                .into_iter()
+                .filter(|&(cpu, _)| usable(LaneId::States(CpuId(cpu)))),
+        );
+    }
+
+    /// Bytes of every kept counter index and pyramid and the kept access index.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        let indexes: usize = self.indexes.values().map(|i| i.memory_bytes()).sum();
+        let pyramids: usize = self.pyramids.values().map(|p| p.memory_bytes()).sum();
+        let access_index = self.handles.access_index.get();
+        indexes + pyramids + access_index.map_or(0, |index| index.memory_bytes())
+    }
+
+    /// Combined hit/miss totals of the timeline-model and anomaly-report caches,
+    /// accumulated across every view.
+    pub(crate) fn cache_stats(&self) -> CacheStats {
+        let (th, tm) = self.handles.timeline_cache.stats();
+        let (ah, am) = self.handles.anomaly_cache.stats();
+        CacheStats {
+            hits: th + ah,
+            misses: tm + am,
+        }
+    }
+
+    /// Forgets everything derived from the trace's data — cached results and the
+    /// access index — when a live epoch appends to it. The cost model describes
+    /// the machine and stays; the shards are the live session's to maintain.
     pub(crate) fn invalidate_data(&mut self) {
-        *self = SessionHandles {
-            cost_model: Arc::clone(&self.cost_model),
+        self.handles = SessionHandles {
+            cost_model: Arc::clone(&self.handles.cost_model),
             ..SessionHandles::new()
         };
     }
 }
 
 /// Cache key of one timeline-model computation: everything the model depends on.
-pub(crate) type TimelineKey = (TimelineMode, TimeInterval, usize, TaskFilter);
+type TimelineKey = (TimelineMode, TimeInterval, usize, TaskFilter);
 
-/// Seedable maps of every counter-index shard and state pyramid built so far:
-/// what [`AnalysisSession::built_shards`] harvests and
-/// [`AnalysisSession::with_prebuilt`] re-seeds from. (The access index needs no
-/// harvest: its slot is one of the [`SessionHandles`].)
-pub(crate) type BuiltShards = (
+/// Every counter-index shard and state pyramid a view has built so far, as
+/// [`SessionState::absorb`] harvests them. (The access index needs no harvest: its
+/// slot is one of the [`SessionHandles`].)
+type BuiltShards = (
     HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
     HashMap<u32, Arc<StatePyramid>>,
 );
@@ -335,10 +476,7 @@ impl<'t> AnalysisSession<'t> {
         Self::with_handles(trace, SessionHandles::new())
     }
 
-    /// Like [`AnalysisSession::new`] but sharing externally owned handles — the
-    /// seam [`crate::live::LiveSession`] uses to keep cached timeline models and
-    /// anomaly reports alive across the session views of one epoch and invalidate
-    /// them per epoch (by swapping the handles) instead of wholesale.
+    /// Like [`AnalysisSession::new`] but sharing an owner's handles.
     fn with_handles(trace: &'t Trace, handles: SessionHandles) -> Self {
         // One empty slot per (CPU, counter) pair that has samples; the indexes
         // themselves are built on first touch.
@@ -362,6 +500,8 @@ impl<'t> AnalysisSession<'t> {
             handles,
             engine_log: Mutex::new(Vec::new()),
             lint: None,
+            scan_threads: Threads::single(),
+            seeded: Seeded::default(),
         }
     }
 
@@ -389,38 +529,32 @@ impl<'t> AnalysisSession<'t> {
         self.lint.as_ref()
     }
 
-    /// Builds a session view whose index shards are pre-seeded from externally
-    /// maintained indexes ([`crate::live::LiveSession`] passes its incrementally
-    /// updated shards), sharing the given handles.
-    ///
-    /// Seeding costs `O(number of shards)` `Arc` clones — no index is copied or
-    /// rebuilt — so opening a fresh view per epoch is cheap. Shards not present in
-    /// the maps stay lazy exactly like in [`AnalysisSession::new`].
-    pub(crate) fn with_prebuilt(
+    /// [`AnalysisSession::with_handles`] with the given shards already in their
+    /// slots: no index is copied or rebuilt.
+    fn with_prebuilt<'a>(
         trace: &'t Trace,
-        indexes: &HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
-        pyramids: &HashMap<u32, Arc<StatePyramid>>,
+        indexes: impl Iterator<Item = (&'a (CpuId, CounterId), &'a Arc<CounterIndex>)>,
+        pyramids: impl Iterator<Item = (&'a u32, &'a Arc<StatePyramid>)>,
         handles: SessionHandles,
     ) -> Self {
-        let session = Self::with_handles(trace, handles);
+        let mut session = Self::with_handles(trace, handles);
+        session.seeded.access_index = session.access_index_built();
         for (key, index) in indexes {
             if let Some(slot) = session.counter_shards.get(key) {
-                let _ = slot.set(Arc::clone(index));
+                session.seeded.indexes += usize::from(slot.set(Arc::clone(index)).is_ok());
             }
         }
         for (&cpu, pyramid) in pyramids {
             if let Some(slot) = session.pyramids.get(cpu as usize) {
-                let _ = slot.set(Arc::clone(pyramid));
+                session.seeded.pyramids += usize::from(slot.set(Arc::clone(pyramid)).is_ok());
             }
         }
         session
     }
 
-    /// Harvests every index shard built **so far** as seedable maps — the
-    /// inverse of [`AnalysisSession::with_prebuilt`]. Costs `O(built shards)`
-    /// `Arc` clones; [`crate::shared::SharedSession`] prewarms a throwaway
-    /// session and keeps these maps so later views re-seed from them.
-    pub(crate) fn built_shards(&self) -> BuiltShards {
+    /// Every index shard built **so far** — the inverse of
+    /// [`AnalysisSession::with_prebuilt`], `O(built shards)` `Arc` clones.
+    fn built_shards(&self) -> BuiltShards {
         let indexes = self
             .counter_shards
             .iter()
@@ -579,9 +713,8 @@ impl<'t> AnalysisSession<'t> {
 
     /// The per-lane half of [`AnalysisSession::prewarm`], restricted to the
     /// shards whose backing lane — [`LaneId::Samples`] for a counter index,
-    /// [`LaneId::States`] for a pyramid — `wanted` accepts. The one
-    /// shard-building routine: [`crate::shared::SharedSession`] wants every lane,
-    /// a [`crate::store_session::StoreSession`] only the fully resident ones.
+    /// [`LaneId::States`] for a pyramid — `wanted` accepts: a
+    /// [`crate::StoreSession`] wants only the fully resident ones.
     ///
     /// The access index is not a per-lane shard and is not built ahead here: the
     /// first pyramid build reads through it and builds it (the other workers wait
@@ -747,7 +880,7 @@ impl<'t> AnalysisSession<'t> {
         &self,
         config: &AnomalyConfig,
     ) -> Result<Arc<AnomalyReport>, AnalysisError> {
-        self.detect_anomalies_with(config, Threads::single())
+        self.detect_anomalies_with(config, self.scan_threads)
     }
 
     /// Like [`AnalysisSession::detect_anomalies`] but lets every enabled detector
@@ -1317,6 +1450,61 @@ mod tests {
             .counter_min_max(CpuId(0), CounterId(999), bounds)
             .is_none());
         assert_eq!(session.built_counter_indexes(), 0);
+    }
+
+    #[test]
+    fn state_seeds_only_usable_lanes_and_counts_what_it_reuses() {
+        use aftermath_trace::store::{
+            write_store_bytes, LaneRequest, LaneResidency, StoreOptions, StoredTrace,
+        };
+        let bytes = write_store_bytes(&small_sim_trace(), &StoreOptions::default()).unwrap();
+        let mut stored = StoredTrace::from_bytes(bytes).unwrap();
+        let everything: Vec<LaneRequest> = stored.lanes().map(LaneRequest::Full).collect();
+        stored.ensure_batch(&everything).unwrap();
+        fn full(stored: &StoredTrace) -> impl Fn(LaneId) -> bool + '_ {
+            |lane| stored.residency(lane) == LaneResidency::Full
+        }
+        let mut state = SessionState::new();
+        let warm = state.view(stored.trace(), None, full(&stored));
+        warm.prewarm(Threads::single());
+        state.absorb(&warm, full(&stored));
+        let access_index: *const AccessIndex = warm.access_index();
+        let (indexes, pyramids) = (state.indexes.len(), state.pyramids.len());
+        assert!(indexes > 0 && pyramids > 1);
+        assert_eq!(
+            (state.index_builds, state.pyramid_builds),
+            (indexes as u64, pyramids as u64)
+        );
+        assert_eq!((state.access_index_builds, state.shards_reseeded), (1, 0));
+
+        // Without CPU 0's states and the access table, a view gets neither that
+        // CPU's pyramid nor the access index; both stay kept.
+        stored.evict(LaneId::States(CpuId(0)));
+        stored.evict(LaneId::Accesses);
+        let partial = state.view(stored.trace(), None, full(&stored));
+        assert!(partial.pyramids[0].get().is_none() && partial.pyramids[1].get().is_some());
+        assert!(!partial.access_index_built());
+        assert_eq!(partial.built_counter_indexes(), indexes);
+        state.absorb(&partial, full(&stored));
+        assert_eq!(state.shards_reseeded, (indexes + pyramids - 1) as u64);
+        assert_eq!(state.pyramids.len(), pyramids);
+
+        // Once the lanes are back, so are the shards — seeded, not rebuilt.
+        let back = [LaneId::States(CpuId(0)), LaneId::Accesses].map(LaneRequest::Full);
+        stored.ensure_batch(&back).unwrap();
+        let whole = state.view(stored.trace(), None, full(&stored));
+        assert!(Arc::ptr_eq(
+            whole.pyramids[0].get().unwrap(),
+            &state.pyramids[&0]
+        ));
+        assert!(std::ptr::eq(whole.access_index(), access_index));
+        state.absorb(&whole, full(&stored));
+        assert_eq!(state.shards_reseeded, (2 * (indexes + pyramids) - 1) as u64);
+        assert_eq!(
+            (state.index_builds, state.pyramid_builds),
+            (indexes as u64, pyramids as u64)
+        );
+        assert_eq!(state.access_index_builds, 1);
     }
 
     #[test]

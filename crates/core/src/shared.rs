@@ -1,34 +1,21 @@
-//! Long-lived, thread-shared analysis state for one trace: the seam between
-//! the borrowing [`AnalysisSession`] and a multi-client server.
+//! Long-lived, thread-shared analysis state for one resident trace: the seam
+//! between the borrowing [`AnalysisSession`] and a multi-client server.
 //!
-//! [`AnalysisSession`] borrows its trace, which is the right shape for a
-//! single analysis run but not for a server that must hold many traces open
-//! across requests from hundreds of clients. A [`SharedSession`] owns the
-//! trace behind an [`Arc`] together with every piece of per-trace state worth
-//! sharing — built counter indexes, state pyramids, the access index, the
-//! timeline/anomaly LRU caches and the adaptive engine's cost model — and
-//! hands out cheap [`AnalysisSession`] *views* pre-seeded with all of it
-//! (`AnalysisSession::with_prebuilt`, the same seam `StoreSession` and
-//! `LiveSession` use).
-//!
-//! The sharing story is what makes "hundreds of clients zooming the same
-//! 16M-event trace" cheap: a view costs `O(built shards)` `Arc` clones, and
-//! every view funnels its timeline-model and anomaly-report lookups through
-//! the *same* cache handles, so a frame one client computed is a cache hit for
-//! every other client. All shared structures are immutable after construction
-//! (indexes, pyramids, trace columns) or internally synchronized (the LRU
-//! caches, the cost model's `OnceLock`), so `SharedSession` is `Sync` and a
-//! server can serve views from as many threads as it likes.
+//! A [`SharedSession`] owns the trace behind an [`Arc`] together with a fully
+//! prewarmed `SessionState`, and hands out cheap [`AnalysisSession`] *views*
+//! seeded with all of it. Every lane of a resident trace is always usable and
+//! nothing is built after [`SharedSession::open`], so the state is immutable
+//! (indexes, pyramids, trace columns) or internally synchronised (the result
+//! caches, the cost model's `OnceLock`): `SharedSession` is `Sync`, a server
+//! serves views from as many threads as it likes, and a frame one client
+//! computed is a cache hit for every other client.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use aftermath_exec::Threads;
-use aftermath_trace::{CounterId, CpuId, LintSummary, Trace};
+use aftermath_trace::{LintSummary, Trace};
 
-use crate::index::CounterIndex;
-use crate::pyramid::StatePyramid;
-use crate::session::{AnalysisSession, SessionHandles};
+use crate::session::{AnalysisSession, Need, SessionState};
 
 /// Hit/miss totals of a shared result cache ([`SharedSession::cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,17 +37,12 @@ impl CacheStats {
     }
 }
 
-/// One trace's shareable analysis state: the owned trace, its fully built
-/// index shards, and the result caches every view funnels through (see the
-/// module docs for the sharing model).
+/// One resident trace's shareable analysis state (see the module docs).
 #[derive(Debug)]
 pub struct SharedSession {
     trace: Arc<Trace>,
     lint: Option<LintSummary>,
-    indexes: HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
-    pyramids: HashMap<u32, Arc<StatePyramid>>,
-    /// Result caches, cost model and the (prewarmed) access index.
-    handles: SessionHandles,
+    state: SessionState,
 }
 
 impl SharedSession {
@@ -71,23 +53,14 @@ impl SharedSession {
     /// This is the expensive, once-per-trace step — the server pays it when a
     /// trace is registered, not when a client connects.
     pub fn open(trace: Arc<Trace>, threads: Threads) -> Self {
-        let handles = SessionHandles::new();
-        let (indexes, pyramids) = {
-            let warm = AnalysisSession::with_prebuilt(
-                &trace,
-                &HashMap::new(),
-                &HashMap::new(),
-                handles.clone(),
-            );
-            warm.prewarm(threads);
-            warm.built_shards()
-        };
+        let mut state = SessionState::new();
+        let warm = state.view(&trace, None, |_| true);
+        warm.prewarm(threads);
+        state.absorb(&warm, |_| true);
         SharedSession {
             trace,
             lint: None,
-            indexes,
-            pyramids,
-            handles,
+            state,
         }
     }
 
@@ -109,16 +82,14 @@ impl SharedSession {
     /// shards)` `Arc` clones, no data copied or rebuilt. Views from concurrent
     /// threads share results through the cache handles.
     pub fn view(&self) -> AnalysisSession<'_> {
-        let session = AnalysisSession::with_prebuilt(
-            &self.trace,
-            &self.indexes,
-            &self.pyramids,
-            self.handles.clone(),
-        );
-        match &self.lint {
-            Some(summary) => session.with_lint_summary(summary.clone()),
-            None => session,
-        }
+        self.state.view(&self.trace, self.lint.as_ref(), |_| true)
+    }
+
+    /// Runs `f` on a [`SharedSession::view`]. The same shape as
+    /// [`crate::StoreSession::with_view`], so a server answers both through one
+    /// call; a resident trace has everything every `need` reads.
+    pub fn with_view<R>(&self, _need: Need, f: impl FnOnce(&AnalysisSession<'_>) -> R) -> R {
+        f(&self.view())
     }
 
     /// Bytes of per-trace state shared by *all* sessions over this trace:
@@ -127,34 +98,23 @@ impl SharedSession {
     /// this — that is the sharing the serve bench's sessions-per-GB metric
     /// measures.
     pub fn shared_bytes(&self) -> usize {
-        let indexes: usize = self.indexes.values().map(|i| i.memory_bytes()).sum();
-        let pyramids: usize = self.pyramids.values().map(|p| p.memory_bytes()).sum();
-        let access_index = self.handles.access_index.get();
-        self.trace.resident_event_bytes()
-            + indexes
-            + pyramids
-            + access_index.map_or(0, |index| index.memory_bytes())
+        self.trace.resident_event_bytes() + self.state.memory_bytes()
     }
 
     /// Number of shared counter-index shards.
     pub fn num_indexes(&self) -> usize {
-        self.indexes.len()
+        self.state.indexes.len()
     }
 
     /// Number of shared state pyramids.
     pub fn num_pyramids(&self) -> usize {
-        self.pyramids.len()
+        self.state.pyramids.len()
     }
 
     /// Combined hit/miss totals of the shared timeline-model and
     /// anomaly-report caches, accumulated across every view of this trace.
     pub fn cache_stats(&self) -> CacheStats {
-        let (th, tm) = self.handles.timeline_cache.stats();
-        let (ah, am) = self.handles.anomaly_cache.stats();
-        CacheStats {
-            hits: th + ah,
-            misses: tm + am,
-        }
+        self.state.cache_stats()
     }
 }
 

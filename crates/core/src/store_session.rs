@@ -2,25 +2,17 @@
 //! ([`aftermath_trace::store`]): lanes materialise lazily on first touch,
 //! timeline frames and interval queries pull in only the block runs they
 //! overlap, and an optional residency budget evicts the least-recently-used
-//! lanes after every query.
+//! lanes after every request.
 //!
-//! A [`StoreSession`] owns the [`StoredTrace`] plus the durable per-session
-//! analysis state — built counter indexes, state pyramids, the access index,
-//! result caches and the adaptive engine's cost model. Each request runs in
-//! three steps:
-//!
-//! 1. everything it needs is materialised in **one** batch
-//!    ([`StoredTrace::ensure_batch`]);
-//! 2. a short-lived [`AnalysisSession`] *view* over the resident lanes is
-//!    seeded with every persisted shard whose lane is fully resident
-//!    (`AnalysisSession::with_prebuilt`), and — for every request that reads
-//!    shards: queries, reports, pyramid and adaptive frames — the missing
-//!    shards of fully resident lanes are built in parallel, each **once per
-//!    session**, by the routine [`crate::SharedSession`] prewarms with
-//!    (`AnalysisSession::prewarm_lanes`);
-//! 3. when the request is answered the view's shards are harvested
-//!    (`AnalysisSession::built_shards`) and the view dropped; the `Arc`s keep
-//!    the shards alive across requests.
+//! A [`StoreSession`] owns the [`StoredTrace`] and a `SessionState`. Every
+//! request is one [`StoreSession::with_view`] call, and everything that is
+//! specific to a store is decided there from the request's [`Need`]: whether a
+//! salvaged store may answer it at all ([`SalvageCoverage::allows`]), which
+//! lanes to materialise — in **one** batch ([`StoredTrace::ensure_batch`]) —
+//! and whether to build the missing shards of fully resident lanes ahead, in
+//! parallel, each once per session. The view is seeded with the shards of
+//! fully resident lanes only; over a partially resident lane it builds its own
+//! consistent throwaway pyramid, lazily.
 //!
 //! A stored trace answers one request at a time (a server holds it behind a
 //! mutex), so the other cores are idle by construction: block decoding, shard
@@ -31,33 +23,24 @@
 //! # Residency semantics
 //!
 //! The budget set by [`StoreSession::set_residency_budget`] is a *steady-state*
-//! cap, enforced after each query like a page cache: the lanes a single query
-//! needs are materialised for its duration even when they transiently exceed
-//! the budget (a zoomed-out NUMA frame touches states, tasks and accesses at
-//! once), and eviction brings residency back under the cap before the call
-//! returns. Answers are byte-identical to a fully resident session at every
-//! budget — the budget trades repeated decode work for memory, never accuracy.
-//!
-//! Index-carrying structures use absolute row indices into their lane, so
-//! pyramids and counter indexes are built ahead, persisted and re-seeded
-//! **only** while their lane is fully resident (they survive its eviction and
-//! are seeded again once it is back); a view over a partially resident lane
-//! builds its own consistent throwaway pyramid, lazily, instead. The access
-//! index ([`crate::access_index`]) follows the same rule over its two lanes,
-//! tasks and accesses.
+//! cap, enforced after each request like a page cache: the lanes a single
+//! request needs are materialised for its duration even when they transiently
+//! exceed the budget (a zoomed-out NUMA frame touches states, tasks and
+//! accesses at once), and eviction brings residency back under the cap before
+//! the call returns. Answers are byte-identical to a fully resident session at
+//! every budget — the budget trades repeated decode work for memory, never
+//! accuracy.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
 use aftermath_trace::store::{DamageReport, LaneId, LaneRequest, LaneResidency, StoredTrace};
-use aftermath_trace::{CounterId, CpuId, TimeInterval};
+use aftermath_trace::TimeInterval;
 
 use crate::error::AnalysisError;
 use crate::filter::TaskFilter;
-use crate::index::CounterIndex;
-use crate::pyramid::StatePyramid;
-use crate::session::{AnalysisSession, IntervalQuery, SessionHandles};
+use crate::session::{AnalysisSession, IntervalQuery, Need, SessionState};
+use crate::shared::CacheStats;
 use crate::timeline::{TimelineEngine, TimelineMode, TimelineModel};
 
 /// Degraded-coverage summary of a salvage-opened store session: what spans
@@ -86,42 +69,50 @@ pub struct SalvageCoverage {
 }
 
 impl SalvageCoverage {
-    fn span_contains(span: Option<TimeInterval>, interval: TimeInterval) -> bool {
-        span.is_some_and(|s| s.start <= interval.start && interval.end <= s.end)
+    /// True when the answer to a request reading `need` is exact: it depends on
+    /// no quarantined row. A frame needs its interval inside the state span and
+    /// the tables its mode reads; a query aggregates every table, so it needs
+    /// its window inside the full span; a whole-trace scan needs everything.
+    pub fn allows(&self, need: &Need) -> bool {
+        let within = |span: Option<TimeInterval>, interval: &TimeInterval| {
+            span.is_some_and(|s| s.start <= interval.start && interval.end <= s.end)
+        };
+        let lost = |lane| self.lost_lanes.contains(&lane);
+        self.clean
+            || match need {
+                Need::Nothing => true,
+                Need::Frame { mode, interval, .. } => {
+                    within(self.state_span, interval)
+                        && !(mode.reads_tasks() && lost(LaneId::Tasks))
+                        && !(mode.reads_accesses() && lost(LaneId::Accesses))
+                }
+                Need::Query { interval } => {
+                    within(self.full_span, interval)
+                        && !lost(LaneId::Tasks)
+                        && !lost(LaneId::Accesses)
+                }
+                Need::WholeTrace => false,
+            }
     }
 
     /// True when a timeline frame of `mode` over `interval` is exact.
     pub fn allows_timeline(&self, mode: TimelineMode, interval: TimeInterval) -> bool {
-        if self.clean {
-            return true;
-        }
-        if !Self::span_contains(self.state_span, interval) {
-            return false;
-        }
-        let needs_tasks = !matches!(mode, TimelineMode::State);
-        let needs_accesses = matches!(
+        self.allows(&Need::Frame {
             mode,
-            TimelineMode::NumaRead | TimelineMode::NumaWrite | TimelineMode::NumaHeat
-        );
-        (!needs_tasks || !self.lost_lanes.contains(&LaneId::Tasks))
-            && (!needs_accesses || !self.lost_lanes.contains(&LaneId::Accesses))
+            interval,
+            engine: TimelineEngine::Adaptive,
+        })
     }
 
-    /// True when an interval query over `interval` is exact (interval queries
-    /// aggregate every table: states, events, samples, tasks and accesses).
+    /// True when an interval query over `interval` is exact.
     pub fn allows_query(&self, interval: TimeInterval) -> bool {
-        if self.clean {
-            return true;
-        }
-        Self::span_contains(self.full_span, interval)
-            && !self.lost_lanes.contains(&LaneId::Tasks)
-            && !self.lost_lanes.contains(&LaneId::Accesses)
+        self.allows(&Need::Query { interval })
     }
 
     /// True when whole-trace scans (anomaly detection, drill-in) are exact —
     /// only when nothing at all was quarantined.
     pub fn allows_full_scan(&self) -> bool {
-        self.clean
+        self.allows(&Need::WholeTrace)
     }
 }
 
@@ -129,21 +120,8 @@ impl SalvageCoverage {
 #[derive(Debug)]
 pub struct StoreSession {
     stored: StoredTrace,
-    /// Counter indexes built over fully resident sample lanes, persisted
-    /// across queries (and across evictions — they are only *seeded* into a
-    /// view while their lane is fully resident again).
-    indexes: HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
-    /// State pyramids built over fully resident state lanes (see `indexes`).
-    pyramids: HashMap<u32, Arc<StatePyramid>>,
-    /// Result caches, cost model and the access-index slot. Like a pyramid, the
-    /// access index is built over fully resident lanes (tasks and accesses),
-    /// survives their eviction and is shared with a view only while both are
-    /// back.
-    handles: SessionHandles,
-    pyramid_builds: u64,
-    index_builds: u64,
-    access_index_builds: u64,
-    shards_reseeded: u64,
+    /// Shards are kept for, and seeded over, fully resident lanes only.
+    state: SessionState,
 }
 
 /// Lifetime work counters of one [`StoreSession`] ([`StoreSession::stats`]).
@@ -204,13 +182,7 @@ impl StoreSession {
     pub fn from_store(stored: StoredTrace) -> Self {
         StoreSession {
             stored,
-            indexes: HashMap::new(),
-            pyramids: HashMap::new(),
-            handles: SessionHandles::new(),
-            pyramid_builds: 0,
-            index_builds: 0,
-            access_index_builds: 0,
-            shards_reseeded: 0,
+            state: SessionState::new(),
         }
     }
 
@@ -230,8 +202,8 @@ impl StoreSession {
     }
 
     /// Degraded-coverage summary of a salvaged session (`None` after a strict
-    /// open). Callers that must never serve degraded data gate requests on
-    /// [`SalvageCoverage::allows_timeline`] / [`SalvageCoverage::allows_query`].
+    /// open). [`StoreSession::with_view`] refuses what
+    /// [`SalvageCoverage::allows`] does not.
     pub fn coverage(&self) -> Option<SalvageCoverage> {
         let report = self.stored.damage()?;
         let mut lost_lanes = Vec::new();
@@ -285,11 +257,24 @@ impl StoreSession {
             lanes_materialised: store.lanes_materialised,
             blocks_decoded: store.blocks_decoded,
             bytes_read: store.bytes_read,
-            pyramid_builds: self.pyramid_builds,
-            index_builds: self.index_builds,
-            access_index_builds: self.access_index_builds,
-            shards_reseeded: self.shards_reseeded,
+            pyramid_builds: self.state.pyramid_builds,
+            index_builds: self.state.index_builds,
+            access_index_builds: self.state.access_index_builds,
+            shards_reseeded: self.state.shards_reseeded,
         }
+    }
+
+    /// Bytes of per-trace state shared by every session over this store: the
+    /// resident event data plus every kept counter index and pyramid and the
+    /// access index (cf. [`crate::SharedSession::shared_bytes`]).
+    pub fn shared_bytes(&self) -> usize {
+        self.resident_event_bytes() + self.state.memory_bytes()
+    }
+
+    /// Combined hit/miss totals of the timeline-model and anomaly-report
+    /// caches every view of this store shares.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.state.cache_stats()
     }
 
     /// The time bounds of the *full* trace, answered from the store directory
@@ -305,7 +290,7 @@ impl StoreSession {
     ///
     /// # Errors
     ///
-    /// Propagates lane materialisation and frame construction failures.
+    /// See [`StoreSession::with_view`]; propagates frame construction failures.
     pub fn timeline(
         &mut self,
         mode: TimelineMode,
@@ -322,23 +307,13 @@ impl StoreSession {
     }
 
     /// Builds one timeline frame from the store, materialising only what the
-    /// `(mode, engine)` combination needs:
-    ///
-    /// - the scan engine pulls in just the contiguous block run of each state
-    ///   lane overlapping `interval` (block-skipping) — plus the task table
-    ///   for task-based modes and the access table for NUMA modes;
-    /// - the pyramid and adaptive engines materialise state, task and access
-    ///   lanes in full (pyramid construction aggregates per-task and per-node
-    ///   data), build the missing pyramids in parallel and persist them for
-    ///   later requests.
-    ///
-    /// Afterwards residency is brought back under the configured budget. The
-    /// produced frame is byte-identical to the same call on a fully resident
+    /// `(mode, engine)` combination needs ([`Need::Frame`]). The produced frame
+    /// is byte-identical to the same call on a fully resident
     /// [`AnalysisSession`].
     ///
     /// # Errors
     ///
-    /// Propagates lane materialisation and frame construction failures.
+    /// See [`StoreSession::with_view`]; propagates frame construction failures.
     pub fn timeline_with_engine(
         &mut self,
         mode: TimelineMode,
@@ -347,27 +322,12 @@ impl StoreSession {
         filter: &TaskFilter,
         engine: TimelineEngine,
     ) -> Result<TimelineModel, AnalysisError> {
-        let scan = matches!(engine, TimelineEngine::Scan);
-        let mut lanes: Vec<LaneRequest> = self
-            .stored
-            .lanes()
-            .filter(|lane| matches!(lane, LaneId::States(_)))
-            .map(|lane| match scan {
-                true => LaneRequest::StatesCovering(lane, interval),
-                false => LaneRequest::Full(lane),
-            })
-            .collect();
-        if !scan || !matches!(mode, TimelineMode::State) {
-            lanes.push(LaneRequest::Full(LaneId::Tasks));
-        }
-        let numa_mode = matches!(
+        let need = Need::Frame {
             mode,
-            TimelineMode::NumaRead | TimelineMode::NumaWrite | TimelineMode::NumaHeat
-        );
-        if !scan || numa_mode {
-            lanes.push(LaneRequest::Full(LaneId::Accesses));
-        }
-        self.answer(&lanes, !scan, |view| {
+            interval,
+            engine,
+        };
+        self.with_view(need, |view| {
             TimelineModel::build_with_engine(view, mode, interval, columns, filter, engine)
         })?
     }
@@ -378,7 +338,7 @@ impl StoreSession {
     ///
     /// # Errors
     ///
-    /// Propagates lane materialisation and frame construction failures.
+    /// See [`StoreSession::timeline_with_engine`].
     pub fn first_frame(&mut self, columns: usize) -> Result<TimelineModel, AnalysisError> {
         let bounds = self.time_bounds();
         self.timeline_with_engine(
@@ -390,106 +350,121 @@ impl StoreSession {
         )
     }
 
-    /// Runs an interval query against the store: state lanes materialise only
-    /// the block runs overlapping `interval`; sample, task and access lanes
-    /// (whole-lane granularity) materialise in full, and the counter indexes
-    /// and pyramids of every fully resident lane are built once and persist
-    /// for later requests. Afterwards residency is brought back under the
-    /// configured budget.
-    ///
-    /// The closure receives the same [`IntervalQuery`] API a fully resident
+    /// Runs an interval query against the store ([`Need::Query`]). The closure
+    /// receives the same [`IntervalQuery`] API a fully resident
     /// [`AnalysisSession::query`] returns, with identical answers.
     ///
     /// # Errors
     ///
-    /// Propagates lane materialisation failures.
+    /// See [`StoreSession::with_view`].
     pub fn query<R>(
         &mut self,
         interval: TimeInterval,
         f: impl FnOnce(&IntervalQuery<'_, '_>) -> R,
     ) -> Result<R, AnalysisError> {
-        let lanes: Vec<LaneRequest> = self
-            .stored
-            .lanes()
-            .map(|lane| match lane {
-                LaneId::States(_) => LaneRequest::StatesCovering(lane, interval),
-                _ => LaneRequest::Full(lane),
-            })
-            .collect();
-        self.answer(&lanes, true, |view| f(&view.query(interval)))
+        self.with_view(Need::Query { interval }, |view| f(&view.query(interval)))
     }
 
-    /// Runs the anomaly engine against the store: every lane materialises in
-    /// full (the detectors scan states, tasks, accesses and counters alike),
-    /// built indexes and pyramids persist for later requests, the scan fans
-    /// out over the store's thread budget, and the ranked report lands in the
-    /// session's shared anomaly cache — a repeated call with an equal
-    /// `config` is a cache hit. Afterwards residency is brought back under
-    /// the configured budget.
+    /// Runs the anomaly engine against the store ([`Need::WholeTrace`]): the
+    /// scan fans out over the store's thread budget, and the ranked report
+    /// lands in the session's shared anomaly cache — a repeated call with an
+    /// equal `config` is a cache hit.
     ///
     /// # Errors
     ///
-    /// Propagates lane materialisation and detector failures.
+    /// See [`StoreSession::with_view`]; propagates detector failures.
     pub fn detect_anomalies(
         &mut self,
         config: &crate::anomaly::AnomalyConfig,
     ) -> Result<Arc<crate::anomaly::AnomalyReport>, AnalysisError> {
-        let lanes: Vec<LaneRequest> = self.stored.lanes().map(LaneRequest::Full).collect();
-        let threads = self.stored.decode_threads();
-        self.answer(&lanes, true, |view| {
-            view.detect_anomalies_with(config, threads)
-        })?
+        self.with_view(Need::WholeTrace, |view| view.detect_anomalies(config))?
     }
 
-    /// One request against the store: materialises `lanes` in one batch, runs
-    /// `f` on a short-lived [`AnalysisSession`] over the resident lanes, and
-    /// brings residency back under the budget.
+    /// The lane plan of a request: what [`StoreSession::with_view`]
+    /// materialises for `need`.
     ///
-    /// The view is seeded with every persisted shard whose lane is *fully*
-    /// resident (absolute row indexes must align; see the module docs). With
-    /// `warm`, the missing shards of fully resident lanes are first built in
-    /// parallel on the store's thread budget; either way, what the view built
-    /// over fully resident lanes is harvested and persisted afterwards.
-    fn answer<R>(
+    /// State lanes are block-skipping — a scan-engine frame and a query pull in
+    /// just the contiguous block run of each state lane overlapping the
+    /// interval — every other lane has whole-lane granularity. A frame reads
+    /// the task table for task-based modes and the access table for NUMA modes;
+    /// the pyramid and adaptive engines read both regardless and the state
+    /// lanes in full, because pyramid construction aggregates per-task and
+    /// per-node data. A query and a whole-trace scan read every lane.
+    fn lanes(&self, need: &Need) -> Vec<LaneRequest> {
+        let lanes = self.stored.lanes();
+        let covering = |interval| {
+            move |lane| match lane {
+                LaneId::States(_) => LaneRequest::StatesCovering(lane, interval),
+                _ => LaneRequest::Full(lane),
+            }
+        };
+        match *need {
+            Need::Nothing => Vec::new(),
+            Need::Frame {
+                mode,
+                interval,
+                engine,
+            } => {
+                let scan = engine == TimelineEngine::Scan;
+                let states = lanes.filter(|lane| matches!(lane, LaneId::States(_)));
+                let mut plan: Vec<LaneRequest> = match scan {
+                    true => states.map(covering(interval)).collect(),
+                    false => states.map(LaneRequest::Full).collect(),
+                };
+                if !scan || mode.reads_tasks() {
+                    plan.push(LaneRequest::Full(LaneId::Tasks));
+                }
+                if !scan || mode.reads_accesses() {
+                    plan.push(LaneRequest::Full(LaneId::Accesses));
+                }
+                plan
+            }
+            Need::Query { interval } => lanes.map(covering(interval)).collect(),
+            Need::WholeTrace => lanes.map(LaneRequest::Full).collect(),
+        }
+    }
+
+    /// One request against the store: runs `f` on a short-lived
+    /// [`AnalysisSession`] view over the lanes `need` reads, and brings
+    /// residency back under the budget.
+    ///
+    /// The view is seeded with every kept shard whose lane is *fully* resident.
+    /// Unless the request reads no shard (nothing, or a scan-engine frame), the
+    /// missing shards of fully resident lanes are first built in parallel on
+    /// the store's thread budget; either way, what the view built over fully
+    /// resident lanes is kept afterwards.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::OutsideCoverage`] when the store was salvage-opened and
+    /// the answer would depend on quarantined rows — refused, not approximated,
+    /// before anything is read; otherwise propagates lane materialisation
+    /// failures.
+    pub fn with_view<R>(
         &mut self,
-        lanes: &[LaneRequest],
-        warm: bool,
+        need: Need,
         f: impl FnOnce(&AnalysisSession<'_>) -> R,
     ) -> Result<R, AnalysisError> {
-        self.stored.ensure_batch(lanes)?;
+        if let Some(coverage) = self.coverage().filter(|c| !c.allows(&need)) {
+            return Err(AnalysisError::OutsideCoverage {
+                row_coverage: coverage.row_coverage,
+            });
+        }
+        self.stored.ensure_batch(&self.lanes(&need))?;
         let stored = &self.stored;
         let full = |lane| stored.residency(lane) == LaneResidency::Full;
-        let mut indexes = self.indexes.clone();
-        indexes.retain(|&(cpu, ctr), _| full(LaneId::Samples(cpu, ctr)));
-        let mut pyramids = self.pyramids.clone();
-        pyramids.retain(|&cpu, _| full(LaneId::States(CpuId(cpu))));
-        // The access index spans two lanes: the view shares the persisted slot
-        // while both are fully resident and gets an empty throwaway otherwise.
-        let mut handles = self.handles.clone();
-        if !(full(LaneId::Tasks) && full(LaneId::Accesses)) {
-            handles.access_index = Arc::default();
-        }
-        let access_index_seeded = handles.access_index.get().is_some();
-        let view = AnalysisSession::with_prebuilt(stored.trace(), &indexes, &pyramids, handles);
-        if warm {
+        let mut view = self.state.view(stored.trace(), None, full);
+        view.scan_threads = stored.decode_threads();
+        let reads_shards = match need {
+            Need::Nothing => false,
+            Need::Frame { engine, .. } => engine != TimelineEngine::Scan,
+            Need::Query { .. } | Need::WholeTrace => true,
+        };
+        if reads_shards {
             view.prewarm_lanes(stored.decode_threads(), full);
         }
         let result = f(&view);
-        let (built_indexes, built_pyramids) = view.built_shards();
-        self.shards_reseeded += (indexes.len() + pyramids.len()) as u64;
-        self.index_builds += built_indexes.len().saturating_sub(indexes.len()) as u64;
-        self.pyramid_builds += built_pyramids.len().saturating_sub(pyramids.len()) as u64;
-        self.access_index_builds += u64::from(!access_index_seeded && view.access_index_built());
-        self.indexes.extend(
-            built_indexes
-                .into_iter()
-                .filter(|&((cpu, ctr), _)| full(LaneId::Samples(cpu, ctr))),
-        );
-        self.pyramids.extend(
-            built_pyramids
-                .into_iter()
-                .filter(|&(cpu, _)| full(LaneId::States(CpuId(cpu)))),
-        );
+        self.state.absorb(&view, full);
         self.stored.evict_to_budget();
         Ok(result)
     }

@@ -50,6 +50,19 @@ pub enum TimelineMode {
     NumaHeat,
 }
 
+impl TimelineMode {
+    /// Whether cells of this mode depend on the task table.
+    pub(crate) fn reads_tasks(self) -> bool {
+        self != TimelineMode::State
+    }
+
+    /// Whether cells of this mode depend on the access table.
+    pub(crate) fn reads_accesses(self) -> bool {
+        use TimelineMode::{NumaHeat, NumaRead, NumaWrite};
+        matches!(self, NumaRead | NumaWrite | NumaHeat)
+    }
+}
+
 /// The content of one timeline cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TimelineCell {

@@ -11,11 +11,11 @@
 //!
 //! * **[`SessionManager`]** ([`manager`]) — registered traces (resident
 //!   [`aftermath_core::SharedSession`]s or on-disk
-//!   [`aftermath_core::StoreSession`]s) plus the open-session table and the
-//!   request dispatcher. Sessions over the same trace share its counter
-//!   indexes, state pyramids, timeline/anomaly result caches and cost model,
-//!   so the N-th session costs bookkeeping, not gigabytes — and one client's
-//!   computed frame is every other client's cache hit.
+//!   [`aftermath_core::StoreSession`]s), the open-session table, and the one
+//!   request → response function, [`manager::direct_response`]. Sessions over
+//!   the same trace share its counter indexes, state pyramids, result caches
+//!   and cost model, so the N-th session costs bookkeeping, not gigabytes —
+//!   and one client's computed frame is every other client's cache hit.
 //! * **[`protocol`]** — a compact length-prefixed request/response wire
 //!   format (open/close, timeline frames, interval queries, anomaly reports,
 //!   drill-in filters, lint summaries, server stats) with a version byte and
@@ -28,10 +28,10 @@
 //!   generator and the CI smoke test speak.
 //!
 //! The contract that keeps the server honest is byte-identity: every response
-//! must encode exactly what a direct, in-process
-//! [`aftermath_core::AnalysisSession`] over the same trace would produce
-//! ([`manager::direct_response`]); the serve bench and the CI smoke step
-//! enforce it.
+//! encodes exactly what a direct, in-process
+//! [`aftermath_core::AnalysisSession`] over the same trace produces — the
+//! manager answers through the same function — and the serve bench and the CI
+//! smoke step still check it end to end, over the wire.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -63,7 +63,7 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Client, RetriesExhausted, RetryPolicy};
-pub use manager::{SessionManager, TraceEntry};
+pub use manager::{SessionManager, StoreEntry, TraceEntry};
 pub use protocol::{
     DetectorSet, ErrorCode, QueryResult, Request, Response, ServerStats, MAX_FRAME_LEN,
     PROTOCOL_VERSION,

@@ -1,22 +1,23 @@
-//! The session manager: registered traces, open sessions, and the request
-//! dispatcher the TCP front end calls into.
+//! The session manager: registered traces, open sessions, and the one
+//! request → response function of the crate.
 //!
-//! A [`SessionManager`] holds the server's traces — fully resident ones as
-//! [`SharedSession`]s whose prewarmed indexes, pyramids and result caches are
-//! shared by *every* session over that trace, and on-disk column stores as
-//! lazily materialising [`StoreSession`]s — plus a table of open sessions.
-//! Opening a session is an admission decision and two map inserts; all the
-//! expensive per-trace state was built when the trace was registered, which
-//! is what keeps "hundreds of clients on the same trace" at near-constant
-//! memory (the serve bench's sessions-per-GB metric).
+//! A [`SessionManager`] holds the server's traces — resident ones as
+//! [`SharedSession`]s, on-disk column stores as lazily materialising
+//! [`StoreSession`]s — plus a table of open sessions. Opening a session is an
+//! admission decision and two map inserts; all the expensive per-trace state
+//! was built when the trace was registered, which is what keeps "hundreds of
+//! clients on the same trace" at near-constant memory (the serve bench's
+//! sessions-per-GB metric).
 //!
-//! [`SessionManager::handle`] is a pure request→response function with no I/O
-//! of its own: the server calls it from pool workers, tests call it directly,
-//! and the load generator's byte-identity check replays the same responses
-//! through a direct in-process [`AnalysisSession`]. Memory-backed traces are
-//! handled lock-free on the shared state (views are cheap and `Sync`); a
-//! store-backed trace serialises its requests behind one mutex because lane
-//! materialisation needs `&mut`.
+//! [`SessionManager::handle`] has no I/O of its own (the server calls it from
+//! pool workers, tests call it directly) and no analysis of its own either:
+//! it finds the session's [`TraceEntry`], validates the request's shape, says
+//! what the request reads ([`Need`]) and hands [`direct_response`] a view of the
+//! trace — so the server's bytes are the direct session's bytes for every
+//! backing by construction. What differs per backing is only how a view comes
+//! to be: a memory-backed trace hands them out lock-free and concurrently, a
+//! store-backed one serialises its requests behind one mutex because lane
+//! materialisation needs `&mut`. `Open` and `Stats` never take that mutex.
 
 // Dispatch helpers use `Result<Response, Response>` so `?` short-circuits
 // straight to the error *response*; both variants merge immediately at the
@@ -25,13 +26,14 @@
 
 use std::collections::HashMap;
 use std::mem::size_of;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use aftermath_core::anomaly::AnomalyReport;
 use aftermath_core::session::IntervalQuery;
 use aftermath_core::timeline::TimelineEngine;
-use aftermath_core::{AnalysisError, AnalysisSession, SharedSession, StoreSession, TaskFilter};
-use aftermath_trace::{AccessKind, CounterId, CpuId};
+use aftermath_core::{
+    AnalysisError, AnalysisSession, CacheStats, Need, SharedSession, StoreSession, TaskFilter,
+};
+use aftermath_trace::{AccessKind, CounterId, CpuId, TimeInterval};
 
 use crate::protocol::{ErrorCode, QueryResult, Request, Response, ServerStats};
 
@@ -46,9 +48,71 @@ pub enum TraceEntry {
     /// A resident trace with prewarmed shared indexes, pyramids and caches;
     /// requests run concurrently on cheap views.
     Memory(Arc<SharedSession>),
-    /// An on-disk column store; requests serialise behind the mutex because
+    /// An on-disk column store; requests serialise behind its mutex because
     /// lane materialisation mutates residency state.
-    Store(Arc<Mutex<StoreSession>>),
+    Store(Arc<StoreEntry>),
+}
+
+/// A store-backed trace: the session behind its mutex, and next to it what
+/// `Stats` reports about it, so that reading it never waits for a request.
+#[derive(Debug)]
+pub struct StoreEntry {
+    session: Mutex<StoreSession>,
+    /// `(shared bytes, result-cache totals)` as of the last completed request.
+    published: Mutex<(u64, CacheStats)>,
+}
+
+impl StoreEntry {
+    fn new(session: StoreSession) -> Self {
+        let published = Mutex::new((session.shared_bytes() as u64, session.cache_stats()));
+        StoreEntry {
+            session: Mutex::new(session),
+            published,
+        }
+    }
+
+    fn with_view<R>(
+        &self,
+        need: Need,
+        f: impl FnOnce(&AnalysisSession<'_>) -> R,
+    ) -> Result<R, AnalysisError> {
+        // Recover from a poisoned lock: a pool worker that panicked mid-request
+        // (the server contains such panics) leaves the mutex poisoned, but
+        // `StoreSession` mutations are residency bookkeeping and caches that
+        // fail closed — a lost answer, not corrupt analysis state — so later
+        // requests on the same trace must keep working.
+        let mut session = self.session.lock().unwrap_or_else(PoisonError::into_inner);
+        let result = session.with_view(need, f);
+        *self
+            .published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) =
+            (session.shared_bytes() as u64, session.cache_stats());
+        result
+    }
+}
+
+impl TraceEntry {
+    /// Runs `f` on a view of the trace that has what `need` reads.
+    fn with_view<R>(
+        &self,
+        need: Need,
+        f: impl FnOnce(&AnalysisSession<'_>) -> R,
+    ) -> Result<R, AnalysisError> {
+        match self {
+            TraceEntry::Memory(shared) => Ok(shared.with_view(need, f)),
+            TraceEntry::Store(store) => store.with_view(need, f),
+        }
+    }
+}
+
+/// A registered trace and what `Open` answers about it (immutable once
+/// registered).
+#[derive(Debug)]
+struct Registered {
+    entry: TraceEntry,
+    interval: TimeInterval,
+    cpus: u32,
 }
 
 #[derive(Debug, Default)]
@@ -63,7 +127,7 @@ struct SessionTable {
 /// Registered traces plus the table of open sessions (see module docs).
 #[derive(Debug)]
 pub struct SessionManager {
-    traces: HashMap<String, TraceEntry>,
+    traces: HashMap<String, Registered>,
     sessions: Mutex<SessionTable>,
     max_sessions: usize,
 }
@@ -82,13 +146,23 @@ impl SessionManager {
     /// Registers a resident trace under `name`, replacing any previous entry
     /// of that name (existing sessions keep the entry they opened).
     pub fn register_memory(&mut self, name: impl Into<String>, shared: Arc<SharedSession>) {
-        self.traces.insert(name.into(), TraceEntry::Memory(shared));
+        let trace = shared.trace();
+        let registered = Registered {
+            interval: trace.time_bounds(),
+            cpus: trace.topology().num_cpus() as u32,
+            entry: TraceEntry::Memory(shared),
+        };
+        self.traces.insert(name.into(), registered);
     }
 
     /// Registers an on-disk store under `name` (see [`Self::register_memory`]).
     pub fn register_store(&mut self, name: impl Into<String>, store: StoreSession) {
-        self.traces
-            .insert(name.into(), TraceEntry::Store(Arc::new(Mutex::new(store))));
+        let registered = Registered {
+            interval: store.time_bounds(),
+            cpus: store.store().trace().topology().num_cpus() as u32,
+            entry: TraceEntry::Store(Arc::new(StoreEntry::new(store))),
+        };
+        self.traces.insert(name.into(), registered);
     }
 
     /// Names of the registered traces, unordered.
@@ -110,144 +184,43 @@ impl SessionManager {
     /// Answers one request. Infallible by construction: every failure mode
     /// becomes a typed [`Response::Error`].
     pub fn handle(&self, request: &Request) -> Response {
-        match request {
-            Request::Open { trace } => self.open(trace),
+        let session = match *request {
+            Request::Open { ref trace } => return self.open(trace),
+            Request::Stats => return Response::Stats(self.stats()),
             Request::Close { session } => {
-                if self.close_session(*session) {
-                    Response::Closed
-                } else {
-                    unknown_session(*session)
-                }
+                return match self.close_session(session) {
+                    true => Response::Closed,
+                    false => unknown_session(session),
+                };
             }
-            Request::Timeline {
-                session,
-                mode,
-                interval,
-                columns,
-            } => self.with_session(*session, |entry| {
-                let columns = check_columns(*columns)?;
-                let model = match entry {
-                    TraceEntry::Memory(shared) => shared
-                        .view()
-                        .timeline(*mode, *interval, columns)
-                        .map(|model| (*model).clone()),
-                    TraceEntry::Store(store) => {
-                        let mut store = lock_store(store);
-                        check_coverage(
-                            &store,
-                            |c| c.allows_timeline(*mode, *interval),
-                            "the requested interval",
-                        )?;
-                        store.timeline(*mode, *interval, columns)
-                    }
-                };
-                Ok(Response::Timeline(internal(model)?))
-            }),
-            Request::Query {
-                session,
-                interval,
-                cpu,
-                counter,
-            } => self.with_session(*session, |entry| {
-                let result = match entry {
-                    TraceEntry::Memory(shared) => {
-                        let view = shared.view();
-                        let query = view.query(*interval);
-                        Ok(query_result(&query, *cpu, *counter))
-                    }
-                    TraceEntry::Store(store) => {
-                        let mut store = lock_store(store);
-                        check_coverage(
-                            &store,
-                            |c| c.allows_query(*interval),
-                            "the queried window",
-                        )?;
-                        store.query(*interval, |query| query_result(query, *cpu, *counter))
-                    }
-                };
-                Ok(Response::Query(internal(result)?))
-            }),
-            Request::Anomalies {
-                session,
-                detectors,
-                max_anomalies,
-            } => self.with_session(*session, |entry| {
-                let report = anomaly_report(entry, *detectors, *max_anomalies)?;
-                Ok(Response::Anomalies(report.as_slice().to_vec()))
-            }),
-            Request::DrillIn {
-                session,
-                detectors,
-                max_anomalies,
-                rank,
-                mode,
-                columns,
-            } => self.with_session(*session, |entry| {
-                let columns = check_columns(*columns)?;
-                let report = anomaly_report(entry, *detectors, *max_anomalies)?;
-                let anomaly =
-                    report
-                        .as_slice()
-                        .get(*rank as usize)
-                        .ok_or_else(|| Response::Error {
-                            code: ErrorCode::BadRequest,
-                            message: format!(
-                                "anomaly rank {rank} out of range (report has {} findings)",
-                                report.len()
-                            ),
-                        })?;
-                let filter = TaskFilter::from_anomaly(anomaly);
-                let model = match entry {
-                    TraceEntry::Memory(shared) => shared
-                        .view()
-                        .timeline_filtered(*mode, anomaly.interval, columns, &filter)
-                        .map(|model| (*model).clone()),
-                    TraceEntry::Store(store) => lock_store(store).timeline_with_engine(
-                        *mode,
-                        anomaly.interval,
-                        columns,
-                        &filter,
-                        TimelineEngine::Adaptive,
-                    ),
-                };
-                Ok(Response::DrillIn(internal(model)?))
-            }),
-            Request::Lint { session } => self.with_session(*session, |entry| {
-                Ok(Response::Lint(match entry {
-                    TraceEntry::Memory(shared) => shared.view().lint_summary().map(|summary| {
-                        summary
-                            .iter()
-                            .map(|(code, count)| (code, count as u64))
-                            .collect()
-                    }),
-                    // Store-backed traces were written by the store pipeline,
-                    // which has no lint stage; report "never linted".
-                    TraceEntry::Store(_) => None,
-                }))
-            }),
-            Request::Stats => Response::Stats(self.stats()),
+            Request::Timeline { session, .. }
+            | Request::Query { session, .. }
+            | Request::Anomalies { session, .. }
+            | Request::DrillIn { session, .. }
+            | Request::Lint { session } => session,
+        };
+        // The table lock is released before any analysis runs: concurrent
+        // requests on memory-backed traces proceed in parallel on views.
+        let entry = self.sessions.lock().unwrap().open.get(&session).cloned();
+        let Some(entry) = entry else {
+            return unknown_session(session);
+        };
+        // A malformed request is refused for what it is, whatever the trace
+        // behind it could have answered — and before it waits for that trace.
+        if let Err(error) = check_shape(request) {
+            return error;
         }
+        entry
+            .with_view(need(request), |view| direct_response(view, request))
+            .unwrap_or_else(error_response)
     }
 
     fn open(&self, trace: &str) -> Response {
-        let Some(entry) = self.traces.get(trace) else {
+        let Some(registered) = self.traces.get(trace) else {
             return Response::Error {
                 code: ErrorCode::UnknownTrace,
                 message: format!("no trace registered as {trace:?}"),
             };
-        };
-        let (interval, cpus) = match entry {
-            TraceEntry::Memory(shared) => {
-                let trace = shared.trace();
-                (trace.time_bounds(), trace.topology().num_cpus())
-            }
-            TraceEntry::Store(store) => {
-                let store = lock_store(store);
-                (
-                    store.time_bounds(),
-                    store.store().trace().topology().num_cpus(),
-                )
-            }
         };
         let mut table = self.sessions.lock().unwrap();
         if table.open.len() >= self.max_sessions {
@@ -262,44 +235,29 @@ impl SessionManager {
         }
         let session = table.next_id;
         table.next_id += 1;
-        table.open.insert(session, entry.clone());
+        table.open.insert(session, registered.entry.clone());
         table.admitted += 1;
         table.peak = table.peak.max(table.open.len() as u64);
         Response::Opened {
             session,
-            interval,
-            cpus: cpus as u32,
-        }
-    }
-
-    fn with_session(
-        &self,
-        session: u64,
-        f: impl FnOnce(&TraceEntry) -> Result<Response, Response>,
-    ) -> Response {
-        let entry = self.sessions.lock().unwrap().open.get(&session).cloned();
-        match entry {
-            // The table lock is released before any analysis runs: concurrent
-            // requests on memory-backed traces proceed in parallel on views.
-            Some(entry) => f(&entry).unwrap_or_else(|error| error),
-            None => unknown_session(session),
+            interval: registered.interval,
+            cpus: registered.cpus,
         }
     }
 
     fn stats(&self) -> ServerStats {
         let mut stats = ServerStats::default();
-        for entry in self.traces.values() {
-            match entry {
-                TraceEntry::Memory(shared) => {
-                    stats.shared_bytes += shared.shared_bytes() as u64;
-                    let cache = shared.cache_stats();
-                    stats.cache_hits += cache.hits;
-                    stats.cache_misses += cache.misses;
-                }
-                TraceEntry::Store(store) => {
-                    stats.shared_bytes += lock_store(store).resident_event_bytes() as u64;
-                }
-            }
+        for registered in self.traces.values() {
+            let (shared_bytes, cache) = match &registered.entry {
+                TraceEntry::Memory(shared) => (shared.shared_bytes() as u64, shared.cache_stats()),
+                TraceEntry::Store(store) => *store
+                    .published
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
+            stats.shared_bytes += shared_bytes;
+            stats.cache_hits += cache.hits;
+            stats.cache_misses += cache.misses;
         }
         let table = self.sessions.lock().unwrap();
         stats.open_sessions = table.open.len() as u64;
@@ -312,36 +270,6 @@ impl SessionManager {
     }
 }
 
-/// Locks a store-backed session, recovering from a poisoned lock: a pool
-/// worker that panicked mid-request (the server contains such panics) leaves
-/// the mutex poisoned, but `StoreSession` mutations are residency bookkeeping
-/// and caches that fail closed — a lost answer, not corrupt analysis state —
-/// so later requests on the same trace must keep working.
-fn lock_store(store: &Mutex<StoreSession>) -> MutexGuard<'_, StoreSession> {
-    store.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Refuses a request whose answer would depend on quarantined data: a
-/// salvage-opened store answers only inside its surviving coverage, and the
-/// server degrades *explicitly* rather than serving approximate bytes.
-fn check_coverage(
-    store: &StoreSession,
-    allowed: impl FnOnce(&aftermath_core::SalvageCoverage) -> bool,
-    what: &str,
-) -> Result<(), Response> {
-    match store.coverage() {
-        Some(coverage) if !allowed(&coverage) => Err(Response::Error {
-            code: ErrorCode::Degraded,
-            message: format!(
-                "trace was salvage-opened ({:.1}% of rows survive) and {what} \
-                 falls outside the surviving coverage",
-                coverage.row_coverage * 100.0
-            ),
-        }),
-        _ => Ok(()),
-    }
-}
-
 fn unknown_session(session: u64) -> Response {
     Response::Error {
         code: ErrorCode::UnknownSession,
@@ -349,41 +277,49 @@ fn unknown_session(session: u64) -> Response {
     }
 }
 
-fn check_columns(columns: u32) -> Result<usize, Response> {
-    if columns == 0 || columns > MAX_COLUMNS {
-        return Err(Response::Error {
-            code: ErrorCode::BadRequest,
-            message: format!("columns must be in 1..={MAX_COLUMNS}, got {columns}"),
-        });
-    }
-    Ok(columns as usize)
-}
-
-fn internal<T>(result: Result<T, AnalysisError>) -> Result<T, Response> {
-    result.map_err(|error| Response::Error {
-        code: ErrorCode::Internal,
-        message: error.to_string(),
-    })
-}
-
-fn anomaly_report(
-    entry: &TraceEntry,
-    detectors: crate::protocol::DetectorSet,
-    max_anomalies: u32,
-) -> Result<Arc<AnomalyReport>, Response> {
-    let config = detectors.config(max_anomalies as usize);
-    internal(match entry {
-        TraceEntry::Memory(shared) => shared.view().detect_anomalies(&config),
-        TraceEntry::Store(store) => {
-            let mut store = lock_store(store);
-            check_coverage(
-                &store,
-                |c| c.allows_full_scan(),
-                "a whole-trace anomaly scan",
-            )?;
-            store.detect_anomalies(&config)
+/// What a request reads of its trace.
+fn need(request: &Request) -> Need {
+    match *request {
+        Request::Timeline { mode, interval, .. } => Need::Frame {
+            mode,
+            interval,
+            engine: TimelineEngine::Adaptive,
+        },
+        Request::Query { interval, .. } => Need::Query { interval },
+        Request::Anomalies { .. } | Request::DrillIn { .. } => Need::WholeTrace,
+        Request::Lint { .. } | Request::Open { .. } | Request::Close { .. } | Request::Stats => {
+            Need::Nothing
         }
-    })
+    }
+}
+
+/// Refuses a request that is malformed whatever trace it is asked of.
+fn check_shape(request: &Request) -> Result<(), Response> {
+    match *request {
+        Request::Timeline { columns, .. } | Request::DrillIn { columns, .. }
+            if columns == 0 || columns > MAX_COLUMNS =>
+        {
+            Err(Response::Error {
+                code: ErrorCode::BadRequest,
+                message: format!("columns must be in 1..={MAX_COLUMNS}, got {columns}"),
+            })
+        }
+        _ => Ok(()),
+    }
+}
+
+/// A salvage-opened store answers only inside its surviving coverage, and the
+/// server degrades *explicitly* rather than serving approximate bytes; every
+/// other analysis failure is the server's.
+fn error_response(error: AnalysisError) -> Response {
+    let code = match error {
+        AnalysisError::OutsideCoverage { .. } => ErrorCode::Degraded,
+        _ => ErrorCode::Internal,
+    };
+    Response::Error {
+        code,
+        message: error.to_string(),
+    }
 }
 
 /// Builds the wire-form aggregate bundle of one interval query — the single
@@ -411,80 +347,81 @@ pub fn query_result(
     }
 }
 
-/// The direct, in-process replay of [`SessionManager::handle`] for one
-/// already-open [`AnalysisSession`]: answers `Timeline`, `Query`, `Anomalies`,
-/// `DrillIn` and `Lint` requests exactly as the server would (ignoring the
-/// session id). The serve bench and the CI smoke step encode these responses
-/// and require the server's bytes to match them exactly.
+/// The answer of one [`AnalysisSession`] to a `Timeline`, `Query`, `Anomalies`,
+/// `DrillIn` or `Lint` request (ignoring the session id): what
+/// [`SessionManager::handle`] sends for it, and what the serve bench and the CI
+/// smoke step compute on a session of their own to require the server's bytes
+/// to match exactly.
 pub fn direct_response(session: &AnalysisSession<'_>, request: &Request) -> Response {
-    let outcome = (|| -> Result<Response, Response> {
-        match request {
-            Request::Timeline {
-                mode,
-                interval,
-                columns,
-                ..
-            } => {
-                let columns = check_columns(*columns)?;
-                let model = internal(session.timeline(*mode, *interval, columns))?;
-                Ok(Response::Timeline((*model).clone()))
-            }
-            Request::Query {
-                interval,
-                cpu,
-                counter,
-                ..
-            } => {
-                let query = session.query(*interval);
-                Ok(Response::Query(query_result(&query, *cpu, *counter)))
-            }
-            Request::Anomalies {
-                detectors,
-                max_anomalies,
-                ..
-            } => {
-                let config = detectors.config(*max_anomalies as usize);
-                let report = internal(session.detect_anomalies(&config))?;
-                Ok(Response::Anomalies(report.as_slice().to_vec()))
-            }
-            Request::DrillIn {
-                detectors,
-                max_anomalies,
-                rank,
-                mode,
-                columns,
-                ..
-            } => {
-                let columns = check_columns(*columns)?;
-                let config = detectors.config(*max_anomalies as usize);
-                let report = internal(session.detect_anomalies(&config))?;
-                let anomaly =
-                    report
-                        .as_slice()
-                        .get(*rank as usize)
-                        .ok_or_else(|| Response::Error {
-                            code: ErrorCode::BadRequest,
-                            message: format!(
-                                "anomaly rank {rank} out of range (report has {} findings)",
-                                report.len()
-                            ),
-                        })?;
-                let filter = TaskFilter::from_anomaly(anomaly);
-                let model =
-                    internal(session.timeline_filtered(*mode, anomaly.interval, columns, &filter))?;
-                Ok(Response::DrillIn((*model).clone()))
-            }
-            Request::Lint { .. } => Ok(Response::Lint(session.lint_summary().map(|summary| {
-                summary
-                    .iter()
-                    .map(|(code, count)| (code, count as u64))
-                    .collect()
-            }))),
-            Request::Open { .. } | Request::Close { .. } | Request::Stats => Err(Response::Error {
-                code: ErrorCode::BadRequest,
-                message: "request has no direct-session equivalent".into(),
-            }),
+    respond(session, request).unwrap_or_else(|error| error)
+}
+
+fn respond(session: &AnalysisSession<'_>, request: &Request) -> Result<Response, Response> {
+    check_shape(request)?;
+    match *request {
+        Request::Timeline {
+            mode,
+            interval,
+            columns,
+            ..
+        } => {
+            let model = session.timeline(mode, interval, columns as usize);
+            Ok(Response::Timeline(
+                (*model.map_err(error_response)?).clone(),
+            ))
         }
-    })();
-    outcome.unwrap_or_else(|error| error)
+        Request::Query {
+            interval,
+            cpu,
+            counter,
+            ..
+        } => {
+            let query = session.query(interval);
+            Ok(Response::Query(query_result(&query, cpu, counter)))
+        }
+        Request::Anomalies {
+            detectors,
+            max_anomalies,
+            ..
+        } => {
+            let config = detectors.config(max_anomalies as usize);
+            let report = session.detect_anomalies(&config).map_err(error_response)?;
+            Ok(Response::Anomalies(report.as_slice().to_vec()))
+        }
+        Request::DrillIn {
+            detectors,
+            max_anomalies,
+            rank,
+            mode,
+            columns,
+            ..
+        } => {
+            let config = detectors.config(max_anomalies as usize);
+            let report = session.detect_anomalies(&config).map_err(error_response)?;
+            let anomaly = report
+                .as_slice()
+                .get(rank as usize)
+                .ok_or_else(|| Response::Error {
+                    code: ErrorCode::BadRequest,
+                    message: format!(
+                        "anomaly rank {rank} out of range (report has {} findings)",
+                        report.len()
+                    ),
+                })?;
+            let filter = TaskFilter::from_anomaly(anomaly);
+            let model =
+                session.timeline_filtered(mode, anomaly.interval, columns as usize, &filter);
+            Ok(Response::DrillIn((*model.map_err(error_response)?).clone()))
+        }
+        Request::Lint { .. } => Ok(Response::Lint(session.lint_summary().map(|summary| {
+            summary
+                .iter()
+                .map(|(code, count)| (code, count as u64))
+                .collect()
+        }))),
+        Request::Open { .. } | Request::Close { .. } | Request::Stats => Err(Response::Error {
+            code: ErrorCode::BadRequest,
+            message: "request has no direct-session equivalent".into(),
+        }),
+    }
 }

@@ -428,13 +428,14 @@ pub struct ServerStats {
     /// `Open` requests rejected by the admission limit since start.
     pub rejected_sessions: u64,
     /// Bytes of per-trace state shared by all sessions (resident trace
-    /// columns, counter indexes, pyramids — counted once per trace).
+    /// columns, counter indexes, pyramids, access index — counted once per
+    /// trace; for a store-backed trace, as of its last completed request).
     pub shared_bytes: u64,
     /// Bytes of per-session bookkeeping across all open sessions.
     pub session_bytes: u64,
-    /// Result-cache hits accumulated across every memory-backed trace.
+    /// Result-cache hits accumulated across every registered trace.
     pub cache_hits: u64,
-    /// Result-cache misses accumulated across every memory-backed trace.
+    /// Result-cache misses accumulated across every registered trace.
     pub cache_misses: u64,
 }
 

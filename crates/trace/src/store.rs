@@ -31,24 +31,22 @@
 //! ```text
 //! file       := "AFST" | version u32-le | meta-len varint | meta (an AFTM
 //!               trace holding only metadata) | block* | directory | trailer
-//! trailer v1 := dir-offset u64-le | dir-len u64-le | "TSFA"
-//! trailer v2 := dir-offset u64-le | dir-len u64-le | dir-crc u32-le |
+//! trailer    := dir-offset u64-le | dir-len u64-le | dir-crc u32-le |
 //!               meta-crc u32-le | "TSFA"
 //! ```
 //!
-//! Format **version 2** adds an integrity layer: every block footer carries a
-//! CRC-32 of its payload bytes, and the trailer carries CRC-32s of the
-//! directory and the metadata header. Checksums are verified on
-//! materialisation (a mismatch surfaces as [`TraceError::Corrupted`] instead
-//! of decoded garbage) and at open time for the directory and metadata.
-//! Version 1 stores still open; they simply carry no checksums to verify
-//! (salvage opens flag this as [`DamageCode::UnverifiedStore`]).
+//! The integrity layer: every block footer carries a CRC-32 of its payload
+//! bytes, and the trailer carries CRC-32s of the directory and the metadata
+//! header. Checksums are verified on materialisation (a mismatch surfaces as
+//! [`TraceError::Corrupted`] instead of decoded garbage) and at open time for
+//! the directory and metadata. The format is at **version 2**; any other
+//! version in the header is refused with [`TraceError::UnsupportedVersion`].
 //!
 //! For damaged files, [`StoredTrace::open_salvage`] performs a degraded open:
 //! instead of failing on the first bad block it scans every block, quarantines
 //! the corrupt or unreadable ones, and serves queries over the surviving
 //! contiguous span of each lane, reporting per-lane coverage in a
-//! [`DamageReport`] with stable `S001`–`S004` codes (mirroring the lint
+//! [`DamageReport`] with stable `S001`–`S003` codes (mirroring the lint
 //! layer's `L001`–`L008` annotation style).
 //!
 //! The byte source is abstracted behind [`ColdTier`] (a seekable read-at
@@ -79,29 +77,15 @@ use crate::trace::Trace;
 /// Magic bytes identifying an Aftermath-rs column store file.
 pub const STORE_MAGIC: [u8; 4] = *b"AFST";
 
-/// Current version of the column store format (v2 adds CRC-32 checksums).
+/// The version of the column store format this build writes and opens.
 pub const STORE_VERSION: u32 = 2;
-
-/// Oldest format version this build still opens.
-pub const MIN_STORE_VERSION: u32 = 1;
 
 /// Magic bytes terminating the fixed-size trailer at the end of the file.
 const TRAILER_MAGIC: [u8; 4] = *b"TSFA";
 
-/// Byte length of the v1 trailer: directory offset + length + magic.
-const TRAILER_LEN_V1: usize = 8 + 8 + 4;
-
-/// Byte length of the v2 trailer: v1 plus directory and metadata CRC-32s.
-const TRAILER_LEN_V2: usize = 8 + 8 + 4 + 4 + 4;
-
-/// Trailer length of a given format version.
-fn trailer_len(version: u32) -> usize {
-    if version >= 2 {
-        TRAILER_LEN_V2
-    } else {
-        TRAILER_LEN_V1
-    }
-}
+/// Byte length of the trailer: directory offset and length, directory and
+/// metadata CRC-32s, magic.
+const TRAILER_LEN: usize = 8 + 8 + 4 + 4 + 4;
 
 /// Default number of rows per block.
 pub const DEFAULT_BLOCK_ROWS: usize = 65_536;
@@ -161,8 +145,7 @@ pub struct BlockFooter {
     pub min_key: u64,
     /// Maximum sort key covered (see type docs).
     pub max_key: u64,
-    /// CRC-32 of the block payload bytes (0 in version-1 stores, which carry
-    /// no checksums).
+    /// CRC-32 of the block payload bytes.
     pub crc: u32,
 }
 
@@ -189,22 +172,17 @@ pub enum DamageCode {
     BlockChecksumMismatch,
     /// The cold tier could not read a block's byte range at all.
     BlockUnreadable,
-    /// A block read cleanly but its payload does not decode (version-1 stores
-    /// only — in version 2 the checksum catches damage first).
+    /// A block's checksum holds but its payload does not decode (the bytes
+    /// were written wrong, not damaged afterwards).
     BlockUndecodable,
-    /// The store is a version-1 file without checksums: undamaged blocks
-    /// cannot be distinguished from silently corrupted ones beyond a decode
-    /// attempt.
-    UnverifiedStore,
 }
 
 impl DamageCode {
     /// Every code, in label order.
-    pub const ALL: [DamageCode; 4] = [
+    pub const ALL: [DamageCode; 3] = [
         DamageCode::BlockChecksumMismatch,
         DamageCode::BlockUnreadable,
         DamageCode::BlockUndecodable,
-        DamageCode::UnverifiedStore,
     ];
 
     /// The stable machine-readable label of the code.
@@ -213,7 +191,6 @@ impl DamageCode {
             DamageCode::BlockChecksumMismatch => "S001-block-checksum-mismatch",
             DamageCode::BlockUnreadable => "S002-block-unreadable",
             DamageCode::BlockUndecodable => "S003-block-undecodable",
-            DamageCode::UnverifiedStore => "S004-unverified-store",
         }
     }
 
@@ -234,8 +211,7 @@ impl fmt::Display for DamageCode {
 pub struct DamageFinding {
     /// What kind of damage.
     pub code: DamageCode,
-    /// The lane it affects (`None` for store-wide findings like
-    /// [`DamageCode::UnverifiedStore`]).
+    /// The lane it affects (`None` for a store-wide finding).
     pub lane: Option<LaneId>,
     /// The damaged block's index within its lane, when block-scoped.
     pub block: Option<usize>,
@@ -289,8 +265,7 @@ pub struct DamageReport {
 }
 
 impl DamageReport {
-    /// True when no block had to be quarantined (store-wide advisory findings
-    /// such as [`DamageCode::UnverifiedStore`] do not count as damage).
+    /// True when no block had to be quarantined.
     pub fn is_clean(&self) -> bool {
         self.lanes.iter().all(|l| l.damaged_blocks.is_empty())
     }
@@ -794,21 +769,6 @@ fn encode_block(
 /// Returns [`TraceError::Format`] when the trace cannot be stored (non-dense
 /// task ids) and propagates metadata serialisation errors.
 pub fn write_store_bytes(trace: &Trace, options: &StoreOptions) -> Result<Vec<u8>, TraceError> {
-    write_store_bytes_versioned(trace, options, STORE_VERSION)
-}
-
-/// [`write_store_bytes`] targeting an explicit (older) format version. Only
-/// exposed so tests can exercise the version-1 compatibility path.
-#[doc(hidden)]
-pub fn write_store_bytes_versioned(
-    trace: &Trace,
-    options: &StoreOptions,
-    version: u32,
-) -> Result<Vec<u8>, TraceError> {
-    if !(MIN_STORE_VERSION..=STORE_VERSION).contains(&version) {
-        return Err(TraceError::UnsupportedVersion(version));
-    }
-    let checksums = version >= 2;
     if options.block_rows == 0 {
         return Err(TraceError::Format(
             "store block_rows must be positive".into(),
@@ -826,7 +786,7 @@ pub fn write_store_bytes_versioned(
     // them holds the file without growing (and copying) `out` on the way.
     let mut out = Vec::with_capacity(trace.resident_event_bytes() / 2);
     out.extend_from_slice(&STORE_MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&STORE_VERSION.to_le_bytes());
 
     // Metadata header: the trace minus its lanes, in the regular AFTM format.
     let mut meta = Vec::new();
@@ -844,11 +804,7 @@ pub fn write_store_bytes_versioned(
             let hi = (lo + options.block_rows).min(rows);
             let offset = out.len() as u64;
             let (min_key, max_key) = encode_block(trace, lane, lo, hi, &mut out);
-            let crc = if checksums {
-                crc32(&out[offset as usize..])
-            } else {
-                0
-            };
+            let crc = crc32(&out[offset as usize..]);
             blocks.push(BlockFooter {
                 offset,
                 len: out.len() as u64 - offset,
@@ -901,9 +857,7 @@ pub fn write_store_bytes_versioned(
             put_varint(&mut out, b.rows);
             put_varint(&mut out, b.min_key);
             put_varint(&mut out, b.max_key);
-            if checksums {
-                put_varint(&mut out, u64::from(b.crc));
-            }
+            put_varint(&mut out, u64::from(b.crc));
         }
     }
     let dir_len = out.len() as u64 - dir_offset;
@@ -911,11 +865,9 @@ pub fn write_store_bytes_versioned(
     // Trailer.
     out.extend_from_slice(&dir_offset.to_le_bytes());
     out.extend_from_slice(&dir_len.to_le_bytes());
-    if checksums {
-        let dir_crc = crc32(&out[dir_offset as usize..(dir_offset + dir_len) as usize]);
-        out.extend_from_slice(&dir_crc.to_le_bytes());
-        out.extend_from_slice(&meta_crc.to_le_bytes());
-    }
+    let dir_crc = crc32(&out[dir_offset as usize..(dir_offset + dir_len) as usize]);
+    out.extend_from_slice(&dir_crc.to_le_bytes());
+    out.extend_from_slice(&meta_crc.to_le_bytes());
     out.extend_from_slice(&TRAILER_MAGIC);
 
     Ok(out)
@@ -951,16 +903,15 @@ fn stats_of(bytes: &[u8]) -> Result<StoreStats, TraceError> {
     if bytes.len() < 8 {
         return Err(TraceError::Format("store file too short".into()));
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
     let mut pos = 8usize; // magic + version
     let meta_len = get_varint(bytes, &mut pos)? as usize;
     let data_start = pos + meta_len;
     let trailer = bytes
         .len()
-        .checked_sub(trailer_len(version))
+        .checked_sub(TRAILER_LEN)
         .ok_or_else(|| TraceError::Format("store file too short".into()))?;
     let dir_offset = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().expect("8 bytes"));
-    let directory = read_directory(bytes, dir_offset as usize, trailer, version >= 2)?;
+    let directory = read_directory(bytes, dir_offset as usize, trailer)?;
     Ok(StoreStats {
         file_bytes: bytes.len() as u64,
         metadata_bytes: meta_len as u64,
@@ -1086,7 +1037,6 @@ fn read_directory(
     bytes: &[u8],
     dir_start: usize,
     dir_end: usize,
-    has_crc: bool,
 ) -> Result<(Option<TimeInterval>, Vec<LaneDirectory>, u64), TraceError> {
     let dir = bytes
         .get(dir_start..dir_end)
@@ -1133,8 +1083,8 @@ fn read_directory(
         };
         let rows = get_varint(dir, &mut pos)?;
         let num_blocks = get_varint(dir, &mut pos)? as usize;
-        // Each footer takes at least 5 varint bytes.
-        if num_blocks > (dir.len() - pos.min(dir.len())) / 5 + 1 {
+        // Each footer takes at least 6 varint bytes.
+        if num_blocks > (dir.len() - pos.min(dir.len())) / 6 + 1 {
             return Err(TraceError::Format("store block count out of bounds".into()));
         }
         let mut blocks = Vec::with_capacity(num_blocks);
@@ -1145,12 +1095,8 @@ fn read_directory(
             let brows = get_varint(dir, &mut pos)?;
             let min_key = get_varint(dir, &mut pos)?;
             let max_key = get_varint(dir, &mut pos)?;
-            let crc = if has_crc {
-                u32::try_from(get_varint(dir, &mut pos)?)
-                    .map_err(|_| TraceError::Format("block checksum exceeds 32 bits".into()))?
-            } else {
-                0
-            };
+            let crc = u32::try_from(get_varint(dir, &mut pos)?)
+                .map_err(|_| TraceError::Format("block checksum exceeds 32 bits".into()))?;
             block_rows = block_rows
                 .checked_add(brows)
                 .ok_or_else(|| TraceError::Format("store lane row count overflow".into()))?;
@@ -1375,8 +1321,6 @@ pub struct StoredTrace {
     num_events: u64,
     file_bytes: u64,
     threads: Threads,
-    /// Version-2 stores carry per-block CRCs verified on materialisation.
-    has_checksums: bool,
     /// Per-lane block run `[lo, hi)` that materialisation may touch. After a
     /// strict open this is every block; a salvage open narrows it to the
     /// surviving run around quarantined blocks.
@@ -1446,7 +1390,7 @@ impl StoredTrace {
     ///
     /// The metadata header, directory and trailer must still be intact — they
     /// are the map by which blocks are found, so damage there (a checksum
-    /// mismatch in version 2, or structural invalidity) is unrecoverable and
+    /// mismatch or structural invalidity) is unrecoverable and
     /// fails the open like a strict one. Unlike the lazy strict open, a
     /// salvage open reads the whole file once to classify every block.
     ///
@@ -1460,7 +1404,7 @@ impl StoredTrace {
 
     fn open_impl(tier: Box<dyn ColdTier>, salvage: bool) -> Result<Self, TraceError> {
         let size = tier.size()?;
-        if size < (8 + TRAILER_LEN_V1) as u64 {
+        if size < (8 + TRAILER_LEN) as u64 {
             return Err(TraceError::Format("store file too short".into()));
         }
         // Header: magic, version, metadata length varint.
@@ -1471,20 +1415,15 @@ impl StoredTrace {
             return Err(TraceError::Format("not a column store file".into()));
         }
         let version = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-        if !(MIN_STORE_VERSION..=STORE_VERSION).contains(&version) {
+        if version != STORE_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        let has_checksums = version >= 2;
-        let trailer_len = trailer_len(version);
-        if size < (8 + trailer_len) as u64 {
-            return Err(TraceError::Format("store file too short".into()));
-        }
 
-        // Trailer first: it locates the directory and (v2) carries the
-        // checksums that vouch for the directory and metadata bytes.
-        let mut trailer = vec![0u8; trailer_len];
-        tier.read_at(size - trailer_len as u64, &mut trailer)?;
-        if trailer[trailer_len - 4..] != TRAILER_MAGIC {
+        // Trailer first: it locates the directory and carries the checksums
+        // that vouch for the directory and metadata bytes.
+        let mut trailer = [0u8; TRAILER_LEN];
+        tier.read_at(size - TRAILER_LEN as u64, &mut trailer)?;
+        if trailer[TRAILER_LEN - 4..] != TRAILER_MAGIC {
             return Err(TraceError::Format("store trailer magic mismatch".into()));
         }
         let dir_offset = u64::from_le_bytes(trailer[0..8].try_into().expect("8 bytes"));
@@ -1492,7 +1431,7 @@ impl StoredTrace {
 
         let mut pos = 8usize;
         let meta_len = get_varint(&head, &mut pos)? as usize;
-        let data_budget = size - (8 + trailer_len) as u64;
+        let data_budget = size - (8 + TRAILER_LEN) as u64;
         if meta_len as u64 > data_budget || pos as u64 + meta_len as u64 > size {
             return Err(TraceError::Format(
                 "store metadata length out of bounds".into(),
@@ -1500,21 +1439,19 @@ impl StoredTrace {
         }
         let mut meta = vec![0u8; meta_len];
         tier.read_at(pos as u64, &mut meta)?;
-        if has_checksums {
-            let want = u32::from_le_bytes(trailer[20..24].try_into().expect("4 bytes"));
-            let got = crc32(&meta);
-            if got != want {
-                return Err(TraceError::Corrupted(format!(
-                    "metadata checksum mismatch (stored {want:#010x}, computed {got:#010x})"
-                )));
-            }
+        let want = u32::from_le_bytes(trailer[20..24].try_into().expect("4 bytes"));
+        let got = crc32(&meta);
+        if got != want {
+            return Err(TraceError::Corrupted(format!(
+                "metadata checksum mismatch (stored {want:#010x}, computed {got:#010x})"
+            )));
         }
         let skeleton = format::read_trace(&meta[..])?;
         let data_start = pos as u64 + meta_len as u64;
 
         if dir_offset
             .checked_add(dir_len)
-            .and_then(|v| v.checked_add(trailer_len as u64))
+            .and_then(|v| v.checked_add(TRAILER_LEN as u64))
             != Some(size)
             || dir_offset < data_start
         {
@@ -1524,16 +1461,14 @@ impl StoredTrace {
         }
         let mut dir = vec![0u8; dir_len as usize];
         tier.read_at(dir_offset, &mut dir)?;
-        if has_checksums {
-            let want = u32::from_le_bytes(trailer[16..20].try_into().expect("4 bytes"));
-            let got = crc32(&dir);
-            if got != want {
-                return Err(TraceError::Corrupted(format!(
-                    "directory checksum mismatch (stored {want:#010x}, computed {got:#010x})"
-                )));
-            }
+        let want = u32::from_le_bytes(trailer[16..20].try_into().expect("4 bytes"));
+        let got = crc32(&dir);
+        if got != want {
+            return Err(TraceError::Corrupted(format!(
+                "directory checksum mismatch (stored {want:#010x}, computed {got:#010x})"
+            )));
         }
-        let (bounds, directory, num_events) = read_directory(&dir, 0, dir.len(), has_checksums)?;
+        let (bounds, directory, num_events) = read_directory(&dir, 0, dir.len())?;
         validate_directory(&directory, data_start, dir_offset)?;
         let lane_index: HashMap<LaneId, usize> = directory
             .iter()
@@ -1555,7 +1490,6 @@ impl StoredTrace {
             num_events,
             file_bytes: size,
             threads: Threads::auto(),
-            has_checksums,
             surviving,
             damage: None,
             stats: MaterialiseStats::default(),
@@ -1570,36 +1504,21 @@ impl StoredTrace {
     /// `self.surviving` and filling `self.damage`.
     fn scan_for_damage(&mut self) {
         let mut report = DamageReport::default();
-        if !self.has_checksums {
-            report.findings.push(DamageFinding {
-                code: DamageCode::UnverifiedStore,
-                lane: None,
-                block: None,
-                detail: format!(
-                    "version-1 store carries no checksums; damage detection \
-                     is limited to decode failures ({} lanes scanned)",
-                    self.directory.len()
-                ),
-            });
-        }
         for (idx, dir) in self.directory.iter().enumerate() {
             let mut damaged = Vec::new();
             for (k, footer) in dir.blocks.iter().enumerate() {
                 let mut buf = vec![0u8; footer.len as usize];
                 let finding = match self.tier.read_at(footer.offset, &mut buf) {
                     Err(e) => Some((DamageCode::BlockUnreadable, e.to_string())),
-                    Ok(()) if self.has_checksums => {
-                        let got = crc32(&buf);
-                        (got != footer.crc).then(|| {
-                            (
-                                DamageCode::BlockChecksumMismatch,
-                                format!("stored {:#010x}, computed {got:#010x}", footer.crc),
-                            )
-                        })
-                    }
-                    Ok(()) => Chunk::decode(&buf, dir.lane, footer)
-                        .err()
-                        .map(|e| (DamageCode::BlockUndecodable, e.to_string())),
+                    Ok(()) => match crc32(&buf) {
+                        got if got != footer.crc => Some((
+                            DamageCode::BlockChecksumMismatch,
+                            format!("stored {:#010x}, computed {got:#010x}", footer.crc),
+                        )),
+                        _ => Chunk::decode(&buf, dir.lane, footer)
+                            .err()
+                            .map(|e| (DamageCode::BlockUndecodable, e.to_string())),
+                    },
                 };
                 if let Some((code, detail)) = finding {
                     report.findings.push(DamageFinding {
@@ -1807,7 +1726,7 @@ impl StoredTrace {
         Ok(buf)
     }
 
-    /// Verifies (version 2) and decodes block `k` of lane `idx` out of `run`,
+    /// Verifies and decodes block `k` of lane `idx` out of `run`,
     /// the bytes of the lane's block run starting at block `lo`.
     fn decode_block(
         &self,
@@ -1820,17 +1739,15 @@ impl StoredTrace {
         let footer = &dir.blocks[k];
         let start = (footer.offset - dir.blocks[lo].offset) as usize;
         let bytes = &run[start..start + footer.len as usize];
-        if self.has_checksums {
-            // Verify before decoding: damaged bytes must surface as a typed
-            // error, never as silently wrong rows.
-            let got = crc32(bytes);
-            if got != footer.crc {
-                return Err(TraceError::Corrupted(format!(
-                    "lane {}: block {k} checksum mismatch \
-                     (stored {:#010x}, computed {got:#010x})",
-                    dir.lane, footer.crc
-                )));
-            }
+        // Verify before decoding: damaged bytes must surface as a typed
+        // error, never as silently wrong rows.
+        let got = crc32(bytes);
+        if got != footer.crc {
+            return Err(TraceError::Corrupted(format!(
+                "lane {}: block {k} checksum mismatch \
+                 (stored {:#010x}, computed {got:#010x})",
+                dir.lane, footer.crc
+            )));
         }
         Chunk::decode(bytes, dir.lane, footer)
     }
@@ -2528,19 +2445,16 @@ mod tests {
     }
 
     #[test]
-    fn version_1_stores_still_open_without_checksums() {
+    fn version_1_is_rejected_as_unsupported() {
         let trace = sample_trace();
-        let bytes =
-            write_store_bytes_versioned(&trace, &StoreOptions { block_rows: 4 }, 1).unwrap();
-        assert_eq!(bytes[4..8], 1u32.to_le_bytes());
-        let mut stored = StoredTrace::from_bytes(bytes.clone()).unwrap();
-        assert_eq!(*stored.materialise_all().unwrap(), trace);
-        // A salvage open of a clean v1 store flags only the missing checksums.
-        let salvaged = StoredTrace::from_bytes_salvage(bytes).unwrap();
-        let report = salvaged.damage().unwrap();
-        assert!(report.is_clean());
-        assert_eq!(report.count(DamageCode::UnverifiedStore), 1);
-        assert_eq!(report.row_coverage(), 1.0);
+        let mut bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 4 }).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        for open in [StoredTrace::from_bytes, StoredTrace::from_bytes_salvage] {
+            assert!(matches!(
+                open(bytes.clone()),
+                Err(TraceError::UnsupportedVersion(1))
+            ));
+        }
     }
 
     #[test]
@@ -2583,7 +2497,7 @@ mod tests {
     fn flipped_directory_or_metadata_bit_fails_open_typed() {
         let trace = sample_trace();
         let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 4 }).unwrap();
-        let trailer = bytes.len() - TRAILER_LEN_V2;
+        let trailer = bytes.len() - TRAILER_LEN;
         let dir_offset =
             u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
         // Directory damage: both strict and salvage opens refuse — the block

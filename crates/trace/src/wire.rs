@@ -6,7 +6,7 @@
 //! no allocation is sized from an unvalidated length, no read runs past the
 //! buffer, and malformed bytes surface as a typed [`WireError`] instead of a
 //! panic. The encoding itself reuses the trace format's conventions: unsigned
-//! LEB128 varints ([`crate::format::read_varint`]), little-endian IEEE-754 bit
+//! LEB128 varints ([`crate::format::get_varint`]), little-endian IEEE-754 bit
 //! patterns for `f64`, and length-prefixed UTF-8 strings.
 //!
 //! [`WireReader`] decodes from an in-memory slice (the payload of one already
@@ -16,6 +16,8 @@
 //! past the end, never blocks mid-message" guarantee local and testable.
 
 use std::fmt;
+
+use crate::format::{get_varint, put_varint, VarintError};
 
 /// Decoding error of one wire field. Every variant is a *data* error — readers
 /// never panic on malformed input, and I/O does not occur at this layer.
@@ -80,29 +82,18 @@ impl<'a> WireReader<'a> {
         Ok(byte)
     }
 
-    /// Reads an unsigned LEB128 varint (same encoding as
-    /// [`crate::format::read_varint`], overflow- and length-checked).
+    /// Reads an unsigned LEB128 varint with the trace format's one decoder
+    /// ([`crate::format::get_varint`]).
     ///
     /// # Errors
     ///
     /// [`WireError::Truncated`] on a cut-off encoding, [`WireError::Malformed`]
     /// on one that overflows a `u64` or exceeds 10 bytes.
     pub fn varint(&mut self) -> Result<u64, WireError> {
-        let mut result: u64 = 0;
-        let mut shift = 0u32;
-        for _ in 0..crate::format::MAX_VARINT_LEN {
-            let b = self.u8()?;
-            let low = (b & 0x7f) as u64;
-            if shift >= 64 || (shift == 63 && low > 1) {
-                return Err(WireError::Malformed("varint overflows u64"));
-            }
-            result |= low << shift;
-            if b & 0x80 == 0 {
-                return Ok(result);
-            }
-            shift += 7;
-        }
-        Err(WireError::Malformed("varint longer than 10 bytes"))
+        get_varint(self.buf, &mut self.pos).map_err(|error| match error {
+            VarintError::Truncated => WireError::Truncated,
+            VarintError::Overflow => WireError::Malformed("varint does not fit a u64"),
+        })
     }
 
     /// Reads a varint length prefix for a sequence whose elements occupy at
@@ -195,7 +186,7 @@ impl WireWriter {
 
     /// Appends an unsigned LEB128 varint.
     pub fn varint(&mut self, value: u64) {
-        crate::format::write_varint(&mut self.buf, value).expect("writing to a Vec cannot fail");
+        put_varint(&mut self.buf, value);
     }
 
     /// Appends an `f64` as its little-endian IEEE-754 bit pattern.

@@ -11,8 +11,8 @@ use std::sync::{Arc, Mutex};
 use aftermath_exec::Threads;
 use aftermath_trace::error::TraceError;
 use aftermath_trace::store::{
-    write_store_bytes, write_store_bytes_versioned, ColdTier, LaneId, LaneRequest, MemoryTier,
-    StoreOptions, StoredTrace, DEFAULT_BLOCK_ROWS,
+    write_store_bytes, ColdTier, LaneId, LaneRequest, MemoryTier, StoreOptions, StoredTrace,
+    DEFAULT_BLOCK_ROWS,
 };
 use aftermath_trace::{
     AccessKind, CpuId, DiscreteEventKind, FaultKind, FaultyTier, MachineTopology, TimeInterval,
@@ -213,10 +213,9 @@ proptest! {
         prop_assert_eq!(batched.resident_event_bytes(), trace.resident_event_bytes());
     }
 
-    /// One damaged block — a flipped bit in the file (checksummed or, in a
-    /// version-1 store, not) or a fault injected into one read — comes back
-    /// as the same outcome from the batch as from the lane-by-lane path, and
-    /// a failed batch changes nothing.
+    /// One damaged block — a flipped bit in the file or a fault injected into
+    /// one read — comes back as the same outcome from the batch as from the
+    /// lane-by-lane path, and a failed batch changes nothing.
     #[test]
     fn damage_surfaces_identically_and_tears_no_lane(
         script in prop::collection::vec((0u64..30, 1u64..50, 0u8..4, 0u8..8), 8..160),
@@ -224,19 +223,17 @@ proptest! {
         warm in 0usize..4,
         block_pick in 0usize..3,
         budget_pick in 0usize..3,
-        damage in 0u8..5,
+        damage in 0u8..4,
         at in any::<u32>(),
     ) {
         let trace = trace_from_script(&script);
         let options = StoreOptions { block_rows: BLOCK_ROWS[block_pick] };
-        let version = if damage == 4 { 1 } else { 2 };
-        let mut bytes = write_store_bytes_versioned(&trace, &options, version).unwrap();
+        let mut bytes = write_store_bytes(&trace, &options).unwrap();
         let probe = StoredTrace::from_bytes(bytes.clone()).unwrap();
         let requests = requests_for(&probe, &asks);
         let (warm_up, batch) = requests.split_at(warm.min(requests.len() - 1));
-        // Damage: a flipped bit inside some block's payload (3: checksummed,
-        // 4: version 1, caught by the decoders or not at all), or a fault on
-        // one of the reads that follow the four reads of the open.
+        // Damage: a flipped bit inside some block's payload (3), or a fault
+        // on one of the reads that follow the four reads of the open.
         let mut faults = Vec::new();
         match damage {
             0 => faults.push((4 + u64::from(at % 8), FaultKind::Io)),
