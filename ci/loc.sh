@@ -6,7 +6,9 @@
 # Each file is cut at its first `#[cfg(test)]`; `tests/`, `benches/` and
 # `examples/` are skipped; the offline stand-ins under `crates/compat/` are
 # listed apart from the code that is ours. `code` leaves out blank and `//`
-# comment lines, `lines` does not. The last row sums the five files that
+# comment lines, `lines` does not. `bench (without e2e)` is the part of the
+# bench crate a PR may edit: the `e2e` package under `src/bin/e2e/` is what
+# `BENCHMARK.json` runs and stays as it is. The last row sums the five files that
 # answer "where do a session's lanes come from" — the trajectory the
 # ROADMAP's one-session-core item is measured by.
 set -euo pipefail
@@ -45,6 +47,7 @@ for dir in crates/*/; do
     [ "$name" = compat ] && continue
     find "$dir/src" -name '*.rs' | count | row "$name"
 done
+find crates/bench/src -name '*.rs' -not -path '*/bin/e2e/*' | count | row 'bench (without e2e)'
 find crates/compat -path '*/src/*' -name '*.rs' | count | row 'compat/* (stand-ins)'
 find src crates -path crates/compat -prune -o -path '*/src/*' -name '*.rs' -print \
     | count | row '**total (without compat)**'

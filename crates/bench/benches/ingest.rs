@@ -70,7 +70,7 @@ fn bench_column_walk(c: &mut Criterion) {
         });
     });
     // The materialising adapter (the pre-refactor struct walk) as the comparison.
-    let structs = pc.states_vec();
+    let structs: Vec<_> = pc.states().iter().collect();
     group.bench_function("structs", |b| {
         b.iter(|| {
             let mut cycles = 0u64;

@@ -1,540 +1,61 @@
-//! CI benchmark-regression gate for the committed `BENCH_*.json` baselines.
+//! CI benchmark-regression gate for the `BENCH_*.json` records.
 //!
 //! ```text
-//! bench_check <fresh.json> <baseline.json> [--max-regression FRACTION]
+//! bench_check <fresh.json> [<baseline.json>]
 //! ```
 //!
-//! Compares a freshly measured record against the committed baseline of the same
-//! kind (the `bench` field of the shared envelope selects the gating rules):
+//! Evaluates every row of [`aftermath_bench::gates::GATES`] whose kind is the
+//! fresh record's `bench` field — the table is the whole rule set; see
+//! `crates/bench/baselines/README.md` for where each bound comes from. Absolute
+//! rows read the fresh record only; a row relative to the baseline needs the
+//! committed record of the same kind as the second argument.
 //!
-//! * `zoom_sweep` — the **per-cell adaptive rule**: in every `(zoom, mode)` frame
-//!   of the fresh record, the adaptive engine must not be more than 10 % slower
-//!   than the better of the two explicit engines (plus a small absolute slack
-//!   that absorbs timer noise on microsecond frames). This replaces the old
-//!   single `zoomed_out_speedup` floor: the adaptive engine is only correct if
-//!   **no** zoom level takes the slower path, which a single zoomed-out ratio
-//!   cannot see. When the record was measured with a SIMD tier active
-//!   (`simd_level` ≠ `scalar`), the state-gating kernel microbenchmark
-//!   (`state_kernel_speedup`) must additionally reach 2×.
-//! * `ingest` — the columnar storage engine's analysis throughput
-//!   (`analyze_events_per_sec`: prewarm + anomaly detection) must not regress by
-//!   more than `--max-regression`, **and** the storage density
-//!   (`bytes_per_event`) must not grow by more than 10 % (memory layout is
-//!   deterministic for a fixed trace, so the slack only absorbs intentional
-//!   small format changes — anything larger must re-baseline explicitly).
-//! * `store` — the on-disk column store: compression
-//!   (`compressed_bytes_per_event`) must not grow by more than 10 % against the
-//!   baseline (the encodings are deterministic for a fixed trace), and the
-//!   fresh record must satisfy the absolute acceptance bounds — the store file
-//!   at most 60 % of the resident SoA bytes, the lazy open-to-first-frame at
-//!   most 20 % of the full build + prewarm path (wall-clock, hence the loose
-//!   margin is already inside the bound), every capped-residency frame
-//!   byte-identical to the fully resident session, and the capped sweep's peak
-//!   steady-state residency within its 50 % budget.
-//! * `serve` — the multi-session analysis server: every response of the load
-//!   run must have been byte-identical to the direct in-process session
-//!   (`responses_identical`, hard), the shared-cache hit rate and the
-//!   memory-sharing figure of merit (`sessions_per_gb`) must not drop more
-//!   than 10 % below the baseline, the p95 frame latency must stay within 4×
-//!   of the baseline (wall-clock under concurrent load is noisy, hence the
-//!   deliberately loose ceiling — byte-identity and the sharing floors are the
-//!   real gates), and the absolute N-sessions-vs-one memory ratio must stay
-//!   within the 1.5× acceptance bound.
-//! * `chaos` — the fault-injection harness: **zero** panics may escape the
-//!   server's containment (`panics`, hard), every successful response under
-//!   injected tier faults and killed connections must have been
-//!   byte-identical to the fault-free direct session
-//!   (`successful_identical`, hard — a fault may cost an answer, never
-//!   change one), the salvage open's covered-span answers must match the
-//!   undamaged trace (`salvage_identical`, hard) with at least 50 % of rows
-//!   surviving the seeded damage plan (`salvage_row_coverage`), and the p95
-//!   severed-connection recovery latency must stay within 4× of the baseline
-//!   (wall-clock, hence loose — the exactness bits are the real gates).
-//!
-//! **Every** gate of the selected kind is evaluated — a failing or
-//! incomparable gate never short-circuits the rest, so one run reports every
-//! violation at once. Records outside the accepted `schema_version` range (or
-//! without one — pre-envelope files), of mismatched kinds, or of unknown kinds
-//! are **incomparable** and rejected with exit code 2, as is any gate that
-//! cannot be evaluated; a regression exits with 1; a pass exits with 0.
+//! **Every** row of the kind is evaluated — a failing or incomparable row never
+//! short-circuits the rest, so one run reports every violation at once. Exit
+//! codes: 0 when every row holds, 1 when a row is violated, 2 when the records
+//! are incomparable — another `schema_version` (or none: a pre-envelope file),
+//! mismatched or unknown kinds, a gated field that is missing or of the wrong
+//! type, or a relative row without a baseline.
 
 use std::process::ExitCode;
 
-use aftermath_bench::record::{
-    json_number, json_string, BENCH_SCHEMA_VERSION, MIN_BENCH_SCHEMA_VERSION,
-};
-
-/// Allowed growth of `bytes_per_event` before the ingest gate trips.
-const MAX_MEMORY_GROWTH: f64 = 0.10;
-
-/// Allowed adaptive-over-best slowdown per `(zoom, mode)` frame (10 %).
-const MAX_ADAPTIVE_SLOWDOWN: f64 = 0.10;
-
-/// Absolute per-frame slack (seconds) on top of [`MAX_ADAPTIVE_SLOWDOWN`]: deep
-/// zoom frames run in microseconds, where a single timer quantum would otherwise
-/// dominate the ratio.
-const ADAPTIVE_ABS_SLACK: f64 = 100e-6;
-
-/// Required scalar-over-dispatched speedup of the state-gating kernel
-/// microbenchmark when a SIMD tier is active.
-const MIN_KERNEL_SPEEDUP: f64 = 2.0;
-
-/// Absolute acceptance ceiling on the store file over the resident SoA bytes.
-const MAX_DISK_VS_SOA: f64 = 0.60;
-
-/// Absolute acceptance ceiling on lazy open-to-first-frame over the full
-/// build + prewarm path.
-const MAX_OPEN_VS_FULL: f64 = 0.20;
-
-/// Absolute acceptance ceiling on the capped sweep's peak steady-state
-/// residency over the full SoA footprint (the sweep's budget fraction).
-const MAX_CAPPED_RESIDENT: f64 = 0.50;
-
-/// Allowed regression of the serve record's sharing metrics (cache-hit rate,
-/// sessions per GB) before the gate trips.
-const MAX_SHARING_REGRESSION: f64 = 0.10;
-
-/// Allowed growth of the serve record's p95 frame latency over the baseline.
-/// Deliberately loose (4× total): tail latency under concurrent load moves
-/// with the host, while byte-identity and the sharing floors do the exact
-/// gating.
-const MAX_P95_GROWTH: f64 = 3.0;
-
-/// Absolute acceptance ceiling on the serve record's N-sessions-over-one
-/// memory ratio (the issue's ≤ 1.5× bound).
-const MAX_N_VS_ONE: f64 = 1.5;
-
-/// Absolute acceptance floor on the chaos record's surviving row coverage
-/// after the seeded damage plan.
-const MIN_SALVAGE_COVERAGE: f64 = 0.5;
-
-struct Record {
-    label: String,
-    git: String,
-    bench: String,
-    contents: String,
-}
-
-impl Record {
-    fn number(&self, key: &str) -> Result<f64, String> {
-        let value = json_number(&self.contents, key)
-            .ok_or_else(|| format!("{}: no {key} field", self.label))?;
-        if !value.is_finite() || value <= 0.0 {
-            return Err(format!("{}: nonsensical {key} {value}", self.label));
-        }
-        Ok(value)
-    }
-}
+use aftermath_bench::gates::{self, Verdict};
+use aftermath_bench::record::Record;
 
 fn load(path: &str) -> Result<Record, String> {
     let contents = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let schema = json_number(&contents, "schema_version")
-        .ok_or_else(|| format!("{path}: no schema_version field — incomparable record"))?;
-    if schema < MIN_BENCH_SCHEMA_VERSION as f64 || schema > BENCH_SCHEMA_VERSION as f64 {
-        return Err(format!(
-            "{path}: schema_version {schema} outside this binary's accepted range {MIN_BENCH_SCHEMA_VERSION}..={BENCH_SCHEMA_VERSION} — incomparable record"
-        ));
-    }
-    let bench = json_string(&contents, "bench").unwrap_or_default();
-    Ok(Record {
-        label: path.to_string(),
-        git: json_string(&contents, "git").unwrap_or_else(|| "unknown".into()),
-        bench,
-        contents,
-    })
-}
-
-/// One "higher is better" ratio gate; returns whether it passed.
-fn gate_floor(
-    what: &str,
-    fresh: &Record,
-    baseline: &Record,
-    key: &str,
-    max_regression: f64,
-) -> Result<bool, String> {
-    let fresh_value = fresh.number(key)?;
-    let base_value = baseline.number(key)?;
-    let floor = base_value * (1.0 - max_regression);
-    println!(
-        "bench_check: {what} {fresh_value:.2} (fresh, {}) vs {base_value:.2} (baseline, {} @ {}); floor {floor:.2}",
-        fresh.label, baseline.label, baseline.git
-    );
-    if fresh_value < floor {
-        eprintln!(
-            "bench_check: FAIL — {what} regressed by {:.1}% (> {:.0}% allowed)",
-            (1.0 - fresh_value / base_value) * 100.0,
-            max_regression * 100.0
-        );
-        return Ok(false);
-    }
-    Ok(true)
-}
-
-/// One "lower is better" ceiling gate; returns whether it passed.
-fn gate_ceiling(
-    what: &str,
-    fresh: &Record,
-    baseline: &Record,
-    key: &str,
-    max_growth: f64,
-) -> Result<bool, String> {
-    let fresh_value = fresh.number(key)?;
-    let base_value = baseline.number(key)?;
-    let ceiling = base_value * (1.0 + max_growth);
-    println!(
-        "bench_check: {what} {fresh_value:.2} (fresh, {}) vs {base_value:.2} (baseline, {} @ {}); ceiling {ceiling:.2}",
-        fresh.label, baseline.label, baseline.git
-    );
-    if fresh_value > ceiling {
-        eprintln!(
-            "bench_check: FAIL — {what} grew by {:.1}% (> {:.0}% allowed)",
-            (fresh_value / base_value - 1.0) * 100.0,
-            max_growth * 100.0
-        );
-        return Ok(false);
-    }
-    Ok(true)
-}
-
-/// The per-cell adaptive rule over every `(zoom, mode)` frame of the fresh
-/// record: `adaptive_seconds <= min(scan, pyramid) * (1 + MAX_ADAPTIVE_SLOWDOWN)
-/// + ADAPTIVE_ABS_SLACK`. Frames are the one-object-per-line entries of the
-/// `frames` array, each carrying its own flat key/value fields.
-fn gate_adaptive_cells(fresh: &Record) -> Result<bool, String> {
-    let mut cells = 0;
-    let mut ok = true;
-    for line in fresh.contents.lines() {
-        if !line.contains("\"zoom_factor\"") {
-            continue;
-        }
-        let zoom = json_number(line, "zoom_factor")
-            .ok_or_else(|| format!("{}: frame without zoom_factor: {line}", fresh.label))?;
-        let mode = json_string(line, "mode")
-            .ok_or_else(|| format!("{}: frame without mode: {line}", fresh.label))?;
-        let scan = json_number(line, "scan_seconds")
-            .ok_or_else(|| format!("{}: frame without scan_seconds: {line}", fresh.label))?;
-        let pyramid = json_number(line, "pyramid_seconds")
-            .ok_or_else(|| format!("{}: frame without pyramid_seconds: {line}", fresh.label))?;
-        let adaptive = json_number(line, "adaptive_seconds")
-            .ok_or_else(|| format!("{}: frame without adaptive_seconds: {line}", fresh.label))?;
-        let best = scan.min(pyramid);
-        let ceiling = best * (1.0 + MAX_ADAPTIVE_SLOWDOWN) + ADAPTIVE_ABS_SLACK;
-        cells += 1;
-        if adaptive > ceiling {
-            eprintln!(
-                "bench_check: FAIL — adaptive engine {:.1}% slower than the better explicit engine at (zoom {zoom}, {mode}): {adaptive:.6}s vs best {best:.6}s (ceiling {ceiling:.6}s)",
-                (adaptive / best.max(1e-12) - 1.0) * 100.0
-            );
-            ok = false;
-        }
-    }
-    if cells == 0 {
-        return Err(format!(
-            "{}: zoom_sweep record carries no frames — incomparable",
-            fresh.label
-        ));
-    }
-    println!(
-        "bench_check: adaptive-vs-best checked over {cells} (zoom, mode) cells of {} ({})",
-        fresh.label,
-        if ok {
-            "all within ceiling"
-        } else {
-            "violations above"
-        }
-    );
-    Ok(ok)
-}
-
-/// The SIMD microbenchmark floor: when the fresh record was measured with a wide
-/// tier active, the state-gating kernel must show at least
-/// [`MIN_KERNEL_SPEEDUP`]× over its scalar reference. Scalar records (e.g. a CI
-/// runner with `AFTERMATH_NO_SIMD=1`, or non-x86 hardware) skip the gate.
-fn gate_kernel_speedup(fresh: &Record) -> Result<bool, String> {
-    let level = json_string(&fresh.contents, "simd_level")
-        .ok_or_else(|| format!("{}: no simd_level field", fresh.label))?;
-    if level == "scalar" {
-        println!("bench_check: kernel speedup gate skipped (scalar tier record)");
-        return Ok(true);
-    }
-    let speedup = fresh.number("state_kernel_speedup")?;
-    println!(
-        "bench_check: state kernel speedup {speedup:.2}x at tier '{level}' (floor {MIN_KERNEL_SPEEDUP:.1}x)"
-    );
-    if speedup < MIN_KERNEL_SPEEDUP {
-        eprintln!(
-            "bench_check: FAIL — state-gating kernel speedup {speedup:.2}x below the {MIN_KERNEL_SPEEDUP:.1}x floor at tier '{level}'"
-        );
-        return Ok(false);
-    }
-    Ok(true)
-}
-
-/// One absolute "lower is better" bound on the fresh record; returns whether
-/// it passed.
-fn gate_absolute(fresh: &Record, what: &str, key: &str, ceiling: f64) -> Result<bool, String> {
-    let value = fresh.number(key)?;
-    println!(
-        "bench_check: {what} {value:.4} (fresh, {}); absolute ceiling {ceiling:.2}",
-        fresh.label
-    );
-    if value > ceiling {
-        eprintln!("bench_check: FAIL — {what} {value:.4} above the absolute {ceiling:.2} ceiling");
-        return Ok(false);
-    }
-    Ok(true)
-}
-
-/// The store record's identity bit: every capped-residency frame must have
-/// been byte-identical to the fully resident session.
-fn gate_capped_identity(fresh: &Record) -> Result<bool, String> {
-    let value = json_number(&fresh.contents, "capped_identical")
-        .ok_or_else(|| format!("{}: no capped_identical field", fresh.label))?;
-    if value != 1.0 {
-        eprintln!(
-            "bench_check: FAIL — capped-residency frames diverged from the fully resident session (capped_identical = {value})"
-        );
-        return Ok(false);
-    }
-    println!("bench_check: capped-residency frames byte-identical to the fully resident session");
-    Ok(true)
-}
-
-/// One required-true bit of the fresh record (stored as 0/1); returns whether
-/// it passed. Unlike [`Record::number`], reads the raw field so 0 is a
-/// legible (failing) value, not an unparsable one.
-fn gate_flag(fresh: &Record, what: &str, key: &str) -> Result<bool, String> {
-    let value = json_number(&fresh.contents, key)
-        .ok_or_else(|| format!("{}: no {key} field", fresh.label))?;
-    if value != 1.0 {
-        eprintln!("bench_check: FAIL — {what} ({key} = {value})");
-        return Ok(false);
-    }
-    println!("bench_check: {what}");
-    Ok(true)
-}
-
-/// One required-zero counter of the fresh record; returns whether it passed.
-/// The accessor allows zero by design — zero is exactly the value this gate
-/// demands.
-fn gate_exact_zero(fresh: &Record, what: &str, key: &str) -> Result<bool, String> {
-    let value = json_number(&fresh.contents, key)
-        .ok_or_else(|| format!("{}: no {key} field", fresh.label))?;
-    if value != 0.0 {
-        eprintln!("bench_check: FAIL — {what}: {key} = {value}, must be exactly 0");
-        return Ok(false);
-    }
-    println!("bench_check: {what}: none");
-    Ok(true)
-}
-
-/// One absolute "higher is better" bound on the fresh record; returns whether
-/// it passed.
-fn gate_absolute_floor(fresh: &Record, what: &str, key: &str, floor: f64) -> Result<bool, String> {
-    let value = fresh.number(key)?;
-    println!(
-        "bench_check: {what} {value:.4} (fresh, {}); absolute floor {floor:.2}",
-        fresh.label
-    );
-    if value < floor {
-        eprintln!("bench_check: FAIL — {what} {value:.4} below the absolute {floor:.2} floor");
-        return Ok(false);
-    }
-    Ok(true)
-}
-
-/// The serve record's identity bit: every response the load generator received
-/// over the wire must have been byte-identical to the direct in-process
-/// session's encoding.
-fn gate_serve_identity(fresh: &Record) -> Result<bool, String> {
-    let value = json_number(&fresh.contents, "responses_identical")
-        .ok_or_else(|| format!("{}: no responses_identical field", fresh.label))?;
-    if value != 1.0 {
-        eprintln!(
-            "bench_check: FAIL — served responses diverged from the direct session (responses_identical = {value})"
-        );
-        return Ok(false);
-    }
-    println!("bench_check: served responses byte-identical to the direct session");
-    Ok(true)
+    let record = Record::parse(&contents).map_err(|e| format!("{path}: {e}"))?;
+    println!("bench_check: {path}: {} @ {}", record.bench, record.git);
+    Ok(record)
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut max_regression = 0.25f64;
-    if let Some(at) = args.iter().position(|a| a == "--max-regression") {
-        args.remove(at);
-        let value = if at < args.len() {
-            args.remove(at)
-        } else {
-            String::new()
-        };
-        max_regression = match value.parse::<f64>() {
-            Ok(v) if (0.0..1.0).contains(&v) => v,
-            _ => {
-                eprintln!("--max-regression expects a fraction in [0, 1), got '{value}'");
-                return ExitCode::from(2);
-            }
-        };
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if !(1..=2).contains(&args.len()) {
+        eprintln!("usage: bench_check <fresh.json> [<baseline.json>]");
+        return ExitCode::from(2);
     }
-    let [fresh_path, baseline_path]: [String; 2] = match args.try_into() {
-        Ok(paths) => paths,
-        Err(_) => {
-            eprintln!(
-                "usage: bench_check <fresh.json> <baseline.json> [--max-regression FRACTION]"
-            );
-            return ExitCode::from(2);
-        }
+    let records: Vec<Result<Record, String>> = args.iter().map(|path| load(path)).collect();
+    for e in records.iter().filter_map(|r| r.as_ref().err()) {
+        eprintln!("bench_check: {e}");
+    }
+    let Ok(records) = records.into_iter().collect::<Result<Vec<_>, _>>() else {
+        return ExitCode::from(2);
     };
-    let (fresh, baseline) = match (load(&fresh_path), load(&baseline_path)) {
-        (Ok(f), Ok(b)) => (f, b),
-        (fresh, baseline) => {
-            for r in [fresh, baseline] {
-                if let Err(e) = r {
-                    eprintln!("bench_check: {e}");
-                }
-            }
-            return ExitCode::from(2);
-        }
-    };
-    if fresh.bench != baseline.bench {
+    let (fresh, baseline) = (&records[0], records.get(1));
+    if let Some(baseline) = baseline.filter(|b| b.bench != fresh.bench) {
         eprintln!(
             "bench_check: record kinds differ ('{}' vs '{}') — incomparable",
             fresh.bench, baseline.bench
         );
         return ExitCode::from(2);
     }
-    let gates = match fresh.bench.as_str() {
-        "zoom_sweep" => vec![gate_adaptive_cells(&fresh), gate_kernel_speedup(&fresh)],
-        "ingest" => vec![
-            gate_floor(
-                "analysis throughput (events/s)",
-                &fresh,
-                &baseline,
-                "analyze_events_per_sec",
-                max_regression,
-            ),
-            gate_ceiling(
-                "storage density (bytes/event)",
-                &fresh,
-                &baseline,
-                "bytes_per_event",
-                MAX_MEMORY_GROWTH,
-            ),
-        ],
-        "store" => vec![
-            gate_ceiling(
-                "compression (bytes/event on disk)",
-                &fresh,
-                &baseline,
-                "compressed_bytes_per_event",
-                MAX_MEMORY_GROWTH,
-            ),
-            gate_absolute(
-                &fresh,
-                "store file / SoA bytes",
-                "disk_vs_soa_ratio",
-                MAX_DISK_VS_SOA,
-            ),
-            gate_absolute(
-                &fresh,
-                "lazy open-to-first-frame / full path",
-                "open_vs_full_ratio",
-                MAX_OPEN_VS_FULL,
-            ),
-            gate_capped_identity(&fresh),
-            gate_absolute(
-                &fresh,
-                "capped peak residency / SoA bytes",
-                "capped_resident_ratio",
-                MAX_CAPPED_RESIDENT,
-            ),
-        ],
-        "serve" => vec![
-            gate_serve_identity(&fresh),
-            gate_floor(
-                "shared-cache hit rate",
-                &fresh,
-                &baseline,
-                "cache_hit_rate",
-                MAX_SHARING_REGRESSION,
-            ),
-            gate_floor(
-                "sessions per GB",
-                &fresh,
-                &baseline,
-                "sessions_per_gb",
-                MAX_SHARING_REGRESSION,
-            ),
-            gate_ceiling(
-                "p95 frame latency (s)",
-                &fresh,
-                &baseline,
-                "p95_frame_seconds",
-                MAX_P95_GROWTH,
-            ),
-            gate_absolute(
-                &fresh,
-                "N sessions / one session memory",
-                "n_vs_one_ratio",
-                MAX_N_VS_ONE,
-            ),
-        ],
-        "chaos" => vec![
-            gate_exact_zero(&fresh, "panics escaping the server's containment", "panics"),
-            gate_flag(
-                &fresh,
-                "successful responses under faults byte-identical to the fault-free direct session",
-                "successful_identical",
-            ),
-            gate_flag(
-                &fresh,
-                "salvaged covered-span answers byte-identical to the undamaged trace",
-                "salvage_identical",
-            ),
-            gate_absolute_floor(
-                &fresh,
-                "salvage row coverage",
-                "salvage_row_coverage",
-                MIN_SALVAGE_COVERAGE,
-            ),
-            gate_ceiling(
-                "severed-connection recovery p95 (s)",
-                &fresh,
-                &baseline,
-                "recovery_p95_seconds",
-                MAX_P95_GROWTH,
-            ),
-        ],
-        other => {
-            eprintln!("bench_check: unknown record kind '{other}' — no gating rules");
-            return ExitCode::from(2);
+    match gates::check(fresh, baseline) {
+        Verdict::Pass => {
+            println!("bench_check: OK");
+            ExitCode::SUCCESS
         }
-    };
-    // Evaluate every gate before deciding the exit code: a single run must
-    // report all violations, not just the first one it happens to hit.
-    let mut failed = 0usize;
-    let mut incomparable = 0usize;
-    for gate in gates {
-        match gate {
-            Ok(true) => {}
-            Ok(false) => failed += 1,
-            Err(e) => {
-                eprintln!("bench_check: {e}");
-                incomparable += 1;
-            }
-        }
+        Verdict::Regression => ExitCode::from(1),
+        Verdict::Incomparable => ExitCode::from(2),
     }
-    if incomparable > 0 {
-        eprintln!(
-            "bench_check: {incomparable} gate(s) could not be evaluated, {failed} gate(s) failed"
-        );
-        return ExitCode::from(2);
-    }
-    if failed > 0 {
-        eprintln!("bench_check: {failed} gate(s) failed");
-        return ExitCode::from(1);
-    }
-    println!("bench_check: OK");
-    ExitCode::SUCCESS
 }

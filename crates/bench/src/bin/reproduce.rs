@@ -1,15 +1,18 @@
 //! Regenerates every table and figure of the paper's evaluation sections.
 //!
 //! ```text
-//! reproduce [--scale test|paper] [--out DIR] [fig3|fig5|fig8|fig9|fig10|fig12|fig13|
-//!                                             fig14|fig15|fig16|fig19|sec6|all]
+//! reproduce [--scale test|paper] [--out DIR] [--threads N|auto] [--json] [TARGET...]
 //! ```
 //!
-//! Each sub-command prints the series/rows corresponding to one paper figure; `all`
-//! (the default) runs everything. With `--out DIR`, PPM renderings of the visual views
-//! (timelines, incidence matrices, histograms) are written to `DIR`.
+//! A target is a figure (`fig3` ... `fig19`, `sec6`, `seidel`, or `all`, the
+//! default: every figure plus `sec6`) or one of the explicit benchmark modes
+//! that `all` leaves out (`zoom-sweep`, `stream`, `ingest`, `store`, `serve`,
+//! `chaos`, `lint`); `--x` and `x` name the same target. Each figure prints
+//! the series/rows of one paper figure; each mode prints its `BENCH_<kind>.json`
+//! record as a table and, with `--json`, writes it. With `--out DIR`, PPM
+//! renderings of the visual views (timelines, incidence matrices, histograms)
+//! are written to `DIR`.
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
 
 use aftermath_bench::chaos;
@@ -17,7 +20,7 @@ use aftermath_bench::figures::{fmt_cycles, Scale};
 use aftermath_bench::ingest;
 use aftermath_bench::kmeans_experiments as km;
 use aftermath_bench::lint_demo;
-use aftermath_bench::record;
+use aftermath_bench::record::{Fields, Record};
 use aftermath_bench::section6;
 use aftermath_bench::seidel_experiments::SeidelExperiment;
 use aftermath_bench::serve;
@@ -33,145 +36,132 @@ struct Options {
     out_dir: Option<PathBuf>,
     threads: Threads,
     json: bool,
-    stream: bool,
-    ingest: bool,
-    store: bool,
-    serve: bool,
-    chaos: bool,
-    lint: bool,
     trace_path: Option<PathBuf>,
     write_fixture: Option<PathBuf>,
     targets: Vec<String>,
 }
 
 impl Options {
-    /// Writes a machine-readable benchmark record (`--json`) next to the other
-    /// outputs: into `--out` when given, the working directory otherwise.
-    fn write_json(&self, name: &str, contents: &str) {
+    /// Whether the explicit mode `name` was asked for (`all` does not imply
+    /// the modes: at paper scale they build deliberately large traces).
+    fn has(&self, name: &str) -> bool {
+        self.targets.iter().any(|t| t == name)
+    }
+
+    /// Prints a benchmark record under `title` and, with `--json`, writes it
+    /// as `BENCH_<kind>.json` next to the other outputs: into `--out` when
+    /// given, the working directory otherwise.
+    fn report(&self, title: &str, record: &Record) {
+        record.print(title);
         if !self.json {
             return;
         }
-        let file = format!("BENCH_{name}.json");
+        let file = format!("BENCH_{}.json", record.bench);
         let path = match &self.out_dir {
             Some(dir) => dir.join(&file),
             None => PathBuf::from(&file),
         };
-        std::fs::write(&path, contents).expect("write benchmark record");
+        std::fs::write(&path, record.to_json()).expect("write benchmark record");
         println!("# wrote {}", path.display());
     }
 }
 
-fn parse_args() -> Options {
-    let mut args: VecDeque<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::Paper;
-    let mut out_dir = None;
-    let mut threads = Threads::auto();
-    let mut json = false;
-    let mut stream = false;
-    let mut ingest = false;
-    let mut store = false;
-    let mut serve = false;
-    let mut chaos = false;
-    let mut lint = false;
-    let mut trace_path = None;
-    let mut write_fixture = None;
-    let mut targets = Vec::new();
-    while let Some(arg) = args.pop_front() {
+const USAGE: &str = "\
+usage: reproduce [--scale test|paper] [--out DIR] [--threads N|auto] [--json] [TARGET...]
+figures: fig3 fig5 fig8 fig9 fig10 fig12 fig13 fig14 fig15 fig16 fig19 sec6 seidel all
+         (no target means 'all': every figure plus sec6)
+modes (explicit targets, not part of 'all'; '--x' and 'x' are the same target):
+  zoom-sweep  scan-vs-pyramid-vs-adaptive frame times across zoom levels
+  stream      replays the sec6 trace through the streaming ingest layer
+              (per-epoch advance/frame latency)
+  ingest      measures the columnar ingest pipeline on the zoom trace
+              (build / prewarm / detect throughput and bytes per event)
+  store       measures the on-disk column store on the zoom trace
+              (compression, lazy open-to-first-frame, capped-residency sweep)
+  serve       drives N concurrent TCP clients against the analysis server
+              (frame latency percentiles, cache hits, sessions per GB, byte-identity)
+  chaos       replays the serve load under seeded faults and killed connections
+              (zero escaped panics, typed-error-or-exact-bytes, salvage coverage)
+  lint        lints a trace (the built-in corrupted demo, or --trace FILE),
+              prints the per-code findings and repairs it
+--trace FILE lints a serialized trace file instead of the demo
+--write-fixture PATH writes the corrupted demo trace to PATH
+--json writes BENCH_<kind>.json for sec6 and every mode";
+
+/// Parses the command line (without the program name). Bad values and
+/// `--help` exit the process.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
+    let mut args = args.into_iter();
+    let mut options = Options {
+        scale: Scale::Paper,
+        out_dir: None,
+        threads: Threads::auto(),
+        json: false,
+        trace_path: None,
+        write_fixture: None,
+        targets: Vec::new(),
+    };
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().unwrap_or_default();
         match arg.as_str() {
             "--scale" => {
-                let value = args.pop_front().unwrap_or_default();
-                scale = Scale::parse(&value).unwrap_or_else(|| {
+                let value = value();
+                options.scale = Scale::parse(&value).unwrap_or_else(|| {
                     eprintln!("unknown scale '{value}', expected 'test' or 'paper'");
                     std::process::exit(2);
                 });
             }
-            "--out" => {
-                let value = args.pop_front().unwrap_or_default();
-                out_dir = Some(PathBuf::from(value));
-            }
+            "--out" => options.out_dir = Some(PathBuf::from(value())),
             "--threads" => {
-                let value = args.pop_front().unwrap_or_default();
-                threads = value.parse().unwrap_or_else(|e| {
+                options.threads = value().parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     std::process::exit(2);
                 });
             }
-            "--json" => json = true,
-            "--stream" => stream = true,
-            "--ingest" => ingest = true,
-            "--store" => store = true,
-            "--serve" => serve = true,
-            "--chaos" => chaos = true,
-            "--lint" => lint = true,
-            "--trace" => {
-                let value = args.pop_front().unwrap_or_default();
-                trace_path = Some(PathBuf::from(value));
-            }
-            "--write-fixture" => {
-                let value = args.pop_front().unwrap_or_default();
-                write_fixture = Some(PathBuf::from(value));
-            }
+            "--json" => options.json = true,
+            "--trace" => options.trace_path = Some(PathBuf::from(value())),
+            "--write-fixture" => options.write_fixture = Some(PathBuf::from(value())),
             "--help" | "-h" => {
-                println!(
-                    "usage: reproduce [--scale test|paper] [--out DIR] [--threads N|auto] [--json] [--stream] [--ingest] [--store] [--serve] [--chaos] [--lint] [FIGURE...]\n\
-                     figures: fig3 fig5 fig8 fig9 fig10 fig12 fig13 fig14 fig15 fig16 fig19 sec6 all\n\
-                     modes:   zoom-sweep  (scan-vs-pyramid frame times across zoom levels; not part of 'all')\n\
-                     --stream replays the sec6 trace through the streaming ingest layer\n\
-                     (per-epoch advance/frame latency; combine with 'sec6')\n\
-                     --ingest measures the columnar ingest pipeline on the zoom trace\n\
-                     (build / prewarm / detect throughput and bytes per event)\n\
-                     --store measures the on-disk column store on the zoom trace\n\
-                     (compression, lazy open-to-first-frame, capped-residency sweep)\n\
-                     --serve drives N concurrent TCP clients against the analysis server\n\
-                     (frame latency percentiles, cache hits, sessions per GB, byte-identity)\n\
-                     --chaos replays the serve load under seeded faults and killed connections\n\
-                     (zero escaped panics, typed-error-or-exact-bytes, salvage coverage)\n\
-                     --lint lints a trace (the built-in corrupted demo, or --trace FILE),\n\
-                     prints the per-code findings and repairs it\n\
-                     --trace FILE lints a serialized trace file instead of the demo\n\
-                     --write-fixture PATH writes the corrupted demo trace to PATH\n\
-                     --json writes BENCH_<name>.json records for sec6, zoom-sweep, --stream, --ingest, --store, --serve, --chaos and --lint"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => targets.push(other.trim_start_matches("--").to_string()),
+            other => options
+                .targets
+                .push(other.trim_start_matches("--").to_string()),
         }
     }
-    // `--lint` / `--serve` / `--chaos` / `--write-fixture` alone should not
-    // drag in the full figure run; explicit figure targets still compose
-    // with them.
-    if targets.is_empty() && !lint && !serve && !chaos && write_fixture.is_none() {
-        targets.push("all".to_string());
+    // `--write-fixture` alone should not drag in the full figure run.
+    if options.targets.is_empty() && options.write_fixture.is_none() {
+        options.targets.push("all".to_string());
     }
-    Options {
-        scale,
-        out_dir,
-        threads,
-        json,
-        stream,
-        ingest,
-        store,
-        serve,
-        chaos,
-        lint,
-        trace_path,
-        write_fixture,
-        targets,
-    }
+    options
 }
 
-/// The figures belonging to the seidel case study (paper Sections III-A/B and IV).
-const SEIDEL_FIGS: [&str; 7] = ["fig3", "fig5", "fig8", "fig9", "fig10", "fig14", "fig15"];
+type SeidelFig = fn(&SeidelExperiment, &Options);
+
+/// The figures of the seidel case study (paper Sections III-A/B and IV); they
+/// share one experiment run.
+const SEIDEL_FIGS: [(&str, SeidelFig); 7] = [
+    ("fig3", fig3),
+    ("fig5", fig5),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig14", fig14),
+    ("fig15", fig15),
+];
 
 fn wants(options: &Options, name: &str) -> bool {
+    let seidel = SEIDEL_FIGS.iter().any(|(fig, _)| *fig == name);
     options
         .targets
         .iter()
-        .any(|t| t == name || t == "all" || (t == "seidel" && SEIDEL_FIGS.contains(&name)))
+        .any(|t| t == name || t == "all" || (t == "seidel" && seidel))
 }
 
 fn main() {
-    let options = parse_args();
+    let options = parse_args(std::env::args().skip(1));
+    let (scale, threads) = (options.scale, options.threads);
     if let Some(dir) = &options.out_dir {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
@@ -188,34 +178,16 @@ fn main() {
             .expect("write corrupted fixture");
         println!("# wrote corrupted fixture {}", path.display());
     }
-    if options.lint {
+    if options.has("lint") {
         lint_mode(&options);
     }
 
-    let run_seidel = SEIDEL_FIGS.iter().any(|f| wants(&options, f));
-    let seidel = run_seidel.then(|| SeidelExperiment::run(options.scale));
-
-    if let Some(exp) = &seidel {
-        if wants(&options, "fig3") {
-            fig3(exp);
-        }
-        if wants(&options, "fig5") {
-            fig5(exp);
-        }
-        if wants(&options, "fig8") {
-            fig8(exp);
-        }
-        if wants(&options, "fig9") {
-            fig9(exp);
-        }
-        if wants(&options, "fig10") {
-            fig10(exp);
-        }
-        if wants(&options, "fig14") {
-            fig14(exp, &options);
-        }
-        if wants(&options, "fig15") {
-            fig15(exp, &options);
+    if SEIDEL_FIGS.iter().any(|(name, _)| wants(&options, name)) {
+        let exp = SeidelExperiment::run(scale);
+        for (name, fig) in SEIDEL_FIGS {
+            if wants(&options, name) {
+                fig(&exp, &options);
+            }
         }
     }
     if wants(&options, "fig12") || wants(&options, "fig13") {
@@ -227,53 +199,63 @@ fn main() {
     if wants(&options, "fig19") {
         fig19(&options);
     }
-    // `--stream` without an explicit target still runs the streaming replay; with
-    // both, the (at paper scale multi-million-event) trace is generated only once.
-    if wants(&options, "sec6") || options.stream {
+    // `sec6` and `stream` share one (at paper scale multi-million-event) trace.
+    if wants(&options, "sec6") || options.has("stream") {
         let trace = section6::synthetic_trace(options.scale);
         if wants(&options, "sec6") {
             sec6(&options, &trace);
         }
-        if options.stream {
-            stream_sec6(&options, &trace);
+        if options.has("stream") {
+            let (chunks, columns) = match scale {
+                Scale::Test => (16, 256),
+                Scale::Paper => (64, 800),
+            };
+            let replay = stream::run_stream_replay(&trace, chunks, columns, scale == Scale::Test);
+            options.report(
+                "Streaming ingest — per-epoch latency of the live analysis pipeline",
+                &replay.record(),
+            );
         }
     }
-    // The zoom sweep is an explicit mode (not part of `all`): at paper scale it
-    // generates a deliberately large trace to expose the scan wall.
-    if options
-        .targets
-        .iter()
-        .any(|t| t == "zoom-sweep" || t == "zoom")
-    {
-        zoom_sweep(&options);
+    // Byte-identity inside the zoom and stream runs is asserted at test scale;
+    // at paper scale the numbers are the point and the equivalence suites
+    // already cover correctness.
+    if options.has("zoom-sweep") || options.has("zoom") {
+        let sweep =
+            zoom::run_zoom_sweep(&zoom::zoom_trace(scale), 800, threads, scale == Scale::Test);
+        options.report(
+            "Zoom sweep — timeline frame times: scan vs. pyramid vs. adaptive",
+            &sweep.record(),
+        );
     }
-    // `--ingest` measures the columnar storage engine's ingest-to-first-insight
-    // pipeline on the same trace shape (explicit mode, not part of `all`).
-    if options.ingest || options.targets.iter().any(|t| t == "ingest") {
-        ingest_bench(&options);
+    if options.has("ingest") {
+        options.report(
+            "Ingest pipeline — columnar storage engine: build, prewarm, detect, memory",
+            &ingest::run_ingest_bench(scale, threads).record(),
+        );
     }
-    // `--store` measures the on-disk column store — compression, lazy
-    // open-to-first-frame and the capped-residency sweep (explicit mode,
-    // not part of `all`).
-    if options.store || options.targets.iter().any(|t| t == "store") {
-        store_bench(&options);
+    if options.has("store") {
+        options.report(
+            "Column store — compression, lazy open-to-first-frame, capped residency",
+            &store::run_store_bench(scale, threads).record(),
+        );
     }
-    // `--serve` drives the multi-session analysis server under concurrent
-    // clients and checks byte-identity against a direct session (explicit
-    // mode, not part of `all`).
-    if options.serve || options.targets.iter().any(|t| t == "serve") {
-        serve_bench(&options);
+    if options.has("serve") {
+        options.report(
+            "Analysis server — N concurrent clients, shared-cache sessions, frame latency",
+            &serve::run_serve_bench(scale, threads).record(),
+        );
     }
-    // `--chaos` replays the serve load under seeded fault schedules and
-    // killed connections, and salvage-opens a corrupted store (explicit
-    // mode, not part of `all`).
-    if options.chaos || options.targets.iter().any(|t| t == "chaos") {
-        chaos_bench(&options);
+    if options.has("chaos") {
+        options.report(
+            "Chaos harness — fault-injected store, killed connections, salvage coverage",
+            &chaos::run_chaos_bench(scale, threads).record(),
+        );
     }
 }
 
-/// `--lint`: lints a trace (the built-in corrupted demo, or `--trace FILE`),
-/// prints the per-code findings, repairs it and re-lints the repaired trace.
+/// `lint`: lints a trace (the built-in corrupted demo, or `--trace FILE`),
+/// repairs it, re-lints the repaired trace and prints the per-code findings.
 fn lint_mode(options: &Options) {
     let (trace, source) = match &options.trace_path {
         Some(path) => {
@@ -286,14 +268,24 @@ fn lint_mode(options: &Options) {
         None => (lint_demo::corrupted_demo_trace(), "demo".to_string()),
     };
     let report = trace.lint();
-    print_series_header(
-        &format!("Trace lint — validator findings for '{source}'"),
-        "code,count",
-    );
+    let repaired = trace.repair().unwrap_or_else(|e| {
+        eprintln!("repair failed: {e}");
+        std::process::exit(1);
+    });
+    let clean = repaired.trace().lint().is_clean();
+    let mut fields = Fields::new()
+        .text("source", &source)
+        .int("findings", report.findings().len())
+        .int("repairs", repaired.report().repairs().len())
+        .flag("repaired_clean", clean)
+        .note_if(clean, "the repaired trace re-lints clean");
     for (code, n) in report.summary().iter() {
-        println!("{code},{n}");
+        fields = fields.int(&code.to_string(), n);
     }
-    println!("total,{}", report.summary().total());
+    options.report(
+        "Trace lint — validator findings and repairs",
+        &Record::new("lint", fields),
+    );
     const MAX_SHOWN: usize = 20;
     for f in report.findings().iter().take(MAX_SHOWN) {
         println!("# {} @ {}: {}", f.code, f.event, f.detail);
@@ -304,306 +296,6 @@ fn lint_mode(options: &Options) {
             report.findings().len() - MAX_SHOWN
         );
     }
-    let repaired = trace.repair().unwrap_or_else(|e| {
-        eprintln!("repair failed: {e}");
-        std::process::exit(1);
-    });
-    let clean = repaired.trace().lint().is_clean();
-    println!(
-        "# repair: {} repairs applied, re-lint {}",
-        repaired.report().repairs().len(),
-        if clean { "clean" } else { "STILL DIRTY" }
-    );
-    options.write_json(
-        "lint",
-        &lint_json(&source, &report, repaired.report().repairs().len(), clean),
-    );
-}
-
-fn lint_json(
-    source: &str,
-    report: &aftermath_trace::LintReport,
-    repairs: usize,
-    repaired_clean: bool,
-) -> String {
-    let codes = report
-        .summary()
-        .iter()
-        .map(|(code, n)| format!("    \"{code}\": {n}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{{\n{}  \"source\": \"{source}\",\n  \"findings\": {},\n  \"repairs\": {repairs},\n  \
-         \"repaired_clean\": {repaired_clean},\n  \"codes\": {{\n{codes}\n  }}\n}}\n",
-        record::json_preamble("lint"),
-        report.findings().len(),
-    )
-}
-
-fn ingest_bench(options: &Options) {
-    let bench = ingest::run_ingest_bench(options.scale, options.threads);
-    print_series_header(
-        "Ingest pipeline — columnar storage engine: build, prewarm, detect, memory",
-        "metric,value",
-    );
-    println!("num_events,{}", bench.num_events);
-    println!("build_seconds,{:.4}", bench.build_seconds);
-    println!("prewarm_seconds,{:.4}", bench.prewarm_seconds);
-    println!("detect_seconds,{:.4}", bench.detect_seconds);
-    println!("anomalies,{}", bench.anomalies);
-    println!("resident_event_bytes,{}", bench.resident_event_bytes);
-    println!("aos_event_bytes,{}", bench.aos_event_bytes);
-    println!("bytes_per_event,{:.2}", bench.bytes_per_event());
-    println!(
-        "memory_reduction_vs_structs,{:.1}%",
-        bench.memory_reduction() * 100.0
-    );
-    println!(
-        "analyze_events_per_sec,{:.0}",
-        bench.analyze_events_per_sec()
-    );
-    println!("ingest_events_per_sec,{:.0}", bench.ingest_events_per_sec());
-    options.write_json("ingest", &bench.to_json());
-}
-
-fn store_bench(options: &Options) {
-    let bench = store::run_store_bench(options.scale, options.threads);
-    print_series_header(
-        "Column store — compression, lazy open-to-first-frame, capped residency",
-        "metric,value",
-    );
-    println!("num_events,{}", bench.num_events);
-    println!("write_seconds,{:.4}", bench.write_seconds);
-    println!("file_bytes,{}", bench.file_bytes);
-    println!("soa_bytes,{}", bench.soa_bytes);
-    println!(
-        "compressed_bytes_per_event,{:.2}",
-        bench.compressed_bytes_per_event()
-    );
-    println!(
-        "disk_vs_soa,{:.1}% (acceptance: <= 60%)",
-        bench.disk_vs_soa_ratio() * 100.0
-    );
-    println!(
-        "full_first_frame_seconds,{:.4}",
-        bench.full_first_frame_seconds
-    );
-    println!(
-        "open_first_frame_seconds,{:.4}",
-        bench.open_first_frame_seconds
-    );
-    println!(
-        "open_vs_full,{:.1}% (acceptance: <= 20%)",
-        bench.open_vs_full_ratio() * 100.0
-    );
-    println!("open_resident_bytes,{}", bench.open_resident_bytes);
-    println!("capped_budget_bytes,{}", bench.capped_budget_bytes);
-    println!(
-        "capped_frames,{} ({})",
-        bench.capped_frames,
-        if bench.capped_identical {
-            "all byte-identical to the fully resident session"
-        } else {
-            "MISMATCH against the fully resident session"
-        }
-    );
-    println!(
-        "capped_peak_resident_bytes,{}",
-        bench.capped_peak_resident_bytes
-    );
-    println!(
-        "capped_resident_ratio,{:.1}% (acceptance: <= 50%)",
-        bench.capped_resident_ratio() * 100.0
-    );
-    options.write_json("store", &bench.to_json());
-}
-
-fn serve_bench(options: &Options) {
-    let bench = serve::run_serve_bench(options.scale, options.threads);
-    print_series_header(
-        "Analysis server — N concurrent clients, shared-cache sessions, frame latency",
-        "metric,value",
-    );
-    println!("num_events,{}", bench.num_events);
-    println!("clients,{}", bench.clients);
-    println!("requests,{}", bench.requests);
-    println!(
-        "responses_identical,{} ({})",
-        u8::from(bench.responses_identical),
-        if bench.responses_identical {
-            "every response byte-identical to the direct session"
-        } else {
-            "MISMATCH against the direct session"
-        }
-    );
-    println!("open_seconds,{:.4}", bench.open_seconds);
-    println!("p50_frame_ms,{:.3}", bench.frame_quantile(0.50) * 1e3);
-    println!("p95_frame_ms,{:.3}", bench.frame_quantile(0.95) * 1e3);
-    println!("p99_frame_ms,{:.3}", bench.frame_quantile(0.99) * 1e3);
-    println!("cache_hit_rate,{:.3}", bench.cache_hit_rate);
-    println!("shared_bytes,{}", bench.shared_bytes);
-    println!("session_bytes,{}", bench.session_bytes);
-    println!(
-        "n_vs_one_ratio,{:.3} (acceptance: <= 1.5)",
-        bench.n_vs_one_ratio
-    );
-    println!("sessions_per_gb,{:.1}", bench.sessions_per_gb);
-    options.write_json("serve", &bench.to_json());
-}
-
-fn chaos_bench(options: &Options) {
-    let bench = chaos::run_chaos_bench(options.scale, options.threads);
-    print_series_header(
-        "Chaos harness — fault-injected store, killed connections, salvage coverage",
-        "metric,value",
-    );
-    println!("num_events,{}", bench.num_events);
-    println!("clients,{}", bench.clients);
-    println!("requests,{}", bench.requests);
-    println!("ok_responses,{}", bench.ok_responses);
-    println!("faulted_responses,{}", bench.faulted_responses);
-    println!("exhausted_requests,{}", bench.exhausted_requests);
-    println!("retries,{}", bench.retries);
-    println!("kills,{}", bench.kills);
-    println!("tier_reads,{}", bench.tier_reads);
-    println!("faults_injected,{}", bench.faults_injected);
-    println!(
-        "panics,{} ({})",
-        bench.panics,
-        if bench.panics == 0 {
-            "no panic escaped containment"
-        } else {
-            "PANICS ESCAPED CONTAINMENT"
-        }
-    );
-    println!(
-        "successful_identical,{} ({})",
-        u8::from(bench.successful_identical),
-        if bench.successful_identical {
-            "every successful response byte-identical to the fault-free direct session"
-        } else {
-            "MISMATCH against the fault-free direct session"
-        }
-    );
-    println!("p95_frame_ms,{:.3}", bench.frame_quantile(0.95) * 1e3);
-    println!("recovery_p95_ms,{:.3}", bench.recovery_quantile(0.95) * 1e3);
-    println!("salvage_blocks_damaged,{}", bench.salvage_blocks_damaged);
-    println!(
-        "salvage_row_coverage,{:.4} (acceptance: >= 0.5)",
-        bench.salvage_row_coverage
-    );
-    println!(
-        "salvage_identical,{} ({})",
-        u8::from(bench.salvage_identical),
-        if bench.salvage_identical {
-            "covered-span answers byte-identical to the undamaged trace"
-        } else {
-            "MISMATCH against the undamaged trace"
-        }
-    );
-    println!("salvage_open_seconds,{:.4}", bench.salvage_open_seconds);
-    options.write_json("chaos", &bench.to_json());
-}
-
-fn stream_sec6(options: &Options, trace: &aftermath_trace::Trace) {
-    let (chunks, columns) = match options.scale {
-        Scale::Test => (16, 256),
-        Scale::Paper => (64, 800),
-    };
-    // Byte-identity against batch sessions is asserted per epoch at test scale; at
-    // paper scale the latency numbers are the point and the equivalence suite
-    // already covers correctness.
-    let verify = options.scale == Scale::Test;
-    let bench = stream::run_stream_replay(trace, chunks, columns, verify);
-    print_series_header(
-        "Streaming ingest — per-epoch latency of the live analysis pipeline",
-        "epoch,appended_items,nodes_rebuilt,advance_ms,frame_ms",
-    );
-    for e in &bench.epochs {
-        println!(
-            "{},{},{},{:.3},{:.3}",
-            e.epoch,
-            e.appended_items,
-            e.nodes_rebuilt,
-            e.advance_seconds * 1e3,
-            e.frame_seconds * 1e3
-        );
-    }
-    println!(
-        "# trace: {} events replayed in {} chunks; frames at {} columns{}",
-        bench.num_events,
-        bench.chunks,
-        bench.columns,
-        if bench.verified {
-            "; every epoch verified byte-identical to a batch session"
-        } else {
-            ""
-        }
-    );
-    println!(
-        "# advance latency: p50 {:.3} ms, p95 {:.3} ms; frame latency: p50 {:.3} ms, p95 {:.3} ms",
-        bench.advance_quantile(0.5) * 1e3,
-        bench.advance_quantile(0.95) * 1e3,
-        bench.frame_quantile(0.5) * 1e3,
-        bench.frame_quantile(0.95) * 1e3
-    );
-    options.write_json("stream_sec6", &bench.to_json("stream_sec6"));
-}
-
-fn zoom_sweep(options: &Options) {
-    let trace = zoom::zoom_trace(options.scale);
-    let columns = 800;
-    // Verify byte-identity at test scale; at paper scale the sweep itself is the
-    // point and the equivalence suite already covers correctness.
-    let verify = options.scale == Scale::Test;
-    let sweep = zoom::run_zoom_sweep(&trace, columns, options.threads, verify);
-    print_series_header(
-        "Zoom sweep — timeline frame times: scan vs. pyramid vs. adaptive",
-        "zoom_factor,mode,scan_ms,pyramid_ms,adaptive_ms,engine,speedup",
-    );
-    for frame in &sweep.frames {
-        println!(
-            "{},{},{:.3},{:.3},{:.3},{},{:.2}",
-            frame.zoom_factor,
-            frame.mode,
-            frame.scan_seconds * 1e3,
-            frame.pyramid_seconds * 1e3,
-            frame.adaptive_seconds * 1e3,
-            frame.engine,
-            frame.speedup()
-        );
-    }
-    println!(
-        "# trace: {} events; {} columns; prewarm (indexes + pyramids): {:.3}s; cost-model calibration: {:.3}s",
-        sweep.num_events, sweep.columns, sweep.prewarm_seconds, sweep.calibration_seconds
-    );
-    println!(
-        "# engine choices match prediction log: {} frames",
-        sweep.frames.len()
-    );
-    println!(
-        "# worst adaptive-vs-best ratio: {:.3} (acceptance: <= 1.10 per cell)",
-        sweep.worst_adaptive_vs_best()
-    );
-    println!(
-        "# state kernel ({} lanes): scalar {:.3} ms, {} {:.3} ms, speedup {:.2}x",
-        sweep.kernel.lanes,
-        sweep.kernel.scalar_seconds * 1e3,
-        sweep.kernel.simd_level,
-        sweep.kernel.simd_seconds * 1e3,
-        sweep.kernel.speedup()
-    );
-    println!(
-        "# pyramid memory: {} bytes = {:.2}% of {} bytes raw event data (budget: < 15%)",
-        sweep.pyramid_bytes,
-        sweep.pyramid_overhead() * 100.0,
-        sweep.raw_event_bytes
-    );
-    println!(
-        "# zoomed-out (factor 1) aggregate speedup: {:.2}x (acceptance: >= 5x at paper scale)",
-        sweep.zoomed_out_speedup()
-    );
-    options.write_json("zoom_sweep", &sweep.to_json());
 }
 
 fn print_series_header(title: &str, columns: &str) {
@@ -611,7 +303,7 @@ fn print_series_header(title: &str, columns: &str) {
     println!("{columns}");
 }
 
-fn fig3(exp: &SeidelExperiment) {
+fn fig3(exp: &SeidelExperiment, _: &Options) {
     let series = exp.fig3_idle_workers(40);
     print_series_header(
         "Figure 2/3 — seidel: number of idle workers over normalized execution time",
@@ -627,7 +319,7 @@ fn fig3(exp: &SeidelExperiment) {
     );
 }
 
-fn fig5(exp: &SeidelExperiment) {
+fn fig5(exp: &SeidelExperiment, _: &Options) {
     let profile = exp.fig5_parallelism_profile();
     print_series_header(
         "Figure 5 — seidel: available parallelism vs. task-graph depth",
@@ -645,7 +337,7 @@ fn fig5(exp: &SeidelExperiment) {
     );
 }
 
-fn fig8(exp: &SeidelExperiment) {
+fn fig8(exp: &SeidelExperiment, _: &Options) {
     let series = exp.fig8_average_task_duration(40);
     print_series_header(
         "Figure 7/8 — seidel: average task duration over normalized execution time",
@@ -664,7 +356,7 @@ fn fig8(exp: &SeidelExperiment) {
     );
 }
 
-fn fig9(exp: &SeidelExperiment) {
+fn fig9(exp: &SeidelExperiment, _: &Options) {
     let (first, rest) = exp.fig9_init_fraction_by_phase();
     print_series_header(
         "Figure 9 — seidel typemap: initialization share of execution cycles",
@@ -674,7 +366,7 @@ fn fig9(exp: &SeidelExperiment) {
     println!("remaining_three_quarters,{rest:.3}");
 }
 
-fn fig10(exp: &SeidelExperiment) {
+fn fig10(exp: &SeidelExperiment, _: &Options) {
     let (sys, rss) = exp.fig10_os_derivatives(40);
     print_series_header(
         "Figure 10 — seidel: increase of system time / resident size per cycle",
@@ -817,50 +509,64 @@ fn fig19(options: &Options) {
 fn sec6(options: &Options, trace: &aftermath_trace::Trace) {
     let io = section6::trace_io_stats_with(trace, options.threads);
     let render = section6::render_stats_with(trace, 1024, options.threads);
-    print_series_header(
-        "Section VI — trace format and rendering optimizations",
-        "metric,value",
-    );
-    println!("recorded_items,{}", io.num_events);
-    println!("encoded_bytes,{}", io.encoded_bytes);
-    println!("bytes_per_event,{:.1}", io.bytes_per_event);
-    println!("encode_seconds,{:.4}", io.write_seconds);
-    println!("decode_seconds,{:.4}", io.read_seconds);
-    println!(
-        "timeline_draw_calls_optimized,{}",
-        render.optimized_draw_calls
-    );
-    println!(
-        "timeline_draw_calls_unaggregated,{}",
-        render.unaggregated_draw_calls
-    );
-    println!("timeline_draw_calls_naive,{}", render.naive_draw_calls);
-    println!(
-        "overlay_draw_calls_optimized,{}",
-        render.overlay_optimized_calls
-    );
-    println!("overlay_draw_calls_naive,{}", render.overlay_naive_calls);
-    println!(
-        "counter_index_overhead,{:.4} (paper claims <= 0.05)",
-        render.index_overhead_ratio
-    );
-    options.write_json(
-        "sec6",
-        &format!(
-            "{{\n{}  \"recorded_items\": {},\n  \"encoded_bytes\": {},\n  \
-             \"bytes_per_event\": {:.3},\n  \"encode_seconds\": {:.6},\n  \"decode_seconds\": {:.6},\n  \
-             \"timeline_draw_calls_optimized\": {},\n  \"timeline_draw_calls_unaggregated\": {},\n  \
-             \"timeline_draw_calls_naive\": {},\n  \"counter_index_overhead\": {:.6}\n}}\n",
-            record::json_preamble("sec6"),
-            io.num_events,
-            io.encoded_bytes,
-            io.bytes_per_event,
-            io.write_seconds,
-            io.read_seconds,
-            render.optimized_draw_calls,
+    let fields = Fields::new()
+        .int("recorded_items", io.num_events)
+        .int("encoded_bytes", io.encoded_bytes)
+        .float("bytes_per_event", io.bytes_per_event)
+        .float("encode_seconds", io.write_seconds)
+        .float("decode_seconds", io.read_seconds)
+        .int("timeline_draw_calls_optimized", render.optimized_draw_calls)
+        .int(
+            "timeline_draw_calls_unaggregated",
             render.unaggregated_draw_calls,
-            render.naive_draw_calls,
-            render.index_overhead_ratio
-        ),
+        )
+        .int("timeline_draw_calls_naive", render.naive_draw_calls)
+        .int(
+            "overlay_draw_calls_optimized",
+            render.overlay_optimized_calls,
+        )
+        .int("overlay_draw_calls_naive", render.overlay_naive_calls)
+        .float("counter_index_overhead", render.index_overhead_ratio)
+        .note_if(true, "paper claims <= 0.05");
+    options.report(
+        "Section VI — trace format and rendering optimizations",
+        &Record::new("sec6", fields),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn targets(args: &[&str]) -> Vec<String> {
+        parse_args(args.iter().map(|a| a.to_string())).targets
+    }
+
+    #[test]
+    fn a_mode_is_a_target_with_or_without_dashes() {
+        for mode in [
+            "stream",
+            "ingest",
+            "store",
+            "serve",
+            "chaos",
+            "lint",
+            "zoom-sweep",
+        ] {
+            let dashed = format!("--{mode}");
+            assert_eq!(targets(&[&dashed]), targets(&[mode]));
+            assert_eq!(targets(&[mode]), [mode], "a mode alone runs no figure");
+            assert_eq!(
+                targets(&["--scale", "test", "--json", &dashed, "sec6"]),
+                [mode, "sec6"]
+            );
+        }
+        assert_eq!(targets(&[]), ["all"]);
+        assert_eq!(targets(&["--scale", "test", "--threads", "2"]), ["all"]);
+        assert!(targets(&["--write-fixture", "x.trace"]).is_empty());
+        let options = parse_args(["--serve".to_string()]);
+        assert!(options.has("serve") && !wants(&options, "fig3"));
+        let all = parse_args([]);
+        assert!(wants(&all, "sec6") && !all.has("serve"));
+    }
 }

@@ -15,9 +15,9 @@
 //!   a byte-identical answer or a *typed* error response; the pool's panic
 //!   counter must stay at zero.
 //!
-//! The CI gate (`bench_check`, kind `chaos`) holds the committed baseline to
-//! exactly that: zero escaped panics, both identity bits set, a salvage
-//! coverage floor, and a recovery-latency ceiling.
+//! The `chaos` rows of [`crate::gates::GATES`] hold a run to exactly that: zero
+//! escaped panics, both identity bits set, a salvage coverage floor, and a
+//! recovery-latency ceiling.
 
 use std::collections::BTreeSet;
 use std::io::Write as _;
@@ -26,17 +26,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aftermath_core::{AnalysisSession, StoreSession, Threads, TimelineMode};
-use aftermath_serve::manager::direct_response;
-use aftermath_serve::{
-    Client, ErrorCode, Request, Response, RetryPolicy, ServeConfig, Server, SessionManager,
-};
+use aftermath_serve::{ErrorCode, Request, Response, RetryPolicy, SessionManager};
 use aftermath_trace::error::TraceError;
+use aftermath_trace::fault::splitmix64;
 use aftermath_trace::store::{write_store_bytes, ColdTier, DamageCode, LaneId, MemoryTier};
 use aftermath_trace::{FaultConfig, FaultyTier, StoreOptions, StoredTrace, TimeInterval};
 
 use crate::figures::Scale;
-use crate::record;
-use crate::serve::script;
+use crate::record::{self, Fields, Record};
+use crate::serve::{drive, ground_truth, script};
 use crate::zoom::zoom_trace;
 
 /// Seed of every deterministic choice the harness makes (damage plan, fault
@@ -103,15 +101,6 @@ fn killer_connections(scale: Scale) -> u64 {
     }
 }
 
-/// SplitMix64, the mixer shared with the fault injector and retry jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Shares one [`FaultyTier`] between the opened store (which owns its tier
 /// box) and the harness (which reads the fault log afterwards).
 #[derive(Debug)]
@@ -127,8 +116,9 @@ impl ColdTier for SharedTier {
     }
 }
 
-/// Results of one chaos run (see the module docs for the two scenarios).
-#[derive(Debug)]
+/// Results of one chaos run (see the module docs for the two scenarios). Each
+/// client counts into one of its own; [`run_chaos_bench`] sums them.
+#[derive(Debug, Default)]
 pub struct ChaosBench {
     /// Events in the trace behind both scenarios.
     pub num_events: u64,
@@ -184,79 +174,38 @@ impl ChaosBench {
         record::quantile(&self.frame_seconds, q)
     }
 
-    /// Serialises the run as a JSON record of kind `chaos` (hand-rolled; the
-    /// workspace is offline), including the shared schema-version/git
-    /// envelope for the CI regression gate.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&record::json_preamble("chaos"));
-        s.push_str(&format!("  \"num_events\": {},\n", self.num_events));
-        s.push_str(&format!("  \"clients\": {},\n", self.clients));
-        s.push_str(&format!("  \"requests\": {},\n", self.requests));
-        s.push_str(&format!("  \"ok_responses\": {},\n", self.ok_responses));
-        s.push_str(&format!(
-            "  \"faulted_responses\": {},\n",
-            self.faulted_responses
-        ));
-        s.push_str(&format!(
-            "  \"exhausted_requests\": {},\n",
-            self.exhausted_requests
-        ));
-        s.push_str(&format!(
-            "  \"successful_identical\": {},\n",
-            u8::from(self.successful_identical)
-        ));
-        s.push_str(&format!("  \"retries\": {},\n", self.retries));
-        s.push_str(&format!("  \"kills\": {},\n", self.kills));
-        s.push_str(&format!(
-            "  \"faults_injected\": {},\n",
-            self.faults_injected
-        ));
-        s.push_str(&format!("  \"tier_reads\": {},\n", self.tier_reads));
-        s.push_str(&format!("  \"panics\": {},\n", self.panics));
-        s.push_str(&format!(
-            "  \"p95_frame_seconds\": {:.6},\n",
-            self.frame_quantile(0.95)
-        ));
-        s.push_str(&format!(
-            "  \"recovery_p95_seconds\": {:.6},\n",
-            self.recovery_quantile(0.95)
-        ));
-        s.push_str(&format!(
-            "  \"salvage_blocks_damaged\": {},\n",
-            self.salvage_blocks_damaged
-        ));
-        s.push_str(&format!(
-            "  \"salvage_row_coverage\": {:.6},\n",
-            self.salvage_row_coverage
-        ));
-        s.push_str(&format!(
-            "  \"salvage_identical\": {},\n",
-            u8::from(self.salvage_identical)
-        ));
-        s.push_str(&format!(
-            "  \"salvage_open_seconds\": {:.6}\n",
-            self.salvage_open_seconds
-        ));
-        s.push_str("}\n");
-        s
+    /// The run as a [`Record`] of kind `chaos`.
+    pub fn record(&self) -> Record {
+        let fields = Fields::new()
+            .int("num_events", self.num_events)
+            .int("clients", self.clients)
+            .int("requests", self.requests)
+            .int("ok_responses", self.ok_responses)
+            .int("faulted_responses", self.faulted_responses)
+            .int("exhausted_requests", self.exhausted_requests)
+            .flag("successful_identical", self.successful_identical)
+            .note_if(
+                self.successful_identical,
+                "every successful response byte-identical to the fault-free direct session",
+            )
+            .int("retries", self.retries)
+            .int("kills", self.kills)
+            .int("faults_injected", self.faults_injected)
+            .int("tier_reads", self.tier_reads)
+            .int("panics", self.panics)
+            .note_if(self.panics == 0, "no panic escaped containment")
+            .float("p95_frame_seconds", self.frame_quantile(0.95))
+            .float("recovery_p95_seconds", self.recovery_quantile(0.95))
+            .int("salvage_blocks_damaged", self.salvage_blocks_damaged)
+            .float("salvage_row_coverage", self.salvage_row_coverage)
+            .flag("salvage_identical", self.salvage_identical)
+            .note_if(
+                self.salvage_identical,
+                "covered-span answers byte-identical to the undamaged trace",
+            )
+            .float("salvage_open_seconds", self.salvage_open_seconds);
+        Record::new("chaos", fields)
     }
-}
-
-/// Rewrites a scripted request to carry `session` — the only field the chaos
-/// clients ever vary when they re-open after a reaped session.
-fn with_session(request: &Request, session: u64) -> Request {
-    let mut request = request.clone();
-    match &mut request {
-        Request::Close { session: s }
-        | Request::Timeline { session: s, .. }
-        | Request::Query { session: s, .. }
-        | Request::Anomalies { session: s, .. }
-        | Request::DrillIn { session: s, .. }
-        | Request::Lint { session: s } => *s = session,
-        Request::Open { .. } | Request::Stats => {}
-    }
-    request
 }
 
 /// The salvage scenario: flip one bit in each of a seeded set of interior
@@ -357,9 +306,15 @@ pub fn run_chaos_bench(scale: Scale, threads: Threads) -> ChaosBench {
     .expect("store writes");
 
     // The fault-free ground truth both scenarios compare against.
-    let direct = AnalysisSession::new(&trace);
-    direct.prewarm(threads);
+    let (direct, mut expected) = ground_truth(&trace, threads);
     let bounds = direct.time_bounds();
+    // Store-backed sessions answer `Lint` with "never linted", so that
+    // entry's ground truth is the explicit `None`, not the direct summary.
+    for (request, expected) in script(0, bounds).iter().zip(&mut expected) {
+        if matches!(request, Request::Lint { .. }) {
+            *expected = Response::Lint(None).encode();
+        }
+    }
 
     let (salvage_blocks_damaged, salvage_row_coverage, salvage_identical, salvage_open_seconds) =
         salvage_scenario(&trace, &bytes, &direct, scale);
@@ -395,109 +350,59 @@ pub fn run_chaos_bench(scale: Scale, threads: Threads) -> ChaosBench {
     let mut store_session = StoreSession::from_store(stored);
     store_session.set_residency_budget(Some(0));
     manager.register_store("chaos", store_session);
-    let manager = Arc::new(manager);
-    let server = Server::start(
-        Arc::clone(&manager),
-        ServeConfig {
-            workers: num_clients + 4,
-            backlog: num_clients * 4,
-            request_timeout: Duration::from_secs(120),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("chaos server starts");
-    let addr = server.addr();
 
-    // Expected bytes per scripted request, computed fault-free. Store-backed
-    // sessions answer `Lint` with "never linted", so that entry's ground
-    // truth is the explicit `None`, not the direct session's summary.
-    let template = Arc::new(script(0, bounds));
-    let expected: Arc<Vec<Vec<u8>>> = Arc::new(
-        template
-            .iter()
-            .map(|request| match request {
-                Request::Lint { .. } => Response::Lint(None).encode(),
-                other => direct_response(&direct, other).encode(),
-            })
-            .collect(),
-    );
-
-    // Killer thread: abrupt hangups mid-frame (a length prefix promising more
-    // bytes than ever arrive) and garbage frames — the server must shrug both
-    // off while the chaos clients keep getting exact answers.
     let killer_kills = killer_connections(scale);
-    let killer = std::thread::spawn(move || {
-        for k in 0..killer_kills {
-            let Ok(mut stream) = TcpStream::connect(addr) else {
-                continue;
-            };
-            if k % 2 == 0 {
-                let _ = stream.write_all(&64u32.to_le_bytes());
-                let _ = stream.write_all(&[0xAB; 7]);
-            } else {
-                let _ = stream.write_all(&8u32.to_le_bytes());
-                let _ = stream.write_all(&splitmix64(CHAOS_SEED ^ k).to_le_bytes());
-            }
-            // Drop: connection killed without completing the frame.
-        }
-    });
-
-    let mut handles = Vec::new();
-    for client_id in 0..num_clients {
-        let template = Arc::clone(&template);
-        let expected = Arc::clone(&expected);
-        handles.push(std::thread::spawn(move || {
+    let (runs, panics) = drive(
+        manager,
+        "chaos",
+        num_clients,
+        Duration::from_secs(120),
+        |client_id, client, session| {
             let policy = RetryPolicy {
                 max_retries: 4,
                 initial_backoff: Duration::from_millis(2),
                 max_backoff: Duration::from_millis(50),
                 seed: CHAOS_SEED ^ client_id as u64,
             };
-            let mut client = Client::connect(addr).expect("chaos client connects");
-            client
-                .set_timeout(Some(Duration::from_secs(120)))
-                .expect("client timeout set");
-            let mut session = client.open("chaos").expect("chaos session opens");
-
-            let len = template.len();
+            let mut requests = script(session, bounds);
+            let len = requests.len();
             // Two deterministic kill points per client, staggered so the
             // server never sees every client reconnect at once.
             let kill_at = [
                 (len / 3 + client_id) % len,
                 (2 * len / 3 + 2 * client_id) % len,
             ];
-            let (mut ok, mut faulted, mut exhausted, mut requests) = (0u64, 0u64, 0u64, 0u64);
-            let mut kills = 0u64;
-            let mut identical = true;
-            let mut latencies = Vec::new();
-            let mut recoveries = Vec::new();
+            let mut run = ChaosBench {
+                successful_identical: true,
+                ..ChaosBench::default()
+            };
             let mut recovery_started: Option<Instant> = None;
 
-            for (index, scripted) in template.iter().enumerate() {
+            for index in 0..len {
                 if kill_at.contains(&index) {
                     // Sever without telling the server: the next attempt
                     // fails at the transport level and the retry machinery
                     // must bring the client back.
                     let _ = client.sever();
-                    kills += 1;
+                    run.kills += 1;
                     recovery_started = Some(Instant::now());
                 }
                 let mut replays = 0u32;
                 loop {
-                    let request = with_session(scripted, session);
                     let started = Instant::now();
-                    requests += 1;
-                    let raw = match client.request_raw_with_retry(&request, &policy) {
+                    run.requests += 1;
+                    let raw = match client.request_raw_with_retry(&requests[index], &policy) {
                         Ok(raw) => raw,
                         Err(_) => {
-                            exhausted += 1;
+                            run.exhausted_requests += 1;
                             break;
                         }
                     };
-                    latencies.push(started.elapsed().as_secs_f64());
+                    run.frame_seconds.push(started.elapsed().as_secs_f64());
                     if raw == expected[index] {
-                        ok += 1;
+                        run.ok_responses += 1;
                     } else {
+                        run.faulted_responses += 1;
                         match Response::decode(&raw) {
                             // A retry that reconnected lost its session to
                             // the server's disconnect reaping: the typed
@@ -507,10 +412,9 @@ pub fn run_chaos_bench(scale: Scale, threads: Threads) -> ChaosBench {
                                 code: ErrorCode::UnknownSession,
                                 ..
                             }) if replays < 8 => {
-                                faulted += 1;
                                 replays += 1;
                                 if let Ok(fresh) = client.open("chaos") {
-                                    session = fresh;
+                                    requests = script(fresh, bounds);
                                     continue;
                                 }
                             }
@@ -520,92 +424,79 @@ pub fn run_chaos_bench(scale: Scale, threads: Threads) -> ChaosBench {
                             Ok(Response::Error {
                                 code: ErrorCode::Internal | ErrorCode::Timeout,
                                 ..
-                            }) => faulted += 1,
-                            _ => {
-                                identical = false;
-                                faulted += 1;
-                            }
+                            }) => {}
+                            _ => run.successful_identical = false,
                         }
                     }
                     if let Some(severed_at) = recovery_started.take() {
-                        recoveries.push(severed_at.elapsed().as_secs_f64());
+                        run.recovery_seconds
+                            .push(severed_at.elapsed().as_secs_f64());
                     }
                     break;
                 }
             }
-            let retries = client.retries_performed();
-            (
-                ok, faulted, exhausted, requests, kills, retries, identical, latencies, recoveries,
-            )
-        }));
-    }
+            run.retries = client.retries_performed();
+            run
+        },
+        // Meanwhile, abrupt hangups mid-frame (a length prefix promising more
+        // bytes than ever arrive) and garbage frames — the server must shrug
+        // both off while the chaos clients keep getting exact answers.
+        |_, addr| {
+            for k in 0..killer_kills {
+                let Ok(mut stream) = TcpStream::connect(addr) else {
+                    continue;
+                };
+                if k % 2 == 0 {
+                    let _ = stream.write_all(&64u32.to_le_bytes());
+                    let _ = stream.write_all(&[0xAB; 7]);
+                } else {
+                    let _ = stream.write_all(&8u32.to_le_bytes());
+                    let _ = stream.write_all(&splitmix64(CHAOS_SEED ^ k).to_le_bytes());
+                }
+                // Drop: connection killed without completing the frame.
+            }
+        },
+    );
 
-    let (mut ok_responses, mut faulted_responses, mut exhausted_requests) = (0u64, 0u64, 0u64);
-    let (mut requests, mut kills, mut retries) = (0u64, 0u64, 0u64);
-    let mut successful_identical = true;
-    let mut frame_seconds = Vec::new();
-    let mut recovery_seconds = Vec::new();
-    for handle in handles {
-        let (ok, faulted, exhausted, reqs, k, r, identical, latencies, recoveries) =
-            handle.join().expect("chaos client thread succeeds");
-        ok_responses += ok;
-        faulted_responses += faulted;
-        exhausted_requests += exhausted;
-        requests += reqs;
-        kills += k;
-        retries += r;
-        successful_identical &= identical;
-        frame_seconds.extend(latencies);
-        recovery_seconds.extend(recoveries);
-    }
-    killer.join().expect("killer thread succeeds");
-    kills += killer_kills;
-
-    let panics = server.panics_caught();
-    server.shutdown();
-
-    ChaosBench {
+    let mut bench = ChaosBench {
         num_events,
         clients: num_clients,
-        requests,
-        ok_responses,
-        faulted_responses,
-        exhausted_requests,
-        successful_identical,
-        retries,
-        kills,
+        successful_identical: true,
+        kills: killer_kills,
         faults_injected: tier.faults_injected(),
         tier_reads: tier.reads(),
         panics,
-        frame_seconds,
-        recovery_seconds,
         salvage_blocks_damaged,
         salvage_row_coverage,
         salvage_identical,
         salvage_open_seconds,
+        ..ChaosBench::default()
+    };
+    for run in runs {
+        bench.requests += run.requests;
+        bench.ok_responses += run.ok_responses;
+        bench.faulted_responses += run.faulted_responses;
+        bench.exhausted_requests += run.exhausted_requests;
+        bench.successful_identical &= run.successful_identical;
+        bench.retries += run.retries;
+        bench.kills += run.kills;
+        bench.frame_seconds.extend(run.frame_seconds);
+        bench.recovery_seconds.extend(run.recovery_seconds);
     }
+    bench
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{json_number, json_string};
+    use crate::gates::{gates_of, Verdict};
 
     #[test]
     fn test_scale_chaos_run_survives_and_stays_exact() {
         let bench = run_chaos_bench(Scale::Test, Threads::single());
-        assert_eq!(bench.panics, 0, "no panic may escape containment");
         assert!(
-            bench.successful_identical,
-            "successful responses must match the fault-free direct session"
-        );
-        assert!(
-            bench.salvage_identical,
-            "covered-span frames must match the undamaged trace"
-        );
-        assert!(
-            bench.salvage_row_coverage > 0.5 && bench.salvage_row_coverage < 1.0,
-            "damage must cost some but not most rows, got {}",
+            bench.salvage_row_coverage < 1.0,
+            "damage must cost some rows, got {}",
             bench.salvage_row_coverage
         );
         assert_eq!(
@@ -630,13 +521,14 @@ mod tests {
             "every request is accounted for"
         );
 
-        let json = bench.to_json();
-        assert_eq!(json_string(&json, "bench").as_deref(), Some("chaos"));
-        assert_eq!(json_number(&json, "panics"), Some(0.0));
-        assert_eq!(json_number(&json, "successful_identical"), Some(1.0));
-        assert_eq!(json_number(&json, "salvage_identical"), Some(1.0));
-        assert!(json_number(&json, "salvage_row_coverage").unwrap() > 0.5);
-        assert!(json_number(&json, "recovery_p95_seconds").unwrap() > 0.0);
-        assert_eq!(json_number(&json, "requests"), Some(bench.requests as f64));
+        let record = Record::parse(&bench.record().to_json()).unwrap();
+        assert_eq!(record.bench, "chaos");
+        assert_eq!(record.fields.int_value("requests"), Ok(bench.requests));
+        // Against itself as the baseline every gate of the kind holds: no
+        // escaped panic, both identity bits, most rows salvaged.
+        for gate in gates_of("chaos") {
+            let (verdict, line) = gate.evaluate(&record, Some(&record));
+            assert_eq!(verdict, Verdict::Pass, "{line}");
+        }
     }
 }

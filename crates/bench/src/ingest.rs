@@ -8,8 +8,8 @@
 //! [`aftermath_trace::TraceBuilder::finish_with`], [`AnalysisSession::prewarm`]
 //! and the (uncached) anomaly engine — and reports storage density as measured
 //! bytes/event of the columnar stores against the array-of-structs baseline
-//! ([`aftermath_trace::Trace::aos_event_bytes`]). [`IngestBench::to_json`] emits a
-//! `BENCH_ingest.json` record; the `bench_check` gate compares its analysis
+//! ([`aftermath_trace::Trace::aos_event_bytes`]). [`IngestBench::record`] is the
+//! `BENCH_ingest.json` record; its rows of [`crate::gates::GATES`] compare analysis
 //! throughput and bytes/event against the committed baseline.
 
 use std::time::Instant;
@@ -18,6 +18,7 @@ use aftermath_core::anomaly::{self, AnomalyConfig};
 use aftermath_core::{AnalysisSession, Threads};
 
 use crate::figures::Scale;
+use crate::record::{quantile, sample_seconds, Fields, Record};
 use crate::zoom::zoom_builder;
 
 /// The measured ingest pipeline on one trace.
@@ -71,64 +72,22 @@ impl IngestBench {
             / (self.build_seconds + self.prewarm_seconds + self.detect_seconds).max(1e-12)
     }
 
-    /// Serialises the record with the shared schema/git envelope (hand-rolled;
-    /// the workspace is offline and carries no JSON dependency).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&crate::record::json_preamble("ingest"));
-        s.push_str(&format!("  \"num_events\": {},\n", self.num_events));
-        s.push_str(&format!(
-            "  \"build_seconds\": {:.6},\n",
-            self.build_seconds
-        ));
-        s.push_str(&format!(
-            "  \"prewarm_seconds\": {:.6},\n",
-            self.prewarm_seconds
-        ));
-        s.push_str(&format!(
-            "  \"detect_seconds\": {:.6},\n",
-            self.detect_seconds
-        ));
-        s.push_str(&format!("  \"anomalies\": {},\n", self.anomalies));
-        s.push_str(&format!(
-            "  \"resident_event_bytes\": {},\n",
-            self.resident_event_bytes
-        ));
-        s.push_str(&format!(
-            "  \"aos_event_bytes\": {},\n",
-            self.aos_event_bytes
-        ));
-        s.push_str(&format!(
-            "  \"bytes_per_event\": {:.3},\n",
-            self.bytes_per_event()
-        ));
-        s.push_str(&format!(
-            "  \"memory_reduction\": {:.6},\n",
-            self.memory_reduction()
-        ));
-        s.push_str(&format!(
-            "  \"analyze_events_per_sec\": {:.1},\n",
-            self.analyze_events_per_sec()
-        ));
-        s.push_str(&format!(
-            "  \"ingest_events_per_sec\": {:.1}\n",
-            self.ingest_events_per_sec()
-        ));
-        s.push_str("}\n");
-        s
+    /// The run as a [`Record`] of kind `ingest`.
+    pub fn record(&self) -> Record {
+        let fields = Fields::new()
+            .int("num_events", self.num_events)
+            .float("build_seconds", self.build_seconds)
+            .float("prewarm_seconds", self.prewarm_seconds)
+            .float("detect_seconds", self.detect_seconds)
+            .int("anomalies", self.anomalies)
+            .int("resident_event_bytes", self.resident_event_bytes)
+            .int("aos_event_bytes", self.aos_event_bytes)
+            .float("bytes_per_event", self.bytes_per_event())
+            .float("memory_reduction", self.memory_reduction())
+            .float("analyze_events_per_sec", self.analyze_events_per_sec())
+            .float("ingest_events_per_sec", self.ingest_events_per_sec());
+        Record::new("ingest", fields)
     }
-}
-
-fn median_seconds(mut f: impl FnMut(), samples: usize) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 /// Runs the ingest pipeline on the zoom-sweep trace at `scale`: build the trace on
@@ -148,22 +107,19 @@ pub fn run_ingest_bench(scale: Scale, threads: Threads) -> IngestBench {
 
     let config = AnomalyConfig::default();
     let mut anomalies = 0;
-    let detect_seconds = median_seconds(
-        || {
-            // The free function bypasses the session's per-config report cache, so
-            // every iteration measures a full scan over warm indexes.
-            let report = anomaly::detect_anomalies_with(&session, &config, threads)
-                .expect("anomaly scan succeeds");
-            anomalies = report.len();
-        },
-        3,
-    );
+    let detect_samples = sample_seconds(3, || {
+        // The free function bypasses the session's per-config report cache, so
+        // every iteration measures a full scan over warm indexes.
+        let report = anomaly::detect_anomalies_with(&session, &config, threads)
+            .expect("anomaly scan succeeds");
+        anomalies = report.len();
+    });
 
     IngestBench {
         num_events: trace.num_events(),
         build_seconds,
         prewarm_seconds,
-        detect_seconds,
+        detect_seconds: quantile(&detect_samples, 0.5),
         anomalies,
         resident_event_bytes: trace.resident_event_bytes(),
         aos_event_bytes: trace.aos_event_bytes(),
@@ -187,20 +143,13 @@ mod tests {
              (measured {:.1} %)",
             bench.memory_reduction() * 100.0
         );
-        let json = bench.to_json();
+        let record = Record::parse(&bench.record().to_json()).unwrap();
+        assert_eq!(record.bench, "ingest");
         assert_eq!(
-            crate::record::json_string(&json, "bench").as_deref(),
-            Some("ingest")
+            record.fields.int_value("num_events"),
+            Ok(bench.num_events as u64)
         );
-        assert_eq!(
-            crate::record::json_number(&json, "schema_version"),
-            Some(crate::record::BENCH_SCHEMA_VERSION as f64)
-        );
-        assert_eq!(
-            crate::record::json_number(&json, "num_events"),
-            Some(bench.num_events as f64)
-        );
-        assert!(crate::record::json_number(&json, "analyze_events_per_sec").unwrap() > 0.0);
-        assert!(crate::record::json_number(&json, "bytes_per_event").unwrap() > 0.0);
+        assert!(record.fields.number("analyze_events_per_sec").unwrap() > 0.0);
+        assert!(record.fields.number("bytes_per_event").unwrap() > 0.0);
     }
 }

@@ -16,6 +16,7 @@
 
 pub mod chaos;
 pub mod figures;
+pub mod gates;
 pub mod ingest;
 pub mod kmeans_experiments;
 pub mod lint_demo;

@@ -21,7 +21,7 @@ use aftermath_core::{AnalysisSession, LiveSession, TimelineMode};
 use aftermath_trace::streaming::{make_streamable, split_even};
 use aftermath_trace::Trace;
 
-use crate::record;
+use crate::record::{self, Fields, Record};
 
 /// Measurements of one replayed epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,45 +71,36 @@ impl StreamBench {
         self.epochs.iter().map(|e| e.nodes_rebuilt).sum()
     }
 
-    /// Serialises the replay as a `BENCH_*.json` record (hand-rolled; the workspace
-    /// is offline and carries no JSON dependency), including the shared
-    /// schema-version/git envelope.
-    pub fn to_json(&self, bench: &str) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&record::json_preamble(bench));
-        s.push_str(&format!("  \"chunks\": {},\n", self.chunks));
-        s.push_str(&format!("  \"columns\": {},\n", self.columns));
-        s.push_str(&format!("  \"num_events\": {},\n", self.num_events));
-        s.push_str(&format!("  \"verified\": {},\n", self.verified));
-        s.push_str(&format!(
-            "  \"advance_p50_ms\": {:.6},\n  \"advance_p95_ms\": {:.6},\n",
-            self.advance_quantile(0.5) * 1e3,
-            self.advance_quantile(0.95) * 1e3
-        ));
-        s.push_str(&format!(
-            "  \"frame_p50_ms\": {:.6},\n  \"frame_p95_ms\": {:.6},\n",
-            self.frame_quantile(0.5) * 1e3,
-            self.frame_quantile(0.95) * 1e3
-        ));
-        s.push_str(&format!(
-            "  \"total_nodes_rebuilt\": {},\n",
-            self.total_nodes_rebuilt()
-        ));
-        s.push_str("  \"epochs\": [\n");
-        for (i, e) in self.epochs.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"epoch\": {}, \"appended_items\": {}, \"nodes_rebuilt\": {}, \
-                 \"advance_ms\": {:.6}, \"frame_ms\": {:.6}}}{}\n",
-                e.epoch,
-                e.appended_items,
-                e.nodes_rebuilt,
-                e.advance_seconds * 1e3,
-                e.frame_seconds * 1e3,
-                if i + 1 == self.epochs.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+    /// The replay as a [`Record`] of kind `stream_sec6`, one `epochs` row per
+    /// replayed chunk.
+    pub fn record(&self) -> Record {
+        let fields = Fields::new()
+            .int("chunks", self.chunks)
+            .int("columns", self.columns)
+            .int("num_events", self.num_events)
+            .flag("verified", self.verified)
+            .note_if(
+                self.verified,
+                "every epoch byte-identical to a batch session",
+            )
+            .float("advance_p50_ms", self.advance_quantile(0.5) * 1e3)
+            .float("advance_p95_ms", self.advance_quantile(0.95) * 1e3)
+            .float("frame_p50_ms", self.frame_quantile(0.5) * 1e3)
+            .float("frame_p95_ms", self.frame_quantile(0.95) * 1e3)
+            .int("total_nodes_rebuilt", self.total_nodes_rebuilt());
+        let epochs = self
+            .epochs
+            .iter()
+            .map(|e| {
+                Fields::new()
+                    .int("epoch", e.epoch)
+                    .int("appended_items", e.appended_items)
+                    .int("nodes_rebuilt", e.nodes_rebuilt)
+                    .float("advance_ms", e.advance_seconds * 1e3)
+                    .float("frame_ms", e.frame_seconds * 1e3)
+            })
+            .collect();
+        Record::new("stream_sec6", fields).with_rows("epochs", epochs, None)
     }
 }
 
@@ -196,15 +187,10 @@ mod tests {
         assert_eq!(bench.chunks, 8);
         assert!(bench.num_events > 0);
         assert!(bench.advance_quantile(0.95) >= bench.advance_quantile(0.0));
-        let json = bench.to_json("stream_sec6");
-        assert_eq!(
-            crate::record::json_number(&json, "schema_version"),
-            Some(crate::record::BENCH_SCHEMA_VERSION as f64)
-        );
-        assert_eq!(
-            crate::record::json_string(&json, "bench").as_deref(),
-            Some("stream_sec6")
-        );
-        assert_eq!(crate::record::json_number(&json, "chunks"), Some(8.0));
+        let record = Record::parse(&bench.record().to_json()).unwrap();
+        assert_eq!(record.bench, "stream_sec6");
+        assert_eq!(record.fields.int_value("chunks"), Ok(8));
+        assert_eq!(record.fields.flag_value("verified"), Ok(true));
+        assert_eq!(record.rows.unwrap().rows.len(), 8);
     }
 }

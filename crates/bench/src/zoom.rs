@@ -13,8 +13,8 @@
 //!   cost is O(columns · log n) at every zoom level.
 //!
 //! The two engines produce byte-identical models (verified during the sweep), so the
-//! comparison is purely about time. [`ZoomSweep::to_json`] emits the results as a
-//! machine-readable `BENCH_*.json` record.
+//! comparison is purely about time. [`ZoomSweep::record`] is the machine-readable
+//! `BENCH_zoom_sweep.json` record.
 
 use std::time::Instant;
 
@@ -27,6 +27,7 @@ use aftermath_trace::{
 };
 
 use crate::figures::Scale;
+use crate::record::{quantile, sample_seconds, Fields, Record};
 
 /// Zoom factors measured by the sweep, ascending from fully zoomed out (`1`).
 pub const ZOOM_FACTORS: [u64; 5] = [1, 4, 16, 64, 256];
@@ -48,6 +49,17 @@ pub fn zoom_trace(scale: Scale) -> Trace {
         .expect("zoom trace must validate")
 }
 
+/// A deterministic xorshift64 stream from `state` — varied inputs without any
+/// external dependency.
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
 /// The un-finished builder behind [`zoom_trace`], so the ingest benchmark
 /// ([`crate::ingest`]) can time `finish_with` (sort + validate + columnarise)
 /// separately from event recording.
@@ -64,15 +76,8 @@ pub fn zoom_builder(scale: Scale) -> TraceBuilder {
     let r1 = 0x20_0000u64;
     b.add_region(r0, region_bytes, Some(aftermath_trace::NumaNodeId(0)));
     b.add_region(r1, region_bytes, Some(aftermath_trace::NumaNodeId(1)));
-    // A deterministic xorshift keeps durations varied (non-trivial predominance and
-    // heat shades) without any external dependency.
-    let mut rng_state = 0x9E37_79B9_97F4_A7C5u64;
-    let mut rng = move || {
-        rng_state ^= rng_state << 13;
-        rng_state ^= rng_state >> 7;
-        rng_state ^= rng_state << 17;
-        rng_state
-    };
+    // Varied durations give non-trivial predominance and heat shades.
+    let mut rng = xorshift(0x9E37_79B9_97F4_A7C5);
     for cpu in 0..num_cpus {
         let cpu = CpuId(cpu as u32);
         let mut now = 0u64;
@@ -103,7 +108,11 @@ pub fn zoom_builder(scale: Scale) -> TraceBuilder {
                 None,
             )
             .expect("state in bounds");
-            let (read_base, write_base) = if rng() % 3 == 0 { (r1, r0) } else { (r0, r1) };
+            let (read_base, write_base) = if rng().is_multiple_of(3) {
+                (r1, r0)
+            } else {
+                (r0, r1)
+            };
             b.add_access(
                 task,
                 AccessKind::Read,
@@ -150,7 +159,7 @@ impl ZoomFrame {
     }
 
     /// Adaptive time relative to the better of the two explicit engines
-    /// (1.0 = as fast as the best; the acceptance ceiling is 1.1).
+    /// (1.0 = as fast as the best).
     pub fn adaptive_vs_best(&self) -> f64 {
         self.adaptive_seconds / self.scan_seconds.min(self.pyramid_seconds).max(1e-12)
     }
@@ -191,13 +200,7 @@ pub fn kernel_microbench() -> KernelBench {
     let mut starts = vec![0u64; n];
     let mut ends = vec![0u64; n];
     let mut tags = vec![0u8; n];
-    let mut rng_state = 0xD1B5_4A32_D192_ED03u64;
-    let mut rng = move || {
-        rng_state ^= rng_state << 13;
-        rng_state ^= rng_state >> 7;
-        rng_state ^= rng_state << 17;
-        rng_state
-    };
+    let mut rng = xorshift(0xD1B5_4A32_D192_ED03);
     let mut now = 0u64;
     for i in 0..n {
         let d = 1 + rng() % 100_000;
@@ -207,35 +210,29 @@ pub fn kernel_microbench() -> KernelBench {
         tags[i] = (rng() % 2) as u8;
     }
     let mut sums = [0u64; aftermath_trace::WorkerState::COUNT];
-    let scalar_seconds = min_seconds(
-        || {
-            kernels::tag_duration_sums_at(
-                SimdLevel::Scalar,
-                std::hint::black_box(&starts),
-                std::hint::black_box(&ends),
-                std::hint::black_box(&tags),
-                &mut sums,
-            );
-            std::hint::black_box(&mut sums);
-        },
-        9,
-    );
-    let simd_seconds = min_seconds(
-        || {
-            kernels::tag_duration_sums(
-                std::hint::black_box(&starts),
-                std::hint::black_box(&ends),
-                std::hint::black_box(&tags),
-                &mut sums,
-            );
-            std::hint::black_box(&mut sums);
-        },
-        9,
-    );
+    let scalar = sample_seconds(9, || {
+        kernels::tag_duration_sums_at(
+            SimdLevel::Scalar,
+            std::hint::black_box(&starts),
+            std::hint::black_box(&ends),
+            std::hint::black_box(&tags),
+            &mut sums,
+        );
+        std::hint::black_box(&mut sums);
+    });
+    let simd = sample_seconds(9, || {
+        kernels::tag_duration_sums(
+            std::hint::black_box(&starts),
+            std::hint::black_box(&ends),
+            std::hint::black_box(&tags),
+            &mut sums,
+        );
+        std::hint::black_box(&mut sums);
+    });
     KernelBench {
         lanes: n,
-        scalar_seconds,
-        simd_seconds,
+        scalar_seconds: quantile(&scalar, 0.0),
+        simd_seconds: quantile(&simd, 0.0),
         simd_level: aftermath_core::simd_level().name(),
     }
 }
@@ -291,9 +288,9 @@ impl ZoomSweep {
         self.speedup_at(ZOOM_FACTORS[0])
     }
 
-    /// The worst [`ZoomFrame::adaptive_vs_best`] across all frames — the number
-    /// the per-cell acceptance rule bounds (no cell may be > 10 % slower than
-    /// the better explicit engine).
+    /// The worst [`ZoomFrame::adaptive_vs_best`] across all frames — a summary
+    /// of what the per-cell gate (`adaptive_seconds` in [`crate::gates::GATES`])
+    /// checks row by row.
     pub fn worst_adaptive_vs_best(&self) -> f64 {
         self.frames
             .iter()
@@ -301,91 +298,58 @@ impl ZoomSweep {
             .fold(0.0, f64::max)
     }
 
-    /// Serialises the sweep as a JSON object (hand-rolled; the workspace is
-    /// offline and carries no JSON dependency), including the shared
-    /// schema-version/git envelope so the CI regression gate can reject
-    /// incomparable records.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&crate::record::json_preamble("zoom_sweep"));
-        s.push_str(&format!("  \"columns\": {},\n", self.columns));
-        s.push_str(&format!("  \"num_events\": {},\n", self.num_events));
-        s.push_str(&format!(
-            "  \"prewarm_seconds\": {:.6},\n",
-            self.prewarm_seconds
-        ));
-        s.push_str(&format!(
-            "  \"calibration_seconds\": {:.6},\n",
-            self.calibration_seconds
-        ));
-        s.push_str(&format!(
-            "  \"simd_level\": \"{}\",\n",
-            self.kernel.simd_level
-        ));
-        s.push_str(&format!("  \"kernel_lanes\": {},\n", self.kernel.lanes));
-        s.push_str(&format!(
-            "  \"kernel_scalar_seconds\": {:.6},\n",
-            self.kernel.scalar_seconds
-        ));
-        s.push_str(&format!(
-            "  \"kernel_simd_seconds\": {:.6},\n",
-            self.kernel.simd_seconds
-        ));
-        s.push_str(&format!(
-            "  \"state_kernel_speedup\": {:.3},\n",
-            self.kernel.speedup()
-        ));
-        s.push_str(&format!(
-            "  \"worst_adaptive_vs_best\": {:.3},\n",
-            self.worst_adaptive_vs_best()
-        ));
-        s.push_str(&format!("  \"pyramid_bytes\": {},\n", self.pyramid_bytes));
-        s.push_str(&format!(
-            "  \"raw_event_bytes\": {},\n",
-            self.raw_event_bytes
-        ));
-        s.push_str(&format!(
-            "  \"pyramid_overhead\": {:.6},\n",
-            self.pyramid_overhead()
-        ));
-        s.push_str(&format!(
-            "  \"zoomed_out_speedup\": {:.3},\n",
-            self.zoomed_out_speedup()
-        ));
-        s.push_str("  \"frames\": [\n");
-        for (i, f) in self.frames.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"zoom_factor\": {}, \"mode\": \"{}\", \"scan_seconds\": {:.6}, \"pyramid_seconds\": {:.6}, \"adaptive_seconds\": {:.6}, \"engine\": \"{}\", \"speedup\": {:.3}}}{}\n",
-                f.zoom_factor,
-                f.mode,
-                f.scan_seconds,
-                f.pyramid_seconds,
-                f.adaptive_seconds,
-                f.engine,
-                f.speedup(),
-                if i + 1 == self.frames.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+    /// The sweep as a [`Record`] of kind `zoom_sweep`, one `frames` row per
+    /// `(zoom, mode)` cell. Reaching this point means every adaptive build
+    /// agreed with the session's prediction log (see [`run_zoom_sweep`]), which
+    /// is what the rows' note says.
+    pub fn record(&self) -> Record {
+        let fields = Fields::new()
+            .int("columns", self.columns)
+            .int("num_events", self.num_events)
+            .float("prewarm_seconds", self.prewarm_seconds)
+            .float("calibration_seconds", self.calibration_seconds)
+            .text("simd_level", self.kernel.simd_level)
+            .int("kernel_lanes", self.kernel.lanes)
+            .float("kernel_scalar_seconds", self.kernel.scalar_seconds)
+            .float("kernel_simd_seconds", self.kernel.simd_seconds)
+            .float("state_kernel_speedup", self.kernel.speedup())
+            .float("worst_adaptive_vs_best", self.worst_adaptive_vs_best())
+            .int("pyramid_bytes", self.pyramid_bytes)
+            .int("raw_event_bytes", self.raw_event_bytes)
+            .float("pyramid_overhead", self.pyramid_overhead())
+            .float("zoomed_out_speedup", self.zoomed_out_speedup());
+        let frames = self
+            .frames
+            .iter()
+            .map(|f| {
+                Fields::new()
+                    .int("zoom_factor", f.zoom_factor)
+                    .text("mode", f.mode)
+                    .float("scan_seconds", f.scan_seconds)
+                    .float("pyramid_seconds", f.pyramid_seconds)
+                    .float("adaptive_seconds", f.adaptive_seconds)
+                    .text("engine", f.engine)
+                    .float("speedup", f.speedup())
+            })
+            .collect();
+        let note = format!(
+            "engine choices match prediction log: {} frames",
+            self.frames.len()
+        );
+        Record::new("zoom_sweep", fields).with_rows("frames", frames, Some(note))
     }
 }
 
-/// The six timeline modes measured by the sweep, with short names for reports.
-pub fn sweep_modes(trace: &Trace) -> Vec<(&'static str, TimelineMode)> {
-    let max = trace
-        .tasks()
-        .iter()
-        .map(|t| t.duration())
-        .max()
-        .unwrap_or(1);
-    vec![
+/// The six timeline modes with short names for reports, the heatmap shading
+/// durations from 0 to `max_duration`.
+pub fn timeline_modes(max_duration: u64) -> [(&'static str, TimelineMode); 6] {
+    [
         ("state", TimelineMode::State),
         (
             "heatmap",
             TimelineMode::Heatmap {
                 min_duration: 0,
-                max_duration: max,
+                max_duration,
             },
         ),
         ("typemap", TimelineMode::TaskType),
@@ -395,6 +359,13 @@ pub fn sweep_modes(trace: &Trace) -> Vec<(&'static str, TimelineMode)> {
     ]
 }
 
+/// The six timeline modes measured by the sweep: the heatmap spans the trace's
+/// longest task.
+pub fn sweep_modes(trace: &Trace) -> [(&'static str, TimelineMode); 6] {
+    let max = trace.tasks().iter().map(|t| t.duration()).max();
+    timeline_modes(max.unwrap_or(1))
+}
+
 /// The visible window at `factor`, centred in the trace bounds. Empty bounds yield
 /// a minimal one-cycle window at the start (never an arithmetic underflow).
 pub fn zoom_window(bounds: TimeInterval, factor: u64) -> TimeInterval {
@@ -402,21 +373,6 @@ pub fn zoom_window(bounds: TimeInterval, factor: u64) -> TimeInterval {
     let width = (duration / factor.max(1)).max(1);
     let start = bounds.start.0 + duration.saturating_sub(width) / 2;
     TimeInterval::from_cycles(start, start + width)
-}
-
-/// Fastest of `samples` runs: the estimator of what each engine *can* do. The
-/// per-cell acceptance rule compares adaptive against the better explicit
-/// engine, so all three must be measured the same way, and the minimum is far
-/// more robust to scheduler/timer spikes on shared runners than a median of
-/// few samples.
-fn min_seconds(mut f: impl FnMut(), samples: usize) -> f64 {
-    (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// Runs the full sweep over `trace`: every [`ZOOM_FACTORS`] level × every timeline
@@ -461,24 +417,24 @@ pub fn run_zoom_sweep(trace: &Trace, columns: usize, threads: Threads, verify: b
                     "adaptive frame must be byte-identical to scan ({name}, zoom {factor})"
                 );
             }
-            let scan_seconds = min_seconds(
-                || {
-                    build(TimelineEngine::Scan);
-                },
-                5,
-            );
-            let pyramid_seconds = min_seconds(
-                || {
-                    build(TimelineEngine::Pyramid);
-                },
-                5,
-            );
-            let adaptive_seconds = min_seconds(
-                || {
-                    build(TimelineEngine::Adaptive);
-                },
-                5,
-            );
+            // Fastest of 5 per engine — what each engine *can* do, far more
+            // robust to scheduler/timer spikes on shared runners than a median
+            // of few samples. The rounds go round-robin over the engines: the
+            // per-cell rule compares adaptive against the better explicit
+            // engine, so machine drift must land on all three alike.
+            let engines = [
+                TimelineEngine::Scan,
+                TimelineEngine::Pyramid,
+                TimelineEngine::Adaptive,
+            ];
+            let mut fastest = [f64::INFINITY; 3];
+            for _ in 0..5 {
+                for (engine, fastest) in engines.into_iter().zip(&mut fastest) {
+                    let seconds = sample_seconds(1, || drop(build(engine)))[0];
+                    *fastest = fastest.min(seconds);
+                }
+            }
+            let [scan_seconds, pyramid_seconds, adaptive_seconds] = fastest;
             // Every adaptive build above logged one decision; they must agree
             // with each other and with their own cost predictions.
             let decisions = session.engine_decisions();
@@ -552,22 +508,13 @@ mod tests {
             "pyramid overhead {} must stay below 15 %",
             sweep.pyramid_overhead()
         );
-        let json = sweep.to_json();
-        assert!(json.contains("\"zoom_sweep\""));
-        assert!(json.contains("\"frames\""));
-        // The record carries the shared envelope the regression gate keys on.
-        assert_eq!(
-            crate::record::json_number(&json, "schema_version"),
-            Some(crate::record::BENCH_SCHEMA_VERSION as f64)
-        );
-        assert!(crate::record::json_string(&json, "git").is_some());
-        assert!(crate::record::json_number(&json, "zoomed_out_speedup").is_some());
-        // Schema-v2 fields the adaptive/kernel gates key on.
-        assert!(crate::record::json_string(&json, "simd_level").is_some());
-        assert!(crate::record::json_number(&json, "state_kernel_speedup").is_some());
-        assert!(crate::record::json_number(&json, "worst_adaptive_vs_best").is_some());
-        assert!(json.contains("\"adaptive_seconds\""));
-        assert!(json.contains("\"engine\""));
+        let record = Record::parse(&sweep.record().to_json()).unwrap();
+        assert_eq!(record.bench, "zoom_sweep");
+        assert!(record.fields.number("zoomed_out_speedup").is_ok());
+        assert!(record.fields.number("worst_adaptive_vs_best").is_ok());
+        let frames = record.rows.unwrap();
+        assert_eq!((frames.name.as_str(), frames.rows.len()), ("frames", 30));
+        assert!(frames.rows[0].text_value("engine").is_ok());
     }
 
     #[test]

@@ -757,8 +757,7 @@ impl<'t> AnalysisSession<'t> {
 
     /// All state intervals of one CPU as a zero-copy columnar view (empty for an
     /// unknown CPU). Materialise single structs on demand via
-    /// [`StatesView::get`]/iteration, or the whole stream via
-    /// [`aftermath_trace::PerCpuEvents::states_vec`].
+    /// [`StatesView::get`], or the whole stream via `iter().collect()`.
     pub fn states(&self, cpu: CpuId) -> StatesView<'t> {
         self.trace
             .cpu(cpu)

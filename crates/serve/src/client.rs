@@ -16,6 +16,8 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use aftermath_trace::fault::splitmix64;
+
 use crate::protocol::{read_frame, write_frame, Request, Response};
 
 /// Retry budget and backoff shape of [`Client::request_with_retry`].
@@ -58,16 +60,6 @@ impl RetryPolicy {
         let jitter = splitmix64(self.seed ^ u64::from(retry)) % jitter_space;
         base + Duration::from_micros(jitter)
     }
-}
-
-/// SplitMix64, the same mixer the trace fault injector uses: one output per
-/// input, so a `(seed, retry)` pair always jitters identically.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The retry budget of one [`Client::request_with_retry`] call ran out.

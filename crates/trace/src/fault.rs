@@ -98,8 +98,10 @@ impl Default for FaultConfig {
 }
 
 /// SplitMix64: a small, high-quality mixer — one output per input, so the
-/// fault decision for read `n` is a pure function of `(seed, n)`.
-fn splitmix64(mut x: u64) -> u64 {
+/// fault decision for read `n` is a pure function of `(seed, n)`. Public so
+/// the retry jitter of the serve client and the chaos harness draw from the
+/// same mixer instead of a copy of it.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -1107,16 +1107,22 @@ fn repair_builder(parts: BuilderPartsMut<'_>, report: &mut LintReport) {
 
     // 2–4. Per-CPU streams: close unclosed intervals, resolve overlaps, clear
     // orphan refs, clamp counter regressions. The columns have no in-place
-    // mutators, so each stream is materialised, fixed and rebuilt.
+    // mutators, so a stream that needs a fix is materialised, fixed and
+    // rebuilt; whether it needs one is decided over the column views, so a
+    // clean stream is never copied.
     for pc in parts.per_cpu.iter_mut() {
         let cpu = pc.cpu();
-        let states = pc.states_vec();
-        let needs_state_pass = states.iter().enumerate().any(|(i, s)| {
-            s.interval.end == Timestamp::MAX
-                || s.task.is_some_and(|t| orphan(t, num_tasks))
-                || (i > 0 && s.interval.start < states[i - 1].interval.end)
-        });
+        let view = pc.states();
+        let (starts, ends) = (view.starts(), view.ends());
+        let needs_state_pass = ends.contains(&u64::MAX)
+            || starts
+                .iter()
+                .skip(1)
+                .zip(ends)
+                .any(|(start, end)| start < end)
+            || (0..view.len()).any(|i| view.task(i).is_some_and(|t| orphan(t, num_tasks)));
         if needs_state_pass {
+            let states = pc.states.to_vec();
             let mut rebuilt = StateColumns::new(cpu);
             let mut tail = Timestamp::ZERO;
             for (i, mut s) in states.iter().copied().enumerate() {
@@ -1176,15 +1182,14 @@ fn repair_builder(parts: BuilderPartsMut<'_>, report: &mut LintReport) {
             pc.states = rebuilt;
         }
 
-        let events = pc.events_vec();
-        if events.iter().any(|e| {
+        if pc.events().iter().any(|e| {
             event_task_refs(&e.kind)
                 .into_iter()
                 .flatten()
                 .any(|t| orphan(t, num_tasks))
         }) {
             let mut rebuilt = EventColumns::new(cpu);
-            for (i, e) in events.into_iter().enumerate() {
+            for (i, e) in pc.events().iter().enumerate() {
                 if event_task_refs(&e.kind)
                     .into_iter()
                     .flatten()
@@ -1216,13 +1221,13 @@ fn repair_builder(parts: BuilderPartsMut<'_>, report: &mut LintReport) {
             })
             .collect();
         for counter in monotone_counters {
-            let samples = pc.samples_vec(counter);
-            if samples.windows(2).all(|w| w[1].value >= w[0].value) {
+            let samples = pc.samples[&counter].view();
+            if samples.values().windows(2).all(|w| w[1] >= w[0]) {
                 continue;
             }
             let mut rebuilt = SampleColumns::new(counter, cpu);
             let mut running_max = f64::NEG_INFINITY;
-            for (i, mut s) in samples.into_iter().enumerate() {
+            for (i, mut s) in samples.iter().enumerate() {
                 if s.value < running_max {
                     report.push_repair(RepairRecord {
                         code: LintCode::CounterDiscontinuity,
@@ -1545,7 +1550,7 @@ mod tests {
         assert_eq!(report.summary().count(LintCode::UnclosedInterval), 1);
         assert_eq!(report.summary().total(), 1, "no spurious co-findings");
         let annotated = b.finish_lint(LintMode::Lenient).unwrap();
-        let states = annotated.trace().cpu(CpuId(1)).unwrap().states_vec();
+        let states = annotated.trace().cpu(CpuId(1)).unwrap().states();
         // Closed at the trace end (90, the idle interval's end on CPU 0).
         assert_eq!(states.last().unwrap().interval.end, Timestamp(90));
         assert!(annotated.trace().lint().is_clean());
@@ -1578,8 +1583,8 @@ mod tests {
             "successor not blamed for overlap"
         );
         let annotated = b.finish_lint(LintMode::Lenient).unwrap();
-        let states = annotated.trace().cpu(CpuId(0)).unwrap().states_vec();
-        assert_eq!(states[0].interval.end, Timestamp(40));
+        let states = annotated.trace().cpu(CpuId(0)).unwrap().states();
+        assert_eq!(states.interval(0).end, Timestamp(40));
         assert!(annotated.trace().lint().is_clean());
     }
 
@@ -1619,13 +1624,7 @@ mod tests {
         // State kept with the reference cleared, event dropped, comm kept with
         // the reference cleared.
         assert_eq!(
-            trace
-                .cpu(CpuId(1))
-                .unwrap()
-                .states_vec()
-                .last()
-                .unwrap()
-                .task,
+            trace.cpu(CpuId(1)).unwrap().states().last().unwrap().task,
             None
         );
         assert_eq!(trace.cpu(CpuId(1)).unwrap().events().len(), 0);
@@ -1667,8 +1666,8 @@ mod tests {
             "flagged at the insertion index of the later-starting interval"
         );
         let annotated = b.finish_lint(LintMode::Lenient).unwrap();
-        let states = annotated.trace().cpu(CpuId(0)).unwrap().states_vec();
-        assert_eq!(states[1].interval.start, Timestamp(50), "start clamped");
+        let states = annotated.trace().cpu(CpuId(0)).unwrap().states();
+        assert_eq!(states.interval(1).start, Timestamp(50), "start clamped");
         assert!(annotated.trace().lint().is_clean());
         // A fully-contained duplicate is dropped instead of clamped.
         let mut b = clean_builder();
@@ -1709,8 +1708,12 @@ mod tests {
             }
         );
         let annotated = b.finish_lint(LintMode::Lenient).unwrap();
-        let values = annotated.trace().cpu(CpuId(0)).unwrap().samples_vec(ctr);
-        assert_eq!(values.last().unwrap().value, 12.0, "clamped to running max");
+        let values = annotated.trace().cpu(CpuId(0)).unwrap().samples(ctr);
+        assert_eq!(
+            values.unwrap().last().unwrap().value,
+            12.0,
+            "clamped to running max"
+        );
         assert!(annotated.trace().lint().is_clean());
     }
 

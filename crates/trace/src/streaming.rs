@@ -1360,9 +1360,9 @@ mod tests {
         assert_eq!(report.summary().count(LintCode::ChunkOverlap), 1);
         assert_eq!(report.repairs().len(), 1);
         assert_eq!(report.repairs()[0].strategy, RepairStrategy::Clamp);
-        let states = stream.trace().cpu(CpuId(0)).unwrap().states_vec();
+        let states = stream.trace().cpu(CpuId(0)).unwrap().states();
         assert_eq!(states.len(), 3);
-        assert_eq!(states[2].interval, TimeInterval::from_cycles(100, 150));
+        assert_eq!(states.interval(2), TimeInterval::from_cycles(100, 150));
     }
 
     #[test]

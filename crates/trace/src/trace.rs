@@ -25,9 +25,9 @@ use crate::topology::MachineTopology;
 /// event type per core, sorted by timestamp, so that the events of any time interval
 /// can be located with a binary search — stored **columnar** (struct-of-arrays,
 /// [`crate::columns`]) so hot analysis loops stream only the fields they touch.
-/// Struct-based access is available through the zero-copy views
-/// ([`PerCpuEvents::states`] materialises single [`StateInterval`]s on demand) and
-/// the materialising adapters ([`PerCpuEvents::states_vec`]).
+/// Struct-based access is available through the zero-copy views:
+/// [`PerCpuEvents::states`] materialises single [`StateInterval`]s on demand, and
+/// `view.iter().collect()` yields the whole stream as owned structs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerCpuEvents {
     pub(crate) states: StateColumns,
@@ -86,25 +86,6 @@ impl PerCpuEvents {
     /// Total number of counter samples across all streams.
     pub fn num_samples(&self) -> usize {
         self.samples.values().map(SampleColumns::len).sum()
-    }
-
-    /// Materialising adapter: the state stream as owned structs.
-    pub fn states_vec(&self) -> Vec<StateInterval> {
-        self.states.to_vec()
-    }
-
-    /// Materialising adapter: the discrete-event stream as owned structs.
-    pub fn events_vec(&self) -> Vec<DiscreteEvent> {
-        self.events.to_vec()
-    }
-
-    /// Materialising adapter: one counter's samples as owned structs (empty for an
-    /// unsampled counter).
-    pub fn samples_vec(&self, counter: CounterId) -> Vec<CounterSample> {
-        self.samples
-            .get(&counter)
-            .map(SampleColumns::to_vec)
-            .unwrap_or_default()
     }
 
     /// Appends a state interval (crate-internal; callers uphold the stream
@@ -268,11 +249,6 @@ impl Trace {
     /// by binary search over the task-id column).
     pub fn accesses_of_task(&self, task: TaskId) -> AccessesView<'_> {
         self.accesses.view().of_task(task)
-    }
-
-    /// Materialising adapter: the access table as owned structs.
-    pub fn accesses_vec(&self) -> Vec<MemoryAccess> {
-        self.accesses.to_vec()
     }
 
     /// All communication events, sorted by timestamp.
@@ -1158,7 +1134,7 @@ mod tests {
         let trace = b.finish().unwrap();
         let pc = trace.cpu(CpuId(0)).unwrap();
         assert_eq!(
-            pc.states_vec(),
+            pc.states().iter().collect::<Vec<_>>(),
             vec![StateInterval::new(
                 CpuId(0),
                 WorkerState::TaskExecution,
@@ -1167,7 +1143,7 @@ mod tests {
             )]
         );
         assert_eq!(
-            pc.events_vec(),
+            pc.events().iter().collect::<Vec<_>>(),
             vec![DiscreteEvent::new(
                 CpuId(0),
                 Timestamp(5),
@@ -1175,10 +1151,10 @@ mod tests {
             )]
         );
         assert_eq!(
-            pc.samples_vec(ctr),
+            pc.samples(ctr).unwrap().iter().collect::<Vec<_>>(),
             vec![CounterSample::new(ctr, CpuId(0), Timestamp(3), 1.5)]
         );
-        assert!(pc.samples_vec(CounterId(99)).is_empty());
+        assert!(pc.samples(CounterId(99)).is_none());
     }
 
     #[test]

@@ -204,7 +204,10 @@ proptest! {
                 && batched.covered_span(lane) == Some(TimeInterval::from_cycles(0, u64::MAX))
             {
                 let resident = batched.trace().cpu(pc.cpu()).unwrap();
-                prop_assert_eq!(resident.states_vec(), pc.states_vec());
+                prop_assert_eq!(
+                    resident.states().iter().collect::<Vec<_>>(),
+                    pc.states().iter().collect::<Vec<_>>()
+                );
             }
         }
         prop_assert_eq!(eviction_order(&mut batched), eviction_order(&mut reference));

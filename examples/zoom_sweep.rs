@@ -22,43 +22,7 @@ fn main() {
     println!("# {} recorded events", trace.num_events());
     let sweep = run_zoom_sweep(&trace, 800, Threads::auto(), scale == Scale::Test);
 
-    println!("\nzoom  mode        scan_ms  pyramid_ms  adaptive_ms  engine   speedup");
-    for f in &sweep.frames {
-        println!(
-            "{:<5} {:<11} {:>8.3} {:>10.3} {:>11.3}  {:<8} {:>6.2}x",
-            f.zoom_factor,
-            f.mode,
-            f.scan_seconds * 1e3,
-            f.pyramid_seconds * 1e3,
-            f.adaptive_seconds * 1e3,
-            f.engine,
-            f.speedup()
-        );
-    }
-    println!(
-        "\nprewarm (all index shards, {} threads): {:.3}s",
-        Threads::auto(),
-        sweep.prewarm_seconds
-    );
-    println!(
-        "pyramid memory: {} bytes = {:.2}% of {} bytes raw event data",
-        sweep.pyramid_bytes,
-        sweep.pyramid_overhead() * 100.0,
-        sweep.raw_event_bytes
-    );
-    println!(
-        "zoomed-out aggregate speedup (factor 1, all modes): {:.2}x",
-        sweep.zoomed_out_speedup()
-    );
-    println!(
-        "worst adaptive-vs-best ratio across all cells: {:.3}",
-        sweep.worst_adaptive_vs_best()
-    );
-    println!(
-        "state kernel microbench: scalar {:.3} ms vs {} {:.3} ms — {:.2}x",
-        sweep.kernel.scalar_seconds * 1e3,
-        sweep.kernel.simd_level,
-        sweep.kernel.simd_seconds * 1e3,
-        sweep.kernel.speedup()
-    );
+    sweep
+        .record()
+        .print("Zoom sweep — timeline frame times: scan vs. pyramid vs. adaptive");
 }

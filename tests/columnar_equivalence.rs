@@ -2,8 +2,8 @@
 //! streaming chunk boundaries), every answer of a column-backed session —
 //! timeline cells in all six modes, `IntervalQuery` aggregates, counter queries
 //! and anomaly rankings — is **byte-identical** to the pre-refactor
-//! struct-iterator path, reimplemented here over the materialising adapters
-//! (`states_vec`/`events_vec`/`samples_vec`/`accesses_vec`).
+//! struct-iterator path, reimplemented here over structs collected from the
+//! column views (`view.iter().collect()`).
 
 use aftermath::prelude::*;
 use aftermath_core::anomaly::{self, AnomalyConfig, Detector};
@@ -97,8 +97,8 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
         })
 }
 
-/// The pre-refactor struct-based per-CPU streams, materialised once through the
-/// adapters; all references below iterate these structs exactly like the old code.
+/// The pre-refactor struct-based per-CPU streams, collected once from the column
+/// views; all references below iterate these structs exactly like the old code.
 struct StructStreams {
     states: Vec<Vec<StateInterval>>,
     samples: Vec<Vec<CounterSample>>,
@@ -108,13 +108,17 @@ struct StructStreams {
 impl StructStreams {
     fn of(trace: &Trace, counter: CounterId) -> Self {
         StructStreams {
-            states: trace.per_cpu().iter().map(|pc| pc.states_vec()).collect(),
+            states: trace
+                .per_cpu()
+                .iter()
+                .map(|pc| pc.states().iter().collect())
+                .collect(),
             samples: trace
                 .per_cpu()
                 .iter()
-                .map(|pc| pc.samples_vec(counter))
+                .map(|pc| pc.samples(counter).into_iter().flatten().collect())
                 .collect(),
-            accesses: trace.accesses_vec(),
+            accesses: trace.accesses().iter().collect(),
         }
     }
 
@@ -465,28 +469,37 @@ proptest! {
         assert_matches_struct_reference(live.trace(), columns);
     }
 
-    /// The materialising adapters round-trip: structs pushed back into fresh
-    /// column stores reproduce the trace's columns exactly (lane compaction and
-    /// lazy payload lanes included).
+    /// Materialised structs round-trip: structs collected from the views and
+    /// pushed back into fresh column stores reproduce the trace's columns exactly
+    /// (lane compaction and lazy payload lanes included).
     #[test]
     fn materialising_adapters_round_trip(trace in trace_strategy()) {
         use aftermath_trace::{AccessColumns, EventColumns, StateColumns};
         for pc in trace.per_cpu() {
             let mut states = StateColumns::new(pc.cpu());
-            for s in pc.states_vec() {
+            for s in pc.states() {
                 states.push(s);
             }
-            prop_assert_eq!(states.view().iter().collect::<Vec<_>>(), pc.states_vec());
+            prop_assert_eq!(
+                states.view().iter().collect::<Vec<_>>(),
+                pc.states().iter().collect::<Vec<_>>()
+            );
             let mut events = EventColumns::new(pc.cpu());
-            for e in pc.events_vec() {
+            for e in pc.events().iter() {
                 events.push(e);
             }
-            prop_assert_eq!(events.view().iter().collect::<Vec<_>>(), pc.events_vec());
+            prop_assert_eq!(
+                events.view().iter().collect::<Vec<_>>(),
+                pc.events().iter().collect::<Vec<_>>()
+            );
         }
         let mut accesses = AccessColumns::new();
-        for a in trace.accesses_vec() {
+        for a in trace.accesses() {
             accesses.push(a);
         }
-        prop_assert_eq!(accesses.to_vec(), trace.accesses_vec());
+        prop_assert_eq!(
+            accesses.to_vec(),
+            trace.accesses().iter().collect::<Vec<_>>()
+        );
     }
 }
