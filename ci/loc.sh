@@ -8,9 +8,10 @@
 # listed apart from the code that is ours. `code` leaves out blank and `//`
 # comment lines, `lines` does not. `bench (without e2e)` is the part of the
 # bench crate a PR may edit: the `e2e` package under `src/bin/e2e/` is what
-# `BENCHMARK.json` runs and stays as it is. The last row sums the five files that
-# answer "where do a session's lanes come from" — the trajectory the
-# ROADMAP's one-session-core item is measured by.
+# `BENCHMARK.json` runs and stays as it is. The last two rows are trajectories:
+# the five files that answer "where do a session's lanes come from" (the
+# ROADMAP's one-session-core item is measured by them), and the two that say
+# what a well-formed trace or chunk is and what is done when it is not.
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
@@ -20,6 +21,10 @@ SESSION_FILES=(
     crates/core/src/store_session.rs
     crates/core/src/live.rs
     crates/serve/src/manager.rs
+)
+INGEST_CONTRACT_FILES=(
+    crates/trace/src/lint.rs
+    crates/trace/src/streaming.rs
 )
 
 # Prints "<code> <lines>" summed over the files given on stdin.
@@ -52,3 +57,4 @@ find crates/compat -path '*/src/*' -name '*.rs' | count | row 'compat/* (stand-i
 find src crates -path crates/compat -prune -o -path '*/src/*' -name '*.rs' -print \
     | count | row '**total (without compat)**'
 printf '%s\n' "${SESSION_FILES[@]}" | count | row '**the five session files**'
+printf '%s\n' "${INGEST_CONTRACT_FILES[@]}" | count | row '**the ingest contract files**'

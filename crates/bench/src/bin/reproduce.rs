@@ -280,10 +280,11 @@ fn lint_mode(options: &Options) {
         .flag("repaired_clean", clean)
         .note_if(clean, "the repaired trace re-lints clean");
     for (code, n) in report.summary().iter() {
-        fields = fields.int(&code.to_string(), n);
+        let row = format!("{}; repair: {}", code.description(), code.default_repair());
+        fields = fields.int(code.label(), n).note_if(true, &row);
     }
     options.report(
-        "Trace lint — validator findings and repairs",
+        "Trace lint — findings and repairs",
         &Record::new("lint", fields),
     );
     const MAX_SHOWN: usize = 20;

@@ -78,8 +78,8 @@ fn cell_ceiling(frame: &Fields) -> Result<f64, String> {
     Ok(scan.min(frame.number("pyramid_seconds")?) * 1.10 + 100e-6)
 }
 
-/// A record measured on the scalar tier (`AFTERMATH_NO_SIMD=1`, non-x86
-/// hardware) times the scalar kernel against itself: no speedup to gate.
+/// A record measured on the scalar tier (`AFTERMATH_NO_SIMD=1`, hardware
+/// without AVX2) times the scalar kernel against itself: no speedup to gate.
 const fn unless_scalar(gate: Gate) -> Gate {
     let unless = Some(("simd_level", "scalar"));
     Gate { unless, ..gate }

@@ -2,23 +2,22 @@
 //!
 //! PR 5's storage engine laid the four hot event streams out as structure-of-arrays
 //! columns precisely so the per-element analysis loops could go wide; this module
-//! spends that dividend. Every kernel exists in (up to) three tiers:
+//! spends that dividend. Every kernel exists in two tiers:
 //!
 //! * **scalar** — the portable reference implementation in [`scalar`]. This tier is
-//!   the semantic definition of each kernel: the wide tiers must produce
+//!   the semantic definition of each kernel: the wide tier must produce
 //!   *bit-identical* results (asserted by `tests/kernel_equivalence.rs`).
-//! * **SSE2** — `core::arch` x86-64 baseline intrinsics (always available on
-//!   x86-64, so never behind a runtime check).
-//! * **AVX2** — behind runtime feature detection via `is_x86_feature_detected!`.
+//! * **AVX2** — `core::arch` x86-64 intrinsics behind runtime feature detection
+//!   via `is_x86_feature_detected!`.
 //!
 //! Dispatch happens once per process ([`simd_level`], cached in a `OnceLock`) and
 //! honours the [`NO_SIMD_ENV`] environment variable, which forces the scalar tier
-//! (used by CI to keep the portable fallback green). On non-x86-64 targets the
-//! scalar tier is the only one compiled.
+//! (used by CI to keep the portable fallback green). On non-x86-64 targets, and on
+//! x86-64 machines without AVX2, the scalar tier is the only one that runs.
 //!
 //! # Bit-identity invariants
 //!
-//! The wide tiers are only allowed where exact equality is achievable:
+//! The wide tier is only allowed where exact equality is achievable:
 //!
 //! * unsigned sums ([`tag_duration_sums`]) use wrapping arithmetic, which is
 //!   associative and commutative, so lane order does not matter;
@@ -30,8 +29,8 @@
 //!   `j` reduces elements with index `i ≡ j (mod 4)` in index order, stripes are
 //!   combined as `(s0 ∘ s2) ∘ (s1 ∘ s3)`, and the tail (`len % 4` trailing
 //!   elements) is folded in sequentially afterwards. The scalar reference
-//!   implements this exact shape, so SSE2 (two 2-lane registers) and AVX2 (one
-//!   4-lane register) reproduce it bit for bit. Min/max use the comparison
+//!   implements this exact shape, so AVX2 (one 4-lane register) reproduces it
+//!   bit for bit. Min/max use the comparison
 //!   `if v < acc { v } else { acc }` — the semantics of `_mm_min_pd(v, acc)` —
 //!   which skips NaN inputs just like `f64::min` does.
 //!
@@ -48,26 +47,22 @@ pub const NO_SIMD_ENV: &str = "AFTERMATH_NO_SIMD";
 
 /// Instruction-set tier a kernel call is dispatched to.
 ///
-/// Ordered by width: `Scalar < Sse2 < Avx2`. Requesting a tier the hardware (or
-/// compile target) cannot execute silently runs the highest available one, so
-/// the explicit `*_at` kernel variants are always safe to call.
+/// Ordered by width: `Scalar < Avx2`. Requesting a tier the hardware (or compile
+/// target) cannot execute silently runs the scalar one, so the explicit `*_at`
+/// kernel variants are always safe to call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
     /// Portable scalar reference implementation (any target).
     Scalar,
-    /// x86-64 baseline 128-bit SSE2 path.
-    Sse2,
     /// 256-bit AVX2 path (runtime-detected).
     Avx2,
 }
 
 impl SimdLevel {
-    /// Lower-case tier name as reported in benchmark records (`scalar`, `sse2`,
-    /// `avx2`).
+    /// Lower-case tier name as reported in benchmark records (`scalar`, `avx2`).
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
@@ -93,29 +88,19 @@ fn hardware_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                SimdLevel::Avx2
-            } else {
-                SimdLevel::Sse2
-            }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return SimdLevel::Avx2;
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            SimdLevel::Scalar
-        }
+        SimdLevel::Scalar
     })
 }
 
 /// Every tier executable on this machine, in increasing width, ignoring
-/// [`NO_SIMD_ENV`]. Equivalence tests iterate this to compare each wide tier
+/// [`NO_SIMD_ENV`]. Equivalence tests iterate this to compare the wide tier
 /// against the scalar reference.
 pub fn available_levels() -> Vec<SimdLevel> {
     let mut levels = vec![SimdLevel::Scalar];
-    if hardware_level() >= SimdLevel::Sse2 {
-        levels.push(SimdLevel::Sse2);
-    }
-    if hardware_level() >= SimdLevel::Avx2 {
+    if hardware_level() == SimdLevel::Avx2 {
         levels.push(SimdLevel::Avx2);
     }
     levels
@@ -159,9 +144,6 @@ pub fn tag_duration_sums_at(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `effective` only returns Avx2 when the CPU supports it.
         SimdLevel::Avx2 => unsafe { x86::tag_duration_sums_avx2(starts, ends, tags, sums) },
-        // The gated-sum kernel needs packed 64-bit compares, which predate
-        // nothing below AVX2 in this codebase's baseline (SSE2 lacks
-        // `cmpeq_epi64`), so the SSE2 tier shares the scalar path here.
         _ => scalar::tag_duration_sums(starts, ends, tags, sums),
     }
 }
@@ -170,9 +152,9 @@ pub fn tag_duration_sums_at(
 /// at the process-wide [`simd_level`].
 ///
 /// This is the state-lane gate of the task-based timeline modes and the pyramid
-/// leaf build: wide byte compares plus a movemask turn 16 (SSE2) or 32 (AVX2)
-/// tag tests into one instruction, and only matching lanes fall back to the
-/// caller's per-match work.
+/// leaf build: a wide byte compare plus a movemask turns 32 tag tests into one
+/// instruction, and only matching lanes fall back to the caller's per-match
+/// work.
 pub fn for_each_tag_match<F: FnMut(usize)>(tags: &[u8], tag: u8, f: F) {
     for_each_tag_match_at(simd_level(), tags, tag, f);
 }
@@ -183,9 +165,6 @@ pub fn for_each_tag_match_at<F: FnMut(usize)>(level: SimdLevel, tags: &[u8], tag
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `effective` only returns Avx2 when the CPU supports it.
         SimdLevel::Avx2 => unsafe { x86::for_each_tag_match_avx2(tags, tag, &mut f) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::for_each_tag_match_sse2(tags, tag, &mut f) },
         _ => scalar::for_each_tag_match(tags, tag, &mut f),
     }
 }
@@ -206,9 +185,6 @@ pub fn min_max_sum_at(level: SimdLevel, values: &[f64]) -> (f64, f64, f64) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `effective` only returns Avx2 when the CPU supports it.
         SimdLevel::Avx2 => unsafe { x86::min_max_sum_avx2(values) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::min_max_sum_sse2(values) },
         _ => scalar::min_max_sum(values),
     }
 }
@@ -227,9 +203,6 @@ pub fn abs_offsets_in_place_at(level: SimdLevel, values: &mut [f64], center: f64
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `effective` only returns Avx2 when the CPU supports it.
         SimdLevel::Avx2 => unsafe { x86::abs_offsets_avx2(values, center) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::abs_offsets_sse2(values, center) },
         _ => scalar::abs_offsets_in_place(values, center),
     }
 }
@@ -256,9 +229,6 @@ pub fn scaled_offsets_at(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `effective` only returns Avx2 when the CPU supports it.
         SimdLevel::Avx2 => unsafe { x86::scaled_offsets_avx2(values, center, scale, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::scaled_offsets_sse2(values, center, scale, out) },
         _ => scalar::scaled_offsets(values, center, scale, out),
     }
 }
@@ -485,27 +455,9 @@ mod x86 {
         }
     }
 
-    /// SSE2 [`for_each_tag_match`](super::for_each_tag_match): 16 tag compares
-    /// per `pcmpeqb` + movemask, then bit-iteration over the (usually sparse)
-    /// match mask in ascending order.
-    pub unsafe fn for_each_tag_match_sse2(tags: &[u8], tag: u8, f: &mut impl FnMut(usize)) {
-        let needle = _mm_set1_epi8(tag as i8);
-        let n = tags.len();
-        let mut i = 0;
-        while i + 16 <= n {
-            let v = _mm_loadu_si128(tags.as_ptr().add(i) as *const __m128i);
-            let mut m = _mm_movemask_epi8(_mm_cmpeq_epi8(v, needle)) as u32;
-            while m != 0 {
-                f(i + m.trailing_zeros() as usize);
-                m &= m - 1;
-            }
-            i += 16;
-        }
-        scalar::for_each_tag_match(&tags[i..], tag, &mut |k| f(i + k));
-    }
-
     /// AVX2 [`for_each_tag_match`](super::for_each_tag_match): 32 tag compares
-    /// per iteration.
+    /// per `vpcmpeqb` + movemask, then bit-iteration over the (usually sparse)
+    /// match mask in ascending order.
     #[target_feature(enable = "avx2")]
     pub unsafe fn for_each_tag_match_avx2(tags: &[u8], tag: u8, f: &mut impl FnMut(usize)) {
         let needle = _mm256_set1_epi8(tag as i8);
@@ -561,33 +513,8 @@ mod x86 {
         (min, max, sum)
     }
 
-    /// SSE2 [`min_max_sum`](super::min_max_sum): stripes 0,1 in one register,
-    /// stripes 2,3 in a second, per the fixed reduction tree.
-    pub unsafe fn min_max_sum_sse2(values: &[f64]) -> (f64, f64, f64) {
-        let n = values.len();
-        let mut min_lo = _mm_set1_pd(f64::INFINITY);
-        let mut min_hi = min_lo;
-        let mut max_lo = _mm_set1_pd(f64::NEG_INFINITY);
-        let mut max_hi = max_lo;
-        let mut sum_lo = _mm_setzero_pd();
-        let mut sum_hi = sum_lo;
-        let mut i = 0;
-        while i + 4 <= n {
-            let lo = _mm_loadu_pd(values.as_ptr().add(i));
-            let hi = _mm_loadu_pd(values.as_ptr().add(i + 2));
-            min_lo = _mm_min_pd(lo, min_lo);
-            min_hi = _mm_min_pd(hi, min_hi);
-            max_lo = _mm_max_pd(lo, max_lo);
-            max_hi = _mm_max_pd(hi, max_hi);
-            sum_lo = _mm_add_pd(sum_lo, lo);
-            sum_hi = _mm_add_pd(sum_hi, hi);
-            i += 4;
-        }
-        combine_and_tail(min_lo, min_hi, max_lo, max_hi, sum_lo, sum_hi, &values[i..])
-    }
-
     /// AVX2 [`min_max_sum`](super::min_max_sum): all four stripes in one
-    /// register; the 128-bit halves recombine exactly like the SSE2 tier.
+    /// register; its 128-bit halves are the `lo`/`hi` of [`combine_and_tail`].
     #[target_feature(enable = "avx2")]
     pub unsafe fn min_max_sum_avx2(values: &[f64]) -> (f64, f64, f64) {
         let n = values.len();
@@ -613,27 +540,6 @@ mod x86 {
         )
     }
 
-    /// Sign-bit clearing mask for `|x|`.
-    #[inline]
-    unsafe fn abs_mask_128() -> __m128d {
-        _mm_castsi128_pd(_mm_set1_epi64x(0x7fff_ffff_ffff_ffffu64 as i64))
-    }
-
-    /// SSE2 [`abs_offsets_in_place`](super::abs_offsets_in_place).
-    pub unsafe fn abs_offsets_sse2(values: &mut [f64], center: f64) {
-        let c = _mm_set1_pd(center);
-        let mask = abs_mask_128();
-        let n = values.len();
-        let ptr = values.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            let v = _mm_loadu_pd(ptr.add(i));
-            _mm_storeu_pd(ptr.add(i), _mm_and_pd(_mm_sub_pd(v, c), mask));
-            i += 2;
-        }
-        scalar::abs_offsets_in_place(&mut values[i..], center);
-    }
-
     /// AVX2 [`abs_offsets_in_place`](super::abs_offsets_in_place).
     #[target_feature(enable = "avx2")]
     pub unsafe fn abs_offsets_avx2(values: &mut [f64], center: f64) {
@@ -648,20 +554,6 @@ mod x86 {
             i += 4;
         }
         scalar::abs_offsets_in_place(&mut values[i..], center);
-    }
-
-    /// SSE2 [`scaled_offsets`](super::scaled_offsets).
-    pub unsafe fn scaled_offsets_sse2(values: &[f64], center: f64, scale: f64, out: &mut [f64]) {
-        let c = _mm_set1_pd(center);
-        let s = _mm_set1_pd(scale);
-        let n = values.len();
-        let mut i = 0;
-        while i + 2 <= n {
-            let v = _mm_loadu_pd(values.as_ptr().add(i));
-            _mm_storeu_pd(out.as_mut_ptr().add(i), _mm_div_pd(_mm_sub_pd(v, c), s));
-            i += 2;
-        }
-        scalar::scaled_offsets(&values[i..], center, scale, &mut out[i..]);
     }
 
     /// AVX2 [`scaled_offsets`](super::scaled_offsets).

@@ -127,73 +127,16 @@ impl LiveSession {
 
     /// Ingests one chunk: validates and appends it to the stream, lets every
     /// affected index absorb its new tail (spine rebuild, no full rebuilds), bumps
-    /// the epoch and invalidates the result caches.
+    /// the epoch and invalidates the result caches. An empty chunk (a keepalive
+    /// epoch from a live source) changes no answer, so its caches survive.
     ///
     /// # Errors
     ///
     /// Propagates [`StreamingTrace::append`] errors; on error nothing changed (the
     /// epoch does not advance and all indexes still describe the old prefix).
     pub fn advance(&mut self, chunk: TraceChunk) -> Result<EpochStats, TraceError> {
-        // Affected streams and their pre-append lengths, recorded before the append
-        // consumes the chunk.
-        let mut touched_cpus: Vec<CpuId> = chunk.states.iter().map(|s| s.cpu).collect();
-        touched_cpus.sort_unstable();
-        touched_cpus.dedup();
-        let mut touched_pairs: Vec<(CpuId, CounterId)> =
-            chunk.samples.iter().map(|s| (s.cpu, s.counter)).collect();
-        touched_pairs.sort_unstable();
-        touched_pairs.dedup();
-        let old_state_lens: Vec<usize> = touched_cpus
-            .iter()
-            .map(|&cpu| {
-                self.stream
-                    .trace()
-                    .cpu(cpu)
-                    .map_or(0, |pc| pc.states().len())
-            })
-            .collect();
-        let old_sample_lens: Vec<usize> = touched_pairs
-            .iter()
-            .map(|&(cpu, counter)| {
-                self.stream
-                    .trace()
-                    .cpu(cpu)
-                    .and_then(|pc| pc.samples(counter))
-                    .map_or(0, |samples| samples.len())
-            })
-            .collect();
-
-        let appended_items = self.stream.append(chunk)?;
-
-        let trace = self.stream.trace();
-        let mut nodes_rebuilt = 0;
-        for (&cpu, &old_len) in touched_cpus.iter().zip(&old_state_lens) {
-            let states = trace.cpu(cpu).expect("validated by append").states();
-            nodes_rebuilt += grow_pyramid(&mut self.state.pyramids, trace, states, old_len);
-        }
-        for (&(cpu, counter), &old_len) in touched_pairs.iter().zip(&old_sample_lens) {
-            let samples = trace
-                .cpu(cpu)
-                .and_then(|pc| pc.samples(counter))
-                .expect("validated by append");
-            nodes_rebuilt += grow_index(&mut self.state.indexes, samples, old_len);
-        }
-
-        self.epoch += 1;
-        self.total_nodes_rebuilt += nodes_rebuilt as u64;
-        // Per-epoch invalidation: swap in fresh caches and an empty access-index
-        // slot; views of the old epoch (all dropped by now) kept the old ones
-        // alive only as long as they needed them.
-        // An empty chunk (a keepalive epoch from a live source) changes no answer,
-        // so its caches survive and nothing is recomputed.
-        if appended_items > 0 {
-            self.state.invalidate_data();
-        }
-        Ok(EpochStats {
-            epoch: self.epoch,
-            appended_items,
-            nodes_rebuilt,
-        })
+        let (stats, _) = self.ingest(|stream| stream.append(chunk))?;
+        Ok(stats)
     }
 
     /// Ingests one explicitly sequenced chunk through the lint pipeline
@@ -211,20 +154,16 @@ impl LiveSession {
     ///
     /// # Errors
     ///
-    /// See [`StreamingTrace::append_lint`]; on error nothing changed.
+    /// See [`StreamingTrace::append_lint`]. Whatever the stream appended before
+    /// it failed is absorbed before the error is returned, so the indexes, the
+    /// epoch and the stream always describe the same prefix.
     pub fn advance_lint(
         &mut self,
         sequence: u64,
         chunk: TraceChunk,
         mode: LintMode,
     ) -> Result<(EpochStats, LintReport), TraceError> {
-        let snapshot = self.snapshot();
-        let report = self.stream.append_lint(sequence, chunk, mode)?;
-        let stats = self.absorb_since(&snapshot);
-        self.lint
-            .get_or_insert_with(LintSummary::new)
-            .merge(report.summary());
-        Ok((stats, report))
+        self.ingest_lint(|stream| stream.append_lint(sequence, chunk, mode))
     }
 
     /// Closes the lenient lint stream ([`StreamingTrace::close_lint`]): flushes
@@ -233,11 +172,33 @@ impl LiveSession {
     ///
     /// # Errors
     ///
-    /// See [`StreamingTrace::close_lint`].
+    /// See [`StreamingTrace::close_lint`]; like
+    /// [`advance_lint`](LiveSession::advance_lint), an error leaves the session
+    /// describing exactly what the stream holds.
     pub fn close_lint(&mut self) -> Result<(EpochStats, LintReport), TraceError> {
+        self.ingest_lint(StreamingTrace::close_lint)
+    }
+
+    /// The one ingest path: lets `append` grow the stream, then absorbs the
+    /// growth — also when `append` failed, so an error can never leave the
+    /// maintained indexes behind the stream they describe.
+    fn ingest<T>(
+        &mut self,
+        append: impl FnOnce(&mut StreamingTrace) -> Result<T, TraceError>,
+    ) -> Result<(EpochStats, T), TraceError> {
         let snapshot = self.snapshot();
-        let report = self.stream.close_lint()?;
+        let outcome = append(&mut self.stream);
         let stats = self.absorb_since(&snapshot);
+        Ok((stats, outcome?))
+    }
+
+    /// [`ingest`](Self::ingest) for the lint entry points: the report's summary
+    /// accumulates into the session's.
+    fn ingest_lint(
+        &mut self,
+        append: impl FnOnce(&mut StreamingTrace) -> Result<LintReport, TraceError>,
+    ) -> Result<(EpochStats, LintReport), TraceError> {
+        let (stats, report) = self.ingest(append)?;
         self.lint
             .get_or_insert_with(LintSummary::new)
             .merge(report.summary());
@@ -252,8 +213,8 @@ impl LiveSession {
         self.lint.as_ref()
     }
 
-    /// Per-stream lengths before a lint-aware append, so the net growth — which
-    /// may span zero or several chunks — can be absorbed afterwards.
+    /// Per-stream lengths before an append, so the net growth — which may span
+    /// zero or several chunks — can be absorbed afterwards.
     fn snapshot(&self) -> StreamSnapshot {
         let trace = self.stream.trace();
         let mut state_lens = Vec::with_capacity(trace.per_cpu().len());
@@ -276,8 +237,11 @@ impl LiveSession {
     }
 
     /// Absorbs every stream that grew since `snapshot` into the maintained
-    /// indexes (spine rebuilds, exactly like [`advance`](LiveSession::advance))
-    /// and advances the epoch to the stream's accepted-chunk count.
+    /// indexes (spine rebuilds, or a build for a stream's first items), advances
+    /// the epoch to the stream's accepted-chunk count and, when anything was
+    /// appended, swaps in fresh result caches and an empty access-index slot
+    /// (views of the old epoch — all dropped by now — kept the old ones alive
+    /// only as long as they needed them).
     fn absorb_since(&mut self, snapshot: &StreamSnapshot) -> EpochStats {
         let trace = self.stream.trace();
         let mut nodes_rebuilt = 0;
@@ -636,6 +600,64 @@ mod tests {
         let bounds = live.time_bounds();
         let a = view.timeline(TimelineMode::State, bounds, 64).unwrap();
         let b = batch.timeline(TimelineMode::State, bounds, 64).unwrap();
+        assert_eq!(*a, *b);
+    }
+
+    #[test]
+    fn an_unrepairable_buffered_chunk_cannot_desynchronise_the_session() {
+        use aftermath_trace::{
+            LintCode, LintMode, MachineTopology, RepairStrategy, StateInterval, WorkerState,
+        };
+        let idle = |cpu, start, end| {
+            let mut chunk = TraceChunk::new();
+            let interval = TimeInterval::from_cycles(start, end);
+            let state = StateInterval::new(CpuId(cpu), WorkerState::Idle, interval, None);
+            chunk.states.push(state);
+            chunk
+        };
+        let mut live = LiveSession::new(TraceBuilder::new(MachineTopology::uniform(1, 1))).unwrap();
+        // Chunk 1 overtakes chunk 0 and names a CPU the machine does not have:
+        // buffered unvalidated, it fails admission when chunk 0 releases it.
+        let mut total = LintReport::new();
+        for (sequence, chunk) in [
+            (1, idle(99, 50, 110)),
+            (0, idle(0, 0, 50)),
+            (2, idle(0, 110, 200)),
+        ] {
+            let (stats, report) = live
+                .advance_lint(sequence, chunk, LintMode::Lenient)
+                .unwrap();
+            assert_eq!(stats.epoch, live.stream().epochs());
+            total.merge(report);
+        }
+        total.merge(live.close_lint().unwrap().1);
+        let drops: Vec<_> = total
+            .repairs()
+            .iter()
+            .map(|r| (r.code, r.strategy, r.event))
+            .collect();
+        let chunk_1 = aftermath_trace::EventRef::Chunk { sequence: 1 };
+        assert_eq!(
+            drops,
+            vec![(
+                LintCode::ChunkSequence,
+                RepairStrategy::DropWithRecord,
+                chunk_1
+            )]
+        );
+        assert!(live.stream().pending_sequences().is_empty());
+        assert_eq!(live.epoch(), 2);
+        assert_eq!(live.epoch(), live.stream().epochs());
+        // Every answer is the one a fresh session over the same trace gives.
+        let batch = AnalysisSession::new(live.trace());
+        let bounds = live.time_bounds();
+        assert_eq!(bounds, TimeInterval::from_cycles(0, 200));
+        assert_eq!(
+            live.session().query(bounds).state_cycles(CpuId(0)),
+            batch.query(bounds).state_cycles(CpuId(0))
+        );
+        let a = live.timeline(TimelineMode::State, bounds, 32).unwrap();
+        let b = batch.timeline(TimelineMode::State, bounds, 32).unwrap();
         assert_eq!(*a, *b);
     }
 

@@ -42,7 +42,7 @@ use crate::state::{StateInterval, WorkerState};
 
 /// The permutation that sorts `keys` by `(key, index)` — equivalent to a stable
 /// sort by key — or `None` when the keys are already sorted (identity).
-fn sort_permutation(keys: &[u64]) -> Option<Vec<u32>> {
+pub(crate) fn sort_permutation(keys: &[u64]) -> Option<Vec<u32>> {
     sort_permutation_by_key(keys.len(), |i| keys[i])
 }
 

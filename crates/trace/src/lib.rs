@@ -79,8 +79,8 @@ pub use event::{
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultyTier};
 pub use ids::{CounterId, CpuId, NumaNodeId, TaskId, TaskTypeId, TimeInterval, Timestamp};
 pub use lint::{
-    AnnotatedTrace, ChunkContext, EventRef, LintCode, LintFinding, LintMode, LintReport,
-    LintSummary, LintView, RepairRecord, RepairStrategy, Validator, ValidatorRegistry,
+    AnnotatedTrace, EventRef, LintCode, LintFinding, LintMode, LintReport, LintSummary,
+    RepairRecord, RepairStrategy,
 };
 pub use memory::{AccessKind, MemoryAccess, MemoryRegion, RegionId};
 pub use state::{StateInterval, WorkerState};

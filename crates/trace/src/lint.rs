@@ -8,16 +8,20 @@
 //! order or not at all. This module makes those defects *visible* and
 //! *survivable*:
 //!
-//! * a [`Validator`] registry ([`ValidatorRegistry`]) runs every detector over a
-//!   trace under construction (or a streaming [`ChunkContext`]) and produces
-//!   [`LintFinding`]s with stable per-event annotation codes ([`LintCode`]),
-//! * findings roll up into a [`LintReport`] with a per-code [`LintSummary`],
+//! * every defect class is one row of one table (its stable [`LintCode`]
+//!   label, what it means, how it is repaired), and one walk over a trace under
+//!   construction decides every defect **together with its fix**,
+//! * [`TraceBuilder::lint`] / [`Trace::lint`] report what that walk found as
+//!   [`LintFinding`]s, rolled up into a [`LintReport`] with a per-code
+//!   [`LintSummary`],
 //! * [`TraceBuilder::finish_lint`] turns the builder into an [`AnnotatedTrace`]
 //!   in one of two modes ([`LintMode`]): **strict** rejects any finding as
-//!   [`TraceError::LintFindings`]; **lenient** applies per-code
-//!   [`RepairStrategy`]s (clamp, close-at-end, drop-with-record, resequence) so
+//!   [`TraceError::LintFindings`]; **lenient** applies the fix of every finding
+//!   ([`RepairStrategy`]: clamp, close-at-end, drop-with-record, resequence) so
 //!   a damaged trace still opens and analyses,
-//! * [`Trace::repair`] runs the same pipeline over an already-built trace.
+//! * [`Trace::repair`] runs the same pipeline over an already-built trace,
+//! * the chunk-level classes (`L007`, `L008`) are decided where chunks arrive,
+//!   in [`crate::streaming::StreamingTrace::append_lint`].
 //!
 //! Repairing a clean trace is the identity: every column lane of the repaired
 //! trace is byte-identical to the input, and `repair(repair(t)) == repair(t)`
@@ -26,20 +30,25 @@
 //! ## Coordinates
 //!
 //! A finding is anchored to an [`EventRef`]: the insertion index of the item in
-//! its stream at the time the validator ran. For a built [`Trace`] the streams
-//! are sorted, so insertion order *is* timeline order; for a raw
-//! [`TraceBuilder`] it is recording order. Repair records produced after a
-//! resequence refer to the resequenced (sorted) order.
+//! its stream when the walk ran. For a built [`Trace`] the streams are sorted,
+//! so insertion order *is* timeline order; for a raw [`TraceBuilder`] it is
+//! recording order. A [`RepairRecord`] is made from the finding it repairs and
+//! names the same item in the same coordinates — also when the repair drops
+//! items or re-sorts the stream, so a report never mixes index spaces.
+//! Findings are grouped by code in label order; within a code they follow the
+//! walk (per CPU: states in timeline order, events, samples per counter; then
+//! accesses, regions, communication events).
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::columns::{AccessColumns, EventColumns, SampleColumns, StateColumns};
+use crate::columns::{
+    sort_permutation, AccessColumns, EventColumns, SampleColumns, SamplesView, StateColumns,
+};
 use crate::error::TraceError;
 use crate::event::{CommEvent, CounterDescription, DiscreteEventKind};
-use crate::ids::{CounterId, CpuId, TaskId, TimeInterval, Timestamp};
+use crate::ids::{CounterId, CpuId, NumaNodeId, TaskId, Timestamp};
 use crate::memory::MemoryRegion;
-use crate::streaming::TraceChunk;
 use crate::task::TaskInstance;
 use crate::topology::MachineTopology;
 use crate::trace::{PerCpuEvents, Trace, TraceBuilder};
@@ -62,8 +71,8 @@ pub enum LintCode {
     OrphanTaskRef,
     /// Two state intervals on the same CPU overlap (or are duplicated).
     OverlappingStates,
-    /// A monotone counter's sample stream decreases — a wrapped, reset or
-    /// corrupted counter.
+    /// A monotone counter's sample stream drops below a value it already
+    /// reached — a wrapped, reset or corrupted counter.
     CounterDiscontinuity,
     /// A memory region or communication event names a NUMA node outside the
     /// recorded machine topology.
@@ -75,50 +84,116 @@ pub enum LintCode {
     ChunkOverlap,
 }
 
+/// One row of the defect table.
+struct DefectClass {
+    code: LintCode,
+    /// The stable machine-readable label.
+    label: &'static str,
+    /// What a well-formed trace guarantees where this code fires.
+    description: &'static str,
+    /// How lenient mode usually repairs it.
+    repair: RepairStrategy,
+}
+
+/// The defect table, one row per code in label order. Everything that names,
+/// lists or describes a code reads its row.
+const DEFECTS: [DefectClass; 8] = [
+    DefectClass {
+        code: LintCode::NonMonotonicTimestamps,
+        label: "L001-non-monotonic-timestamps",
+        description: "per-CPU and communication streams must be recorded in timestamp order",
+        repair: RepairStrategy::Resequence,
+    },
+    DefectClass {
+        code: LintCode::UnclosedInterval,
+        label: "L002-unclosed-interval",
+        description:
+            "state intervals must be closed: an end of Timestamp::MAX marks a crashed worker",
+        repair: RepairStrategy::CloseAtEnd,
+    },
+    DefectClass {
+        code: LintCode::OrphanTaskRef,
+        label: "L003-orphan-task-ref",
+        description: "task references must name a registered task, and ids are dense",
+        repair: RepairStrategy::DropWithRecord,
+    },
+    DefectClass {
+        code: LintCode::OverlappingStates,
+        label: "L004-overlapping-states",
+        description: "state intervals of one CPU must not overlap",
+        repair: RepairStrategy::Clamp,
+    },
+    DefectClass {
+        code: LintCode::CounterDiscontinuity,
+        label: "L005-counter-discontinuity",
+        description: "samples of a monotone counter must never drop below an earlier value",
+        repair: RepairStrategy::Clamp,
+    },
+    DefectClass {
+        code: LintCode::NumaNodeOutOfRange,
+        label: "L006-numa-node-out-of-range",
+        description: "NUMA node references must exist in the machine topology",
+        repair: RepairStrategy::DropWithRecord,
+    },
+    DefectClass {
+        code: LintCode::ChunkSequence,
+        label: "L007-chunk-sequence",
+        description: "streaming chunks must arrive with consecutive sequence numbers",
+        repair: RepairStrategy::Resequence,
+    },
+    DefectClass {
+        code: LintCode::ChunkOverlap,
+        label: "L008-chunk-overlap",
+        description:
+            "a chunk's items must start at or after the previous chunk's latest item start",
+        repair: RepairStrategy::Clamp,
+    },
+];
+
+// Row `i` describes the code with discriminant `i`, so a row is found by index.
+const _: () = {
+    let mut i = 0;
+    while i < DEFECTS.len() {
+        assert!(DEFECTS[i].code as usize == i);
+        i += 1;
+    }
+};
+
 impl LintCode {
     /// All codes, in label order.
-    pub const ALL: [LintCode; 8] = [
-        LintCode::NonMonotonicTimestamps,
-        LintCode::UnclosedInterval,
-        LintCode::OrphanTaskRef,
-        LintCode::OverlappingStates,
-        LintCode::CounterDiscontinuity,
-        LintCode::NumaNodeOutOfRange,
-        LintCode::ChunkSequence,
-        LintCode::ChunkOverlap,
-    ];
+    pub const ALL: [LintCode; 8] = {
+        let mut all = [LintCode::NonMonotonicTimestamps; DEFECTS.len()];
+        let mut i = 0;
+        while i < DEFECTS.len() {
+            all[i] = DEFECTS[i].code;
+            i += 1;
+        }
+        all
+    };
 
     /// The stable machine-readable label of the code.
     pub fn label(self) -> &'static str {
-        match self {
-            LintCode::NonMonotonicTimestamps => "L001-non-monotonic-timestamps",
-            LintCode::UnclosedInterval => "L002-unclosed-interval",
-            LintCode::OrphanTaskRef => "L003-orphan-task-ref",
-            LintCode::OverlappingStates => "L004-overlapping-states",
-            LintCode::CounterDiscontinuity => "L005-counter-discontinuity",
-            LintCode::NumaNodeOutOfRange => "L006-numa-node-out-of-range",
-            LintCode::ChunkSequence => "L007-chunk-sequence",
-            LintCode::ChunkOverlap => "L008-chunk-overlap",
-        }
+        DEFECTS[self as usize].label
     }
 
     /// Parses a label back into its code.
     pub fn from_label(label: &str) -> Option<LintCode> {
-        LintCode::ALL.into_iter().find(|c| c.label() == label)
+        DEFECTS
+            .iter()
+            .find(|row| row.label == label)
+            .map(|row| row.code)
     }
 
-    /// The repair strategy the lenient pipeline applies for this code.
+    /// One line on what a well-formed trace guarantees where this code fires.
+    pub fn description(self) -> &'static str {
+        DEFECTS[self as usize].description
+    }
+
+    /// The strategy the lenient pipeline usually repairs this code with (a
+    /// single finding may get another: an overlapping interval that is fully
+    /// covered is dropped, not clamped).
     pub fn default_repair(self) -> RepairStrategy {
-        match self {
-            LintCode::NonMonotonicTimestamps => RepairStrategy::Resequence,
-            LintCode::UnclosedInterval => RepairStrategy::CloseAtEnd,
-            LintCode::OrphanTaskRef => RepairStrategy::DropWithRecord,
-            LintCode::OverlappingStates => RepairStrategy::Clamp,
-            LintCode::CounterDiscontinuity => RepairStrategy::Clamp,
-            LintCode::NumaNodeOutOfRange => RepairStrategy::DropWithRecord,
-            LintCode::ChunkSequence => RepairStrategy::Resequence,
-            LintCode::ChunkOverlap => RepairStrategy::Clamp,
-        }
+        DEFECTS[self as usize].repair
     }
 }
 
@@ -420,19 +495,6 @@ impl LintReport {
         self.findings.is_empty()
     }
 
-    /// The codes attached to one event, in label order.
-    pub fn codes_for(&self, event: &EventRef) -> Vec<LintCode> {
-        let mut codes: Vec<LintCode> = self
-            .findings
-            .iter()
-            .filter(|f| f.event == *event)
-            .map(|f| f.code)
-            .collect();
-        codes.sort_unstable();
-        codes.dedup();
-        codes
-    }
-
     /// Folds another report into this one (streaming epochs accumulate).
     pub fn merge(&mut self, other: LintReport) {
         self.summary.merge(&other.summary);
@@ -473,28 +535,11 @@ impl AnnotatedTrace {
     pub fn is_clean(&self) -> bool {
         self.report.is_clean()
     }
-
-    /// The codes attached to one event.
-    pub fn codes_for(&self, event: &EventRef) -> Vec<LintCode> {
-        self.report.codes_for(event)
-    }
-
-    /// Discards the annotations, keeping the trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-
-    /// Splits into trace and report.
-    pub fn into_parts(self) -> (Trace, LintReport) {
-        (self.trace, self.report)
-    }
 }
 
-/// Read-only view of the parts of a trace (or builder) a validator inspects.
-///
-/// Constructed crate-internally by [`Trace::lint`] / [`TraceBuilder::lint`];
-/// validators only ever borrow it.
-pub struct LintView<'a> {
+/// The parts of a trace under lint — what [`Trace`] and [`TraceBuilder`] both
+/// hold — lent to the one walk (crate-internal).
+pub(crate) struct LintParts<'a> {
     pub(crate) topology: &'a MachineTopology,
     pub(crate) tasks: &'a [TaskInstance],
     pub(crate) per_cpu: &'a [PerCpuEvents],
@@ -504,136 +549,82 @@ pub struct LintView<'a> {
     pub(crate) comm_events: &'a [CommEvent],
 }
 
-impl LintView<'_> {
-    /// The machine topology of the trace under lint.
-    pub fn topology(&self) -> &MachineTopology {
-        self.topology
-    }
-
-    /// Number of registered tasks (task ids are dense, so any reference `>=`
-    /// this count is an orphan).
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
+/// The containers of a builder that lenient repair rewrites (crate-internal;
+/// see [`TraceBuilder::lint_parts_mut`]).
+pub(crate) struct RepairPartsMut<'a> {
+    pub(crate) per_cpu: &'a mut [PerCpuEvents],
+    pub(crate) regions: &'a mut Vec<MemoryRegion>,
+    pub(crate) accesses: &'a mut AccessColumns,
+    pub(crate) comm_events: &'a mut Vec<CommEvent>,
 }
 
-/// Context handed to chunk-level validators by the streaming ingest layer.
-pub struct ChunkContext<'a> {
-    /// The producer-assigned sequence number of the arriving chunk.
-    pub sequence: u64,
-    /// The sequence number the stream expects next.
-    pub expected_sequence: u64,
-    /// The highest sequence number seen so far, if any chunk arrived yet.
-    pub max_seen_sequence: Option<u64>,
-    /// The start hull of the arriving chunk
-    /// ([`crate::streaming::TraceChunk::start_hull`]): the range of its item
-    /// *start* times. Items are assigned to chunks by start time, so start
-    /// hulls — unlike full time hulls, which straddling states legitimately
-    /// overlap — must be disjoint and ordered across chunks.
-    pub hull: Option<TimeInterval>,
-    /// The start hull of the most recently appended chunk.
-    pub previous_hull: Option<TimeInterval>,
-    /// The arriving chunk.
-    pub chunk: &'a TraceChunk,
+/// How one finding is repaired. The walk that finds a defect decides its fix,
+/// with every value the fix needs; [`apply_fixes`] carries it out without
+/// looking at the data again.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fix {
+    /// The stream is re-sorted by timestamp. [`TraceBuilder::finish`] sorts
+    /// every stream, so there is nothing to apply; the record says it mattered.
+    Resequence,
+    /// The unclosed interval ends here.
+    CloseAt(Timestamp),
+    /// The overlapping interval starts here instead.
+    ClampStart(Timestamp),
+    /// The item is removed.
+    Drop,
+    /// The item stays, without its task reference.
+    ClearTask,
+    /// The sample takes this value.
+    ClampValue(f64),
+    /// The region stays, placed nowhere.
+    Unplace,
 }
 
-/// One defect detector. Trace-level validators implement [`Validator::check`];
-/// streaming validators implement [`Validator::check_chunk`]; a validator may
-/// implement both.
-pub trait Validator: Send + Sync {
-    /// The single code this validator emits.
-    fn code(&self) -> LintCode;
-
-    /// One-line description of the defect class.
-    fn description(&self) -> &'static str;
-
-    /// Scans a whole trace (or builder) and appends findings.
-    fn check(&self, _view: &LintView<'_>, _out: &mut Vec<LintFinding>) {}
-
-    /// Inspects an arriving streaming chunk and appends findings.
-    fn check_chunk(&self, _ctx: &ChunkContext<'_>, _out: &mut Vec<LintFinding>) {}
-}
-
-/// An ordered collection of validators, keyed by code.
-pub struct ValidatorRegistry {
-    validators: BTreeMap<LintCode, Box<dyn Validator>>,
-}
-
-impl ValidatorRegistry {
-    /// A registry with no validators.
-    pub fn empty() -> Self {
-        ValidatorRegistry {
-            validators: BTreeMap::new(),
+impl Fix {
+    fn strategy(self) -> RepairStrategy {
+        match self {
+            Fix::Resequence => RepairStrategy::Resequence,
+            Fix::CloseAt(_) => RepairStrategy::CloseAtEnd,
+            Fix::ClampStart(_) | Fix::ClampValue(_) => RepairStrategy::Clamp,
+            Fix::Drop | Fix::ClearTask | Fix::Unplace => RepairStrategy::DropWithRecord,
         }
     }
-
-    /// Adds (or replaces) a validator under its code.
-    pub fn register(&mut self, validator: Box<dyn Validator>) {
-        self.validators.insert(validator.code(), validator);
-    }
-
-    /// Removes the validator for `code`, if registered.
-    pub fn unregister(&mut self, code: LintCode) {
-        self.validators.remove(&code);
-    }
-
-    /// The codes with a registered validator, in label order.
-    pub fn codes(&self) -> Vec<LintCode> {
-        self.validators.keys().copied().collect()
-    }
-
-    /// Number of registered validators.
-    pub fn len(&self) -> usize {
-        self.validators.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.validators.is_empty()
-    }
-
-    /// Runs every trace-level validator over the view; findings arrive grouped
-    /// by code in label order.
-    pub fn validate(&self, view: &LintView<'_>) -> LintReport {
-        let mut findings = Vec::new();
-        for v in self.validators.values() {
-            v.check(view, &mut findings);
-        }
-        LintReport::from_findings(findings)
-    }
-
-    /// Runs every chunk-level validator over an arriving chunk.
-    pub fn validate_chunk(&self, ctx: &ChunkContext<'_>) -> Vec<LintFinding> {
-        let mut findings = Vec::new();
-        for v in self.validators.values() {
-            v.check_chunk(ctx, &mut findings);
-        }
-        findings
-    }
 }
 
-impl Default for ValidatorRegistry {
-    /// The full registry: one validator per [`LintCode`].
-    fn default() -> Self {
-        let mut r = ValidatorRegistry::empty();
-        r.register(Box::new(NonMonotonicValidator));
-        r.register(Box::new(UnclosedIntervalValidator));
-        r.register(Box::new(OrphanTaskRefValidator));
-        r.register(Box::new(OverlappingStatesValidator));
-        r.register(Box::new(CounterDiscontinuityValidator));
-        r.register(Box::new(NumaNodeValidator));
-        r.register(Box::new(ChunkSequenceValidator));
-        r.register(Box::new(ChunkOverlapValidator));
-        r
-    }
-}
-
-impl fmt::Debug for ValidatorRegistry {
+impl fmt::Display for Fix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ValidatorRegistry")
-            .field("codes", &self.codes())
-            .finish()
+        match self {
+            Fix::Resequence => f.write_str("stream re-sorted by timestamp"),
+            Fix::CloseAt(t) => write!(f, "interval closed at {}", t.0),
+            Fix::ClampStart(t) => write!(f, "interval start clamped to {}", t.0),
+            Fix::Drop => f.write_str("item dropped"),
+            Fix::ClearTask => f.write_str("task reference cleared"),
+            Fix::ClampValue(v) => write!(f, "value clamped to {v}"),
+            Fix::Unplace => f.write_str("placement dropped"),
+        }
     }
+}
+
+/// A finding together with its fix.
+struct Defect {
+    finding: LintFinding,
+    fix: Fix,
+}
+
+impl Defect {
+    /// The record of repairing this finding: same code, same event.
+    fn repair_record(&self) -> RepairRecord {
+        RepairRecord {
+            code: self.finding.code,
+            strategy: self.fix.strategy(),
+            event: self.finding.event,
+            detail: self.fix.to_string(),
+        }
+    }
+}
+
+fn report_of(defects: Vec<Defect>) -> LintReport {
+    LintReport::from_findings(defects.into_iter().map(|d| d.finding).collect())
 }
 
 /// The task ids referenced by a discrete event, if any.
@@ -650,405 +641,24 @@ fn event_task_refs(kind: &DiscreteEventKind) -> [Option<TaskId>; 2] {
     }
 }
 
-fn orphan(task: TaskId, num_tasks: usize) -> bool {
-    task.0 >= num_tasks as u64
-}
-
-/// Detects timestamps that go backwards in recording order (L001).
-struct NonMonotonicValidator;
-
-impl Validator for NonMonotonicValidator {
-    fn code(&self) -> LintCode {
-        LintCode::NonMonotonicTimestamps
+/// The timeline order of a stream — by timestamp, recording order among
+/// equals, the order [`TraceBuilder::finish`] sorts into — as a map from
+/// position to recording index. A stream recorded in order (every stream of a
+/// built [`Trace`]) is walked as it stands, without a copy.
+fn timeline_order(timestamps: &[u64]) -> impl Fn(usize) -> usize {
+    let order = sort_permutation(timestamps);
+    move |position| match &order {
+        Some(order) => order[position] as usize,
+        None => position,
     }
-
-    fn description(&self) -> &'static str {
-        "per-CPU and communication streams must be recorded in timestamp order"
-    }
-
-    fn check(&self, view: &LintView<'_>, out: &mut Vec<LintFinding>) {
-        let flag = |out: &mut Vec<LintFinding>, event: EventRef, prev: u64, cur: u64| {
-            out.push(LintFinding::new(
-                LintCode::NonMonotonicTimestamps,
-                event,
-                format!("timestamp {cur} recorded after {prev}"),
-            ));
-        };
-        for pc in view.per_cpu {
-            let cpu = pc.cpu();
-            let starts = pc.states().starts();
-            for i in 1..starts.len() {
-                if starts[i] < starts[i - 1] {
-                    flag(
-                        out,
-                        EventRef::State { cpu, index: i },
-                        starts[i - 1],
-                        starts[i],
-                    );
-                }
-            }
-            let timestamps = pc.events().timestamps();
-            for i in 1..timestamps.len() {
-                if timestamps[i] < timestamps[i - 1] {
-                    flag(
-                        out,
-                        EventRef::Event { cpu, index: i },
-                        timestamps[i - 1],
-                        timestamps[i],
-                    );
-                }
-            }
-            for (counter, samples) in pc.sample_streams() {
-                let timestamps = samples.timestamps();
-                for i in 1..timestamps.len() {
-                    if timestamps[i] < timestamps[i - 1] {
-                        flag(
-                            out,
-                            EventRef::Sample {
-                                cpu,
-                                counter,
-                                index: i,
-                            },
-                            timestamps[i - 1],
-                            timestamps[i],
-                        );
-                    }
-                }
-            }
-        }
-        for i in 1..view.comm_events.len() {
-            let (prev, cur) = (
-                view.comm_events[i - 1].timestamp.0,
-                view.comm_events[i].timestamp.0,
-            );
-            if cur < prev {
-                flag(out, EventRef::Comm { index: i }, prev, cur);
-            }
-        }
-    }
-}
-
-/// Detects state intervals left unclosed at [`Timestamp::MAX`] (L002).
-struct UnclosedIntervalValidator;
-
-impl Validator for UnclosedIntervalValidator {
-    fn code(&self) -> LintCode {
-        LintCode::UnclosedInterval
-    }
-
-    fn description(&self) -> &'static str {
-        "state intervals must be closed (an end of Timestamp::MAX marks a crashed worker)"
-    }
-
-    fn check(&self, view: &LintView<'_>, out: &mut Vec<LintFinding>) {
-        for pc in view.per_cpu {
-            let states = pc.states();
-            for (i, &end) in states.ends().iter().enumerate() {
-                if end == u64::MAX {
-                    out.push(LintFinding::new(
-                        LintCode::UnclosedInterval,
-                        EventRef::State {
-                            cpu: pc.cpu(),
-                            index: i,
-                        },
-                        format!(
-                            "interval starting at {} was never closed",
-                            states.starts()[i]
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// Detects references to unregistered task ids (L003).
-struct OrphanTaskRefValidator;
-
-impl Validator for OrphanTaskRefValidator {
-    fn code(&self) -> LintCode {
-        LintCode::OrphanTaskRef
-    }
-
-    fn description(&self) -> &'static str {
-        "task references must name a registered task (ids are dense)"
-    }
-
-    fn check(&self, view: &LintView<'_>, out: &mut Vec<LintFinding>) {
-        let n = view.num_tasks();
-        let flag = |out: &mut Vec<LintFinding>, event: EventRef, task: TaskId| {
-            out.push(LintFinding::new(
-                LintCode::OrphanTaskRef,
-                event,
-                format!("references unregistered task {} of {n}", task.0),
-            ));
-        };
-        for pc in view.per_cpu {
-            let cpu = pc.cpu();
-            let states = pc.states();
-            for i in 0..states.len() {
-                if let Some(task) = states.task(i) {
-                    if orphan(task, n) {
-                        flag(out, EventRef::State { cpu, index: i }, task);
-                    }
-                }
-            }
-            let events = pc.events();
-            for i in 0..events.len() {
-                for task in event_task_refs(&events.kind(i)).into_iter().flatten() {
-                    if orphan(task, n) {
-                        flag(out, EventRef::Event { cpu, index: i }, task);
-                    }
-                }
-            }
-        }
-        let accesses = view.accesses.view();
-        for i in 0..accesses.len() {
-            let task = accesses.task(i);
-            if orphan(task, n) {
-                flag(out, EventRef::Access { index: i }, task);
-            }
-        }
-        for (i, c) in view.comm_events.iter().enumerate() {
-            if let Some(task) = c.task {
-                if orphan(task, n) {
-                    flag(out, EventRef::Comm { index: i }, task);
-                }
-            }
-        }
-    }
-}
-
-/// Detects duplicated or overlapping state intervals on one CPU (L004).
-struct OverlappingStatesValidator;
-
-impl Validator for OverlappingStatesValidator {
-    fn code(&self) -> LintCode {
-        LintCode::OverlappingStates
-    }
-
-    fn description(&self) -> &'static str {
-        "state intervals of one CPU must not overlap"
-    }
-
-    fn check(&self, view: &LintView<'_>, out: &mut Vec<LintFinding>) {
-        for pc in view.per_cpu {
-            let states = pc.states();
-            let (starts, ends) = (states.starts(), states.ends());
-            // Walk in timeline order regardless of recording order: an unsorted
-            // stream is L001's finding, not a forest of spurious overlaps.
-            let mut order: Vec<usize> = (0..starts.len()).collect();
-            order.sort_by_key(|&i| (starts[i], i));
-            let mut tail = 0u64;
-            let mut any = false;
-            for &i in &order {
-                if any && starts[i] < tail {
-                    out.push(LintFinding::new(
-                        LintCode::OverlappingStates,
-                        EventRef::State {
-                            cpu: pc.cpu(),
-                            index: i,
-                        },
-                        format!(
-                            "interval starts at {} before previous end {tail}",
-                            starts[i]
-                        ),
-                    ));
-                }
-                // Unclosed intervals (L002) have no trustworthy end; they do
-                // not advance the tail, so their successors are not blamed.
-                if ends[i] != u64::MAX {
-                    tail = tail.max(ends[i]);
-                    any = true;
-                }
-            }
-        }
-    }
-}
-
-/// Detects monotone counters whose sample values decrease (L005).
-struct CounterDiscontinuityValidator;
-
-impl Validator for CounterDiscontinuityValidator {
-    fn code(&self) -> LintCode {
-        LintCode::CounterDiscontinuity
-    }
-
-    fn description(&self) -> &'static str {
-        "samples of a monotone counter must never decrease"
-    }
-
-    fn check(&self, view: &LintView<'_>, out: &mut Vec<LintFinding>) {
-        for pc in view.per_cpu {
-            for (counter, samples) in pc.sample_streams() {
-                let monotone = view
-                    .counters
-                    .get(counter.0 as usize)
-                    .map(|c| c.monotone)
-                    .unwrap_or(false);
-                if !monotone {
-                    continue;
-                }
-                // Compare in timeline order so a skewed recording order (L001)
-                // does not masquerade as a counter regression.
-                let timestamps = samples.timestamps();
-                let values = samples.values();
-                let mut order: Vec<usize> = (0..timestamps.len()).collect();
-                order.sort_by_key(|&i| (timestamps[i], i));
-                for w in order.windows(2) {
-                    let (prev, cur) = (w[0], w[1]);
-                    if values[cur] < values[prev] {
-                        out.push(LintFinding::new(
-                            LintCode::CounterDiscontinuity,
-                            EventRef::Sample {
-                                cpu: pc.cpu(),
-                                counter,
-                                index: cur,
-                            },
-                            format!(
-                                "monotone counter drops from {} to {}",
-                                values[prev], values[cur]
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Detects NUMA node ids outside the recorded topology (L006).
-struct NumaNodeValidator;
-
-impl Validator for NumaNodeValidator {
-    fn code(&self) -> LintCode {
-        LintCode::NumaNodeOutOfRange
-    }
-
-    fn description(&self) -> &'static str {
-        "NUMA node references must exist in the machine topology"
-    }
-
-    fn check(&self, view: &LintView<'_>, out: &mut Vec<LintFinding>) {
-        let nodes = view.topology.num_nodes();
-        for (i, r) in view.regions.iter().enumerate() {
-            if let Some(node) = r.node {
-                if !view.topology.contains_node(node) {
-                    out.push(LintFinding::new(
-                        LintCode::NumaNodeOutOfRange,
-                        EventRef::Region { index: i },
-                        format!("region placed on node {} of {nodes}", node.0),
-                    ));
-                }
-            }
-        }
-        for (i, c) in view.comm_events.iter().enumerate() {
-            for node in [c.src_node, c.dst_node] {
-                if !view.topology.contains_node(node) {
-                    out.push(LintFinding::new(
-                        LintCode::NumaNodeOutOfRange,
-                        EventRef::Comm { index: i },
-                        format!("communication names node {} of {nodes}", node.0),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// Detects dropped, duplicated or reordered streaming chunks (L007).
-struct ChunkSequenceValidator;
-
-impl Validator for ChunkSequenceValidator {
-    fn code(&self) -> LintCode {
-        LintCode::ChunkSequence
-    }
-
-    fn description(&self) -> &'static str {
-        "streaming chunks must arrive with consecutive sequence numbers"
-    }
-
-    fn check_chunk(&self, ctx: &ChunkContext<'_>, out: &mut Vec<LintFinding>) {
-        if ctx.sequence < ctx.expected_sequence {
-            out.push(LintFinding::new(
-                LintCode::ChunkSequence,
-                EventRef::Chunk {
-                    sequence: ctx.sequence,
-                },
-                format!(
-                    "sequence {} arrived after the stream advanced past it (expected {})",
-                    ctx.sequence, ctx.expected_sequence
-                ),
-            ));
-        } else if ctx.max_seen_sequence.is_some_and(|max| ctx.sequence < max) {
-            out.push(LintFinding::new(
-                LintCode::ChunkSequence,
-                EventRef::Chunk {
-                    sequence: ctx.sequence,
-                },
-                format!(
-                    "sequence {} arrived after {} — chunks reordered in transit",
-                    ctx.sequence,
-                    ctx.max_seen_sequence.unwrap_or(0)
-                ),
-            ));
-        }
-    }
-}
-
-/// Detects streaming chunks whose time hull overlaps the previous chunk (L008).
-struct ChunkOverlapValidator;
-
-impl Validator for ChunkOverlapValidator {
-    fn code(&self) -> LintCode {
-        LintCode::ChunkOverlap
-    }
-
-    fn description(&self) -> &'static str {
-        "a chunk's items must start at or after the previous chunk's latest item start"
-    }
-
-    fn check_chunk(&self, ctx: &ChunkContext<'_>, out: &mut Vec<LintFinding>) {
-        if let (Some(hull), Some(prev)) = (ctx.hull, ctx.previous_hull) {
-            if hull.start < prev.end {
-                out.push(LintFinding::new(
-                    LintCode::ChunkOverlap,
-                    EventRef::Chunk {
-                        sequence: ctx.sequence,
-                    },
-                    format!(
-                        "chunk items start at {} — before the previous chunk's \
-                         latest item start {}",
-                        hull.start.0, prev.end.0
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Repair pipeline
-// ---------------------------------------------------------------------------
-
-/// Mutable access to a builder's parts for the repair pipeline
-/// (crate-internal; see [`TraceBuilder::lint_parts_mut`]).
-pub(crate) struct BuilderPartsMut<'a> {
-    pub(crate) topology: &'a MachineTopology,
-    pub(crate) tasks: &'a [TaskInstance],
-    pub(crate) per_cpu: &'a mut Vec<PerCpuEvents>,
-    pub(crate) regions: &'a mut Vec<MemoryRegion>,
-    pub(crate) counters: &'a [CounterDescription],
-    pub(crate) accesses: &'a mut AccessColumns,
-    pub(crate) comm_events: &'a mut Vec<CommEvent>,
 }
 
 /// The latest bounded timestamp of the recorded data, ignoring the
-/// [`Timestamp::MAX`] sentinel of unclosed intervals. Unclosed intervals with
-/// no successor are closed here.
-fn bounded_end(parts: &BuilderPartsMut<'_>) -> u64 {
+/// [`Timestamp::MAX`] sentinel of unclosed intervals. An unclosed interval
+/// with no successor on its CPU is closed here.
+fn bounded_end(parts: &LintParts<'_>) -> u64 {
     let mut end = 0u64;
-    for pc in parts.per_cpu.iter() {
+    for pc in parts.per_cpu {
         for (&s, &e) in pc.states().starts().iter().zip(pc.states().ends()) {
             end = end.max(s);
             if e != u64::MAX {
@@ -1069,323 +679,358 @@ fn bounded_end(parts: &BuilderPartsMut<'_>) -> u64 {
             end = end.max(t.execution.end.0);
         }
     }
-    for c in parts.comm_events.iter() {
+    for c in parts.comm_events {
         end = end.max(c.timestamp.0);
     }
     end
 }
 
-/// Applies the default repair strategies to every finding of `report`,
-/// recording each mutation. After this pass the builder re-lints clean and
-/// [`TraceBuilder::finish`] cannot fail on stream invariants.
-fn repair_builder(parts: BuilderPartsMut<'_>, report: &mut LintReport) {
-    let num_tasks = parts.tasks.len();
-    let trace_end = Timestamp(bounded_end(&parts));
+/// The one walk: every predicate over timestamps, task ids, node ids and
+/// counter values is evaluated here, once, in the method of its stream kind.
+struct Walk<'a> {
+    parts: &'a LintParts<'a>,
+    defects: Vec<Defect>,
+    /// [`bounded_end`], computed when a trailing unclosed interval asks for it.
+    trace_end: Option<u64>,
+}
 
-    // 1. Resequence: restore timestamp order (one record per L001 finding).
-    //    Later passes then walk plain insertion order.
-    let skewed: Vec<LintFinding> = report
-        .findings()
-        .iter()
-        .filter(|f| f.code == LintCode::NonMonotonicTimestamps)
-        .cloned()
-        .collect();
-    if !skewed.is_empty() {
-        for f in skewed {
-            report.push_repair(RepairRecord {
-                code: f.code,
-                strategy: RepairStrategy::Resequence,
-                event: f.event,
-                detail: "stream re-sorted by timestamp".into(),
-            });
-        }
-        for pc in parts.per_cpu.iter_mut() {
-            pc.sort_streams();
-        }
-        parts.comm_events.sort_by_key(|c| c.timestamp);
-    }
-
-    // 2–4. Per-CPU streams: close unclosed intervals, resolve overlaps, clear
-    // orphan refs, clamp counter regressions. The columns have no in-place
-    // mutators, so a stream that needs a fix is materialised, fixed and
-    // rebuilt; whether it needs one is decided over the column views, so a
-    // clean stream is never copied.
-    for pc in parts.per_cpu.iter_mut() {
-        let cpu = pc.cpu();
-        let view = pc.states();
-        let (starts, ends) = (view.starts(), view.ends());
-        let needs_state_pass = ends.contains(&u64::MAX)
-            || starts
-                .iter()
-                .skip(1)
-                .zip(ends)
-                .any(|(start, end)| start < end)
-            || (0..view.len()).any(|i| view.task(i).is_some_and(|t| orphan(t, num_tasks)));
-        if needs_state_pass {
-            let states = pc.states.to_vec();
-            let mut rebuilt = StateColumns::new(cpu);
-            let mut tail = Timestamp::ZERO;
-            for (i, mut s) in states.iter().copied().enumerate() {
-                let event = EventRef::State { cpu, index: i };
-                if s.interval.end == Timestamp::MAX {
-                    let close_to = states
-                        .get(i + 1)
-                        .map(|next| next.interval.start)
-                        .unwrap_or(trace_end)
-                        .max(s.interval.start);
-                    report.push_repair(RepairRecord {
-                        code: LintCode::UnclosedInterval,
-                        strategy: RepairStrategy::CloseAtEnd,
-                        event,
-                        detail: format!("interval closed at {}", close_to.0),
-                    });
-                    s.interval.end = close_to;
-                }
-                if s.interval.start < tail {
-                    if s.interval.end <= tail {
-                        report.push_repair(RepairRecord {
-                            code: LintCode::OverlappingStates,
-                            strategy: RepairStrategy::DropWithRecord,
-                            event,
-                            detail: format!(
-                                "interval [{}, {}] fully covered by predecessors",
-                                s.interval.start.0, s.interval.end.0
-                            ),
-                        });
-                        continue;
-                    }
-                    report.push_repair(RepairRecord {
-                        code: LintCode::OverlappingStates,
-                        strategy: RepairStrategy::Clamp,
-                        event,
-                        detail: format!(
-                            "interval start clamped from {} to {}",
-                            s.interval.start.0, tail.0
-                        ),
-                    });
-                    s.interval.start = tail;
-                }
-                tail = tail.max(s.interval.end);
-                if let Some(t) = s.task {
-                    if orphan(t, num_tasks) {
-                        report.push_repair(RepairRecord {
-                            code: LintCode::OrphanTaskRef,
-                            strategy: RepairStrategy::DropWithRecord,
-                            event,
-                            detail: format!("orphan task reference {} cleared", t.0),
-                        });
-                        s.task = None;
-                    }
-                }
-                rebuilt.push(s);
-            }
-            pc.states = rebuilt;
-        }
-
-        if pc.events().iter().any(|e| {
-            event_task_refs(&e.kind)
-                .into_iter()
-                .flatten()
-                .any(|t| orphan(t, num_tasks))
-        }) {
-            let mut rebuilt = EventColumns::new(cpu);
-            for (i, e) in pc.events().iter().enumerate() {
-                if event_task_refs(&e.kind)
-                    .into_iter()
-                    .flatten()
-                    .any(|t| orphan(t, num_tasks))
-                {
-                    report.push_repair(RepairRecord {
-                        code: LintCode::OrphanTaskRef,
-                        strategy: RepairStrategy::DropWithRecord,
-                        event: EventRef::Event { cpu, index: i },
-                        detail: format!("{} event dropped (orphan task)", e.kind.label()),
-                    });
-                    continue;
-                }
-                rebuilt.push(e);
-            }
-            pc.events = rebuilt;
-        }
-
-        let monotone_counters: Vec<CounterId> = pc
-            .samples
-            .keys()
-            .copied()
-            .filter(|c| {
-                parts
-                    .counters
-                    .get(c.0 as usize)
-                    .map(|d| d.monotone)
-                    .unwrap_or(false)
-            })
-            .collect();
-        for counter in monotone_counters {
-            let samples = pc.samples[&counter].view();
-            if samples.values().windows(2).all(|w| w[1] >= w[0]) {
-                continue;
-            }
-            let mut rebuilt = SampleColumns::new(counter, cpu);
-            let mut running_max = f64::NEG_INFINITY;
-            for (i, mut s) in samples.iter().enumerate() {
-                if s.value < running_max {
-                    report.push_repair(RepairRecord {
-                        code: LintCode::CounterDiscontinuity,
-                        strategy: RepairStrategy::Clamp,
-                        event: EventRef::Sample {
-                            cpu,
-                            counter,
-                            index: i,
-                        },
-                        detail: format!("value clamped from {} to {running_max}", s.value),
-                    });
-                    s.value = running_max;
-                }
-                running_max = running_max.max(s.value);
-                rebuilt.push(s);
-            }
-            pc.samples.insert(counter, rebuilt);
+/// Walks the whole trace and returns its defects grouped by code in label
+/// order; the sort is stable, so within a code the order of the walk stands.
+fn detect(parts: &LintParts<'_>) -> Vec<Defect> {
+    let mut walk = Walk {
+        parts,
+        defects: Vec::new(),
+        trace_end: None,
+    };
+    for pc in parts.per_cpu {
+        walk.states(pc);
+        walk.events(pc);
+        for (counter, samples) in pc.sample_streams() {
+            walk.samples(pc.cpu(), counter, samples);
         }
     }
+    walk.accesses();
+    walk.regions();
+    walk.comm_events();
+    walk.defects.sort_by_key(|d| d.finding.code);
+    walk.defects
+}
 
-    // 5. Access table: drop rows referencing orphan tasks.
-    {
-        let view = parts.accesses.view();
-        let any_orphan = (0..view.len()).any(|i| orphan(view.task(i), num_tasks));
-        if any_orphan {
-            let rows = parts.accesses.to_vec();
-            let mut rebuilt = AccessColumns::new();
-            for (i, a) in rows.into_iter().enumerate() {
-                if orphan(a.task, num_tasks) {
-                    report.push_repair(RepairRecord {
-                        code: LintCode::OrphanTaskRef,
-                        strategy: RepairStrategy::DropWithRecord,
-                        event: EventRef::Access { index: i },
-                        detail: format!("access by orphan task {} dropped", a.task.0),
-                    });
-                    continue;
-                }
-                rebuilt.push(a);
-            }
-            *parts.accesses = rebuilt;
-        }
+impl Walk<'_> {
+    fn flag(&mut self, code: LintCode, event: EventRef, fix: Fix, detail: String) {
+        self.defects.push(Defect {
+            finding: LintFinding::new(code, event, detail),
+            fix,
+        });
     }
 
-    // 6. Communication events: drop rows naming unknown NUMA nodes, clear
-    // orphan task references on the rest.
-    let topology = parts.topology;
-    let mut comm_index = 0usize;
-    parts.comm_events.retain_mut(|c| {
-        let event = EventRef::Comm { index: comm_index };
-        comm_index += 1;
-        if !topology.contains_node(c.src_node) || !topology.contains_node(c.dst_node) {
-            report.push_repair(RepairRecord {
-                code: LintCode::NumaNodeOutOfRange,
-                strategy: RepairStrategy::DropWithRecord,
+    /// L001: item `i` of a stream must not be recorded with a timestamp before
+    /// item `i - 1`'s.
+    fn recorded_in_order(&mut self, timestamps: &[u64], i: usize, event: EventRef) {
+        if i > 0 && timestamps[i] < timestamps[i - 1] {
+            let (cur, prev) = (timestamps[i], timestamps[i - 1]);
+            let detail = format!("timestamp {cur} recorded after {prev}");
+            self.flag(
+                LintCode::NonMonotonicTimestamps,
                 event,
-                detail: "communication event naming an unknown node dropped".into(),
-            });
-            return false;
+                Fix::Resequence,
+                detail,
+            );
         }
-        if let Some(t) = c.task {
-            if orphan(t, num_tasks) {
-                report.push_repair(RepairRecord {
-                    code: LintCode::OrphanTaskRef,
-                    strategy: RepairStrategy::DropWithRecord,
+    }
+
+    /// L003: a task reference must name a registered task (ids are dense).
+    fn registered(&mut self, task: Option<TaskId>, event: EventRef, fix: Fix) {
+        let n = self.parts.tasks.len();
+        if let Some(task) = task.filter(|t| t.0 >= n as u64) {
+            let detail = format!("references unregistered task {} of {n}", task.0);
+            self.flag(LintCode::OrphanTaskRef, event, fix, detail);
+        }
+    }
+
+    /// L006: a node reference must exist in the topology.
+    fn placed(&mut self, node: NumaNodeId, event: EventRef, fix: Fix, what: &str) {
+        let topology = self.parts.topology;
+        if !topology.contains_node(node) {
+            let detail = format!("{what} node {} of {}", node.0, topology.num_nodes());
+            self.flag(LintCode::NumaNodeOutOfRange, event, fix, detail);
+        }
+    }
+
+    fn states(&mut self, pc: &PerCpuEvents) {
+        let states = pc.states();
+        let (starts, ends) = (states.starts(), states.ends());
+        // Intervals are judged in timeline order whatever the recording order:
+        // an unsorted stream is L001's finding, not a forest of spurious
+        // overlaps.
+        let nth = timeline_order(starts);
+        let mut tail = 0u64;
+        for position in 0..starts.len() {
+            let i = nth(position);
+            let event = EventRef::State {
+                cpu: pc.cpu(),
+                index: i,
+            };
+            self.recorded_in_order(starts, i, event);
+            let mut end = ends[i];
+            if end == u64::MAX {
+                // L002: closed where the CPU's next interval starts — so the
+                // successor is never blamed for an overlap — or, for the last
+                // one, at the end of the trace.
+                end = if position + 1 < starts.len() {
+                    starts[nth(position + 1)]
+                } else {
+                    *self
+                        .trace_end
+                        .get_or_insert_with(|| bounded_end(self.parts))
+                };
+                let detail = format!("interval starting at {} was never closed", starts[i]);
+                self.flag(
+                    LintCode::UnclosedInterval,
                     event,
-                    detail: format!("orphan task reference {} cleared", t.0),
-                });
-                c.task = None;
+                    Fix::CloseAt(Timestamp(end)),
+                    detail,
+                );
+            }
+            self.registered(states.task(i), event, Fix::ClearTask);
+            if starts[i] < tail {
+                // L004: what the predecessors leave of the interval is kept.
+                let fix = if end <= tail {
+                    Fix::Drop
+                } else {
+                    Fix::ClampStart(Timestamp(tail))
+                };
+                let detail = format!(
+                    "interval starts at {} before previous end {tail}",
+                    starts[i]
+                );
+                self.flag(LintCode::OverlappingStates, event, fix, detail);
+            }
+            tail = tail.max(end);
+        }
+    }
+
+    fn events(&mut self, pc: &PerCpuEvents) {
+        let events = pc.events();
+        for i in 0..events.len() {
+            let event = EventRef::Event {
+                cpu: pc.cpu(),
+                index: i,
+            };
+            self.recorded_in_order(events.timestamps(), i, event);
+            for task in event_task_refs(&events.kind(i)) {
+                self.registered(task, event, Fix::Drop);
             }
         }
-        true
-    });
+    }
 
-    // 7. Regions: unknown placements become unplaced.
-    for (i, r) in parts.regions.iter_mut().enumerate() {
-        if let Some(node) = r.node {
-            if !topology.contains_node(node) {
-                report.push_repair(RepairRecord {
-                    code: LintCode::NumaNodeOutOfRange,
-                    strategy: RepairStrategy::DropWithRecord,
-                    event: EventRef::Region { index: i },
-                    detail: format!("placement on unknown node {} dropped", node.0),
-                });
-                r.node = None;
+    fn samples(&mut self, cpu: CpuId, counter: CounterId, samples: SamplesView<'_>) {
+        let (timestamps, values) = (samples.timestamps(), samples.values());
+        let at = |index| EventRef::Sample {
+            cpu,
+            counter,
+            index,
+        };
+        for i in 0..timestamps.len() {
+            self.recorded_in_order(timestamps, i, at(i));
+        }
+        let counters = self.parts.counters;
+        if !counters.get(counter.0 as usize).is_some_and(|c| c.monotone) {
+            return;
+        }
+        // L005, judged in timeline order so a skewed recording order (L001)
+        // does not masquerade as a counter regression: a sample below what the
+        // counter already reached is raised to it.
+        let mut reached = f64::NEG_INFINITY;
+        for i in (0..timestamps.len()).map(timeline_order(timestamps)) {
+            if values[i] < reached {
+                let detail = format!("monotone counter drops from {reached} to {}", values[i]);
+                self.flag(
+                    LintCode::CounterDiscontinuity,
+                    at(i),
+                    Fix::ClampValue(reached),
+                    detail,
+                );
+            }
+            reached = reached.max(values[i]);
+        }
+    }
+
+    fn accesses(&mut self) {
+        let accesses = self.parts.accesses.view();
+        for i in 0..accesses.len() {
+            self.registered(
+                Some(accesses.task(i)),
+                EventRef::Access { index: i },
+                Fix::Drop,
+            );
+        }
+    }
+
+    fn regions(&mut self) {
+        for (i, r) in self.parts.regions.iter().enumerate() {
+            if let Some(node) = r.node {
+                let event = EventRef::Region { index: i };
+                self.placed(node, event, Fix::Unplace, "region placed on");
+            }
+        }
+    }
+
+    fn comm_events(&mut self) {
+        let comm = self.parts.comm_events;
+        let timestamps: Vec<u64> = comm.iter().map(|c| c.timestamp.0).collect();
+        for (i, c) in comm.iter().enumerate() {
+            let event = EventRef::Comm { index: i };
+            self.recorded_in_order(&timestamps, i, event);
+            self.registered(c.task, event, Fix::ClearTask);
+            for node in [c.src_node, c.dst_node] {
+                self.placed(node, event, Fix::Drop, "communication names");
             }
         }
     }
 }
 
-impl TraceBuilder {
-    /// Runs the default validator registry over the recorded data.
-    pub fn lint(&self) -> LintReport {
-        self.lint_with(&ValidatorRegistry::default())
-    }
+/// The stream an event belongs to — the event with its index zeroed — and its
+/// index there.
+fn locate(mut event: EventRef) -> (EventRef, usize) {
+    let index = match &mut event {
+        EventRef::State { index, .. }
+        | EventRef::Event { index, .. }
+        | EventRef::Sample { index, .. }
+        | EventRef::Access { index }
+        | EventRef::Comm { index }
+        | EventRef::Region { index } => std::mem::take(index),
+        EventRef::Chunk { .. } => unreachable!("the batch walk anchors nothing to a chunk"),
+    };
+    (event, index)
+}
 
-    /// Runs a custom validator registry over the recorded data.
-    pub fn lint_with(&self, registry: &ValidatorRegistry) -> LintReport {
-        registry.validate(&self.lint_view())
+/// `items` after `fixes`, each applied to the item it names by index: a
+/// [`Fix::Drop`] removes the item, every other fix is handed to `patch`.
+fn patched<T>(
+    items: Vec<T>,
+    fixes: &[(usize, Fix)],
+    patch: impl Fn(&mut T, Fix),
+) -> impl Iterator<Item = T> {
+    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    for &(index, fix) in fixes {
+        match &mut slots[index] {
+            slot if fix == Fix::Drop => *slot = None,
+            Some(item) => patch(item, fix),
+            None => {}
+        }
+    }
+    slots.into_iter().flatten()
+}
+
+/// Carries out the fix of every defect, by recording index. The columns have
+/// no in-place mutators, so a stream that a fix names is materialised, patched
+/// and pushed back; a stream without one is not touched, which is what keeps
+/// the repair of a clean trace the identity down to the lanes. Afterwards the
+/// builder re-lints clean and [`TraceBuilder::finish`] cannot fail on stream
+/// invariants.
+fn apply_fixes(parts: RepairPartsMut<'_>, defects: &[Defect]) {
+    let mut by_stream: BTreeMap<EventRef, Vec<(usize, Fix)>> = BTreeMap::new();
+    for d in defects.iter().filter(|d| d.fix != Fix::Resequence) {
+        let (stream, index) = locate(d.finding.event);
+        by_stream.entry(stream).or_default().push((index, d.fix));
+    }
+    for (stream, fixes) in by_stream {
+        match stream {
+            EventRef::State { cpu, .. } => {
+                let states = &mut parts.per_cpu[cpu.0 as usize].states;
+                let mut rebuilt = StateColumns::new(cpu);
+                patched(states.to_vec(), &fixes, |s, fix| match fix {
+                    Fix::CloseAt(t) => s.interval.end = t,
+                    Fix::ClampStart(t) => s.interval.start = t,
+                    Fix::ClearTask => s.task = None,
+                    other => unreachable!("no state finding is fixed by {other:?}"),
+                })
+                .for_each(|s| rebuilt.push(s));
+                *states = rebuilt;
+            }
+            EventRef::Event { cpu, .. } => {
+                let events = &mut parts.per_cpu[cpu.0 as usize].events;
+                let mut rebuilt = EventColumns::new(cpu);
+                patched(events.to_vec(), &fixes, |_, _| {}).for_each(|e| rebuilt.push(e));
+                *events = rebuilt;
+            }
+            EventRef::Sample { cpu, counter, .. } => {
+                let samples = parts.per_cpu[cpu.0 as usize]
+                    .samples
+                    .get_mut(&counter)
+                    .expect("the walk found a defect in this stream");
+                let mut rebuilt = SampleColumns::new(counter, cpu);
+                patched(samples.to_vec(), &fixes, |s, fix| {
+                    if let Fix::ClampValue(v) = fix {
+                        s.value = v;
+                    }
+                })
+                .for_each(|s| rebuilt.push(s));
+                *samples = rebuilt;
+            }
+            EventRef::Access { .. } => {
+                let mut rebuilt = AccessColumns::new();
+                patched(parts.accesses.to_vec(), &fixes, |_, _| {}).for_each(|a| rebuilt.push(a));
+                *parts.accesses = rebuilt;
+            }
+            EventRef::Comm { .. } => {
+                // Besides `Drop`, the walk gives a communication event only
+                // `ClearTask`, and a region only `Unplace`.
+                let comm = std::mem::take(parts.comm_events);
+                *parts.comm_events = patched(comm, &fixes, |c, _| c.task = None).collect();
+            }
+            EventRef::Region { .. } => {
+                let regions = std::mem::take(parts.regions);
+                *parts.regions = patched(regions, &fixes, |r, _| r.node = None).collect();
+            }
+            EventRef::Chunk { .. } => unreachable!("see locate"),
+        }
+    }
+}
+
+impl TraceBuilder {
+    /// Walks the recorded data and reports every defect found.
+    pub fn lint(&self) -> LintReport {
+        report_of(detect(&self.lint_parts()))
     }
 
     /// Lints the recorded data, then finishes the build.
     ///
     /// In [`LintMode::Strict`], any finding aborts with
-    /// [`TraceError::LintFindings`]. In [`LintMode::Lenient`], every finding is
-    /// repaired per [`LintCode::default_repair`] and recorded in the report, so
-    /// a damaged recording still yields a valid, analysable trace.
+    /// [`TraceError::LintFindings`] (a stream recorded out of timestamp order
+    /// is `L001`). In [`LintMode::Lenient`], the fix of every finding is
+    /// applied and recorded in the report, so a damaged recording still yields
+    /// a valid, analysable trace.
     ///
     /// # Errors
     ///
     /// [`TraceError::LintFindings`] in strict mode, plus the errors of
     /// [`TraceBuilder::finish`] for defects outside the lint classes (unknown
     /// task types, invalid task intervals).
-    pub fn finish_lint(self, mode: LintMode) -> Result<AnnotatedTrace, TraceError> {
-        self.finish_lint_with(mode, &ValidatorRegistry::default())
-    }
-
-    /// Like [`TraceBuilder::finish_lint`] with a custom registry.
-    ///
-    /// # Errors
-    ///
-    /// See [`TraceBuilder::finish_lint`].
-    pub fn finish_lint_with(
-        mut self,
-        mode: LintMode,
-        registry: &ValidatorRegistry,
-    ) -> Result<AnnotatedTrace, TraceError> {
-        let mut report = registry.validate(&self.lint_view());
-        match mode {
-            LintMode::Strict => {
-                if !report.is_clean() {
-                    return Err(TraceError::LintFindings(report.summary().clone()));
-                }
-            }
-            LintMode::Lenient => {
-                if !report.is_clean() {
-                    repair_builder(self.lint_parts_mut(), &mut report);
-                }
-            }
+    pub fn finish_lint(mut self, mode: LintMode) -> Result<AnnotatedTrace, TraceError> {
+        let defects = detect(&self.lint_parts());
+        if mode == LintMode::Strict && !defects.is_empty() {
+            let report = report_of(defects);
+            return Err(TraceError::LintFindings(report.summary().clone()));
         }
-        let trace = self.finish()?;
-        Ok(AnnotatedTrace::new(trace, report))
+        let repairs: Vec<RepairRecord> = defects.iter().map(Defect::repair_record).collect();
+        apply_fixes(self.lint_parts_mut(), &defects);
+        let mut report = report_of(defects);
+        repairs.into_iter().for_each(|r| report.push_repair(r));
+        Ok(AnnotatedTrace::new(self.finish()?, report))
     }
 }
 
 impl Trace {
-    /// Runs the default validator registry over the built trace.
+    /// Walks the built trace and reports every defect found.
     ///
     /// Built traces are sorted and non-overlapping by construction, so only
     /// defects that survive [`TraceBuilder::finish`] can appear here: unclosed
     /// trailing intervals, orphan task references, counter discontinuities and
     /// out-of-range NUMA nodes.
     pub fn lint(&self) -> LintReport {
-        self.lint_with(&ValidatorRegistry::default())
-    }
-
-    /// Runs a custom validator registry over the built trace.
-    pub fn lint_with(&self, registry: &ValidatorRegistry) -> LintReport {
-        registry.validate(&self.lint_view())
+        report_of(detect(&self.lint_parts()))
     }
 
     /// Repairs every lint finding, producing an annotated trace.
@@ -1405,7 +1050,7 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::event::CommKind;
-    use crate::ids::NumaNodeId;
+    use crate::ids::TimeInterval;
     use crate::memory::AccessKind;
     use crate::state::WorkerState;
 
@@ -1755,21 +1400,28 @@ mod tests {
 
     #[test]
     fn strict_mode_rejects_with_summary() {
-        let mut b = clean_builder();
-        b.add_state(
-            CpuId(1),
-            WorkerState::Synchronization,
-            Timestamp(80),
-            Timestamp::MAX,
-            None,
-        )
-        .unwrap();
-        match b.finish_lint(LintMode::Strict) {
-            Err(TraceError::LintFindings(summary)) => {
-                assert_eq!(summary.count(LintCode::UnclosedInterval), 1);
-                assert!(summary.to_string().contains("L002"));
+        // An unclosed interval, and a stream recorded out of timestamp order
+        // (which plain `finish` would silently sort).
+        let inputs = [
+            (Timestamp(80), Timestamp::MAX, LintCode::UnclosedInterval),
+            (
+                Timestamp(0),
+                Timestamp(20),
+                LintCode::NonMonotonicTimestamps,
+            ),
+        ];
+        for (start, end, code) in inputs {
+            let mut b = clean_builder();
+            b.add_state(CpuId(1), WorkerState::Synchronization, start, end, None)
+                .unwrap();
+            match b.finish_lint(LintMode::Strict) {
+                Err(TraceError::LintFindings(summary)) => {
+                    assert_eq!(summary.count(code), 1);
+                    assert_eq!(summary.total(), 1);
+                    assert!(summary.to_string().contains(&code.label()[..4]));
+                }
+                other => panic!("expected LintFindings, got {other:?}"),
             }
-            other => panic!("expected LintFindings, got {other:?}"),
         }
     }
 
@@ -1816,25 +1468,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_is_configurable() {
-        let mut registry = ValidatorRegistry::default();
-        assert_eq!(registry.len(), LintCode::ALL.len());
-        registry.unregister(LintCode::UnclosedInterval);
-        assert_eq!(registry.len(), LintCode::ALL.len() - 1);
-        let mut b = clean_builder();
-        b.add_state(
-            CpuId(1),
-            WorkerState::Synchronization,
-            Timestamp(80),
-            Timestamp::MAX,
-            None,
-        )
-        .unwrap();
-        assert!(b.lint_with(&registry).is_clean());
-        assert!(ValidatorRegistry::empty().is_empty());
-    }
-
-    #[test]
     fn annotations_attach_codes_to_events() {
         let mut b = clean_builder();
         b.add_state(
@@ -1846,19 +1479,83 @@ mod tests {
         )
         .unwrap();
         let report = b.lint();
-        let event = EventRef::State {
-            cpu: CpuId(1),
-            index: 1,
+        let codes_for = |cpu, index| -> Vec<LintCode> {
+            let event = EventRef::State { cpu, index };
+            let at = report.findings().iter().filter(|f| f.event == event);
+            at.map(|f| f.code).collect()
         };
         assert_eq!(
-            report.codes_for(&event),
+            codes_for(CpuId(1), 1),
             vec![LintCode::UnclosedInterval, LintCode::OrphanTaskRef]
         );
-        assert!(report
-            .codes_for(&EventRef::State {
-                cpu: CpuId(0),
-                index: 0
-            })
-            .is_empty());
+        assert!(codes_for(CpuId(0), 0).is_empty());
+    }
+
+    #[test]
+    fn every_repair_names_the_event_its_finding_names() {
+        // All six batch defect classes at once, CPU 0 recorded out of order:
+        // its orphan-task state comes first in the recording and last on the
+        // timeline, so recording indices and sorted positions differ.
+        let mut b = TraceBuilder::new(topo());
+        let ty = b.add_task_type("work", 0x1000);
+        let t0 = b.add_task(ty, CpuId(0), Timestamp(0), Timestamp(0), Timestamp(40));
+        let state = |b: &mut TraceBuilder, start, end, task| {
+            b.add_state(CpuId(0), WorkerState::TaskExecution, start, end, task)
+                .unwrap()
+        };
+        state(&mut b, Timestamp(100), Timestamp(150), Some(TaskId(77))); // L003
+        state(&mut b, Timestamp(0), Timestamp(40), Some(t0)); // L001
+        state(&mut b, Timestamp(30), Timestamp(60), None); // L004
+        state(&mut b, Timestamp(70), Timestamp::MAX, None); // L002
+        let ctr = b.add_counter("cache-misses", true);
+        b.add_sample(ctr, CpuId(0), Timestamp(10), 9.0).unwrap();
+        b.add_sample(ctr, CpuId(0), Timestamp(20), 4.0).unwrap(); // L005
+        b.add_region(0x4000, 0x100, Some(NumaNodeId(7))); // L006
+
+        let report = b.lint();
+        let found: Vec<_> = report
+            .findings()
+            .iter()
+            .map(|f| (f.code, f.event))
+            .collect();
+        let at = |index| EventRef::State {
+            cpu: CpuId(0),
+            index,
+        };
+        assert_eq!(
+            found[..4],
+            [
+                (LintCode::NonMonotonicTimestamps, at(1)),
+                (LintCode::UnclosedInterval, at(3)),
+                (LintCode::OrphanTaskRef, at(0)),
+                (LintCode::OverlappingStates, at(2)),
+            ]
+        );
+        assert_eq!(report.summary().total(), 6);
+        assert!(LintCode::ALL[..6]
+            .iter()
+            .all(|&c| report.summary().count(c) == 1));
+
+        let annotated = b.finish_lint(LintMode::Lenient).unwrap();
+        assert_eq!(annotated.report().findings(), report.findings());
+        let repaired: Vec<_> = annotated
+            .report()
+            .repairs()
+            .iter()
+            .map(|r| (r.code, r.event))
+            .collect();
+        assert_eq!(repaired, found, "one record per finding, same coordinates");
+        let states = annotated.trace().cpu(CpuId(0)).unwrap().states();
+        let intervals: Vec<_> = states.iter().map(|s| (s.interval, s.task)).collect();
+        assert_eq!(
+            intervals,
+            vec![
+                (TimeInterval::from_cycles(0, 40), Some(t0)),
+                (TimeInterval::from_cycles(40, 60), None),
+                (TimeInterval::from_cycles(70, 100), None),
+                (TimeInterval::from_cycles(100, 150), None),
+            ]
+        );
+        assert!(annotated.trace().lint().is_clean());
     }
 }

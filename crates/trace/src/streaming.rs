@@ -35,13 +35,13 @@
 //! change what that node should contain.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 
 use crate::error::TraceError;
 use crate::event::{CommEvent, CounterSample, DiscreteEvent, DiscreteEventKind};
-use crate::ids::{CounterId, TaskId, TimeInterval, Timestamp};
+use crate::ids::{CpuId, TaskId, TimeInterval, Timestamp};
 use crate::lint::{
-    ChunkContext, EventRef, LintCode, LintFinding, LintMode, LintReport, RepairRecord,
-    RepairStrategy, ValidatorRegistry,
+    EventRef, LintCode, LintFinding, LintMode, LintReport, RepairRecord, RepairStrategy,
 };
 use crate::memory::MemoryAccess;
 use crate::state::StateInterval;
@@ -92,71 +92,43 @@ impl TraceChunk {
         self.len() == 0
     }
 
-    /// The time hull of the chunk's bounded items, or `None` for a chunk without
-    /// any of them. The item classes mirror [`Trace::time_bounds_opt`] (the
-    /// authoritative definition of what bounds a trace) — the two must stay in
-    /// sync, which `StreamingTrace`'s equality tests pin down per epoch.
+    /// The hull of the chunk's bounded items — states and tasks span their
+    /// interval, events and samples are points — with every span ending where
+    /// `end_of` says, or `None` for a chunk without any of them. The item
+    /// classes mirror [`Trace::time_bounds_opt`] (the authoritative definition
+    /// of what bounds a trace) — the two must stay in sync, which
+    /// `StreamingTrace`'s equality tests pin down per epoch.
+    fn hull(&self, end_of: impl Fn(TimeInterval) -> Timestamp) -> Option<TimeInterval> {
+        let point = |t: Timestamp| TimeInterval::new(t, t);
+        let states = self.states.iter().map(|s| s.interval);
+        let events = self.events.iter().map(|e| point(e.timestamp));
+        let samples = self.samples.iter().map(|s| point(s.timestamp));
+        let tasks = self.tasks.iter().map(|t| t.execution);
+        states
+            .chain(events)
+            .chain(samples)
+            .chain(tasks)
+            .map(|span| TimeInterval::new(span.start, end_of(span)))
+            .reduce(|hull, span| hull.union_hull(&span))
+    }
+
+    /// The time hull of the chunk's bounded items, or `None` for a chunk
+    /// without any of them.
     pub fn time_hull(&self) -> Option<TimeInterval> {
-        let mut start = Timestamp::MAX;
-        let mut end = Timestamp::ZERO;
-        let mut any = false;
-        for s in &self.states {
-            start = start.min(s.interval.start);
-            end = end.max(s.interval.end);
-            any = true;
-        }
-        for e in &self.events {
-            start = start.min(e.timestamp);
-            end = end.max(e.timestamp);
-            any = true;
-        }
-        for s in &self.samples {
-            start = start.min(s.timestamp);
-            end = end.max(s.timestamp);
-            any = true;
-        }
-        for t in &self.tasks {
-            start = start.min(t.execution.start);
-            end = end.max(t.execution.end);
-            any = true;
-        }
-        any.then(|| TimeInterval::new(start, end))
+        self.hull(|span| span.end)
     }
 
     /// The hull of the chunk's item *start* times (states and tasks contribute
     /// their interval starts, point events their timestamps), or `None` for a
     /// chunk without timed items.
     ///
-    /// This is the transport-ordering measure used by the chunk lint
-    /// validators: items are assigned to chunks by their start time
-    /// ([`split_at`]), so a well-formed successor chunk starts at or after the
-    /// previous chunk's latest start — even though a straddling state may
-    /// legitimately *end* inside the successor's time hull.
+    /// This is the transport-ordering measure of the L008 chunk-overlap rule:
+    /// items are assigned to chunks by their start time ([`split_at`]), so a
+    /// well-formed successor chunk starts at or after the previous chunk's
+    /// latest start — even though a straddling state may legitimately *end*
+    /// inside the successor's time hull.
     pub fn start_hull(&self) -> Option<TimeInterval> {
-        let mut start = Timestamp::MAX;
-        let mut end = Timestamp::ZERO;
-        let mut any = false;
-        for s in &self.states {
-            start = start.min(s.interval.start);
-            end = end.max(s.interval.start);
-            any = true;
-        }
-        for e in &self.events {
-            start = start.min(e.timestamp);
-            end = end.max(e.timestamp);
-            any = true;
-        }
-        for s in &self.samples {
-            start = start.min(s.timestamp);
-            end = end.max(s.timestamp);
-            any = true;
-        }
-        for t in &self.tasks {
-            start = start.min(t.execution.start);
-            end = end.max(t.execution.start);
-            any = true;
-        }
-        any.then(|| TimeInterval::new(start, end))
+        self.hull(|span| span.start)
     }
 }
 
@@ -187,6 +159,114 @@ pub struct StreamingTrace {
     /// Future chunks buffered by lenient [`StreamingTrace::append_lint`] until
     /// their predecessors arrive (or the stream is closed).
     pending: BTreeMap<u64, TraceChunk>,
+}
+
+/// The tail watermark of the stream `key` names while a chunk is walked:
+/// seeded from the ingested stream's `last` item on first touch, then advanced
+/// by the chunk's own items.
+fn tail_of<K: Eq + Hash>(
+    tails: &mut HashMap<K, Timestamp>,
+    key: K,
+    last: impl FnOnce() -> Option<Timestamp>,
+) -> &mut Timestamp {
+    tails
+        .entry(key)
+        .or_insert_with(|| last().unwrap_or(Timestamp::ZERO))
+}
+
+/// Where an admission sends the contract violations that have a repair.
+/// Without a report the first one is the admission's error — that is plain
+/// [`StreamingTrace::append`]; with one, each is recorded against the chunk
+/// and the walk repairs it and goes on — that is the lenient
+/// [`StreamingTrace::append_lint`].
+struct Repairs<'r> {
+    chunk: EventRef,
+    report: Option<&'r mut LintReport>,
+}
+
+impl Repairs<'_> {
+    fn record(&mut self, code: LintCode, strategy: RepairStrategy, detail: String) {
+        if let Some(report) = &mut self.report {
+            report.push_repair(RepairRecord {
+                code,
+                strategy,
+                event: self.chunk,
+                detail,
+            });
+        }
+    }
+
+    fn repair(
+        &mut self,
+        violation: TraceError,
+        code: LintCode,
+        strategy: RepairStrategy,
+        detail: String,
+    ) -> Result<(), TraceError> {
+        if self.report.is_none() {
+            return Err(violation);
+        }
+        self.record(code, strategy, detail);
+        Ok(())
+    }
+
+    /// A point item must not precede its stream's `tail`; the repair clamps it
+    /// there (the per-stream side of an L008 hull overlap).
+    fn in_order(
+        &mut self,
+        tail: &mut Timestamp,
+        timestamp: &mut Timestamp,
+        cpu: CpuId,
+        what: &str,
+    ) -> Result<(), TraceError> {
+        if *timestamp < *tail {
+            self.repair(
+                TraceError::UnorderedEvents {
+                    cpu,
+                    previous: *tail,
+                    offending: *timestamp,
+                },
+                LintCode::ChunkOverlap,
+                RepairStrategy::Clamp,
+                format!(
+                    "{what} timestamp on {cpu} clamped from {} to {}",
+                    timestamp.0, tail.0
+                ),
+            )?;
+            *timestamp = *tail;
+        }
+        *tail = *timestamp;
+        Ok(())
+    }
+}
+
+/// [`Vec::retain_mut`] with a predicate that may fail; the walk stops at the
+/// first error (the vector is then in no particular state).
+fn try_retain_mut<T>(
+    items: &mut Vec<T>,
+    mut keep: impl FnMut(&mut T) -> Result<bool, TraceError>,
+) -> Result<(), TraceError> {
+    let mut kept = 0;
+    for i in 0..items.len() {
+        if keep(&mut items[i])? {
+            if kept != i {
+                items.swap(kept, i);
+            }
+            kept += 1;
+        }
+    }
+    items.truncate(kept);
+    Ok(())
+}
+
+/// The record of a whole chunk the lenient stream goes on without.
+fn dropped_chunk(sequence: u64, detail: String) -> RepairRecord {
+    RepairRecord {
+        code: LintCode::ChunkSequence,
+        strategy: RepairStrategy::DropWithRecord,
+        event: EventRef::Chunk { sequence },
+        detail,
+    }
 }
 
 impl StreamingTrace {
@@ -221,11 +301,6 @@ impl StreamingTrace {
         &self.trace
     }
 
-    /// Finishes the stream and yields the final trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-
     /// Number of chunks accepted so far.
     pub fn epochs(&self) -> u64 {
         self.epochs
@@ -254,144 +329,223 @@ impl StreamingTrace {
     ///   per-CPU event stream, a sample stream or the communication stream,
     /// * [`TraceError::UnstreamableChunk`] for non-dense task ids or accesses that
     ///   do not ride with their task's chunk.
-    pub fn append(&mut self, chunk: TraceChunk) -> Result<usize, TraceError> {
+    pub fn append(&mut self, mut chunk: TraceChunk) -> Result<usize, TraceError> {
+        self.admit(&mut chunk, self.expected_seq, None)?;
+        Ok(self.apply(chunk))
+    }
+
+    /// The one walk of a chunk against the streaming contract: every item is
+    /// held against the ingested trace and the per-stream tails exactly once.
+    /// Dense task ids, resolvable references and per-stream monotonicity have
+    /// a repair (renumber; clear or drop the reference; clamp or drop the
+    /// retrograde item), which goes the way of [`Repairs`]; unknown CPUs or
+    /// task types and inverted intervals have none and are the error with or
+    /// without a report. Only `chunk` is mutated, so after an error the trace
+    /// is exactly as before.
+    fn admit(
+        &self,
+        chunk: &mut TraceChunk,
+        sequence: u64,
+        report: Option<&mut LintReport>,
+    ) -> Result<(), TraceError> {
         let trace = &self.trace;
-        let topology = trace.topology();
+        let lenient = report.is_some();
+        let mut repairs = Repairs {
+            chunk: EventRef::Chunk { sequence },
+            report,
+        };
+        let known_cpu = |cpu: CpuId| {
+            if trace.topology().contains_cpu(cpu) {
+                Ok(())
+            } else {
+                Err(TraceError::UnknownCpu(cpu))
+            }
+        };
+        let valid = |TimeInterval { start, end }| {
+            if end < start {
+                Err(TraceError::InvalidInterval { start, end })
+            } else {
+                Ok(())
+            }
+        };
         let old_tasks = trace.tasks().len() as u64;
         let new_tasks = old_tasks + chunk.tasks.len() as u64;
 
-        // --- Validation (no mutation until everything passed). ---
-        for (i, t) in chunk.tasks.iter().enumerate() {
-            let expected = old_tasks + i as u64;
-            if t.id.0 != expected {
-                return Err(TraceError::UnstreamableChunk(format!(
-                    "task {} breaks the dense id sequence (expected task{expected})",
-                    t.id
-                )));
+        // Task ids must continue the dense sequence. After a dropped chunk the
+        // producer's ids run ahead of the ingested count; the repair renumbers
+        // them, and from then on `remap` (producer id → dense id) translates
+        // every reference into this chunk.
+        let mut remap: Option<HashMap<u64, u64>> = None;
+        for (i, t) in chunk.tasks.iter_mut().enumerate() {
+            let dense = old_tasks + i as u64;
+            if t.id.0 != dense && remap.is_none() {
+                repairs.repair(
+                    TraceError::UnstreamableChunk(format!(
+                        "task {} breaks the dense id sequence (expected task{dense})",
+                        t.id
+                    )),
+                    LintCode::ChunkSequence,
+                    RepairStrategy::Resequence,
+                    "task ids renumbered to continue the dense sequence".into(),
+                )?;
+                remap = Some((old_tasks..dense).map(|id| (id, id)).collect());
+            }
+            if let Some(remap) = &mut remap {
+                remap.insert(t.id.0, dense);
+                t.id = TaskId(dense);
             }
             if trace.task_type(t.task_type).is_none() {
                 return Err(TraceError::UnknownTaskType(t.task_type));
             }
-            if !topology.contains_cpu(t.cpu) {
-                return Err(TraceError::UnknownCpu(t.cpu));
-            }
-            if !topology.contains_cpu(t.creator_cpu) {
-                return Err(TraceError::UnknownCpu(t.creator_cpu));
-            }
-            if t.execution.end < t.execution.start {
-                return Err(TraceError::InvalidInterval {
-                    start: t.execution.start,
-                    end: t.execution.end,
-                });
-            }
+            known_cpu(t.cpu)?;
+            known_cpu(t.creator_cpu)?;
+            valid(t.execution)?;
         }
-        // Per-CPU tail watermarks, seeded from the current trace on first touch.
-        let mut state_tail: HashMap<u32, Timestamp> = HashMap::new();
-        for s in &chunk.states {
-            if !topology.contains_cpu(s.cpu) {
-                return Err(TraceError::UnknownCpu(s.cpu));
+        // A reference resolves to a task of this chunk or to an ingested one.
+        let resolve = |id: TaskId| match &remap {
+            Some(remap) => {
+                let renumbered = remap.get(&id.0).map(|&dense| TaskId(dense));
+                renumbered.or((id.0 < old_tasks).then_some(id))
             }
-            if s.interval.end < s.interval.start {
-                return Err(TraceError::InvalidInterval {
-                    start: s.interval.start,
-                    end: s.interval.end,
-                });
-            }
+            None => (id.0 < new_tasks).then_some(id),
+        };
+
+        let (mut state_tails, mut event_tails) = (HashMap::new(), HashMap::new());
+        let mut sample_tails = HashMap::new();
+        try_retain_mut(&mut chunk.states, |s| {
+            known_cpu(s.cpu)?;
+            valid(s.interval)?;
             if let Some(task) = s.task {
-                if task.0 >= new_tasks {
-                    return Err(TraceError::UnknownTask(task));
+                s.task = resolve(task);
+                if s.task.is_none() {
+                    repairs.repair(
+                        TraceError::UnknownTask(task),
+                        LintCode::OrphanTaskRef,
+                        RepairStrategy::DropWithRecord,
+                        format!("state reference to never-ingested task {} cleared", task.0),
+                    )?;
                 }
             }
-            let tail = state_tail.entry(s.cpu.0).or_insert_with(|| {
-                trace
-                    .cpu(s.cpu)
-                    .and_then(|pc| pc.states().last())
-                    .map_or(Timestamp::ZERO, |last| last.interval.end)
-            });
-            if s.interval.start < *tail {
-                return Err(TraceError::OverlappingStates(s.cpu));
+            let last = || Some(trace.cpu(s.cpu)?.states().last()?.interval.end);
+            let tail = tail_of(&mut state_tails, s.cpu, last);
+            let (start, end) = (s.interval.start, s.interval.end);
+            if start < *tail {
+                let covered = end <= *tail;
+                let (strategy, outcome) = if covered {
+                    let outcome = "dropped, it lies inside ingested time".into();
+                    (RepairStrategy::DropWithRecord, outcome)
+                } else {
+                    let outcome = format!("start clamped to {}", tail.0);
+                    (RepairStrategy::Clamp, outcome)
+                };
+                let detail = format!("state [{}, {}] on {}: {outcome}", start.0, end.0, s.cpu);
+                repairs.repair(
+                    TraceError::OverlappingStates(s.cpu),
+                    LintCode::ChunkOverlap,
+                    strategy,
+                    detail,
+                )?;
+                if covered {
+                    return Ok(false);
+                }
+                s.interval.start = *tail;
             }
-            *tail = s.interval.end;
+            *tail = end;
+            Ok(true)
+        })?;
+        try_retain_mut(&mut chunk.events, |e| {
+            known_cpu(e.cpu)?;
+            // Plain append leaves the task references inside event and
+            // communication payloads alone, as the builder does; a report
+            // resolves them too.
+            if lenient {
+                match remap_event_kind(e.kind, &resolve) {
+                    Some(kind) => e.kind = kind,
+                    None => {
+                        repairs.record(
+                            LintCode::OrphanTaskRef,
+                            RepairStrategy::DropWithRecord,
+                            format!(
+                                "{} event referencing a never-ingested task dropped",
+                                e.kind.label()
+                            ),
+                        );
+                        return Ok(false);
+                    }
+                }
+            }
+            let last = || Some(trace.cpu(e.cpu)?.events().last()?.timestamp);
+            let tail = tail_of(&mut event_tails, e.cpu, last);
+            repairs.in_order(tail, &mut e.timestamp, e.cpu, "event")?;
+            Ok(true)
+        })?;
+        for s in &mut chunk.samples {
+            known_cpu(s.cpu)?;
+            let last = || Some(trace.cpu(s.cpu)?.samples(s.counter)?.last()?.timestamp);
+            let tail = tail_of(&mut sample_tails, (s.cpu, s.counter), last);
+            repairs.in_order(tail, &mut s.timestamp, s.cpu, "sample")?;
         }
-        let mut event_tail: HashMap<u32, Timestamp> = HashMap::new();
-        for e in &chunk.events {
-            if !topology.contains_cpu(e.cpu) {
-                return Err(TraceError::UnknownCpu(e.cpu));
+        // An access rides with a task of this very chunk, sorted by task id.
+        let mut previous: Option<TaskId> = None;
+        let mut unsorted = false;
+        try_retain_mut(&mut chunk.accesses, |a| {
+            let Some(task) = resolve(a.task).filter(|t| t.0 >= old_tasks) else {
+                repairs.repair(
+                    TraceError::UnstreamableChunk(format!(
+                        "access references {}, which is not registered by this chunk \
+                         (a task's accesses must ride in the task's own chunk)",
+                        a.task
+                    )),
+                    LintCode::OrphanTaskRef,
+                    RepairStrategy::DropWithRecord,
+                    format!("access by never-ingested task {} dropped", a.task.0),
+                )?;
+                return Ok(false);
+            };
+            a.task = task;
+            if !unsorted && previous.is_some_and(|p| task < p) {
+                repairs.repair(
+                    TraceError::UnstreamableChunk(
+                        "accesses within a chunk must be sorted by task id".into(),
+                    ),
+                    LintCode::ChunkSequence,
+                    RepairStrategy::Resequence,
+                    "accesses re-sorted by task id".into(),
+                )?;
+                unsorted = true;
             }
-            let tail = event_tail.entry(e.cpu.0).or_insert_with(|| {
-                trace
-                    .cpu(e.cpu)
-                    .and_then(|pc| pc.events().last())
-                    .map_or(Timestamp::ZERO, |last| last.timestamp)
-            });
-            if e.timestamp < *tail {
-                return Err(TraceError::UnorderedEvents {
-                    cpu: e.cpu,
-                    previous: *tail,
-                    offending: e.timestamp,
-                });
-            }
-            *tail = e.timestamp;
+            previous = Some(task);
+            Ok(true)
+        })?;
+        if unsorted {
+            chunk.accesses.sort_by_key(|a| a.task);
         }
-        let mut sample_tail: HashMap<(u32, CounterId), Timestamp> = HashMap::new();
-        for s in &chunk.samples {
-            if !topology.contains_cpu(s.cpu) {
-                return Err(TraceError::UnknownCpu(s.cpu));
+        let last_comm = trace.comm_events().last();
+        let mut comm_tail = last_comm.map_or(Timestamp::ZERO, |c| c.timestamp);
+        for c in &mut chunk.comm_events {
+            known_cpu(c.src_cpu)?;
+            known_cpu(c.dst_cpu)?;
+            if let (true, Some(task)) = (lenient, c.task) {
+                c.task = resolve(task);
+                if c.task.is_none() {
+                    repairs.record(
+                        LintCode::OrphanTaskRef,
+                        RepairStrategy::DropWithRecord,
+                        format!(
+                            "communication reference to never-ingested task {} cleared",
+                            task.0
+                        ),
+                    );
+                }
             }
-            let tail = sample_tail.entry((s.cpu.0, s.counter)).or_insert_with(|| {
-                trace
-                    .cpu(s.cpu)
-                    .and_then(|pc| pc.samples(s.counter))
-                    .and_then(|stream| stream.last())
-                    .map_or(Timestamp::ZERO, |last| last.timestamp)
-            });
-            if s.timestamp < *tail {
-                return Err(TraceError::UnorderedEvents {
-                    cpu: s.cpu,
-                    previous: *tail,
-                    offending: s.timestamp,
-                });
-            }
-            *tail = s.timestamp;
+            repairs.in_order(&mut comm_tail, &mut c.timestamp, c.src_cpu, "communication")?;
         }
-        let mut access_tail: Option<TaskId> = None;
-        for a in &chunk.accesses {
-            if a.task.0 < old_tasks || a.task.0 >= new_tasks {
-                return Err(TraceError::UnstreamableChunk(format!(
-                    "access references {}, which is not registered by this chunk \
-                     (a task's accesses must ride in the task's own chunk)",
-                    a.task
-                )));
-            }
-            if access_tail.is_some_and(|prev| a.task < prev) {
-                return Err(TraceError::UnstreamableChunk(
-                    "accesses within a chunk must be sorted by task id".into(),
-                ));
-            }
-            access_tail = Some(a.task);
-        }
-        let mut comm_tail = trace
-            .comm_events()
-            .last()
-            .map_or(Timestamp::ZERO, |c| c.timestamp);
-        for c in &chunk.comm_events {
-            if !topology.contains_cpu(c.src_cpu) {
-                return Err(TraceError::UnknownCpu(c.src_cpu));
-            }
-            if !topology.contains_cpu(c.dst_cpu) {
-                return Err(TraceError::UnknownCpu(c.dst_cpu));
-            }
-            if c.timestamp < comm_tail {
-                return Err(TraceError::UnorderedEvents {
-                    cpu: c.src_cpu,
-                    previous: comm_tail,
-                    offending: c.timestamp,
-                });
-            }
-            comm_tail = c.timestamp;
-        }
+        Ok(())
+    }
 
-        // --- Apply. ---
+    /// Appends an admitted chunk as the expected sequence number; returns the
+    /// number of appended items.
+    fn apply(&mut self, chunk: TraceChunk) -> usize {
         let appended = chunk.len();
         let start_hull = chunk.start_hull();
         if let Some(hull) = chunk.time_hull() {
@@ -416,14 +570,13 @@ impl StreamingTrace {
         }
         parts.comm_events.extend(chunk.comm_events);
         self.epochs += 1;
-        // Lint bookkeeping: a plain append accepts the expected sequence.
         self.last_hull = start_hull.or(self.last_hull);
         self.max_seen = Some(
             self.max_seen
                 .map_or(self.expected_seq, |m| m.max(self.expected_seq)),
         );
         self.expected_seq += 1;
-        Ok(appended)
+        appended
     }
 
     /// Sequence numbers of the chunks buffered by lenient
@@ -432,12 +585,56 @@ impl StreamingTrace {
         self.pending.keys().copied().collect()
     }
 
-    /// Validates an explicitly sequenced chunk with the default lint registry
-    /// and appends it according to `mode`.
+    /// The L007 rule, in one place: what is wrong with the position of chunk
+    /// `sequence` — arriving now in `mode`, or, without a mode, never having
+    /// arrived by the time the stream closes.
+    fn check_sequence(&self, sequence: u64, arrival: Option<LintMode>, report: &mut LintReport) {
+        let expected = self.expected_seq;
+        let detail = if arrival.is_none() {
+            format!("chunk {sequence} never arrived \u{2014} presumed dropped")
+        } else if sequence < expected {
+            format!(
+                "sequence {sequence} arrived after the stream advanced past it \
+                 (expected {expected})"
+            )
+        } else if let Some(max) = self.max_seen.filter(|&max| sequence < max) {
+            format!("sequence {sequence} arrived after {max} \u{2014} chunks reordered in transit")
+        } else if sequence > expected && arrival == Some(LintMode::Strict) {
+            // A chunk ahead of a gap: lenient mode buffers it until its
+            // predecessors arrive, strict mode cannot.
+            format!("sequence {sequence} arrived while {expected} was expected")
+        } else {
+            return;
+        };
+        let event = EventRef::Chunk { sequence };
+        report.push_finding(LintFinding::new(LintCode::ChunkSequence, event, detail));
+    }
+
+    /// The L008 rule: items are assigned to chunks by start time, so start
+    /// hulls — unlike full time hulls, which straddling states legitimately
+    /// overlap — must be disjoint and ordered across chunks.
+    fn check_overlap(&self, sequence: u64, chunk: &TraceChunk, report: &mut LintReport) {
+        let (Some(hull), Some(previous)) = (chunk.start_hull(), self.last_hull) else {
+            return;
+        };
+        if hull.start < previous.end {
+            let detail = format!(
+                "chunk items start at {} \u{2014} before the previous chunk's latest \
+                 item start {}",
+                hull.start.0, previous.end.0
+            );
+            let event = EventRef::Chunk { sequence };
+            report.push_finding(LintFinding::new(LintCode::ChunkOverlap, event, detail));
+        }
+    }
+
+    /// Validates an explicitly sequenced chunk against the two chunk-level lint
+    /// rules (`L007` sequence, `L008` overlap) and appends it according to
+    /// `mode`.
     ///
     /// **Strict** enforces the transport contract on top of [`append`]'s event
     /// contract: the sequence number must be exactly the expected one and the
-    /// chunk's time hull must not overlap the previously appended chunk —
+    /// chunk's start hull must not overlap the previously appended chunk —
     /// otherwise the chunk is rejected with [`TraceError::LintFindings`] and
     /// nothing is applied. (Plain [`append`] accepts a hull-overlapping chunk as
     /// long as every per-stream tail still advances — the silent-acceptance gap
@@ -446,11 +643,12 @@ impl StreamingTrace {
     /// **Lenient** records findings instead of failing and keeps the stream
     /// going: a chunk from the future is buffered until its predecessors
     /// arrive, a late or duplicate chunk is dropped with a record, and an
-    /// accepted chunk is repaired first ([`Self::close_lint`] flushes what
-    /// remains buffered at end of stream). Chunk repair renumbers task ids to
-    /// re-join the dense sequence after a dropped chunk, clears or drops
-    /// references into dropped chunks, and clamps items that reach back into
-    /// already-ingested time.
+    /// accepted chunk is repaired while it is admitted — by the same walk that
+    /// validates a plain [`append`]: task ids are renumbered to re-join the
+    /// dense sequence after a dropped chunk, references into dropped chunks
+    /// are cleared or dropped, and items that reach back into already-ingested
+    /// time are clamped ([`Self::close_lint`] flushes what remains buffered at
+    /// end of stream).
     ///
     /// Returns the report for this call (covering any buffered chunks that
     /// became appendable).
@@ -460,87 +658,42 @@ impl StreamingTrace {
     /// # Errors
     ///
     /// [`TraceError::LintFindings`] in strict mode; in both modes, the errors
-    /// of [`StreamingTrace::append`] for defects repair cannot express (unknown
-    /// CPUs or task types, invalid intervals).
+    /// of [`StreamingTrace::append`] for defects of `chunk` that repair cannot
+    /// express (unknown CPUs or task types, invalid intervals) — the stream is
+    /// then exactly as before the call. A *buffered* chunk with such a defect
+    /// is no error when its turn comes: it is dropped with an `L007` record
+    /// carrying the error, and the stream moves past it.
     pub fn append_lint(
         &mut self,
         sequence: u64,
-        chunk: TraceChunk,
+        mut chunk: TraceChunk,
         mode: LintMode,
     ) -> Result<LintReport, TraceError> {
-        self.append_lint_with(sequence, chunk, mode, &ValidatorRegistry::default())
-    }
-
-    /// Like [`StreamingTrace::append_lint`] with a custom registry.
-    ///
-    /// # Errors
-    ///
-    /// See [`StreamingTrace::append_lint`].
-    pub fn append_lint_with(
-        &mut self,
-        sequence: u64,
-        chunk: TraceChunk,
-        mode: LintMode,
-        registry: &ValidatorRegistry,
-    ) -> Result<LintReport, TraceError> {
-        let ctx = ChunkContext {
-            sequence,
-            expected_sequence: self.expected_seq,
-            max_seen_sequence: self.max_seen,
-            hull: chunk.start_hull(),
-            previous_hull: self.last_hull,
-            chunk: &chunk,
-        };
-        let mut report = LintReport::from_findings(registry.validate_chunk(&ctx));
+        let mut report = LintReport::new();
+        self.check_sequence(sequence, Some(mode), &mut report);
+        self.check_overlap(sequence, &chunk, &mut report);
         match mode {
             LintMode::Strict => {
-                if sequence != self.expected_seq {
-                    // A gap (sequence from the future) is not flagged by the
-                    // reorder validator, but strict mode cannot buffer: surface
-                    // it as a sequence finding.
-                    if report.summary().count(LintCode::ChunkSequence) == 0 {
-                        report.push_finding(LintFinding::new(
-                            LintCode::ChunkSequence,
-                            EventRef::Chunk { sequence },
-                            format!(
-                                "sequence {sequence} arrived while {} was expected",
-                                self.expected_seq
-                            ),
-                        ));
-                    }
-                }
                 if !report.is_clean() {
                     return Err(TraceError::LintFindings(report.summary().clone()));
                 }
                 self.append(chunk)?;
-                Ok(report)
             }
             LintMode::Lenient => {
                 self.max_seen = Some(self.max_seen.map_or(sequence, |m| m.max(sequence)));
                 if sequence < self.expected_seq {
-                    report.push_repair(RepairRecord {
-                        code: LintCode::ChunkSequence,
-                        strategy: RepairStrategy::DropWithRecord,
-                        event: EventRef::Chunk { sequence },
-                        detail: "late or duplicate chunk dropped".into(),
-                    });
-                    return Ok(report);
-                }
-                if sequence > self.expected_seq {
+                    let detail = "late or duplicate chunk dropped".into();
+                    report.push_repair(dropped_chunk(sequence, detail));
+                } else if sequence > self.expected_seq {
                     self.pending.insert(sequence, chunk);
-                    return Ok(report);
+                } else {
+                    self.admit(&mut chunk, sequence, Some(&mut report))?;
+                    self.apply(chunk);
+                    self.release_pending(&mut report, false);
                 }
-                let repaired = self.repair_chunk(chunk, sequence, &mut report);
-                self.append(repaired)?;
-                // Buffered successors may now be appendable.
-                while let Some(next) = self.pending.remove(&self.expected_seq) {
-                    let seq = self.expected_seq;
-                    let repaired = self.repair_chunk(next, seq, &mut report);
-                    self.append(repaired)?;
-                }
-                Ok(report)
             }
         }
+        Ok(report)
     }
 
     /// Closes the lenient lint stream: every still-buffered chunk is appended
@@ -551,267 +704,48 @@ impl StreamingTrace {
     ///
     /// # Errors
     ///
-    /// Propagates [`StreamingTrace::append`] errors for defects repair cannot
-    /// express; already-appended chunks stay applied.
+    /// None: a buffered chunk that repair cannot express is dropped with a
+    /// record (see [`StreamingTrace::append_lint`]). The `Result` is the one
+    /// every lint entry point returns.
     pub fn close_lint(&mut self) -> Result<LintReport, TraceError> {
         let mut report = LintReport::new();
-        while let Some((&seq, _)) = self.pending.iter().next() {
-            while self.expected_seq < seq {
-                let missing = self.expected_seq;
-                let event = EventRef::Chunk { sequence: missing };
-                report.push_finding(LintFinding::new(
-                    LintCode::ChunkSequence,
-                    event,
-                    format!("chunk {missing} never arrived \u{2014} presumed dropped"),
-                ));
-                report.push_repair(RepairRecord {
-                    code: LintCode::ChunkSequence,
-                    strategy: RepairStrategy::DropWithRecord,
-                    event,
-                    detail: "stream resumed past the missing chunk".into(),
-                });
-                self.expected_seq += 1;
-            }
-            let chunk = self.pending.remove(&seq).expect("peeked key exists");
-            let repaired = self.repair_chunk(chunk, seq, &mut report);
-            self.append(repaired)?;
-        }
+        self.release_pending(&mut report, true);
         Ok(report)
     }
 
-    /// Best-effort repair of a chunk against the current stream state so that
-    /// [`StreamingTrace::append`] accepts it: task ids are renumbered to
-    /// continue the dense sequence (they jump after a dropped chunk),
-    /// references into never-ingested chunks are cleared or dropped, and items
-    /// reaching back into already-ingested time are clamped to their stream's
-    /// tail. A chunk that already satisfies the contract passes through
-    /// unchanged.
-    fn repair_chunk(
-        &self,
-        mut chunk: TraceChunk,
-        sequence: u64,
-        report: &mut LintReport,
-    ) -> TraceChunk {
-        let chunk_ref = EventRef::Chunk { sequence };
-        let old_tasks = self.trace.tasks().len() as u64;
-
-        // Task ids must continue the dense sequence; after a dropped chunk the
-        // producer's ids run ahead of the ingested count.
-        let mut remap: HashMap<u64, u64> = HashMap::new();
-        let mut renumbered = false;
-        for (i, t) in chunk.tasks.iter_mut().enumerate() {
-            let dense = old_tasks + i as u64;
-            if t.id.0 != dense {
-                renumbered = true;
+    /// Appends every buffered chunk whose turn has come: while the stream is
+    /// open, the consecutive successors of the chunk just applied; when it is
+    /// `closing`, all of them, each sequence number skipped on the way flagged
+    /// as a chunk that never arrived. A buffered chunk that admission cannot
+    /// repair is dropped with a record of the error and the stream moves past
+    /// it — the caller that could have been told is long gone.
+    fn release_pending(&mut self, report: &mut LintReport, closing: bool) {
+        while let Some(entry) = self.pending.first_entry() {
+            let sequence = *entry.key();
+            if sequence > self.expected_seq && !closing {
+                break;
             }
-            remap.insert(t.id.0, dense);
-            t.id = TaskId(dense);
-        }
-        if renumbered {
-            report.push_repair(RepairRecord {
-                code: LintCode::ChunkSequence,
-                strategy: RepairStrategy::Resequence,
-                event: chunk_ref,
-                detail: "task ids renumbered to continue the dense sequence".into(),
-            });
-        }
-        let resolve = |id: TaskId| -> Option<TaskId> {
-            remap
-                .get(&id.0)
-                .map(|&n| TaskId(n))
-                .or_else(|| (id.0 < old_tasks).then_some(id))
-        };
-
-        for s in &mut chunk.states {
-            if let Some(t) = s.task {
-                match resolve(t) {
-                    Some(mapped) => s.task = Some(mapped),
-                    None => {
-                        report.push_repair(RepairRecord {
-                            code: LintCode::OrphanTaskRef,
-                            strategy: RepairStrategy::DropWithRecord,
-                            event: chunk_ref,
-                            detail: format!(
-                                "state reference to never-ingested task {} cleared",
-                                t.0
-                            ),
-                        });
-                        s.task = None;
-                    }
+            let mut chunk = entry.remove();
+            while self.expected_seq < sequence {
+                let missing = self.expected_seq;
+                self.check_sequence(missing, None, report);
+                let detail = "stream resumed past the missing chunk".into();
+                report.push_repair(dropped_chunk(missing, detail));
+                self.expected_seq += 1;
+            }
+            let mut repairs = LintReport::new();
+            match self.admit(&mut chunk, sequence, Some(&mut repairs)) {
+                Ok(()) => {
+                    report.merge(repairs);
+                    self.apply(chunk);
+                }
+                Err(e) => {
+                    let detail = format!("buffered chunk dropped: {e}");
+                    report.push_repair(dropped_chunk(sequence, detail));
+                    self.expected_seq += 1;
                 }
             }
         }
-        chunk
-            .events
-            .retain_mut(|e| match remap_event_kind(e.kind, &resolve) {
-                Some(kind) => {
-                    e.kind = kind;
-                    true
-                }
-                None => {
-                    report.push_repair(RepairRecord {
-                        code: LintCode::OrphanTaskRef,
-                        strategy: RepairStrategy::DropWithRecord,
-                        event: chunk_ref,
-                        detail: format!(
-                            "{} event referencing a never-ingested task dropped",
-                            e.kind.label()
-                        ),
-                    });
-                    false
-                }
-            });
-        chunk.accesses.retain_mut(|a| {
-            // An access must ride with a task of this very chunk.
-            match resolve(a.task).filter(|t| t.0 >= old_tasks) {
-                Some(mapped) => {
-                    a.task = mapped;
-                    true
-                }
-                None => {
-                    report.push_repair(RepairRecord {
-                        code: LintCode::OrphanTaskRef,
-                        strategy: RepairStrategy::DropWithRecord,
-                        event: chunk_ref,
-                        detail: format!("access by never-ingested task {} dropped", a.task.0),
-                    });
-                    false
-                }
-            }
-        });
-        chunk.accesses.sort_by_key(|a| a.task);
-        for c in &mut chunk.comm_events {
-            if let Some(t) = c.task {
-                match resolve(t) {
-                    Some(mapped) => c.task = Some(mapped),
-                    None => {
-                        report.push_repair(RepairRecord {
-                            code: LintCode::OrphanTaskRef,
-                            strategy: RepairStrategy::DropWithRecord,
-                            event: chunk_ref,
-                            detail: format!(
-                                "communication reference to never-ingested task {} cleared",
-                                t.0
-                            ),
-                        });
-                        c.task = None;
-                    }
-                }
-            }
-        }
-
-        // Clamp items reaching back into already-ingested time to their
-        // stream's tail (the repair side of the L008 hull overlap).
-        let trace = &self.trace;
-        let mut state_tail: HashMap<u32, Timestamp> = HashMap::new();
-        chunk.states.retain_mut(|s| {
-            if !trace.topology().contains_cpu(s.cpu) {
-                return true; // left for append to reject
-            }
-            let tail = state_tail.entry(s.cpu.0).or_insert_with(|| {
-                trace
-                    .cpu(s.cpu)
-                    .and_then(|pc| pc.states().last())
-                    .map_or(Timestamp::ZERO, |last| last.interval.end)
-            });
-            if s.interval.start < *tail {
-                if s.interval.end <= *tail {
-                    report.push_repair(RepairRecord {
-                        code: LintCode::ChunkOverlap,
-                        strategy: RepairStrategy::DropWithRecord,
-                        event: chunk_ref,
-                        detail: format!(
-                            "state [{}, {}] on {} fully inside ingested time dropped",
-                            s.interval.start.0, s.interval.end.0, s.cpu
-                        ),
-                    });
-                    return false;
-                }
-                report.push_repair(RepairRecord {
-                    code: LintCode::ChunkOverlap,
-                    strategy: RepairStrategy::Clamp,
-                    event: chunk_ref,
-                    detail: format!(
-                        "state start on {} clamped from {} to {}",
-                        s.cpu, s.interval.start.0, tail.0
-                    ),
-                });
-                s.interval.start = *tail;
-            }
-            *tail = s.interval.end;
-            true
-        });
-        let mut event_tail: HashMap<u32, Timestamp> = HashMap::new();
-        for e in &mut chunk.events {
-            if !trace.topology().contains_cpu(e.cpu) {
-                continue;
-            }
-            let tail = event_tail.entry(e.cpu.0).or_insert_with(|| {
-                trace
-                    .cpu(e.cpu)
-                    .and_then(|pc| pc.events().last())
-                    .map_or(Timestamp::ZERO, |last| last.timestamp)
-            });
-            if e.timestamp < *tail {
-                report.push_repair(RepairRecord {
-                    code: LintCode::ChunkOverlap,
-                    strategy: RepairStrategy::Clamp,
-                    event: chunk_ref,
-                    detail: format!(
-                        "event timestamp on {} clamped from {} to {}",
-                        e.cpu, e.timestamp.0, tail.0
-                    ),
-                });
-                e.timestamp = *tail;
-            }
-            *tail = e.timestamp;
-        }
-        let mut sample_tail: HashMap<(u32, CounterId), Timestamp> = HashMap::new();
-        for s in &mut chunk.samples {
-            if !trace.topology().contains_cpu(s.cpu) {
-                continue;
-            }
-            let tail = sample_tail.entry((s.cpu.0, s.counter)).or_insert_with(|| {
-                trace
-                    .cpu(s.cpu)
-                    .and_then(|pc| pc.samples(s.counter))
-                    .and_then(|stream| stream.last())
-                    .map_or(Timestamp::ZERO, |last| last.timestamp)
-            });
-            if s.timestamp < *tail {
-                report.push_repair(RepairRecord {
-                    code: LintCode::ChunkOverlap,
-                    strategy: RepairStrategy::Clamp,
-                    event: chunk_ref,
-                    detail: format!(
-                        "sample timestamp on {} clamped from {} to {}",
-                        s.cpu, s.timestamp.0, tail.0
-                    ),
-                });
-                s.timestamp = *tail;
-            }
-            *tail = s.timestamp;
-        }
-        let mut comm_tail = trace
-            .comm_events()
-            .last()
-            .map_or(Timestamp::ZERO, |c| c.timestamp);
-        for c in &mut chunk.comm_events {
-            if c.timestamp < comm_tail {
-                report.push_repair(RepairRecord {
-                    code: LintCode::ChunkOverlap,
-                    strategy: RepairStrategy::Clamp,
-                    event: chunk_ref,
-                    detail: format!(
-                        "communication timestamp clamped from {} to {}",
-                        c.timestamp.0, comm_tail.0
-                    ),
-                });
-                c.timestamp = comm_tail;
-            }
-            comm_tail = c.timestamp;
-        }
-        chunk
     }
 }
 
@@ -1030,7 +964,7 @@ pub fn split_even(
 mod tests {
     use super::*;
     use crate::event::{CommKind, DiscreteEventKind};
-    use crate::ids::{CpuId, NumaNodeId};
+    use crate::ids::{CounterId, NumaNodeId};
     use crate::memory::AccessKind;
     use crate::state::WorkerState;
     use crate::topology::MachineTopology;
@@ -1453,6 +1387,40 @@ mod tests {
             trace.tasks().len() - dropped_tasks
         );
         assert!(stream.trace().lint().is_clean());
+    }
+
+    #[test]
+    fn lenient_lint_rejects_an_unrepairable_arrival_and_drops_an_unrepairable_successor() {
+        let mut stream =
+            StreamingTrace::new(TraceBuilder::new(MachineTopology::uniform(1, 1))).unwrap();
+        // Chunk 1 arrives early and is buffered unvalidated.
+        stream
+            .append_lint(1, state_chunk(99, &[(50, 110)]), LintMode::Lenient)
+            .unwrap();
+        // The caller's own chunk is rejected atomically: the stream still waits
+        // for sequence 0 and still holds chunk 1.
+        let err = stream.append_lint(0, state_chunk(99, &[(0, 50)]), LintMode::Lenient);
+        assert!(matches!(err, Err(TraceError::UnknownCpu(CpuId(99)))));
+        assert_eq!((stream.epochs(), stream.pending_sequences()), (0, vec![1]));
+        // The gap-filler is applied; chunk 1 fails admission when its turn
+        // comes and is dropped with a record, not an error.
+        let report = stream
+            .append_lint(0, state_chunk(0, &[(0, 50)]), LintMode::Lenient)
+            .unwrap();
+        let [dropped] = report.repairs() else {
+            panic!("expected one repair, got {:?}", report.repairs());
+        };
+        assert_eq!(dropped.event, EventRef::Chunk { sequence: 1 });
+        assert_eq!(dropped.strategy, RepairStrategy::DropWithRecord);
+        assert!(dropped.detail.contains("unknown cpu"), "{}", dropped.detail);
+        assert_eq!((stream.epochs(), stream.pending_sequences()), (1, vec![]));
+        // The stream moved past it: sequence 2 is next.
+        let report = stream
+            .append_lint(2, state_chunk(0, &[(110, 200)]), LintMode::Lenient)
+            .unwrap();
+        assert!(report.is_clean() && report.repairs().is_empty());
+        assert_eq!(stream.epochs(), 2);
+        assert_eq!(stream.time_bounds(), TimeInterval::from_cycles(0, 200));
     }
 
     #[test]

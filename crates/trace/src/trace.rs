@@ -413,9 +413,9 @@ impl Trace {
         }
     }
 
-    /// Crate-internal read view for the lint validators ([`crate::lint`]).
-    pub(crate) fn lint_view(&self) -> crate::lint::LintView<'_> {
-        crate::lint::LintView {
+    /// Crate-internal: the parts the lint walk reads ([`crate::lint`]).
+    pub(crate) fn lint_parts(&self) -> crate::lint::LintParts<'_> {
+        crate::lint::LintParts {
             topology: &self.topology,
             tasks: &self.tasks,
             per_cpu: &self.per_cpu,
@@ -426,16 +426,16 @@ impl Trace {
         }
     }
 
-    /// Crate-internal mutable access to the event containers, used by the streaming
-    /// ingest layer ([`crate::streaming`]) to append validated chunks and to remap
-    /// task ids. Not public: arbitrary mutation could break the sortedness and
-    /// non-overlap invariants every query relies on.
     /// Crate-internal: the raw access-column storage, for the store's
     /// per-lane memory accounting ([`crate::store`]).
     pub(crate) fn access_columns(&self) -> &AccessColumns {
         &self.accesses
     }
 
+    /// Crate-internal mutable access to the event containers, used by the streaming
+    /// ingest layer ([`crate::streaming`]) to append validated chunks and to remap
+    /// task ids. Not public: arbitrary mutation could break the sortedness and
+    /// non-overlap invariants every query relies on.
     pub(crate) fn streaming_parts_mut(&mut self) -> StreamingPartsMut<'_> {
         StreamingPartsMut {
             tasks: &mut self.tasks,
@@ -459,9 +459,8 @@ pub(crate) struct StreamingPartsMut<'a> {
 ///
 /// Events may be added in any order; [`TraceBuilder::finish`] sorts each per-CPU stream
 /// by timestamp and validates the result (non-overlapping state intervals, valid
-/// references). [`TraceBuilder::finish_strict`] additionally requires that events were
-/// added in timestamp order per CPU, mirroring the ordering requirement of the on-disk
-/// format.
+/// references). [`TraceBuilder::finish_lint`] lints the recording first and either
+/// rejects a damaged one — events added out of timestamp order included — or repairs it.
 ///
 /// The builder records straight into the columnar stores ([`crate::columns`]); the
 /// finishing sort is an unstable permutation sort keyed on `(timestamp, insertion
@@ -706,9 +705,9 @@ impl TraceBuilder {
         self.tasks.push(task);
     }
 
-    /// Crate-internal read view for the lint validators ([`crate::lint`]).
-    pub(crate) fn lint_view(&self) -> crate::lint::LintView<'_> {
-        crate::lint::LintView {
+    /// Crate-internal: the parts the lint walk reads ([`crate::lint`]).
+    pub(crate) fn lint_parts(&self) -> crate::lint::LintParts<'_> {
+        crate::lint::LintParts {
             topology: &self.topology,
             tasks: &self.tasks,
             per_cpu: &self.per_cpu,
@@ -719,15 +718,12 @@ impl TraceBuilder {
         }
     }
 
-    /// Crate-internal mutable access for the lint repair pipeline
+    /// Crate-internal: the containers lenient lint repair rewrites
     /// ([`crate::lint`]).
-    pub(crate) fn lint_parts_mut(&mut self) -> crate::lint::BuilderPartsMut<'_> {
-        crate::lint::BuilderPartsMut {
-            topology: &self.topology,
-            tasks: &self.tasks,
+    pub(crate) fn lint_parts_mut(&mut self) -> crate::lint::RepairPartsMut<'_> {
+        crate::lint::RepairPartsMut {
             per_cpu: &mut self.per_cpu,
             regions: &mut self.regions,
-            counters: &self.counters,
             accesses: &mut self.accesses,
             comm_events: &mut self.comm_events,
         }
@@ -741,7 +737,7 @@ impl TraceBuilder {
     /// [`TraceError::InvalidInterval`] or [`TraceError::OverlappingStates`] when the
     /// recorded data is inconsistent.
     pub fn finish(self) -> Result<Trace, TraceError> {
-        self.finish_impl(false, Threads::single())
+        self.finish_with(Threads::single())
     }
 
     /// Like [`TraceBuilder::finish`] but splits and sorts the per-CPU event streams on
@@ -751,22 +747,7 @@ impl TraceBuilder {
     /// # Errors
     ///
     /// See [`TraceBuilder::finish`].
-    pub fn finish_with(self, threads: Threads) -> Result<Trace, TraceError> {
-        self.finish_impl(false, threads)
-    }
-
-    /// Like [`TraceBuilder::finish`] but additionally rejects per-CPU streams whose
-    /// events were not added in timestamp order.
-    ///
-    /// # Errors
-    ///
-    /// In addition to the errors of [`TraceBuilder::finish`], returns
-    /// [`TraceError::UnorderedEvents`] when a stream is out of order.
-    pub fn finish_strict(self) -> Result<Trace, TraceError> {
-        self.finish_impl(true, Threads::single())
-    }
-
-    fn finish_impl(mut self, strict: bool, threads: Threads) -> Result<Trace, TraceError> {
+    pub fn finish_with(mut self, threads: Threads) -> Result<Trace, TraceError> {
         // Validate task references.
         for task in &self.tasks {
             if task.task_type.0 as usize >= self.task_types.len() {
@@ -780,16 +761,6 @@ impl TraceBuilder {
                     start: task.execution.start,
                     end: task.execution.end,
                 });
-            }
-        }
-
-        if strict {
-            for pc in &self.per_cpu {
-                check_ordered(pc.cpu(), pc.states().starts())?;
-                check_ordered(pc.cpu(), pc.events().timestamps())?;
-                for (_, samples) in pc.sample_streams() {
-                    check_ordered(pc.cpu(), samples.timestamps())?;
-                }
             }
         }
 
@@ -843,19 +814,6 @@ impl TraceBuilder {
             symbols: self.symbols,
         })
     }
-}
-
-fn check_ordered(cpu: CpuId, timestamps: &[u64]) -> Result<(), TraceError> {
-    for pair in timestamps.windows(2) {
-        if pair[1] < pair[0] {
-            return Err(TraceError::UnorderedEvents {
-                cpu,
-                previous: Timestamp(pair[0]),
-                offending: Timestamp(pair[1]),
-            });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1018,31 +976,6 @@ mod tests {
         let samples = trace.cpu(CpuId(1)).unwrap().samples(ctr).unwrap();
         assert!(samples.timestamp(0) < samples.timestamp(1));
         assert_eq!(samples.values(), &[1.0, 3.0]);
-    }
-
-    #[test]
-    fn finish_strict_rejects_unordered() {
-        let mut b = TraceBuilder::new(topo());
-        b.add_state(
-            CpuId(0),
-            WorkerState::Idle,
-            Timestamp(100),
-            Timestamp(200),
-            None,
-        )
-        .unwrap();
-        b.add_state(
-            CpuId(0),
-            WorkerState::TaskCreation,
-            Timestamp(0),
-            Timestamp(50),
-            None,
-        )
-        .unwrap();
-        assert!(matches!(
-            b.finish_strict(),
-            Err(TraceError::UnorderedEvents { .. })
-        ));
     }
 
     #[test]
