@@ -8,10 +8,12 @@
 # listed apart from the code that is ours. `code` leaves out blank and `//`
 # comment lines, `lines` does not. `bench (without e2e)` is the part of the
 # bench crate a PR may edit: the `e2e` package under `src/bin/e2e/` is what
-# `BENCHMARK.json` runs and stays as it is. The last two rows are trajectories:
+# `BENCHMARK.json` runs and stays as it is. The last three rows are trajectories:
 # the five files that answer "where do a session's lanes come from" (the
-# ROADMAP's one-session-core item is measured by them), and the two that say
-# what a well-formed trace or chunk is and what is done when it is not.
+# ROADMAP's one-session-core item is measured by them), the two that say what a
+# well-formed trace or chunk is and what is done when it is not, and the four
+# that reduce a window over a sorted stream (the level tree, the two summary
+# structures on it, and the timeline cells built from them).
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
@@ -58,3 +60,7 @@ find src crates -path crates/compat -prune -o -path '*/src/*' -name '*.rs' -prin
     | count | row '**total (without compat)**'
 printf '%s\n' "${SESSION_FILES[@]}" | count | row '**the five session files**'
 printf '%s\n' "${INGEST_CONTRACT_FILES[@]}" | count | row '**the ingest contract files**'
+# By name, not from a list: a checkout from before the level tree was a file of
+# its own has three of the four.
+find crates/core/src -name timeline.rs -o -name pyramid.rs -o -name index.rs -o -name levels.rs \
+    | count | row '**the window-reduction files**'

@@ -29,11 +29,11 @@ step_monitor() {
 }
 
 step_zoom() {
-    # run_zoom_sweep aborts unless every adaptive frame is byte-identical to
-    # both explicit engines AND every logged engine decision matches its own
-    # predicted costs; the marker line only prints after those checks.
+    # run_zoom_sweep aborts unless every frame is byte-identical under the scan,
+    # pyramid and default engines; the marker line only prints after those
+    # checks.
     "${REPRODUCE[@]}" --scale test --threads 2 zoom-sweep | tee zoom_smoke.txt
-    grep -q '# engine choices match prediction log:' zoom_smoke.txt
+    grep -q '# scan, pyramid and default engine byte-identical:' zoom_smoke.txt
 }
 
 step_store() {

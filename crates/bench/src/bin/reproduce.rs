@@ -71,7 +71,7 @@ usage: reproduce [--scale test|paper] [--out DIR] [--threads N|auto] [--json] [T
 figures: fig3 fig5 fig8 fig9 fig10 fig12 fig13 fig14 fig15 fig16 fig19 sec6 seidel all
          (no target means 'all': every figure plus sec6)
 modes (explicit targets, not part of 'all'; '--x' and 'x' are the same target):
-  zoom-sweep  scan-vs-pyramid-vs-adaptive frame times across zoom levels
+  zoom-sweep  scan-vs-pyramid frame times across zoom levels
   stream      replays the sec6 trace through the streaming ingest layer
               (per-epoch advance/frame latency)
   ingest      measures the columnar ingest pipeline on the zoom trace
@@ -224,7 +224,7 @@ fn main() {
         let sweep =
             zoom::run_zoom_sweep(&zoom::zoom_trace(scale), 800, threads, scale == Scale::Test);
         options.report(
-            "Zoom sweep — timeline frame times: scan vs. pyramid vs. adaptive",
+            "Zoom sweep — timeline frame times: scan vs. pyramid",
             &sweep.record(),
         );
     }

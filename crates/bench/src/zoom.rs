@@ -5,14 +5,15 @@
 //! workload (alternating task-execution/idle streams with typed tasks and NUMA
 //! accesses, but with enough events per CPU that the per-column scan wall actually
 //! shows) and measures, per zoom level and timeline mode, the time to compute a
-//! timeline frame with
+//! timeline frame
 //!
-//! * the **scan** engine — the original per-column slice-and-scan path, whose
+//! * by the **scan** alone — the original per-column slice-and-scan path, whose
 //!   zoomed-out frame cost is O(total events), and
-//! * the **pyramid** engine — the multi-resolution aggregation layer, whose frame
-//!   cost is O(columns · log n) at every zoom level.
+//! * with the **pyramid** — the one window reduction with the multi-resolution
+//!   aggregation layer at hand: O(columns · log n) zoomed out, the scan's own code
+//!   wherever a cell's covered range holds no whole summary node.
 //!
-//! The two engines produce byte-identical models (verified during the sweep), so the
+//! Both produce byte-identical models (verified during the sweep), so the
 //! comparison is purely about time. [`ZoomSweep::record`] is the machine-readable
 //! `BENCH_zoom_sweep.json` record.
 
@@ -144,12 +145,6 @@ pub struct ZoomFrame {
     pub scan_seconds: f64,
     /// Seconds to compute the frame with the pyramid engine (minimum of 5).
     pub pyramid_seconds: f64,
-    /// Seconds to compute the frame with the adaptive engine (minimum of 5),
-    /// cost-model dispatch included.
-    pub adaptive_seconds: f64,
-    /// Short name of the engine the adaptive cost model resolved to for this
-    /// frame (from the session's decision log).
-    pub engine: &'static str,
 }
 
 impl ZoomFrame {
@@ -158,10 +153,10 @@ impl ZoomFrame {
         self.scan_seconds / self.pyramid_seconds.max(1e-12)
     }
 
-    /// Adaptive time relative to the better of the two explicit engines
-    /// (1.0 = as fast as the best).
-    pub fn adaptive_vs_best(&self) -> f64 {
-        self.adaptive_seconds / self.scan_seconds.min(self.pyramid_seconds).max(1e-12)
+    /// Pyramid time over scan time for this frame (at most 1.0 = the pyramid
+    /// engine is never the slower one).
+    pub fn pyramid_vs_scan(&self) -> f64 {
+        self.pyramid_seconds / self.scan_seconds.max(1e-12)
     }
 }
 
@@ -246,11 +241,10 @@ pub struct ZoomSweep {
     pub num_events: usize,
     /// Seconds spent building all index shards (counter indexes + pyramids).
     pub prewarm_seconds: f64,
-    /// Seconds spent calibrating the adaptive engine's cost model (probe
-    /// queries; once per session, like prewarm).
-    pub calibration_seconds: f64,
     /// All measured frames, grouped by ascending zoom factor.
     pub frames: Vec<ZoomFrame>,
+    /// Whether every frame was also compared cell by cell across the engines.
+    pub verified: bool,
     /// Memory of the aggregation pyramids in bytes.
     pub pyramid_bytes: usize,
     /// Size of the raw event data in bytes.
@@ -288,32 +282,31 @@ impl ZoomSweep {
         self.speedup_at(ZOOM_FACTORS[0])
     }
 
-    /// The worst [`ZoomFrame::adaptive_vs_best`] across all frames — a summary
-    /// of what the per-cell gate (`adaptive_seconds` in [`crate::gates::GATES`])
+    /// The worst [`ZoomFrame::pyramid_vs_scan`] across all frames — a summary
+    /// of what the per-cell gate (`pyramid_seconds` in [`crate::gates::GATES`])
     /// checks row by row.
-    pub fn worst_adaptive_vs_best(&self) -> f64 {
+    pub fn worst_pyramid_vs_scan(&self) -> f64 {
         self.frames
             .iter()
-            .map(ZoomFrame::adaptive_vs_best)
+            .map(ZoomFrame::pyramid_vs_scan)
             .fold(0.0, f64::max)
     }
 
     /// The sweep as a [`Record`] of kind `zoom_sweep`, one `frames` row per
-    /// `(zoom, mode)` cell. Reaching this point means every adaptive build
-    /// agreed with the session's prediction log (see [`run_zoom_sweep`]), which
-    /// is what the rows' note says.
+    /// `(zoom, mode)` cell. A verifying sweep that got here found every frame
+    /// byte-identical under all three engine names (see [`run_zoom_sweep`]), which
+    /// is what the rows' note then says.
     pub fn record(&self) -> Record {
         let fields = Fields::new()
             .int("columns", self.columns)
             .int("num_events", self.num_events)
             .float("prewarm_seconds", self.prewarm_seconds)
-            .float("calibration_seconds", self.calibration_seconds)
             .text("simd_level", self.kernel.simd_level)
             .int("kernel_lanes", self.kernel.lanes)
             .float("kernel_scalar_seconds", self.kernel.scalar_seconds)
             .float("kernel_simd_seconds", self.kernel.simd_seconds)
             .float("state_kernel_speedup", self.kernel.speedup())
-            .float("worst_adaptive_vs_best", self.worst_adaptive_vs_best())
+            .float("worst_pyramid_vs_scan", self.worst_pyramid_vs_scan())
             .int("pyramid_bytes", self.pyramid_bytes)
             .int("raw_event_bytes", self.raw_event_bytes)
             .float("pyramid_overhead", self.pyramid_overhead())
@@ -327,16 +320,14 @@ impl ZoomSweep {
                     .text("mode", f.mode)
                     .float("scan_seconds", f.scan_seconds)
                     .float("pyramid_seconds", f.pyramid_seconds)
-                    .float("adaptive_seconds", f.adaptive_seconds)
-                    .text("engine", f.engine)
                     .float("speedup", f.speedup())
             })
             .collect();
-        let note = format!(
-            "engine choices match prediction log: {} frames",
-            self.frames.len()
-        );
-        Record::new("zoom_sweep", fields).with_rows("frames", frames, Some(note))
+        let note = self.verified.then(|| {
+            let n = self.frames.len();
+            format!("scan, pyramid and default engine byte-identical: {n} frames")
+        });
+        Record::new("zoom_sweep", fields).with_rows("frames", frames, note)
     }
 }
 
@@ -376,27 +367,20 @@ pub fn zoom_window(bounds: TimeInterval, factor: u64) -> TimeInterval {
 }
 
 /// Runs the full sweep over `trace`: every [`ZOOM_FACTORS`] level × every timeline
-/// mode, scan vs. pyramid vs. adaptive, with the session prewarmed on `threads`
-/// and the adaptive cost model calibrated up front.
+/// mode, scan vs. pyramid, with the session prewarmed on `threads`.
 ///
-/// When `verify` is set, every frame triple is additionally compared cell by cell
-/// (pyramid and adaptive must be byte-identical to scan). Every frame's adaptive
-/// builds are cross-checked against the session's decision log: all builds of one
-/// frame must resolve to the same engine, and that engine must be the argmin of
-/// the logged cost predictions.
+/// When `verify` is set, every frame is additionally built under all three engine
+/// names and compared cell by cell (pyramid and the default engine must be
+/// byte-identical to scan).
 pub fn run_zoom_sweep(trace: &Trace, columns: usize, threads: Threads, verify: bool) -> ZoomSweep {
     let session = AnalysisSession::new(trace);
     let t0 = Instant::now();
     session.prewarm(threads);
     let prewarm_seconds = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let _ = session.cost_model();
-    let calibration_seconds = t0.elapsed().as_secs_f64();
     let bounds = session.time_bounds();
     let filter = TaskFilter::new();
     let modes = sweep_modes(trace);
     let mut frames = Vec::new();
-    let mut decisions_seen = session.engine_decisions().len();
     for &factor in &ZOOM_FACTORS {
         let window = zoom_window(bounds, factor);
         for &(name, mode) in &modes {
@@ -406,67 +390,33 @@ pub fn run_zoom_sweep(trace: &Trace, columns: usize, threads: Threads, verify: b
             };
             if verify {
                 let scan = build(TimelineEngine::Scan);
-                assert_eq!(
-                    build(TimelineEngine::Pyramid),
-                    scan,
-                    "pyramid frame must be byte-identical to scan ({name}, zoom {factor})"
-                );
-                assert_eq!(
-                    build(TimelineEngine::Adaptive),
-                    scan,
-                    "adaptive frame must be byte-identical to scan ({name}, zoom {factor})"
-                );
+                for engine in [TimelineEngine::Pyramid, TimelineEngine::Adaptive] {
+                    assert_eq!(
+                        build(engine),
+                        scan,
+                        "{engine:?} frame must be byte-identical to scan ({name}, zoom {factor})"
+                    );
+                }
             }
             // Fastest of 5 per engine — what each engine *can* do, far more
             // robust to scheduler/timer spikes on shared runners than a median
             // of few samples. The rounds go round-robin over the engines: the
-            // per-cell rule compares adaptive against the better explicit
-            // engine, so machine drift must land on all three alike.
-            let engines = [
-                TimelineEngine::Scan,
-                TimelineEngine::Pyramid,
-                TimelineEngine::Adaptive,
-            ];
-            let mut fastest = [f64::INFINITY; 3];
+            // per-cell rule compares one against the other, so machine drift
+            // must land on both alike.
+            let engines = [TimelineEngine::Scan, TimelineEngine::Pyramid];
+            let mut fastest = [f64::INFINITY; 2];
             for _ in 0..5 {
                 for (engine, fastest) in engines.into_iter().zip(&mut fastest) {
                     let seconds = sample_seconds(1, || drop(build(engine)))[0];
                     *fastest = fastest.min(seconds);
                 }
             }
-            let [scan_seconds, pyramid_seconds, adaptive_seconds] = fastest;
-            // Every adaptive build above logged one decision; they must agree
-            // with each other and with their own cost predictions.
-            let decisions = session.engine_decisions();
-            let frame_decisions = &decisions[decisions_seen..];
-            assert!(
-                !frame_decisions.is_empty(),
-                "adaptive builds must log decisions ({name}, zoom {factor})"
-            );
-            let engine = frame_decisions[0].engine;
-            for d in frame_decisions {
-                assert_eq!(
-                    d.engine, engine,
-                    "one frame must resolve to one engine ({name}, zoom {factor})"
-                );
-                let predicted = if d.predicted_scan_seconds < d.predicted_pyramid_seconds {
-                    TimelineEngine::Scan
-                } else {
-                    TimelineEngine::Pyramid
-                };
-                assert_eq!(
-                    d.engine, predicted,
-                    "chosen engine must match the prediction log ({name}, zoom {factor})"
-                );
-            }
-            decisions_seen = decisions.len();
+            let [scan_seconds, pyramid_seconds] = fastest;
             frames.push(ZoomFrame {
                 zoom_factor: factor,
                 mode: name,
                 scan_seconds,
                 pyramid_seconds,
-                adaptive_seconds,
-                engine: engine.name(),
             });
         }
     }
@@ -474,7 +424,7 @@ pub fn run_zoom_sweep(trace: &Trace, columns: usize, threads: Threads, verify: b
         columns,
         num_events: trace.num_events(),
         prewarm_seconds,
-        calibration_seconds,
+        verified: verify,
         frames,
         pyramid_bytes: session.pyramid_memory_bytes(),
         raw_event_bytes: session.raw_event_bytes(),
@@ -508,13 +458,15 @@ mod tests {
             "pyramid overhead {} must stay below 15 %",
             sweep.pyramid_overhead()
         );
+        let note = sweep.record().rows.unwrap().note.unwrap();
+        assert!(note.ends_with("byte-identical: 30 frames"), "{note}");
         let record = Record::parse(&sweep.record().to_json()).unwrap();
         assert_eq!(record.bench, "zoom_sweep");
         assert!(record.fields.number("zoomed_out_speedup").is_ok());
-        assert!(record.fields.number("worst_adaptive_vs_best").is_ok());
+        assert!(record.fields.number("worst_pyramid_vs_scan").is_ok());
         let frames = record.rows.unwrap();
         assert_eq!((frames.name.as_str(), frames.rows.len()), ("frames", 30));
-        assert!(frames.rows[0].text_value("engine").is_ok());
+        assert!(frames.rows[0].number("pyramid_seconds").is_ok());
     }
 
     #[test]

@@ -17,6 +17,8 @@
 
 use aftermath_trace::{SamplesView, StatesView, TimeInterval, Timestamp};
 
+use crate::levels::{Levels, Span};
+
 /// Default arity of the counter min/max search tree (the paper uses 100 to keep the
 /// index overhead below 5 % of the counter data).
 pub const DEFAULT_INDEX_ARITY: usize = 100;
@@ -114,15 +116,21 @@ impl CounterNode {
     };
 
     /// Builds one summary node from a contiguous run of raw sample values via the
-    /// wide min/max/sum kernel ([`crate::kernels::min_max_sum`]). Fresh builds,
-    /// the append-tail spine rebuild and the query descent's edge runs all go
-    /// through this single definition, so incremental and from-scratch trees —
-    /// and their f64 sums, which follow the kernel's fixed reduction order — stay
-    /// bit-identical.
+    /// wide min/max/sum kernel ([`crate::kernels::min_max_sum`]). Tree growth and
+    /// the raw runs of a query all go through this single definition, so
+    /// incremental and from-scratch trees — and their f64 sums, which follow the
+    /// kernel's fixed reduction order — stay bit-identical.
     #[inline]
     fn leaf(chunk: &[f64]) -> CounterNode {
         let (min, max, sum) = crate::kernels::min_max_sum(chunk);
         CounterNode { min, max, sum }
+    }
+
+    /// The summary of a group of nodes, added in order.
+    fn combine(nodes: &[CounterNode]) -> CounterNode {
+        let mut node = CounterNode::EMPTY;
+        nodes.iter().for_each(|n| node.add_node(n));
+        node
     }
 
     #[inline]
@@ -140,14 +148,11 @@ impl CounterNode {
 /// Interval queries then only touch `O(arity · log_arity n)` nodes instead of every
 /// sample, which is what keeps counter rendering fast at low zoom levels (paper
 /// Section VI-B); the sums additionally answer average queries. Builds and queries
-/// stream the raw value lane of the columnar store.
+/// stream the raw value lane of the columnar store; the tree itself is the shared
+/// level tree of `crate::levels` with [`CounterNode`]s in it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterIndex {
-    arity: usize,
-    num_samples: usize,
-    /// Level 0 summarises `arity` samples per node; level `k` summarises `arity` nodes of
-    /// level `k-1`.
-    levels: Vec<Vec<CounterNode>>,
+    tree: Levels<CounterNode>,
 }
 
 impl CounterIndex {
@@ -162,35 +167,11 @@ impl CounterIndex {
     ///
     /// Panics if `arity < 2`.
     pub fn with_arity(samples: SamplesView<'_>, arity: usize) -> Self {
-        assert!(arity >= 2, "counter index arity must be at least 2");
-        let mut levels = Vec::new();
-        if !samples.is_empty() {
-            let mut current: Vec<CounterNode> = samples
-                .values()
-                .chunks(arity)
-                .map(CounterNode::leaf)
-                .collect();
-            while current.len() > 1 {
-                let next: Vec<CounterNode> = current
-                    .chunks(arity)
-                    .map(|chunk| {
-                        let mut node = CounterNode::EMPTY;
-                        for n in chunk {
-                            node.add_node(n);
-                        }
-                        node
-                    })
-                    .collect();
-                levels.push(current);
-                current = next;
-            }
-            levels.push(current);
-        }
-        CounterIndex {
-            arity,
-            num_samples: samples.len(),
-            levels,
-        }
+        let mut index = CounterIndex {
+            tree: Levels::new(arity),
+        };
+        index.append_tail(samples, 0);
+        index
     }
 
     /// Absorbs samples appended to the indexed stream by rebuilding only the
@@ -209,59 +190,33 @@ impl CounterIndex {
     /// Panics when `old_len` disagrees with the indexed length or `samples` is
     /// shorter than `old_len`.
     pub fn append_tail(&mut self, samples: SamplesView<'_>, old_len: usize) -> usize {
-        assert_eq!(
-            old_len, self.num_samples,
-            "index must cover exactly the stream prefix"
-        );
-        assert!(samples.len() >= old_len, "streams are append-only");
-        if samples.len() == old_len {
-            return 0;
-        }
-        if old_len == 0 {
-            *self = Self::with_arity(samples, self.arity);
-            return self.num_nodes();
-        }
-        self.num_samples = samples.len();
-        let arity = self.arity;
-        let first = old_len / arity;
-        rebuild_spine(
-            &mut self.levels,
-            arity,
+        let values = samples.values();
+        self.tree.append_tail(
             old_len,
-            samples.values()[first * arity..]
-                .chunks(arity)
-                .map(CounterNode::leaf),
-            |nodes| {
-                let mut node = CounterNode::EMPTY;
-                for n in nodes {
-                    node.add_node(n);
-                }
-                node
-            },
+            values.len(),
+            |lo, hi| CounterNode::leaf(&values[lo..hi]),
+            CounterNode::combine,
         )
     }
 
     /// The arity of the tree.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.tree.fanout()
     }
 
     /// Total number of summary nodes across all levels.
     pub fn num_nodes(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
+        self.tree.num_nodes()
     }
 
     /// Number of samples the index was built over.
     pub fn num_samples(&self) -> usize {
-        self.num_samples
+        self.tree.len()
     }
 
     /// Approximate memory used by the index, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.levels
-            .iter()
-            .map(|l| l.len() * std::mem::size_of::<CounterNode>())
-            .sum()
+        self.tree.num_nodes() * std::mem::size_of::<CounterNode>()
     }
 
     /// Index overhead relative to the raw samples it summarises, with the
@@ -270,36 +225,30 @@ impl CounterIndex {
     /// layout-independent so the ratio stays comparable across storage engines
     /// (e.g. `0.03` = 3 %).
     pub fn overhead_ratio(&self) -> f64 {
-        if self.num_samples == 0 {
+        if self.num_samples() == 0 {
             return 0.0;
         }
         self.memory_bytes() as f64
-            / (self.num_samples * std::mem::size_of::<aftermath_trace::CounterSample>()) as f64
+            / (self.num_samples() * std::mem::size_of::<aftermath_trace::CounterSample>()) as f64
     }
 
-    /// Min/max/sum over the sample-index range `[lo, hi)`.
+    /// Min/max/sum over the sample-index range `[lo, hi)`: whole nodes where the
+    /// range covers them, the raw runs at its two ends through the leaf kernel, in
+    /// the fixed order of the level tree's range split.
     ///
     /// `samples` must be the same stream the index was built over. Returns `None` for
     /// an empty range.
     pub fn aggregate(&self, samples: SamplesView<'_>, lo: usize, hi: usize) -> Option<CounterNode> {
-        let hi = hi.min(self.num_samples);
-        if lo >= hi {
+        if lo >= hi.min(self.num_samples()) {
             return None;
         }
-        debug_assert_eq!(samples.len(), self.num_samples);
+        debug_assert_eq!(samples.len(), self.num_samples());
         let values = samples.values();
         let mut agg = CounterNode::EMPTY;
-        // Head: samples before the first fully covered level-0 node; tail: samples
-        // after the last one. Both are contiguous runs, folded through the same
-        // wide leaf kernel a build uses.
-        let i = hi.min(lo.next_multiple_of(self.arity));
-        let j = (hi - hi % self.arity).max(i);
-        agg.add_node(&CounterNode::leaf(&values[lo..i]));
-        agg.add_node(&CounterNode::leaf(&values[j..hi]));
-        // Middle: whole level-0 nodes [i/arity, j/arity).
-        if i < j && !self.levels.is_empty() {
-            self.node_range_aggregate(0, i / self.arity, j / self.arity, &mut agg);
-        }
+        self.tree.fold(lo, hi, |span| match span {
+            Span::Items(lo, hi) => agg.add_node(&CounterNode::leaf(&values[lo..hi])),
+            Span::Node(node) => agg.add_node(node),
+        });
         Some(agg)
     }
 
@@ -334,7 +283,7 @@ impl CounterIndex {
         interval: TimeInterval,
     ) -> Option<(f64, usize)> {
         let (lo, hi) = sample_range(samples, interval);
-        let hi = hi.min(self.num_samples);
+        let hi = hi.min(self.num_samples());
         self.aggregate(samples, lo, hi).map(|a| (a.sum, hi - lo))
     }
 
@@ -348,91 +297,6 @@ impl CounterIndex {
         self.sum_count_in(samples, interval)
             .map(|(sum, count)| sum / count as f64)
     }
-
-    /// Recursive min/max/sum over whole nodes `[lo, hi)` of `level`.
-    fn node_range_aggregate(&self, level: usize, lo: usize, hi: usize, agg: &mut CounterNode) {
-        let nodes = &self.levels[level];
-        let hi = hi.min(nodes.len());
-        if lo >= hi {
-            return;
-        }
-        let mut i = lo;
-        while i < hi && !i.is_multiple_of(self.arity) {
-            agg.add_node(&nodes[i]);
-            i += 1;
-        }
-        let mut j = hi;
-        while j > i && !j.is_multiple_of(self.arity) {
-            j -= 1;
-            agg.add_node(&nodes[j]);
-        }
-        if i >= j {
-            return;
-        }
-        if level + 1 < self.levels.len() {
-            self.node_range_aggregate(level + 1, i / self.arity, j / self.arity, agg);
-        } else {
-            for n in &nodes[i..j] {
-                agg.add_node(n);
-            }
-        }
-    }
-}
-
-/// Shared spine-rebuild skeleton of the append-only summary trees
-/// ([`CounterIndex::append_tail`] and
-/// [`crate::pyramid::StatePyramid::append_tail`]), so the subtle level-growth
-/// invariant lives in exactly one place.
-///
-/// Replaces level 0 from node `old_items / arity` with `leaves` (the caller
-/// rebuilds them from its raw stream, starting at that node's first item), then
-/// rebuilds the affected tail of every upper level via `combine`. New levels
-/// appear exactly when the level below outgrows a single node, matching the
-/// `while current.len() > 1` structure of a fresh build, so the resulting level
-/// vector is structurally identical to one built from scratch. Returns the number
-/// of recomputed nodes.
-///
-/// The caller guarantees `old_items > 0` (so level 0 exists) and at least one new
-/// item (so `leaves` is non-empty).
-pub(crate) fn rebuild_spine<N>(
-    levels: &mut Vec<Vec<N>>,
-    arity: usize,
-    old_items: usize,
-    leaves: impl Iterator<Item = N>,
-    combine: impl Fn(&[N]) -> N,
-) -> usize {
-    let mut rebuilt = 0;
-    // Level 0: every node from the one covering item `old_items` onward is
-    // recomputed (the node at `old_items / arity` may be a partial tail node).
-    let mut first = old_items / arity;
-    let level0 = &mut levels[0];
-    level0.truncate(first);
-    for node in leaves {
-        level0.push(node);
-        rebuilt += 1;
-    }
-    // Upper levels: rebuild the spine above the changed child range.
-    let mut level = 1;
-    loop {
-        let child_len = levels[level - 1].len();
-        if level == levels.len() {
-            if child_len <= 1 {
-                break;
-            }
-            levels.push(Vec::new());
-        }
-        first /= arity;
-        let (lower, upper) = levels.split_at_mut(level);
-        let child = &lower[level - 1];
-        let current = &mut upper[0];
-        current.truncate(first);
-        for chunk in child[first * arity..].chunks(arity) {
-            current.push(combine(chunk));
-            rebuilt += 1;
-        }
-        level += 1;
-    }
-    rebuilt
 }
 
 #[cfg(test)]

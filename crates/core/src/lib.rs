@@ -86,6 +86,7 @@ pub mod export;
 pub mod filter;
 pub mod index;
 pub mod kernels;
+mod levels;
 pub mod live;
 pub mod numa;
 pub mod pyramid;
@@ -119,10 +120,7 @@ pub use shared::{CacheStats, SharedSession};
 pub use stats::Histogram;
 pub use store_session::{SalvageCoverage, StoreSession};
 pub use taskgraph::TaskGraph;
-pub use timeline::{
-    CalibrationTimings, CostModel, EngineDecision, TimelineCell, TimelineEngine, TimelineMode,
-    TimelineModel,
-};
+pub use timeline::{EngineDecision, TimelineCell, TimelineEngine, TimelineMode, TimelineModel};
 
 /// Commonly used types, for glob import.
 pub mod prelude {
@@ -146,7 +144,7 @@ pub mod prelude {
     pub use crate::stats::{average_parallelism, task_duration_histogram, Histogram};
     pub use crate::taskgraph::TaskGraph;
     pub use crate::timeline::{
-        CostModel, EngineDecision, TimelineCell, TimelineEngine, TimelineMode, TimelineModel,
+        EngineDecision, TimelineCell, TimelineEngine, TimelineMode, TimelineModel,
     };
     pub use aftermath_exec::Threads;
 }

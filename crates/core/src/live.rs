@@ -88,8 +88,8 @@ pub struct LiveSession {
     epoch: u64,
     /// The incrementally maintained shards (one counter index per sampled pair,
     /// one pyramid per CPU with states) and what this epoch's views share: the
-    /// result caches and the access index are replaced when an `advance`
-    /// appends anything, the cost model is not.
+    /// result caches and the access index, replaced when an `advance` appends
+    /// anything.
     state: SessionState,
     /// Total summary nodes rebuilt since the session opened (cold build included).
     total_nodes_rebuilt: u64,

@@ -1,5 +1,6 @@
 //! The multi-resolution aggregation layer: a mipmap-style pyramid of summary nodes
-//! over each CPU's state stream.
+//! over each CPU's state stream, and the one window reduction every per-cell and
+//! per-window query goes through.
 //!
 //! The timeline answers every pixel column with an interval query over the per-CPU
 //! state streams. Slicing the raw stream (binary search + scan,
@@ -14,42 +15,53 @@
 //! * the **per-NUMA-node byte counts** read/written by the covered task executions,
 //! * **min/max/count statistics** over the covered execution-interval durations.
 //!
-//! Interval queries then touch `O(fanout · log_fanout n)` nodes instead of every
-//! event. Builds and leaf scans walk the columnar stream views
-//! ([`aftermath_trace::columns`]) — a leaf visit reads the one-byte state lane and
-//! only dereferences the timestamp/task lanes for execution intervals.
+//! The tree is the level tree the counter index is built on too (`crate::levels`)
+//! with [`PyramidNode`]s in it; builds and raw runs walk the columnar stream views
+//! ([`aftermath_trace::columns`]) through the wide kernels of [`crate::kernels`].
 //!
-//! # Exactness
+//! # One window reduction
 //!
 //! Per-CPU state streams are sorted by start and non-overlapping, so of all the
 //! intervals overlapping a query window only the *first* and the *last* can cross the
 //! window's edges — every interval between them is fully contained, and its overlap
-//! with the window equals its full duration. Queries therefore handle the two edge
-//! intervals directly on the raw stream and resolve the fully-covered middle from
-//! pyramid nodes (splitting partially covered groups exactly like
-//! [`crate::index::CounterIndex`] splits sample groups). All aggregation is `u64`
-//! addition, so the summed histograms are bit-identical to a raw scan, which is what
-//! lets the pyramid-backed timeline reproduce the scan-backed timeline byte for byte.
+//! with the window equals its full duration. A [`Window`] therefore clips the two
+//! edge intervals on the raw stream and reduces the fully covered middle in one of
+//! two ways, decided from the index range and the tree's fanout alone
+//! ([`Window::reads_nodes`]):
+//!
+//! * the middle holds **no whole level-0 node** (or there is no pyramid): it is one
+//!   raw run through the kernels — the scan. No node lies inside such a range, so a
+//!   descent could only arrive at the same raw items after paying for the way down;
+//! * otherwise: the run before the first whole node, the nodes, the run after the
+//!   last one — the same kernels for the runs, `O(fanout · log_fanout n)` nodes for
+//!   everything between them.
+//!
+//! The pyramid path thus *contains* the scan and takes it exactly where it is the
+//! cheaper one, which is why nothing has to choose between two engines. All
+//! aggregation is `u64` addition, so the sums are bit-identical whichever way a
+//! window is split.
 //!
 //! For predominant-*task* queries (heatmap, typemap and NUMA timeline modes) the
 //! answer is an argmax, not a sum: the execution interval covering the largest part
-//! of the window, earliest-in-stream winning ties. [`StatePyramid::best_exec`]
-//! descends the pyramid **in stream order**, keeping the best candidate found so far
-//! and pruning every subtree whose `max_exec_cycles` cannot strictly beat it (plus
-//! whole subtrees whose task types are all rejected by the filter); leaves evaluate
-//! the exact scan predicate. The traversal visits candidates in the same order and
-//! applies the same strict-improvement rule as the scan loop, so the selected task is
-//! identical — including ties — for arbitrary filters.
+//! of the window, earliest-in-stream winning ties. [`Window::predominant_task`]
+//! visits the pieces **in stream order** — edge, middle, edge — keeping the best
+//! candidate found so far under one strict-improvement rule; a middle that reads
+//! nodes is descended in order too, pruning every subtree (and every partly covered
+//! leaf's raw run) whose longest execution cannot strictly beat the incumbent, plus
+//! whole subtrees whose task types are all rejected by the filter. The selected
+//! task is therefore identical — including ties — with and without a pyramid, for
+//! arbitrary filters.
 
 use std::collections::BTreeMap;
 
 use aftermath_trace::{
-    AccessKind, NumaNodeId, StatesView, TaskTypeId, TimeInterval, Trace, WorkerState,
+    AccessKind, NumaNodeId, StatesView, TaskInstance, TaskTypeId, TimeInterval, Trace, WorkerState,
 };
 
 use crate::access_index::AccessSource;
 use crate::filter::TaskFilter;
 use crate::kernels;
+use crate::levels::{Levels, Span};
 
 /// Default fanout of the pyramid (number of intervals/nodes summarised per node).
 ///
@@ -64,13 +76,10 @@ pub struct PyramidNode {
     /// Cycles spent in each worker state (full interval durations), indexed by
     /// [`WorkerState::index`].
     pub state_cycles: [u64; WorkerState::COUNT],
-    /// Number of covered [`WorkerState::TaskExecution`] intervals.
-    pub exec_count: u64,
-    /// Minimum duration among covered execution intervals (`u64::MAX` when none).
-    pub min_exec_cycles: u64,
-    /// Maximum duration among covered execution intervals (0 when none). Doubles as
-    /// the pruning bound for predominant-task queries.
-    pub max_exec_cycles: u64,
+    /// Count and min/max duration of the covered [`WorkerState::TaskExecution`]
+    /// intervals. The maximum doubles as the pruning bound for predominant-task
+    /// queries.
+    pub exec: ExecStats,
     /// The strongest *valid* predominant-task candidate among the covered intervals:
     /// `(duration, index into trace.tasks())` of the earliest execution interval with
     /// a resolvable task and a non-zero duration that no later covered interval
@@ -97,6 +106,109 @@ impl PyramidNode {
             + (self.node_read_bytes.len() + self.node_write_bytes.len())
                 * std::mem::size_of::<(NumaNodeId, u64)>()
     }
+
+    /// The per-node byte counts of one access kind.
+    fn node_bytes(&self, kind: AccessKind) -> &[(NumaNodeId, u64)] {
+        match kind {
+            AccessKind::Read => &self.node_read_bytes,
+            AccessKind::Write => &self.node_write_bytes,
+        }
+    }
+}
+
+/// Adds the full durations of the intervals `[lo, hi)` to the per-state histogram:
+/// one gated pass over the one-byte state lane ([`kernels::tag_duration_sums`]).
+fn add_state_run(
+    states: StatesView<'_>,
+    lo: usize,
+    hi: usize,
+    cycles: &mut [u64; WorkerState::COUNT],
+) {
+    let (starts, ends, tags) = (states.starts(), states.ends(), states.state_tags());
+    kernels::tag_duration_sums(&starts[lo..hi], &ends[lo..hi], &tags[lo..hi], cycles);
+}
+
+/// Visits exactly the execution intervals of `[lo, hi)`, in stream order — the
+/// order every strict-improvement rule depends on — through a tag-match scan of the
+/// state lane ([`kernels::for_each_tag_match`]).
+fn for_each_exec(states: StatesView<'_>, lo: usize, hi: usize, mut f: impl FnMut(usize)) {
+    let exec = WorkerState::TaskExecution as u8;
+    kernels::for_each_tag_match(&states.state_tags()[lo..hi], exec, |off| f(lo + off));
+}
+
+/// The task execution interval `i` names and its index in `trace.tasks()`, when the
+/// trace has it: only such intervals count towards type cycles, NUMA bytes and the
+/// predominant task.
+fn task_of<'t>(
+    trace: &'t Trace,
+    states: StatesView<'_>,
+    i: usize,
+) -> Option<(usize, &'t TaskInstance)> {
+    let idx = states.task(i)?.0 as usize;
+    Some((idx, trace.tasks().get(idx)?))
+}
+
+/// The predominant-task candidate rule, in its one place: execution interval `i`,
+/// covering `cycles` of the window, replaces the incumbent when it names a task of
+/// the trace that `filter` accepts (`None` accepts all) and covers strictly more —
+/// so nothing yields to zero cycles and of equal candidates the earliest visited
+/// stays. Returns the named task.
+fn consider<'t>(
+    trace: &'t Trace,
+    states: StatesView<'_>,
+    filter: Option<&TaskFilter>,
+    i: usize,
+    cycles: u64,
+    best: &mut Option<(u64, usize)>,
+) -> Option<&'t TaskInstance> {
+    let (idx, task) = task_of(trace, states, i)?;
+    if beats(best, cycles) && filter.is_none_or(|f| f.matches(trace, task)) {
+        *best = Some((cycles, idx));
+    }
+    Some(task)
+}
+
+/// Strict improvement: whether a candidate covering `cycles` displaces `best`.
+fn beats(best: &Option<(u64, usize)>, cycles: u64) -> bool {
+    cycles > best.map_or(0, |(c, _)| c)
+}
+
+/// [`consider`]s every execution interval of the fully covered run `[lo, hi)`, each
+/// with its full duration.
+fn consider_run(
+    trace: &Trace,
+    states: StatesView<'_>,
+    filter: &TaskFilter,
+    lo: usize,
+    hi: usize,
+    best: &mut Option<(u64, usize)>,
+) {
+    for_each_exec(states, lo, hi, |i| {
+        consider(trace, states, Some(filter), i, states.duration(i), best);
+    });
+}
+
+/// Calls `f(kind, node, bytes)` for every access of `task` whose data lies on a
+/// known node.
+fn for_each_access<S: AccessSource + ?Sized>(
+    trace: &Trace,
+    source: &S,
+    task: &TaskInstance,
+    mut f: impl FnMut(AccessKind, NumaNodeId, u64),
+) {
+    let accesses = trace.accesses();
+    for row in source.rows_of(task.id) {
+        if let Some(node) = source.node_of_row(row) {
+            f(accesses.kind(row), node, accesses.size(row));
+        }
+    }
+}
+
+/// Adds the per-key totals of a node to an accumulator.
+fn add_pairs<K: Ord + Copy>(acc: &mut BTreeMap<K, u64>, pairs: &[(K, u64)]) {
+    for &(key, value) in pairs {
+        *acc.entry(key).or_insert(0) += value;
+    }
 }
 
 /// Mutable accumulator used while building nodes; flushed into the compact
@@ -104,9 +216,7 @@ impl PyramidNode {
 #[derive(Default)]
 struct NodeAccum {
     state_cycles: [u64; WorkerState::COUNT],
-    exec_count: u64,
-    min_exec_cycles: Option<u64>,
-    max_exec_cycles: u64,
+    exec: ExecStats,
     best_candidate: Option<(u64, usize)>,
     type_cycles: BTreeMap<TaskTypeId, u64>,
     node_read_bytes: BTreeMap<NumaNodeId, u64>,
@@ -114,107 +224,61 @@ struct NodeAccum {
 }
 
 impl NodeAccum {
-    /// Folds the interval index range `[lo, hi)` of the columnar stream into the
-    /// accumulator. Two wide passes over the one-byte state lane do the gating:
-    /// a gated duration sum fills the per-state histogram
-    /// ([`kernels::tag_duration_sums`]), and a tag-match scan
-    /// ([`kernels::for_each_tag_match`]) visits exactly the execution intervals,
-    /// in stream order — so `best_candidate`'s strict-improvement rule sees
-    /// candidates in the same order as a scalar loop.
-    fn add_chunk<S: AccessSource + ?Sized>(
-        &mut self,
+    /// The summary of the raw intervals `[lo, hi)`: the histogram in one kernel
+    /// pass, the execution aggregates interval by interval in stream order.
+    fn leaf<S: AccessSource + ?Sized>(
         trace: &Trace,
         source: &S,
         states: StatesView<'_>,
         lo: usize,
         hi: usize,
-    ) {
-        let chunk = states.slice(lo, hi);
-        kernels::tag_duration_sums(
-            chunk.starts(),
-            chunk.ends(),
-            chunk.state_tags(),
-            &mut self.state_cycles,
-        );
-        kernels::for_each_tag_match(
-            chunk.state_tags(),
-            WorkerState::TaskExecution as u8,
-            |off| self.add_exec(trace, source, states, lo + off),
-        );
+    ) -> PyramidNode {
+        let mut acc = NodeAccum::default();
+        add_state_run(states, lo, hi, &mut acc.state_cycles);
+        for_each_exec(states, lo, hi, |i| {
+            let duration = states.duration(i);
+            acc.exec.add(&ExecStats::of(duration));
+            let best = &mut acc.best_candidate;
+            let Some(task) = consider(trace, states, None, i, duration, best) else {
+                return;
+            };
+            *acc.type_cycles.entry(task.task_type).or_insert(0) += duration;
+            for_each_access(trace, source, task, |kind, node, bytes| {
+                let per_node = match kind {
+                    AccessKind::Read => &mut acc.node_read_bytes,
+                    AccessKind::Write => &mut acc.node_write_bytes,
+                };
+                *per_node.entry(node).or_insert(0) += bytes;
+            });
+        });
+        acc.finish()
     }
 
-    /// Folds the execution interval `i` (state lane already checked by the
-    /// caller) into the execution aggregates.
-    fn add_exec<S: AccessSource + ?Sized>(
-        &mut self,
-        trace: &Trace,
-        source: &S,
-        states: StatesView<'_>,
-        i: usize,
-    ) {
-        debug_assert!(states.is_exec(i));
-        let duration = states.duration(i);
-        self.exec_count += 1;
-        self.min_exec_cycles = Some(self.min_exec_cycles.map_or(duration, |m| m.min(duration)));
-        self.max_exec_cycles = self.max_exec_cycles.max(duration);
-        let Some((idx, task)) = states
-            .task(i)
-            .and_then(|id| trace.tasks().get(id.0 as usize).map(|t| (id.0 as usize, t)))
-        else {
-            return;
-        };
-        // Strict improvement keeps the earliest maximum, like the timeline scan.
-        if duration > 0 && self.best_candidate.is_none_or(|(d, _)| duration > d) {
-            self.best_candidate = Some((duration, idx));
-        }
-        *self.type_cycles.entry(task.task_type).or_insert(0) += duration;
-        let accesses = trace.accesses();
-        for row in source.rows_of(task.id) {
-            let Some(node) = source.node_of_row(row) else {
-                continue;
-            };
-            let map = match accesses.kind(row) {
-                AccessKind::Read => &mut self.node_read_bytes,
-                AccessKind::Write => &mut self.node_write_bytes,
-            };
-            *map.entry(node).or_insert(0) += accesses.size(row);
-        }
-    }
-
-    fn add_node(&mut self, node: &PyramidNode) {
-        for (acc, &c) in self.state_cycles.iter_mut().zip(&node.state_cycles) {
-            *acc += c;
-        }
-        self.exec_count += node.exec_count;
-        if node.exec_count > 0 {
-            self.min_exec_cycles = Some(
-                self.min_exec_cycles
-                    .map_or(node.min_exec_cycles, |m| m.min(node.min_exec_cycles)),
-            );
-            self.max_exec_cycles = self.max_exec_cycles.max(node.max_exec_cycles);
-        }
-        if let Some((d, idx)) = node.best_candidate {
-            if self.best_candidate.is_none_or(|(b, _)| d > b) {
-                self.best_candidate = Some((d, idx));
+    /// The summary of a group of nodes, in stream order.
+    fn combine(nodes: &[PyramidNode]) -> PyramidNode {
+        let mut acc = NodeAccum::default();
+        for node in nodes {
+            for (cycles, &c) in acc.state_cycles.iter_mut().zip(&node.state_cycles) {
+                *cycles += c;
             }
+            acc.exec.add(&node.exec);
+            if let Some(candidate) = node
+                .best_candidate
+                .filter(|c| beats(&acc.best_candidate, c.0))
+            {
+                acc.best_candidate = Some(candidate);
+            }
+            add_pairs(&mut acc.type_cycles, &node.type_cycles);
+            add_pairs(&mut acc.node_read_bytes, &node.node_read_bytes);
+            add_pairs(&mut acc.node_write_bytes, &node.node_write_bytes);
         }
-        for &(ty, c) in node.type_cycles.iter() {
-            *self.type_cycles.entry(ty).or_insert(0) += c;
-        }
-        for &(n, b) in node.node_read_bytes.iter() {
-            *self.node_read_bytes.entry(n).or_insert(0) += b;
-        }
-        for &(n, b) in node.node_write_bytes.iter() {
-            *self.node_write_bytes.entry(n).or_insert(0) += b;
-        }
+        acc.finish()
     }
 
     fn finish(self) -> PyramidNode {
         PyramidNode {
             state_cycles: self.state_cycles,
-            exec_count: self.exec_count,
-            min_exec_cycles: self.min_exec_cycles.unwrap_or(u64::MAX),
-            max_exec_cycles: self.max_exec_cycles,
+            exec: self.exec,
             best_candidate: self.best_candidate,
             type_cycles: self.type_cycles.into_iter().collect(),
             node_read_bytes: self.node_read_bytes.into_iter().collect(),
@@ -235,18 +299,38 @@ pub struct ExecStats {
     pub max_cycles: u64,
 }
 
+impl ExecStats {
+    /// The statistics of one execution interval.
+    fn of(duration: u64) -> Self {
+        ExecStats {
+            count: 1,
+            min_cycles: duration,
+            max_cycles: duration,
+        }
+    }
+
+    /// Adds the intervals `other` summarises.
+    fn add(&mut self, other: &ExecStats) {
+        if other.count == 0 {
+            return;
+        }
+        self.min_cycles = match self.count {
+            0 => other.min_cycles,
+            _ => self.min_cycles.min(other.min_cycles),
+        };
+        self.max_cycles = self.max_cycles.max(other.max_cycles);
+        self.count += other.count;
+    }
+}
+
 /// The multi-resolution summary pyramid over one CPU's state stream.
 ///
 /// Like [`crate::index::CounterIndex`], the pyramid does not own the stream it
-/// summarises: queries take the same [`StatesView`] the pyramid was built over (the
-/// session resolves it once per query).
+/// summarises: a [`Window`] takes the same [`StatesView`] the pyramid was built over
+/// (the session resolves it once per query).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatePyramid {
-    fanout: usize,
-    num_intervals: usize,
-    /// Level 0 summarises `fanout` intervals per node; level `k` summarises `fanout`
-    /// nodes of level `k-1`; the last level holds a single root node.
-    levels: Vec<Vec<PyramidNode>>,
+    tree: Levels<PyramidNode>,
 }
 
 impl StatePyramid {
@@ -278,45 +362,11 @@ impl StatePyramid {
         states: StatesView<'_>,
         fanout: usize,
     ) -> Self {
-        assert!(fanout >= 2, "pyramid fanout must be at least 2");
-        let mut levels = Vec::new();
-        if !states.is_empty() {
-            let n = states.len();
-            let mut current: Vec<PyramidNode> = (0..n)
-                .step_by(fanout)
-                .map(|chunk_start| {
-                    let mut acc = NodeAccum::default();
-                    acc.add_chunk(
-                        trace,
-                        source,
-                        states,
-                        chunk_start,
-                        (chunk_start + fanout).min(n),
-                    );
-                    acc.finish()
-                })
-                .collect();
-            while current.len() > 1 {
-                let next: Vec<PyramidNode> = current
-                    .chunks(fanout)
-                    .map(|chunk| {
-                        let mut acc = NodeAccum::default();
-                        for node in chunk {
-                            acc.add_node(node);
-                        }
-                        acc.finish()
-                    })
-                    .collect();
-                levels.push(current);
-                current = next;
-            }
-            levels.push(current);
-        }
-        StatePyramid {
-            fanout,
-            num_intervals: states.len(),
-            levels,
-        }
+        let mut pyramid = StatePyramid {
+            tree: Levels::new(fanout),
+        };
+        pyramid.grow(trace, source, states, 0);
+        pyramid
     }
 
     /// Absorbs state intervals appended to the summarised stream by rebuilding only
@@ -337,236 +387,47 @@ impl StatePyramid {
     /// Panics when `old_len` disagrees with the summarised length or `states` is
     /// shorter than `old_len`.
     pub fn append_tail(&mut self, trace: &Trace, states: StatesView<'_>, old_len: usize) -> usize {
-        assert_eq!(
-            old_len, self.num_intervals,
-            "pyramid must cover exactly the stream prefix"
-        );
-        assert!(states.len() >= old_len, "streams are append-only");
-        if states.len() == old_len {
-            return 0;
-        }
-        if old_len == 0 {
-            *self = Self::with_fanout(trace, states, self.fanout);
-            return self.num_nodes();
-        }
-        self.num_intervals = states.len();
-        let fanout = self.fanout;
-        let first = old_len / fanout;
-        let n = states.len();
-        crate::index::rebuild_spine(
-            &mut self.levels,
-            fanout,
+        self.grow(trace, trace, states, old_len)
+    }
+
+    fn grow<S: AccessSource + ?Sized>(
+        &mut self,
+        trace: &Trace,
+        source: &S,
+        states: StatesView<'_>,
+        old_len: usize,
+    ) -> usize {
+        self.tree.append_tail(
             old_len,
-            (first * fanout..n).step_by(fanout).map(|chunk_start| {
-                let mut acc = NodeAccum::default();
-                acc.add_chunk(
-                    trace,
-                    trace,
-                    states,
-                    chunk_start,
-                    (chunk_start + fanout).min(n),
-                );
-                acc.finish()
-            }),
-            |nodes| {
-                let mut acc = NodeAccum::default();
-                for node in nodes {
-                    acc.add_node(node);
-                }
-                acc.finish()
-            },
+            states.len(),
+            |lo, hi| NodeAccum::leaf(trace, source, states, lo, hi),
+            NodeAccum::combine,
         )
     }
 
     /// The fanout of the pyramid.
     pub fn fanout(&self) -> usize {
-        self.fanout
+        self.tree.fanout()
     }
 
     /// Total number of summary nodes across all levels.
     pub fn num_nodes(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
+        self.tree.num_nodes()
     }
 
     /// Number of state intervals the pyramid was built over.
     pub fn num_intervals(&self) -> usize {
-        self.num_intervals
+        self.tree.len()
     }
 
     /// Number of levels (0 for an empty stream).
     pub fn num_levels(&self) -> usize {
-        self.levels.len()
+        self.tree.num_levels()
     }
 
     /// Approximate memory used by the pyramid, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.levels
-            .iter()
-            .flatten()
-            .map(PyramidNode::memory_bytes)
-            .sum()
-    }
-
-    /// Folds every state interval in the index range `[lo, hi)` into `acc`, resolving
-    /// fully covered groups through pyramid nodes.
-    ///
-    /// `item` is invoked with the interval's **index** for raw intervals at the range
-    /// edges (before the first and after the last fully covered node), `node` for
-    /// every summarising node; callers read the columns they need through the view
-    /// they captured. All pyramid aggregates are order-independent sums, so the fold
-    /// is exact.
-    ///
-    /// `states` must be the view the pyramid was built over.
-    pub fn fold<A>(
-        &self,
-        states: StatesView<'_>,
-        lo: usize,
-        hi: usize,
-        acc: &mut A,
-        item: &mut impl FnMut(&mut A, usize),
-        node: &mut impl FnMut(&mut A, &PyramidNode),
-    ) {
-        let hi = hi.min(self.num_intervals);
-        if lo >= hi {
-            return;
-        }
-        debug_assert_eq!(states.len(), self.num_intervals);
-        // Head: intervals before the first fully covered level-0 node.
-        let mut i = lo;
-        while i < hi && !i.is_multiple_of(self.fanout) {
-            item(acc, i);
-            i += 1;
-        }
-        // Tail: intervals after the last fully covered level-0 node.
-        let mut j = hi;
-        while j > i && !j.is_multiple_of(self.fanout) {
-            j -= 1;
-            item(acc, j);
-        }
-        if i < j && !self.levels.is_empty() {
-            self.fold_nodes(0, i / self.fanout, j / self.fanout, acc, node);
-        }
-    }
-
-    /// Folds whole nodes `[lo, hi)` of `level`, recursing into coarser levels for
-    /// fully covered groups.
-    fn fold_nodes<A>(
-        &self,
-        level: usize,
-        lo: usize,
-        hi: usize,
-        acc: &mut A,
-        node: &mut impl FnMut(&mut A, &PyramidNode),
-    ) {
-        let nodes = &self.levels[level];
-        let hi = hi.min(nodes.len());
-        if lo >= hi {
-            return;
-        }
-        let mut i = lo;
-        while i < hi && !i.is_multiple_of(self.fanout) {
-            node(acc, &nodes[i]);
-            i += 1;
-        }
-        let mut j = hi;
-        while j > i && !j.is_multiple_of(self.fanout) {
-            j -= 1;
-            node(acc, &nodes[j]);
-        }
-        if i >= j {
-            return;
-        }
-        if level + 1 < self.levels.len() {
-            self.fold_nodes(level + 1, i / self.fanout, j / self.fanout, acc, node);
-        } else {
-            for n in &nodes[i..j] {
-                node(acc, n);
-            }
-        }
-    }
-
-    /// Cycles per worker state over the intervals `[lo, hi)` (full durations).
-    pub fn state_cycles(
-        &self,
-        states: StatesView<'_>,
-        lo: usize,
-        hi: usize,
-    ) -> [u64; WorkerState::COUNT] {
-        let mut cycles = [0u64; WorkerState::COUNT];
-        self.fold(
-            states,
-            lo,
-            hi,
-            &mut cycles,
-            &mut |acc, i| acc[states.state_index(i)] += states.duration(i),
-            &mut |acc, n| {
-                for (a, &c) in acc.iter_mut().zip(&n.state_cycles) {
-                    *a += c;
-                }
-            },
-        );
-        cycles
-    }
-
-    /// Execution-interval statistics over the intervals `[lo, hi)`.
-    pub fn exec_stats(&self, states: StatesView<'_>, lo: usize, hi: usize) -> ExecStats {
-        #[derive(Default)]
-        struct Acc {
-            count: u64,
-            min: Option<u64>,
-            max: u64,
-        }
-        let mut acc = Acc::default();
-        self.fold(
-            states,
-            lo,
-            hi,
-            &mut acc,
-            &mut |acc, i| {
-                if states.is_exec(i) {
-                    let d = states.duration(i);
-                    acc.count += 1;
-                    acc.min = Some(acc.min.map_or(d, |m| m.min(d)));
-                    acc.max = acc.max.max(d);
-                }
-            },
-            &mut |acc, n| {
-                if n.exec_count > 0 {
-                    acc.count += n.exec_count;
-                    acc.min = Some(
-                        acc.min
-                            .map_or(n.min_exec_cycles, |m| m.min(n.min_exec_cycles)),
-                    );
-                    acc.max = acc.max.max(n.max_exec_cycles);
-                }
-            },
-        );
-        ExecStats {
-            count: acc.count,
-            min_cycles: acc.min.unwrap_or(0),
-            max_cycles: acc.max,
-        }
-    }
-
-    /// Execution cycles per task type over the intervals `[lo, hi)` (full durations),
-    /// ascending by type id.
-    pub fn type_cycles(
-        &self,
-        trace: &Trace,
-        states: StatesView<'_>,
-        lo: usize,
-        hi: usize,
-    ) -> Vec<(TaskTypeId, u64)> {
-        let mut acc: BTreeMap<TaskTypeId, u64> = BTreeMap::new();
-        self.fold(
-            states,
-            lo,
-            hi,
-            &mut acc,
-            &mut |acc, i| add_type_cycles(trace, states, i, states.duration(i), acc),
-            &mut add_type_cycles_node,
-        );
-        acc.into_iter().collect()
+        self.tree.nodes().map(PyramidNode::memory_bytes).sum()
     }
 
     /// Bytes accessed per NUMA node over the intervals `[lo, hi)` (attributed per
@@ -582,8 +443,8 @@ impl StatePyramid {
         self.numa_bytes_from(trace, trace, states, lo, hi, kind)
     }
 
-    /// [`StatePyramid::numa_bytes`] reading the raw edge intervals' accesses
-    /// through any [`AccessSource`] of `trace`.
+    /// [`StatePyramid::numa_bytes`] reading the raw runs' accesses through any
+    /// [`AccessSource`] of `trace`: [`Window::numa_bytes`] over the index range.
     pub fn numa_bytes_from<S: AccessSource + ?Sized>(
         &self,
         trace: &Trace,
@@ -593,100 +454,52 @@ impl StatePyramid {
         hi: usize,
         kind: AccessKind,
     ) -> Vec<(NumaNodeId, u64)> {
-        let accesses = trace.accesses();
-        let mut acc: BTreeMap<NumaNodeId, u64> = BTreeMap::new();
-        self.fold(
-            states,
-            lo,
-            hi,
-            &mut acc,
-            &mut |acc, i| {
-                if !states.is_exec(i) {
-                    return;
-                }
-                let Some(task) = states
-                    .task(i)
-                    .and_then(|id| trace.tasks().get(id.0 as usize))
-                else {
-                    return;
-                };
-                for row in source.rows_of(task.id) {
-                    if accesses.kind(row) != kind {
-                        continue;
-                    }
-                    if let Some(node) = source.node_of_row(row) {
-                        *acc.entry(node).or_insert(0) += accesses.size(row);
-                    }
-                }
-            },
-            &mut |acc, n| {
-                let per_node = match kind {
-                    AccessKind::Read => &n.node_read_bytes,
-                    AccessKind::Write => &n.node_write_bytes,
-                };
-                for &(node, b) in per_node.iter() {
-                    *acc.entry(node).or_insert(0) += b;
-                }
-            },
-        );
-        acc.into_iter().collect()
+        let hi = hi.min(states.len());
+        Window::over_range(Some(self), states, ALL_TIME, lo.min(hi), hi)
+            .numa_bytes(trace, source, kind)
     }
 
-    /// Updates `best` with the strongest execution-interval candidate in `[lo, hi)`,
-    /// exactly as the timeline's predominant-task scan would: candidates are visited
-    /// in stream order, count with their **full duration** (the range must only
-    /// contain intervals fully inside the query window) and replace the incumbent
-    /// only on a strictly larger value, so earlier candidates win ties.
-    ///
-    /// Subtrees are pruned when their `max_exec_cycles` cannot strictly beat the
-    /// incumbent, and — for filters restricted to task types — when none of their
-    /// types is admissible. `best` is `(covered_cycles, index into trace.tasks())`.
-    pub fn best_exec(
+    /// Updates `best` with the strongest candidate among the intervals `[lo, hi)` —
+    /// which must all lie fully inside the query window, since candidates count
+    /// with their full duration — under the rule of [`consider`], in stream order.
+    fn best_exec(
         &self,
         trace: &Trace,
         states: StatesView<'_>,
         filter: &TaskFilter,
-        lo: usize,
-        hi: usize,
+        (lo, hi): (usize, usize),
         best: &mut Option<(u64, usize)>,
     ) {
-        let hi = hi.min(self.num_intervals);
-        if lo >= hi {
-            return;
+        // Descend from the lowest level at which the range touches at most one
+        // group of nodes, not from the root: a range over three leaves is three
+        // node visits, whatever the height of the tree.
+        let fanout = self.fanout();
+        let (mut level, mut nodes) = (0, (lo / fanout, hi.div_ceil(fanout)));
+        while nodes.1 - nodes.0 > fanout {
+            (level, nodes) = (level + 1, (nodes.0 / fanout, nodes.1.div_ceil(fanout)));
         }
-        if self.levels.is_empty() {
-            best_exec_scan(trace, states, filter, lo, hi, best);
-            return;
-        }
-        // For the unrestricted filter a fully covered node answers in O(1) from its
-        // precomputed candidate; checked once here, not per node.
         let unfiltered = filter.is_empty();
-        let top = self.levels.len() - 1;
         self.best_exec_nodes(
             trace,
             states,
             filter,
             unfiltered,
-            top,
-            0,
-            self.levels[top].len(),
-            lo,
-            hi,
+            level,
+            nodes,
+            (lo, hi),
             best,
         );
     }
 
-    /// Number of raw intervals covered by one node of `level`.
-    fn node_span(&self, level: usize) -> usize {
-        // fanout^(level + 1), saturating: a saturated span simply means "covers the
-        // whole stream", which keeps the clipping below correct.
-        let mut span = self.fanout;
-        for _ in 0..level {
-            span = span.saturating_mul(self.fanout);
-        }
-        span
-    }
-
+    /// [`StatePyramid::best_exec`] over the nodes `[node_lo, node_hi)` of `level`,
+    /// clipped to the items `[lo, hi)`.
+    ///
+    /// A subtree is skipped when its longest execution cannot strictly beat the
+    /// incumbent, and — for filters restricted to task types — when none of its
+    /// types is admissible; when every task is admissible (`unfiltered`, checked
+    /// once per query) a fully covered node answers in O(1) from its precomputed
+    /// candidate, which IS the scan result for its subtree (earliest maximum). What
+    /// is left of a partly covered leaf is a raw run.
     #[allow(clippy::too_many_arguments)]
     fn best_exec_nodes(
         &self,
@@ -695,36 +508,25 @@ impl StatePyramid {
         filter: &TaskFilter,
         unfiltered: bool,
         level: usize,
-        node_lo: usize,
-        node_hi: usize,
-        lo: usize,
-        hi: usize,
+        (node_lo, node_hi): (usize, usize),
+        (lo, hi): (usize, usize),
         best: &mut Option<(u64, usize)>,
     ) {
-        let span = self.node_span(level);
-        let nodes = &self.levels[level];
-        let node_hi = node_hi.min(nodes.len());
+        // Raw intervals per node of `level` and of the level below. Saturating: a
+        // saturated span means "covers the whole stream", which clips correctly.
+        let child_span = self.tree.fanout().saturating_pow(level as u32);
+        let span = child_span.saturating_mul(self.tree.fanout());
+        let nodes = self.tree.level(level);
         for (idx, node) in nodes.iter().enumerate().take(node_hi).skip(node_lo) {
             let cover_lo = idx.saturating_mul(span);
-            let cover_hi = cover_lo.saturating_add(span).min(self.num_intervals);
-            let clip_lo = cover_lo.max(lo);
-            let clip_hi = cover_hi.min(hi);
-            if clip_lo >= clip_hi {
+            let cover_hi = cover_lo.saturating_add(span).min(self.tree.len());
+            let (clip_lo, clip_hi) = (cover_lo.max(lo), cover_hi.min(hi));
+            if clip_lo >= clip_hi || !beats(best, node.exec.max_cycles) {
                 continue;
             }
-            // A candidate must strictly beat the incumbent (and cover > 0 cycles).
-            let threshold = best.map_or(0, |(cycles, _)| cycles);
-            if node.max_exec_cycles <= threshold {
-                continue;
-            }
-            if unfiltered && clip_lo == cover_lo && clip_hi == cover_hi {
-                // Fully covered and every task admissible: the node's precomputed
-                // candidate IS the scan result for this subtree (earliest maximum),
-                // so neither descent nor leaf scanning can change the outcome.
-                if let Some((cycles, task_idx)) = node.best_candidate {
-                    if cycles > threshold {
-                        *best = Some((cycles, task_idx));
-                    }
+            if unfiltered && (clip_lo, clip_hi) == (cover_lo, cover_hi) {
+                if let Some(candidate) = node.best_candidate.filter(|c| beats(best, c.0)) {
+                    *best = Some(candidate);
                 }
                 continue;
             }
@@ -734,19 +536,18 @@ impl StatePyramid {
                 }
             }
             if level == 0 {
-                best_exec_scan(trace, states, filter, clip_lo, clip_hi, best);
+                consider_run(trace, states, filter, clip_lo, clip_hi, best);
             } else {
-                let child_span = self.node_span(level - 1);
+                let children = (clip_lo / child_span, clip_hi.div_ceil(child_span));
+                let clip = (clip_lo, clip_hi);
                 self.best_exec_nodes(
                     trace,
                     states,
                     filter,
                     unfiltered,
                     level - 1,
-                    clip_lo / child_span,
-                    clip_hi.div_ceil(child_span),
-                    clip_lo,
-                    clip_hi,
+                    children,
+                    clip,
                     best,
                 );
             }
@@ -754,246 +555,237 @@ impl StatePyramid {
     }
 }
 
-/// The leaf-level predominant-task predicate: identical to the timeline scan, with
-/// each interval's full duration as its covered cycles. The one-byte state lane is
-/// gated by a wide tag-match kernel ([`kernels::for_each_tag_match`]), which visits
-/// matches in ascending stream order — the order the strict-improvement rule
-/// (earliest maximum wins) depends on.
-fn best_exec_scan(
-    trace: &Trace,
-    states: StatesView<'_>,
-    filter: &TaskFilter,
-    lo: usize,
-    hi: usize,
-    best: &mut Option<(u64, usize)>,
-) {
-    let tags = states.slice(lo, hi).state_tags();
-    kernels::for_each_tag_match(tags, WorkerState::TaskExecution as u8, |off| {
-        let i = lo + off;
-        let Some(task_id) = states.task(i) else {
-            return;
-        };
-        let idx = task_id.0 as usize;
-        let Some(task) = trace.tasks().get(idx) else {
-            return;
-        };
-        if !filter.matches(trace, task) {
-            return;
-        }
-        let covered = states.duration(i);
-        if covered == 0 {
-            return;
-        }
-        if best.map(|(c, _)| covered > c).unwrap_or(true) {
-            *best = Some((covered, idx));
-        }
-    });
-}
-
 /// The state intervals of a sorted, non-overlapping stream that overlap `interval`,
 /// as an index range `[first, last)` — the overlap convention lives in
 /// [`crate::index::states_overlapping_range`]; this is its pyramid-side name.
 pub use crate::index::states_overlapping_range as overlap_range;
 
-/// Folds an overlap index range `[first, last)` (as produced by [`overlap_range`])
-/// into `acc`, splitting it the one correct way: only the first and the last
-/// interval of the range can cross the window's edges, so those two go through
-/// `edge` (which must clip); everything between is fully contained and resolves
-/// through pyramid `node`s where available, or through `item` on the raw stream.
-/// `edge` and `item` receive interval **indices** into the stream view.
+/// The window that cuts no interval: an index range reduced as it stands.
+const ALL_TIME: TimeInterval = TimeInterval {
+    start: aftermath_trace::Timestamp(0),
+    end: aftermath_trace::Timestamp(u64::MAX),
+};
+
+/// The part of one CPU's state stream a time window overlaps, ready to be reduced:
+/// the one function family behind every timeline cell and every
+/// [`crate::IntervalQuery`] aggregate (see the module docs).
 ///
-/// Every window aggregate (state cycles, exec stats, per-type cycles, NUMA bytes)
-/// shares this skeleton so the subtle edge/middle arithmetic lives in exactly one
-/// place.
-#[allow(clippy::too_many_arguments)]
-pub fn fold_window<A>(
-    pyramid: Option<&StatePyramid>,
-    states: StatesView<'_>,
+/// Passing no pyramid reduces every window by the scan alone; the answers are the
+/// same bit for bit, which is what [`crate::TimelineEngine::Scan`] and the
+/// equivalence suites rest on.
+#[derive(Debug, Clone, Copy)]
+pub struct Window<'a> {
+    states: StatesView<'a>,
+    interval: TimeInterval,
+    /// The overlap range `[first, last)`: only `first` and `last - 1` can cross the
+    /// window's edges.
     first: usize,
     last: usize,
-    acc: &mut A,
-    edge: &mut impl FnMut(&mut A, usize),
-    item: &mut impl FnMut(&mut A, usize),
-    node: &mut impl FnMut(&mut A, &PyramidNode),
-) {
-    if first >= last {
-        return;
+    /// The pyramid — when there is one and the fully covered middle
+    /// `[first + 1, last - 1)` holds a whole level-0 node of it.
+    pyramid: Option<&'a StatePyramid>,
+}
+
+impl<'a> Window<'a> {
+    /// The window `interval` cuts out of `states`. `pyramid`, when given, must be
+    /// built over exactly `states`.
+    pub fn new(
+        pyramid: Option<&'a StatePyramid>,
+        states: StatesView<'a>,
+        interval: TimeInterval,
+    ) -> Self {
+        let (first, last) = overlap_range(states, interval);
+        Self::over_range(pyramid, states, interval, first, last)
     }
-    edge(acc, first);
-    if last - first >= 2 {
-        edge(acc, last - 1);
+
+    fn over_range(
+        pyramid: Option<&'a StatePyramid>,
+        states: StatesView<'a>,
+        interval: TimeInterval,
+        first: usize,
+        last: usize,
+    ) -> Self {
+        let mut window = Window {
+            states,
+            interval,
+            first,
+            last,
+            pyramid,
+        };
+        let (lo, hi) = window.middle();
+        window.pyramid = pyramid.filter(|pyramid| {
+            debug_assert_eq!(states.len(), pyramid.num_intervals());
+            pyramid.tree.holds_whole_node(lo, hi)
+        });
+        window
     }
-    if last - first > 2 {
-        match pyramid {
-            Some(p) => p.fold(states, first + 1, last - 1, acc, item, node),
-            None => {
-                for i in first + 1..last - 1 {
-                    item(acc, i);
+
+    /// The fully covered middle of the overlap range: everything between the two
+    /// edge intervals (possibly empty, `lo >= hi`).
+    fn middle(&self) -> (usize, usize) {
+        (self.first + 1, self.last.saturating_sub(1))
+    }
+
+    /// Whether reducing this window reads pyramid nodes: there is a pyramid and the
+    /// fully covered middle holds a whole level-0 node of it. Otherwise the window
+    /// is reduced from raw intervals alone, exactly as without a pyramid.
+    pub fn reads_nodes(&self) -> bool {
+        self.pyramid.is_some()
+    }
+
+    /// The intervals that may cross the window's edges and must be clipped.
+    fn edges(&self) -> impl Iterator<Item = usize> {
+        let (first, last) = (self.first, self.last);
+        let front = (first < last).then_some(first);
+        front
+            .into_iter()
+            .chain((first + 1 < last).then(|| last - 1))
+    }
+
+    /// Hands `f` the intervals `[lo, hi)` — all fully inside the window — as one
+    /// raw run, or as the level tree splits them when the window reads nodes.
+    fn fold(&self, lo: usize, hi: usize, mut f: impl FnMut(Span<'a, PyramidNode>)) {
+        match self.pyramid {
+            Some(pyramid) => pyramid.tree.fold(lo, hi, f),
+            None if lo < hi => f(Span::Items(lo, hi)),
+            None => {}
+        }
+    }
+
+    /// [`Window::fold`] over the fully covered middle.
+    fn fold_middle(&self, f: impl FnMut(Span<'a, PyramidNode>)) {
+        let (lo, hi) = self.middle();
+        self.fold(lo, hi, f);
+    }
+
+    /// Cycles each worker state covers inside the window (edges clipped), indexed
+    /// by [`WorkerState::index`].
+    pub fn state_cycles(&self) -> [u64; WorkerState::COUNT] {
+        let states = self.states;
+        let mut cycles = [0u64; WorkerState::COUNT];
+        for i in self.edges() {
+            cycles[states.state_index(i)] += states.interval(i).overlap_cycles(&self.interval);
+        }
+        self.fold_middle(|span| match span {
+            Span::Items(lo, hi) => add_state_run(states, lo, hi, &mut cycles),
+            Span::Node(node) => {
+                for (cycles, &c) in cycles.iter_mut().zip(&node.state_cycles) {
+                    *cycles += c;
                 }
             }
-        }
+        });
+        cycles
     }
-}
 
-/// Cycles per worker state inside `interval`, clipped, over the overlap index range
-/// `[first, last)`.
-///
-/// Resolves the fully covered middle through `pyramid` when available, and by a raw
-/// scan otherwise; both produce bit-identical sums.
-pub fn state_cycles_in_range(
-    pyramid: Option<&StatePyramid>,
-    states: StatesView<'_>,
-    interval: TimeInterval,
-    first: usize,
-    last: usize,
-) -> [u64; WorkerState::COUNT] {
-    let mut cycles = [0u64; WorkerState::COUNT];
-    fold_window(
-        pyramid,
-        states,
-        first,
-        last,
-        &mut cycles,
-        &mut |c, i| c[states.state_index(i)] += states.interval(i).overlap_cycles(&interval),
-        &mut |c, i| c[states.state_index(i)] += states.duration(i),
-        &mut |c, n| {
-            for (acc, &v) in c.iter_mut().zip(&n.state_cycles) {
-                *acc += v;
+    /// The worker state covering the largest part of the window, if any: the
+    /// largest of [`Window::state_cycles`], the last state index winning ties.
+    pub fn predominant_state(&self) -> Option<WorkerState> {
+        let cycles = self.state_cycles();
+        let busiest = cycles.iter().enumerate().filter(|(_, &c)| c > 0);
+        busiest
+            .max_by_key(|(_, &c)| c)
+            .and_then(|(i, _)| WorkerState::from_index(i))
+    }
+
+    /// The index (into `trace.tasks()`) of the execution interval covering the
+    /// largest part of the window, among the tasks `filter` accepts; candidates are
+    /// visited in stream order under the one rule of the module docs, so the
+    /// earliest maximum wins.
+    pub fn predominant_task(&self, trace: &Trace, filter: &TaskFilter) -> Option<usize> {
+        let Window {
+            states,
+            first,
+            last,
+            ..
+        } = *self;
+        let mut best = None;
+        let edge = |i: usize, best: &mut Option<(u64, usize)>| {
+            if states.is_exec(i) {
+                let cycles = states.interval(i).overlap_cycles(&self.interval);
+                consider(trace, states, Some(filter), i, cycles, best);
             }
-        },
-    );
-    cycles
-}
-
-/// Adds one interval's contribution (`cycles`, already clipped or full as the
-/// caller decides) to a per-task-type accumulator — the single definition of which
-/// execution intervals count towards type cycles.
-fn add_type_cycles(
-    trace: &Trace,
-    states: StatesView<'_>,
-    i: usize,
-    cycles: u64,
-    acc: &mut BTreeMap<TaskTypeId, u64>,
-) {
-    if !states.is_exec(i) {
-        return;
-    }
-    if let Some(task) = states
-        .task(i)
-        .and_then(|id| trace.tasks().get(id.0 as usize))
-    {
-        *acc.entry(task.task_type).or_insert(0) += cycles;
-    }
-}
-
-/// Adds one pyramid node's per-type totals to the accumulator.
-fn add_type_cycles_node(acc: &mut BTreeMap<TaskTypeId, u64>, n: &PyramidNode) {
-    for &(ty, c) in n.type_cycles.iter() {
-        *acc.entry(ty).or_insert(0) += c;
-    }
-}
-
-/// Execution cycles per task type inside `interval` (edges clipped), over the
-/// overlap index range `[first, last)`; zero entries are dropped.
-pub fn type_cycles_in_range(
-    pyramid: Option<&StatePyramid>,
-    trace: &Trace,
-    states: StatesView<'_>,
-    interval: TimeInterval,
-    first: usize,
-    last: usize,
-) -> Vec<(TaskTypeId, u64)> {
-    let mut acc: BTreeMap<TaskTypeId, u64> = BTreeMap::new();
-    fold_window(
-        pyramid,
-        states,
-        first,
-        last,
-        &mut acc,
-        &mut |acc, i| {
-            add_type_cycles(
-                trace,
-                states,
-                i,
-                states.interval(i).overlap_cycles(&interval),
-                acc,
-            )
-        },
-        &mut |acc, i| add_type_cycles(trace, states, i, states.duration(i), acc),
-        &mut add_type_cycles_node,
-    );
-    acc.into_iter().filter(|&(_, v)| v > 0).collect()
-}
-
-/// The worker state covering the largest part of `interval`, from
-/// [`state_cycles_in_range`]; the tie rule (largest cycles, last state index wins)
-/// matches the timeline scan's `max_by_key`.
-pub fn predominant_state_in_range(
-    pyramid: Option<&StatePyramid>,
-    states: StatesView<'_>,
-    interval: TimeInterval,
-    first: usize,
-    last: usize,
-) -> Option<WorkerState> {
-    let cycles = state_cycles_in_range(pyramid, states, interval, first, last);
-    cycles
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .max_by_key(|(_, &c)| c)
-        .and_then(|(i, _)| WorkerState::from_index(i))
-}
-
-/// The index (into `trace.tasks()`) of the execution interval covering the largest
-/// part of `interval`, over the overlap index range `[first, last)`; candidates are
-/// considered in stream order with strict improvement (earliest maximum wins),
-/// exactly like the timeline scan.
-pub fn predominant_task_in_range(
-    pyramid: Option<&StatePyramid>,
-    trace: &Trace,
-    states: StatesView<'_>,
-    filter: &TaskFilter,
-    interval: TimeInterval,
-    first: usize,
-    last: usize,
-) -> Option<usize> {
-    if first >= last {
-        return None;
-    }
-    let mut best: Option<(u64, usize)> = None;
-    let consider = |i: usize, best: &mut Option<(u64, usize)>| {
-        if !states.is_exec(i) {
-            return;
-        }
-        let Some(task_id) = states.task(i) else {
-            return;
         };
-        let idx = task_id.0 as usize;
-        let Some(task) = trace.tasks().get(idx) else {
-            return;
+        let (lo, hi) = self.middle();
+        if first < last {
+            edge(first, &mut best);
+        }
+        match self.pyramid {
+            Some(pyramid) => pyramid.best_exec(trace, states, filter, (lo, hi), &mut best),
+            None if lo < hi => consider_run(trace, states, filter, lo, hi, &mut best),
+            None => {}
+        }
+        if first + 1 < last {
+            edge(last - 1, &mut best);
+        }
+        best.map(|(_, task)| task)
+    }
+
+    /// Execution cycles per task type inside the window (edges clipped), ascending
+    /// by type id; zero entries are dropped.
+    pub fn type_cycles(&self, trace: &Trace) -> Vec<(TaskTypeId, u64)> {
+        let states = self.states;
+        let mut acc = BTreeMap::new();
+        let add = |acc: &mut BTreeMap<TaskTypeId, u64>, i: usize, cycles: u64| {
+            if let Some((_, task)) = task_of(trace, states, i) {
+                *acc.entry(task.task_type).or_insert(0) += cycles;
+            }
         };
-        if !filter.matches(trace, task) {
-            return;
+        for i in self.edges().filter(|&i| states.is_exec(i)) {
+            let cycles = states.interval(i).overlap_cycles(&self.interval);
+            add(&mut acc, i, cycles);
         }
-        let overlap = states.interval(i).overlap_cycles(&interval);
-        if overlap == 0 {
-            return;
-        }
-        if best.map(|(o, _)| overlap > o).unwrap_or(true) {
-            *best = Some((overlap, idx));
-        }
-    };
-    consider(first, &mut best);
-    if last - first > 2 {
-        match pyramid {
-            Some(p) => p.best_exec(trace, states, filter, first + 1, last - 1, &mut best),
-            None => best_exec_scan(trace, states, filter, first + 1, last - 1, &mut best),
-        }
+        self.fold_middle(|span| match span {
+            Span::Items(lo, hi) => {
+                for_each_exec(states, lo, hi, |i| add(&mut acc, i, states.duration(i)));
+            }
+            Span::Node(node) => add_pairs(&mut acc, &node.type_cycles),
+        });
+        acc.into_iter().filter(|&(_, cycles)| cycles > 0).collect()
     }
-    if last - first >= 2 {
-        consider(last - 1, &mut best);
+
+    /// Count and min/max duration of the execution intervals overlapping the window
+    /// (full durations, each interval counted once: the edges are not clipped).
+    pub fn exec_stats(&self) -> ExecStats {
+        let states = self.states;
+        let mut stats = ExecStats::default();
+        self.fold(self.first, self.last, |span| match span {
+            Span::Items(lo, hi) => {
+                for_each_exec(states, lo, hi, |i| {
+                    stats.add(&ExecStats::of(states.duration(i)))
+                });
+            }
+            Span::Node(node) => stats.add(&node.exec),
+        });
+        stats
     }
-    best.map(|(_, idx)| idx)
+
+    /// Bytes accessed per NUMA node by the tasks of the execution intervals
+    /// overlapping the window, ascending by node id (attributed per execution
+    /// interval, full access totals: the edges are not clipped). `source` reads the
+    /// accesses of the raw runs' tasks.
+    pub fn numa_bytes<S: AccessSource + ?Sized>(
+        &self,
+        trace: &Trace,
+        source: &S,
+        kind: AccessKind,
+    ) -> Vec<(NumaNodeId, u64)> {
+        let states = self.states;
+        let mut acc = BTreeMap::new();
+        self.fold(self.first, self.last, |span| match span {
+            Span::Items(lo, hi) => for_each_exec(states, lo, hi, |i| {
+                let Some((_, task)) = task_of(trace, states, i) else {
+                    return;
+                };
+                for_each_access(trace, source, task, |k, node, bytes| {
+                    if k == kind {
+                        *acc.entry(node).or_insert(0) += bytes;
+                    }
+                });
+            }),
+            Span::Node(node) => add_pairs(&mut acc, node.node_bytes(kind)),
+        });
+        acc.into_iter().collect()
+    }
 }
 
 #[cfg(test)]
@@ -1001,7 +793,7 @@ mod tests {
     use super::*;
     use crate::index::states_overlapping;
     use crate::testutil::small_sim_trace;
-    use aftermath_trace::CpuId;
+    use aftermath_trace::{CpuId, MachineTopology, TaskId, Timestamp, TraceBuilder};
 
     fn pyramid_for(trace: &Trace, cpu: CpuId, fanout: usize) -> StatePyramid {
         StatePyramid::with_fanout(trace, trace.cpu(cpu).unwrap().states(), fanout)
@@ -1009,6 +801,16 @@ mod tests {
 
     fn states_of(trace: &Trace, cpu: CpuId) -> StatesView<'_> {
         trace.cpu(cpu).unwrap().states()
+    }
+
+    /// The index range `[lo, hi)` as a window that clips nothing.
+    fn range<'a>(
+        pyramid: Option<&'a StatePyramid>,
+        states: StatesView<'a>,
+        lo: usize,
+        hi: usize,
+    ) -> Window<'a> {
+        Window::over_range(pyramid, states, ALL_TIME, lo, hi)
     }
 
     #[test]
@@ -1023,7 +825,8 @@ mod tests {
             for i in lo..hi {
                 naive[states.state_index(i)] += states.duration(i);
             }
-            assert_eq!(pyramid.state_cycles(states, lo, hi), naive, "{lo}..{hi}");
+            let window = range(Some(&pyramid), states, lo, hi);
+            assert_eq!(window.state_cycles(), naive, "{lo}..{hi}");
         }
     }
 
@@ -1038,7 +841,7 @@ mod tests {
                 .filter(|&i| states.is_exec(i))
                 .map(|i| states.duration(i))
                 .collect();
-            let stats = pyramid.exec_stats(states, lo, hi);
+            let stats = range(Some(&pyramid), states, lo, hi).exec_stats();
             assert_eq!(stats.count as usize, execs.len());
             assert_eq!(stats.min_cycles, execs.iter().copied().min().unwrap_or(0));
             assert_eq!(stats.max_cycles, execs.iter().copied().max().unwrap_or(0));
@@ -1048,15 +851,15 @@ mod tests {
     #[test]
     fn best_exec_matches_scan_for_all_fanouts() {
         let trace = small_sim_trace();
+        let filter = TaskFilter::new();
         for fanout in [2, 3, 8, 64] {
             let pyramid = pyramid_for(&trace, CpuId(0), fanout);
             let states = states_of(&trace, CpuId(0));
             let n = states.len();
             for (lo, hi) in [(0, n), (1, n - 2), (n / 3, 2 * n / 3)] {
-                let mut expected = None;
-                best_exec_scan(&trace, states, &TaskFilter::new(), lo, hi, &mut expected);
-                let mut got = None;
-                pyramid.best_exec(&trace, states, &TaskFilter::new(), lo, hi, &mut got);
+                let expected = range(None, states, lo, hi).predominant_task(&trace, &filter);
+                let got = range(Some(&pyramid), states, lo, hi).predominant_task(&trace, &filter);
+                assert!(expected.is_some());
                 assert_eq!(got, expected, "fanout {fanout}, range {lo}..{hi}");
             }
         }
@@ -1070,12 +873,10 @@ mod tests {
         let ty = trace.task_types()[0].id;
         let filter = TaskFilter::new().with_task_type(ty);
         let n = states.len();
-        let mut expected = None;
-        best_exec_scan(&trace, states, &filter, 0, n, &mut expected);
-        let mut got = None;
-        pyramid.best_exec(&trace, states, &filter, 0, n, &mut got);
+        let expected = range(None, states, 0, n).predominant_task(&trace, &filter);
+        let got = range(Some(&pyramid), states, 0, n).predominant_task(&trace, &filter);
         assert_eq!(got, expected);
-        if let Some((_, idx)) = got {
+        if let Some(idx) = got {
             assert_eq!(trace.tasks()[idx].task_type, ty);
         }
     }
@@ -1107,10 +908,165 @@ mod tests {
         let pyramid = StatePyramid::build(&trace, empty);
         assert_eq!(pyramid.num_levels(), 0);
         assert_eq!(pyramid.memory_bytes(), 0);
-        assert_eq!(pyramid.state_cycles(empty, 0, 10), [0; WorkerState::COUNT]);
-        let mut best = None;
-        pyramid.best_exec(&trace, empty, &TaskFilter::new(), 0, 10, &mut best);
-        assert_eq!(best, None);
+        let window = Window::new(Some(&pyramid), empty, trace.time_bounds());
+        assert!(!window.reads_nodes());
+        assert_eq!(window.state_cycles(), [0; WorkerState::COUNT]);
+        assert_eq!(window.predominant_task(&trace, &TaskFilter::new()), None);
+        assert_eq!(window.exec_stats(), ExecStats::default());
+        let read = pyramid.numa_bytes(&trace, empty, 0, 10, AccessKind::Read);
+        assert_eq!(read, Vec::new());
+    }
+
+    /// One CPU, 70 back-to-back or gapped intervals: idle and other states,
+    /// executions of three task types (each reading from one node and sometimes
+    /// writing to the other), zero-duration intervals, and executions naming a
+    /// task the trace does not have.
+    fn mixed_stream() -> Trace {
+        let mut b = TraceBuilder::new(MachineTopology::uniform(2, 1));
+        let types: Vec<TaskTypeId> = (0..3)
+            .map(|i| b.add_task_type(format!("t{i}"), 0x100 + i))
+            .collect();
+        b.add_region(0x1_0000, 4096, Some(NumaNodeId(0)));
+        b.add_region(0x2_0000, 4096, Some(NumaNodeId(1)));
+        let cpu = CpuId(0);
+        let (mut now, mut x) = (10u64, 0x2545_f491_4f6c_dd1du64);
+        for i in 0..70u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Equal durations are frequent, so earliest-maximum ties are too.
+            let len = if i % 9 == 4 { 0 } else { 5 * (1 + x % 4) };
+            let (start, end) = (Timestamp(now), Timestamp(now + len));
+            match i % 5 {
+                0 | 2 | 3 => {
+                    let task = b.add_task(types[(x % 3) as usize], cpu, start, start, end);
+                    let addr = if x & 8 == 0 { 0x1_0000 } else { 0x2_0000 };
+                    b.add_access(task, AccessKind::Read, addr, 64 + x % 64)
+                        .unwrap();
+                    if x & 16 == 0 {
+                        b.add_access(task, AccessKind::Write, 0x3_0000 - addr, 32)
+                            .unwrap();
+                    }
+                    let named = if i % 15 == 3 {
+                        TaskId(10_000 + i)
+                    } else {
+                        task
+                    };
+                    b.add_state(cpu, WorkerState::TaskExecution, start, end, Some(named))
+                        .unwrap();
+                }
+                1 => b
+                    .add_state(cpu, WorkerState::Idle, start, end, None)
+                    .unwrap(),
+                _ => {
+                    let state = WorkerState::from_index((x % 5) as usize).unwrap();
+                    let state = match state {
+                        WorkerState::TaskExecution => WorkerState::Idle,
+                        other => other,
+                    };
+                    b.add_state(cpu, state, start, end, None).unwrap();
+                }
+            }
+            now += len + if i % 4 == 0 { 3 } else { 0 };
+        }
+        b.finish().unwrap()
+    }
+
+    /// Ground truth for the two timeline reductions, with none of the machinery
+    /// under test: every interval of the stream is clipped against the window.
+    fn naive(
+        trace: &Trace,
+        states: StatesView<'_>,
+        iv: TimeInterval,
+        filter: &TaskFilter,
+    ) -> ([u64; WorkerState::COUNT], Option<usize>) {
+        let mut cycles = [0u64; WorkerState::COUNT];
+        let mut best: Option<(u64, usize)> = None;
+        for i in 0..states.len() {
+            let overlap = states.interval(i).overlap_cycles(&iv);
+            cycles[states.state_index(i)] += overlap;
+            let task = states.task(i).filter(|_| states.is_exec(i));
+            let Some(task) = task.and_then(|id| trace.tasks().get(id.0 as usize)) else {
+                continue;
+            };
+            if filter.matches(trace, task) && overlap > best.map_or(0, |(o, _)| o) {
+                best = Some((overlap, task.id.0 as usize));
+            }
+        }
+        (cycles, best.map(|(_, task)| task))
+    }
+
+    #[test]
+    fn every_window_reduces_alike_with_and_without_a_pyramid() {
+        let trace = mixed_stream();
+        let states = states_of(&trace, CpuId(0));
+        assert_eq!(states.len(), 70);
+        assert!((0..70).any(|i| states.is_exec(i) && task_of(&trace, states, i).is_none()));
+        // Every interval start and end and the cycle after each (inside an
+        // interval, or inside the gap that follows one), and beyond both ends.
+        let mut cuts: Vec<u64> = (0..70)
+            .flat_map(|i| [states.start_cycles(i), states.end_cycles(i)])
+            .flat_map(|t| [t, t + 1])
+            .chain([0, 10_000])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let filters = [
+            TaskFilter::new(),
+            TaskFilter::new().with_task_type(trace.task_types()[1].id),
+            TaskFilter::new().with_min_duration(u64::MAX),
+        ];
+        let pyramids = [2, 3, 5, 32].map(|fanout| pyramid_for(&trace, CpuId(0), fanout));
+        let mut branches = [(0usize, 0usize); 4];
+        for (k, &start) in cuts.iter().enumerate() {
+            for &end in &cuts[k + 1..] {
+                let iv = TimeInterval::from_cycles(start, end);
+                // Without a pyramid: the truth, where it is cheap to state.
+                let scan = Window::new(None, states, iv);
+                assert!(!scan.reads_nodes());
+                let tasks = filters.each_ref().map(|f| scan.predominant_task(&trace, f));
+                for (filter, &task) in filters.iter().zip(&tasks) {
+                    let truth = naive(&trace, states, iv, filter);
+                    assert_eq!((scan.state_cycles(), task), truth, "{iv}, {filter:?}");
+                }
+                assert_eq!(tasks[2], None, "the last filter rejects every task");
+                let (first, last) = overlap_range(states, iv);
+                for (pyramid, (with_nodes, without)) in pyramids.iter().zip(&mut branches) {
+                    let fanout = pyramid.fanout();
+                    let window = Window::new(Some(pyramid), states, iv);
+                    let at = format!("fanout {fanout}, {iv}");
+                    // Nodes are read exactly when a whole level-0 node lies between
+                    // the two edge intervals.
+                    let whole =
+                        (0..70 / fanout).any(|k| first < k * fanout && (k + 1) * fanout < last);
+                    assert_eq!(window.reads_nodes(), whole, "{at}");
+                    match whole {
+                        true => *with_nodes += 1,
+                        false => *without += 1,
+                    }
+                    assert_eq!(window.state_cycles(), scan.state_cycles(), "{at}");
+                    assert_eq!(window.predominant_state(), scan.predominant_state(), "{at}");
+                    for (filter, &task) in filters.iter().zip(&tasks) {
+                        let got = window.predominant_task(&trace, filter);
+                        assert_eq!(got, task, "{at}, {filter:?}");
+                    }
+                    assert_eq!(window.type_cycles(&trace), scan.type_cycles(&trace), "{at}");
+                    assert_eq!(window.exec_stats(), scan.exec_stats(), "{at}");
+                    for kind in [AccessKind::Read, AccessKind::Write] {
+                        assert_eq!(
+                            window.numa_bytes(&trace, &trace, kind),
+                            scan.numa_bytes(&trace, &trace, kind),
+                            "{at}, {kind:?}"
+                        );
+                    }
+                }
+            }
+        }
+        for (with_nodes, without) in branches {
+            assert!(with_nodes > 0 && without > 0, "one branch went untested");
+        }
+        let whole = Window::new(None, states, trace.time_bounds());
+        assert!(whole.predominant_task(&trace, &filters[0]).is_some());
     }
 
     #[test]

@@ -17,10 +17,10 @@ use crate::counters::counter_delta_for_task;
 use crate::error::AnalysisError;
 use crate::filter::TaskFilter;
 use crate::index::{samples_in, states_overlapping, value_at, CounterIndex};
-use crate::pyramid::{overlap_range, ExecStats, StatePyramid, DEFAULT_PYRAMID_FANOUT};
+use crate::pyramid::{ExecStats, StatePyramid, Window, DEFAULT_PYRAMID_FANOUT};
 use crate::shared::CacheStats;
 use crate::taskgraph::TaskGraph;
-use crate::timeline::{CostModel, EngineDecision, TimelineEngine, TimelineMode, TimelineModel};
+use crate::timeline::{EngineDecision, TimelineEngine, TimelineMode, TimelineModel};
 
 /// An analysis session over one trace.
 ///
@@ -66,10 +66,10 @@ pub struct AnalysisSession<'t> {
     /// all at once by [`AnalysisSession::prewarm`].
     pyramids: Vec<OnceLock<Arc<StatePyramid>>>,
     task_graph: OnceLock<TaskGraph>,
-    /// The result caches, the cost model and the access index: the state a
-    /// longer-lived owner shares with every view it hands out.
+    /// The result caches and the access index: the state a longer-lived owner
+    /// shares with every view it hands out.
     handles: SessionHandles,
-    /// Ordered log of the adaptive engine's per-frame resolutions
+    /// Ordered log of the frames built with the default engine
     /// ([`AnalysisSession::engine_decisions`]).
     engine_log: Mutex<Vec<EngineDecision>>,
     /// The lint summary of the trace this session analyses, when it went through
@@ -101,9 +101,6 @@ struct SessionHandles {
     anomaly_cache: Arc<SharedCache<AnomalyConfig, AnomalyReport>>,
     /// Timeline models per viewport.
     timeline_cache: Arc<SharedCache<TimelineKey, TimelineModel>>,
-    /// The adaptive timeline engine's measured cost model, calibrated lazily on
-    /// first use. The constants describe the machine, not the data.
-    cost_model: Arc<OnceLock<CostModel>>,
     /// The access index ([`crate::access_index`]), built on first use — by
     /// [`AnalysisSession::prewarm`], a pyramid build, a NUMA-mode frame or a
     /// whole-trace NUMA analysis — over the task and access tables as they are
@@ -112,13 +109,11 @@ struct SessionHandles {
 }
 
 impl SessionHandles {
-    /// Empty caches at the session's default capacities, nothing calibrated or
-    /// indexed yet.
+    /// Empty caches at the session's default capacities, nothing indexed yet.
     fn new() -> Self {
         SessionHandles {
             anomaly_cache: Arc::new(SharedCache::new(AnalysisSession::ANOMALY_CACHE_CAPACITY)),
             timeline_cache: Arc::new(SharedCache::new(AnalysisSession::TIMELINE_CACHE_CAPACITY)),
-            cost_model: Arc::new(OnceLock::new()),
             access_index: Arc::new(OnceLock::new()),
         }
     }
@@ -140,7 +135,7 @@ pub enum Need {
         /// The visible interval.
         interval: TimeInterval,
         /// The scan engine reads only the block runs overlapping `interval`;
-        /// the others read whole lanes and build pyramids over them.
+        /// the others read whole lanes and keep pyramids over them.
         engine: TimelineEngine,
     },
     /// Interval-query aggregates over every table.
@@ -155,8 +150,8 @@ pub enum Need {
 /// What every long-lived owner of a trace — [`crate::SharedSession`],
 /// [`crate::StoreSession`], [`crate::live::LiveSession`] — keeps between the
 /// [`AnalysisSession`] views it hands out: the index shards built so far, the
-/// result caches, cost model and access index every view shares, and counters of
-/// what was built and what was re-used.
+/// result caches and access index every view shares, and counters of what was
+/// built and what was re-used.
 ///
 /// Shards hold absolute row indices into their lane, so [`SessionState::view`]
 /// seeds a shard only while the owner calls its lane `usable` (a store: fully
@@ -195,8 +190,8 @@ impl SessionState {
         }
     }
 
-    /// A view over `trace` sharing the result caches and the cost model, seeded
-    /// with every kept shard whose lane is `usable`, and with the kept access
+    /// A view over `trace` sharing the result caches, seeded with every kept
+    /// shard whose lane is `usable`, and with the kept access
     /// index while `Tasks` and `Accesses` both are (an empty throwaway slot
     /// otherwise). Costs `O(kept shards)` `Arc` clones; whatever is not seeded
     /// stays lazy exactly like in [`AnalysisSession::new`].
@@ -264,13 +259,10 @@ impl SessionState {
     }
 
     /// Forgets everything derived from the trace's data — cached results and the
-    /// access index — when a live epoch appends to it. The cost model describes
-    /// the machine and stays; the shards are the live session's to maintain.
+    /// access index — when a live epoch appends to it. The shards are the live
+    /// session's to maintain.
     pub(crate) fn invalidate_data(&mut self) {
-        self.handles = SessionHandles {
-            cost_model: Arc::clone(&self.handles.cost_model),
-            ..SessionHandles::new()
-        };
+        self.handles = SessionHandles::new();
     }
 }
 
@@ -633,67 +625,19 @@ impl<'t> AnalysisSession<'t> {
         IndexedAccesses::new(self.access_index(), self.trace)
     }
 
-    /// The adaptive timeline engine's cost model, calibrated on first use by
-    /// timing short probe queries against this session's own streams
-    /// ([`CostModel::calibrate`]) and then persisted for the session's lifetime
-    /// like the pyramid shards.
-    pub fn cost_model(&self) -> CostModel {
-        *self
-            .handles
-            .cost_model
-            .get_or_init(|| CostModel::calibrate(self))
-    }
-
-    /// Installs a pre-computed cost model, skipping calibration. Returns `false`
-    /// if a model was already calibrated or installed (the existing model wins,
-    /// mirroring [`OnceLock`] semantics).
-    ///
-    /// Intended for tests and benchmarks that need deterministic — or
-    /// deliberately wrong — predictions; see `CostModel::from_timings`.
-    pub fn install_cost_model(&self, model: CostModel) -> bool {
-        self.handles.cost_model.set(model).is_ok()
-    }
-
-    /// Resolves [`TimelineEngine::Adaptive`] for one frame: counts the state
-    /// intervals overlapping `interval` across all CPUs, asks the session's
-    /// [`CostModel`] to predict both engines, and records the decision in the
-    /// log returned by [`AnalysisSession::engine_decisions`].
-    pub fn choose_engine(
-        &self,
-        mode: TimelineMode,
-        interval: TimeInterval,
-        columns: usize,
-    ) -> TimelineEngine {
-        let model = self.cost_model();
-        let topology = self.trace.topology();
-        let overlapping_events: usize = topology
-            .cpu_ids()
-            .map(|cpu| states_overlapping(self.states(cpu), interval).len())
-            .sum();
-        let cells = columns * topology.num_cpus().max(1);
-        let (predicted_scan_seconds, predicted_pyramid_seconds) =
-            model.predict(mode, overlapping_events, cells);
-        let engine = model.choose(mode, overlapping_events, cells);
-        let decision = EngineDecision {
-            mode,
-            interval,
-            columns,
-            overlapping_events,
-            predicted_scan_seconds,
-            predicted_pyramid_seconds,
-            engine,
-        };
+    /// Logs one frame built with the default engine
+    /// ([`crate::TimelineModel::build_with_engine`]).
+    pub(crate) fn record_engine(&self, decision: EngineDecision) {
         self.engine_log
             .lock()
             .expect("engine log poisoned")
             .push(decision);
-        engine
     }
 
-    /// The adaptive engine's decision log: one entry per
-    /// [`TimelineEngine::Adaptive`] frame actually built (cache hits in
-    /// [`AnalysisSession::timeline_filtered`] resolve no engine and log
-    /// nothing), in build order.
+    /// One entry per [`TimelineEngine::Adaptive`] (default-engine) frame actually
+    /// built on this session, in build order (cache hits in
+    /// [`AnalysisSession::timeline_filtered`] build no frame and log nothing):
+    /// whether any of its cells read pyramid nodes, or all were reduced by the scan.
     pub fn engine_decisions(&self) -> Vec<EngineDecision> {
         self.engine_log.lock().expect("engine log poisoned").clone()
     }
@@ -1092,17 +1036,15 @@ impl<'t> AnalysisSession<'t> {
     }
 }
 
-/// One interval query over an [`AnalysisSession`]: the unified entry point for the
-/// per-cell reductions of the timeline and for aggregate statistics over arbitrary
-/// time windows, answered from the multi-resolution pyramid ([`crate::pyramid`]) in
-/// `O(fanout · log n)` instead of scanning every event in the window.
+/// One interval query over an [`AnalysisSession`]: aggregate statistics and
+/// predominance over an arbitrary time window, per CPU, through the same window
+/// reduction as the timeline's cells ([`Window`]) — `O(fanout · log n)` from the
+/// multi-resolution pyramid where the window is wide, a scan of the covered
+/// intervals where it is narrow.
 ///
-/// Per-CPU state streams are sorted and non-overlapping, so only the first and last
-/// interval overlapping the window can cross its edges; every query handles those
-/// two directly on the raw stream (with exact overlap clipping) and resolves the
-/// fully covered middle from pyramid nodes. All aggregates are integer sums, so the
-/// results are bit-identical to a raw scan — including predominance ties, which are
-/// resolved in stream order exactly like the scan loop.
+/// All aggregates are integer sums, so the results are bit-identical to a raw scan —
+/// including predominance ties, which are resolved in stream order exactly like the
+/// scan loop.
 #[derive(Debug, Clone, Copy)]
 pub struct IntervalQuery<'s, 't> {
     session: &'s AnalysisSession<'t>,
@@ -1115,38 +1057,22 @@ impl<'s, 't> IntervalQuery<'s, 't> {
         self.interval
     }
 
-    /// The index range of `cpu`'s state intervals overlapping the window, plus the
-    /// stream itself.
-    fn overlap(&self, cpu: CpuId) -> (StatesView<'t>, usize, usize) {
+    /// The window on `cpu`'s state stream, with the CPU's pyramid.
+    fn window(&self, cpu: CpuId) -> Window<'s> {
         let states = self.session.states(cpu);
-        let (first, last) = overlap_range(states, self.interval);
-        (states, first, last)
+        Window::new(self.session.pyramid(cpu), states, self.interval)
     }
 
     /// Cycles each worker state covers inside the window on `cpu` (clipped to the
     /// window), indexed by [`WorkerState::index`].
     pub fn state_cycles(&self, cpu: CpuId) -> [u64; WorkerState::COUNT] {
-        let (states, first, last) = self.overlap(cpu);
-        crate::pyramid::state_cycles_in_range(
-            self.session.pyramid(cpu),
-            states,
-            self.interval,
-            first,
-            last,
-        )
+        self.window(cpu).state_cycles()
     }
 
     /// The worker state covering the largest part of the window on `cpu`, if any
     /// (the timeline's state mode).
     pub fn predominant_state(&self, cpu: CpuId) -> Option<WorkerState> {
-        let (states, first, last) = self.overlap(cpu);
-        crate::pyramid::predominant_state_in_range(
-            self.session.pyramid(cpu),
-            states,
-            self.interval,
-            first,
-            last,
-        )
+        self.window(cpu).predominant_state()
     }
 
     /// The index (into [`Trace::tasks`]) of the task-execution interval covering the
@@ -1154,16 +1080,8 @@ impl<'s, 't> IntervalQuery<'s, 't> {
     /// `filter`; earliest-in-stream wins ties (the timeline's heatmap/typemap/NUMA
     /// modes).
     pub fn predominant_task_index(&self, cpu: CpuId, filter: &TaskFilter) -> Option<usize> {
-        let (states, first, last) = self.overlap(cpu);
-        crate::pyramid::predominant_task_in_range(
-            self.session.pyramid(cpu),
-            self.session.trace(),
-            states,
-            filter,
-            self.interval,
-            first,
-            last,
-        )
+        let trace = self.session.trace();
+        self.window(cpu).predominant_task(trace, filter)
     }
 
     /// Like [`IntervalQuery::predominant_task_index`] but resolves the task.
@@ -1174,53 +1092,24 @@ impl<'s, 't> IntervalQuery<'s, 't> {
 
     /// Count and min/max duration of the task-execution intervals overlapping the
     /// window on `cpu` (full durations, each interval counted once).
-    ///
-    /// Edges are not clipped, so this is exactly the pyramid's index-range statistic
-    /// over the overlap range ([`StatePyramid::exec_stats`]).
     pub fn exec_stats(&self, cpu: CpuId) -> ExecStats {
-        let (states, first, last) = self.overlap(cpu);
-        match self.session.pyramid(cpu) {
-            Some(pyramid) => pyramid.exec_stats(states, first, last),
-            // No pyramid means no state intervals, so the range is empty.
-            None => ExecStats::default(),
-        }
+        self.window(cpu).exec_stats()
     }
 
     /// Execution cycles per task type inside the window on `cpu` (clipped to the
     /// window), ascending by type id.
     pub fn task_type_cycles(&self, cpu: CpuId) -> Vec<(TaskTypeId, u64)> {
-        let (states, first, last) = self.overlap(cpu);
-        crate::pyramid::type_cycles_in_range(
-            self.session.pyramid(cpu),
-            self.session.trace(),
-            states,
-            self.interval,
-            first,
-            last,
-        )
+        self.window(cpu).type_cycles(self.session.trace())
     }
 
     /// Bytes accessed per NUMA node by the tasks of the execution intervals
     /// overlapping the window on `cpu`, ascending by node id (attributed per
-    /// execution interval, full access totals — exactly the pyramid's index-range
-    /// aggregate over the overlap range; zero entries are dropped).
+    /// execution interval, full access totals; zero entries are dropped).
     pub fn numa_bytes(&self, cpu: CpuId, kind: AccessKind) -> Vec<(NumaNodeId, u64)> {
-        let (states, first, last) = self.overlap(cpu);
-        let Some(pyramid) = self.session.pyramid(cpu) else {
-            return Vec::new();
-        };
-        pyramid
-            .numa_bytes_from(
-                self.session.trace(),
-                &self.session.accesses(),
-                states,
-                first,
-                last,
-                kind,
-            )
-            .into_iter()
-            .filter(|&(_, v)| v > 0)
-            .collect()
+        let (trace, accesses) = (self.session.trace(), self.session.accesses());
+        let mut bytes = self.window(cpu).numa_bytes(trace, &accesses, kind);
+        bytes.retain(|&(_, b)| b > 0);
+        bytes
     }
 
     /// Minimum and maximum of a counter on a CPU over the window

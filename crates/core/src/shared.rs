@@ -6,7 +6,7 @@
 //! seeded with all of it. Every lane of a resident trace is always usable and
 //! nothing is built after [`SharedSession::open`], so the state is immutable
 //! (indexes, pyramids, trace columns) or internally synchronised (the result
-//! caches, the cost model's `OnceLock`): `SharedSession` is `Sync`, a server
+//! caches): `SharedSession` is `Sync`, a server
 //! serves views from as many threads as it likes, and a frame one client
 //! computed is a cache hit for every other client.
 
@@ -78,8 +78,8 @@ impl SharedSession {
     }
 
     /// A cheap [`AnalysisSession`] view pre-seeded with every shared index,
-    /// pyramid, the access index, cache handle and the cost model: `O(built
-    /// shards)` `Arc` clones, no data copied or rebuilt. Views from concurrent
+    /// pyramid, the access index and the cache handles: `O(built shards)` `Arc`
+    /// clones, no data copied or rebuilt. Views from concurrent
     /// threads share results through the cache handles.
     pub fn view(&self) -> AnalysisSession<'_> {
         self.state.view(&self.trace, self.lint.as_ref(), |_| true)

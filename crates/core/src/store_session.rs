@@ -285,7 +285,7 @@ impl StoreSession {
             .unwrap_or(TimeInterval::from_cycles(0, 0))
     }
 
-    /// Builds a timeline frame with the default filter and the adaptive
+    /// Builds a timeline frame with the default filter and the default
     /// engine. See [`StoreSession::timeline_with_engine`].
     ///
     /// # Errors
@@ -387,7 +387,7 @@ impl StoreSession {
     /// just the contiguous block run of each state lane overlapping the
     /// interval — every other lane has whole-lane granularity. A frame reads
     /// the task table for task-based modes and the access table for NUMA modes;
-    /// the pyramid and adaptive engines read both regardless and the state
+    /// the pyramid and default engines read both regardless and the state
     /// lanes in full, because pyramid construction aggregates per-task and
     /// per-node data. A query and a whole-trace scan read every lane.
     fn lanes(&self, need: &Need) -> Vec<LaneRequest> {

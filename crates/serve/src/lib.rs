@@ -13,8 +13,8 @@
 //!   [`aftermath_core::SharedSession`]s or on-disk
 //!   [`aftermath_core::StoreSession`]s), the open-session table, and the one
 //!   request → response function, [`manager::direct_response`]. Sessions over
-//!   the same trace share its counter indexes, state pyramids, result caches
-//!   and cost model, so the N-th session costs bookkeeping, not gigabytes —
+//!   the same trace share its counter indexes, state pyramids and result
+//!   caches, so the N-th session costs bookkeeping, not gigabytes —
 //!   and one client's computed frame is every other client's cache hit.
 //! * **[`protocol`]** — a compact length-prefixed request/response wire
 //!   format (open/close, timeline frames, interval queries, anomaly reports,

@@ -724,11 +724,11 @@ impl Walk<'_> {
         });
     }
 
-    /// L001: item `i` of a stream must not be recorded with a timestamp before
-    /// item `i - 1`'s.
-    fn recorded_in_order(&mut self, timestamps: &[u64], i: usize, event: EventRef) {
-        if i > 0 && timestamps[i] < timestamps[i - 1] {
-            let (cur, prev) = (timestamps[i], timestamps[i - 1]);
+    /// L001: an item must not be recorded with a timestamp (`cur`) before that of
+    /// the item recorded just before it in its stream (`prev`, `None` for the
+    /// stream's first item).
+    fn recorded_in_order(&mut self, prev: Option<u64>, cur: u64, event: EventRef) {
+        if let Some(prev) = prev.filter(|&prev| cur < prev) {
             let detail = format!("timestamp {cur} recorded after {prev}");
             self.flag(
                 LintCode::NonMonotonicTimestamps,
@@ -771,7 +771,7 @@ impl Walk<'_> {
                 cpu: pc.cpu(),
                 index: i,
             };
-            self.recorded_in_order(starts, i, event);
+            self.recorded_in_order(starts[..i].last().copied(), starts[i], event);
             let mut end = ends[i];
             if end == u64::MAX {
                 // L002: closed where the CPU's next interval starts — so the
@@ -817,7 +817,8 @@ impl Walk<'_> {
                 cpu: pc.cpu(),
                 index: i,
             };
-            self.recorded_in_order(events.timestamps(), i, event);
+            let timestamps = events.timestamps();
+            self.recorded_in_order(timestamps[..i].last().copied(), timestamps[i], event);
             for task in event_task_refs(&events.kind(i)) {
                 self.registered(task, event, Fix::Drop);
             }
@@ -832,7 +833,7 @@ impl Walk<'_> {
             index,
         };
         for i in 0..timestamps.len() {
-            self.recorded_in_order(timestamps, i, at(i));
+            self.recorded_in_order(timestamps[..i].last().copied(), timestamps[i], at(i));
         }
         let counters = self.parts.counters;
         if !counters.get(counter.0 as usize).is_some_and(|c| c.monotone) {
@@ -878,10 +879,10 @@ impl Walk<'_> {
 
     fn comm_events(&mut self) {
         let comm = self.parts.comm_events;
-        let timestamps: Vec<u64> = comm.iter().map(|c| c.timestamp.0).collect();
+        let mut prev = None;
         for (i, c) in comm.iter().enumerate() {
             let event = EventRef::Comm { index: i };
-            self.recorded_in_order(&timestamps, i, event);
+            self.recorded_in_order(prev.replace(c.timestamp.0), c.timestamp.0, event);
             self.registered(c.task, event, Fix::ClearTask);
             for node in [c.src_node, c.dst_node] {
                 self.placed(node, event, Fix::Drop, "communication names");

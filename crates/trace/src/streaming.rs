@@ -575,8 +575,14 @@ impl StreamingTrace {
             self.max_seen
                 .map_or(self.expected_seq, |m| m.max(self.expected_seq)),
         );
-        self.expected_seq += 1;
+        self.advance_sequence();
         appended
+    }
+
+    /// Moves past the expected sequence number. The numbering ends at `u64::MAX`:
+    /// a stream that got there stays there instead of wrapping around to 0.
+    fn advance_sequence(&mut self) {
+        self.expected_seq = self.expected_seq.saturating_add(1);
     }
 
     /// Sequence numbers of the chunks buffered by lenient
@@ -585,21 +591,19 @@ impl StreamingTrace {
         self.pending.keys().copied().collect()
     }
 
-    /// The L007 rule, in one place: what is wrong with the position of chunk
-    /// `sequence` — arriving now in `mode`, or, without a mode, never having
-    /// arrived by the time the stream closes.
-    fn check_sequence(&self, sequence: u64, arrival: Option<LintMode>, report: &mut LintReport) {
+    /// The L007 rule for an arrival: what is wrong with the position of chunk
+    /// `sequence`, arriving now in `mode`. (Chunks that never arrive are
+    /// [`Self::release_pending`]'s to flag when the stream closes over them.)
+    fn check_sequence(&self, sequence: u64, mode: LintMode, report: &mut LintReport) {
         let expected = self.expected_seq;
-        let detail = if arrival.is_none() {
-            format!("chunk {sequence} never arrived \u{2014} presumed dropped")
-        } else if sequence < expected {
+        let detail = if sequence < expected {
             format!(
                 "sequence {sequence} arrived after the stream advanced past it \
                  (expected {expected})"
             )
         } else if let Some(max) = self.max_seen.filter(|&max| sequence < max) {
             format!("sequence {sequence} arrived after {max} \u{2014} chunks reordered in transit")
-        } else if sequence > expected && arrival == Some(LintMode::Strict) {
+        } else if sequence > expected && mode == LintMode::Strict {
             // A chunk ahead of a gap: lenient mode buffers it until its
             // predecessors arrive, strict mode cannot.
             format!("sequence {sequence} arrived while {expected} was expected")
@@ -670,7 +674,7 @@ impl StreamingTrace {
         mode: LintMode,
     ) -> Result<LintReport, TraceError> {
         let mut report = LintReport::new();
-        self.check_sequence(sequence, Some(mode), &mut report);
+        self.check_sequence(sequence, mode, &mut report);
         self.check_overlap(sequence, &chunk, &mut report);
         match mode {
             LintMode::Strict => {
@@ -715,8 +719,10 @@ impl StreamingTrace {
 
     /// Appends every buffered chunk whose turn has come: while the stream is
     /// open, the consecutive successors of the chunk just applied; when it is
-    /// `closing`, all of them, each sequence number skipped on the way flagged
-    /// as a chunk that never arrived. A buffered chunk that admission cannot
+    /// `closing`, all of them, each run of sequence numbers skipped on the way
+    /// flagged — once, at its first number, however long it is: a sequence
+    /// number is the producer's to choose — as chunks that never arrived. A
+    /// buffered chunk that admission cannot
     /// repair is dropped with a record of the error and the stream moves past
     /// it — the caller that could have been told is long gone.
     fn release_pending(&mut self, report: &mut LintReport, closing: bool) {
@@ -726,12 +732,21 @@ impl StreamingTrace {
                 break;
             }
             let mut chunk = entry.remove();
-            while self.expected_seq < sequence {
+            if self.expected_seq < sequence {
                 let missing = self.expected_seq;
-                self.check_sequence(missing, None, report);
-                let detail = "stream resumed past the missing chunk".into();
+                let (which, gap) = match sequence - missing {
+                    1 => (format!("chunk {missing}"), "the missing chunk".to_string()),
+                    n => (
+                        format!("chunks {missing}..={}", sequence - 1),
+                        format!("the {n} missing chunks"),
+                    ),
+                };
+                let event = EventRef::Chunk { sequence: missing };
+                let detail = format!("{which} never arrived \u{2014} presumed dropped");
+                report.push_finding(LintFinding::new(LintCode::ChunkSequence, event, detail));
+                let detail = format!("stream resumed past {gap}");
                 report.push_repair(dropped_chunk(missing, detail));
-                self.expected_seq += 1;
+                self.expected_seq = sequence;
             }
             let mut repairs = LintReport::new();
             match self.admit(&mut chunk, sequence, Some(&mut repairs)) {
@@ -742,7 +757,7 @@ impl StreamingTrace {
                 Err(e) => {
                     let detail = format!("buffered chunk dropped: {e}");
                     report.push_repair(dropped_chunk(sequence, detail));
-                    self.expected_seq += 1;
+                    self.advance_sequence();
                 }
             }
         }
@@ -1387,6 +1402,67 @@ mod tests {
             trace.tasks().len() - dropped_tasks
         );
         assert!(stream.trace().lint().is_clean());
+    }
+
+    #[test]
+    fn close_lint_flags_a_gap_once_however_long_it_is() {
+        // The producer chooses sequence numbers: closing over a gap must not
+        // walk it. (`1 << 40` one at a time would never return; `u64::MAX + 1`
+        // would overflow.)
+        for (buffered, range, count) in [
+            (4, "chunks 1..=3 ", "the 3 missing"),
+            (
+                1 << 40,
+                "chunks 1..=1099511627775 ",
+                "the 1099511627775 missing",
+            ),
+            (
+                u64::MAX,
+                "chunks 1..=18446744073709551614 ",
+                "18446744073709551614 missing",
+            ),
+        ] {
+            let mut stream =
+                StreamingTrace::new(TraceBuilder::new(MachineTopology::uniform(1, 1))).unwrap();
+            let lenient = LintMode::Lenient;
+            stream
+                .append_lint(0, state_chunk(0, &[(0, 10)]), lenient)
+                .unwrap();
+            let ahead = state_chunk(0, &[(10, 20)]);
+            assert!(stream
+                .append_lint(buffered, ahead, lenient)
+                .unwrap()
+                .is_clean());
+            assert_eq!(stream.pending_sequences(), vec![buffered]);
+
+            let report = stream.close_lint().unwrap();
+            let gap = EventRef::Chunk { sequence: 1 };
+            let [finding] = report.findings() else {
+                panic!("one finding for the whole gap: {:?}", report.findings());
+            };
+            assert_eq!(
+                (finding.code, finding.event),
+                (LintCode::ChunkSequence, gap)
+            );
+            assert!(finding.detail.starts_with(range), "{}", finding.detail);
+            let [repair] = report.repairs() else {
+                panic!("one repair for the whole gap: {:?}", report.repairs());
+            };
+            assert_eq!((repair.code, repair.event), (LintCode::ChunkSequence, gap));
+            assert_eq!(repair.strategy, RepairStrategy::DropWithRecord);
+            assert!(repair.detail.contains(count), "{}", repair.detail);
+            // The buffered chunk was applied, and the stream goes on after it.
+            assert!(stream.pending_sequences().is_empty());
+            assert_eq!(stream.epochs(), 2);
+            assert_eq!(stream.trace().per_cpu()[0].states().len(), 2);
+            let late = stream.append_lint(2, state_chunk(0, &[(20, 30)]), lenient);
+            assert_eq!(
+                late.unwrap().repairs().len(),
+                1,
+                "2 is behind the stream now"
+            );
+            assert_eq!(stream.epochs(), 2);
+        }
     }
 
     #[test]

@@ -24,5 +24,5 @@ fn main() {
 
     sweep
         .record()
-        .print("Zoom sweep — timeline frame times: scan vs. pyramid vs. adaptive");
+        .print("Zoom sweep — timeline frame times: scan vs. pyramid");
 }

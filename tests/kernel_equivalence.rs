@@ -1,4 +1,4 @@
-//! Property tests for the SIMD kernel layer and the adaptive query engine.
+//! Property tests for the SIMD kernel layer and the timeline's default engine.
 //!
 //! Two contracts are asserted here:
 //!
@@ -8,17 +8,18 @@
 //!    vector width and sub-slices starting at unaligned offsets. `f64` results
 //!    are compared through `to_bits`, so even a sign-of-zero or NaN-payload
 //!    difference would fail.
-//! 2. **The adaptive engine only changes speed.** For every timeline mode, a
+//! 2. **The default engine only changes speed.** For every timeline mode, a
 //!    frame built with `TimelineEngine::Adaptive` equals the frames built with
-//!    both explicit engines — even when the session's cost model is deliberately
-//!    wrong — and every logged engine decision matches its own predicted costs.
+//!    both explicit engines, and each such frame logs one `EngineDecision` that
+//!    records which branch of the window reduction the frame took: `Pyramid`
+//!    when a cell read pyramid nodes, `Scan` when every cell fell through to
+//!    the scan.
 
 use aftermath::prelude::*;
 use aftermath_core::kernels::{self, available_levels};
-use aftermath_core::{
-    CalibrationTimings, CostModel, SimdLevel, TaskFilter, TimelineEngine, TimelineMode,
-    TimelineModel,
-};
+use aftermath_core::pyramid::{overlap_range, DEFAULT_PYRAMID_FANOUT};
+use aftermath_core::timeline::column_interval;
+use aftermath_core::{SimdLevel, TaskFilter, TimelineEngine, TimelineMode, TimelineModel};
 use aftermath_trace::{AccessKind, NumaNodeId, TaskTypeId};
 use proptest::prelude::*;
 
@@ -171,7 +172,8 @@ fn every_tail_remainder_matches_scalar() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Adaptive engine: frame bytes never depend on the engine choice.
+// 2. Default engine: frame bytes never depend on the engine, and the log
+//    records the branch each frame took.
 // ---------------------------------------------------------------------------
 
 /// All six timeline modes (heatmap bounds scaled to the trace's tasks).
@@ -233,13 +235,31 @@ fn random_trace(segments: &[(u64, u64, u8)]) -> Trace {
     b.finish().unwrap()
 }
 
+/// Whether some cell of the frame holds a whole pyramid node between its two
+/// edge intervals on some CPU — restated from the stream, not asked of the engine.
+fn frame_covers_a_node(
+    session: &AnalysisSession<'_>,
+    window: TimeInterval,
+    columns: usize,
+) -> bool {
+    let fanout = DEFAULT_PYRAMID_FANOUT;
+    session.trace().topology().cpu_ids().any(|cpu| {
+        (0..columns).any(|col| {
+            let cell = column_interval(window, columns, col);
+            let (first, last) = overlap_range(session.states(cpu), cell);
+            (first + 1).next_multiple_of(fanout) + fanout < last
+        })
+    })
+}
+
 /// Asserts adaptive == pyramid == scan for every mode over `window`, and that
-/// each decision the adaptive builds logged is consistent with its own
-/// predicted costs.
-fn assert_adaptive_agrees(session: &AnalysisSession<'_>, window: TimeInterval, columns: usize) {
-    if window.is_empty() || columns == 0 {
-        return;
-    }
+/// the default-engine builds logged one decision each, in order, naming the
+/// branch the frame took. Returns that branch.
+fn assert_adaptive_agrees(
+    session: &AnalysisSession<'_>,
+    window: TimeInterval,
+    columns: usize,
+) -> TimelineEngine {
     let max = session
         .trace()
         .tasks()
@@ -266,28 +286,21 @@ fn assert_adaptive_agrees(session: &AnalysisSession<'_>, window: TimeInterval, c
             "adaptive != scan: {mode:?}"
         );
     }
+    let expected = match frame_covers_a_node(session, window, columns) {
+        true => TimelineEngine::Pyramid,
+        false => TimelineEngine::Scan,
+    };
     let decisions = session.engine_decisions();
-    assert_eq!(
-        decisions.len() - decisions_before,
-        6,
-        "one decision per adaptive frame"
-    );
-    for d in &decisions[decisions_before..] {
-        assert_ne!(
-            d.engine,
-            TimelineEngine::Adaptive,
-            "decisions must be resolved"
-        );
-        let predicted = if d.predicted_scan_seconds < d.predicted_pyramid_seconds {
-            TimelineEngine::Scan
-        } else {
-            TimelineEngine::Pyramid
-        };
-        assert_eq!(
-            d.engine, predicted,
-            "logged engine contradicts its own prediction"
-        );
-    }
+    let logged: Vec<_> = decisions[decisions_before..]
+        .iter()
+        .map(|d| (d.mode, d.interval, d.columns, d.engine))
+        .collect();
+    let built: Vec<_> = all_modes(max)
+        .into_iter()
+        .map(|mode| (mode, window, columns, expected))
+        .collect();
+    assert_eq!(logged, built, "one decision per default-engine frame");
+    expected
 }
 
 proptest! {
@@ -312,113 +325,14 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------------
-// 3. Cost model: deterministic fits, monotone choices, harmless mispredictions.
-// ---------------------------------------------------------------------------
-
-/// A synthetic calibration in which the pyramid costs ~10 µs per cell while the
-/// scan costs ~1 µs per cell plus ~1 µs per event: narrow windows should scan,
-/// wide windows should descend the pyramid.
-fn synthetic_timings() -> CalibrationTimings {
-    CalibrationTimings {
-        probe_cells: 256,
-        probe_events: 10_000,
-        scan_seconds: [10.256e-3, 20.512e-3],
-        narrow_scan_seconds: [0.256e-3, 0.512e-3],
-        pyramid_seconds: [2.56e-3, 5.12e-3],
-    }
-}
-
+/// A stream deep enough for three pyramid levels per CPU at the default fanout
+/// (the shape of `pyramid_equivalence.rs`'s deep stream): zoomed out, cells cover
+/// whole nodes and the frame is recorded as `Pyramid`; at the deepest zoom every
+/// cell falls through and it is recorded as `Scan`.
 #[test]
-fn cost_model_fit_is_deterministic_and_positive() {
-    let timings = synthetic_timings();
-    let a = CostModel::from_timings(&timings);
-    let b = CostModel::from_timings(&timings);
-    assert_eq!(a, b, "same timings must fit the same model");
-    for class in 0..2 {
-        assert!(a.scan_cell_seconds[class] > 0.0);
-        assert!(a.scan_event_seconds[class] > 0.0);
-        assert!(a.pyramid_cell_seconds[class] > 0.0);
-    }
-    // Degenerate (all-zero) probes still fit a usable, strictly positive model.
-    let degenerate = CalibrationTimings {
-        probe_cells: 0,
-        probe_events: 0,
-        scan_seconds: [0.0; 2],
-        narrow_scan_seconds: [0.0; 2],
-        pyramid_seconds: [0.0; 2],
-    };
-    let d = CostModel::from_timings(&degenerate);
-    for class in 0..2 {
-        assert!(d.scan_cell_seconds[class] > 0.0);
-        assert!(d.scan_event_seconds[class] > 0.0);
-        assert!(d.pyramid_cell_seconds[class] > 0.0);
-    }
-}
-
-#[test]
-fn engine_choice_is_monotone_in_overlapping_events() {
-    let model = CostModel::from_timings(&synthetic_timings());
-    let cells = 256;
-    for mode in [TimelineMode::State, TimelineMode::TaskType] {
-        let mut previous = TimelineEngine::Scan;
-        let mut flipped = false;
-        let mut last_scan_cost = 0.0;
-        for events in (0..50_000).step_by(37) {
-            let (scan, pyramid) = model.predict(mode, events, cells);
-            assert!(
-                scan >= last_scan_cost,
-                "scan prediction must grow with events"
-            );
-            last_scan_cost = scan;
-            let choice = model.choose(mode, events, cells);
-            assert_eq!(
-                choice,
-                if scan < pyramid {
-                    TimelineEngine::Scan
-                } else {
-                    TimelineEngine::Pyramid
-                }
-            );
-            if choice == TimelineEngine::Pyramid {
-                flipped = true;
-            }
-            if flipped {
-                assert_eq!(
-                    choice,
-                    TimelineEngine::Pyramid,
-                    "widening a window (more events) must never flip back to scan"
-                );
-            }
-            previous = choice;
-        }
-        // The synthetic constants put the crossover inside the sweep: both
-        // engines must actually have been chosen, or the monotonicity claim
-        // was tested vacuously.
-        assert!(flipped, "sweep never reached the pyramid side for {mode:?}");
-        assert_eq!(previous, TimelineEngine::Pyramid);
-        // Pyramid prediction is width-independent.
-        let (_, p0) = model.predict(mode, 0, cells);
-        let (_, p1) = model.predict(mode, 1_000_000, cells);
-        assert_eq!(p0.to_bits(), p1.to_bits());
-    }
-}
-
-/// An installed model that always predicts one engine cheaper, regardless of
-/// the frame. `scan_wins` forces every decision to scan; otherwise pyramid.
-fn rigged_model(scan_wins: bool) -> CostModel {
-    let (cheap, dear) = (1e-12, 1.0);
-    CostModel {
-        scan_event_seconds: [if scan_wins { cheap } else { dear }; 2],
-        scan_cell_seconds: [if scan_wins { cheap } else { dear }; 2],
-        pyramid_cell_seconds: [if scan_wins { dear } else { cheap }; 2],
-    }
-}
-
-#[test]
-fn forced_mispredictions_are_byte_identical() {
+fn the_decision_log_records_the_branch_each_frame_took() {
     let mut x = 0xdead_beefu64;
-    let segments: Vec<(u64, u64, u8)> = (0..400)
+    let segments: Vec<(u64, u64, u8)> = (0..5_000)
         .map(|_| {
             x ^= x << 13;
             x ^= x >> 7;
@@ -427,30 +341,21 @@ fn forced_mispredictions_are_byte_identical() {
         })
         .collect();
     let trace = random_trace(&segments);
-    let bounds = trace.time_bounds();
-    let window = TimeInterval::from_cycles(bounds.start.0, bounds.start.0 + bounds.duration() / 7);
-    for scan_wins in [true, false] {
-        let session = AnalysisSession::new(&trace);
-        assert!(
-            session.install_cost_model(rigged_model(scan_wins)),
-            "first install must win the slot"
-        );
-        assert!(
-            !session.install_cost_model(rigged_model(!scan_wins)),
-            "second install must be rejected"
-        );
-        assert_eq!(session.cost_model(), rigged_model(scan_wins));
-        assert_adaptive_agrees(&session, bounds, 97);
-        assert_adaptive_agrees(&session, window, 97);
-        // Every adaptive frame obeyed the rigged model: wrong predictions may
-        // only ever cost time, never change which engine the log claims.
-        let forced = if scan_wins {
-            TimelineEngine::Scan
-        } else {
-            TimelineEngine::Pyramid
-        };
-        let decisions = session.engine_decisions();
-        assert!(!decisions.is_empty());
-        assert!(decisions.iter().all(|d| d.engine == forced));
+    let session = AnalysisSession::new(&trace);
+    for cpu in trace.topology().cpu_ids() {
+        assert_eq!(session.pyramid(cpu).unwrap().num_levels(), 3);
     }
+    let bounds = trace.time_bounds();
+    let seventh = TimeInterval::from_cycles(bounds.start.0, bounds.start.0 + bounds.duration() / 7);
+    let deepest = TimeInterval::from_cycles(bounds.start.0 + 1_000, bounds.start.0 + 1_400);
+    let taken = [
+        assert_adaptive_agrees(&session, bounds, 16),
+        assert_adaptive_agrees(&session, seventh, 3),
+        assert_adaptive_agrees(&session, bounds, 97),
+        assert_adaptive_agrees(&session, deepest, 400),
+    ];
+    use TimelineEngine::{Pyramid, Scan};
+    assert_eq!(taken, [Pyramid, Pyramid, Scan, Scan]);
+    // Explicit engines log nothing: 4 calls × 6 default-engine frames.
+    assert_eq!(session.engine_decisions().len(), 24);
 }
