@@ -8,12 +8,14 @@
 # listed apart from the code that is ours. `code` leaves out blank and `//`
 # comment lines, `lines` does not. `bench (without e2e)` is the part of the
 # bench crate a PR may edit: the `e2e` package under `src/bin/e2e/` is what
-# `BENCHMARK.json` runs and stays as it is. The last three rows are trajectories:
+# `BENCHMARK.json` runs and stays as it is. The last four rows are trajectories:
 # the five files that answer "where do a session's lanes come from" (the
 # ROADMAP's one-session-core item is measured by them), the two that say what a
-# well-formed trace or chunk is and what is done when it is not, and the four
+# well-formed trace or chunk is and what is done when it is not, the four
 # that reduce a window over a sorted stream (the level tree, the two summary
-# structures on it, and the timeline cells built from them).
+# structures on it, and the timeline cells built from them), and the four that
+# turn columns into checksummed store blocks and back (checksum, block codec,
+# the column types it fills, the varint codec).
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
@@ -27,6 +29,12 @@ SESSION_FILES=(
 INGEST_CONTRACT_FILES=(
     crates/trace/src/lint.rs
     crates/trace/src/streaming.rs
+)
+STORE_CODEC_FILES=(
+    crates/trace/src/crc.rs
+    crates/trace/src/store.rs
+    crates/trace/src/columns.rs
+    crates/trace/src/format/varint.rs
 )
 
 # Prints "<code> <lines>" summed over the files given on stdin.
@@ -64,3 +72,4 @@ printf '%s\n' "${INGEST_CONTRACT_FILES[@]}" | count | row '**the ingest contract
 # its own has three of the four.
 find crates/core/src -name timeline.rs -o -name pyramid.rs -o -name index.rs -o -name levels.rs \
     | count | row '**the window-reduction files**'
+printf '%s\n' "${STORE_CODEC_FILES[@]}" | count | row '**the store codec files**'

@@ -239,6 +239,9 @@ fn main() {
             "Column store — compression, lazy open-to-first-frame, capped residency",
             &store::run_store_bench(scale, threads).record(),
         );
+        // Print-only: which tier checksummed the blocks above (`table` under
+        // AFTERMATH_NO_SIMD, which `ci/smoke.sh store` asserts).
+        println!("# crc tier: {}", aftermath_trace::crc::tier_name());
     }
     if options.has("serve") {
         options.report(

@@ -42,8 +42,9 @@ use std::sync::OnceLock;
 
 /// Environment variable that force-disables the wide kernels: any non-empty value
 /// other than `0` makes [`simd_level`] report [`SimdLevel::Scalar`], so every
-/// dispatched kernel runs its scalar reference implementation.
-pub const NO_SIMD_ENV: &str = "AFTERMATH_NO_SIMD";
+/// dispatched kernel runs its scalar reference implementation. It is the
+/// execution layer's switch (read there, once, for the store checksum too).
+pub use aftermath_exec::NO_SIMD_ENV;
 
 /// Instruction-set tier a kernel call is dispatched to.
 ///
@@ -74,8 +75,7 @@ impl SimdLevel {
 pub fn simd_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
-        let disabled = std::env::var_os(NO_SIMD_ENV).is_some_and(|v| !v.is_empty() && v != "0");
-        if disabled {
+        if aftermath_exec::wide_kernels_disabled() {
             SimdLevel::Scalar
         } else {
             hardware_level()

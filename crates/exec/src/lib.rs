@@ -18,6 +18,10 @@
 //!   *disjoint mutable* chunks of a slice (e.g. horizontal framebuffer bands), again
 //!   with dynamic chunk claiming and deterministic per-chunk result ordering.
 //!
+//! It also owns the one process-wide tier switch, [`wide_kernels_disabled`]
+//! ([`NO_SIMD_ENV`]): every layer with a wide (SIMD) tier and a portable one asks here
+//! which to dispatch to, so the variable is read in exactly one place.
+//!
 //! How many OS threads participate is controlled by [`Threads`]; the default is the
 //! machine's available parallelism, and a single-threaded configuration
 //! ([`Threads::single`]) executes every primitive inline without spawning, which is
@@ -42,7 +46,7 @@ use std::fmt;
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 /// How many chunks each worker should get on average; more chunks than workers gives
@@ -105,6 +109,24 @@ impl fmt::Display for Threads {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
     }
+}
+
+/// Environment variable that pins every layer to its portable tier: any non-empty
+/// value other than `0` makes [`wide_kernels_disabled`] report `true`.
+pub const NO_SIMD_ENV: &str = "AFTERMATH_NO_SIMD";
+
+/// Whether [`NO_SIMD_ENV`] asks for the portable tiers — the one switch the analysis
+/// kernels (`aftermath-core`) and the store checksum (`aftermath-trace`) both
+/// consult, so a process never runs one layer wide and the other pinned. Read once
+/// per process and cached.
+pub fn wide_kernels_disabled() -> bool {
+    static DISABLED: OnceLock<bool> = OnceLock::new();
+    *DISABLED.get_or_init(|| disabled_by(std::env::var_os(NO_SIMD_ENV).as_deref()))
+}
+
+/// The rule of [`NO_SIMD_ENV`] on the variable's value (`None`: unset).
+fn disabled_by(value: Option<&std::ffi::OsStr>) -> bool {
+    value.is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Error returned when parsing a [`Threads`] value from a string fails.
@@ -526,6 +548,14 @@ mod tests {
         let err = "-2".parse::<Threads>().unwrap_err();
         assert!(err.to_string().contains("-2"));
         assert_eq!(Threads::new(5).to_string(), "5");
+    }
+
+    #[test]
+    fn the_no_simd_switch_is_off_when_unset_empty_or_zero() {
+        let set = |value: &'static str| disabled_by(Some(std::ffi::OsStr::new(value)));
+        assert!(!disabled_by(None));
+        assert!(!set("") && !set("0"));
+        assert!(set("1") && set("true") && set("00"));
     }
 
     #[test]

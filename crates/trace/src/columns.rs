@@ -113,59 +113,35 @@ impl TaskRefColumn {
         self.len() == 0
     }
 
+    /// An empty (narrow) column with room for exactly `capacity` entries.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        TaskRefColumn::Narrow(Vec::with_capacity(capacity))
+    }
+
     /// Appends one optional task reference.
     pub fn push(&mut self, task: Option<TaskId>) {
-        let encoded = match task {
+        self.push_biased(match task {
             None => 0u64,
             Some(id) => id.0.checked_add(1).expect("TaskId::MAX is unrepresentable"),
-        };
+        });
+    }
+
+    /// Appends one already biased reference (`0` = no task, `id + 1` = task
+    /// `id`) — what the column store's blocks hold. The column widens, keeping
+    /// the room it was given, on the first reference that needs 64 bits.
+    pub(crate) fn push_biased(&mut self, biased: u64) {
         match self {
             TaskRefColumn::Narrow(v) => {
-                if let Ok(narrow) = u32::try_from(encoded) {
+                if let Ok(narrow) = u32::try_from(biased) {
                     v.push(narrow);
                 } else {
-                    let mut wide: Vec<u64> = v.iter().map(|&x| x as u64).collect();
-                    wide.push(encoded);
+                    let mut wide = Vec::with_capacity(v.capacity().max(v.len() + 1));
+                    wide.extend(v.iter().map(|&x| u64::from(x)));
+                    wide.push(biased);
                     *self = TaskRefColumn::Wide(wide);
                 }
             }
-            TaskRefColumn::Wide(v) => v.push(encoded),
-        }
-    }
-
-    /// Builds the column from already biased values (`0` = no task), in the
-    /// width [`TaskRefColumn::push`] would have ended in: narrow unless some
-    /// value needs 64 bits.
-    pub(crate) fn from_biased(biased: Vec<u64>) -> Self {
-        if biased.iter().all(|&v| v <= u64::from(u32::MAX)) {
-            TaskRefColumn::Narrow(biased.iter().map(|&v| v as u32).collect())
-        } else {
-            TaskRefColumn::Wide(biased)
-        }
-    }
-
-    /// Reserves room for exactly `additional` more entries.
-    fn reserve_exact(&mut self, additional: usize) {
-        match self {
-            TaskRefColumn::Narrow(v) => v.reserve_exact(additional),
-            TaskRefColumn::Wide(v) => v.reserve_exact(additional),
-        }
-    }
-
-    /// Appends every entry of `other`, widening when either side is wide.
-    fn append(&mut self, other: &TaskRefColumn) {
-        match (&mut *self, other) {
-            (TaskRefColumn::Narrow(a), TaskRefColumn::Narrow(b)) => a.extend_from_slice(b),
-            (TaskRefColumn::Wide(a), TaskRefColumn::Wide(b)) => a.extend_from_slice(b),
-            (TaskRefColumn::Wide(a), TaskRefColumn::Narrow(b)) => {
-                a.extend(b.iter().map(|&x| u64::from(x)));
-            }
-            (TaskRefColumn::Narrow(a), TaskRefColumn::Wide(b)) => {
-                let mut wide = Vec::with_capacity(a.capacity().max(a.len() + b.len()));
-                wide.extend(a.iter().map(|&x| u64::from(x)));
-                wide.extend_from_slice(b);
-                *self = TaskRefColumn::Wide(wide);
-            }
+            TaskRefColumn::Wide(v) => v.push(biased),
         }
     }
 
@@ -315,43 +291,29 @@ impl StateColumns {
         }
     }
 
-    /// Assembles a store from whole columns of equal length (the column
-    /// store's block decoders, [`crate::store`]); `states` must hold valid
-    /// [`WorkerState`] discriminants.
-    pub(crate) fn from_parts(
-        cpu: CpuId,
-        starts: Vec<u64>,
-        ends: Vec<u64>,
-        states: Vec<u8>,
-        tasks: TaskRefColumn,
-    ) -> Self {
-        debug_assert!(
-            starts.len() == ends.len() && ends.len() == states.len() && states.len() == tasks.len()
-        );
+    /// An empty store for `cpu` with room for exactly `rows` intervals: the
+    /// column store ([`crate::store`]) allocates a lane once, at the row
+    /// count its directory records.
+    pub(crate) fn with_capacity(cpu: CpuId, rows: usize) -> Self {
         StateColumns {
             cpu,
-            starts,
-            ends,
-            states,
-            tasks,
+            starts: Vec::with_capacity(rows),
+            ends: Vec::with_capacity(rows),
+            states: Vec::with_capacity(rows),
+            tasks: TaskRefColumn::with_capacity(rows),
         }
     }
 
-    /// Reserves room for exactly `additional` more intervals.
-    pub(crate) fn reserve_exact(&mut self, additional: usize) {
-        self.starts.reserve_exact(additional);
-        self.ends.reserve_exact(additional);
-        self.states.reserve_exact(additional);
-        self.tasks.reserve_exact(additional);
-    }
-
-    /// Appends every interval of `other` (a later chunk of the same stream).
-    pub(crate) fn append(&mut self, other: &StateColumns) {
-        debug_assert_eq!(self.cpu, other.cpu, "chunk of another stream");
-        self.starts.extend_from_slice(&other.starts);
-        self.ends.extend_from_slice(&other.ends);
-        self.states.extend_from_slice(&other.states);
-        self.tasks.append(&other.tasks);
+    /// The raw columns — starts and ends, state tags, task references — for
+    /// the column store's block decoders, which append a block's worth to
+    /// each: all four must end equally long and the tags be valid
+    /// [`WorkerState`] discriminants.
+    pub(crate) fn columns_mut(&mut self) -> ([&mut Vec<u64>; 2], &mut Vec<u8>, &mut TaskRefColumn) {
+        (
+            [&mut self.starts, &mut self.ends],
+            &mut self.states,
+            &mut self.tasks,
+        )
     }
 
     /// Number of stored intervals.
@@ -701,53 +663,32 @@ impl EventColumns {
         }
     }
 
-    /// Assembles a store from whole columns (the column store's block
-    /// decoders, [`crate::store`]): `tags` must hold valid kind tags;
-    /// `payload_b` / `payload_c` are either empty (all zero) or full length.
-    pub(crate) fn from_parts(
-        cpu: CpuId,
-        timestamps: Vec<u64>,
-        tags: Vec<u8>,
-        payload_a: Vec<u64>,
-        payload_b: Vec<u64>,
-        payload_c: Vec<u64>,
-    ) -> Self {
-        let rows = timestamps.len();
-        debug_assert!(tags.len() == rows && payload_a.len() == rows);
-        debug_assert!(payload_b.is_empty() || payload_b.len() == rows);
-        debug_assert!(payload_c.is_empty() || payload_c.len() == rows);
+    /// An empty store for `cpu` with room for exactly `rows` events (see
+    /// [`StateColumns::with_capacity`]); the lazy payload lanes stay absent.
+    pub(crate) fn with_capacity(cpu: CpuId, rows: usize) -> Self {
         EventColumns {
             cpu,
-            timestamps,
-            tags,
-            payload_a,
-            payload_b,
-            payload_c,
+            timestamps: Vec::with_capacity(rows),
+            tags: Vec::with_capacity(rows),
+            payload_a: Vec::with_capacity(rows),
+            ..Default::default()
         }
     }
 
-    /// Reserves room for exactly `additional` more events (in the lazily
-    /// materialised lanes only once they exist).
-    pub(crate) fn reserve_exact(&mut self, additional: usize) {
-        self.timestamps.reserve_exact(additional);
-        self.tags.reserve_exact(additional);
-        self.payload_a.reserve_exact(additional);
-        for lane in [&mut self.payload_b, &mut self.payload_c] {
-            if !lane.is_empty() {
-                lane.reserve_exact(additional);
-            }
-        }
-    }
-
-    /// Appends every event of `other` (a later chunk of the same stream).
-    pub(crate) fn append(&mut self, other: &EventColumns) {
-        debug_assert_eq!(self.cpu, other.cpu, "chunk of another stream");
-        let (prior, added) = (self.len(), other.len());
-        self.timestamps.extend_from_slice(&other.timestamps);
-        self.tags.extend_from_slice(&other.tags);
-        self.payload_a.extend_from_slice(&other.payload_a);
-        append_lazy(&mut self.payload_b, prior, &other.payload_b, added);
-        append_lazy(&mut self.payload_c, prior, &other.payload_c, added);
+    /// The raw columns — timestamps, kind tags, first payload and the two
+    /// lazy payload lanes — for the column store's block decoders: the first
+    /// three must end equally long and the tags be valid kind tags; the lazy
+    /// lanes grow through [`extend_lazy`] only.
+    pub(crate) fn columns_mut(&mut self) -> (&mut Vec<u64>, &mut Vec<u8>, [&mut Vec<u64>; 3]) {
+        (
+            &mut self.timestamps,
+            &mut self.tags,
+            [
+                &mut self.payload_a,
+                &mut self.payload_b,
+                &mut self.payload_c,
+            ],
+        )
     }
 
     /// Number of stored events.
@@ -768,8 +709,8 @@ impl EventColumns {
         self.timestamps.push(e.timestamp.0);
         self.tags.push(tag);
         self.payload_a.push(a);
-        push_lazy(&mut self.payload_b, prior, b);
-        push_lazy(&mut self.payload_c, prior, c);
+        extend_lazy(&mut self.payload_b, prior, &[b], 0);
+        extend_lazy(&mut self.payload_c, prior, &[c], 0);
     }
 
     /// A zero-copy view of the whole stream.
@@ -876,32 +817,20 @@ impl PartialEq for EventColumns {
     }
 }
 
-/// Appends `value` to a lazily materialised lane that currently covers `prior`
-/// entries implicitly (absent = all zero).
-fn push_lazy(lane: &mut Vec<u64>, prior: usize, value: u64) {
-    if lane.is_empty() {
-        if value == 0 {
-            return;
-        }
-        lane.reserve(prior + 1);
-        lane.resize(prior, 0);
-    }
-    lane.push(value);
-}
-
-/// Appends the `added`-entry lane `other` to a lane covering `prior` entries;
-/// either may be absent (all zero), and the result stays absent when both are.
-fn append_lazy(lane: &mut Vec<u64>, prior: usize, other: &[u64], added: usize) {
-    if other.is_empty() {
-        if !lane.is_empty() {
-            lane.resize(prior + added, 0);
-        }
-    } else {
+/// Appends `values` to a lazily materialised lane that stands for `prior`
+/// entries (absent = all zero). The lane stays absent while every entry is
+/// zero; when it materialises it is given room for `capacity` entries — the
+/// stream's final length where the caller knows it, `0` where it grows by
+/// pushes.
+pub(crate) fn extend_lazy(lane: &mut Vec<u64>, prior: usize, values: &[u64], capacity: usize) {
+    if values.iter().any(|&v| v != 0) {
         if lane.is_empty() {
-            lane.reserve_exact(prior + added);
+            lane.reserve_exact(capacity.max(prior + values.len()));
             lane.resize(prior, 0);
         }
-        lane.extend_from_slice(other);
+        lane.extend_from_slice(values);
+    } else if !lane.is_empty() {
+        lane.resize(prior + values.len(), 0);
     }
 }
 
@@ -1046,34 +975,21 @@ impl SampleColumns {
         }
     }
 
-    /// Assembles a store from whole columns of equal length (the column
-    /// store's block decoders, [`crate::store`]).
-    pub(crate) fn from_parts(
-        counter: CounterId,
-        cpu: CpuId,
-        timestamps: Vec<u64>,
-        values: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(timestamps.len(), values.len());
+    /// An empty store for one `(counter, cpu)` stream with room for exactly
+    /// `rows` samples (see [`StateColumns::with_capacity`]).
+    pub(crate) fn with_capacity(counter: CounterId, cpu: CpuId, rows: usize) -> Self {
         SampleColumns {
             counter,
             cpu,
-            timestamps,
-            values,
+            timestamps: Vec::with_capacity(rows),
+            values: Vec::with_capacity(rows),
         }
     }
 
-    /// Reserves room for exactly `additional` more samples.
-    pub(crate) fn reserve_exact(&mut self, additional: usize) {
-        self.timestamps.reserve_exact(additional);
-        self.values.reserve_exact(additional);
-    }
-
-    /// Appends every sample of `other` (a later chunk of the same stream).
-    pub(crate) fn append(&mut self, other: &SampleColumns) {
-        debug_assert_eq!((self.counter, self.cpu), (other.counter, other.cpu));
-        self.timestamps.extend_from_slice(&other.timestamps);
-        self.values.extend_from_slice(&other.values);
+    /// The raw columns — timestamps, values — for the column store's block
+    /// decoders; both must end equally long.
+    pub(crate) fn columns_mut(&mut self) -> (&mut Vec<u64>, &mut Vec<f64>) {
+        (&mut self.timestamps, &mut self.values)
     }
 
     /// Number of stored samples.
@@ -1271,40 +1187,26 @@ impl AccessColumns {
         Self::default()
     }
 
-    /// Assembles a table from whole columns of equal length (the column
-    /// store's block decoders, [`crate::store`]): every task reference must
-    /// be present and `kinds` hold `0` (read) or `1` (write).
-    pub(crate) fn from_parts(
-        tasks: TaskRefColumn,
-        kinds: Vec<u8>,
-        addrs: Vec<u64>,
-        sizes: Vec<u64>,
-    ) -> Self {
-        debug_assert!(
-            tasks.len() == kinds.len() && kinds.len() == addrs.len() && addrs.len() == sizes.len()
-        );
+    /// An empty table with room for exactly `rows` accesses (see
+    /// [`StateColumns::with_capacity`]).
+    pub(crate) fn with_capacity(rows: usize) -> Self {
         AccessColumns {
-            tasks,
-            kinds,
-            addrs,
-            sizes,
+            tasks: TaskRefColumn::with_capacity(rows),
+            kinds: Vec::with_capacity(rows),
+            addrs: Vec::with_capacity(rows),
+            sizes: Vec::with_capacity(rows),
         }
     }
 
-    /// Reserves room for exactly `additional` more accesses.
-    pub(crate) fn reserve_exact(&mut self, additional: usize) {
-        self.tasks.reserve_exact(additional);
-        self.kinds.reserve_exact(additional);
-        self.addrs.reserve_exact(additional);
-        self.sizes.reserve_exact(additional);
-    }
-
-    /// Appends every access of `other` (a later chunk of the same table).
-    pub(crate) fn append(&mut self, other: &AccessColumns) {
-        self.tasks.append(&other.tasks);
-        self.kinds.extend_from_slice(&other.kinds);
-        self.addrs.extend_from_slice(&other.addrs);
-        self.sizes.extend_from_slice(&other.sizes);
+    /// The raw columns — task references, kinds, addresses and sizes — for
+    /// the column store's block decoders: all four must end equally long,
+    /// every reference be present and the kinds hold `0` (read) or `1` (write).
+    pub(crate) fn columns_mut(&mut self) -> (&mut TaskRefColumn, &mut Vec<u8>, [&mut Vec<u64>; 2]) {
+        (
+            &mut self.tasks,
+            &mut self.kinds,
+            [&mut self.addrs, &mut self.sizes],
+        )
     }
 
     /// Number of stored accesses.

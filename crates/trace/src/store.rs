@@ -49,6 +49,14 @@
 //! [`DamageReport`] with stable `S001`–`S003` codes (mirroring the lint
 //! layer's `L001`–`L008` annotation style).
 //!
+//! Both directions fan out on the execution layer. The writer encodes and
+//! checksums one block per job and assembles the file in plan order, so its
+//! bytes never depend on the thread budget; [`write_store_file_with`] then
+//! publishes it by rename — a store file appears whole or not at all. The
+//! reader ([`StoredTrace::ensure_batch`]) decodes one lane run per job,
+//! straight into the lane's final columns: every block is verified, then
+//! decoded where its rows will live, with nothing joined or copied after.
+//!
 //! The byte source is abstracted behind [`ColdTier`] (a seekable read-at
 //! interface); [`FileTier`] serves local files and [`MemoryTier`] serves
 //! in-memory buffers for tests. An object-store backend only has to implement
@@ -57,13 +65,13 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
-use std::path::Path;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
-use aftermath_exec::{parallel_map, Threads};
+use aftermath_exec::{parallel_map, parallel_map_chunks, Threads};
 
 use crate::columns::{
-    decode_kind, encode_kind, AccessColumns, EventColumns, SampleColumns, StateColumns,
-    TaskRefColumn,
+    decode_kind, encode_kind, extend_lazy, AccessColumns, EventColumns, SampleColumns, StateColumns,
 };
 use crate::crc::crc32;
 use crate::error::TraceError;
@@ -89,6 +97,9 @@ const TRAILER_LEN: usize = 8 + 8 + 4 + 4 + 4;
 
 /// Default number of rows per block.
 pub const DEFAULT_BLOCK_ROWS: usize = 65_536;
+
+/// Capacity the writer gives a block's buffer, per row, before encoding it.
+const ENCODED_ROW_BYTES_HINT: usize = 12;
 
 // ---------------------------------------------------------------------------
 // Lane identity and directory
@@ -422,49 +433,57 @@ fn encode_states_block(
     (starts[0], max_end)
 }
 
-/// Decodes `rows` delta-coded keys (the first one absolute) into an
-/// exact-capacity column.
-fn decode_deltas(buf: &[u8], pos: &mut usize, rows: usize) -> Result<Vec<u64>, TraceError> {
-    let mut keys = Vec::with_capacity(rows);
+/// Appends `rows` delta-coded keys (the first one absolute) to `out`.
+fn decode_deltas(
+    buf: &[u8],
+    pos: &mut usize,
+    rows: usize,
+    out: &mut Vec<u64>,
+) -> Result<(), TraceError> {
     let mut prev = 0u64;
     for _ in 0..rows {
         prev = prev
             .checked_add(get_varint(buf, pos)?)
             .ok_or_else(delta_overflow)?;
-        keys.push(prev);
+        out.push(prev);
     }
-    Ok(keys)
+    Ok(())
 }
 
-/// Decodes `rows` plain varints into an exact-capacity column.
-fn decode_varints(buf: &[u8], pos: &mut usize, rows: usize) -> Result<Vec<u64>, TraceError> {
-    let mut values = Vec::with_capacity(rows);
+/// Appends `rows` plain varints to `out`.
+fn decode_varints(
+    buf: &[u8],
+    pos: &mut usize,
+    rows: usize,
+    out: &mut Vec<u64>,
+) -> Result<(), TraceError> {
     for _ in 0..rows {
-        values.push(get_varint(buf, pos)?);
+        out.push(get_varint(buf, pos)?);
     }
-    Ok(values)
+    Ok(())
 }
 
-fn decode_states_block(buf: &[u8], cpu: CpuId, rows: usize) -> Result<StateColumns, TraceError> {
+fn decode_states_block(buf: &[u8], rows: usize, out: &mut StateColumns) -> Result<(), TraceError> {
+    let ([starts, ends], tags, tasks) = out.columns_mut();
+    let first = starts.len();
     let mut pos = 0usize;
-    let starts = decode_deltas(buf, &mut pos, rows)?;
-    let mut ends = Vec::with_capacity(rows);
-    for &start in &starts {
+    decode_deltas(buf, &mut pos, rows, starts)?;
+    for &start in &starts[first..] {
         let duration = get_varint(buf, &mut pos)?;
         ends.push(start.checked_add(duration).ok_or_else(delta_overflow)?);
     }
-    let tags = take(buf, &mut pos, rows, "truncated state tag lane")?;
-    if let Some(&bad) = tags.iter().find(|&&t| usize::from(t) >= WorkerState::COUNT) {
+    let block_tags = take(buf, &mut pos, rows, "truncated state tag lane")?;
+    if let Some(&bad) = block_tags
+        .iter()
+        .find(|&&t| usize::from(t) >= WorkerState::COUNT)
+    {
         return Err(TraceError::Format(format!("invalid state tag {bad}")));
     }
-    let tasks = TaskRefColumn::from_biased(decode_varints(buf, &mut pos, rows)?);
-    Ok(StateColumns::from_parts(
-        cpu,
-        starts,
-        ends,
-        tags.to_vec(),
-        tasks,
-    ))
+    tags.extend_from_slice(block_tags);
+    for _ in 0..rows {
+        tasks.push_biased(get_varint(buf, &mut pos)?);
+    }
+    Ok(())
 }
 
 /// Encodes event rows `[lo, hi)`; lazy payload lanes are elided per block when
@@ -515,44 +534,41 @@ fn encode_events_block(
     (ts[0], ts[n - 1])
 }
 
-fn decode_events_block(buf: &[u8], cpu: CpuId, rows: usize) -> Result<EventColumns, TraceError> {
+fn decode_events_block(buf: &[u8], rows: usize, out: &mut EventColumns) -> Result<(), TraceError> {
+    let (timestamps, tags, [payload_a, payload_b, payload_c]) = out.columns_mut();
+    // The lane was allocated at its run's row count: a lazy lane that
+    // materialises below is given the same room.
+    let (first, run_rows) = (timestamps.len(), timestamps.capacity());
     let mut pos = 0usize;
     let flags = take(buf, &mut pos, 1, "truncated event block")?[0];
-    let timestamps = decode_deltas(buf, &mut pos, rows)?;
-    let tags = take(buf, &mut pos, rows, "truncated event tag lane")?;
-    if let Some(&bad) = tags.iter().find(|&&t| t > 6) {
+    decode_deltas(buf, &mut pos, rows, timestamps)?;
+    let block_tags = take(buf, &mut pos, rows, "truncated event tag lane")?;
+    if let Some(&bad) = block_tags.iter().find(|&&t| t > 6) {
         return Err(TraceError::Format(format!("invalid event tag {bad}")));
     }
-    let mut payload_a = decode_varints(buf, &mut pos, rows)?;
+    tags.extend_from_slice(block_tags);
+    decode_varints(buf, &mut pos, rows, payload_a)?;
+    // The block's lazy lanes, all zero when it does not store them.
     let mut stored_lane = |stored: bool| -> Result<Vec<u64>, TraceError> {
-        if stored {
-            decode_varints(buf, &mut pos, rows)
-        } else {
-            Ok(vec![0; rows])
+        if !stored {
+            return Ok(vec![0; rows]);
         }
+        let mut lane = Vec::with_capacity(rows);
+        decode_varints(buf, &mut pos, rows, &mut lane)?;
+        Ok(lane)
     };
-    let mut payload_b = stored_lane(flags & 1 != 0)?;
-    let mut payload_c = stored_lane(flags & 2 != 0)?;
+    let mut b = stored_lane(flags & 1 != 0)?;
+    let mut c = stored_lane(flags & 2 != 0)?;
     // Keep only what each row's kind carries (a damaged block may hold more),
-    // and leave a lane that ends up all zero absent — the columns are then
-    // exactly what pushing the decoded events one by one would have built.
-    for i in 0..rows {
-        let kind = decode_kind(tags[i], payload_a[i], payload_b[i], payload_c[i]);
-        (_, payload_a[i], payload_b[i], payload_c[i]) = encode_kind(kind);
+    // and let a lane that is all zero so far stay absent — the columns are
+    // then exactly what pushing the decoded events one by one would have built.
+    for (i, a) in payload_a[first..].iter_mut().enumerate() {
+        let kind = decode_kind(block_tags[i], *a, b[i], c[i]);
+        (_, *a, b[i], c[i]) = encode_kind(kind);
     }
-    for lane in [&mut payload_b, &mut payload_c] {
-        if lane.iter().all(|&v| v == 0) {
-            *lane = Vec::new();
-        }
-    }
-    Ok(EventColumns::from_parts(
-        cpu,
-        timestamps,
-        tags.to_vec(),
-        payload_a,
-        payload_b,
-        payload_c,
-    ))
+    extend_lazy(payload_b, first, &b, run_rows);
+    extend_lazy(payload_c, first, &c, run_rows);
+    Ok(())
 }
 
 fn encode_samples_block(
@@ -582,23 +598,23 @@ fn encode_samples_block(
 
 fn decode_samples_block(
     buf: &[u8],
-    cpu: CpuId,
-    counter: CounterId,
     rows: usize,
-) -> Result<SampleColumns, TraceError> {
+    out: &mut SampleColumns,
+) -> Result<(), TraceError> {
+    let (timestamps, values) = out.columns_mut();
     let mut pos = 0usize;
-    let timestamps = decode_deltas(buf, &mut pos, rows)?;
+    decode_deltas(buf, &mut pos, rows, timestamps)?;
     let raw = take(
         buf,
         &mut pos,
         rows.saturating_mul(8),
         "truncated f64 in store block",
     )?;
-    let values = raw
-        .chunks_exact(8)
-        .map(|bits| f64::from_le_bytes(bits.try_into().expect("chunk of 8 bytes")))
-        .collect();
-    Ok(SampleColumns::from_parts(counter, cpu, timestamps, values))
+    values.extend(
+        raw.chunks_exact(8)
+            .map(|bits| f64::from_le_bytes(bits.try_into().expect("chunk of 8 bytes"))),
+    );
+    Ok(())
 }
 
 fn encode_accesses_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) -> (u64, u64) {
@@ -625,13 +641,14 @@ fn encode_accesses_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>)
     (min_key, prev)
 }
 
-fn decode_accesses_block(buf: &[u8], rows: usize) -> Result<AccessColumns, TraceError> {
+fn decode_accesses_block(
+    buf: &[u8],
+    rows: usize,
+    out: &mut AccessColumns,
+) -> Result<(), TraceError> {
+    let (tasks, kinds, [addrs, sizes]) = out.columns_mut();
     let mut pos = 0usize;
     let mut prev = 0u64;
-    let mut tasks = Vec::with_capacity(rows);
-    let mut kinds = Vec::with_capacity(rows);
-    let mut addrs = Vec::with_capacity(rows);
-    let mut sizes = Vec::with_capacity(rows);
     for _ in 0..rows {
         prev = prev
             .checked_add(get_varint(buf, &mut pos)?)
@@ -644,17 +661,12 @@ fn decode_accesses_block(buf: &[u8], rows: usize) -> Result<AccessColumns, Trace
             _ => return Err(TraceError::Format("invalid access kind".into())),
         };
         pos += 1;
-        tasks.push(prev);
+        tasks.push_biased(prev);
         kinds.push(kind);
         addrs.push(get_varint(buf, &mut pos)?);
         sizes.push(get_varint(buf, &mut pos)?);
     }
-    Ok(AccessColumns::from_parts(
-        TaskRefColumn::from_biased(tasks),
-        kinds,
-        addrs,
-        sizes,
-    ))
+    Ok(())
 }
 
 fn encode_tasks_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) -> (u64, u64) {
@@ -677,10 +689,10 @@ fn decode_tasks_block(
     buf: &[u8],
     first_id: u64,
     rows: usize,
-) -> Result<Vec<TaskInstance>, TraceError> {
+    out: &mut Vec<TaskInstance>,
+) -> Result<(), TraceError> {
     let mut pos = 0usize;
     let mut prev_creation = 0i64;
-    let mut rows_out = Vec::with_capacity(rows);
     for i in 0..rows {
         let ty = get_varint(buf, &mut pos)?;
         let cpu = get_varint(buf, &mut pos)?;
@@ -700,7 +712,7 @@ fn decode_tasks_block(
             .checked_add(duration)
             .ok_or_else(delta_overflow)?;
         let id = first_id.checked_add(i as u64).ok_or_else(delta_overflow)?;
-        rows_out.push(TaskInstance::new(
+        out.push(TaskInstance::new(
             TaskId(id),
             TaskTypeId(ty as u32),
             CpuId(cpu as u32),
@@ -709,7 +721,7 @@ fn decode_tasks_block(
             TimeInterval::from_cycles(start as u64, end),
         ));
     }
-    Ok(rows_out)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -761,14 +773,17 @@ fn encode_block(
     }
 }
 
-/// Serialises `trace` into the column store representation, returning the file
-/// bytes. See [`write_store_file`] for the usual entry point.
-///
-/// # Errors
-///
-/// Returns [`TraceError::Format`] when the trace cannot be stored (non-dense
-/// task ids) and propagates metadata serialisation errors.
-pub fn write_store_bytes(trace: &Trace, options: &StoreOptions) -> Result<Vec<u8>, TraceError> {
+/// Encodes `trace` into the pieces of its store file, in file order — head
+/// (magic, version, metadata), every block, tail (directory, trailer) — and
+/// its statistics. One assembly, two sinks: [`write_store_bytes`]
+/// concatenates the pieces, [`write_store_file_with`] hands them to the file.
+/// The blocks are encoded on whichever of `threads` is free and their offsets
+/// are a running sum in plan order: the bytes do not depend on `threads`.
+fn encode_store(
+    trace: &Trace,
+    options: &StoreOptions,
+    threads: Threads,
+) -> Result<(Vec<Vec<u8>>, StoreStats), TraceError> {
     if options.block_rows == 0 {
         return Err(TraceError::Format(
             "store block_rows must be positive".into(),
@@ -782,95 +797,135 @@ pub fn write_store_bytes(trace: &Trace, options: &StoreOptions) -> Result<Vec<u8
             )));
         }
     }
-    // The encodings come to about a third of the resident columns; half of
-    // them holds the file without growing (and copying) `out` on the way.
-    let mut out = Vec::with_capacity(trace.resident_event_bytes() / 2);
-    out.extend_from_slice(&STORE_MAGIC);
-    out.extend_from_slice(&STORE_VERSION.to_le_bytes());
+    let mut head = Vec::new();
+    head.extend_from_slice(&STORE_MAGIC);
+    head.extend_from_slice(&STORE_VERSION.to_le_bytes());
 
     // Metadata header: the trace minus its lanes, in the regular AFTM format.
     let mut meta = Vec::new();
     format::write_trace(&trace.metadata_skeleton(), &mut meta)?;
     let meta_crc = crc32(&meta);
-    put_varint(&mut out, meta.len() as u64);
-    out.extend_from_slice(&meta);
+    put_varint(&mut head, meta.len() as u64);
+    head.extend_from_slice(&meta);
 
-    // Lane blocks.
-    let mut directory = Vec::new();
-    for (lane, rows) in lane_plan(trace) {
-        let mut blocks = Vec::new();
-        let mut lo = 0usize;
-        while lo < rows {
-            let hi = (lo + options.block_rows).min(rows);
-            let offset = out.len() as u64;
-            let (min_key, max_key) = encode_block(trace, lane, lo, hi, &mut out);
-            let crc = crc32(&out[offset as usize..]);
-            blocks.push(BlockFooter {
-                offset,
-                len: out.len() as u64 - offset,
-                rows: (hi - lo) as u64,
-                min_key,
-                max_key,
-                crc,
-            });
-            lo = hi;
-        }
+    // Lane blocks: one job per block, encoded and checksummed where it stays.
+    let plan = lane_plan(trace);
+    let jobs: Vec<(LaneId, usize, usize)> = plan
+        .iter()
+        .flat_map(|&(lane, rows)| {
+            (0..rows)
+                .step_by(options.block_rows)
+                .map(move |lo| (lane, lo, lo.saturating_add(options.block_rows).min(rows)))
+        })
+        .collect();
+    let encoded = parallel_map(threads, &jobs, |&(lane, lo, hi)| {
+        // The encodings come to 6-11 bytes a row; this holds a block without
+        // growing (and copying) it on the way.
+        let mut bytes = Vec::with_capacity((hi - lo) * ENCODED_ROW_BYTES_HINT);
+        let (min_key, max_key) = encode_block(trace, lane, lo, hi, &mut bytes);
+        let footer = BlockFooter {
+            offset: 0, // assigned below, once the blocks before it are known
+            len: bytes.len() as u64,
+            rows: (hi - lo) as u64,
+            min_key,
+            max_key,
+            crc: crc32(&bytes),
+        };
+        (footer, bytes)
+    });
+    let data_start = head.len() as u64;
+    let mut offset = data_start;
+    let mut parts = Vec::with_capacity(encoded.len() + 2);
+    parts.push(head);
+    let mut encoded = encoded.into_iter();
+    let mut directory = Vec::with_capacity(plan.len());
+    for (lane, rows) in plan {
+        let footers = encoded
+            .by_ref()
+            .take(rows.div_ceil(options.block_rows))
+            .map(|(footer, bytes)| {
+                let footer = BlockFooter { offset, ..footer };
+                offset += footer.len;
+                parts.push(bytes);
+                footer
+            })
+            .collect();
         directory.push(LaneDirectory {
             lane,
             rows: rows as u64,
-            blocks,
+            blocks: footers,
         });
     }
     // Directory.
-    let dir_offset = out.len() as u64;
+    let dir_offset = offset;
+    let mut tail = Vec::new();
     let bounds = trace.time_bounds_opt();
-    out.push(u8::from(bounds.is_some()));
+    tail.push(u8::from(bounds.is_some()));
     if let Some(b) = bounds {
-        put_varint(&mut out, b.start.0);
-        put_varint(&mut out, b.end.0);
+        put_varint(&mut tail, b.start.0);
+        put_varint(&mut tail, b.end.0);
     }
-    put_varint(&mut out, trace.num_events() as u64);
-    put_varint(&mut out, directory.len() as u64);
+    put_varint(&mut tail, trace.num_events() as u64);
+    put_varint(&mut tail, directory.len() as u64);
     for lane in &directory {
         match lane.lane {
             LaneId::States(cpu) => {
-                out.push(LANE_TAG_STATES);
-                put_varint(&mut out, u64::from(cpu.0));
+                tail.push(LANE_TAG_STATES);
+                put_varint(&mut tail, u64::from(cpu.0));
             }
             LaneId::Events(cpu) => {
-                out.push(LANE_TAG_EVENTS);
-                put_varint(&mut out, u64::from(cpu.0));
+                tail.push(LANE_TAG_EVENTS);
+                put_varint(&mut tail, u64::from(cpu.0));
             }
             LaneId::Samples(cpu, ctr) => {
-                out.push(LANE_TAG_SAMPLES);
-                put_varint(&mut out, u64::from(cpu.0));
-                put_varint(&mut out, u64::from(ctr.0));
+                tail.push(LANE_TAG_SAMPLES);
+                put_varint(&mut tail, u64::from(cpu.0));
+                put_varint(&mut tail, u64::from(ctr.0));
             }
-            LaneId::Accesses => out.push(LANE_TAG_ACCESSES),
-            LaneId::Tasks => out.push(LANE_TAG_TASKS),
+            LaneId::Accesses => tail.push(LANE_TAG_ACCESSES),
+            LaneId::Tasks => tail.push(LANE_TAG_TASKS),
         }
-        put_varint(&mut out, lane.rows);
-        put_varint(&mut out, lane.blocks.len() as u64);
+        put_varint(&mut tail, lane.rows);
+        put_varint(&mut tail, lane.blocks.len() as u64);
         for b in &lane.blocks {
-            put_varint(&mut out, b.offset);
-            put_varint(&mut out, b.len);
-            put_varint(&mut out, b.rows);
-            put_varint(&mut out, b.min_key);
-            put_varint(&mut out, b.max_key);
-            put_varint(&mut out, u64::from(b.crc));
+            put_varint(&mut tail, b.offset);
+            put_varint(&mut tail, b.len);
+            put_varint(&mut tail, b.rows);
+            put_varint(&mut tail, b.min_key);
+            put_varint(&mut tail, b.max_key);
+            put_varint(&mut tail, u64::from(b.crc));
         }
     }
-    let dir_len = out.len() as u64 - dir_offset;
+    let dir_len = tail.len() as u64;
+    let dir_crc = crc32(&tail);
 
     // Trailer.
-    out.extend_from_slice(&dir_offset.to_le_bytes());
-    out.extend_from_slice(&dir_len.to_le_bytes());
-    let dir_crc = crc32(&out[dir_offset as usize..(dir_offset + dir_len) as usize]);
-    out.extend_from_slice(&dir_crc.to_le_bytes());
-    out.extend_from_slice(&meta_crc.to_le_bytes());
-    out.extend_from_slice(&TRAILER_MAGIC);
+    tail.extend_from_slice(&dir_offset.to_le_bytes());
+    tail.extend_from_slice(&dir_len.to_le_bytes());
+    tail.extend_from_slice(&dir_crc.to_le_bytes());
+    tail.extend_from_slice(&meta_crc.to_le_bytes());
+    tail.extend_from_slice(&TRAILER_MAGIC);
 
-    Ok(out)
+    let stats = StoreStats {
+        file_bytes: dir_offset + tail.len() as u64,
+        metadata_bytes: meta.len() as u64,
+        data_bytes: dir_offset - data_start,
+        num_lanes: directory.len(),
+        num_blocks: jobs.len(),
+    };
+    parts.push(tail);
+    Ok((parts, stats))
+}
+
+/// Serialises `trace` into the column store representation, returning the file
+/// bytes. See [`write_store_file`] for the usual entry point.
+///
+/// # Errors
+///
+/// Returns [`TraceError::Format`] when the trace cannot be stored (non-dense
+/// task ids) and propagates metadata serialisation errors.
+pub fn write_store_bytes(trace: &Trace, options: &StoreOptions) -> Result<Vec<u8>, TraceError> {
+    Ok(encode_store(trace, options, Threads::auto())?.0.concat())
 }
 
 /// Writes `trace` as a column store file at `path`.
@@ -884,6 +939,13 @@ pub fn write_store_file<P: AsRef<Path>>(trace: &Trace, path: P) -> Result<StoreS
 
 /// Like [`write_store_file`] with explicit [`StoreOptions`].
 ///
+/// The file appears at `path` whole or not at all: it is written to a sibling
+/// temporary in the same directory and renamed over `path` once every byte is
+/// out, so a failed or interrupted write leaves no short file there and a
+/// failed re-write keeps the file that was there. (This orders the write
+/// against readers of `path`; it is not a durability barrier — nothing is
+/// `fsync`ed.)
+///
 /// # Errors
 ///
 /// Propagates I/O errors and the conditions of [`write_store_bytes`].
@@ -892,33 +954,27 @@ pub fn write_store_file_with<P: AsRef<Path>>(
     path: P,
     options: &StoreOptions,
 ) -> Result<StoreStats, TraceError> {
-    let bytes = write_store_bytes(trace, options)?;
-    let stats = stats_of(&bytes)?;
-    std::fs::write(path, &bytes).map_err(TraceError::Io)?;
+    let (parts, stats) = encode_store(trace, options, Threads::auto())?;
+    let path = path.as_ref();
+    let temp = temp_sibling(path);
+    let written = File::create(&temp)
+        .and_then(|mut file| parts.iter().try_for_each(|part| file.write_all(part)))
+        .and_then(|()| std::fs::rename(&temp, path));
+    if let Err(e) = written {
+        // Best effort: the error worth reporting is the write's.
+        let _ = std::fs::remove_file(&temp);
+        return Err(TraceError::Io(e));
+    }
     Ok(stats)
 }
 
-/// Computes [`StoreStats`] of an encoded store buffer from its own framing.
-fn stats_of(bytes: &[u8]) -> Result<StoreStats, TraceError> {
-    if bytes.len() < 8 {
-        return Err(TraceError::Format("store file too short".into()));
-    }
-    let mut pos = 8usize; // magic + version
-    let meta_len = get_varint(bytes, &mut pos)? as usize;
-    let data_start = pos + meta_len;
-    let trailer = bytes
-        .len()
-        .checked_sub(TRAILER_LEN)
-        .ok_or_else(|| TraceError::Format("store file too short".into()))?;
-    let dir_offset = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().expect("8 bytes"));
-    let directory = read_directory(bytes, dir_offset as usize, trailer)?;
-    Ok(StoreStats {
-        file_bytes: bytes.len() as u64,
-        metadata_bytes: meta_len as u64,
-        data_bytes: dir_offset - data_start as u64,
-        num_lanes: directory.1.len(),
-        num_blocks: directory.1.iter().map(|l| l.blocks.len()).sum(),
-    })
+/// Where [`write_store_file_with`] assembles the file that will become
+/// `path`: beside it (a rename does not cross file systems), named after it
+/// and this process (concurrent writers of one path each publish a whole file).
+fn temp_sibling(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".{}.tmp", std::process::id()));
+    path.with_file_name(name)
 }
 
 // ---------------------------------------------------------------------------
@@ -1162,7 +1218,10 @@ fn validate_directory(
     Ok(())
 }
 
-/// One decoded block: an exact-capacity chunk of its lane's column type.
+/// The rows of one lane run in the lane's column type, where they will live:
+/// allocated once at the run's row count (the directory knows it) and grown
+/// by the run's blocks in order, so nothing is joined, copied or regrown
+/// between a block's bytes and the installed lane.
 #[derive(Debug)]
 enum Chunk {
     States(StateColumns),
@@ -1173,40 +1232,53 @@ enum Chunk {
 }
 
 impl Chunk {
-    /// Decodes the payload of one block of `lane` straight into columns.
-    fn decode(buf: &[u8], lane: LaneId, footer: &BlockFooter) -> Result<Chunk, TraceError> {
+    /// Empty columns of `lane` with room for exactly `rows` rows.
+    fn with_capacity(lane: LaneId, rows: usize) -> Chunk {
+        match lane {
+            LaneId::States(cpu) => Chunk::States(StateColumns::with_capacity(cpu, rows)),
+            LaneId::Events(cpu) => Chunk::Events(EventColumns::with_capacity(cpu, rows)),
+            LaneId::Samples(cpu, ctr) => {
+                Chunk::Samples(SampleColumns::with_capacity(ctr, cpu, rows))
+            }
+            LaneId::Accesses => Chunk::Accesses(AccessColumns::with_capacity(rows)),
+            LaneId::Tasks => Chunk::Tasks(Vec::with_capacity(rows)),
+        }
+    }
+
+    /// Decodes the payload of the run's next block onto the end of the
+    /// columns. After an error they hold a torn block and must be discarded.
+    fn decode_block(&mut self, buf: &[u8], footer: &BlockFooter) -> Result<(), TraceError> {
         let rows = footer.rows as usize;
-        Ok(match lane {
-            LaneId::States(cpu) => Chunk::States(decode_states_block(buf, cpu, rows)?),
-            LaneId::Events(cpu) => Chunk::Events(decode_events_block(buf, cpu, rows)?),
-            LaneId::Samples(cpu, ctr) => Chunk::Samples(decode_samples_block(buf, cpu, ctr, rows)?),
-            LaneId::Accesses => Chunk::Accesses(decode_accesses_block(buf, rows)?),
-            LaneId::Tasks => Chunk::Tasks(decode_tasks_block(buf, footer.min_key, rows)?),
-        })
-    }
-
-    /// Reserves room for exactly `additional` more rows.
-    fn reserve_exact(&mut self, additional: usize) {
         match self {
-            Chunk::States(c) => c.reserve_exact(additional),
-            Chunk::Events(c) => c.reserve_exact(additional),
-            Chunk::Samples(c) => c.reserve_exact(additional),
-            Chunk::Accesses(c) => c.reserve_exact(additional),
-            Chunk::Tasks(c) => c.reserve_exact(additional),
+            Chunk::States(col) => decode_states_block(buf, rows, col),
+            Chunk::Events(col) => decode_events_block(buf, rows, col),
+            Chunk::Samples(col) => decode_samples_block(buf, rows, col),
+            Chunk::Accesses(col) => decode_accesses_block(buf, rows, col),
+            Chunk::Tasks(col) => decode_tasks_block(buf, footer.min_key, rows, col),
         }
     }
 
-    /// Appends the next block's chunk of the same lane.
-    fn append(&mut self, next: Chunk) {
-        match (self, next) {
-            (Chunk::States(a), Chunk::States(b)) => a.append(&b),
-            (Chunk::Events(a), Chunk::Events(b)) => a.append(&b),
-            (Chunk::Samples(a), Chunk::Samples(b)) => a.append(&b),
-            (Chunk::Accesses(a), Chunk::Accesses(b)) => a.append(&b),
-            (Chunk::Tasks(a), Chunk::Tasks(b)) => a.extend(b),
-            _ => unreachable!("blocks of one lane decode to one chunk kind"),
+    /// Verifies `bytes` against the footer's checksum and then — never before
+    /// — decodes them: damaged bytes must surface as a typed error, never as
+    /// silently wrong rows. The one verify → decode routine: batch
+    /// materialisation and the salvage scan run every block through it.
+    fn verify_then_decode(&mut self, bytes: &[u8], footer: &BlockFooter) -> Result<(), BlockFault> {
+        let computed = crc32(bytes);
+        if computed != footer.crc {
+            return Err(BlockFault::Checksum { computed });
         }
+        self.decode_block(bytes, footer)
+            .map_err(BlockFault::Undecodable)
     }
+}
+
+/// Why the bytes of a block cannot become rows.
+#[derive(Debug)]
+enum BlockFault {
+    /// They do not match the footer's checksum; `computed` is theirs.
+    Checksum { computed: u32 },
+    /// The checksum holds but the payload does not decode.
+    Undecodable(TraceError),
 }
 
 /// The block run `[lo, hi)` a salvage open keeps for a lane of `total` blocks
@@ -1501,25 +1573,41 @@ impl StoredTrace {
     }
 
     /// Classifies every block as good or quarantined, narrowing
-    /// `self.surviving` and filling `self.damage`.
+    /// `self.surviving` and filling `self.damage`. Lane by lane: its blocks are
+    /// read on this thread in file order (the tier sees one deterministic read
+    /// sequence), then classified on the thread budget — at most one lane's
+    /// bytes are held at a time.
     fn scan_for_damage(&mut self) {
         let mut report = DamageReport::default();
         for (idx, dir) in self.directory.iter().enumerate() {
-            let mut damaged = Vec::new();
-            for (k, footer) in dir.blocks.iter().enumerate() {
-                let mut buf = vec![0u8; footer.len as usize];
-                let finding = match self.tier.read_at(footer.offset, &mut buf) {
-                    Err(e) => Some((DamageCode::BlockUnreadable, e.to_string())),
-                    Ok(()) => match crc32(&buf) {
-                        got if got != footer.crc => Some((
-                            DamageCode::BlockChecksumMismatch,
-                            format!("stored {:#010x}, computed {got:#010x}", footer.crc),
-                        )),
-                        _ => Chunk::decode(&buf, dir.lane, footer)
-                            .err()
-                            .map(|e| (DamageCode::BlockUndecodable, e.to_string())),
-                    },
+            let read: Vec<(&BlockFooter, Result<Vec<u8>, TraceError>)> = dir
+                .blocks
+                .iter()
+                .map(|footer| {
+                    let mut buf = vec![0u8; footer.len as usize];
+                    let read = self.tier.read_at(footer.offset, &mut buf);
+                    (footer, read.map(|()| buf))
+                })
+                .collect();
+            let findings = parallel_map(self.threads, &read, |(footer, read)| {
+                let bytes = match read {
+                    Ok(bytes) => bytes,
+                    Err(e) => return Some((DamageCode::BlockUnreadable, e.to_string())),
                 };
+                let mut scratch = Chunk::with_capacity(dir.lane, footer.rows as usize);
+                match scratch.verify_then_decode(bytes, footer) {
+                    Ok(()) => None,
+                    Err(BlockFault::Checksum { computed }) => Some((
+                        DamageCode::BlockChecksumMismatch,
+                        format!("stored {:#010x}, computed {computed:#010x}", footer.crc),
+                    )),
+                    Err(BlockFault::Undecodable(e)) => {
+                        Some((DamageCode::BlockUndecodable, e.to_string()))
+                    }
+                }
+            });
+            let mut damaged = Vec::new();
+            for (k, finding) in findings.into_iter().enumerate() {
                 if let Some((code, detail)) = finding {
                     report.findings.push(DamageFinding {
                         code,
@@ -1726,57 +1814,26 @@ impl StoredTrace {
         Ok(buf)
     }
 
-    /// Verifies and decodes block `k` of lane `idx` out of `run`,
-    /// the bytes of the lane's block run starting at block `lo`.
-    fn decode_block(
-        &self,
-        idx: usize,
-        lo: usize,
-        k: usize,
-        run: &[u8],
-    ) -> Result<Chunk, TraceError> {
-        let dir = &self.directory[idx];
-        let footer = &dir.blocks[k];
-        let start = (footer.offset - dir.blocks[lo].offset) as usize;
-        let bytes = &run[start..start + footer.len as usize];
-        // Verify before decoding: damaged bytes must surface as a typed
-        // error, never as silently wrong rows.
-        let got = crc32(bytes);
-        if got != footer.crc {
-            return Err(TraceError::Corrupted(format!(
-                "lane {}: block {k} checksum mismatch \
-                 (stored {:#010x}, computed {got:#010x})",
-                dir.lane, footer.crc
-            )));
-        }
-        Chunk::decode(bytes, dir.lane, footer)
-    }
-
     /// Installs the decoded rows of one lane, replacing whatever was resident.
-    /// The chunks were reserved from the directory's row counts, so the
-    /// `shrink_to_fit`s only act on a lazily materialised event lane.
+    /// The columns were allocated at the run's row count, so none carries
+    /// capacity slack.
     fn install(&mut self, lane: LaneId, rows: Chunk) {
         let known = "ensure_batch plans loads for CPUs of the topology only";
         match (lane, rows) {
-            (LaneId::States(cpu), Chunk::States(mut col)) => {
-                col.shrink_to_fit();
+            (LaneId::States(cpu), Chunk::States(col)) => {
                 self.per_cpu_mut(cpu).expect(known).states = col;
             }
-            (LaneId::Events(cpu), Chunk::Events(mut col)) => {
-                col.shrink_to_fit();
+            (LaneId::Events(cpu), Chunk::Events(col)) => {
                 self.per_cpu_mut(cpu).expect(known).events = col;
             }
-            (LaneId::Samples(cpu, ctr), Chunk::Samples(mut col)) => {
-                col.shrink_to_fit();
+            (LaneId::Samples(cpu, ctr), Chunk::Samples(col)) => {
                 self.per_cpu_mut(cpu).expect(known).samples.insert(ctr, col);
             }
             (LaneId::Accesses, Chunk::Accesses(mut col)) => {
                 col.sort_by_task();
-                col.shrink_to_fit();
                 *self.skeleton.streaming_parts_mut().accesses = col;
             }
-            (LaneId::Tasks, Chunk::Tasks(mut tasks)) => {
-                tasks.shrink_to_fit();
+            (LaneId::Tasks, Chunk::Tasks(tasks)) => {
                 *self.skeleton.streaming_parts_mut().tasks = tasks;
             }
             _ => unreachable!("a lane's blocks decode to its own chunk kind"),
@@ -1842,15 +1899,21 @@ impl StoredTrace {
     ///    thread, in request order: the tier sees exactly the read sequence
     ///    the same requests issued one by one would produce, whatever the
     ///    thread budget (a [`crate::fault::FaultyTier`] schedule replays);
-    /// 3. **verify + decode** — one parallel pass over every `(lane, block)`
-    ///    of the batch on the [decode thread budget](Self::set_decode_threads):
-    ///    CRC first, then the block's bytes straight into column chunks;
-    /// 4. **install** — chunks are joined per lane and installed, and touches
-    ///    applied, in request order (so least-recently-used eviction sees the
-    ///    requests in the order they were made).
+    /// 3. **verify + decode** — one parallel pass over the loads on the
+    ///    [decode thread budget](Self::set_decode_threads), each claimed by
+    ///    whichever worker is free: the lane's final columns are allocated
+    ///    once at the run's row count (the directory knows it) and the run's
+    ///    blocks go into them in order — CRC first, then the block's bytes
+    ///    straight onto the end of the columns. Rows land where they will
+    ///    live; nothing is joined, copied or regrown afterwards;
+    /// 4. **install** — the columns are installed, and touches applied, in
+    ///    request order (so least-recently-used eviction sees the requests in
+    ///    the order they were made).
     ///
-    /// **All or nothing:** steps 1–3 change nothing. On any error — a failed
-    /// read (the batch stops reading there), else the first checksum
+    /// **All or nothing:** steps 1–3 change nothing — the columns step 3
+    /// fills belong to the batch, not to the trace, until step 4, which runs
+    /// only when every block has verified and decoded. On any error — a
+    /// failed read (the batch stops reading there), else the first checksum
     /// mismatch or undecodable block in request order — residency, rows and
     /// touch order are exactly what they were, so no lane is ever left torn.
     ///
@@ -1916,46 +1979,50 @@ impl StoredTrace {
             if let Step::Load { idx, lo, hi } = *step {
                 let bytes = self.read_block_run(idx, lo, hi)?;
                 self.stats.bytes_read += bytes.len() as u64;
-                runs.push((idx, lo, bytes));
+                runs.push((&self.directory[idx], lo..hi, bytes));
             }
         }
 
-        // Verify + decode every block of the batch in one parallel pass.
-        let items: Vec<(usize, usize)> = steps
-            .iter()
-            .filter_map(|step| match *step {
-                Step::Load { lo, hi, .. } => Some(lo..hi),
-                Step::Touch(_) => None,
-            })
-            .enumerate()
-            .flat_map(|(run, blocks)| blocks.map(move |k| (run, k)))
-            .collect();
-        let decoded = parallel_map(self.threads, &items, |&(run, k)| {
-            let (idx, lo, ref bytes) = runs[run];
-            self.decode_block(idx, lo, k, bytes)
+        // Verify + decode: one job per load, claimed one at a time (a long
+        // lane does not queue behind its neighbours). Each allocates its
+        // lane's final columns once and runs its blocks into them in order,
+        // every block verified before a byte of it is decoded.
+        let decoded = parallel_map_chunks(self.threads, &mut runs, 1, |_, run| {
+            let (dir, blocks, bytes) = &mut run[0];
+            let bytes = std::mem::take(bytes); // freed when the lane is decoded
+            let footers = &dir.blocks[blocks.clone()];
+            let run_rows = footers.iter().map(|b| b.rows as usize).sum();
+            let mut rows = Chunk::with_capacity(dir.lane, run_rows);
+            for (k, footer) in blocks.clone().zip(footers) {
+                let start = (footer.offset - footers[0].offset) as usize;
+                rows.verify_then_decode(&bytes[start..start + footer.len as usize], footer)
+                    .map_err(|fault| match fault {
+                        BlockFault::Checksum { computed } => TraceError::Corrupted(format!(
+                            "lane {}: block {k} checksum mismatch \
+                             (stored {:#010x}, computed {computed:#010x})",
+                            dir.lane, footer.crc
+                        )),
+                        BlockFault::Undecodable(e) => e,
+                    })?;
+            }
+            Ok(rows)
         });
         drop(runs);
-        let mut chunks = decoded
+        let mut decoded = decoded
             .into_iter()
             .collect::<Result<Vec<Chunk>, TraceError>>()?
             .into_iter();
 
         // Install and touch, in request order.
-        self.stats.blocks_decoded += items.len() as u64;
         for step in steps {
             match step {
                 Step::Touch(idx) => self.touch(idx),
                 Step::Load { idx, lo, hi } => {
                     let dir = &self.directory[idx];
                     let (lane, total) = (dir.lane, dir.blocks.len());
-                    let run_rows: u64 = dir.blocks[lo..hi].iter().map(|b| b.rows).sum();
-                    let mut rows = chunks.next().expect("one chunk per planned block");
-                    rows.reserve_exact((run_rows - dir.blocks[lo].rows) as usize);
-                    for _ in lo + 1..hi {
-                        rows.append(chunks.next().expect("one chunk per planned block"));
-                    }
-                    self.install(lane, rows);
+                    self.install(lane, decoded.next().expect("one chunk per load"));
                     self.stats.lanes_materialised += 1;
+                    self.stats.blocks_decoded += (hi - lo) as u64;
                     self.clock += 1;
                     let touched = self.clock;
                     self.residency[idx] = if lo == 0 && hi == total {
@@ -2643,41 +2710,52 @@ mod tests {
             .collect()
     }
 
-    /// Decodes one block with the row-at-a-time oracle and pushes the rows the
-    /// way the store used to, giving the chunk the column-direct path must equal.
+    /// Decodes one block the way a one-block lane run does.
+    fn decode_alone(buf: &[u8], lane: LaneId, footer: &BlockFooter) -> Result<Chunk, TraceError> {
+        let mut rows = Chunk::with_capacity(lane, footer.rows as usize);
+        rows.decode_block(buf, footer)?;
+        Ok(rows)
+    }
+
+    /// Decodes a run of blocks with the row-at-a-time oracle and pushes the rows
+    /// the way the store used to, giving the chunk the column-direct path must
+    /// equal.
+    fn oracle_run<'a>(
+        lane: LaneId,
+        blocks: impl IntoIterator<Item = (&'a BlockFooter, &'a [u8])>,
+    ) -> Result<Chunk, TraceError> {
+        let mut chunk = Chunk::with_capacity(lane, 0);
+        for (footer, buf) in blocks {
+            let rows = footer.rows as usize;
+            match (&mut chunk, lane) {
+                (Chunk::States(col), LaneId::States(cpu)) => {
+                    for r in aos_oracle::decode_states_block(buf, cpu, rows)? {
+                        col.push(r);
+                    }
+                }
+                (Chunk::Events(col), LaneId::Events(cpu)) => {
+                    for r in aos_oracle::decode_events_block(buf, cpu, rows)? {
+                        col.push(r);
+                    }
+                }
+                (Chunk::Samples(col), LaneId::Samples(cpu, ctr)) => {
+                    for r in aos_oracle::decode_samples_block(buf, cpu, ctr, rows)? {
+                        col.push(r);
+                    }
+                }
+                (Chunk::Accesses(col), _) => {
+                    for r in aos_oracle::decode_accesses_block(buf, rows)? {
+                        col.push(r);
+                    }
+                }
+                (tasks, _) => tasks.decode_block(buf, footer)?,
+            }
+        }
+        Ok(chunk)
+    }
+
     fn oracle_chunk(buf: &[u8], lane: LaneId, footer: &BlockFooter) -> Result<Chunk, TraceError> {
-        let rows = footer.rows as usize;
-        Ok(match lane {
-            LaneId::States(cpu) => {
-                let mut col = StateColumns::new(cpu);
-                for r in aos_oracle::decode_states_block(buf, cpu, rows)? {
-                    col.push(r);
-                }
-                Chunk::States(col)
-            }
-            LaneId::Events(cpu) => {
-                let mut col = EventColumns::new(cpu);
-                for r in aos_oracle::decode_events_block(buf, cpu, rows)? {
-                    col.push(r);
-                }
-                Chunk::Events(col)
-            }
-            LaneId::Samples(cpu, ctr) => {
-                let mut col = SampleColumns::new(ctr, cpu);
-                for r in aos_oracle::decode_samples_block(buf, cpu, ctr, rows)? {
-                    col.push(r);
-                }
-                Chunk::Samples(col)
-            }
-            LaneId::Accesses => {
-                let mut col = AccessColumns::new();
-                for r in aos_oracle::decode_accesses_block(buf, rows)? {
-                    col.push(r);
-                }
-                Chunk::Accesses(col)
-            }
-            LaneId::Tasks => Chunk::Tasks(decode_tasks_block(buf, footer.min_key, rows)?),
-        })
+        oracle_run(lane, [(footer, buf)])
     }
 
     fn assert_same_chunk(direct: &Chunk, oracle: &Chunk, what: &str) {
@@ -2699,7 +2777,7 @@ mod tests {
             let stored = StoredTrace::from_bytes(bytes.clone()).unwrap();
             for (lane, footer, payload) in blocks_of(&stored, &bytes) {
                 let what = format!("{lane} @ {block_rows} rows/block");
-                let direct = Chunk::decode(&payload, lane, &footer).unwrap();
+                let direct = decode_alone(&payload, lane, &footer).unwrap();
                 let oracle = oracle_chunk(&payload, lane, &footer).unwrap();
                 assert_same_chunk(&direct, &oracle, &what);
                 // Truncated at every length and with every byte damaged in
@@ -2714,7 +2792,7 @@ mod tests {
                 );
                 for bad in damaged {
                     match (
-                        Chunk::decode(&bad, lane, &footer),
+                        decode_alone(&bad, lane, &footer),
                         oracle_chunk(&bad, lane, &footer),
                     ) {
                         (Ok(d), Ok(o)) => assert_same_chunk(&d, &o, &what),
@@ -2747,7 +2825,7 @@ mod tests {
             crc: 0,
         };
         let lane = LaneId::States(CpuId(0));
-        let direct = Chunk::decode(&block, lane, &footer).unwrap();
+        let direct = decode_alone(&block, lane, &footer).unwrap();
         let oracle = oracle_chunk(&block, lane, &footer).unwrap();
         assert_same_chunk(&direct, &oracle, "wide task ref");
         let (Chunk::States(d), Chunk::States(mut o)) = (direct, oracle) else {
@@ -2770,7 +2848,7 @@ mod tests {
         };
         let lane = LaneId::Events(CpuId(0));
         let (Chunk::Events(mut d), Chunk::Events(mut o)) = (
-            Chunk::decode(&block, lane, &footer).unwrap(),
+            decode_alone(&block, lane, &footer).unwrap(),
             oracle_chunk(&block, lane, &footer).unwrap(),
         ) else {
             unreachable!()
@@ -2875,6 +2953,363 @@ mod tests {
                 (bytes.len(), fnv1a(&bytes)),
                 (len, digest),
                 "store bytes changed at {block_rows} rows per block"
+            );
+        }
+    }
+
+    /// The store file of `trace`, encoded on `threads`.
+    fn bytes_on(trace: &Trace, options: &StoreOptions, threads: Threads) -> Vec<u8> {
+        encode_store(trace, options, threads).unwrap().0.concat()
+    }
+
+    /// The thread budgets every budget-independence test runs at.
+    fn budgets() -> [Threads; 3] {
+        [Threads::single(), Threads::new(2), Threads::auto()]
+    }
+
+    #[test]
+    fn writer_output_does_not_depend_on_the_thread_budget() {
+        let trace = sample_trace();
+        for block_rows in [1, 3, 7, DEFAULT_BLOCK_ROWS] {
+            let options = StoreOptions { block_rows };
+            let pinned = bytes_on(&trace, &options, Threads::single());
+            for threads in budgets() {
+                let bytes = bytes_on(&trace, &options, threads);
+                assert!(
+                    bytes == pinned,
+                    "{block_rows} rows per block, {threads} threads"
+                );
+            }
+            assert!(write_store_bytes(&trace, &options).unwrap() == pinned);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn writer_output_does_not_depend_on_the_thread_budget_on_random_traces(
+            script in proptest::collection::vec((0u64..30, 1u64..50, 0u8..6), 1..90),
+            block_rows in 1usize..12,
+        ) {
+            // Every lane kind, two CPUs, lazy event payloads here and there.
+            let mut b = TraceBuilder::new(MachineTopology::uniform(1, 2));
+            let ty = b.add_task_type("work", 0x4000);
+            let ctr = b.add_counter("cycles", true);
+            let mut clock = [0u64; 2];
+            for (i, &(gap, duration, pick)) in script.iter().enumerate() {
+                let cpu = CpuId((i % 2) as u32);
+                let t0 = clock[i % 2] + gap;
+                let t1 = t0 + duration;
+                clock[i % 2] = t1;
+                let task = b.add_task(ty, cpu, Timestamp(t0), Timestamp(t0), Timestamp(t1));
+                b.add_state(cpu, WorkerState::TaskExecution, Timestamp(t0), Timestamp(t1), Some(task))
+                    .unwrap();
+                let kind = match pick {
+                    0 => DiscreteEventKind::DataPublish { producer: task, consumer: task, bytes: gap },
+                    1 => DiscreteEventKind::StealSuccess { victim: cpu, task },
+                    _ => DiscreteEventKind::Marker { code: u32::from(pick) },
+                };
+                b.add_event(cpu, Timestamp(t0), kind).unwrap();
+                b.add_sample(ctr, cpu, Timestamp(t0), duration as f64 * 0.25).unwrap();
+                b.add_access(task, AccessKind::Write, 0x1000 + 8 * i as u64, 8 + gap).unwrap();
+            }
+            let trace = b.finish().unwrap();
+            let options = StoreOptions { block_rows };
+            let pinned = bytes_on(&trace, &options, Threads::single());
+            for threads in budgets() {
+                let bytes = bytes_on(&trace, &options, threads);
+                proptest::prop_assert!(bytes == pinned, "{} threads", threads);
+            }
+        }
+    }
+
+    /// Ten rows in every lane kind of CPU 0 — three blocks at four rows a
+    /// block, the last one short — with the decisions a lane takes once
+    /// forced late: the states' task references need 64 bits only in the last
+    /// block, the events carry a third payload only in the middle one.
+    fn late_deciding_trace() -> Trace {
+        let mut b = TraceBuilder::new(MachineTopology::uniform(1, 2));
+        let ty = b.add_task_type("work", 0x4000);
+        let ctr = b.add_counter("cycles", true);
+        for i in 0..10u64 {
+            let cpu = CpuId(0);
+            let t0 = 100 * i;
+            let task = b.add_task(ty, cpu, Timestamp(t0), Timestamp(t0), Timestamp(t0 + 90));
+            let referenced = if i < 8 { task } else { TaskId((1 << 33) + i) };
+            b.add_state(
+                cpu,
+                WorkerState::TaskExecution,
+                Timestamp(t0),
+                Timestamp(t0 + 90),
+                Some(referenced),
+            )
+            .unwrap();
+            let kind = if (4..8).contains(&i) {
+                DiscreteEventKind::DataPublish {
+                    producer: task,
+                    consumer: task,
+                    bytes: 64 + i,
+                }
+            } else {
+                DiscreteEventKind::Marker { code: i as u32 }
+            };
+            b.add_event(cpu, Timestamp(t0 + 1), kind).unwrap();
+            b.add_sample(ctr, cpu, Timestamp(t0), 0.5 * i as f64)
+                .unwrap();
+            b.add_access(task, AccessKind::Read, 0x1000 + 8 * i, 8)
+                .unwrap();
+            // CPU 1 keeps a one-block lane beside the three-block ones.
+            b.add_state(
+                CpuId(1),
+                WorkerState::Idle,
+                Timestamp(t0),
+                Timestamp(t0 + 100),
+                None,
+            )
+            .unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    /// The resident rows of `lane`, as the chunk they were installed from.
+    fn resident_chunk(stored: &StoredTrace, lane: LaneId) -> Chunk {
+        let trace = stored.trace();
+        match lane {
+            LaneId::States(cpu) => Chunk::States(trace.cpu(cpu).unwrap().states.clone()),
+            LaneId::Events(cpu) => Chunk::Events(trace.cpu(cpu).unwrap().events.clone()),
+            LaneId::Samples(cpu, ctr) => {
+                Chunk::Samples(trace.cpu(cpu).unwrap().samples[&ctr].clone())
+            }
+            LaneId::Accesses => Chunk::Accesses(trace.access_columns().clone()),
+            LaneId::Tasks => Chunk::Tasks(trace.tasks().to_vec()),
+        }
+    }
+
+    /// Holds the resident rows of `lane` against the oracle's decoding of its
+    /// blocks `[lo, hi)`.
+    fn assert_resident_run_matches_the_oracle(
+        stored: &StoredTrace,
+        bytes: &[u8],
+        lane: LaneId,
+        (lo, hi): (usize, usize),
+        what: &str,
+    ) {
+        let footers = &stored.lane_directory(lane).unwrap().blocks[lo..hi];
+        let blocks = footers
+            .iter()
+            .map(|b| (b, &bytes[b.offset as usize..(b.offset + b.len) as usize]));
+        let oracle = oracle_run(lane, blocks).unwrap();
+        assert_same_chunk(&resident_chunk(stored, lane), &oracle, what);
+    }
+
+    #[test]
+    fn lane_runs_decode_in_place_like_the_oracle_at_every_budget() {
+        let trace = late_deciding_trace();
+        let options = StoreOptions { block_rows: 4 };
+        for threads in budgets() {
+            let bytes = bytes_on(&trace, &options, threads);
+            // Whole lanes: three blocks each on CPU 0, the last one short.
+            let mut stored = StoredTrace::from_bytes(bytes.clone()).unwrap();
+            stored.set_decode_threads(threads);
+            assert_eq!(
+                *stored.materialise_all().unwrap(),
+                trace,
+                "{threads} threads"
+            );
+            assert_eq!(stored.resident_event_bytes(), trace.resident_event_bytes());
+            for lane in stored.lanes().collect::<Vec<_>>() {
+                let blocks = stored.lane_directory(lane).unwrap().blocks.len();
+                if lane != LaneId::States(CpuId(1)) {
+                    assert!(blocks >= 3, "{lane} has {blocks} blocks");
+                }
+                let what = format!("{lane}, whole, {threads} threads");
+                assert_resident_run_matches_the_oracle(&stored, &bytes, lane, (0, blocks), &what);
+            }
+            // ... in columns of exactly their rows, the task references wide.
+            let wide_row = 8 + 8 + 1 + 8;
+            assert_eq!(
+                stored.lane_resident_bytes(LaneId::States(CpuId(0))),
+                10 * wide_row
+            );
+            // A covering run that starts past block 0 (and ends in the wide one).
+            let lane = LaneId::States(CpuId(0));
+            let mut stored = StoredTrace::from_bytes(bytes.clone()).unwrap();
+            stored.set_decode_threads(threads);
+            stored
+                .ensure_states_covering(lane, TimeInterval::from_cycles(450, 1000))
+                .unwrap();
+            let idx = stored.lane_index[&lane];
+            let Residency::Partial {
+                block_lo, block_hi, ..
+            } = stored.residency[idx]
+            else {
+                panic!("expected a partial run, got {:?}", stored.residency[idx]);
+            };
+            assert_eq!((block_lo, block_hi), (1, 3));
+            let what = format!("{lane}, blocks 1..3, {threads} threads");
+            assert_resident_run_matches_the_oracle(&stored, &bytes, lane, (1, 3), &what);
+            let resident = stored.trace().cpu(CpuId(0)).unwrap().states.to_vec();
+            assert_eq!(resident, trace.cpu(CpuId(0)).unwrap().states.to_vec()[4..]);
+        }
+    }
+
+    #[test]
+    fn a_flipped_byte_in_the_last_block_of_the_last_lane_changes_nothing() {
+        let trace = late_deciding_trace();
+        let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 4 }).unwrap();
+        let probe = StoredTrace::from_bytes(bytes.clone()).unwrap();
+        let last = *probe
+            .lane_directory(LaneId::Tasks)
+            .unwrap()
+            .blocks
+            .last()
+            .unwrap();
+        let mut corrupt = bytes;
+        corrupt[(last.offset + last.len - 1) as usize] ^= 0x20;
+        let resident = [
+            LaneId::Samples(CpuId(0), CounterId(0)),
+            LaneId::States(CpuId(1)),
+        ];
+        for threads in budgets() {
+            let mut stored = StoredTrace::from_bytes(corrupt.clone()).unwrap();
+            stored.set_decode_threads(threads);
+            for lane in resident {
+                stored.ensure(lane).unwrap();
+            }
+            let before = stored.trace().clone();
+            let (bytes_before, stats_before) =
+                (stored.resident_event_bytes(), stored.materialise_stats());
+            // Every lane but the last decodes cleanly, in full — and is dropped.
+            let err = stored
+                .ensure_batch(&[
+                    LaneRequest::Full(LaneId::States(CpuId(0))),
+                    LaneRequest::Full(LaneId::States(CpuId(1))), // a touch
+                    LaneRequest::Full(LaneId::Events(CpuId(0))),
+                    LaneRequest::Full(LaneId::Accesses),
+                    LaneRequest::Full(LaneId::Tasks),
+                ])
+                .unwrap_err();
+            match err {
+                TraceError::Corrupted(msg) => assert!(msg.contains("tasks: block 2"), "{msg}"),
+                other => panic!("expected Corrupted, got {other:?}"),
+            }
+            assert_eq!(*stored.trace(), before, "{threads} threads");
+            assert_eq!(stored.resident_event_bytes(), bytes_before);
+            for lane in stored.lanes().collect::<Vec<_>>() {
+                let expect = if resident.contains(&lane) {
+                    LaneResidency::Full
+                } else {
+                    LaneResidency::Absent
+                };
+                assert_eq!(stored.residency(lane), expect, "{lane}");
+            }
+            let stats = stored.materialise_stats();
+            assert_eq!(stats.lanes_materialised, stats_before.lanes_materialised);
+            assert_eq!(stats.blocks_decoded, stats_before.blocks_decoded);
+            // The touch the failed batch planned was not applied either.
+            stored.set_residency_budget(Some(0));
+            assert_eq!(stored.evict_to_budget(), resident);
+        }
+    }
+
+    /// A fresh directory under the system's temporary one, removed on drop.
+    struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        fn new(test: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("afst-{test}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+
+        fn entries(&self) -> Vec<std::ffi::OsString> {
+            let mut names: Vec<_> = std::fs::read_dir(&self.0)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    #[test]
+    fn a_store_file_appears_whole_or_not_at_all() {
+        let trace = sample_trace();
+        let options = StoreOptions { block_rows: 3 };
+        let dir = TempDir::new("whole-or-not");
+        let path = dir.0.join("trace.afst");
+        // A successful write leaves exactly the one file, with the writer's bytes.
+        write_store_file_with(&trace, &path, &options).unwrap();
+        assert_eq!(dir.entries(), ["trace.afst"]);
+        let written = std::fs::read(&path).unwrap();
+        assert!(written == write_store_bytes(&trace, &options).unwrap());
+        // No destination directory: an I/O error, and nothing is created.
+        let missing = dir.0.join("no-such-dir").join("trace.afst");
+        assert!(matches!(
+            write_store_file_with(&trace, &missing, &options),
+            Err(TraceError::Io(_))
+        ));
+        assert_eq!(dir.entries(), ["trace.afst"]);
+        // A re-write that cannot finish (its temporary's name is taken by a
+        // directory) keeps the file that was there, byte for byte.
+        let temp = temp_sibling(&path);
+        std::fs::create_dir(&temp).unwrap();
+        assert!(matches!(
+            write_store_file(&trace, &path),
+            Err(TraceError::Io(_))
+        ));
+        assert!(std::fs::read(&path).unwrap() == written);
+        std::fs::remove_dir(&temp).unwrap();
+        // ... and one that can replaces it whole.
+        write_store_file(&trace, &path).unwrap();
+        assert_eq!(dir.entries(), ["trace.afst"]);
+        assert!(
+            std::fs::read(&path).unwrap()
+                == write_store_bytes(&trace, &StoreOptions::default()).unwrap()
+        );
+    }
+
+    #[test]
+    fn the_writer_reports_the_statistics_open_reads_back() {
+        let trace = sample_trace();
+        let dir = TempDir::new("writer-stats");
+        let path = dir.0.join("trace.afst");
+        for block_rows in [1, 3, DEFAULT_BLOCK_ROWS] {
+            let stats = write_store_file_with(&trace, &path, &StoreOptions { block_rows }).unwrap();
+            let stored = StoredTrace::open(&path).unwrap();
+            assert_eq!(stats.file_bytes, stored.file_bytes());
+            assert_eq!(stats.file_bytes, std::fs::metadata(&path).unwrap().len());
+            assert_eq!(stats.num_lanes, stored.lanes().count());
+            let blocks = |lane| stored.lane_directory(lane).unwrap().blocks.iter();
+            assert_eq!(
+                stats.num_blocks,
+                stored
+                    .lanes()
+                    .map(|lane| blocks(lane).count())
+                    .sum::<usize>()
+            );
+            assert_eq!(
+                stats.data_bytes,
+                stored.lanes().flat_map(blocks).map(|b| b.len).sum::<u64>()
+            );
+            let first = stored
+                .lanes()
+                .flat_map(blocks)
+                .map(|b| b.offset)
+                .min()
+                .unwrap();
+            assert_eq!(
+                stats.metadata_bytes + 8 + 1,
+                first,
+                "one-byte length varint"
             );
         }
     }
