@@ -3,19 +3,23 @@
 #
 #   ci/loc.sh [<repo root>]
 #
-# Each file is cut at its first `#[cfg(test)]`; `tests/`, `benches/` and
-# `examples/` are skipped; the offline stand-ins under `crates/compat/` are
-# listed apart from the code that is ours. `code` leaves out blank and `//`
-# comment lines, `lines` does not. `bench (without e2e)` is the part of the
-# bench crate a PR may edit: the `e2e` package under `src/bin/e2e/` is what
-# `BENCHMARK.json` runs and stays as it is. The last four rows are trajectories:
-# the five files that answer "where do a session's lanes come from" (the
-# ROADMAP's one-session-core item is measured by them), the two that say what a
-# well-formed trace or chunk is and what is done when it is not, the four
-# that reduce a window over a sorted stream (the level tree, the two summary
-# structures on it, and the timeline cells built from them), and the four that
-# turn columns into checksummed store blocks and back (checksum, block codec,
-# the column types it fills, the varint codec).
+# Each file is cut at its first column-0 `#[cfg(test)]` (its test modules; a
+# test-only method inside an `impl` counts as code); the script fails, naming
+# the line, when an item follows that cut, because no row would count it.
+# `tests/`, `benches/` and `examples/` are skipped; the offline stand-ins under
+# `crates/compat/` are listed apart from the code that is ours. `code` leaves
+# out blank and `//` comment lines, `lines` does not. `bench (without e2e)` is
+# the part of the bench crate a PR may edit: the `e2e` package under
+# `src/bin/e2e/` is what `BENCHMARK.json` runs and stays as it is. The last five
+# rows are trajectories: the five files that answer "where do a session's lanes
+# come from" (the ROADMAP's one-session-core item is measured by them), the two
+# that say what a well-formed trace or chunk is and what is done when it is not,
+# the four that reduce a window over a sorted stream (the level tree, the two
+# summary structures on it, and the timeline cells built from them), the four
+# that turn columns into checksummed store blocks and back (checksum, block
+# codec, the column types it fills, the varint codec), and the five a report is
+# computed by (detectors, statistics, derived metrics, their series type, the
+# kernels).
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
@@ -36,12 +40,32 @@ STORE_CODEC_FILES=(
     crates/trace/src/columns.rs
     crates/trace/src/format/varint.rs
 )
+REPORT_PATH_FILES=(
+    crates/core/src/anomaly.rs
+    crates/core/src/stats.rs
+    crates/core/src/derived.rs
+    crates/core/src/series.rs
+    crates/core/src/kernels.rs
+)
+
+hidden=$(find src crates -path '*/src/*' -name '*.rs' -print0 | xargs -0 -r awk '
+    FNR == 1 { test = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    test && /^(pub(\([^)]*\))? )?(unsafe )?(fn|struct|enum|impl|trait|const)[ <]/ {
+        print FILENAME ":" FNR ": " $0
+    }
+')
+if [ -n "$hidden" ]; then
+    echo "ci/loc.sh: items after a file's first #[cfg(test)] are in no count; move the test module below them:" >&2
+    echo "$hidden" >&2
+    exit 1
+fi
 
 # Prints "<code> <lines>" summed over the files given on stdin.
 count() {
     xargs -r awk '
         FNR == 1 { test = 0 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+        /^#\[cfg\(test\)\]/ { test = 1 }
         test { next }
         { lines++ }
         !/^[[:space:]]*(\/\/|$)/ { code++ }
@@ -73,3 +97,4 @@ printf '%s\n' "${INGEST_CONTRACT_FILES[@]}" | count | row '**the ingest contract
 find crates/core/src -name timeline.rs -o -name pyramid.rs -o -name index.rs -o -name levels.rs \
     | count | row '**the window-reduction files**'
 printf '%s\n' "${STORE_CODEC_FILES[@]}" | count | row '**the store codec files**'
+printf '%s\n' "${REPORT_PATH_FILES[@]}" | count | row '**the report path files**'

@@ -7,10 +7,10 @@ use aftermath_bench::figures::Scale;
 use aftermath_bench::kmeans_experiments as km;
 use aftermath_bench::seidel_experiments::SeidelExperiment;
 use aftermath_core::anomaly::{
-    AnomalyConfig, CounterOutlierDetector, Detector, DurationOutlierDetector, IdlePhaseDetector,
+    AnomalyConfig, CounterOutlierDetector, DurationOutlierDetector, IdlePhaseDetector,
     NumaLocalityDetector,
 };
-use aftermath_core::AnalysisSession;
+use aftermath_core::{AnalysisSession, Threads};
 
 fn bench_seidel_detection(c: &mut Criterion) {
     let exp = SeidelExperiment::run(Scale::Test);
@@ -41,15 +41,15 @@ fn bench_seidel_detection(c: &mut Criterion) {
     });
     group.bench_function("numa_locality", |b| {
         let d = NumaLocalityDetector::default();
-        b.iter(|| d.detect(&session).unwrap());
+        b.iter(|| d.detect(&session, Threads::single()));
     });
     group.bench_function("counter_outlier", |b| {
         let d = CounterOutlierDetector::default();
-        b.iter(|| d.detect(&session).unwrap());
+        b.iter(|| d.detect(&session, Threads::single()));
     });
     group.bench_function("duration_outlier", |b| {
         let d = DurationOutlierDetector::default();
-        b.iter(|| d.detect(&session).unwrap());
+        b.iter(|| d.detect(&session, Threads::single()));
     });
     group.finish();
 }

@@ -10,7 +10,8 @@
 //! so detected regions can drive navigation instead of manual scrubbing (the approach
 //! popularized by Traveler for OpenMP task traces).
 //!
-//! Four detectors ship with the engine, each an implementation of [`Detector`]:
+//! Four detectors ship with the engine — one struct per detector with one inherent
+//! `detect`, enabled and parametrised through [`AnomalyConfig`]:
 //!
 //! * [`IdlePhaseDetector`] — sliding-window analysis of the idle-workers derived
 //!   series ([`crate::derived::state_concurrency`], the paper's Figure 3 metric)
@@ -207,43 +208,6 @@ impl<'a> IntoIterator for &'a AnomalyReport {
     }
 }
 
-/// A pluggable anomaly detector over an analysis session.
-///
-/// Detectors return an *unranked* list of findings; [`detect_anomalies`] merges the
-/// findings of all enabled detectors into a ranked [`AnomalyReport`]. A detector whose
-/// input data is missing from the trace returns an empty list rather than an error.
-pub trait Detector {
-    /// Short, stable detector name (used in explanations and diagnostics).
-    fn name(&self) -> &'static str;
-
-    /// Scans `session` and returns all findings of this detector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError`] only for genuine failures (e.g. invalid detector
-    /// parameters), not for traces that simply lack the relevant data.
-    fn detect(&self, session: &AnalysisSession<'_>) -> Result<Vec<Anomaly>, AnalysisError>;
-
-    /// Like [`Detector::detect`] but may fan its internal units (task chunks,
-    /// `(counter, task type)` pairs, task types, ...) out over the execution layer.
-    ///
-    /// Implementations **must** return the findings of [`Detector::detect`] in the
-    /// same order regardless of `threads` — the engine's ranked report relies on it.
-    /// The default implementation runs sequentially.
-    ///
-    /// # Errors
-    ///
-    /// See [`Detector::detect`].
-    fn detect_with(
-        &self,
-        session: &AnalysisSession<'_>,
-        threads: Threads,
-    ) -> Result<Vec<Anomaly>, AnalysisError> {
-        let _ = threads;
-        self.detect(session)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Idle-phase detector
 // ---------------------------------------------------------------------------
@@ -274,12 +238,16 @@ impl Default for IdlePhaseDetector {
     }
 }
 
-impl Detector for IdlePhaseDetector {
-    fn name(&self) -> &'static str {
-        "idle-phase"
-    }
-
-    fn detect(&self, session: &AnalysisSession<'_>) -> Result<Vec<Anomaly>, AnalysisError> {
+impl IdlePhaseDetector {
+    /// All idle phases of the trace, in time order (unranked). The idle-workers
+    /// series and each phase's per-CPU fractions are window reductions
+    /// ([`crate::stats`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failure of [`state_concurrency`]; a trace without state
+    /// intervals simply has no idle phase.
+    pub fn detect(&self, session: &AnalysisSession<'_>) -> Result<Vec<Anomaly>, AnalysisError> {
         let bounds = session.time_bounds();
         let num_cpus = session.trace().topology().num_cpus();
         if bounds.is_empty() || num_cpus == 0 {
@@ -377,23 +345,13 @@ impl Default for NumaLocalityDetector {
     }
 }
 
-impl Detector for NumaLocalityDetector {
-    fn name(&self) -> &'static str {
-        "numa-locality"
-    }
-
-    fn detect(&self, session: &AnalysisSession<'_>) -> Result<Vec<Anomaly>, AnalysisError> {
-        self.detect_with(session, Threads::single())
-    }
-
-    fn detect_with(
-        &self,
-        session: &AnalysisSession<'_>,
-        threads: Threads,
-    ) -> Result<Vec<Anomaly>, AnalysisError> {
+impl NumaLocalityDetector {
+    /// All NUMA-locality findings of the trace (unranked), the per-task scan fanned
+    /// out over up to `threads` workers; the result does not depend on `threads`.
+    pub fn detect(&self, session: &AnalysisSession<'_>, threads: Threads) -> Vec<Anomaly> {
         let trace = session.trace();
         if trace.accesses().is_empty() || trace.topology().num_nodes() < 2 {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         // One pass over the access index in task order, fanned out over chunks of
         // the task table; the baseline below reduces the fractions in task order,
@@ -407,7 +365,7 @@ impl Detector for NumaLocalityDetector {
         let attributable = || fractions.iter().filter(|f| !f.is_nan());
         let (n, sum) = attributable().fold((0usize, 0.0), |(n, sum), f| (n + 1, sum + f));
         if n < 2 {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let n = n as f64;
         let mean = sum / n;
@@ -416,51 +374,33 @@ impl Detector for NumaLocalityDetector {
             .min(self.max_threshold)
             .max(self.min_remote_fraction);
 
-        let mut flagged: Vec<(&TaskInstance, f64)> = trace
+        let flagged = trace
             .tasks()
             .iter()
             .zip(&fractions)
             .filter(|(_, &fraction)| fraction > threshold)
             .map(|(task, &fraction)| (task, fraction))
             .collect();
-        if flagged.is_empty() {
-            return Ok(Vec::new());
-        }
-        flagged.sort_by_key(|(t, _)| t.execution.start);
-
-        let gap = self
-            .merge_gap_cycles
-            .unwrap_or_else(|| session.time_bounds().duration() / 64);
-        let clusters = cluster_by_time(&flagged, |(t, _)| t.execution, gap);
-
-        let mut anomalies = Vec::new();
-        for cluster in clusters {
-            let interval = hull_of(cluster.iter().map(|(t, _)| t.execution));
-            let mean_remote = cluster.iter().map(|(_, f)| *f).sum::<f64>() / cluster.len() as f64;
-            let peak = cluster.iter().map(|(_, f)| *f).fold(0.0, f64::max);
+        let gap = merge_gap(session, self.merge_gap_cycles);
+        findings(AnomalyKind::NumaLocality, flagged, gap, |cluster| {
+            let mean_remote =
+                cluster.members.iter().map(|(_, f)| *f).sum::<f64>() / cluster.members.len() as f64;
             let z_peak = if sigma > 0.0 {
-                (peak - mean) / sigma
+                (cluster.peak - mean) / sigma
             } else {
                 f64::INFINITY
             };
-            anomalies.push(Anomaly {
-                kind: AnomalyKind::NumaLocality,
-                interval,
-                cpus: distinct_cpus(cluster.iter().map(|(t, _)| t.cpu)),
-                tasks: cluster.iter().map(|(t, _)| t.id).collect(),
-                severity: mean_remote.clamp(0.0, 1.0),
-                score: z_peak.min(1e6),
-                explanation: format!(
-                    "{} task(s) in {interval} access on average {:.0} % remote memory \
-                     (trace baseline {:.0} % ± {:.0} %)",
-                    cluster.len(),
-                    100.0 * mean_remote,
-                    100.0 * mean,
-                    100.0 * sigma,
-                ),
-            });
-        }
-        Ok(anomalies)
+            let explanation = format!(
+                "{} task(s) in {} access on average {:.0} % remote memory \
+                 (trace baseline {:.0} % ± {:.0} %)",
+                cluster.members.len(),
+                cluster.interval,
+                100.0 * mean_remote,
+                100.0 * mean,
+                100.0 * sigma,
+            );
+            (mean_remote.clamp(0.0, 1.0), z_peak.min(1e6), explanation)
+        })
     }
 }
 
@@ -495,87 +435,26 @@ impl Default for CounterOutlierDetector {
 }
 
 impl CounterOutlierDetector {
-    /// Scores one monotone counter against the tasks of one type into `out`; the
-    /// `(counter, task type)` unit of the scan. `counter` pairs the description
-    /// with the counter's increase during every task (`None` where it cannot be
-    /// attributed), laid out like `groups` ([`TypeGroups::attribute`]).
-    fn detect_counter_type<'t>(
-        &self,
-        counter: (&aftermath_trace::CounterDescription, &[Option<f64>]),
-        ty: &aftermath_trace::TaskType,
-        groups: &TypeGroups<'t>,
-        gap: u64,
-        scratch: &mut OutlierScratch<'t>,
-        out: &mut Vec<Anomaly>,
-    ) {
-        let (desc, deltas) = counter;
-        let tasks = groups.tasks;
-        let run = groups.run_of(ty.id);
-        scratch.members.clear();
-        scratch.values.clear();
-        for (&i, delta) in groups.order[run.clone()].iter().zip(&deltas[run]) {
-            if let Some(delta) = *delta {
-                scratch.members.push(i);
-                scratch.values.push(delta);
-            }
-        }
-        if scratch.members.len() < self.min_samples.max(2) {
-            return;
-        }
-        let Some(median) = robust_z_scores_into(&scratch.values, &mut scratch.z) else {
-            return;
-        };
-        scratch.flagged.clear();
-        scratch.flagged.extend(
-            scratch
-                .members
-                .iter()
-                .zip(&scratch.z)
-                .filter(|(_, &z)| z.abs() > self.k_mad)
-                .map(|(&i, &z)| (&tasks[i as usize], z)),
-        );
-        if scratch.flagged.is_empty() {
-            return;
-        }
-        scratch.flagged.sort_by_key(|(t, _)| t.execution.start);
-        for cluster in cluster_by_time(&scratch.flagged, |(t, _)| t.execution, gap) {
-            let interval = hull_of(cluster.iter().map(|(t, _)| t.execution));
-            let peak = cluster.iter().map(|(_, z)| z.abs()).fold(0.0, f64::max);
-            out.push(Anomaly {
-                kind: AnomalyKind::CounterOutlier,
-                interval,
-                cpus: distinct_cpus(cluster.iter().map(|(t, _)| t.cpu)),
-                tasks: cluster.iter().map(|(t, _)| t.id).collect(),
-                severity: severity_from_z(peak, self.k_mad),
-                score: peak,
-                explanation: format!(
-                    "{} `{}` task(s) in {interval} with outlying `{}` increase \
-                     (robust z up to {:.1}; type median {:.0})",
-                    cluster.len(),
-                    ty.name,
-                    desc.name,
-                    peak,
-                    median,
-                ),
-            });
-        }
+    /// All counter-outlier findings of the trace (unranked), the
+    /// `(counter, task type)` units fanned out over up to `threads` workers; the
+    /// result does not depend on `threads`.
+    pub fn detect(&self, session: &AnalysisSession<'_>, threads: Threads) -> Vec<Anomaly> {
+        self.detect_grouped(session, &TypeGroups::of(session.trace()), threads)
     }
 
-    /// The scan over the tasks as grouped by `groups`. Every monotone counter is
-    /// first attributed to all tasks in one pass in task order
-    /// ([`TypeGroups::attribute`]); its `(counter, task type)` units then fan out
-    /// — most traces carry one counter, so per-counter units would leave the
+    /// [`CounterOutlierDetector::detect`] over the tasks as grouped by `groups`.
+    /// Every monotone counter is first attributed to all tasks in one pass in task
+    /// order ([`TypeGroups::attribute`]); its `(counter, task type)` units then fan
+    /// out — most traces carry one counter, so per-counter units would leave the
     /// scoring on one thread.
-    fn scan(
+    fn detect_grouped(
         &self,
         session: &AnalysisSession<'_>,
         groups: &TypeGroups<'_>,
         threads: Threads,
     ) -> Vec<Anomaly> {
         let trace = session.trace();
-        let gap = self
-            .merge_gap_cycles
-            .unwrap_or_else(|| session.time_bounds().duration() / 64);
+        let gap = merge_gap(session, self.merge_gap_cycles);
         let mut out = Vec::new();
         for desc in trace.counters().iter().filter(|desc| desc.monotone) {
             // One map lookup per CPU instead of one per task.
@@ -585,27 +464,64 @@ impl CounterOutlierDetector {
                 .map(|cpu| session.samples(cpu, desc.id))
                 .collect();
             let deltas = groups.attribute(&samples_by_cpu);
-            out.extend(scan_units(
-                threads,
-                trace.task_types(),
-                |ty, scratch, out| {
-                    self.detect_counter_type((desc, &deltas), ty, groups, gap, scratch, out);
-                },
-            ));
+            let per_type = parallel_map(threads, trace.task_types(), |ty| {
+                self.detect_counter_type((desc, &deltas), ty, groups, gap)
+            });
+            out.extend(per_type.into_iter().flatten());
         }
         out
     }
-}
 
-/// Reusable scoring buffers of the statistics-heavy detectors: cleared and refilled
-/// per scanned group instead of reallocated.
-#[derive(Default)]
-struct OutlierScratch<'t> {
-    /// The group's tasks the counter could be attributed to (task indices).
-    members: Vec<u32>,
-    values: Vec<f64>,
-    z: Vec<f64>,
-    flagged: Vec<(&'t TaskInstance, f64)>,
+    /// Scores one monotone counter against the tasks of one type; the
+    /// `(counter, task type)` unit of the scan. `counter` pairs the description
+    /// with the counter's increase during every task (`None` where it cannot be
+    /// attributed), laid out like `groups` ([`TypeGroups::attribute`]).
+    fn detect_counter_type(
+        &self,
+        counter: (&aftermath_trace::CounterDescription, &[Option<f64>]),
+        ty: &aftermath_trace::TaskType,
+        groups: &TypeGroups<'_>,
+        gap: u64,
+    ) -> Vec<Anomaly> {
+        let (desc, deltas) = counter;
+        let run = groups.run_of(ty.id);
+        // The group's tasks the counter could be attributed to, and its increases.
+        let (members, values): (Vec<u32>, Vec<f64>) = groups.order[run.clone()]
+            .iter()
+            .zip(&deltas[run])
+            .filter_map(|(&i, delta)| Some((i, (*delta)?)))
+            .unzip();
+        if members.len() < self.min_samples.max(2) {
+            return Vec::new();
+        }
+        let mut z = Vec::new();
+        let Some(median) = robust_z_scores_into(&values, &mut z) else {
+            return Vec::new();
+        };
+        let flagged = members
+            .iter()
+            .zip(&z)
+            .filter(|(_, &z)| z.abs() > self.k_mad)
+            .map(|(&i, &z)| (&groups.tasks[i as usize], z))
+            .collect();
+        findings(AnomalyKind::CounterOutlier, flagged, gap, |cluster| {
+            let explanation = format!(
+                "{} `{}` task(s) in {} with outlying `{}` increase \
+                 (robust z up to {:.1}; type median {:.0})",
+                cluster.members.len(),
+                ty.name,
+                cluster.interval,
+                desc.name,
+                cluster.peak,
+                median,
+            );
+            (
+                severity_from_z(cluster.peak, self.k_mad),
+                cluster.peak,
+                explanation,
+            )
+        })
+    }
 }
 
 /// The trace's tasks grouped by task type, once per report, as a counting sort:
@@ -697,49 +613,6 @@ fn for_each_slot<'t>(
     }
 }
 
-/// Runs `scan` over the independent `units` of a statistics-heavy detector and
-/// returns their findings concatenated in unit order, whatever `threads` is: on one
-/// thread every unit shares one scratch and one findings buffer (no allocation on
-/// the no-findings path), on several each unit brings its own.
-fn scan_units<'t, U: Sync>(
-    threads: Threads,
-    units: &[U],
-    scan: impl Fn(&U, &mut OutlierScratch<'t>, &mut Vec<Anomaly>) + Sync,
-) -> Vec<Anomaly> {
-    if threads.is_single() {
-        let mut scratch = OutlierScratch::default();
-        let mut out = Vec::new();
-        for unit in units {
-            scan(unit, &mut scratch, &mut out);
-        }
-        return out;
-    }
-    let per_unit = parallel_map(threads, units, |unit| {
-        let mut out = Vec::new();
-        scan(unit, &mut OutlierScratch::default(), &mut out);
-        out
-    });
-    per_unit.into_iter().flatten().collect()
-}
-
-impl Detector for CounterOutlierDetector {
-    fn name(&self) -> &'static str {
-        "counter-outlier"
-    }
-
-    fn detect(&self, session: &AnalysisSession<'_>) -> Result<Vec<Anomaly>, AnalysisError> {
-        self.detect_with(session, Threads::single())
-    }
-
-    fn detect_with(
-        &self,
-        session: &AnalysisSession<'_>,
-        threads: Threads,
-    ) -> Result<Vec<Anomaly>, AnalysisError> {
-        Ok(self.scan(session, &TypeGroups::of(session.trace()), threads))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Duration-outlier detector
 // ---------------------------------------------------------------------------
@@ -774,94 +647,68 @@ impl Default for DurationOutlierDetector {
 }
 
 impl DurationOutlierDetector {
-    /// Scores the durations of one task type into `out`; the per-type unit of both
-    /// the sequential and the parallel scan; the type's durations are a slice of
-    /// the grouped column. `scratch` is reused across types by the sequential
-    /// scan, so the inner loop allocates nothing on the no-findings path.
-    fn detect_type<'t>(
-        &self,
-        ty: &aftermath_trace::TaskType,
-        groups: &TypeGroups<'t>,
-        gap: u64,
-        scratch: &mut OutlierScratch<'t>,
-        out: &mut Vec<Anomaly>,
-    ) {
-        let tasks = groups.tasks;
-        let run = groups.run_of(ty.id);
-        let group = &groups.order[run.clone()];
-        if group.len() < self.min_samples.max(2) {
-            return;
-        }
-        let Some(median) = robust_z_scores_into(&groups.durations[run], &mut scratch.z) else {
-            return;
-        };
-        scratch.flagged.clear();
-        scratch.flagged.extend(
-            group
-                .iter()
-                .zip(&scratch.z)
-                .filter(|(_, &z)| z > self.k_mad || (self.detect_fast && z < -self.k_mad))
-                .map(|(&i, &z)| (&tasks[i as usize], z)),
-        );
-        if scratch.flagged.is_empty() {
-            return;
-        }
-        scratch.flagged.sort_by_key(|(t, _)| t.execution.start);
-        for cluster in cluster_by_time(&scratch.flagged, |(t, _)| t.execution, gap) {
-            let interval = hull_of(cluster.iter().map(|(t, _)| t.execution));
-            let peak = cluster.iter().map(|(_, z)| z.abs()).fold(0.0, f64::max);
-            let worst = cluster.iter().map(|(t, _)| t.duration()).max().unwrap_or(0);
-            out.push(Anomaly {
-                kind: AnomalyKind::DurationOutlier,
-                interval,
-                cpus: distinct_cpus(cluster.iter().map(|(t, _)| t.cpu)),
-                tasks: cluster.iter().map(|(t, _)| t.id).collect(),
-                severity: severity_from_z(peak, self.k_mad),
-                score: peak,
-                explanation: format!(
-                    "{} `{}` task(s) in {interval} with outlying duration \
-                     (up to {} cycles vs. type median {:.0}; robust z up to {:.1})",
-                    cluster.len(),
-                    ty.name,
-                    worst,
-                    median,
-                    peak,
-                ),
-            });
-        }
+    /// All duration-outlier findings of the trace (unranked), the task types
+    /// fanned out over up to `threads` workers; the result does not depend on
+    /// `threads`.
+    pub fn detect(&self, session: &AnalysisSession<'_>, threads: Threads) -> Vec<Anomaly> {
+        self.detect_grouped(session, &TypeGroups::of(session.trace()), threads)
     }
 
-    /// The scan over the tasks as grouped by `groups`: one unit per task type.
-    fn scan(
+    /// [`DurationOutlierDetector::detect`] over the tasks as grouped by `groups`:
+    /// one unit per task type.
+    fn detect_grouped(
         &self,
         session: &AnalysisSession<'_>,
         groups: &TypeGroups<'_>,
         threads: Threads,
     ) -> Vec<Anomaly> {
-        let gap = self
-            .merge_gap_cycles
-            .unwrap_or_else(|| session.time_bounds().duration() / 64);
-        scan_units(threads, session.trace().task_types(), |ty, scratch, out| {
-            self.detect_type(ty, groups, gap, scratch, out);
-        })
-    }
-}
-
-impl Detector for DurationOutlierDetector {
-    fn name(&self) -> &'static str {
-        "duration-outlier"
+        let gap = merge_gap(session, self.merge_gap_cycles);
+        let per_type = parallel_map(threads, session.trace().task_types(), |ty| {
+            self.detect_type(ty, groups, gap)
+        });
+        per_type.into_iter().flatten().collect()
     }
 
-    fn detect(&self, session: &AnalysisSession<'_>) -> Result<Vec<Anomaly>, AnalysisError> {
-        self.detect_with(session, Threads::single())
-    }
-
-    fn detect_with(
+    /// Scores the durations of one task type, a slice of the grouped column; the
+    /// per-type unit of the scan.
+    fn detect_type(
         &self,
-        session: &AnalysisSession<'_>,
-        threads: Threads,
-    ) -> Result<Vec<Anomaly>, AnalysisError> {
-        Ok(self.scan(session, &TypeGroups::of(session.trace()), threads))
+        ty: &aftermath_trace::TaskType,
+        groups: &TypeGroups<'_>,
+        gap: u64,
+    ) -> Vec<Anomaly> {
+        let run = groups.run_of(ty.id);
+        if run.len() < self.min_samples.max(2) {
+            return Vec::new();
+        }
+        let mut z = Vec::new();
+        let Some(median) = robust_z_scores_into(&groups.durations[run.clone()], &mut z) else {
+            return Vec::new();
+        };
+        let flagged = groups.order[run]
+            .iter()
+            .zip(&z)
+            .filter(|(_, &z)| z > self.k_mad || (self.detect_fast && z < -self.k_mad))
+            .map(|(&i, &z)| (&groups.tasks[i as usize], z))
+            .collect();
+        findings(AnomalyKind::DurationOutlier, flagged, gap, |cluster| {
+            let worst = cluster.members.iter().map(|(t, _)| t.duration()).max();
+            let explanation = format!(
+                "{} `{}` task(s) in {} with outlying duration \
+                 (up to {} cycles vs. type median {:.0}; robust z up to {:.1})",
+                cluster.members.len(),
+                ty.name,
+                cluster.interval,
+                worst.unwrap_or(0),
+                median,
+                cluster.peak,
+            );
+            (
+                severity_from_z(cluster.peak, self.k_mad),
+                cluster.peak,
+                explanation,
+            )
+        })
     }
 }
 
@@ -985,8 +832,8 @@ pub fn detect_anomalies(
 /// chunks of the task table, the counter detector the `(counter, task type)` pairs
 /// it scores, the duration detector task types; the idle-phase detector, the
 /// grouping of the tasks by type (once, shared by both outlier detectors), the
-/// counter detector's attribution pass and each detector's clustering of its
-/// flagged tasks stay on the calling thread.
+/// counter detector's attribution pass and the NUMA detector's finding tail stay on
+/// the calling thread.
 /// A trace with one task type and one counter therefore spreads only its NUMA scan.
 /// Findings merge in detector → unit order before the stable severity sort, which
 /// makes the ranked report **identical** to the sequential scan regardless of the
@@ -1002,19 +849,19 @@ pub fn detect_anomalies_with(
 ) -> Result<AnomalyReport, AnalysisError> {
     let mut anomalies = Vec::new();
     if let Some(detector) = &config.idle {
-        anomalies.extend(detector.detect_with(session, threads)?);
+        anomalies.extend(detector.detect(session)?);
     }
     if let Some(detector) = &config.numa {
-        anomalies.extend(detector.detect_with(session, threads)?);
+        anomalies.extend(detector.detect(session, threads));
     }
     if config.counter.is_some() || config.duration.is_some() {
         // Both statistics-heavy detectors score per task type: group once.
         let groups = TypeGroups::of(session.trace());
         if let Some(detector) = &config.counter {
-            anomalies.extend(detector.scan(session, &groups, threads));
+            anomalies.extend(detector.detect_grouped(session, &groups, threads));
         }
         if let Some(detector) = &config.duration {
-            anomalies.extend(detector.scan(session, &groups, threads));
+            anomalies.extend(detector.detect_grouped(session, &groups, threads));
         }
     }
     Ok(AnomalyReport::from_anomalies(
@@ -1034,6 +881,55 @@ fn severity_from_z(z: f64, k: f64) -> f64 {
         return 1.0;
     }
     (z / (2.0 * k)).clamp(0.0, 1.0)
+}
+
+/// The default merge gap of the task-scoring detectors: 1/64 of the trace duration.
+fn merge_gap(session: &AnalysisSession<'_>, configured: Option<u64>) -> u64 {
+    configured.unwrap_or_else(|| session.time_bounds().duration() / 64)
+}
+
+/// One time cluster of flagged tasks, as a detector's wording sees it.
+struct Cluster<'a, 't> {
+    /// The flagged `(task, score)` pairs of the cluster, by start time.
+    members: &'a [(&'t TaskInstance, f64)],
+    /// The hull of the members' execution intervals.
+    interval: TimeInterval,
+    /// The largest score magnitude in the cluster.
+    peak: f64,
+}
+
+/// The tail every task-scoring detector ends in: `flagged` `(task, score)` pairs are
+/// sorted by start time, merged into clusters closer than `gap` cycles, and every
+/// cluster becomes one [`Anomaly`] of `kind` over its hull, distinct CPUs and task
+/// ids. What is a detector's own — `(severity, score, explanation)` of a cluster —
+/// comes from `describe`. No flagged task, no finding.
+fn findings(
+    kind: AnomalyKind,
+    mut flagged: Vec<(&TaskInstance, f64)>,
+    gap: u64,
+    describe: impl Fn(&Cluster<'_, '_>) -> (f64, f64, String),
+) -> Vec<Anomaly> {
+    flagged.sort_by_key(|(t, _)| t.execution.start);
+    cluster_by_time(&flagged, |(t, _)| t.execution, gap)
+        .into_iter()
+        .map(|members| {
+            let cluster = Cluster {
+                members,
+                interval: hull_of(members.iter().map(|(t, _)| t.execution)),
+                peak: members.iter().map(|(_, s)| s.abs()).fold(0.0, f64::max),
+            };
+            let (severity, score, explanation) = describe(&cluster);
+            Anomaly {
+                kind,
+                interval: cluster.interval,
+                cpus: distinct_cpus(members.iter().map(|(t, _)| t.cpu)),
+                tasks: members.iter().map(|(t, _)| t.id).collect(),
+                severity,
+                score,
+                explanation,
+            }
+        })
+        .collect()
 }
 
 /// Groups items (sorted by start time) into clusters whose intervals are closer than
@@ -1476,7 +1372,7 @@ mod tests {
     fn numa_detector_finds_the_remote_task() {
         let trace = numa_outlier_trace();
         let session = AnalysisSession::new(&trace);
-        let found = NumaLocalityDetector::default().detect(&session).unwrap();
+        let found = NumaLocalityDetector::default().detect(&session, Threads::single());
         assert_eq!(
             found.len(),
             1,
@@ -1529,7 +1425,7 @@ mod tests {
         }
         let trace = b.finish().unwrap();
         let session = AnalysisSession::new(&trace);
-        let found = NumaLocalityDetector::default().detect(&session).unwrap();
+        let found = NumaLocalityDetector::default().detect(&session, Threads::single());
         assert_eq!(found.len(), 1, "cap must defeat self-masking: {found:?}");
         assert_eq!(found[0].tasks.len(), 1);
     }
@@ -1538,7 +1434,7 @@ mod tests {
     fn counter_detector_finds_the_expensive_task() {
         let trace = counter_outlier_trace();
         let session = AnalysisSession::new(&trace);
-        let found = CounterOutlierDetector::default().detect(&session).unwrap();
+        let found = CounterOutlierDetector::default().detect(&session, Threads::single());
         assert_eq!(
             found.len(),
             1,
@@ -1557,7 +1453,7 @@ mod tests {
     fn duration_detector_finds_the_slow_task() {
         let trace = duration_outlier_trace();
         let session = AnalysisSession::new(&trace);
-        let found = DurationOutlierDetector::default().detect(&session).unwrap();
+        let found = DurationOutlierDetector::default().detect(&session, Threads::single());
         assert_eq!(
             found.len(),
             1,
@@ -1576,18 +1472,16 @@ mod tests {
         // A trace without accesses/counters produces no NUMA or counter findings.
         let trace = idle_gap_trace(0);
         let session = AnalysisSession::new(&trace);
+        let threads = Threads::single();
         assert!(NumaLocalityDetector::default()
-            .detect(&session)
-            .unwrap()
+            .detect(&session, threads)
             .is_empty());
         assert!(CounterOutlierDetector::default()
-            .detect(&session)
-            .unwrap()
+            .detect(&session, threads)
             .is_empty());
         // Too few tasks for duration scoring.
         assert!(DurationOutlierDetector::default()
-            .detect(&session)
-            .unwrap()
+            .detect(&session, threads)
             .is_empty());
     }
 
@@ -1757,7 +1651,7 @@ mod tests {
                     assert_eq!(got, expected, "{what}, {threads:?}");
                 }
             }
-            // Every detector alone, through the trait's own entry points.
+            // Every detector alone.
             for kind in AnomalyKind::ALL {
                 let alone = AnomalyConfig {
                     idle: config.idle.filter(|_| kind == AnomalyKind::IdlePhase),

@@ -19,6 +19,7 @@ use aftermath_trace::{CounterId, TimeInterval, WorkerState};
 use crate::error::AnalysisError;
 use crate::series::TimeSeries;
 use crate::session::AnalysisSession;
+use crate::stats::state_cycles;
 
 /// How per-CPU counter values are combined into one global value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,9 +48,11 @@ fn validate_bins(bins: usize, interval: TimeInterval) -> Result<(), AnalysisErro
 
 /// Average number of workers simultaneously in `state`, per bin.
 ///
-/// For every bin this sums, over all workers, the time spent in `state` during the bin
-/// and divides by the bin duration — exactly the derived counter the paper uses to count
-/// idle workers (Figure 3).
+/// For every bin ([`TimeInterval::bin`]) this sums, over all workers, the time spent
+/// in `state` during the bin (one window reduction per CPU,
+/// [`crate::session::IntervalQuery::state_cycles`]) and divides by the bin's own
+/// duration — exactly the derived counter the paper uses to count idle workers
+/// (Figure 3). A value never exceeds the number of CPUs.
 ///
 /// # Errors
 ///
@@ -61,21 +64,15 @@ pub fn state_concurrency(
     interval: TimeInterval,
 ) -> Result<TimeSeries, AnalysisError> {
     validate_bins(bins, interval)?;
-    let mut sums = vec![0.0f64; bins];
-    let duration = interval.duration();
-    let wanted = state.index();
-    for cpu in session.trace().topology().cpu_ids() {
-        // Column walk: the one-byte state lane gates the per-bin distribution.
-        let states = session.states_in(cpu, interval);
-        for i in 0..states.len() {
-            if states.state_index(i) != wanted {
-                continue;
+    let values = (0..bins)
+        .map(|b| {
+            let bin = interval.bin(bins, b);
+            match bin.duration() {
+                0 => 0.0,
+                cycles => state_cycles(session, bin)[state.index()] as f64 / cycles as f64,
             }
-            distribute_overlap(&mut sums, interval, duration, states.interval(i));
-        }
-    }
-    let bin_width = (duration / bins as u64).max(1) as f64;
-    let values = sums.iter().map(|&s| s / bin_width).collect();
+        })
+        .collect();
     Ok(TimeSeries::new(interval, values))
 }
 
@@ -128,7 +125,7 @@ pub fn aggregate_counter(
     let cpus: Vec<_> = session.trace().topology().cpu_ids().collect();
     let mut values = Vec::with_capacity(bins);
     for b in 0..bins {
-        let t = bin_end(interval, bins, b);
+        let t = interval.bin(bins, b).end;
         let mut acc = Vec::with_capacity(cpus.len());
         for &cpu in &cpus {
             if let Some(v) = session.counter_value_at(cpu, counter, t) {
@@ -166,34 +163,6 @@ pub fn counter_derivative(
     // One extra bin so the derivative still has `bins` values.
     let series = aggregate_counter(session, counter, kind, bins + 1, interval)?;
     Ok(series.discrete_derivative())
-}
-
-/// Distributes the overlap of `item` with each bin of `interval` into `sums` (in cycles).
-fn distribute_overlap(sums: &mut [f64], interval: TimeInterval, duration: u64, item: TimeInterval) {
-    let bins = sums.len();
-    let Some(clipped) = item.intersection(&interval) else {
-        return;
-    };
-    let (first, last) = bin_range(interval, duration, bins, clipped);
-    for (b, sum) in sums.iter_mut().enumerate().take(last + 1).skip(first) {
-        let bin_iv = bin_interval(interval, duration, bins, b);
-        *sum += clipped.overlap_cycles(&bin_iv) as f64;
-    }
-}
-
-fn bin_interval(interval: TimeInterval, duration: u64, bins: usize, b: usize) -> TimeInterval {
-    let w = (duration / bins as u64).max(1);
-    let start = interval.start.0 + w * b as u64;
-    let end = if b + 1 == bins {
-        interval.end.0
-    } else {
-        (start + w).min(interval.end.0)
-    };
-    TimeInterval::from_cycles(start, end)
-}
-
-fn bin_end(interval: TimeInterval, bins: usize, b: usize) -> aftermath_trace::Timestamp {
-    bin_interval(interval, interval.duration(), bins, b).end
 }
 
 /// The bin indices `(first, last)` touched by `item` within `interval`.
@@ -284,6 +253,77 @@ mod tests {
         .unwrap();
         assert!((idle.values[0] - 2.0).abs() < 1e-9);
         assert!((idle.values[1] - 1.0).abs() < 1e-9);
+    }
+
+    /// Three workers, every one idle over `[0, 1000)`.
+    fn all_idle_trace() -> aftermath_trace::Trace {
+        use aftermath_trace::{CpuId, MachineTopology, Timestamp, TraceBuilder};
+        let mut b = TraceBuilder::new(MachineTopology::uniform(1, 3));
+        for cpu in 0..3 {
+            b.add_state(
+                CpuId(cpu),
+                WorkerState::Idle,
+                Timestamp(0),
+                Timestamp(1000),
+                None,
+            )
+            .unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn concurrency_never_exceeds_the_cpu_count() {
+        // Every bin is divided by its own duration: the last one, which also holds
+        // the remainder of 1000 / bins, reads 3 idle workers like all the others.
+        let trace = all_idle_trace();
+        let session = AnalysisSession::new(&trace);
+        let bounds = TimeInterval::from_cycles(0, 1000);
+        for bins in [1, 3, 7, 64, 999, 1000] {
+            let idle = state_concurrency(&session, WorkerState::Idle, bins, bounds).unwrap();
+            assert_eq!(idle.values, vec![3.0; bins], "{bins} bins");
+        }
+    }
+
+    #[test]
+    fn a_series_describes_the_bins_it_was_computed_over() {
+        // Fewer bins than cycles, as many, and more (none with a remainder, which
+        // is the test above): the exported rows are the bins the generator reduced
+        // over — they tile the interval, stop at its end, and a row holds idle
+        // workers exactly when it holds a cycle.
+        let trace = all_idle_trace();
+        let session = AnalysisSession::new(&trace);
+        let bounds = TimeInterval::from_cycles(0, 1000);
+        for bins in [8, 1000, 1001, 2000] {
+            let idle = state_concurrency(&session, WorkerState::Idle, bins, bounds).unwrap();
+            let mut csv = Vec::new();
+            crate::export::export_time_series(&idle, &mut csv).unwrap();
+            let rows: Vec<(u64, u64, f64)> = String::from_utf8(csv)
+                .unwrap()
+                .lines()
+                .skip(1)
+                .map(|line| {
+                    let fields: Vec<&str> = line.split(',').collect();
+                    let bound = |i: usize| fields[i].parse().unwrap();
+                    (bound(0), bound(1), fields[3].parse().unwrap())
+                })
+                .collect();
+            assert_eq!(rows.len(), bins);
+            let mut cursor = bounds.start.0;
+            for (i, &(start, end, idle)) in rows.iter().enumerate() {
+                assert_eq!(
+                    TimeInterval::from_cycles(start, end),
+                    bounds.bin(bins, i),
+                    "row {i} of {bins}"
+                );
+                assert_eq!(start, cursor, "row {i} of {bins} leaves a gap");
+                assert!(end <= bounds.end.0, "row {i} of {bins} passes the end");
+                let expected = if end > start { 3.0 } else { 0.0 };
+                assert_eq!(idle, expected, "row {i} of {bins}");
+                cursor = end;
+            }
+            assert_eq!(cursor, bounds.end.0, "{bins} bins");
+        }
     }
 
     #[test]

@@ -23,8 +23,6 @@
 //!   associative and commutative, so lane order does not matter;
 //! * byte comparisons ([`for_each_tag_match`]) are exact and matches are visited
 //!   in ascending index order in every tier;
-//! * elementwise float ops ([`abs_offsets_in_place`], [`scaled_offsets`]) perform
-//!   the same IEEE operation per element in every tier;
 //! * float reductions ([`min_max_sum`]) use a **fixed four-stripe tree**: stripe
 //!   `j` reduces elements with index `i ≡ j (mod 4)` in index order, stripes are
 //!   combined as `(s0 ∘ s2) ∘ (s1 ∘ s3)`, and the tail (`len % 4` trailing
@@ -189,50 +187,6 @@ pub fn min_max_sum_at(level: SimdLevel, values: &[f64]) -> (f64, f64, f64) {
     }
 }
 
-/// Rewrites every element to `|v - center|` in place (elementwise, bit-identical
-/// across tiers), at the process-wide [`simd_level`].
-///
-/// This is the deviation pass of the detectors' robust-z scoring.
-pub fn abs_offsets_in_place(values: &mut [f64], center: f64) {
-    abs_offsets_in_place_at(simd_level(), values, center);
-}
-
-/// [`abs_offsets_in_place`] at an explicit tier (clamped to the hardware).
-pub fn abs_offsets_in_place_at(level: SimdLevel, values: &mut [f64], center: f64) {
-    match effective(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `effective` only returns Avx2 when the CPU supports it.
-        SimdLevel::Avx2 => unsafe { x86::abs_offsets_avx2(values, center) },
-        _ => scalar::abs_offsets_in_place(values, center),
-    }
-}
-
-/// Writes `(values[i] - center) / scale` into `out[i]` (elementwise,
-/// bit-identical across tiers), at the process-wide [`simd_level`]. Panics when
-/// the slices differ in length.
-///
-/// This is the final scoring pass of the detectors' robust-z computation.
-pub fn scaled_offsets(values: &[f64], center: f64, scale: f64, out: &mut [f64]) {
-    scaled_offsets_at(simd_level(), values, center, scale, out);
-}
-
-/// [`scaled_offsets`] at an explicit tier (clamped to the hardware).
-pub fn scaled_offsets_at(
-    level: SimdLevel,
-    values: &[f64],
-    center: f64,
-    scale: f64,
-    out: &mut [f64],
-) {
-    assert_eq!(values.len(), out.len(), "lane length mismatch");
-    match effective(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `effective` only returns Avx2 when the CPU supports it.
-        SimdLevel::Avx2 => unsafe { x86::scaled_offsets_avx2(values, center, scale, out) },
-        _ => scalar::scaled_offsets(values, center, scale, out),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Scalar reference tier.
 // ---------------------------------------------------------------------------
@@ -304,20 +258,6 @@ pub mod scalar {
             sum += v;
         }
         (min, max, sum)
-    }
-
-    /// Scalar [`abs_offsets_in_place`](super::abs_offsets_in_place).
-    pub fn abs_offsets_in_place(values: &mut [f64], center: f64) {
-        for v in values.iter_mut() {
-            *v = (*v - center).abs();
-        }
-    }
-
-    /// Scalar [`scaled_offsets`](super::scaled_offsets).
-    pub fn scaled_offsets(values: &[f64], center: f64, scale: f64, out: &mut [f64]) {
-        for (o, &v) in out.iter_mut().zip(values) {
-            *o = (v - center) / scale;
-        }
     }
 }
 
@@ -539,40 +479,6 @@ mod x86 {
             &values[i..],
         )
     }
-
-    /// AVX2 [`abs_offsets_in_place`](super::abs_offsets_in_place).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn abs_offsets_avx2(values: &mut [f64], center: f64) {
-        let c = _mm256_set1_pd(center);
-        let mask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fff_ffff_ffff_ffffu64 as i64));
-        let n = values.len();
-        let ptr = values.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(ptr.add(i));
-            _mm256_storeu_pd(ptr.add(i), _mm256_and_pd(_mm256_sub_pd(v, c), mask));
-            i += 4;
-        }
-        scalar::abs_offsets_in_place(&mut values[i..], center);
-    }
-
-    /// AVX2 [`scaled_offsets`](super::scaled_offsets).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scaled_offsets_avx2(values: &[f64], center: f64, scale: f64, out: &mut [f64]) {
-        let c = _mm256_set1_pd(center);
-        let s = _mm256_set1_pd(scale);
-        let n = values.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(values.as_ptr().add(i));
-            _mm256_storeu_pd(
-                out.as_mut_ptr().add(i),
-                _mm256_div_pd(_mm256_sub_pd(v, c), s),
-            );
-            i += 4;
-        }
-        scalar::scaled_offsets(&values[i..], center, scale, &mut out[i..]);
-    }
 }
 
 #[cfg(test)]
@@ -643,33 +549,5 @@ mod tests {
             (f64::INFINITY, f64::NEG_INFINITY, 0.0),
             "empty sentinel"
         );
-    }
-
-    #[test]
-    fn elementwise_kernels_match_scalar_bitwise_on_all_levels() {
-        let values: Vec<f64> = (0..101).map(|i| (i as f64) * 0.37 - 13.1).collect();
-        let mut expected_abs = values.clone();
-        scalar::abs_offsets_in_place(&mut expected_abs, 3.3);
-        let mut expected_scaled = vec![0.0; values.len()];
-        scalar::scaled_offsets(&values, 3.3, 1.7, &mut expected_scaled);
-        for level in available_levels() {
-            let mut abs = values.clone();
-            abs_offsets_in_place_at(level, &mut abs, 3.3);
-            assert_eq!(
-                abs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                expected_abs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{level:?} abs"
-            );
-            let mut scaled = vec![0.0; values.len()];
-            scaled_offsets_at(level, &values, 3.3, 1.7, &mut scaled);
-            assert_eq!(
-                scaled.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                expected_scaled
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "{level:?} scaled"
-            );
-        }
     }
 }

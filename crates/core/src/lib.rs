@@ -103,7 +103,7 @@ pub(crate) mod testutil;
 
 pub use access_index::{AccessIndex, AccessSource, IndexedAccesses};
 pub use aftermath_exec::Threads;
-pub use anomaly::{Anomaly, AnomalyConfig, AnomalyKind, AnomalyReport, Detector};
+pub use anomaly::{Anomaly, AnomalyConfig, AnomalyKind, AnomalyReport};
 pub use correlate::{correlate_duration_with_counter, CorrelationStudy, LinearRegression};
 pub use counters::{attribute_counter, duration_stats, SummaryStats, TaskCounterDelta};
 pub use derived::AggregationKind;
@@ -125,8 +125,7 @@ pub use timeline::{EngineDecision, TimelineCell, TimelineEngine, TimelineMode, T
 /// Commonly used types, for glob import.
 pub mod prelude {
     pub use crate::anomaly::{
-        detect_anomalies, detect_anomalies_with, Anomaly, AnomalyConfig, AnomalyKind,
-        AnomalyReport, Detector,
+        detect_anomalies, detect_anomalies_with, Anomaly, AnomalyConfig, AnomalyKind, AnomalyReport,
     };
     pub use crate::correlate::{correlate_duration_with_counter, LinearRegression};
     pub use crate::counters::{attribute_counter, duration_stats, SummaryStats};

@@ -1,6 +1,6 @@
 //! Binned time series: the output format of all derived metrics.
 
-use aftermath_trace::{TimeInterval, Timestamp};
+use aftermath_trace::TimeInterval;
 use serde::{Deserialize, Serialize};
 
 /// A time series of values over equally sized bins of a time interval.
@@ -27,25 +27,19 @@ impl TimeSeries {
         self.values.len()
     }
 
-    /// Width of one bin in cycles (0 for an empty series).
+    /// Width of one bin in cycles — of every bin but the last, which also holds the
+    /// remainder ([`TimeInterval::bin`]); 0 for an empty series.
     pub fn bin_width(&self) -> u64 {
         if self.values.is_empty() {
             0
         } else {
-            self.interval.duration() / self.values.len() as u64
+            self.bin_interval(0).duration()
         }
     }
 
-    /// The sub-interval covered by bin `i`.
+    /// The sub-interval covered by bin `i` ([`TimeInterval::bin`]).
     pub fn bin_interval(&self, i: usize) -> TimeInterval {
-        let w = self.bin_width();
-        let start = self.interval.start.0 + w * i as u64;
-        let end = if i + 1 == self.values.len() {
-            self.interval.end.0
-        } else {
-            start + w
-        };
-        TimeInterval::new(Timestamp(start), Timestamp(end))
+        self.interval.bin(self.values.len(), i)
     }
 
     /// `(normalized-time, value)` pairs where normalized time is the bin centre mapped to

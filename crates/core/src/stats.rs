@@ -186,12 +186,11 @@ pub fn robust_z_scores(values: &[f64]) -> Option<Vec<f64>> {
     robust_z_scores_into(values, &mut out).map(|_| out)
 }
 
-/// [`robust_z_scores`] writing into a caller-provided buffer (cleared first), so
-/// scoring loops over many groups — the anomaly detectors score one group per
-/// (counter, task type) — reuse one allocation instead of allocating per group.
-/// `out` doubles as the selection scratch, so a warm buffer makes the whole scoring
-/// pass allocation-free. Returns the median the scores are centred on — `None`
-/// (leaving `out` empty) only for an empty input.
+/// [`robust_z_scores`] writing into a caller-provided buffer (cleared first), which
+/// doubles as the selection scratch: one allocation per call, none with a warm
+/// buffer. Returns the median the scores are centred on, which the anomaly
+/// detectors quote in their explanations — `None` (leaving `out` empty) only for an
+/// empty input.
 pub fn robust_z_scores_into(values: &[f64], out: &mut Vec<f64>) -> Option<f64> {
     out.clear();
     if values.is_empty() {
@@ -201,8 +200,10 @@ pub fn robust_z_scores_into(values: &[f64], out: &mut Vec<f64>) -> Option<f64> {
     out.extend_from_slice(values);
     let median = median_in_place(out);
     // MAD: the deviations' multiset is order-independent, so the reordered copy
-    // can be rewritten in place (one wide elementwise pass) and selected again.
-    crate::kernels::abs_offsets_in_place(out, median);
+    // can be rewritten in place and selected again.
+    for v in out.iter_mut() {
+        *v = (*v - median).abs();
+    }
     let mad = median_in_place(out);
     let scale = if mad > 0.0 {
         mad * MAD_CONSISTENCY
@@ -218,9 +219,130 @@ pub fn robust_z_scores_into(values: &[f64], out: &mut Vec<f64>) -> Option<f64> {
             1.0
         }
     };
-    out.resize(values.len(), 0.0);
-    crate::kernels::scaled_offsets(values, median, scale, out);
+    for (z, &v) in out.iter_mut().zip(values) {
+        *z = (v - median) / scale;
+    }
     Some(median)
+}
+
+/// Histogram of the execution durations (in cycles) of the tasks accepted by `filter`
+/// (the paper's Figure 16 view).
+///
+/// # Errors
+///
+/// Returns [`AnalysisError::InvalidParameter`] when `bins` is zero.
+pub fn task_duration_histogram(
+    session: &AnalysisSession<'_>,
+    filter: &TaskFilter,
+    bins: usize,
+) -> Result<Histogram, AnalysisError> {
+    let durations: Vec<f64> = filter
+        .filter_tasks(session.trace())
+        .map(|t| t.duration() as f64)
+        .collect();
+    Histogram::from_values(&durations, bins, None)
+}
+
+/// Cycles each worker state covers inside `interval`, summed over all CPUs (indexed
+/// by [`WorkerState::index`]): one window reduction per CPU
+/// ([`crate::session::IntervalQuery::state_cycles`]). Every state statistic below,
+/// every bin of [`crate::derived::state_concurrency`] and with it the idle-phase
+/// detector read this, so they cost what a timeline cell costs — the first one on a
+/// session builds each CPU's pyramid, exactly as the first default-engine frame or
+/// [`AnalysisSession::query`] does.
+pub(crate) fn state_cycles(
+    session: &AnalysisSession<'_>,
+    interval: TimeInterval,
+) -> [u64; WorkerState::COUNT] {
+    let query = session.query(interval);
+    let mut total = [0u64; WorkerState::COUNT];
+    for cpu in session.trace().topology().cpu_ids() {
+        for (sum, cycles) in total.iter_mut().zip(query.state_cycles(cpu)) {
+            *sum += cycles;
+        }
+    }
+    total
+}
+
+/// Each state's share of `cycles` (all zero when there are none).
+fn fractions_of(cycles: [u64; WorkerState::COUNT]) -> [f64; WorkerState::COUNT] {
+    let total: u64 = cycles.iter().sum();
+    if total == 0 {
+        return [0.0; WorkerState::COUNT];
+    }
+    cycles.map(|c| c as f64 / total as f64)
+}
+
+/// Average parallelism over `interval`: the total task-execution time of all workers
+/// divided by the interval duration (the "average parallelism" text field of the
+/// statistics panel).
+pub fn average_parallelism(session: &AnalysisSession<'_>, interval: TimeInterval) -> f64 {
+    if interval.is_empty() {
+        return 0.0;
+    }
+    let busy = state_cycles(session, interval)[WorkerState::TaskExecution.index()];
+    busy as f64 / interval.duration() as f64
+}
+
+/// Fraction of total worker time spent in each state over `interval`, summed across all
+/// CPUs (indexed by [`WorkerState::index`]). This is the quantitative counterpart of the
+/// paper's Figure 13 state timelines.
+pub fn state_fractions(
+    session: &AnalysisSession<'_>,
+    interval: TimeInterval,
+) -> [f64; WorkerState::COUNT] {
+    fractions_of(state_cycles(session, interval))
+}
+
+/// Per-CPU state fractions over `interval` (each row sums to 1 for CPUs with any
+/// recorded state time).
+pub fn state_fractions_per_cpu(
+    session: &AnalysisSession<'_>,
+    interval: TimeInterval,
+) -> Vec<[f64; WorkerState::COUNT]> {
+    let query = session.query(interval);
+    let cpus = session.trace().topology().cpu_ids();
+    cpus.map(|cpu| fractions_of(query.state_cycles(cpu)))
+        .collect()
+}
+
+/// Execution-time and task-count breakdown per task type over `interval` (the data
+/// behind the typemap view of Figure 9).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TypeBreakdownEntry {
+    /// The task type.
+    pub task_type: TaskTypeId,
+    /// Name of the task type.
+    pub name: String,
+    /// Total execution cycles spent in tasks of this type inside the interval.
+    pub cycles: u64,
+    /// Number of task instances of this type overlapping the interval.
+    pub count: usize,
+}
+
+/// Computes the per-type breakdown of execution time over `interval`.
+pub fn task_type_breakdown(
+    session: &AnalysisSession<'_>,
+    interval: TimeInterval,
+) -> Vec<TypeBreakdownEntry> {
+    let trace = session.trace();
+    let mut entries: Vec<TypeBreakdownEntry> = trace
+        .task_types()
+        .iter()
+        .map(|ty| TypeBreakdownEntry {
+            task_type: ty.id,
+            name: ty.name.clone(),
+            cycles: 0,
+            count: 0,
+        })
+        .collect();
+    for task in session.tasks_in(interval) {
+        if let Some(entry) = entries.get_mut(task.task_type.0 as usize) {
+            entry.cycles += task.execution.overlap_cycles(&interval);
+            entry.count += 1;
+        }
+    }
+    entries
 }
 
 /// The sort-based statistics the selection-based ones replaced, kept as the test
@@ -262,134 +384,6 @@ pub(crate) mod reference {
         };
         Some(values.iter().map(|v| (v - median) / scale).collect())
     }
-}
-
-/// Histogram of the execution durations (in cycles) of the tasks accepted by `filter`
-/// (the paper's Figure 16 view).
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::InvalidParameter`] when `bins` is zero.
-pub fn task_duration_histogram(
-    session: &AnalysisSession<'_>,
-    filter: &TaskFilter,
-    bins: usize,
-) -> Result<Histogram, AnalysisError> {
-    let durations: Vec<f64> = filter
-        .filter_tasks(session.trace())
-        .map(|t| t.duration() as f64)
-        .collect();
-    Histogram::from_values(&durations, bins, None)
-}
-
-/// Average parallelism over `interval`: the total task-execution time of all workers
-/// divided by the interval duration (the "average parallelism" text field of the
-/// statistics panel).
-pub fn average_parallelism(session: &AnalysisSession<'_>, interval: TimeInterval) -> f64 {
-    if interval.is_empty() {
-        return 0.0;
-    }
-    let mut busy = 0u64;
-    for cpu in session.trace().topology().cpu_ids() {
-        let states = session.states_in(cpu, interval);
-        for i in 0..states.len() {
-            if states.is_exec(i) {
-                busy += states.interval(i).overlap_cycles(&interval);
-            }
-        }
-    }
-    busy as f64 / interval.duration() as f64
-}
-
-/// Fraction of total worker time spent in each state over `interval`, summed across all
-/// CPUs (indexed by [`WorkerState::index`]). This is the quantitative counterpart of the
-/// paper's Figure 13 state timelines.
-pub fn state_fractions(
-    session: &AnalysisSession<'_>,
-    interval: TimeInterval,
-) -> [f64; WorkerState::COUNT] {
-    let mut cycles = [0u64; WorkerState::COUNT];
-    for cpu in session.trace().topology().cpu_ids() {
-        let states = session.states_in(cpu, interval);
-        for i in 0..states.len() {
-            cycles[states.state_index(i)] += states.interval(i).overlap_cycles(&interval);
-        }
-    }
-    let total: u64 = cycles.iter().sum();
-    let mut fractions = [0.0; WorkerState::COUNT];
-    if total > 0 {
-        for (f, c) in fractions.iter_mut().zip(cycles.iter()) {
-            *f = *c as f64 / total as f64;
-        }
-    }
-    fractions
-}
-
-/// Per-CPU state fractions over `interval` (each row sums to 1 for CPUs with any
-/// recorded state time).
-pub fn state_fractions_per_cpu(
-    session: &AnalysisSession<'_>,
-    interval: TimeInterval,
-) -> Vec<[f64; WorkerState::COUNT]> {
-    session
-        .trace()
-        .topology()
-        .cpu_ids()
-        .map(|cpu| {
-            let mut cycles = [0u64; WorkerState::COUNT];
-            let states = session.states_in(cpu, interval);
-            for i in 0..states.len() {
-                cycles[states.state_index(i)] += states.interval(i).overlap_cycles(&interval);
-            }
-            let total: u64 = cycles.iter().sum();
-            let mut fractions = [0.0; WorkerState::COUNT];
-            if total > 0 {
-                for (f, c) in fractions.iter_mut().zip(cycles.iter()) {
-                    *f = *c as f64 / total as f64;
-                }
-            }
-            fractions
-        })
-        .collect()
-}
-
-/// Execution-time and task-count breakdown per task type over `interval` (the data
-/// behind the typemap view of Figure 9).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TypeBreakdownEntry {
-    /// The task type.
-    pub task_type: TaskTypeId,
-    /// Name of the task type.
-    pub name: String,
-    /// Total execution cycles spent in tasks of this type inside the interval.
-    pub cycles: u64,
-    /// Number of task instances of this type overlapping the interval.
-    pub count: usize,
-}
-
-/// Computes the per-type breakdown of execution time over `interval`.
-pub fn task_type_breakdown(
-    session: &AnalysisSession<'_>,
-    interval: TimeInterval,
-) -> Vec<TypeBreakdownEntry> {
-    let trace = session.trace();
-    let mut entries: Vec<TypeBreakdownEntry> = trace
-        .task_types()
-        .iter()
-        .map(|ty| TypeBreakdownEntry {
-            task_type: ty.id,
-            name: ty.name.clone(),
-            cycles: 0,
-            count: 0,
-        })
-        .collect();
-    for task in session.tasks_in(interval) {
-        if let Some(entry) = entries.get_mut(task.task_type.0 as usize) {
-            entry.cycles += task.execution.overlap_cycles(&interval);
-            entry.count += 1;
-        }
-    }
-    entries
 }
 
 #[cfg(test)]

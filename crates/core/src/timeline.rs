@@ -249,16 +249,9 @@ impl TimelineModel {
     }
 }
 
-/// The time interval covered by one column.
+/// The time interval covered by one column ([`TimeInterval::bin`]).
 pub fn column_interval(interval: TimeInterval, columns: usize, col: usize) -> TimeInterval {
-    let w = (interval.duration() / columns as u64).max(1);
-    let start = interval.start.0 + w * col as u64;
-    let end = if col + 1 == columns {
-        interval.end.0
-    } else {
-        (start + w).min(interval.end.0)
-    };
-    TimeInterval::from_cycles(start, end.max(start))
+    interval.bin(columns, col)
 }
 
 /// Maps a predominant task (index into `trace.tasks()`) to its cell for the

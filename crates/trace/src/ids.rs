@@ -192,29 +192,37 @@ impl TimeInterval {
         }
     }
 
-    /// Splits the interval into `n` equally sized sub-intervals.
+    /// Bin `i` of the `bins` equally sized bins of the interval — the one
+    /// definition behind timeline columns, [`TimeInterval::split`] and every
+    /// binned statistic.
     ///
-    /// The last sub-interval absorbs any remainder so that the union of the returned
-    /// intervals is exactly `self`. Returns an empty vector for `n == 0` or an empty
+    /// A bin is `duration / bins` cycles wide, at least one; the last bin absorbs
+    /// the remainder, so the bins tile the interval exactly. With more bins than
+    /// cycles, the bins past the end are empty and sit at the end.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `bins` is zero.
+    #[inline]
+    pub fn bin(self, bins: usize, i: usize) -> TimeInterval {
+        let w = (self.duration() / bins as u64).max(1);
+        let start = (self.start.0 + w * i as u64).min(self.end.0);
+        let end = if i + 1 == bins {
+            self.end.0
+        } else {
+            (start + w).min(self.end.0)
+        };
+        TimeInterval::from_cycles(start, end)
+    }
+
+    /// Splits the interval into `n` equally sized sub-intervals
+    /// ([`TimeInterval::bin`]). Returns an empty vector for `n == 0` or an empty
     /// interval.
     pub fn split(&self, n: usize) -> Vec<TimeInterval> {
         if n == 0 || self.is_empty() {
             return Vec::new();
         }
-        let total = self.duration();
-        let step = (total / n as u64).max(1);
-        let mut out = Vec::with_capacity(n);
-        let mut cur = self.start;
-        for i in 0..n {
-            let end = if i == n - 1 {
-                self.end
-            } else {
-                Timestamp((cur.0 + step).min(self.end.0))
-            };
-            out.push(TimeInterval::new(cur, end));
-            cur = end;
-        }
-        out
+        (0..n).map(|i| self.bin(n, i)).collect()
     }
 }
 
@@ -296,6 +304,27 @@ mod tests {
         assert_eq!(parts.last().unwrap().end, Timestamp(10));
         let total: u64 = parts.iter().map(|p| p.duration()).sum();
         assert_eq!(total, 10);
+    }
+
+    #[test]
+    fn bins_tile_the_interval_at_every_bin_count() {
+        // Fewer bins than cycles, as many, and more: consecutive bins meet, none
+        // passes the end, the last one ends there.
+        let iv = TimeInterval::from_cycles(100, 110);
+        for bins in [1, 3, 10, 11, 25] {
+            let mut cursor = iv.start;
+            for i in 0..bins {
+                let bin = iv.bin(bins, i);
+                assert_eq!(bin.start, cursor, "bin {i} of {bins}");
+                assert!(bin.end <= iv.end, "bin {i} of {bins}");
+                cursor = bin.end;
+            }
+            assert_eq!(cursor, iv.end, "{bins} bins");
+        }
+        assert_eq!(iv.bin(3, 1), TimeInterval::from_cycles(103, 106));
+        assert_eq!(iv.bin(3, 2), TimeInterval::from_cycles(106, 110));
+        assert_eq!(iv.bin(25, 9), TimeInterval::from_cycles(109, 110));
+        assert_eq!(iv.bin(25, 10), TimeInterval::from_cycles(110, 110));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! column views (`view.iter().collect()`).
 
 use aftermath::prelude::*;
-use aftermath_core::anomaly::{self, AnomalyConfig, Detector};
+use aftermath_core::anomaly::{self, AnomalyConfig};
 use aftermath_core::{LiveSession, TimelineCell, TimelineModel};
 use aftermath_trace::streaming::{make_streamable, split_at};
 use aftermath_trace::{
@@ -408,16 +408,11 @@ fn assert_matches_struct_reference(trace: &Trace, columns: usize) {
     // Anomaly ranking: the permutation-based single-pass ranking must equal the
     // pre-refactor stable sort over the same raw findings, finding for finding.
     let config = AnomalyConfig::default();
-    let detectors: [&dyn Detector; 4] = [
-        &config.idle.unwrap(),
-        &config.numa.unwrap(),
-        &config.counter.unwrap(),
-        &config.duration.unwrap(),
-    ];
-    let mut raw = Vec::new();
-    for d in detectors {
-        raw.extend(d.detect(&session).unwrap());
-    }
+    let threads = Threads::single();
+    let mut raw = config.idle.unwrap().detect(&session).unwrap();
+    raw.extend(config.numa.unwrap().detect(&session, threads));
+    raw.extend(config.counter.unwrap().detect(&session, threads));
+    raw.extend(config.duration.unwrap().detect(&session, threads));
     raw.sort_by(|a, b| {
         (b.severity, b.score)
             .partial_cmp(&(a.severity, a.score))

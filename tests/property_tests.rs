@@ -6,7 +6,8 @@
 use aftermath::prelude::*;
 use aftermath::trace::format::{read_trace, write_trace};
 use aftermath_core::index::{samples_in, CounterIndex};
-use aftermath_core::{AnalysisSession, Histogram, LinearRegression};
+use aftermath_core::stats::{state_fractions, state_fractions_per_cpu};
+use aftermath_core::{AnalysisSession, Histogram, LinearRegression, Need, SharedSession};
 use aftermath_render::ZoomState;
 use aftermath_trace::{CounterId, CounterSample, SampleColumns};
 use proptest::prelude::*;
@@ -393,6 +394,94 @@ proptest! {
             prop_assert!((a.severity - b.severity).abs() < 1e-12);
             prop_assert!((a.score - b.score).abs() < 1e-9);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// State statistics: invariants that hold whatever computes them
+// ---------------------------------------------------------------------------
+
+/// Cycles per worker state inside `window`, summed over all CPUs, by clipping every
+/// recorded interval: the definition, with no session, pyramid or kernel in it.
+fn clipped_state_cycles(trace: &Trace, window: TimeInterval) -> [u64; WorkerState::COUNT] {
+    let mut cycles = [0u64; WorkerState::COUNT];
+    for per_cpu in trace.per_cpu() {
+        for s in per_cpu.states().iter() {
+            cycles[s.state.index()] += s.interval.overlap_cycles(&window);
+        }
+    }
+    cycles
+}
+
+/// The bin counts the statistics are checked at: one bin, remainders, and more bins
+/// than most of the random traces have intervals.
+const STATISTIC_BINS: [usize; 4] = [1, 3, 7, 256];
+
+/// Every state statistic of `session` over its whole trace, as bit patterns.
+fn state_statistics(session: &AnalysisSession<'_>) -> Vec<u64> {
+    let bounds = session.time_bounds();
+    let mut values = vec![average_parallelism(session, bounds)];
+    values.extend(state_fractions(session, bounds));
+    values.extend(state_fractions_per_cpu(session, bounds).concat());
+    for bins in STATISTIC_BINS {
+        for state in WorkerState::ALL {
+            values.extend(
+                state_concurrency(session, state, bins, bounds)
+                    .unwrap()
+                    .values,
+            );
+        }
+    }
+    values.into_iter().map(f64::to_bits).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn state_statistics_obey_their_definitions(trace in arbitrary_trace_strategy()) {
+        let session = AnalysisSession::new(&trace);
+        let bounds = session.time_bounds();
+        prop_assume!(!bounds.is_empty());
+        let cpus: Vec<CpuId> = trace.topology().cpu_ids().collect();
+        let whole = clipped_state_cycles(&trace, bounds);
+
+        for bins in STATISTIC_BINS {
+            // The bins' cycles add up to the whole interval's, state by state.
+            let mut binned = [0u64; WorkerState::COUNT];
+            for b in 0..bins {
+                let query = session.query(bounds.bin(bins, b));
+                for &cpu in &cpus {
+                    for (sum, cycles) in binned.iter_mut().zip(query.state_cycles(cpu)) {
+                        *sum += cycles;
+                    }
+                }
+            }
+            prop_assert_eq!(binned, whole, "{} bins", bins);
+            // No more workers are in a state than there are workers.
+            for state in WorkerState::ALL {
+                let series = state_concurrency(&session, state, bins, bounds).unwrap();
+                prop_assert!(series.values.iter().all(|&v| v <= cpus.len() as f64),
+                    "{:?} at {} bins: {:?}", state, bins, series.values);
+            }
+        }
+        // A CPU's fractions are shares of its recorded time, or all zero without any.
+        for row in state_fractions_per_cpu(&session, bounds) {
+            let sum: f64 = row.iter().sum();
+            prop_assert!(row == [0.0; WorkerState::COUNT] || (sum - 1.0).abs() < 1e-9, "{:?}", row);
+        }
+        prop_assert_eq!(
+            average_parallelism(&session, bounds),
+            whole[WorkerState::TaskExecution.index()] as f64 / bounds.duration() as f64
+        );
+
+        // The same numbers whoever owns the pyramids: built on demand above,
+        // prewarmed, or handed to a view by a shared session.
+        let expected = state_statistics(&session);
+        let warm = AnalysisSession::new(&trace);
+        warm.prewarm(Threads::new(2));
+        prop_assert_eq!(&state_statistics(&warm), &expected);
+        let shared = SharedSession::open(std::sync::Arc::new(trace.clone()), Threads::single());
+        prop_assert_eq!(&shared.with_view(Need::WholeTrace, state_statistics), &expected);
     }
 }
 
