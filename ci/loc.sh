@@ -10,16 +10,18 @@
 # `crates/compat/` are listed apart from the code that is ours. `code` leaves
 # out blank and `//` comment lines, `lines` does not. `bench (without e2e)` is
 # the part of the bench crate a PR may edit: the `e2e` package under
-# `src/bin/e2e/` is what `BENCHMARK.json` runs and stays as it is. The last five
+# `src/bin/e2e/` is what `BENCHMARK.json` runs and stays as it is. The last six
 # rows are trajectories: the five files that answer "where do a session's lanes
 # come from" (the ROADMAP's one-session-core item is measured by them), the two
 # that say what a well-formed trace or chunk is and what is done when it is not,
 # the four that reduce a window over a sorted stream (the level tree, the two
 # summary structures on it, and the timeline cells built from them), the four
 # that turn columns into checksummed store blocks and back (checksum, block
-# codec, the column types it fills, the varint codec), and the five a report is
+# codec, the column types it fills, the varint codec), the five a report is
 # computed by (detectors, statistics, derived metrics, their series type, the
-# kernels).
+# kernels), and the five a trace file is read and written by (the format's
+# reader, writer, varint codec and section table, and the byte cursor they — and
+# the store directory and the wire protocol — decode fields with).
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
@@ -39,6 +41,13 @@ STORE_CODEC_FILES=(
     crates/trace/src/store.rs
     crates/trace/src/columns.rs
     crates/trace/src/format/varint.rs
+)
+AFTM_CODEC_FILES=(
+    crates/trace/src/format/mod.rs
+    crates/trace/src/format/reader.rs
+    crates/trace/src/format/writer.rs
+    crates/trace/src/format/varint.rs
+    crates/trace/src/wire.rs
 )
 REPORT_PATH_FILES=(
     crates/core/src/anomaly.rs
@@ -98,3 +107,4 @@ find crates/core/src -name timeline.rs -o -name pyramid.rs -o -name index.rs -o 
     | count | row '**the window-reduction files**'
 printf '%s\n' "${STORE_CODEC_FILES[@]}" | count | row '**the store codec files**'
 printf '%s\n' "${REPORT_PATH_FILES[@]}" | count | row '**the report path files**'
+printf '%s\n' "${AFTM_CODEC_FILES[@]}" | count | row '**the AFTM codec files**'

@@ -57,7 +57,8 @@ pub fn trace_io_stats(trace: &Trace) -> TraceIoStats {
     trace_io_stats_with(trace, Threads::single())
 }
 
-/// Like [`trace_io_stats`] but decodes the trace sections on up to `threads` workers.
+/// Like [`trace_io_stats`] but finishes the decoded trace's build on up to `threads`
+/// workers.
 pub fn trace_io_stats_with(trace: &Trace, threads: Threads) -> TraceIoStats {
     let mut buf = Vec::new();
     let t0 = Instant::now();

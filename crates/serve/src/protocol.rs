@@ -295,30 +295,30 @@ impl Request {
                 session: r.varint()?,
                 mode: get_mode(&mut r)?,
                 interval: get_interval(&mut r)?,
-                columns: get_u32(&mut r, "columns")?,
+                columns: r.u32("columns")?,
             },
             4 => Request::Query {
                 session: r.varint()?,
                 interval: get_interval(&mut r)?,
-                cpu: CpuId(get_u32(&mut r, "cpu id")?),
+                cpu: CpuId(r.u32("cpu id")?),
                 counter: match r.u8()? {
                     0 => None,
-                    1 => Some(CounterId(get_u32(&mut r, "counter id")?)),
+                    1 => Some(CounterId(r.u32("counter id")?)),
                     _ => return Err(WireError::Malformed("counter option flag")),
                 },
             },
             5 => Request::Anomalies {
                 session: r.varint()?,
                 detectors: get_detectors(&mut r)?,
-                max_anomalies: get_u32(&mut r, "max anomalies")?,
+                max_anomalies: r.u32("max anomalies")?,
             },
             6 => Request::DrillIn {
                 session: r.varint()?,
                 detectors: get_detectors(&mut r)?,
-                max_anomalies: get_u32(&mut r, "max anomalies")?,
-                rank: get_u32(&mut r, "anomaly rank")?,
+                max_anomalies: r.u32("max anomalies")?,
+                rank: r.u32("anomaly rank")?,
                 mode: get_mode(&mut r)?,
-                columns: get_u32(&mut r, "columns")?,
+                columns: r.u32("columns")?,
             },
             7 => Request::Lint {
                 session: r.varint()?,
@@ -568,7 +568,7 @@ impl Response {
             1 => Response::Opened {
                 session: r.varint()?,
                 interval: get_interval(&mut r)?,
-                cpus: get_u32(&mut r, "cpu count")?,
+                cpus: r.u32("cpu count")?,
             },
             2 => Response::Closed,
             3 => Response::Timeline(get_model(&mut r)?),
@@ -629,13 +629,6 @@ fn check_version(r: &mut WireReader<'_>) -> Result<(), WireError> {
         PROTOCOL_VERSION => Ok(()),
         _ => Err(WireError::Malformed("unsupported protocol version")),
     }
-}
-
-fn get_u32(r: &mut WireReader<'_>, what: &'static str) -> Result<u32, WireError> {
-    u32::try_from(r.varint()?).map_err(|_| {
-        let _ = what;
-        WireError::Malformed("u32 field out of range")
-    })
 }
 
 fn put_interval(w: &mut WireWriter, interval: TimeInterval) {
@@ -720,8 +713,8 @@ fn get_cell(r: &mut WireReader<'_>) -> Result<TimelineCell, WireError> {
                 .ok_or(WireError::Malformed("unknown worker state"))?,
         ),
         2 => TimelineCell::Shade(r.f64()?),
-        3 => TimelineCell::Type(TaskTypeId(get_u32(r, "task type id")?)),
-        4 => TimelineCell::Node(NumaNodeId(get_u32(r, "numa node id")?)),
+        3 => TimelineCell::Type(TaskTypeId(r.u32("task type id")?)),
+        4 => TimelineCell::Node(NumaNodeId(r.u32("numa node id")?)),
         _ => return Err(WireError::Malformed("unknown timeline cell tag")),
     })
 }
@@ -745,7 +738,7 @@ fn get_model(r: &mut WireReader<'_>) -> Result<TimelineModel, WireError> {
     let num_cpus = r.len(1, "timeline cpu list")?;
     let mut cpus = Vec::with_capacity(num_cpus);
     for _ in 0..num_cpus {
-        cpus.push(CpuId(get_u32(r, "cpu id")?));
+        cpus.push(CpuId(r.u32("cpu id")?));
     }
     let columns = r.varint()?;
     // Every cell occupies at least one byte, so `rows x columns` must fit in
@@ -819,7 +812,7 @@ fn put_query_result(w: &mut WireWriter, result: &QueryResult) {
 
 fn get_query_result(r: &mut WireReader<'_>) -> Result<QueryResult, WireError> {
     let interval = get_interval(r)?;
-    let cpu = CpuId(get_u32(r, "cpu id")?);
+    let cpu = CpuId(r.u32("cpu id")?);
     let mut state_cycles = [0u64; WorkerState::COUNT];
     for cycles in &mut state_cycles {
         *cycles = r.varint()?;
@@ -838,14 +831,14 @@ fn get_query_result(r: &mut WireReader<'_>) -> Result<QueryResult, WireError> {
     let len = r.len(2, "task type cycles")?;
     let mut task_type_cycles = Vec::with_capacity(len);
     for _ in 0..len {
-        task_type_cycles.push((TaskTypeId(get_u32(r, "task type id")?), r.varint()?));
+        task_type_cycles.push((TaskTypeId(r.u32("task type id")?), r.varint()?));
     }
     let mut numa = [Vec::new(), Vec::new()];
     for pairs in &mut numa {
         let len = r.len(2, "numa bytes")?;
         pairs.reserve(len);
         for _ in 0..len {
-            pairs.push((NumaNodeId(get_u32(r, "numa node id")?), r.varint()?));
+            pairs.push((NumaNodeId(r.u32("numa node id")?), r.varint()?));
         }
     }
     let [numa_read_bytes, numa_write_bytes] = numa;
@@ -901,7 +894,7 @@ fn get_anomaly(r: &mut WireReader<'_>) -> Result<Anomaly, WireError> {
     let len = r.len(1, "anomaly cpu list")?;
     let mut cpus = Vec::with_capacity(len);
     for _ in 0..len {
-        cpus.push(CpuId(get_u32(r, "cpu id")?));
+        cpus.push(CpuId(r.u32("cpu id")?));
     }
     let len = r.len(1, "anomaly task list")?;
     let mut tasks = Vec::with_capacity(len);

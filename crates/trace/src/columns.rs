@@ -582,8 +582,10 @@ impl ExactSizeIterator for StatesIter<'_> {}
 // Discrete-event columns
 // ---------------------------------------------------------------------------
 
-/// Kind tags of the discrete-event column encoding (aligned with the on-disk
-/// format's section encoding so the two stay easy to cross-check).
+/// Kind tags of a discrete event — the one table: the tag lane of
+/// [`EventColumns`], the store's event blocks and the trace format's event
+/// section all hold these values, through [`encode_kind`], [`decode_kind`] and
+/// [`kind_arity`].
 mod tag {
     pub const TASK_CREATE: u8 = 0;
     pub const TASK_READY: u8 = 1;
@@ -595,7 +597,8 @@ mod tag {
 }
 
 /// Encodes a kind into `(tag, payload_a, payload_b, payload_c)`. Crate-visible
-/// so the column store ([`crate::store`]) writes the exact lane representation.
+/// so the column store ([`crate::store`]) and the trace format
+/// ([`crate::format`]) write the exact lane representation.
 pub(crate) fn encode_kind(kind: DiscreteEventKind) -> (u8, u64, u64, u64) {
     match kind {
         DiscreteEventKind::TaskCreate { task } => (tag::TASK_CREATE, task.0, 0, 0),
@@ -614,8 +617,24 @@ pub(crate) fn encode_kind(kind: DiscreteEventKind) -> (u8, u64, u64, u64) {
     }
 }
 
-/// Decodes `(tag, a, b, c)` back into the kind. Crate-visible for
-/// [`crate::store`]'s block decoders.
+/// Payload fields the kind with this tag carries (the leading ones of
+/// [`encode_kind`]'s three; the rest are zero), `None` for a tag no kind has.
+#[inline]
+pub(crate) fn kind_arity(tag_value: u8) -> Option<usize> {
+    match tag_value {
+        tag::TASK_CREATE
+        | tag::TASK_READY
+        | tag::TASK_COMPLETE
+        | tag::STEAL_ATTEMPT
+        | tag::MARKER => Some(1),
+        tag::STEAL_SUCCESS => Some(2),
+        tag::DATA_PUBLISH => Some(3),
+        _ => None,
+    }
+}
+
+/// Decodes `(tag, a, b, c)` back into the kind; the tag is one
+/// [`kind_arity`] knows. Crate-visible for the block and section decoders.
 pub(crate) fn decode_kind(tag_value: u8, a: u64, b: u64, c: u64) -> DiscreteEventKind {
     match tag_value {
         tag::TASK_CREATE => DiscreteEventKind::TaskCreate { task: TaskId(a) },

@@ -106,6 +106,14 @@ impl From<io::Error> for TraceError {
     }
 }
 
+/// A field that could not be decoded ([`crate::wire::WireReader`]) is a
+/// malformed file, whichever format the field belonged to.
+impl From<crate::wire::WireError> for TraceError {
+    fn from(e: crate::wire::WireError) -> Self {
+        TraceError::Format(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,14 @@
 //!
 //! Integers are encoded as unsigned LEB128 varints, which keeps traces compact without
 //! requiring an external compression step. Floating-point values use their IEEE-754 bit
-//! pattern in little-endian order.
+//! pattern in little-endian order. Both sides go through the crate's one byte cursor
+//! ([`crate::wire`]): the writer builds a section's payload with it, the reader decodes
+//! the payload's records off it and straight into the [`crate::TraceBuilder`].
+//!
+//! A discrete event is stored as `kind tag u8 | payload varint*`. The tags, and how many
+//! payload fields each kind has, are not spelled out here: the event-kind table lives in
+//! [`crate::columns`] (`tag`, `encode_kind`, `decode_kind`, `kind_arity`), which the
+//! in-memory event columns, the column store's blocks and this format all share.
 //!
 //! ```text
 //! file    := magic "AFTM" | version u32-le | section* | end-section
@@ -39,10 +46,8 @@ mod varint;
 mod writer;
 
 pub use reader::{read_trace, read_trace_file, read_trace_file_with, read_trace_with};
-pub use varint::{
-    get_varint, put_varint, read_f64, read_string, read_varint, write_f64, write_string,
-    write_varint, VarintError, MAX_VARINT_LEN,
-};
+pub use varint::{get_varint, put_varint, VarintError, MAX_VARINT_LEN};
+pub(crate) use writer::write_metadata;
 pub use writer::{write_trace, write_trace_file};
 
 /// Magic bytes identifying an Aftermath-rs trace file.

@@ -1,40 +1,45 @@
 //! Deserialization of traces from the binary trace format.
 //!
-//! Reading is split into three stages so that the expensive middle stage can run on
-//! the execution layer ([`aftermath_exec`]):
-//!
-//! 1. **collect** — scan the byte stream, slicing it into `(tag, payload)` sections
-//!    (cheap, inherently sequential),
-//! 2. **decode** — turn each section payload into plain record vectors. Sections are
-//!    independent of each other, so [`read_trace_with`] decodes them in parallel via
-//!    [`aftermath_exec::parallel_map`],
-//! 3. **apply** — feed the records into a [`TraceBuilder`] in file order (dense-id
-//!    validation happens here) and [`TraceBuilder::finish_with`] the trace, which
-//!    also splits and sorts the per-CPU streams in parallel.
-//!
-//! The single-threaded path pipelines the three stages per section — one payload is
-//! alive at a time, like the pre-refactor streaming reader — while the parallel path
-//! buffers the sections to fan the decode stage out (payloads are dropped before the
-//! apply stage begins).
+//! One pass, one path: after the file header, each section's payload is read
+//! into memory and decoded record by record off the crate's byte cursor
+//! ([`WireReader`]), every record going straight into the [`TraceBuilder`] —
+//! no intermediate record vectors, and only one payload alive at a time, so a
+//! large trace peaks at roughly the built trace's size. The builder validates
+//! what it is handed (dense ids, known CPUs and tasks), the cursor what it
+//! decodes (bounds, lengths, ids that fit their type). The thread budget of
+//! [`read_trace_with`] goes to [`TraceBuilder::finish_with`], which splits and
+//! sorts the per-CPU streams in parallel. Decoding is not fanned out: records
+//! must reach the builder in file order, and decoding sections apart means
+//! holding their records in between — which costs more than a second core
+//! gives back (the paper-scale trace reads about twice as fast this way on
+//! one thread as through such a pipeline on two).
 
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
 
-use aftermath_exec::{parallel_map, Threads};
+use aftermath_exec::Threads;
 
-use super::varint::{read_f64, read_string, read_varint};
+use super::varint::read_varint;
 use super::{SectionTag, FORMAT_VERSION, MAGIC};
+use crate::columns::{decode_kind, encode_kind, kind_arity};
 use crate::error::TraceError;
-use crate::event::{CommEvent, CommKind, DiscreteEventKind};
+use crate::event::{CommEvent, CommKind};
 use crate::ids::{CounterId, CpuId, NumaNodeId, TaskId, TaskTypeId, Timestamp};
 use crate::memory::AccessKind;
 use crate::state::WorkerState;
 use crate::symbols::SymbolTable;
 use crate::topology::{CpuInfo, MachineTopology};
 use crate::trace::{Trace, TraceBuilder};
+use crate::wire::{WireError, WireReader};
 
-/// Reads a trace from `r` sequentially (single-threaded decode).
+/// Longest name (counter, task type, symbol) a section may carry.
+const MAX_NAME_BYTES: usize = 16 * 1024 * 1024;
+
+/// Most CPUs a topology section may declare.
+const MAX_CPUS: usize = 1 << 20;
+
+/// Reads a trace from `r` on the calling thread.
 ///
 /// Unknown section tags are skipped, so traces written by newer minor revisions of the
 /// format remain loadable as long as the sections this reader understands are intact.
@@ -47,11 +52,11 @@ pub fn read_trace<R: Read>(r: R) -> Result<Trace, TraceError> {
     read_trace_with(r, Threads::single())
 }
 
-/// Reads a trace from `r`, decoding the independent sections of the format (states,
-/// events, samples, accesses, ...) on up to `threads` worker threads.
+/// Reads a trace from `r`, finishing the build (splitting and sorting the per-CPU
+/// streams, [`TraceBuilder::finish_with`]) on up to `threads` worker threads.
 ///
-/// The result is identical to [`read_trace`]: decoding is pure per section and the
-/// records are applied in file order.
+/// The result is identical to [`read_trace`]: the sections are decoded in file
+/// order on the calling thread either way.
 ///
 /// # Errors
 ///
@@ -60,40 +65,15 @@ pub fn read_trace_with<R: Read>(mut r: R, threads: Threads) -> Result<Trace, Tra
     read_header(&mut r)?;
     let mut builder: Option<TraceBuilder> = None;
     let mut symbols = SymbolTable::new();
-
-    if threads.is_single() {
-        // Stream: decode and apply one section at a time so only one payload is
-        // alive at once — large traces peak at roughly the built trace's size.
-        while let Some(section) = next_section(&mut r)? {
-            let records = decode_records(section.tag, &section.payload)?;
-            apply_records(records, &mut builder, &mut symbols)?;
-        }
-    } else {
-        let mut sections = Vec::new();
-        while let Some(section) = next_section(&mut r)? {
-            sections.push(section);
-        }
-        match sections.first() {
-            Some(s) if s.tag == SectionTag::Topology => {}
-            Some(_) => return Err(TraceError::Format("section appears before topology".into())),
-            None => return Err(TraceError::Format("trace has no topology section".into())),
-        }
-        // Decode every section payload into plain records; sections are independent,
-        // so this is the parallel stage. Errors surface in file order below.
-        let decoded = parallel_map(threads, &sections, |s| decode_records(s.tag, &s.payload));
-        drop(sections); // free the raw payloads before building the trace
-        for records in decoded {
-            apply_records(records?, &mut builder, &mut symbols)?;
-        }
+    while let Some((tag, payload)) = next_section(&mut r)? {
+        apply_section(tag, &payload, &mut builder, &mut symbols)?;
     }
-
-    let mut builder =
-        builder.ok_or_else(|| TraceError::Format("trace has no topology section".into()))?;
+    let mut builder = builder.ok_or_else(|| fmt_err("trace has no topology section"))?;
     builder.set_symbols(symbols);
     builder.finish_with(threads)
 }
 
-/// Reads a trace from the file at `path` sequentially.
+/// Reads a trace from the file at `path` on the calling thread.
 ///
 /// # Errors
 ///
@@ -102,7 +82,7 @@ pub fn read_trace_file<P: AsRef<Path>>(path: P) -> Result<Trace, TraceError> {
     read_trace_file_with(path, Threads::single())
 }
 
-/// Reads a trace from the file at `path` with a parallel decode stage.
+/// Reads a trace from the file at `path`, finishing the build on `threads`.
 ///
 /// # Errors
 ///
@@ -115,22 +95,12 @@ pub fn read_trace_file_with<P: AsRef<Path>>(
     read_trace_with(BufReader::new(file), threads)
 }
 
-// ---------------------------------------------------------------------------
-// Stage 1: collect sections
-// ---------------------------------------------------------------------------
-
-/// One known section of the file: its tag and raw payload bytes.
-struct RawSection {
-    tag: SectionTag,
-    payload: Vec<u8>,
-}
-
 /// Checks the magic bytes and format version at the start of the stream.
 fn read_header<R: Read>(r: &mut R) -> Result<(), TraceError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if magic != MAGIC {
-        return Err(TraceError::Format("bad magic bytes".into()));
+        return Err(fmt_err("bad magic bytes"));
     }
     let mut version = [0u8; 4];
     r.read_exact(&mut version)?;
@@ -141,9 +111,9 @@ fn read_header<R: Read>(r: &mut R) -> Result<(), TraceError> {
     Ok(())
 }
 
-/// Reads the next known section from the stream; unknown tags are skipped, and
-/// `None` marks the end marker or EOF.
-fn next_section<R: Read>(r: &mut R) -> Result<Option<RawSection>, TraceError> {
+/// Reads the next known section (tag and payload) from the stream; unknown tags
+/// are skipped, and `None` marks the end marker or EOF.
+fn next_section<R: Read>(r: &mut R) -> Result<Option<(SectionTag, Vec<u8>)>, TraceError> {
     loop {
         let mut tag = [0u8; 1];
         match r.read_exact(&mut tag) {
@@ -161,258 +131,209 @@ fn next_section<R: Read>(r: &mut R) -> Result<Option<RawSection>, TraceError> {
                 "section payload truncated: expected {len} bytes, got {read}"
             )));
         }
-        let Some(tag) = SectionTag::from_u8(tag[0]) else {
-            // Unknown section: skip.
-            continue;
-        };
-        if tag == SectionTag::End {
-            return Ok(None);
+        match SectionTag::from_u8(tag[0]) {
+            None => continue, // unknown section: skip
+            Some(SectionTag::End) => return Ok(None),
+            Some(tag) => return Ok(Some((tag, payload))),
         }
-        return Ok(Some(RawSection { tag, payload }));
     }
-}
-
-// ---------------------------------------------------------------------------
-// Stage 2: pure per-section decoding
-// ---------------------------------------------------------------------------
-
-/// The decoded records of one section, not yet validated against the builder.
-enum SectionRecords {
-    Topology(MachineTopology),
-    Counters(Vec<(u32, String, bool)>),
-    TaskTypes(Vec<(u32, String, u64)>),
-    Regions(Vec<(u64, u64, u64, Option<NumaNodeId>)>),
-    Tasks(Vec<DecodedTask>),
-    States(Vec<(CpuId, WorkerState, Timestamp, Timestamp, Option<TaskId>)>),
-    Events(Vec<(CpuId, Timestamp, DiscreteEventKind)>),
-    Samples(Vec<(CounterId, CpuId, Timestamp, f64)>),
-    Accesses(Vec<(TaskId, AccessKind, u64, u64)>),
-    Comm(Vec<CommEvent>),
-    Symbols(Vec<(u64, u64, String)>),
-}
-
-/// One record of the tasks section.
-struct DecodedTask {
-    id: u64,
-    task_type: TaskTypeId,
-    cpu: CpuId,
-    creator: CpuId,
-    creation: Timestamp,
-    start: Timestamp,
-    end: Timestamp,
 }
 
 fn fmt_err(msg: &str) -> TraceError {
     TraceError::Format(msg.to_string())
 }
 
-fn decode_records(tag: SectionTag, mut p: &[u8]) -> Result<SectionRecords, TraceError> {
-    let p = &mut p;
-    Ok(match tag {
-        SectionTag::Topology => SectionRecords::Topology(decode_topology(p)?),
+/// A presence byte, then — when it is non-zero — the value.
+fn optional<'a, T>(
+    r: &mut WireReader<'a>,
+    value: impl FnOnce(&mut WireReader<'a>) -> Result<T, WireError>,
+) -> Result<Option<T>, WireError> {
+    if r.u8()? != 0 {
+        value(r).map(Some)
+    } else {
+        Ok(None)
+    }
+}
+
+/// Decodes one section's records off `payload`, handing each to the builder as
+/// it is decoded. The topology section creates the builder; every other section
+/// needs it, so it must come first.
+fn apply_section(
+    tag: SectionTag,
+    payload: &[u8],
+    builder: &mut Option<TraceBuilder>,
+    symbols: &mut SymbolTable,
+) -> Result<(), TraceError> {
+    let r = &mut WireReader::new(payload);
+    if tag == SectionTag::Topology {
+        *builder = Some(TraceBuilder::new(decode_topology(r)?));
+        return Ok(());
+    }
+    let b = builder
+        .as_mut()
+        .ok_or_else(|| fmt_err("section appears before topology"))?;
+    // The count sizes nothing: a record takes at least a byte, so a count the
+    // payload cannot hold ends in `Truncated`.
+    let count = r.varint()?;
+    match tag {
+        SectionTag::Topology | SectionTag::End => unreachable!("handled by the callers"),
         SectionTag::CounterDescriptions => {
-            let count = read_varint(p)?;
-            let mut out = Vec::new();
             for _ in 0..count {
-                let id = read_varint(p)? as u32;
-                let name = read_string(p)?;
-                let mut flags = [0u8; 2];
-                p.read_exact(&mut flags)?;
-                out.push((id, name, flags[0] != 0));
+                let id = r.u32("counter id")?;
+                let name = r.string(MAX_NAME_BYTES, "counter name")?;
+                // `monotone`, then `per_cpu` — which the builder sets itself.
+                let monotone = r.bytes(2)?[0] != 0;
+                if b.add_counter(name, monotone) != CounterId(id) {
+                    return Err(fmt_err("counter ids are not dense"));
+                }
             }
-            SectionRecords::Counters(out)
         }
         SectionTag::TaskTypes => {
-            let count = read_varint(p)?;
-            let mut out = Vec::new();
             for _ in 0..count {
-                let id = read_varint(p)? as u32;
-                let name = read_string(p)?;
-                let addr = read_varint(p)?;
-                out.push((id, name, addr));
+                let id = r.u32("task type id")?;
+                let name = r.string(MAX_NAME_BYTES, "task type name")?;
+                let addr = r.varint()?;
+                if b.add_task_type(name, addr) != TaskTypeId(id) {
+                    return Err(fmt_err("task type ids are not dense"));
+                }
             }
-            SectionRecords::TaskTypes(out)
         }
         SectionTag::MemoryRegions => {
-            let count = read_varint(p)?;
-            let mut out = Vec::new();
             for _ in 0..count {
-                let id = read_varint(p)?;
-                let base = read_varint(p)?;
-                let size = read_varint(p)?;
-                let node = read_optional_node(p)?;
-                out.push((id, base, size, node));
+                let id = r.varint()?;
+                let base = r.varint()?;
+                let size = r.varint()?;
+                let node = optional(r, |r| r.u32("region node id"))?.map(NumaNodeId);
+                if b.add_region(base, size, node).0 != id {
+                    return Err(fmt_err("region ids are not dense"));
+                }
             }
-            SectionRecords::Regions(out)
         }
         SectionTag::Tasks => {
-            let count = read_varint(p)?;
-            let mut out = Vec::new();
             for _ in 0..count {
-                let id = read_varint(p)?;
-                let ty = read_varint(p)? as u32;
-                let cpu = read_varint(p)? as u32;
-                let creator = read_varint(p)? as u32;
-                let creation = read_varint(p)?;
-                let start = read_varint(p)?;
-                let end = read_varint(p)?;
-                out.push(DecodedTask {
-                    id,
-                    task_type: TaskTypeId(ty),
-                    cpu: CpuId(cpu),
-                    creator: CpuId(creator),
-                    creation: Timestamp(creation),
-                    start: Timestamp(start),
-                    end: Timestamp(end),
-                });
+                let id = r.varint()?;
+                let task_type = TaskTypeId(r.u32("task type id")?);
+                let cpu = CpuId(r.u32("task cpu id")?);
+                let creator = CpuId(r.u32("task creator cpu id")?);
+                let creation = Timestamp(r.varint()?);
+                let start = Timestamp(r.varint()?);
+                let end = Timestamp(r.varint()?);
+                if b.add_task_created_by(task_type, cpu, creator, creation, start, end)
+                    .0
+                    != id
+                {
+                    return Err(fmt_err("task ids are not dense"));
+                }
             }
-            SectionRecords::Tasks(out)
         }
         SectionTag::StateIntervals => {
-            let count = read_varint(p)?;
-            let mut out = Vec::new();
             for _ in 0..count {
-                let cpu = read_varint(p)? as u32;
-                let state = read_u8(p)?;
-                let start = read_varint(p)?;
-                let end = read_varint(p)?;
-                let task = read_optional_task(p)?;
-                let state = WorkerState::from_index(state as usize)
+                let cpu = CpuId(r.u32("state cpu id")?);
+                let state = WorkerState::from_index(r.u8()? as usize)
                     .ok_or_else(|| fmt_err("unknown worker state"))?;
-                out.push((CpuId(cpu), state, Timestamp(start), Timestamp(end), task));
+                let start = Timestamp(r.varint()?);
+                let end = Timestamp(r.varint()?);
+                let task = optional(r, WireReader::varint)?.map(TaskId);
+                b.add_state(cpu, state, start, end, task)?;
             }
-            SectionRecords::States(out)
         }
         SectionTag::DiscreteEvents => {
-            let count = read_varint(p)?;
-            let mut out = Vec::new();
             for _ in 0..count {
-                let cpu = read_varint(p)? as u32;
-                let ts = read_varint(p)?;
-                let kind = read_u8(p)?;
-                let kind = match kind {
-                    0 => DiscreteEventKind::TaskCreate {
-                        task: TaskId(read_varint(p)?),
-                    },
-                    1 => DiscreteEventKind::TaskReady {
-                        task: TaskId(read_varint(p)?),
-                    },
-                    2 => DiscreteEventKind::TaskComplete {
-                        task: TaskId(read_varint(p)?),
-                    },
-                    3 => DiscreteEventKind::StealAttempt {
-                        victim: CpuId(read_varint(p)? as u32),
-                    },
-                    4 => DiscreteEventKind::StealSuccess {
-                        victim: CpuId(read_varint(p)? as u32),
-                        task: TaskId(read_varint(p)?),
-                    },
-                    5 => DiscreteEventKind::DataPublish {
-                        producer: TaskId(read_varint(p)?),
-                        consumer: TaskId(read_varint(p)?),
-                        bytes: read_varint(p)?,
-                    },
-                    6 => DiscreteEventKind::Marker {
-                        code: read_varint(p)? as u32,
-                    },
-                    other => return Err(fmt_err(&format!("unknown event kind {other}"))),
-                };
-                out.push((CpuId(cpu), Timestamp(ts), kind));
+                let cpu = CpuId(r.u32("event cpu id")?);
+                let ts = Timestamp(r.varint()?);
+                let kind = r.u8()?;
+                let arity = kind_arity(kind)
+                    .ok_or_else(|| fmt_err(&format!("unknown event kind {kind}")))?;
+                let mut f = [0u64; 3];
+                for field in &mut f[..arity] {
+                    *field = r.varint()?;
+                }
+                let event = decode_kind(kind, f[0], f[1], f[2]);
+                // A kind narrows the fields it holds as ids (a victim CPU, a
+                // marker code); one that does not come back out was wrapped.
+                if encode_kind(event) != (kind, f[0], f[1], f[2]) {
+                    return Err(fmt_err("event field exceeds 32 bits"));
+                }
+                b.add_event(cpu, ts, event)?;
             }
-            SectionRecords::Events(out)
         }
         SectionTag::CounterSamples => {
-            let count = read_varint(p)?;
-            let mut out = Vec::new();
             for _ in 0..count {
-                let counter = read_varint(p)? as u32;
-                let cpu = read_varint(p)? as u32;
-                let ts = read_varint(p)?;
-                let value = read_f64(p)?;
-                out.push((CounterId(counter), CpuId(cpu), Timestamp(ts), value));
+                let counter = CounterId(r.u32("sample counter id")?);
+                let cpu = CpuId(r.u32("sample cpu id")?);
+                let ts = Timestamp(r.varint()?);
+                b.add_sample(counter, cpu, ts, r.f64()?)?;
             }
-            SectionRecords::Samples(out)
         }
         SectionTag::MemoryAccesses => {
-            let count = read_varint(p)?;
-            let mut out = Vec::new();
             for _ in 0..count {
-                let task = read_varint(p)?;
-                let kind = if read_u8(p)? != 0 {
+                let task = TaskId(r.varint()?);
+                let kind = if r.u8()? != 0 {
                     AccessKind::Write
                 } else {
                     AccessKind::Read
                 };
-                let addr = read_varint(p)?;
-                let size = read_varint(p)?;
-                out.push((TaskId(task), kind, addr, size));
+                let addr = r.varint()?;
+                b.add_access(task, kind, addr, r.varint()?)?;
             }
-            SectionRecords::Accesses(out)
         }
         SectionTag::CommEvents => {
-            let count = read_varint(p)?;
-            let mut out = Vec::new();
             for _ in 0..count {
-                let ts = read_varint(p)?;
-                let kind = match read_u8(p)? {
+                let timestamp = Timestamp(r.varint()?);
+                let kind = match r.u8()? {
                     0 => CommKind::DataTransfer,
                     1 => CommKind::TaskMigration,
                     2 => CommKind::Broadcast,
                     other => return Err(fmt_err(&format!("unknown comm kind {other}"))),
                 };
-                let src_cpu = CpuId(read_varint(p)? as u32);
-                let dst_cpu = CpuId(read_varint(p)? as u32);
-                let src_node = NumaNodeId(read_varint(p)? as u32);
-                let dst_node = NumaNodeId(read_varint(p)? as u32);
-                let bytes = read_varint(p)?;
-                let task = read_optional_task(p)?;
-                out.push(CommEvent {
-                    timestamp: Timestamp(ts),
+                b.add_comm(CommEvent {
+                    timestamp,
                     kind,
-                    src_cpu,
-                    dst_cpu,
-                    src_node,
-                    dst_node,
-                    bytes,
-                    task,
-                });
+                    src_cpu: CpuId(r.u32("comm source cpu id")?),
+                    dst_cpu: CpuId(r.u32("comm destination cpu id")?),
+                    src_node: NumaNodeId(r.u32("comm source node id")?),
+                    dst_node: NumaNodeId(r.u32("comm destination node id")?),
+                    bytes: r.varint()?,
+                    task: optional(r, WireReader::varint)?.map(TaskId),
+                })?;
             }
-            SectionRecords::Comm(out)
         }
         SectionTag::Symbols => {
-            let count = read_varint(p)?;
-            let mut out = Vec::new();
             for _ in 0..count {
-                let addr = read_varint(p)?;
-                let size = read_varint(p)?;
-                let name = read_string(p)?;
-                out.push((addr, size, name));
+                let addr = r.varint()?;
+                let size = r.varint()?;
+                symbols.insert(addr, size, r.string(MAX_NAME_BYTES, "symbol name")?);
             }
-            SectionRecords::Symbols(out)
         }
-        SectionTag::End => unreachable!("end sections are consumed while collecting"),
-    })
+    }
+    Ok(())
 }
 
-fn decode_topology(p: &mut &[u8]) -> Result<MachineTopology, TraceError> {
-    let num_nodes = read_varint(p)? as u32;
-    let num_cpus = read_varint(p)? as usize;
-    if num_cpus > 1 << 20 {
+fn decode_topology(r: &mut WireReader<'_>) -> Result<MachineTopology, TraceError> {
+    let num_nodes = r.u32("numa node count")?;
+    // Both counts size allocations, so both are bounded by the bytes that are
+    // there: a CPU takes at least one, a node a row of `num_nodes` distances.
+    // The builder allocates per CPU as well, hence the cap.
+    let num_cpus = r.len(1, "cpu count")?;
+    if num_cpus > MAX_CPUS {
         return Err(fmt_err("implausible cpu count"));
     }
     let mut cpus = Vec::with_capacity(num_cpus);
     for i in 0..num_cpus {
-        let node = read_varint(p)? as u32;
         cpus.push(CpuInfo {
             cpu: CpuId(i as u32),
-            node: NumaNodeId(node),
+            node: NumaNodeId(r.u32("cpu node id")?),
         });
     }
-    let mut distances = Vec::with_capacity(num_nodes as usize);
-    for _ in 0..num_nodes {
-        let mut row = Vec::with_capacity(num_nodes as usize);
-        for _ in 0..num_nodes {
-            row.push(read_f64(p)?);
+    let nodes = num_nodes as usize;
+    if nodes.saturating_mul(nodes).saturating_mul(8) > r.remaining() {
+        return Err(WireError::TooLarge("numa distance matrix").into());
+    }
+    let mut distances = Vec::with_capacity(nodes);
+    for _ in 0..nodes {
+        let mut row = Vec::with_capacity(nodes);
+        for _ in 0..nodes {
+            row.push(r.f64()?);
         }
         distances.push(row);
     }
@@ -420,126 +341,16 @@ fn decode_topology(p: &mut &[u8]) -> Result<MachineTopology, TraceError> {
         .ok_or_else(|| fmt_err("inconsistent topology section"))
 }
 
-// ---------------------------------------------------------------------------
-// Stage 3: apply records in file order
-// ---------------------------------------------------------------------------
-
-fn apply_records(
-    records: SectionRecords,
-    builder: &mut Option<TraceBuilder>,
-    symbols: &mut SymbolTable,
-) -> Result<(), TraceError> {
-    if let SectionRecords::Topology(topo) = records {
-        *builder = Some(TraceBuilder::new(topo));
-        return Ok(());
-    }
-    let b = builder
-        .as_mut()
-        .ok_or_else(|| fmt_err("section appears before topology"))?;
-    match records {
-        SectionRecords::Topology(_) => unreachable!("handled above"),
-        SectionRecords::Counters(counters) => {
-            for (id, name, monotone) in counters {
-                let got = b.add_counter(name, monotone);
-                if got != CounterId(id) {
-                    return Err(fmt_err("counter ids are not dense"));
-                }
-            }
-        }
-        SectionRecords::TaskTypes(types) => {
-            for (id, name, addr) in types {
-                let got = b.add_task_type(name, addr);
-                if got != TaskTypeId(id) {
-                    return Err(fmt_err("task type ids are not dense"));
-                }
-            }
-        }
-        SectionRecords::Regions(regions) => {
-            for (id, base, size, node) in regions {
-                let got = b.add_region(base, size, node);
-                if got.0 != id {
-                    return Err(fmt_err("region ids are not dense"));
-                }
-            }
-        }
-        SectionRecords::Tasks(tasks) => {
-            for t in tasks {
-                let got = b.add_task_created_by(
-                    t.task_type,
-                    t.cpu,
-                    t.creator,
-                    t.creation,
-                    t.start,
-                    t.end,
-                );
-                if got.0 != t.id {
-                    return Err(fmt_err("task ids are not dense"));
-                }
-            }
-        }
-        SectionRecords::States(states) => {
-            for (cpu, state, start, end, task) in states {
-                b.add_state(cpu, state, start, end, task)?;
-            }
-        }
-        SectionRecords::Events(events) => {
-            for (cpu, ts, kind) in events {
-                b.add_event(cpu, ts, kind)?;
-            }
-        }
-        SectionRecords::Samples(samples) => {
-            for (counter, cpu, ts, value) in samples {
-                b.add_sample(counter, cpu, ts, value)?;
-            }
-        }
-        SectionRecords::Accesses(accesses) => {
-            for (task, kind, addr, size) in accesses {
-                b.add_access(task, kind, addr, size)?;
-            }
-        }
-        SectionRecords::Comm(events) => {
-            for event in events {
-                b.add_comm(event)?;
-            }
-        }
-        SectionRecords::Symbols(entries) => {
-            for (addr, size, name) in entries {
-                symbols.insert(addr, size, name);
-            }
-        }
-    }
-    Ok(())
-}
-
-fn read_u8(p: &mut &[u8]) -> Result<u8, TraceError> {
-    let mut buf = [0u8; 1];
-    p.read_exact(&mut buf)?;
-    Ok(buf[0])
-}
-
-fn read_optional_task(p: &mut &[u8]) -> Result<Option<TaskId>, TraceError> {
-    if read_u8(p)? != 0 {
-        Ok(Some(TaskId(read_varint(p)?)))
-    } else {
-        Ok(None)
-    }
-}
-
-fn read_optional_node(p: &mut &[u8]) -> Result<Option<NumaNodeId>, TraceError> {
-    if read_u8(p)? != 0 {
-        Ok(Some(NumaNodeId(read_varint(p)? as u32)))
-    } else {
-        Ok(None)
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
+    use crate::event::DiscreteEventKind;
     use crate::format::write_trace;
     use crate::ids::TimeInterval;
 
-    fn sample_trace() -> Trace {
+    /// Every section kind, all seven event kinds, a communication event with
+    /// and without a task, symbols. The writer's pin test encodes it too.
+    pub(crate) fn sample_trace() -> Trace {
         let mut b = TraceBuilder::new(MachineTopology::uniform(2, 2));
         let ty = b.add_task_type("work", 0x4000);
         let aux = b.add_task_type("aux", 0x5000);
@@ -610,6 +421,13 @@ mod tests {
             },
         )
         .unwrap();
+        for (ts, kind) in [
+            (620, DiscreteEventKind::TaskReady { task: t1 }),
+            (630, DiscreteEventKind::TaskComplete { task: t0 }),
+            (640, DiscreteEventKind::StealAttempt { victim: CpuId(3) }),
+        ] {
+            b.add_event(CpuId(0), Timestamp(ts), kind).unwrap();
+        }
         b.add_sample(c, CpuId(0), Timestamp(100), 0.0).unwrap();
         b.add_sample(c, CpuId(0), Timestamp(600), 1234.0).unwrap();
         b.add_access(t0, AccessKind::Write, 0x10_0000, 512).unwrap();
@@ -623,6 +441,17 @@ mod tests {
             dst_node: NumaNodeId(1),
             bytes: 64,
             task: Some(t1),
+        })
+        .unwrap();
+        b.add_comm(CommEvent {
+            timestamp: Timestamp(800),
+            kind: CommKind::Broadcast,
+            src_cpu: CpuId(1),
+            dst_cpu: CpuId(2),
+            src_node: NumaNodeId(0),
+            dst_node: NumaNodeId(1),
+            bytes: 4096,
+            task: None,
         })
         .unwrap();
         let mut symbols = SymbolTable::new();

@@ -1,6 +1,11 @@
 //! LEB128 variable-length integer encoding used by the binary trace format.
+//!
+//! One encoder ([`put_varint`]) and one decoder ([`get_varint`]), both over
+//! bytes in memory; fields are read and written through the cursor built on
+//! them ([`crate::wire`]). The only varint that is read from a stream is a
+//! section's length, so that reader is private to the format.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Maximum number of bytes a LEB128-encoded `u64` may occupy.
 pub const MAX_VARINT_LEN: usize = 10;
@@ -29,7 +34,7 @@ fn encode_varint(mut value: u64, buf: &mut [u8; MAX_VARINT_LEN]) -> usize {
 }
 
 /// Appends `value` to `out` as an unsigned LEB128 varint — the one encoder of
-/// the crate; [`write_varint`] is its `io::Write` adapter.
+/// the crate.
 #[inline]
 pub fn put_varint(out: &mut Vec<u8>, value: u64) {
     if value < 0x80 {
@@ -42,8 +47,8 @@ pub fn put_varint(out: &mut Vec<u8>, value: u64) {
 }
 
 /// Decodes one unsigned LEB128 varint from `buf` at `*pos`, advancing `*pos`
-/// past it — the one decoder of the crate; [`read_varint`] is its `io::Read`
-/// adapter. On error `*pos` is left where it was.
+/// past it — the one decoder of the crate. On error `*pos` is left where it
+/// was.
 ///
 /// Values of up to eight encoded bytes (56 bits — every delta, duration and
 /// id a real trace produces) decode from a single bounds-checked window, with
@@ -86,28 +91,16 @@ fn get_varint_bytewise(buf: &[u8], pos: &mut usize) -> Result<u64, VarintError> 
     Err(VarintError::Truncated)
 }
 
-/// Writes `value` as an unsigned LEB128 varint.
+/// Reads a section's length from the stream: gathers the value's bytes (a
+/// reader has no length to look ahead by), then decodes them with
+/// [`get_varint`].
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer.
-pub fn write_varint<W: Write>(w: &mut W, value: u64) -> io::Result<usize> {
-    let mut buf = [0u8; MAX_VARINT_LEN];
-    let n = encode_varint(value, &mut buf);
-    w.write_all(&buf[..n])?;
-    Ok(n)
-}
-
-/// Reads an unsigned LEB128 varint.
-///
-/// # Errors
-///
-/// Returns an error of kind [`io::ErrorKind::InvalidData`] when the encoding overflows a
-/// `u64` or is longer than [`MAX_VARINT_LEN`] bytes, and propagates reader errors
-/// (including `UnexpectedEof` on truncated input).
-pub fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
-    // Gather the value's bytes (a reader has no length to look ahead by), then
-    // decode them with the slice codec.
+/// An error of kind [`io::ErrorKind::InvalidData`] when the encoding overflows a
+/// `u64` or is longer than [`MAX_VARINT_LEN`] bytes; reader errors, including
+/// `UnexpectedEof` on truncated input, are propagated.
+pub(super) fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut buf = [0u8; MAX_VARINT_LEN];
     let mut n = 0;
     loop {
@@ -123,51 +116,14 @@ pub fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "varint overflows u64"))
 }
 
-/// Writes an `f64` as its IEEE-754 bit pattern in little-endian order.
-pub fn write_f64<W: Write>(w: &mut W, value: f64) -> io::Result<()> {
-    w.write_all(&value.to_bits().to_le_bytes())
-}
-
-/// Reads an `f64` written by [`write_f64`].
-pub fn read_f64<R: Read>(r: &mut R) -> io::Result<f64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(f64::from_bits(u64::from_le_bytes(buf)))
-}
-
-/// Writes a length-prefixed UTF-8 string.
-pub fn write_string<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    write_varint(w, s.len() as u64)?;
-    w.write_all(s.as_bytes())
-}
-
-/// Reads a length-prefixed UTF-8 string (length capped at 16 MiB to bound allocations).
-///
-/// # Errors
-///
-/// Returns `InvalidData` for over-long or non-UTF-8 strings.
-pub fn read_string<R: Read>(r: &mut R) -> io::Result<String> {
-    let len = read_varint(r)? as usize;
-    if len > 16 * 1024 * 1024 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "string length exceeds 16 MiB",
-        ));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "string is not valid utf-8"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(v: u64) -> u64 {
+    fn encoded(v: u64) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_varint(&mut buf, v).unwrap();
-        read_varint(&mut &buf[..]).unwrap()
+        put_varint(&mut buf, v);
+        buf
     }
 
     #[test]
@@ -185,20 +141,15 @@ mod tests {
             u64::MAX - 1,
             u64::MAX,
         ] {
-            assert_eq!(roundtrip(v), v, "value {v}");
+            assert_eq!(get_varint(&encoded(v), &mut 0), Ok(v), "value {v}");
         }
     }
 
     #[test]
     fn varint_encoding_lengths() {
-        let mut buf = Vec::new();
-        assert_eq!(write_varint(&mut buf, 0).unwrap(), 1);
-        buf.clear();
-        assert_eq!(write_varint(&mut buf, 127).unwrap(), 1);
-        buf.clear();
-        assert_eq!(write_varint(&mut buf, 128).unwrap(), 2);
-        buf.clear();
-        assert_eq!(write_varint(&mut buf, u64::MAX).unwrap(), 10);
+        for (v, len) in [(0, 1), (127, 1), (128, 2), (u64::MAX, MAX_VARINT_LEN)] {
+            assert_eq!(encoded(v).len(), len, "value {v}");
+        }
     }
 
     #[test]
@@ -236,19 +187,19 @@ mod tests {
         ];
         let mut packed = Vec::new();
         for &v in &values {
-            let mut via_io = Vec::new();
-            write_varint(&mut via_io, v).unwrap();
-            let at = packed.len();
             put_varint(&mut packed, v);
-            assert_eq!(packed[at..], via_io[..], "value {v}");
         }
         // Decoding walks the packed buffer, through the windowed path and —
-        // for the long values and the buffer's tail — the byte-wise one.
+        // for the long values and the buffer's tail — the byte-wise one; the
+        // stream reader takes the same values off the same bytes.
         let mut pos = 0;
+        let mut stream = &packed[..];
         for &v in &values {
             assert_eq!(get_varint(&packed, &mut pos), Ok(v));
+            assert_eq!(read_varint(&mut stream).unwrap(), v);
         }
         assert_eq!(pos, packed.len());
+        assert!(stream.is_empty());
         assert_eq!(get_varint(&packed, &mut pos), Err(VarintError::Truncated));
     }
 
@@ -271,34 +222,5 @@ mod tests {
         for cut in [&[0x80u8][..], &[0xff; 9], &[]] {
             assert_eq!(get_varint(cut, &mut 0), Err(VarintError::Truncated));
         }
-    }
-
-    #[test]
-    fn f64_roundtrip() {
-        for v in [0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, 1234.5678] {
-            let mut buf = Vec::new();
-            write_f64(&mut buf, v).unwrap();
-            assert_eq!(read_f64(&mut &buf[..]).unwrap(), v);
-        }
-        let mut buf = Vec::new();
-        write_f64(&mut buf, f64::NAN).unwrap();
-        assert!(read_f64(&mut &buf[..]).unwrap().is_nan());
-    }
-
-    #[test]
-    fn string_roundtrip() {
-        for s in ["", "hello", "üñïçødé", "a\tb\nc"] {
-            let mut buf = Vec::new();
-            write_string(&mut buf, s).unwrap();
-            assert_eq!(read_string(&mut &buf[..]).unwrap(), s);
-        }
-    }
-
-    #[test]
-    fn string_invalid_utf8() {
-        let mut buf = Vec::new();
-        write_varint(&mut buf, 2).unwrap();
-        buf.extend_from_slice(&[0xff, 0xfe]);
-        assert!(read_string(&mut &buf[..]).is_err());
     }
 }

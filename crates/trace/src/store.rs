@@ -71,7 +71,8 @@ use std::path::{Path, PathBuf};
 use aftermath_exec::{parallel_map, parallel_map_chunks, Threads};
 
 use crate::columns::{
-    decode_kind, encode_kind, extend_lazy, AccessColumns, EventColumns, SampleColumns, StateColumns,
+    decode_kind, encode_kind, extend_lazy, kind_arity, AccessColumns, EventColumns, SampleColumns,
+    StateColumns,
 };
 use crate::crc::crc32;
 use crate::error::TraceError;
@@ -81,6 +82,7 @@ use crate::memory::AccessKind;
 use crate::state::WorkerState;
 use crate::task::TaskInstance;
 use crate::trace::Trace;
+use crate::wire::WireReader;
 
 /// Magic bytes identifying an Aftermath-rs column store file.
 pub const STORE_MAGIC: [u8; 4] = *b"AFST";
@@ -543,7 +545,7 @@ fn decode_events_block(buf: &[u8], rows: usize, out: &mut EventColumns) -> Resul
     let flags = take(buf, &mut pos, 1, "truncated event block")?[0];
     decode_deltas(buf, &mut pos, rows, timestamps)?;
     let block_tags = take(buf, &mut pos, rows, "truncated event tag lane")?;
-    if let Some(&bad) = block_tags.iter().find(|&&t| t > 6) {
+    if let Some(&bad) = block_tags.iter().find(|&&t| kind_arity(t).is_none()) {
         return Err(TraceError::Format(format!("invalid event tag {bad}")));
     }
     tags.extend_from_slice(block_tags);
@@ -803,7 +805,7 @@ fn encode_store(
 
     // Metadata header: the trace minus its lanes, in the regular AFTM format.
     let mut meta = Vec::new();
-    format::write_trace(&trace.metadata_skeleton(), &mut meta)?;
+    format::write_metadata(trace, &mut meta)?;
     let meta_crc = crc32(&meta);
     put_varint(&mut head, meta.len() as u64);
     head.extend_from_slice(&meta);
@@ -1089,81 +1091,53 @@ impl ColdTier for MemoryTier {
 // Open / directory decoding
 // ---------------------------------------------------------------------------
 
+/// Decodes the directory. Every count is bounded by the directory's own bytes
+/// before anything is sized from it ([`WireReader::len`]: a lane entry takes at
+/// least 4 bytes — tag, rows, block count and one footer byte — and a footer
+/// its 6 varints).
 fn read_directory(
-    bytes: &[u8],
-    dir_start: usize,
-    dir_end: usize,
+    dir: &[u8],
 ) -> Result<(Option<TimeInterval>, Vec<LaneDirectory>, u64), TraceError> {
-    let dir = bytes
-        .get(dir_start..dir_end)
-        .ok_or_else(|| TraceError::Format("store directory out of bounds".into()))?;
-    let mut pos = 0usize;
-    let has_bounds = *dir
-        .first()
-        .ok_or_else(|| TraceError::Format("empty store directory".into()))?;
-    pos += 1;
-    let bounds = if has_bounds != 0 {
-        let start = get_varint(dir, &mut pos)?;
-        let end = get_varint(dir, &mut pos)?;
-        Some(TimeInterval::from_cycles(start, end))
+    let mut r = WireReader::new(dir);
+    let bounds = if r.u8()? != 0 {
+        Some(TimeInterval::from_cycles(r.varint()?, r.varint()?))
     } else {
         None
     };
-    let num_events = get_varint(dir, &mut pos)?;
-    let num_lanes = get_varint(dir, &mut pos)? as usize;
-    // Every lane entry takes at least 4 bytes (tag, rows, block count and one
-    // footer byte), so a count beyond that is corrupt — reject it before the
-    // allocation rather than inside it.
-    if num_lanes > dir.len() / 4 + 1 {
-        return Err(TraceError::Format("store lane count out of bounds".into()));
-    }
+    let num_events = r.varint()?;
+    let num_lanes = r.len(4, "store lane count")?;
     let mut lanes = Vec::with_capacity(num_lanes);
     for _ in 0..num_lanes {
-        let tag = *dir
-            .get(pos)
-            .ok_or_else(|| TraceError::Format("truncated lane directory".into()))?;
-        pos += 1;
-        let lane = match tag {
-            LANE_TAG_STATES => LaneId::States(CpuId(get_varint(dir, &mut pos)? as u32)),
-            LANE_TAG_EVENTS => LaneId::Events(CpuId(get_varint(dir, &mut pos)? as u32)),
-            LANE_TAG_SAMPLES => {
-                let cpu = CpuId(get_varint(dir, &mut pos)? as u32);
-                let ctr = CounterId(get_varint(dir, &mut pos)? as u32);
-                LaneId::Samples(cpu, ctr)
-            }
+        let lane = match r.u8()? {
+            LANE_TAG_STATES => LaneId::States(CpuId(r.u32("lane cpu id")?)),
+            LANE_TAG_EVENTS => LaneId::Events(CpuId(r.u32("lane cpu id")?)),
+            LANE_TAG_SAMPLES => LaneId::Samples(
+                CpuId(r.u32("lane cpu id")?),
+                CounterId(r.u32("lane counter id")?),
+            ),
             LANE_TAG_ACCESSES => LaneId::Accesses,
             LANE_TAG_TASKS => LaneId::Tasks,
             other => {
                 return Err(TraceError::Format(format!("unknown lane tag {other}")));
             }
         };
-        let rows = get_varint(dir, &mut pos)?;
-        let num_blocks = get_varint(dir, &mut pos)? as usize;
-        // Each footer takes at least 6 varint bytes.
-        if num_blocks > (dir.len() - pos.min(dir.len())) / 6 + 1 {
-            return Err(TraceError::Format("store block count out of bounds".into()));
-        }
+        let rows = r.varint()?;
+        let num_blocks = r.len(6, "store block count")?;
         let mut blocks = Vec::with_capacity(num_blocks);
         let mut block_rows = 0u64;
         for _ in 0..num_blocks {
-            let offset = get_varint(dir, &mut pos)?;
-            let len = get_varint(dir, &mut pos)?;
-            let brows = get_varint(dir, &mut pos)?;
-            let min_key = get_varint(dir, &mut pos)?;
-            let max_key = get_varint(dir, &mut pos)?;
-            let crc = u32::try_from(get_varint(dir, &mut pos)?)
-                .map_err(|_| TraceError::Format("block checksum exceeds 32 bits".into()))?;
+            let footer = BlockFooter {
+                offset: r.varint()?,
+                len: r.varint()?,
+                rows: r.varint()?,
+                min_key: r.varint()?,
+                max_key: r.varint()?,
+                crc: r.u32("block checksum")?,
+            };
             block_rows = block_rows
-                .checked_add(brows)
+                .checked_add(footer.rows)
                 .ok_or_else(|| TraceError::Format("store lane row count overflow".into()))?;
-            blocks.push(BlockFooter {
-                offset,
-                len,
-                rows: brows,
-                min_key,
-                max_key,
-                crc,
-            });
+            blocks.push(footer);
         }
         if block_rows != rows {
             return Err(TraceError::Format(format!(
@@ -1540,7 +1514,7 @@ impl StoredTrace {
                 "directory checksum mismatch (stored {want:#010x}, computed {got:#010x})"
             )));
         }
-        let (bounds, directory, num_events) = read_directory(&dir, 0, dir.len())?;
+        let (bounds, directory, num_events) = read_directory(&dir)?;
         validate_directory(&directory, data_start, dir_offset)?;
         let lane_index: HashMap<LaneId, usize> = directory
             .iter()
@@ -2943,6 +2917,11 @@ mod tests {
             })
         }
         let trace = sample_trace();
+        // The metadata header, as PR 20 wrote it (`write_trace` of a lane-less
+        // deep copy of the trace).
+        let mut meta = Vec::new();
+        format::write_metadata(&trace, &mut meta).unwrap();
+        assert_eq!((meta.len(), crc32(&meta)), (75, 0x4b4c_9eb1));
         let pinned = [
             (3usize, (993usize, 0x4f04_e7d5_b588_f852u64)),
             (DEFAULT_BLOCK_ROWS, (706, 0x1a1a_1cbd_0295_d15d)),

@@ -388,31 +388,6 @@ impl Trace {
         }
     }
 
-    /// Crate-internal: a copy of this trace carrying only the *metadata* —
-    /// topology, task types, regions, counter descriptions, communication
-    /// events and symbols — with every event lane (tasks, per-CPU streams,
-    /// accesses) empty. The column store serialises this skeleton through the
-    /// regular binary format as its eagerly-loaded header, and installs the
-    /// lazily decoded lanes into it via [`Trace::streaming_parts_mut`].
-    pub(crate) fn metadata_skeleton(&self) -> Trace {
-        Trace {
-            topology: self.topology.clone(),
-            task_types: self.task_types.clone(),
-            tasks: Vec::new(),
-            per_cpu: self
-                .per_cpu
-                .iter()
-                .map(|pc| PerCpuEvents::new(pc.cpu()))
-                .collect(),
-            regions: self.regions.clone(),
-            accesses: AccessColumns::new(),
-            comm_events: self.comm_events.clone(),
-            counters: self.counters.clone(),
-            counter_names: self.counter_names.clone(),
-            symbols: self.symbols.clone(),
-        }
-    }
-
     /// Crate-internal: the parts the lint walk reads ([`crate::lint`]).
     pub(crate) fn lint_parts(&self) -> crate::lint::LintParts<'_> {
         crate::lint::LintParts {

@@ -1,19 +1,26 @@
-//! Bounded, panic-free primitives for length-prefixed wire messages.
+//! The crate's one byte cursor: bounded, panic-free decoding and encoding of
+//! varint-framed fields.
 //!
-//! The analysis server (`aftermath-serve`) exchanges compact binary frames with
-//! its clients. Frames arrive from the network, so — like the on-disk store's
-//! open-time validation — every decode here must treat its input as hostile:
-//! no allocation is sized from an unvalidated length, no read runs past the
-//! buffer, and malformed bytes surface as a typed [`WireError`] instead of a
-//! panic. The encoding itself reuses the trace format's conventions: unsigned
-//! LEB128 varints ([`crate::format::get_varint`]), little-endian IEEE-754 bit
+//! Everything that is decoded from bytes which are already in memory goes
+//! through [`WireReader`]: the sections of a trace file ([`crate::format`]),
+//! the directory of a column store ([`crate::store`]) and the frames the
+//! analysis server (`aftermath-serve`) exchanges with its clients. All three
+//! arrive from outside the program, so every decode treats its input as
+//! hostile: no allocation is sized from an unvalidated length, no read runs
+//! past the buffer, an id that does not fit its type is refused rather than
+//! wrapped, and malformed bytes surface as a typed [`WireError`] (a
+//! [`crate::TraceError::Format`] once converted) instead of a panic. The field
+//! encodings are the trace format's: unsigned LEB128 varints
+//! ([`crate::format::get_varint`], the one decoder), little-endian IEEE-754 bit
 //! patterns for `f64`, and length-prefixed UTF-8 strings.
 //!
-//! [`WireReader`] decodes from an in-memory slice (the payload of one already
-//! length-delimited frame); [`WireWriter`] builds one. Both are deliberately
-//! cursor-shaped rather than `io::Read`/`io::Write`-shaped: a frame is always
-//! fully buffered before decoding starts, which is what makes the "never reads
-//! past the end, never blocks mid-message" guarantee local and testable.
+//! [`WireReader`] decodes from a slice (one section payload, one directory,
+//! one already length-delimited frame); [`WireWriter`] builds one. Both are
+//! deliberately cursor-shaped rather than `io::Read`/`io::Write`-shaped: the
+//! unit is always fully buffered before decoding starts, which is what makes
+//! the "never reads past the end, never blocks mid-message" guarantee local and
+//! testable. (The store's block codecs keep their own loops over
+//! [`crate::format::get_varint`]: they decode whole columns, not fields.)
 
 use std::fmt;
 
@@ -25,7 +32,8 @@ use crate::format::{get_varint, put_varint, VarintError};
 pub enum WireError {
     /// The buffer ended before the field completed.
     Truncated,
-    /// A field violated its encoding (overlong varint, invalid UTF-8, bad tag).
+    /// A field violated its encoding (overlong varint, invalid UTF-8, bad tag,
+    /// a value beyond the 32 bits its field holds).
     Malformed(&'static str),
     /// A length prefix exceeded what the enclosing frame can possibly hold or a
     /// protocol-imposed cap; honoring it would mean unbounded allocation.
@@ -48,7 +56,7 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Bounds-checked cursor over one frame payload.
+/// Bounds-checked cursor over one buffered unit (section, directory, frame).
 #[derive(Debug, Clone)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
@@ -76,6 +84,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] at the end of the buffer.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
         let byte = *self.buf.get(self.pos).ok_or(WireError::Truncated)?;
         self.pos += 1;
@@ -89,11 +98,25 @@ impl<'a> WireReader<'a> {
     ///
     /// [`WireError::Truncated`] on a cut-off encoding, [`WireError::Malformed`]
     /// on one that overflows a `u64` or exceeds 10 bytes.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, WireError> {
         get_varint(self.buf, &mut self.pos).map_err(|error| match error {
             VarintError::Truncated => WireError::Truncated,
             VarintError::Overflow => WireError::Malformed("varint does not fit a u64"),
         })
+    }
+
+    /// Reads a varint that must fit 32 bits — every id (CPU, node, counter,
+    /// task type) and every count the formats store as one. A larger value is
+    /// refused, never wrapped: `2³² + 1` is not CPU 1.
+    ///
+    /// # Errors
+    ///
+    /// Varint errors, plus [`WireError::Malformed`] naming the field (`what`)
+    /// when the value exceeds `u32::MAX`.
+    #[inline]
+    pub fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
+        u32::try_from(self.varint()?).map_err(|_| WireError::Malformed(what))
     }
 
     /// Reads a varint length prefix for a sequence whose elements occupy at
@@ -167,7 +190,7 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// Builder for one frame payload (infallible — writing into memory).
+/// Builder for one buffered unit (infallible — writing into memory).
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
@@ -243,6 +266,32 @@ mod tests {
         assert_eq!(r.string(64, "s").unwrap(), "hello üñï");
         assert_eq!(r.bytes(3).unwrap(), &[1, 2, 3]);
         r.finish().unwrap();
+        // Every bit pattern of an `f64` and every UTF-8 string survive.
+        let floats = [0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, f64::NAN];
+        let strings = ["", "hello", "üñïçødé", "a\tb\nc"];
+        let mut w = WireWriter::new();
+        floats.iter().for_each(|&v| w.f64(v));
+        strings.iter().for_each(|s| w.string(s));
+        let payload = w.into_vec();
+        let mut r = WireReader::new(&payload);
+        for v in floats {
+            assert_eq!(r.f64().unwrap().to_bits(), v.to_bits());
+        }
+        for s in strings {
+            assert_eq!(r.string(64, "s").unwrap(), s);
+        }
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn a_value_beyond_u32_is_refused_with_the_fields_name() {
+        let mut w = WireWriter::new();
+        w.varint(u64::from(u32::MAX));
+        w.varint((1 << 32) | 1);
+        let payload = w.into_vec();
+        let mut r = WireReader::new(&payload);
+        assert_eq!(r.u32("cpu id"), Ok(u32::MAX));
+        assert_eq!(r.u32("cpu id"), Err(WireError::Malformed("cpu id")));
     }
 
     #[test]

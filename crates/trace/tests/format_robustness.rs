@@ -3,7 +3,7 @@
 //! allocation.
 
 use aftermath_trace::format::{read_trace, write_trace, FORMAT_VERSION, MAGIC};
-use aftermath_trace::{CpuId, MachineTopology, Timestamp, TraceBuilder, WorkerState};
+use aftermath_trace::{CpuId, MachineTopology, Timestamp, TraceBuilder, TraceError, WorkerState};
 use proptest::prelude::*;
 
 fn valid_trace_bytes() -> Vec<u8> {
@@ -45,12 +45,22 @@ proptest! {
         let _ = read_trace(&bytes[..]);
     }
 
-    /// Random bytes prefixed with a valid magic/version never panic either.
+    /// Random bytes prefixed with a valid magic/version never panic either — as
+    /// they are, and behind a topology tag (1 random body in 256 starts with one),
+    /// so that the section decoders see hostile counts, ids and lengths.
     #[test]
-    fn random_body_with_valid_header_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let mut buf = Vec::with_capacity(bytes.len() + 8);
+    fn random_body_with_valid_header_never_panics(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+        topology_first in any::<bool>(),
+    ) {
+        let mut buf = Vec::with_capacity(bytes.len() + 10);
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        if topology_first {
+            // The section's length is at most two bytes here; the body is its
+            // payload and whatever sections follow.
+            buf.extend_from_slice(&[1, (bytes.len() / 2) as u8]);
+        }
         buf.extend_from_slice(&bytes);
         let _ = read_trace(&buf[..]);
     }
@@ -85,4 +95,48 @@ fn corrupted_section_length_is_rejected_gracefully() {
                  // Varint length of ~1 GiB with no payload behind it.
     buf.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x04]);
     assert!(read_trace(&buf[..]).is_err());
+}
+
+#[test]
+fn a_topology_cannot_size_an_allocation_from_its_node_count() {
+    // 16 bytes: a topology section of 6 bytes claiming 2³² − 1 NUMA nodes and no
+    // CPUs. Sizing the distance matrix from that count aborts the process (an
+    // allocation failure does not unwind); the count must be refused first.
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&MAGIC);
+    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    buf.extend_from_slice(&[1, 6]); // topology tag, payload length
+    buf.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x0f]); // num_nodes
+    buf.push(0); // num_cpus
+    assert_eq!(buf.len(), 16);
+    assert!(matches!(read_trace(&buf[..]), Err(TraceError::Format(_))));
+}
+
+#[test]
+fn an_id_beyond_u32_is_refused_not_wrapped() {
+    // A valid 2-CPU topology, then a hand-built states section with one interval
+    // on the CPU whose varint is `cpu`.
+    let file_with_state_on = |cpu: &[u8]| {
+        let topology = TraceBuilder::new(MachineTopology::uniform(1, 2))
+            .finish()
+            .unwrap();
+        let mut buf = Vec::new();
+        write_trace(&topology, &mut buf).unwrap();
+        buf.truncate(buf.len() - 2); // the end marker
+        let mut states = vec![1]; // one record
+        states.extend_from_slice(cpu);
+        states.extend_from_slice(&[0, 10, 20, 0]); // state, start, end, no task
+        buf.extend_from_slice(&[6, states.len() as u8]); // state-intervals tag, length
+        buf.extend_from_slice(&states);
+        buf.extend_from_slice(&[0xff, 0]);
+        buf
+    };
+    let trace = read_trace(&file_with_state_on(&[1])[..]).unwrap();
+    assert_eq!(trace.cpu(CpuId(1)).unwrap().states().len(), 1);
+    // CPU 2³² + 1 is not CPU 1 of that trace.
+    let err = read_trace(&file_with_state_on(&[0x81, 0x80, 0x80, 0x80, 0x10])[..]).unwrap_err();
+    assert!(
+        matches!(&err, TraceError::Format(msg) if msg.contains("cpu id")),
+        "{err}"
+    );
 }

@@ -1,7 +1,8 @@
 //! Measures how the pipeline stages scale with the thread count of the execution
-//! layer: trace ingest, index prewarm, anomaly detection and timeline rasterization,
-//! each at 1, 2, 4 and all available threads, plus the lazy-vs-prewarmed query
-//! latency the sharded session buys on its own.
+//! layer: trace ingest (a one-pass decode on the calling thread, then the builder's
+//! finish on the thread budget), index prewarm, anomaly detection and timeline
+//! rasterization, each at 1, 2, 4 and all available threads, plus the
+//! lazy-vs-prewarmed query latency the sharded session buys on its own.
 //!
 //! Run with:
 //! ```text
@@ -58,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     type Stage<'a> = Box<dyn Fn(Threads) + 'a>;
     let stages: [(&str, Stage<'_>); 4] = [
         (
-            "ingest (decode)",
+            "ingest (decode+finish)",
             Box::new(|t| {
                 read_trace_with(&encoded[..], t).unwrap();
             }),

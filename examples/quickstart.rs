@@ -33,14 +33,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Write the trace in Aftermath's binary format and read it back (this is what a
-    //    run-time system would produce and what the analysis tool consumes). The
-    //    independent sections of the format decode in parallel on the execution layer.
+    //    run-time system would produce and what the analysis tool consumes). The file
+    //    is decoded in one pass; the per-CPU streams are then sorted on the execution
+    //    layer.
     let threads = Threads::auto();
     let path = std::env::temp_dir().join("aftermath_quickstart.trace");
     write_trace_file(&result.trace, &path)?;
     let trace = read_trace_file_with(&path, threads)?;
     println!(
-        "trace round-trip through {} ({} recorded items, {} decode threads)",
+        "trace round-trip through {} ({} recorded items, {} finish threads)",
         path.display(),
         trace.num_events(),
         threads
