@@ -10,7 +10,7 @@
 # `crates/compat/` are listed apart from the code that is ours. `code` leaves
 # out blank and `//` comment lines, `lines` does not. `bench (without e2e)` is
 # the part of the bench crate a PR may edit: the `e2e` package under
-# `src/bin/e2e/` is what `BENCHMARK.json` runs and stays as it is. The last six
+# `src/bin/e2e/` is what `BENCHMARK.json` runs and stays as it is. The last seven
 # rows are trajectories: the five files that answer "where do a session's lanes
 # come from" (the ROADMAP's one-session-core item is measured by them), the two
 # that say what a well-formed trace or chunk is and what is done when it is not,
@@ -19,9 +19,12 @@
 # that turn columns into checksummed store blocks and back (checksum, block
 # codec, the column types it fills, the varint codec), the five a report is
 # computed by (detectors, statistics, derived metrics, their series type, the
-# kernels), and the five a trace file is read and written by (the format's
+# kernels), the five a trace file is read and written by (the format's
 # reader, writer, varint codec and section table, and the byte cursor they — and
-# the store directory and the wire protocol — decode fields with).
+# the store directory and the wire protocol — decode fields with), and the four
+# that say what a trace is and how it grows (the body and its builder, the event
+# types, the columns the streams live in, and the session that follows a
+# growing one).
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
@@ -48,6 +51,12 @@ AFTM_CODEC_FILES=(
     crates/trace/src/format/writer.rs
     crates/trace/src/format/varint.rs
     crates/trace/src/wire.rs
+)
+TRACE_MODEL_FILES=(
+    crates/trace/src/trace.rs
+    crates/trace/src/event.rs
+    crates/trace/src/columns.rs
+    crates/core/src/live.rs
 )
 REPORT_PATH_FILES=(
     crates/core/src/anomaly.rs
@@ -108,3 +117,4 @@ find crates/core/src -name timeline.rs -o -name pyramid.rs -o -name index.rs -o 
 printf '%s\n' "${STORE_CODEC_FILES[@]}" | count | row '**the store codec files**'
 printf '%s\n' "${REPORT_PATH_FILES[@]}" | count | row '**the report path files**'
 printf '%s\n' "${AFTM_CODEC_FILES[@]}" | count | row '**the AFTM codec files**'
+printf '%s\n' "${TRACE_MODEL_FILES[@]}" | count | row '**the trace model files**'

@@ -101,8 +101,8 @@ pub const GATES: &[Gate] = &[
     gate("store", "compressed_bytes_per_event", AtMostTimes(1.1)),
     // The store file undercuts the resident columns.
     gate("store", "disk_vs_soa_ratio", AtMost(0.6)),
-    // A lazy open reaches the first frame well before the full build does.
-    gate("store", "open_vs_full_ratio", AtMost(0.2)),
+    // Lazy open to the first frame: wall-clock, hence loose.
+    gate("store", "open_first_frame_seconds", AtMostTimes(4.0)),
     // Eviction never changes a frame.
     gate("store", "capped_identical", IsSet),
     // The capped sweep's steady-state residency stays within its budget.

@@ -11,7 +11,11 @@
 //! * each affected index absorbs its stream's new tail by rebuilding only the
 //!   rightmost spine ([`CounterIndex::append_tail`],
 //!   [`StatePyramid::append_tail`]) — `O(new events + log n)` per epoch, never a
-//!   full rebuild,
+//!   full rebuild. The tail starts where the index ends: each is asked for the
+//!   length it already summarises ([`CounterIndex::num_samples`],
+//!   [`StatePyramid::num_intervals`]), so the session records no stream
+//!   lengths of its own and an append of zero or several chunks is absorbed
+//!   alike,
 //! * result caches (timeline models, anomaly reports) are invalidated **per
 //!   epoch**: within an epoch repeated queries hit the shared cache, and an
 //!   `advance` swaps in fresh caches instead of letting stale viewports survive.
@@ -121,7 +125,7 @@ impl LiveSession {
             total_nodes_rebuilt: 0,
             lint: None,
         };
-        live.absorb_since(&StreamSnapshot::default());
+        live.absorb(0);
         live
     }
 
@@ -186,9 +190,9 @@ impl LiveSession {
         &mut self,
         append: impl FnOnce(&mut StreamingTrace) -> Result<T, TraceError>,
     ) -> Result<(EpochStats, T), TraceError> {
-        let snapshot = self.snapshot();
+        let items_before = item_count(self.stream.trace());
         let outcome = append(&mut self.stream);
-        let stats = self.absorb_since(&snapshot);
+        let stats = self.absorb(items_before);
         Ok((stats, outcome?))
     }
 
@@ -213,57 +217,27 @@ impl LiveSession {
         self.lint.as_ref()
     }
 
-    /// Per-stream lengths before an append, so the net growth — which may span
-    /// zero or several chunks — can be absorbed afterwards.
-    fn snapshot(&self) -> StreamSnapshot {
-        let trace = self.stream.trace();
-        let mut state_lens = Vec::with_capacity(trace.per_cpu().len());
-        let mut sample_lens = HashMap::new();
-        let mut item_count =
-            trace.tasks().len() + trace.accesses().len() + trace.comm_events().len();
-        for (cpu, pc) in trace.per_cpu().iter().enumerate() {
-            state_lens.push(pc.states().len());
-            item_count += pc.states().len() + pc.events().len();
-            for (counter, samples) in pc.sample_streams() {
-                sample_lens.insert((CpuId(cpu as u32), counter), samples.len());
-                item_count += samples.len();
-            }
-        }
-        StreamSnapshot {
-            state_lens,
-            sample_lens,
-            item_count,
-        }
-    }
-
-    /// Absorbs every stream that grew since `snapshot` into the maintained
-    /// indexes (spine rebuilds, or a build for a stream's first items), advances
-    /// the epoch to the stream's accepted-chunk count and, when anything was
-    /// appended, swaps in fresh result caches and an empty access-index slot
-    /// (views of the old epoch — all dropped by now — kept the old ones alive
-    /// only as long as they needed them).
-    fn absorb_since(&mut self, snapshot: &StreamSnapshot) -> EpochStats {
+    /// Lets every pyramid and counter index absorb what its stream has grown by
+    /// since — each knows the length it summarises, which may be zero or several
+    /// chunks behind; advances the epoch to the stream's accepted-chunk count
+    /// and, when the trace holds more than `items_before`, swaps in fresh result
+    /// caches and an empty access-index slot (views of the old epoch — all
+    /// dropped by now — kept the old ones alive only as long as they needed
+    /// them).
+    fn absorb(&mut self, items_before: usize) -> EpochStats {
         let trace = self.stream.trace();
         let mut nodes_rebuilt = 0;
-        let mut item_count =
-            trace.tasks().len() + trace.accesses().len() + trace.comm_events().len();
-        for (cpu, pc) in trace.per_cpu().iter().enumerate() {
-            item_count += pc.states().len() + pc.events().len();
-            let old_len = snapshot.state_lens.get(cpu).copied().unwrap_or(0);
-            let states = pc.states();
-            if states.len() > old_len {
-                nodes_rebuilt += grow_pyramid(&mut self.state.pyramids, trace, states, old_len);
+        for pc in trace.per_cpu() {
+            // A CPU without states has no pyramid, as in a batch session (a
+            // sample stream exists from its first sample on).
+            if !pc.states().is_empty() {
+                nodes_rebuilt += grow_pyramid(&mut self.state.pyramids, trace, pc.states());
             }
-            for (counter, samples) in pc.sample_streams() {
-                item_count += samples.len();
-                let key = (CpuId(cpu as u32), counter);
-                let old_len = snapshot.sample_lens.get(&key).copied().unwrap_or(0);
-                if samples.len() > old_len {
-                    nodes_rebuilt += grow_index(&mut self.state.indexes, samples, old_len);
-                }
+            for (_, samples) in pc.sample_streams() {
+                nodes_rebuilt += grow_index(&mut self.state.indexes, samples);
             }
         }
-        let appended_items = item_count.saturating_sub(snapshot.item_count);
+        let appended_items = item_count(trace) - items_before;
         self.epoch = self.stream.epochs();
         self.total_nodes_rebuilt += nodes_rebuilt as u64;
         if appended_items > 0 {
@@ -374,56 +348,38 @@ impl LiveSession {
     }
 }
 
-/// Lets a CPU's pyramid absorb the states appended after the first `old_len`
-/// by rebuilding its rightmost spine — or builds it, when these are the CPU's
-/// first states. Returns the number of summary nodes (re)computed.
+/// Lets a CPU's pyramid absorb the states appended since it was last grown, by
+/// rebuilding its rightmost spine; the CPU's first states grow an empty one,
+/// which is a build. Returns the number of summary nodes (re)computed.
 fn grow_pyramid(
     pyramids: &mut HashMap<u32, Arc<StatePyramid>>,
     trace: &Trace,
     states: StatesView<'_>,
-    old_len: usize,
 ) -> usize {
-    match pyramids.get_mut(&states.cpu().0) {
-        // Unique at this point: session views borrow the `LiveSession`, so none
-        // is alive across a `&mut self` call; make_mut never clones.
-        Some(pyramid) => Arc::make_mut(pyramid).append_tail(trace, states, old_len),
-        None => {
-            let pyramid = StatePyramid::build(trace, states);
-            let nodes = pyramid.num_nodes();
-            pyramids.insert(states.cpu().0, Arc::new(pyramid));
-            nodes
-        }
-    }
+    let empty = || Arc::new(StatePyramid::build(trace, states.slice(0, 0)));
+    // Unique at this point: session views borrow the `LiveSession`, so none
+    // is alive across a `&mut self` call; make_mut never clones.
+    let pyramid = Arc::make_mut(pyramids.entry(states.cpu().0).or_insert_with(empty));
+    let old_len = pyramid.num_intervals();
+    pyramid.append_tail(trace, states, old_len)
 }
 
 /// [`grow_pyramid`] for the counter index of one sampled pair.
 fn grow_index(
     indexes: &mut HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
     samples: SamplesView<'_>,
-    old_len: usize,
 ) -> usize {
+    let empty = || Arc::new(CounterIndex::new(samples.slice(0, 0)));
     let key = (samples.cpu(), samples.counter());
-    match indexes.get_mut(&key) {
-        Some(index) => Arc::make_mut(index).append_tail(samples, old_len),
-        None => {
-            let index = CounterIndex::new(samples);
-            let nodes = index.num_nodes();
-            indexes.insert(key, Arc::new(index));
-            nodes
-        }
-    }
+    let index = Arc::make_mut(indexes.entry(key).or_insert_with(empty));
+    let old_len = index.num_samples();
+    index.append_tail(samples, old_len)
 }
 
-/// Per-stream lengths (and the total item count) at one point in time; see
-/// [`LiveSession::snapshot`]. The default is the empty stream.
-#[derive(Default)]
-struct StreamSnapshot {
-    /// States per CPU, indexed by CPU id.
-    state_lens: Vec<usize>,
-    /// Samples per `(CPU, counter)` pair.
-    sample_lens: HashMap<(CpuId, CounterId), usize>,
-    /// Total items across every stream.
-    item_count: usize,
+/// Every item of the trace, the task table included — what
+/// [`TraceChunk::len`] counts of a chunk.
+fn item_count(trace: &Trace) -> usize {
+    trace.num_events() + trace.tasks().len()
 }
 
 #[cfg(test)]
@@ -601,6 +557,38 @@ mod tests {
         let a = view.timeline(TimelineMode::State, bounds, 64).unwrap();
         let b = batch.timeline(TimelineMode::State, bounds, 64).unwrap();
         assert_eq!(*a, *b);
+    }
+
+    #[test]
+    fn a_release_of_two_buffered_successors_is_one_epoch_with_their_sum() {
+        let (prologue, mut chunks, full) = replayable();
+        let mut live = LiveSession::new(prologue).unwrap();
+        // Deliver chunks 0, 2, 3, 1, 4, 5: chunk 1 releases both buffered
+        // successors, so its call appends three chunks.
+        let sizes: Vec<usize> = chunks.iter().map(TraceChunk::len).collect();
+        chunks[1..4].rotate_left(1);
+        let mut seen = Vec::new();
+        for (chunk, seq) in chunks.into_iter().zip([0u64, 2, 3, 1, 4, 5]) {
+            let lenient = aftermath_trace::LintMode::Lenient;
+            let (stats, _) = live.advance_lint(seq, chunk, lenient).unwrap();
+            seen.push((stats.epoch, stats.appended_items, stats.nodes_rebuilt));
+        }
+        // Recorded at the parent of PR 22, which took a snapshot of every
+        // stream's length before the append: the counts the indexes hold say
+        // the same.
+        assert_eq!(sizes, [64, 189, 135, 418, 273, 26]);
+        assert_eq!(
+            seen,
+            [
+                (1, 64, 20),
+                (1, 0, 0),
+                (1, 0, 0),
+                (4, 189 + 135 + 418, 20),
+                (5, 273, 22),
+                (6, 26, 6)
+            ]
+        );
+        assert_eq!(live.trace(), &full);
     }
 
     #[test]

@@ -122,6 +122,9 @@ pub struct StoreSession {
     stored: StoredTrace,
     /// Shards are kept for, and seeded over, fully resident lanes only.
     state: SessionState,
+    /// What a salvage open left answerable — a function of the open alone, so
+    /// worked out once; `None` after a strict open.
+    coverage: Option<SalvageCoverage>,
 }
 
 /// Lifetime work counters of one [`StoreSession`] ([`StoreSession::stats`]).
@@ -153,6 +156,42 @@ fn intersect(a: Option<TimeInterval>, b: Option<TimeInterval>) -> Option<TimeInt
     (start <= end).then(|| TimeInterval::new(start, end))
 }
 
+/// The coverage a salvage open of `stored` left (`None` after a strict open).
+fn coverage_of(stored: &StoredTrace) -> Option<SalvageCoverage> {
+    let report = stored.damage()?;
+    let mut lost_lanes = Vec::new();
+    let mut state_span = Some(TimeInterval::from_cycles(0, u64::MAX));
+    let mut full_span = Some(TimeInterval::from_cycles(0, u64::MAX));
+    for lane_damage in &report.lanes {
+        let lane = lane_damage.lane;
+        let span = stored.salvage_covered_span(lane);
+        if span.is_none() {
+            lost_lanes.push(lane);
+        }
+        let time_sorted = matches!(
+            lane,
+            LaneId::States(_) | LaneId::Events(_) | LaneId::Samples(..)
+        );
+        if time_sorted {
+            full_span = intersect(full_span, span);
+            if matches!(lane, LaneId::States(_)) {
+                state_span = intersect(state_span, span);
+            }
+        } else if span.is_none() {
+            // A lost task/access table makes whole-table aggregations
+            // inexact everywhere.
+            full_span = None;
+        }
+    }
+    Some(SalvageCoverage {
+        row_coverage: report.row_coverage(),
+        state_span,
+        full_span,
+        lost_lanes,
+        clean: report.is_clean(),
+    })
+}
+
 impl StoreSession {
     /// Opens a store file lazily: only metadata and block footers are read, so
     /// the cost is independent of the trace's event count.
@@ -181,6 +220,7 @@ impl StoreSession {
     /// Wraps an already opened [`StoredTrace`].
     pub fn from_store(stored: StoredTrace) -> Self {
         StoreSession {
+            coverage: coverage_of(&stored),
             stored,
             state: SessionState::new(),
         }
@@ -205,38 +245,7 @@ impl StoreSession {
     /// open). [`StoreSession::with_view`] refuses what
     /// [`SalvageCoverage::allows`] does not.
     pub fn coverage(&self) -> Option<SalvageCoverage> {
-        let report = self.stored.damage()?;
-        let mut lost_lanes = Vec::new();
-        let mut state_span = Some(TimeInterval::from_cycles(0, u64::MAX));
-        let mut full_span = Some(TimeInterval::from_cycles(0, u64::MAX));
-        for lane_damage in &report.lanes {
-            let lane = lane_damage.lane;
-            let span = self.stored.salvage_covered_span(lane);
-            if span.is_none() {
-                lost_lanes.push(lane);
-            }
-            let time_sorted = matches!(
-                lane,
-                LaneId::States(_) | LaneId::Events(_) | LaneId::Samples(..)
-            );
-            if time_sorted {
-                full_span = intersect(full_span, span);
-                if matches!(lane, LaneId::States(_)) {
-                    state_span = intersect(state_span, span);
-                }
-            } else if span.is_none() {
-                // A lost task/access table makes whole-table aggregations
-                // inexact everywhere.
-                full_span = None;
-            }
-        }
-        Some(SalvageCoverage {
-            row_coverage: report.row_coverage(),
-            state_span,
-            full_span,
-            lost_lanes,
-            clean: report.is_clean(),
-        })
+        self.coverage.clone()
     }
 
     /// Sets (or clears) the steady-state residency budget in bytes (see the
@@ -445,7 +454,7 @@ impl StoreSession {
         need: Need,
         f: impl FnOnce(&AnalysisSession<'_>) -> R,
     ) -> Result<R, AnalysisError> {
-        if let Some(coverage) = self.coverage().filter(|c| !c.allows(&need)) {
+        if let Some(coverage) = self.coverage.as_ref().filter(|c| !c.allows(&need)) {
             return Err(AnalysisError::OutsideCoverage {
                 row_coverage: coverage.row_coverage,
             });

@@ -775,28 +775,11 @@ impl EventColumns {
     /// Rewrites every task reference in the payloads through `f` (the streaming
     /// layer's id canonicalization; cold path, so this simply re-encodes).
     pub fn map_tasks(&mut self, mut f: impl FnMut(TaskId) -> TaskId) {
-        let remapped: Vec<DiscreteEvent> = self
-            .view()
-            .iter()
-            .map(|mut e| {
-                match &mut e.kind {
-                    DiscreteEventKind::TaskCreate { task }
-                    | DiscreteEventKind::TaskReady { task }
-                    | DiscreteEventKind::TaskComplete { task }
-                    | DiscreteEventKind::StealSuccess { task, .. } => *task = f(*task),
-                    DiscreteEventKind::DataPublish {
-                        producer, consumer, ..
-                    } => {
-                        *producer = f(*producer);
-                        *consumer = f(*consumer);
-                    }
-                    DiscreteEventKind::StealAttempt { .. } | DiscreteEventKind::Marker { .. } => {}
-                }
-                e
-            })
-            .collect();
         let mut out = EventColumns::new(self.cpu);
-        for e in remapped {
+        for mut e in self.view().iter() {
+            for task in e.kind.task_refs_mut().into_iter().flatten() {
+                *task = f(*task);
+            }
             out.push(e);
         }
         *self = out;

@@ -63,6 +63,25 @@ impl DiscreteEventKind {
             DiscreteEventKind::Marker { .. } => "marker",
         }
     }
+
+    /// The fields of the kind that name a task — the one table of which they
+    /// are: remapping ([`crate::columns::EventColumns::map_tasks`]), the lint
+    /// walk's orphan check and the lenient append's resolution all go through
+    /// it.
+    pub(crate) fn task_refs_mut(&mut self) -> [Option<&mut TaskId>; 2] {
+        match self {
+            DiscreteEventKind::TaskCreate { task }
+            | DiscreteEventKind::TaskReady { task }
+            | DiscreteEventKind::TaskComplete { task }
+            | DiscreteEventKind::StealSuccess { task, .. } => [Some(task), None],
+            DiscreteEventKind::DataPublish {
+                producer, consumer, ..
+            } => [Some(producer), Some(consumer)],
+            DiscreteEventKind::StealAttempt { .. } | DiscreteEventKind::Marker { .. } => {
+                [None, None]
+            }
+        }
+    }
 }
 
 impl fmt::Display for DiscreteEventKind {
@@ -112,6 +131,26 @@ impl CommKind {
             CommKind::TaskMigration => "task-migration",
             CommKind::Broadcast => "broadcast",
         }
+    }
+
+    /// The byte the trace format ([`crate::format`]) stores the kind as.
+    pub(crate) fn tag(self) -> u8 {
+        match self {
+            CommKind::DataTransfer => 0,
+            CommKind::TaskMigration => 1,
+            CommKind::Broadcast => 2,
+        }
+    }
+
+    /// The kind stored as `tag`, `None` for a byte no kind has.
+    pub(crate) fn from_tag(tag: u8) -> Option<CommKind> {
+        [
+            CommKind::DataTransfer,
+            CommKind::TaskMigration,
+            CommKind::Broadcast,
+        ]
+        .into_iter()
+        .find(|kind| kind.tag() == tag)
     }
 }
 

@@ -22,6 +22,9 @@
 //! section := tag u8 | payload-length varint | payload
 //! ```
 //!
+//! A payload is exactly its records — bytes after the last one are an error — while a
+//! file that ends after a whole section, without the end marker, loads as what it holds.
+//!
 //! # Examples
 //!
 //! ```rust

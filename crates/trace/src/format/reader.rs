@@ -157,17 +157,19 @@ fn optional<'a, T>(
 
 /// Decodes one section's records off `payload`, handing each to the builder as
 /// it is decoded. The topology section creates the builder; every other section
-/// needs it, so it must come first.
+/// needs it, so it must come first. A payload ends with its last record: bytes
+/// after it are malformed, not skipped.
 fn apply_section(
     tag: SectionTag,
     payload: &[u8],
     builder: &mut Option<TraceBuilder>,
     symbols: &mut SymbolTable,
 ) -> Result<(), TraceError> {
-    let r = &mut WireReader::new(payload);
+    let mut reader = WireReader::new(payload);
+    let r = &mut reader;
     if tag == SectionTag::Topology {
         *builder = Some(TraceBuilder::new(decode_topology(r)?));
-        return Ok(());
+        return Ok(reader.finish()?);
     }
     let b = builder
         .as_mut()
@@ -280,12 +282,9 @@ fn apply_section(
         SectionTag::CommEvents => {
             for _ in 0..count {
                 let timestamp = Timestamp(r.varint()?);
-                let kind = match r.u8()? {
-                    0 => CommKind::DataTransfer,
-                    1 => CommKind::TaskMigration,
-                    2 => CommKind::Broadcast,
-                    other => return Err(fmt_err(&format!("unknown comm kind {other}"))),
-                };
+                let tag = r.u8()?;
+                let kind = CommKind::from_tag(tag)
+                    .ok_or_else(|| fmt_err(&format!("unknown comm kind {tag}")))?;
                 b.add_comm(CommEvent {
                     timestamp,
                     kind,
@@ -306,7 +305,7 @@ fn apply_section(
             }
         }
     }
-    Ok(())
+    Ok(reader.finish()?)
 }
 
 fn decode_topology(r: &mut WireReader<'_>) -> Result<MachineTopology, TraceError> {

@@ -10,7 +10,6 @@ use std::path::Path;
 use super::{SectionTag, FORMAT_VERSION, MAGIC};
 use crate::columns::{encode_kind, kind_arity};
 use crate::error::TraceError;
-use crate::event::CommKind;
 use crate::memory::AccessKind;
 use crate::trace::Trace;
 use crate::wire::WireWriter;
@@ -139,11 +138,7 @@ fn write_sections<W: Write>(trace: &Trace, mut w: W, lanes: bool) -> Result<(), 
     section(w, SectionTag::CommEvents, comm.len(), |p| {
         for c in comm {
             p.varint(c.timestamp.0);
-            p.u8(match c.kind {
-                CommKind::DataTransfer => 0,
-                CommKind::TaskMigration => 1,
-                CommKind::Broadcast => 2,
-            });
+            p.u8(c.kind.tag());
             p.varint(u64::from(c.src_cpu.0));
             p.varint(u64::from(c.dst_cpu.0));
             p.varint(u64::from(c.src_node.0));

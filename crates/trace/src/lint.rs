@@ -46,12 +46,8 @@ use crate::columns::{
     sort_permutation, AccessColumns, EventColumns, SampleColumns, SamplesView, StateColumns,
 };
 use crate::error::TraceError;
-use crate::event::{CommEvent, CounterDescription, DiscreteEventKind};
 use crate::ids::{CounterId, CpuId, NumaNodeId, TaskId, Timestamp};
-use crate::memory::MemoryRegion;
-use crate::task::TaskInstance;
-use crate::topology::MachineTopology;
-use crate::trace::{PerCpuEvents, Trace, TraceBuilder};
+use crate::trace::{PerCpuEvents, Trace, TraceBuilder, TraceData};
 
 /// Stable annotation codes for every defect class the lint layer detects.
 ///
@@ -537,27 +533,6 @@ impl AnnotatedTrace {
     }
 }
 
-/// The parts of a trace under lint — what [`Trace`] and [`TraceBuilder`] both
-/// hold — lent to the one walk (crate-internal).
-pub(crate) struct LintParts<'a> {
-    pub(crate) topology: &'a MachineTopology,
-    pub(crate) tasks: &'a [TaskInstance],
-    pub(crate) per_cpu: &'a [PerCpuEvents],
-    pub(crate) regions: &'a [MemoryRegion],
-    pub(crate) counters: &'a [CounterDescription],
-    pub(crate) accesses: &'a AccessColumns,
-    pub(crate) comm_events: &'a [CommEvent],
-}
-
-/// The containers of a builder that lenient repair rewrites (crate-internal;
-/// see [`TraceBuilder::lint_parts_mut`]).
-pub(crate) struct RepairPartsMut<'a> {
-    pub(crate) per_cpu: &'a mut [PerCpuEvents],
-    pub(crate) regions: &'a mut Vec<MemoryRegion>,
-    pub(crate) accesses: &'a mut AccessColumns,
-    pub(crate) comm_events: &'a mut Vec<CommEvent>,
-}
-
 /// How one finding is repaired. The walk that finds a defect decides its fix,
 /// with every value the fix needs; [`apply_fixes`] carries it out without
 /// looking at the data again.
@@ -627,20 +602,6 @@ fn report_of(defects: Vec<Defect>) -> LintReport {
     LintReport::from_findings(defects.into_iter().map(|d| d.finding).collect())
 }
 
-/// The task ids referenced by a discrete event, if any.
-fn event_task_refs(kind: &DiscreteEventKind) -> [Option<TaskId>; 2] {
-    match *kind {
-        DiscreteEventKind::TaskCreate { task }
-        | DiscreteEventKind::TaskReady { task }
-        | DiscreteEventKind::TaskComplete { task }
-        | DiscreteEventKind::StealSuccess { task, .. } => [Some(task), None],
-        DiscreteEventKind::DataPublish {
-            producer, consumer, ..
-        } => [Some(producer), Some(consumer)],
-        DiscreteEventKind::StealAttempt { .. } | DiscreteEventKind::Marker { .. } => [None, None],
-    }
-}
-
 /// The timeline order of a stream — by timestamp, recording order among
 /// equals, the order [`TraceBuilder::finish`] sorts into — as a map from
 /// position to recording index. A stream recorded in order (every stream of a
@@ -656,9 +617,9 @@ fn timeline_order(timestamps: &[u64]) -> impl Fn(usize) -> usize {
 /// The latest bounded timestamp of the recorded data, ignoring the
 /// [`Timestamp::MAX`] sentinel of unclosed intervals. An unclosed interval
 /// with no successor on its CPU is closed here.
-fn bounded_end(parts: &LintParts<'_>) -> u64 {
+fn bounded_end(data: &TraceData) -> u64 {
     let mut end = 0u64;
-    for pc in parts.per_cpu {
+    for pc in &data.per_cpu {
         for (&s, &e) in pc.states().starts().iter().zip(pc.states().ends()) {
             end = end.max(s);
             if e != u64::MAX {
@@ -674,12 +635,12 @@ fn bounded_end(parts: &LintParts<'_>) -> u64 {
             }
         }
     }
-    for t in parts.tasks {
+    for t in &data.tasks {
         if t.execution.end.0 != u64::MAX {
             end = end.max(t.execution.end.0);
         }
     }
-    for c in parts.comm_events {
+    for c in &data.comm_events {
         end = end.max(c.timestamp.0);
     }
     end
@@ -688,7 +649,7 @@ fn bounded_end(parts: &LintParts<'_>) -> u64 {
 /// The one walk: every predicate over timestamps, task ids, node ids and
 /// counter values is evaluated here, once, in the method of its stream kind.
 struct Walk<'a> {
-    parts: &'a LintParts<'a>,
+    data: &'a TraceData,
     defects: Vec<Defect>,
     /// [`bounded_end`], computed when a trailing unclosed interval asks for it.
     trace_end: Option<u64>,
@@ -696,13 +657,13 @@ struct Walk<'a> {
 
 /// Walks the whole trace and returns its defects grouped by code in label
 /// order; the sort is stable, so within a code the order of the walk stands.
-fn detect(parts: &LintParts<'_>) -> Vec<Defect> {
+fn detect(data: &TraceData) -> Vec<Defect> {
     let mut walk = Walk {
-        parts,
+        data,
         defects: Vec::new(),
         trace_end: None,
     };
-    for pc in parts.per_cpu {
+    for pc in &data.per_cpu {
         walk.states(pc);
         walk.events(pc);
         for (counter, samples) in pc.sample_streams() {
@@ -741,7 +702,7 @@ impl Walk<'_> {
 
     /// L003: a task reference must name a registered task (ids are dense).
     fn registered(&mut self, task: Option<TaskId>, event: EventRef, fix: Fix) {
-        let n = self.parts.tasks.len();
+        let n = self.data.tasks.len();
         if let Some(task) = task.filter(|t| t.0 >= n as u64) {
             let detail = format!("references unregistered task {} of {n}", task.0);
             self.flag(LintCode::OrphanTaskRef, event, fix, detail);
@@ -750,7 +711,7 @@ impl Walk<'_> {
 
     /// L006: a node reference must exist in the topology.
     fn placed(&mut self, node: NumaNodeId, event: EventRef, fix: Fix, what: &str) {
-        let topology = self.parts.topology;
+        let topology = &self.data.topology;
         if !topology.contains_node(node) {
             let detail = format!("{what} node {} of {}", node.0, topology.num_nodes());
             self.flag(LintCode::NumaNodeOutOfRange, event, fix, detail);
@@ -780,9 +741,7 @@ impl Walk<'_> {
                 end = if position + 1 < starts.len() {
                     starts[nth(position + 1)]
                 } else {
-                    *self
-                        .trace_end
-                        .get_or_insert_with(|| bounded_end(self.parts))
+                    *self.trace_end.get_or_insert_with(|| bounded_end(self.data))
                 };
                 let detail = format!("interval starting at {} was never closed", starts[i]);
                 self.flag(
@@ -819,8 +778,8 @@ impl Walk<'_> {
             };
             let timestamps = events.timestamps();
             self.recorded_in_order(timestamps[..i].last().copied(), timestamps[i], event);
-            for task in event_task_refs(&events.kind(i)) {
-                self.registered(task, event, Fix::Drop);
+            for task in events.kind(i).task_refs_mut().into_iter().flatten() {
+                self.registered(Some(*task), event, Fix::Drop);
             }
         }
     }
@@ -835,7 +794,7 @@ impl Walk<'_> {
         for i in 0..timestamps.len() {
             self.recorded_in_order(timestamps[..i].last().copied(), timestamps[i], at(i));
         }
-        let counters = self.parts.counters;
+        let counters = &self.data.counters;
         if !counters.get(counter.0 as usize).is_some_and(|c| c.monotone) {
             return;
         }
@@ -858,7 +817,7 @@ impl Walk<'_> {
     }
 
     fn accesses(&mut self) {
-        let accesses = self.parts.accesses.view();
+        let accesses = self.data.accesses.view();
         for i in 0..accesses.len() {
             self.registered(
                 Some(accesses.task(i)),
@@ -869,7 +828,7 @@ impl Walk<'_> {
     }
 
     fn regions(&mut self) {
-        for (i, r) in self.parts.regions.iter().enumerate() {
+        for (i, r) in self.data.regions.iter().enumerate() {
             if let Some(node) = r.node {
                 let event = EventRef::Region { index: i };
                 self.placed(node, event, Fix::Unplace, "region placed on");
@@ -878,7 +837,7 @@ impl Walk<'_> {
     }
 
     fn comm_events(&mut self) {
-        let comm = self.parts.comm_events;
+        let comm = &self.data.comm_events;
         let mut prev = None;
         for (i, c) in comm.iter().enumerate() {
             let event = EventRef::Comm { index: i };
@@ -930,7 +889,7 @@ fn patched<T>(
 /// the repair of a clean trace the identity down to the lanes. Afterwards the
 /// builder re-lints clean and [`TraceBuilder::finish`] cannot fail on stream
 /// invariants.
-fn apply_fixes(parts: RepairPartsMut<'_>, defects: &[Defect]) {
+fn apply_fixes(data: &mut TraceData, defects: &[Defect]) {
     let mut by_stream: BTreeMap<EventRef, Vec<(usize, Fix)>> = BTreeMap::new();
     for d in defects.iter().filter(|d| d.fix != Fix::Resequence) {
         let (stream, index) = locate(d.finding.event);
@@ -939,7 +898,7 @@ fn apply_fixes(parts: RepairPartsMut<'_>, defects: &[Defect]) {
     for (stream, fixes) in by_stream {
         match stream {
             EventRef::State { cpu, .. } => {
-                let states = &mut parts.per_cpu[cpu.0 as usize].states;
+                let states = &mut data.per_cpu[cpu.0 as usize].states;
                 let mut rebuilt = StateColumns::new(cpu);
                 patched(states.to_vec(), &fixes, |s, fix| match fix {
                     Fix::CloseAt(t) => s.interval.end = t,
@@ -951,13 +910,13 @@ fn apply_fixes(parts: RepairPartsMut<'_>, defects: &[Defect]) {
                 *states = rebuilt;
             }
             EventRef::Event { cpu, .. } => {
-                let events = &mut parts.per_cpu[cpu.0 as usize].events;
+                let events = &mut data.per_cpu[cpu.0 as usize].events;
                 let mut rebuilt = EventColumns::new(cpu);
                 patched(events.to_vec(), &fixes, |_, _| {}).for_each(|e| rebuilt.push(e));
                 *events = rebuilt;
             }
             EventRef::Sample { cpu, counter, .. } => {
-                let samples = parts.per_cpu[cpu.0 as usize]
+                let samples = data.per_cpu[cpu.0 as usize]
                     .samples
                     .get_mut(&counter)
                     .expect("the walk found a defect in this stream");
@@ -972,18 +931,18 @@ fn apply_fixes(parts: RepairPartsMut<'_>, defects: &[Defect]) {
             }
             EventRef::Access { .. } => {
                 let mut rebuilt = AccessColumns::new();
-                patched(parts.accesses.to_vec(), &fixes, |_, _| {}).for_each(|a| rebuilt.push(a));
-                *parts.accesses = rebuilt;
+                patched(data.accesses.to_vec(), &fixes, |_, _| {}).for_each(|a| rebuilt.push(a));
+                data.accesses = rebuilt;
             }
             EventRef::Comm { .. } => {
                 // Besides `Drop`, the walk gives a communication event only
                 // `ClearTask`, and a region only `Unplace`.
-                let comm = std::mem::take(parts.comm_events);
-                *parts.comm_events = patched(comm, &fixes, |c, _| c.task = None).collect();
+                let comm = std::mem::take(&mut data.comm_events);
+                data.comm_events = patched(comm, &fixes, |c, _| c.task = None).collect();
             }
             EventRef::Region { .. } => {
-                let regions = std::mem::take(parts.regions);
-                *parts.regions = patched(regions, &fixes, |r, _| r.node = None).collect();
+                let regions = std::mem::take(&mut data.regions);
+                data.regions = patched(regions, &fixes, |r, _| r.node = None).collect();
             }
             EventRef::Chunk { .. } => unreachable!("see locate"),
         }
@@ -993,7 +952,7 @@ fn apply_fixes(parts: RepairPartsMut<'_>, defects: &[Defect]) {
 impl TraceBuilder {
     /// Walks the recorded data and reports every defect found.
     pub fn lint(&self) -> LintReport {
-        report_of(detect(&self.lint_parts()))
+        report_of(detect(&self.data))
     }
 
     /// Lints the recorded data, then finishes the build.
@@ -1010,13 +969,13 @@ impl TraceBuilder {
     /// [`TraceBuilder::finish`] for defects outside the lint classes (unknown
     /// task types, invalid task intervals).
     pub fn finish_lint(mut self, mode: LintMode) -> Result<AnnotatedTrace, TraceError> {
-        let defects = detect(&self.lint_parts());
+        let defects = detect(&self.data);
         if mode == LintMode::Strict && !defects.is_empty() {
             let report = report_of(defects);
             return Err(TraceError::LintFindings(report.summary().clone()));
         }
         let repairs: Vec<RepairRecord> = defects.iter().map(Defect::repair_record).collect();
-        apply_fixes(self.lint_parts_mut(), &defects);
+        apply_fixes(&mut self.data, &defects);
         let mut report = report_of(defects);
         repairs.into_iter().for_each(|r| report.push_repair(r));
         Ok(AnnotatedTrace::new(self.finish()?, report))
@@ -1031,7 +990,7 @@ impl Trace {
     /// trailing intervals, orphan task references, counter discontinuities and
     /// out-of-range NUMA nodes.
     pub fn lint(&self) -> LintReport {
-        report_of(detect(&self.lint_parts()))
+        report_of(detect(self.data()))
     }
 
     /// Repairs every lint finding, producing an annotated trace.
@@ -1050,10 +1009,11 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CommKind;
+    use crate::event::{CommEvent, CommKind, DiscreteEventKind};
     use crate::ids::TimeInterval;
     use crate::memory::AccessKind;
     use crate::state::WorkerState;
+    use crate::topology::MachineTopology;
 
     fn topo() -> MachineTopology {
         MachineTopology::uniform(2, 2)

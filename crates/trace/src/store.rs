@@ -57,6 +57,13 @@
 //! straight into the lane's final columns: every block is verified, then
 //! decoded where its rows will live, with nothing joined or copied after.
 //!
+//! A lane's columns enter and leave the embedded [`Trace`] through one
+//! function, `TraceData::swap_lane`: installing a decoded run is a swap that
+//! drops what was there, evicting a lane a swap with empty columns. What is
+//! resident is one value per lane — the block run and when it was last
+//! touched — from which [`LaneResidency`], [`StoredTrace::covered_span`] and
+//! the eviction order are derived.
+//!
 //! The byte source is abstracted behind [`ColdTier`] (a seekable read-at
 //! interface); [`FileTier`] serves local files and [`MemoryTier`] serves
 //! in-memory buffers for tests. An object-store backend only has to implement
@@ -81,8 +88,8 @@ use crate::ids::{CounterId, CpuId, TaskId, TaskTypeId, TimeInterval, Timestamp};
 use crate::memory::AccessKind;
 use crate::state::WorkerState;
 use crate::task::TaskInstance;
-use crate::trace::Trace;
-use crate::wire::WireReader;
+use crate::trace::{Trace, TraceData};
+use crate::wire::{WireError, WireReader};
 
 /// Magic bytes identifying an Aftermath-rs column store file.
 pub const STORE_MAGIC: [u8; 4] = *b"AFST";
@@ -695,10 +702,16 @@ fn decode_tasks_block(
 ) -> Result<(), TraceError> {
     let mut pos = 0usize;
     let mut prev_creation = 0i64;
+    // An id that does not fit its type is refused, not wrapped — as
+    // [`WireReader::u32`] refuses it in the directory.
+    let id = |pos: &mut usize, what| {
+        u32::try_from(get_varint(buf, pos)?)
+            .map_err(|_| TraceError::from(WireError::Malformed(what)))
+    };
     for i in 0..rows {
-        let ty = get_varint(buf, &mut pos)?;
-        let cpu = get_varint(buf, &mut pos)?;
-        let creator = get_varint(buf, &mut pos)?;
+        let ty = id(&mut pos, "task type id")?;
+        let cpu = id(&mut pos, "task cpu id")?;
+        let creator = id(&mut pos, "task creator cpu id")?;
         let creation = prev_creation
             .checked_add(unzigzag(get_varint(buf, &mut pos)?))
             .ok_or_else(delta_overflow)?;
@@ -716,9 +729,9 @@ fn decode_tasks_block(
         let id = first_id.checked_add(i as u64).ok_or_else(delta_overflow)?;
         out.push(TaskInstance::new(
             TaskId(id),
-            TaskTypeId(ty as u32),
-            CpuId(cpu as u32),
-            CpuId(creator as u32),
+            TaskTypeId(ty),
+            CpuId(cpu),
+            CpuId(creator),
             Timestamp(creation as u64),
             TimeInterval::from_cycles(start as u64, end),
         ));
@@ -1246,6 +1259,43 @@ impl Chunk {
     }
 }
 
+impl TraceData {
+    /// Exchanges the columns of `lane` for `chunk`, returning what was there —
+    /// the one way a lane enters or leaves a trace: installing is a swap that
+    /// drops the old columns, evicting a swap with empty ones. A samples lane
+    /// without rows has no entry in its CPU's map, so a trace with the lane
+    /// evicted equals, and weighs, what it did before the lane was installed.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::UnknownCpu`] for a lane of a CPU outside the topology.
+    fn swap_lane(&mut self, lane: LaneId, chunk: Chunk) -> Result<Chunk, TraceError> {
+        use std::mem::replace;
+        Ok(match (lane, chunk) {
+            (LaneId::States(cpu), Chunk::States(col)) => {
+                Chunk::States(replace(&mut self.cpu_mut(cpu)?.states, col))
+            }
+            (LaneId::Events(cpu), Chunk::Events(col)) => {
+                Chunk::Events(replace(&mut self.cpu_mut(cpu)?.events, col))
+            }
+            (LaneId::Samples(cpu, ctr), Chunk::Samples(col)) => {
+                let samples = &mut self.cpu_mut(cpu)?.samples;
+                let old = if col.is_empty() {
+                    samples.remove(&ctr)
+                } else {
+                    samples.insert(ctr, col)
+                };
+                Chunk::Samples(old.unwrap_or_else(|| SampleColumns::new(ctr, cpu)))
+            }
+            (LaneId::Accesses, Chunk::Accesses(col)) => {
+                Chunk::Accesses(replace(&mut self.accesses, col))
+            }
+            (LaneId::Tasks, Chunk::Tasks(col)) => Chunk::Tasks(replace(&mut self.tasks, col)),
+            _ => unreachable!("a lane's blocks decode to its own chunk kind"),
+        })
+    }
+}
+
 /// Why the bytes of a block cannot become rows.
 #[derive(Debug)]
 enum BlockFault {
@@ -1298,28 +1348,6 @@ pub enum LaneResidency {
     Full,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Residency {
-    Absent,
-    Partial {
-        block_lo: usize,
-        block_hi: usize,
-        touched: u64,
-    },
-    Full {
-        touched: u64,
-    },
-}
-
-impl Residency {
-    fn touched(&self) -> Option<u64> {
-        match *self {
-            Residency::Absent => None,
-            Residency::Partial { touched, .. } | Residency::Full { touched, .. } => Some(touched),
-        }
-    }
-}
-
 /// One lane a batch materialisation ([`StoredTrace::ensure_batch`]) must make
 /// resident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1360,7 +1388,9 @@ pub struct StoredTrace {
     skeleton: Trace,
     directory: Vec<LaneDirectory>,
     lane_index: HashMap<LaneId, usize>,
-    residency: Vec<Residency>,
+    /// Per lane: the resident block run `[lo, hi)` and the clock value of its
+    /// last use, `None` while no row of it is decoded.
+    residency: Vec<Option<((usize, usize), u64)>>,
     clock: u64,
     budget: Option<usize>,
     bounds: Option<TimeInterval>,
@@ -1521,7 +1551,7 @@ impl StoredTrace {
             .enumerate()
             .map(|(i, l)| (l.lane, i))
             .collect();
-        let residency = vec![Residency::Absent; directory.len()];
+        let residency = vec![None; directory.len()];
         let surviving: Vec<(usize, usize)> =
             directory.iter().map(|l| (0, l.blocks.len())).collect();
         let mut stored = StoredTrace {
@@ -1691,9 +1721,9 @@ impl StoredTrace {
         match self.lane_index.get(&lane) {
             None => LaneResidency::Full,
             Some(&i) => match self.residency[i] {
-                Residency::Absent => LaneResidency::Absent,
-                Residency::Partial { .. } => LaneResidency::Partial,
-                Residency::Full { .. } => LaneResidency::Full,
+                None => LaneResidency::Absent,
+                Some((run, _)) if run == (0, self.directory[i].blocks.len()) => LaneResidency::Full,
+                Some(_) => LaneResidency::Partial,
             },
         }
     }
@@ -1703,29 +1733,19 @@ impl StoredTrace {
     /// lane would give them. `None` when nothing is resident.
     pub fn covered_span(&self, lane: LaneId) -> Option<TimeInterval> {
         let &i = self.lane_index.get(&lane)?;
-        let blocks = &self.directory[i].blocks;
-        match self.residency[i] {
-            Residency::Absent => None,
-            Residency::Full { .. } => Some(TimeInterval::from_cycles(0, u64::MAX)),
-            Residency::Partial {
-                block_lo, block_hi, ..
-            } => {
-                // Rows of the uncovered neighbour blocks may overlap the edge
-                // of the run; the *guaranteed* span shrinks to the range no
-                // outside block can reach into.
-                let lo = if block_lo == 0 {
-                    0
-                } else {
-                    blocks[block_lo - 1].max_key
-                };
-                let hi = if block_hi == blocks.len() {
-                    u64::MAX
-                } else {
-                    blocks[block_hi].min_key
-                };
-                Some(TimeInterval::from_cycles(lo, hi.max(lo)))
-            }
-        }
+        let (run, _) = self.residency[i]?;
+        Some(self.guaranteed_span(i, run))
+    }
+
+    /// The key span the block run `[lo, hi)` of lane `idx` answers exactly.
+    /// Rows of the neighbour blocks outside the run may overlap its edges; the
+    /// *guaranteed* span shrinks to the range no outside block can reach into
+    /// (everything, for a run that is the whole lane).
+    fn guaranteed_span(&self, idx: usize, (lo, hi): (usize, usize)) -> TimeInterval {
+        let blocks = &self.directory[idx].blocks;
+        let start = if lo == 0 { 0 } else { blocks[lo - 1].max_key };
+        let end = blocks.get(hi).map_or(u64::MAX, |b| b.min_key);
+        TimeInterval::from_cycles(start, end.max(start))
     }
 
     /// The damage report of a salvage open. `None` after a strict open; a
@@ -1746,28 +1766,14 @@ impl StoredTrace {
             // No stored rows: trivially exact everywhere.
             return Some(TimeInterval::from_cycles(0, u64::MAX));
         };
-        let blocks = &self.directory[idx].blocks;
         let (slo, shi) = self.surviving[idx];
-        if slo >= shi {
-            return None;
-        }
-        let lo = if slo == 0 { 0 } else { blocks[slo - 1].max_key };
-        let hi = if shi == blocks.len() {
-            u64::MAX
-        } else {
-            blocks[shi].min_key
-        };
-        Some(TimeInterval::from_cycles(lo, hi.max(lo)))
+        (slo < shi).then(|| self.guaranteed_span(idx, (slo, shi)))
     }
 
     fn touch(&mut self, idx: usize) {
         self.clock += 1;
-        let clock = self.clock;
-        match &mut self.residency[idx] {
-            Residency::Absent => {}
-            Residency::Partial { touched, .. } | Residency::Full { touched, .. } => {
-                *touched = clock;
-            }
+        if let Some((_, touched)) = &mut self.residency[idx] {
+            *touched = self.clock;
         }
     }
 
@@ -1788,39 +1794,16 @@ impl StoredTrace {
         Ok(buf)
     }
 
-    /// Installs the decoded rows of one lane, replacing whatever was resident.
-    /// The columns were allocated at the run's row count, so none carries
-    /// capacity slack.
-    fn install(&mut self, lane: LaneId, rows: Chunk) {
-        let known = "ensure_batch plans loads for CPUs of the topology only";
-        match (lane, rows) {
-            (LaneId::States(cpu), Chunk::States(col)) => {
-                self.per_cpu_mut(cpu).expect(known).states = col;
-            }
-            (LaneId::Events(cpu), Chunk::Events(col)) => {
-                self.per_cpu_mut(cpu).expect(known).events = col;
-            }
-            (LaneId::Samples(cpu, ctr), Chunk::Samples(col)) => {
-                self.per_cpu_mut(cpu).expect(known).samples.insert(ctr, col);
-            }
-            (LaneId::Accesses, Chunk::Accesses(mut col)) => {
-                col.sort_by_task();
-                *self.skeleton.streaming_parts_mut().accesses = col;
-            }
-            (LaneId::Tasks, Chunk::Tasks(tasks)) => {
-                *self.skeleton.streaming_parts_mut().tasks = tasks;
-            }
-            _ => unreachable!("a lane's blocks decode to its own chunk kind"),
+    /// Installs the decoded rows of one lane — none at all, to evict it —
+    /// dropping whatever was resident. The columns were allocated at the run's
+    /// row count, so none carries capacity slack.
+    fn install(&mut self, lane: LaneId, mut rows: Chunk) {
+        if let Chunk::Accesses(col) = &mut rows {
+            col.sort_by_task();
         }
-    }
-
-    fn per_cpu_mut(&mut self, cpu: CpuId) -> Result<&mut crate::trace::PerCpuEvents, TraceError> {
-        let parts = self.skeleton.streaming_parts_mut();
-        parts
-            .per_cpu
-            .iter_mut()
-            .find(|pc| pc.cpu() == cpu)
-            .ok_or(TraceError::UnknownCpu(cpu))
+        self.skeleton.data_mut().swap_lane(lane, rows).expect(
+            "ensure_batch plans loads for CPUs of the topology only, and evict follows one",
+        );
     }
 
     /// Heap bytes currently occupied by the resident rows of `lane`.
@@ -1839,7 +1822,7 @@ impl StoredTrace {
                 .cpu(cpu)
                 .and_then(|pc| pc.samples.get(&ctr))
                 .map_or(0, SampleColumns::memory_bytes),
-            LaneId::Accesses => self.skeleton.access_columns().memory_bytes(),
+            LaneId::Accesses => self.skeleton.data().accesses.memory_bytes(),
             LaneId::Tasks => std::mem::size_of_val(self.skeleton.tasks()),
         }
     }
@@ -1921,13 +1904,8 @@ impl StoredTrace {
             let Some(&idx) = self.lane_index.get(&lane) else {
                 continue; // lane without stored rows: trivially resident
             };
-            let resident = planned.get(&idx).copied().or(match self.residency[idx] {
-                Residency::Absent => None,
-                Residency::Partial {
-                    block_lo, block_hi, ..
-                } => Some((block_lo, block_hi)),
-                Residency::Full { .. } => Some((0, self.directory[idx].blocks.len())),
-            });
+            let resident = planned.get(&idx).copied();
+            let resident = resident.or(self.residency[idx].map(|(run, _)| run));
             let (lo, hi) = self.needed_run(idx, window);
             if lo >= hi {
                 // A lane quarantined whole reads as empty; a window no block
@@ -1992,22 +1970,12 @@ impl StoredTrace {
             match step {
                 Step::Touch(idx) => self.touch(idx),
                 Step::Load { idx, lo, hi } => {
-                    let dir = &self.directory[idx];
-                    let (lane, total) = (dir.lane, dir.blocks.len());
-                    self.install(lane, decoded.next().expect("one chunk per load"));
+                    let rows = decoded.next().expect("one chunk per load");
+                    self.install(self.directory[idx].lane, rows);
                     self.stats.lanes_materialised += 1;
                     self.stats.blocks_decoded += (hi - lo) as u64;
                     self.clock += 1;
-                    let touched = self.clock;
-                    self.residency[idx] = if lo == 0 && hi == total {
-                        Residency::Full { touched }
-                    } else {
-                        Residency::Partial {
-                            block_lo: lo,
-                            block_hi: hi,
-                            touched,
-                        }
-                    };
+                    self.residency[idx] = Some(((lo, hi), self.clock));
                 }
             }
         }
@@ -2058,36 +2026,9 @@ impl StoredTrace {
         let Some(&idx) = self.lane_index.get(&lane) else {
             return;
         };
-        if matches!(self.residency[idx], Residency::Absent) {
-            return;
+        if self.residency[idx].take().is_some() {
+            self.install(lane, Chunk::with_capacity(lane, 0));
         }
-        match lane {
-            LaneId::States(cpu) => {
-                if let Ok(pc) = self.per_cpu_mut(cpu) {
-                    pc.states = crate::columns::StateColumns::new(cpu);
-                }
-            }
-            LaneId::Events(cpu) => {
-                if let Ok(pc) = self.per_cpu_mut(cpu) {
-                    pc.events = crate::columns::EventColumns::new(cpu);
-                }
-            }
-            LaneId::Samples(cpu, ctr) => {
-                if let Ok(pc) = self.per_cpu_mut(cpu) {
-                    pc.samples.remove(&ctr);
-                }
-            }
-            LaneId::Accesses => {
-                let parts = self.skeleton.streaming_parts_mut();
-                *parts.accesses = crate::columns::AccessColumns::new();
-            }
-            LaneId::Tasks => {
-                let parts = self.skeleton.streaming_parts_mut();
-                parts.tasks.clear();
-                parts.tasks.shrink_to_fit();
-            }
-        }
-        self.residency[idx] = Residency::Absent;
     }
 
     /// Evicts least-recently-touched lanes (ties broken by lane order) until
@@ -2104,7 +2045,7 @@ impl StoredTrace {
                 .directory
                 .iter()
                 .enumerate()
-                .filter_map(|(i, l)| self.residency[i].touched().map(|t| (t, l.lane)))
+                .filter_map(|(i, l)| self.residency[i].map(|(_, touched)| (touched, l.lane)))
                 .min();
             let Some((_, lane)) = victim else {
                 break; // nothing evictable left
@@ -2407,6 +2348,32 @@ mod tests {
         // Evicting returns to the post-open footprint.
         stored.evict(lane);
         assert_eq!(stored.resident_event_bytes(), comm_bytes);
+    }
+
+    #[test]
+    fn every_lane_kind_goes_out_and_comes_back_through_the_one_swap() {
+        let trace = sample_trace();
+        let mut stored = store_with_block_rows(&trace, 4);
+        let opened = stored.trace().clone();
+        let opened_bytes = stored.resident_event_bytes();
+        stored.materialise_all().unwrap();
+        let lanes: Vec<LaneId> = stored.lanes().collect();
+        let kind = |lane: &LaneId| std::mem::discriminant(lane);
+        let kinds: std::collections::HashSet<_> = lanes.iter().map(kind).collect();
+        assert_eq!(kinds.len(), 5, "the sample trace stores every lane kind");
+        for &lane in &lanes {
+            stored.evict(lane);
+            assert_eq!(stored.residency(lane), LaneResidency::Absent);
+            assert_eq!(stored.lane_resident_bytes(lane), 0, "{lane}");
+            assert_ne!(*stored.trace(), trace, "{lane} is out");
+            stored.ensure(lane).unwrap();
+            assert_eq!(*stored.trace(), trace, "{lane} is back");
+        }
+        // With every lane out the trace is the one that was opened: no bytes
+        // and no empty samples entry stay behind.
+        lanes.iter().for_each(|&lane| stored.evict(lane));
+        assert_eq!(stored.resident_event_bytes(), opened_bytes);
+        assert_eq!(*stored.trace(), opened);
     }
 
     #[test]
@@ -2783,6 +2750,29 @@ mod tests {
     }
 
     #[test]
+    fn a_task_block_id_beyond_32_bits_is_refused_not_wrapped() {
+        // One task row: type, cpu, creator cpu, creation, start, duration —
+        // a well-formed one (2 is a zigzag +1) but for the `wide` field, which
+        // wrapped would be id 1.
+        for (wide, what) in [
+            (0, "task type id"),
+            (1, "task cpu id"),
+            (2, "task creator cpu id"),
+        ] {
+            let mut block = Vec::new();
+            for field in 0..6 {
+                put_varint(&mut block, if field == wide { (1 << 32) | 1 } else { 2 });
+            }
+            let mut tasks = Vec::new();
+            let err = decode_tasks_block(&block, 0, 1, &mut tasks).unwrap_err();
+            assert!(
+                matches!(&err, TraceError::Format(m) if m.contains(what)),
+                "{what}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn hostile_payloads_keep_the_width_and_lane_shape_of_pushed_rows() {
         // A task ref beyond 32 bits widens the column exactly as `push` would.
         let mut block = Vec::new();
@@ -3060,7 +3050,7 @@ mod tests {
             LaneId::Samples(cpu, ctr) => {
                 Chunk::Samples(trace.cpu(cpu).unwrap().samples[&ctr].clone())
             }
-            LaneId::Accesses => Chunk::Accesses(trace.access_columns().clone()),
+            LaneId::Accesses => Chunk::Accesses(trace.data().accesses.clone()),
             LaneId::Tasks => Chunk::Tasks(trace.tasks().to_vec()),
         }
     }
@@ -3118,14 +3108,9 @@ mod tests {
             stored
                 .ensure_states_covering(lane, TimeInterval::from_cycles(450, 1000))
                 .unwrap();
-            let idx = stored.lane_index[&lane];
-            let Residency::Partial {
-                block_lo, block_hi, ..
-            } = stored.residency[idx]
-            else {
-                panic!("expected a partial run, got {:?}", stored.residency[idx]);
-            };
-            assert_eq!((block_lo, block_hi), (1, 3));
+            let resident = stored.residency[stored.lane_index[&lane]];
+            assert_eq!(resident.map(|(run, _)| run), Some((1, 3)));
+            assert_eq!(stored.residency(lane), LaneResidency::Partial);
             let what = format!("{lane}, blocks 1..3, {threads} threads");
             assert_resident_run_matches_the_oracle(&stored, &bytes, lane, (1, 3), &what);
             let resident = stored.trace().cpu(CpuId(0)).unwrap().states.to_vec();

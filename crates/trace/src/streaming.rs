@@ -17,6 +17,13 @@
 //!   recorded batch trace into a prologue plus a chunk sequence whose replay
 //!   reproduces the original trace byte for byte (the driver of the equivalence
 //!   tests, the live-monitor example and the `reproduce --stream` benchmark).
+//!   The prologue is the trace's own body with the lanes that grow emptied, and
+//!   an accepted chunk is pushed onto that same body — the one [`Trace`] and
+//!   [`TraceBuilder`] share — so no metadata is re-registered on the way.
+//!
+//! Which fields of a discrete event name a task — what the lenient append
+//! resolves and [`make_streamable`] renumbers — is the one table of
+//! `DiscreteEventKind::task_refs_mut`.
 //!
 //! # The streaming contract
 //!
@@ -38,7 +45,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
 use crate::error::TraceError;
-use crate::event::{CommEvent, CounterSample, DiscreteEvent, DiscreteEventKind};
+use crate::event::{CommEvent, CounterSample, DiscreteEvent};
 use crate::ids::{CpuId, TaskId, TimeInterval, Timestamp};
 use crate::lint::{
     EventRef, LintCode, LintFinding, LintMode, LintReport, RepairRecord, RepairStrategy,
@@ -459,19 +466,17 @@ impl StreamingTrace {
             // communication payloads alone, as the builder does; a report
             // resolves them too.
             if lenient {
-                match remap_event_kind(e.kind, &resolve) {
-                    Some(kind) => e.kind = kind,
-                    None => {
+                let label = e.kind.label();
+                for task in e.kind.task_refs_mut().into_iter().flatten() {
+                    let Some(resolved) = resolve(*task) else {
                         repairs.record(
                             LintCode::OrphanTaskRef,
                             RepairStrategy::DropWithRecord,
-                            format!(
-                                "{} event referencing a never-ingested task dropped",
-                                e.kind.label()
-                            ),
+                            format!("{label} event referencing a never-ingested task dropped"),
                         );
                         return Ok(false);
-                    }
+                    };
+                    *task = resolved;
                 }
             }
             let last = || Some(trace.cpu(e.cpu)?.events().last()?.timestamp);
@@ -554,21 +559,21 @@ impl StreamingTrace {
                 None => hull,
             });
         }
-        let parts = self.trace.streaming_parts_mut();
-        parts.tasks.extend(chunk.tasks);
+        let data = self.trace.data_mut();
+        data.tasks.extend(chunk.tasks);
         for s in chunk.states {
-            parts.per_cpu[s.cpu.0 as usize].push_state(s);
+            data.per_cpu[s.cpu.0 as usize].push_state(s);
         }
         for e in chunk.events {
-            parts.per_cpu[e.cpu.0 as usize].push_event(e);
+            data.per_cpu[e.cpu.0 as usize].push_event(e);
         }
         for s in chunk.samples {
-            parts.per_cpu[s.cpu.0 as usize].push_sample(s);
+            data.per_cpu[s.cpu.0 as usize].push_sample(s);
         }
         for a in chunk.accesses {
-            parts.accesses.push(a);
+            data.accesses.push(a);
         }
-        parts.comm_events.extend(chunk.comm_events);
+        data.comm_events.extend(chunk.comm_events);
         self.epochs += 1;
         self.last_hull = start_hull.or(self.last_hull);
         self.max_seen = Some(
@@ -764,41 +769,6 @@ impl StreamingTrace {
     }
 }
 
-/// Remaps every task reference of an event kind, or `None` when a reference
-/// does not resolve.
-fn remap_event_kind(
-    kind: DiscreteEventKind,
-    resolve: &impl Fn(TaskId) -> Option<TaskId>,
-) -> Option<DiscreteEventKind> {
-    Some(match kind {
-        DiscreteEventKind::TaskCreate { task } => DiscreteEventKind::TaskCreate {
-            task: resolve(task)?,
-        },
-        DiscreteEventKind::TaskReady { task } => DiscreteEventKind::TaskReady {
-            task: resolve(task)?,
-        },
-        DiscreteEventKind::TaskComplete { task } => DiscreteEventKind::TaskComplete {
-            task: resolve(task)?,
-        },
-        DiscreteEventKind::StealSuccess { victim, task } => DiscreteEventKind::StealSuccess {
-            victim,
-            task: resolve(task)?,
-        },
-        DiscreteEventKind::DataPublish {
-            producer,
-            consumer,
-            bytes,
-        } => DiscreteEventKind::DataPublish {
-            producer: resolve(producer)?,
-            consumer: resolve(consumer)?,
-            bytes,
-        },
-        other @ (DiscreteEventKind::StealAttempt { .. } | DiscreteEventKind::Marker { .. }) => {
-            other
-        }
-    })
-}
-
 /// Returns a copy of `trace` whose task ids are renumbered into execution-start
 /// order (stable: ties keep their original relative order), with every task
 /// reference — state intervals, memory accesses, discrete events, communication
@@ -813,11 +783,11 @@ fn remap_event_kind(
 /// only the id space changed.
 pub fn make_streamable(trace: &Trace) -> Trace {
     let mut out = trace.clone();
-    let parts = out.streaming_parts_mut();
-    let mut order: Vec<usize> = (0..parts.tasks.len()).collect();
-    order.sort_by_key(|&i| (parts.tasks[i].execution.start, i));
+    let data = out.data_mut();
+    let mut order: Vec<usize> = (0..data.tasks.len()).collect();
+    order.sort_by_key(|&i| (data.tasks[i].execution.start, i));
     // old id -> new id
-    let mut remap: Vec<u64> = vec![0; parts.tasks.len()];
+    let mut remap: Vec<u64> = vec![0; data.tasks.len()];
     for (new_id, &old_id) in order.iter().enumerate() {
         remap[old_id] = new_id as u64;
     }
@@ -829,53 +799,21 @@ pub fn make_streamable(trace: &Trace) -> Trace {
             None => id,
         }
     };
-    let mut tasks: Vec<TaskInstance> = order.iter().map(|&i| parts.tasks[i]).collect();
+    let mut tasks: Vec<TaskInstance> = order.iter().map(|&i| data.tasks[i]).collect();
     for (new_id, t) in tasks.iter_mut().enumerate() {
         t.id = TaskId(new_id as u64);
     }
-    *parts.tasks = tasks;
-    for pc in parts.per_cpu.iter_mut() {
+    data.tasks = tasks;
+    for pc in data.per_cpu.iter_mut() {
         pc.states.map_tasks(map);
         pc.events.map_tasks(map);
     }
-    parts.accesses.map_tasks(map);
-    parts.accesses.sort_by_task();
-    for c in parts.comm_events.iter_mut() {
+    data.accesses.map_tasks(map);
+    data.accesses.sort_by_task();
+    for c in data.comm_events.iter_mut() {
         c.task = c.task.map(map);
     }
     out
-}
-
-/// Builds the prologue [`TraceBuilder`] carrying `trace`'s immutable metadata
-/// (topology, task types, counters, regions, symbols) and no events.
-fn prologue_builder(trace: &Trace) -> Result<TraceBuilder, TraceError> {
-    let mut b = TraceBuilder::new(trace.topology().clone());
-    for ty in trace.task_types() {
-        b.add_task_type(ty.name.clone(), ty.symbol_addr);
-    }
-    for c in trace.counters() {
-        if !c.per_cpu {
-            return Err(TraceError::UnstreamableChunk(format!(
-                "counter '{}' is not per-CPU; the prologue builder cannot reproduce it",
-                c.name
-            )));
-        }
-        b.add_counter(c.name.clone(), c.monotone);
-    }
-    let mut regions: Vec<_> = trace.regions().to_vec();
-    regions.sort_by_key(|r| r.id);
-    for (i, r) in regions.iter().enumerate() {
-        if r.id.0 != i as u64 {
-            return Err(TraceError::UnstreamableChunk(format!(
-                "region ids are not dense (found {:?} at position {i}); \
-                 the prologue builder cannot reproduce them",
-                r.id
-            )));
-        }
-        b.add_region(r.base_addr, r.size, r.node);
-    }
-    b.set_symbols(trace.symbols().clone());
-    Ok(b)
 }
 
 /// Splits a batch trace at the given cut timestamps into a prologue builder plus
@@ -891,11 +829,10 @@ fn prologue_builder(trace: &Trace) -> Result<TraceBuilder, TraceError> {
 /// # Errors
 ///
 /// Returns [`TraceError::UnstreamableChunk`] when task ids are not ordered by
-/// execution start (run [`make_streamable`] first), when a state interval
+/// execution start (run [`make_streamable`] first) or when a state interval
 /// references a task whose execution starts in a *later* window than the state
 /// (such a trace cannot be replayed at these cuts: the chunk would dangle the
-/// reference — possible because the builder does not validate state→task refs),
-/// or when the metadata cannot be reproduced by a builder (non-dense region ids).
+/// reference — possible because the builder does not validate state→task refs).
 pub fn split_at(
     trace: &Trace,
     cuts: &[Timestamp],
@@ -909,7 +846,7 @@ pub fn split_at(
             "task ids are not ordered by execution start; call make_streamable first".into(),
         ));
     }
-    let prologue = prologue_builder(trace)?;
+    let prologue = trace.prologue();
     let mut cuts: Vec<Timestamp> = cuts.to_vec();
     cuts.sort_unstable();
     cuts.dedup();
@@ -1312,6 +1249,99 @@ mod tests {
         let states = stream.trace().cpu(CpuId(0)).unwrap().states();
         assert_eq!(states.len(), 3);
         assert_eq!(states.interval(2), TimeInterval::from_cycles(100, 150));
+    }
+
+    #[test]
+    fn a_publish_with_a_dangling_consumer_is_flagged_dropped_and_half_remapped() {
+        // The variant with two task references, through the three readers of
+        // `DiscreteEventKind::task_refs_mut`: a live producer and a consumer
+        // that was never registered.
+        let ghost = TaskId(7);
+        let publish = |producer, consumer| DiscreteEventKind::DataPublish {
+            producer,
+            consumer,
+            bytes: 64,
+        };
+        // Registered against execution order, so canonicalization swaps the ids.
+        let mut prologue = TraceBuilder::new(MachineTopology::uniform(1, 1));
+        let ty = prologue.add_task_type("w", 0);
+        let mut b = prologue.clone();
+        let late = b.add_task(ty, CpuId(0), Timestamp(0), Timestamp(100), Timestamp(200));
+        b.add_task(ty, CpuId(0), Timestamp(0), Timestamp(0), Timestamp(100));
+        b.add_event(CpuId(0), Timestamp(150), publish(late, ghost))
+            .unwrap();
+        let trace = b.finish().unwrap();
+
+        // The lint walk flags the event, once: for its consumer.
+        let report = trace.lint();
+        let at = EventRef::Event {
+            cpu: CpuId(0),
+            index: 0,
+        };
+        let flagged: Vec<_> = report
+            .findings()
+            .iter()
+            .map(|f| (f.code, f.event))
+            .collect();
+        assert_eq!(flagged, [(LintCode::OrphanTaskRef, at)]);
+        assert!(report.findings()[0].detail.contains("task 7"));
+
+        // Canonicalization moves the producer with its task and leaves the
+        // consumer dangling where it was.
+        let streamable = make_streamable(&trace);
+        let events = streamable.cpu(CpuId(0)).unwrap().events();
+        assert_eq!(events.kind(0), publish(TaskId(1), ghost));
+
+        // The lenient append keeps the publish whose two references resolve
+        // and drops, with a record, the one whose consumer does not.
+        let mut stream = StreamingTrace::new(prologue).unwrap();
+        let mut chunk = TraceChunk::new();
+        chunk.tasks.push(trace.tasks()[1]);
+        chunk.tasks[0].id = TaskId(0);
+        for consumer in [TaskId(0), ghost] {
+            let kind = publish(TaskId(0), consumer);
+            chunk
+                .events
+                .push(DiscreteEvent::new(CpuId(0), Timestamp(50), kind));
+        }
+        let report = stream.append_lint(0, chunk, LintMode::Lenient).unwrap();
+        let dropped: Vec<_> = report
+            .repairs()
+            .iter()
+            .map(|r| (r.code, r.strategy))
+            .collect();
+        assert_eq!(
+            dropped,
+            [(LintCode::OrphanTaskRef, RepairStrategy::DropWithRecord)]
+        );
+        let events = stream.trace().cpu(CpuId(0)).unwrap().events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events.kind(0), publish(TaskId(0), TaskId(0)));
+    }
+
+    #[test]
+    fn the_prologue_is_the_body_whatever_order_the_regions_were_registered_in() {
+        // Descending addresses: the trace holds the regions in address order,
+        // which is not their id order.
+        let mut b = interleaved_trace().to_builder();
+        let mut ids = Vec::new();
+        for base in [0x90_000, 0x50_000, 0x30_000] {
+            ids.push(b.add_region(base, 0x1000, Some(NumaNodeId(1))));
+        }
+        let trace = make_streamable(&b.finish().unwrap());
+        let by_address: Vec<_> = trace.regions().iter().map(|r| r.id).collect();
+        assert_eq!(by_address[2..], [ids[2], ids[1], ids[0]]);
+        let (prologue, chunks) = split_even(&trace, 4).unwrap();
+        // New regions of the prologue continue the ids, like `to_builder`'s.
+        let next = prologue.clone().add_region(0, 1, None);
+        assert_eq!(next.0, ids[0].0 + 3);
+        let mut stream = StreamingTrace::new(prologue).unwrap();
+        assert_eq!(stream.trace().regions(), trace.regions());
+        assert_eq!(stream.trace().num_events(), 0);
+        for chunk in chunks {
+            stream.append(chunk).unwrap();
+        }
+        assert_eq!(*stream.trace(), trace);
     }
 
     #[test]

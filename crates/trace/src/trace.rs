@@ -1,4 +1,14 @@
 //! The in-memory trace container and its builder.
+//!
+//! The data model is written once, as the crate-private `TraceData`: the
+//! topology, the task and access tables, the per-CPU streams ([`PerCpuEvents`]),
+//! regions, communication events, counters and symbols. [`Trace`] wraps a body
+//! that [`TraceBuilder::finish`] validated and sorted (plus the counter-name
+//! lookup table); [`TraceBuilder`] wraps one that is still being recorded (plus
+//! the next region id). Reopening a trace clones the body, finishing a build
+//! moves it, and the rest of the crate — the lint walk and its repair, the
+//! streaming append, the column store's lane swap — works on the body,
+//! whichever of the two holds it.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -158,80 +168,119 @@ impl PerCpuEvents {
     }
 }
 
+/// The body of a trace — topology, task and access tables, per-CPU streams,
+/// regions, counters, symbols — written once: [`Trace`] is a validated, sorted
+/// body plus its lookup tables, [`TraceBuilder`] one still being recorded.
+/// Crate-internal: the lint walk ([`crate::lint`]) reads it, and lenient
+/// repair, the streaming append ([`crate::streaming`]) and the column store
+/// ([`crate::store`]) write it, whichever of the two holds it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TraceData {
+    pub(crate) topology: MachineTopology,
+    pub(crate) task_types: Vec<TaskType>,
+    pub(crate) tasks: Vec<TaskInstance>,
+    /// Indexed by [`CpuId`]: one entry per CPU of the topology.
+    pub(crate) per_cpu: Vec<PerCpuEvents>,
+    pub(crate) regions: Vec<MemoryRegion>,
+    pub(crate) accesses: AccessColumns,
+    pub(crate) comm_events: Vec<CommEvent>,
+    pub(crate) counters: Vec<CounterDescription>,
+    pub(crate) symbols: SymbolTable,
+}
+
+impl TraceData {
+    fn new(topology: MachineTopology) -> Self {
+        let per_cpu = (0..topology.num_cpus())
+            .map(|cpu| PerCpuEvents::new(CpuId(cpu as u32)))
+            .collect();
+        TraceData {
+            topology,
+            task_types: Vec::new(),
+            tasks: Vec::new(),
+            per_cpu,
+            regions: Vec::new(),
+            accesses: AccessColumns::new(),
+            comm_events: Vec::new(),
+            counters: Vec::new(),
+            symbols: SymbolTable::new(),
+        }
+    }
+
+    /// The streams of `cpu`, or [`TraceError::UnknownCpu`] for a CPU outside
+    /// the topology.
+    pub(crate) fn cpu_mut(&mut self, cpu: CpuId) -> Result<&mut PerCpuEvents, TraceError> {
+        self.per_cpu
+            .get_mut(cpu.0 as usize)
+            .ok_or(TraceError::UnknownCpu(cpu))
+    }
+}
+
 /// A complete, validated, immutable execution trace.
 ///
 /// Construct traces with [`TraceBuilder`] or load them from disk with
 /// [`crate::format::read_trace`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    topology: MachineTopology,
-    task_types: Vec<TaskType>,
-    tasks: Vec<TaskInstance>,
-    per_cpu: Vec<PerCpuEvents>,
-    regions: Vec<MemoryRegion>,
-    accesses: AccessColumns,
-    comm_events: Vec<CommEvent>,
-    counters: Vec<CounterDescription>,
+    data: TraceData,
     /// Name → id lookup table, built once by [`TraceBuilder::finish`] so that
     /// [`Trace::counter_by_name`] does not scan the descriptions per call. Duplicate
     /// names map to the first registered counter, like the linear scan used to.
     counter_names: HashMap<String, CounterId>,
-    symbols: SymbolTable,
 }
 
 impl Trace {
     /// The machine topology the trace was recorded on.
     pub fn topology(&self) -> &MachineTopology {
-        &self.topology
+        &self.data.topology
     }
 
     /// All task types, indexed by [`TaskTypeId`].
     pub fn task_types(&self) -> &[TaskType] {
-        &self.task_types
+        &self.data.task_types
     }
 
     /// Looks up a task type by id.
     pub fn task_type(&self, id: TaskTypeId) -> Option<&TaskType> {
-        self.task_types.get(id.0 as usize)
+        self.data.task_types.get(id.0 as usize)
     }
 
     /// All task instances, indexed by [`TaskId`].
     pub fn tasks(&self) -> &[TaskInstance] {
-        &self.tasks
+        &self.data.tasks
     }
 
     /// Looks up a task instance by id.
     pub fn task(&self, id: TaskId) -> Option<&TaskInstance> {
-        self.tasks.get(id.0 as usize)
+        self.data.tasks.get(id.0 as usize)
     }
 
     /// Per-CPU event streams, indexed by [`CpuId`].
     pub fn per_cpu(&self) -> &[PerCpuEvents] {
-        &self.per_cpu
+        &self.data.per_cpu
     }
 
     /// The event streams of one CPU.
     pub fn cpu(&self, cpu: CpuId) -> Option<&PerCpuEvents> {
-        self.per_cpu.get(cpu.0 as usize)
+        self.data.per_cpu.get(cpu.0 as usize)
     }
 
     /// All memory regions, sorted by base address.
     pub fn regions(&self) -> &[MemoryRegion] {
-        &self.regions
+        &self.data.regions
     }
 
     /// Looks up a memory region by id.
     pub fn region(&self, id: RegionId) -> Option<&MemoryRegion> {
-        self.regions.iter().find(|r| r.id == id)
+        self.data.regions.iter().find(|r| r.id == id)
     }
 
     /// Finds the memory region containing `addr` via binary search.
     pub fn region_of_addr(&self, addr: u64) -> Option<&MemoryRegion> {
-        let idx = self.regions.partition_point(|r| r.base_addr <= addr);
+        let idx = self.data.regions.partition_point(|r| r.base_addr <= addr);
         if idx == 0 {
             return None;
         }
-        let region = &self.regions[idx - 1];
+        let region = &self.data.regions[idx - 1];
         region.contains(addr).then_some(region)
     }
 
@@ -242,28 +291,28 @@ impl Trace {
 
     /// All memory accesses, sorted by task id (zero-copy columnar view).
     pub fn accesses(&self) -> AccessesView<'_> {
-        self.accesses.view()
+        self.data.accesses.view()
     }
 
     /// The memory accesses performed by one task (a contiguous sub-view, located
     /// by binary search over the task-id column).
     pub fn accesses_of_task(&self, task: TaskId) -> AccessesView<'_> {
-        self.accesses.view().of_task(task)
+        self.data.accesses.view().of_task(task)
     }
 
     /// All communication events, sorted by timestamp.
     pub fn comm_events(&self) -> &[CommEvent] {
-        &self.comm_events
+        &self.data.comm_events
     }
 
     /// Descriptions of all counters appearing in the trace.
     pub fn counters(&self) -> &[CounterDescription] {
-        &self.counters
+        &self.data.counters
     }
 
     /// Looks up a counter description by id.
     pub fn counter(&self, id: CounterId) -> Option<&CounterDescription> {
-        self.counters.get(id.0 as usize)
+        self.data.counters.get(id.0 as usize)
     }
 
     /// Looks up a counter description by name through the prebuilt name → id map.
@@ -275,39 +324,42 @@ impl Trace {
 
     /// The symbol table extracted from the application binary (may be empty).
     pub fn symbols(&self) -> &SymbolTable {
-        &self.symbols
+        &self.data.symbols
     }
 
     /// Total number of recorded items across all CPUs.
     pub fn num_events(&self) -> usize {
-        self.per_cpu.iter().map(PerCpuEvents::len).sum::<usize>()
-            + self.accesses.len()
-            + self.comm_events.len()
+        let data = &self.data;
+        data.per_cpu.iter().map(PerCpuEvents::len).sum::<usize>()
+            + data.accesses.len()
+            + data.comm_events.len()
     }
 
     /// Bytes of heap storage actually resident for the recorded event data: the
     /// per-CPU columnar streams plus the task, access and communication tables.
     pub fn resident_event_bytes(&self) -> usize {
-        self.per_cpu
+        let data = &self.data;
+        data.per_cpu
             .iter()
             .map(PerCpuEvents::memory_bytes)
             .sum::<usize>()
-            + self.accesses.memory_bytes()
-            + std::mem::size_of_val(self.tasks.as_slice())
-            + std::mem::size_of_val(self.comm_events.as_slice())
+            + data.accesses.memory_bytes()
+            + std::mem::size_of_val(data.tasks.as_slice())
+            + std::mem::size_of_val(data.comm_events.as_slice())
     }
 
     /// Bytes the same event data would occupy in the pre-columnar array-of-structs
     /// layout — the fixed baseline [`Trace::resident_event_bytes`] is compared
     /// against by the storage benchmarks and the index-overhead ratios.
     pub fn aos_event_bytes(&self) -> usize {
-        self.per_cpu
+        let data = &self.data;
+        data.per_cpu
             .iter()
             .map(PerCpuEvents::aos_bytes)
             .sum::<usize>()
-            + self.accesses.len() * std::mem::size_of::<MemoryAccess>()
-            + std::mem::size_of_val(self.tasks.as_slice())
-            + std::mem::size_of_val(self.comm_events.as_slice())
+            + data.accesses.len() * std::mem::size_of::<MemoryAccess>()
+            + std::mem::size_of_val(data.tasks.as_slice())
+            + std::mem::size_of_val(data.comm_events.as_slice())
     }
 
     /// The time interval spanned by the trace (from the earliest to the latest event).
@@ -328,7 +380,7 @@ impl Trace {
         let mut start = Timestamp::MAX;
         let mut end = Timestamp::ZERO;
         let mut any = false;
-        for pc in &self.per_cpu {
+        for pc in &self.data.per_cpu {
             let states = pc.states();
             if let (Some(&first), Some(&last)) = (states.starts().first(), states.ends().last()) {
                 start = start.min(Timestamp(first));
@@ -353,7 +405,7 @@ impl Trace {
                 }
             }
         }
-        for t in &self.tasks {
+        for t in &self.data.tasks {
             start = start.min(t.execution.start);
             end = end.max(t.execution.end);
             any = true;
@@ -374,60 +426,37 @@ impl Trace {
     /// is the entry point of [`Trace::repair`] and of the corruption harness in
     /// the workloads crate.
     pub fn to_builder(&self) -> TraceBuilder {
-        TraceBuilder {
-            topology: self.topology.clone(),
-            task_types: self.task_types.clone(),
-            tasks: self.tasks.clone(),
-            per_cpu: self.per_cpu.clone(),
-            regions: self.regions.clone(),
-            accesses: self.accesses.clone(),
-            comm_events: self.comm_events.clone(),
-            counters: self.counters.clone(),
-            symbols: self.symbols.clone(),
-            next_region_id: self.regions.iter().map(|r| r.id.0 + 1).max().unwrap_or(0),
-        }
+        TraceBuilder::over(self.data.clone())
     }
 
-    /// Crate-internal: the parts the lint walk reads ([`crate::lint`]).
-    pub(crate) fn lint_parts(&self) -> crate::lint::LintParts<'_> {
-        crate::lint::LintParts {
-            topology: &self.topology,
-            tasks: &self.tasks,
-            per_cpu: &self.per_cpu,
-            regions: &self.regions,
-            counters: &self.counters,
-            accesses: &self.accesses,
-            comm_events: &self.comm_events,
-        }
+    /// Crate-internal: a builder holding this trace's metadata — topology, task
+    /// types, counters, regions, symbols — and none of its lanes: the body
+    /// with the tables and streams that grow emptied. The prologue a
+    /// [`crate::streaming`] replay opens on.
+    pub(crate) fn prologue(&self) -> TraceBuilder {
+        TraceBuilder::over(TraceData {
+            task_types: self.data.task_types.clone(),
+            regions: self.data.regions.clone(),
+            counters: self.data.counters.clone(),
+            symbols: self.data.symbols.clone(),
+            ..TraceData::new(self.data.topology.clone())
+        })
     }
 
-    /// Crate-internal: the raw access-column storage, for the store's
-    /// per-lane memory accounting ([`crate::store`]).
-    pub(crate) fn access_columns(&self) -> &AccessColumns {
-        &self.accesses
+    /// Crate-internal: the body, for the lint walk ([`crate::lint`]) and the
+    /// store's per-lane accounting ([`crate::store`]).
+    pub(crate) fn data(&self) -> &TraceData {
+        &self.data
     }
 
-    /// Crate-internal mutable access to the event containers, used by the streaming
-    /// ingest layer ([`crate::streaming`]) to append validated chunks and to remap
-    /// task ids. Not public: arbitrary mutation could break the sortedness and
+    /// Crate-internal mutable access to the body, used by the streaming ingest
+    /// layer ([`crate::streaming`]) to append validated chunks and to remap
+    /// task ids, and by the column store ([`crate::store`]) to swap lanes in
+    /// and out. Not public: arbitrary mutation could break the sortedness and
     /// non-overlap invariants every query relies on.
-    pub(crate) fn streaming_parts_mut(&mut self) -> StreamingPartsMut<'_> {
-        StreamingPartsMut {
-            tasks: &mut self.tasks,
-            per_cpu: &mut self.per_cpu,
-            accesses: &mut self.accesses,
-            comm_events: &mut self.comm_events,
-        }
+    pub(crate) fn data_mut(&mut self) -> &mut TraceData {
+        &mut self.data
     }
-}
-
-/// Mutable views of the growable parts of a [`Trace`] (crate-internal; see
-/// [`Trace::streaming_parts_mut`]).
-pub(crate) struct StreamingPartsMut<'a> {
-    pub(crate) tasks: &'a mut Vec<TaskInstance>,
-    pub(crate) per_cpu: &'a mut Vec<PerCpuEvents>,
-    pub(crate) accesses: &'a mut AccessColumns,
-    pub(crate) comm_events: &'a mut Vec<CommEvent>,
 }
 
 /// Incremental builder for [`Trace`] values.
@@ -444,47 +473,37 @@ pub(crate) struct StreamingPartsMut<'a> {
 /// structs.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
-    topology: MachineTopology,
-    task_types: Vec<TaskType>,
-    tasks: Vec<TaskInstance>,
-    per_cpu: Vec<PerCpuEvents>,
-    regions: Vec<MemoryRegion>,
-    accesses: AccessColumns,
-    comm_events: Vec<CommEvent>,
-    counters: Vec<CounterDescription>,
-    symbols: SymbolTable,
+    /// The recording so far: streams in recording order, nothing validated.
+    pub(crate) data: TraceData,
     next_region_id: u64,
 }
 
 impl TraceBuilder {
     /// Creates a builder for a trace on the given machine.
     pub fn new(topology: MachineTopology) -> Self {
-        let per_cpu = (0..topology.num_cpus())
-            .map(|cpu| PerCpuEvents::new(CpuId(cpu as u32)))
-            .collect();
+        Self::over(TraceData::new(topology))
+    }
+
+    /// A builder that goes on from `data`; new regions continue its ids.
+    fn over(data: TraceData) -> Self {
+        let next_region_id = data.regions.iter().map(|r| r.id.0 + 1).max().unwrap_or(0);
         TraceBuilder {
-            topology,
-            task_types: Vec::new(),
-            tasks: Vec::new(),
-            per_cpu,
-            regions: Vec::new(),
-            accesses: AccessColumns::new(),
-            comm_events: Vec::new(),
-            counters: Vec::new(),
-            symbols: SymbolTable::new(),
-            next_region_id: 0,
+            data,
+            next_region_id,
         }
     }
 
     /// The machine topology of the trace under construction.
     pub fn topology(&self) -> &MachineTopology {
-        &self.topology
+        &self.data.topology
     }
 
     /// Registers a task type and returns its id.
     pub fn add_task_type(&mut self, name: impl Into<String>, symbol_addr: u64) -> TaskTypeId {
-        let id = TaskTypeId(self.task_types.len() as u32);
-        self.task_types.push(TaskType::new(id, name, symbol_addr));
+        let id = TaskTypeId(self.data.task_types.len() as u32);
+        self.data
+            .task_types
+            .push(TaskType::new(id, name, symbol_addr));
         id
     }
 
@@ -512,8 +531,8 @@ impl TraceBuilder {
         start: Timestamp,
         end: Timestamp,
     ) -> TaskId {
-        let id = TaskId(self.tasks.len() as u64);
-        self.tasks.push(TaskInstance::new(
+        let id = TaskId(self.data.tasks.len() as u64);
+        self.data.tasks.push(TaskInstance::new(
             id,
             task_type,
             cpu,
@@ -541,16 +560,14 @@ impl TraceBuilder {
         end: Timestamp,
         task: Option<TaskId>,
     ) -> Result<(), TraceError> {
-        if !self.topology.contains_cpu(cpu) {
-            return Err(TraceError::UnknownCpu(cpu));
-        }
+        let streams = self.data.cpu_mut(cpu)?;
         if end < start {
             return Err(TraceError::InvalidInterval { start, end });
         }
         if task == Some(TaskId(u64::MAX)) {
             return Err(TraceError::UnknownTask(TaskId(u64::MAX)));
         }
-        self.per_cpu[cpu.0 as usize].push_state(StateInterval::new(
+        streams.push_state(StateInterval::new(
             cpu,
             state,
             TimeInterval::new(start, end),
@@ -570,17 +587,16 @@ impl TraceBuilder {
         timestamp: Timestamp,
         kind: DiscreteEventKind,
     ) -> Result<(), TraceError> {
-        if !self.topology.contains_cpu(cpu) {
-            return Err(TraceError::UnknownCpu(cpu));
-        }
-        self.per_cpu[cpu.0 as usize].push_event(DiscreteEvent::new(cpu, timestamp, kind));
+        let streams = self.data.cpu_mut(cpu)?;
+        streams.push_event(DiscreteEvent::new(cpu, timestamp, kind));
         Ok(())
     }
 
     /// Registers a performance counter and returns its id.
     pub fn add_counter(&mut self, name: impl Into<String>, monotone: bool) -> CounterId {
-        let id = CounterId(self.counters.len() as u32);
-        self.counters
+        let id = CounterId(self.data.counters.len() as u32);
+        self.data
+            .counters
             .push(CounterDescription::new(id, name, monotone));
         id
     }
@@ -597,11 +613,8 @@ impl TraceBuilder {
         timestamp: Timestamp,
         value: f64,
     ) -> Result<(), TraceError> {
-        if !self.topology.contains_cpu(cpu) {
-            return Err(TraceError::UnknownCpu(cpu));
-        }
-        self.per_cpu[cpu.0 as usize]
-            .push_sample(CounterSample::new(counter, cpu, timestamp, value));
+        let streams = self.data.cpu_mut(cpu)?;
+        streams.push_sample(CounterSample::new(counter, cpu, timestamp, value));
         Ok(())
     }
 
@@ -609,7 +622,8 @@ impl TraceBuilder {
     pub fn add_region(&mut self, base_addr: u64, size: u64, node: Option<NumaNodeId>) -> RegionId {
         let id = RegionId(self.next_region_id);
         self.next_region_id += 1;
-        self.regions
+        self.data
+            .regions
             .push(MemoryRegion::new(id, base_addr, size, node));
         id
     }
@@ -619,7 +633,7 @@ impl TraceBuilder {
     /// This models first-touch allocation: the region exists before its physical pages
     /// have a home node. Returns `false` when the region is unknown.
     pub fn set_region_node(&mut self, id: RegionId, node: NumaNodeId) -> bool {
-        if let Some(region) = self.regions.iter_mut().find(|r| r.id == id) {
+        if let Some(region) = self.data.regions.iter_mut().find(|r| r.id == id) {
             region.node = Some(node);
             true
         } else {
@@ -639,10 +653,11 @@ impl TraceBuilder {
         addr: u64,
         size: u64,
     ) -> Result<(), TraceError> {
-        if task.0 as usize >= self.tasks.len() {
+        if task.0 as usize >= self.data.tasks.len() {
             return Err(TraceError::UnknownTask(task));
         }
-        self.accesses
+        self.data
+            .accesses
             .push(MemoryAccess::new(task, kind, addr, size));
         Ok(())
     }
@@ -653,55 +668,27 @@ impl TraceBuilder {
     ///
     /// Returns [`TraceError::UnknownCpu`] when either endpoint is outside the topology.
     pub fn add_comm(&mut self, event: CommEvent) -> Result<(), TraceError> {
-        if !self.topology.contains_cpu(event.src_cpu) {
-            return Err(TraceError::UnknownCpu(event.src_cpu));
-        }
-        if !self.topology.contains_cpu(event.dst_cpu) {
-            return Err(TraceError::UnknownCpu(event.dst_cpu));
-        }
-        self.comm_events.push(event);
+        self.data.cpu_mut(event.src_cpu)?;
+        self.data.cpu_mut(event.dst_cpu)?;
+        self.data.comm_events.push(event);
         Ok(())
     }
 
     /// Attaches a symbol table.
     pub fn set_symbols(&mut self, symbols: SymbolTable) {
-        self.symbols = symbols;
+        self.data.symbols = symbols;
     }
 
     /// Number of tasks registered so far.
     pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
+        self.data.tasks.len()
     }
 
     /// Crate-internal test/seed hook mirroring the old public `tasks` field access:
     /// registers a raw task instance without id maintenance.
     #[cfg(test)]
     pub(crate) fn push_raw_task(&mut self, task: TaskInstance) {
-        self.tasks.push(task);
-    }
-
-    /// Crate-internal: the parts the lint walk reads ([`crate::lint`]).
-    pub(crate) fn lint_parts(&self) -> crate::lint::LintParts<'_> {
-        crate::lint::LintParts {
-            topology: &self.topology,
-            tasks: &self.tasks,
-            per_cpu: &self.per_cpu,
-            regions: &self.regions,
-            counters: &self.counters,
-            accesses: &self.accesses,
-            comm_events: &self.comm_events,
-        }
-    }
-
-    /// Crate-internal: the containers lenient lint repair rewrites
-    /// ([`crate::lint`]).
-    pub(crate) fn lint_parts_mut(&mut self) -> crate::lint::RepairPartsMut<'_> {
-        crate::lint::RepairPartsMut {
-            per_cpu: &mut self.per_cpu,
-            regions: &mut self.regions,
-            accesses: &mut self.accesses,
-            comm_events: &mut self.comm_events,
-        }
+        self.data.tasks.push(task);
     }
 
     /// Validates references and intervals, sorts every stream, and produces the trace.
@@ -722,13 +709,14 @@ impl TraceBuilder {
     /// # Errors
     ///
     /// See [`TraceBuilder::finish`].
-    pub fn finish_with(mut self, threads: Threads) -> Result<Trace, TraceError> {
+    pub fn finish_with(self, threads: Threads) -> Result<Trace, TraceError> {
+        let mut data = self.data;
         // Validate task references.
-        for task in &self.tasks {
-            if task.task_type.0 as usize >= self.task_types.len() {
+        for task in &data.tasks {
+            if task.task_type.0 as usize >= data.task_types.len() {
                 return Err(TraceError::UnknownTaskType(task.task_type));
             }
-            if !self.topology.contains_cpu(task.cpu) {
+            if !data.topology.contains_cpu(task.cpu) {
                 return Err(TraceError::UnknownCpu(task.cpu));
             }
             if task.execution.end < task.execution.start {
@@ -744,22 +732,22 @@ impl TraceBuilder {
         // index) — deterministic, so the result does not depend on the thread count.
         // The build is final after this, so push-growth capacity slack is released
         // (the resident-memory accounting is capacity-based).
-        parallel_for_chunks(threads, &mut self.per_cpu, 1, |_, chunk| {
+        parallel_for_chunks(threads, &mut data.per_cpu, 1, |_, chunk| {
             for pc in chunk {
                 pc.sort_streams();
                 pc.shrink_to_fit();
             }
         });
-        self.regions.sort_by_key(|r| r.base_addr);
-        self.accesses.sort_by_task();
-        self.accesses.shrink_to_fit();
-        self.comm_events.sort_by_key(|c| c.timestamp);
-        self.tasks.shrink_to_fit();
-        self.comm_events.shrink_to_fit();
+        data.regions.sort_by_key(|r| r.base_addr);
+        data.accesses.sort_by_task();
+        data.accesses.shrink_to_fit();
+        data.comm_events.sort_by_key(|c| c.timestamp);
+        data.tasks.shrink_to_fit();
+        data.comm_events.shrink_to_fit();
 
         // Validate that state intervals on the same CPU do not overlap (a pure
         // column walk: one pass over two u64 lanes).
-        for pc in &self.per_cpu {
+        for pc in &data.per_cpu {
             let states = pc.states();
             let (starts, ends) = (states.starts(), states.ends());
             for i in 1..starts.len() {
@@ -771,22 +759,14 @@ impl TraceBuilder {
 
         // Duplicate names keep the first registered id, matching the previous
         // first-match linear scan.
-        let mut counter_names = HashMap::with_capacity(self.counters.len());
-        for c in &self.counters {
+        let mut counter_names = HashMap::with_capacity(data.counters.len());
+        for c in &data.counters {
             counter_names.entry(c.name.clone()).or_insert(c.id);
         }
 
         Ok(Trace {
-            topology: self.topology,
-            task_types: self.task_types,
-            tasks: self.tasks,
-            per_cpu: self.per_cpu,
-            regions: self.regions,
-            accesses: self.accesses,
-            comm_events: self.comm_events,
-            counters: self.counters,
+            data,
             counter_names,
-            symbols: self.symbols,
         })
     }
 }

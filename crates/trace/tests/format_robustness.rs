@@ -140,3 +140,42 @@ fn an_id_beyond_u32_is_refused_not_wrapped() {
         "{err}"
     );
 }
+
+#[test]
+fn trailing_bytes_inside_a_section_are_refused_and_a_missing_end_marker_is_not() {
+    // A valid 2-CPU topology, then a hand-built states section, then `end`.
+    let topology = TraceBuilder::new(MachineTopology::uniform(1, 2))
+        .finish()
+        .unwrap();
+    let mut head = Vec::new();
+    write_trace(&topology, &mut head).unwrap();
+    head.truncate(head.len() - 2); // the end marker
+    let file = |states: &[u8], end: &[u8]| {
+        let section = [6, states.len() as u8]; // state-intervals tag, length
+        [&head[..], &section[..], states, end].concat()
+    };
+    // One record: CPU 1, state 0, [0, 10], no task.
+    let states = [1, 1, 0, 0, 10, 0];
+    let trailing = |err: TraceError| {
+        assert!(
+            matches!(&err, TraceError::Format(msg) if msg.contains("trailing")),
+            "{err}"
+        );
+    };
+
+    // The file ends after a whole section, without the end marker: it loads.
+    let trace = read_trace(&file(&states, &[])[..]).unwrap();
+    assert_eq!(trace.cpu(CpuId(1)).unwrap().states().len(), 1);
+    assert_eq!(read_trace(&file(&states, &[0xff, 0])[..]).unwrap(), trace);
+
+    // The section one byte longer than its records is refused ...
+    let padded = [&states[..], &[0]].concat();
+    trailing(read_trace(&file(&padded, &[0xff, 0])[..]).unwrap_err());
+    // ... and so is the topology section (tag 1, right behind the 8-byte header).
+    let mut padded = file(&states, &[0xff, 0]);
+    assert_eq!(padded[8], 1);
+    let end = 10 + padded[9] as usize;
+    padded[9] += 1;
+    padded.insert(end, 0);
+    trailing(read_trace(&padded[..]).unwrap_err());
+}
