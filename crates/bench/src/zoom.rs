@@ -17,11 +17,12 @@
 //! comparison is purely about time. [`ZoomSweep::record`] is the machine-readable
 //! `BENCH_zoom_sweep.json` record.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use aftermath_core::{
-    kernels, AnalysisSession, SimdLevel, TaskFilter, Threads, TimelineEngine, TimelineMode,
-    TimelineModel,
+    kernels, AnalysisSession, SharedSession, SimdLevel, TaskFilter, Threads, TimelineEngine,
+    TimelineMode, TimelineModel,
 };
 use aftermath_trace::{
     AccessKind, CpuId, MachineTopology, TaskTypeId, TimeInterval, Timestamp, Trace, TraceBuilder,
@@ -371,12 +372,14 @@ pub fn zoom_window(bounds: TimeInterval, factor: u64) -> TimeInterval {
 ///
 /// When `verify` is set, every frame is additionally built under all three engine
 /// names and compared cell by cell (pyramid and the default engine must be
-/// byte-identical to scan).
+/// byte-identical to scan), on the timed single-thread session and on a
+/// [`SharedSession`] view opened with `threads`, whose rows fan out.
 pub fn run_zoom_sweep(trace: &Trace, columns: usize, threads: Threads, verify: bool) -> ZoomSweep {
     let session = AnalysisSession::new(trace);
     let t0 = Instant::now();
     session.prewarm(threads);
     let prewarm_seconds = t0.elapsed().as_secs_f64();
+    let shared = verify.then(|| SharedSession::open(Arc::new(trace.clone()), threads));
     let bounds = session.time_bounds();
     let filter = TaskFilter::new();
     let modes = sweep_modes(trace);
@@ -384,18 +387,27 @@ pub fn run_zoom_sweep(trace: &Trace, columns: usize, threads: Threads, verify: b
     for &factor in &ZOOM_FACTORS {
         let window = zoom_window(bounds, factor);
         for &(name, mode) in &modes {
-            let build = |engine: TimelineEngine| {
-                TimelineModel::build_with_engine(&session, mode, window, columns, &filter, engine)
+            let build_on = |session: &AnalysisSession<'_>, engine: TimelineEngine| {
+                TimelineModel::build_with_engine(session, mode, window, columns, &filter, engine)
                     .expect("sweep frame")
             };
-            if verify {
+            let build = |engine: TimelineEngine| build_on(&session, engine);
+            if let Some(shared) = &shared {
                 let scan = build(TimelineEngine::Scan);
-                for engine in [TimelineEngine::Pyramid, TimelineEngine::Adaptive] {
-                    assert_eq!(
-                        build(engine),
-                        scan,
-                        "{engine:?} frame must be byte-identical to scan ({name}, zoom {factor})"
-                    );
+                let fanned = shared.view();
+                let engines = [
+                    TimelineEngine::Scan,
+                    TimelineEngine::Pyramid,
+                    TimelineEngine::Adaptive,
+                ];
+                for engine in engines {
+                    for (rows, on) in [("one thread", &session), ("fanned out", &fanned)] {
+                        assert_eq!(
+                            build_on(on, engine),
+                            scan,
+                            "{engine:?} frame, rows on {rows}, must be byte-identical to scan ({name}, zoom {factor})"
+                        );
+                    }
                 }
             }
             // Fastest of 5 per engine — what each engine *can* do, far more

@@ -10,7 +10,7 @@ use aftermath_trace::{CounterId, SamplesView, TaskId, TaskInstance, Timestamp};
 
 use crate::error::AnalysisError;
 use crate::filter::TaskFilter;
-use crate::index::value_at;
+use crate::index::{gallop, value_at};
 use crate::session::AnalysisSession;
 
 /// The increase of a monotone counter during one task's execution.
@@ -69,35 +69,7 @@ impl<'a> SampleCursor<'a> {
     /// The value of the last sample taken at or before `t`.
     pub(crate) fn value_at(&mut self, t: Timestamp) -> Option<f64> {
         let ts = self.samples.timestamps();
-        let at_or_before = |i: usize| ts[i] <= t.0;
-        // Bracket the partition point `lo <= p <= hi` (everything below `lo` is at
-        // or before `t`, everything from `hi` on is after), doubling the distance
-        // from the previous answer until it is passed.
-        let (mut lo, mut hi) = (self.at_or_before, self.at_or_before);
-        let mut step = 1;
-        if lo < ts.len() && at_or_before(lo) {
-            hi = ts.len();
-            while lo + step < ts.len() {
-                if !at_or_before(lo + step) {
-                    hi = lo + step;
-                    break;
-                }
-                lo += step;
-                step *= 2;
-            }
-            lo += 1;
-        } else {
-            lo = 0;
-            while step <= hi {
-                if at_or_before(hi - step) {
-                    lo = hi - step + 1;
-                    break;
-                }
-                hi -= step;
-                step *= 2;
-            }
-        }
-        self.at_or_before = lo + ts[lo..hi].partition_point(|&s| s <= t.0);
+        self.at_or_before = gallop(ts, self.at_or_before, |&s| s <= t.0);
         self.at_or_before
             .checked_sub(1)
             .map(|i| self.samples.value(i))

@@ -4,7 +4,10 @@
 //! Section VI-B-c:
 //!
 //! * binary-search slicing of per-core, timestamp-sorted event arrays
-//!   ([`point_events_in`], [`states_overlapping`]), and
+//!   ([`point_events_in`], [`states_overlapping`]) — and, for runs of lookups in
+//!   ascending order (a timeline row's columns, a CPU's tasks), one galloping
+//!   cursor that answers each from where the previous one ended, with the same
+//!   predicates — and
 //! * an n-ary search tree (default arity 100) over counter samples that answers
 //!   min/max queries for arbitrary intervals without scanning every sample
 //!   ([`CounterIndex`]), keeping its memory overhead at a few percent of the raw
@@ -55,22 +58,81 @@ pub fn samples_in(samples: SamplesView<'_>, interval: TimeInterval) -> SamplesVi
     samples.slice(lo, hi)
 }
 
+/// The partition point of `pred` over `items` (`pred` holds on a prefix), found by
+/// galloping from `hint` towards it in whichever direction it lies: the distance is
+/// bracketed by doubling steps, then bisected. An answer `d` items from `hint` costs
+/// `O(log d)`, so a run of lookups in ascending order costs what the items between
+/// them cost, not a search of the whole slice each.
+pub(crate) fn gallop<T>(items: &[T], hint: usize, pred: impl Fn(&T) -> bool) -> usize {
+    let (len, hint) = (items.len(), hint.min(items.len()));
+    // Bracket the partition point `lo <= p <= hi` (everything below `lo` holds,
+    // nothing from `hi` on does): `pred` is known at `hint ± step / 2`.
+    let mut step = 1;
+    let (lo, hi) = if hint < len && pred(&items[hint]) {
+        while hint + step < len && pred(&items[hint + step]) {
+            step *= 2;
+        }
+        (hint + step / 2 + 1, (hint + step).min(len))
+    } else {
+        while step <= hint && !pred(&items[hint - step]) {
+            step *= 2;
+        }
+        ((hint + 1).saturating_sub(step), hint - step / 2)
+    };
+    lo + items[lo..hi].partition_point(pred)
+}
+
 /// The state intervals that overlap `interval`, as an index range `[first, last)`.
 ///
 /// The input must be sorted by interval start and non-overlapping (as guaranteed for
 /// per-core state streams). This is the single home of the overlap convention; the
-/// view slicing ([`states_overlapping`]) and the aggregation pyramid
-/// ([`crate::pyramid`]) both resolve ranges through it.
+/// view slicing ([`states_overlapping`]), the aggregation pyramid
+/// ([`crate::pyramid`]) and a timeline row's cursor (`bin_ranges`) all resolve
+/// ranges through it.
 pub fn states_overlapping_range(states: StatesView<'_>, interval: TimeInterval) -> (usize, usize) {
+    overlap_range_near(states, interval, None)
+}
+
+/// [`states_overlapping_range`], each bound galloping from the one in `near` when
+/// given ([`gallop`]) and bisecting the whole lane otherwise.
+fn overlap_range_near(
+    states: StatesView<'_>,
+    interval: TimeInterval,
+    near: Option<(usize, usize)>,
+) -> (usize, usize) {
+    fn search(lane: &[u64], hint: Option<usize>, pred: impl Fn(&u64) -> bool) -> usize {
+        hint.map_or_else(|| lane.partition_point(&pred), |h| gallop(lane, h, &pred))
+    }
     if states.is_empty() || interval.is_empty() {
         return (0, 0);
     }
     // First state that ends after the query start: since states are non-overlapping and
     // sorted by start, this is the first candidate.
-    let first = states.ends().partition_point(|&e| e <= interval.start.0);
+    let first = search(states.ends(), near.map(|n| n.0), |&e| e <= interval.start.0);
     // First state that starts at or after the query end: everything from there on is out.
-    let last = states.starts().partition_point(|&s| s < interval.end.0);
+    let last = search(states.starts(), near.map(|n| n.1), |&s| s < interval.end.0);
     (first.min(last), last)
+}
+
+/// The overlap range of every bin of `interval` split into `columns`
+/// ([`TimeInterval::bin`]), in column order and paired with its bin: exactly
+/// `states_overlapping_range(states, interval.bin(columns, c))` for every column
+/// `c`, but found by one cursor that gallops on from the previous bin's bounds — a
+/// timeline row costs `O(log items-in-column)` per column, not two searches over
+/// the whole stream. An empty bin (more columns than cycles) yields the empty
+/// range and leaves the cursor where it is.
+pub(crate) fn bin_ranges<'a>(
+    states: StatesView<'a>,
+    interval: TimeInterval,
+    columns: usize,
+) -> impl Iterator<Item = (TimeInterval, (usize, usize))> + 'a {
+    let mut near = (0, 0);
+    (0..columns).map(move |c| {
+        let bin = interval.bin(columns, c);
+        let range = overlap_range_near(states, bin, Some(near));
+        near = if bin.is_empty() { near } else { range };
+        (bin, range)
+    })
 }
 
 /// Returns the sub-view of state intervals that overlap `interval`
@@ -303,6 +365,7 @@ impl CounterIndex {
 mod tests {
     use super::*;
     use aftermath_trace::{CounterId, CounterSample, CpuId, SampleColumns, StateColumns};
+    use proptest::prelude::*;
 
     fn sample(ts: u64, v: f64) -> CounterSample {
         CounterSample::new(CounterId(0), CpuId(0), Timestamp(ts), v)
@@ -363,6 +426,82 @@ mod tests {
             states_overlapping(states.view(), TimeInterval::from_cycles(2000, 3000)).is_empty()
         );
         assert!(states_overlapping(states.view(), TimeInterval::from_cycles(100, 100)).is_empty());
+    }
+
+    #[test]
+    fn gallop_finds_the_partition_point_from_every_hint() {
+        let items: Vec<u64> = (0..40).map(|i| i / 3).collect();
+        for t in 0..16 {
+            let want = items.partition_point(|&x| x < t);
+            for hint in 0..items.len() + 3 {
+                assert_eq!(gallop(&items, hint, |&x| x < t), want, "t {t}, hint {hint}");
+            }
+        }
+        assert_eq!(gallop(&[] as &[u64], 3, |_| true), 0);
+    }
+
+    /// A stream from cycle 1000 on: back-to-back or gapped intervals, some of zero
+    /// length, in every state.
+    fn stream(segments: &[(u64, u64, u8)]) -> StateColumns {
+        use aftermath_trace::{StateInterval, WorkerState};
+        let mut states = StateColumns::new(CpuId(0));
+        let mut now = 1000;
+        for &(len, gap, state) in segments {
+            let state = WorkerState::from_index(state as usize % WorkerState::COUNT).unwrap();
+            let interval = TimeInterval::from_cycles(now, now + len);
+            states.push(StateInterval::new(CpuId(0), state, interval, None));
+            now += len + gap;
+        }
+        states
+    }
+
+    /// A non-empty window of `kind` relative to the stream's span `[lo, hi)` —
+    /// inside it, straddling an edge, before it or after it (touching included) —
+    /// placed and sized by the permilles `x` and `y`.
+    fn window(lo: u64, hi: u64, kind: u8, x: u64, y: u64) -> TimeInterval {
+        let span = hi - lo;
+        let width = 1 + y * (span + 1) / 1000;
+        let (start, end) = match kind % 4 {
+            0 => {
+                let start = lo + x * span / 1000;
+                (start, (start + width).min(hi).max(start + 1))
+            }
+            1 if x.is_multiple_of(2) => (lo.saturating_sub(1 + x / 2), lo + width),
+            1 => (hi.saturating_sub(width), hi + 1 + x / 2),
+            2 => {
+                let end = lo - x.min(lo - 1);
+                (end.saturating_sub(width), end)
+            }
+            _ => (hi + x, hi + x + width),
+        };
+        TimeInterval::from_cycles(start, end)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn bin_ranges_are_the_overlap_ranges_of_their_bins(
+            segments in prop::collection::vec((0u64..40, 0u64..8, 0u8..5), 0..80),
+            kind in 0u8..4,
+            x in 0u64..1000,
+            y in 0u64..1000,
+            columns_sel in 0usize..4,
+            extra in 1usize..40,
+        ) {
+            let states = stream(&segments);
+            let view = states.view();
+            let hi = view.ends().last().copied().unwrap_or(1000);
+            let interval = window(1000, hi, kind, x, y);
+            let columns = [1, 7, 800, interval.duration() as usize + extra][columns_sel];
+            let mut count = 0;
+            for (c, (bin, range)) in bin_ranges(view, interval, columns).enumerate() {
+                assert_eq!(bin, interval.bin(columns, c));
+                let want = states_overlapping_range(view, bin);
+                assert_eq!(range, want, "column {c} of {columns} over {interval}");
+                count += 1;
+            }
+            assert_eq!(count, columns);
+        }
     }
 
     #[test]

@@ -174,7 +174,8 @@ fn beats(best: &Option<(u64, usize)>, cycles: u64) -> bool {
 }
 
 /// [`consider`]s every execution interval of the fully covered run `[lo, hi)`, each
-/// with its full duration.
+/// with its full duration — only those that could strictly beat the incumbent, so
+/// the task table is read for candidates alone (the selection is the same).
 fn consider_run(
     trace: &Trace,
     states: StatesView<'_>,
@@ -184,7 +185,10 @@ fn consider_run(
     best: &mut Option<(u64, usize)>,
 ) {
     for_each_exec(states, lo, hi, |i| {
-        consider(trace, states, Some(filter), i, states.duration(i), best);
+        let duration = states.duration(i);
+        if beats(best, duration) {
+            consider(trace, states, Some(filter), i, duration, best);
+        }
     });
 }
 
@@ -596,6 +600,19 @@ impl<'a> Window<'a> {
     ) -> Self {
         let (first, last) = overlap_range(states, interval);
         Self::over_range(pyramid, states, interval, first, last)
+    }
+
+    /// [`Window::new`] over every bin of `interval` split into `columns`
+    /// ([`TimeInterval::bin`]), in column order: one timeline row, its overlap
+    /// ranges found by the row's one cursor ([`crate::index::bin_ranges`]).
+    pub(crate) fn columns(
+        pyramid: Option<&'a StatePyramid>,
+        states: StatesView<'a>,
+        interval: TimeInterval,
+        columns: usize,
+    ) -> impl Iterator<Item = Self> {
+        crate::index::bin_ranges(states, interval, columns)
+            .map(move |(bin, (first, last))| Self::over_range(pyramid, states, bin, first, last))
     }
 
     fn over_range(

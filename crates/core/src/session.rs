@@ -76,10 +76,14 @@ pub struct AnalysisSession<'t> {
     /// the lint pipeline ([`aftermath_trace::lint`]). `None` means "never
     /// linted" — an empty summary means "linted and clean".
     lint: Option<LintSummary>,
-    /// Thread budget of [`AnalysisSession::detect_anomalies`]. Single, unless the
-    /// owner knows the other cores are idle: a [`crate::StoreSession`] answers one
-    /// request at a time and hands its views the store's budget.
-    pub(crate) scan_threads: Threads,
+    /// The view's one thread budget: a timeline frame's rows
+    /// ([`TimelineModel::build_with_engine`]) and the units of
+    /// [`AnalysisSession::detect_anomalies`] fan out on it; no answer depends on
+    /// it. The owner of the trace sets it — a [`crate::SharedSession`] the budget
+    /// it was opened with, a [`crate::StoreSession`] the store's decode budget —
+    /// and it is one thread for [`AnalysisSession::new`] and a
+    /// [`crate::LiveSession`] view.
+    pub(crate) threads: Threads,
     /// What `SessionState::view` put into this view, for `SessionState::absorb`.
     seeded: Seeded,
 }
@@ -492,7 +496,7 @@ impl<'t> AnalysisSession<'t> {
             handles,
             engine_log: Mutex::new(Vec::new()),
             lint: None,
-            scan_threads: Threads::single(),
+            threads: Threads::single(),
             seeded: Seeded::default(),
         }
     }
@@ -823,7 +827,7 @@ impl<'t> AnalysisSession<'t> {
         &self,
         config: &AnomalyConfig,
     ) -> Result<Arc<AnomalyReport>, AnalysisError> {
-        self.detect_anomalies_with(config, self.scan_threads)
+        self.detect_anomalies_with(config, self.threads)
     }
 
     /// Like [`AnalysisSession::detect_anomalies`] but lets every enabled detector

@@ -8,7 +8,9 @@
 //! (indexes, pyramids, trace columns) or internally synchronised (the result
 //! caches): `SharedSession` is `Sync`, a server
 //! serves views from as many threads as it likes, and a frame one client
-//! computed is a cache hit for every other client.
+//! computed is a cache hit for every other client. The thread budget `open` is
+//! given is kept, and every view fans its frame rows and anomaly scan out on it
+//! (the `threads` rule in [`crate::session`]).
 
 use std::sync::Arc;
 
@@ -43,12 +45,14 @@ pub struct SharedSession {
     trace: Arc<Trace>,
     lint: Option<LintSummary>,
     state: SessionState,
+    /// Every view's thread budget.
+    threads: Threads,
 }
 
 impl SharedSession {
     /// Opens shared state over `trace`: prewarms every counter index, every state
     /// pyramid and the access index on up to `threads` workers and keeps them for
-    /// all later views.
+    /// all later views, which keep `threads` as their budget.
     ///
     /// This is the expensive, once-per-trace step — the server pays it when a
     /// trace is registered, not when a client connects.
@@ -61,6 +65,7 @@ impl SharedSession {
             trace,
             lint: None,
             state,
+            threads,
         }
     }
 
@@ -82,7 +87,9 @@ impl SharedSession {
     /// clones, no data copied or rebuilt. Views from concurrent
     /// threads share results through the cache handles.
     pub fn view(&self) -> AnalysisSession<'_> {
-        self.state.view(&self.trace, self.lint.as_ref(), |_| true)
+        let mut view = self.state.view(&self.trace, self.lint.as_ref(), |_| true);
+        view.threads = self.threads;
+        view
     }
 
     /// Runs `f` on a [`SharedSession::view`]. The same shape as
@@ -170,6 +177,20 @@ mod tests {
             .unwrap();
         let from_direct = direct.timeline(TimelineMode::TaskType, bounds, 48).unwrap();
         assert_eq!(*from_view, *from_direct);
+    }
+
+    #[test]
+    fn a_view_carries_the_budget_open_was_given() {
+        let trace = Arc::new(small_sim_trace());
+        assert_eq!(AnalysisSession::new(&trace).threads, Threads::single());
+        for threads in [Threads::single(), Threads::new(2), Threads::new(3)] {
+            let shared = SharedSession::open(Arc::clone(&trace), threads);
+            assert_eq!(shared.view().threads, threads);
+            assert_eq!(
+                shared.with_view(Need::Nothing, |view| view.threads),
+                threads
+            );
+        }
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //!
 //! A stored trace answers one request at a time (a server holds it behind a
 //! mutex), so the other cores are idle by construction: block decoding, shard
-//! building and the anomaly scan all run on the one thread budget of the
-//! store ([`StoredTrace::set_decode_threads`], the machine's parallelism by
-//! default). No answer depends on it. [`StoreSession::stats`] counts the work.
+//! building, and — as every view's budget (the `threads` rule in
+//! [`crate::session`]) — frame rows and the anomaly scan all run on the one
+//! thread budget of the store ([`StoredTrace::set_decode_threads`], the
+//! machine's parallelism by default). No answer depends on it.
+//! [`StoreSession::stats`] counts the work.
 //!
 //! # Residency semantics
 //!
@@ -463,7 +465,7 @@ impl StoreSession {
         let stored = &self.stored;
         let full = |lane| stored.residency(lane) == LaneResidency::Full;
         let mut view = self.state.view(stored.trace(), None, full);
-        view.scan_threads = stored.decode_threads();
+        view.threads = stored.decode_threads();
         let reads_shards = match need {
             Need::Nothing => false,
             Need::Frame { engine, .. } => engine != TimelineEngine::Scan,

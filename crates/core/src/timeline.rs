@@ -10,15 +10,22 @@
 //! framebuffer.
 //!
 //! Each cell is resolved through one window reduction ([`crate::pyramid::Window`]):
-//! two binary searches locate the covered index range, the two edge intervals are
-//! clipped, and the fully covered middle is reduced from pyramid nodes where it
-//! holds a whole one and as one raw run through the scan kernels where it does not.
-//! A zoomed-out frame therefore costs `O(columns · log n)` and a deep-zoom frame
-//! what the scan costs, from the same code. [`TimelineEngine::Scan`] is that
-//! reduction without pyramids — the paper's original binary-search-plus-scan path,
-//! kept as the equivalence baseline (both produce byte-identical cells) and for
-//! the ablation benchmarks.
+//! the row's one cursor gallops on from the previous column to locate the covered
+//! index range (`O(log items-in-column)`, never a search of the whole stream), the
+//! two edge intervals are clipped, and the fully covered middle is reduced from
+//! pyramid nodes where it holds a whole one and as one raw run through the scan
+//! kernels where it does not. A zoomed-out frame therefore costs
+//! `O(columns · log n)` and a deep-zoom frame what the scan costs, from the same
+//! code. [`TimelineEngine::Scan`] is that reduction without pyramids — the paper's
+//! original search-plus-scan path, kept as the equivalence baseline (both produce
+//! byte-identical cells) and for the ablation benchmarks.
+//!
+//! Rows are independent: a frame builds them in parallel on the view's thread
+//! budget (the `threads` rule in [`crate::session`]), each with its own scratch,
+//! and ORs their "read pyramid nodes" flags into the frame's one
+//! [`EngineDecision`]. The cells do not depend on the budget.
 
+use aftermath_exec::parallel_map;
 use aftermath_trace::{AccessKind, CpuId, NumaNodeId, TaskTypeId, TimeInterval, WorkerState};
 
 use crate::error::AnalysisError;
@@ -176,21 +183,19 @@ impl TimelineModel {
         }
         let trace = session.trace();
         let cpus: Vec<CpuId> = trace.topology().cpu_ids().collect();
-        // The NUMA map modes' per-node byte accumulator, one for the whole frame.
-        let mut scratch = Vec::new();
-        let mut read_nodes = false;
-        let mut cells = Vec::with_capacity(cpus.len());
-        for &cpu in &cpus {
-            // Resolved once per row; ranges are then located by binary search, never
-            // by walking the stream.
+        // One row per CPU, on the view's thread budget; each row says whether one
+        // of its cells read pyramid nodes.
+        let rows = parallel_map(session.threads, &cpus, |&cpu| {
             let states = session.states(cpu);
             let pyramid = match engine {
                 TimelineEngine::Scan => None,
                 _ => session.pyramid(cpu),
             };
-            let row = (0..columns).map(|col| {
-                let window = Window::new(pyramid, states, column_interval(interval, columns, col));
-                read_nodes |= window.reads_nodes();
+            // The NUMA map modes' per-node byte accumulator, one for the row.
+            let mut scratch = Vec::new();
+            let mut reads_nodes = false;
+            let row = Window::columns(pyramid, states, interval, columns).map(|window| {
+                reads_nodes |= window.reads_nodes();
                 match mode {
                     TimelineMode::State => window
                         .predominant_state()
@@ -201,10 +206,12 @@ impl TimelineModel {
                     }
                 }
             });
-            cells.push(row.collect());
-        }
+            let row: Vec<TimelineCell> = row.collect();
+            (row, reads_nodes)
+        });
+        let (cells, reads_nodes): (Vec<_>, Vec<bool>) = rows.into_iter().unzip();
         if engine == TimelineEngine::Adaptive {
-            let engine = match read_nodes {
+            let engine = match reads_nodes.contains(&true) {
                 true => TimelineEngine::Pyramid,
                 false => TimelineEngine::Scan,
             };
@@ -316,6 +323,7 @@ mod tests {
     use super::*;
     use crate::testutil::{diamond_trace, small_sim_trace};
     use crate::AnalysisSession;
+    use aftermath_trace::{MachineTopology, Timestamp, Trace, TraceBuilder};
 
     #[test]
     fn column_intervals_tile_the_range() {
@@ -474,6 +482,126 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A dense trace on a 2-node, 4-CPU machine: `pairs` task-execution/idle pairs
+    /// per CPU, the tasks of two types, each reading from one node and writing to
+    /// the other — deep enough that a zoomed-out frame reads pyramid nodes.
+    fn dense_trace(pairs: u64) -> Trace {
+        let mut b = TraceBuilder::new(MachineTopology::uniform(2, 2));
+        let types = [b.add_task_type("a", 0x1000), b.add_task_type("b", 0x2000)];
+        b.add_region(0x10_000, 0x1000, Some(NumaNodeId(0)));
+        b.add_region(0x20_000, 0x1000, Some(NumaNodeId(1)));
+        for cpu in 0..4u32 {
+            let mut now = u64::from(cpu) * 7;
+            for i in 0..pairs {
+                let (len, idle) = (20 + (i * 7 + u64::from(cpu)) % 50, 5 + i % 11);
+                let (start, end) = (Timestamp(now), Timestamp(now + len));
+                let ty = types[usize::from(i % 3 == 0)];
+                let task = b.add_task(ty, CpuId(cpu), start, start, end);
+                let exec = WorkerState::TaskExecution;
+                b.add_state(CpuId(cpu), exec, start, end, Some(task))
+                    .unwrap();
+                let (near, far) = match i % 4 {
+                    0 => (0x20_000, 0x10_000),
+                    _ => (0x10_000, 0x20_000),
+                };
+                b.add_access(task, AccessKind::Read, near, 64 + i % 64)
+                    .unwrap();
+                b.add_access(task, AccessKind::Write, far, 32).unwrap();
+                let idle_end = Timestamp(now + len + idle);
+                b.add_state(CpuId(cpu), WorkerState::Idle, end, idle_end, None)
+                    .unwrap();
+                now += len + idle;
+            }
+        }
+        b.finish().unwrap()
+    }
+
+    /// The frames of one walk — six modes at five zoom levels, plus a filtered
+    /// drill-in — built by `frame`.
+    fn walk(
+        trace: &Trace,
+        mut frame: impl FnMut(TimelineMode, TimeInterval, &TaskFilter) -> TimelineModel,
+    ) -> Vec<TimelineModel> {
+        let bounds = trace.time_bounds();
+        let max = trace.tasks().iter().map(|t| t.duration()).max().unwrap();
+        let modes = [
+            TimelineMode::State,
+            TimelineMode::Heatmap {
+                min_duration: 0,
+                max_duration: max,
+            },
+            TimelineMode::TaskType,
+            TimelineMode::NumaRead,
+            TimelineMode::NumaWrite,
+            TimelineMode::NumaHeat,
+        ];
+        let zoom = |factor: u64| {
+            let width = (bounds.duration() / factor).max(1);
+            let start = bounds.start.0 + (bounds.duration() - width) / 2;
+            TimeInterval::from_cycles(start, start + width)
+        };
+        let all = TaskFilter::new();
+        let drill_in = TaskFilter::new().with_task_type(trace.task_types()[0].id);
+        let views = [1, 4, 16, 64, 256]
+            .into_iter()
+            .flat_map(|factor| modes.map(|mode| (mode, zoom(factor), &all)))
+            .chain([(TimelineMode::TaskType, zoom(4), &drill_in)]);
+        views
+            .map(|(mode, interval, filter)| frame(mode, interval, filter))
+            .collect()
+    }
+
+    #[test]
+    fn rows_fan_out_to_the_same_frames_on_every_owner() {
+        use crate::session::Need;
+        use crate::{SharedSession, StoreSession};
+        use aftermath_exec::Threads;
+        use aftermath_trace::store::{write_store_bytes, StoreOptions, StoredTrace};
+        use std::sync::Arc;
+
+        let trace = dense_trace(2_000);
+        let build = |session: &AnalysisSession<'_>, mode, interval, filter: &TaskFilter| {
+            TimelineModel::build_filtered(session, mode, interval, 64, filter).unwrap()
+        };
+        // The frames and the engine decisions they logged on one session.
+        let on = |session: &AnalysisSession<'_>| {
+            let models = walk(&trace, |mode, iv, filter| build(session, mode, iv, filter));
+            (models, session.engine_decisions())
+        };
+        let reference = on(&AnalysisSession::new(&trace));
+        assert_eq!(reference.1.len(), reference.0.len());
+        assert!(reference
+            .1
+            .iter()
+            .any(|d| d.engine == TimelineEngine::Pyramid));
+        assert!(reference.1.iter().any(|d| d.engine == TimelineEngine::Scan));
+        let shared_trace = Arc::new(trace.clone());
+        for threads in [Threads::single(), Threads::new(2), Threads::auto()] {
+            let shared = SharedSession::open(Arc::clone(&shared_trace), threads);
+            assert_eq!(on(&shared.view()), reference, "{threads} threads");
+        }
+        // A store hands every frame a fresh view on its decode budget.
+        let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 64 }).unwrap();
+        let mut store = StoreSession::from_store(StoredTrace::from_bytes(bytes).unwrap());
+        store.set_residency_budget(Some(trace.resident_event_bytes() / 2));
+        let mut logged = Vec::new();
+        let models = walk(&trace, |mode, interval, filter| {
+            let engine = TimelineEngine::Adaptive;
+            let need = Need::Frame {
+                mode,
+                interval,
+                engine,
+            };
+            let frame = |view: &AnalysisSession<'_>| {
+                (build(view, mode, interval, filter), view.engine_decisions())
+            };
+            let (model, decisions) = store.with_view(need, frame).unwrap();
+            logged.extend(decisions);
+            model
+        });
+        assert_eq!((models, logged), reference, "capped store");
     }
 
     #[test]

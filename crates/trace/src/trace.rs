@@ -377,40 +377,22 @@ impl Trace {
     /// the incrementally maintained bounds of [`crate::streaming::StreamingTrace`]
     /// are seeded from it and must stay equal to it at every epoch.
     pub fn time_bounds_opt(&self) -> Option<TimeInterval> {
-        let mut start = Timestamp::MAX;
-        let mut end = Timestamp::ZERO;
-        let mut any = false;
-        for pc in &self.data.per_cpu {
-            let states = pc.states();
-            if let (Some(&first), Some(&last)) = (states.starts().first(), states.ends().last()) {
-                start = start.min(Timestamp(first));
-                end = end.max(Timestamp(last));
-                any = true;
-            }
-            let events = pc.events();
-            if let (Some(&first), Some(&last)) =
-                (events.timestamps().first(), events.timestamps().last())
-            {
-                start = start.min(Timestamp(first));
-                end = end.max(Timestamp(last));
-                any = true;
-            }
-            for (_, samples) in pc.sample_streams() {
-                if let (Some(&first), Some(&last)) =
-                    (samples.timestamps().first(), samples.timestamps().last())
-                {
-                    start = start.min(Timestamp(first));
-                    end = end.max(Timestamp(last));
-                    any = true;
-                }
-            }
-        }
-        for t in &self.data.tasks {
-            start = start.min(t.execution.start);
-            end = end.max(t.execution.end);
-            any = true;
-        }
-        any.then(|| TimeInterval::new(start, end))
+        // A time-sorted lane spans from its first start to its last end.
+        let span = |(starts, ends): (&[u64], &[u64])| {
+            Some(TimeInterval::from_cycles(*starts.first()?, *ends.last()?))
+        };
+        let lanes = self.data.per_cpu.iter().flat_map(|pc| {
+            let (states, events) = (pc.states(), pc.events().timestamps());
+            let samples = pc.sample_streams().map(|(_, s)| s.timestamps());
+            [(states.starts(), states.ends()), (events, events)]
+                .into_iter()
+                .chain(samples.map(|ts| (ts, ts)))
+                .filter_map(span)
+        });
+        let tasks = self.data.tasks.iter().map(|t| t.execution);
+        lanes
+            .chain(tasks)
+            .reduce(|a, b| TimeInterval::new(a.start.min(b.start), a.end.max(b.end)))
     }
 
     /// Total execution time covered by the trace, in cycles.

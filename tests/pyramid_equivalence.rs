@@ -6,7 +6,7 @@
 //! only change *how fast* a frame is computed, never a single cell of it.
 
 use aftermath::prelude::*;
-use aftermath_core::{TaskFilter, TimelineEngine, TimelineMode, TimelineModel};
+use aftermath_core::{TaskFilter, TimelineCell, TimelineEngine, TimelineMode, TimelineModel};
 use aftermath_trace::{AccessKind, NumaNodeId, TaskId, TaskTypeId};
 use proptest::prelude::*;
 
@@ -162,6 +162,86 @@ proptest! {
         let filter = random_filter(&trace, filter_sel, filter_param);
         assert_engines_agree(&trace, bounds, columns, &filter);
         assert_engines_agree(&trace, window, columns, &filter);
+    }
+}
+
+/// A non-empty window relative to `bounds` — inside them, straddling their end
+/// or after them (touching included); the streams of [`random_trace`] start at
+/// cycle 0, so nothing lies before them — placed and sized by the permilles `x`
+/// and `y`.
+fn window_of_kind(bounds: TimeInterval, kind: u8, x: u64, y: u64) -> TimeInterval {
+    let (lo, hi) = (bounds.start.0, bounds.end.0);
+    let width = 1 + y * (hi - lo) / 1000;
+    let (start, end) = match kind % 3 {
+        0 => {
+            let start = lo + x * (hi - lo) / 1000;
+            (start, (start + width).min(hi).max(start + 1))
+        }
+        1 => (hi.saturating_sub(width), hi + 1 + x),
+        _ => (hi + x, hi + x + width),
+    };
+    TimeInterval::from_cycles(start, end)
+}
+
+/// A frame's columns — one cursor per row — equal each column's bin reduced on
+/// its own (a one-column frame over the bin; an empty bin is an empty cell), in
+/// all six modes on both engines.
+fn assert_columns_match_cells(
+    trace: &Trace,
+    window: TimeInterval,
+    columns: usize,
+    filter: &TaskFilter,
+) {
+    let session = AnalysisSession::new(trace);
+    let max = trace.tasks().iter().map(|t| t.duration()).max();
+    for mode in all_modes(max.unwrap_or(1)) {
+        for engine in [TimelineEngine::Pyramid, TimelineEngine::Scan] {
+            let build = |interval, columns| {
+                TimelineModel::build_with_engine(&session, mode, interval, columns, filter, engine)
+                    .unwrap()
+            };
+            let frame = build(window, columns);
+            for c in 0..columns {
+                let bin = window.bin(columns, c);
+                let cells: Vec<TimelineCell> = match bin.is_empty() {
+                    true => vec![TimelineCell::Empty; frame.num_rows()],
+                    false => build(bin, 1).cells.iter().map(|row| row[0]).collect(),
+                };
+                let got: Vec<TimelineCell> = frame.cells.iter().map(|row| row[c]).collect();
+                assert_eq!(
+                    got, cells,
+                    "{mode:?}, {engine:?}: column {c} of {columns} over {window}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn row_cursor_columns_equal_per_cell_windows(
+        nodes in 1u32..3,
+        cpus in 1u32..3,
+        segments in prop::collection::vec((1u64..400, 0u64..64, 0u8..9), 1..120),
+        flags in prop::collection::vec((0u8..3, 0u8..6), 1..16),
+        kind in 0u8..3,
+        x in 0u64..1000,
+        y in 0u64..1000,
+        columns_sel in 0usize..4,
+        extra in 1usize..24,
+        filter_sel in 0u8..5,
+        filter_param in 0u64..10_000,
+    ) {
+        let trace = random_trace(nodes, cpus, &segments, &flags);
+        let mut window = window_of_kind(trace.time_bounds(), kind, x, y);
+        // More columns than cycles: a short window, so most bins are empty.
+        if columns_sel == 3 {
+            window.end.0 = window.end.0.min(window.start.0 + 1 + x % 300);
+        }
+        let columns = [1, 7, 800, window.duration() as usize + extra][columns_sel];
+        let filter = random_filter(&trace, filter_sel, filter_param);
+        assert_columns_match_cells(&trace, window, columns, &filter);
     }
 }
 
