@@ -11,9 +11,10 @@
 //! * **cold open**: `StoreSession::open` + one zoomed-out 800-column state
 //!   frame from the untouched store (only state lanes decode), against the
 //!   full path (read the AFTM file, build every index, render the same frame),
-//! * **capped residency**: a zoom sweep over all six timeline modes with the
-//!   lane budget at half the full footprint, verified byte-identical to a
-//!   fully resident session at every frame.
+//! * **capped residency**: a zoom sweep over all six timeline modes on the
+//!   default engine (what a server runs) with the lane budget at half the
+//!   full footprint, verified byte-identical to a fully resident session at
+//!   every frame.
 //!
 //! [`StoreBench::record`] is the `BENCH_store.json` record; its rows of
 //! [`crate::gates::GATES`] compare compression against the committed baseline
@@ -192,7 +193,9 @@ pub fn run_store_bench(scale: Scale, threads: Threads) -> StoreBench {
     );
 
     // Capped sweep: half the full footprint, every zoom factor × every mode,
-    // each frame checked against a fully resident session.
+    // framed with the default engine (`StoreSession::timeline`, what a server
+    // runs) and each frame checked against the scan of a fully resident
+    // session.
     let capped_budget_bytes = soa_bytes / 2;
     let reference = AnalysisSession::new(&trace);
     let modes = sweep_modes(&trace);
@@ -207,7 +210,7 @@ pub fn run_store_bench(scale: Scale, threads: Threads) -> StoreBench {
         let window = zoom_window(bounds, factor);
         for &(_, mode) in &modes {
             let got = capped
-                .timeline_with_engine(mode, window, STORE_COLUMNS, &filter, TimelineEngine::Scan)
+                .timeline(mode, window, STORE_COLUMNS)
                 .expect("capped frame");
             let want = TimelineModel::build_with_engine(
                 &reference,

@@ -17,9 +17,9 @@
 use aftermath_trace::{CounterId, TimeInterval, WorkerState};
 
 use crate::error::AnalysisError;
+use crate::pyramid::Window;
 use crate::series::TimeSeries;
 use crate::session::AnalysisSession;
-use crate::stats::state_cycles;
 
 /// How per-CPU counter values are combined into one global value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,10 +49,10 @@ fn validate_bins(bins: usize, interval: TimeInterval) -> Result<(), AnalysisErro
 /// Average number of workers simultaneously in `state`, per bin.
 ///
 /// For every bin ([`TimeInterval::bin`]) this sums, over all workers, the time spent
-/// in `state` during the bin (one window reduction per CPU,
-/// [`crate::session::IntervalQuery::state_cycles`]) and divides by the bin's own
-/// duration — exactly the derived counter the paper uses to count idle workers
-/// (Figure 3). A value never exceeds the number of CPUs.
+/// in `state` during the bin and divides by the bin's own duration — exactly the
+/// derived counter the paper uses to count idle workers (Figure 3). A value never
+/// exceeds the number of CPUs. Each CPU's bins are one timeline row's windows
+/// (`Window::columns`): one galloping cursor per CPU, not two searches per bin.
 ///
 /// # Errors
 ///
@@ -64,13 +64,17 @@ pub fn state_concurrency(
     interval: TimeInterval,
 ) -> Result<TimeSeries, AnalysisError> {
     validate_bins(bins, interval)?;
+    let mut cycles = vec![0u64; bins];
+    for cpu in session.trace().topology().cpu_ids() {
+        let row = Window::columns(session.pyramid(cpu), session.states(cpu), interval, bins);
+        for (sum, window) in cycles.iter_mut().zip(row) {
+            *sum += window.state_cycles()[state.index()];
+        }
+    }
     let values = (0..bins)
-        .map(|b| {
-            let bin = interval.bin(bins, b);
-            match bin.duration() {
-                0 => 0.0,
-                cycles => state_cycles(session, bin)[state.index()] as f64 / cycles as f64,
-            }
+        .map(|b| match interval.bin(bins, b).duration() {
+            0 => 0.0,
+            duration => cycles[b] as f64 / duration as f64,
         })
         .collect();
     Ok(TimeSeries::new(interval, values))

@@ -20,7 +20,7 @@ use crate::index::{samples_in, states_overlapping, value_at, CounterIndex};
 use crate::pyramid::{ExecStats, StatePyramid, Window, DEFAULT_PYRAMID_FANOUT};
 use crate::shared::CacheStats;
 use crate::taskgraph::TaskGraph;
-use crate::timeline::{EngineDecision, TimelineEngine, TimelineMode, TimelineModel};
+use crate::timeline::{EngineDecision, TimelineMode, TimelineModel};
 
 /// An analysis session over one trace.
 ///
@@ -65,6 +65,9 @@ pub struct AnalysisSession<'t> {
     /// state stream ([`crate::pyramid`]); built on first timeline/interval query or
     /// all at once by [`AnalysisSession::prewarm`].
     pyramids: Vec<OnceLock<Arc<StatePyramid>>>,
+    /// Per CPU: whether this view may build a pyramid it was not seeded with
+    /// (the build rule of `SessionState`; always, outside a store).
+    builds_pyramid: Vec<bool>,
     task_graph: OnceLock<TaskGraph>,
     /// The result caches and the access index: the state a longer-lived owner
     /// shares with every view it hands out.
@@ -123,10 +126,11 @@ impl SessionHandles {
     }
 }
 
-/// What one request reads: the single input to a store's lane plan
-/// ([`crate::StoreSession::with_view`]) and to the coverage rule of a salvaged
-/// one ([`crate::SalvageCoverage::allows`]). Owners whose trace is always whole
-/// ignore it.
+/// What one request reads: the single input to a store's lane plan (stated
+/// once, at `StoreSession::lanes`) and to the coverage rule of a salvaged one
+/// ([`crate::SalvageCoverage::allows`]). Owners whose trace is always whole
+/// ignore it. A frame's need does not name an engine: every engine reads the
+/// same lanes (the build rule of `SessionState`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Need {
     /// No event data (metadata, the lint summary).
@@ -138,9 +142,6 @@ pub enum Need {
         mode: TimelineMode,
         /// The visible interval.
         interval: TimeInterval,
-        /// The scan engine reads only the block runs overlapping `interval`;
-        /// the others read whole lanes and keep pyramids over them.
-        engine: TimelineEngine,
     },
     /// Interval-query aggregates over every table.
     Query {
@@ -163,6 +164,13 @@ pub enum Need {
 /// lanes; a kept shard survives its lane becoming unusable and is seeded again
 /// once the lane is back. The access index follows the same rule over its two
 /// lanes, tasks and accesses.
+///
+/// **The build rule.** A pyramid node aggregates a CPU's states, their tasks
+/// and those tasks' accesses, so a view may *build* CPU `c`'s pyramid only
+/// while `States(c)`, `Tasks` and `Accesses` are all usable — and then the
+/// owner keeps it. Otherwise [`AnalysisSession::pyramid`] is `None` (unless
+/// one was seeded) and every window on that CPU is reduced by the scan, with
+/// the same answer bit for bit ([`Window`]).
 #[derive(Debug)]
 pub(crate) struct SessionState {
     /// Counter indexes by `(CPU, counter)`; a live session maintains them in place.
@@ -170,7 +178,7 @@ pub(crate) struct SessionState {
     /// State pyramids by CPU id (see `indexes`).
     pub(crate) pyramids: HashMap<u32, Arc<StatePyramid>>,
     handles: SessionHandles,
-    /// Pyramids views built — over usable lanes (kept), or throwaways over others.
+    /// Pyramids views built (the build rule: each one is kept).
     pub(crate) pyramid_builds: u64,
     /// Counter indexes views built (see `pyramid_builds`).
     pub(crate) index_builds: u64,
@@ -196,9 +204,10 @@ impl SessionState {
 
     /// A view over `trace` sharing the result caches, seeded with every kept
     /// shard whose lane is `usable`, and with the kept access
-    /// index while `Tasks` and `Accesses` both are (an empty throwaway slot
+    /// index while `Tasks` and `Accesses` both are (an empty slot of its own
     /// otherwise). Costs `O(kept shards)` `Arc` clones; whatever is not seeded
-    /// stays lazy exactly like in [`AnalysisSession::new`].
+    /// stays lazy like in [`AnalysisSession::new`], pyramids under the build
+    /// rule.
     pub(crate) fn view<'t>(
         &self,
         trace: &'t Trace,
@@ -206,7 +215,8 @@ impl SessionState {
         usable: impl Fn(LaneId) -> bool,
     ) -> AnalysisSession<'t> {
         let mut handles = self.handles.clone();
-        if !(usable(LaneId::Tasks) && usable(LaneId::Accesses)) {
+        let tables = usable(LaneId::Tasks) && usable(LaneId::Accesses);
+        if !tables {
             handles.access_index = Arc::default();
         }
         let indexes = self
@@ -218,12 +228,15 @@ impl SessionState {
             .iter()
             .filter(|(&cpu, _)| usable(LaneId::States(CpuId(cpu))));
         let mut view = AnalysisSession::with_prebuilt(trace, indexes, pyramids, handles);
+        for (cpu, builds) in view.builds_pyramid.iter_mut().enumerate() {
+            *builds = tables && usable(LaneId::States(CpuId(cpu as u32)));
+        }
         view.lint = lint.cloned();
         view
     }
 
-    /// Keeps what `view` built over `usable` lanes and counts what it built and
-    /// what it was handed.
+    /// Keeps what `view` built over `usable` lanes — every pyramid it holds, by
+    /// the build rule — and counts what it built and what it was handed.
     pub(crate) fn absorb(&mut self, view: &AnalysisSession<'_>, usable: impl Fn(LaneId) -> bool) {
         let (indexes, pyramids) = view.built_shards();
         let seeded = view.seeded;
@@ -236,11 +249,7 @@ impl SessionState {
                 .into_iter()
                 .filter(|&((cpu, counter), _)| usable(LaneId::Samples(cpu, counter))),
         );
-        self.pyramids.extend(
-            pyramids
-                .into_iter()
-                .filter(|&(cpu, _)| usable(LaneId::States(CpuId(cpu)))),
-        );
+        self.pyramids.extend(pyramids);
     }
 
     /// Bytes of every kept counter index and pyramid and the kept access index.
@@ -487,11 +496,12 @@ impl<'t> AnalysisSession<'t> {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let pyramids = trace.per_cpu().iter().map(|_| OnceLock::new()).collect();
+        let cpus = trace.per_cpu().len();
         AnalysisSession {
             trace,
             counter_shards,
-            pyramids,
+            pyramids: (0..cpus).map(|_| OnceLock::new()).collect(),
+            builds_pyramid: vec![true; cpus],
             task_graph: OnceLock::new(),
             handles,
             engine_log: Mutex::new(Vec::new()),
@@ -589,12 +599,13 @@ impl<'t> AnalysisSession<'t> {
     }
 
     /// The multi-resolution state pyramid of one CPU, built on first touch
-    /// ([`crate::pyramid::StatePyramid`]). `None` for an unknown CPU or a CPU
-    /// without state intervals.
+    /// ([`crate::pyramid::StatePyramid`]). `None` for an unknown CPU, a CPU
+    /// without state intervals, or one whose pyramid the view was neither
+    /// seeded with nor may build (the build rule of `SessionState`).
     pub fn pyramid(&self, cpu: CpuId) -> Option<&StatePyramid> {
         let slot = self.pyramids.get(cpu.0 as usize)?;
         let states = self.states(cpu);
-        if states.is_empty() {
+        if states.is_empty() || (slot.get().is_none() && !self.builds_pyramid[cpu.0 as usize]) {
             return None;
         }
         Some(
@@ -638,7 +649,7 @@ impl<'t> AnalysisSession<'t> {
             .push(decision);
     }
 
-    /// One entry per [`TimelineEngine::Adaptive`] (default-engine) frame actually
+    /// One entry per [`crate::TimelineEngine::Adaptive`] (default-engine) frame actually
     /// built on this session, in build order (cache hits in
     /// [`AnalysisSession::timeline_filtered`] build no frame and log nothing):
     /// whether any of its cells read pyramid nodes, or all were reduced by the scan.
@@ -662,12 +673,12 @@ impl<'t> AnalysisSession<'t> {
     /// The per-lane half of [`AnalysisSession::prewarm`], restricted to the
     /// shards whose backing lane — [`LaneId::Samples`] for a counter index,
     /// [`LaneId::States`] for a pyramid — `wanted` accepts: a
-    /// [`crate::StoreSession`] wants only the fully resident ones.
+    /// [`crate::StoreSession`] wants only the fully resident ones. Pyramids go
+    /// through [`AnalysisSession::pyramid`], so the build rule holds here too.
     ///
     /// The access index is not a per-lane shard and is not built ahead here: the
     /// first pyramid build reads through it and builds it (the other workers wait
-    /// on its [`OnceLock`]), and a store session that only ever serves state,
-    /// heatmap or typemap frames from persisted pyramids never pays for it.
+    /// on its [`OnceLock`]).
     pub(crate) fn prewarm_lanes(&self, threads: Threads, wanted: impl Fn(LaneId) -> bool) -> usize {
         let lanes: Vec<LaneId> = self
             .counter_shards

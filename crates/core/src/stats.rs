@@ -245,12 +245,11 @@ pub fn task_duration_histogram(
 
 /// Cycles each worker state covers inside `interval`, summed over all CPUs (indexed
 /// by [`WorkerState::index`]): one window reduction per CPU
-/// ([`crate::session::IntervalQuery::state_cycles`]). Every state statistic below,
-/// every bin of [`crate::derived::state_concurrency`] and with it the idle-phase
-/// detector read this, so they cost what a timeline cell costs — the first one on a
-/// session builds each CPU's pyramid, exactly as the first default-engine frame or
+/// ([`crate::session::IntervalQuery::state_cycles`]). Every state statistic below
+/// reads this, so it costs what a timeline cell costs — the first one on a session
+/// builds each CPU's pyramid, exactly as the first default-engine frame or
 /// [`AnalysisSession::query`] does.
-pub(crate) fn state_cycles(
+fn state_cycles(
     session: &AnalysisSession<'_>,
     interval: TimeInterval,
 ) -> [u64; WorkerState::COUNT] {

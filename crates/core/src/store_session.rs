@@ -8,11 +8,13 @@
 //! request is one [`StoreSession::with_view`] call, and everything that is
 //! specific to a store is decided there from the request's [`Need`]: whether a
 //! salvaged store may answer it at all ([`SalvageCoverage::allows`]), which
-//! lanes to materialise — in **one** batch ([`StoredTrace::ensure_batch`]) —
-//! and whether to build the missing shards of fully resident lanes ahead, in
-//! parallel, each once per session. The view is seeded with the shards of
-//! fully resident lanes only; over a partially resident lane it builds its own
-//! consistent throwaway pyramid, lazily.
+//! lanes to materialise — the lane plan, `StoreSession::lanes`, in **one**
+//! batch ([`StoredTrace::ensure_batch`]) — and, for a query or a report,
+//! whether to build the missing shards of fully resident lanes ahead, in
+//! parallel, each once per session. "Usable" means fully resident: the view
+//! is seeded with the shards of usable lanes only and builds a pyramid only
+//! under the build rule of `SessionState`, so every pyramid it builds is kept
+//! and a window over any other lane is scanned.
 //!
 //! A stored trace answers one request at a time (a server holds it behind a
 //! mutex), so the other cores are idle by construction: block decoding, shard
@@ -99,11 +101,7 @@ impl SalvageCoverage {
 
     /// True when a timeline frame of `mode` over `interval` is exact.
     pub fn allows_timeline(&self, mode: TimelineMode, interval: TimeInterval) -> bool {
-        self.allows(&Need::Frame {
-            mode,
-            interval,
-            engine: TimelineEngine::Adaptive,
-        })
+        self.allows(&Need::Frame { mode, interval })
     }
 
     /// True when an interval query over `interval` is exact.
@@ -138,13 +136,13 @@ pub struct StoreSessionStats {
     pub blocks_decoded: u64,
     /// Block bytes read from the cold tier.
     pub bytes_read: u64,
-    /// State pyramids built — once per fully resident lane, plus every
-    /// throwaway pyramid a view built over a partially resident one.
+    /// State pyramids built — at most one per state lane: the build rule of
+    /// `SessionState` lets a view build only a pyramid the session keeps.
     pub pyramid_builds: u64,
     /// Counter indexes built (see `pyramid_builds`).
     pub index_builds: u64,
     /// Access indexes built — once over the fully resident task and access
-    /// lanes, plus every throwaway a view built while one of them was not.
+    /// lanes, plus every one a view built while one of them was not.
     pub access_index_builds: u64,
     /// Persisted shards handed to a view instead of being rebuilt.
     pub shards_reseeded: u64,
@@ -317,8 +315,8 @@ impl StoreSession {
         )
     }
 
-    /// Builds one timeline frame from the store, materialising only what the
-    /// `(mode, engine)` combination needs ([`Need::Frame`]). The produced frame
+    /// Builds one timeline frame from the store, materialising only what its
+    /// mode reads ([`Need::Frame`]), whatever the engine. The produced frame
     /// is byte-identical to the same call on a fully resident
     /// [`AnalysisSession`].
     ///
@@ -333,19 +331,14 @@ impl StoreSession {
         filter: &TaskFilter,
         engine: TimelineEngine,
     ) -> Result<TimelineModel, AnalysisError> {
-        let need = Need::Frame {
-            mode,
-            interval,
-            engine,
-        };
-        self.with_view(need, |view| {
+        self.with_view(Need::Frame { mode, interval }, |view| {
             TimelineModel::build_with_engine(view, mode, interval, columns, filter, engine)
         })?
     }
 
     /// The open-to-first-frame path: a zoomed-out state-mode frame over the
-    /// whole trace, computed with the scan engine so only the state lanes are
-    /// materialised (no pyramid construction, no task or access decoding).
+    /// whole trace, computed with the scan engine: only the state lanes are
+    /// materialised (like every state frame) and no pyramid is read.
     ///
     /// # Errors
     ///
@@ -392,15 +385,16 @@ impl StoreSession {
     }
 
     /// The lane plan of a request: what [`StoreSession::with_view`]
-    /// materialises for `need`.
+    /// materialises for `need` — what the answer reads, nothing more.
     ///
-    /// State lanes are block-skipping — a scan-engine frame and a query pull in
-    /// just the contiguous block run of each state lane overlapping the
-    /// interval — every other lane has whole-lane granularity. A frame reads
-    /// the task table for task-based modes and the access table for NUMA modes;
-    /// the pyramid and default engines read both regardless and the state
-    /// lanes in full, because pyramid construction aggregates per-task and
-    /// per-node data. A query and a whole-trace scan read every lane.
+    /// State lanes are block-skipping — a frame and a query pull in just the
+    /// contiguous block run of each state lane overlapping the interval —
+    /// every other lane has whole-lane granularity. A frame, whatever its
+    /// engine, reads the task table if its mode reads tasks and the access
+    /// table if it reads accesses; a pyramid it cannot build without them is
+    /// not built (the build rule of `SessionState`). A query reads every lane
+    /// but the event lanes, which no aggregate of it reads; a whole-trace scan
+    /// reads every lane.
     fn lanes(&self, need: &Need) -> Vec<LaneRequest> {
         let lanes = self.stored.lanes();
         let covering = |interval| {
@@ -411,26 +405,19 @@ impl StoreSession {
         };
         match *need {
             Need::Nothing => Vec::new(),
-            Need::Frame {
-                mode,
-                interval,
-                engine,
-            } => {
-                let scan = engine == TimelineEngine::Scan;
-                let states = lanes.filter(|lane| matches!(lane, LaneId::States(_)));
-                let mut plan: Vec<LaneRequest> = match scan {
-                    true => states.map(covering(interval)).collect(),
-                    false => states.map(LaneRequest::Full).collect(),
-                };
-                if !scan || mode.reads_tasks() {
-                    plan.push(LaneRequest::Full(LaneId::Tasks));
-                }
-                if !scan || mode.reads_accesses() {
-                    plan.push(LaneRequest::Full(LaneId::Accesses));
-                }
-                plan
-            }
-            Need::Query { interval } => lanes.map(covering(interval)).collect(),
+            Need::Frame { mode, interval } => lanes
+                .filter(|&lane| match lane {
+                    LaneId::States(_) => true,
+                    LaneId::Tasks => mode.reads_tasks(),
+                    LaneId::Accesses => mode.reads_accesses(),
+                    LaneId::Events(_) | LaneId::Samples(..) => false,
+                })
+                .map(covering(interval))
+                .collect(),
+            Need::Query { interval } => lanes
+                .filter(|lane| !matches!(lane, LaneId::Events(_)))
+                .map(covering(interval))
+                .collect(),
             Need::WholeTrace => lanes.map(LaneRequest::Full).collect(),
         }
     }
@@ -440,10 +427,10 @@ impl StoreSession {
     /// residency back under the budget.
     ///
     /// The view is seeded with every kept shard whose lane is *fully* resident.
-    /// Unless the request reads no shard (nothing, or a scan-engine frame), the
-    /// missing shards of fully resident lanes are first built in parallel on
-    /// the store's thread budget; either way, what the view built over fully
-    /// resident lanes is kept afterwards.
+    /// For a query or a report, the missing shards of fully resident lanes are
+    /// first built in parallel on the store's thread budget (a frame builds a
+    /// row's pyramid on the row's own worker); either way, what the view built
+    /// is kept afterwards.
     ///
     /// # Errors
     ///
@@ -466,11 +453,8 @@ impl StoreSession {
         let full = |lane| stored.residency(lane) == LaneResidency::Full;
         let mut view = self.state.view(stored.trace(), None, full);
         view.threads = stored.decode_threads();
-        let reads_shards = match need {
-            Need::Nothing => false,
-            Need::Frame { engine, .. } => engine != TimelineEngine::Scan,
-            Need::Query { .. } | Need::WholeTrace => true,
-        };
+        // A frame prewarms nothing: its rows fan out over the CPUs anyway.
+        let reads_shards = matches!(need, Need::Query { .. } | Need::WholeTrace);
         if reads_shards {
             view.prewarm_lanes(stored.decode_threads(), full);
         }

@@ -484,6 +484,69 @@ fn stats_show_every_shard_built_once() {
     );
 }
 
+/// A request reads what its answer reads, whatever the engine: a default-engine
+/// state frame reads the block runs of the state lanes it covers and no table,
+/// so it builds no pyramid; a query reads no event lane, and over partially
+/// resident state lanes builds no pyramid either; a report reads every lane and
+/// builds each state lane's pyramid once. Every answer is the resident one.
+#[test]
+fn a_store_reads_what_each_answer_reads() {
+    let trace = numa_trace(512);
+    let resident = AnalysisSession::new(&trace);
+    let mut store = store_session(&trace, 8);
+    let lanes: Vec<LaneId> = store.store().lanes().collect();
+    let state_lanes: Vec<LaneId> = lanes
+        .iter()
+        .copied()
+        .filter(|lane| matches!(lane, LaneId::States(_)))
+        .collect();
+    let state_bytes: u64 = state_lanes
+        .iter()
+        .flat_map(|&lane| &store.store().lane_directory(lane).unwrap().blocks)
+        .map(|b| b.len)
+        .sum();
+    let bounds = store.time_bounds();
+    let start = bounds.start.0 + bounds.duration() / 2;
+    let eighth = TimeInterval::from_cycles(start, start + bounds.duration() / 8);
+    let absent =
+        |store: &StoreSession, lane| store.store().residency(lane) == LaneResidency::Absent;
+
+    // (a) A default-engine state frame.
+    let frame = store.timeline(TimelineMode::State, eighth, 32).unwrap();
+    assert_eq!(
+        frame,
+        *resident.timeline(TimelineMode::State, eighth, 32).unwrap()
+    );
+    let after_frame = store.stats();
+    assert!(
+        after_frame.bytes_read < state_bytes,
+        "{} of {state_bytes} state bytes read",
+        after_frame.bytes_read
+    );
+    assert!(absent(&store, LaneId::Tasks) && absent(&store, LaneId::Accesses));
+    assert_eq!(after_frame.pyramid_builds, 0);
+
+    // (b) A query over the same window.
+    let ctr = resident.counter_id("cycles").unwrap();
+    for cpu in (0..4).map(CpuId) {
+        let got = store.query(eighth, |q| query_bundle(q, cpu, ctr)).unwrap();
+        assert_eq!(got, query_bundle(&resident.query(eighth), cpu, ctr));
+    }
+    let events: Vec<&LaneId> = lanes
+        .iter()
+        .filter(|lane| matches!(lane, LaneId::Events(_)))
+        .collect();
+    assert!(!events.is_empty());
+    assert!(events.into_iter().all(|&lane| absent(&store, lane)));
+    assert_eq!(store.stats().pyramid_builds, 0);
+
+    // (c) A report.
+    let config = AnomalyConfig::default();
+    let report = store.detect_anomalies(&config).unwrap();
+    assert_eq!(*report, *resident.detect_anomalies(&config).unwrap());
+    assert_eq!(store.stats().pyramid_builds as usize, state_lanes.len());
+}
+
 /// The access index is persisted like a pyramid: built once over the fully
 /// resident task and access lanes, it survives their eviction at any budget
 /// and is shared again once they are back — and no answer changes. Strict and

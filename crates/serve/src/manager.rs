@@ -29,7 +29,6 @@ use std::mem::size_of;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use aftermath_core::session::IntervalQuery;
-use aftermath_core::timeline::TimelineEngine;
 use aftermath_core::{
     AnalysisError, AnalysisSession, CacheStats, Need, SharedSession, StoreSession, TaskFilter,
 };
@@ -280,11 +279,7 @@ fn unknown_session(session: u64) -> Response {
 /// What a request reads of its trace.
 fn need(request: &Request) -> Need {
     match *request {
-        Request::Timeline { mode, interval, .. } => Need::Frame {
-            mode,
-            interval,
-            engine: TimelineEngine::Adaptive,
-        },
+        Request::Timeline { mode, interval, .. } => Need::Frame { mode, interval },
         Request::Query { interval, .. } => Need::Query { interval },
         Request::Anomalies { .. } | Request::DrillIn { .. } => Need::WholeTrace,
         Request::Lint { .. } | Request::Open { .. } | Request::Close { .. } | Request::Stats => {

@@ -131,9 +131,10 @@ fn stats_count_a_store_traces_cache_and_its_shards() {
     let mut manager = SessionManager::new(8);
     manager.register_store("disk", store(&bytes));
     let (session, interval) = open(&manager, "disk");
+    // A NUMA frame: the one mode whose lanes let its view build pyramids.
     let frame = Request::Timeline {
         session,
-        mode: TimelineMode::TaskType,
+        mode: TimelineMode::NumaRead,
         interval,
         columns: 48,
     };
@@ -152,7 +153,7 @@ fn stats_count_a_store_traces_cache_and_its_shards() {
 
     // What the frame left resident, and the pyramids it built over it.
     let mut twin = store(&bytes);
-    twin.timeline(TimelineMode::TaskType, interval, 48)
+    twin.timeline(TimelineMode::NumaRead, interval, 48)
         .expect("twin frame computes");
     let resident = AnalysisSession::new(&trace);
     resident.prewarm(Threads::single());

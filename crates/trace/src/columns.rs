@@ -900,6 +900,12 @@ impl<'a> EventsView<'a> {
         Timestamp(self.timestamps[i])
     }
 
+    /// The raw kind columns — tags and the three payload lanes, an absent lazy
+    /// lane empty — for the column store's block encoder.
+    pub(crate) fn kind_columns(&self) -> (&'a [u8], [&'a [u64]; 3]) {
+        (self.tags, [self.payload_a, self.payload_b, self.payload_c])
+    }
+
     /// The kind of event `i`, materialised.
     #[inline]
     pub fn kind(&self, i: usize) -> DiscreteEventKind {
@@ -1318,6 +1324,12 @@ impl<'a> AccessesView<'a> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.kinds.is_empty()
+    }
+
+    /// The raw kind, address and size columns (kinds `0` read, `1` write) for
+    /// the column store's block encoder.
+    pub(crate) fn columns(&self) -> (&'a [u8], [&'a [u64]; 2]) {
+        (self.kinds, [self.addrs, self.sizes])
     }
 
     /// The task that performed access `i`.

@@ -85,7 +85,6 @@ use crate::crc::crc32;
 use crate::error::TraceError;
 use crate::format::{self, put_varint, VarintError};
 use crate::ids::{CounterId, CpuId, TaskId, TaskTypeId, TimeInterval, Timestamp};
-use crate::memory::AccessKind;
 use crate::state::WorkerState;
 use crate::task::TaskInstance;
 use crate::trace::{Trace, TraceData};
@@ -504,43 +503,29 @@ fn encode_events_block(
     hi: usize,
     out: &mut Vec<u8>,
 ) -> (u64, u64) {
-    let events = trace.cpu(cpu).expect("lane cpu exists").events();
-    let n = hi - lo;
-    let mut tags = Vec::with_capacity(n);
-    let mut pa = Vec::with_capacity(n);
-    let mut pb = Vec::with_capacity(n);
-    let mut pc = Vec::with_capacity(n);
-    for i in lo..hi {
-        let (tag, a, b, c) = encode_kind(events.get(i).kind);
-        tags.push(tag);
-        pa.push(a);
-        pb.push(b);
-        pc.push(c);
-    }
+    let events = trace
+        .cpu(cpu)
+        .expect("lane cpu exists")
+        .events()
+        .slice(lo, hi);
+    // The columns hold what `encode_kind` gives, an absent lazy lane as none.
+    let (tags, [pa, pb, pc]) = events.kind_columns();
     let has_b = pb.iter().any(|&v| v != 0);
     let has_c = pc.iter().any(|&v| v != 0);
     out.push(u8::from(has_b) | (u8::from(has_c) << 1));
-    let ts = &events.timestamps()[lo..hi];
+    let ts = events.timestamps();
     let mut prev = 0u64;
-    for (i, &t) in ts.iter().enumerate() {
-        put_varint(out, if i == 0 { t } else { t - prev });
+    for &t in ts {
+        put_varint(out, t - prev);
         prev = t;
     }
-    out.extend_from_slice(&tags);
-    for &a in &pa {
-        put_varint(out, a);
-    }
-    if has_b {
-        for &b in &pb {
-            put_varint(out, b);
+    out.extend_from_slice(tags);
+    for (lane, stored) in [(pa, true), (pb, has_b), (pc, has_c)] {
+        if stored {
+            lane.iter().for_each(|&v| put_varint(out, v));
         }
     }
-    if has_c {
-        for &c in &pc {
-            put_varint(out, c);
-        }
-    }
-    (ts[0], ts[n - 1])
+    (ts[0], ts[ts.len() - 1])
 }
 
 fn decode_events_block(buf: &[u8], rows: usize, out: &mut EventColumns) -> Result<(), TraceError> {
@@ -627,27 +612,19 @@ fn decode_samples_block(
 }
 
 fn encode_accesses_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) -> (u64, u64) {
-    let accesses = trace.accesses();
+    let accesses = trace.accesses().slice(lo, hi);
+    let (kinds, [addrs, sizes]) = accesses.columns();
+    let biased = |i: usize| accesses.task(i).0 + 1;
     let mut prev = 0u64;
-    let mut min_key = 0u64;
-    for i in lo..hi {
-        let a = accesses.get(i);
-        let biased = a.task.0 + 1;
-        if i == lo {
-            min_key = biased;
-            put_varint(out, biased);
-        } else {
-            put_varint(out, biased - prev);
-        }
-        prev = biased;
-        out.push(match a.kind {
-            AccessKind::Read => 0,
-            AccessKind::Write => 1,
-        });
-        put_varint(out, a.addr);
-        put_varint(out, a.size);
+    for (i, &kind) in kinds.iter().enumerate() {
+        let key = biased(i);
+        put_varint(out, key - prev);
+        prev = key;
+        out.push(kind);
+        put_varint(out, addrs[i]);
+        put_varint(out, sizes[i]);
     }
-    (min_key, prev)
+    (biased(0), prev)
 }
 
 fn decode_accesses_block(
@@ -1162,14 +1139,17 @@ fn read_directory(
     Ok((bounds, lanes, num_events))
 }
 
-/// Checks the structural invariants the materialisation path relies on: a
-/// lane's blocks form one contiguous, ascending byte run inside the data
-/// region `[data_start, data_end)`, every block has at least one row, and no
+/// Checks the structural invariants the materialisation path relies on: every
+/// lane names a CPU of the metadata's `cpus`, a lane's blocks form one
+/// contiguous, ascending byte run inside the data region
+/// `[data_start, data_end)`, every block has at least one row, and no
 /// encoding produces fewer than one byte per row. A directory that fails any
 /// of these is corrupt; rejecting it here keeps the decode paths free of
-/// unbounded allocations and offset arithmetic on untrusted values.
+/// unbounded allocations and offset arithmetic on untrusted values, and lets
+/// installing a lane (`TraceData::swap_lane`) never fail.
 fn validate_directory(
     lanes: &[LaneDirectory],
+    cpus: usize,
     data_start: u64,
     data_end: u64,
 ) -> Result<(), TraceError> {
@@ -1177,6 +1157,14 @@ fn validate_directory(
         TraceError::Format(format!("lane {lane}: corrupt block footer ({what})"))
     };
     for dir in lanes {
+        if let LaneId::States(cpu) | LaneId::Events(cpu) | LaneId::Samples(cpu, _) = dir.lane {
+            if cpu.0 as usize >= cpus {
+                return Err(TraceError::Format(format!(
+                    "lane {}: cpu outside the topology of {cpus} cpus",
+                    dir.lane
+                )));
+            }
+        }
         let mut next = None;
         for b in &dir.blocks {
             if b.rows == 0 {
@@ -1265,21 +1253,19 @@ impl TraceData {
     /// drops the old columns, evicting a swap with empty ones. A samples lane
     /// without rows has no entry in its CPU's map, so a trace with the lane
     /// evicted equals, and weighs, what it did before the lane was installed.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::UnknownCpu`] for a lane of a CPU outside the topology.
-    fn swap_lane(&mut self, lane: LaneId, chunk: Chunk) -> Result<Chunk, TraceError> {
+    /// The lane's CPU is one of the topology's: a store refuses any other at
+    /// open ([`validate_directory`]).
+    fn swap_lane(&mut self, lane: LaneId, chunk: Chunk) -> Chunk {
         use std::mem::replace;
-        Ok(match (lane, chunk) {
+        match (lane, chunk) {
             (LaneId::States(cpu), Chunk::States(col)) => {
-                Chunk::States(replace(&mut self.cpu_mut(cpu)?.states, col))
+                Chunk::States(replace(&mut self.per_cpu[cpu.0 as usize].states, col))
             }
             (LaneId::Events(cpu), Chunk::Events(col)) => {
-                Chunk::Events(replace(&mut self.cpu_mut(cpu)?.events, col))
+                Chunk::Events(replace(&mut self.per_cpu[cpu.0 as usize].events, col))
             }
             (LaneId::Samples(cpu, ctr), Chunk::Samples(col)) => {
-                let samples = &mut self.cpu_mut(cpu)?.samples;
+                let samples = &mut self.per_cpu[cpu.0 as usize].samples;
                 let old = if col.is_empty() {
                     samples.remove(&ctr)
                 } else {
@@ -1292,7 +1278,7 @@ impl TraceData {
             }
             (LaneId::Tasks, Chunk::Tasks(col)) => Chunk::Tasks(replace(&mut self.tasks, col)),
             _ => unreachable!("a lane's blocks decode to its own chunk kind"),
-        })
+        }
     }
 }
 
@@ -1545,7 +1531,7 @@ impl StoredTrace {
             )));
         }
         let (bounds, directory, num_events) = read_directory(&dir)?;
-        validate_directory(&directory, data_start, dir_offset)?;
+        validate_directory(&directory, skeleton.per_cpu().len(), data_start, dir_offset)?;
         let lane_index: HashMap<LaneId, usize> = directory
             .iter()
             .enumerate()
@@ -1801,9 +1787,7 @@ impl StoredTrace {
         if let Chunk::Accesses(col) = &mut rows {
             col.sort_by_task();
         }
-        self.skeleton.data_mut().swap_lane(lane, rows).expect(
-            "ensure_batch plans loads for CPUs of the topology only, and evict follows one",
-        );
+        self.skeleton.data_mut().swap_lane(lane, rows);
     }
 
     /// Heap bytes currently occupied by the resident rows of `lane`.
@@ -1916,10 +1900,6 @@ impl StoredTrace {
             } else if resident.is_some_and(|(rlo, rhi)| rlo <= lo && hi <= rhi) {
                 steps.push(Step::Touch(idx));
             } else {
-                // Checked here so that installing cannot fail half-way.
-                if let LaneId::States(cpu) | LaneId::Events(cpu) | LaneId::Samples(cpu, _) = lane {
-                    self.skeleton.cpu(cpu).ok_or(TraceError::UnknownCpu(cpu))?;
-                }
                 planned.insert(idx, (lo, hi));
                 steps.push(Step::Load { idx, lo, hi });
             }
@@ -2247,6 +2227,7 @@ mod aos_oracle {
 mod tests {
     use super::*;
     use crate::event::DiscreteEventKind;
+    use crate::memory::AccessKind;
     use crate::topology::MachineTopology;
     use crate::trace::TraceBuilder;
 
@@ -2525,6 +2506,40 @@ mod tests {
         corrupt[10] ^= 0x01;
         assert!(StoredTrace::from_bytes(corrupt.clone()).is_err());
         assert!(StoredTrace::from_bytes_salvage(corrupt).is_err());
+    }
+
+    #[test]
+    fn a_lane_of_a_cpu_outside_the_topology_is_refused_at_open() {
+        let trace = sample_trace();
+        let mut bytes = write_store_bytes(&trace, &StoreOptions::default()).unwrap();
+        let trailer = bytes.len() - TRAILER_LEN;
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let (dir_offset, dir_len) = (word(trailer), word(trailer + 8));
+        // Past the bounds flag (and bounds), the event count and the lane
+        // count sits the first lane: states of CPU 0, its CPU one varint byte.
+        let mut pos = dir_offset + 1;
+        let counts = if bytes[dir_offset] != 0 { 4 } else { 2 };
+        for _ in 0..counts {
+            get_varint(&bytes, &mut pos).unwrap();
+        }
+        assert_eq!(bytes[pos..pos + 2], [LANE_TAG_STATES, 0]);
+        let cpus = trace.topology().num_cpus();
+        bytes[pos + 1] = u8::try_from(cpus).unwrap();
+        // Re-sealed: the directory checksum vouches for the patched lane.
+        let crc = crc32(&bytes[dir_offset..dir_offset + dir_len]);
+        bytes[trailer + 16..trailer + 20].copy_from_slice(&crc.to_le_bytes());
+        let lane = LaneId::States(CpuId(cpus as u32));
+        for opened in [
+            StoredTrace::from_bytes(bytes.clone()),
+            StoredTrace::from_bytes_salvage(bytes),
+        ] {
+            match opened {
+                Err(TraceError::Format(msg)) => {
+                    assert!(msg.contains(&format!("lane {lane}")), "{msg}")
+                }
+                other => panic!("expected a format error naming {lane}, got {other:?}"),
+            }
+        }
     }
 
     #[test]
