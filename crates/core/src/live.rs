@@ -21,9 +21,10 @@
 //!   `advance` swaps in fresh caches instead of letting stale viewports survive.
 //!
 //! Queries go through [`session`](LiveSession::session), which opens a warm
-//! [`AnalysisSession`] view seeded with the incrementally maintained shards:
-//! the shards live in the same `SessionState` every other owner keeps, the
-//! live session just writes them itself instead of harvesting views. Because
+//! [`AnalysisSession`] view reading the incrementally maintained shards in
+//! place: they live in the slots of the same `SessionState` every other owner
+//! keeps, and the live session grows them itself through its own `&mut self`
+//! — which no view outlives, by the borrow rules. Because
 //! every incrementally updated index is structurally identical to a fresh build over the
 //! same stream, every answer — interval queries, timeline models, anomaly
 //! rankings — is **byte-identical** to a from-scratch batch session over the same
@@ -50,13 +51,12 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use aftermath_trace::streaming::{StreamingTrace, TraceChunk};
 use aftermath_trace::{
-    CounterId, CpuId, LintMode, LintReport, LintSummary, SamplesView, StatesView, TimeInterval,
-    Trace, TraceBuilder, TraceError,
+    LintMode, LintReport, LintSummary, SamplesView, StatesView, TimeInterval, Trace, TraceBuilder,
+    TraceError,
 };
 
 use crate::anomaly::{AnomalyConfig, AnomalyReport};
@@ -90,10 +90,10 @@ pub struct EpochStats {
 pub struct LiveSession {
     stream: StreamingTrace,
     epoch: u64,
-    /// The incrementally maintained shards (one counter index per sampled pair,
-    /// one pyramid per CPU with states) and what this epoch's views share: the
-    /// result caches and the access index, replaced when an `advance` appends
-    /// anything.
+    /// The slots of the incrementally maintained shards (one counter index per
+    /// sampled pair, one pyramid per CPU with states) and what this epoch's
+    /// views share: the result caches and the access index, replaced when an
+    /// `advance` appends anything.
     state: SessionState,
     /// Total summary nodes rebuilt since the session opened (cold build included).
     total_nodes_rebuilt: u64,
@@ -119,9 +119,9 @@ impl LiveSession {
     /// stream's accepted-chunk sequence across a resume.
     pub fn from_stream(stream: StreamingTrace) -> Self {
         let mut live = LiveSession {
+            state: SessionState::of(stream.trace()),
             stream,
             epoch: 0,
-            state: SessionState::new(),
             total_nodes_rebuilt: 0,
             lint: None,
         };
@@ -227,14 +227,15 @@ impl LiveSession {
     fn absorb(&mut self, items_before: usize) -> EpochStats {
         let trace = self.stream.trace();
         let mut nodes_rebuilt = 0;
-        for pc in trace.per_cpu() {
+        for (pc, pyramid) in trace.per_cpu().iter().zip(&mut self.state.pyramids) {
             // A CPU without states has no pyramid, as in a batch session (a
             // sample stream exists from its first sample on).
             if !pc.states().is_empty() {
-                nodes_rebuilt += grow_pyramid(&mut self.state.pyramids, trace, pc.states());
+                nodes_rebuilt += grow_pyramid(pyramid, trace, pc.states());
             }
-            for (_, samples) in pc.sample_streams() {
-                nodes_rebuilt += grow_index(&mut self.state.indexes, samples);
+            for (counter, samples) in pc.sample_streams() {
+                let index = self.state.indexes.entry((pc.cpu(), counter));
+                nodes_rebuilt += grow_index(index.or_default(), samples);
             }
         }
         let appended_items = item_count(trace) - items_before;
@@ -250,10 +251,10 @@ impl LiveSession {
         }
     }
 
-    /// Opens a warm [`AnalysisSession`] view of the current epoch: all maintained
-    /// index shards are pre-seeded (nothing rebuilds lazily that the live session
-    /// already has) and result caches are shared with every other view of this
-    /// epoch. A session ingesting through
+    /// Opens a warm [`AnalysisSession`] view of the current epoch: it reads every
+    /// maintained index shard in place (nothing rebuilds lazily that the live
+    /// session already has) and shares the result caches with every other view
+    /// of this epoch. A session ingesting through
     /// [`advance_lint`](LiveSession::advance_lint) hands its accumulated lint
     /// summary to every view ([`AnalysisSession::lint_summary`]).
     pub fn session(&self) -> AnalysisSession<'_> {
@@ -289,9 +290,10 @@ impl LiveSession {
 
     /// Total summary nodes currently held across all indexes and pyramids.
     pub fn num_index_nodes(&self) -> usize {
-        let indexes = self.state.indexes.values().map(|i| i.num_nodes());
-        let pyramids = self.state.pyramids.values().map(|p| p.num_nodes());
-        indexes.chain(pyramids).sum()
+        let indexes = self.state.indexes.values().filter_map(OnceLock::get);
+        let pyramids = self.state.pyramids.iter().filter_map(OnceLock::get);
+        indexes.map(CounterIndex::num_nodes).sum::<usize>()
+            + pyramids.map(StatePyramid::num_nodes).sum::<usize>()
     }
 
     /// Total summary nodes rebuilt since the session opened, cold builds included
@@ -348,30 +350,21 @@ impl LiveSession {
     }
 }
 
-/// Lets a CPU's pyramid absorb the states appended since it was last grown, by
-/// rebuilding its rightmost spine; the CPU's first states grow an empty one,
-/// which is a build. Returns the number of summary nodes (re)computed.
-fn grow_pyramid(
-    pyramids: &mut HashMap<u32, Arc<StatePyramid>>,
-    trace: &Trace,
-    states: StatesView<'_>,
-) -> usize {
-    let empty = || Arc::new(StatePyramid::build(trace, states.slice(0, 0)));
-    // Unique at this point: session views borrow the `LiveSession`, so none
-    // is alive across a `&mut self` call; make_mut never clones.
-    let pyramid = Arc::make_mut(pyramids.entry(states.cpu().0).or_insert_with(empty));
+/// Lets a CPU's pyramid slot absorb the states appended since it was last
+/// grown, by rebuilding its rightmost spine; the CPU's first states grow an
+/// empty one, which is a build. Returns the number of summary nodes
+/// (re)computed.
+fn grow_pyramid(slot: &mut OnceLock<StatePyramid>, trace: &Trace, states: StatesView<'_>) -> usize {
+    slot.get_or_init(|| StatePyramid::build(trace, states.slice(0, 0)));
+    let pyramid = slot.get_mut().expect("initialised above");
     let old_len = pyramid.num_intervals();
     pyramid.append_tail(trace, states, old_len)
 }
 
-/// [`grow_pyramid`] for the counter index of one sampled pair.
-fn grow_index(
-    indexes: &mut HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
-    samples: SamplesView<'_>,
-) -> usize {
-    let empty = || Arc::new(CounterIndex::new(samples.slice(0, 0)));
-    let key = (samples.cpu(), samples.counter());
-    let index = Arc::make_mut(indexes.entry(key).or_insert_with(empty));
+/// [`grow_pyramid`] for the counter-index slot of one sampled pair.
+fn grow_index(slot: &mut OnceLock<CounterIndex>, samples: SamplesView<'_>) -> usize {
+    slot.get_or_init(|| CounterIndex::new(samples.slice(0, 0)));
+    let index = slot.get_mut().expect("initialised above");
     let old_len = index.num_samples();
     index.append_tail(samples, old_len)
 }
@@ -387,6 +380,7 @@ mod tests {
     use super::*;
     use crate::testutil::small_sim_trace;
     use aftermath_trace::streaming::{make_streamable, split_even};
+    use aftermath_trace::CpuId;
 
     fn replayable() -> (TraceBuilder, Vec<TraceChunk>, Trace) {
         let trace = make_streamable(&small_sim_trace());
@@ -421,8 +415,8 @@ mod tests {
         for chunk in chunks {
             live.advance(chunk).unwrap();
             let view = live.session();
-            // Every maintained shard is pre-seeded: the view reports them as built
-            // without having answered a single query.
+            // The view reads every maintained shard in place: it reports them as
+            // built without having answered a single query.
             assert_eq!(view.built_counter_indexes(), live.state.indexes.len());
             let batch = AnalysisSession::new(live.trace());
             assert_eq!(live.time_bounds(), batch.time_bounds());

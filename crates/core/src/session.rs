@@ -1,7 +1,14 @@
 //! The analysis session: an indexed view over a loaded trace.
+//!
+//! Every [`AnalysisSession`] reads and fills the shard slots of one
+//! `SessionState` in place: one of its own for [`AnalysisSession::new`], its
+//! owner's for a view that a [`crate::SharedSession`], [`crate::StoreSession`]
+//! or [`crate::live::LiveSession`] hands out. What a view may read and fill —
+//! the slot rule and the build rule — is stated once, on `SessionState`.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use aftermath_exec::{parallel_map, Threads};
@@ -54,24 +61,21 @@ use crate::timeline::{EngineDecision, TimelineMode, TimelineModel};
 #[derive(Debug)]
 pub struct AnalysisSession<'t> {
     trace: &'t Trace,
-    /// Lazily built counter min/max indexes: one shard per `(CPU, counter)` pair
-    /// that actually has samples. Keying by the exact pair (instead of a dense
-    /// `cpu × counter` table) keeps session open cost proportional to the data —
-    /// a sparse trace on a many-CPU, many-counter machine allocates one slot per
-    /// present pair, not the full cross product. Shards are `Arc`s so an owner's
-    /// `SessionState` seeds a view without copying them.
-    counter_shards: HashMap<(CpuId, CounterId), OnceLock<Arc<CounterIndex>>>,
-    /// Lazily built multi-resolution state pyramids, one per CPU with a non-empty
-    /// state stream ([`crate::pyramid`]); built on first timeline/interval query or
-    /// all at once by [`AnalysisSession::prewarm`].
-    pyramids: Vec<OnceLock<Arc<StatePyramid>>>,
-    /// Per CPU: whether this view may build a pyramid it was not seeded with
-    /// (the build rule of `SessionState`; always, outside a store).
-    builds_pyramid: Vec<bool>,
+    /// The slots this view reads and fills: its owner's `SessionState`, or —
+    /// for [`AnalysisSession::new`] — one of its own.
+    state: Slots<'t>,
+    /// Per CPU: whether the owner calls `States(c)` usable, i.e. whether this
+    /// view reads CPU `c`'s pyramid slot at all (the slot rule of
+    /// `SessionState`).
+    usable_states: Vec<bool>,
+    /// Index slots of this view's own for the sampled pairs whose lane the
+    /// owner does not call usable; they shadow the owner's and are dropped
+    /// with the view.
+    own_indexes: HashMap<(CpuId, CounterId), OnceLock<CounterIndex>>,
+    /// The access-index slot of this view's own, present while `Tasks` or
+    /// `Accesses` is not usable — and then no pyramid slot is filled.
+    own_access_index: Option<OnceLock<AccessIndex>>,
     task_graph: OnceLock<TaskGraph>,
-    /// The result caches and the access index: the state a longer-lived owner
-    /// shares with every view it hands out.
-    handles: SessionHandles,
     /// Ordered log of the frames built with the default engine
     /// ([`AnalysisSession::engine_decisions`]).
     engine_log: Mutex<Vec<EngineDecision>>,
@@ -87,41 +91,23 @@ pub struct AnalysisSession<'t> {
     /// and it is one thread for [`AnalysisSession::new`] and a
     /// [`crate::LiveSession`] view.
     pub(crate) threads: Threads,
-    /// What `SessionState::view` put into this view, for `SessionState::absorb`.
-    seeded: Seeded,
 }
 
-/// What a view was seeded with: the owner's counters tell re-use from building.
-#[derive(Debug, Clone, Copy, Default)]
-struct Seeded {
-    indexes: usize,
-    pyramids: usize,
-    access_index: bool,
+/// The `SessionState` a view reads: borrowed from a long-lived owner, or owned
+/// by an [`AnalysisSession::new`] session.
+#[derive(Debug)]
+enum Slots<'t> {
+    Owned(Box<SessionState>),
+    Borrowed(&'t SessionState),
 }
 
-/// The shareable, internally synchronised state of a session. A batch session owns
-/// its handles exclusively; a [`SessionState`] keeps one set and clones it into
-/// every view it hands out, so views share results.
-#[derive(Debug, Clone)]
-struct SessionHandles {
-    /// Ranked anomaly reports per configuration.
-    anomaly_cache: Arc<SharedCache<AnomalyConfig, AnomalyReport>>,
-    /// Timeline models per viewport.
-    timeline_cache: Arc<SharedCache<TimelineKey, TimelineModel>>,
-    /// The access index ([`crate::access_index`]), built on first use — by
-    /// [`AnalysisSession::prewarm`], a pyramid build, a NUMA-mode frame or a
-    /// whole-trace NUMA analysis — over the task and access tables as they are
-    /// then.
-    access_index: Arc<OnceLock<AccessIndex>>,
-}
+impl std::ops::Deref for Slots<'_> {
+    type Target = SessionState;
 
-impl SessionHandles {
-    /// Empty caches at the session's default capacities, nothing indexed yet.
-    fn new() -> Self {
-        SessionHandles {
-            anomaly_cache: Arc::new(SharedCache::new(AnalysisSession::ANOMALY_CACHE_CAPACITY)),
-            timeline_cache: Arc::new(SharedCache::new(AnalysisSession::TIMELINE_CACHE_CAPACITY)),
-            access_index: Arc::new(OnceLock::new()),
+    fn deref(&self) -> &SessionState {
+        match self {
+            Slots::Owned(state) => state,
+            Slots::Borrowed(state) => state,
         }
     }
 }
@@ -152,119 +138,112 @@ pub enum Need {
     WholeTrace,
 }
 
-/// What every long-lived owner of a trace — [`crate::SharedSession`],
-/// [`crate::StoreSession`], [`crate::live::LiveSession`] — keeps between the
-/// [`AnalysisSession`] views it hands out: the index shards built so far, the
-/// result caches and access index every view shares, and counters of what was
-/// built and what was re-used.
+/// The one set of slots a trace owner keeps — [`crate::SharedSession`],
+/// [`crate::StoreSession`], [`crate::live::LiveSession`], and every
+/// [`AnalysisSession::new`] session for itself — and every view it hands out
+/// reads in place: one [`OnceLock`] per sampled `(CPU, counter)` pair and per
+/// CPU's pyramid, the access-index slot, the two result caches, and counters
+/// of what was built and re-used. The counters count where a slot is filled;
+/// a `OnceLock` per slot is all the synchronisation the slots need.
 ///
-/// Shards hold absolute row indices into their lane, so [`SessionState::view`]
-/// seeds a shard only while the owner calls its lane `usable` (a store: fully
-/// resident) and [`SessionState::absorb`] keeps only shards built over usable
-/// lanes; a kept shard survives its lane becoming unusable and is seeded again
-/// once the lane is back. The access index follows the same rule over its two
-/// lanes, tasks and accesses.
+/// **The slot rule.** Shards hold absolute row indices into their lane, so a
+/// view reads and fills the owner's slot of a lane only while the owner calls
+/// the lane `usable` (a store: fully resident); a filled slot survives its lane
+/// becoming unusable and is read again once the lane is back. For a sample
+/// lane that is not usable the view builds into a slot of its own, dropped
+/// with the view; so it does for the access index, over the task and access
+/// lanes.
 ///
 /// **The build rule.** A pyramid node aggregates a CPU's states, their tasks
-/// and those tasks' accesses, so a view may *build* CPU `c`'s pyramid only
-/// while `States(c)`, `Tasks` and `Accesses` are all usable — and then the
-/// owner keeps it. Otherwise [`AnalysisSession::pyramid`] is `None` (unless
-/// one was seeded) and every window on that CPU is reduced by the scan, with
-/// the same answer bit for bit ([`Window`]).
+/// and those tasks' accesses, so a view fills CPU `c`'s pyramid slot only while
+/// `States(c)`, `Tasks` and `Accesses` are all usable, and has no slot of its
+/// own for one: [`AnalysisSession::pyramid`] is then `None` unless the slot is
+/// filled, and every window on that CPU is reduced by the scan, with the same
+/// answer bit for bit ([`Window`]). Every pyramid a view builds is kept.
 #[derive(Debug)]
 pub(crate) struct SessionState {
-    /// Counter indexes by `(CPU, counter)`; a live session maintains them in place.
-    pub(crate) indexes: HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
-    /// State pyramids by CPU id (see `indexes`).
-    pub(crate) pyramids: HashMap<u32, Arc<StatePyramid>>,
-    handles: SessionHandles,
-    /// Pyramids views built (the build rule: each one is kept).
-    pub(crate) pyramid_builds: u64,
-    /// Counter indexes views built (see `pyramid_builds`).
-    pub(crate) index_builds: u64,
-    /// Access indexes views built (see `pyramid_builds`).
-    pub(crate) access_index_builds: u64,
-    /// Kept shards handed to a view instead of being rebuilt.
-    pub(crate) shards_reseeded: u64,
+    /// Counter-index slots by `(CPU, counter)`; a live session grows them in place.
+    pub(crate) indexes: HashMap<(CpuId, CounterId), OnceLock<CounterIndex>>,
+    /// Pyramid slots, one per CPU (see `indexes`).
+    pub(crate) pyramids: Vec<OnceLock<StatePyramid>>,
+    /// The access index ([`crate::access_index`]), built on first use — by
+    /// [`AnalysisSession::prewarm`], a pyramid build, a NUMA-mode frame or a
+    /// whole-trace NUMA analysis — over the task and access tables as they are
+    /// then.
+    access_index: OnceLock<AccessIndex>,
+    /// Ranked anomaly reports per configuration.
+    anomaly_cache: SharedCache<AnomalyConfig, AnomalyReport>,
+    /// Timeline models per viewport.
+    timeline_cache: SharedCache<TimelineKey, TimelineModel>,
+    /// Pyramids built (the build rule: each one is kept).
+    pub(crate) pyramid_builds: AtomicU64,
+    /// Counter indexes built, a view's own slots included.
+    pub(crate) index_builds: AtomicU64,
+    /// Access indexes built, a view's own slot included.
+    pub(crate) access_index_builds: AtomicU64,
+    /// Filled slots on usable lanes that views started with.
+    pub(crate) shards_reseeded: AtomicU64,
 }
 
 impl SessionState {
-    /// Nothing built, empty caches.
-    pub(crate) fn new() -> Self {
+    /// Empty slots for `cpus` pyramids and the `sampled` pairs' indexes, empty
+    /// caches.
+    pub(crate) fn new(cpus: usize, sampled: impl IntoIterator<Item = (CpuId, CounterId)>) -> Self {
         SessionState {
-            indexes: HashMap::new(),
-            pyramids: HashMap::new(),
-            handles: SessionHandles::new(),
-            pyramid_builds: 0,
-            index_builds: 0,
-            access_index_builds: 0,
-            shards_reseeded: 0,
+            indexes: sampled
+                .into_iter()
+                .map(|key| (key, OnceLock::new()))
+                .collect(),
+            pyramids: (0..cpus).map(|_| OnceLock::new()).collect(),
+            access_index: OnceLock::new(),
+            anomaly_cache: SharedCache::new(AnalysisSession::ANOMALY_CACHE_CAPACITY),
+            timeline_cache: SharedCache::new(AnalysisSession::TIMELINE_CACHE_CAPACITY),
+            pyramid_builds: AtomicU64::new(0),
+            index_builds: AtomicU64::new(0),
+            access_index_builds: AtomicU64::new(0),
+            shards_reseeded: AtomicU64::new(0),
         }
     }
 
-    /// A view over `trace` sharing the result caches, seeded with every kept
-    /// shard whose lane is `usable`, and with the kept access
-    /// index while `Tasks` and `Accesses` both are (an empty slot of its own
-    /// otherwise). Costs `O(kept shards)` `Arc` clones; whatever is not seeded
-    /// stays lazy like in [`AnalysisSession::new`], pyramids under the build
-    /// rule.
+    /// [`SessionState::new`] for every CPU of `trace` and every pair it has
+    /// samples of.
+    pub(crate) fn of(trace: &Trace) -> Self {
+        let sampled = trace.per_cpu().iter().flat_map(|pc| {
+            pc.sample_streams()
+                .filter(|(_, samples)| !samples.is_empty())
+                .map(move |(counter, _)| (pc.cpu(), counter))
+        });
+        Self::new(trace.per_cpu().len(), sampled)
+    }
+
+    /// A view over `trace` that reads these slots under the slot rule, with
+    /// `usable` saying which lanes the owner calls usable. Costs `O(slots)`
+    /// and copies no shard.
     pub(crate) fn view<'t>(
-        &self,
+        &'t self,
         trace: &'t Trace,
         lint: Option<&LintSummary>,
         usable: impl Fn(LaneId) -> bool,
     ) -> AnalysisSession<'t> {
-        let mut handles = self.handles.clone();
-        let tables = usable(LaneId::Tasks) && usable(LaneId::Accesses);
-        if !tables {
-            handles.access_index = Arc::default();
-        }
-        let indexes = self
-            .indexes
-            .iter()
-            .filter(|(&(cpu, counter), _)| usable(LaneId::Samples(cpu, counter)));
-        let pyramids = self
-            .pyramids
-            .iter()
-            .filter(|(&cpu, _)| usable(LaneId::States(CpuId(cpu))));
-        let mut view = AnalysisSession::with_prebuilt(trace, indexes, pyramids, handles);
-        for (cpu, builds) in view.builds_pyramid.iter_mut().enumerate() {
-            *builds = tables && usable(LaneId::States(CpuId(cpu as u32)));
-        }
+        let mut view = AnalysisSession::over(trace, Slots::Borrowed(self), usable);
         view.lint = lint.cloned();
         view
     }
 
-    /// Keeps what `view` built over `usable` lanes — every pyramid it holds, by
-    /// the build rule — and counts what it built and what it was handed.
-    pub(crate) fn absorb(&mut self, view: &AnalysisSession<'_>, usable: impl Fn(LaneId) -> bool) {
-        let (indexes, pyramids) = view.built_shards();
-        let seeded = view.seeded;
-        self.shards_reseeded += (seeded.indexes + seeded.pyramids) as u64;
-        self.index_builds += indexes.len().saturating_sub(seeded.indexes) as u64;
-        self.pyramid_builds += pyramids.len().saturating_sub(seeded.pyramids) as u64;
-        self.access_index_builds += u64::from(!seeded.access_index && view.access_index_built());
-        self.indexes.extend(
-            indexes
-                .into_iter()
-                .filter(|&((cpu, counter), _)| usable(LaneId::Samples(cpu, counter))),
-        );
-        self.pyramids.extend(pyramids);
-    }
-
-    /// Bytes of every kept counter index and pyramid and the kept access index.
+    /// Bytes of every built counter index and pyramid and the access index.
     pub(crate) fn memory_bytes(&self) -> usize {
-        let indexes: usize = self.indexes.values().map(|i| i.memory_bytes()).sum();
-        let pyramids: usize = self.pyramids.values().map(|p| p.memory_bytes()).sum();
-        let access_index = self.handles.access_index.get();
-        indexes + pyramids + access_index.map_or(0, |index| index.memory_bytes())
+        let indexes = self.indexes.values().filter_map(OnceLock::get);
+        let pyramids = self.pyramids.iter().filter_map(OnceLock::get);
+        indexes.map(CounterIndex::memory_bytes).sum::<usize>()
+            + pyramids.map(StatePyramid::memory_bytes).sum::<usize>()
+            + self.access_index.get().map_or(0, AccessIndex::memory_bytes)
     }
 
     /// Combined hit/miss totals of the timeline-model and anomaly-report caches,
     /// accumulated across every view.
     pub(crate) fn cache_stats(&self) -> CacheStats {
-        let (th, tm) = self.handles.timeline_cache.stats();
-        let (ah, am) = self.handles.anomaly_cache.stats();
+        let (th, tm) = self.timeline_cache.stats();
+        let (ah, am) = self.anomaly_cache.stats();
         CacheStats {
             hits: th + ah,
             misses: tm + am,
@@ -275,20 +254,19 @@ impl SessionState {
     /// access index — when a live epoch appends to it. The shards are the live
     /// session's to maintain.
     pub(crate) fn invalidate_data(&mut self) {
-        self.handles = SessionHandles::new();
+        self.access_index = OnceLock::new();
+        self.anomaly_cache = SharedCache::new(AnalysisSession::ANOMALY_CACHE_CAPACITY);
+        self.timeline_cache = SharedCache::new(AnalysisSession::TIMELINE_CACHE_CAPACITY);
     }
+}
+
+/// Adds `n` to a build or re-use counter of a [`SessionState`].
+fn count(counter: &AtomicU64, n: usize) {
+    counter.fetch_add(n as u64, Ordering::Relaxed);
 }
 
 /// Cache key of one timeline-model computation: everything the model depends on.
 type TimelineKey = (TimelineMode, TimeInterval, usize, TaskFilter);
-
-/// Every counter-index shard and state pyramid a view has built so far, as
-/// [`SessionState::absorb`] harvests them. (The access index needs no harvest: its
-/// slot is one of the [`SessionHandles`].)
-type BuiltShards = (
-    HashMap<(CpuId, CounterId), Arc<CounterIndex>>,
-    HashMap<u32, Arc<StatePyramid>>,
-);
 
 fn timeline_cache_key(key: &TimelineKey) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -478,36 +456,48 @@ impl<'t> AnalysisSession<'t> {
     /// first touch, and state pyramids lazily per CPU. Call
     /// [`AnalysisSession::prewarm`] to build them all up front.
     pub fn new(trace: &'t Trace) -> Self {
-        Self::with_handles(trace, SessionHandles::new())
+        let state = Box::new(SessionState::of(trace));
+        Self::over(trace, Slots::Owned(state), |_| true)
     }
 
-    /// Like [`AnalysisSession::new`] but sharing an owner's handles.
-    fn with_handles(trace: &'t Trace, handles: SessionHandles) -> Self {
-        // One empty slot per (CPU, counter) pair that has samples; the indexes
-        // themselves are built on first touch.
-        let counter_shards = trace
-            .per_cpu()
-            .iter()
-            .enumerate()
-            .flat_map(|(cpu, pc)| {
-                pc.sample_streams()
-                    .filter(|(_, samples)| !samples.is_empty())
-                    .map(move |(counter, _)| ((CpuId(cpu as u32), counter), OnceLock::new()))
-                    .collect::<Vec<_>>()
-            })
+    /// A view over `trace` reading `state`'s slots under the slot rule of
+    /// [`SessionState`]: the owner's slot of every `usable` lane, a fresh one
+    /// of its own for every other sample lane and, unless `Tasks` and
+    /// `Accesses` are both usable, for the access index. Counts the filled
+    /// slots on usable lanes it starts with as re-used.
+    fn over(trace: &'t Trace, state: Slots<'t>, usable: impl Fn(LaneId) -> bool) -> Self {
+        let usable_states: Vec<bool> = (0..state.pyramids.len())
+            .map(|cpu| usable(LaneId::States(CpuId(cpu as u32))))
             .collect();
-        let cpus = trace.per_cpu().len();
+        let own_indexes: HashMap<_, _> = state
+            .indexes
+            .keys()
+            .filter(|&&(cpu, counter)| !usable(LaneId::Samples(cpu, counter)))
+            .map(|&key| (key, OnceLock::new()))
+            .collect();
+        let reused_indexes = state
+            .indexes
+            .iter()
+            .filter(|&(key, slot)| slot.get().is_some() && !own_indexes.contains_key(key))
+            .count();
+        let reused_pyramids = state
+            .pyramids
+            .iter()
+            .zip(&usable_states)
+            .filter(|&(slot, &usable)| usable && slot.get().is_some())
+            .count();
+        count(&state.shards_reseeded, reused_indexes + reused_pyramids);
+        let tables = usable(LaneId::Tasks) && usable(LaneId::Accesses);
         AnalysisSession {
             trace,
-            counter_shards,
-            pyramids: (0..cpus).map(|_| OnceLock::new()).collect(),
-            builds_pyramid: vec![true; cpus],
+            state,
+            usable_states,
+            own_indexes,
+            own_access_index: (!tables).then(OnceLock::new),
             task_graph: OnceLock::new(),
-            handles,
             engine_log: Mutex::new(Vec::new()),
             lint: None,
             threads: Threads::single(),
-            seeded: Seeded::default(),
         }
     }
 
@@ -535,46 +525,6 @@ impl<'t> AnalysisSession<'t> {
         self.lint.as_ref()
     }
 
-    /// [`AnalysisSession::with_handles`] with the given shards already in their
-    /// slots: no index is copied or rebuilt.
-    fn with_prebuilt<'a>(
-        trace: &'t Trace,
-        indexes: impl Iterator<Item = (&'a (CpuId, CounterId), &'a Arc<CounterIndex>)>,
-        pyramids: impl Iterator<Item = (&'a u32, &'a Arc<StatePyramid>)>,
-        handles: SessionHandles,
-    ) -> Self {
-        let mut session = Self::with_handles(trace, handles);
-        session.seeded.access_index = session.access_index_built();
-        for (key, index) in indexes {
-            if let Some(slot) = session.counter_shards.get(key) {
-                session.seeded.indexes += usize::from(slot.set(Arc::clone(index)).is_ok());
-            }
-        }
-        for (&cpu, pyramid) in pyramids {
-            if let Some(slot) = session.pyramids.get(cpu as usize) {
-                session.seeded.pyramids += usize::from(slot.set(Arc::clone(pyramid)).is_ok());
-            }
-        }
-        session
-    }
-
-    /// Every index shard built **so far** — the inverse of
-    /// [`AnalysisSession::with_prebuilt`], `O(built shards)` `Arc` clones.
-    fn built_shards(&self) -> BuiltShards {
-        let indexes = self
-            .counter_shards
-            .iter()
-            .filter_map(|(&key, slot)| Some((key, Arc::clone(slot.get()?))))
-            .collect();
-        let pyramids = self
-            .pyramids
-            .iter()
-            .enumerate()
-            .filter_map(|(cpu, slot)| Some((cpu as u32, Arc::clone(slot.get()?))))
-            .collect();
-        (indexes, pyramids)
-    }
-
     /// The index shard of one `(CPU, counter)` pair (built on first touch) together
     /// with the sample stream it indexes, so callers do not resolve the samples a
     /// second time.
@@ -588,50 +538,66 @@ impl<'t> AnalysisSession<'t> {
         cpu: CpuId,
         counter: CounterId,
     ) -> Option<(&CounterIndex, SamplesView<'t>)> {
-        let slot = self.counter_shards.get(&(cpu, counter))?;
+        // The view's own slot for a lane the owner does not call usable, the
+        // owner's otherwise (the slot rule of `SessionState`).
+        let key = (cpu, counter);
+        let slot = self
+            .own_indexes
+            .get(&key)
+            .or_else(|| self.state.indexes.get(&key))?;
         let samples = self.samples(cpu, counter);
-        debug_assert!(
-            !samples.is_empty(),
-            "shard slots exist only for sampled pairs"
-        );
-        let index = slot.get_or_init(|| Arc::new(CounterIndex::new(samples)));
-        Some((index.as_ref(), samples))
+        if samples.is_empty() {
+            return None;
+        }
+        let index = slot.get_or_init(|| {
+            count(&self.state.index_builds, 1);
+            CounterIndex::new(samples)
+        });
+        Some((index, samples))
     }
 
     /// The multi-resolution state pyramid of one CPU, built on first touch
     /// ([`crate::pyramid::StatePyramid`]). `None` for an unknown CPU, a CPU
-    /// without state intervals, or one whose pyramid the view was neither
-    /// seeded with nor may build (the build rule of `SessionState`).
+    /// without state intervals, or one whose pyramid slot is empty and the view
+    /// may not fill (the build rule of `SessionState`).
     pub fn pyramid(&self, cpu: CpuId) -> Option<&StatePyramid> {
-        let slot = self.pyramids.get(cpu.0 as usize)?;
+        let c = cpu.0 as usize;
+        let slot = self
+            .state
+            .pyramids
+            .get(c)
+            .filter(|_| self.usable_states[c])?;
         let states = self.states(cpu);
-        if states.is_empty() || (slot.get().is_none() && !self.builds_pyramid[cpu.0 as usize]) {
+        // The owner's access-index slot is read exactly while the tables are usable.
+        let may_fill = self.own_access_index.is_none();
+        if states.is_empty() || (slot.get().is_none() && !may_fill) {
             return None;
         }
-        Some(
-            slot.get_or_init(|| {
-                Arc::new(StatePyramid::build_from(
-                    self.trace,
-                    &self.accesses(),
-                    states,
-                    DEFAULT_PYRAMID_FANOUT,
-                ))
-            })
-            .as_ref(),
-        )
+        Some(slot.get_or_init(|| {
+            count(&self.state.pyramid_builds, 1);
+            StatePyramid::build_from(self.trace, &self.accesses(), states, DEFAULT_PYRAMID_FANOUT)
+        }))
     }
 
     /// The access index of this session's trace ([`crate::access_index`]), built
     /// on first use in one linear pass over the access table.
     pub fn access_index(&self) -> &AccessIndex {
-        self.handles
-            .access_index
-            .get_or_init(|| AccessIndex::build(self.trace))
+        self.access_index_slot().get_or_init(|| {
+            count(&self.state.access_index_builds, 1);
+            AccessIndex::build(self.trace)
+        })
+    }
+
+    /// The access-index slot this view reads (the slot rule of `SessionState`).
+    fn access_index_slot(&self) -> &OnceLock<AccessIndex> {
+        self.own_access_index
+            .as_ref()
+            .unwrap_or(&self.state.access_index)
     }
 
     /// Whether the access index has been built (diagnostics).
     pub fn access_index_built(&self) -> bool {
-        self.handles.access_index.get().is_some()
+        self.access_index_slot().get().is_some()
     }
 
     /// The table-based [`crate::access_index::AccessSource`] every in-session NUMA
@@ -657,9 +623,9 @@ impl<'t> AnalysisSession<'t> {
         self.engine_log.lock().expect("engine log poisoned").clone()
     }
 
-    /// Builds every not-yet-built index shard — the access index, then counter
-    /// min/max/sum indexes *and* per-CPU state pyramids in parallel on up to
-    /// `threads` workers — and returns the total number of built shards.
+    /// Builds every not-yet-built shard the owner keeps — the access index, then
+    /// counter min/max/sum indexes *and* per-CPU state pyramids in parallel on up
+    /// to `threads` workers — and returns the total number of built shards.
     ///
     /// An interactive front-end calls this right after loading a trace so that every
     /// later [`counter_min_max`](Self::counter_min_max) or timeline query is answered
@@ -667,26 +633,27 @@ impl<'t> AnalysisSession<'t> {
     /// race with concurrent queries without ever duplicating or tearing an index.
     pub fn prewarm(&self, threads: Threads) -> usize {
         self.access_index();
-        1 + self.prewarm_lanes(threads, |_| true)
+        1 + self.prewarm_lanes(threads)
     }
 
-    /// The per-lane half of [`AnalysisSession::prewarm`], restricted to the
-    /// shards whose backing lane — [`LaneId::Samples`] for a counter index,
-    /// [`LaneId::States`] for a pyramid — `wanted` accepts: a
-    /// [`crate::StoreSession`] wants only the fully resident ones. Pyramids go
-    /// through [`AnalysisSession::pyramid`], so the build rule holds here too.
+    /// The per-lane half of [`AnalysisSession::prewarm`]: fills the owner's
+    /// slots of the lanes it calls usable — [`LaneId::Samples`] for a counter
+    /// index, [`LaneId::States`] for a pyramid; a [`crate::StoreSession`]
+    /// calls only the fully resident ones usable. Pyramids go through
+    /// [`AnalysisSession::pyramid`], so the build rule holds here too.
     ///
     /// The access index is not a per-lane shard and is not built ahead here: the
     /// first pyramid build reads through it and builds it (the other workers wait
     /// on its [`OnceLock`]).
-    pub(crate) fn prewarm_lanes(&self, threads: Threads, wanted: impl Fn(LaneId) -> bool) -> usize {
-        let lanes: Vec<LaneId> = self
-            .counter_shards
-            .keys()
-            .map(|&(cpu, counter)| LaneId::Samples(cpu, counter))
-            .chain((0..self.pyramids.len()).map(|cpu| LaneId::States(CpuId(cpu as u32))))
-            .filter(|&lane| wanted(lane))
-            .collect();
+    pub(crate) fn prewarm_lanes(&self, threads: Threads) -> usize {
+        let indexes = self.state.indexes.keys();
+        let indexes = indexes
+            .filter(|key| !self.own_indexes.contains_key(key))
+            .map(|&(cpu, counter)| LaneId::Samples(cpu, counter));
+        let pyramids = (0..self.usable_states.len())
+            .filter(|&cpu| self.usable_states[cpu])
+            .map(|cpu| LaneId::States(CpuId(cpu as u32)));
+        let lanes: Vec<LaneId> = indexes.chain(pyramids).collect();
         let built = parallel_map(threads, &lanes, |lane| match *lane {
             LaneId::Samples(cpu, counter) => self.counter_shard(cpu, counter).is_some(),
             LaneId::States(cpu) => self.pyramid(cpu).is_some(),
@@ -695,11 +662,18 @@ impl<'t> AnalysisSession<'t> {
         built.into_iter().filter(|&built| built).count()
     }
 
+    /// The index slots this view reads, one per sampled pair of the owner.
+    fn index_slots(&self) -> impl Iterator<Item = &OnceLock<CounterIndex>> {
+        self.state
+            .indexes
+            .iter()
+            .map(|(key, slot)| self.own_indexes.get(key).unwrap_or(slot))
+    }
+
     /// Number of counter index shards built so far (diagnostics; grows on demand and
     /// after [`AnalysisSession::prewarm`]).
     pub fn built_counter_indexes(&self) -> usize {
-        self.counter_shards
-            .values()
+        self.index_slots()
             .filter(|slot| slot.get().is_some())
             .count()
     }
@@ -861,7 +835,7 @@ impl<'t> AnalysisSession<'t> {
         let key = config.cache_key();
         // Single-flight: concurrent callers with the same configuration share
         // one detection pass instead of each scanning the trace.
-        self.handles.anomaly_cache.get_or_compute(key, config, || {
+        self.state.anomaly_cache.get_or_compute(key, config, || {
             anomaly::detect_anomalies_with(self, config, threads)
         })
     }
@@ -903,11 +877,9 @@ impl<'t> AnalysisSession<'t> {
     ) -> Result<Arc<TimelineModel>, AnalysisError> {
         let key: TimelineKey = (mode, interval, columns, filter.clone());
         let digest = timeline_cache_key(&key);
-        self.handles
-            .timeline_cache
-            .get_or_compute(digest, &key, || {
-                TimelineModel::build_filtered(self, mode, interval, columns, filter)
-            })
+        self.state.timeline_cache.get_or_compute(digest, &key, || {
+            TimelineModel::build_filtered(self, mode, interval, columns, filter)
+        })
     }
 
     /// Starts an interval query over `interval`: exact aggregate and predominance
@@ -924,10 +896,9 @@ impl<'t> AnalysisSession<'t> {
     /// Shards are lazy; [`AnalysisSession::prewarm`] first to measure the fully
     /// indexed session.
     pub fn index_memory_bytes(&self) -> usize {
-        self.counter_shards
-            .values()
-            .filter_map(|slot| slot.get())
-            .map(|i| i.memory_bytes())
+        self.index_slots()
+            .filter_map(OnceLock::get)
+            .map(CounterIndex::memory_bytes)
             .sum()
     }
 
@@ -949,10 +920,12 @@ impl<'t> AnalysisSession<'t> {
     /// Pyramids are lazy; [`AnalysisSession::prewarm`] first to measure the fully
     /// indexed session.
     pub fn pyramid_memory_bytes(&self) -> usize {
-        self.pyramids
+        self.state
+            .pyramids
             .iter()
-            .filter_map(|slot| slot.get())
-            .map(|p| p.memory_bytes())
+            .zip(&self.usable_states)
+            .filter_map(|(slot, &usable)| slot.get().filter(|_| usable))
+            .map(StatePyramid::memory_bytes)
             .sum()
     }
 
@@ -1367,47 +1340,53 @@ mod tests {
         fn full(stored: &StoredTrace) -> impl Fn(LaneId) -> bool + '_ {
             |lane| stored.residency(lane) == LaneResidency::Full
         }
-        let mut state = SessionState::new();
-        let warm = state.view(stored.trace(), None, full(&stored));
-        warm.prewarm(Threads::single());
-        state.absorb(&warm, full(&stored));
-        let access_index: *const AccessIndex = warm.access_index();
-        let (indexes, pyramids) = (state.indexes.len(), state.pyramids.len());
+        // Index, pyramid and access-index builds, then re-used slots.
+        let counts = |state: &SessionState| {
+            let counters = [
+                &state.index_builds,
+                &state.pyramid_builds,
+                &state.access_index_builds,
+                &state.shards_reseeded,
+            ];
+            counters.map(|counter| counter.load(Ordering::Relaxed) as usize)
+        };
+        let state = SessionState::of(stored.trace());
+        state
+            .view(stored.trace(), None, full(&stored))
+            .prewarm(Threads::single());
+        let access_index: *const AccessIndex = state.access_index.get().unwrap();
+        let pyramid: *const StatePyramid = state.pyramids[0].get().unwrap();
+        let indexes = state.indexes.len();
+        let pyramids = state.pyramids.iter().filter(|p| p.get().is_some()).count();
         assert!(indexes > 0 && pyramids > 1);
-        assert_eq!(
-            (state.index_builds, state.pyramid_builds),
-            (indexes as u64, pyramids as u64)
-        );
-        assert_eq!((state.access_index_builds, state.shards_reseeded), (1, 0));
+        assert_eq!(counts(&state), [indexes, pyramids, 1, 0]);
 
         // Without CPU 0's states and the access table, a view gets neither that
         // CPU's pyramid nor the access index; both stay kept.
         stored.evict(LaneId::States(CpuId(0)));
         stored.evict(LaneId::Accesses);
         let partial = state.view(stored.trace(), None, full(&stored));
-        assert!(partial.pyramids[0].get().is_none() && partial.pyramids[1].get().is_some());
+        assert!(partial.pyramid(CpuId(0)).is_none() && partial.pyramid(CpuId(1)).is_some());
         assert!(!partial.access_index_built());
         assert_eq!(partial.built_counter_indexes(), indexes);
-        state.absorb(&partial, full(&stored));
-        assert_eq!(state.shards_reseeded, (indexes + pyramids - 1) as u64);
-        assert_eq!(state.pyramids.len(), pyramids);
+        assert_eq!(
+            counts(&state),
+            [indexes, pyramids, 1, indexes + pyramids - 1]
+        );
+        assert!(std::ptr::eq(state.pyramids[0].get().unwrap(), pyramid));
+        assert!(std::ptr::eq(
+            state.access_index.get().unwrap(),
+            access_index
+        ));
 
-        // Once the lanes are back, so are the shards — seeded, not rebuilt.
+        // Once the lanes are back, so are the shards — read again, not rebuilt.
         let back = [LaneId::States(CpuId(0)), LaneId::Accesses].map(LaneRequest::Full);
         stored.ensure_batch(&back).unwrap();
         let whole = state.view(stored.trace(), None, full(&stored));
-        assert!(Arc::ptr_eq(
-            whole.pyramids[0].get().unwrap(),
-            &state.pyramids[&0]
-        ));
+        assert!(std::ptr::eq(whole.pyramid(CpuId(0)).unwrap(), pyramid));
         assert!(std::ptr::eq(whole.access_index(), access_index));
-        state.absorb(&whole, full(&stored));
-        assert_eq!(state.shards_reseeded, (2 * (indexes + pyramids) - 1) as u64);
-        assert_eq!(
-            (state.index_builds, state.pyramid_builds),
-            (indexes as u64, pyramids as u64)
-        );
-        assert_eq!(state.access_index_builds, 1);
+        let reseeded = 2 * (indexes + pyramids) - 1;
+        assert_eq!(counts(&state), [indexes, pyramids, 1, reseeded]);
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Long-lived, thread-shared analysis state for one resident trace: the seam
 //! between the borrowing [`AnalysisSession`] and a multi-client server.
 //!
-//! A [`SharedSession`] owns the trace behind an [`Arc`] together with a fully
-//! prewarmed `SessionState`, and hands out cheap [`AnalysisSession`] *views*
-//! seeded with all of it. Every lane of a resident trace is always usable and
-//! nothing is built after [`SharedSession::open`], so the state is immutable
-//! (indexes, pyramids, trace columns) or internally synchronised (the result
-//! caches): `SharedSession` is `Sync`, a server
+//! A [`SharedSession`] owns the trace behind an [`Arc`] together with one
+//! `SessionState` whose slots [`SharedSession::open`] fills, and hands out
+//! cheap [`AnalysisSession`] *views* that read those slots in place. Every lane
+//! of a resident trace is always usable and every slot is filled at open, so
+//! the state is immutable (indexes, pyramids, trace columns) or internally
+//! synchronised (the result caches): `SharedSession` is `Sync`, a server
 //! serves views from as many threads as it likes, and a frame one client
 //! computed is a cache hit for every other client. The thread budget `open` is
 //! given is kept, and every view fans its frame rows and anomaly scan out on it
 //! (the `threads` rule in [`crate::session`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use aftermath_exec::Threads;
 use aftermath_trace::{LintSummary, Trace};
@@ -51,16 +51,14 @@ pub struct SharedSession {
 
 impl SharedSession {
     /// Opens shared state over `trace`: prewarms every counter index, every state
-    /// pyramid and the access index on up to `threads` workers and keeps them for
-    /// all later views, which keep `threads` as their budget.
+    /// pyramid and the access index on up to `threads` workers into the slots
+    /// all later views read, which keep `threads` as their budget.
     ///
     /// This is the expensive, once-per-trace step — the server pays it when a
     /// trace is registered, not when a client connects.
     pub fn open(trace: Arc<Trace>, threads: Threads) -> Self {
-        let mut state = SessionState::new();
-        let warm = state.view(&trace, None, |_| true);
-        warm.prewarm(threads);
-        state.absorb(&warm, |_| true);
+        let state = SessionState::of(&trace);
+        state.view(&trace, None, |_| true).prewarm(threads);
         SharedSession {
             trace,
             lint: None,
@@ -82,10 +80,10 @@ impl SharedSession {
         &self.trace
     }
 
-    /// A cheap [`AnalysisSession`] view pre-seeded with every shared index,
-    /// pyramid, the access index and the cache handles: `O(built shards)` `Arc`
-    /// clones, no data copied or rebuilt. Views from concurrent
-    /// threads share results through the cache handles.
+    /// A cheap [`AnalysisSession`] view reading every shared index, pyramid,
+    /// the access index and the result caches in place: nothing is copied or
+    /// rebuilt. Views from concurrent threads share results through the
+    /// caches.
     pub fn view(&self) -> AnalysisSession<'_> {
         let mut view = self.state.view(&self.trace, self.lint.as_ref(), |_| true);
         view.threads = self.threads;
@@ -110,12 +108,16 @@ impl SharedSession {
 
     /// Number of shared counter-index shards.
     pub fn num_indexes(&self) -> usize {
-        self.state.indexes.len()
+        self.state
+            .indexes
+            .values()
+            .filter_map(OnceLock::get)
+            .count()
     }
 
     /// Number of shared state pyramids.
     pub fn num_pyramids(&self) -> usize {
-        self.state.pyramids.len()
+        self.state.pyramids.iter().filter_map(OnceLock::get).count()
     }
 
     /// Combined hit/miss totals of the shared timeline-model and
@@ -151,7 +153,7 @@ mod tests {
         let stats = shared.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.hit_rate(), 0.5);
-        // Views re-seed the prewarmed shards instead of rebuilding them: every
+        // Views read the prewarmed shards instead of rebuilding them: every
         // index and pyramid is already present before the view runs anything.
         let view = shared.view();
         assert_eq!(view.built_counter_indexes(), shared.num_indexes());

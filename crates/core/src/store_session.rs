@@ -4,7 +4,8 @@
 //! overlap, and an optional residency budget evicts the least-recently-used
 //! lanes after every request.
 //!
-//! A [`StoreSession`] owns the [`StoredTrace`] and a `SessionState`. Every
+//! A [`StoreSession`] owns the [`StoredTrace`] and a `SessionState` with one
+//! slot per sample lane of the store directory and per CPU's pyramid. Every
 //! request is one [`StoreSession::with_view`] call, and everything that is
 //! specific to a store is decided there from the request's [`Need`]: whether a
 //! salvaged store may answer it at all ([`SalvageCoverage::allows`]), which
@@ -12,9 +13,10 @@
 //! batch ([`StoredTrace::ensure_batch`]) — and, for a query or a report,
 //! whether to build the missing shards of fully resident lanes ahead, in
 //! parallel, each once per session. "Usable" means fully resident: the view
-//! is seeded with the shards of usable lanes only and builds a pyramid only
-//! under the build rule of `SessionState`, so every pyramid it builds is kept
-//! and a window over any other lane is scanned.
+//! reads and fills the session's slots of usable lanes in place, builds a
+//! throwaway index of its own over a sample lane that is not, and builds a
+//! pyramid only under the build rule of `SessionState`, so every pyramid it
+//! builds is kept and a window over any other lane is scanned.
 //!
 //! A stored trace answers one request at a time (a server holds it behind a
 //! mutex), so the other cores are idle by construction: block decoding, shard
@@ -36,6 +38,7 @@
 //! accuracy.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use aftermath_trace::store::{DamageReport, LaneId, LaneRequest, LaneResidency, StoredTrace};
@@ -62,8 +65,10 @@ pub struct SalvageCoverage {
     /// the intersection of the surviving spans of every state lane. `None`
     /// when some state lane was quarantined in full.
     pub state_span: Option<TimeInterval>,
-    /// Time span over which *all* time-sorted lanes (states, events, samples)
-    /// are exact. `None` when any of them was quarantined in full.
+    /// Time span over which interval queries are exact: the intersection of
+    /// the surviving spans of every state and sample lane — a query reads no
+    /// event lane. `None` when one of them, the task table or the access
+    /// table was quarantined in full.
     pub full_span: Option<TimeInterval>,
     /// Lanes quarantined in their entirety (they read as empty).
     pub lost_lanes: Vec<LaneId>,
@@ -75,8 +80,9 @@ pub struct SalvageCoverage {
 impl SalvageCoverage {
     /// True when the answer to a request reading `need` is exact: it depends on
     /// no quarantined row. A frame needs its interval inside the state span and
-    /// the tables its mode reads; a query aggregates every table, so it needs
-    /// its window inside the full span; a whole-trace scan needs everything.
+    /// the tables its mode reads; a query reads the state and sample lanes and
+    /// both tables, so it needs its window inside the full span and both tables
+    /// whole; a whole-trace scan needs everything.
     pub fn allows(&self, need: &Need) -> bool {
         let within = |span: Option<TimeInterval>, interval: &TimeInterval| {
             span.is_some_and(|s| s.start <= interval.start && interval.end <= s.end)
@@ -108,19 +114,14 @@ impl SalvageCoverage {
     pub fn allows_query(&self, interval: TimeInterval) -> bool {
         self.allows(&Need::Query { interval })
     }
-
-    /// True when whole-trace scans (anomaly detection, drill-in) are exact —
-    /// only when nothing at all was quarantined.
-    pub fn allows_full_scan(&self) -> bool {
-        self.allows(&Need::WholeTrace)
-    }
 }
 
 /// An analysis session backed by the on-disk column store.
 #[derive(Debug)]
 pub struct StoreSession {
     stored: StoredTrace,
-    /// Shards are kept for, and seeded over, fully resident lanes only.
+    /// The slots every view reads in place; a view reads and fills those of
+    /// fully resident lanes only.
     state: SessionState,
     /// What a salvage open left answerable — a function of the open alone, so
     /// worked out once; `None` after a strict open.
@@ -139,12 +140,15 @@ pub struct StoreSessionStats {
     /// State pyramids built — at most one per state lane: the build rule of
     /// `SessionState` lets a view build only a pyramid the session keeps.
     pub pyramid_builds: u64,
-    /// Counter indexes built (see `pyramid_builds`).
+    /// Counter indexes built — at most one kept per sample lane, plus every
+    /// throwaway one a view built over a sample lane that was not fully
+    /// resident.
     pub index_builds: u64,
     /// Access indexes built — once over the fully resident task and access
     /// lanes, plus every one a view built while one of them was not.
     pub access_index_builds: u64,
-    /// Persisted shards handed to a view instead of being rebuilt.
+    /// Built shards on fully resident lanes that views started with, instead
+    /// of building them again.
     pub shards_reseeded: u64,
 }
 
@@ -168,19 +172,13 @@ fn coverage_of(stored: &StoredTrace) -> Option<SalvageCoverage> {
         if span.is_none() {
             lost_lanes.push(lane);
         }
-        let time_sorted = matches!(
-            lane,
-            LaneId::States(_) | LaneId::Events(_) | LaneId::Samples(..)
-        );
-        if time_sorted {
+        // A query reads no event lane. A task or access table survives whole
+        // (its span is everything) or not at all (`None` annihilates).
+        if !matches!(lane, LaneId::Events(_)) {
             full_span = intersect(full_span, span);
-            if matches!(lane, LaneId::States(_)) {
-                state_span = intersect(state_span, span);
-            }
-        } else if span.is_none() {
-            // A lost task/access table makes whole-table aggregations
-            // inexact everywhere.
-            full_span = None;
+        }
+        if matches!(lane, LaneId::States(_)) {
+            state_span = intersect(state_span, span);
         }
     }
     Some(SalvageCoverage {
@@ -219,10 +217,15 @@ impl StoreSession {
 
     /// Wraps an already opened [`StoredTrace`].
     pub fn from_store(stored: StoredTrace) -> Self {
+        let sampled = stored.lanes().filter_map(|lane| match lane {
+            LaneId::Samples(cpu, counter) => Some((cpu, counter)),
+            _ => None,
+        });
+        let state = SessionState::new(stored.trace().per_cpu().len(), sampled);
         StoreSession {
             coverage: coverage_of(&stored),
             stored,
-            state: SessionState::new(),
+            state,
         }
     }
 
@@ -234,11 +237,6 @@ impl StoreSession {
     /// The damage report of a salvage open (`None` after a strict open).
     pub fn damage(&self) -> Option<&DamageReport> {
         self.stored.damage()
-    }
-
-    /// True when this session came from a salvage open.
-    pub fn is_salvaged(&self) -> bool {
-        self.stored.damage().is_some()
     }
 
     /// Degraded-coverage summary of a salvaged session (`None` after a strict
@@ -262,14 +260,15 @@ impl StoreSession {
     /// What this session has read, decoded, built and re-used so far.
     pub fn stats(&self) -> StoreSessionStats {
         let store = self.stored.materialise_stats();
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         StoreSessionStats {
             lanes_materialised: store.lanes_materialised,
             blocks_decoded: store.blocks_decoded,
             bytes_read: store.bytes_read,
-            pyramid_builds: self.state.pyramid_builds,
-            index_builds: self.state.index_builds,
-            access_index_builds: self.state.access_index_builds,
-            shards_reseeded: self.state.shards_reseeded,
+            pyramid_builds: load(&self.state.pyramid_builds),
+            index_builds: load(&self.state.index_builds),
+            access_index_builds: load(&self.state.access_index_builds),
+            shards_reseeded: load(&self.state.shards_reseeded),
         }
     }
 
@@ -426,11 +425,11 @@ impl StoreSession {
     /// [`AnalysisSession`] view over the lanes `need` reads, and brings
     /// residency back under the budget.
     ///
-    /// The view is seeded with every kept shard whose lane is *fully* resident.
-    /// For a query or a report, the missing shards of fully resident lanes are
-    /// first built in parallel on the store's thread budget (a frame builds a
-    /// row's pyramid on the row's own worker); either way, what the view built
-    /// is kept afterwards.
+    /// The view reads the session's slots of every *fully* resident lane in
+    /// place. For a query or a report, the missing shards of fully resident
+    /// lanes are first built in parallel on the store's thread budget (a frame
+    /// builds a row's pyramid on the row's own worker); either way, they land
+    /// in the session's slots, which is where the next view finds them.
     ///
     /// # Errors
     ///
@@ -454,12 +453,11 @@ impl StoreSession {
         let mut view = self.state.view(stored.trace(), None, full);
         view.threads = stored.decode_threads();
         // A frame prewarms nothing: its rows fan out over the CPUs anyway.
-        let reads_shards = matches!(need, Need::Query { .. } | Need::WholeTrace);
-        if reads_shards {
-            view.prewarm_lanes(stored.decode_threads(), full);
+        if matches!(need, Need::Query { .. } | Need::WholeTrace) {
+            view.prewarm_lanes(view.threads);
         }
         let result = f(&view);
-        self.state.absorb(&view, full);
+        drop(view);
         self.stored.evict_to_budget();
         Ok(result)
     }

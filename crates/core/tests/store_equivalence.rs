@@ -419,6 +419,96 @@ fn salvaged_answers_inside_the_covered_span_at_every_thread_budget() {
     }
 }
 
+/// Salvage-opens `trace`'s store at `block_rows` with one byte flipped in the
+/// middle block of `lane`; returns the session and that block's footer.
+fn salvaged_with_middle_block_damaged(
+    trace: &Trace,
+    block_rows: usize,
+    lane: LaneId,
+) -> (StoreSession, aftermath_trace::store::BlockFooter) {
+    let mut bytes = write_store_bytes(trace, &StoreOptions { block_rows }).unwrap();
+    let probe = StoredTrace::from_bytes(bytes.clone()).unwrap();
+    let blocks = &probe.lane_directory(lane).unwrap().blocks;
+    let damaged = blocks[blocks.len() / 2];
+    bytes[damaged.offset as usize + 2] ^= 0x20;
+    let stored = StoredTrace::from_bytes_salvage(bytes).unwrap();
+    (StoreSession::from_store(stored), damaged)
+}
+
+/// A query reads no event lane, so a quarantined event block does not shrink
+/// the span a salvaged store answers queries over: a query whose window
+/// covers that block equals the resident session's, per CPU.
+#[test]
+fn a_damaged_event_block_leaves_queries_over_it_answerable() {
+    let trace = numa_trace(160);
+    let resident = AnalysisSession::new(&trace);
+    let ctr = resident.counter_id("cycles").unwrap();
+    let (mut store, damaged) =
+        salvaged_with_middle_block_damaged(&trace, 4, LaneId::Events(CpuId(1)));
+    let coverage = store.coverage().expect("salvaged");
+    assert!(!coverage.clean && coverage.lost_lanes.is_empty());
+    let window = TimeInterval::from_cycles(damaged.min_key - 300, damaged.max_key + 300);
+    for cpu in (0..4).map(CpuId) {
+        let got = store.query(window, |q| query_bundle(q, cpu, ctr)).unwrap();
+        assert_eq!(
+            got,
+            query_bundle(&resident.query(window), cpu, ctr),
+            "{cpu}"
+        );
+    }
+}
+
+/// Over a sample lane that is not fully resident — salvaged, with an interior
+/// block quarantined — each view builds a throwaway index of its own: a second
+/// query builds it again and counts it nowhere as re-used, while the slots of
+/// the usable lanes are read again and no pyramid is rebuilt. Every answer is
+/// the resident one.
+#[test]
+fn a_partial_sample_lane_gets_a_throwaway_index_per_view() {
+    let trace = numa_trace(160);
+    let resident = AnalysisSession::new(&trace);
+    let ctr = resident.counter_id("cycles").unwrap();
+    let partial = LaneId::Samples(CpuId(2), ctr);
+    let (mut store, _) = salvaged_with_middle_block_damaged(&trace, 4, partial);
+    let sample_lanes = store
+        .store()
+        .lanes()
+        .filter(|lane| matches!(lane, LaneId::Samples(..)))
+        .count() as u64;
+    let span = store
+        .coverage()
+        .unwrap()
+        .full_span
+        .expect("the lane survives in part");
+    let window = TimeInterval::from_cycles(span.start.0, span.end.0.min(store.time_bounds().end.0));
+    // Every state lane whole, so the queries' views may build pyramids.
+    store.first_frame(32).unwrap();
+    let cpus = || (0..4).map(CpuId);
+    let want: Vec<String> = cpus()
+        .map(|cpu| query_bundle(&resident.query(window), cpu, ctr))
+        .collect();
+    let query = |store: &mut StoreSession| {
+        let got = store.query(window, |q| {
+            cpus()
+                .map(|cpu| query_bundle(q, cpu, ctr))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(got.unwrap(), want);
+        store.stats()
+    };
+    let first = query(&mut store);
+    assert_eq!(store.store().residency(partial), LaneResidency::Partial);
+    assert!(first.pyramid_builds > 0);
+    assert_eq!(first.shards_reseeded, 0);
+    let second = query(&mut store);
+    assert_eq!(second.index_builds, first.index_builds + 1);
+    assert_eq!(second.pyramid_builds, first.pyramid_builds);
+    assert_eq!(
+        second.shards_reseeded - first.shards_reseeded,
+        (sample_lanes - 1) + first.pyramid_builds
+    );
+}
+
 /// The point of building shards through one routine: after the first frame,
 /// a query and a report on an unbudgeted session, every pyramid, every
 /// counter index and the access index has been built exactly once — and a

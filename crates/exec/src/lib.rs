@@ -27,10 +27,9 @@
 //! ([`Threads::single`]) executes every primitive inline without spawning, which is
 //! what keeps tests and benchmark baselines reproducible.
 //!
-//! Threads are *scoped* ([`std::thread::scope`] underneath, re-exported as
-//! [`scope`]): they may borrow from the caller's stack and are all joined before the
-//! primitive returns, so no pool state outlives a call and a panicking worker
-//! propagates to the caller.
+//! Threads are *scoped* ([`std::thread::scope`] underneath): they may borrow from
+//! the caller's stack and are all joined before the primitive returns, so no pool
+//! state outlives a call and a panicking worker propagates to the caller.
 //!
 //! ```rust
 //! use aftermath_exec::{parallel_map, Threads};
@@ -159,16 +158,6 @@ impl FromStr for Threads {
             .map(Threads)
             .ok_or_else(|| ParseThreadsError(s.to_string()))
     }
-}
-
-/// Creates a scope for spawning borrowed threads; all threads are joined before the
-/// scope returns. This is [`std::thread::scope`], re-exported so that layers built on
-/// this crate can spawn ad-hoc scoped work without importing `std::thread` themselves.
-pub fn scope<'env, F, T>(f: F) -> T
-where
-    F: for<'scope> FnOnce(&'scope thread::Scope<'scope, 'env>) -> T,
-{
-    thread::scope(f)
 }
 
 /// Maps `f` over `items` on up to `threads` worker threads and returns the results in
@@ -647,7 +636,7 @@ mod tests {
     fn scope_joins_borrowed_threads() {
         let mut left = 0u64;
         let mut right = 0u64;
-        scope(|s| {
+        thread::scope(|s| {
             s.spawn(|| left = 21);
             s.spawn(|| right = 21);
         });

@@ -164,11 +164,6 @@ impl SessionManager {
         self.traces.insert(name.into(), registered);
     }
 
-    /// Names of the registered traces, unordered.
-    pub fn trace_names(&self) -> impl Iterator<Item = &str> {
-        self.traces.keys().map(String::as_str)
-    }
-
     /// Closes `session` if open; used by the `Close` request and by the
     /// server when a connection drops with sessions still open.
     pub fn close_session(&self, session: u64) -> bool {

@@ -1689,11 +1689,6 @@ impl StoredTrace {
         self.budget = budget;
     }
 
-    /// The configured residency budget.
-    pub fn residency_budget(&self) -> Option<usize> {
-        self.budget
-    }
-
     /// Bytes currently resident for event data (decoded lanes plus the
     /// metadata-resident communication table) — exactly
     /// [`Trace::resident_event_bytes`] of the embedded trace.
