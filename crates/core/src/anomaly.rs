@@ -52,9 +52,6 @@
 //! # }
 //! ```
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-
 use aftermath_exec::{parallel_map, Threads};
 use aftermath_trace::{
     CpuId, SamplesView, TaskId, TaskInstance, TaskTypeId, TimeInterval, Trace, WorkerState,
@@ -756,54 +753,6 @@ impl AnomalyConfig {
             duration: None,
             max_anomalies: 64,
         }
-    }
-
-    /// Stable hash of the configuration, used as the session's result-cache key.
-    pub fn cache_key(&self) -> u64 {
-        fn bits(h: &mut DefaultHasher, v: f64) {
-            v.to_bits().hash(h);
-        }
-        let mut h = DefaultHasher::new();
-        match &self.idle {
-            None => 0u8.hash(&mut h),
-            Some(d) => {
-                1u8.hash(&mut h);
-                d.bins.hash(&mut h);
-                bits(&mut h, d.idle_fraction);
-                d.min_windows.hash(&mut h);
-            }
-        }
-        match &self.numa {
-            None => 0u8.hash(&mut h),
-            Some(d) => {
-                1u8.hash(&mut h);
-                bits(&mut h, d.k_sigma);
-                bits(&mut h, d.min_remote_fraction);
-                bits(&mut h, d.max_threshold);
-                d.merge_gap_cycles.hash(&mut h);
-            }
-        }
-        match &self.counter {
-            None => 0u8.hash(&mut h),
-            Some(d) => {
-                1u8.hash(&mut h);
-                bits(&mut h, d.k_mad);
-                d.min_samples.hash(&mut h);
-                d.merge_gap_cycles.hash(&mut h);
-            }
-        }
-        match &self.duration {
-            None => 0u8.hash(&mut h),
-            Some(d) => {
-                1u8.hash(&mut h);
-                bits(&mut h, d.k_mad);
-                d.min_samples.hash(&mut h);
-                d.detect_fast.hash(&mut h);
-                d.merge_gap_cycles.hash(&mut h);
-            }
-        }
-        self.max_anomalies.hash(&mut h);
-        h.finish()
     }
 }
 
@@ -1586,22 +1535,6 @@ mod tests {
                 .count(),
             0
         );
-    }
-
-    #[test]
-    fn cache_keys_differ_per_config() {
-        let a = AnomalyConfig::default();
-        let b = AnomalyConfig {
-            max_anomalies: 5,
-            ..Default::default()
-        };
-        let c = AnomalyConfig {
-            numa: None,
-            ..Default::default()
-        };
-        assert_ne!(a.cache_key(), b.cache_key());
-        assert_ne!(a.cache_key(), c.cache_key());
-        assert_eq!(a.cache_key(), AnomalyConfig::default().cache_key());
     }
 
     /// The configurations the equivalence tests scan with: the defaults, and a

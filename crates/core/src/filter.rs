@@ -122,25 +122,6 @@ impl TaskFilter {
         self.task_types.as_ref()
     }
 
-    /// Feeds a stable digest of the filter into `hasher` (set members are hashed in
-    /// sorted order, so equal filters always produce equal digests). Used for the
-    /// session's timeline-model cache key.
-    pub fn hash_into(&self, hasher: &mut impl std::hash::Hasher) {
-        use std::hash::Hash;
-        fn sorted<T: Ord + Copy>(set: &HashSet<T>) -> Vec<T> {
-            let mut v: Vec<T> = set.iter().copied().collect();
-            v.sort_unstable();
-            v
-        }
-        self.task_types.as_ref().map(sorted).hash(hasher);
-        self.cpus.as_ref().map(sorted).hash(hasher);
-        self.min_duration.hash(hasher);
-        self.max_duration.hash(hasher);
-        self.interval.map(|iv| (iv.start.0, iv.end.0)).hash(hasher);
-        self.reads_node.hash(hasher);
-        self.writes_node.hash(hasher);
-    }
-
     /// Whether `task` satisfies every configured criterion.
     pub fn matches(&self, trace: &Trace, task: &TaskInstance) -> bool {
         if let Some(types) = &self.task_types {

@@ -7,9 +7,8 @@
 //! the slot rule and the build rule — is stated once, on `SessionState`.
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use aftermath_exec::{parallel_map, Threads};
 use aftermath_trace::store::LaneId;
@@ -268,31 +267,49 @@ fn count(counter: &AtomicU64, n: usize) {
 /// Cache key of one timeline-model computation: everything the model depends on.
 type TimelineKey = (TimelineMode, TimeInterval, usize, TaskFilter);
 
-fn timeline_cache_key(key: &TimelineKey) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.0.hash(&mut h);
-    key.1.hash(&mut h);
-    key.2.hash(&mut h);
-    key.3.hash_into(&mut h);
-    h.finish()
+/// A bounded, **single-flight** LRU cache keyed by the request itself: the
+/// anomaly-report and timeline-model caches of a [`SessionState`].
+///
+/// An entry is found by `==` on its key, so a key type needs nothing beyond
+/// `PartialEq + Clone` — no hash kept in step with its fields. The entries
+/// are one list in least-recently-*used* order: a hit moves its entry to the
+/// back, so an entry a front-end keeps re-querying survives eviction even while
+/// e.g. a parameter sweep churns through many one-shot entries, and a miss
+/// evicts from the front. A cache holds a few dozen entries at most, so the
+/// linear search stays cheap.
+///
+/// Single flight: when several threads miss on the same key at once, exactly
+/// one computes the value while the others block on a condvar and then share
+/// the result. Without this, N clients of one shared trace requesting the same
+/// expensive result (an anomaly report over millions of events, a cold
+/// timeline frame) would each recompute it on a concurrent miss — the
+/// duplicated work grows linearly with the client count and dominates tail
+/// latency under load, which is exactly the situation the multi-session server
+/// exists to avoid.
+///
+/// Accounting: one logical query counts exactly once — a **miss** for the
+/// thread that computes, a **hit** for every thread that receives a value
+/// someone else produced (whether it was cached before the call or computed
+/// while the caller waited).
+///
+/// A key that is not equal to itself (an [`AnomalyConfig`] with a NaN
+/// threshold) is never found and never waited for: every call with it
+/// computes, and its marker still goes when the call ends ([`FlightGuard`]).
+#[derive(Debug)]
+pub(crate) struct SharedCache<K, V> {
+    state: Mutex<LruCache<K, V>>,
+    wakeup: Condvar,
 }
 
-/// Bounded LRU cache keyed by a 64-bit digest.
-///
-/// Entries store the full key `K` so a (vanishingly unlikely) 64-bit hash collision
-/// is detected by equality instead of silently returning another key's value.
-/// `order` is kept in least-recently-*used* order: a cache hit moves its key to the
-/// back, so an entry a front-end keeps re-querying survives eviction even while
-/// e.g. a parameter sweep churns through many one-shot entries. Shared by the
-/// anomaly-report cache and the timeline-model cache.
+/// What the lock of a [`SharedCache`] guards.
 #[derive(Debug)]
-pub(crate) struct LruCache<K, V> {
+struct LruCache<K, V> {
     capacity: usize,
-    map: HashMap<u64, (K, Arc<V>)>,
-    order: VecDeque<u64>,
-    /// Digests whose value is being computed right now by some thread (the
-    /// single-flight set of [`SharedCache::get_or_compute`]).
-    in_flight: std::collections::HashSet<u64>,
+    /// The cached values, least recently used first.
+    entries: VecDeque<(K, Arc<V>)>,
+    /// The keys being computed right now (the single-flight set of
+    /// [`SharedCache::get_or_compute`]), one marker per computing call.
+    in_flight: Vec<Arc<K>>,
     /// Lifetime counters of [`SharedCache::get_or_compute`] outcomes. They
     /// live in the cache (not the session) so every session view sharing one
     /// handle — e.g. all clients of one served trace — accumulates into the
@@ -303,104 +320,77 @@ pub(crate) struct LruCache<K, V> {
 }
 
 impl<K: PartialEq, V> LruCache<K, V> {
-    fn new(capacity: usize) -> Self {
-        LruCache {
-            capacity,
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            in_flight: std::collections::HashSet::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn get(&mut self, digest: u64, key: &K) -> Option<Arc<V>> {
-        let value = self
-            .map
-            .get(&digest)
-            .filter(|(cached, _)| cached == key)
-            .map(|(_, value)| Arc::clone(value))?;
-        // Touch on hit: this key is now the most recently used.
-        if let Some(pos) = self.order.iter().position(|k| *k == digest) {
-            self.order.remove(pos);
-            self.order.push_back(digest);
-        }
+    /// The value cached for `key`, whose entry becomes the most recently used.
+    fn get(&mut self, key: &K) -> Option<Arc<V>> {
+        let pos = self.entries.iter().position(|(cached, _)| cached == key)?;
+        let entry = self.entries.remove(pos)?;
+        let value = Arc::clone(&entry.1);
+        self.entries.push_back(entry);
         Some(value)
     }
 
-    /// Inserts `value` unless another thread inserted the same key concurrently, in
-    /// which case the incumbent is returned; evicts least-recently-used entries to
-    /// stay within capacity.
-    fn insert(&mut self, digest: u64, key: K, value: Arc<V>) -> Arc<V> {
-        if let Some(existing) = self.get(digest, &key) {
-            return existing;
+    /// Inserts `value` unless a racing thread stored an equal key first, in
+    /// which case the incumbent is returned; evicts least-recently-used
+    /// entries to stay within capacity.
+    fn insert(&mut self, key: K, value: Arc<V>) -> Arc<V> {
+        if let Some(incumbent) = self.get(&key) {
+            return incumbent;
         }
-        while self.map.len() >= self.capacity {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            self.map.remove(&oldest);
-        }
-        if self.map.insert(digest, (key, Arc::clone(&value))).is_none() {
-            self.order.push_back(digest);
-        }
+        while self.entries.len() >= self.capacity && self.entries.pop_front().is_some() {}
+        self.entries.push_back((key, Arc::clone(&value)));
         value
     }
 }
 
-/// A concurrency-safe, **single-flight** [`LruCache`]: when several threads
-/// miss on the same key at once, exactly one computes the value while the
-/// others block on a condvar and then share the result.
-///
-/// Without this, N clients of one shared trace requesting the same expensive
-/// result (an anomaly report over millions of events, a cold timeline frame)
-/// would each recompute it on a concurrent miss — the duplicated work grows
-/// linearly with the client count and dominates tail latency under load,
-/// which is exactly the situation the multi-session server exists to avoid.
-///
-/// Accounting: one logical query counts exactly once — a **miss** for the
-/// thread that computes, a **hit** for every thread that receives a value
-/// someone else produced (whether it was cached before the call or computed
-/// while the caller waited).
-#[derive(Debug)]
-pub(crate) struct SharedCache<K, V> {
-    state: Mutex<LruCache<K, V>>,
-    wakeup: Condvar,
-}
-
-/// Clears an in-flight marker and wakes the waiters when dropped, so a
-/// `compute` that fails — or unwinds — can never strand the threads waiting
-/// on its digest.
-struct FlightGuard<'c, K: PartialEq, V> {
+/// Clears its call's in-flight marker and wakes the waiters when dropped, so
+/// a `compute` that fails — or unwinds — can never strand the threads waiting
+/// on its key. The marker is removed by identity, not by `==`, so a key that
+/// is not equal to itself cannot leave one behind.
+struct FlightGuard<'c, K, V> {
     cache: &'c SharedCache<K, V>,
-    digest: u64,
+    marker: Arc<K>,
 }
 
-impl<K: PartialEq, V> Drop for FlightGuard<'_, K, V> {
+impl<K, V> Drop for FlightGuard<'_, K, V> {
     fn drop(&mut self) {
-        let mut state = self.cache.state.lock().unwrap();
-        state.in_flight.remove(&self.digest);
+        let mut state = self.cache.lock();
+        state.in_flight.retain(|k| !Arc::ptr_eq(k, &self.marker));
         drop(state);
         self.cache.wakeup.notify_all();
     }
 }
 
-impl<K: PartialEq + Clone, V> SharedCache<K, V> {
+impl<K, V> SharedCache<K, V> {
     fn new(capacity: usize) -> Self {
         SharedCache {
-            state: Mutex::new(LruCache::new(capacity)),
+            state: Mutex::new(LruCache {
+                capacity,
+                entries: VecDeque::new(),
+                in_flight: Vec::new(),
+                hits: 0,
+                misses: 0,
+            }),
             wakeup: Condvar::new(),
         }
     }
 
     /// Lifetime `(hits, misses)` of the [`SharedCache::get_or_compute`] path.
     pub(crate) fn stats(&self) -> (u64, u64) {
-        let state = self.state.lock().unwrap();
+        let state = self.lock();
         (state.hits, state.misses)
     }
 
+    /// The cache's lock, recovered if a thread panicked while holding it:
+    /// every update leaves the list, the markers and the counters valid at
+    /// each step, and a [`FlightGuard`] must not panic in its drop.
+    fn lock(&self) -> MutexGuard<'_, LruCache<K, V>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<K: PartialEq + Clone, V> SharedCache<K, V> {
     /// Returns the cached value for `key`, or runs `compute` to produce it —
-    /// at most once across concurrent callers of the same `digest`.
+    /// at most once across concurrent callers of equal keys.
     ///
     /// `compute` runs outside the cache lock, so slow computations on
     /// distinct keys proceed in parallel. A failing `compute` propagates its
@@ -408,33 +398,33 @@ impl<K: PartialEq + Clone, V> SharedCache<K, V> {
     /// becomes the next computer).
     pub(crate) fn get_or_compute<E>(
         &self,
-        digest: u64,
         key: &K,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<Arc<V>, E> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(value) = state.get(digest, key) {
+        let mut state = self.lock();
+        let marker = loop {
+            if let Some(value) = state.get(key) {
                 state.hits += 1;
                 return Ok(value);
             }
-            if state.in_flight.insert(digest) {
+            if !state.in_flight.iter().any(|k| **k == *key) {
                 state.misses += 1;
-                break;
+                let marker = Arc::new(key.clone());
+                state.in_flight.push(Arc::clone(&marker));
+                break marker;
             }
-            state = self.wakeup.wait(state).unwrap();
-        }
+            state = self
+                .wakeup
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
         drop(state);
         let flight = FlightGuard {
             cache: self,
-            digest,
+            marker,
         };
         let value = compute()?;
-        let value = self
-            .state
-            .lock()
-            .unwrap()
-            .insert(digest, key.clone(), Arc::new(value));
+        let value = self.lock().insert(key.clone(), Arc::new(value));
         // Insert before clearing the marker: woken waiters must find the
         // value in the cache, not race into a second computation.
         drop(flight);
@@ -832,10 +822,9 @@ impl<'t> AnalysisSession<'t> {
         config: &AnomalyConfig,
         threads: Threads,
     ) -> Result<Arc<AnomalyReport>, AnalysisError> {
-        let key = config.cache_key();
         // Single-flight: concurrent callers with the same configuration share
         // one detection pass instead of each scanning the trace.
-        self.state.anomaly_cache.get_or_compute(key, config, || {
+        self.state.anomaly_cache.get_or_compute(config, || {
             anomaly::detect_anomalies_with(self, config, threads)
         })
     }
@@ -876,8 +865,7 @@ impl<'t> AnalysisSession<'t> {
         filter: &TaskFilter,
     ) -> Result<Arc<TimelineModel>, AnalysisError> {
         let key: TimelineKey = (mode, interval, columns, filter.clone());
-        let digest = timeline_cache_key(&key);
-        self.state.timeline_cache.get_or_compute(digest, &key, || {
+        self.state.timeline_cache.get_or_compute(&key, || {
             TimelineModel::build_filtered(self, mode, interval, columns, filter)
         })
     }
@@ -1400,7 +1388,7 @@ mod tests {
                 s.spawn(|| {
                     barrier.wait();
                     let v = cache
-                        .get_or_compute(1, &1, || -> Result<u64, ()> {
+                        .get_or_compute(&1, || -> Result<u64, ()> {
                             computed.fetch_add(1, Ordering::SeqCst);
                             // Long enough that every other thread reaches the
                             // cache while this computation is in flight.
@@ -1424,14 +1412,81 @@ mod tests {
     #[test]
     fn shared_cache_failed_compute_is_not_cached() {
         let cache: SharedCache<u64, u64> = SharedCache::new(4);
-        let err = cache.get_or_compute(1, &1, || Err::<u64, &str>("boom"));
+        let err = cache.get_or_compute(&1, || Err::<u64, &str>("boom"));
         assert_eq!(err.unwrap_err(), "boom");
         // The failure must have cleared the in-flight marker: a retry computes
         // (it does not deadlock) and succeeds.
-        let v = cache.get_or_compute(1, &1, || Ok::<u64, &str>(7)).unwrap();
+        let v = cache.get_or_compute(&1, || Ok::<u64, &str>(7)).unwrap();
         assert_eq!(*v, 7);
         let (hits, misses) = cache.stats();
         assert_eq!((hits, misses), (0, 2));
+    }
+
+    #[test]
+    fn shared_cache_computes_a_key_unequal_to_itself_every_time_and_strands_no_one() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::{mpsc, Barrier};
+        use std::time::Duration;
+        let cache = Arc::new(SharedCache::<f64, u64>::new(4));
+        let computed = Arc::new(AtomicUsize::new(0));
+        // Eight callers of `key` at once, each compute slow enough that the
+        // others arrive while it is in flight. The callers are not scoped
+        // threads: a stranded one fails the test on the timeout instead of
+        // hanging it, and is joined only once all have answered.
+        let race = |key: f64| {
+            let (done, answers) = mpsc::channel();
+            let barrier = Arc::new(Barrier::new(8));
+            let callers: Vec<_> = (0..8)
+                .map(|_| {
+                    let (cache, computed) = (Arc::clone(&cache), Arc::clone(&computed));
+                    let (done, barrier) = (done.clone(), Arc::clone(&barrier));
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        let value = cache.get_or_compute(&key, || -> Result<u64, ()> {
+                            computed.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(Duration::from_millis(50));
+                            Ok(42)
+                        });
+                        done.send(*value.unwrap()).unwrap();
+                    })
+                })
+                .collect();
+            for _ in 0..8 {
+                let answer = answers.recv_timeout(Duration::from_secs(30));
+                assert_eq!(answer, Ok(42), "every concurrent caller returns");
+            }
+            callers.into_iter().for_each(|c| c.join().unwrap());
+        };
+        let settled = |cache: &SharedCache<f64, u64>| {
+            let state = cache.state.lock().unwrap();
+            assert!(state.in_flight.is_empty(), "no marker is left behind");
+            assert!(state.entries.len() <= state.capacity);
+        };
+
+        for _ in 0..3 {
+            let value = cache.get_or_compute(&f64::NAN, || {
+                computed.fetch_add(1, Ordering::SeqCst);
+                Ok::<u64, ()>(7)
+            });
+            assert_eq!(*value.unwrap(), 7);
+        }
+        assert_eq!(computed.load(Ordering::SeqCst), 3, "NaN is never a hit");
+        settled(&cache);
+
+        race(f64::NAN);
+        assert_eq!(computed.load(Ordering::SeqCst), 3 + 8);
+        settled(&cache);
+
+        let before = cache.stats();
+        race(1.0);
+        assert_eq!(
+            computed.load(Ordering::SeqCst),
+            3 + 8 + 1,
+            "1.0 single-flights"
+        );
+        let after = cache.stats();
+        assert_eq!((after.0 - before.0, after.1 - before.1), (7, 1));
+        settled(&cache);
     }
 
     #[test]

@@ -165,6 +165,132 @@ mod tests {
         ));
     }
 
+    /// Asks `ask` twice on views of `shared`: a key no entry holds yet is one
+    /// miss, and its repeat one hit.
+    fn a_new_entry(shared: &SharedSession, what: &str, ask: impl Fn(&AnalysisSession<'_>)) {
+        let before = shared.cache_stats();
+        ask(&shared.view());
+        let missed = shared.cache_stats();
+        ask(&shared.view());
+        let hit = shared.cache_stats();
+        assert_eq!(
+            (missed.hits, missed.misses),
+            (before.hits, before.misses + 1),
+            "{what}: first ask"
+        );
+        assert_eq!(
+            (hit.hits, hit.misses),
+            (missed.hits + 1, missed.misses),
+            "{what}: repeat"
+        );
+    }
+
+    #[test]
+    fn every_field_of_a_key_tells_cache_entries_apart() {
+        use crate::anomaly::AnomalyConfig;
+        use crate::filter::TaskFilter;
+        use aftermath_trace::{CpuId, NumaNodeId, TimeInterval};
+
+        let trace = Arc::new(small_sim_trace());
+        let shared = SharedSession::open(Arc::clone(&trace), Threads::single());
+        let report = |config: AnomalyConfig| {
+            move |view: &AnalysisSession<'_>| {
+                view.detect_anomalies(&config).unwrap();
+            }
+        };
+        fn nudged(edit: impl FnOnce(&mut AnomalyConfig)) -> AnomalyConfig {
+            let mut config = AnomalyConfig::default();
+            edit(&mut config);
+            config
+        }
+        a_new_entry(&shared, "default config", report(AnomalyConfig::default()));
+        let configs = [
+            nudged(|c| c.idle = None),
+            nudged(|c| c.numa = None),
+            nudged(|c| c.counter = None),
+            nudged(|c| c.duration = None),
+            nudged(|c| c.idle.as_mut().unwrap().bins += 1),
+            nudged(|c| c.idle.as_mut().unwrap().idle_fraction += 0.05),
+            nudged(|c| c.idle.as_mut().unwrap().min_windows += 1),
+            nudged(|c| c.numa.as_mut().unwrap().k_sigma += 0.5),
+            nudged(|c| c.numa.as_mut().unwrap().min_remote_fraction += 0.05),
+            nudged(|c| c.numa.as_mut().unwrap().max_threshold -= 0.05),
+            nudged(|c| c.numa.as_mut().unwrap().merge_gap_cycles = Some(1_000)),
+            nudged(|c| c.counter.as_mut().unwrap().k_mad += 0.5),
+            nudged(|c| c.counter.as_mut().unwrap().min_samples += 1),
+            nudged(|c| c.counter.as_mut().unwrap().merge_gap_cycles = Some(1_000)),
+            nudged(|c| c.duration.as_mut().unwrap().k_mad += 0.5),
+            nudged(|c| c.duration.as_mut().unwrap().min_samples += 1),
+            nudged(|c| c.duration.as_mut().unwrap().detect_fast ^= true),
+            nudged(|c| c.duration.as_mut().unwrap().merge_gap_cycles = Some(1_000)),
+            nudged(|c| c.max_anomalies -= 1),
+        ];
+        assert!(configs.len() < AnalysisSession::ANOMALY_CACHE_CAPACITY);
+        for config in configs {
+            a_new_entry(&shared, &format!("{config:?}"), report(config));
+        }
+
+        let bounds = trace.time_bounds();
+        let frame = |mode, interval, columns, filter: TaskFilter| {
+            move |view: &AnalysisSession<'_>| {
+                view.timeline_filtered(mode, interval, columns, &filter)
+                    .unwrap();
+            }
+        };
+        let heatmap = |min_duration, max_duration| TimelineMode::Heatmap {
+            min_duration,
+            max_duration,
+        };
+        let task_type = trace.task_types()[0].id;
+        let plain = TaskFilter::new();
+        let later_start = TimeInterval::from_cycles(bounds.start.0 + 1, bounds.end.0);
+        let earlier_end = TimeInterval::from_cycles(bounds.start.0, bounds.end.0 - 1);
+        a_new_entry(
+            &shared,
+            "first frame",
+            frame(TimelineMode::TaskType, bounds, 64, plain.clone()),
+        );
+        let filters = [
+            plain.clone().with_task_type(task_type),
+            plain.clone().with_cpu(CpuId(0)),
+            plain.clone().with_min_duration(1),
+            plain.clone().with_max_duration(1_000_000),
+            plain.clone().with_interval(earlier_end),
+            plain.clone().with_reads_from_node(NumaNodeId(0)),
+            plain.clone().with_writes_to_node(NumaNodeId(0)),
+        ];
+        for filter in filters {
+            let what = format!("{filter:?}");
+            a_new_entry(
+                &shared,
+                &what,
+                frame(TimelineMode::TaskType, bounds, 64, filter),
+            );
+        }
+        let frames = [
+            ("heatmap", heatmap(0, 1_000), bounds, 64),
+            ("heatmap min_duration", heatmap(1, 1_000), bounds, 64),
+            ("heatmap max_duration", heatmap(0, 1_001), bounds, 64),
+            ("interval start", TimelineMode::TaskType, later_start, 64),
+            ("interval end", TimelineMode::TaskType, earlier_end, 64),
+            ("columns", TimelineMode::TaskType, bounds, 65),
+        ];
+        for (what, mode, interval, columns) in frames {
+            a_new_entry(&shared, what, frame(mode, interval, columns, plain.clone()));
+        }
+        // Sets compare as sets: the same CPUs added in another order hit.
+        let view = shared.view();
+        let cpus = |order: [u32; 2]| {
+            order
+                .map(CpuId)
+                .into_iter()
+                .fold(plain.clone(), TaskFilter::with_cpu)
+        };
+        let first = view.timeline_filtered(TimelineMode::TaskType, bounds, 64, &cpus([0, 1]));
+        let again = view.timeline_filtered(TimelineMode::TaskType, bounds, 64, &cpus([1, 0]));
+        assert!(Arc::ptr_eq(&first.unwrap(), &again.unwrap()));
+    }
+
     #[test]
     fn shared_session_is_sync_and_answers_match_direct() {
         fn assert_sync<T: Sync + Send>() {}

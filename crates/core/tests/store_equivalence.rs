@@ -458,6 +458,37 @@ fn a_damaged_event_block_leaves_queries_over_it_answerable() {
     }
 }
 
+/// A point lane's covered span starts one cycle past the quarantined block
+/// before it: a salvaged store whose first block of CPU 2's sample lane is
+/// damaged answers a query from the span's start exactly, on every CPU — the
+/// lost block's last sample sits at its last key.
+#[test]
+fn a_quarantined_sample_block_leaves_its_last_key_outside_the_span() {
+    let trace = numa_trace(160);
+    let resident = AnalysisSession::new(&trace);
+    let ctr = resident.counter_id("cycles").unwrap();
+    let lane = LaneId::Samples(CpuId(2), ctr);
+    let mut bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 4 }).unwrap();
+    let probe = StoredTrace::from_bytes(bytes.clone()).unwrap();
+    let first = probe.lane_directory(lane).unwrap().blocks[0];
+    bytes[first.offset as usize + 2] ^= 0x20;
+    let mut store = StoreSession::from_store(StoredTrace::from_bytes_salvage(bytes).unwrap());
+    let coverage = store.coverage().expect("salvaged");
+    let span = coverage.full_span.expect("the lane survives in part");
+    assert!(!coverage.clean && coverage.lost_lanes.is_empty());
+    assert_eq!(span.start.0, first.max_key + 1);
+    let window = TimeInterval::from_cycles(span.start.0, span.end.0.min(store.time_bounds().end.0));
+    assert!(coverage.allows_query(window) && !window.is_empty());
+    for cpu in (0..4).map(CpuId) {
+        let got = store.query(window, |q| query_bundle(q, cpu, ctr)).unwrap();
+        assert_eq!(
+            got,
+            query_bundle(&resident.query(window), cpu, ctr),
+            "{cpu}"
+        );
+    }
+}
+
 /// Over a sample lane that is not fully resident — salvaged, with an interior
 /// block quarantined — each view builds a throwaway index of its own: a second
 /// query builds it again and counts it nowhere as re-used, while the slots of

@@ -283,19 +283,26 @@ fn need(request: &Request) -> Need {
     }
 }
 
-/// Refuses a request that is malformed whatever trace it is asked of.
+/// Refuses a request that is malformed whatever trace it is asked of: a frame
+/// of zero or more than [`MAX_COLUMNS`] columns, or over an empty or inverted
+/// interval. Runs before coverage, residency or a lock come into it, and on
+/// [`direct_response`]'s path too, so every backing sends the same bytes.
 fn check_shape(request: &Request) -> Result<(), Response> {
-    match *request {
+    let message = match *request {
         Request::Timeline { columns, .. } | Request::DrillIn { columns, .. }
             if columns == 0 || columns > MAX_COLUMNS =>
         {
-            Err(Response::Error {
-                code: ErrorCode::BadRequest,
-                message: format!("columns must be in 1..={MAX_COLUMNS}, got {columns}"),
-            })
+            format!("columns must be in 1..={MAX_COLUMNS}, got {columns}")
         }
-        _ => Ok(()),
-    }
+        Request::Timeline { interval, .. } if interval.is_empty() => {
+            format!("timeline interval {interval} is empty")
+        }
+        _ => return Ok(()),
+    };
+    Err(Response::Error {
+        code: ErrorCode::BadRequest,
+        message,
+    })
 }
 
 /// A salvage-opened store answers only inside its surviving coverage, and the

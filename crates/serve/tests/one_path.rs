@@ -15,7 +15,7 @@ use aftermath_serve::{DetectorSet, ErrorCode, Request, Response, ServerStats, Se
 use aftermath_sim::{SimConfig, Simulator};
 use aftermath_trace::error::TraceError;
 use aftermath_trace::store::{write_store_bytes, ColdTier, LaneId, MemoryTier};
-use aftermath_trace::{StoreOptions, StoredTrace, TimeInterval, Trace};
+use aftermath_trace::{StoreOptions, StoredTrace, TimeInterval, Timestamp, Trace};
 use aftermath_workloads::SeidelConfig;
 
 fn sim_trace() -> Trace {
@@ -196,36 +196,43 @@ fn a_malformed_request_is_refused_as_such_on_every_backing() {
 
     for name in ["mem", "capped", "salvaged"] {
         let (session, interval) = open(&manager, name);
+        let mid = Timestamp(interval.start.0 + interval.duration() / 2);
+        // Frames of a bad width over the whole trace, and of a good width over
+        // an empty and an inverted interval.
+        let frames = [0, MAX_COLUMNS + 1]
+            .map(|columns| (interval, columns))
+            .into_iter()
+            .chain([
+                (TimeInterval::new(mid, mid), 32),
+                (TimeInterval::new(mid, interval.start), 32),
+            ]);
+        let mut script = Vec::new();
+        for (interval, columns) in frames {
+            for mode in [TimelineMode::State, TimelineMode::NumaHeat] {
+                script.push(Request::Timeline {
+                    session,
+                    mode,
+                    interval,
+                    columns,
+                });
+            }
+        }
         for columns in [0, MAX_COLUMNS + 1] {
-            let script = [
-                Request::Timeline {
-                    session,
-                    mode: TimelineMode::State,
-                    interval,
-                    columns,
-                },
-                Request::Timeline {
-                    session,
-                    mode: TimelineMode::NumaHeat,
-                    interval,
-                    columns,
-                },
-                Request::DrillIn {
-                    session,
-                    detectors: DetectorSet::ALL,
-                    max_anomalies: 8,
-                    rank: 0,
-                    mode: TimelineMode::State,
-                    columns,
-                },
-            ];
-            for request in script {
-                match manager.handle(&request) {
-                    Response::Error { code, .. } => {
-                        assert_eq!(code, ErrorCode::BadRequest, "{name}: {request:?}");
-                    }
-                    other => panic!("{name}: expected BadRequest for {request:?}, got {other:?}"),
+            script.push(Request::DrillIn {
+                session,
+                detectors: DetectorSet::ALL,
+                max_anomalies: 8,
+                rank: 0,
+                mode: TimelineMode::State,
+                columns,
+            });
+        }
+        for request in script {
+            match manager.handle(&request) {
+                Response::Error { code, .. } => {
+                    assert_eq!(code, ErrorCode::BadRequest, "{name}: {request:?}");
                 }
+                other => panic!("{name}: expected BadRequest for {request:?}, got {other:?}"),
             }
         }
     }

@@ -1721,10 +1721,19 @@ impl StoredTrace {
     /// The key span the block run `[lo, hi)` of lane `idx` answers exactly.
     /// Rows of the neighbour blocks outside the run may overlap its edges; the
     /// *guaranteed* span shrinks to the range no outside block can reach into
-    /// (everything, for a run that is the whole lane).
+    /// (everything, for a run that is the whole lane). An interval that ends
+    /// at the block before's last key overlaps nothing from there on, but a
+    /// point (an event, a sample) at that key lies inside, so a point lane's
+    /// span starts one past it.
     fn guaranteed_span(&self, idx: usize, (lo, hi): (usize, usize)) -> TimeInterval {
-        let blocks = &self.directory[idx].blocks;
-        let start = if lo == 0 { 0 } else { blocks[lo - 1].max_key };
+        let LaneDirectory { lane, blocks, .. } = &self.directory[idx];
+        let start = match lo.checked_sub(1).map(|before| blocks[before].max_key) {
+            None => 0,
+            Some(edge) if matches!(lane, LaneId::Events(_) | LaneId::Samples(..)) => {
+                edge.saturating_add(1)
+            }
+            Some(edge) => edge,
+        };
         let end = blocks.get(hi).map_or(u64::MAX, |b| b.min_key);
         TimeInterval::from_cycles(start, end.max(start))
     }
@@ -1739,9 +1748,12 @@ impl StoredTrace {
     /// The key span of `lane` that a salvaged store still answers *exactly*,
     /// independent of what is currently resident: the span no quarantined
     /// block's rows can reach into. For time-sorted lanes the keys are
-    /// timestamps; for the task/access tables, task ids. `None` when the whole
-    /// lane was quarantined; the full span after a strict open or for lanes
-    /// without stored rows.
+    /// timestamps; for the task/access tables, task ids. Behind a quarantined
+    /// block the span of a state lane starts at that block's last key (an
+    /// interval ending there overlaps nothing after it), the span of an event
+    /// or sample lane one cycle later (a point at that key is inside it).
+    /// `None` when the whole lane was quarantined; the full span after a
+    /// strict open or for lanes without stored rows.
     pub fn salvage_covered_span(&self, lane: LaneId) -> Option<TimeInterval> {
         let Some(&idx) = self.lane_index.get(&lane) else {
             // No stored rows: trivially exact everywhere.
