@@ -91,8 +91,9 @@ impl SharedSession {
     }
 
     /// Runs `f` on a [`SharedSession::view`]. The same shape as
-    /// [`crate::StoreSession::with_view`], so a server answers both through one
-    /// call; a resident trace has everything every `need` reads.
+    /// [`crate::StoreSession::with_view`] — `&self`, a [`Need`], a closure over
+    /// a view — so a server answers both backings through one call; a
+    /// resident trace has everything every `need` reads and takes no lock.
     pub fn with_view<R>(&self, _need: Need, f: impl FnOnce(&AnalysisSession<'_>) -> R) -> R {
         f(&self.view())
     }

@@ -18,13 +18,14 @@
 //! pyramid only under the build rule of `SessionState`, so every pyramid it
 //! builds is kept and a window over any other lane is scanned.
 //!
-//! A stored trace answers one request at a time (a server holds it behind a
-//! mutex), so the other cores are idle by construction: block decoding, shard
-//! building, and — as every view's budget (the `threads` rule in
-//! [`crate::session`]) — frame rows and the anomaly scan all run on the one
-//! thread budget of the store ([`StoredTrace::set_decode_threads`], the
-//! machine's parallelism by default). No answer depends on it.
-//! [`StoreSession::stats`] counts the work.
+//! A stored trace answers one request at a time: the session holds the store
+//! behind its own mutex, so it is `Sync` and a server shares it between its
+//! workers through `&self`, like a resident trace. The other cores are
+//! therefore idle by construction: block decoding, shard building, and — as
+//! every view's budget (the `threads` rule in [`crate::session`]) — frame rows
+//! and the anomaly scan all run on the one thread budget of the store
+//! ([`StoredTrace::set_decode_threads`], the machine's parallelism by
+//! default). No answer depends on it. [`StoreSession::stats`] counts the work.
 //!
 //! # Residency semantics
 //!
@@ -38,10 +39,10 @@
 //! accuracy.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use aftermath_trace::store::{DamageReport, LaneId, LaneRequest, LaneResidency, StoredTrace};
+use aftermath_trace::store::{LaneId, LaneRequest, LaneResidency, StoredTrace};
 use aftermath_trace::TimeInterval;
 
 use crate::error::AnalysisError;
@@ -116,16 +117,24 @@ impl SalvageCoverage {
     }
 }
 
-/// An analysis session backed by the on-disk column store.
+/// An analysis session backed by the on-disk column store. It is `Sync`:
+/// every request goes through [`StoreSession::with_view`] on `&self`, which
+/// serialises requests behind the session's one lock.
 #[derive(Debug)]
 pub struct StoreSession {
-    stored: StoredTrace,
+    /// The store, behind the one lock a request holds from its lane plan to
+    /// its eviction.
+    stored: Mutex<StoredTrace>,
     /// The slots every view reads in place; a view reads and fills those of
     /// fully resident lanes only.
     state: SessionState,
     /// What a salvage open left answerable — a function of the open alone, so
     /// worked out once; `None` after a strict open.
     coverage: Option<SalvageCoverage>,
+    /// The time bounds of the full trace, from the store directory.
+    bounds: TimeInterval,
+    /// The store's resident event bytes as of the last completed request.
+    resident_bytes: AtomicUsize,
 }
 
 /// Lifetime work counters of one [`StoreSession`] ([`StoreSession::stats`]).
@@ -224,19 +233,24 @@ impl StoreSession {
         let state = SessionState::new(stored.trace().per_cpu().len(), sampled);
         StoreSession {
             coverage: coverage_of(&stored),
-            stored,
+            bounds: stored
+                .time_bounds()
+                .unwrap_or(TimeInterval::from_cycles(0, 0)),
+            resident_bytes: AtomicUsize::new(stored.resident_event_bytes()),
+            stored: Mutex::new(stored),
             state,
         }
     }
 
-    /// The backing store (residency inspection, lane statistics).
-    pub fn store(&self) -> &StoredTrace {
-        &self.stored
-    }
-
-    /// The damage report of a salvage open (`None` after a strict open).
-    pub fn damage(&self) -> Option<&DamageReport> {
-        self.stored.damage()
+    /// The backing store (residency inspection, lane statistics). Takes
+    /// `&mut self` because the store lives behind the session's lock: no
+    /// request is in flight while the reference lives. A salvage open's
+    /// damage report is [`StoredTrace::damage`] of the store before it is
+    /// wrapped, or [`StoreSession::coverage`] after.
+    pub fn store(&mut self) -> &StoredTrace {
+        self.stored
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Degraded-coverage summary of a salvaged session (`None` after a strict
@@ -249,17 +263,22 @@ impl StoreSession {
     /// Sets (or clears) the steady-state residency budget in bytes (see the
     /// module docs for the exact semantics).
     pub fn set_residency_budget(&mut self, budget: Option<usize>) {
-        self.stored.set_residency_budget(budget);
+        self.stored
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .set_residency_budget(budget);
     }
 
-    /// Bytes currently resident for event data.
+    /// Bytes resident for event data as of the last completed request (at
+    /// open, before any). Never waits for a request in flight.
     pub fn resident_event_bytes(&self) -> usize {
-        self.stored.resident_event_bytes()
+        self.resident_bytes.load(Ordering::Relaxed)
     }
 
-    /// What this session has read, decoded, built and re-used so far.
+    /// What this session has read, decoded, built and re-used so far. Waits
+    /// for a request in flight.
     pub fn stats(&self) -> StoreSessionStats {
-        let store = self.stored.materialise_stats();
+        let store = self.lock().materialise_stats();
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         StoreSessionStats {
             lanes_materialised: store.lanes_materialised,
@@ -273,8 +292,10 @@ impl StoreSession {
     }
 
     /// Bytes of per-trace state shared by every session over this store: the
-    /// resident event data plus every kept counter index and pyramid and the
-    /// access index (cf. [`crate::SharedSession::shared_bytes`]).
+    /// resident event data as of the last completed request plus every kept
+    /// counter index and pyramid and the access index (cf.
+    /// [`crate::SharedSession::shared_bytes`]). Never waits for a request in
+    /// flight.
     pub fn shared_bytes(&self) -> usize {
         self.resident_event_bytes() + self.state.memory_bytes()
     }
@@ -288,9 +309,7 @@ impl StoreSession {
     /// The time bounds of the *full* trace, answered from the store directory
     /// without materialising any lane.
     pub fn time_bounds(&self) -> TimeInterval {
-        self.stored
-            .time_bounds()
-            .unwrap_or(TimeInterval::from_cycles(0, 0))
+        self.bounds
     }
 
     /// Builds a timeline frame with the default filter and the default
@@ -394,8 +413,8 @@ impl StoreSession {
     /// not built (the build rule of `SessionState`). A query reads every lane
     /// but the event lanes, which no aggregate of it reads; a whole-trace scan
     /// reads every lane.
-    fn lanes(&self, need: &Need) -> Vec<LaneRequest> {
-        let lanes = self.stored.lanes();
+    fn lanes(stored: &StoredTrace, need: &Need) -> Vec<LaneRequest> {
+        let lanes = stored.lanes();
         let covering = |interval| {
             move |lane| match lane {
                 LaneId::States(_) => LaneRequest::StatesCovering(lane, interval),
@@ -423,7 +442,12 @@ impl StoreSession {
 
     /// One request against the store: runs `f` on a short-lived
     /// [`AnalysisSession`] view over the lanes `need` reads, and brings
-    /// residency back under the budget.
+    /// residency back under the budget. Takes `&self`, like
+    /// [`crate::SharedSession::with_view`]: requests from many threads
+    /// serialise on the session's lock, which is held from the lane plan to
+    /// the eviction; [`StoreSession::resident_event_bytes`],
+    /// [`StoreSession::shared_bytes`], [`StoreSession::cache_stats`] and
+    /// [`StoreSession::time_bounds`] never take it.
     ///
     /// The view reads the session's slots of every *fully* resident lane in
     /// place. For a query or a report, the missing shards of fully resident
@@ -438,7 +462,7 @@ impl StoreSession {
     /// before anything is read; otherwise propagates lane materialisation
     /// failures.
     pub fn with_view<R>(
-        &mut self,
+        &self,
         need: Need,
         f: impl FnOnce(&AnalysisSession<'_>) -> R,
     ) -> Result<R, AnalysisError> {
@@ -447,8 +471,31 @@ impl StoreSession {
                 row_coverage: coverage.row_coverage,
             });
         }
-        self.stored.ensure_batch(&self.lanes(&need))?;
-        let stored = &self.stored;
+        let mut stored = self.lock();
+        let result = self.answer(&mut stored, need, f);
+        self.resident_bytes
+            .store(stored.resident_event_bytes(), Ordering::Relaxed);
+        result
+    }
+
+    /// The store, waited for. Recovers a poisoned lock: a request that
+    /// panicked mid-way (a server contains such panics) leaves it poisoned,
+    /// but what a request mutates under it is residency bookkeeping — a lost
+    /// answer, not corrupt analysis state — so later requests on the same
+    /// trace must keep working.
+    fn lock(&self) -> MutexGuard<'_, StoredTrace> {
+        self.stored.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// [`StoreSession::with_view`] under the lock: materialise the lane plan,
+    /// run `f` on a view, evict to budget.
+    fn answer<R>(
+        &self,
+        stored: &mut StoredTrace,
+        need: Need,
+        f: impl FnOnce(&AnalysisSession<'_>) -> R,
+    ) -> Result<R, AnalysisError> {
+        stored.ensure_batch(&Self::lanes(stored, &need))?;
         let full = |lane| stored.residency(lane) == LaneResidency::Full;
         let mut view = self.state.view(stored.trace(), None, full);
         view.threads = stored.decode_threads();
@@ -458,7 +505,7 @@ impl StoreSession {
         }
         let result = f(&view);
         drop(view);
-        self.stored.evict_to_budget();
+        stored.evict_to_budget();
         Ok(result)
     }
 }

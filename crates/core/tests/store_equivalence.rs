@@ -621,16 +621,17 @@ fn a_store_reads_what_each_answer_reads() {
         .copied()
         .filter(|lane| matches!(lane, LaneId::States(_)))
         .collect();
+    let stored = store.store();
     let state_bytes: u64 = state_lanes
         .iter()
-        .flat_map(|&lane| &store.store().lane_directory(lane).unwrap().blocks)
+        .flat_map(|&lane| &stored.lane_directory(lane).unwrap().blocks)
         .map(|b| b.len)
         .sum();
     let bounds = store.time_bounds();
     let start = bounds.start.0 + bounds.duration() / 2;
     let eighth = TimeInterval::from_cycles(start, start + bounds.duration() / 8);
     let absent =
-        |store: &StoreSession, lane| store.store().residency(lane) == LaneResidency::Absent;
+        |store: &mut StoreSession, lane| store.store().residency(lane) == LaneResidency::Absent;
 
     // (a) A default-engine state frame.
     let frame = store.timeline(TimelineMode::State, eighth, 32).unwrap();
@@ -644,7 +645,7 @@ fn a_store_reads_what_each_answer_reads() {
         "{} of {state_bytes} state bytes read",
         after_frame.bytes_read
     );
-    assert!(absent(&store, LaneId::Tasks) && absent(&store, LaneId::Accesses));
+    assert!(absent(&mut store, LaneId::Tasks) && absent(&mut store, LaneId::Accesses));
     assert_eq!(after_frame.pyramid_builds, 0);
 
     // (b) A query over the same window.
@@ -658,7 +659,7 @@ fn a_store_reads_what_each_answer_reads() {
         .filter(|lane| matches!(lane, LaneId::Events(_)))
         .collect();
     assert!(!events.is_empty());
-    assert!(events.into_iter().all(|&lane| absent(&store, lane)));
+    assert!(events.into_iter().all(|&lane| absent(&mut store, lane)));
     assert_eq!(store.stats().pyramid_builds, 0);
 
     // (c) A report.
@@ -942,4 +943,103 @@ fn anomaly_reports_are_identical_for_one_to_eight_threads() {
             assert_eq!(parallel, sequential, "{name} at {threads} threads");
         }
     }
+}
+
+fn assert_sync<T: Sync>() {}
+
+/// One request of the shared-session script and the resident session's answer.
+enum Step {
+    Frame(TimelineMode, TimeInterval, TimelineModel),
+    Query(TimeInterval, Vec<String>),
+    Report(std::sync::Arc<aftermath_core::anomaly::AnomalyReport>),
+}
+
+/// A store session is `Sync` and serves many threads through
+/// `with_view(&self, ..)`: one session, capped at half its decoded size,
+/// answers four threads' interleaved frames in all six modes, queries and a
+/// report each exactly as the resident session does, and is back under its
+/// budget once they are done.
+#[test]
+fn one_capped_session_serves_four_threads_through_a_shared_reference() {
+    use aftermath_core::Need;
+
+    assert_sync::<StoreSession>();
+    let trace = numa_trace(320);
+    let resident = AnalysisSession::new(&trace);
+    let ctr = resident.counter_id("cycles").unwrap();
+    let config = AnomalyConfig::default();
+    let budget = trace.resident_event_bytes() / 2;
+    let mut store = store_session(&trace, 8);
+    store.set_residency_budget(Some(budget));
+    let bounds = store.time_bounds();
+    let cpus = || (0..4).map(CpuId);
+    let scripts: Vec<Vec<Step>> = (0..4u64)
+        .map(|thread| {
+            let mut script = Vec::new();
+            for round in 0..4 {
+                let eighth = bounds.duration() / 8;
+                let start = bounds.start.0 + eighth * ((thread * 3 + round) % 7);
+                let window = TimeInterval::from_cycles(start, start + 2 * eighth);
+                for mode in all_modes() {
+                    let want = resident.timeline(mode, window, 24).unwrap();
+                    script.push(Step::Frame(mode, window, (*want).clone()));
+                }
+                let query = resident.query(window);
+                let want = cpus().map(|cpu| query_bundle(&query, cpu, ctr)).collect();
+                script.push(Step::Query(window, want));
+                if round == thread % 4 {
+                    script.push(Step::Report(resident.detect_anomalies(&config).unwrap()));
+                }
+            }
+            script
+        })
+        .collect();
+
+    let store = &store;
+    std::thread::scope(|scope| {
+        for (thread, script) in scripts.iter().enumerate() {
+            let config = &config;
+            scope.spawn(move || {
+                for (step, request) in script.iter().enumerate() {
+                    let what = format!("thread {thread}, step {step}");
+                    match request {
+                        Step::Frame(mode, interval, want) => {
+                            let need = Need::Frame {
+                                mode: *mode,
+                                interval: *interval,
+                            };
+                            let got = store
+                                .with_view(need, |view| view.timeline(*mode, *interval, 24))
+                                .unwrap()
+                                .unwrap();
+                            assert_eq!(*got, *want, "{what}");
+                        }
+                        Step::Query(interval, want) => {
+                            let need = Need::Query {
+                                interval: *interval,
+                            };
+                            let got = store
+                                .with_view(need, |view| {
+                                    let query = view.query(*interval);
+                                    cpus()
+                                        .map(|cpu| query_bundle(&query, cpu, ctr))
+                                        .collect::<Vec<_>>()
+                                })
+                                .unwrap();
+                            assert_eq!(got, *want, "{what}");
+                        }
+                        Step::Report(want) => {
+                            let got = store
+                                .with_view(Need::WholeTrace, |view| view.detect_anomalies(config))
+                                .unwrap()
+                                .unwrap();
+                            assert_eq!(*got, **want, "{what}");
+                        }
+                    }
+                }
+            });
+        }
+    });
+    assert!(store.resident_event_bytes() <= budget);
+    assert!(store.stats().lanes_materialised > 0);
 }

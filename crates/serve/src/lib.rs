@@ -63,7 +63,7 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Client, RetriesExhausted, RetryPolicy};
-pub use manager::{SessionManager, StoreEntry, TraceEntry};
+pub use manager::{SessionManager, TraceEntry};
 pub use protocol::{
     DetectorSet, ErrorCode, QueryResult, Request, Response, ServerStats, MAX_FRAME_LEN,
     PROTOCOL_VERSION,

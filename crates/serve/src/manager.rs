@@ -14,10 +14,11 @@
 //! it finds the session's [`TraceEntry`], validates the request's shape, says
 //! what the request reads ([`Need`]) and hands [`direct_response`] a view of the
 //! trace — so the server's bytes are the direct session's bytes for every
-//! backing by construction. What differs per backing is only how a view comes
-//! to be: a memory-backed trace hands them out lock-free and concurrently, a
-//! store-backed one serialises its requests behind one mutex because lane
-//! materialisation needs `&mut`. `Open` and `Stats` never take that mutex.
+//! backing by construction. Both backings answer through `with_view(&self,
+//! need, f)`; what differs is only how a view comes to be: a memory-backed
+//! trace hands them out lock-free and concurrently, a [`StoreSession`]
+//! serialises its requests behind its own lock because lane materialisation
+//! mutates residency. `Open` and `Stats` never take that lock.
 
 // Dispatch helpers use `Result<Response, Response>` so `?` short-circuits
 // straight to the error *response*; both variants merge immediately at the
@@ -26,11 +27,11 @@
 
 use std::collections::HashMap;
 use std::mem::size_of;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use aftermath_core::session::IntervalQuery;
 use aftermath_core::{
-    AnalysisError, AnalysisSession, CacheStats, Need, SharedSession, StoreSession, TaskFilter,
+    AnalysisError, AnalysisSession, Need, SharedSession, StoreSession, TaskFilter,
 };
 use aftermath_trace::{AccessKind, CounterId, CpuId, TimeInterval};
 
@@ -41,54 +42,16 @@ use crate::protocol::{ErrorCode, QueryResult, Request, Response, ServerStats};
 pub const MAX_COLUMNS: u32 = 16_384;
 
 /// One registered trace: either fully resident shared state or a lazily
-/// materialising on-disk store.
+/// materialising on-disk store. Both answer a request through `with_view` on
+/// `&self`.
 #[derive(Debug, Clone)]
 pub enum TraceEntry {
     /// A resident trace with prewarmed shared indexes, pyramids and caches;
     /// requests run concurrently on cheap views.
     Memory(Arc<SharedSession>),
-    /// An on-disk column store; requests serialise behind its mutex because
-    /// lane materialisation mutates residency state.
-    Store(Arc<StoreEntry>),
-}
-
-/// A store-backed trace: the session behind its mutex, and next to it what
-/// `Stats` reports about it, so that reading it never waits for a request.
-#[derive(Debug)]
-pub struct StoreEntry {
-    session: Mutex<StoreSession>,
-    /// `(shared bytes, result-cache totals)` as of the last completed request.
-    published: Mutex<(u64, CacheStats)>,
-}
-
-impl StoreEntry {
-    fn new(session: StoreSession) -> Self {
-        let published = Mutex::new((session.shared_bytes() as u64, session.cache_stats()));
-        StoreEntry {
-            session: Mutex::new(session),
-            published,
-        }
-    }
-
-    fn with_view<R>(
-        &self,
-        need: Need,
-        f: impl FnOnce(&AnalysisSession<'_>) -> R,
-    ) -> Result<R, AnalysisError> {
-        // Recover from a poisoned lock: a pool worker that panicked mid-request
-        // (the server contains such panics) leaves the mutex poisoned, but
-        // `StoreSession` mutations are residency bookkeeping and caches that
-        // fail closed — a lost answer, not corrupt analysis state — so later
-        // requests on the same trace must keep working.
-        let mut session = self.session.lock().unwrap_or_else(PoisonError::into_inner);
-        let result = session.with_view(need, f);
-        *self
-            .published
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) =
-            (session.shared_bytes() as u64, session.cache_stats());
-        result
-    }
+    /// An on-disk column store; requests serialise behind the session's own
+    /// lock, because lane materialisation mutates residency state.
+    Store(Arc<StoreSession>),
 }
 
 impl TraceEntry {
@@ -155,11 +118,11 @@ impl SessionManager {
     }
 
     /// Registers an on-disk store under `name` (see [`Self::register_memory`]).
-    pub fn register_store(&mut self, name: impl Into<String>, store: StoreSession) {
+    pub fn register_store(&mut self, name: impl Into<String>, mut store: StoreSession) {
         let registered = Registered {
             interval: store.time_bounds(),
             cpus: store.store().trace().topology().num_cpus() as u32,
-            entry: TraceEntry::Store(Arc::new(StoreEntry::new(store))),
+            entry: TraceEntry::Store(Arc::new(store)),
         };
         self.traces.insert(name.into(), registered);
     }
@@ -243,13 +206,10 @@ impl SessionManager {
         let mut stats = ServerStats::default();
         for registered in self.traces.values() {
             let (shared_bytes, cache) = match &registered.entry {
-                TraceEntry::Memory(shared) => (shared.shared_bytes() as u64, shared.cache_stats()),
-                TraceEntry::Store(store) => *store
-                    .published
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
+                TraceEntry::Memory(x) => (x.shared_bytes(), x.cache_stats()),
+                TraceEntry::Store(x) => (x.shared_bytes(), x.cache_stats()),
             };
-            stats.shared_bytes += shared_bytes;
+            stats.shared_bytes += shared_bytes as u64;
             stats.cache_hits += cache.hits;
             stats.cache_misses += cache.misses;
         }

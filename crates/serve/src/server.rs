@@ -13,11 +13,14 @@
 //! The acceptor blocks in `accept`, so a connection is handed to the pool the
 //! moment it arrives; shutdown sets the flag and wakes the acceptor with a
 //! loopback connection to its own port. Connections read with a short poll
-//! timeout so every worker notices shutdown within one tick even while idle. A
-//! client that starts a frame but stalls mid-payload is cut off after the
-//! configured request timeout — a half-open socket must not pin a pool worker
-//! forever. When a connection closes, every session it opened and did not close
-//! is closed for it.
+//! timeout so every worker notices shutdown within one tick even while idle.
+//! Every read *and every write* is bounded by the configured request timeout —
+//! a half-open socket must not pin a pool worker, or hold up shutdown,
+//! forever: a client that starts a frame but stalls mid-payload (also behind a
+//! complete frame that arrived in the same read) is cut off with a `Timeout`
+//! frame, and a response write that cannot complete because the client stopped
+//! reading ends the connection. When a connection closes, every session it
+//! opened and did not close is closed for it.
 //!
 //! A request that panics while computing its response is contained twice
 //! over: the connection loop catches the unwind and answers a typed
@@ -47,7 +50,9 @@ pub struct ServeConfig {
     /// Connections queued beyond the idle workers before new ones are
     /// refused with `ServerFull`.
     pub backlog: usize,
-    /// How long a started frame may stall before its connection is cut off.
+    /// How long a started frame may stall, or a response write block, before
+    /// its connection is cut off. Must be non-zero: a socket refuses a zero
+    /// write timeout, and the connection then ends at once.
     pub request_timeout: Duration,
 }
 
@@ -240,6 +245,7 @@ fn connection_loop(
 ) -> Result<(), ConnectionEnd> {
     stream
         .set_read_timeout(Some(POLL_TICK))
+        .and_then(|()| stream.set_write_timeout(Some(request_timeout)))
         .map_err(|_| ConnectionEnd::Disconnected)?;
     let mut buffer: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 64 * 1024];
@@ -277,6 +283,13 @@ fn connection_loop(
             }
             send(stream, response).map_err(|_| ConnectionEnd::Disconnected)?;
         }
+        // Bytes left behind the last complete frame start the next one: its
+        // clock runs from now unless it was already running.
+        if buffer.is_empty() {
+            frame_started_at = None;
+        } else if frame_started_at.is_none() {
+            frame_started_at = Some(Instant::now());
+        }
         if shutdown.load(Ordering::SeqCst) {
             return Err(ConnectionEnd::Disconnected);
         }
@@ -287,12 +300,7 @@ fn connection_loop(
         }
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(()),
-            Ok(n) => {
-                if buffer.is_empty() {
-                    frame_started_at = Some(Instant::now());
-                }
-                buffer.extend_from_slice(&chunk[..n]);
-            }
+            Ok(n) => buffer.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return Err(ConnectionEnd::Disconnected),
@@ -339,7 +347,6 @@ fn send(stream: &mut TcpStream, response: Response) -> io::Result<()> {
     } else {
         payload
     };
-    let _ = stream.set_write_timeout(None);
     write_frame(stream, &payload)?;
     stream.flush()
 }

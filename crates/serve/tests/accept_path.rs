@@ -1,14 +1,19 @@
 //! The connect and shutdown paths: the acceptor blocks in `accept` instead of
 //! polling, so a connection is served the moment it arrives, and shutdown wakes
-//! the acceptor instead of waiting for it to come round.
+//! the acceptor instead of waiting for it to come round. A client that stalls
+//! mid-frame or stops reading cannot pin a worker past the request timeout.
 
+use std::io::Write;
 use std::net::TcpStream;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use aftermath_core::timeline::TimelineMode;
 use aftermath_core::{SharedSession, Threads};
-use aftermath_serve::protocol::read_frame;
-use aftermath_serve::{Client, ErrorCode, Response, ServeConfig, Server, SessionManager};
+use aftermath_serve::manager::MAX_COLUMNS;
+use aftermath_serve::protocol::{read_frame, write_frame};
+use aftermath_serve::{Client, ErrorCode, Request, Response, ServeConfig, Server, SessionManager};
 use aftermath_trace::{CpuId, MachineTopology, Timestamp, TraceBuilder, WorkerState};
 
 /// Far above what a blocking accept needs, far below one poll tick per connect.
@@ -122,4 +127,93 @@ fn saturated_pool_still_answers_server_full() {
             Err(error) => panic!("the freed worker never served again: {error}"),
         }
     }
+}
+
+/// The bytes of one frame carrying `request`.
+fn frame(request: &Request) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &request.encode()).expect("frame encodes");
+    bytes
+}
+
+/// Reads one response off `stream`.
+fn response(stream: &mut TcpStream) -> Response {
+    let payload = read_frame(stream).expect("a response frame arrives");
+    Response::decode(&payload).expect("response decodes")
+}
+
+#[test]
+fn a_stalled_frame_is_cut_off_even_behind_a_complete_one() {
+    let server = server(ServeConfig {
+        request_timeout: Duration::from_millis(300),
+        ..ServeConfig::default()
+    });
+    // A complete `Stats` frame and two bytes of the next in one write; and a
+    // lone half frame.
+    let behind = [frame(&Request::Stats), vec![9, 0]].concat();
+    for (what, bytes, answers) in [
+        ("behind a complete frame", behind, 1),
+        ("alone", vec![9, 0], 0),
+    ] {
+        let mut stream = TcpStream::connect(server.addr()).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout set");
+        stream.write_all(&bytes).expect("bytes sent");
+        for _ in 0..answers {
+            assert!(
+                matches!(response(&mut stream), Response::Stats(_)),
+                "{what}: the complete frame is answered"
+            );
+        }
+        match response(&mut stream) {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Timeout, "{what}"),
+            other => panic!("{what}: expected Timeout, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_client_that_stops_reading_cannot_hold_up_shutdown() {
+    let request_timeout = Duration::from_millis(500);
+    let server = server(ServeConfig {
+        request_timeout,
+        ..ServeConfig::default()
+    });
+    let mut stream = TcpStream::connect(server.addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout set");
+    stream
+        .write_all(&frame(&Request::Open {
+            trace: "tiny".into(),
+        }))
+        .expect("open sent");
+    let Response::Opened {
+        session, interval, ..
+    } = response(&mut stream)
+    else {
+        panic!("tiny must open");
+    };
+    // Far more response bytes than the loopback buffers hold, never read.
+    let widest = frame(&Request::Timeline {
+        session,
+        mode: TimelineMode::State,
+        interval,
+        columns: MAX_COLUMNS,
+    });
+    stream
+        .write_all(&widest.repeat(2_000))
+        .expect("requests sent");
+
+    let (done, returned) = channel();
+    let shutdown = std::thread::spawn(move || {
+        server.shutdown();
+        done.send(()).expect("the test listens");
+    });
+    returned
+        .recv_timeout(request_timeout + Duration::from_secs(5))
+        .expect("shutdown must not wait on a client that stopped reading");
+    shutdown.join().expect("shutdown thread");
+    drop(stream);
 }
