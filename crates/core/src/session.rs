@@ -3,8 +3,10 @@
 //! Every [`AnalysisSession`] reads and fills the shard slots of one
 //! `SessionState` in place: one of its own for [`AnalysisSession::new`], its
 //! owner's for a view that a [`crate::SharedSession`], [`crate::StoreSession`]
-//! or [`crate::live::LiveSession`] hands out. What a view may read and fill —
-//! the slot rule and the build rule — is stated once, on `SessionState`.
+//! or [`crate::live::LiveSession`] hands out. A slot is filled only from its
+//! lane's whole run, so the one slot a view may keep of its own is the access
+//! index's, while a table is not whole. What a view may read and fill — the
+//! slot rule and the build rule — is stated once, on `SessionState`.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,10 +69,6 @@ pub struct AnalysisSession<'t> {
     /// view reads CPU `c`'s pyramid slot at all (the slot rule of
     /// `SessionState`).
     usable_states: Vec<bool>,
-    /// Index slots of this view's own for the sampled pairs whose lane the
-    /// owner does not call usable; they shadow the owner's and are dropped
-    /// with the view.
-    own_indexes: HashMap<(CpuId, CounterId), OnceLock<CounterIndex>>,
     /// The access-index slot of this view's own, present while `Tasks` or
     /// `Accesses` is not usable — and then no pyramid slot is filled.
     own_access_index: Option<OnceLock<AccessIndex>>,
@@ -146,12 +144,16 @@ pub enum Need {
 /// a `OnceLock` per slot is all the synchronisation the slots need.
 ///
 /// **The slot rule.** Shards hold absolute row indices into their lane, so a
-/// view reads and fills the owner's slot of a lane only while the owner calls
-/// the lane `usable` (a store: fully resident); a filled slot survives its lane
-/// becoming unusable and is read again once the lane is back. For a sample
-/// lane that is not usable the view builds into a slot of its own, dropped
-/// with the view; so it does for the access index, over the task and access
-/// lanes.
+/// slot is only ever filled from the lane's whole run — the one the owner calls
+/// `usable` (a store: `LaneResidency::Full`, every block after a strict open,
+/// the surviving run after a salvage open) — and a filled slot survives its
+/// lane going and is read again once the lane is whole again. A sample lane is
+/// whole or absent (a store loads one only by a whole-lane request), and an
+/// absent one reads as empty and fills nothing, so a view reads the owner's
+/// counter-index slot of every sample lane. Only two slots are conditional:
+/// CPU `c`'s pyramid slot is read while `States(c)` is usable, and the
+/// access-index slot while `Tasks` and `Accesses` are both usable — otherwise
+/// the view builds the access index into a slot of its own, dropped with it.
 ///
 /// **The build rule.** A pyramid node aggregates a CPU's states, their tasks
 /// and those tasks' accesses, so a view fills CPU `c`'s pyramid slot only while
@@ -176,7 +178,7 @@ pub(crate) struct SessionState {
     timeline_cache: SharedCache<TimelineKey, TimelineModel>,
     /// Pyramids built (the build rule: each one is kept).
     pub(crate) pyramid_builds: AtomicU64,
-    /// Counter indexes built, a view's own slots included.
+    /// Counter indexes built: at most one per sampled pair.
     pub(crate) index_builds: AtomicU64,
     /// Access indexes built, a view's own slot included.
     pub(crate) access_index_builds: AtomicU64,
@@ -451,24 +453,20 @@ impl<'t> AnalysisSession<'t> {
     }
 
     /// A view over `trace` reading `state`'s slots under the slot rule of
-    /// [`SessionState`]: the owner's slot of every `usable` lane, a fresh one
-    /// of its own for every other sample lane and, unless `Tasks` and
-    /// `Accesses` are both usable, for the access index. Counts the filled
-    /// slots on usable lanes it starts with as re-used.
+    /// [`SessionState`]: the owner's counter-index slots, its pyramid slot of
+    /// every `usable` state lane and, unless `Tasks` and `Accesses` are both
+    /// usable, an access-index slot of its own. Counts the filled slots on
+    /// usable lanes it starts with as re-used.
     fn over(trace: &'t Trace, state: Slots<'t>, usable: impl Fn(LaneId) -> bool) -> Self {
         let usable_states: Vec<bool> = (0..state.pyramids.len())
             .map(|cpu| usable(LaneId::States(CpuId(cpu as u32))))
             .collect();
-        let own_indexes: HashMap<_, _> = state
-            .indexes
-            .keys()
-            .filter(|&&(cpu, counter)| !usable(LaneId::Samples(cpu, counter)))
-            .map(|&key| (key, OnceLock::new()))
-            .collect();
         let reused_indexes = state
             .indexes
             .iter()
-            .filter(|&(key, slot)| slot.get().is_some() && !own_indexes.contains_key(key))
+            .filter(|&(&(cpu, counter), slot)| {
+                slot.get().is_some() && usable(LaneId::Samples(cpu, counter))
+            })
             .count();
         let reused_pyramids = state
             .pyramids
@@ -482,7 +480,6 @@ impl<'t> AnalysisSession<'t> {
             trace,
             state,
             usable_states,
-            own_indexes,
             own_access_index: (!tables).then(OnceLock::new),
             task_graph: OnceLock::new(),
             engine_log: Mutex::new(Vec::new()),
@@ -528,13 +525,9 @@ impl<'t> AnalysisSession<'t> {
         cpu: CpuId,
         counter: CounterId,
     ) -> Option<(&CounterIndex, SamplesView<'t>)> {
-        // The view's own slot for a lane the owner does not call usable, the
-        // owner's otherwise (the slot rule of `SessionState`).
-        let key = (cpu, counter);
-        let slot = self
-            .own_indexes
-            .get(&key)
-            .or_else(|| self.state.indexes.get(&key))?;
+        // An absent lane reads as empty and fills nothing; any other sample
+        // lane is whole (the slot rule of `SessionState`).
+        let slot = self.state.indexes.get(&(cpu, counter))?;
         let samples = self.samples(cpu, counter);
         if samples.is_empty() {
             return None;
@@ -627,9 +620,9 @@ impl<'t> AnalysisSession<'t> {
     }
 
     /// The per-lane half of [`AnalysisSession::prewarm`]: fills the owner's
-    /// slots of the lanes it calls usable — [`LaneId::Samples`] for a counter
-    /// index, [`LaneId::States`] for a pyramid; a [`crate::StoreSession`]
-    /// calls only the fully resident ones usable. Pyramids go through
+    /// counter-index slots — an absent sample lane builds nothing — and the
+    /// pyramid slots of the state lanes it calls usable (a
+    /// [`crate::StoreSession`]: the whole ones). Pyramids go through
     /// [`AnalysisSession::pyramid`], so the build rule holds here too.
     ///
     /// The access index is not a per-lane shard and is not built ahead here: the
@@ -637,9 +630,7 @@ impl<'t> AnalysisSession<'t> {
     /// on its [`OnceLock`]).
     pub(crate) fn prewarm_lanes(&self, threads: Threads) -> usize {
         let indexes = self.state.indexes.keys();
-        let indexes = indexes
-            .filter(|key| !self.own_indexes.contains_key(key))
-            .map(|&(cpu, counter)| LaneId::Samples(cpu, counter));
+        let indexes = indexes.map(|&(cpu, counter)| LaneId::Samples(cpu, counter));
         let pyramids = (0..self.usable_states.len())
             .filter(|&cpu| self.usable_states[cpu])
             .map(|cpu| LaneId::States(CpuId(cpu as u32)));
@@ -652,20 +643,11 @@ impl<'t> AnalysisSession<'t> {
         built.into_iter().filter(|&built| built).count()
     }
 
-    /// The index slots this view reads, one per sampled pair of the owner.
-    fn index_slots(&self) -> impl Iterator<Item = &OnceLock<CounterIndex>> {
-        self.state
-            .indexes
-            .iter()
-            .map(|(key, slot)| self.own_indexes.get(key).unwrap_or(slot))
-    }
-
     /// Number of counter index shards built so far (diagnostics; grows on demand and
     /// after [`AnalysisSession::prewarm`]).
     pub fn built_counter_indexes(&self) -> usize {
-        self.index_slots()
-            .filter(|slot| slot.get().is_some())
-            .count()
+        let slots = self.state.indexes.values();
+        slots.filter(|slot| slot.get().is_some()).count()
     }
 
     /// The underlying trace.
@@ -884,10 +866,8 @@ impl<'t> AnalysisSession<'t> {
     /// Shards are lazy; [`AnalysisSession::prewarm`] first to measure the fully
     /// indexed session.
     pub fn index_memory_bytes(&self) -> usize {
-        self.index_slots()
-            .filter_map(OnceLock::get)
-            .map(CounterIndex::memory_bytes)
-            .sum()
+        let indexes = self.state.indexes.values().filter_map(OnceLock::get);
+        indexes.map(CounterIndex::memory_bytes).sum()
     }
 
     /// Ratio of index memory to raw counter-sample memory (the paper reports

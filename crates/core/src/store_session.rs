@@ -11,12 +11,14 @@
 //! salvaged store may answer it at all ([`SalvageCoverage::allows`]), which
 //! lanes to materialise — the lane plan, `StoreSession::lanes`, in **one**
 //! batch ([`StoredTrace::ensure_batch`]) — and, for a query or a report,
-//! whether to build the missing shards of fully resident lanes ahead, in
-//! parallel, each once per session. "Usable" means fully resident: the view
-//! reads and fills the session's slots of usable lanes in place, builds a
-//! throwaway index of its own over a sample lane that is not, and builds a
-//! pyramid only under the build rule of `SessionState`, so every pyramid it
-//! builds is kept and a window over any other lane is scanned.
+//! whether to build the missing shards of whole lanes ahead, in parallel,
+//! each once per session. "Usable" means whole ([`LaneResidency::Full`]): the
+//! lane holds the run a whole-lane request installs — every block after a
+//! strict open, the surviving block run after a salvage open. A sample lane is
+//! only ever loaded whole, so its index is built once and re-read, damaged or
+//! not; the view builds a pyramid only under the build rule of
+//! `SessionState`, so every pyramid it builds is kept and a window over any
+//! other state lane is scanned.
 //!
 //! A stored trace answers one request at a time: the session holds the store
 //! behind its own mutex, so it is `Sync` and a server shares it between its
@@ -126,7 +128,7 @@ pub struct StoreSession {
     /// its eviction.
     stored: Mutex<StoredTrace>,
     /// The slots every view reads in place; a view reads and fills those of
-    /// fully resident lanes only.
+    /// whole lanes only.
     state: SessionState,
     /// What a salvage open left answerable — a function of the open alone, so
     /// worked out once; `None` after a strict open.
@@ -149,15 +151,13 @@ pub struct StoreSessionStats {
     /// State pyramids built — at most one per state lane: the build rule of
     /// `SessionState` lets a view build only a pyramid the session keeps.
     pub pyramid_builds: u64,
-    /// Counter indexes built — at most one kept per sample lane, plus every
-    /// throwaway one a view built over a sample lane that was not fully
-    /// resident.
+    /// Counter indexes built — at most one per sample lane.
     pub index_builds: u64,
-    /// Access indexes built — once over the fully resident task and access
-    /// lanes, plus every one a view built while one of them was not.
+    /// Access indexes built — once over the whole task and access lanes, plus
+    /// every one a view built while one of them was not.
     pub access_index_builds: u64,
-    /// Built shards on fully resident lanes that views started with, instead
-    /// of building them again.
+    /// Built shards on whole lanes that views started with, instead of
+    /// building them again.
     pub shards_reseeded: u64,
 }
 
@@ -449,11 +449,11 @@ impl StoreSession {
     /// [`StoreSession::shared_bytes`], [`StoreSession::cache_stats`] and
     /// [`StoreSession::time_bounds`] never take it.
     ///
-    /// The view reads the session's slots of every *fully* resident lane in
-    /// place. For a query or a report, the missing shards of fully resident
-    /// lanes are first built in parallel on the store's thread budget (a frame
-    /// builds a row's pyramid on the row's own worker); either way, they land
-    /// in the session's slots, which is where the next view finds them.
+    /// The view reads the session's slots of every whole lane in place. For a
+    /// query or a report, the missing shards of whole lanes are first built in
+    /// parallel on the store's thread budget (a frame builds a row's pyramid on
+    /// the row's own worker); either way, they land in the session's slots,
+    /// which is where the next view finds them.
     ///
     /// # Errors
     ///
@@ -507,5 +507,159 @@ impl StoreSession {
         drop(view);
         stored.evict_to_budget();
         Ok(result)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use aftermath_exec::Threads;
+    use aftermath_trace::store::{write_store_bytes, StoreOptions};
+    use aftermath_trace::{AccessKind, CpuId};
+
+    use super::*;
+    use crate::anomaly::AnomalyConfig;
+    use crate::testutil::small_sim_trace;
+
+    /// Every filled slot was filled from its lane's whole run: a pyramid holds
+    /// as many intervals as its state lane's whole run, a counter index as many
+    /// samples as its sample lane's.
+    fn assert_slots_hold_whole_runs(
+        store: &StoreSession,
+        whole: &HashMap<LaneId, u64>,
+        what: &str,
+    ) {
+        for (cpu, slot) in store.state.pyramids.iter().enumerate() {
+            if let Some(pyramid) = slot.get() {
+                let lane = LaneId::States(CpuId(cpu as u32));
+                assert_eq!(
+                    pyramid.num_intervals() as u64,
+                    whole[&lane],
+                    "{what}: {lane}"
+                );
+            }
+        }
+        for (&(cpu, counter), slot) in &store.state.indexes {
+            if let Some(index) = slot.get() {
+                let lane = LaneId::Samples(cpu, counter);
+                assert_eq!(index.num_samples() as u64, whole[&lane], "{what}: {lane}");
+            }
+        }
+    }
+
+    /// The slot rule, checked against the store's own account of each lane
+    /// rather than against residency: after every frame (six modes, pyramid
+    /// and default engines), query and report, on a strict store and on a
+    /// salvaged one with a middle block quarantined in a sample lane and in a
+    /// state lane, at zero, half and no residency budget, every filled slot
+    /// holds its lane's whole run — all blocks after a strict open, the
+    /// surviving run after a salvage open.
+    #[test]
+    fn every_filled_slot_holds_its_lanes_whole_run() {
+        let trace = small_sim_trace();
+        let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 16 }).unwrap();
+        let probe = StoredTrace::from_bytes(bytes.clone()).unwrap();
+        let lanes: Vec<LaneId> = probe.lanes().collect();
+        let mut damaged = bytes.clone();
+        for kind in [
+            |lane: &LaneId| matches!(lane, LaneId::Samples(..)),
+            |lane: &LaneId| matches!(lane, LaneId::States(_)),
+        ] {
+            let blocks = lanes
+                .iter()
+                .filter(|lane| kind(lane))
+                .map(|&lane| &probe.lane_directory(lane).unwrap().blocks)
+                .find(|blocks| blocks.len() >= 3)
+                .expect("a lane of three blocks or more");
+            damaged[blocks[blocks.len() / 2].offset as usize + 2] ^= 0x20;
+        }
+        let modes = [
+            TimelineMode::State,
+            TimelineMode::Heatmap {
+                min_duration: 10,
+                max_duration: 10_000,
+            },
+            TimelineMode::TaskType,
+            TimelineMode::NumaRead,
+            TimelineMode::NumaWrite,
+            TimelineMode::NumaHeat,
+        ];
+        let full = trace.resident_event_bytes();
+
+        for salvaged in [false, true] {
+            for budget in [Some(0), Some(full / 2), None] {
+                let what = format!("salvaged {salvaged}, budget {budget:?}");
+                let mut stored = if salvaged {
+                    StoredTrace::from_bytes_salvage(damaged.clone()).unwrap()
+                } else {
+                    StoredTrace::from_bytes(bytes.clone()).unwrap()
+                };
+                stored.set_decode_threads(Threads::new(2));
+                let whole: HashMap<LaneId, u64> = match stored.damage() {
+                    Some(report) => {
+                        assert!(!report.is_clean(), "{what}");
+                        let lanes = report.lanes.iter();
+                        lanes.map(|d| (d.lane, d.surviving_rows)).collect()
+                    }
+                    None => lanes.iter().map(|&l| (l, stored.lane_rows(l))).collect(),
+                };
+                let mut store = StoreSession::from_store(stored);
+                store.set_residency_budget(budget);
+                let bounds = store.time_bounds();
+                let span = store.coverage().map_or(bounds, |coverage| {
+                    coverage.full_span.expect("the lanes survive in part")
+                });
+                let (start, end) = (span.start.0, span.end.0.min(bounds.end.0));
+                let part = |from: u64, to: u64| {
+                    let at = |k: u64| start + (end - start) * k / 6;
+                    TimeInterval::from_cycles(at(from), at(to))
+                };
+                let request = |store: &StoreSession, need: Need| {
+                    store
+                        .with_view(need, |view| match need {
+                            Need::Frame { mode, interval } => {
+                                let filter = TaskFilter::new();
+                                for engine in [TimelineEngine::Pyramid, TimelineEngine::Adaptive] {
+                                    TimelineModel::build_with_engine(
+                                        view, mode, interval, 24, &filter, engine,
+                                    )
+                                    .unwrap();
+                                }
+                            }
+                            Need::Query { interval } => {
+                                let query = view.query(interval);
+                                for &(cpu, counter) in store.state.indexes.keys() {
+                                    query.counter_min_max(cpu, counter);
+                                }
+                                for pc in view.trace().per_cpu() {
+                                    query.predominant_task(pc.cpu(), &TaskFilter::new());
+                                    query.numa_bytes(pc.cpu(), AccessKind::Read);
+                                }
+                            }
+                            Need::WholeTrace => {
+                                view.detect_anomalies(&AnomalyConfig::default()).unwrap();
+                            }
+                            Need::Nothing => {}
+                        })
+                        .unwrap();
+                    assert_slots_hold_whole_runs(store, &whole, &format!("{what}, {need:?}"));
+                };
+                for interval in [part(0, 6), part(0, 3), part(2, 3)] {
+                    for mode in modes {
+                        request(&store, Need::Frame { mode, interval });
+                    }
+                    request(&store, Need::Query { interval });
+                }
+                if !salvaged {
+                    request(&store, Need::WholeTrace);
+                }
+                // The script fills slots: every store builds indexes, and
+                // the strict one pyramids.
+                let stats = store.stats();
+                assert!(stats.index_builds > 0, "{what}");
+                assert!(salvaged || stats.pyramid_builds > 0, "{what}");
+            }
+        }
     }
 }

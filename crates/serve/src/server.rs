@@ -51,8 +51,8 @@ pub struct ServeConfig {
     /// refused with `ServerFull`.
     pub backlog: usize,
     /// How long a started frame may stall, or a response write block, before
-    /// its connection is cut off. Must be non-zero: a socket refuses a zero
-    /// write timeout, and the connection then ends at once.
+    /// its connection is cut off. Must be non-zero — a socket refuses a zero
+    /// write timeout — so [`Server::start`] refuses a zero one.
     pub request_timeout: Duration,
 }
 
@@ -86,8 +86,15 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// [`ErrorKind::InvalidInput`] for a zero `config.request_timeout`, before
+    /// anything is bound; otherwise propagates bind failures.
     pub fn start(manager: Arc<SessionManager>, config: ServeConfig) -> io::Result<Server> {
+        if config.request_timeout.is_zero() {
+            return Err(io::Error::new(
+                ErrorKind::InvalidInput,
+                "request_timeout must be non-zero",
+            ));
+        }
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));

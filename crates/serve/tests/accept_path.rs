@@ -217,3 +217,19 @@ fn a_client_that_stops_reading_cannot_hold_up_shutdown() {
     shutdown.join().expect("shutdown thread");
     drop(stream);
 }
+
+/// A socket refuses a zero write timeout, so a server started with one would
+/// end every connection at once without a byte sent: `start` refuses it.
+#[test]
+fn a_zero_request_timeout_is_refused_at_start() {
+    let config = |request_timeout| ServeConfig {
+        request_timeout,
+        ..ServeConfig::default()
+    };
+    let manager = Arc::new(SessionManager::new(8));
+    let refused = Server::start(Arc::clone(&manager), config(Duration::ZERO))
+        .expect_err("a zero timeout is refused");
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+    let server = Server::start(manager, config(Duration::from_millis(1))).expect("1 ms starts");
+    server.shutdown();
+}

@@ -62,7 +62,10 @@
 //! drops what was there, evicting a lane a swap with empty columns. What is
 //! resident is one value per lane — the block run and when it was last
 //! touched — from which [`LaneResidency`], [`StoredTrace::covered_span`] and
-//! the eviction order are derived.
+//! the eviction order are derived. A lane is whole ([`LaneResidency::Full`])
+//! when it holds the run a whole-lane request installs: every block after a
+//! strict open, the surviving run after a salvage open — so row indices
+//! taken over a whole lane hold for every later whole copy of it.
 //!
 //! The byte source is abstracted behind [`ColdTier`] (a seekable read-at
 //! interface); [`FileTier`] serves local files and [`MemoryTier`] serves
@@ -1327,10 +1330,12 @@ fn surviving_run(lane: LaneId, total: usize, damaged: &[usize]) -> (usize, usize
 pub enum LaneResidency {
     /// No rows decoded.
     Absent,
-    /// A contiguous block run is decoded; queries must stay within
-    /// [`StoredTrace::covered_span`].
+    /// A contiguous block run short of the whole lane is decoded; queries
+    /// must stay within [`StoredTrace::covered_span`].
     Partial,
-    /// The whole lane is decoded.
+    /// The whole lane is decoded: the run [`LaneRequest::Full`] installs —
+    /// every block after a strict open, the surviving block run after a
+    /// salvage open.
     Full,
 }
 
@@ -1366,8 +1371,8 @@ pub struct MaterialiseStats {
 /// requested window; value-based interval queries confined to that window see
 /// exactly the same rows as against the full lane, but absolute row indices
 /// (e.g. a [`aftermath-core` pyramid] built over the full lane) do not align —
-/// higher layers must only combine index-carrying structures with fully
-/// resident lanes.
+/// higher layers must only combine index-carrying structures with whole
+/// ([`LaneResidency::Full`]) lanes.
 #[derive(Debug)]
 pub struct StoredTrace {
     tier: Box<dyn ColdTier>,
@@ -1696,14 +1701,17 @@ impl StoredTrace {
         self.skeleton.resident_event_bytes()
     }
 
-    /// Residency state of `lane`. Lanes without stored rows are always
-    /// [`LaneResidency::Full`].
+    /// Residency state of `lane`: [`LaneResidency::Full`] exactly when the
+    /// resident run is the one [`LaneRequest::Full`] installs — every block
+    /// after a strict open, the surviving run after a salvage open. A lane
+    /// quarantined whole is never installed and stays
+    /// [`LaneResidency::Absent`]; lanes without stored rows are always `Full`.
     pub fn residency(&self, lane: LaneId) -> LaneResidency {
         match self.lane_index.get(&lane) {
             None => LaneResidency::Full,
             Some(&i) => match self.residency[i] {
                 None => LaneResidency::Absent,
-                Some((run, _)) if run == (0, self.directory[i].blocks.len()) => LaneResidency::Full,
+                Some((run, _)) if run == self.surviving[i] => LaneResidency::Full,
                 Some(_) => LaneResidency::Partial,
             },
         }
