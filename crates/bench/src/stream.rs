@@ -132,7 +132,8 @@ pub fn run_stream_replay(
         let bounds = live.time_bounds();
         let t1 = Instant::now();
         let frame = (!bounds.is_empty()).then(|| {
-            live.timeline(TimelineMode::State, bounds, columns)
+            live.session()
+                .timeline(TimelineMode::State, bounds, columns)
                 .expect("rolling frame")
         });
         let frame_seconds = t1.elapsed().as_secs_f64();

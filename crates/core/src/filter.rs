@@ -162,6 +162,12 @@ impl TaskFilter {
         true
     }
 
+    /// Whether the filter reads the access table: a reads-node or a
+    /// writes-node criterion is set.
+    pub(crate) fn reads_accesses(&self) -> bool {
+        self.reads_node.is_some() || self.writes_node.is_some()
+    }
+
     fn accesses_node(
         &self,
         trace: &Trace,

@@ -20,11 +20,13 @@
 //!   epoch**: within an epoch repeated queries hit the shared cache, and an
 //!   `advance` swaps in fresh caches instead of letting stale viewports survive.
 //!
-//! Queries go through [`session`](LiveSession::session), which opens a warm
-//! [`AnalysisSession`] view reading the incrementally maintained shards in
-//! place: they live in the slots of the same `SessionState` every other owner
-//! keeps, and the live session grows them itself through its own `&mut self`
-//! — which no view outlives, by the borrow rules. Because
+//! Every query, frame and report goes through
+//! [`session`](LiveSession::session) — the live session forwards none of the
+//! view's methods — which opens a warm [`AnalysisSession`] view reading the
+//! incrementally maintained shards in place: they live in the slots of the
+//! same `SessionState` every other owner keeps, and the live session grows
+//! them itself through its own `&mut self` — which no view outlives, by the
+//! borrow rules. Because
 //! every incrementally updated index is structurally identical to a fresh build over the
 //! same stream, every answer — interval queries, timeline models, anomaly
 //! rankings — is **byte-identical** to a from-scratch batch session over the same
@@ -45,13 +47,13 @@
 //! ));
 //! let stats = live.advance(chunk)?;
 //! assert_eq!(stats.epoch, 1);
-//! let frame = live.timeline(TimelineMode::State, live.time_bounds(), 10)?;
+//! let frame = live.session().timeline(TimelineMode::State, live.time_bounds(), 10)?;
 //! assert_eq!(frame.columns, 10);
 //! # Ok(())
 //! # }
 //! ```
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use aftermath_trace::streaming::{StreamingTrace, TraceChunk};
 use aftermath_trace::{
@@ -59,13 +61,9 @@ use aftermath_trace::{
     TraceError,
 };
 
-use crate::anomaly::{AnomalyConfig, AnomalyReport};
-use crate::error::AnalysisError;
-use crate::filter::TaskFilter;
 use crate::index::CounterIndex;
 use crate::pyramid::StatePyramid;
 use crate::session::{AnalysisSession, SessionState};
-use crate::timeline::{TimelineMode, TimelineModel};
 
 /// What one [`LiveSession::advance`] call did, for latency accounting and for
 /// asserting incrementality (a spine rebuild touches a vanishing fraction of the
@@ -302,52 +300,6 @@ impl LiveSession {
     pub fn total_nodes_rebuilt(&self) -> u64 {
         self.total_nodes_rebuilt
     }
-
-    /// The timeline model of the current epoch ([`AnalysisSession::timeline`],
-    /// answered through this epoch's shared cache).
-    ///
-    /// # Errors
-    ///
-    /// See [`AnalysisSession::timeline`].
-    pub fn timeline(
-        &self,
-        mode: TimelineMode,
-        interval: TimeInterval,
-        columns: usize,
-    ) -> Result<Arc<TimelineModel>, AnalysisError> {
-        self.session().timeline(mode, interval, columns)
-    }
-
-    /// Like [`LiveSession::timeline`] with a task filter
-    /// ([`AnalysisSession::timeline_filtered`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`AnalysisSession::timeline`].
-    pub fn timeline_filtered(
-        &self,
-        mode: TimelineMode,
-        interval: TimeInterval,
-        columns: usize,
-        filter: &TaskFilter,
-    ) -> Result<Arc<TimelineModel>, AnalysisError> {
-        self.session()
-            .timeline_filtered(mode, interval, columns, filter)
-    }
-
-    /// Runs the anomaly engine over the current epoch
-    /// ([`AnalysisSession::detect_anomalies`], answered through this epoch's shared
-    /// cache).
-    ///
-    /// # Errors
-    ///
-    /// See [`AnalysisSession::detect_anomalies`].
-    pub fn detect_anomalies(
-        &self,
-        config: &AnomalyConfig,
-    ) -> Result<Arc<AnomalyReport>, AnalysisError> {
-        self.session().detect_anomalies(config)
-    }
 }
 
 /// Lets a CPU's pyramid slot absorb the states appended since it was last
@@ -377,8 +329,12 @@ fn item_count(trace: &Trace) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::anomaly::AnomalyConfig;
     use crate::testutil::small_sim_trace;
+    use crate::timeline::TimelineMode;
     use aftermath_trace::streaming::{make_streamable, split_even};
     use aftermath_trace::CpuId;
 
@@ -438,17 +394,32 @@ mod tests {
         let mut chunks = chunks.into_iter();
         live.advance(chunks.next().unwrap()).unwrap();
         let bounds = live.time_bounds();
-        let a = live.timeline(TimelineMode::State, bounds, 32).unwrap();
-        let b = live.timeline(TimelineMode::State, bounds, 32).unwrap();
+        let a = live
+            .session()
+            .timeline(TimelineMode::State, bounds, 32)
+            .unwrap();
+        let b = live
+            .session()
+            .timeline(TimelineMode::State, bounds, 32)
+            .unwrap();
         assert!(
             Arc::ptr_eq(&a, &b),
             "same viewport within an epoch must hit the shared cache"
         );
-        let report = live.detect_anomalies(&AnomalyConfig::default()).unwrap();
-        let again = live.detect_anomalies(&AnomalyConfig::default()).unwrap();
+        let report = live
+            .session()
+            .detect_anomalies(&AnomalyConfig::default())
+            .unwrap();
+        let again = live
+            .session()
+            .detect_anomalies(&AnomalyConfig::default())
+            .unwrap();
         assert!(Arc::ptr_eq(&report, &again));
         live.advance(chunks.next().unwrap()).unwrap();
-        let c = live.timeline(TimelineMode::State, bounds, 32).unwrap();
+        let c = live
+            .session()
+            .timeline(TimelineMode::State, bounds, 32)
+            .unwrap();
         assert!(
             !Arc::ptr_eq(&a, &c),
             "advance must invalidate the timeline cache"
@@ -464,13 +435,19 @@ mod tests {
         }
         let before = live.epoch();
         let bounds = live.time_bounds();
-        let warm = live.timeline(TimelineMode::State, bounds, 32).unwrap();
+        let warm = live
+            .session()
+            .timeline(TimelineMode::State, bounds, 32)
+            .unwrap();
         let stats = live.advance(TraceChunk::new()).unwrap();
         assert_eq!(stats.epoch, before + 1);
         assert_eq!(stats.appended_items, 0);
         assert_eq!(stats.nodes_rebuilt, 0);
         // A keepalive epoch changes no answer, so the cached frame survives.
-        let again = live.timeline(TimelineMode::State, bounds, 32).unwrap();
+        let again = live
+            .session()
+            .timeline(TimelineMode::State, bounds, 32)
+            .unwrap();
         assert!(
             Arc::ptr_eq(&warm, &again),
             "no-op advance must not invalidate the caches"
@@ -638,7 +615,10 @@ mod tests {
             live.session().query(bounds).state_cycles(CpuId(0)),
             batch.query(bounds).state_cycles(CpuId(0))
         );
-        let a = live.timeline(TimelineMode::State, bounds, 32).unwrap();
+        let a = live
+            .session()
+            .timeline(TimelineMode::State, bounds, 32)
+            .unwrap();
         let b = batch.timeline(TimelineMode::State, bounds, 32).unwrap();
         assert_eq!(*a, *b);
     }
@@ -668,7 +648,10 @@ mod tests {
         // The flushed prefix answers queries like a batch session over it.
         let batch = AnalysisSession::new(live.trace());
         let bounds = live.time_bounds();
-        let a = live.timeline(TimelineMode::State, bounds, 32).unwrap();
+        let a = live
+            .session()
+            .timeline(TimelineMode::State, bounds, 32)
+            .unwrap();
         let b = batch.timeline(TimelineMode::State, bounds, 32).unwrap();
         assert_eq!(*a, *b);
     }

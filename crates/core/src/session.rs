@@ -109,22 +109,26 @@ impl std::ops::Deref for Slots<'_> {
     }
 }
 
-/// What one request reads: the single input to a store's lane plan (stated
-/// once, at `StoreSession::lanes`) and to the coverage rule of a salvaged one
-/// ([`crate::SalvageCoverage::allows`]). Owners whose trace is always whole
-/// ignore it. A frame's need does not name an engine: every engine reads the
-/// same lanes (the build rule of `SessionState`).
+/// What one request reads, named by lane: the single input to a store's lane
+/// plan (stated once, at `StoreSession::lanes`) and to the coverage rule of a
+/// salvaged one ([`crate::SalvageCoverage::allows`]), both of which ask
+/// `Need::reads`. Owners whose trace is always whole ignore it. A need names
+/// lanes, not timeline modes or engines: the code that reads a lane states it
+/// ([`Need::frame`]), and every engine reads the same lanes (the build rule of
+/// `SessionState`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Need {
     /// No event data (metadata, the lint summary).
     Nothing,
-    /// One timeline frame.
+    /// One timeline frame: the state lanes over `interval`, and the tables its
+    /// cells and its filter read. Built by [`Need::frame`].
     Frame {
-        /// The frame's mode: task-based modes read the task table, NUMA modes
-        /// the access table too.
-        mode: TimelineMode,
         /// The visible interval.
         interval: TimeInterval,
+        /// Whether the frame reads the task table.
+        tasks: bool,
+        /// Whether the frame reads the access table.
+        accesses: bool,
     },
     /// Interval-query aggregates over every table.
     Query {
@@ -133,6 +137,40 @@ pub enum Need {
     },
     /// A whole-trace scan (anomaly detection, drill-in).
     WholeTrace,
+}
+
+impl Need {
+    /// The need of a frame of `mode` over `interval` with `filter`: a state
+    /// cell reads its states alone and never consults the filter; every other
+    /// cell reads the task table, a NUMA cell the access table too, and so
+    /// does a task cell whose filter reads accesses.
+    pub fn frame(mode: TimelineMode, interval: TimeInterval, filter: &TaskFilter) -> Need {
+        use TimelineMode::{NumaHeat, NumaRead, NumaWrite};
+        let tasks = mode != TimelineMode::State;
+        Need::Frame {
+            interval,
+            tasks,
+            accesses: matches!(mode, NumaRead | NumaWrite | NumaHeat)
+                || (tasks && filter.reads_accesses()),
+        }
+    }
+
+    /// Whether an answer to this need reads `lane`.
+    pub(crate) fn reads(&self, lane: LaneId) -> bool {
+        match *self {
+            Need::Nothing => false,
+            Need::Frame {
+                tasks, accesses, ..
+            } => match lane {
+                LaneId::States(_) => true,
+                LaneId::Tasks => tasks,
+                LaneId::Accesses => accesses,
+                LaneId::Events(_) | LaneId::Samples(..) => false,
+            },
+            Need::Query { .. } => !matches!(lane, LaneId::Events(_)),
+            Need::WholeTrace => true,
+        }
+    }
 }
 
 /// The one set of slots a trace owner keeps — [`crate::SharedSession`],

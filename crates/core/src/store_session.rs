@@ -82,35 +82,26 @@ pub struct SalvageCoverage {
 
 impl SalvageCoverage {
     /// True when the answer to a request reading `need` is exact: it depends on
-    /// no quarantined row. A frame needs its interval inside the state span and
-    /// the tables its mode reads; a query reads the state and sample lanes and
-    /// both tables, so it needs its window inside the full span and both tables
-    /// whole; a whole-trace scan needs everything.
+    /// no quarantined row. A frame needs its interval inside the state span, a
+    /// query its window inside the full span, and neither may read a lost lane
+    /// (`Need::reads`); a whole-trace scan needs a clean store.
     pub fn allows(&self, need: &Need) -> bool {
-        let within = |span: Option<TimeInterval>, interval: &TimeInterval| {
+        let within = |span: Option<TimeInterval>, interval: TimeInterval| {
             span.is_some_and(|s| s.start <= interval.start && interval.end <= s.end)
         };
-        let lost = |lane| self.lost_lanes.contains(&lane);
-        self.clean
-            || match need {
-                Need::Nothing => true,
-                Need::Frame { mode, interval, .. } => {
-                    within(self.state_span, interval)
-                        && !(mode.reads_tasks() && lost(LaneId::Tasks))
-                        && !(mode.reads_accesses() && lost(LaneId::Accesses))
-                }
-                Need::Query { interval } => {
-                    within(self.full_span, interval)
-                        && !lost(LaneId::Tasks)
-                        && !lost(LaneId::Accesses)
-                }
-                Need::WholeTrace => false,
-            }
+        let inside = match *need {
+            Need::Nothing => return true,
+            Need::WholeTrace => return self.clean,
+            Need::Frame { interval, .. } => within(self.state_span, interval),
+            Need::Query { interval } => within(self.full_span, interval),
+        };
+        self.clean || (inside && !self.lost_lanes.iter().any(|&lane| need.reads(lane)))
     }
 
-    /// True when a timeline frame of `mode` over `interval` is exact.
+    /// True when an unfiltered timeline frame of `mode` over `interval` is
+    /// exact ([`Need::frame`]).
     pub fn allows_timeline(&self, mode: TimelineMode, interval: TimeInterval) -> bool {
-        self.allows(&Need::Frame { mode, interval })
+        self.allows(&Need::frame(mode, interval, &TaskFilter::new()))
     }
 
     /// True when an interval query over `interval` is exact.
@@ -334,8 +325,8 @@ impl StoreSession {
     }
 
     /// Builds one timeline frame from the store, materialising only what its
-    /// mode reads ([`Need::Frame`]), whatever the engine. The produced frame
-    /// is byte-identical to the same call on a fully resident
+    /// cells and its filter read ([`Need::frame`]), whatever the engine. The
+    /// produced frame is byte-identical to the same call on a fully resident
     /// [`AnalysisSession`].
     ///
     /// # Errors
@@ -349,7 +340,7 @@ impl StoreSession {
         filter: &TaskFilter,
         engine: TimelineEngine,
     ) -> Result<TimelineModel, AnalysisError> {
-        self.with_view(Need::Frame { mode, interval }, |view| {
+        self.with_view(Need::frame(mode, interval, filter), |view| {
             TimelineModel::build_with_engine(view, mode, interval, columns, filter, engine)
         })?
     }
@@ -403,41 +394,27 @@ impl StoreSession {
     }
 
     /// The lane plan of a request: what [`StoreSession::with_view`]
-    /// materialises for `need` — what the answer reads, nothing more.
+    /// materialises for `need` — every lane the answer reads ([`Need::reads`]),
+    /// nothing more.
     ///
     /// State lanes are block-skipping — a frame and a query pull in just the
-    /// contiguous block run of each state lane overlapping the interval —
-    /// every other lane has whole-lane granularity. A frame, whatever its
-    /// engine, reads the task table if its mode reads tasks and the access
-    /// table if it reads accesses; a pyramid it cannot build without them is
-    /// not built (the build rule of `SessionState`). A query reads every lane
-    /// but the event lanes, which no aggregate of it reads; a whole-trace scan
-    /// reads every lane.
+    /// contiguous block run of each state lane overlapping their window —
+    /// every other lane has whole-lane granularity. A pyramid a frame cannot
+    /// build from the lanes it reads is not built (the build rule of
+    /// `SessionState`).
     fn lanes(stored: &StoredTrace, need: &Need) -> Vec<LaneRequest> {
-        let lanes = stored.lanes();
-        let covering = |interval| {
-            move |lane| match lane {
-                LaneId::States(_) => LaneRequest::StatesCovering(lane, interval),
-                _ => LaneRequest::Full(lane),
-            }
+        let window = match *need {
+            Need::Frame { interval, .. } | Need::Query { interval } => Some(interval),
+            Need::Nothing | Need::WholeTrace => None,
         };
-        match *need {
-            Need::Nothing => Vec::new(),
-            Need::Frame { mode, interval } => lanes
-                .filter(|&lane| match lane {
-                    LaneId::States(_) => true,
-                    LaneId::Tasks => mode.reads_tasks(),
-                    LaneId::Accesses => mode.reads_accesses(),
-                    LaneId::Events(_) | LaneId::Samples(..) => false,
-                })
-                .map(covering(interval))
-                .collect(),
-            Need::Query { interval } => lanes
-                .filter(|lane| !matches!(lane, LaneId::Events(_)))
-                .map(covering(interval))
-                .collect(),
-            Need::WholeTrace => lanes.map(LaneRequest::Full).collect(),
-        }
+        stored
+            .lanes()
+            .filter(|&lane| need.reads(lane))
+            .map(|lane| match (lane, window) {
+                (LaneId::States(_), Some(window)) => LaneRequest::StatesCovering(lane, window),
+                _ => LaneRequest::Full(lane),
+            })
+            .collect()
     }
 
     /// One request against the store: runs `f` on a short-lived
@@ -615,11 +592,12 @@ mod tests {
                     let at = |k: u64| start + (end - start) * k / 6;
                     TimeInterval::from_cycles(at(from), at(to))
                 };
-                let request = |store: &StoreSession, need: Need| {
+                // `mode` is the frame's, `None` for every other need.
+                let request = |store: &StoreSession, need: Need, mode: Option<TimelineMode>| {
                     store
                         .with_view(need, |view| match need {
-                            Need::Frame { mode, interval } => {
-                                let filter = TaskFilter::new();
+                            Need::Frame { interval, .. } => {
+                                let (mode, filter) = (mode.unwrap(), TaskFilter::new());
                                 for engine in [TimelineEngine::Pyramid, TimelineEngine::Adaptive] {
                                     TimelineModel::build_with_engine(
                                         view, mode, interval, 24, &filter, engine,
@@ -647,12 +625,13 @@ mod tests {
                 };
                 for interval in [part(0, 6), part(0, 3), part(2, 3)] {
                     for mode in modes {
-                        request(&store, Need::Frame { mode, interval });
+                        let need = Need::frame(mode, interval, &TaskFilter::new());
+                        request(&store, need, Some(mode));
                     }
-                    request(&store, Need::Query { interval });
+                    request(&store, Need::Query { interval }, None);
                 }
                 if !salvaged {
-                    request(&store, Need::WholeTrace);
+                    request(&store, Need::WholeTrace, None);
                 }
                 // The script fills slots: every store builds indexes, and
                 // the strict one pyramids.

@@ -56,19 +56,6 @@ pub enum TimelineMode {
     NumaHeat,
 }
 
-impl TimelineMode {
-    /// Whether cells of this mode depend on the task table.
-    pub(crate) fn reads_tasks(self) -> bool {
-        self != TimelineMode::State
-    }
-
-    /// Whether cells of this mode depend on the access table.
-    pub(crate) fn reads_accesses(self) -> bool {
-        use TimelineMode::{NumaHeat, NumaRead, NumaWrite};
-        matches!(self, NumaRead | NumaWrite | NumaHeat)
-    }
-}
-
 /// The content of one timeline cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TimelineCell {
@@ -593,7 +580,7 @@ mod tests {
         let models = walk(&trace, |mode, interval, filter| {
             let frame = |view: &AnalysisSession<'_>| build(view, mode, interval, filter);
             store
-                .with_view(Need::Frame { mode, interval }, frame)
+                .with_view(Need::frame(mode, interval, filter), frame)
                 .unwrap()
         });
         assert_eq!(models, reference.0, "capped store");

@@ -9,8 +9,8 @@ use aftermath_core::{
 };
 use aftermath_trace::store::{write_store_bytes, LaneId, LaneResidency, StoreOptions, StoredTrace};
 use aftermath_trace::{
-    AccessKind, CpuId, DiscreteEventKind, MachineTopology, NumaNodeId, TimeInterval, Timestamp,
-    Trace, TraceBuilder, WorkerState,
+    AccessKind, CpuId, DiscreteEventKind, MachineTopology, NumaNodeId, TaskTypeId, TimeInterval,
+    Timestamp, Trace, TraceBuilder, WorkerState,
 };
 use proptest::prelude::*;
 
@@ -81,31 +81,40 @@ fn store_session(trace: &Trace, block_rows: usize) -> StoreSession {
     StoreSession::from_store(StoredTrace::from_bytes(bytes).unwrap())
 }
 
+/// The filters a frame is drawn with, by index: none, one reading the access
+/// table by each node criterion, one by task type, and one combining a node
+/// and a duration criterion.
+fn drawn_filter(k: usize) -> TaskFilter {
+    match k {
+        0 => TaskFilter::new(),
+        1 => TaskFilter::new().with_reads_from_node(NumaNodeId(0)),
+        2 => TaskFilter::new().with_writes_to_node(NumaNodeId(1)),
+        3 => TaskFilter::new().with_task_type(TaskTypeId(0)),
+        _ => TaskFilter::new()
+            .with_reads_from_node(NumaNodeId(1))
+            .with_min_duration(45),
+    }
+}
+
 /// The reference frame from a fully resident in-memory session.
 fn reference_frame(
     trace: &Trace,
     mode: TimelineMode,
     interval: TimeInterval,
     columns: usize,
+    filter: &TaskFilter,
     engine: TimelineEngine,
 ) -> TimelineModel {
     let session = AnalysisSession::new(trace);
-    TimelineModel::build_with_engine(
-        &session,
-        mode,
-        interval,
-        columns,
-        &TaskFilter::new(),
-        engine,
-    )
-    .unwrap()
+    TimelineModel::build_with_engine(&session, mode, interval, columns, filter, engine).unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Block-skipped frames from the store match the fully resident session
-    /// for all six modes and both explicit engines, over random windows.
+    /// for all six modes and both explicit engines, over random windows and
+    /// filters.
     #[test]
     fn six_modes_match_fully_resident(
         rows in 16u64..80,
@@ -113,6 +122,7 @@ proptest! {
         win_a in 0u64..4000,
         win_len in 50u64..4000,
         columns in 1usize..48,
+        filter in (0usize..5).prop_map(drawn_filter),
     ) {
         let trace = numa_trace(rows);
         let window = TimeInterval::from_cycles(win_a, win_a + win_len);
@@ -120,9 +130,9 @@ proptest! {
             let mut store = store_session(&trace, block_rows);
             for mode in all_modes() {
                 let got = store
-                    .timeline_with_engine(mode, window, columns, &TaskFilter::new(), engine)
+                    .timeline_with_engine(mode, window, columns, &filter, engine)
                     .unwrap();
-                let want = reference_frame(&trace, mode, window, columns, engine);
+                let want = reference_frame(&trace, mode, window, columns, &filter, engine);
                 prop_assert_eq!(&got, &want);
             }
         }
@@ -150,8 +160,9 @@ proptest! {
                 let got = store
                     .timeline_with_engine(mode, window, 32, &TaskFilter::new(), TimelineEngine::Scan)
                     .unwrap();
-                let want =
-                    reference_frame(&trace, mode, window, 32, TimelineEngine::Scan);
+                let want = reference_frame(
+                    &trace, mode, window, 32, &TaskFilter::new(), TimelineEngine::Scan,
+                );
                 prop_assert_eq!(&got, &want);
                 prop_assert!(store.resident_event_bytes() <= budget);
             }
@@ -226,6 +237,7 @@ fn deep_zoom_scan_frame_is_partial() {
             TimelineMode::State,
             window,
             16,
+            &TaskFilter::new(),
             TimelineEngine::Scan
         )
     );
@@ -328,6 +340,7 @@ fn answers_do_not_depend_on_thread_or_residency_budget() {
                     TimelineMode::State,
                     bounds,
                     48,
+                    &TaskFilter::new(),
                     TimelineEngine::Scan
                 ),
                 "{what}"
@@ -672,6 +685,100 @@ fn a_store_reads_what_each_answer_reads() {
     assert_eq!(store.stats().pyramid_builds as usize, state_lanes.len());
 }
 
+/// A frame reads what its cells and its filter read: a heatmap or typemap
+/// frame filtered by a NUMA node reads the access table. A strict store loads
+/// it at every budget and engine, and answers such a frame — through
+/// `timeline_with_engine` and through a view of `Need::frame` — as the
+/// resident session does. A salvaged store that lost the access table refuses
+/// it, and still answers the unfiltered typemap frame and the state frame over
+/// the same window.
+#[test]
+fn a_node_filter_reads_the_access_table_or_is_refused() {
+    use aftermath_core::{AnalysisError, Need};
+
+    let trace = numa_trace(160);
+    let resident = AnalysisSession::new(&trace);
+    let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 16 }).unwrap();
+    let bounds = trace.time_bounds();
+    let quarter = bounds.duration() / 4;
+    let windows = [
+        bounds,
+        TimeInterval::from_cycles(bounds.start.0 + quarter, bounds.end.0 - quarter),
+    ];
+    let modes = [
+        TimelineMode::Heatmap {
+            min_duration: 10,
+            max_duration: 120,
+        },
+        TimelineMode::TaskType,
+    ];
+    let filters = [
+        TaskFilter::new().with_reads_from_node(NumaNodeId(1)),
+        TaskFilter::new().with_writes_to_node(NumaNodeId(0)),
+    ];
+    let engines = [
+        TimelineEngine::Scan,
+        TimelineEngine::Pyramid,
+        TimelineEngine::Adaptive,
+    ];
+    let want = |mode, window, filter: &TaskFilter, engine| {
+        TimelineModel::build_with_engine(&resident, mode, window, 24, filter, engine).unwrap()
+    };
+
+    let full = trace.resident_event_bytes();
+    for budget in [Some(0), Some(full / 2), None] {
+        let mut store = StoreSession::from_store(StoredTrace::from_bytes(bytes.clone()).unwrap());
+        store.set_residency_budget(budget);
+        for window in windows {
+            for mode in modes {
+                for filter in &filters {
+                    let what = format!("budget {budget:?}, {window}, {mode:?}, {filter:?}");
+                    for engine in engines {
+                        let got = store
+                            .timeline_with_engine(mode, window, 24, filter, engine)
+                            .unwrap();
+                        assert_eq!(
+                            got,
+                            want(mode, window, filter, engine),
+                            "{what}, {engine:?}"
+                        );
+                    }
+                    let got = store
+                        .with_view(Need::frame(mode, window, filter), |view| {
+                            view.timeline_filtered(mode, window, 24, filter)
+                        })
+                        .unwrap()
+                        .unwrap();
+                    let engine = TimelineEngine::Adaptive;
+                    assert_eq!(*got, want(mode, window, filter, engine), "{what}, a view");
+                }
+            }
+        }
+    }
+
+    let mut damaged = bytes.clone();
+    let probe = StoredTrace::from_bytes(bytes).unwrap();
+    let first = probe.lane_directory(LaneId::Accesses).unwrap().blocks[0];
+    damaged[first.offset as usize + 2] ^= 0x20;
+    let mut store = StoreSession::from_store(StoredTrace::from_bytes_salvage(damaged).unwrap());
+    assert_eq!(store.coverage().unwrap().lost_lanes, vec![LaneId::Accesses]);
+    let (window, engine) = (windows[1], TimelineEngine::Adaptive);
+    for filter in &filters {
+        let got = store.timeline_with_engine(TimelineMode::TaskType, window, 24, filter, engine);
+        assert!(
+            matches!(got, Err(AnalysisError::OutsideCoverage { .. })),
+            "{filter:?}: {got:?}"
+        );
+    }
+    let unfiltered = TaskFilter::new();
+    for mode in [TimelineMode::TaskType, TimelineMode::State] {
+        let got = store
+            .timeline_with_engine(mode, window, 24, &unfiltered, engine)
+            .unwrap();
+        assert_eq!(got, want(mode, window, &unfiltered, engine), "{mode:?}");
+    }
+}
+
 /// The access index is persisted like a pyramid: built once over the fully
 /// resident task and access lanes, it survives their eviction at any budget
 /// and is shared again once they are back — and no answer changes. Strict and
@@ -1007,10 +1114,7 @@ fn one_capped_session_serves_four_threads_through_a_shared_reference() {
                     let what = format!("thread {thread}, step {step}");
                     match request {
                         Step::Frame(mode, interval, want) => {
-                            let need = Need::Frame {
-                                mode: *mode,
-                                interval: *interval,
-                            };
+                            let need = Need::frame(*mode, *interval, &TaskFilter::new());
                             let got = store
                                 .with_view(need, |view| view.timeline(*mode, *interval, 24))
                                 .unwrap()

@@ -123,11 +123,14 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Propagates socket option failures.
+    /// Propagates socket option failures. A zero duration is refused
+    /// ([`io::ErrorKind::InvalidInput`]) and leaves the timeout as it was, so
+    /// later reconnects keep working.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.timeout = timeout;
         self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)
+        self.stream.set_write_timeout(timeout)?;
+        self.timeout = timeout;
+        Ok(())
     }
 
     /// Total retries performed by [`Self::request_with_retry`] over the

@@ -234,7 +234,8 @@ fn unknown_session(session: u64) -> Response {
 /// What a request reads of its trace.
 fn need(request: &Request) -> Need {
     match *request {
-        Request::Timeline { mode, interval, .. } => Need::Frame { mode, interval },
+        // A wire frame carries no filter.
+        Request::Timeline { mode, interval, .. } => Need::frame(mode, interval, &TaskFilter::new()),
         Request::Query { interval, .. } => Need::Query { interval },
         Request::Anomalies { .. } | Request::DrillIn { .. } => Need::WholeTrace,
         Request::Lint { .. } | Request::Open { .. } | Request::Close { .. } | Request::Stats => {

@@ -156,6 +156,42 @@ fn retries_exhausted_is_typed_and_budget_capped() {
     handle.join().expect("fake server thread");
 }
 
+/// A timeout the socket refuses is not kept: after a zero duration is
+/// refused, a severed connection reconnects and the retried request is
+/// answered by the healthy server.
+#[test]
+fn a_refused_timeout_leaves_reconnects_working() {
+    let mut manager = SessionManager::new(8);
+    manager.register_memory(
+        "mem",
+        Arc::new(SharedSession::open(
+            Arc::new(sim_trace()),
+            Threads::single(),
+        )),
+    );
+    let server = Server::start(Arc::new(manager), ServeConfig::default()).expect("server starts");
+
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    let refused = client
+        .set_timeout(Some(Duration::ZERO))
+        .expect_err("a zero timeout is refused");
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+    client.sever().expect("connection severed");
+    let policy = RetryPolicy {
+        max_retries: 2,
+        initial_backoff: Duration::from_millis(1),
+        ..RetryPolicy::default()
+    };
+    let open = Request::Open {
+        trace: "mem".into(),
+    };
+    let response = client
+        .request_with_retry(&open, &policy)
+        .expect("the retry reconnects");
+    assert!(matches!(response, Response::Opened { .. }), "{response:?}");
+    server.shutdown();
+}
+
 #[test]
 fn salvaged_store_degrades_explicitly_and_answers_exactly_inside_coverage() {
     let trace = Arc::new(sim_trace());

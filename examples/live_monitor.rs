@@ -98,7 +98,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         let t1 = Instant::now();
-        let model = live.timeline(TimelineMode::State, bounds, args.columns)?;
+        let model = live
+            .session()
+            .timeline(TimelineMode::State, bounds, args.columns)?;
         renderer.render_into(&model, Threads::auto(), &mut frame);
         let frame_ms = t1.elapsed().as_secs_f64() * 1e3;
         println!(
@@ -114,7 +116,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    trace — spot-check the final frame against a from-scratch build.
     let batch = AnalysisSession::new(live.trace());
     let bounds = live.time_bounds();
-    let final_live = live.timeline(TimelineMode::State, bounds, args.columns)?;
+    let final_live = live
+        .session()
+        .timeline(TimelineMode::State, bounds, args.columns)?;
     let final_batch = batch.timeline(TimelineMode::State, bounds, args.columns)?;
     assert_eq!(
         *final_live, *final_batch,
