@@ -25,11 +25,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aftermath_core::{AnalysisSession, StoreSession, Threads, TimelineMode};
+use aftermath_core::{AnalysisSession, Need, StoreSession, TaskFilter, Threads, TimelineMode};
 use aftermath_serve::{ErrorCode, Request, Response, RetryPolicy, SessionManager};
-use aftermath_trace::error::TraceError;
 use aftermath_trace::fault::splitmix64;
-use aftermath_trace::store::{write_store_bytes, ColdTier, DamageCode, LaneId, MemoryTier};
+use aftermath_trace::store::{write_store_bytes, DamageCode, LaneId, MemoryTier};
 use aftermath_trace::{FaultConfig, FaultyTier, StoreOptions, StoredTrace, TimeInterval};
 
 use crate::figures::Scale;
@@ -98,21 +97,6 @@ fn killer_connections(scale: Scale) -> u64 {
     match scale {
         Scale::Test => 8,
         Scale::Paper => 64,
-    }
-}
-
-/// Shares one [`FaultyTier`] between the opened store (which owns its tier
-/// box) and the harness (which reads the fault log afterwards).
-#[derive(Debug)]
-struct SharedTier(Arc<FaultyTier>);
-
-impl ColdTier for SharedTier {
-    fn size(&self) -> Result<u64, TraceError> {
-        self.0.size()
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), TraceError> {
-        self.0.read_at(offset, buf)
     }
 }
 
@@ -264,9 +248,10 @@ fn salvage_scenario(
 
     let mut session = StoreSession::from_store(salvaged);
     let coverage = session.coverage().expect("salvaged session has coverage");
+    let frame = |interval| Need::frame(TimelineMode::State, interval, &TaskFilter::new());
     // Out-of-coverage requests must be refused, not approximated.
-    let mut identical = !coverage.allows_timeline(TimelineMode::State, trace.time_bounds());
-    match coverage.state_span {
+    let mut identical = !coverage.allows(&frame(trace.time_bounds()));
+    match coverage.answerable(&frame(trace.time_bounds())) {
         Some(span) => {
             let w = span.end.0.saturating_sub(span.start.0);
             for (num, den) in [(1u64, 4u64), (2, 4), (1, 2)] {
@@ -274,7 +259,7 @@ fn salvage_scenario(
                     span.start.0 + w * num / (den * 2),
                     span.start.0 + w * num / den,
                 );
-                if !coverage.allows_timeline(TimelineMode::State, interval) {
+                if !coverage.allows(&frame(interval)) {
                     continue;
                 }
                 let got = session
@@ -335,7 +320,9 @@ pub fn run_chaos_bench(scale: Scale, threads: Threads) -> ChaosBench {
                     ..base
                 },
             ));
-            StoredTrace::open_with_tier(Box::new(SharedTier(Arc::clone(&tier))))
+            // The store owns its tier box; the harness keeps the `Arc` to read
+            // the fault log afterwards.
+            StoredTrace::open_with_tier(Box::new(Arc::clone(&tier)))
                 .ok()
                 .map(|stored| (tier, stored))
         })

@@ -109,11 +109,13 @@ impl std::ops::Deref for Slots<'_> {
     }
 }
 
-/// What one request reads, named by lane: the single input to a store's lane
-/// plan (stated once, at `StoreSession::lanes`) and to the coverage rule of a
-/// salvaged one ([`crate::SalvageCoverage::allows`]), both of which ask
-/// `Need::reads`. Owners whose trace is always whole ignore it. A need names
-/// lanes, not timeline modes or engines: the code that reads a lane states it
+/// What one request reads, named by lane, and over which window: the single
+/// input to everything a store decides per request — its lane plan
+/// (`StoreSession::lanes`), the coverage rule of a salvaged one
+/// ([`crate::SalvageCoverage::answerable`]) and the shards it warms up
+/// (`AnalysisSession::prewarm_lanes`) — each of which asks `Need::reads` lane by
+/// lane. Owners whose trace is always whole ignore it. A need names lanes, not
+/// timeline modes or engines: the code that reads a lane states it
 /// ([`Need::frame`]), and every engine reads the same lanes (the build rule of
 /// `SessionState`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,6 +173,16 @@ impl Need {
             Need::WholeTrace => true,
         }
     }
+
+    /// The time window an answer to this need reads its lanes over: a frame's
+    /// or a query's interval, `None` for a need that reads no window (nothing,
+    /// or the whole trace).
+    pub(crate) fn window(&self) -> Option<TimeInterval> {
+        match *self {
+            Need::Frame { interval, .. } | Need::Query { interval } => Some(interval),
+            Need::Nothing | Need::WholeTrace => None,
+        }
+    }
 }
 
 /// The one set of slots a trace owner keeps — [`crate::SharedSession`],
@@ -178,8 +190,8 @@ impl Need {
 /// [`AnalysisSession::new`] session for itself — and every view it hands out
 /// reads in place: one [`OnceLock`] per sampled `(CPU, counter)` pair and per
 /// CPU's pyramid, the access-index slot, the two result caches, and counters
-/// of what was built and re-used. The counters count where a slot is filled;
-/// a `OnceLock` per slot is all the synchronisation the slots need.
+/// of what was built. The counters count where a slot is filled; a `OnceLock`
+/// per slot is all the synchronisation the slots need.
 ///
 /// **The slot rule.** Shards hold absolute row indices into their lane, so a
 /// slot is only ever filled from the lane's whole run — the one the owner calls
@@ -220,8 +232,6 @@ pub(crate) struct SessionState {
     pub(crate) index_builds: AtomicU64,
     /// Access indexes built, a view's own slot included.
     pub(crate) access_index_builds: AtomicU64,
-    /// Filled slots on usable lanes that views started with.
-    pub(crate) shards_reseeded: AtomicU64,
 }
 
 impl SessionState {
@@ -240,7 +250,6 @@ impl SessionState {
             pyramid_builds: AtomicU64::new(0),
             index_builds: AtomicU64::new(0),
             access_index_builds: AtomicU64::new(0),
-            shards_reseeded: AtomicU64::new(0),
         }
     }
 
@@ -299,7 +308,7 @@ impl SessionState {
     }
 }
 
-/// Adds `n` to a build or re-use counter of a [`SessionState`].
+/// Adds `n` to a build counter of a [`SessionState`].
 fn count(counter: &AtomicU64, n: usize) {
     counter.fetch_add(n as u64, Ordering::Relaxed);
 }
@@ -493,26 +502,11 @@ impl<'t> AnalysisSession<'t> {
     /// A view over `trace` reading `state`'s slots under the slot rule of
     /// [`SessionState`]: the owner's counter-index slots, its pyramid slot of
     /// every `usable` state lane and, unless `Tasks` and `Accesses` are both
-    /// usable, an access-index slot of its own. Counts the filled slots on
-    /// usable lanes it starts with as re-used.
+    /// usable, an access-index slot of its own.
     fn over(trace: &'t Trace, state: Slots<'t>, usable: impl Fn(LaneId) -> bool) -> Self {
         let usable_states: Vec<bool> = (0..state.pyramids.len())
             .map(|cpu| usable(LaneId::States(CpuId(cpu as u32))))
             .collect();
-        let reused_indexes = state
-            .indexes
-            .iter()
-            .filter(|&(&(cpu, counter), slot)| {
-                slot.get().is_some() && usable(LaneId::Samples(cpu, counter))
-            })
-            .count();
-        let reused_pyramids = state
-            .pyramids
-            .iter()
-            .zip(&usable_states)
-            .filter(|&(slot, &usable)| usable && slot.get().is_some())
-            .count();
-        count(&state.shards_reseeded, reused_indexes + reused_pyramids);
         let tables = usable(LaneId::Tasks) && usable(LaneId::Accesses);
         AnalysisSession {
             trace,
@@ -654,25 +648,27 @@ impl<'t> AnalysisSession<'t> {
     /// race with concurrent queries without ever duplicating or tearing an index.
     pub fn prewarm(&self, threads: Threads) -> usize {
         self.access_index();
-        1 + self.prewarm_lanes(threads)
+        1 + self.prewarm_lanes(threads, &Need::WholeTrace)
     }
 
-    /// The per-lane half of [`AnalysisSession::prewarm`]: fills the owner's
-    /// counter-index slots — an absent sample lane builds nothing — and the
-    /// pyramid slots of the state lanes it calls usable (a
+    /// The per-lane half of [`AnalysisSession::prewarm`], limited to the lanes
+    /// `need` reads (`Need::reads`): fills the owner's counter-index slots of
+    /// those sample lanes — an absent one builds nothing — and the pyramid
+    /// slots of those state lanes the owner calls usable (a
     /// [`crate::StoreSession`]: the whole ones). Pyramids go through
-    /// [`AnalysisSession::pyramid`], so the build rule holds here too.
+    /// [`AnalysisSession::pyramid`], so the build rule holds here too. Returns
+    /// how many of those slots are filled.
     ///
     /// The access index is not a per-lane shard and is not built ahead here: the
     /// first pyramid build reads through it and builds it (the other workers wait
     /// on its [`OnceLock`]).
-    pub(crate) fn prewarm_lanes(&self, threads: Threads) -> usize {
+    pub(crate) fn prewarm_lanes(&self, threads: Threads, need: &Need) -> usize {
         let indexes = self.state.indexes.keys();
         let indexes = indexes.map(|&(cpu, counter)| LaneId::Samples(cpu, counter));
         let pyramids = (0..self.usable_states.len())
             .filter(|&cpu| self.usable_states[cpu])
             .map(|cpu| LaneId::States(CpuId(cpu as u32)));
-        let lanes: Vec<LaneId> = indexes.chain(pyramids).collect();
+        let lanes: Vec<LaneId> = indexes.chain(pyramids).filter(|&l| need.reads(l)).collect();
         let built = parallel_map(threads, &lanes, |lane| match *lane {
             LaneId::Samples(cpu, counter) => self.counter_shard(cpu, counter).is_some(),
             LaneId::States(cpu) => self.pyramid(cpu).is_some(),
@@ -1335,7 +1331,7 @@ mod tests {
     }
 
     #[test]
-    fn state_seeds_only_usable_lanes_and_counts_what_it_reuses() {
+    fn state_seeds_only_usable_lanes() {
         use aftermath_trace::store::{
             write_store_bytes, LaneRequest, LaneResidency, StoreOptions, StoredTrace,
         };
@@ -1346,13 +1342,12 @@ mod tests {
         fn full(stored: &StoredTrace) -> impl Fn(LaneId) -> bool + '_ {
             |lane| stored.residency(lane) == LaneResidency::Full
         }
-        // Index, pyramid and access-index builds, then re-used slots.
+        // Index, pyramid and access-index builds.
         let counts = |state: &SessionState| {
             let counters = [
                 &state.index_builds,
                 &state.pyramid_builds,
                 &state.access_index_builds,
-                &state.shards_reseeded,
             ];
             counters.map(|counter| counter.load(Ordering::Relaxed) as usize)
         };
@@ -1365,7 +1360,7 @@ mod tests {
         let indexes = state.indexes.len();
         let pyramids = state.pyramids.iter().filter(|p| p.get().is_some()).count();
         assert!(indexes > 0 && pyramids > 1);
-        assert_eq!(counts(&state), [indexes, pyramids, 1, 0]);
+        assert_eq!(counts(&state), [indexes, pyramids, 1]);
 
         // Without CPU 0's states and the access table, a view gets neither that
         // CPU's pyramid nor the access index; both stay kept.
@@ -1375,10 +1370,7 @@ mod tests {
         assert!(partial.pyramid(CpuId(0)).is_none() && partial.pyramid(CpuId(1)).is_some());
         assert!(!partial.access_index_built());
         assert_eq!(partial.built_counter_indexes(), indexes);
-        assert_eq!(
-            counts(&state),
-            [indexes, pyramids, 1, indexes + pyramids - 1]
-        );
+        assert_eq!(counts(&state), [indexes, pyramids, 1]);
         assert!(std::ptr::eq(state.pyramids[0].get().unwrap(), pyramid));
         assert!(std::ptr::eq(
             state.access_index.get().unwrap(),
@@ -1391,8 +1383,7 @@ mod tests {
         let whole = state.view(stored.trace(), None, full(&stored));
         assert!(std::ptr::eq(whole.pyramid(CpuId(0)).unwrap(), pyramid));
         assert!(std::ptr::eq(whole.access_index(), access_index));
-        let reseeded = 2 * (indexes + pyramids) - 1;
-        assert_eq!(counts(&state), [indexes, pyramids, 1, reseeded]);
+        assert_eq!(counts(&state), [indexes, pyramids, 1]);
     }
 
     #[test]

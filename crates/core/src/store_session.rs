@@ -7,18 +7,18 @@
 //! A [`StoreSession`] owns the [`StoredTrace`] and a `SessionState` with one
 //! slot per sample lane of the store directory and per CPU's pyramid. Every
 //! request is one [`StoreSession::with_view`] call, and everything that is
-//! specific to a store is decided there from the request's [`Need`]: whether a
-//! salvaged store may answer it at all ([`SalvageCoverage::allows`]), which
-//! lanes to materialise — the lane plan, `StoreSession::lanes`, in **one**
-//! batch ([`StoredTrace::ensure_batch`]) — and, for a query or a report,
-//! whether to build the missing shards of whole lanes ahead, in parallel,
-//! each once per session. "Usable" means whole ([`LaneResidency::Full`]): the
-//! lane holds the run a whole-lane request installs — every block after a
-//! strict open, the surviving block run after a salvage open. A sample lane is
-//! only ever loaded whole, so its index is built once and re-read, damaged or
-//! not; the view builds a pyramid only under the build rule of
-//! `SessionState`, so every pyramid it builds is kept and a window over any
-//! other state lane is scanned.
+//! specific to a store is decided there from the lanes the request's [`Need`]
+//! reads (`Need::reads`), lane by lane: whether a salvaged store may answer it
+//! at all ([`SalvageCoverage::allows`]), which lanes to materialise — the lane
+//! plan, `StoreSession::lanes`, in **one** batch
+//! ([`StoredTrace::ensure_batch`]) — and which missing shards of whole lanes
+//! to build ahead, in parallel, each once per session. "Usable" means whole
+//! ([`LaneResidency::Full`]): the lane holds the run a whole-lane request
+//! installs — every block after a strict open, the surviving block run after a
+//! salvage open. A sample lane is only ever loaded whole, so its index is built
+//! once and re-read, damaged or not; the view builds a pyramid only under the
+//! build rule of `SessionState`, so every pyramid it builds is kept and a
+//! window over any other state lane is scanned.
 //!
 //! A stored trace answers one request at a time: the session holds the store
 //! behind its own mutex, so it is `Sync` and a server shares it between its
@@ -54,59 +54,52 @@ use crate::shared::CacheStats;
 use crate::timeline::{TimelineEngine, TimelineMode, TimelineModel};
 
 /// Degraded-coverage summary of a salvage-opened store session: what spans
-/// and tables queries can still be answered over *exactly*.
+/// and tables requests can still be answered over *exactly*, lane by lane.
 ///
-/// Everything inside the reported spans is byte-identical to the same query
-/// against the undamaged store; everything outside is not answered at all
-/// (rather than answered approximately). See
+/// Everything a request reads inside its lanes' surviving spans is
+/// byte-identical to the same request against the undamaged store; a request
+/// that would read outside them is not answered at all (rather than answered
+/// approximately). See
 /// [`aftermath_trace::store::StoredTrace::open_salvage`].
 #[derive(Debug, Clone)]
 pub struct SalvageCoverage {
     /// Fraction of stored rows that survived quarantine, in `[0, 1]`.
     pub row_coverage: f64,
-    /// Time span over which state-only queries (state timelines) are exact:
-    /// the intersection of the surviving spans of every state lane. `None`
-    /// when some state lane was quarantined in full.
-    pub state_span: Option<TimeInterval>,
-    /// Time span over which interval queries are exact: the intersection of
-    /// the surviving spans of every state and sample lane — a query reads no
-    /// event lane. `None` when one of them, the task table or the access
-    /// table was quarantined in full.
-    pub full_span: Option<TimeInterval>,
     /// Lanes quarantined in their entirety (they read as empty).
     pub lost_lanes: Vec<LaneId>,
     /// True when nothing was quarantined — the session behaves exactly like a
     /// strict open.
     pub clean: bool,
+    /// Per stored lane, the span its surviving run answers exactly
+    /// ([`StoredTrace::salvage_covered_span`]); `None` for a lost lane. A task
+    /// or access table survives whole (its span is everything) or not at all.
+    spans: Vec<(LaneId, Option<TimeInterval>)>,
 }
 
 impl SalvageCoverage {
+    /// The part of `need`'s window that every lane it reads (`Need::reads`)
+    /// still answers exactly: the window intersected with each such lane's
+    /// surviving span. `None` when the need has no window, or when the window
+    /// and some such span do not meet.
+    pub fn answerable(&self, need: &Need) -> Option<TimeInterval> {
+        self.spans
+            .iter()
+            .filter(|&&(lane, _)| need.reads(lane))
+            .fold(need.window(), |window, &(_, span)| intersect(window, span))
+    }
+
     /// True when the answer to a request reading `need` is exact: it depends on
-    /// no quarantined row. A frame needs its interval inside the state span, a
-    /// query its window inside the full span, and neither may read a lost lane
-    /// (`Need::reads`); a whole-trace scan needs a clean store.
+    /// no quarantined row. On a damaged store that means every lane the need
+    /// reads answers the whole of its window ([`SalvageCoverage::answerable`]),
+    /// and a need without a window reads no stored lane.
     pub fn allows(&self, need: &Need) -> bool {
-        let within = |span: Option<TimeInterval>, interval: TimeInterval| {
-            span.is_some_and(|s| s.start <= interval.start && interval.end <= s.end)
+        if self.clean {
+            return true;
+        }
+        let Some(window) = need.window() else {
+            return !self.spans.iter().any(|&(lane, _)| need.reads(lane));
         };
-        let inside = match *need {
-            Need::Nothing => return true,
-            Need::WholeTrace => return self.clean,
-            Need::Frame { interval, .. } => within(self.state_span, interval),
-            Need::Query { interval } => within(self.full_span, interval),
-        };
-        self.clean || (inside && !self.lost_lanes.iter().any(|&lane| need.reads(lane)))
-    }
-
-    /// True when an unfiltered timeline frame of `mode` over `interval` is
-    /// exact ([`Need::frame`]).
-    pub fn allows_timeline(&self, mode: TimelineMode, interval: TimeInterval) -> bool {
-        self.allows(&Need::frame(mode, interval, &TaskFilter::new()))
-    }
-
-    /// True when an interval query over `interval` is exact.
-    pub fn allows_query(&self, interval: TimeInterval) -> bool {
-        self.allows(&Need::Query { interval })
+        self.answerable(need) == Some(window)
     }
 }
 
@@ -147,9 +140,6 @@ pub struct StoreSessionStats {
     /// Access indexes built — once over the whole task and access lanes, plus
     /// every one a view built while one of them was not.
     pub access_index_builds: u64,
-    /// Built shards on whole lanes that views started with, instead of
-    /// building them again.
-    pub shards_reseeded: u64,
 }
 
 /// Intersection of two optional spans; `None` annihilates.
@@ -163,30 +153,20 @@ fn intersect(a: Option<TimeInterval>, b: Option<TimeInterval>) -> Option<TimeInt
 /// The coverage a salvage open of `stored` left (`None` after a strict open).
 fn coverage_of(stored: &StoredTrace) -> Option<SalvageCoverage> {
     let report = stored.damage()?;
-    let mut lost_lanes = Vec::new();
-    let mut state_span = Some(TimeInterval::from_cycles(0, u64::MAX));
-    let mut full_span = Some(TimeInterval::from_cycles(0, u64::MAX));
-    for lane_damage in &report.lanes {
-        let lane = lane_damage.lane;
-        let span = stored.salvage_covered_span(lane);
-        if span.is_none() {
-            lost_lanes.push(lane);
-        }
-        // A query reads no event lane. A task or access table survives whole
-        // (its span is everything) or not at all (`None` annihilates).
-        if !matches!(lane, LaneId::Events(_)) {
-            full_span = intersect(full_span, span);
-        }
-        if matches!(lane, LaneId::States(_)) {
-            state_span = intersect(state_span, span);
-        }
-    }
+    let spans: Vec<(LaneId, Option<TimeInterval>)> = report
+        .lanes
+        .iter()
+        .map(|damage| (damage.lane, stored.salvage_covered_span(damage.lane)))
+        .collect();
     Some(SalvageCoverage {
         row_coverage: report.row_coverage(),
-        state_span,
-        full_span,
-        lost_lanes,
+        lost_lanes: spans
+            .iter()
+            .filter(|(_, span)| span.is_none())
+            .map(|&(lane, _)| lane)
+            .collect(),
         clean: report.is_clean(),
+        spans,
     })
 }
 
@@ -266,7 +246,7 @@ impl StoreSession {
         self.resident_bytes.load(Ordering::Relaxed)
     }
 
-    /// What this session has read, decoded, built and re-used so far. Waits
+    /// What this session has read, decoded and built so far. Waits
     /// for a request in flight.
     pub fn stats(&self) -> StoreSessionStats {
         let store = self.lock().materialise_stats();
@@ -278,7 +258,6 @@ impl StoreSession {
             pyramid_builds: load(&self.state.pyramid_builds),
             index_builds: load(&self.state.index_builds),
             access_index_builds: load(&self.state.access_index_builds),
-            shards_reseeded: load(&self.state.shards_reseeded),
         }
     }
 
@@ -403,10 +382,7 @@ impl StoreSession {
     /// build from the lanes it reads is not built (the build rule of
     /// `SessionState`).
     fn lanes(stored: &StoredTrace, need: &Need) -> Vec<LaneRequest> {
-        let window = match *need {
-            Need::Frame { interval, .. } | Need::Query { interval } => Some(interval),
-            Need::Nothing | Need::WholeTrace => None,
-        };
+        let window = need.window();
         stored
             .lanes()
             .filter(|&lane| need.reads(lane))
@@ -426,11 +402,11 @@ impl StoreSession {
     /// [`StoreSession::shared_bytes`], [`StoreSession::cache_stats`] and
     /// [`StoreSession::time_bounds`] never take it.
     ///
-    /// The view reads the session's slots of every whole lane in place. For a
-    /// query or a report, the missing shards of whole lanes are first built in
-    /// parallel on the store's thread budget (a frame builds a row's pyramid on
-    /// the row's own worker); either way, they land in the session's slots,
-    /// which is where the next view finds them.
+    /// The view reads the session's slots of every whole lane in place. The
+    /// missing shards of the whole lanes `need` reads are first built in
+    /// parallel on the store's thread budget, under the build rule of
+    /// `SessionState`; they land in the session's slots, which is where the
+    /// next view finds them.
     ///
     /// # Errors
     ///
@@ -476,10 +452,7 @@ impl StoreSession {
         let full = |lane| stored.residency(lane) == LaneResidency::Full;
         let mut view = self.state.view(stored.trace(), None, full);
         view.threads = stored.decode_threads();
-        // A frame prewarms nothing: its rows fan out over the CPUs anyway.
-        if matches!(need, Need::Query { .. } | Need::WholeTrace) {
-            view.prewarm_lanes(view.threads);
-        }
+        view.prewarm_lanes(view.threads, &need);
         let result = f(&view);
         drop(view);
         stored.evict_to_budget();
@@ -585,9 +558,12 @@ mod tests {
                 store.set_residency_budget(budget);
                 let bounds = store.time_bounds();
                 let span = store.coverage().map_or(bounds, |coverage| {
-                    coverage.full_span.expect("the lanes survive in part")
+                    let need = Need::Query { interval: bounds };
+                    coverage
+                        .answerable(&need)
+                        .expect("the lanes survive in part")
                 });
-                let (start, end) = (span.start.0, span.end.0.min(bounds.end.0));
+                let (start, end) = (span.start.0, span.end.0);
                 let part = |from: u64, to: u64| {
                     let at = |k: u64| start + (end - start) * k / 6;
                     TimeInterval::from_cycles(at(from), at(to))

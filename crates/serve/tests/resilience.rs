@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aftermath_core::timeline::TimelineMode;
-use aftermath_core::{SharedSession, StoreSession, Threads};
+use aftermath_core::{Need, SharedSession, StoreSession, TaskFilter, Threads};
 use aftermath_serve::protocol::{read_frame, write_frame};
 use aftermath_serve::{
     Client, DetectorSet, ErrorCode, Request, Response, RetryPolicy, ServeConfig, Server,
@@ -220,7 +220,10 @@ fn salvaged_store_degrades_explicitly_and_answers_exactly_inside_coverage() {
         .coverage()
         .expect("salvaged session has coverage");
     assert!(!coverage.clean);
-    let state_span = coverage.state_span.expect("a block run survives");
+    let state_frame = Need::frame(TimelineMode::State, trace.time_bounds(), &TaskFilter::new());
+    let state_span = coverage
+        .answerable(&state_frame)
+        .expect("a block run survives");
 
     let mut manager = SessionManager::new(8);
     manager.register_store("salvaged", store_session);

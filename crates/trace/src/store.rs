@@ -997,6 +997,18 @@ pub trait ColdTier: fmt::Debug + Send + Sync {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), TraceError>;
 }
 
+/// A shared tier is a tier: the store owns its box while another holder of
+/// the `Arc` (a fault-injecting harness reading its log) keeps the tier too.
+impl<T: ColdTier + ?Sized> ColdTier for std::sync::Arc<T> {
+    fn size(&self) -> Result<u64, TraceError> {
+        (**self).size()
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), TraceError> {
+        (**self).read_at(offset, buf)
+    }
+}
+
 /// [`ColdTier`] backed by a local file. Reads are positioned (`pread`), so
 /// concurrent readers share the handle without a lock or a seek cursor.
 #[derive(Debug)]
