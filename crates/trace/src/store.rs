@@ -11,11 +11,15 @@
 //!
 //! | lane        | encoding                                                        |
 //! |-------------|-----------------------------------------------------------------|
-//! | states      | start: delta varint; duration varint; state tag raw `u8`; task ref biased varint |
+//! | states      | start: first absolute, then zigzag gap from the end before (wrapping) varint; duration varint; state tag raw `u8`; task ref: 0 = none, else `1 + zigzag` step from the block's last ref, varint |
 //! | events      | timestamp: delta varint; kind tag raw `u8`; payloads varint (lazy lanes elided per block) |
-//! | samples     | timestamp: delta varint; value: IEEE-754 bits LE                |
-//! | accesses    | task ref: biased delta varint (sorted by task); kind raw `u8`; addr/size varint |
+//! | samples     | mode `u8`; timestamp: delta varint; value: zigzag `i64` delta varint when every value of the block is an integer within ±2^53 (not `-0.0`), else IEEE-754 bits LE |
+//! | accesses    | `(task delta << 1) \| kind` varint over biased task refs (sorted by task); addr/size varint |
 //! | tasks       | dense id implicit; type/cpu varint; creation zigzag delta; start zigzag; duration varint |
+//!
+//! Each column holds one varint (or one raw `f64`) per row, so every row
+//! costs at least one byte. A state ref step of exactly 2^63 has no code: the
+//! writer refuses such a trace, as it refuses non-dense task ids.
 //!
 //! Every block is self-contained (delta bases restart per block) and carries a
 //! footer in the file's directory: row count, byte offset/length, and a
@@ -39,8 +43,9 @@
 //! bytes, and the trailer carries CRC-32s of the directory and the metadata
 //! header. Checksums are verified on materialisation (a mismatch surfaces as
 //! [`TraceError::Corrupted`] instead of decoded garbage) and at open time for
-//! the directory and metadata. The format is at **version 2**; any other
-//! version in the header is refused with [`TraceError::UnsupportedVersion`].
+//! the directory and metadata. The format is at **version 3**; any other
+//! version in the header is refused with [`TraceError::UnsupportedVersion`]
+//! (a version 2 file is regenerated from its trace, not read).
 //!
 //! For damaged files, [`StoredTrace::open_salvage`] performs a degraded open:
 //! instead of failing on the first bad block it scans every block, quarantines
@@ -97,7 +102,7 @@ use crate::wire::{WireError, WireReader};
 pub const STORE_MAGIC: [u8; 4] = *b"AFST";
 
 /// The version of the column store format this build writes and opens.
-pub const STORE_VERSION: u32 = 2;
+pub const STORE_VERSION: u32 = 3;
 
 /// Magic bytes terminating the fixed-size trailer at the end of the file.
 const TRAILER_MAGIC: [u8; 4] = *b"TSFA";
@@ -417,31 +422,65 @@ fn unzigzag(v: u64) -> i64 {
 // Block encoders / decoders
 // ---------------------------------------------------------------------------
 
+/// The stored code of a state's biased task ref: 0 for no task, else one more
+/// than the zig-zag step from `prev`, the block's last non-zero ref (updated).
+/// `None` for the one step no code holds, a wrapping difference of 2^63.
+fn state_ref_code(biased: u64, prev: &mut u64) -> Option<u64> {
+    if biased == 0 {
+        return Some(0);
+    }
+    let step = zigzag(biased.wrapping_sub(*prev) as i64);
+    *prev = biased;
+    step.checked_add(1)
+}
+
+/// The biased task ref a non-zero state ref code resolves to from `prev`,
+/// the block's last non-zero ref (updated). Code 0 is no task, never this.
+fn state_ref_from_code(code: u64, prev: &mut u64) -> Result<u64, TraceError> {
+    *prev = prev.wrapping_add(unzigzag(code - 1) as u64);
+    if *prev == 0 {
+        return Err(TraceError::Format("zero biased task ref".into()));
+    }
+    Ok(*prev)
+}
+
 /// Encodes states rows `[lo, hi)` of `cpu`'s stream; returns `(min, max)` keys.
+/// A start after the block's first is stored as the zig-zag gap from the end
+/// before it, wrapping, so overlaps and any `u64` timestamps encode.
 fn encode_states_block(
     trace: &Trace,
     cpu: CpuId,
     lo: usize,
     hi: usize,
     out: &mut Vec<u8>,
-) -> (u64, u64) {
+) -> Result<(u64, u64), TraceError> {
     let states = trace.cpu(cpu).expect("lane cpu exists").states();
     let starts = &states.starts()[lo..hi];
     let ends = &states.ends()[lo..hi];
-    let mut prev = 0u64;
-    for (i, &s) in starts.iter().enumerate() {
-        put_varint(out, if i == 0 { s } else { s - prev });
-        prev = s;
+    let mut prev_end = None;
+    for (&s, &e) in starts.iter().zip(ends) {
+        put_varint(
+            out,
+            prev_end.map_or(s, |end: u64| zigzag(s.wrapping_sub(end) as i64)),
+        );
+        prev_end = Some(e);
     }
     for (&s, &e) in starts.iter().zip(ends) {
         put_varint(out, e - s);
     }
     out.extend_from_slice(&states.state_tags()[lo..hi]);
+    let mut prev = 0u64;
     for i in lo..hi {
-        put_varint(out, states.task(i).map_or(0, |t| t.0 + 1));
+        let code = state_ref_code(states.task(i).map_or(0, |t| t.0 + 1), &mut prev)
+            .ok_or_else(|| {
+                TraceError::Format(format!(
+                    "column store cannot encode state {i} of {cpu}: its task ref is 2^63 from the one before"
+                ))
+            })?;
+        put_varint(out, code);
     }
     let max_end = ends.iter().copied().max().unwrap_or(0);
-    (starts[0], max_end)
+    Ok((starts[0], max_end))
 }
 
 /// Appends `rows` delta-coded keys (the first one absolute) to `out`.
@@ -478,10 +517,18 @@ fn decode_states_block(buf: &[u8], rows: usize, out: &mut StateColumns) -> Resul
     let ([starts, ends], tags, tasks) = out.columns_mut();
     let first = starts.len();
     let mut pos = 0usize;
-    decode_deltas(buf, &mut pos, rows, starts)?;
-    for &start in &starts[first..] {
+    // The start codes land where the starts go and resolve there, each
+    // against the end before it, once the durations are read.
+    decode_varints(buf, &mut pos, rows, starts)?;
+    let mut prev_end: Option<u64> = None;
+    for start in &mut starts[first..] {
+        if let Some(end) = prev_end {
+            *start = end.wrapping_add(unzigzag(*start) as u64);
+        }
         let duration = get_varint(buf, &mut pos)?;
-        ends.push(start.checked_add(duration).ok_or_else(delta_overflow)?);
+        let end = start.checked_add(duration).ok_or_else(delta_overflow)?;
+        ends.push(end);
+        prev_end = Some(end);
     }
     let block_tags = take(buf, &mut pos, rows, "truncated state tag lane")?;
     if let Some(&bad) = block_tags
@@ -491,8 +538,13 @@ fn decode_states_block(buf: &[u8], rows: usize, out: &mut StateColumns) -> Resul
         return Err(TraceError::Format(format!("invalid state tag {bad}")));
     }
     tags.extend_from_slice(block_tags);
+    let mut prev = 0u64;
     for _ in 0..rows {
-        tasks.push_biased(get_varint(buf, &mut pos)?);
+        let code = get_varint(buf, &mut pos)?;
+        tasks.push_biased(match code {
+            0 => 0,
+            _ => state_ref_from_code(code, &mut prev)?,
+        });
     }
     Ok(())
 }
@@ -582,15 +634,44 @@ fn encode_samples_block(
         .samples(counter)
         .expect("lane counter exists");
     let ts = &samples.timestamps()[lo..hi];
+    let values = &samples.values()[lo..hi];
+    let integral = values.iter().all(|&v| stored_as_integer(v));
+    out.push(if integral {
+        SAMPLES_INTEGRAL
+    } else {
+        SAMPLES_RAW
+    });
     let mut prev = 0u64;
     for (i, &t) in ts.iter().enumerate() {
         put_varint(out, if i == 0 { t } else { t - prev });
         prev = t;
     }
-    for &v in &samples.values()[lo..hi] {
-        out.extend_from_slice(&v.to_le_bytes());
+    if integral {
+        let mut prev = 0i64;
+        for &v in values {
+            put_varint(out, zigzag(v as i64 - prev));
+            prev = v as i64;
+        }
+    } else {
+        for &v in values {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
     }
     (ts[0], ts[ts.len() - 1])
+}
+
+/// A sample block's mode byte: values as raw LE `f64`s.
+const SAMPLES_RAW: u8 = 0;
+/// A sample block's mode byte: values as zig-zag `i64` deltas.
+const SAMPLES_INTEGRAL: u8 = 1;
+
+/// Largest magnitude an integral sample block holds: every integer up to it
+/// is an `f64`.
+const MAX_INTEGRAL_SAMPLE: i64 = 1 << 53;
+
+/// Whether `v` comes back bit for bit as an integer of an integral block.
+fn stored_as_integer(v: f64) -> bool {
+    v.abs() <= MAX_INTEGRAL_SAMPLE as f64 && v.trunc() == v && v.to_bits() != (-0.0f64).to_bits()
 }
 
 fn decode_samples_block(
@@ -600,17 +681,33 @@ fn decode_samples_block(
 ) -> Result<(), TraceError> {
     let (timestamps, values) = out.columns_mut();
     let mut pos = 0usize;
+    let mode = take(buf, &mut pos, 1, "truncated sample block")?[0];
     decode_deltas(buf, &mut pos, rows, timestamps)?;
-    let raw = take(
-        buf,
-        &mut pos,
-        rows.saturating_mul(8),
-        "truncated f64 in store block",
-    )?;
-    values.extend(
-        raw.chunks_exact(8)
-            .map(|bits| f64::from_le_bytes(bits.try_into().expect("chunk of 8 bytes"))),
-    );
+    match mode {
+        SAMPLES_RAW => {
+            let raw = take(
+                buf,
+                &mut pos,
+                rows.saturating_mul(8),
+                "truncated f64 in store block",
+            )?;
+            values.extend(
+                raw.chunks_exact(8)
+                    .map(|bits| f64::from_le_bytes(bits.try_into().expect("chunk of 8 bytes"))),
+            );
+        }
+        SAMPLES_INTEGRAL => {
+            let mut acc = 0i64;
+            for _ in 0..rows {
+                acc = acc
+                    .checked_add(unzigzag(get_varint(buf, &mut pos)?))
+                    .filter(|v| v.abs() <= MAX_INTEGRAL_SAMPLE)
+                    .ok_or_else(|| TraceError::Format("integral sample beyond 2^53".into()))?;
+                values.push(acc as f64);
+            }
+        }
+        bad => return Err(TraceError::Format(format!("invalid sample mode {bad}"))),
+    }
     Ok(())
 }
 
@@ -621,9 +718,11 @@ fn encode_accesses_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>)
     let mut prev = 0u64;
     for (i, &kind) in kinds.iter().enumerate() {
         let key = biased(i);
-        put_varint(out, key - prev);
+        // An access names a registered task (`TraceBuilder::add_access`) and
+        // task ids are dense, so the delta has a bit to spare for the kind.
+        debug_assert!(key - prev < 1 << 63, "access task delta {}", key - prev);
+        put_varint(out, (key - prev) << 1 | u64::from(kind));
         prev = key;
-        out.push(kind);
         put_varint(out, addrs[i]);
         put_varint(out, sizes[i]);
     }
@@ -639,19 +738,13 @@ fn decode_accesses_block(
     let mut pos = 0usize;
     let mut prev = 0u64;
     for _ in 0..rows {
-        prev = prev
-            .checked_add(get_varint(buf, &mut pos)?)
-            .ok_or_else(delta_overflow)?;
+        let key = get_varint(buf, &mut pos)?;
+        prev = prev.checked_add(key >> 1).ok_or_else(delta_overflow)?;
         if prev == 0 {
             return Err(TraceError::Format("zero biased task ref".into()));
         }
-        let kind = match buf.get(pos) {
-            Some(&kind @ 0..=1) => kind,
-            _ => return Err(TraceError::Format("invalid access kind".into())),
-        };
-        pos += 1;
         tasks.push_biased(prev);
-        kinds.push(kind);
+        kinds.push((key & 1) as u8);
         addrs.push(get_varint(buf, &mut pos)?);
         sizes.push(get_varint(buf, &mut pos)?);
     }
@@ -758,14 +851,14 @@ fn encode_block(
     lo: usize,
     hi: usize,
     out: &mut Vec<u8>,
-) -> (u64, u64) {
-    match lane {
-        LaneId::States(cpu) => encode_states_block(trace, cpu, lo, hi, out),
+) -> Result<(u64, u64), TraceError> {
+    Ok(match lane {
+        LaneId::States(cpu) => encode_states_block(trace, cpu, lo, hi, out)?,
         LaneId::Events(cpu) => encode_events_block(trace, cpu, lo, hi, out),
         LaneId::Samples(cpu, ctr) => encode_samples_block(trace, cpu, ctr, lo, hi, out),
         LaneId::Accesses => encode_accesses_block(trace, lo, hi, out),
         LaneId::Tasks => encode_tasks_block(trace, lo, hi, out),
-    }
+    })
 }
 
 /// Encodes `trace` into the pieces of its store file, in file order — head
@@ -814,10 +907,11 @@ fn encode_store(
         })
         .collect();
     let encoded = parallel_map(threads, &jobs, |&(lane, lo, hi)| {
-        // The encodings come to 6-11 bytes a row; this holds a block without
-        // growing (and copying) it on the way.
+        // A row of a real trace encodes in fewer bytes than this (v3: about
+        // 7 a row on average); it holds a block without growing (and
+        // copying) it on the way.
         let mut bytes = Vec::with_capacity((hi - lo) * ENCODED_ROW_BYTES_HINT);
-        let (min_key, max_key) = encode_block(trace, lane, lo, hi, &mut bytes);
+        let (min_key, max_key) = encode_block(trace, lane, lo, hi, &mut bytes)?;
         let footer = BlockFooter {
             offset: 0, // assigned below, once the blocks before it are known
             len: bytes.len() as u64,
@@ -826,8 +920,10 @@ fn encode_store(
             max_key,
             crc: crc32(&bytes),
         };
-        (footer, bytes)
-    });
+        Ok((footer, bytes))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, TraceError>>()?;
     let data_start = head.len() as u64;
     let mut offset = data_start;
     let mut parts = Vec::with_capacity(encoded.len() + 2);
@@ -2078,6 +2174,10 @@ mod aos_oracle {
     use crate::memory::{AccessKind, MemoryAccess};
     use crate::state::{StateInterval, WorkerState};
 
+    fn signed(zigzagged: u64) -> i64 {
+        ((zigzagged >> 1) as i64) ^ -((zigzagged & 1) as i64)
+    }
+
     fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64, TraceError> {
         let bytes: [u8; 8] = buf
             .get(*pos..*pos + 8)
@@ -2094,16 +2194,9 @@ mod aos_oracle {
         rows: usize,
     ) -> Result<Vec<StateInterval>, TraceError> {
         let mut pos = 0usize;
-        let mut starts = Vec::with_capacity(rows);
-        let mut prev = 0u64;
-        for i in 0..rows {
-            let d = get_varint(buf, &mut pos)?;
-            prev = if i == 0 {
-                d
-            } else {
-                prev.checked_add(d).ok_or_else(delta_overflow)?
-            };
-            starts.push(prev);
+        let mut start_codes = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            start_codes.push(get_varint(buf, &mut pos)?);
         }
         let mut durations = Vec::with_capacity(rows);
         for _ in 0..rows {
@@ -2114,22 +2207,32 @@ mod aos_oracle {
             .ok_or_else(|| TraceError::Format("truncated state tag lane".into()))?;
         pos += rows;
         let mut rows_out = Vec::with_capacity(rows);
+        let mut prev_end = 0u64;
+        let mut prev_ref = 0u64;
         for i in 0..rows {
             let state = WorkerState::from_index(tags[i] as usize)
                 .ok_or_else(|| TraceError::Format(format!("invalid state tag {}", tags[i])))?;
-            let biased = get_varint(buf, &mut pos)?;
-            let task = if biased == 0 {
+            let code = get_varint(buf, &mut pos)?;
+            let task = if code == 0 {
                 None
             } else {
-                Some(TaskId(biased - 1))
+                prev_ref = prev_ref.wrapping_add(signed(code - 1) as u64);
+                if prev_ref == 0 {
+                    return Err(TraceError::Format("zero biased task ref".into()));
+                }
+                Some(TaskId(prev_ref - 1))
             };
-            let end = starts[i]
-                .checked_add(durations[i])
-                .ok_or_else(delta_overflow)?;
+            let start = if i == 0 {
+                start_codes[0]
+            } else {
+                prev_end.wrapping_add(signed(start_codes[i]) as u64)
+            };
+            let end = start.checked_add(durations[i]).ok_or_else(delta_overflow)?;
+            prev_end = end;
             rows_out.push(StateInterval::new(
                 cpu,
                 state,
-                TimeInterval::from_cycles(starts[i], end),
+                TimeInterval::from_cycles(start, end),
                 task,
             ));
         }
@@ -2200,6 +2303,10 @@ mod aos_oracle {
         rows: usize,
     ) -> Result<Vec<CounterSample>, TraceError> {
         let mut pos = 0usize;
+        let mode = *buf
+            .get(pos)
+            .ok_or_else(|| TraceError::Format("truncated sample block".into()))?;
+        pos += 1;
         let mut ts = Vec::with_capacity(rows);
         let mut prev = 0u64;
         for i in 0..rows {
@@ -2212,8 +2319,21 @@ mod aos_oracle {
             ts.push(prev);
         }
         let mut rows_out = Vec::with_capacity(rows);
+        let mut acc = 0i64;
         for &t in &ts {
-            let v = get_f64(buf, &mut pos)?;
+            let v = match mode {
+                0 => get_f64(buf, &mut pos)?,
+                1 => {
+                    acc = acc
+                        .checked_add(signed(get_varint(buf, &mut pos)?))
+                        .ok_or_else(delta_overflow)?;
+                    if acc.abs() > 1 << 53 {
+                        return Err(TraceError::Format("integral sample beyond 2^53".into()));
+                    }
+                    acc as f64
+                }
+                _ => return Err(TraceError::Format(format!("invalid sample mode {mode}"))),
+            };
             rows_out.push(CounterSample::new(counter, cpu, Timestamp(t), v));
         }
         Ok(rows_out)
@@ -2226,22 +2346,17 @@ mod aos_oracle {
         let mut pos = 0usize;
         let mut prev = 0u64;
         let mut rows_out = Vec::with_capacity(rows);
-        for i in 0..rows {
-            let d = get_varint(buf, &mut pos)?;
-            prev = if i == 0 {
-                d
-            } else {
-                prev.checked_add(d).ok_or_else(delta_overflow)?
-            };
+        for _ in 0..rows {
+            let key = get_varint(buf, &mut pos)?;
+            prev = prev.checked_add(key / 2).ok_or_else(delta_overflow)?;
             if prev == 0 {
                 return Err(TraceError::Format("zero biased task ref".into()));
             }
-            let kind = match buf.get(pos) {
-                Some(0) => AccessKind::Read,
-                Some(1) => AccessKind::Write,
-                _ => return Err(TraceError::Format("invalid access kind".into())),
+            let kind = if key % 2 == 0 {
+                AccessKind::Read
+            } else {
+                AccessKind::Write
             };
-            pos += 1;
             let addr = get_varint(buf, &mut pos)?;
             let size = get_varint(buf, &mut pos)?;
             rows_out.push(MemoryAccess::new(TaskId(prev - 1), kind, addr, size));
@@ -2255,6 +2370,7 @@ mod tests {
     use super::*;
     use crate::event::DiscreteEventKind;
     use crate::memory::AccessKind;
+    use crate::state::StateInterval;
     use crate::topology::MachineTopology;
     use crate::trace::TraceBuilder;
 
@@ -2460,17 +2576,30 @@ mod tests {
         assert!(StoredTrace::from_bytes(truncated).is_err());
     }
 
-    #[test]
-    fn version_1_is_rejected_as_unsupported() {
+    /// A store file under an older `version` header: refused strict and
+    /// salvaged alike, before any block is read.
+    fn assert_refused_as(version: u32) {
         let trace = sample_trace();
         let mut bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 4 }).unwrap();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
         for open in [StoredTrace::from_bytes, StoredTrace::from_bytes_salvage] {
             assert!(matches!(
                 open(bytes.clone()),
-                Err(TraceError::UnsupportedVersion(1))
+                Err(TraceError::UnsupportedVersion(v)) if v == version
             ));
         }
+    }
+
+    #[test]
+    fn version_1_is_rejected_as_unsupported() {
+        assert_refused_as(1);
+    }
+
+    #[test]
+    fn version_2_is_rejected_as_unsupported() {
+        // Version 2 stored the same columns without the v3 gaps, ref steps,
+        // sample modes and folded access kinds; it is regenerated, not read.
+        assert_refused_as(2);
     }
 
     #[test]
@@ -2821,7 +2950,7 @@ mod tests {
         put_varint(&mut block, 10); // start
         put_varint(&mut block, 5); // duration
         block.push(WorkerState::TaskExecution as u8);
-        put_varint(&mut block, u64::from(u32::MAX) + 2); // biased task ref
+        put_varint(&mut block, 1 + zigzag(i64::from(u32::MAX) + 2)); // biased ref u32::MAX + 2
         let footer = BlockFooter {
             offset: 0,
             len: block.len() as u64,
@@ -2955,8 +3084,8 @@ mod tests {
         format::write_metadata(&trace, &mut meta).unwrap();
         assert_eq!((meta.len(), crc32(&meta)), (75, 0x4b4c_9eb1));
         let pinned = [
-            (3usize, (993usize, 0x4f04_e7d5_b588_f852u64)),
-            (DEFAULT_BLOCK_ROWS, (706, 0x1a1a_1cbd_0295_d15d)),
+            (3usize, (950usize, 0x93d1_c168_b644_2142u64)),
+            (DEFAULT_BLOCK_ROWS, (663, 0x9006_5337_205a_7dc1)),
         ];
         for (block_rows, (len, digest)) in pinned {
             let bytes = write_store_bytes(&trace, &StoreOptions { block_rows }).unwrap();
@@ -2965,6 +3094,259 @@ mod tests {
                 (len, digest),
                 "store bytes changed at {block_rows} rows per block"
             );
+        }
+    }
+
+    /// A trace on every edge of the v3 encodings: state gaps of zero, above
+    /// and below zero (an overlap, pushed past the builder's check), times
+    /// near `u64::MAX`, task refs that rise, fall, are absent, sit 2^63 - 2
+    /// apart and step by wrapping, and counter values of both sample modes.
+    fn edge_trace() -> Trace {
+        let mut b = TraceBuilder::new(MachineTopology::uniform(1, 2));
+        let ty = b.add_task_type("work", 0x4000);
+        let edges = b.add_counter("edges", false);
+        let integral = b.add_counter("integral", true);
+        let cpu = CpuId(0);
+        for i in 0..4u64 {
+            let t = b.add_task(ty, cpu, Timestamp(i), Timestamp(i), Timestamp(i + 1));
+            let kind = [AccessKind::Read, AccessKind::Write][i as usize % 2];
+            b.add_access(t, kind, 0x1000 * i, 8).unwrap();
+        }
+        b.add_access(TaskId(3), AccessKind::Write, u64::MAX, u64::MAX)
+            .unwrap();
+        let p53 = (1u64 << 53) as f64;
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let edge_values = [
+            -0.0,
+            nan,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            p53,
+            -p53,
+            p53 + 2.0,
+            0.5,
+            -1.25,
+            3.0,
+        ];
+        for (t, &v) in edge_values.iter().enumerate() {
+            b.add_sample(edges, cpu, Timestamp(t as u64), v).unwrap();
+        }
+        for (t, &v) in [0.0, 1.0, -1.0, p53, -p53, 42.0, 7.0].iter().enumerate() {
+            b.add_sample(integral, cpu, Timestamp(t as u64), v).unwrap();
+        }
+        let mut trace = b.finish().unwrap();
+        // Biased 2^63 - 1: a step of 2^63 - 2 from task 0, 2^63 - 1 from a
+        // block's start (a step of 2^63 has no code: see the test below).
+        let far = TaskId((1 << 63) - 2);
+        let states = [
+            (5, 10, Some(TaskId(0))),
+            (10, 20, Some(TaskId(1))),            // gap 0, the ref rises
+            (25, 30, None),                       // gap +5, no task
+            (30, 40, Some(TaskId(0))),            // the ref falls past the absent one
+            (35, 50, Some(far)),                  // gap -5 (an overlap), 2^63 - 2 up
+            (50, 60, Some(TaskId(0))),            // and 2^63 - 2 back down
+            (70, 80, Some(TaskId(u64::MAX - 1))), // the widest ref, one wrapping step
+            (1 << 40, (1 << 40) + 1, Some(TaskId(2))), // a gap of ~2^40
+            (u64::MAX - 9, u64::MAX, Some(TaskId(3))), // a gap past 2^63
+        ];
+        let streams = trace.data_mut().cpu_mut(cpu).unwrap();
+        for (start, end, task) in states {
+            let interval = TimeInterval::from_cycles(start, end);
+            streams.push_state(StateInterval::new(
+                cpu,
+                WorkerState::TaskExecution,
+                interval,
+                task,
+            ));
+        }
+        trace
+    }
+
+    /// `a == b` with sample values compared bit for bit.
+    fn assert_same_bits(a: &Chunk, b: &Chunk, what: &str) {
+        let (Chunk::Samples(a), Chunk::Samples(b)) = (a, b) else {
+            return assert_same_chunk(a, b, what);
+        };
+        let bits = |c: &SampleColumns| -> Vec<u64> {
+            c.view().values().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(a.view().timestamps(), b.view().timestamps(), "{what}");
+        assert_eq!(bits(a), bits(b), "{what}");
+    }
+
+    #[test]
+    fn v3_is_lossless_on_edge_values() {
+        let trace = edge_trace();
+        for block_rows in [1, 3, DEFAULT_BLOCK_ROWS] {
+            let bytes = write_store_bytes(&trace, &StoreOptions { block_rows }).unwrap();
+            let mut stored = StoredTrace::from_bytes(bytes.clone()).unwrap();
+            let decoded = stored.materialise_all().unwrap().clone();
+            let mut modes = std::collections::BTreeSet::new();
+            for dir in &stored.directory {
+                let lane = dir.lane;
+                let what = format!("{lane} @ {block_rows} rows/block");
+                let payload =
+                    |b: &BlockFooter| &bytes[b.offset as usize..(b.offset + b.len) as usize];
+                if let LaneId::Samples(..) = lane {
+                    modes.extend(dir.blocks.iter().map(|b| payload(b)[0]));
+                }
+                let source = lane_chunk(&trace, lane);
+                assert_same_bits(&lane_chunk(&decoded, lane), &source, &what);
+                let oracle = oracle_run(lane, dir.blocks.iter().map(|b| (b, payload(b)))).unwrap();
+                assert_same_bits(&oracle, &source, &what);
+            }
+            assert_eq!(
+                stored.directory.len(),
+                5,
+                "states, two sample lanes, accesses, tasks"
+            );
+            // Both modes at every size: the integral lane is integral
+            // throughout, the edge lane raw but for the blocks that hold
+            // only its integral values (at 1 and 3 rows a block).
+            let both = [SAMPLES_RAW, SAMPLES_INTEGRAL].into_iter().collect();
+            assert_eq!(modes, both, "sample modes @ {block_rows} rows/block");
+        }
+    }
+
+    #[test]
+    fn a_ref_step_no_code_holds_is_refused_not_written() {
+        // A state's ref code is 1 + zigzag of the step from the block's last
+        // ref (0 at its start): every step has a code but exactly 2^63, which
+        // would wrap to code 0, no task. So task 2^63 - 1 (biased 2^63) fits
+        // after task 0 in one block, not at a block's start, and task 2^63
+        // fits at a block's start, not after task 0.
+        let refs = |far: u64| {
+            let mut b = TraceBuilder::new(MachineTopology::uniform(1, 1));
+            for (start, task) in [(0, 0), (10, far)] {
+                let (start, end) = (Timestamp(start), Timestamp(start + 10));
+                b.add_state(
+                    CpuId(0),
+                    WorkerState::TaskExecution,
+                    start,
+                    end,
+                    Some(TaskId(task)),
+                )
+                .unwrap();
+            }
+            b.finish().unwrap()
+        };
+        for (far, fits, refused) in [
+            ((1 << 63) - 1, DEFAULT_BLOCK_ROWS, 1),
+            (1 << 63, 1, DEFAULT_BLOCK_ROWS),
+        ] {
+            let trace = refs(far);
+            let mut stored = store_with_block_rows(&trace, fits);
+            assert_eq!(*stored.materialise_all().unwrap(), trace, "task {far}");
+            let err = write_store_bytes(
+                &trace,
+                &StoreOptions {
+                    block_rows: refused,
+                },
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, TraceError::Format(m) if m.contains("2^63")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_v3_payloads_give_the_same_typed_error_from_both_decoders() {
+        let block = |fields: &[u64]| {
+            let mut bytes = Vec::new();
+            fields.iter().for_each(|&f| put_varint(&mut bytes, f));
+            bytes
+        };
+        let tag = WorkerState::TaskExecution as u64;
+        let max_step = zigzag(1 << 53);
+        let cases: [(&str, LaneId, usize, Vec<u8>); 11] = [
+            (
+                "sample mode 2",
+                LaneId::Samples(CpuId(0), CounterId(0)),
+                1,
+                block(&[2, 7, 0]),
+            ),
+            (
+                "no sample mode byte",
+                LaneId::Samples(CpuId(0), CounterId(0)),
+                1,
+                Vec::new(),
+            ),
+            (
+                "one integral step past 2^53",
+                LaneId::Samples(CpuId(0), CounterId(0)),
+                1,
+                block(&[1, 7, zigzag((1 << 53) + 1)]),
+            ),
+            (
+                "an integral sum past 2^53",
+                LaneId::Samples(CpuId(0), CounterId(0)),
+                2,
+                block(&[1, 7, 1, max_step, 2]),
+            ),
+            (
+                "an integral sum below -2^53",
+                LaneId::Samples(CpuId(0), CounterId(0)),
+                2,
+                block(&[1, 7, 1, zigzag(-(1 << 53)), 1]),
+            ),
+            (
+                "an integral step beyond i64",
+                LaneId::Samples(CpuId(0), CounterId(0)),
+                2,
+                block(&[1, 7, 1, max_step, u64::MAX - 1]),
+            ),
+            // Codes: 11 is biased ref 5 from 0, 10 is -5 from there.
+            ("a ref code of 1 from 0", LaneId::States(CpuId(0)), 1, {
+                let mut b = block(&[10, 5]);
+                b.extend([tag as u8, 1]);
+                b
+            }),
+            ("a ref step back to 0", LaneId::States(CpuId(0)), 2, {
+                let mut b = block(&[10, 0, 5, 5]);
+                b.extend([tag as u8, tag as u8, 11, 10]);
+                b
+            }),
+            (
+                "a start gap that wraps to u64::MAX",
+                LaneId::States(CpuId(0)),
+                2,
+                block(&[10, zigzag(-16), 5, 1, tag, tag, 0, 0]),
+            ),
+            (
+                "a start of u64::MAX - 1 lasting 5",
+                LaneId::States(CpuId(0)),
+                1,
+                {
+                    let mut b = block(&[u64::MAX - 1, 5]);
+                    b.extend([tag as u8, 0]);
+                    b
+                },
+            ),
+            (
+                "task deltas that sum past u64",
+                LaneId::Accesses,
+                3,
+                block(&[u64::MAX - 1, 0, 8, u64::MAX - 1, 0, 8, 4, 0, 8]),
+            ),
+        ];
+        for (what, lane, rows, payload) in cases {
+            let footer = BlockFooter {
+                offset: 0,
+                len: payload.len() as u64,
+                rows: rows as u64,
+                min_key: 0,
+                max_key: 0,
+                crc: 0,
+            };
+            match (
+                decode_alone(&payload, lane, &footer),
+                oracle_chunk(&payload, lane, &footer),
+            ) {
+                (Err(TraceError::Format(_)), Err(TraceError::Format(_))) => {}
+                (d, o) => panic!("{what}: {d:?} vs {o:?}"),
+            }
         }
     }
 
@@ -3083,9 +3465,8 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// The resident rows of `lane`, as the chunk they were installed from.
-    fn resident_chunk(stored: &StoredTrace, lane: LaneId) -> Chunk {
-        let trace = stored.trace();
+    /// The rows `trace` holds in `lane`, as the chunk they were installed from.
+    fn lane_chunk(trace: &Trace, lane: LaneId) -> Chunk {
         match lane {
             LaneId::States(cpu) => Chunk::States(trace.cpu(cpu).unwrap().states.clone()),
             LaneId::Events(cpu) => Chunk::Events(trace.cpu(cpu).unwrap().events.clone()),
@@ -3111,7 +3492,7 @@ mod tests {
             .iter()
             .map(|b| (b, &bytes[b.offset as usize..(b.offset + b.len) as usize]));
         let oracle = oracle_run(lane, blocks).unwrap();
-        assert_same_chunk(&resident_chunk(stored, lane), &oracle, what);
+        assert_same_chunk(&lane_chunk(stored.trace(), lane), &oracle, what);
     }
 
     #[test]
