@@ -43,6 +43,8 @@ step_store() {
     "${REPRODUCE[@]}" --scale test --threads 2 --json store | tee store_smoke.txt
     grep -q 'all byte-identical to the fully resident session' store_smoke.txt
     test -f BENCH_store.json
+    # Where the block bytes sit, per lane kind.
+    grep -Eq '^# bytes by lane: states [0-9]+, events [0-9]+, samples [0-9]+, accesses [0-9]+, tasks [0-9]+$' store_smoke.txt
     # The one tier switch reaches the checksum: pinned off, the store ran on
     # the table tier (the stable-no-simd CI leg proves it end to end).
     case "${AFTERMATH_NO_SIMD:-0}" in

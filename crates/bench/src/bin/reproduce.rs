@@ -235,12 +235,15 @@ fn main() {
         );
     }
     if options.has("store") {
+        let bench = store::run_store_bench(scale, threads);
         options.report(
             "Column store — compression, lazy open-to-first-frame, capped residency",
-            &store::run_store_bench(scale, threads).record(),
+            &bench.record(),
         );
-        // Print-only: which tier checksummed the blocks above (`table` under
-        // AFTERMATH_NO_SIMD, which `ci/smoke.sh store` asserts).
+        // Print-only: where the file's block bytes sit, and which tier
+        // checksummed them (`table` under AFTERMATH_NO_SIMD, which
+        // `ci/smoke.sh store` asserts).
+        println!("# bytes by lane: {}", bench.lane_bytes);
         println!("# crc tier: {}", aftermath_trace::crc::tier_name());
     }
     if options.has("serve") {

@@ -26,7 +26,7 @@ use aftermath_core::{
     AnalysisSession, StoreSession, TaskFilter, Threads, TimelineEngine, TimelineMode, TimelineModel,
 };
 use aftermath_trace::format;
-use aftermath_trace::store::{write_store_file, StoreStats, StoredTrace};
+use aftermath_trace::store::{write_store_file, LaneBytes, StoreStats, StoredTrace};
 
 use crate::figures::Scale;
 use crate::record::{Fields, Record};
@@ -50,6 +50,8 @@ pub struct StoreBench {
     pub metadata_bytes: u64,
     /// Number of blocks across all lanes.
     pub num_blocks: usize,
+    /// Encoded block bytes per lane kind (printed, not recorded).
+    pub lane_bytes: LaneBytes,
     /// Resident bytes of the fully decoded SoA columns (the compression
     /// baseline and the capped sweep's 100 % mark).
     pub soa_bytes: usize,
@@ -239,6 +241,7 @@ pub fn run_store_bench(scale: Scale, threads: Threads) -> StoreBench {
         file_bytes: stats.file_bytes,
         metadata_bytes: stats.metadata_bytes,
         num_blocks: stats.num_blocks,
+        lane_bytes: stats.lane_bytes,
         soa_bytes,
         full_first_frame_seconds,
         open_first_frame_seconds,

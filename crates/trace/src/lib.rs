@@ -86,7 +86,8 @@ pub use memory::{AccessKind, MemoryAccess, MemoryRegion, RegionId};
 pub use state::{StateInterval, WorkerState};
 pub use store::{
     write_store_file, write_store_file_with, ColdTier, DamageCode, DamageFinding, DamageReport,
-    FileTier, LaneDamage, LaneId, LaneResidency, MemoryTier, StoreOptions, StoreStats, StoredTrace,
+    FileTier, LaneBytes, LaneDamage, LaneId, LaneResidency, MemoryTier, StoreOptions, StoreStats,
+    StoredTrace,
 };
 pub use streaming::{make_streamable, split_even, StreamingTrace, TraceChunk};
 pub use symbols::{Symbol, SymbolTable};

@@ -11,15 +11,16 @@
 //!
 //! | lane        | encoding                                                        |
 //! |-------------|-----------------------------------------------------------------|
-//! | states      | start: first absolute, then zigzag gap from the end before (wrapping) varint; duration varint; state tag raw `u8`; task ref: 0 = none, else `1 + zigzag` step from the block's last ref, varint |
+//! | states      | head raw `u8` (tag in bits 0–3, task-ref present in bit 4, start code in bits 5–7: 0–6 the inline zigzag gap from the end before, wrapping; 7 escaped); escaped starts varint (the first row's absolute, always escaped; later ones their gap code); duration varint; task ref of each bit-4 row: zigzag step from the block's last ref, varint |
 //! | events      | timestamp: delta varint; kind tag raw `u8`; payloads varint (lazy lanes elided per block) |
 //! | samples     | mode `u8`; timestamp: delta varint; value: zigzag `i64` delta varint when every value of the block is an integer within ±2^53 (not `-0.0`), else IEEE-754 bits LE |
 //! | accesses    | `(task delta << 1) \| kind` varint over biased task refs (sorted by task); addr/size varint |
-//! | tasks       | dense id implicit; type/cpu varint; creation zigzag delta; start zigzag; duration varint |
+//! | tasks       | dense id implicit; type varint; `cpu << 1 \| stolen` varint; creator cpu varint, only when stolen; creation zigzag wrapping delta; start zigzag wrapping offset from creation; duration varint |
 //!
-//! Each column holds one varint (or one raw `f64`) per row, so every row
-//! costs at least one byte. A state ref step of exactly 2^63 has no code: the
-//! writer refuses such a trace, as it refuses non-dense task ids.
+//! Every row costs at least one byte (a state row its head, a task row its
+//! type and cpu, the other lanes one varint or raw `f64` per column). Every
+//! trace the builder accepts encodes, dense task ids aside: gaps, ref steps
+//! and task timestamps wrap, so no `u64` value lacks a code.
 //!
 //! Every block is self-contained (delta bases restart per block) and carries a
 //! footer in the file's directory: row count, byte offset/length, and a
@@ -43,9 +44,9 @@
 //! bytes, and the trailer carries CRC-32s of the directory and the metadata
 //! header. Checksums are verified on materialisation (a mismatch surfaces as
 //! [`TraceError::Corrupted`] instead of decoded garbage) and at open time for
-//! the directory and metadata. The format is at **version 3**; any other
+//! the directory and metadata. The format is at **version 4**; any other
 //! version in the header is refused with [`TraceError::UnsupportedVersion`]
-//! (a version 2 file is regenerated from its trace, not read).
+//! (an older file is regenerated from its trace, not read).
 //!
 //! For damaged files, [`StoredTrace::open_salvage`] performs a degraded open:
 //! instead of failing on the first bad block it scans every block, quarantines
@@ -102,7 +103,7 @@ use crate::wire::{WireError, WireReader};
 pub const STORE_MAGIC: [u8; 4] = *b"AFST";
 
 /// The version of the column store format this build writes and opens.
-pub const STORE_VERSION: u32 = 3;
+pub const STORE_VERSION: u32 = 4;
 
 /// Magic bytes terminating the fixed-size trailer at the end of the file.
 const TRAILER_MAGIC: [u8; 4] = *b"TSFA";
@@ -349,6 +350,51 @@ pub struct StoreStats {
     pub num_lanes: usize,
     /// Number of blocks written across all lanes.
     pub num_blocks: usize,
+    /// Bytes of encoded lane blocks per lane kind (they sum to `data_bytes`).
+    pub lane_bytes: LaneBytes,
+}
+
+/// Encoded block bytes of a store, summed per lane kind from its directory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneBytes {
+    /// Every state lane's blocks.
+    pub states: u64,
+    /// Every event lane's blocks.
+    pub events: u64,
+    /// Every sample lane's blocks.
+    pub samples: u64,
+    /// The access table's blocks.
+    pub accesses: u64,
+    /// The task table's blocks.
+    pub tasks: u64,
+}
+
+impl LaneBytes {
+    /// The block bytes of `directory`, per lane kind.
+    fn of(directory: &[LaneDirectory]) -> LaneBytes {
+        let mut bytes = LaneBytes::default();
+        for dir in directory {
+            let kind = match dir.lane {
+                LaneId::States(_) => &mut bytes.states,
+                LaneId::Events(_) => &mut bytes.events,
+                LaneId::Samples(..) => &mut bytes.samples,
+                LaneId::Accesses => &mut bytes.accesses,
+                LaneId::Tasks => &mut bytes.tasks,
+            };
+            *kind += dir.blocks.iter().map(|b| b.len).sum::<u64>();
+        }
+        bytes
+    }
+}
+
+impl fmt::Display for LaneBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "states {}, events {}, samples {}, accesses {}, tasks {}",
+            self.states, self.events, self.samples, self.accesses, self.tasks
+        )
+    }
 }
 
 /// Tunables of the store writer.
@@ -422,65 +468,68 @@ fn unzigzag(v: u64) -> i64 {
 // Block encoders / decoders
 // ---------------------------------------------------------------------------
 
-/// The stored code of a state's biased task ref: 0 for no task, else one more
-/// than the zig-zag step from `prev`, the block's last non-zero ref (updated).
-/// `None` for the one step no code holds, a wrapping difference of 2^63.
-fn state_ref_code(biased: u64, prev: &mut u64) -> Option<u64> {
-    if biased == 0 {
-        return Some(0);
-    }
-    let step = zigzag(biased.wrapping_sub(*prev) as i64);
-    *prev = biased;
-    step.checked_add(1)
-}
-
-/// The biased task ref a non-zero state ref code resolves to from `prev`,
-/// the block's last non-zero ref (updated). Code 0 is no task, never this.
-fn state_ref_from_code(code: u64, prev: &mut u64) -> Result<u64, TraceError> {
-    *prev = prev.wrapping_add(unzigzag(code - 1) as u64);
-    if *prev == 0 {
-        return Err(TraceError::Format("zero biased task ref".into()));
-    }
-    Ok(*prev)
-}
+/// A state head's bits 0–3: the state tag.
+const HEAD_TAG: u8 = 0x0f;
+/// A state head's bit 4: the row has a task ref in the block's ref column.
+const HEAD_HAS_REF: u8 = 1 << 4;
+/// Where a state head's start code sits: bits 5–7.
+const HEAD_START_SHIFT: u32 = 5;
+/// The start code of a row whose start is in the escaped-starts column; the
+/// codes below it are the row's zig-zag gap from the end before, inline.
+const START_ESCAPED: u8 = 7;
+// Every worker state's tag fits a head's four tag bits.
+const _: () = assert!(WorkerState::COUNT <= HEAD_TAG as usize + 1);
 
 /// Encodes states rows `[lo, hi)` of `cpu`'s stream; returns `(min, max)` keys.
-/// A start after the block's first is stored as the zig-zag gap from the end
-/// before it, wrapping, so overlaps and any `u64` timestamps encode.
+/// A start after the block's first is the zig-zag gap from the end before it,
+/// wrapping, so overlaps and any `u64` timestamps encode: inline in the row's
+/// head when it is below [`START_ESCAPED`], else in the escaped column, where
+/// the block's first start is too. A task ref is the zig-zag of the wrapping
+/// step from the block's last one, so every ref has a code.
 fn encode_states_block(
     trace: &Trace,
     cpu: CpuId,
     lo: usize,
     hi: usize,
     out: &mut Vec<u8>,
-) -> Result<(u64, u64), TraceError> {
+) -> (u64, u64) {
     let states = trace.cpu(cpu).expect("lane cpu exists").states();
     let starts = &states.starts()[lo..hi];
     let ends = &states.ends()[lo..hi];
+    let tags = &states.state_tags()[lo..hi];
+    // The heads come first: they are filled in place while the escaped
+    // starts that follow them are appended, in one pass over the rows.
+    let heads = out.len();
+    out.resize(heads + tags.len(), 0);
     let mut prev_end = None;
-    for (&s, &e) in starts.iter().zip(ends) {
-        put_varint(
-            out,
-            prev_end.map_or(s, |end: u64| zigzag(s.wrapping_sub(end) as i64)),
-        );
-        prev_end = Some(e);
+    for (i, (&tag, (&start, &end))) in tags.iter().zip(starts.iter().zip(ends)).enumerate() {
+        // The first row's start itself, a later row's gap from the end before.
+        let code = prev_end.map_or(start, |e: u64| zigzag(start.wrapping_sub(e) as i64));
+        let inline = match prev_end {
+            Some(_) if code < u64::from(START_ESCAPED) => code as u8,
+            _ => {
+                put_varint(out, code);
+                START_ESCAPED
+            }
+        };
+        let has_ref = match states.task(lo + i) {
+            Some(_) => HEAD_HAS_REF,
+            None => 0,
+        };
+        out[heads + i] = tag | has_ref | inline << HEAD_START_SHIFT;
+        prev_end = Some(end);
     }
     for (&s, &e) in starts.iter().zip(ends) {
         put_varint(out, e - s);
     }
-    out.extend_from_slice(&states.state_tags()[lo..hi]);
     let mut prev = 0u64;
-    for i in lo..hi {
-        let code = state_ref_code(states.task(i).map_or(0, |t| t.0 + 1), &mut prev)
-            .ok_or_else(|| {
-                TraceError::Format(format!(
-                    "column store cannot encode state {i} of {cpu}: its task ref is 2^63 from the one before"
-                ))
-            })?;
-        put_varint(out, code);
+    for task in (lo..hi).filter_map(|i| states.task(i)) {
+        let biased = task.0 + 1;
+        put_varint(out, zigzag(biased.wrapping_sub(prev) as i64));
+        prev = biased;
     }
     let max_end = ends.iter().copied().max().unwrap_or(0);
-    Ok((starts[0], max_end))
+    (starts[0], max_end)
 }
 
 /// Appends `rows` delta-coded keys (the first one absolute) to `out`.
@@ -517,9 +566,30 @@ fn decode_states_block(buf: &[u8], rows: usize, out: &mut StateColumns) -> Resul
     let ([starts, ends], tags, tasks) = out.columns_mut();
     let first = starts.len();
     let mut pos = 0usize;
+    let heads = take(buf, &mut pos, rows, "truncated state head lane")?;
+    if let Some(&bad) = heads
+        .iter()
+        .find(|&&h| usize::from(h & HEAD_TAG) >= WorkerState::COUNT)
+    {
+        return Err(TraceError::Format(format!(
+            "invalid state tag {}",
+            bad & HEAD_TAG
+        )));
+    }
+    if heads
+        .first()
+        .is_some_and(|&h| h >> HEAD_START_SHIFT != START_ESCAPED)
+    {
+        return Err(TraceError::Format("first state row not escaped".into()));
+    }
     // The start codes land where the starts go and resolve there, each
     // against the end before it, once the durations are read.
-    decode_varints(buf, &mut pos, rows, starts)?;
+    for &head in heads {
+        starts.push(match head >> HEAD_START_SHIFT {
+            START_ESCAPED => get_varint(buf, &mut pos)?,
+            inline => u64::from(inline),
+        });
+    }
     let mut prev_end: Option<u64> = None;
     for start in &mut starts[first..] {
         if let Some(end) = prev_end {
@@ -530,21 +600,18 @@ fn decode_states_block(buf: &[u8], rows: usize, out: &mut StateColumns) -> Resul
         ends.push(end);
         prev_end = Some(end);
     }
-    let block_tags = take(buf, &mut pos, rows, "truncated state tag lane")?;
-    if let Some(&bad) = block_tags
-        .iter()
-        .find(|&&t| usize::from(t) >= WorkerState::COUNT)
-    {
-        return Err(TraceError::Format(format!("invalid state tag {bad}")));
-    }
-    tags.extend_from_slice(block_tags);
+    tags.extend(heads.iter().map(|&h| h & HEAD_TAG));
     let mut prev = 0u64;
-    for _ in 0..rows {
-        let code = get_varint(buf, &mut pos)?;
-        tasks.push_biased(match code {
-            0 => 0,
-            _ => state_ref_from_code(code, &mut prev)?,
-        });
+    for &head in heads {
+        if head & HEAD_HAS_REF == 0 {
+            tasks.push_biased(0);
+            continue;
+        }
+        prev = prev.wrapping_add(unzigzag(get_varint(buf, &mut pos)?) as u64);
+        if prev == 0 {
+            return Err(TraceError::Format("zero biased task ref".into()));
+        }
+        tasks.push_biased(prev);
     }
     Ok(())
 }
@@ -751,17 +818,27 @@ fn decode_accesses_block(
     Ok(())
 }
 
+/// Encodes task rows `[lo, hi)`. A task's creator is stored only when it
+/// differs from its CPU (the task was stolen), flagged in the CPU varint's low
+/// bit; creations step, and starts sit, by wrapping zig-zag deltas, so every
+/// `u64` timestamp encodes.
 fn encode_tasks_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) -> (u64, u64) {
     let tasks = &trace.tasks()[lo..hi];
-    let mut prev_creation = 0i64;
+    let mut prev_creation = 0u64;
     for t in tasks {
         put_varint(out, u64::from(t.task_type.0));
-        put_varint(out, u64::from(t.cpu.0));
-        put_varint(out, u64::from(t.creator_cpu.0));
-        let creation = t.creation.0 as i64;
-        put_varint(out, zigzag(creation - prev_creation));
+        let stolen = t.creator_cpu != t.cpu;
+        put_varint(out, u64::from(t.cpu.0) << 1 | u64::from(stolen));
+        if stolen {
+            put_varint(out, u64::from(t.creator_cpu.0));
+        }
+        let creation = t.creation.0;
+        put_varint(out, zigzag(creation.wrapping_sub(prev_creation) as i64));
         prev_creation = creation;
-        put_varint(out, zigzag(t.execution.start.0 as i64 - creation));
+        put_varint(
+            out,
+            zigzag(t.execution.start.0.wrapping_sub(creation) as i64),
+        );
         put_varint(out, t.execution.duration());
     }
     (lo as u64, hi as u64 - 1)
@@ -774,30 +851,25 @@ fn decode_tasks_block(
     out: &mut Vec<TaskInstance>,
 ) -> Result<(), TraceError> {
     let mut pos = 0usize;
-    let mut prev_creation = 0i64;
+    let mut prev_creation = 0u64;
     // An id that does not fit its type is refused, not wrapped — as
     // [`WireReader::u32`] refuses it in the directory.
-    let id = |pos: &mut usize, what| {
-        u32::try_from(get_varint(buf, pos)?)
-            .map_err(|_| TraceError::from(WireError::Malformed(what)))
+    let id = |value: u64, what| {
+        u32::try_from(value).map_err(|_| TraceError::from(WireError::Malformed(what)))
     };
     for i in 0..rows {
-        let ty = id(&mut pos, "task type id")?;
-        let cpu = id(&mut pos, "task cpu id")?;
-        let creator = id(&mut pos, "task creator cpu id")?;
-        let creation = prev_creation
-            .checked_add(unzigzag(get_varint(buf, &mut pos)?))
-            .ok_or_else(delta_overflow)?;
+        let ty = id(get_varint(buf, &mut pos)?, "task type id")?;
+        let cpu_code = get_varint(buf, &mut pos)?;
+        let cpu = id(cpu_code >> 1, "task cpu id")?;
+        let creator = match cpu_code & 1 {
+            0 => cpu,
+            _ => id(get_varint(buf, &mut pos)?, "task creator cpu id")?,
+        };
+        let creation = prev_creation.wrapping_add(unzigzag(get_varint(buf, &mut pos)?) as u64);
         prev_creation = creation;
-        let start = creation
-            .checked_add(unzigzag(get_varint(buf, &mut pos)?))
-            .ok_or_else(delta_overflow)?;
-        let duration = get_varint(buf, &mut pos)?;
-        if creation < 0 || start < 0 {
-            return Err(TraceError::Format("negative task timestamp".into()));
-        }
-        let end = (start as u64)
-            .checked_add(duration)
+        let start = creation.wrapping_add(unzigzag(get_varint(buf, &mut pos)?) as u64);
+        let end = start
+            .checked_add(get_varint(buf, &mut pos)?)
             .ok_or_else(delta_overflow)?;
         let id = first_id.checked_add(i as u64).ok_or_else(delta_overflow)?;
         out.push(TaskInstance::new(
@@ -805,8 +877,8 @@ fn decode_tasks_block(
             TaskTypeId(ty),
             CpuId(cpu),
             CpuId(creator),
-            Timestamp(creation as u64),
-            TimeInterval::from_cycles(start as u64, end),
+            Timestamp(creation),
+            TimeInterval::from_cycles(start, end),
         ));
     }
     Ok(())
@@ -851,14 +923,14 @@ fn encode_block(
     lo: usize,
     hi: usize,
     out: &mut Vec<u8>,
-) -> Result<(u64, u64), TraceError> {
-    Ok(match lane {
-        LaneId::States(cpu) => encode_states_block(trace, cpu, lo, hi, out)?,
+) -> (u64, u64) {
+    match lane {
+        LaneId::States(cpu) => encode_states_block(trace, cpu, lo, hi, out),
         LaneId::Events(cpu) => encode_events_block(trace, cpu, lo, hi, out),
         LaneId::Samples(cpu, ctr) => encode_samples_block(trace, cpu, ctr, lo, hi, out),
         LaneId::Accesses => encode_accesses_block(trace, lo, hi, out),
         LaneId::Tasks => encode_tasks_block(trace, lo, hi, out),
-    })
+    }
 }
 
 /// Encodes `trace` into the pieces of its store file, in file order — head
@@ -907,11 +979,11 @@ fn encode_store(
         })
         .collect();
     let encoded = parallel_map(threads, &jobs, |&(lane, lo, hi)| {
-        // A row of a real trace encodes in fewer bytes than this (v3: about
-        // 7 a row on average); it holds a block without growing (and
+        // A row of a real trace encodes in fewer bytes than this (v4: about
+        // 6.5 a row on average); it holds a block without growing (and
         // copying) it on the way.
         let mut bytes = Vec::with_capacity((hi - lo) * ENCODED_ROW_BYTES_HINT);
-        let (min_key, max_key) = encode_block(trace, lane, lo, hi, &mut bytes)?;
+        let (min_key, max_key) = encode_block(trace, lane, lo, hi, &mut bytes);
         let footer = BlockFooter {
             offset: 0, // assigned below, once the blocks before it are known
             len: bytes.len() as u64,
@@ -920,10 +992,8 @@ fn encode_store(
             max_key,
             crc: crc32(&bytes),
         };
-        Ok((footer, bytes))
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, TraceError>>()?;
+        (footer, bytes)
+    });
     let data_start = head.len() as u64;
     let mut offset = data_start;
     let mut parts = Vec::with_capacity(encoded.len() + 2);
@@ -1003,6 +1073,7 @@ fn encode_store(
         data_bytes: dir_offset - data_start,
         num_lanes: directory.len(),
         num_blocks: jobs.len(),
+        lane_bytes: LaneBytes::of(&directory),
     };
     parts.push(tail);
     Ok((parts, stats))
@@ -2160,19 +2231,21 @@ impl StoredTrace {
     }
 }
 
-/// The row-at-a-time block decoders the store shipped with before blocks
-/// decoded straight into columns: varints → temporary vectors → owned structs.
-/// Kept as the independent oracle the column-direct decoders are tested
-/// against (rows, error variants) — never compiled into the library.
+/// Row-at-a-time block decoders, written apart from the column-direct ones:
+/// varints → temporary vectors → owned structs, one per lane kind. Kept as
+/// the independent oracle the column-direct decoders are tested against
+/// (rows, error variants) — never compiled into the library.
 #[cfg(test)]
 mod aos_oracle {
     use super::{delta_overflow, get_varint};
     use crate::columns::decode_kind;
     use crate::error::TraceError;
     use crate::event::{CounterSample, DiscreteEvent};
-    use crate::ids::{CounterId, CpuId, TaskId, TimeInterval, Timestamp};
+    use crate::ids::{CounterId, CpuId, TaskId, TaskTypeId, TimeInterval, Timestamp};
     use crate::memory::{AccessKind, MemoryAccess};
     use crate::state::{StateInterval, WorkerState};
+    use crate::task::TaskInstance;
+    use crate::wire::WireError;
 
     fn signed(zigzagged: u64) -> i64 {
         ((zigzagged >> 1) as i64) ^ -((zigzagged & 1) as i64)
@@ -2194,38 +2267,45 @@ mod aos_oracle {
         rows: usize,
     ) -> Result<Vec<StateInterval>, TraceError> {
         let mut pos = 0usize;
-        let mut start_codes = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            start_codes.push(get_varint(buf, &mut pos)?);
+        let heads = buf
+            .get(pos..pos + rows)
+            .ok_or_else(|| TraceError::Format("truncated state head lane".into()))?;
+        pos += rows;
+        if rows > 0 && heads[0] >> 5 != 7 {
+            return Err(TraceError::Format("first state row not escaped".into()));
+        }
+        let mut escaped = Vec::new();
+        for _ in heads.iter().filter(|&&h| h >> 5 == 7) {
+            escaped.push(get_varint(buf, &mut pos)?);
         }
         let mut durations = Vec::with_capacity(rows);
         for _ in 0..rows {
             durations.push(get_varint(buf, &mut pos)?);
         }
-        let tags = buf
-            .get(pos..pos + rows)
-            .ok_or_else(|| TraceError::Format("truncated state tag lane".into()))?;
-        pos += rows;
+        let mut escaped = escaped.into_iter();
         let mut rows_out = Vec::with_capacity(rows);
         let mut prev_end = 0u64;
         let mut prev_ref = 0u64;
-        for i in 0..rows {
-            let state = WorkerState::from_index(tags[i] as usize)
-                .ok_or_else(|| TraceError::Format(format!("invalid state tag {}", tags[i])))?;
-            let code = get_varint(buf, &mut pos)?;
-            let task = if code == 0 {
+        for (i, &head) in heads.iter().enumerate() {
+            let state = WorkerState::from_index(usize::from(head % 16))
+                .ok_or_else(|| TraceError::Format(format!("invalid state tag {}", head % 16)))?;
+            let task = if head & 16 == 0 {
                 None
             } else {
-                prev_ref = prev_ref.wrapping_add(signed(code - 1) as u64);
+                prev_ref = prev_ref.wrapping_add(signed(get_varint(buf, &mut pos)?) as u64);
                 if prev_ref == 0 {
                     return Err(TraceError::Format("zero biased task ref".into()));
                 }
                 Some(TaskId(prev_ref - 1))
             };
+            let code = match head >> 5 {
+                7 => escaped.next().expect("one escaped start per escaped row"),
+                inline => u64::from(inline),
+            };
             let start = if i == 0 {
-                start_codes[0]
+                code
             } else {
-                prev_end.wrapping_add(signed(start_codes[i]) as u64)
+                prev_end.wrapping_add(signed(code) as u64)
             };
             let end = start.checked_add(durations[i]).ok_or_else(delta_overflow)?;
             prev_end = end;
@@ -2360,6 +2440,44 @@ mod aos_oracle {
             let addr = get_varint(buf, &mut pos)?;
             let size = get_varint(buf, &mut pos)?;
             rows_out.push(MemoryAccess::new(TaskId(prev - 1), kind, addr, size));
+        }
+        Ok(rows_out)
+    }
+
+    pub(super) fn decode_tasks_block(
+        buf: &[u8],
+        first_id: u64,
+        rows: usize,
+    ) -> Result<Vec<TaskInstance>, TraceError> {
+        let mut pos = 0usize;
+        let narrow = |v: u64, what| {
+            u32::try_from(v).map_err(|_| TraceError::from(WireError::Malformed(what)))
+        };
+        let mut prev_creation = 0u64;
+        let mut rows_out = Vec::with_capacity(rows);
+        for i in 0..rows {
+            let mut field = || get_varint(buf, &mut pos);
+            let ty = narrow(field()?, "task type id")?;
+            let cpu_code = field()?;
+            let cpu = narrow(cpu_code / 2, "task cpu id")?;
+            let creator = if cpu_code % 2 == 1 {
+                narrow(field()?, "task creator cpu id")?
+            } else {
+                cpu
+            };
+            let creation = prev_creation.wrapping_add(signed(field()?) as u64);
+            prev_creation = creation;
+            let start = creation.wrapping_add(signed(field()?) as u64);
+            let end = start.checked_add(field()?).ok_or_else(delta_overflow)?;
+            let id = first_id.checked_add(i as u64).ok_or_else(delta_overflow)?;
+            rows_out.push(TaskInstance::new(
+                TaskId(id),
+                TaskTypeId(ty),
+                CpuId(cpu),
+                CpuId(creator),
+                Timestamp(creation),
+                TimeInterval::from_cycles(start, end),
+            ));
         }
         Ok(rows_out)
     }
@@ -2600,6 +2718,13 @@ mod tests {
         // Version 2 stored the same columns without the v3 gaps, ref steps,
         // sample modes and folded access kinds; it is regenerated, not read.
         assert_refused_as(2);
+    }
+
+    #[test]
+    fn version_3_is_rejected_as_unsupported() {
+        // Version 3 kept a state's tag, start code and ref presence in three
+        // columns and every task's creator; it is regenerated, not read.
+        assert_refused_as(3);
     }
 
     #[test]
@@ -2860,7 +2985,10 @@ mod tests {
                         col.push(r);
                     }
                 }
-                (tasks, _) => tasks.decode_block(buf, footer)?,
+                (Chunk::Tasks(col), _) => {
+                    col.extend(aos_oracle::decode_tasks_block(buf, footer.min_key, rows)?)
+                }
+                _ => unreachable!("a chunk of the lane's kind"),
             }
         }
         Ok(chunk)
@@ -2922,9 +3050,9 @@ mod tests {
 
     #[test]
     fn a_task_block_id_beyond_32_bits_is_refused_not_wrapped() {
-        // One task row: type, cpu, creator cpu, creation, start, duration —
-        // a well-formed one (2 is a zigzag +1) but for the `wide` field, which
-        // wrapped would be id 1.
+        // One stolen task row: type, `cpu << 1 | 1`, creator cpu, creation,
+        // start, duration — a well-formed one (2 is a zigzag +1) but for the
+        // `wide` id, which wrapped would be id 1.
         for (wide, what) in [
             (0, "task type id"),
             (1, "task cpu id"),
@@ -2932,7 +3060,8 @@ mod tests {
         ] {
             let mut block = Vec::new();
             for field in 0..6 {
-                put_varint(&mut block, if field == wide { (1 << 32) | 1 } else { 2 });
+                let value = if field == wide { (1 << 32) | 1 } else { 2 };
+                put_varint(&mut block, if field == 1 { value << 1 | 1 } else { value });
             }
             let mut tasks = Vec::new();
             let err = decode_tasks_block(&block, 0, 1, &mut tasks).unwrap_err();
@@ -2946,11 +3075,10 @@ mod tests {
     #[test]
     fn hostile_payloads_keep_the_width_and_lane_shape_of_pushed_rows() {
         // A task ref beyond 32 bits widens the column exactly as `push` would.
-        let mut block = Vec::new();
+        let mut block = vec![WorkerState::TaskExecution as u8 | HEAD_HAS_REF | ESCAPED_HEAD];
         put_varint(&mut block, 10); // start
         put_varint(&mut block, 5); // duration
-        block.push(WorkerState::TaskExecution as u8);
-        put_varint(&mut block, 1 + zigzag(i64::from(u32::MAX) + 2)); // biased ref u32::MAX + 2
+        put_varint(&mut block, zigzag(i64::from(u32::MAX) + 2)); // biased ref u32::MAX + 2
         let footer = BlockFooter {
             offset: 0,
             len: block.len() as u64,
@@ -3084,8 +3212,8 @@ mod tests {
         format::write_metadata(&trace, &mut meta).unwrap();
         assert_eq!((meta.len(), crc32(&meta)), (75, 0x4b4c_9eb1));
         let pinned = [
-            (3usize, (950usize, 0x93d1_c168_b644_2142u64)),
-            (DEFAULT_BLOCK_ROWS, (663, 0x9006_5337_205a_7dc1)),
+            (3usize, (924usize, 0xd7d4_e3e8_69a2_f2a3u64)),
+            (DEFAULT_BLOCK_ROWS, (632, 0x6876_24c2_91aa_f03f)),
         ];
         for (block_rows, (len, digest)) in pinned {
             let bytes = write_store_bytes(&trace, &StoreOptions { block_rows }).unwrap();
@@ -3097,10 +3225,16 @@ mod tests {
         }
     }
 
-    /// A trace on every edge of the v3 encodings: state gaps of zero, above
-    /// and below zero (an overlap, pushed past the builder's check), times
-    /// near `u64::MAX`, task refs that rise, fall, are absent, sit 2^63 - 2
-    /// apart and step by wrapping, and counter values of both sample modes.
+    /// A state head's start-code bits saying "escaped".
+    const ESCAPED_HEAD: u8 = START_ESCAPED << HEAD_START_SHIFT;
+
+    /// A trace on every edge of the v4 encodings: every worker state; state
+    /// gaps of zero, of every inline code (±1 to ±3) and escaped ones above
+    /// and below zero (overlaps, pushed past the builder's check); times near
+    /// `u64::MAX`; task refs that rise, fall, are absent between present ones,
+    /// sit 2^63 - 2 and exactly 2^63 apart and step by wrapping; tasks stolen
+    /// and not, with creator CPU ids up to `u32::MAX`; and counter values of
+    /// both sample modes.
     fn edge_trace() -> Trace {
         let mut b = TraceBuilder::new(MachineTopology::uniform(1, 2));
         let ty = b.add_task_type("work", 0x4000);
@@ -3114,6 +3248,22 @@ mod tests {
         }
         b.add_access(TaskId(3), AccessKind::Write, u64::MAX, u64::MAX)
             .unwrap();
+        // Stolen from the other CPU, from the widest CPU id, and one that ran
+        // where it was created between them.
+        for (i, (on, by)) in [(0, 1), (1, 1), (1, u32::MAX), (0, 0)]
+            .into_iter()
+            .enumerate()
+        {
+            let t = 10 + i as u64;
+            b.add_task_created_by(
+                ty,
+                CpuId(on),
+                CpuId(by),
+                Timestamp(t),
+                Timestamp(t + 1),
+                Timestamp(t + 2),
+            );
+        }
         let p53 = (1u64 << 53) as f64;
         let nan = f64::from_bits(0x7ff8_0000_dead_beef);
         let edge_values = [
@@ -3136,28 +3286,33 @@ mod tests {
         }
         let mut trace = b.finish().unwrap();
         // Biased 2^63 - 1: a step of 2^63 - 2 from task 0, 2^63 - 1 from a
-        // block's start (a step of 2^63 has no code: see the test below).
-        let far = TaskId((1 << 63) - 2);
+        // block's start. Biased 2^63 + 1: exactly 2^63 from task 0 (a step
+        // whose code is u64::MAX), 2^63 + 1 from a block's start.
+        let near = TaskId((1 << 63) - 2);
+        let far = TaskId(1 << 63);
         let states = [
-            (5, 10, Some(TaskId(0))),
-            (10, 20, Some(TaskId(1))),            // gap 0, the ref rises
-            (25, 30, None),                       // gap +5, no task
-            (30, 40, Some(TaskId(0))),            // the ref falls past the absent one
-            (35, 50, Some(far)),                  // gap -5 (an overlap), 2^63 - 2 up
-            (50, 60, Some(TaskId(0))),            // and 2^63 - 2 back down
-            (70, 80, Some(TaskId(u64::MAX - 1))), // the widest ref, one wrapping step
+            (5, 10, Some(TaskId(0))),                  // the block's first: escaped
+            (10, 20, Some(TaskId(1))),                 // gap 0 (code 0), the ref rises
+            (25, 30, None),                            // gap +5 (code 10, escaped), no task
+            (30, 40, Some(TaskId(0))),                 // the ref falls past the absent one
+            (35, 50, Some(near)),                      // gap -5 (an overlap), 2^63 - 2 up
+            (50, 60, Some(TaskId(0))),                 // and 2^63 - 2 back down
+            (59, 70, None),                            // gap -1 (code 1)
+            (71, 80, Some(far)),                       // gap +1 (code 2), 2^63 up
+            (78, 90, None),                            // gap -2 (code 3)
+            (92, 100, Some(TaskId(0))),                // gap +2 (code 4), 2^63 back down
+            (97, 110, None),                           // gap -3 (code 5)
+            (113, 120, Some(far)),                     // gap +3 (code 6), 2^63 up again
+            (116, 130, Some(TaskId(0))),               // gap -4 (code 7, the first escaped gap)
+            (140, 150, Some(TaskId(u64::MAX - 1))),    // the widest ref, one wrapping step
             (1 << 40, (1 << 40) + 1, Some(TaskId(2))), // a gap of ~2^40
             (u64::MAX - 9, u64::MAX, Some(TaskId(3))), // a gap past 2^63
         ];
         let streams = trace.data_mut().cpu_mut(cpu).unwrap();
-        for (start, end, task) in states {
+        for (i, (start, end, task)) in states.into_iter().enumerate() {
             let interval = TimeInterval::from_cycles(start, end);
-            streams.push_state(StateInterval::new(
-                cpu,
-                WorkerState::TaskExecution,
-                interval,
-                task,
-            ));
+            let state = WorkerState::ALL[i % WorkerState::COUNT];
+            streams.push_state(StateInterval::new(cpu, state, interval, task));
         }
         trace
     }
@@ -3174,47 +3329,89 @@ mod tests {
         assert_eq!(bits(a), bits(b), "{what}");
     }
 
+    /// Writes `trace` at `block_rows` and holds every lane, decoded by
+    /// `materialise_all` and by the oracle, against the trace's own rows, bit
+    /// for bit (a NaN sample keeps a whole trace from `==` itself). Returns
+    /// the file's bytes and its store, materialised.
+    fn assert_lossless(trace: &Trace, block_rows: usize) -> (Vec<u8>, StoredTrace) {
+        let bytes = write_store_bytes(trace, &StoreOptions { block_rows }).unwrap();
+        let mut stored = StoredTrace::from_bytes(bytes.clone()).unwrap();
+        let decoded = stored.materialise_all().unwrap().clone();
+        for dir in &stored.directory {
+            let lane = dir.lane;
+            let what = format!("{lane} @ {block_rows} rows/block");
+            let payload = |b: &BlockFooter| &bytes[b.offset as usize..(b.offset + b.len) as usize];
+            let source = lane_chunk(trace, lane);
+            assert_same_bits(&lane_chunk(&decoded, lane), &source, &what);
+            let oracle = oracle_run(lane, dir.blocks.iter().map(|b| (b, payload(b)))).unwrap();
+            assert_same_bits(&oracle, &source, &what);
+        }
+        (bytes, stored)
+    }
+
     #[test]
-    fn v3_is_lossless_on_edge_values() {
+    fn v4_is_lossless_on_edge_values() {
         let trace = edge_trace();
         for block_rows in [1, 3, DEFAULT_BLOCK_ROWS] {
-            let bytes = write_store_bytes(&trace, &StoreOptions { block_rows }).unwrap();
-            let mut stored = StoredTrace::from_bytes(bytes.clone()).unwrap();
-            let decoded = stored.materialise_all().unwrap().clone();
-            let mut modes = std::collections::BTreeSet::new();
-            for dir in &stored.directory {
-                let lane = dir.lane;
-                let what = format!("{lane} @ {block_rows} rows/block");
-                let payload =
-                    |b: &BlockFooter| &bytes[b.offset as usize..(b.offset + b.len) as usize];
-                if let LaneId::Samples(..) = lane {
-                    modes.extend(dir.blocks.iter().map(|b| payload(b)[0]));
-                }
-                let source = lane_chunk(&trace, lane);
-                assert_same_bits(&lane_chunk(&decoded, lane), &source, &what);
-                let oracle = oracle_run(lane, dir.blocks.iter().map(|b| (b, payload(b)))).unwrap();
-                assert_same_bits(&oracle, &source, &what);
-            }
+            let (bytes, stored) = assert_lossless(&trace, block_rows);
             assert_eq!(
                 stored.directory.len(),
                 5,
                 "states, two sample lanes, accesses, tasks"
             );
+            let first = |lane| {
+                let b = stored.lane_directory(lane).unwrap().blocks[0];
+                &bytes[b.offset as usize..(b.offset + b.len) as usize]
+            };
             // Both modes at every size: the integral lane is integral
             // throughout, the edge lane raw but for the blocks that hold
             // only its integral values (at 1 and 3 rows a block).
+            let modes: std::collections::BTreeSet<u8> = stored
+                .lanes()
+                .filter(|lane| matches!(lane, LaneId::Samples(..)))
+                .flat_map(|lane| stored.lane_directory(lane).unwrap().blocks.iter())
+                .map(|b| bytes[b.offset as usize])
+                .collect();
             let both = [SAMPLES_RAW, SAMPLES_INTEGRAL].into_iter().collect();
             assert_eq!(modes, both, "sample modes @ {block_rows} rows/block");
+            if block_rows == DEFAULT_BLOCK_ROWS {
+                // The one state block's heads: every tag, every start code,
+                // rows with and without a ref.
+                let heads = &first(LaneId::States(CpuId(0)))[..16];
+                let field = |f: fn(u8) -> u8| -> std::collections::BTreeSet<u8> {
+                    heads.iter().map(|&h| f(h)).collect()
+                };
+                assert_eq!(field(|h| h & HEAD_TAG), (0..9).collect());
+                assert_eq!(field(|h| h >> HEAD_START_SHIFT), (0..8).collect());
+                assert_eq!(field(|h| h & HEAD_HAS_REF), [0, HEAD_HAS_REF].into());
+                // The task block: each row's CPU code says whether the task
+                // was stolen, and the row holds a creator exactly then.
+                let tasks = first(LaneId::Tasks);
+                let mut pos = 0;
+                let mut stolen = Vec::new();
+                for _ in 0..trace.tasks().len() {
+                    get_varint(tasks, &mut pos).unwrap();
+                    let code = get_varint(tasks, &mut pos).unwrap();
+                    stolen.push(code & 1 == 1);
+                    for _ in 0..3 + (code & 1) {
+                        get_varint(tasks, &mut pos).unwrap();
+                    }
+                }
+                assert_eq!(
+                    stolen,
+                    [false, false, false, false, true, false, true, false]
+                );
+                assert_eq!(pos, tasks.len());
+            }
         }
     }
 
     #[test]
-    fn a_ref_step_no_code_holds_is_refused_not_written() {
-        // A state's ref code is 1 + zigzag of the step from the block's last
-        // ref (0 at its start): every step has a code but exactly 2^63, which
-        // would wrap to code 0, no task. So task 2^63 - 1 (biased 2^63) fits
-        // after task 0 in one block, not at a block's start, and task 2^63
-        // fits at a block's start, not after task 0.
+    fn a_ref_step_of_2_63_round_trips() {
+        // A state's ref is the zig-zag of the wrapping step from the block's
+        // last ref (0 at its start), so every step has a code: task
+        // 2^63 - 1 (biased 2^63) and task 2^63 are written and read back
+        // both after task 0 in one block and at a block's start.
         let refs = |far: u64| {
             let mut b = TraceBuilder::new(MachineTopology::uniform(1, 1));
             for (start, task) in [(0, 0), (10, far)] {
@@ -3230,108 +3427,206 @@ mod tests {
             }
             b.finish().unwrap()
         };
-        for (far, fits, refused) in [
-            ((1 << 63) - 1, DEFAULT_BLOCK_ROWS, 1),
-            (1 << 63, 1, DEFAULT_BLOCK_ROWS),
-        ] {
+        for far in [(1 << 63) - 1, 1 << 63] {
             let trace = refs(far);
-            let mut stored = store_with_block_rows(&trace, fits);
-            assert_eq!(*stored.materialise_all().unwrap(), trace, "task {far}");
-            let err = write_store_bytes(
-                &trace,
-                &StoreOptions {
-                    block_rows: refused,
-                },
-            )
-            .unwrap_err();
-            assert!(
-                matches!(&err, TraceError::Format(m) if m.contains("2^63")),
-                "{err}"
-            );
+            for block_rows in [1, DEFAULT_BLOCK_ROWS] {
+                let mut stored = store_with_block_rows(&trace, block_rows);
+                assert_eq!(
+                    *stored.materialise_all().unwrap(),
+                    trace,
+                    "task {far} @ {block_rows} rows/block"
+                );
+            }
         }
     }
 
     #[test]
-    fn hostile_v3_payloads_give_the_same_typed_error_from_both_decoders() {
+    fn a_task_past_2_63_round_trips() {
+        // Creations and starts at 2^63 and near u64::MAX, a start before its
+        // creation and one 2^64 - 1 after it (wrapping), and creation steps
+        // of more than 2^63 down and back up inside one block.
+        let mut b = TraceBuilder::new(MachineTopology::uniform(1, 2));
+        let ty = b.add_task_type("work", 0x4000);
+        let half = 1u64 << 63;
+        for (creation, start, end) in [
+            (half, half, half + 5),
+            (half + 10, half, half + 1),
+            (u64::MAX - 30, u64::MAX - 20, u64::MAX - 1),
+            (3, 10, 20),
+            (u64::MAX - 5, u64::MAX - 5, u64::MAX),
+            (0, u64::MAX - 1, u64::MAX),
+            (u64::MAX, u64::MAX, u64::MAX),
+        ] {
+            let t = |v| Timestamp(v);
+            b.add_task(ty, CpuId(1), t(creation), t(start), t(end));
+        }
+        let trace = b.finish().unwrap();
+        for block_rows in [1, DEFAULT_BLOCK_ROWS] {
+            let (_, stored) = assert_lossless(&trace, block_rows);
+            assert_eq!(*stored.trace(), trace, "@ {block_rows} rows/block");
+        }
+    }
+
+    #[test]
+    fn hostile_v4_payloads_give_the_same_typed_error_from_both_decoders() {
         let block = |fields: &[u64]| {
             let mut bytes = Vec::new();
             fields.iter().for_each(|&f| put_varint(&mut bytes, f));
             bytes
         };
-        let tag = WorkerState::TaskExecution as u64;
+        // A state block: its heads, then its varint columns.
+        let states = |heads: &[u8], fields: &[u64]| {
+            let mut bytes = heads.to_vec();
+            bytes.extend(block(fields));
+            bytes
+        };
+        let tag = WorkerState::TaskExecution as u8;
+        let esc = tag | ESCAPED_HEAD;
+        let with_ref = esc | HEAD_HAS_REF;
         let max_step = zigzag(1 << 53);
-        let cases: [(&str, LaneId, usize, Vec<u8>); 11] = [
+        let samples = LaneId::Samples(CpuId(0), CounterId(0));
+        let lane = LaneId::States(CpuId(0));
+        // What the case is, what the column-direct decoder's message says,
+        // and the block: its lane, rows and payload.
+        let mut cases: Vec<(String, &str, LaneId, usize, Vec<u8>)> = vec![
             (
-                "sample mode 2",
-                LaneId::Samples(CpuId(0), CounterId(0)),
+                "sample mode 2".into(),
+                "sample mode",
+                samples,
                 1,
                 block(&[2, 7, 0]),
             ),
             (
-                "no sample mode byte",
-                LaneId::Samples(CpuId(0), CounterId(0)),
+                "no sample mode byte".into(),
+                "truncated",
+                samples,
                 1,
                 Vec::new(),
             ),
             (
-                "one integral step past 2^53",
-                LaneId::Samples(CpuId(0), CounterId(0)),
+                "one integral step past 2^53".into(),
+                "2^53",
+                samples,
                 1,
                 block(&[1, 7, zigzag((1 << 53) + 1)]),
             ),
             (
-                "an integral sum past 2^53",
-                LaneId::Samples(CpuId(0), CounterId(0)),
+                "an integral sum past 2^53".into(),
+                "2^53",
+                samples,
                 2,
                 block(&[1, 7, 1, max_step, 2]),
             ),
             (
-                "an integral sum below -2^53",
-                LaneId::Samples(CpuId(0), CounterId(0)),
+                "an integral sum below -2^53".into(),
+                "2^53",
+                samples,
                 2,
                 block(&[1, 7, 1, zigzag(-(1 << 53)), 1]),
             ),
             (
-                "an integral step beyond i64",
-                LaneId::Samples(CpuId(0), CounterId(0)),
+                "an integral step beyond i64".into(),
+                "2^53",
+                samples,
                 2,
                 block(&[1, 7, 1, max_step, u64::MAX - 1]),
             ),
-            // Codes: 11 is biased ref 5 from 0, 10 is -5 from there.
-            ("a ref code of 1 from 0", LaneId::States(CpuId(0)), 1, {
-                let mut b = block(&[10, 5]);
-                b.extend([tag as u8, 1]);
-                b
-            }),
-            ("a ref step back to 0", LaneId::States(CpuId(0)), 2, {
-                let mut b = block(&[10, 0, 5, 5]);
-                b.extend([tag as u8, tag as u8, 11, 10]);
-                b
-            }),
             (
-                "a start gap that wraps to u64::MAX",
-                LaneId::States(CpuId(0)),
-                2,
-                block(&[10, zigzag(-16), 5, 1, tag, tag, 0, 0]),
-            ),
-            (
-                "a start of u64::MAX - 1 lasting 5",
-                LaneId::States(CpuId(0)),
-                1,
-                {
-                    let mut b = block(&[u64::MAX - 1, 5]);
-                    b.extend([tag as u8, 0]);
-                    b
-                },
-            ),
-            (
-                "task deltas that sum past u64",
+                "task deltas that sum past u64".into(),
+                "overflow",
                 LaneId::Accesses,
                 3,
                 block(&[u64::MAX - 1, 0, 8, u64::MAX - 1, 0, 8, 4, 0, 8]),
             ),
+            (
+                "a first row that is not escaped".into(),
+                "not escaped",
+                lane,
+                1,
+                states(&[tag | 3 << HEAD_START_SHIFT], &[5]),
+            ),
+            (
+                "a missing escaped start".into(),
+                "truncated",
+                lane,
+                2,
+                states(&[esc, esc], &[10]),
+            ),
+            (
+                "a bit-4 row with no ref".into(),
+                "truncated",
+                lane,
+                1,
+                states(&[with_ref], &[10, 5]),
+            ),
+            (
+                "a ref of 0 at the block's start".into(),
+                "zero biased task ref",
+                lane,
+                1,
+                states(&[with_ref], &[10, 5, 0]),
+            ),
+            (
+                "a ref step back to 0".into(),
+                "zero biased task ref",
+                lane,
+                2,
+                states(&[with_ref, with_ref], &[10, 5, 5, 5, zigzag(5), zigzag(-5)]),
+            ),
+            (
+                "truncated durations".into(),
+                "truncated",
+                lane,
+                2,
+                states(&[esc, tag], &[10, 5]),
+            ),
+            (
+                "a start gap that wraps to u64::MAX".into(),
+                "overflow",
+                lane,
+                2,
+                states(&[esc, esc], &[10, zigzag(-16), 5, 1]),
+            ),
+            (
+                "a start of u64::MAX - 1 lasting 5".into(),
+                "overflow",
+                lane,
+                1,
+                states(&[esc], &[u64::MAX - 1, 5]),
+            ),
+            (
+                "a stolen bit with no creator".into(),
+                "truncated",
+                LaneId::Tasks,
+                1,
+                block(&[0, 1]),
+            ),
+            (
+                "a cpu code whose cpu exceeds u32".into(),
+                "task cpu id",
+                LaneId::Tasks,
+                1,
+                block(&[0, 1 << 33, 2, 2, 2]),
+            ),
+            (
+                "a task end past u64".into(),
+                "overflow",
+                LaneId::Tasks,
+                1,
+                block(&[0, 0, zigzag(-1), 0, 1]),
+            ),
         ];
-        for (what, lane, rows, payload) in cases {
+        for bad in WorkerState::COUNT as u8..=HEAD_TAG {
+            let payload = states(&[bad | ESCAPED_HEAD], &[10, 5]);
+            cases.push((
+                format!("head tag {bad}"),
+                "invalid state tag",
+                lane,
+                1,
+                payload,
+            ));
+        }
+        for (what, says, lane, rows, payload) in cases {
             let footer = BlockFooter {
                 offset: 0,
                 len: payload.len() as u64,
@@ -3344,7 +3639,9 @@ mod tests {
                 decode_alone(&payload, lane, &footer),
                 oracle_chunk(&payload, lane, &footer),
             ) {
-                (Err(TraceError::Format(_)), Err(TraceError::Format(_))) => {}
+                (Err(TraceError::Format(d)), Err(TraceError::Format(_))) => {
+                    assert!(d.contains(says), "{what}: {d}")
+                }
                 (d, o) => panic!("{what}: {d:?} vs {o:?}"),
             }
         }
@@ -3687,6 +3984,19 @@ mod tests {
                 stats.data_bytes,
                 stored.lanes().flat_map(blocks).map(|b| b.len).sum::<u64>()
             );
+            // Per lane kind: the directory read back says the same, every
+            // kind of the sample trace has bytes, and they sum to the data.
+            let kinds = stats.lane_bytes;
+            assert_eq!(kinds, LaneBytes::of(&stored.directory));
+            let parts = [
+                kinds.states,
+                kinds.events,
+                kinds.samples,
+                kinds.accesses,
+                kinds.tasks,
+            ];
+            assert!(parts.iter().all(|&b| b > 0), "{kinds}");
+            assert_eq!(parts.iter().sum::<u64>(), stats.data_bytes);
             let first = stored
                 .lanes()
                 .flat_map(blocks)
