@@ -45,6 +45,8 @@ step_store() {
     test -f BENCH_store.json
     # Where the block bytes sit, per lane kind.
     grep -Eq '^# bytes by lane: states [0-9]+, events [0-9]+, samples [0-9]+, accesses [0-9]+, tasks [0-9]+$' store_smoke.txt
+    # ... and a Seidel trace's, whose event lanes are not empty.
+    grep -Eq '^# bytes by lane \(seidel\): states [0-9]+, events [1-9][0-9]*, samples [0-9]+, accesses [0-9]+, tasks [0-9]+$' store_smoke.txt
     # The one tier switch reaches the checksum: pinned off, the store ran on
     # the table tier (the stable-no-simd CI leg proves it end to end).
     case "${AFTERMATH_NO_SIMD:-0}" in

@@ -240,10 +240,15 @@ fn main() {
             "Column store — compression, lazy open-to-first-frame, capped residency",
             &bench.record(),
         );
-        // Print-only: where the file's block bytes sit, and which tier
-        // checksummed them (`table` under AFTERMATH_NO_SIMD, which
-        // `ci/smoke.sh store` asserts).
+        // Print-only: where the file's block bytes sit — and a Seidel
+        // trace's, whose event and sample lanes the zoom trace lacks — and
+        // which tier checksummed them (`table` under AFTERMATH_NO_SIMD,
+        // which `ci/smoke.sh store` asserts).
         println!("# bytes by lane: {}", bench.lane_bytes);
+        println!(
+            "# bytes by lane (seidel): {}",
+            store::seidel_lane_bytes(scale)
+        );
         println!("# crc tier: {}", aftermath_trace::crc::tier_name());
     }
     if options.has("serve") {

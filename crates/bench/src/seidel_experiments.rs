@@ -65,30 +65,22 @@ impl SeidelExperiment {
         }
     }
 
+    /// Simulates the workload at the given scale under one run-time
+    /// configuration.
+    pub fn simulate(scale: Scale, runtime: RuntimeConfig) -> SimResult {
+        let spec: WorkloadSpec = Self::workload(scale).build();
+        Simulator::new(SimConfig::new(Self::machine(scale), runtime, 11))
+            .run(&spec)
+            .expect("seidel simulation must succeed")
+    }
+
     /// Runs both configurations of the experiment.
     pub fn run(scale: Scale) -> Self {
-        let workload = Self::workload(scale);
-        let spec: WorkloadSpec = workload.build();
-        let machine = Self::machine(scale);
-        let non_optimized = Simulator::new(SimConfig::new(
-            machine.clone(),
-            RuntimeConfig::non_optimized(),
-            11,
-        ))
-        .run(&spec)
-        .expect("seidel simulation (non-optimized) must succeed");
-        let optimized = Simulator::new(SimConfig::new(
-            machine.clone(),
-            RuntimeConfig::numa_optimized(),
-            11,
-        ))
-        .run(&spec)
-        .expect("seidel simulation (optimized) must succeed");
         SeidelExperiment {
-            workload,
-            num_cpus: machine.num_cpus(),
-            non_optimized,
-            optimized,
+            workload: Self::workload(scale),
+            num_cpus: Self::machine(scale).num_cpus(),
+            non_optimized: Self::simulate(scale, RuntimeConfig::non_optimized()),
+            optimized: Self::simulate(scale, RuntimeConfig::numa_optimized()),
         }
     }
 

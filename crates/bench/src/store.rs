@@ -25,11 +25,13 @@ use std::time::Instant;
 use aftermath_core::{
     AnalysisSession, StoreSession, TaskFilter, Threads, TimelineEngine, TimelineMode, TimelineModel,
 };
+use aftermath_sim::RuntimeConfig;
 use aftermath_trace::format;
 use aftermath_trace::store::{write_store_file, LaneBytes, StoreStats, StoredTrace};
 
 use crate::figures::Scale;
 use crate::record::{Fields, Record};
+use crate::seidel_experiments::SeidelExperiment;
 use crate::zoom::{sweep_modes, zoom_trace, zoom_window, ZOOM_FACTORS};
 
 /// Horizontal resolution of every measured frame, matching the zoom sweep.
@@ -254,6 +256,21 @@ pub fn run_store_bench(scale: Scale, threads: Threads) -> StoreBench {
     }
 }
 
+/// Encoded block bytes per lane kind of the non-optimised Seidel trace at
+/// `scale` — steal and completion events and four counter lanes per CPU,
+/// which the zoom-sweep trace does not have. Printed by `reproduce store`,
+/// not recorded.
+pub fn seidel_lane_bytes(scale: Scale) -> LaneBytes {
+    let trace = SeidelExperiment::simulate(scale, RuntimeConfig::non_optimized()).trace;
+    let path = std::env::temp_dir().join(format!(
+        "aftermath-store-bench-{}-seidel.afst",
+        std::process::id()
+    ));
+    let stats = write_store_file(&trace, &path).expect("write seidel store");
+    let _ = std::fs::remove_file(&path);
+    stats.lane_bytes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,5 +294,11 @@ mod tests {
             let (verdict, line) = gate.evaluate(&record, Some(&record));
             assert_eq!(verdict, Verdict::Pass, "{line}");
         }
+    }
+
+    #[test]
+    fn the_seidel_trace_fills_the_lanes_the_zoom_trace_leaves_empty() {
+        let bytes = seidel_lane_bytes(Scale::Test);
+        assert!(bytes.events > 0 && bytes.samples > 0, "{bytes}");
     }
 }

@@ -14,13 +14,13 @@
 //! | states      | head raw `u8` (tag in bits 0–3, task-ref present in bit 4, start code in bits 5–7: 0–6 the inline zigzag gap from the end before, wrapping; 7 escaped); escaped starts varint (the first row's absolute, always escaped; later ones their gap code); duration varint; task ref of each bit-4 row: zigzag step from the block's last ref, varint |
 //! | events      | timestamp: delta varint; kind tag raw `u8`; payloads varint (lazy lanes elided per block) |
 //! | samples     | mode `u8`; timestamp: delta varint; value: zigzag `i64` delta varint when every value of the block is an integer within ±2^53 (not `-0.0`), else IEEE-754 bits LE |
-//! | accesses    | `(task delta << 1) \| kind` varint over biased task refs (sorted by task); addr/size varint |
-//! | tasks       | dense id implicit; type varint; `cpu << 1 \| stolen` varint; creator cpu varint, only when stolen; creation zigzag wrapping delta; start zigzag wrapping offset from creation; duration varint |
+//! | accesses    | `(task delta << 1) \| kind` varint over biased task refs (sorted by task); address: zigzag wrapping step from the row before's (0 before the first), varint; size varint |
+//! | tasks       | dense id implicit; head raw `u8` (type in bits 0–3: 0–14 inline, 15 escaped; stolen in bit 4; starts at its creation in bit 5; same CPU as the row before in bit 6; bit 7 reserved); escaped type varint; cpu varint, unless bit 6; creator cpu varint, only when stolen; creation zigzag wrapping delta; start zigzag wrapping offset from creation, unless bit 5; duration varint |
 //!
-//! Every row costs at least one byte (a state row its head, a task row its
-//! type and cpu, the other lanes one varint or raw `f64` per column). Every
-//! trace the builder accepts encodes, dense task ids aside: gaps, ref steps
-//! and task timestamps wrap, so no `u64` value lacks a code.
+//! Every row costs at least one byte (a state or task row its head, the other
+//! lanes one varint or raw `f64` per column). Every trace the builder accepts
+//! encodes, dense task ids aside: gaps, ref steps, addresses and task
+//! timestamps wrap, so no `u64` value lacks a code.
 //!
 //! Every block is self-contained (delta bases restart per block) and carries a
 //! footer in the file's directory: row count, byte offset/length, and a
@@ -44,7 +44,7 @@
 //! bytes, and the trailer carries CRC-32s of the directory and the metadata
 //! header. Checksums are verified on materialisation (a mismatch surfaces as
 //! [`TraceError::Corrupted`] instead of decoded garbage) and at open time for
-//! the directory and metadata. The format is at **version 4**; any other
+//! the directory and metadata. The format is at **version 5**; any other
 //! version in the header is refused with [`TraceError::UnsupportedVersion`]
 //! (an older file is regenerated from its trace, not read).
 //!
@@ -103,7 +103,7 @@ use crate::wire::{WireError, WireReader};
 pub const STORE_MAGIC: [u8; 4] = *b"AFST";
 
 /// The version of the column store format this build writes and opens.
-pub const STORE_VERSION: u32 = 4;
+pub const STORE_VERSION: u32 = 5;
 
 /// Magic bytes terminating the fixed-size trailer at the end of the file.
 const TRAILER_MAGIC: [u8; 4] = *b"TSFA";
@@ -778,11 +778,15 @@ fn decode_samples_block(
     Ok(())
 }
 
+/// Encodes access rows `[lo, hi)`. An address is the zig-zag of the wrapping
+/// step from the address before it (0 before the block's first), so every
+/// `u64` pair has a code.
 fn encode_accesses_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) -> (u64, u64) {
     let accesses = trace.accesses().slice(lo, hi);
     let (kinds, [addrs, sizes]) = accesses.columns();
     let biased = |i: usize| accesses.task(i).0 + 1;
     let mut prev = 0u64;
+    let mut prev_addr = 0u64;
     for (i, &kind) in kinds.iter().enumerate() {
         let key = biased(i);
         // An access names a registered task (`TraceBuilder::add_access`) and
@@ -790,7 +794,8 @@ fn encode_accesses_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>)
         debug_assert!(key - prev < 1 << 63, "access task delta {}", key - prev);
         put_varint(out, (key - prev) << 1 | u64::from(kind));
         prev = key;
-        put_varint(out, addrs[i]);
+        put_varint(out, zigzag(addrs[i].wrapping_sub(prev_addr) as i64));
+        prev_addr = addrs[i];
         put_varint(out, sizes[i]);
     }
     (biased(0), prev)
@@ -804,6 +809,7 @@ fn decode_accesses_block(
     let (tasks, kinds, [addrs, sizes]) = out.columns_mut();
     let mut pos = 0usize;
     let mut prev = 0u64;
+    let mut addr = 0u64;
     for _ in 0..rows {
         let key = get_varint(buf, &mut pos)?;
         prev = prev.checked_add(key >> 1).ok_or_else(delta_overflow)?;
@@ -812,34 +818,68 @@ fn decode_accesses_block(
         }
         tasks.push_biased(prev);
         kinds.push((key & 1) as u8);
-        addrs.push(get_varint(buf, &mut pos)?);
+        addr = addr.wrapping_add(unzigzag(get_varint(buf, &mut pos)?) as u64);
+        addrs.push(addr);
         sizes.push(get_varint(buf, &mut pos)?);
     }
     Ok(())
 }
 
-/// Encodes task rows `[lo, hi)`. A task's creator is stored only when it
-/// differs from its CPU (the task was stolen), flagged in the CPU varint's low
-/// bit; creations step, and starts sit, by wrapping zig-zag deltas, so every
+/// A task head's bits 0–3: the type id, or [`TYPE_ESCAPED`].
+const TASK_TYPE: u8 = 0x0f;
+/// The type code of a task whose type id is in a varint after the head; the
+/// codes below it are the type id itself.
+const TYPE_ESCAPED: u8 = TASK_TYPE;
+/// A task head's bit 4: the task was stolen, and its creator CPU follows.
+const TASK_STOLEN: u8 = 1 << 4;
+/// A task head's bit 5: the task starts at its creation (no start offset).
+const TASK_AT_CREATION: u8 = 1 << 5;
+/// A task head's bit 6: the task ran on the CPU of the row before it in the
+/// block (no CPU varint).
+const TASK_SAME_CPU: u8 = 1 << 6;
+/// A task head's bit 7, which no row sets.
+const TASK_RESERVED: u8 = 1 << 7;
+
+/// Encodes task rows `[lo, hi)`, one head byte and its varints a row. A
+/// task's type sits in its head when below [`TYPE_ESCAPED`]; its CPU is
+/// stored unless it repeats the row before's, its creator only when it
+/// differs from its CPU (the task was stolen), its start offset only when not
+/// zero. Creations step, and starts sit, by wrapping zig-zag deltas, so every
 /// `u64` timestamp encodes.
 fn encode_tasks_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) -> (u64, u64) {
     let tasks = &trace.tasks()[lo..hi];
     let mut prev_creation = 0u64;
+    let mut prev_cpu = None;
+    let flag = |set: bool, bit: u8| if set { bit } else { 0 };
     for t in tasks {
-        put_varint(out, u64::from(t.task_type.0));
+        let ty = t.task_type.0;
+        let type_code = ty.min(u32::from(TYPE_ESCAPED)) as u8;
         let stolen = t.creator_cpu != t.cpu;
-        put_varint(out, u64::from(t.cpu.0) << 1 | u64::from(stolen));
+        let creation = t.creation.0;
+        let offset = t.execution.start.0.wrapping_sub(creation);
+        let same_cpu = prev_cpu == Some(t.cpu);
+        out.push(
+            type_code
+                | flag(stolen, TASK_STOLEN)
+                | flag(offset == 0, TASK_AT_CREATION)
+                | flag(same_cpu, TASK_SAME_CPU),
+        );
+        if type_code == TYPE_ESCAPED {
+            put_varint(out, u64::from(ty));
+        }
+        if !same_cpu {
+            put_varint(out, u64::from(t.cpu.0));
+        }
         if stolen {
             put_varint(out, u64::from(t.creator_cpu.0));
         }
-        let creation = t.creation.0;
         put_varint(out, zigzag(creation.wrapping_sub(prev_creation) as i64));
-        prev_creation = creation;
-        put_varint(
-            out,
-            zigzag(t.execution.start.0.wrapping_sub(creation) as i64),
-        );
+        if offset != 0 {
+            put_varint(out, zigzag(offset as i64));
+        }
         put_varint(out, t.execution.duration());
+        prev_creation = creation;
+        prev_cpu = Some(t.cpu);
     }
     (lo as u64, hi as u64 - 1)
 }
@@ -852,22 +892,39 @@ fn decode_tasks_block(
 ) -> Result<(), TraceError> {
     let mut pos = 0usize;
     let mut prev_creation = 0u64;
+    let mut prev_cpu = None;
     // An id that does not fit its type is refused, not wrapped — as
     // [`WireReader::u32`] refuses it in the directory.
     let id = |value: u64, what| {
         u32::try_from(value).map_err(|_| TraceError::from(WireError::Malformed(what)))
     };
     for i in 0..rows {
-        let ty = id(get_varint(buf, &mut pos)?, "task type id")?;
-        let cpu_code = get_varint(buf, &mut pos)?;
-        let cpu = id(cpu_code >> 1, "task cpu id")?;
-        let creator = match cpu_code & 1 {
+        let head = take(buf, &mut pos, 1, "truncated task head")?[0];
+        if head & TASK_RESERVED != 0 {
+            return Err(TraceError::Format("reserved task head bit set".into()));
+        }
+        let ty = match head & TASK_TYPE {
+            TYPE_ESCAPED => id(get_varint(buf, &mut pos)?, "task type id")?,
+            inline => u32::from(inline),
+        };
+        let cpu = match (head & TASK_SAME_CPU, prev_cpu) {
+            (0, _) => id(get_varint(buf, &mut pos)?, "task cpu id")?,
+            (_, Some(cpu)) => cpu,
+            (_, None) => {
+                return Err(TraceError::Format("first task row repeats no CPU".into()));
+            }
+        };
+        prev_cpu = Some(cpu);
+        let creator = match head & TASK_STOLEN {
             0 => cpu,
             _ => id(get_varint(buf, &mut pos)?, "task creator cpu id")?,
         };
         let creation = prev_creation.wrapping_add(unzigzag(get_varint(buf, &mut pos)?) as u64);
         prev_creation = creation;
-        let start = creation.wrapping_add(unzigzag(get_varint(buf, &mut pos)?) as u64);
+        let start = match head & TASK_AT_CREATION {
+            0 => creation.wrapping_add(unzigzag(get_varint(buf, &mut pos)?) as u64),
+            _ => creation,
+        };
         let end = start
             .checked_add(get_varint(buf, &mut pos)?)
             .ok_or_else(delta_overflow)?;
@@ -979,8 +1036,8 @@ fn encode_store(
         })
         .collect();
     let encoded = parallel_map(threads, &jobs, |&(lane, lo, hi)| {
-        // A row of a real trace encodes in fewer bytes than this (v4: about
-        // 6.5 a row on average); it holds a block without growing (and
+        // A row of a real trace encodes in fewer bytes than this (v5: about
+        // 6.0 a row on average); it holds a block without growing (and
         // copying) it on the way.
         let mut bytes = Vec::with_capacity((hi - lo) * ENCODED_ROW_BYTES_HINT);
         let (min_key, max_key) = encode_block(trace, lane, lo, hi, &mut bytes);
@@ -2237,7 +2294,7 @@ impl StoredTrace {
 /// (rows, error variants) — never compiled into the library.
 #[cfg(test)]
 mod aos_oracle {
-    use super::{delta_overflow, get_varint};
+    use super::{delta_overflow, get_varint, take};
     use crate::columns::decode_kind;
     use crate::error::TraceError;
     use crate::event::{CounterSample, DiscreteEvent};
@@ -2425,6 +2482,7 @@ mod aos_oracle {
     ) -> Result<Vec<MemoryAccess>, TraceError> {
         let mut pos = 0usize;
         let mut prev = 0u64;
+        let mut addr = 0u64;
         let mut rows_out = Vec::with_capacity(rows);
         for _ in 0..rows {
             let key = get_varint(buf, &mut pos)?;
@@ -2437,7 +2495,7 @@ mod aos_oracle {
             } else {
                 AccessKind::Write
             };
-            let addr = get_varint(buf, &mut pos)?;
+            addr = addr.wrapping_add(signed(get_varint(buf, &mut pos)?) as u64);
             let size = get_varint(buf, &mut pos)?;
             rows_out.push(MemoryAccess::new(TaskId(prev - 1), kind, addr, size));
         }
@@ -2454,20 +2512,38 @@ mod aos_oracle {
             u32::try_from(v).map_err(|_| TraceError::from(WireError::Malformed(what)))
         };
         let mut prev_creation = 0u64;
+        let mut prev_cpu: Option<u32> = None;
         let mut rows_out = Vec::with_capacity(rows);
         for i in 0..rows {
+            let head = take(buf, &mut pos, 1, "truncated task head")?[0];
+            if head >= 128 {
+                return Err(TraceError::Format("reserved task head bit set".into()));
+            }
             let mut field = || get_varint(buf, &mut pos);
-            let ty = narrow(field()?, "task type id")?;
-            let cpu_code = field()?;
-            let cpu = narrow(cpu_code / 2, "task cpu id")?;
-            let creator = if cpu_code % 2 == 1 {
+            let ty = if head % 16 == 15 {
+                narrow(field()?, "task type id")?
+            } else {
+                u32::from(head % 16)
+            };
+            let cpu = if head & 64 == 0 {
+                narrow(field()?, "task cpu id")?
+            } else {
+                prev_cpu
+                    .ok_or_else(|| TraceError::Format("first task row repeats no CPU".into()))?
+            };
+            prev_cpu = Some(cpu);
+            let creator = if head & 16 != 0 {
                 narrow(field()?, "task creator cpu id")?
             } else {
                 cpu
             };
             let creation = prev_creation.wrapping_add(signed(field()?) as u64);
             prev_creation = creation;
-            let start = creation.wrapping_add(signed(field()?) as u64);
+            let start = if head & 32 == 0 {
+                creation.wrapping_add(signed(field()?) as u64)
+            } else {
+                creation
+            };
             let end = start.checked_add(field()?).ok_or_else(delta_overflow)?;
             let id = first_id.checked_add(i as u64).ok_or_else(delta_overflow)?;
             rows_out.push(TaskInstance::new(
@@ -2725,6 +2801,14 @@ mod tests {
         // Version 3 kept a state's tag, start code and ref presence in three
         // columns and every task's creator; it is regenerated, not read.
         assert_refused_as(3);
+    }
+
+    #[test]
+    fn version_4_is_rejected_as_unsupported() {
+        // Version 4 stored every task's type and `cpu << 1 | stolen` as
+        // varints, and every access address absolute; it is regenerated, not
+        // read.
+        assert_refused_as(4);
     }
 
     #[test]
@@ -3050,18 +3134,17 @@ mod tests {
 
     #[test]
     fn a_task_block_id_beyond_32_bits_is_refused_not_wrapped() {
-        // One stolen task row: type, `cpu << 1 | 1`, creator cpu, creation,
-        // start, duration — a well-formed one (2 is a zigzag +1) but for the
-        // `wide` id, which wrapped would be id 1.
+        // One stolen task row of an escaped type: its head, then type, cpu,
+        // creator cpu, creation, start, duration — a well-formed one (2 is a
+        // zigzag +1) but for the `wide` id, which wrapped would be id 1.
         for (wide, what) in [
             (0, "task type id"),
             (1, "task cpu id"),
             (2, "task creator cpu id"),
         ] {
-            let mut block = Vec::new();
+            let mut block = vec![TYPE_ESCAPED | TASK_STOLEN];
             for field in 0..6 {
-                let value = if field == wide { (1 << 32) | 1 } else { 2 };
-                put_varint(&mut block, if field == 1 { value << 1 | 1 } else { value });
+                put_varint(&mut block, if field == wide { (1 << 32) | 1 } else { 2 });
             }
             let mut tasks = Vec::new();
             let err = decode_tasks_block(&block, 0, 1, &mut tasks).unwrap_err();
@@ -3212,8 +3295,8 @@ mod tests {
         format::write_metadata(&trace, &mut meta).unwrap();
         assert_eq!((meta.len(), crc32(&meta)), (75, 0x4b4c_9eb1));
         let pinned = [
-            (3usize, (924usize, 0xd7d4_e3e8_69a2_f2a3u64)),
-            (DEFAULT_BLOCK_ROWS, (632, 0x6876_24c2_91aa_f03f)),
+            (3usize, (927usize, 0xc879_c510_db07_37bfu64)),
+            (DEFAULT_BLOCK_ROWS, (631, 0x2e1a_cd0e_afa3_b13f)),
         ];
         for (block_rows, (len, digest)) in pinned {
             let bytes = write_store_bytes(&trace, &StoreOptions { block_rows }).unwrap();
@@ -3228,13 +3311,16 @@ mod tests {
     /// A state head's start-code bits saying "escaped".
     const ESCAPED_HEAD: u8 = START_ESCAPED << HEAD_START_SHIFT;
 
-    /// A trace on every edge of the v4 encodings: every worker state; state
+    /// A trace on every edge of the v5 encodings: every worker state; state
     /// gaps of zero, of every inline code (±1 to ±3) and escaped ones above
     /// and below zero (overlaps, pushed past the builder's check); times near
     /// `u64::MAX`; task refs that rise, fall, are absent between present ones,
-    /// sit 2^63 - 2 and exactly 2^63 apart and step by wrapping; tasks stolen
-    /// and not, with creator CPU ids up to `u32::MAX`; and counter values of
-    /// both sample modes.
+    /// sit 2^63 - 2 and exactly 2^63 apart and step by wrapping; tasks of
+    /// every inline type and escaped ones up to `u32::MAX`, stolen and not,
+    /// with creator CPU ids up to `u32::MAX`, in runs on one CPU, starting at,
+    /// after and before their creation; addresses 0 and `u64::MAX` side by
+    /// side and steps of ±2^63 and ±(2^63 - 1); and counter values of both
+    /// sample modes.
     fn edge_trace() -> Trace {
         let mut b = TraceBuilder::new(MachineTopology::uniform(1, 2));
         let ty = b.add_task_type("work", 0x4000);
@@ -3263,6 +3349,36 @@ mod tests {
                 Timestamp(t + 1),
                 Timestamp(t + 2),
             );
+        }
+        // Address steps: 0 right after u64::MAX and back (±1, wrapping), ±2^63
+        // (whose wrapping step is i64::MIN either way) and ±(2^63 - 1).
+        let half = 1u64 << 63;
+        for (task, addr) in [
+            (3, 0),
+            (4, u64::MAX),
+            (5, half - 1),
+            (6, 0),
+            (7, half),
+            (7, 0),
+            (7, half - 1),
+        ] {
+            b.add_access(TaskId(task), AccessKind::Read, addr, 1)
+                .unwrap();
+        }
+        // Every inline type, all on CPU 1 (a run across block boundaries at
+        // 3 rows a block), starting at, 3 after and 3 before their creation,
+        // every fourth one stolen from CPU 0.
+        for code in 1..15u64 {
+            let ty = b.add_task_type(format!("type {code}"), 0x4000 + code);
+            let creation = 100 + 10 * code;
+            let start = match code % 3 {
+                0 => creation,
+                1 => creation + 3,
+                _ => creation - 3,
+            };
+            let by = if code % 4 == 0 { 0 } else { 1 };
+            let (c, s) = (Timestamp(creation), Timestamp(start));
+            b.add_task_created_by(ty, CpuId(1), CpuId(by), c, s, Timestamp(start + 1));
         }
         let p53 = (1u64 << 53) as f64;
         let nan = f64::from_bits(0x7ff8_0000_dead_beef);
@@ -3314,6 +3430,26 @@ mod tests {
             let state = WorkerState::ALL[i % WorkerState::COUNT];
             streams.push_state(StateInterval::new(cpu, state, interval, task));
         }
+        // Escaped types, pushed past the builder (it would have to register
+        // 2^32 of them): on CPU 1, every other one starting 7 after its
+        // creation, but for one stolen from CPU u32::MAX onto CPU 0.
+        let tasks = &mut trace.data_mut().tasks;
+        for (i, ty) in [15, 16, 127, 128, u32::MAX - 1, u32::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            let creation = 300 + i as u64;
+            let start = if i % 2 == 0 { creation } else { creation + 7 };
+            let (on, by) = if i == 3 { (0, u32::MAX) } else { (1, 1) };
+            tasks.push(TaskInstance::new(
+                TaskId(tasks.len() as u64),
+                TaskTypeId(ty),
+                CpuId(on),
+                CpuId(by),
+                Timestamp(creation),
+                TimeInterval::from_cycles(start, start + 1),
+            ));
+        }
         trace
     }
 
@@ -3349,8 +3485,30 @@ mod tests {
         (bytes, stored)
     }
 
+    /// The heads of a task block, walked row by row: a head, then its
+    /// varints — escaped type, CPU, creator, creation, start offset, duration.
+    fn task_heads(block: &[u8]) -> Vec<u8> {
+        let mut heads = Vec::new();
+        let mut pos = 0;
+        while pos < block.len() {
+            let head = block[pos];
+            pos += 1;
+            let varints = usize::from(head & TASK_TYPE == TYPE_ESCAPED)
+                + usize::from(head & TASK_SAME_CPU == 0)
+                + usize::from(head & TASK_STOLEN != 0)
+                + 1
+                + usize::from(head & TASK_AT_CREATION == 0)
+                + 1;
+            for _ in 0..varints {
+                get_varint(block, &mut pos).unwrap();
+            }
+            heads.push(head);
+        }
+        heads
+    }
+
     #[test]
-    fn v4_is_lossless_on_edge_values() {
+    fn v5_is_lossless_on_edge_values() {
         let trace = edge_trace();
         for block_rows in [1, 3, DEFAULT_BLOCK_ROWS] {
             let (bytes, stored) = assert_lossless(&trace, block_rows);
@@ -3384,24 +3542,24 @@ mod tests {
                 assert_eq!(field(|h| h & HEAD_TAG), (0..9).collect());
                 assert_eq!(field(|h| h >> HEAD_START_SHIFT), (0..8).collect());
                 assert_eq!(field(|h| h & HEAD_HAS_REF), [0, HEAD_HAS_REF].into());
-                // The task block: each row's CPU code says whether the task
-                // was stolen, and the row holds a creator exactly then.
-                let tasks = first(LaneId::Tasks);
-                let mut pos = 0;
-                let mut stolen = Vec::new();
-                for _ in 0..trace.tasks().len() {
-                    get_varint(tasks, &mut pos).unwrap();
-                    let code = get_varint(tasks, &mut pos).unwrap();
-                    stolen.push(code & 1 == 1);
-                    for _ in 0..3 + (code & 1) {
-                        get_varint(tasks, &mut pos).unwrap();
-                    }
-                }
-                assert_eq!(
-                    stolen,
-                    [false, false, false, false, true, false, true, false]
-                );
-                assert_eq!(pos, tasks.len());
+                // The one task block's heads: every type code, and every
+                // flag set on some row and clear on another (bit 7 on none);
+                // a row is stolen exactly when its task was.
+                let heads = task_heads(first(LaneId::Tasks));
+                assert_eq!(heads.len(), trace.tasks().len());
+                let codes: std::collections::BTreeSet<u8> =
+                    heads.iter().map(|&h| h & TASK_TYPE).collect();
+                assert_eq!(codes, (0..=TYPE_ESCAPED).collect());
+                let any = heads.iter().fold(0, |acc, &h| acc | h);
+                let all = heads.iter().fold(!0, |acc, &h| acc & h);
+                assert_eq!((any, all & !TASK_TYPE), (!TASK_RESERVED, 0));
+                let stolen: Vec<bool> = heads.iter().map(|&h| h & TASK_STOLEN != 0).collect();
+                let want: Vec<bool> = trace
+                    .tasks()
+                    .iter()
+                    .map(|t| t.creator_cpu != t.cpu)
+                    .collect();
+                assert_eq!(stolen, want);
             }
         }
     }
@@ -3468,7 +3626,7 @@ mod tests {
     }
 
     #[test]
-    fn hostile_v4_payloads_give_the_same_typed_error_from_both_decoders() {
+    fn hostile_v5_payloads_give_the_same_typed_error_from_both_decoders() {
         let block = |fields: &[u64]| {
             let mut bytes = Vec::new();
             fields.iter().for_each(|&f| put_varint(&mut bytes, f));
@@ -3480,6 +3638,9 @@ mod tests {
             bytes.extend(block(fields));
             bytes
         };
+        // A one-row task block: its head, then its varints.
+        let task = |head: u8, fields: &[u64]| states(&[head], fields);
+        let at = TASK_AT_CREATION;
         let tag = WorkerState::TaskExecution as u8;
         let esc = tag | ESCAPED_HEAD;
         let with_ref = esc | HEAD_HAS_REF;
@@ -3595,25 +3756,81 @@ mod tests {
                 states(&[esc], &[u64::MAX - 1, 5]),
             ),
             (
+                "a truncated address".into(),
+                "truncated",
+                LaneId::Accesses,
+                1,
+                vec![2, 0x80],
+            ),
+            (
+                "task head bit 7".into(),
+                "reserved",
+                LaneId::Tasks,
+                1,
+                task(TASK_RESERVED | at, &[0, 2, 2]),
+            ),
+            (
+                "task head bit 6 on a block's first row".into(),
+                "repeats no CPU",
+                LaneId::Tasks,
+                1,
+                task(TASK_SAME_CPU | at, &[2, 2]),
+            ),
+            (
+                "a missing task head".into(),
+                "truncated",
+                LaneId::Tasks,
+                2,
+                task(at, &[0, 2, 2]),
+            ),
+            (
+                "a missing escaped type".into(),
+                "truncated",
+                LaneId::Tasks,
+                1,
+                vec![TYPE_ESCAPED],
+            ),
+            (
+                "a missing cpu".into(),
+                "truncated",
+                LaneId::Tasks,
+                1,
+                task(at, &[]),
+            ),
+            (
                 "a stolen bit with no creator".into(),
                 "truncated",
                 LaneId::Tasks,
                 1,
-                block(&[0, 1]),
+                task(TASK_STOLEN | at, &[0]),
             ),
             (
-                "a cpu code whose cpu exceeds u32".into(),
+                "a missing start offset".into(),
+                "truncated",
+                LaneId::Tasks,
+                1,
+                task(0, &[0, 2]),
+            ),
+            (
+                "a type that exceeds u32".into(),
+                "task type id",
+                LaneId::Tasks,
+                1,
+                task(TYPE_ESCAPED | at, &[1 << 32, 0, 2, 2]),
+            ),
+            (
+                "a cpu that exceeds u32".into(),
                 "task cpu id",
                 LaneId::Tasks,
                 1,
-                block(&[0, 1 << 33, 2, 2, 2]),
+                task(at, &[1 << 32, 2, 2]),
             ),
             (
                 "a task end past u64".into(),
                 "overflow",
                 LaneId::Tasks,
                 1,
-                block(&[0, 0, zigzag(-1), 0, 1]),
+                task(at, &[0, zigzag(-1), 1]),
             ),
         ];
         for bad in WorkerState::COUNT as u8..=HEAD_TAG {
@@ -3711,6 +3928,63 @@ mod tests {
                 let bytes = bytes_on(&trace, &options, threads);
                 proptest::prop_assert!(bytes == pinned, "{} threads", threads);
             }
+        }
+
+        #[test]
+        fn random_task_and_access_rows_round_trip(
+            rows in proptest::collection::vec(
+                (
+                    // Type, CPU, creator: the CPU itself (not stolen), a
+                    // small id or any id.
+                    (0u32..40, 0u32..2, (0u8..3, proptest::prelude::any::<u32>())),
+                    // Creation, start offset (zero half the time), duration.
+                    (100u64..1000, (proptest::prelude::any::<bool>(), -100i64..100), 0u64..50),
+                    proptest::collection::vec(
+                        (
+                            proptest::prelude::any::<u64>(),
+                            proptest::prelude::any::<u64>(),
+                            proptest::prelude::any::<bool>(),
+                        ),
+                        0..4,
+                    ),
+                ),
+                1..60,
+            ),
+            // 0 stands for the default block size.
+            block_rows in 0usize..12,
+        ) {
+            // Types past the inline codes, tasks stolen from any CPU id,
+            // starts at, after and before their creation, runs on one CPU,
+            // and accesses anywhere in the address space.
+            let mut b = TraceBuilder::new(MachineTopology::uniform(1, 2));
+            let types: Vec<TaskTypeId> =
+                (0..40).map(|i| b.add_task_type(format!("type {i}"), 0x4000 + i)).collect();
+            for &((ty, cpu, (stolen, by)), (creation, (at, offset), duration), _) in &rows {
+                let creator = match stolen {
+                    0 => cpu,
+                    1 => by % 4,
+                    _ => by,
+                };
+                let start = if at { creation } else { creation.wrapping_add_signed(offset) };
+                b.add_task_created_by(
+                    types[ty as usize],
+                    CpuId(cpu),
+                    CpuId(creator),
+                    Timestamp(creation),
+                    Timestamp(start),
+                    Timestamp(start + duration),
+                );
+            }
+            for (task, (.., accesses)) in rows.iter().enumerate() {
+                for &(addr, size, write) in accesses {
+                    let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                    b.add_access(TaskId(task as u64), kind, addr, size).unwrap();
+                }
+            }
+            let trace = b.finish().unwrap();
+            let block_rows = if block_rows == 0 { DEFAULT_BLOCK_ROWS } else { block_rows };
+            let (_, stored) = assert_lossless(&trace, block_rows);
+            proptest::prop_assert_eq!(stored.trace(), &trace);
         }
     }
 
