@@ -8,9 +8,12 @@
 # the line, when an item follows that cut, because no row would count it.
 # `tests/`, `benches/` and `examples/` are skipped; the offline stand-ins under
 # `crates/compat/` are listed apart from the code that is ours. `code` leaves
-# out blank and `//` comment lines, `lines` does not. `bench (without e2e)` is
-# the part of the bench crate a PR may edit: the `e2e` package under
-# `src/bin/e2e/` is what `BENCHMARK.json` runs and stays as it is. The last seven
+# out blank and `//` comment lines, `lines` does not; `pub fn` counts the
+# non-test `pub fn` items (public API; `pub(crate)` and narrower are not
+# counted), so a change can report removed API next to removed lines.
+# `bench (without e2e)` is the part of the bench crate a PR may edit: the
+# `e2e` package under `src/bin/e2e/` is what `BENCHMARK.json` runs and stays
+# as it is. The last seven
 # rows are trajectories: the five files that answer "where do a session's lanes
 # come from" (the ROADMAP's one-session-core item is measured by them), the two
 # that say what a well-formed trace or chunk is and what is done when it is not,
@@ -79,7 +82,7 @@ if [ -n "$hidden" ]; then
     exit 1
 fi
 
-# Prints "<code> <lines>" summed over the files given on stdin.
+# Prints "<code> <lines> <pub fns>" summed over the files given on stdin.
 count() {
     xargs -r awk '
         FNR == 1 { test = 0 }
@@ -87,17 +90,18 @@ count() {
         test { next }
         { lines++ }
         !/^[[:space:]]*(\/\/|$)/ { code++ }
-        END { print code + 0, lines + 0 }
+        /^[[:space:]]*pub (const |unsafe |async |extern "[^"]*" )*fn[ <]/ { pubfns++ }
+        END { print code + 0, lines + 0, pubfns + 0 }
     '
 }
 
 row() {
-    read -r code lines
-    printf '| %s | %s | %s |\n' "$1" "$code" "$lines"
+    read -r code lines pubfns
+    printf '| %s | %s | %s | %s |\n' "$1" "$code" "$lines" "$pubfns"
 }
 
-echo '| crate | code | lines |'
-echo '| --- | ---: | ---: |'
+echo '| crate | code | lines | pub fn |'
+echo '| --- | ---: | ---: | ---: |'
 find src -name '*.rs' | count | row aftermath
 for dir in crates/*/; do
     name=$(basename "$dir")

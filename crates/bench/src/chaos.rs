@@ -239,7 +239,9 @@ fn salvage_scenario(
     }
 
     let opened_at = Instant::now();
-    let salvaged = StoredTrace::from_bytes_salvage(corrupt).expect("salvage open succeeds");
+    let salvaged = StoredTrace::from_bytes(corrupt)
+        .expect("store opens")
+        .salvage();
     let open_seconds = opened_at.elapsed().as_secs_f64();
 
     let report = salvaged.damage().expect("salvaged store carries a report");

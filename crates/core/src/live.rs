@@ -275,11 +275,6 @@ impl LiveSession {
         &self.stream
     }
 
-    /// Closes the session and yields the stream (e.g. to persist the final trace).
-    pub fn into_stream(self) -> StreamingTrace {
-        self.stream
-    }
-
     /// Time bounds of the ingested prefix, maintained incrementally (O(1); equal to
     /// the batch session's [`AnalysisSession::time_bounds`] at every epoch).
     pub fn time_bounds(&self) -> TimeInterval {

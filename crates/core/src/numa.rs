@@ -275,30 +275,6 @@ impl IncidenceMatrix {
             .sum();
         diag as f64 / total as f64
     }
-
-    /// The largest off-diagonal entry relative to the largest diagonal entry, a measure
-    /// of how visible remote traffic is in the rendered matrix.
-    pub fn max_offdiagonal_ratio(&self) -> f64 {
-        let max_diag = (0..self.num_nodes)
-            .map(|i| self.bytes[i * self.num_nodes + i])
-            .max()
-            .unwrap_or(0);
-        let max_off = (0..self.num_nodes)
-            .flat_map(|i| (0..self.num_nodes).map(move |j| (i, j)))
-            .filter(|(i, j)| i != j)
-            .map(|(i, j)| self.bytes[i * self.num_nodes + j])
-            .max()
-            .unwrap_or(0);
-        if max_diag == 0 {
-            if max_off == 0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            max_off as f64 / max_diag as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! to build ahead, in parallel, each once per session. "Usable" means whole
 //! ([`LaneResidency::Full`]): the lane holds the run a whole-lane request
 //! installs — every block after a strict open, the surviving block run after a
-//! salvage open. A sample lane is only ever loaded whole, so its index is built
+//! salvage. A sample lane is only ever loaded whole, so its index is built
 //! once and re-read, damaged or not; the view builds a pyramid only under the
 //! build rule of `SessionState`, so every pyramid it builds is kept and a
 //! window over any other state lane is scanned.
@@ -53,14 +53,14 @@ use crate::session::{AnalysisSession, IntervalQuery, Need, SessionState};
 use crate::shared::CacheStats;
 use crate::timeline::{TimelineEngine, TimelineMode, TimelineModel};
 
-/// Degraded-coverage summary of a salvage-opened store session: what spans
+/// Degraded-coverage summary of a salvaged store session: what spans
 /// and tables requests can still be answered over *exactly*, lane by lane.
 ///
 /// Everything a request reads inside its lanes' surviving spans is
 /// byte-identical to the same request against the undamaged store; a request
 /// that would read outside them is not answered at all (rather than answered
 /// approximately). See
-/// [`aftermath_trace::store::StoredTrace::open_salvage`].
+/// [`aftermath_trace::store::StoredTrace::salvage`].
 #[derive(Debug, Clone)]
 pub struct SalvageCoverage {
     /// Fraction of stored rows that survived quarantine, in `[0, 1]`.
@@ -114,7 +114,7 @@ pub struct StoreSession {
     /// The slots every view reads in place; a view reads and fills those of
     /// whole lanes only.
     state: SessionState,
-    /// What a salvage open left answerable — a function of the open alone, so
+    /// What a salvage left answerable — a function of the open alone, so
     /// worked out once; `None` after a strict open.
     coverage: Option<SalvageCoverage>,
     /// The time bounds of the full trace, from the store directory.
@@ -150,7 +150,7 @@ fn intersect(a: Option<TimeInterval>, b: Option<TimeInterval>) -> Option<TimeInt
     (start <= end).then(|| TimeInterval::new(start, end))
 }
 
-/// The coverage a salvage open of `stored` left (`None` after a strict open).
+/// The coverage a salvage of `stored` left (`None` after a strict open).
 fn coverage_of(stored: &StoredTrace) -> Option<SalvageCoverage> {
     let report = stored.damage()?;
     let spans: Vec<(LaneId, Option<TimeInterval>)> = report
@@ -181,21 +181,11 @@ impl StoreSession {
         Ok(Self::from_store(StoredTrace::open(path)?))
     }
 
-    /// Opens a *damaged* store file in degraded mode: corrupt or unreadable
-    /// blocks are quarantined and queries run over the surviving spans (see
-    /// [`StoredTrace::open_salvage`]). Inspect [`StoreSession::coverage`] for
-    /// what survives; answers inside the covered spans are byte-identical to
-    /// the undamaged store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StoredTrace::open_salvage`] failures (the metadata,
-    /// directory and trailer must be intact).
-    pub fn open_salvage<P: AsRef<Path>>(path: P) -> Result<Self, AnalysisError> {
-        Ok(Self::from_store(StoredTrace::open_salvage(path)?))
-    }
-
-    /// Wraps an already opened [`StoredTrace`].
+    /// Wraps an already opened [`StoredTrace`]. A *damaged* store file is
+    /// served through `StoreSession::from_store(StoredTrace::open(path)?.salvage())`
+    /// (see [`StoredTrace::salvage`]): corrupt or unreadable blocks are
+    /// quarantined, [`StoreSession::coverage`] says what survives, and answers
+    /// inside the covered spans are byte-identical to the undamaged store.
     pub fn from_store(stored: StoredTrace) -> Self {
         let sampled = stored.lanes().filter_map(|lane| match lane {
             LaneId::Samples(cpu, counter) => Some((cpu, counter)),
@@ -215,7 +205,7 @@ impl StoreSession {
 
     /// The backing store (residency inspection, lane statistics). Takes
     /// `&mut self` because the store lives behind the session's lock: no
-    /// request is in flight while the reference lives. A salvage open's
+    /// request is in flight while the reference lives. A salvage's
     /// damage report is [`StoredTrace::damage`] of the store before it is
     /// wrapped, or [`StoreSession::coverage`] after.
     pub fn store(&mut self) -> &StoredTrace {
@@ -410,7 +400,7 @@ impl StoreSession {
     ///
     /// # Errors
     ///
-    /// [`AnalysisError::OutsideCoverage`] when the store was salvage-opened and
+    /// [`AnalysisError::OutsideCoverage`] when the store was salvaged and
     /// the answer would depend on quarantined rows — refused, not approximated,
     /// before anything is read; otherwise propagates lane materialisation
     /// failures.
@@ -504,7 +494,7 @@ mod tests {
     /// salvaged one with a middle block quarantined in a sample lane and in a
     /// state lane, at zero, half and no residency budget, every filled slot
     /// holds its lane's whole run — all blocks after a strict open, the
-    /// surviving run after a salvage open.
+    /// surviving run after a salvage.
     #[test]
     fn every_filled_slot_holds_its_lanes_whole_run() {
         let trace = small_sim_trace();
@@ -541,7 +531,7 @@ mod tests {
             for budget in [Some(0), Some(full / 2), None] {
                 let what = format!("salvaged {salvaged}, budget {budget:?}");
                 let mut stored = if salvaged {
-                    StoredTrace::from_bytes_salvage(damaged.clone()).unwrap()
+                    StoredTrace::from_bytes(damaged.clone()).unwrap().salvage()
                 } else {
                     StoredTrace::from_bytes(bytes.clone()).unwrap()
                 };

@@ -395,7 +395,7 @@ fn salvaged_answers_inside_the_covered_span_at_every_thread_budget() {
         .blocks[0];
     bytes[first.offset as usize + 2] ^= 0x20;
     for threads in thread_budgets() {
-        let mut stored = StoredTrace::from_bytes_salvage(bytes.clone()).unwrap();
+        let mut stored = StoredTrace::from_bytes(bytes.clone()).unwrap().salvage();
         stored.set_decode_threads(threads);
         let mut store = StoreSession::from_store(stored);
         let coverage = store.coverage().expect("salvaged");
@@ -445,7 +445,7 @@ fn salvaged_with_middle_block_damaged(
     let blocks = &probe.lane_directory(lane).unwrap().blocks;
     let damaged = blocks[blocks.len() / 2];
     bytes[damaged.offset as usize + 2] ^= 0x20;
-    let stored = StoredTrace::from_bytes_salvage(bytes).unwrap();
+    let stored = StoredTrace::from_bytes(bytes).unwrap().salvage();
     (StoreSession::from_store(stored), damaged)
 }
 
@@ -486,7 +486,7 @@ fn a_quarantined_sample_block_leaves_its_last_key_outside_the_span() {
     let probe = StoredTrace::from_bytes(bytes.clone()).unwrap();
     let first = probe.lane_directory(lane).unwrap().blocks[0];
     bytes[first.offset as usize + 2] ^= 0x20;
-    let mut store = StoreSession::from_store(StoredTrace::from_bytes_salvage(bytes).unwrap());
+    let mut store = StoreSession::from_store(StoredTrace::from_bytes(bytes).unwrap().salvage());
     let coverage = store.coverage().expect("salvaged");
     let span = coverage
         .answerable(&Need::Query {
@@ -757,7 +757,7 @@ fn a_node_filter_reads_the_access_table_or_is_refused() {
     let probe = StoredTrace::from_bytes(bytes).unwrap();
     let first = probe.lane_directory(LaneId::Accesses).unwrap().blocks[0];
     damaged[first.offset as usize + 2] ^= 0x20;
-    let mut store = StoreSession::from_store(StoredTrace::from_bytes_salvage(damaged).unwrap());
+    let mut store = StoreSession::from_store(StoredTrace::from_bytes(damaged).unwrap().salvage());
     assert_eq!(store.coverage().unwrap().lost_lanes, vec![LaneId::Accesses]);
     let (window, engine) = (windows[1], TimelineEngine::Adaptive);
     for filter in &filters {
@@ -857,7 +857,7 @@ proptest! {
         let d2 = flip_blocks(&bytes, &draws);
         let mut less_damaged: Option<(f64, Vec<(LaneId, u64)>)> = None;
         for damaged in [d1, d2] {
-            let stored = StoredTrace::from_bytes_salvage(damaged).unwrap();
+            let stored = StoredTrace::from_bytes(damaged).unwrap().salvage();
             let report = stored.damage().unwrap();
             let row_coverage = report.row_coverage();
             let surviving: Vec<(LaneId, u64)> =
@@ -944,7 +944,7 @@ fn access_index_survives_eviction_and_is_built_once() {
         for salvaged in [false, true] {
             let what = format!("budget {budget:?}, salvaged {salvaged}");
             let stored = if salvaged {
-                StoredTrace::from_bytes_salvage(damaged.clone()).unwrap()
+                StoredTrace::from_bytes(damaged.clone()).unwrap().salvage()
             } else {
                 StoredTrace::from_bytes(bytes.clone()).unwrap()
             };

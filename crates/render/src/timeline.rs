@@ -12,7 +12,7 @@
 
 use aftermath_core::{AnalysisSession, TimelineCell, TimelineModel};
 use aftermath_exec::{parallel_map_chunks, Threads};
-use aftermath_trace::{TimeInterval, WorkerState};
+use aftermath_trace::TimeInterval;
 
 use crate::color::{Color, Palette};
 use crate::framebuffer::Framebuffer;
@@ -198,12 +198,6 @@ impl TimelineRenderer {
         }
         fb
     }
-
-    /// Renders only the task-execution states of a naive render as a quick structural
-    /// comparison value: the number of pixels showing the task-execution colour.
-    pub fn execution_pixels(&self, fb: &Framebuffer) -> usize {
-        fb.count_pixels(self.palette.state(WorkerState::TaskExecution))
-    }
 }
 
 #[cfg(test)]
@@ -211,6 +205,7 @@ mod tests {
     use super::*;
     use aftermath_core::{AnalysisSession, Threads, TimelineMode, TimelineModel};
     use aftermath_sim::{SimConfig, Simulator};
+    use aftermath_trace::WorkerState;
     use aftermath_workloads::SeidelConfig;
 
     fn session_trace() -> aftermath_trace::Trace {

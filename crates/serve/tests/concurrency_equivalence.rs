@@ -298,7 +298,9 @@ fn store_backed_answers_do_not_depend_on_thread_or_residency_budget() {
         for budget in [None, Some(full / 2), Some(0)] {
             for salvaged in [false, true] {
                 let mut stored = if salvaged {
-                    StoredTrace::from_bytes_salvage(damaged.clone()).expect("salvage opens")
+                    StoredTrace::from_bytes(damaged.clone())
+                        .expect("store opens")
+                        .salvage()
                 } else {
                     StoredTrace::from_bytes(bytes.clone()).expect("store opens")
                 };

@@ -189,8 +189,11 @@ fn a_malformed_request_is_refused_as_such_on_every_backing() {
     let blocks = &probe.lane_directory(lane).expect("lane is stored").blocks;
     let mut corrupt = bytes;
     corrupt[blocks[blocks.len() / 2].offset as usize + 2] ^= 0x10;
-    let salvaged =
-        StoreSession::from_store(StoredTrace::from_bytes_salvage(corrupt).expect("salvage opens"));
+    let salvaged = StoreSession::from_store(
+        StoredTrace::from_bytes(corrupt)
+            .expect("store opens")
+            .salvage(),
+    );
     assert!(!salvaged.coverage().expect("salvaged").clean);
     manager.register_store("salvaged", salvaged);
 

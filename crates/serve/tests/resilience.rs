@@ -214,7 +214,9 @@ fn salvaged_store_degrades_explicitly_and_answers_exactly_inside_coverage() {
     let mut corrupt = bytes.clone();
     corrupt[victim.offset as usize + 2] ^= 0x10;
 
-    let salvaged = StoredTrace::from_bytes_salvage(corrupt).expect("salvage open succeeds");
+    let salvaged = StoredTrace::from_bytes(corrupt)
+        .expect("store opens")
+        .salvage();
     let store_session = StoreSession::from_store(salvaged);
     let coverage = store_session
         .coverage()

@@ -45,9 +45,9 @@ pub enum TraceError {
     /// Stored bytes failed an integrity check: a block, directory or metadata
     /// checksum did not match what the writer recorded. Unlike
     /// [`TraceError::Format`] (structurally invalid by construction), this
-    /// means the bytes were damaged after being written — the store's salvage
-    /// open ([`crate::store::StoredTrace::open_salvage`]) can usually recover
-    /// the undamaged blocks.
+    /// means the bytes were damaged after being written — salvaging the opened
+    /// store ([`crate::store::StoredTrace::salvage`]) can usually recover the
+    /// undamaged blocks.
     Corrupted(String),
     /// The trace file was produced by an unsupported format version.
     UnsupportedVersion(u32),

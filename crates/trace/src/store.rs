@@ -30,7 +30,7 @@
 //! regular in-memory column types, so every downstream consumer — pyramids,
 //! scan kernels, detectors, lint — sees an ordinary [`Trace`]. The footers let
 //! interval reads skip blocks wholly outside the queried window
-//! ([`StoredTrace::ensure_states_covering`]), and an optional residency budget
+//! ([`LaneRequest::StatesCovering`]), and an optional residency budget
 //! with least-recently-used lane eviction keeps resident bytes bounded.
 //!
 //! ```text
@@ -48,7 +48,7 @@
 //! version in the header is refused with [`TraceError::UnsupportedVersion`]
 //! (an older file is regenerated from its trace, not read).
 //!
-//! For damaged files, [`StoredTrace::open_salvage`] performs a degraded open:
+//! For damaged files, [`StoredTrace::salvage`] degrades an opened store:
 //! instead of failing on the first bad block it scans every block, quarantines
 //! the corrupt or unreadable ones, and serves queries over the surviving
 //! contiguous span of each lane, reporting per-lane coverage in a
@@ -69,8 +69,8 @@
 //! resident is one value per lane — the block run and when it was last
 //! touched — from which [`LaneResidency`], [`StoredTrace::covered_span`] and
 //! the eviction order are derived. A lane is whole ([`LaneResidency::Full`])
-//! when it holds the run a whole-lane request installs: every block after a
-//! strict open, the surviving run after a salvage open — so row indices
+//! when it holds the run a whole-lane request installs: every block before a
+//! salvage, the surviving run after it — so row indices
 //! taken over a whole lane hold for every later whole copy of it.
 //!
 //! The byte source is abstracted behind [`ColdTier`] (a seekable read-at
@@ -192,7 +192,7 @@ pub struct LaneDirectory {
 // Salvage damage reporting
 // ---------------------------------------------------------------------------
 
-/// Stable classification of damage found by [`StoredTrace::open_salvage`],
+/// Stable classification of damage found by [`StoredTrace::salvage`],
 /// mirroring the lint layer's [`crate::lint::LintCode`] annotation style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DamageCode {
@@ -234,29 +234,23 @@ impl fmt::Display for DamageCode {
     }
 }
 
-/// One piece of damage found during a salvage open.
+/// One damaged block found by [`StoredTrace::salvage`].
 #[derive(Debug, Clone)]
 pub struct DamageFinding {
     /// What kind of damage.
     pub code: DamageCode,
-    /// The lane it affects (`None` for a store-wide finding).
-    pub lane: Option<LaneId>,
-    /// The damaged block's index within its lane, when block-scoped.
-    pub block: Option<usize>,
+    /// The lane the block belongs to.
+    pub lane: LaneId,
+    /// The damaged block's index within its lane.
+    pub block: usize,
     /// Human-readable description.
     pub detail: String,
 }
 
 impl fmt::Display for DamageFinding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.code)?;
-        if let Some(lane) = self.lane {
-            write!(f, " {lane}")?;
-            if let Some(block) = self.block {
-                write!(f, " block {block}")?;
-            }
-        }
-        write!(f, ": {}", self.detail)
+        let (code, lane, block) = (self.code, self.lane, self.block);
+        write!(f, "{code} {lane} block {block}: {}", self.detail)
     }
 }
 
@@ -279,10 +273,10 @@ pub struct LaneDamage {
     pub surviving_run: (usize, usize),
 }
 
-/// What a salvage open found and what survives, per lane and overall.
+/// What a salvage found and what survives, per lane and overall.
 ///
 /// A report with no quarantined blocks ([`DamageReport::is_clean`]) means the
-/// degraded open found nothing to degrade — every query behaves exactly as
+/// salvage found nothing to degrade — every query behaves exactly as
 /// after a strict open.
 #[derive(Debug, Clone, Default)]
 pub struct DamageReport {
@@ -1530,7 +1524,7 @@ enum BlockFault {
     Undecodable(TraceError),
 }
 
-/// The block run `[lo, hi)` a salvage open keeps for a lane of `total` blocks
+/// The block run `[lo, hi)` a salvage keeps for a lane of `total` blocks
 /// with the (ascending) `damaged` indices quarantined.
 ///
 /// Time-sorted lanes keep the longest contiguous run of good blocks (earliest
@@ -1570,8 +1564,7 @@ pub enum LaneResidency {
     /// must stay within [`StoredTrace::covered_span`].
     Partial,
     /// The whole lane is decoded: the run [`LaneRequest::Full`] installs —
-    /// every block after a strict open, the surviving block run after a
-    /// salvage open.
+    /// every block before a salvage, the surviving block run after it.
     Full,
 }
 
@@ -1579,7 +1572,7 @@ pub enum LaneResidency {
 /// resident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneRequest {
-    /// The whole lane (after a salvage open: its surviving block run).
+    /// The whole lane (after a salvage: its surviving block run).
     Full(LaneId),
     /// The minimal contiguous block run of a *states* lane covering every
     /// interval that overlaps the window (block-skipping).
@@ -1601,8 +1594,8 @@ pub struct MaterialiseStats {
 ///
 /// The embedded [`Trace`] is fully usable at all times — absent lanes simply
 /// read as empty streams. [`StoredTrace::ensure`] materialises a lane in full;
-/// [`StoredTrace::ensure_states_covering`] materialises only the block run of
-/// a states lane overlapping a query window (block-skipping). After a partial
+/// [`LaneRequest::StatesCovering`] materialises only the block run of a
+/// states lane overlapping a query window (block-skipping). After a partial
 /// ensure the lane holds a contiguous *superset* of the rows overlapping the
 /// requested window; value-based interval queries confined to that window see
 /// exactly the same rows as against the full lane, but absolute row indices
@@ -1624,11 +1617,9 @@ pub struct StoredTrace {
     num_events: u64,
     file_bytes: u64,
     threads: Threads,
-    /// Per-lane block run `[lo, hi)` that materialisation may touch. After a
-    /// strict open this is every block; a salvage open narrows it to the
-    /// surviving run around quarantined blocks.
-    surviving: Vec<(usize, usize)>,
-    /// `Some` after a salvage open (clean or not); `None` after a strict open.
+    /// `Some` after [`StoredTrace::salvage`] (clean or not), `None` before.
+    /// Its lanes are in directory order; each one's `surviving_run` is the
+    /// block run materialisation may touch.
     damage: Option<DamageReport>,
     stats: MaterialiseStats,
 }
@@ -1663,49 +1654,6 @@ impl StoredTrace {
     ///
     /// Same conditions as [`StoredTrace::open`].
     pub fn open_with_tier(tier: Box<dyn ColdTier>) -> Result<Self, TraceError> {
-        Self::open_impl(tier, false)
-    }
-
-    /// Opens a damaged store file in degraded mode: see
-    /// [`StoredTrace::open_with_tier_salvage`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StoredTrace::open_with_tier_salvage`].
-    pub fn open_salvage<P: AsRef<Path>>(path: P) -> Result<Self, TraceError> {
-        Self::open_with_tier_salvage(Box::new(FileTier::open(path)?))
-    }
-
-    /// Salvage-opens a store held in an in-memory buffer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StoredTrace::open_with_tier_salvage`].
-    pub fn from_bytes_salvage(bytes: Vec<u8>) -> Result<Self, TraceError> {
-        Self::open_with_tier_salvage(Box::new(MemoryTier::new(bytes)))
-    }
-
-    /// Degraded open for damaged stores: every block is scanned up front and
-    /// corrupt or unreadable blocks are *quarantined* instead of failing the
-    /// open. Queries then run over the surviving contiguous block run of each
-    /// lane; [`StoredTrace::damage`] reports what was lost and
-    /// [`StoredTrace::salvage_covered_span`] the span still answered exactly.
-    ///
-    /// The metadata header, directory and trailer must still be intact — they
-    /// are the map by which blocks are found, so damage there (a checksum
-    /// mismatch or structural invalidity) is unrecoverable and
-    /// fails the open like a strict one. Unlike the lazy strict open, a
-    /// salvage open reads the whole file once to classify every block.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StoredTrace::open`] for the header, metadata,
-    /// directory and trailer; block damage never fails a salvage open.
-    pub fn open_with_tier_salvage(tier: Box<dyn ColdTier>) -> Result<Self, TraceError> {
-        Self::open_impl(tier, true)
-    }
-
-    fn open_impl(tier: Box<dyn ColdTier>, salvage: bool) -> Result<Self, TraceError> {
         let size = tier.size()?;
         if size < (8 + TRAILER_LEN) as u64 {
             return Err(TraceError::Format("store file too short".into()));
@@ -1779,9 +1727,7 @@ impl StoredTrace {
             .map(|(i, l)| (l.lane, i))
             .collect();
         let residency = vec![None; directory.len()];
-        let surviving: Vec<(usize, usize)> =
-            directory.iter().map(|l| (0, l.blocks.len())).collect();
-        let mut stored = StoredTrace {
+        Ok(StoredTrace {
             tier,
             skeleton,
             directory,
@@ -1793,24 +1739,40 @@ impl StoredTrace {
             num_events,
             file_bytes: size,
             threads: Threads::auto(),
-            surviving,
             damage: None,
             stats: MaterialiseStats::default(),
-        };
-        if salvage {
-            stored.scan_for_damage();
-        }
-        Ok(stored)
+        })
     }
 
-    /// Classifies every block as good or quarantined, narrowing
-    /// `self.surviving` and filling `self.damage`. Lane by lane: its blocks are
+    /// Degrades an opened store for damage: every resident lane is evicted,
+    /// then every block is scanned and corrupt or unreadable blocks are
+    /// *quarantined* instead of failing later reads. Queries then run over
+    /// the surviving contiguous block run of each lane;
+    /// [`StoredTrace::damage`] reports what was lost and
+    /// [`StoredTrace::salvage_covered_span`] the span still answered exactly.
+    ///
+    /// The metadata header, directory and trailer must still be intact — they
+    /// are the map by which blocks are found, so damage there fails the open
+    /// that comes before this step. Unlike the lazy open, salvaging reads the
+    /// whole file once to classify every block; block damage never fails it.
+    /// Callers write `StoredTrace::open(path)?.salvage()`.
+    pub fn salvage(mut self) -> StoredTrace {
+        let lanes: Vec<LaneId> = self.lanes().collect();
+        for lane in lanes {
+            self.evict(lane);
+        }
+        self.scan_for_damage();
+        self
+    }
+
+    /// Classifies every block as good or quarantined, filling `self.damage`
+    /// (which holds each lane's surviving run). Lane by lane: its blocks are
     /// read on this thread in file order (the tier sees one deterministic read
     /// sequence), then classified on the thread budget — at most one lane's
     /// bytes are held at a time.
     fn scan_for_damage(&mut self) {
         let mut report = DamageReport::default();
-        for (idx, dir) in self.directory.iter().enumerate() {
+        for dir in &self.directory {
             let read: Vec<(&BlockFooter, Result<Vec<u8>, TraceError>)> = dir
                 .blocks
                 .iter()
@@ -1842,8 +1804,8 @@ impl StoredTrace {
                 if let Some((code, detail)) = finding {
                     report.findings.push(DamageFinding {
                         code,
-                        lane: Some(dir.lane),
-                        block: Some(k),
+                        lane: dir.lane,
+                        block: k,
                         detail,
                     });
                     damaged.push(k);
@@ -1859,7 +1821,6 @@ impl StoredTrace {
                 surviving_rows,
                 surviving_run: run,
             });
-            self.surviving[idx] = run;
         }
         self.damage = Some(report);
     }
@@ -1939,7 +1900,7 @@ impl StoredTrace {
 
     /// Residency state of `lane`: [`LaneResidency::Full`] exactly when the
     /// resident run is the one [`LaneRequest::Full`] installs — every block
-    /// after a strict open, the surviving run after a salvage open. A lane
+    /// before a salvage, the surviving run after it. A lane
     /// quarantined whole is never installed and stays
     /// [`LaneResidency::Absent`]; lanes without stored rows are always `Full`.
     pub fn residency(&self, lane: LaneId) -> LaneResidency {
@@ -1947,7 +1908,7 @@ impl StoredTrace {
             None => LaneResidency::Full,
             Some(&i) => match self.residency[i] {
                 None => LaneResidency::Absent,
-                Some((run, _)) if run == self.surviving[i] => LaneResidency::Full,
+                Some((run, _)) if run == self.surviving(i) => LaneResidency::Full,
                 Some(_) => LaneResidency::Partial,
             },
         }
@@ -1982,8 +1943,8 @@ impl StoredTrace {
         TimeInterval::from_cycles(start, end.max(start))
     }
 
-    /// The damage report of a salvage open. `None` after a strict open; a
-    /// salvage open of an undamaged store returns a clean report
+    /// The damage report of [`StoredTrace::salvage`]. `None` before it; a
+    /// salvage of an undamaged store returns a clean report
     /// ([`DamageReport::is_clean`]).
     pub fn damage(&self) -> Option<&DamageReport> {
         self.damage.as_ref()
@@ -1996,15 +1957,25 @@ impl StoredTrace {
     /// block the span of a state lane starts at that block's last key (an
     /// interval ending there overlaps nothing after it), the span of an event
     /// or sample lane one cycle later (a point at that key is inside it).
-    /// `None` when the whole lane was quarantined; the full span after a
-    /// strict open or for lanes without stored rows.
+    /// `None` when the whole lane was quarantined; the full span before a
+    /// salvage or for lanes without stored rows.
     pub fn salvage_covered_span(&self, lane: LaneId) -> Option<TimeInterval> {
         let Some(&idx) = self.lane_index.get(&lane) else {
             // No stored rows: trivially exact everywhere.
             return Some(TimeInterval::from_cycles(0, u64::MAX));
         };
-        let (slo, shi) = self.surviving[idx];
+        let (slo, shi) = self.surviving(idx);
         (slo < shi).then(|| self.guaranteed_span(idx, (slo, shi)))
+    }
+
+    /// The block run `[lo, hi)` of lane `idx` that materialisation may touch:
+    /// every block before [`StoredTrace::salvage`], the surviving run after.
+    fn surviving(&self, idx: usize) -> (usize, usize) {
+        self.damage
+            .as_ref()
+            .map_or((0, self.directory[idx].blocks.len()), |report| {
+                report.lanes[idx].surviving_run
+            })
     }
 
     fn touch(&mut self, idx: usize) {
@@ -2065,7 +2036,7 @@ impl StoredTrace {
     /// The block run `[lo, hi)` of lane `idx` a request needs: the surviving
     /// run for a whole-lane request, its part overlapping `window` otherwise.
     fn needed_run(&self, idx: usize, window: Option<TimeInterval>) -> (usize, usize) {
-        let (slo, shi) = self.surviving[idx];
+        let (slo, shi) = self.surviving(idx);
         let Some(window) = window else {
             return (slo, shi);
         };
@@ -2079,8 +2050,7 @@ impl StoredTrace {
     }
 
     /// Makes every requested lane resident in **one** batch — the single
-    /// materialisation routine of the store; [`StoredTrace::ensure`],
-    /// [`StoredTrace::ensure_states_covering`] and
+    /// materialisation routine of the store; [`StoredTrace::ensure`] and
     /// [`StoredTrace::materialise_all`] are wrappers over it.
     ///
     /// The batch runs in four steps:
@@ -2132,7 +2102,7 @@ impl StoredTrace {
                 }
                 LaneRequest::StatesCovering(lane, _) => {
                     return Err(TraceError::Format(format!(
-                        "ensure_states_covering expects a states lane, got {lane}"
+                        "StatesCovering expects a states lane, got {lane}"
                     )));
                 }
             };
@@ -2221,24 +2191,6 @@ impl StoredTrace {
     /// Propagates cold-tier read failures and block decoding errors.
     pub fn ensure(&mut self, lane: LaneId) -> Result<(), TraceError> {
         self.ensure_batch(&[LaneRequest::Full(lane)])
-    }
-
-    /// Materialises the minimal contiguous block run of a states lane that
-    /// covers every state interval overlapping `window` (block-skipping).
-    /// Blocks wholly outside the window are neither read nor decoded. A lane
-    /// that is already fully resident, or whose resident run covers the
-    /// window, is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Format`] when `lane` is not a states lane, and
-    /// propagates read/decode failures.
-    pub fn ensure_states_covering(
-        &mut self,
-        lane: LaneId,
-        window: TimeInterval,
-    ) -> Result<(), TraceError> {
-        self.ensure_batch(&[LaneRequest::StatesCovering(lane, window)])
     }
 
     /// Materialises every lane and returns the fully resident trace.
@@ -2700,7 +2652,9 @@ mod tests {
         let mut stored = store_with_block_rows(&trace, 4); // 20 states/cpu -> 5 blocks
         let lane = LaneId::States(CpuId(0));
         let window = TimeInterval::from_cycles(410, 590);
-        stored.ensure_states_covering(lane, window).unwrap();
+        stored
+            .ensure_batch(&[LaneRequest::StatesCovering(lane, window)])
+            .unwrap();
         assert_eq!(stored.residency(lane), LaneResidency::Partial);
         let full = trace.cpu(CpuId(0)).unwrap().states();
         let partial = stored.trace().cpu(CpuId(0)).unwrap().states();
@@ -2718,12 +2672,14 @@ mod tests {
             .collect();
         assert_eq!(expect, got);
         // A wider window upgrades the run; a covered window is a no-op.
+        let window = TimeInterval::from_cycles(450, 500);
         stored
-            .ensure_states_covering(lane, TimeInterval::from_cycles(450, 500))
+            .ensure_batch(&[LaneRequest::StatesCovering(lane, window)])
             .unwrap();
         assert_eq!(stored.residency(lane), LaneResidency::Partial);
+        let window = TimeInterval::from_cycles(0, 2000);
         stored
-            .ensure_states_covering(lane, TimeInterval::from_cycles(0, 2000))
+            .ensure_batch(&[LaneRequest::StatesCovering(lane, window)])
             .unwrap();
         assert_eq!(stored.residency(lane), LaneResidency::Full);
     }
@@ -2770,17 +2726,31 @@ mod tests {
         assert!(StoredTrace::from_bytes(truncated).is_err());
     }
 
-    /// A store file under an older `version` header: refused strict and
-    /// salvaged alike, before any block is read.
+    /// A store file under a `version` header other than [`STORE_VERSION`]:
+    /// refused strict and salvaged alike, before any block is read.
     fn assert_refused_as(version: u32) {
         let trace = sample_trace();
         let mut bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 4 }).unwrap();
         bytes[4..8].copy_from_slice(&version.to_le_bytes());
-        for open in [StoredTrace::from_bytes, StoredTrace::from_bytes_salvage] {
-            assert!(matches!(
-                open(bytes.clone()),
-                Err(TraceError::UnsupportedVersion(v)) if v == version
-            ));
+        for opened in [
+            StoredTrace::from_bytes(bytes.clone()),
+            StoredTrace::from_bytes(bytes).map(StoredTrace::salvage),
+        ] {
+            assert!(
+                matches!(opened, Err(TraceError::UnsupportedVersion(v)) if v == version),
+                "version {version}: {opened:?}"
+            );
+        }
+    }
+
+    /// Every version header but [`STORE_VERSION`] in `0..=STORE_VERSION + 1`,
+    /// plus `u32::MAX`, is refused, so a new format version needs no new test.
+    /// An older file is regenerated from its trace, not read.
+    #[test]
+    fn every_other_version_is_rejected_as_unsupported() {
+        let versions = (0..=STORE_VERSION + 1).filter(|&v| v != STORE_VERSION);
+        for version in versions.chain([u32::MAX]) {
+            assert_refused_as(version);
         }
     }
 
@@ -2792,34 +2762,28 @@ mod tests {
     #[test]
     fn version_2_is_rejected_as_unsupported() {
         // Version 2 stored the same columns without the v3 gaps, ref steps,
-        // sample modes and folded access kinds; it is regenerated, not read.
+        // sample modes and folded access kinds.
         assert_refused_as(2);
     }
 
     #[test]
     fn version_3_is_rejected_as_unsupported() {
         // Version 3 kept a state's tag, start code and ref presence in three
-        // columns and every task's creator; it is regenerated, not read.
+        // columns and every task's creator.
         assert_refused_as(3);
     }
 
     #[test]
     fn version_4_is_rejected_as_unsupported() {
         // Version 4 stored every task's type and `cpu << 1 | stolen` as
-        // varints, and every access address absolute; it is regenerated, not
-        // read.
+        // varints, and every access address absolute.
         assert_refused_as(4);
     }
 
     #[test]
     fn future_versions_are_rejected() {
-        let trace = sample_trace();
-        let mut bytes = write_store_bytes(&trace, &StoreOptions::default()).unwrap();
-        bytes[4..8].copy_from_slice(&(STORE_VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            StoredTrace::from_bytes(bytes),
-            Err(TraceError::UnsupportedVersion(_))
-        ));
+        assert_refused_as(STORE_VERSION + 1);
+        assert_refused_as(u32::MAX);
     }
 
     /// Finds the first data block of a states lane so tests can corrupt it.
@@ -2863,14 +2827,16 @@ mod tests {
             Err(TraceError::Corrupted(_)) | Err(TraceError::Format(_))
         ));
         assert!(matches!(
-            StoredTrace::from_bytes_salvage(corrupt),
+            StoredTrace::from_bytes(corrupt).map(StoredTrace::salvage),
             Err(TraceError::Corrupted(_)) | Err(TraceError::Format(_))
         ));
         // Metadata damage likewise.
         let mut corrupt = bytes.clone();
         corrupt[10] ^= 0x01;
         assert!(StoredTrace::from_bytes(corrupt.clone()).is_err());
-        assert!(StoredTrace::from_bytes_salvage(corrupt).is_err());
+        assert!(StoredTrace::from_bytes(corrupt)
+            .map(StoredTrace::salvage)
+            .is_err());
     }
 
     #[test]
@@ -2896,7 +2862,7 @@ mod tests {
         let lane = LaneId::States(CpuId(cpus as u32));
         for opened in [
             StoredTrace::from_bytes(bytes.clone()),
-            StoredTrace::from_bytes_salvage(bytes),
+            StoredTrace::from_bytes(bytes).map(StoredTrace::salvage),
         ] {
             match opened {
                 Err(TraceError::Format(msg)) => {
@@ -2919,7 +2885,7 @@ mod tests {
         // Damage the *first* block; the surviving run is the tail.
         let mut corrupt = bytes.clone();
         corrupt[blocks[0].offset as usize + 1] ^= 0x40;
-        let mut salvaged = StoredTrace::from_bytes_salvage(corrupt).unwrap();
+        let mut salvaged = StoredTrace::from_bytes(corrupt).unwrap().salvage();
         let report = salvaged.damage().unwrap().clone();
         assert!(!report.is_clean());
         assert_eq!(report.count(DamageCode::BlockChecksumMismatch), 1);
@@ -2956,7 +2922,7 @@ mod tests {
         let footer = probe.directory[idx].blocks[1];
         let mut corrupt = bytes.clone();
         corrupt[footer.offset as usize] ^= 0x02;
-        let mut salvaged = StoredTrace::from_bytes_salvage(corrupt).unwrap();
+        let mut salvaged = StoredTrace::from_bytes(corrupt).unwrap().salvage();
         let report = salvaged.damage().unwrap();
         let lane_damage = report
             .lanes
@@ -3000,10 +2966,71 @@ mod tests {
             bytes,
             hole: footer.offset..footer.offset + footer.len,
         };
-        let salvaged = StoredTrace::open_with_tier_salvage(Box::new(tier)).unwrap();
+        let salvaged = StoredTrace::open_with_tier(Box::new(tier))
+            .unwrap()
+            .salvage();
         let report = salvaged.damage().unwrap();
         assert_eq!(report.count(DamageCode::BlockUnreadable), 1);
         assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn salvaging_a_used_store_equals_salvaging_a_fresh_one() {
+        let trace = sample_trace();
+        let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 4 }).unwrap();
+        let lane = LaneId::States(CpuId(0));
+        let blocks = StoredTrace::from_bytes(bytes.clone())
+            .unwrap()
+            .lane_directory(lane)
+            .unwrap()
+            .blocks
+            .clone();
+        assert!(blocks.len() >= 3, "need a partial run short of the damage");
+        let mut corrupt = bytes;
+        corrupt[blocks.last().unwrap().offset as usize] ^= 0x08;
+        // Strict use first: whole lanes and a partial run that stops before
+        // the damaged block, then the salvage.
+        let mut used = StoredTrace::from_bytes(corrupt.clone()).unwrap();
+        used.ensure_batch(&[
+            LaneRequest::Full(LaneId::States(CpuId(1))),
+            LaneRequest::Full(LaneId::Tasks),
+            LaneRequest::StatesCovering(lane, TimeInterval::from_cycles(0, 50)),
+        ])
+        .unwrap();
+        assert_eq!(used.residency(lane), LaneResidency::Partial);
+        let mut used = used.salvage();
+        let mut fresh = StoredTrace::from_bytes(corrupt).unwrap().salvage();
+        let report = fresh.damage().unwrap();
+        assert_eq!(report.count(DamageCode::BlockChecksumMismatch), 1);
+        assert_eq!(
+            format!("{:?}", used.damage()),
+            format!("{:?}", fresh.damage())
+        );
+        let lanes: Vec<LaneId> = fresh.lanes().collect();
+        for &lane in &lanes {
+            assert_eq!(used.residency(lane), fresh.residency(lane), "{lane}");
+            assert_eq!(used.residency(lane), LaneResidency::Absent, "{lane}");
+            assert_eq!(
+                used.salvage_covered_span(lane),
+                fresh.salvage_covered_span(lane),
+                "{lane}"
+            );
+        }
+        // Every ensure now installs the surviving run and nothing else.
+        for stored in [&mut used, &mut fresh] {
+            for (idx, &lane) in lanes.iter().enumerate() {
+                stored.ensure(lane).unwrap();
+                let survived = &stored.damage().unwrap().lanes[idx];
+                assert_eq!(survived.lane, lane);
+                let run = stored.residency[idx].map(|(run, _)| run);
+                assert_eq!(run, Some(survived.surviving_run), "{lane}");
+                assert_eq!(stored.residency(lane), LaneResidency::Full, "{lane}");
+                assert_eq!(stored.covered_span(lane), stored.salvage_covered_span(lane));
+            }
+        }
+        assert_eq!(used.trace(), fresh.trace());
+        let states = used.trace().cpu(CpuId(0)).unwrap().states();
+        assert_eq!(states.len(), 4 * (blocks.len() - 1));
     }
 
     #[test]
@@ -4099,8 +4126,9 @@ mod tests {
             let lane = LaneId::States(CpuId(0));
             let mut stored = StoredTrace::from_bytes(bytes.clone()).unwrap();
             stored.set_decode_threads(threads);
+            let window = TimeInterval::from_cycles(450, 1000);
             stored
-                .ensure_states_covering(lane, TimeInterval::from_cycles(450, 1000))
+                .ensure_batch(&[LaneRequest::StatesCovering(lane, window)])
                 .unwrap();
             let resident = stored.residency[stored.lane_index[&lane]];
             assert_eq!(resident.map(|(run, _)| run), Some((1, 3)));

@@ -88,11 +88,6 @@ impl PerCpuEvents {
         self.samples.iter().map(|(&c, s)| (c, s.view()))
     }
 
-    /// Number of counters with at least one sample on this CPU.
-    pub fn num_sample_streams(&self) -> usize {
-        self.samples.len()
-    }
-
     /// Total number of counter samples across all streams.
     pub fn num_samples(&self) -> usize {
         self.samples.values().map(SampleColumns::len).sum()

@@ -128,16 +128,11 @@ fn requests_for(stored: &StoredTrace, asks: &[Ask]) -> Vec<LaneRequest> {
         .collect()
 }
 
-/// The lane-by-lane reference: each request through the single-lane entry
-/// point, stopping at the first error like a caller's `?` would.
+/// The lane-by-lane reference: each request as a batch of its own, stopping
+/// at the first error like a caller's `?` would.
 fn one_by_one(stored: &mut StoredTrace, requests: &[LaneRequest]) -> Result<(), TraceError> {
     for request in requests {
-        match *request {
-            LaneRequest::Full(lane) => stored.ensure(lane)?,
-            LaneRequest::StatesCovering(lane, window) => {
-                stored.ensure_states_covering(lane, window)?
-            }
-        }
+        stored.ensure_batch(std::slice::from_ref(request))?;
     }
     Ok(())
 }

@@ -5,7 +5,8 @@
 //! rejected without panics.
 
 use aftermath_trace::store::{
-    write_store_bytes, LaneId, LaneResidency, StoreOptions, StoredTrace, STORE_MAGIC, STORE_VERSION,
+    write_store_bytes, LaneId, LaneRequest, LaneResidency, StoreOptions, StoredTrace, STORE_MAGIC,
+    STORE_VERSION,
 };
 use aftermath_trace::{
     AccessKind, CpuId, DiscreteEventKind, MachineTopology, TaskId, TimeInterval, Timestamp, Trace,
@@ -121,7 +122,8 @@ proptest! {
         let bytes = write_store_bytes(&trace, &StoreOptions { block_rows }).unwrap();
         let mut stored = StoredTrace::from_bytes(bytes).unwrap();
         for cpu in [CpuId(0), CpuId(1)] {
-            stored.ensure_states_covering(LaneId::States(cpu), window).unwrap();
+            let request = LaneRequest::StatesCovering(LaneId::States(cpu), window);
+            stored.ensure_batch(&[request]).unwrap();
             let full = trace.cpu(cpu).unwrap().states();
             let partial = stored.trace().cpu(cpu).unwrap().states();
             let overlaps = |s: &aftermath_trace::StateInterval| {

@@ -1,4 +1,4 @@
-//! Property tests for the salvage open ([`StoredTrace::from_bytes_salvage`]):
+//! Property tests for the salvage step ([`StoredTrace::salvage`]):
 //! for random traces and random block damage, salvage never panics,
 //! quarantines *exactly* the damaged blocks, and answers queries over the
 //! surviving span byte-identically to the undamaged store. Random bytes,
@@ -109,7 +109,7 @@ proptest! {
             corrupt[byte] ^= 1 << ((sel >> 56) % 8);
         }
 
-        let salvaged = StoredTrace::from_bytes_salvage(corrupt).unwrap();
+        let salvaged = StoredTrace::from_bytes(corrupt).unwrap().salvage();
         let report = salvaged.damage().unwrap();
         prop_assert!(!report.is_clean());
         prop_assert_eq!(
@@ -158,7 +158,7 @@ proptest! {
             corrupt[byte] ^= 1 << ((sel >> 56) % 8);
         }
 
-        let mut salvaged = StoredTrace::from_bytes_salvage(corrupt).unwrap();
+        let mut salvaged = StoredTrace::from_bytes(corrupt).unwrap().salvage();
         for cpu in [CpuId(0), CpuId(1)] {
             let lane = LaneId::States(cpu);
             let Some(span) = salvaged.salvage_covered_span(lane) else {
@@ -191,12 +191,12 @@ proptest! {
     fn salvage_of_random_bytes_never_panics(
         bytes in prop::collection::vec(any::<u8>(), 0..512),
     ) {
-        let _ = StoredTrace::from_bytes_salvage(bytes.clone());
+        let _ = StoredTrace::from_bytes(bytes.clone()).map(StoredTrace::salvage);
         let mut prefixed = Vec::with_capacity(bytes.len() + 8);
         prefixed.extend_from_slice(&STORE_MAGIC);
         prefixed.extend_from_slice(&STORE_VERSION.to_le_bytes());
         prefixed.extend_from_slice(&bytes);
-        let _ = StoredTrace::from_bytes_salvage(prefixed);
+        let _ = StoredTrace::from_bytes(prefixed).map(StoredTrace::salvage);
     }
 
     /// Truncating a valid store anywhere: salvage opens and materialises
@@ -209,7 +209,7 @@ proptest! {
         let trace = trace_from_script(&script, 2);
         let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 8 }).unwrap();
         let cut = cut % bytes.len();
-        if let Ok(mut stored) = StoredTrace::from_bytes_salvage(bytes[..cut].to_vec()) {
+        if let Ok(mut stored) = StoredTrace::from_bytes(bytes[..cut].to_vec()).map(StoredTrace::salvage) {
             let lanes: Vec<LaneId> = stored.lanes().collect();
             for lane in lanes {
                 let _ = stored.ensure(lane);
@@ -233,7 +233,7 @@ proptest! {
         let mut bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 1 }).unwrap();
         let pos = pos % bytes.len();
         bytes[pos] = value;
-        if let Ok(mut stored) = StoredTrace::from_bytes_salvage(bytes) {
+        if let Ok(mut stored) = StoredTrace::from_bytes(bytes).map(StoredTrace::salvage) {
             let lanes: Vec<LaneId> = stored.lanes().collect();
             for lane in lanes {
                 let _ = stored.ensure(lane);
