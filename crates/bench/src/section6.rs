@@ -51,14 +51,8 @@ pub struct TraceIoStats {
     pub read_seconds: f64,
 }
 
-/// Encodes and decodes `trace` in memory and reports size and timing
-/// (single-threaded decode).
-pub fn trace_io_stats(trace: &Trace) -> TraceIoStats {
-    trace_io_stats_with(trace, Threads::single())
-}
-
-/// Like [`trace_io_stats`] but finishes the decoded trace's build on up to `threads`
-/// workers.
+/// Encodes and decodes `trace` in memory and reports size and timing; the decoded
+/// trace's build finishes on up to `threads` workers.
 pub fn trace_io_stats_with(trace: &Trace, threads: Threads) -> TraceIoStats {
     let mut buf = Vec::new();
     let t0 = Instant::now();
@@ -99,14 +93,9 @@ pub struct RenderStats {
 }
 
 /// Renders the state timeline and a counter overlay of `trace` with and without the
-/// paper's optimizations and reports the number of drawing operations
-/// (single-threaded).
-pub fn render_stats(trace: &Trace, columns: usize) -> RenderStats {
-    render_stats_with(trace, columns, Threads::single())
-}
-
-/// Like [`render_stats`] but prewarms the session's counter indexes and rasterizes
-/// the optimized timeline on up to `threads` workers.
+/// paper's optimizations and reports the number of drawing operations; the session's
+/// counter indexes are prewarmed and the optimized timeline rasterized on up to
+/// `threads` workers.
 pub fn render_stats_with(trace: &Trace, columns: usize, threads: Threads) -> RenderStats {
     let session = AnalysisSession::new(trace);
     // Indexes are lazy; build them all so the overhead ratio reflects the full index.
@@ -151,7 +140,7 @@ mod tests {
     #[test]
     fn trace_io_roundtrip_and_compactness() {
         let trace = synthetic_trace(Scale::Test);
-        let stats = trace_io_stats(&trace);
+        let stats = trace_io_stats_with(&trace, Threads::single());
         assert!(stats.encoded_bytes > 0);
         // The varint encoding keeps the per-event footprint small (well under 64 bytes).
         assert!(
@@ -164,7 +153,7 @@ mod tests {
     #[test]
     fn rendering_optimizations_reduce_draw_calls() {
         let trace = synthetic_trace(Scale::Test);
-        let stats = render_stats(&trace, 256);
+        let stats = render_stats_with(&trace, 256, Threads::single());
         assert!(stats.optimized_draw_calls <= stats.unaggregated_draw_calls);
         assert!(stats.optimized_draw_calls < stats.naive_draw_calls);
         assert!(stats.overlay_optimized_calls <= stats.columns as u64);

@@ -248,8 +248,9 @@ pub struct ZoomSweep {
     pub verified: bool,
     /// Memory of the aggregation pyramids in bytes.
     pub pyramid_bytes: usize,
-    /// Size of the raw event data in bytes.
-    pub raw_event_bytes: usize,
+    /// Size of the raw event data in bytes, in the fixed array-of-structs layout
+    /// ([`Trace::aos_event_bytes`]).
+    pub aos_event_bytes: usize,
     /// The state-gating kernel microbenchmark run alongside the sweep.
     pub kernel: KernelBench,
 }
@@ -258,10 +259,10 @@ impl ZoomSweep {
     /// Pyramid memory relative to the raw event data (the paper-style overhead
     /// budget for indexes is a few percent; the acceptance bound here is 15 %).
     pub fn pyramid_overhead(&self) -> f64 {
-        if self.raw_event_bytes == 0 {
+        if self.aos_event_bytes == 0 {
             return 0.0;
         }
-        self.pyramid_bytes as f64 / self.raw_event_bytes as f64
+        self.pyramid_bytes as f64 / self.aos_event_bytes as f64
     }
 
     /// Aggregate scan-over-pyramid speedup at one zoom factor (total scan seconds
@@ -309,7 +310,7 @@ impl ZoomSweep {
             .float("state_kernel_speedup", self.kernel.speedup())
             .float("worst_pyramid_vs_scan", self.worst_pyramid_vs_scan())
             .int("pyramid_bytes", self.pyramid_bytes)
-            .int("raw_event_bytes", self.raw_event_bytes)
+            .int("aos_event_bytes", self.aos_event_bytes)
             .float("pyramid_overhead", self.pyramid_overhead())
             .float("zoomed_out_speedup", self.zoomed_out_speedup());
         let frames = self
@@ -439,7 +440,7 @@ pub fn run_zoom_sweep(trace: &Trace, columns: usize, threads: Threads, verify: b
         verified: verify,
         frames,
         pyramid_bytes: session.pyramid_memory_bytes(),
-        raw_event_bytes: session.raw_event_bytes(),
+        aos_event_bytes: trace.aos_event_bytes(),
         kernel: kernel_microbench(),
     }
 }

@@ -62,7 +62,7 @@ use crate::derived::state_concurrency;
 use crate::error::AnalysisError;
 use crate::numa::task_remote_fraction_from;
 use crate::session::AnalysisSession;
-use crate::stats::{robust_z_scores_into, state_fractions_per_cpu};
+use crate::stats::{robust_z_scores, state_fractions_per_cpu};
 
 /// The category of a detected anomaly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -491,8 +491,7 @@ impl CounterOutlierDetector {
         if members.len() < self.min_samples.max(2) {
             return Vec::new();
         }
-        let mut z = Vec::new();
-        let Some(median) = robust_z_scores_into(&values, &mut z) else {
+        let Some((z, median)) = robust_z_scores(&values) else {
             return Vec::new();
         };
         let flagged = members
@@ -678,8 +677,7 @@ impl DurationOutlierDetector {
         if run.len() < self.min_samples.max(2) {
             return Vec::new();
         }
-        let mut z = Vec::new();
-        let Some(median) = robust_z_scores_into(&groups.durations[run.clone()], &mut z) else {
+        let Some((z, median)) = robust_z_scores(&groups.durations[run.clone()]) else {
             return Vec::new();
         };
         let flagged = groups.order[run]

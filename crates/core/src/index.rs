@@ -4,7 +4,7 @@
 //! Section VI-B-c:
 //!
 //! * binary-search slicing of per-core, timestamp-sorted event arrays
-//!   ([`point_events_in`], [`states_overlapping`]) — and, for runs of lookups in
+//!   ([`samples_in`], [`states_overlapping`]) — and, for runs of lookups in
 //!   ascending order (a timeline row's columns, a CPU's tasks), one galloping
 //!   cursor that answers each from where the previous one ended, with the same
 //!   predicates — and
@@ -25,23 +25,6 @@ use crate::levels::{Levels, Span};
 /// Default arity of the counter min/max search tree (the paper uses 100 to keep the
 /// index overhead below 5 % of the counter data).
 pub const DEFAULT_INDEX_ARITY: usize = 100;
-
-/// Returns the sub-slice of timestamp-sorted point events whose timestamp lies in
-/// `[interval.start, interval.end)`.
-///
-/// `timestamp_of` extracts the timestamp from an element; the input **must** be sorted
-/// by that timestamp (the communication-event table of a trace always is). The
-/// columnar streams have their own slicing entry points ([`samples_in`],
-/// [`states_overlapping`]).
-pub fn point_events_in<T>(
-    items: &[T],
-    interval: TimeInterval,
-    timestamp_of: impl Fn(&T) -> Timestamp,
-) -> &[T] {
-    let start = items.partition_point(|e| timestamp_of(e) < interval.start);
-    let end = items.partition_point(|e| timestamp_of(e) < interval.end);
-    &items[start..end]
-}
 
 /// The samples of a timestamp-sorted stream inside `interval`, as an index range
 /// (two binary searches over the raw timestamp lane).
@@ -279,19 +262,6 @@ impl CounterIndex {
     /// Approximate memory used by the index, in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.tree.num_nodes() * std::mem::size_of::<CounterNode>()
-    }
-
-    /// Index overhead relative to the raw samples it summarises, with the
-    /// struct-equivalent sample size as the fixed denominator — the same
-    /// baseline the paper's "≤ 5 % of the counter data" budget uses, kept
-    /// layout-independent so the ratio stays comparable across storage engines
-    /// (e.g. `0.03` = 3 %).
-    pub fn overhead_ratio(&self) -> f64 {
-        if self.num_samples() == 0 {
-            return 0.0;
-        }
-        self.memory_bytes() as f64
-            / (self.num_samples() * std::mem::size_of::<aftermath_trace::CounterSample>()) as f64
     }
 
     /// Min/max/sum over the sample-index range `[lo, hi)`: whole nodes where the
@@ -586,11 +556,10 @@ mod tests {
     fn counter_index_overhead_is_small_with_default_arity() {
         let samples = make_samples(100_000);
         let index = CounterIndex::new(samples.view());
-        assert!(
-            index.overhead_ratio() < 0.05,
-            "overhead {} should stay below 5 %",
-            index.overhead_ratio()
-        );
+        // The struct-equivalent sample size is the paper's fixed denominator.
+        let raw = samples.len() * std::mem::size_of::<aftermath_trace::CounterSample>();
+        let overhead = index.memory_bytes() as f64 / raw as f64;
+        assert!(overhead < 0.05, "overhead {overhead} should stay below 5 %");
     }
 
     #[test]

@@ -905,9 +905,9 @@ impl<'t> AnalysisSession<'t> {
     }
 
     /// Ratio of index memory to raw counter-sample memory (the paper reports
-    /// ≤ 5 %). Like [`raw_event_bytes`](Self::raw_event_bytes), the denominator
-    /// is the struct-equivalent sample size, fixed across storage engines so the
-    /// ratio stays comparable with earlier (pre-columnar) measurements.
+    /// ≤ 5 %). Like [`Trace::aos_event_bytes`], the denominator is the
+    /// struct-equivalent sample size, fixed across storage engines so the ratio
+    /// stays comparable with earlier (pre-columnar) measurements.
     pub fn index_overhead_ratio(&self) -> f64 {
         let samples: usize = self.trace.per_cpu().iter().map(|pc| pc.num_samples()).sum();
         if samples == 0 {
@@ -929,33 +929,6 @@ impl<'t> AnalysisSession<'t> {
             .filter_map(|(slot, &usable)| slot.get().filter(|_| usable))
             .map(StatePyramid::memory_bytes)
             .sum()
-    }
-
-    /// Size of the recorded event data in the pre-columnar array-of-structs layout
-    /// ([`Trace::aos_event_bytes`]): the fixed, layout-independent baseline the
-    /// pyramid overhead is measured against (so the ratio is comparable across
-    /// storage engines). See [`resident_trace_bytes`](Self::resident_trace_bytes)
-    /// for the memory the columnar store actually occupies.
-    pub fn raw_event_bytes(&self) -> usize {
-        self.trace.aos_event_bytes()
-    }
-
-    /// Bytes of heap memory actually resident for the trace's event data in the
-    /// columnar storage engine ([`Trace::resident_event_bytes`]).
-    pub fn resident_trace_bytes(&self) -> usize {
-        self.trace.resident_event_bytes()
-    }
-
-    /// Ratio of pyramid memory (built so far) to the raw event data it summarises.
-    ///
-    /// With the default fanout this stays well below 15 % — the geometric level sum
-    /// is `n / (fanout - 1)` nodes over `n` intervals.
-    pub fn pyramid_overhead_ratio(&self) -> f64 {
-        let raw = self.raw_event_bytes();
-        if raw == 0 {
-            return 0.0;
-        }
-        self.pyramid_memory_bytes() as f64 / raw as f64
     }
 
     /// Detailed, human-readable information about one task (the paper's detail view #4).
@@ -1266,10 +1239,11 @@ mod tests {
         assert_eq!(warmed.built_counter_indexes(), expected_counters);
         assert!(warmed.access_index_built() && !lazy.access_index_built());
         assert!(warmed.pyramid_memory_bytes() > 0);
+        let pyramid_overhead =
+            warmed.pyramid_memory_bytes() as f64 / trace.aos_event_bytes() as f64;
         assert!(
-            warmed.pyramid_overhead_ratio() < 0.15,
-            "pyramid overhead {} must stay below 15 %",
-            warmed.pyramid_overhead_ratio()
+            pyramid_overhead < 0.15,
+            "pyramid overhead {pyramid_overhead} must stay below 15 %"
         );
         let bounds = lazy.time_bounds();
         for desc in trace.counters() {

@@ -175,36 +175,28 @@ pub const MAD_CONSISTENCY: f64 = 1.4826;
 pub const MEAN_AD_CONSISTENCY: f64 = 1.2533;
 
 /// Robust z-scores of `values` using median/MAD (the outlier statistic of the anomaly
-/// detectors). Returns `None` only for an empty slice.
+/// detectors), beside the median they are centred on, which the detectors quote in
+/// their explanations. Returns `None` only for an empty slice.
 ///
 /// When the MAD is zero (at least half the values identical) the scale falls back to
 /// the *mean* absolute deviation around the median: a lone extreme outlier among
 /// constant values still scores very high, a moderate spread among mostly-identical
 /// values scores moderately, and fully identical inputs score a harmless all-zero.
-pub fn robust_z_scores(values: &[f64]) -> Option<Vec<f64>> {
-    let mut out = Vec::new();
-    robust_z_scores_into(values, &mut out).map(|_| out)
-}
-
-/// [`robust_z_scores`] writing into a caller-provided buffer (cleared first), which
-/// doubles as the selection scratch: one allocation per call, none with a warm
-/// buffer. Returns the median the scores are centred on, which the anomaly
-/// detectors quote in their explanations — `None` (leaving `out` empty) only for an
-/// empty input.
-pub fn robust_z_scores_into(values: &[f64], out: &mut Vec<f64>) -> Option<f64> {
-    out.clear();
+///
+/// The score vector doubles as the selection scratch: one allocation per call.
+pub fn robust_z_scores(values: &[f64]) -> Option<(Vec<f64>, f64)> {
     if values.is_empty() {
         return None;
     }
     // Median: select in a copy of the values in `out`.
-    out.extend_from_slice(values);
-    let median = median_in_place(out);
+    let mut out = values.to_vec();
+    let median = median_in_place(&mut out);
     // MAD: the deviations' multiset is order-independent, so the reordered copy
     // can be rewritten in place and selected again.
     for v in out.iter_mut() {
         *v = (*v - median).abs();
     }
-    let mad = median_in_place(out);
+    let mad = median_in_place(&mut out);
     let scale = if mad > 0.0 {
         mad * MAD_CONSISTENCY
     } else {
@@ -222,7 +214,7 @@ pub fn robust_z_scores_into(values: &[f64], out: &mut Vec<f64>) -> Option<f64> {
     for (z, &v) in out.iter_mut().zip(values) {
         *z = (v - median) / scale;
     }
-    Some(median)
+    Some((out, median))
 }
 
 /// Histogram of the execution durations (in cycles) of the tasks accepted by `filter`
@@ -534,11 +526,13 @@ mod tests {
                 reference::sorted_median(&deviations).to_bits(),
                 "MAD of {values:?}"
             );
+            let (z, median) = robust_z_scores(values).unwrap();
             assert_eq!(
-                bits(&robust_z_scores(values).unwrap()),
+                bits(&z),
                 bits(&reference::robust_z_scores(values).unwrap()),
                 "z-scores of {values:?}"
             );
+            assert_eq!(median.to_bits(), expected.to_bits(), "centre of {values:?}");
         }
         assert_eq!(reference::robust_z_scores(&[]), None);
         assert_eq!(robust_z_scores(&[]), None);
@@ -548,12 +542,13 @@ mod tests {
     fn robust_z_scores_flag_the_outlier() {
         let mut values = vec![100.0; 20];
         values.push(1_000.0);
-        let z = robust_z_scores(&values).unwrap();
+        let (z, median) = robust_z_scores(&values).unwrap();
+        assert_eq!(median, 100.0);
         // The constant bulk scores 0, the outlier scores very high.
         assert!(z[..20].iter().all(|&v| v.abs() < 1e-9));
         assert!(z[20] > 10.0);
         // A normal-ish spread keeps scores moderate.
-        let z = robust_z_scores(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
+        let (z, _) = robust_z_scores(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
         assert!(z.iter().all(|v| v.abs() < 3.0));
     }
 
@@ -563,13 +558,13 @@ mod tests {
         // mean-AD fallback must keep the mild deviations well under outlier range.
         let mut values = vec![1_000.0; 11];
         values.extend(std::iter::repeat_n(1_060.0, 9));
-        let z = robust_z_scores(&values).unwrap();
+        let (z, _) = robust_z_scores(&values).unwrap();
         assert!(
             z.iter().all(|v| v.abs() < 3.0),
             "mild spread must not be flagged: {z:?}"
         );
         // Identical inputs score all-zero.
-        let z = robust_z_scores(&[7.0; 5]).unwrap();
+        let (z, _) = robust_z_scores(&[7.0; 5]).unwrap();
         assert!(z.iter().all(|&v| v == 0.0));
     }
 

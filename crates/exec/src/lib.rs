@@ -14,9 +14,9 @@
 //!   atomic counter (chunked self-scheduling), and every input index writes into its
 //!   own pre-sized output slot, so the result is deterministic regardless of how the
 //!   chunks were interleaved at run time.
-//! * [`parallel_for_chunks`] / [`parallel_map_chunks`] — runs a function over
-//!   *disjoint mutable* chunks of a slice (e.g. horizontal framebuffer bands), again
-//!   with dynamic chunk claiming and deterministic per-chunk result ordering.
+//! * [`parallel_map_chunks`] — runs a function over *disjoint mutable* chunks of a
+//!   slice (e.g. horizontal framebuffer bands), again with dynamic chunk claiming and
+//!   deterministic per-chunk result ordering.
 //!
 //! It also owns the one process-wide tier switch, [`wide_kernels_disabled`]
 //! ([`NO_SIMD_ENV`]): every layer with a wide (SIMD) tier and a portable one asks here
@@ -185,28 +185,12 @@ where
         .min(threads.get().saturating_mul(CHUNKS_PER_THREAD));
     let chunk_len = items.len().div_ceil(chunk_count);
     let chunks: Vec<&[T]> = items.chunks(chunk_len).collect();
-    let slots: Vec<Mutex<Option<Vec<U>>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = threads.get().min(chunks.len());
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(chunk) = chunks.get(i) else {
-                    break;
-                };
-                let out: Vec<U> = chunk.iter().map(&f).collect();
-                *slots[i].lock().unwrap() = Some(out);
-            });
-        }
+    let outs = run_claimed(threads, chunks.len(), |i| {
+        chunks[i].iter().map(&f).collect::<Vec<U>>()
     });
     let mut result = Vec::with_capacity(items.len());
-    for slot in slots {
-        result.extend(
-            slot.into_inner()
-                .unwrap()
-                .expect("every chunk was claimed by exactly one worker"),
-        );
+    for out in outs {
+        result.extend(out);
     }
     result
 }
@@ -246,31 +230,42 @@ where
             .map(|(i, chunk)| f(i, chunk))
             .collect();
     }
-    // Hand each worker exclusive ownership of claimed chunks through take-once slots:
-    // the atomic counter makes the claim race-free and the Mutex<Option<..>> transfers
-    // the &mut borrow without unsafe code.
-    type ChunkSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
-    let work: Vec<ChunkSlot<'_, T>> = data
+    // Take-once slots hand the claimed chunk's `&mut` borrow to its worker
+    // without unsafe code.
+    let work: Vec<Mutex<Option<&mut [T]>>> = data
         .chunks_mut(chunk_len)
-        .enumerate()
-        .map(|(i, chunk)| Mutex::new(Some((i, chunk))))
+        .map(|chunk| Mutex::new(Some(chunk)))
         .collect();
-    let slots: Vec<Mutex<Option<R>>> = work.iter().map(|_| Mutex::new(None)).collect();
+    run_claimed(threads, work.len(), |i| {
+        let chunk = work[i]
+            .lock()
+            .unwrap()
+            .take()
+            .expect("each chunk is claimed exactly once");
+        f(i, chunk)
+    })
+}
+
+/// Runs `job(i)` for every `i` in `0..jobs` on up to `threads` scoped workers and
+/// returns the results in job order. Idle workers claim the next job from a shared
+/// atomic counter, so each job runs exactly once and its result lands in its own
+/// slot whatever the interleaving; a panic in `job` propagates once every worker
+/// has been joined.
+fn run_claimed<R, F>(threads: Threads, jobs: usize, job: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let slots: Vec<Mutex<Option<R>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let workers = threads.get().min(work.len());
     thread::scope(|s| {
-        for _ in 0..workers {
+        for _ in 0..threads.get().min(jobs) {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = work.get(i) else {
+                if i >= jobs {
                     break;
-                };
-                let (index, chunk) = slot
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("each chunk is claimed exactly once");
-                let out = f(index, chunk);
+                }
+                let out = job(i);
                 *slots[i].lock().unwrap() = Some(out);
             });
         }
@@ -280,23 +275,9 @@ where
         .map(|slot| {
             slot.into_inner()
                 .unwrap()
-                .expect("every chunk produced a result")
+                .expect("every job was claimed by exactly one worker")
         })
         .collect()
-}
-
-/// Like [`parallel_map_chunks`] but without per-chunk results: runs `f` over disjoint
-/// mutable chunks of `data` for its side effects.
-///
-/// # Panics
-///
-/// A panic in `f` propagates to the caller once all workers have been joined.
-pub fn parallel_for_chunks<T, F>(threads: Threads, data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    parallel_map_chunks(threads, data, chunk_len, |i, chunk| f(i, chunk));
 }
 
 // ---------------------------------------------------------------------------
@@ -598,7 +579,7 @@ mod tests {
         for threads in thread_configs() {
             for chunk_len in [0usize, 1, 3, 64, 1000] {
                 let mut data = vec![0u32; 100];
-                parallel_for_chunks(threads, &mut data, chunk_len, |i, chunk| {
+                parallel_map_chunks(threads, &mut data, chunk_len, |i, chunk| {
                     for slot in chunk.iter_mut() {
                         *slot += 1 + i as u32;
                     }
@@ -739,6 +720,18 @@ mod tests {
                 x
             })
         });
+        assert!(result.is_err());
+    }
+
+    #[test]
+    fn chunk_worker_panic_propagates() {
+        let mut data: Vec<u32> = (0..100).collect();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_map_chunks(Threads::new(4), &mut data, 10, |i, chunk| {
+                assert!(i != 5, "boom");
+                chunk.len()
+            })
+        }));
         assert!(result.is_err());
     }
 }

@@ -151,12 +151,6 @@ impl SimConfig {
         self.seed = seed;
         self
     }
-
-    /// Returns a copy with a different run-time configuration.
-    pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
-        self.runtime = runtime;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -180,11 +174,8 @@ mod tests {
 
     #[test]
     fn builder_style_updates() {
-        let cfg = SimConfig::small_test()
-            .with_seed(7)
-            .with_runtime(RuntimeConfig::numa_optimized());
+        let cfg = SimConfig::small_test().with_seed(7);
         assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.runtime.scheduling, SchedulingPolicy::NumaAware);
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl MachineConfig {
         let per_line = self.costs.local_line_cost + extra * self.costs.remote_line_penalty;
         (lines as f64 * per_line).round() as u64
     }
-
-    /// Number of pages needed to back `bytes` of memory.
-    pub fn pages_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.costs.page_size).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -153,8 +148,5 @@ mod tests {
     fn zero_bytes_still_costs_one_line() {
         let m = MachineConfig::small_test();
         assert!(m.transfer_cost(NumaNodeId(0), NumaNodeId(0), 0) > 0);
-        assert_eq!(m.pages_for(0), 1);
-        assert_eq!(m.pages_for(4096), 1);
-        assert_eq!(m.pages_for(4097), 2);
     }
 }

@@ -80,11 +80,6 @@ impl MemoryManager {
         }
     }
 
-    /// Number of managed regions.
-    pub fn num_regions(&self) -> usize {
-        self.bases.len()
-    }
-
     /// Base virtual address of region `idx`.
     pub fn base_addr(&self, idx: usize) -> u64 {
         self.bases[idx]
@@ -176,7 +171,6 @@ mod tests {
             &regions(&[100, 5000, 4096]),
             AllocationPolicy::FirstTouch,
         );
-        assert_eq!(mm.num_regions(), 3);
         for i in 0..3 {
             assert_eq!(mm.base_addr(i) % m.costs.page_size, 0);
         }

@@ -38,15 +38,6 @@ impl SimStats {
             self.remote_bytes_read as f64 / total as f64
         }
     }
-
-    /// Mean task duration in cycles (0 for an empty run).
-    pub fn mean_task_duration(&self) -> f64 {
-        if self.task_durations.is_empty() {
-            0.0
-        } else {
-            self.task_durations.iter().sum::<u64>() as f64 / self.task_durations.len() as f64
-        }
-    }
 }
 
 /// The outcome of [`crate::engine::Simulator::run`].
@@ -78,15 +69,5 @@ mod tests {
         s.local_bytes_read = 300;
         s.remote_bytes_read = 100;
         assert!((s.remote_read_fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_duration() {
-        let s = SimStats {
-            task_durations: vec![100, 200, 300],
-            ..SimStats::default()
-        };
-        assert!((s.mean_task_duration() - 200.0).abs() < 1e-12);
-        assert_eq!(SimStats::default().mean_task_duration(), 0.0);
     }
 }

@@ -125,11 +125,6 @@ impl WorkloadSpec {
         self.tasks.len()
     }
 
-    /// Total bytes of all regions.
-    pub fn total_region_bytes(&self) -> u64 {
-        self.regions.iter().map(|r| r.size).sum()
-    }
-
     /// Validates the workload and derives its dependence graph.
     ///
     /// # Errors
@@ -447,14 +442,6 @@ mod tests {
         assert_eq!(spec.tasks[idx].branch_mispredictions, 77);
         assert_eq!(spec.tasks[idx].cache_misses, 33);
         assert_eq!(spec.num_tasks(), 1);
-    }
-
-    #[test]
-    fn total_region_bytes() {
-        let mut spec = WorkloadSpec::new("b");
-        spec.add_region(100);
-        spec.add_region(28);
-        assert_eq!(spec.total_region_bytes(), 128);
     }
 
     #[test]

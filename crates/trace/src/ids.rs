@@ -67,12 +67,6 @@ impl Timestamp {
     pub fn saturating_sub(self, cycles: u64) -> Timestamp {
         Timestamp(self.0.saturating_sub(cycles))
     }
-
-    /// Number of cycles from `earlier` to `self`, or zero when `earlier` is later.
-    #[inline]
-    pub fn cycles_since(self, earlier: Timestamp) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl fmt::Display for Timestamp {
@@ -241,8 +235,6 @@ mod tests {
         let t = Timestamp(100);
         assert_eq!(t.saturating_add(50), Timestamp(150));
         assert_eq!(t.saturating_sub(200), Timestamp(0));
-        assert_eq!(Timestamp(300).cycles_since(t), 200);
-        assert_eq!(t.cycles_since(Timestamp(300)), 0);
         assert_eq!(t.cycles(), 100);
     }
 

@@ -89,12 +89,6 @@ impl MemoryRegion {
     pub fn contains(&self, addr: u64) -> bool {
         addr >= self.base_addr && addr < self.end_addr()
     }
-
-    /// Whether this region overlaps another address range `[base, base+size)`.
-    #[inline]
-    pub fn overlaps_range(&self, base: u64, size: u64) -> bool {
-        self.base_addr < base.saturating_add(size) && base < self.end_addr()
-    }
 }
 
 /// A read or write performed by a task to a memory range.
@@ -144,15 +138,6 @@ mod tests {
         assert!(r.contains(0x10ff));
         assert!(!r.contains(0x1100));
         assert!(!r.contains(0xfff));
-    }
-
-    #[test]
-    fn region_overlap() {
-        let r = MemoryRegion::new(RegionId(0), 100, 50, None);
-        assert!(r.overlaps_range(140, 20));
-        assert!(r.overlaps_range(90, 20));
-        assert!(!r.overlaps_range(150, 10));
-        assert!(!r.overlaps_range(0, 100));
     }
 
     #[test]

@@ -77,21 +77,6 @@ impl WorkerState {
             WorkerState::Shutdown => "shutdown",
         }
     }
-
-    /// Whether the worker performs useful application work in this state.
-    ///
-    /// Only [`WorkerState::TaskExecution`] counts as useful work; everything else is
-    /// run-time overhead or idleness.
-    #[inline]
-    pub fn is_useful_work(self) -> bool {
-        matches!(self, WorkerState::TaskExecution)
-    }
-
-    /// Whether this state represents idleness (no work available).
-    #[inline]
-    pub fn is_idle(self) -> bool {
-        matches!(self, WorkerState::Idle)
-    }
 }
 
 impl fmt::Display for WorkerState {
@@ -148,14 +133,6 @@ mod tests {
             assert_eq!(WorkerState::from_index(i), Some(*s));
         }
         assert_eq!(WorkerState::from_index(WorkerState::COUNT), None);
-    }
-
-    #[test]
-    fn state_classification() {
-        assert!(WorkerState::TaskExecution.is_useful_work());
-        assert!(!WorkerState::Idle.is_useful_work());
-        assert!(WorkerState::Idle.is_idle());
-        assert!(!WorkerState::Broadcast.is_idle());
     }
 
     #[test]

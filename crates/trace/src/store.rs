@@ -254,16 +254,14 @@ impl fmt::Display for DamageFinding {
     }
 }
 
-/// Per-lane salvage outcome: which blocks were quarantined and what span of
-/// rows survives.
+/// Per-lane salvage outcome: what span of rows survives. The lane's
+/// quarantined blocks are its [`DamageReport::findings`], one per block.
 #[derive(Debug, Clone)]
 pub struct LaneDamage {
     /// The lane this entry describes.
     pub lane: LaneId,
     /// Blocks the lane has in the directory.
     pub total_blocks: usize,
-    /// Indices of quarantined blocks, ascending.
-    pub damaged_blocks: Vec<usize>,
     /// Rows of the undamaged lane.
     pub total_rows: u64,
     /// Rows inside the surviving block run that queries can still reach.
@@ -280,7 +278,8 @@ pub struct LaneDamage {
 /// after a strict open.
 #[derive(Debug, Clone, Default)]
 pub struct DamageReport {
-    /// Individual findings in scan order.
+    /// One finding per quarantined block, in scan order: lanes in file order,
+    /// blocks ascending within a lane.
     pub findings: Vec<DamageFinding>,
     /// Per-lane outcomes, in file order.
     pub lanes: Vec<LaneDamage>,
@@ -289,7 +288,7 @@ pub struct DamageReport {
 impl DamageReport {
     /// True when no block had to be quarantined.
     pub fn is_clean(&self) -> bool {
-        self.lanes.iter().all(|l| l.damaged_blocks.is_empty())
+        self.findings.is_empty()
     }
 
     /// Rows across all lanes of the undamaged store.
@@ -320,12 +319,11 @@ impl DamageReport {
 
 impl fmt::Display for DamageReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let damaged: usize = self.lanes.iter().map(|l| l.damaged_blocks.len()).sum();
+        // One finding per quarantined block.
+        let damaged = self.findings.len();
         write!(
             f,
-            "{} finding(s), {} quarantined block(s), {:.1}% of rows survive",
-            self.findings.len(),
-            damaged,
+            "{damaged} finding(s), {damaged} quarantined block(s), {:.1}% of rows survive",
             self.row_coverage() * 100.0
         )
     }
@@ -1799,7 +1797,7 @@ impl StoredTrace {
                     }
                 }
             });
-            let mut damaged = Vec::new();
+            let first = report.findings.len();
             for (k, finding) in findings.into_iter().enumerate() {
                 if let Some((code, detail)) = finding {
                     report.findings.push(DamageFinding {
@@ -1808,15 +1806,14 @@ impl StoredTrace {
                         block: k,
                         detail,
                     });
-                    damaged.push(k);
                 }
             }
+            let damaged: Vec<usize> = report.findings[first..].iter().map(|f| f.block).collect();
             let run = surviving_run(dir.lane, dir.blocks.len(), &damaged);
             let surviving_rows = dir.blocks[run.0..run.1].iter().map(|b| b.rows).sum();
             report.lanes.push(LaneDamage {
                 lane: dir.lane,
                 total_blocks: dir.blocks.len(),
-                damaged_blocks: damaged,
                 total_rows: dir.rows,
                 surviving_rows,
                 surviving_run: run,
@@ -2890,7 +2887,9 @@ mod tests {
         assert!(!report.is_clean());
         assert_eq!(report.count(DamageCode::BlockChecksumMismatch), 1);
         let lane_damage = report.lanes.iter().find(|l| l.lane == lane).unwrap();
-        assert_eq!(lane_damage.damaged_blocks, vec![0]);
+        let damaged: Vec<(LaneId, usize)> =
+            report.findings.iter().map(|f| (f.lane, f.block)).collect();
+        assert_eq!(damaged, vec![(lane, 0)]);
         assert_eq!(lane_damage.surviving_run, (1, blocks.len()));
         assert!(report.row_coverage() < 1.0);
         // The surviving span still answers exactly: rows equal the undamaged
@@ -2911,6 +2910,61 @@ mod tests {
         // Other lanes are untouched.
         salvaged.ensure(LaneId::Tasks).unwrap();
         assert_eq!(salvaged.trace().tasks(), trace.tasks());
+    }
+
+    #[test]
+    fn each_quarantined_block_is_one_finding_in_scan_order() {
+        let trace = sample_trace();
+        let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 4 }).unwrap();
+        let probe = StoredTrace::from_bytes(bytes.clone()).unwrap();
+        let (a, b) = (LaneId::States(CpuId(0)), LaneId::States(CpuId(1)));
+        let blocks = |lane: LaneId| &probe.directory[probe.lane_index[&lane]].blocks;
+        assert!(blocks(a).len() >= 3 && blocks(b).len() >= 2);
+        // Two blocks of one lane and one of another, damaged out of scan order.
+        let plan = [(b, 1), (a, 2), (a, 0)];
+        let mut corrupt = bytes.clone();
+        for &(lane, block) in &plan {
+            corrupt[blocks(lane)[block].offset as usize + 1] ^= 0x40;
+        }
+        let salvaged = StoredTrace::from_bytes(corrupt).unwrap().salvage();
+        let report = salvaged.damage().unwrap();
+        let triples: Vec<(LaneId, usize, DamageCode)> = report
+            .findings
+            .iter()
+            .map(|f| (f.lane, f.block, f.code))
+            .collect();
+        let mut expected: Vec<(LaneId, usize, DamageCode)> = plan
+            .iter()
+            .map(|&(lane, block)| (lane, block, DamageCode::BlockChecksumMismatch))
+            .collect();
+        expected.sort_by_key(|&(lane, block, _)| (probe.lane_index[&lane], block));
+        assert_eq!(triples, expected);
+        assert!(!report.is_clean());
+        assert_eq!(report.count(DamageCode::BlockChecksumMismatch), 3);
+        let text = report.to_string();
+        assert!(
+            text.starts_with("3 finding(s), 3 quarantined block(s), "),
+            "{text}"
+        );
+        // Each lane's quarantined blocks, read off the findings, are the plan's,
+        // and its surviving run is the one they leave.
+        for lane_damage in &report.lanes {
+            let lane = lane_damage.lane;
+            let damaged: Vec<usize> = report
+                .findings
+                .iter()
+                .filter(|f| f.lane == lane)
+                .map(|f| f.block)
+                .collect();
+            let planned: &[usize] = match lane {
+                _ if lane == a => &[0, 2],
+                _ if lane == b => &[1],
+                _ => &[],
+            };
+            assert_eq!(damaged, planned, "{lane}");
+            let run = surviving_run(lane, lane_damage.total_blocks, planned);
+            assert_eq!(lane_damage.surviving_run, run, "{lane}");
+        }
     }
 
     #[test]

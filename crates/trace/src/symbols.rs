@@ -88,11 +88,6 @@ impl SymbolTable {
         covered.then_some(sym)
     }
 
-    /// Finds a symbol by exact name.
-    pub fn find_by_name(&self, name: &str) -> Option<&Symbol> {
-        self.symbols.iter().find(|s| s.name == name)
-    }
-
     /// Iterates over all symbols in address order.
     pub fn iter(&self) -> impl Iterator<Item = &Symbol> {
         self.symbols.iter()
@@ -131,8 +126,7 @@ mod tests {
         assert_eq!(addrs, vec![0x1000, 0x2000, 0x3000]);
         t.insert(0x2000, 0, "b2");
         assert_eq!(t.len(), 3);
-        assert_eq!(t.find_by_name("b2").unwrap().addr, 0x2000);
-        assert!(t.find_by_name("b").is_none());
+        assert_eq!(t.lookup(0x2000).unwrap().name, "b2");
     }
 
     #[test]

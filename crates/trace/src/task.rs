@@ -70,12 +70,6 @@ impl TaskInstance {
     pub fn duration(&self) -> u64 {
         self.execution.duration()
     }
-
-    /// Whether the task was executed on a different CPU than it was created on.
-    #[inline]
-    pub fn was_migrated(&self) -> bool {
-        self.cpu != self.creator_cpu
-    }
 }
 
 #[cfg(test)]
@@ -100,11 +94,7 @@ mod tests {
             TimeInterval::from_cycles(100, 400),
         );
         assert_eq!(t.duration(), 300);
-        assert!(t.was_migrated());
-        let t2 = TaskInstance {
-            creator_cpu: CpuId(2),
-            ..t
-        };
-        assert!(!t2.was_migrated());
+        // Run on CPU 2, created on CPU 0: a migrated task.
+        assert_eq!((t.cpu, t.creator_cpu), (CpuId(2), CpuId(0)));
     }
 }

@@ -159,11 +159,6 @@ impl MachineTopology {
             .copied()
     }
 
-    /// Whether `cpu` has local access to `node`.
-    pub fn is_local(&self, cpu: CpuId, node: NumaNodeId) -> bool {
-        self.node_of(cpu) == Some(node)
-    }
-
     /// The full distance matrix, indexed `[from][to]`.
     pub fn distances(&self) -> &[Vec<f64>] {
         &self.distances
@@ -205,8 +200,6 @@ mod tests {
         assert_eq!(t.distance(NumaNodeId(0), NumaNodeId(0)), Some(1.0));
         assert_eq!(t.distance(NumaNodeId(0), NumaNodeId(1)), Some(2.0));
         assert_eq!(t.distance(NumaNodeId(0), NumaNodeId(2)), None);
-        assert!(t.is_local(CpuId(0), NumaNodeId(0)));
-        assert!(!t.is_local(CpuId(0), NumaNodeId(1)));
     }
 
     #[test]

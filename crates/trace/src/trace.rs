@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use aftermath_exec::{parallel_for_chunks, Threads};
+use aftermath_exec::{parallel_map_chunks, Threads};
 
 use crate::columns::{
     AccessColumns, AccessesView, EventColumns, EventsView, SampleColumns, SamplesView,
@@ -709,7 +709,7 @@ impl TraceBuilder {
         // index) — deterministic, so the result does not depend on the thread count.
         // The build is final after this, so push-growth capacity slack is released
         // (the resident-memory accounting is capacity-based).
-        parallel_for_chunks(threads, &mut data.per_cpu, 1, |_, chunk| {
+        parallel_map_chunks(threads, &mut data.per_cpu, 1, |_, chunk| {
             for pc in chunk {
                 pc.sort_streams();
                 pc.shrink_to_fit();

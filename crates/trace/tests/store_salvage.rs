@@ -124,11 +124,17 @@ proptest! {
                 .map(|&(_, b)| b)
                 .collect();
             let lane_damage = report.lanes.iter().find(|l| l.lane == *lane).unwrap();
-            prop_assert_eq!(&lane_damage.damaged_blocks, &expected);
+            let damaged: Vec<usize> = report
+                .findings
+                .iter()
+                .filter(|f| f.lane == *lane)
+                .map(|f| f.block)
+                .collect();
+            prop_assert_eq!(&damaged, &expected);
             prop_assert!(lane_damage.surviving_rows <= lane_damage.total_rows);
             let (lo, hi) = lane_damage.surviving_run;
             // The surviving run never contains a quarantined block.
-            for &b in &lane_damage.damaged_blocks {
+            for &b in &damaged {
                 prop_assert!(b < lo || b >= hi);
             }
         }

@@ -57,7 +57,7 @@ pub use aftermath_workloads as workloads;
 /// Commonly used types from every layer, for glob import in examples and tests.
 pub mod prelude {
     pub use aftermath_core::prelude::*;
-    pub use aftermath_exec::{parallel_for_chunks, parallel_map, Threads};
+    pub use aftermath_exec::{parallel_map, Threads};
     pub use aftermath_render::prelude::*;
     pub use aftermath_sim::{
         AllocationPolicy, MachineConfig, RuntimeConfig, SchedulingPolicy, SimConfig, SimResult,
