@@ -18,9 +18,10 @@
 # come from" (the ROADMAP's one-session-core item is measured by them), the two
 # that say what a well-formed trace or chunk is and what is done when it is not,
 # the four that reduce a window over a sorted stream (the level tree, the two
-# summary structures on it, and the timeline cells built from them), the four
+# summary structures on it, and the timeline cells built from them), the five
 # that turn columns into checksummed store blocks and back (checksum, block
-# codec, the column types it fills, the varint codec), the five a report is
+# codec, the packed column codec, the column types it fills, the varint
+# codec), the five a report is
 # computed by (detectors, statistics, derived metrics, their series type, the
 # kernels), the five a trace file is read and written by (the format's
 # reader, writer, varint codec and section table, and the byte cursor they — and
@@ -45,6 +46,7 @@ INGEST_CONTRACT_FILES=(
 STORE_CODEC_FILES=(
     crates/trace/src/crc.rs
     crates/trace/src/store.rs
+    crates/trace/src/packed.rs
     crates/trace/src/columns.rs
     crates/trace/src/format/varint.rs
 )

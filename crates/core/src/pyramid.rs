@@ -52,8 +52,6 @@
 //! task is therefore identical — including ties — with and without a pyramid, for
 //! arbitrary filters.
 
-use std::collections::BTreeMap;
-
 use aftermath_trace::{
     AccessKind, NumaNodeId, StatesView, TaskInstance, TaskTypeId, TimeInterval, Trace, WorkerState,
 };
@@ -208,10 +206,31 @@ fn for_each_access<S: AccessSource + ?Sized>(
     }
 }
 
-/// Adds the per-key totals of a node to an accumulator.
-fn add_pairs<K: Ord + Copy>(acc: &mut BTreeMap<K, u64>, pairs: &[(K, u64)]) {
-    for &(key, value) in pairs {
-        *acc.entry(key).or_insert(0) += value;
+/// Per-key totals over the few keys a node sees (task types, NUMA nodes): a
+/// small vector found linearly on every add and sorted once at the end, so a
+/// node build allocates one vector per kind of key, not one tree node per key.
+#[derive(Default)]
+struct Tally<K>(Vec<(K, u64)>);
+
+impl<K: Ord + Copy> Tally<K> {
+    fn add(&mut self, key: K, value: u64) {
+        match self.0.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, total)) => *total += value,
+            None => self.0.push((key, value)),
+        }
+    }
+
+    /// Adds the per-key totals of a node.
+    fn add_pairs(&mut self, pairs: &[(K, u64)]) {
+        for &(key, value) in pairs {
+            self.add(key, value);
+        }
+    }
+
+    /// The totals, ascending by key.
+    fn into_sorted(mut self) -> Vec<(K, u64)> {
+        self.0.sort_unstable_by_key(|&(key, _)| key);
+        self.0
     }
 }
 
@@ -222,9 +241,9 @@ struct NodeAccum {
     state_cycles: [u64; WorkerState::COUNT],
     exec: ExecStats,
     best_candidate: Option<(u64, usize)>,
-    type_cycles: BTreeMap<TaskTypeId, u64>,
-    node_read_bytes: BTreeMap<NumaNodeId, u64>,
-    node_write_bytes: BTreeMap<NumaNodeId, u64>,
+    type_cycles: Tally<TaskTypeId>,
+    node_read_bytes: Tally<NumaNodeId>,
+    node_write_bytes: Tally<NumaNodeId>,
 }
 
 impl NodeAccum {
@@ -246,13 +265,13 @@ impl NodeAccum {
             let Some(task) = consider(trace, states, None, i, duration, best) else {
                 return;
             };
-            *acc.type_cycles.entry(task.task_type).or_insert(0) += duration;
+            acc.type_cycles.add(task.task_type, duration);
             for_each_access(trace, source, task, |kind, node, bytes| {
                 let per_node = match kind {
                     AccessKind::Read => &mut acc.node_read_bytes,
                     AccessKind::Write => &mut acc.node_write_bytes,
                 };
-                *per_node.entry(node).or_insert(0) += bytes;
+                per_node.add(node, bytes);
             });
         });
         acc.finish()
@@ -272,9 +291,9 @@ impl NodeAccum {
             {
                 acc.best_candidate = Some(candidate);
             }
-            add_pairs(&mut acc.type_cycles, &node.type_cycles);
-            add_pairs(&mut acc.node_read_bytes, &node.node_read_bytes);
-            add_pairs(&mut acc.node_write_bytes, &node.node_write_bytes);
+            acc.type_cycles.add_pairs(&node.type_cycles);
+            acc.node_read_bytes.add_pairs(&node.node_read_bytes);
+            acc.node_write_bytes.add_pairs(&node.node_write_bytes);
         }
         acc.finish()
     }
@@ -284,9 +303,9 @@ impl NodeAccum {
             state_cycles: self.state_cycles,
             exec: self.exec,
             best_candidate: self.best_candidate,
-            type_cycles: self.type_cycles.into_iter().collect(),
-            node_read_bytes: self.node_read_bytes.into_iter().collect(),
-            node_write_bytes: self.node_write_bytes.into_iter().collect(),
+            type_cycles: self.type_cycles.into_sorted().into(),
+            node_read_bytes: self.node_read_bytes.into_sorted().into(),
+            node_write_bytes: self.node_write_bytes.into_sorted().into(),
         }
     }
 }
@@ -741,10 +760,10 @@ impl<'a> Window<'a> {
     /// by type id; zero entries are dropped.
     pub fn type_cycles(&self, trace: &Trace) -> Vec<(TaskTypeId, u64)> {
         let states = self.states;
-        let mut acc = BTreeMap::new();
-        let add = |acc: &mut BTreeMap<TaskTypeId, u64>, i: usize, cycles: u64| {
+        let mut acc = Tally::default();
+        let add = |acc: &mut Tally<TaskTypeId>, i: usize, cycles: u64| {
             if let Some((_, task)) = task_of(trace, states, i) {
-                *acc.entry(task.task_type).or_insert(0) += cycles;
+                acc.add(task.task_type, cycles);
             }
         };
         for i in self.edges().filter(|&i| states.is_exec(i)) {
@@ -755,9 +774,11 @@ impl<'a> Window<'a> {
             Span::Items(lo, hi) => {
                 for_each_exec(states, lo, hi, |i| add(&mut acc, i, states.duration(i)));
             }
-            Span::Node(node) => add_pairs(&mut acc, &node.type_cycles),
+            Span::Node(node) => acc.add_pairs(&node.type_cycles),
         });
-        acc.into_iter().filter(|&(_, cycles)| cycles > 0).collect()
+        let mut cycles = acc.into_sorted();
+        cycles.retain(|&(_, cycles)| cycles > 0);
+        cycles
     }
 
     /// Count and min/max duration of the execution intervals overlapping the window
@@ -787,7 +808,7 @@ impl<'a> Window<'a> {
         kind: AccessKind,
     ) -> Vec<(NumaNodeId, u64)> {
         let states = self.states;
-        let mut acc = BTreeMap::new();
+        let mut acc = Tally::default();
         self.fold(self.first, self.last, |span| match span {
             Span::Items(lo, hi) => for_each_exec(states, lo, hi, |i| {
                 let Some((_, task)) = task_of(trace, states, i) else {
@@ -795,13 +816,13 @@ impl<'a> Window<'a> {
                 };
                 for_each_access(trace, source, task, |k, node, bytes| {
                     if k == kind {
-                        *acc.entry(node).or_insert(0) += bytes;
+                        acc.add(node, bytes);
                     }
                 });
             }),
-            Span::Node(node) => add_pairs(&mut acc, node.node_bytes(kind)),
+            Span::Node(node) => acc.add_pairs(node.node_bytes(kind)),
         });
-        acc.into_iter().collect()
+        acc.into_sorted()
     }
 }
 

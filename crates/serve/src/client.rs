@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use aftermath_trace::fault::splitmix64;
 
-use crate::protocol::{read_frame, write_frame, Request, Response};
+use crate::protocol::{read_frame, send_frame, Request, Response};
 
 /// Retry budget and backoff shape of [`Client::request_with_retry`].
 #[derive(Debug, Clone, Copy)]
@@ -147,7 +147,7 @@ impl Client {
     ///
     /// Propagates socket I/O failures (including read timeouts).
     pub fn request_raw(&mut self, request: &Request) -> io::Result<Vec<u8>> {
-        write_frame(&mut self.stream, &request.encode())?;
+        send_frame(&mut self.stream, request.frame())?;
         self.stream.flush()?;
         read_frame(&mut self.stream)
     }

@@ -54,6 +54,18 @@ pub const MAX_MESSAGE_LEN: usize = 1024 * 1024;
 // Framing
 // ---------------------------------------------------------------------------
 
+/// Bytes of a frame's length prefix.
+pub(crate) const FRAME_HEADER: usize = 4;
+
+/// A writer for one whole frame: its length prefix reserved (filled in by
+/// [`send_frame`]), the payload to follow, so the payload is written once,
+/// where it is sent from.
+fn frame_writer() -> WireWriter {
+    let mut w = WireWriter::new();
+    w.bytes(&[0; FRAME_HEADER]);
+    w
+}
+
 /// Writes one frame: `u32` little-endian payload length, then the payload.
 ///
 /// # Errors
@@ -61,14 +73,29 @@ pub const MAX_MESSAGE_LEN: usize = 1024 * 1024;
 /// `InvalidInput` for a payload over [`MAX_FRAME_LEN`]; otherwise propagates
 /// writer errors.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
+    let mut frame = frame_writer();
+    frame.bytes(payload);
+    send_frame(w, frame.into_vec())
+}
+
+/// Writes one frame built on a [`frame_writer`] (`Request::frame`,
+/// `Response::frame`): fills in its length prefix and sends prefix and payload
+/// in one write — one segment on a `TCP_NODELAY` socket, one wake-up of the
+/// peer.
+///
+/// # Errors
+///
+/// As [`write_frame`].
+pub(crate) fn send_frame<W: Write>(w: &mut W, mut frame: Vec<u8>) -> io::Result<()> {
+    let len = frame.len() - FRAME_HEADER;
+    if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "frame payload exceeds MAX_FRAME_LEN",
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
+    frame[..FRAME_HEADER].copy_from_slice(&(len as u32).to_le_bytes());
+    w.write_all(&frame)
 }
 
 /// Reads one frame written by [`write_frame`].
@@ -197,7 +224,17 @@ pub enum Request {
 impl Request {
     /// Encodes the request as one frame payload (version byte included).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        self.encode_onto(WireWriter::new())
+    }
+
+    /// The request as one whole frame for [`send_frame`]: its payload written
+    /// after the reserved length prefix.
+    pub(crate) fn frame(&self) -> Vec<u8> {
+        self.encode_onto(frame_writer())
+    }
+
+    /// Appends the payload to `w` and returns its bytes.
+    fn encode_onto(&self, mut w: WireWriter) -> Vec<u8> {
         w.u8(PROTOCOL_VERSION);
         match self {
             Request::Open { trace } => {
@@ -479,7 +516,17 @@ pub enum Response {
 impl Response {
     /// Encodes the response as one frame payload (version byte included).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        self.encode_onto(WireWriter::new())
+    }
+
+    /// The response as one whole frame for [`send_frame`]: its payload written
+    /// after the reserved length prefix.
+    pub(crate) fn frame(&self) -> Vec<u8> {
+        self.encode_onto(frame_writer())
+    }
+
+    /// Appends the payload to `w` and returns its bytes.
+    fn encode_onto(&self, mut w: WireWriter) -> Vec<u8> {
         w.u8(PROTOCOL_VERSION);
         match self {
             Response::Error { code, message } => {
@@ -983,6 +1030,7 @@ mod tests {
         for request in requests {
             let payload = request.encode();
             assert_eq!(Request::decode(&payload).unwrap(), request);
+            assert_frame_is_prefix_then_payload(request.frame(), &payload);
         }
     }
 
@@ -1042,7 +1090,19 @@ mod tests {
         for response in responses {
             let payload = response.encode();
             assert_eq!(Response::decode(&payload).unwrap(), response);
+            assert_frame_is_prefix_then_payload(response.frame(), &payload);
         }
+    }
+
+    /// A frame built in place sends the bytes [`write_frame`] sends for its
+    /// payload: the length prefix, then exactly what `encode` gives.
+    fn assert_frame_is_prefix_then_payload(frame: Vec<u8>, payload: &[u8]) {
+        let (mut sent, mut written) = (Vec::new(), Vec::new());
+        send_frame(&mut sent, frame).unwrap();
+        write_frame(&mut written, payload).unwrap();
+        assert_eq!(sent, written);
+        assert_eq!(sent[..FRAME_HEADER], (payload.len() as u32).to_le_bytes());
+        assert_eq!(sent[FRAME_HEADER..], *payload);
     }
 
     #[test]

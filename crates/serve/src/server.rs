@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use aftermath_exec::WorkerPool;
 
-use crate::protocol::{write_frame, ErrorCode, Request, Response, MAX_FRAME_LEN};
+use crate::protocol::{send_frame, ErrorCode, Request, Response, FRAME_HEADER, MAX_FRAME_LEN};
 use crate::SessionManager;
 
 /// Tuning knobs of [`Server::start`].
@@ -196,13 +196,13 @@ fn accept_loop(
 }
 
 fn refuse(mut stream: TcpStream) {
-    let payload = Response::Error {
+    let frame = Response::Error {
         code: ErrorCode::ServerFull,
         message: "connection limit reached; retry later".into(),
     }
-    .encode();
+    .frame();
     let _ = stream.set_write_timeout(Some(POLL_TICK));
-    let _ = write_frame(&mut stream, &payload);
+    let _ = send_frame(&mut stream, frame);
 }
 
 fn serve_connection(
@@ -222,12 +222,12 @@ fn serve_connection(
         &mut sessions,
     );
     if let Err(ConnectionEnd::Timeout) = outcome {
-        let payload = Response::Error {
+        let frame = Response::Error {
             code: ErrorCode::Timeout,
             message: "frame did not complete within the request timeout".into(),
         }
-        .encode();
-        let _ = write_frame(&mut stream, &payload);
+        .frame();
+        let _ = send_frame(&mut stream, frame);
     }
     for session in sessions {
         manager.close_session(session);
@@ -344,16 +344,16 @@ fn bad_request(message: &str) -> Response {
 }
 
 fn send(stream: &mut TcpStream, response: Response) -> io::Result<()> {
-    let payload = response.encode();
-    let payload = if payload.len() > MAX_FRAME_LEN {
+    let frame = response.frame();
+    let frame = if frame.len() - FRAME_HEADER > MAX_FRAME_LEN {
         Response::Error {
             code: ErrorCode::Internal,
             message: "response exceeds the frame size limit".into(),
         }
-        .encode()
+        .frame()
     } else {
-        payload
+        frame
     };
-    write_frame(stream, &payload)?;
+    send_frame(stream, frame)?;
     stream.flush()
 }

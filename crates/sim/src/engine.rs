@@ -167,7 +167,6 @@ impl<'a> SimState<'a> {
             makespan: 0,
             stats: SimStats {
                 num_tasks: n,
-                task_durations: vec![0; n],
                 ..SimStats::default()
             },
         }
@@ -531,7 +530,6 @@ impl<'a> SimState<'a> {
         worker.cache_misses += spec.cache_misses;
         worker.system_time_cycles += system_cycles;
         self.stats.system_time_cycles += system_cycles;
-        self.stats.task_durations[task] = duration;
 
         // Trace records for the task itself.
         let created = self.created_at[task].unwrap_or(start);
@@ -686,7 +684,11 @@ mod tests {
         assert_eq!(result.trace.tasks().len(), 10);
         assert_eq!(result.stats.num_tasks, 10);
         assert!(result.makespan > 0);
-        assert!(result.stats.task_durations.iter().all(|&d| d > 0));
+        assert!(result
+            .trace
+            .tasks()
+            .iter()
+            .all(|t| t.execution.duration() > 0));
         // Every task execution state refers to a task.
         let exec_states: usize = result
             .trace

@@ -8,8 +8,6 @@ use serde::{Deserialize, Serialize};
 pub struct SimStats {
     /// Number of tasks executed.
     pub num_tasks: usize,
-    /// Execution duration of every task, in cycles, indexed by task id.
-    pub task_durations: Vec<u64>,
     /// Total cycles all workers spent idle (including failed steal rounds' backoff).
     pub idle_cycles: u64,
     /// Total number of steal attempts (successful or not).

@@ -145,6 +145,18 @@ impl TaskRefColumn {
         }
     }
 
+    /// Appends already biased references, as [`TaskRefColumn::push_biased`]
+    /// one by one would: in one pass while every one fits the narrow lane.
+    pub(crate) fn extend_biased(&mut self, biased: &[u64]) {
+        match self {
+            TaskRefColumn::Narrow(v) if biased.iter().all(|&b| b <= u64::from(u32::MAX)) => {
+                v.extend(biased.iter().map(|&b| b as u32));
+            }
+            TaskRefColumn::Wide(v) => v.extend_from_slice(biased),
+            TaskRefColumn::Narrow(_) => biased.iter().for_each(|&b| self.push_biased(b)),
+        }
+    }
+
     /// The entry at `i`.
     #[inline]
     pub fn get(&self, i: usize) -> Option<TaskId> {

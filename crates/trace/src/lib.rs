@@ -58,6 +58,7 @@ pub mod format;
 pub mod ids;
 pub mod lint;
 pub mod memory;
+mod packed;
 pub mod state;
 pub mod store;
 pub mod streaming;

@@ -7,20 +7,23 @@
 //! second, random-access representation in which every SoA lane of
 //! [`crate::columns`] — state intervals, discrete events, counter samples,
 //! memory accesses, plus the task table — is written as a sequence of
-//! fixed-size *blocks* with per-lane encodings:
+//! fixed-size *blocks* with per-lane encodings. Every integer column of a
+//! block is one packed column (the crate's `packed` codec: frame of
+//! reference, a bit width chosen per block and column, patched exceptions);
+//! a column whose rows are picked by the heads holds only those rows:
 //!
-//! | lane        | encoding                                                        |
+//! | lane        | columns, in block order                                         |
 //! |-------------|-----------------------------------------------------------------|
-//! | states      | head raw `u8` (tag in bits 0–3, task-ref present in bit 4, start code in bits 5–7: 0–6 the inline zigzag gap from the end before, wrapping; 7 escaped); escaped starts varint (the first row's absolute, always escaped; later ones their gap code); duration varint; task ref of each bit-4 row: zigzag step from the block's last ref, varint |
-//! | events      | timestamp: delta varint; kind tag raw `u8`; payloads varint (lazy lanes elided per block) |
-//! | samples     | mode `u8`; timestamp: delta varint; value: zigzag `i64` delta varint when every value of the block is an integer within ±2^53 (not `-0.0`), else IEEE-754 bits LE |
-//! | accesses    | `(task delta << 1) \| kind` varint over biased task refs (sorted by task); address: zigzag wrapping step from the row before's (0 before the first), varint; size varint |
-//! | tasks       | dense id implicit; head raw `u8` (type in bits 0–3: 0–14 inline, 15 escaped; stolen in bit 4; starts at its creation in bit 5; same CPU as the row before in bit 6; bit 7 reserved); escaped type varint; cpu varint, unless bit 6; creator cpu varint, only when stolen; creation zigzag wrapping delta; start zigzag wrapping offset from creation, unless bit 5; duration varint |
+//! | states      | heads (tag in bits 0–3, task-ref present in bit 4, start code in bits 5–7: 0–6 the inline zigzag gap from the end before, wrapping; 7 escaped); escaped starts (the first row's absolute, always escaped; later ones their gap code); durations; task refs of the bit-4 rows as zigzag steps from the block's last ref |
+//! | events      | payload flags raw `u8`; timestamp deltas; kind tags; payloads a, b, c (lazy lanes elided per block) |
+//! | samples     | mode raw `u8`; timestamp deltas; values: zigzag `i64` deltas when every value of the block is an integer within ±2^53 (not `-0.0`), else IEEE-754 bits LE |
+//! | accesses    | `(task delta << 1) \| kind` over biased task refs (sorted by task); address: zigzag wrapping step from the row before's (0 before the first); size |
+//! | tasks       | dense id implicit; heads (type in bits 0–3: 0–14 inline, 15 escaped; stolen in bit 4; starts at its creation in bit 5; same CPU as the row before in bit 6; bit 7 reserved); escaped types; CPUs, unless bit 6; creator CPUs, only when stolen; creation zigzag wrapping deltas; start zigzag wrapping offsets from creation, unless bit 5; durations |
 //!
-//! Every row costs at least one byte (a state or task row its head, the other
-//! lanes one varint or raw `f64` per column). Every trace the builder accepts
-//! encodes, dense task ids aside: gaps, ref steps, addresses and task
-//! timestamps wrap, so no `u64` value lacks a code.
+//! Every block takes at least a bit a row: the writer pads one whose columns
+//! take less (constant columns pack to no bits at all) with zero bytes. Every
+//! trace the builder accepts encodes, dense task ids aside: gaps, ref steps,
+//! addresses and task timestamps wrap, so no `u64` value lacks a code.
 //!
 //! Every block is self-contained (delta bases restart per block) and carries a
 //! footer in the file's directory: row count, byte offset/length, and a
@@ -44,7 +47,7 @@
 //! bytes, and the trailer carries CRC-32s of the directory and the metadata
 //! header. Checksums are verified on materialisation (a mismatch surfaces as
 //! [`TraceError::Corrupted`] instead of decoded garbage) and at open time for
-//! the directory and metadata. The format is at **version 5**; any other
+//! the directory and metadata. The format is at **version 6**; any other
 //! version in the header is refused with [`TraceError::UnsupportedVersion`]
 //! (an older file is regenerated from its trace, not read).
 //!
@@ -92,8 +95,9 @@ use crate::columns::{
 };
 use crate::crc::crc32;
 use crate::error::TraceError;
-use crate::format::{self, put_varint, VarintError};
+use crate::format::{self, put_varint};
 use crate::ids::{CounterId, CpuId, TaskId, TaskTypeId, TimeInterval, Timestamp};
+use crate::packed::{get_packed, get_varint, put_packed, take};
 use crate::state::WorkerState;
 use crate::task::TaskInstance;
 use crate::trace::{Trace, TraceData};
@@ -103,7 +107,7 @@ use crate::wire::{WireError, WireReader};
 pub const STORE_MAGIC: [u8; 4] = *b"AFST";
 
 /// The version of the column store format this build writes and opens.
-pub const STORE_VERSION: u32 = 5;
+pub const STORE_VERSION: u32 = 6;
 
 /// Magic bytes terminating the fixed-size trailer at the end of the file.
 const TRAILER_MAGIC: [u8; 4] = *b"TSFA";
@@ -406,44 +410,19 @@ impl Default for StoreOptions {
 }
 
 // ---------------------------------------------------------------------------
-// Varint / zigzag helpers over byte slices
+// Zigzag and column helpers
 // ---------------------------------------------------------------------------
-
-/// Decodes one varint of a store block or directory ([`format::get_varint`],
-/// the crate's slice codec) with the store's error wording.
-#[inline]
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    format::get_varint(buf, pos).map_err(|e| {
-        TraceError::Format(
-            match e {
-                VarintError::Truncated => "truncated varint in store block",
-                VarintError::Overflow => "varint overflow in store block",
-            }
-            .into(),
-        )
-    })
-}
-
-/// The next `len` raw bytes of a block, advancing `*pos`; `truncated` is the
-/// error message when the block ends first.
-fn take<'a>(
-    buf: &'a [u8],
-    pos: &mut usize,
-    len: usize,
-    truncated: &str,
-) -> Result<&'a [u8], TraceError> {
-    let bytes = pos
-        .checked_add(len)
-        .and_then(|end| buf.get(*pos..end))
-        .ok_or_else(|| TraceError::Format(truncated.into()))?;
-    *pos += len;
-    Ok(bytes)
-}
 
 /// The error for delta/duration accumulations that leave `u64`/`i64` range —
 /// reachable only through corrupt or hostile block payloads.
 fn delta_overflow() -> TraceError {
     TraceError::Format("arithmetic overflow in store block".into())
+}
+
+/// The error for a task ref that resolves to the biased 0 ("no task") where
+/// a ref was stored.
+fn zero_ref() -> TraceError {
+    TraceError::Format("zero biased task ref".into())
 }
 
 #[inline]
@@ -454,6 +433,87 @@ fn zigzag(v: i64) -> u64 {
 #[inline]
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// Decodes the block's next packed column of `n` values onto the end of
+/// `col`, in place.
+fn get_column(buf: &[u8], pos: &mut usize, n: usize, col: &mut Vec<u64>) -> Result<(), TraceError> {
+    let at = col.len();
+    col.resize(at + n, 0);
+    get_packed(buf, pos, &mut col[at..])
+}
+
+/// The block's next packed column of `n` values.
+fn column(buf: &[u8], pos: &mut usize, n: usize) -> Result<Vec<u64>, TraceError> {
+    let mut col = Vec::new();
+    get_column(buf, pos, n, &mut col)?;
+    Ok(col)
+}
+
+/// The block's next packed column of `n` one-byte fields (heads, kind tags);
+/// a value past a byte is an `invalid {what}`.
+fn byte_column(buf: &[u8], pos: &mut usize, n: usize, what: &str) -> Result<Vec<u8>, TraceError> {
+    let wide = column(buf, pos, n)?;
+    if let Some(&bad) = wide.iter().find(|&&v| v > u64::from(u8::MAX)) {
+        return Err(TraceError::Format(format!("invalid {what} {bad}")));
+    }
+    Ok(wide.into_iter().map(|v| v as u8).collect())
+}
+
+/// Turns deltas (the first one from 0) into their running sums, in place; a
+/// sum past `u64` is an error.
+fn running_sums(values: &mut [u64]) -> Result<(), TraceError> {
+    let (mut sum, mut overflow) = (0u64, false);
+    for v in values {
+        let carried;
+        (sum, carried) = sum.overflowing_add(*v);
+        overflow |= carried;
+        *v = sum;
+    }
+    if overflow {
+        Err(delta_overflow())
+    } else {
+        Ok(())
+    }
+}
+
+/// Turns zig-zag steps (the first one from 0) into their wrapping running
+/// sums, in place.
+fn wrapping_sums(values: &mut [u64]) {
+    let mut sum = 0u64;
+    for v in values {
+        sum = sum.wrapping_add(unzigzag(*v) as u64);
+        *v = sum;
+    }
+}
+
+/// `values` as wrapping steps from the value before (the first from 0): the
+/// deltas of non-decreasing keys, which [`running_sums`] reverses.
+fn deltas(values: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut prev = 0u64;
+    values
+        .map(|v| {
+            let step = v.wrapping_sub(prev);
+            prev = v;
+            step
+        })
+        .collect()
+}
+
+/// [`deltas`] zig-zag coded, for values that fall as well as rise;
+/// [`wrapping_sums`] reverses them.
+fn zigzag_deltas(values: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut steps = deltas(values);
+    steps
+        .iter_mut()
+        .for_each(|step| *step = zigzag(*step as i64));
+    steps
+}
+
+/// How many of `heads` `f` holds for: the length of a column only some rows
+/// have a value in.
+fn count(heads: &[u8], f: impl Fn(u8) -> bool) -> usize {
+    heads.iter().filter(|&&h| f(h)).count()
 }
 
 // ---------------------------------------------------------------------------
@@ -489,76 +549,46 @@ fn encode_states_block(
     let starts = &states.starts()[lo..hi];
     let ends = &states.ends()[lo..hi];
     let tags = &states.state_tags()[lo..hi];
-    // The heads come first: they are filled in place while the escaped
-    // starts that follow them are appended, in one pass over the rows.
-    let heads = out.len();
-    out.resize(heads + tags.len(), 0);
+    let mut heads = Vec::with_capacity(tags.len());
+    let mut escaped = Vec::new();
+    let mut refs = Vec::new();
     let mut prev_end = None;
+    let mut prev_ref = 0u64;
     for (i, (&tag, (&start, &end))) in tags.iter().zip(starts.iter().zip(ends)).enumerate() {
         // The first row's start itself, a later row's gap from the end before.
         let code = prev_end.map_or(start, |e: u64| zigzag(start.wrapping_sub(e) as i64));
         let inline = match prev_end {
             Some(_) if code < u64::from(START_ESCAPED) => code as u8,
             _ => {
-                put_varint(out, code);
+                escaped.push(code);
                 START_ESCAPED
             }
         };
         let has_ref = match states.task(lo + i) {
-            Some(_) => HEAD_HAS_REF,
+            Some(task) => {
+                let biased = task.0 + 1;
+                refs.push(zigzag(biased.wrapping_sub(prev_ref) as i64));
+                prev_ref = biased;
+                HEAD_HAS_REF
+            }
             None => 0,
         };
-        out[heads + i] = tag | has_ref | inline << HEAD_START_SHIFT;
+        heads.push(u64::from(tag | has_ref | inline << HEAD_START_SHIFT));
         prev_end = Some(end);
     }
-    for (&s, &e) in starts.iter().zip(ends) {
-        put_varint(out, e - s);
-    }
-    let mut prev = 0u64;
-    for task in (lo..hi).filter_map(|i| states.task(i)) {
-        let biased = task.0 + 1;
-        put_varint(out, zigzag(biased.wrapping_sub(prev) as i64));
-        prev = biased;
+    let durations: Vec<u64> = starts.iter().zip(ends).map(|(&s, &e)| e - s).collect();
+    for col in [&heads, &escaped, &durations, &refs] {
+        put_packed(out, col);
     }
     let max_end = ends.iter().copied().max().unwrap_or(0);
     (starts[0], max_end)
-}
-
-/// Appends `rows` delta-coded keys (the first one absolute) to `out`.
-fn decode_deltas(
-    buf: &[u8],
-    pos: &mut usize,
-    rows: usize,
-    out: &mut Vec<u64>,
-) -> Result<(), TraceError> {
-    let mut prev = 0u64;
-    for _ in 0..rows {
-        prev = prev
-            .checked_add(get_varint(buf, pos)?)
-            .ok_or_else(delta_overflow)?;
-        out.push(prev);
-    }
-    Ok(())
-}
-
-/// Appends `rows` plain varints to `out`.
-fn decode_varints(
-    buf: &[u8],
-    pos: &mut usize,
-    rows: usize,
-    out: &mut Vec<u64>,
-) -> Result<(), TraceError> {
-    for _ in 0..rows {
-        out.push(get_varint(buf, pos)?);
-    }
-    Ok(())
 }
 
 fn decode_states_block(buf: &[u8], rows: usize, out: &mut StateColumns) -> Result<(), TraceError> {
     let ([starts, ends], tags, tasks) = out.columns_mut();
     let first = starts.len();
     let mut pos = 0usize;
-    let heads = take(buf, &mut pos, rows, "truncated state head lane")?;
+    let heads = byte_column(buf, &mut pos, rows, "state head")?;
     if let Some(&bad) = heads
         .iter()
         .find(|&&h| usize::from(h & HEAD_TAG) >= WorkerState::COUNT)
@@ -574,37 +604,44 @@ fn decode_states_block(buf: &[u8], rows: usize, out: &mut StateColumns) -> Resul
     {
         return Err(TraceError::Format("first state row not escaped".into()));
     }
-    // The start codes land where the starts go and resolve there, each
-    // against the end before it, once the durations are read.
-    for &head in heads {
-        starts.push(match head >> HEAD_START_SHIFT {
-            START_ESCAPED => get_varint(buf, &mut pos)?,
-            inline => u64::from(inline),
-        });
-    }
+    let escaped = count(&heads, |h| h >> HEAD_START_SHIFT == START_ESCAPED);
+    let mut escaped = column(buf, &mut pos, escaped)?.into_iter();
+    // The start codes land where the starts go, the durations where the ends
+    // go, and both resolve there, each start against the end before it.
+    starts.extend(heads.iter().map(|&h| match h >> HEAD_START_SHIFT {
+        START_ESCAPED => escaped.next().expect("one escaped start per escaped row"),
+        inline => u64::from(inline),
+    }));
+    get_column(buf, &mut pos, rows, ends)?;
     let mut prev_end: Option<u64> = None;
-    for start in &mut starts[first..] {
-        if let Some(end) = prev_end {
-            *start = end.wrapping_add(unzigzag(*start) as u64);
+    let mut overflow = false;
+    for (start, end) in starts[first..].iter_mut().zip(&mut ends[first..]) {
+        if let Some(before) = prev_end {
+            *start = before.wrapping_add(unzigzag(*start) as u64);
         }
-        let duration = get_varint(buf, &mut pos)?;
-        let end = start.checked_add(duration).ok_or_else(delta_overflow)?;
-        ends.push(end);
-        prev_end = Some(end);
+        let carried;
+        (*end, carried) = start.overflowing_add(*end);
+        overflow |= carried;
+        prev_end = Some(*end);
+    }
+    if overflow {
+        return Err(delta_overflow());
     }
     tags.extend(heads.iter().map(|&h| h & HEAD_TAG));
-    let mut prev = 0u64;
-    for &head in heads {
-        if head & HEAD_HAS_REF == 0 {
-            tasks.push_biased(0);
-            continue;
-        }
-        prev = prev.wrapping_add(unzigzag(get_varint(buf, &mut pos)?) as u64);
-        if prev == 0 {
-            return Err(TraceError::Format("zero biased task ref".into()));
-        }
-        tasks.push_biased(prev);
+    let mut refs = column(buf, &mut pos, count(&heads, |h| h & HEAD_HAS_REF != 0))?;
+    wrapping_sums(&mut refs);
+    if refs.contains(&0) {
+        return Err(zero_ref());
     }
+    let mut refs = refs.into_iter();
+    let biased: Vec<u64> = heads
+        .iter()
+        .map(|&h| match h & HEAD_HAS_REF {
+            0 => 0,
+            _ => refs.next().expect("one ref step per bit-4 row"),
+        })
+        .collect();
+    tasks.extend_biased(&biased);
     Ok(())
 }
 
@@ -628,15 +665,11 @@ fn encode_events_block(
     let has_c = pc.iter().any(|&v| v != 0);
     out.push(u8::from(has_b) | (u8::from(has_c) << 1));
     let ts = events.timestamps();
-    let mut prev = 0u64;
-    for &t in ts {
-        put_varint(out, t - prev);
-        prev = t;
-    }
-    out.extend_from_slice(tags);
+    put_packed(out, &deltas(ts.iter().copied()));
+    put_packed(out, &tags.iter().map(|&t| u64::from(t)).collect::<Vec<_>>());
     for (lane, stored) in [(pa, true), (pb, has_b), (pc, has_c)] {
         if stored {
-            lane.iter().for_each(|&v| put_varint(out, v));
+            put_packed(out, lane);
         }
     }
     (ts[0], ts[ts.len() - 1])
@@ -649,21 +682,21 @@ fn decode_events_block(buf: &[u8], rows: usize, out: &mut EventColumns) -> Resul
     let (first, run_rows) = (timestamps.len(), timestamps.capacity());
     let mut pos = 0usize;
     let flags = take(buf, &mut pos, 1, "truncated event block")?[0];
-    decode_deltas(buf, &mut pos, rows, timestamps)?;
-    let block_tags = take(buf, &mut pos, rows, "truncated event tag lane")?;
+    get_column(buf, &mut pos, rows, timestamps)?;
+    running_sums(&mut timestamps[first..])?;
+    let block_tags = byte_column(buf, &mut pos, rows, "event tag")?;
     if let Some(&bad) = block_tags.iter().find(|&&t| kind_arity(t).is_none()) {
         return Err(TraceError::Format(format!("invalid event tag {bad}")));
     }
-    tags.extend_from_slice(block_tags);
-    decode_varints(buf, &mut pos, rows, payload_a)?;
+    tags.extend_from_slice(&block_tags);
+    get_column(buf, &mut pos, rows, payload_a)?;
     // The block's lazy lanes, all zero when it does not store them.
     let mut stored_lane = |stored: bool| -> Result<Vec<u64>, TraceError> {
-        if !stored {
-            return Ok(vec![0; rows]);
+        if stored {
+            column(buf, &mut pos, rows)
+        } else {
+            Ok(vec![0; rows])
         }
-        let mut lane = Vec::with_capacity(rows);
-        decode_varints(buf, &mut pos, rows, &mut lane)?;
-        Ok(lane)
     };
     let mut b = stored_lane(flags & 1 != 0)?;
     let mut c = stored_lane(flags & 2 != 0)?;
@@ -700,17 +733,9 @@ fn encode_samples_block(
     } else {
         SAMPLES_RAW
     });
-    let mut prev = 0u64;
-    for (i, &t) in ts.iter().enumerate() {
-        put_varint(out, if i == 0 { t } else { t - prev });
-        prev = t;
-    }
+    put_packed(out, &deltas(ts.iter().copied()));
     if integral {
-        let mut prev = 0i64;
-        for &v in values {
-            put_varint(out, zigzag(v as i64 - prev));
-            prev = v as i64;
-        }
+        put_packed(out, &zigzag_deltas(values.iter().map(|&v| v as i64 as u64)));
     } else {
         for &v in values {
             out.extend_from_slice(&v.to_le_bytes());
@@ -726,7 +751,7 @@ const SAMPLES_INTEGRAL: u8 = 1;
 
 /// Largest magnitude an integral sample block holds: every integer up to it
 /// is an `f64`.
-const MAX_INTEGRAL_SAMPLE: i64 = 1 << 53;
+const MAX_INTEGRAL_SAMPLE: u64 = 1 << 53;
 
 /// Whether `v` comes back bit for bit as an integer of an integral block.
 fn stored_as_integer(v: f64) -> bool {
@@ -739,9 +764,11 @@ fn decode_samples_block(
     out: &mut SampleColumns,
 ) -> Result<(), TraceError> {
     let (timestamps, values) = out.columns_mut();
+    let first = timestamps.len();
     let mut pos = 0usize;
     let mode = take(buf, &mut pos, 1, "truncated sample block")?[0];
-    decode_deltas(buf, &mut pos, rows, timestamps)?;
+    get_column(buf, &mut pos, rows, timestamps)?;
+    running_sums(&mut timestamps[first..])?;
     match mode {
         SAMPLES_RAW => {
             let raw = take(
@@ -757,10 +784,10 @@ fn decode_samples_block(
         }
         SAMPLES_INTEGRAL => {
             let mut acc = 0i64;
-            for _ in 0..rows {
+            for step in column(buf, &mut pos, rows)? {
                 acc = acc
-                    .checked_add(unzigzag(get_varint(buf, &mut pos)?))
-                    .filter(|v| v.abs() <= MAX_INTEGRAL_SAMPLE)
+                    .checked_add(unzigzag(step))
+                    .filter(|v| v.unsigned_abs() <= MAX_INTEGRAL_SAMPLE)
                     .ok_or_else(|| TraceError::Format("integral sample beyond 2^53".into()))?;
                 values.push(acc as f64);
             }
@@ -770,27 +797,27 @@ fn decode_samples_block(
     Ok(())
 }
 
-/// Encodes access rows `[lo, hi)`. An address is the zig-zag of the wrapping
-/// step from the address before it (0 before the block's first), so every
-/// `u64` pair has a code.
+/// Encodes access rows `[lo, hi)`. A key is the step of the biased task ref
+/// from the row before's (sorted by task, so never negative) above the access
+/// kind bit; an address is the zig-zag of the wrapping step from the address
+/// before it (0 before the block's first), so every `u64` pair has a code.
 fn encode_accesses_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) -> (u64, u64) {
     let accesses = trace.accesses().slice(lo, hi);
     let (kinds, [addrs, sizes]) = accesses.columns();
     let biased = |i: usize| accesses.task(i).0 + 1;
-    let mut prev = 0u64;
-    let mut prev_addr = 0u64;
-    for (i, &kind) in kinds.iter().enumerate() {
-        let key = biased(i);
-        // An access names a registered task (`TraceBuilder::add_access`) and
-        // task ids are dense, so the delta has a bit to spare for the kind.
-        debug_assert!(key - prev < 1 << 63, "access task delta {}", key - prev);
-        put_varint(out, (key - prev) << 1 | u64::from(kind));
-        prev = key;
-        put_varint(out, zigzag(addrs[i].wrapping_sub(prev_addr) as i64));
-        prev_addr = addrs[i];
-        put_varint(out, sizes[i]);
-    }
-    (biased(0), prev)
+    let steps = deltas((0..kinds.len()).map(biased));
+    // An access names a registered task (`TraceBuilder::add_access`) and
+    // task ids are dense, so a step has a bit to spare for the kind.
+    debug_assert!(steps.iter().all(|&step| step < 1 << 63), "access task step");
+    let keys: Vec<u64> = steps
+        .iter()
+        .zip(kinds)
+        .map(|(&step, &kind)| step << 1 | u64::from(kind))
+        .collect();
+    put_packed(out, &keys);
+    put_packed(out, &zigzag_deltas(addrs.iter().copied()));
+    put_packed(out, sizes);
+    (biased(0), biased(kinds.len() - 1))
 }
 
 fn decode_accesses_block(
@@ -799,79 +826,83 @@ fn decode_accesses_block(
     out: &mut AccessColumns,
 ) -> Result<(), TraceError> {
     let (tasks, kinds, [addrs, sizes]) = out.columns_mut();
+    let first = addrs.len();
     let mut pos = 0usize;
-    let mut prev = 0u64;
-    let mut addr = 0u64;
-    for _ in 0..rows {
-        let key = get_varint(buf, &mut pos)?;
-        prev = prev.checked_add(key >> 1).ok_or_else(delta_overflow)?;
-        if prev == 0 {
-            return Err(TraceError::Format("zero biased task ref".into()));
-        }
-        tasks.push_biased(prev);
-        kinds.push((key & 1) as u8);
-        addr = addr.wrapping_add(unzigzag(get_varint(buf, &mut pos)?) as u64);
-        addrs.push(addr);
-        sizes.push(get_varint(buf, &mut pos)?);
+    let mut keys = column(buf, &mut pos, rows)?;
+    kinds.extend(keys.iter().map(|&key| (key & 1) as u8));
+    keys.iter_mut().for_each(|key| *key >>= 1);
+    // The biased refs: they never fall, so only the first can be 0.
+    running_sums(&mut keys)?;
+    if keys.first() == Some(&0) {
+        return Err(zero_ref());
     }
-    Ok(())
+    tasks.extend_biased(&keys);
+    get_column(buf, &mut pos, rows, addrs)?;
+    wrapping_sums(&mut addrs[first..]);
+    get_column(buf, &mut pos, rows, sizes)
 }
 
 /// A task head's bits 0–3: the type id, or [`TYPE_ESCAPED`].
 const TASK_TYPE: u8 = 0x0f;
-/// The type code of a task whose type id is in a varint after the head; the
+/// The type code of a task whose type id is in the escaped-type column; the
 /// codes below it are the type id itself.
 const TYPE_ESCAPED: u8 = TASK_TYPE;
-/// A task head's bit 4: the task was stolen, and its creator CPU follows.
+/// A task head's bit 4: the task was stolen, and its creator CPU is in the
+/// creator column.
 const TASK_STOLEN: u8 = 1 << 4;
 /// A task head's bit 5: the task starts at its creation (no start offset).
 const TASK_AT_CREATION: u8 = 1 << 5;
 /// A task head's bit 6: the task ran on the CPU of the row before it in the
-/// block (no CPU varint).
+/// block (no entry in the CPU column).
 const TASK_SAME_CPU: u8 = 1 << 6;
 /// A task head's bit 7, which no row sets.
 const TASK_RESERVED: u8 = 1 << 7;
 
-/// Encodes task rows `[lo, hi)`, one head byte and its varints a row. A
-/// task's type sits in its head when below [`TYPE_ESCAPED`]; its CPU is
-/// stored unless it repeats the row before's, its creator only when it
-/// differs from its CPU (the task was stolen), its start offset only when not
-/// zero. Creations step, and starts sit, by wrapping zig-zag deltas, so every
-/// `u64` timestamp encodes.
+/// Encodes task rows `[lo, hi)`: a column of heads, then one column per
+/// field, holding only the rows that need it. A task's type sits in its head
+/// when below [`TYPE_ESCAPED`]; its CPU is stored unless it repeats the row
+/// before's, its creator only when it differs from its CPU (the task was
+/// stolen), its start offset only when not zero. Creations step, and starts
+/// sit, by wrapping zig-zag deltas, so every `u64` timestamp encodes.
 fn encode_tasks_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) -> (u64, u64) {
     let tasks = &trace.tasks()[lo..hi];
-    let mut prev_creation = 0u64;
+    let mut heads = Vec::with_capacity(tasks.len());
+    let (mut types, mut cpus, mut creators, mut offsets) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let mut prev_cpu = None;
     let flag = |set: bool, bit: u8| if set { bit } else { 0 };
     for t in tasks {
         let ty = t.task_type.0;
         let type_code = ty.min(u32::from(TYPE_ESCAPED)) as u8;
         let stolen = t.creator_cpu != t.cpu;
-        let creation = t.creation.0;
-        let offset = t.execution.start.0.wrapping_sub(creation);
+        let offset = t.execution.start.0.wrapping_sub(t.creation.0);
         let same_cpu = prev_cpu == Some(t.cpu);
-        out.push(
+        heads.push(u64::from(
             type_code
                 | flag(stolen, TASK_STOLEN)
                 | flag(offset == 0, TASK_AT_CREATION)
                 | flag(same_cpu, TASK_SAME_CPU),
-        );
+        ));
         if type_code == TYPE_ESCAPED {
-            put_varint(out, u64::from(ty));
+            types.push(u64::from(ty));
         }
         if !same_cpu {
-            put_varint(out, u64::from(t.cpu.0));
+            cpus.push(u64::from(t.cpu.0));
         }
         if stolen {
-            put_varint(out, u64::from(t.creator_cpu.0));
+            creators.push(u64::from(t.creator_cpu.0));
         }
-        put_varint(out, zigzag(creation.wrapping_sub(prev_creation) as i64));
         if offset != 0 {
-            put_varint(out, zigzag(offset as i64));
+            offsets.push(zigzag(offset as i64));
         }
-        put_varint(out, t.execution.duration());
-        prev_creation = creation;
         prev_cpu = Some(t.cpu);
+    }
+    let creations = zigzag_deltas(tasks.iter().map(|t| t.creation.0));
+    let durations: Vec<u64> = tasks.iter().map(|t| t.execution.duration()).collect();
+    for col in [
+        &heads, &types, &cpus, &creators, &creations, &offsets, &durations,
+    ] {
+        put_packed(out, col);
     }
     (lo as u64, hi as u64 - 1)
 }
@@ -883,43 +914,66 @@ fn decode_tasks_block(
     out: &mut Vec<TaskInstance>,
 ) -> Result<(), TraceError> {
     let mut pos = 0usize;
-    let mut prev_creation = 0u64;
-    let mut prev_cpu = None;
+    let heads = byte_column(buf, &mut pos, rows, "task head")?;
+    if heads.iter().any(|&h| h & TASK_RESERVED != 0) {
+        return Err(TraceError::Format("reserved task head bit set".into()));
+    }
+    if heads.first().is_some_and(|&h| h & TASK_SAME_CPU != 0) {
+        return Err(TraceError::Format("first task row repeats no CPU".into()));
+    }
     // An id that does not fit its type is refused, not wrapped — as
     // [`WireReader::u32`] refuses it in the directory.
-    let id = |value: u64, what| {
-        u32::try_from(value).map_err(|_| TraceError::from(WireError::Malformed(what)))
+    let ids = |pos: &mut usize, n: usize, what| -> Result<Vec<u32>, TraceError> {
+        column(buf, pos, n)?
+            .into_iter()
+            .map(|v| u32::try_from(v).map_err(|_| TraceError::from(WireError::Malformed(what))))
+            .collect()
     };
-    for i in 0..rows {
-        let head = take(buf, &mut pos, 1, "truncated task head")?[0];
-        if head & TASK_RESERVED != 0 {
-            return Err(TraceError::Format("reserved task head bit set".into()));
-        }
+    let types = ids(
+        &mut pos,
+        count(&heads, |h| h & TASK_TYPE == TYPE_ESCAPED),
+        "task type id",
+    )?;
+    let cpus = ids(
+        &mut pos,
+        count(&heads, |h| h & TASK_SAME_CPU == 0),
+        "task cpu id",
+    )?;
+    let creators = ids(
+        &mut pos,
+        count(&heads, |h| h & TASK_STOLEN != 0),
+        "task creator cpu id",
+    )?;
+    let mut creations = column(buf, &mut pos, rows)?;
+    wrapping_sums(&mut creations);
+    let offsets = column(buf, &mut pos, count(&heads, |h| h & TASK_AT_CREATION == 0))?;
+    let durations = column(buf, &mut pos, rows)?;
+    let (mut types, mut cpus) = (types.into_iter(), cpus.into_iter());
+    let (mut creators, mut offsets) = (creators.into_iter(), offsets.into_iter());
+    let mut cpu = 0;
+    for (i, (&head, (&creation, &duration))) in heads
+        .iter()
+        .zip(creations.iter().zip(&durations))
+        .enumerate()
+    {
         let ty = match head & TASK_TYPE {
-            TYPE_ESCAPED => id(get_varint(buf, &mut pos)?, "task type id")?,
+            TYPE_ESCAPED => types.next().expect("one type per escaped row"),
             inline => u32::from(inline),
         };
-        let cpu = match (head & TASK_SAME_CPU, prev_cpu) {
-            (0, _) => id(get_varint(buf, &mut pos)?, "task cpu id")?,
-            (_, Some(cpu)) => cpu,
-            (_, None) => {
-                return Err(TraceError::Format("first task row repeats no CPU".into()));
-            }
-        };
-        prev_cpu = Some(cpu);
+        if head & TASK_SAME_CPU == 0 {
+            cpu = cpus.next().expect("one cpu per row that names one");
+        }
         let creator = match head & TASK_STOLEN {
             0 => cpu,
-            _ => id(get_varint(buf, &mut pos)?, "task creator cpu id")?,
+            _ => creators.next().expect("one creator per stolen row"),
         };
-        let creation = prev_creation.wrapping_add(unzigzag(get_varint(buf, &mut pos)?) as u64);
-        prev_creation = creation;
         let start = match head & TASK_AT_CREATION {
-            0 => creation.wrapping_add(unzigzag(get_varint(buf, &mut pos)?) as u64),
+            0 => {
+                creation.wrapping_add(unzigzag(offsets.next().expect("one offset per row")) as u64)
+            }
             _ => creation,
         };
-        let end = start
-            .checked_add(get_varint(buf, &mut pos)?)
-            .ok_or_else(delta_overflow)?;
+        let end = start.checked_add(duration).ok_or_else(delta_overflow)?;
         let id = first_id.checked_add(i as u64).ok_or_else(delta_overflow)?;
         out.push(TaskInstance::new(
             TaskId(id),
@@ -1028,11 +1082,18 @@ fn encode_store(
         })
         .collect();
     let encoded = parallel_map(threads, &jobs, |&(lane, lo, hi)| {
-        // A row of a real trace encodes in fewer bytes than this (v5: about
-        // 6.0 a row on average); it holds a block without growing (and
+        // A row of a real trace encodes in fewer bytes than this (v6: about
+        // 4.7 a row on average); it holds a block without growing (and
         // copying) it on the way.
         let mut bytes = Vec::with_capacity((hi - lo) * ENCODED_ROW_BYTES_HINT);
         let (min_key, max_key) = encode_block(trace, lane, lo, hi, &mut bytes);
+        // A block takes at least a bit a row ([`validate_directory`]): one
+        // whose columns take less (constant columns pack to no bits) is
+        // padded with zero bytes, which no decoder reads.
+        let floor = (hi - lo).div_ceil(8);
+        if bytes.len() < floor {
+            bytes.resize(floor, 0);
+        }
         let footer = BlockFooter {
             offset: 0, // assigned below, once the blocks before it are known
             len: bytes.len() as u64,
@@ -1373,11 +1434,12 @@ fn read_directory(
 /// Checks the structural invariants the materialisation path relies on: every
 /// lane names a CPU of the metadata's `cpus`, a lane's blocks form one
 /// contiguous, ascending byte run inside the data region
-/// `[data_start, data_end)`, every block has at least one row, and no
-/// encoding produces fewer than one byte per row. A directory that fails any
-/// of these is corrupt; rejecting it here keeps the decode paths free of
-/// unbounded allocations and offset arithmetic on untrusted values, and lets
-/// installing a lane (`TraceData::swap_lane`) never fail.
+/// `[data_start, data_end)`, every block has at least one row, and no block
+/// takes less than one bit per row (the writer pads one whose columns would).
+/// A directory that fails any of these is corrupt; rejecting it here keeps
+/// the decode paths free of unbounded allocations and offset arithmetic on
+/// untrusted values, and lets installing a lane (`TraceData::swap_lane`)
+/// never fail.
 fn validate_directory(
     lanes: &[LaneDirectory],
     cpus: usize,
@@ -1401,8 +1463,8 @@ fn validate_directory(
             if b.rows == 0 {
                 return Err(corrupt(dir.lane, "empty block"));
             }
-            if b.rows > b.len {
-                return Err(corrupt(dir.lane, "more rows than bytes"));
+            if b.rows > b.len.saturating_mul(8) {
+                return Err(corrupt(dir.lane, "more rows than bits"));
             }
             if let Some(expect) = next {
                 if b.offset != expect {
@@ -2238,9 +2300,10 @@ impl StoredTrace {
 }
 
 /// Row-at-a-time block decoders, written apart from the column-direct ones:
-/// varints → temporary vectors → owned structs, one per lane kind. Kept as
-/// the independent oracle the column-direct decoders are tested against
-/// (rows, error variants) — never compiled into the library.
+/// packed columns read bit by bit → temporary vectors → owned structs, one
+/// per lane kind. Kept as the independent oracle the column-direct decoders
+/// are tested against (rows, error variants) — never compiled into the
+/// library.
 #[cfg(test)]
 mod aos_oracle {
     use super::{delta_overflow, get_varint, take};
@@ -2257,14 +2320,83 @@ mod aos_oracle {
         ((zigzagged >> 1) as i64) ^ -((zigzagged & 1) as i64)
     }
 
+    fn malformed(what: &str) -> TraceError {
+        TraceError::Format(what.into())
+    }
+
     fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64, TraceError> {
         let bytes: [u8; 8] = buf
             .get(*pos..*pos + 8)
-            .ok_or_else(|| TraceError::Format("truncated f64 in store block".into()))?
+            .ok_or_else(|| malformed("truncated f64 in store block"))?
             .try_into()
             .expect("slice of length 8");
         *pos += 8;
         Ok(f64::from_le_bytes(bytes))
+    }
+
+    /// `n` values of `width` bits, LSB-first, bit by bit, from the next
+    /// `ceil(n * width / 8)` bytes.
+    fn bits(buf: &[u8], pos: &mut usize, n: usize, width: usize) -> Result<Vec<u64>, TraceError> {
+        let len = (n * width).div_ceil(8);
+        let bytes = buf
+            .get(*pos..*pos + len)
+            .ok_or_else(|| malformed("truncated packed column"))?;
+        *pos += len;
+        let bit = |at: usize| u64::from(bytes[at / 8] >> (at % 8) & 1);
+        Ok((0..n)
+            .map(|i| (0..width).fold(0, |v, b| v | bit(i * width + b) << b))
+            .collect())
+    }
+
+    /// One packed column of `n` values: frame of reference, width, patch
+    /// count, the low bits, then the patches' positions and high bits.
+    fn column(buf: &[u8], pos: &mut usize, n: usize) -> Result<Vec<u64>, TraceError> {
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let min = get_varint(buf, pos)?;
+        let width = usize::from(take(buf, pos, 1, "truncated packed column")?[0]);
+        if width > 64 {
+            return Err(malformed("packed column too wide"));
+        }
+        let patches = get_varint(buf, pos)?;
+        if patches > n as u64 {
+            return Err(malformed("more patches than rows"));
+        }
+        let mut values = bits(buf, pos, n, width)?;
+        if patches > 0 {
+            let patches = patches as usize;
+            let high_width = usize::from(take(buf, pos, 1, "truncated packed column")?[0]);
+            if width + high_width > 64 {
+                return Err(malformed("patch too wide"));
+            }
+            let row_bits = (usize::BITS - (n - 1).leading_zeros()) as usize;
+            let rows = bits(buf, pos, patches, row_bits)?;
+            let highs = bits(buf, pos, patches, high_width)?;
+            let mut last: Option<u64> = None;
+            for (&row, &high) in rows.iter().zip(&highs) {
+                if row >= n as u64 || last.is_some_and(|last| row <= last) {
+                    return Err(malformed("patch position out of place"));
+                }
+                values[row as usize] += high.checked_shl(width as u32).unwrap_or(0);
+                last = Some(row);
+            }
+        }
+        values
+            .into_iter()
+            .map(|v| {
+                v.checked_add(min)
+                    .ok_or_else(|| malformed("packed value overflow"))
+            })
+            .collect()
+    }
+
+    /// A column of one-byte fields.
+    fn bytes(buf: &[u8], pos: &mut usize, n: usize) -> Result<Vec<u8>, TraceError> {
+        column(buf, pos, n)?
+            .into_iter()
+            .map(|v| u8::try_from(v).map_err(|_| malformed("field past a byte")))
+            .collect()
     }
 
     pub(super) fn decode_states_block(
@@ -2273,22 +2405,22 @@ mod aos_oracle {
         rows: usize,
     ) -> Result<Vec<StateInterval>, TraceError> {
         let mut pos = 0usize;
-        let heads = buf
-            .get(pos..pos + rows)
-            .ok_or_else(|| TraceError::Format("truncated state head lane".into()))?;
-        pos += rows;
+        let heads = bytes(buf, &mut pos, rows)?;
         if rows > 0 && heads[0] >> 5 != 7 {
-            return Err(TraceError::Format("first state row not escaped".into()));
+            return Err(malformed("first state row not escaped"));
         }
-        let mut escaped = Vec::new();
-        for _ in heads.iter().filter(|&&h| h >> 5 == 7) {
-            escaped.push(get_varint(buf, &mut pos)?);
-        }
-        let mut durations = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            durations.push(get_varint(buf, &mut pos)?);
-        }
-        let mut escaped = escaped.into_iter();
+        let escaped = column(
+            buf,
+            &mut pos,
+            heads.iter().filter(|&&h| h >> 5 == 7).count(),
+        )?;
+        let durations = column(buf, &mut pos, rows)?;
+        let refs = column(
+            buf,
+            &mut pos,
+            heads.iter().filter(|&&h| h & 16 != 0).count(),
+        )?;
+        let (mut escaped, mut refs) = (escaped.into_iter(), refs.into_iter());
         let mut rows_out = Vec::with_capacity(rows);
         let mut prev_end = 0u64;
         let mut prev_ref = 0u64;
@@ -2298,9 +2430,9 @@ mod aos_oracle {
             let task = if head & 16 == 0 {
                 None
             } else {
-                prev_ref = prev_ref.wrapping_add(signed(get_varint(buf, &mut pos)?) as u64);
+                prev_ref = prev_ref.wrapping_add(signed(refs.next().expect("a ref")) as u64);
                 if prev_ref == 0 {
-                    return Err(TraceError::Format("zero biased task ref".into()));
+                    return Err(malformed("zero biased task ref"));
                 }
                 Some(TaskId(prev_ref - 1))
             };
@@ -2325,52 +2457,42 @@ mod aos_oracle {
         Ok(rows_out)
     }
 
+    /// `rows` timestamps from a column of deltas (the first one from 0).
+    fn timestamps(buf: &[u8], pos: &mut usize, rows: usize) -> Result<Vec<u64>, TraceError> {
+        let mut prev = 0u64;
+        column(buf, pos, rows)?
+            .into_iter()
+            .map(|d| {
+                prev = prev.checked_add(d).ok_or_else(delta_overflow)?;
+                Ok(prev)
+            })
+            .collect()
+    }
+
     pub(super) fn decode_events_block(
         buf: &[u8],
         cpu: CpuId,
         rows: usize,
     ) -> Result<Vec<DiscreteEvent>, TraceError> {
         let mut pos = 0usize;
-        let flags = *buf
-            .get(pos)
-            .ok_or_else(|| TraceError::Format("truncated event block".into()))?;
-        pos += 1;
+        let flags = take(buf, &mut pos, 1, "truncated event block")?[0];
         let (has_b, has_c) = (flags & 1 != 0, flags & 2 != 0);
-        let mut ts = Vec::with_capacity(rows);
-        let mut prev = 0u64;
-        for i in 0..rows {
-            let d = get_varint(buf, &mut pos)?;
-            prev = if i == 0 {
-                d
-            } else {
-                prev.checked_add(d).ok_or_else(delta_overflow)?
-            };
-            ts.push(prev);
-        }
-        let tags = buf
-            .get(pos..pos + rows)
-            .ok_or_else(|| TraceError::Format("truncated event tag lane".into()))?
-            .to_vec();
-        pos += rows;
+        let ts = timestamps(buf, &mut pos, rows)?;
+        let tags = bytes(buf, &mut pos, rows)?;
         if let Some(&bad) = tags.iter().find(|&&t| t > 6) {
             return Err(TraceError::Format(format!("invalid event tag {bad}")));
         }
-        let mut pa = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            pa.push(get_varint(buf, &mut pos)?);
-        }
-        let mut pb = vec![0u64; rows];
-        if has_b {
-            for b in pb.iter_mut() {
-                *b = get_varint(buf, &mut pos)?;
-            }
-        }
-        let mut pc = vec![0u64; rows];
-        if has_c {
-            for c in pc.iter_mut() {
-                *c = get_varint(buf, &mut pos)?;
-            }
-        }
+        let pa = column(buf, &mut pos, rows)?;
+        let pb = if has_b {
+            column(buf, &mut pos, rows)?
+        } else {
+            vec![0; rows]
+        };
+        let pc = if has_c {
+            column(buf, &mut pos, rows)?
+        } else {
+            vec![0; rows]
+        };
         Ok((0..rows)
             .map(|i| {
                 DiscreteEvent::new(
@@ -2389,40 +2511,31 @@ mod aos_oracle {
         rows: usize,
     ) -> Result<Vec<CounterSample>, TraceError> {
         let mut pos = 0usize;
-        let mode = *buf
-            .get(pos)
-            .ok_or_else(|| TraceError::Format("truncated sample block".into()))?;
-        pos += 1;
-        let mut ts = Vec::with_capacity(rows);
-        let mut prev = 0u64;
-        for i in 0..rows {
-            let d = get_varint(buf, &mut pos)?;
-            prev = if i == 0 {
-                d
-            } else {
-                prev.checked_add(d).ok_or_else(delta_overflow)?
-            };
-            ts.push(prev);
-        }
-        let mut rows_out = Vec::with_capacity(rows);
-        let mut acc = 0i64;
-        for &t in &ts {
-            let v = match mode {
-                0 => get_f64(buf, &mut pos)?,
-                1 => {
-                    acc = acc
-                        .checked_add(signed(get_varint(buf, &mut pos)?))
-                        .ok_or_else(delta_overflow)?;
-                    if acc.abs() > 1 << 53 {
-                        return Err(TraceError::Format("integral sample beyond 2^53".into()));
+        let mode = take(buf, &mut pos, 1, "truncated sample block")?[0];
+        let ts = timestamps(buf, &mut pos, rows)?;
+        let values: Vec<f64> = match mode {
+            0 => (0..rows)
+                .map(|_| get_f64(buf, &mut pos))
+                .collect::<Result<_, _>>()?,
+            1 => {
+                let mut acc = 0i64;
+                let mut values = Vec::with_capacity(rows);
+                for step in column(buf, &mut pos, rows)? {
+                    acc = acc.checked_add(signed(step)).ok_or_else(delta_overflow)?;
+                    if acc.unsigned_abs() > 1 << 53 {
+                        return Err(malformed("integral sample beyond 2^53"));
                     }
-                    acc as f64
+                    values.push(acc as f64);
                 }
-                _ => return Err(TraceError::Format(format!("invalid sample mode {mode}"))),
-            };
-            rows_out.push(CounterSample::new(counter, cpu, Timestamp(t), v));
-        }
-        Ok(rows_out)
+                values
+            }
+            _ => return Err(TraceError::Format(format!("invalid sample mode {mode}"))),
+        };
+        Ok(ts
+            .iter()
+            .zip(values)
+            .map(|(&t, v)| CounterSample::new(counter, cpu, Timestamp(t), v))
+            .collect())
     }
 
     pub(super) fn decode_accesses_block(
@@ -2430,23 +2543,24 @@ mod aos_oracle {
         rows: usize,
     ) -> Result<Vec<MemoryAccess>, TraceError> {
         let mut pos = 0usize;
+        let keys = column(buf, &mut pos, rows)?;
+        let addrs = column(buf, &mut pos, rows)?;
+        let sizes = column(buf, &mut pos, rows)?;
         let mut prev = 0u64;
         let mut addr = 0u64;
         let mut rows_out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let key = get_varint(buf, &mut pos)?;
-            prev = prev.checked_add(key / 2).ok_or_else(delta_overflow)?;
+        for i in 0..rows {
+            prev = prev.checked_add(keys[i] / 2).ok_or_else(delta_overflow)?;
             if prev == 0 {
-                return Err(TraceError::Format("zero biased task ref".into()));
+                return Err(malformed("zero biased task ref"));
             }
-            let kind = if key % 2 == 0 {
+            let kind = if keys[i] % 2 == 0 {
                 AccessKind::Read
             } else {
                 AccessKind::Write
             };
-            addr = addr.wrapping_add(signed(get_varint(buf, &mut pos)?) as u64);
-            let size = get_varint(buf, &mut pos)?;
-            rows_out.push(MemoryAccess::new(TaskId(prev - 1), kind, addr, size));
+            addr = addr.wrapping_add(signed(addrs[i]) as u64);
+            rows_out.push(MemoryAccess::new(TaskId(prev - 1), kind, addr, sizes[i]));
         }
         Ok(rows_out)
     }
@@ -2457,43 +2571,66 @@ mod aos_oracle {
         rows: usize,
     ) -> Result<Vec<TaskInstance>, TraceError> {
         let mut pos = 0usize;
+        let heads = bytes(buf, &mut pos, rows)?;
+        if heads.iter().any(|&h| h >= 128) {
+            return Err(malformed("reserved task head bit set"));
+        }
+        if rows > 0 && heads[0] & 64 != 0 {
+            return Err(malformed("first task row repeats no CPU"));
+        }
+        let with = |bit: u8, set: bool| heads.iter().filter(|&&h| (h & bit != 0) == set).count();
         let narrow = |v: u64, what| {
             u32::try_from(v).map_err(|_| TraceError::from(WireError::Malformed(what)))
         };
+        let types = column(
+            buf,
+            &mut pos,
+            heads.iter().filter(|&&h| h % 16 == 15).count(),
+        )?;
+        let cpus = column(buf, &mut pos, with(64, false))?;
+        let creators = column(buf, &mut pos, with(16, true))?;
+        let creations = column(buf, &mut pos, rows)?;
+        let offsets = column(buf, &mut pos, with(32, false))?;
+        let durations = column(buf, &mut pos, rows)?;
+        let types = types
+            .into_iter()
+            .map(|t| narrow(t, "task type id"))
+            .collect::<Result<Vec<_>, _>>()?;
+        let cpus = cpus
+            .into_iter()
+            .map(|c| narrow(c, "task cpu id"))
+            .collect::<Result<Vec<_>, _>>()?;
+        let creators = creators
+            .into_iter()
+            .map(|c| narrow(c, "task creator cpu id"))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (mut types, mut cpus) = (types.into_iter(), cpus.into_iter());
+        let (mut creators, mut offsets) = (creators.into_iter(), offsets.into_iter());
         let mut prev_creation = 0u64;
-        let mut prev_cpu: Option<u32> = None;
+        let mut cpu = 0u32;
         let mut rows_out = Vec::with_capacity(rows);
-        for i in 0..rows {
-            let head = take(buf, &mut pos, 1, "truncated task head")?[0];
-            if head >= 128 {
-                return Err(TraceError::Format("reserved task head bit set".into()));
-            }
-            let mut field = || get_varint(buf, &mut pos);
+        for (i, &head) in heads.iter().enumerate() {
             let ty = if head % 16 == 15 {
-                narrow(field()?, "task type id")?
+                types.next().expect("a type")
             } else {
                 u32::from(head % 16)
             };
-            let cpu = if head & 64 == 0 {
-                narrow(field()?, "task cpu id")?
-            } else {
-                prev_cpu
-                    .ok_or_else(|| TraceError::Format("first task row repeats no CPU".into()))?
-            };
-            prev_cpu = Some(cpu);
+            if head & 64 == 0 {
+                cpu = cpus.next().expect("a cpu");
+            }
             let creator = if head & 16 != 0 {
-                narrow(field()?, "task creator cpu id")?
+                creators.next().expect("a creator")
             } else {
                 cpu
             };
-            let creation = prev_creation.wrapping_add(signed(field()?) as u64);
+            let creation = prev_creation.wrapping_add(signed(creations[i]) as u64);
             prev_creation = creation;
             let start = if head & 32 == 0 {
-                creation.wrapping_add(signed(field()?) as u64)
+                creation.wrapping_add(signed(offsets.next().expect("an offset")) as u64)
             } else {
                 creation
             };
-            let end = start.checked_add(field()?).ok_or_else(delta_overflow)?;
+            let end = start.checked_add(durations[i]).ok_or_else(delta_overflow)?;
             let id = first_id.checked_add(i as u64).ok_or_else(delta_overflow)?;
             rows_out.push(TaskInstance::new(
                 TaskId(id),
@@ -2775,6 +2912,13 @@ mod tests {
         // Version 4 stored every task's type and `cpu << 1 | stolen` as
         // varints, and every access address absolute.
         assert_refused_as(4);
+    }
+
+    #[test]
+    fn version_5_is_rejected_as_unsupported() {
+        // Version 5 wrote every integer of a block as a LEB128 varint and
+        // every head and event kind tag as a raw byte.
+        assert_refused_as(5);
     }
 
     #[test]
@@ -3213,20 +3357,29 @@ mod tests {
         }
     }
 
+    /// A block of `raw` leading bytes (an event block's flags, a sample
+    /// block's mode) and then `columns`, packed.
+    fn block_of(raw: &[u8], columns: &[&[u64]]) -> Vec<u8> {
+        let mut block = raw.to_vec();
+        columns.iter().for_each(|col| put_packed(&mut block, col));
+        block
+    }
+
     #[test]
     fn a_task_block_id_beyond_32_bits_is_refused_not_wrapped() {
-        // One stolen task row of an escaped type: its head, then type, cpu,
-        // creator cpu, creation, start, duration — a well-formed one (2 is a
-        // zigzag +1) but for the `wide` id, which wrapped would be id 1.
+        // One stolen task row of an escaped type: its head, then its type,
+        // cpu, creator cpu, creation, start and duration columns — a
+        // well-formed one (2 is a zigzag +1) but for the `wide` id, which
+        // wrapped would be id 1.
         for (wide, what) in [
             (0, "task type id"),
             (1, "task cpu id"),
             (2, "task creator cpu id"),
         ] {
-            let mut block = vec![TYPE_ESCAPED | TASK_STOLEN];
-            for field in 0..6 {
-                put_varint(&mut block, if field == wide { (1 << 32) | 1 } else { 2 });
-            }
+            let field = |f: usize| if f == wide { (1 << 32) | 1 } else { 2 };
+            let head = u64::from(TYPE_ESCAPED | TASK_STOLEN);
+            let (ty, cpu, creator) = (field(0), field(1), field(2));
+            let block = block_of(&[], &[&[head], &[ty], &[cpu], &[creator], &[2], &[2], &[2]]);
             let mut tasks = Vec::new();
             let err = decode_tasks_block(&block, 0, 1, &mut tasks).unwrap_err();
             assert!(
@@ -3238,11 +3391,12 @@ mod tests {
 
     #[test]
     fn hostile_payloads_keep_the_width_and_lane_shape_of_pushed_rows() {
-        // A task ref beyond 32 bits widens the column exactly as `push` would.
-        let mut block = vec![WorkerState::TaskExecution as u8 | HEAD_HAS_REF | ESCAPED_HEAD];
-        put_varint(&mut block, 10); // start
-        put_varint(&mut block, 5); // duration
-        put_varint(&mut block, zigzag(i64::from(u32::MAX) + 2)); // biased ref u32::MAX + 2
+        // A task ref beyond 32 bits widens the column exactly as `push` would:
+        // a head, then one start, duration and ref step — to biased
+        // u32::MAX + 2.
+        let head = u64::from(WorkerState::TaskExecution as u8 | HEAD_HAS_REF | ESCAPED_HEAD);
+        let step = zigzag(i64::from(u32::MAX) + 2);
+        let block = block_of(&[], &[&[head], &[10], &[5], &[step]]);
         let footer = BlockFooter {
             offset: 0,
             len: block.len() as u64,
@@ -3260,13 +3414,10 @@ mod tests {
         };
         o.shrink_to_fit();
         assert_eq!(d.memory_bytes(), o.memory_bytes());
-        // An event block that stores a payload lane of zeros leaves it absent.
-        let mut block = vec![0b11u8];
-        put_varint(&mut block, 7); // timestamp
-        block.push(6); // marker
-        for payload in [9, 0, 0] {
-            put_varint(&mut block, payload);
-        }
+        // An event block that stores a payload lane of zeros leaves it absent:
+        // both lazy lanes flagged, then a timestamp, a marker's tag and its
+        // three payloads.
+        let block = block_of(&[0b11], &[&[7], &[6], &[9], &[0], &[0]]);
         let footer = BlockFooter {
             len: block.len() as u64,
             min_key: 7,
@@ -3376,8 +3527,8 @@ mod tests {
         format::write_metadata(&trace, &mut meta).unwrap();
         assert_eq!((meta.len(), crc32(&meta)), (75, 0x4b4c_9eb1));
         let pinned = [
-            (3usize, (927usize, 0xc879_c510_db07_37bfu64)),
-            (DEFAULT_BLOCK_ROWS, (631, 0x2e1a_cd0e_afa3_b13f)),
+            (3usize, (1146usize, 0x4b20_91c9_0417_e302u64)),
+            (DEFAULT_BLOCK_ROWS, (537, 0x6f13_5961_a6cc_33e2)),
         ];
         for (block_rows, (len, digest)) in pinned {
             let bytes = write_store_bytes(&trace, &StoreOptions { block_rows }).unwrap();
@@ -3392,7 +3543,7 @@ mod tests {
     /// A state head's start-code bits saying "escaped".
     const ESCAPED_HEAD: u8 = START_ESCAPED << HEAD_START_SHIFT;
 
-    /// A trace on every edge of the v5 encodings: every worker state; state
+    /// A trace on every edge of the v6 encodings: every worker state; state
     /// gaps of zero, of every inline code (±1 to ±3) and escaped ones above
     /// and below zero (overlaps, pushed past the builder's check); times near
     /// `u64::MAX`; task refs that rise, fall, are absent between present ones,
@@ -3566,30 +3717,18 @@ mod tests {
         (bytes, stored)
     }
 
-    /// The heads of a task block, walked row by row: a head, then its
-    /// varints — escaped type, CPU, creator, creation, start offset, duration.
-    fn task_heads(block: &[u8]) -> Vec<u8> {
-        let mut heads = Vec::new();
-        let mut pos = 0;
-        while pos < block.len() {
-            let head = block[pos];
-            pos += 1;
-            let varints = usize::from(head & TASK_TYPE == TYPE_ESCAPED)
-                + usize::from(head & TASK_SAME_CPU == 0)
-                + usize::from(head & TASK_STOLEN != 0)
-                + 1
-                + usize::from(head & TASK_AT_CREATION == 0)
-                + 1;
-            for _ in 0..varints {
-                get_varint(block, &mut pos).unwrap();
-            }
-            heads.push(head);
-        }
+    /// The heads of a state or task block: its first packed column.
+    fn heads_of(block: &[u8], rows: u64) -> Vec<u8> {
+        let mut heads = vec![0; rows as usize];
+        get_packed(block, &mut 0, &mut heads).unwrap();
         heads
+            .into_iter()
+            .map(|h| u8::try_from(h).unwrap())
+            .collect()
     }
 
     #[test]
-    fn v5_is_lossless_on_edge_values() {
+    fn v6_is_lossless_on_edge_values() {
         let trace = edge_trace();
         for block_rows in [1, 3, DEFAULT_BLOCK_ROWS] {
             let (bytes, stored) = assert_lossless(&trace, block_rows);
@@ -3598,9 +3737,12 @@ mod tests {
                 5,
                 "states, two sample lanes, accesses, tasks"
             );
-            let first = |lane| {
+            let first_heads = |lane| {
                 let b = stored.lane_directory(lane).unwrap().blocks[0];
-                &bytes[b.offset as usize..(b.offset + b.len) as usize]
+                heads_of(
+                    &bytes[b.offset as usize..(b.offset + b.len) as usize],
+                    b.rows,
+                )
             };
             // Both modes at every size: the integral lane is integral
             // throughout, the edge lane raw but for the blocks that hold
@@ -3616,7 +3758,8 @@ mod tests {
             if block_rows == DEFAULT_BLOCK_ROWS {
                 // The one state block's heads: every tag, every start code,
                 // rows with and without a ref.
-                let heads = &first(LaneId::States(CpuId(0)))[..16];
+                let heads = first_heads(LaneId::States(CpuId(0)));
+                assert_eq!(heads.len(), 16);
                 let field = |f: fn(u8) -> u8| -> std::collections::BTreeSet<u8> {
                     heads.iter().map(|&h| f(h)).collect()
                 };
@@ -3626,7 +3769,7 @@ mod tests {
                 // The one task block's heads: every type code, and every
                 // flag set on some row and clear on another (bit 7 on none);
                 // a row is stolen exactly when its task was.
-                let heads = task_heads(first(LaneId::Tasks));
+                let heads = first_heads(LaneId::Tasks);
                 assert_eq!(heads.len(), trace.tasks().len());
                 let codes: std::collections::BTreeSet<u8> =
                     heads.iter().map(|&h| h & TASK_TYPE).collect();
@@ -3706,21 +3849,28 @@ mod tests {
         }
     }
 
+    /// A packed column from its header fields and raw bit runs, as a hostile
+    /// writer would set them.
+    fn raw_column(min: u64, width: u8, patches: u64, runs: &[&[u8]]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        put_varint(&mut bytes, min);
+        bytes.push(width);
+        put_varint(&mut bytes, patches);
+        runs.iter().for_each(|run| bytes.extend_from_slice(run));
+        bytes
+    }
+
     #[test]
-    fn hostile_v5_payloads_give_the_same_typed_error_from_both_decoders() {
-        let block = |fields: &[u64]| {
-            let mut bytes = Vec::new();
-            fields.iter().for_each(|&f| put_varint(&mut bytes, f));
-            bytes
+    fn hostile_v6_payloads_give_the_same_typed_error_from_both_decoders() {
+        // A state block: its heads, then its packed columns.
+        let states = |heads: &[u8], columns: &[&[u64]]| {
+            let heads: Vec<u64> = heads.iter().map(|&h| u64::from(h)).collect();
+            let mut all: Vec<&[u64]> = vec![&heads];
+            all.extend_from_slice(columns);
+            block_of(&[], &all)
         };
-        // A state block: its heads, then its varint columns.
-        let states = |heads: &[u8], fields: &[u64]| {
-            let mut bytes = heads.to_vec();
-            bytes.extend(block(fields));
-            bytes
-        };
-        // A one-row task block: its head, then its varints.
-        let task = |head: u8, fields: &[u64]| states(&[head], fields);
+        // A one-row task block: its head, then its packed columns.
+        let task = |head: u8, columns: &[&[u64]]| states(&[head], columns);
         let at = TASK_AT_CREATION;
         let tag = WorkerState::TaskExecution as u8;
         let esc = tag | ESCAPED_HEAD;
@@ -3728,6 +3878,10 @@ mod tests {
         let max_step = zigzag(1 << 53);
         let samples = LaneId::Samples(CpuId(0), CounterId(0));
         let lane = LaneId::States(CpuId(0));
+        let cut = |mut block: Vec<u8>, tail: &[u8]| {
+            block.extend_from_slice(tail);
+            block
+        };
         // What the case is, what the column-direct decoder's message says,
         // and the block: its lane, rows and payload.
         let mut cases: Vec<(String, &str, LaneId, usize, Vec<u8>)> = vec![
@@ -3736,7 +3890,7 @@ mod tests {
                 "sample mode",
                 samples,
                 1,
-                block(&[2, 7, 0]),
+                block_of(&[2], &[&[7], &[0]]),
             ),
             (
                 "no sample mode byte".into(),
@@ -3750,172 +3904,244 @@ mod tests {
                 "2^53",
                 samples,
                 1,
-                block(&[1, 7, zigzag((1 << 53) + 1)]),
+                block_of(&[1], &[&[7], &[zigzag((1 << 53) + 1)]]),
             ),
             (
                 "an integral sum past 2^53".into(),
                 "2^53",
                 samples,
                 2,
-                block(&[1, 7, 1, max_step, 2]),
+                block_of(&[1], &[&[7, 1], &[max_step, 2]]),
             ),
             (
                 "an integral sum below -2^53".into(),
                 "2^53",
                 samples,
                 2,
-                block(&[1, 7, 1, zigzag(-(1 << 53)), 1]),
+                block_of(&[1], &[&[7, 1], &[zigzag(-(1 << 53)), 1]]),
             ),
             (
                 "an integral step beyond i64".into(),
                 "2^53",
                 samples,
                 2,
-                block(&[1, 7, 1, max_step, u64::MAX - 1]),
+                block_of(&[1], &[&[7, 1], &[max_step, u64::MAX - 1]]),
+            ),
+            (
+                "a step to -2^63 from 0".into(),
+                "2^53",
+                samples,
+                1,
+                block_of(&[1], &[&[7], &[u64::MAX]]),
+            ),
+            (
+                "timestamps that sum past u64".into(),
+                "overflow",
+                samples,
+                2,
+                block_of(&[0], &[&[u64::MAX, 1]]),
             ),
             (
                 "task deltas that sum past u64".into(),
                 "overflow",
                 LaneId::Accesses,
                 3,
-                block(&[u64::MAX - 1, 0, 8, u64::MAX - 1, 0, 8, 4, 0, 8]),
+                block_of(&[], &[&[u64::MAX - 1, u64::MAX - 1, 4], &[0; 3], &[8; 3]]),
             ),
             (
                 "a first row that is not escaped".into(),
                 "not escaped",
                 lane,
                 1,
-                states(&[tag | 3 << HEAD_START_SHIFT], &[5]),
+                states(&[tag | 3 << HEAD_START_SHIFT], &[&[5]]),
             ),
             (
-                "a missing escaped start".into(),
+                "a block that ends before its durations".into(),
                 "truncated",
                 lane,
                 2,
-                states(&[esc, esc], &[10]),
+                states(&[esc, tag], &[&[10]]),
             ),
             (
                 "a bit-4 row with no ref".into(),
                 "truncated",
                 lane,
                 1,
-                states(&[with_ref], &[10, 5]),
+                states(&[with_ref], &[&[10], &[5]]),
             ),
             (
                 "a ref of 0 at the block's start".into(),
                 "zero biased task ref",
                 lane,
                 1,
-                states(&[with_ref], &[10, 5, 0]),
+                states(&[with_ref], &[&[10], &[5], &[0]]),
             ),
             (
                 "a ref step back to 0".into(),
                 "zero biased task ref",
                 lane,
                 2,
-                states(&[with_ref, with_ref], &[10, 5, 5, 5, zigzag(5), zigzag(-5)]),
-            ),
-            (
-                "truncated durations".into(),
-                "truncated",
-                lane,
-                2,
-                states(&[esc, tag], &[10, 5]),
+                states(
+                    &[with_ref, with_ref],
+                    &[&[10, 5], &[5, 5], &[zigzag(5), zigzag(-5)]],
+                ),
             ),
             (
                 "a start gap that wraps to u64::MAX".into(),
                 "overflow",
                 lane,
                 2,
-                states(&[esc, esc], &[10, zigzag(-16), 5, 1]),
+                states(&[esc, esc], &[&[10, zigzag(-16)], &[5, 1]]),
             ),
             (
                 "a start of u64::MAX - 1 lasting 5".into(),
                 "overflow",
                 lane,
                 1,
-                states(&[esc], &[u64::MAX - 1, 5]),
+                states(&[esc], &[&[u64::MAX - 1], &[5]]),
             ),
             (
-                "a truncated address".into(),
+                "a head past a byte".into(),
+                "invalid state head",
+                lane,
+                1,
+                block_of(&[], &[&[256 | u64::from(esc)], &[10], &[5]]),
+            ),
+            (
+                "a truncated address column".into(),
                 "truncated",
                 LaneId::Accesses,
                 1,
-                vec![2, 0x80],
+                cut(block_of(&[], &[&[2]]), &[0x80]),
             ),
             (
                 "task head bit 7".into(),
                 "reserved",
                 LaneId::Tasks,
                 1,
-                task(TASK_RESERVED | at, &[0, 2, 2]),
+                task(TASK_RESERVED | at, &[&[0], &[2], &[2]]),
             ),
             (
                 "task head bit 6 on a block's first row".into(),
                 "repeats no CPU",
                 LaneId::Tasks,
                 1,
-                task(TASK_SAME_CPU | at, &[2, 2]),
+                task(TASK_SAME_CPU | at, &[&[2], &[2]]),
             ),
             (
-                "a missing task head".into(),
+                "a task block that ends after its heads".into(),
                 "truncated",
                 LaneId::Tasks,
                 2,
-                task(at, &[0, 2, 2]),
+                states(&[at, at], &[]),
             ),
             (
                 "a missing escaped type".into(),
                 "truncated",
                 LaneId::Tasks,
                 1,
-                vec![TYPE_ESCAPED],
-            ),
-            (
-                "a missing cpu".into(),
-                "truncated",
-                LaneId::Tasks,
-                1,
-                task(at, &[]),
+                task(TYPE_ESCAPED, &[]),
             ),
             (
                 "a stolen bit with no creator".into(),
                 "truncated",
                 LaneId::Tasks,
                 1,
-                task(TASK_STOLEN | at, &[0]),
+                task(TASK_STOLEN | at, &[&[0]]),
             ),
             (
                 "a missing start offset".into(),
                 "truncated",
                 LaneId::Tasks,
                 1,
-                task(0, &[0, 2]),
+                task(0, &[&[0], &[2]]),
             ),
             (
                 "a type that exceeds u32".into(),
                 "task type id",
                 LaneId::Tasks,
                 1,
-                task(TYPE_ESCAPED | at, &[1 << 32, 0, 2, 2]),
+                task(TYPE_ESCAPED | at, &[&[1 << 32], &[0], &[2], &[2]]),
             ),
             (
                 "a cpu that exceeds u32".into(),
                 "task cpu id",
                 LaneId::Tasks,
                 1,
-                task(at, &[1 << 32, 2, 2]),
+                task(at, &[&[1 << 32], &[2], &[2]]),
             ),
             (
                 "a task end past u64".into(),
                 "overflow",
                 LaneId::Tasks,
                 1,
-                task(at, &[0, zigzag(-1), 1]),
+                task(at, &[&[0], &[zigzag(-1)], &[1]]),
+            ),
+            // The packed columns themselves, here a state block's heads (a
+            // head of 0 at width 0 reads as a first row not escaped).
+            (
+                "a column width above 64".into(),
+                "above 64",
+                lane,
+                1,
+                raw_column(0, 65, 0, &[&[0; 9]]),
+            ),
+            (
+                "more patches than rows".into(),
+                "more patches",
+                lane,
+                1,
+                raw_column(u64::from(esc), 0, 2, &[&[1], &[1]]),
+            ),
+            (
+                "a patch wider than 64 bits".into(),
+                "wider than 64",
+                lane,
+                2,
+                raw_column(u64::from(esc), 1, 1, &[&[0], &[64], &[0], &[0; 8]]),
+            ),
+            (
+                // Rows 0..3 take 2-bit positions: 3 is past the last row.
+                "a patch position past the last row".into(),
+                "past the column end",
+                lane,
+                3,
+                raw_column(u64::from(esc), 0, 1, &[&[1], &[0b11], &[1]]),
+            ),
+            (
+                "patch positions out of order".into(),
+                "out of order",
+                lane,
+                4,
+                raw_column(u64::from(esc), 1, 2, &[&[0], &[1], &[0b10_11], &[0b11]]),
+            ),
+            (
+                "a repeated patch position".into(),
+                "out of order",
+                lane,
+                4,
+                raw_column(u64::from(esc), 1, 2, &[&[0], &[1], &[0b01_01], &[0b11]]),
+            ),
+            (
+                "packed bits past the block end".into(),
+                "truncated",
+                lane,
+                4,
+                raw_column(u64::from(esc), 8, 0, &[&[0; 3]]),
+            ),
+            (
+                "min plus a value past u64".into(),
+                "past u64",
+                lane,
+                1,
+                cut(
+                    block_of(&[], &[&[u64::from(esc)], &[10]]),
+                    &raw_column(u64::MAX, 1, 0, &[&[1]]),
+                ),
             ),
         ];
         for bad in WorkerState::COUNT as u8..=HEAD_TAG {
-            let payload = states(&[bad | ESCAPED_HEAD], &[10, 5]);
+            let payload = states(&[bad | ESCAPED_HEAD], &[&[10], &[5]]);
             cases.push((
                 format!("head tag {bad}"),
                 "invalid state tag",
