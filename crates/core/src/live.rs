@@ -87,7 +87,6 @@ pub struct EpochStats {
 #[derive(Debug)]
 pub struct LiveSession {
     stream: StreamingTrace,
-    epoch: u64,
     /// The slots of the incrementally maintained shards (one counter index per
     /// sampled pair, one pyramid per CPU with states) and what this epoch's
     /// views share: the result caches and the access index, replaced when an
@@ -119,7 +118,6 @@ impl LiveSession {
         let mut live = LiveSession {
             state: SessionState::of(stream.trace()),
             stream,
-            epoch: 0,
             total_nodes_rebuilt: 0,
             lint: None,
         };
@@ -217,8 +215,8 @@ impl LiveSession {
 
     /// Lets every pyramid and counter index absorb what its stream has grown by
     /// since — each knows the length it summarises, which may be zero or several
-    /// chunks behind; advances the epoch to the stream's accepted-chunk count
-    /// and, when the trace holds more than `items_before`, swaps in fresh result
+    /// chunks behind (the epoch is the stream's accepted-chunk count) and,
+    /// when the trace holds more than `items_before`, swaps in fresh result
     /// caches and an empty access-index slot (views of the old epoch — all
     /// dropped by now — kept the old ones alive only as long as they needed
     /// them).
@@ -237,13 +235,12 @@ impl LiveSession {
             }
         }
         let appended_items = item_count(trace) - items_before;
-        self.epoch = self.stream.epochs();
         self.total_nodes_rebuilt += nodes_rebuilt as u64;
         if appended_items > 0 {
             self.state.invalidate_data();
         }
         EpochStats {
-            epoch: self.epoch,
+            epoch: self.stream.epochs(),
             appended_items,
             nodes_rebuilt,
         }
@@ -262,7 +259,7 @@ impl LiveSession {
 
     /// The current epoch (number of accepted chunks).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.stream.epochs()
     }
 
     /// The ingested trace prefix.

@@ -359,22 +359,13 @@ pub struct StatePyramid {
 impl StatePyramid {
     /// Builds a pyramid with the default fanout.
     pub fn build(trace: &Trace, states: StatesView<'_>) -> Self {
-        Self::with_fanout(trace, states, DEFAULT_PYRAMID_FANOUT)
+        Self::build_from(trace, trace, states, DEFAULT_PYRAMID_FANOUT)
     }
 
-    /// Builds a pyramid with a custom fanout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fanout < 2`.
-    pub fn with_fanout(trace: &Trace, states: StatesView<'_>, fanout: usize) -> Self {
-        Self::build_from(trace, trace, states, fanout)
-    }
-
-    /// [`StatePyramid::with_fanout`] reading the tasks' accesses through any
-    /// [`AccessSource`] of `trace`: a session passes its access index
-    /// ([`crate::AnalysisSession::accesses`]), `&Trace` itself searches. Both
-    /// produce the same pyramid.
+    /// Builds a pyramid with a custom fanout, reading the tasks' accesses
+    /// through any [`AccessSource`] of `trace`: a session passes its access
+    /// index ([`crate::AnalysisSession::accesses`]), `&Trace` itself searches.
+    /// Both produce the same pyramid.
     ///
     /// # Panics
     ///
@@ -399,7 +390,7 @@ impl StatePyramid {
     /// intervals the pyramid covered before it. Only the partial tail node of every
     /// level plus the nodes covering the new intervals are rebuilt —
     /// `O(new/fanout + fanout · log n)` work, never a full rebuild — and the result
-    /// is structurally identical to [`StatePyramid::with_fanout`] over the full
+    /// is structurally identical to [`StatePyramid::build_from`] over the full
     /// stream. This exactness requires the streaming contract of
     /// `aftermath_trace::streaming`: everything a sealed node aggregates (the
     /// covered intervals, their tasks and those tasks' accesses, region placement)
@@ -454,20 +445,9 @@ impl StatePyramid {
     }
 
     /// Bytes accessed per NUMA node over the intervals `[lo, hi)` (attributed per
-    /// execution interval), ascending by node id.
-    pub fn numa_bytes(
-        &self,
-        trace: &Trace,
-        states: StatesView<'_>,
-        lo: usize,
-        hi: usize,
-        kind: AccessKind,
-    ) -> Vec<(NumaNodeId, u64)> {
-        self.numa_bytes_from(trace, trace, states, lo, hi, kind)
-    }
-
-    /// [`StatePyramid::numa_bytes`] reading the raw runs' accesses through any
-    /// [`AccessSource`] of `trace`: [`Window::numa_bytes`] over the index range.
+    /// execution interval), ascending by node id, reading the raw runs' accesses
+    /// through any [`AccessSource`] of `trace`: [`Window::numa_bytes`] over the
+    /// index range.
     pub fn numa_bytes_from<S: AccessSource + ?Sized>(
         &self,
         trace: &Trace,
@@ -834,7 +814,7 @@ mod tests {
     use aftermath_trace::{CpuId, MachineTopology, TaskId, Timestamp, TraceBuilder};
 
     fn pyramid_for(trace: &Trace, cpu: CpuId, fanout: usize) -> StatePyramid {
-        StatePyramid::with_fanout(trace, trace.cpu(cpu).unwrap().states(), fanout)
+        StatePyramid::build_from(trace, trace, trace.cpu(cpu).unwrap().states(), fanout)
     }
 
     fn states_of(trace: &Trace, cpu: CpuId) -> StatesView<'_> {
@@ -951,7 +931,7 @@ mod tests {
         assert_eq!(window.state_cycles(), [0; WorkerState::COUNT]);
         assert_eq!(window.predominant_task(&trace, &TaskFilter::new()), None);
         assert_eq!(window.exec_stats(), ExecStats::default());
-        let read = pyramid.numa_bytes(&trace, empty, 0, 10, AccessKind::Read);
+        let read = pyramid.numa_bytes_from(&trace, &trace, empty, 0, 10, AccessKind::Read);
         assert_eq!(read, Vec::new());
     }
 
@@ -1111,7 +1091,7 @@ mod tests {
     #[should_panic]
     fn fanout_of_one_panics() {
         let trace = small_sim_trace();
-        let _ = StatePyramid::with_fanout(&trace, StatesView::empty(CpuId(0)), 1);
+        let _ = StatePyramid::build_from(&trace, &trace, StatesView::empty(CpuId(0)), 1);
     }
 
     #[test]
@@ -1123,9 +1103,9 @@ mod tests {
         for fanout in [2, 3, 8, 64] {
             for old_len in [0, 1, n / 3, n / 2, n - 1, n] {
                 let mut incremental =
-                    StatePyramid::with_fanout(&trace, states.slice(0, old_len), fanout);
+                    StatePyramid::build_from(&trace, &trace, states.slice(0, old_len), fanout);
                 incremental.append_tail(&trace, states, old_len);
-                let fresh = StatePyramid::with_fanout(&trace, states, fanout);
+                let fresh = StatePyramid::build_from(&trace, &trace, states, fanout);
                 assert_eq!(incremental, fresh, "fanout {fanout}, split at {old_len}");
             }
         }
@@ -1135,13 +1115,13 @@ mod tests {
     fn append_tail_in_many_small_steps_equals_fresh_build() {
         let trace = small_sim_trace();
         let states = states_of(&trace, CpuId(1));
-        let mut pyramid = StatePyramid::with_fanout(&trace, states.slice(0, 0), 3);
+        let mut pyramid = StatePyramid::build_from(&trace, &trace, states.slice(0, 0), 3);
         let mut len = 0;
         while len < states.len() {
             let next = (len + 1 + len % 4).min(states.len());
             pyramid.append_tail(&trace, states.slice(0, next), len);
             len = next;
         }
-        assert_eq!(pyramid, StatePyramid::with_fanout(&trace, states, 3));
+        assert_eq!(pyramid, StatePyramid::build_from(&trace, &trace, states, 3));
     }
 }

@@ -542,7 +542,10 @@ mod tests {
                         let lanes = report.lanes.iter();
                         lanes.map(|d| (d.lane, d.surviving_rows)).collect()
                     }
-                    None => lanes.iter().map(|&l| (l, stored.lane_rows(l))).collect(),
+                    None => lanes
+                        .iter()
+                        .map(|&l| (l, stored.lane_directory(l).map_or(0, |d| d.rows)))
+                        .collect(),
                 };
                 let mut store = StoreSession::from_store(stored);
                 store.set_residency_budget(budget);

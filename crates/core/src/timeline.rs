@@ -245,11 +245,6 @@ impl TimelineModel {
     }
 }
 
-/// The time interval covered by one column ([`TimeInterval::bin`]).
-pub fn column_interval(interval: TimeInterval, columns: usize, col: usize) -> TimeInterval {
-    interval.bin(columns, col)
-}
-
 /// Maps a predominant task (index into `trace.tasks()`) to its cell for the
 /// task-based modes (heatmap, typemap, NUMA read/write/heat). The NUMA modes read
 /// the task's accesses through the session's access index; `scratch` is the map
@@ -320,10 +315,10 @@ mod tests {
         let cols = 7;
         let mut covered = 0;
         for c in 0..cols {
-            covered += column_interval(iv, cols, c).duration();
+            covered += iv.bin(cols, c).duration();
         }
         assert_eq!(covered, 1000);
-        assert_eq!(column_interval(iv, cols, cols - 1).end.0, 1000);
+        assert_eq!(iv.bin(cols, cols - 1).end.0, 1000);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use aftermath_core::numa::{
     dominant_write_node, remote_access_fraction, task_remote_fraction, task_remote_fraction_from,
 };
 use aftermath_core::pyramid::{overlap_range, DEFAULT_PYRAMID_FANOUT};
-use aftermath_core::timeline::column_interval;
 use aftermath_core::{
     AnalysisSession, IncidenceMatrix, StatePyramid, TaskFilter, Threads, TimelineCell,
     TimelineEngine, TimelineMode, TimelineModel,
@@ -236,7 +235,7 @@ fn check_trace(trace: &Trace, seed: u64) {
             assert_eq!(pyramid, &searched, "{cpu:?}");
         }
         // A small fanout so that windows cut through summarised groups.
-        let small = StatePyramid::with_fanout(trace, states, 2);
+        let small = StatePyramid::build_from(trace, trace, states, 2);
         assert_eq!(StatePyramid::build_from(trace, &indexed, states, 2), small);
         for _ in 0..4 {
             let start = bounds.start.0 + rng.below(bounds.duration().max(1));
@@ -244,14 +243,14 @@ fn check_trace(trace: &Trace, seed: u64) {
             let (first, last) = overlap_range(states, window);
             for kind in [AccessKind::Read, AccessKind::Write] {
                 let expected: Vec<_> = searched
-                    .numa_bytes(trace, states, first, last, kind)
+                    .numa_bytes_from(trace, trace, states, first, last, kind)
                     .into_iter()
                     .filter(|&(_, bytes)| bytes > 0)
                     .collect();
                 assert_eq!(session.query(window).numa_bytes(cpu, kind), expected);
                 assert_eq!(
                     small.numa_bytes_from(trace, &indexed, states, first, last, kind),
-                    small.numa_bytes(trace, states, first, last, kind)
+                    small.numa_bytes_from(trace, trace, states, first, last, kind)
                 );
             }
         }
@@ -286,7 +285,7 @@ fn check_trace(trace: &Trace, seed: u64) {
             assert_eq!(frames[0], frames[2], "{mode:?}: scan vs adaptive");
             for (row, &cpu) in frames[0].cpus.iter().enumerate() {
                 for col in 0..columns {
-                    let cell_iv = column_interval(interval, columns, col);
+                    let cell_iv = interval.bin(columns, col);
                     let task = session
                         .query(cell_iv)
                         .predominant_task(cpu, &TaskFilter::new());

@@ -75,7 +75,7 @@ impl CounterOverlay {
         let mut fb = Framebuffer::new(columns, self.height, Color::BLACK);
         let mut drew = false;
         for col in 0..columns {
-            let col_iv = aftermath_core::timeline::column_interval(interval, columns, col);
+            let col_iv = interval.bin(columns, col);
             if let Some((lo, hi)) = session.counter_min_max(self.cpu, self.counter, col_iv) {
                 let y0 = self.value_to_y(hi, min, max);
                 let y1 = self.value_to_y(lo, min, max);

@@ -284,7 +284,7 @@ fn store_backed_answers_do_not_depend_on_thread_or_residency_budget() {
     let lane = probe
         .lanes()
         .filter(|lane| matches!(lane, aftermath_trace::store::LaneId::States(_)))
-        .max_by_key(|&lane| probe.lane_rows(lane))
+        .max_by_key(|&lane| probe.lane_directory(lane).map_or(0, |d| d.rows))
         .expect("a states lane");
     let blocks = &probe.lane_directory(lane).expect("directory").blocks;
     assert!(

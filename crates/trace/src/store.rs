@@ -36,6 +36,15 @@
 //! ([`LaneRequest::StatesCovering`]), and an optional residency budget
 //! with least-recently-used lane eviction keeps resident bytes bounded.
 //!
+//! The decode contract: a block decodes from its bytes, its row count and its
+//! first row in the lane (the rows of the blocks before it); a task's id is
+//! its row. Footer keys are planning hints that decoding checks: open refuses
+//! a lane whose keys ever fall (the window plan bisects them), and a block
+//! whose first and last keys disagree with its footer's does not decode. A
+//! consistent lie in the footer of a block that a window skips cannot be seen
+//! without reading that block. The checksums guard against accidental damage;
+//! open and decode guard the planner's preconditions.
+//!
 //! ```text
 //! file       := "AFST" | version u32-le | meta-len varint | meta (an AFTM
 //!               trace holding only metadata) | block* | directory | trailer
@@ -53,7 +62,8 @@
 //!
 //! For damaged files, [`StoredTrace::salvage`] degrades an opened store:
 //! instead of failing on the first bad block it scans every block, quarantines
-//! the corrupt or unreadable ones, and serves queries over the surviving
+//! the corrupt, unreadable or undecodable ones (a block whose keys disagree
+//! with its footer's does not decode), and serves queries over the surviving
 //! contiguous span of each lane, reporting per-lane coverage in a
 //! [`DamageReport`] with stable `S001`–`S003` codes (mirroring the lint
 //! layer's `L001`–`L008` annotation style).
@@ -164,7 +174,8 @@ const LANE_TAG_TASKS: u8 = 4;
 /// `min_key`/`max_key` are lane-specific: for the time-sorted lanes (states,
 /// events, samples) they are the minimum start/timestamp and maximum
 /// end/timestamp of the covered rows; for accesses the biased task-id range;
-/// for tasks the dense-id range.
+/// for tasks the dense-id range. They plan reads and are checked when the
+/// block decodes; no row takes its value from them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockFooter {
     /// Absolute file offset of the encoded block payload.
@@ -192,6 +203,16 @@ pub struct LaneDirectory {
     pub blocks: Vec<BlockFooter>,
 }
 
+impl LaneDirectory {
+    /// The lane row each block starts at, in block order: the rows of the
+    /// blocks before it (they add up to the lane's rows, [`read_directory`]).
+    fn first_rows(&self) -> impl Iterator<Item = u64> + '_ {
+        self.blocks
+            .iter()
+            .scan(0, |next, b| Some(std::mem::replace(next, *next + b.rows)))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Salvage damage reporting
 // ---------------------------------------------------------------------------
@@ -204,8 +225,9 @@ pub enum DamageCode {
     BlockChecksumMismatch,
     /// The cold tier could not read a block's byte range at all.
     BlockUnreadable,
-    /// A block's checksum holds but its payload does not decode (the bytes
-    /// were written wrong, not damaged afterwards).
+    /// A block's checksum holds but its payload does not decode, or its keys
+    /// disagree with its footer's (the bytes were written wrong, not damaged
+    /// afterwards).
     BlockUndecodable,
 }
 
@@ -584,7 +606,20 @@ fn encode_states_block(
     (starts[0], max_end)
 }
 
-fn decode_states_block(buf: &[u8], rows: usize, out: &mut StateColumns) -> Result<(), TraceError> {
+/// The first and last key of a time- or task-sorted block's key column (0
+/// for no rows).
+fn first_last(keys: &[u64]) -> (u64, u64) {
+    let key = |k: Option<&u64>| k.copied().unwrap_or(0);
+    (key(keys.first()), key(keys.last()))
+}
+
+/// Decodes a states block onto the end of `out`; returns its keys (the first
+/// start and the largest end, as [`encode_states_block`] does).
+fn decode_states_block(
+    buf: &[u8],
+    rows: usize,
+    out: &mut StateColumns,
+) -> Result<(u64, u64), TraceError> {
     let ([starts, ends], tags, tasks) = out.columns_mut();
     let first = starts.len();
     let mut pos = 0usize;
@@ -614,7 +649,7 @@ fn decode_states_block(buf: &[u8], rows: usize, out: &mut StateColumns) -> Resul
     }));
     get_column(buf, &mut pos, rows, ends)?;
     let mut prev_end: Option<u64> = None;
-    let mut overflow = false;
+    let (mut overflow, mut max_end) = (false, 0);
     for (start, end) in starts[first..].iter_mut().zip(&mut ends[first..]) {
         if let Some(before) = prev_end {
             *start = before.wrapping_add(unzigzag(*start) as u64);
@@ -622,11 +657,13 @@ fn decode_states_block(buf: &[u8], rows: usize, out: &mut StateColumns) -> Resul
         let carried;
         (*end, carried) = start.overflowing_add(*end);
         overflow |= carried;
+        max_end = max_end.max(*end);
         prev_end = Some(*end);
     }
     if overflow {
         return Err(delta_overflow());
     }
+    let keys = (first_last(&starts[first..]).0, max_end);
     tags.extend(heads.iter().map(|&h| h & HEAD_TAG));
     let mut refs = column(buf, &mut pos, count(&heads, |h| h & HEAD_HAS_REF != 0))?;
     wrapping_sums(&mut refs);
@@ -642,7 +679,7 @@ fn decode_states_block(buf: &[u8], rows: usize, out: &mut StateColumns) -> Resul
         })
         .collect();
     tasks.extend_biased(&biased);
-    Ok(())
+    Ok(keys)
 }
 
 /// Encodes event rows `[lo, hi)`; lazy payload lanes are elided per block when
@@ -675,7 +712,13 @@ fn encode_events_block(
     (ts[0], ts[ts.len() - 1])
 }
 
-fn decode_events_block(buf: &[u8], rows: usize, out: &mut EventColumns) -> Result<(), TraceError> {
+/// Decodes an events block onto the end of `out`; returns its first and last
+/// timestamps.
+fn decode_events_block(
+    buf: &[u8],
+    rows: usize,
+    out: &mut EventColumns,
+) -> Result<(u64, u64), TraceError> {
     let (timestamps, tags, [payload_a, payload_b, payload_c]) = out.columns_mut();
     // The lane was allocated at its run's row count: a lazy lane that
     // materialises below is given the same room.
@@ -684,6 +727,7 @@ fn decode_events_block(buf: &[u8], rows: usize, out: &mut EventColumns) -> Resul
     let flags = take(buf, &mut pos, 1, "truncated event block")?[0];
     get_column(buf, &mut pos, rows, timestamps)?;
     running_sums(&mut timestamps[first..])?;
+    let keys = first_last(&timestamps[first..]);
     let block_tags = byte_column(buf, &mut pos, rows, "event tag")?;
     if let Some(&bad) = block_tags.iter().find(|&&t| kind_arity(t).is_none()) {
         return Err(TraceError::Format(format!("invalid event tag {bad}")));
@@ -709,7 +753,7 @@ fn decode_events_block(buf: &[u8], rows: usize, out: &mut EventColumns) -> Resul
     }
     extend_lazy(payload_b, first, &b, run_rows);
     extend_lazy(payload_c, first, &c, run_rows);
-    Ok(())
+    Ok(keys)
 }
 
 fn encode_samples_block(
@@ -758,17 +802,20 @@ fn stored_as_integer(v: f64) -> bool {
     v.abs() <= MAX_INTEGRAL_SAMPLE as f64 && v.trunc() == v && v.to_bits() != (-0.0f64).to_bits()
 }
 
+/// Decodes a samples block onto the end of `out`; returns its first and last
+/// timestamps.
 fn decode_samples_block(
     buf: &[u8],
     rows: usize,
     out: &mut SampleColumns,
-) -> Result<(), TraceError> {
+) -> Result<(u64, u64), TraceError> {
     let (timestamps, values) = out.columns_mut();
     let first = timestamps.len();
     let mut pos = 0usize;
     let mode = take(buf, &mut pos, 1, "truncated sample block")?[0];
     get_column(buf, &mut pos, rows, timestamps)?;
     running_sums(&mut timestamps[first..])?;
+    let keys = first_last(&timestamps[first..]);
     match mode {
         SAMPLES_RAW => {
             let raw = take(
@@ -794,7 +841,7 @@ fn decode_samples_block(
         }
         bad => return Err(TraceError::Format(format!("invalid sample mode {bad}"))),
     }
-    Ok(())
+    Ok(keys)
 }
 
 /// Encodes access rows `[lo, hi)`. A key is the step of the biased task ref
@@ -820,11 +867,13 @@ fn encode_accesses_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>)
     (biased(0), biased(kinds.len() - 1))
 }
 
+/// Decodes an access block onto the end of `out`; returns its first and last
+/// biased task refs.
 fn decode_accesses_block(
     buf: &[u8],
     rows: usize,
     out: &mut AccessColumns,
-) -> Result<(), TraceError> {
+) -> Result<(u64, u64), TraceError> {
     let (tasks, kinds, [addrs, sizes]) = out.columns_mut();
     let first = addrs.len();
     let mut pos = 0usize;
@@ -839,7 +888,8 @@ fn decode_accesses_block(
     tasks.extend_biased(&keys);
     get_column(buf, &mut pos, rows, addrs)?;
     wrapping_sums(&mut addrs[first..]);
-    get_column(buf, &mut pos, rows, sizes)
+    get_column(buf, &mut pos, rows, sizes)?;
+    Ok(first_last(&keys))
 }
 
 /// A task head's bits 0–3: the type id, or [`TYPE_ESCAPED`].
@@ -907,12 +957,15 @@ fn encode_tasks_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) ->
     (lo as u64, hi as u64 - 1)
 }
 
+/// Decodes a task block whose first row is lane row `first_row` onto the end
+/// of `out`; returns its first and last ids. A task's id is its row: ids are
+/// dense, so the block stores none.
 fn decode_tasks_block(
     buf: &[u8],
-    first_id: u64,
+    first_row: u64,
     rows: usize,
     out: &mut Vec<TaskInstance>,
-) -> Result<(), TraceError> {
+) -> Result<(u64, u64), TraceError> {
     let mut pos = 0usize;
     let heads = byte_column(buf, &mut pos, rows, "task head")?;
     if heads.iter().any(|&h| h & TASK_RESERVED != 0) {
@@ -974,9 +1027,8 @@ fn decode_tasks_block(
             _ => creation,
         };
         let end = start.checked_add(duration).ok_or_else(delta_overflow)?;
-        let id = first_id.checked_add(i as u64).ok_or_else(delta_overflow)?;
         out.push(TaskInstance::new(
-            TaskId(id),
+            TaskId(first_row + i as u64),
             TaskTypeId(ty),
             CpuId(cpu),
             CpuId(creator),
@@ -984,7 +1036,7 @@ fn decode_tasks_block(
             TimeInterval::from_cycles(start, end),
         ));
     }
-    Ok(())
+    Ok((first_row, (first_row + rows as u64).saturating_sub(1)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1127,56 +1179,10 @@ fn encode_store(
             blocks: footers,
         });
     }
-    // Directory.
     let dir_offset = offset;
     let mut tail = Vec::new();
-    let bounds = trace.time_bounds_opt();
-    tail.push(u8::from(bounds.is_some()));
-    if let Some(b) = bounds {
-        put_varint(&mut tail, b.start.0);
-        put_varint(&mut tail, b.end.0);
-    }
-    put_varint(&mut tail, trace.num_events() as u64);
-    put_varint(&mut tail, directory.len() as u64);
-    for lane in &directory {
-        match lane.lane {
-            LaneId::States(cpu) => {
-                tail.push(LANE_TAG_STATES);
-                put_varint(&mut tail, u64::from(cpu.0));
-            }
-            LaneId::Events(cpu) => {
-                tail.push(LANE_TAG_EVENTS);
-                put_varint(&mut tail, u64::from(cpu.0));
-            }
-            LaneId::Samples(cpu, ctr) => {
-                tail.push(LANE_TAG_SAMPLES);
-                put_varint(&mut tail, u64::from(cpu.0));
-                put_varint(&mut tail, u64::from(ctr.0));
-            }
-            LaneId::Accesses => tail.push(LANE_TAG_ACCESSES),
-            LaneId::Tasks => tail.push(LANE_TAG_TASKS),
-        }
-        put_varint(&mut tail, lane.rows);
-        put_varint(&mut tail, lane.blocks.len() as u64);
-        for b in &lane.blocks {
-            put_varint(&mut tail, b.offset);
-            put_varint(&mut tail, b.len);
-            put_varint(&mut tail, b.rows);
-            put_varint(&mut tail, b.min_key);
-            put_varint(&mut tail, b.max_key);
-            put_varint(&mut tail, u64::from(b.crc));
-        }
-    }
-    let dir_len = tail.len() as u64;
-    let dir_crc = crc32(&tail);
-
-    // Trailer.
-    tail.extend_from_slice(&dir_offset.to_le_bytes());
-    tail.extend_from_slice(&dir_len.to_le_bytes());
-    tail.extend_from_slice(&dir_crc.to_le_bytes());
-    tail.extend_from_slice(&meta_crc.to_le_bytes());
-    tail.extend_from_slice(&TRAILER_MAGIC);
-
+    let summary = (trace.time_bounds_opt(), trace.num_events() as u64);
+    put_directory(&mut tail, dir_offset, summary, &directory, meta_crc);
     let stats = StoreStats {
         file_bytes: dir_offset + tail.len() as u64,
         metadata_bytes: meta.len() as u64,
@@ -1187,6 +1193,61 @@ fn encode_store(
     };
     parts.push(tail);
     Ok((parts, stats))
+}
+
+/// Appends the directory — the trace's `(bounds, num_events)` and the lanes'
+/// footers — as it sits at file offset `dir_offset`, then the trailer that
+/// locates it and carries its and the metadata header's (`meta_crc`) CRC-32s.
+fn put_directory(
+    out: &mut Vec<u8>,
+    dir_offset: u64,
+    (bounds, num_events): (Option<TimeInterval>, u64),
+    lanes: &[LaneDirectory],
+    meta_crc: u32,
+) {
+    let at = out.len();
+    out.push(u8::from(bounds.is_some()));
+    if let Some(b) = bounds {
+        put_varint(out, b.start.0);
+        put_varint(out, b.end.0);
+    }
+    put_varint(out, num_events);
+    put_varint(out, lanes.len() as u64);
+    for lane in lanes {
+        match lane.lane {
+            LaneId::States(cpu) => {
+                out.push(LANE_TAG_STATES);
+                put_varint(out, u64::from(cpu.0));
+            }
+            LaneId::Events(cpu) => {
+                out.push(LANE_TAG_EVENTS);
+                put_varint(out, u64::from(cpu.0));
+            }
+            LaneId::Samples(cpu, ctr) => {
+                out.push(LANE_TAG_SAMPLES);
+                put_varint(out, u64::from(cpu.0));
+                put_varint(out, u64::from(ctr.0));
+            }
+            LaneId::Accesses => out.push(LANE_TAG_ACCESSES),
+            LaneId::Tasks => out.push(LANE_TAG_TASKS),
+        }
+        put_varint(out, lane.rows);
+        put_varint(out, lane.blocks.len() as u64);
+        for b in &lane.blocks {
+            put_varint(out, b.offset);
+            put_varint(out, b.len);
+            put_varint(out, b.rows);
+            put_varint(out, b.min_key);
+            put_varint(out, b.max_key);
+            put_varint(out, u64::from(b.crc));
+        }
+    }
+    let (dir_len, dir_crc) = ((out.len() - at) as u64, crc32(&out[at..]));
+    out.extend_from_slice(&dir_offset.to_le_bytes());
+    out.extend_from_slice(&dir_len.to_le_bytes());
+    out.extend_from_slice(&dir_crc.to_le_bytes());
+    out.extend_from_slice(&meta_crc.to_le_bytes());
+    out.extend_from_slice(&TRAILER_MAGIC);
 }
 
 /// Serialises `trace` into the column store representation, returning the file
@@ -1434,12 +1495,15 @@ fn read_directory(
 /// Checks the structural invariants the materialisation path relies on: every
 /// lane names a CPU of the metadata's `cpus`, a lane's blocks form one
 /// contiguous, ascending byte run inside the data region
-/// `[data_start, data_end)`, every block has at least one row, and no block
-/// takes less than one bit per row (the writer pads one whose columns would).
-/// A directory that fails any of these is corrupt; rejecting it here keeps
-/// the decode paths free of unbounded allocations and offset arithmetic on
-/// untrusted values, and lets installing a lane (`TraceData::swap_lane`)
-/// never fail.
+/// `[data_start, data_end)`, every block has at least one row, no block
+/// takes less than one bit per row (the writer pads one whose columns would),
+/// and neither the min nor the max keys of a lane's footers ever fall (every
+/// lane the writer stores is sorted by its key, and [`StoredTrace`]'s window
+/// plan bisects them). A directory that fails any of these is corrupt;
+/// rejecting it here keeps the decode paths free of unbounded allocations and
+/// offset arithmetic on untrusted values, lets installing a lane
+/// (`TraceData::swap_lane`) never fail, and keeps a window plan from
+/// skipping a block it needs on account of keys out of order.
 fn validate_directory(
     lanes: &[LaneDirectory],
     cpus: usize,
@@ -1482,6 +1546,10 @@ fn validate_directory(
             }
             next = Some(end);
         }
+        let falls = |w: &[BlockFooter]| w[1].min_key < w[0].min_key || w[1].max_key < w[0].max_key;
+        if dir.blocks.windows(2).any(falls) {
+            return Err(corrupt(dir.lane, "keys fall"));
+        }
     }
     Ok(())
 }
@@ -1513,29 +1581,49 @@ impl Chunk {
         }
     }
 
-    /// Decodes the payload of the run's next block onto the end of the
-    /// columns. After an error they hold a torn block and must be discarded.
-    fn decode_block(&mut self, buf: &[u8], footer: &BlockFooter) -> Result<(), TraceError> {
+    /// Decodes the payload of the run's next block — its `footer.rows` rows,
+    /// the first of them lane row `first_row` — onto the end of the columns,
+    /// then holds the block's first and last keys against its footer's: the
+    /// footer keys plan reads and never become rows. After an error the
+    /// columns hold a torn block and must be discarded.
+    fn decode_block(
+        &mut self,
+        buf: &[u8],
+        footer: &BlockFooter,
+        first_row: u64,
+    ) -> Result<(), TraceError> {
         let rows = footer.rows as usize;
-        match self {
+        let (first, last) = match self {
             Chunk::States(col) => decode_states_block(buf, rows, col),
             Chunk::Events(col) => decode_events_block(buf, rows, col),
             Chunk::Samples(col) => decode_samples_block(buf, rows, col),
             Chunk::Accesses(col) => decode_accesses_block(buf, rows, col),
-            Chunk::Tasks(col) => decode_tasks_block(buf, footer.min_key, rows, col),
+            Chunk::Tasks(col) => decode_tasks_block(buf, first_row, rows, col),
+        }?;
+        if (first, last) != (footer.min_key, footer.max_key) {
+            return Err(TraceError::Format(format!(
+                "block keys [{first}, {last}] disagree with its footer's [{}, {}]",
+                footer.min_key, footer.max_key
+            )));
         }
+        Ok(())
     }
 
     /// Verifies `bytes` against the footer's checksum and then — never before
     /// — decodes them: damaged bytes must surface as a typed error, never as
     /// silently wrong rows. The one verify → decode routine: batch
     /// materialisation and the salvage scan run every block through it.
-    fn verify_then_decode(&mut self, bytes: &[u8], footer: &BlockFooter) -> Result<(), BlockFault> {
+    fn verify_then_decode(
+        &mut self,
+        bytes: &[u8],
+        footer: &BlockFooter,
+        first_row: u64,
+    ) -> Result<(), BlockFault> {
         let computed = crc32(bytes);
         if computed != footer.crc {
             return Err(BlockFault::Checksum { computed });
         }
-        self.decode_block(bytes, footer)
+        self.decode_block(bytes, footer, first_row)
             .map_err(BlockFault::Undecodable)
     }
 }
@@ -1833,22 +1921,23 @@ impl StoredTrace {
     fn scan_for_damage(&mut self) {
         let mut report = DamageReport::default();
         for dir in &self.directory {
-            let read: Vec<(&BlockFooter, Result<Vec<u8>, TraceError>)> = dir
+            let read: Vec<_> = dir
                 .blocks
                 .iter()
-                .map(|footer| {
+                .zip(dir.first_rows())
+                .map(|(footer, first_row)| {
                     let mut buf = vec![0u8; footer.len as usize];
                     let read = self.tier.read_at(footer.offset, &mut buf);
-                    (footer, read.map(|()| buf))
+                    (footer, first_row, read.map(|()| buf))
                 })
                 .collect();
-            let findings = parallel_map(self.threads, &read, |(footer, read)| {
+            let findings = parallel_map(self.threads, &read, |(footer, first_row, read)| {
                 let bytes = match read {
                     Ok(bytes) => bytes,
                     Err(e) => return Some((DamageCode::BlockUnreadable, e.to_string())),
                 };
                 let mut scratch = Chunk::with_capacity(dir.lane, footer.rows as usize);
-                match scratch.verify_then_decode(bytes, footer) {
+                match scratch.verify_then_decode(bytes, footer, *first_row) {
                     Ok(()) => None,
                     Err(BlockFault::Checksum { computed }) => Some((
                         DamageCode::BlockChecksumMismatch,
@@ -1916,13 +2005,6 @@ impl StoredTrace {
     /// stored rows.
     pub fn lane_directory(&self, lane: LaneId) -> Option<&LaneDirectory> {
         self.lane_index.get(&lane).map(|&i| &self.directory[i])
-    }
-
-    /// Number of rows of `lane` in the full trace (0 for unknown lanes).
-    pub fn lane_rows(&self, lane: LaneId) -> u64 {
-        self.lane_index
-            .get(&lane)
-            .map_or(0, |&i| self.directory[i].rows)
     }
 
     /// Sets the thread budget of this trace: how many workers a batch
@@ -2099,9 +2181,9 @@ impl StoredTrace {
         let Some(window) = window else {
             return (slo, shi);
         };
-        // Per-CPU states are sorted and non-overlapping, so both the min and
-        // max keys of consecutive blocks are non-decreasing; the overlapping
-        // blocks form one contiguous run.
+        // The min and max keys of consecutive blocks never fall (open refuses
+        // a lane whose do), so the overlapping blocks form one contiguous run;
+        // decoding holds every block it reads to its footer's keys.
         let blocks = &self.directory[idx].blocks;
         let lo = blocks.partition_point(|b| b.max_key <= window.start.0);
         let hi = blocks.partition_point(|b| b.min_key < window.end.0);
@@ -2205,9 +2287,11 @@ impl StoredTrace {
             let footers = &dir.blocks[blocks.clone()];
             let run_rows = footers.iter().map(|b| b.rows as usize).sum();
             let mut rows = Chunk::with_capacity(dir.lane, run_rows);
-            for (k, footer) in blocks.clone().zip(footers) {
+            let first_rows = dir.first_rows().skip(blocks.start);
+            for ((k, footer), first_row) in blocks.clone().zip(footers).zip(first_rows) {
                 let start = (footer.offset - footers[0].offset) as usize;
-                rows.verify_then_decode(&bytes[start..start + footer.len as usize], footer)
+                let bytes = &bytes[start..start + footer.len as usize];
+                rows.verify_then_decode(bytes, footer, first_row)
                     .map_err(|fault| match fault {
                         BlockFault::Checksum { computed } => TraceError::Corrupted(format!(
                             "lane {}: block {k} checksum mismatch \
@@ -2306,7 +2390,7 @@ impl StoredTrace {
 /// library.
 #[cfg(test)]
 mod aos_oracle {
-    use super::{delta_overflow, get_varint, take};
+    use super::{delta_overflow, get_varint, take, BlockFooter};
     use crate::columns::decode_kind;
     use crate::error::TraceError;
     use crate::event::{CounterSample, DiscreteEvent};
@@ -2391,6 +2475,20 @@ mod aos_oracle {
             .collect()
     }
 
+    /// `rows`, once the block's first and last keys are its footer's.
+    fn keyed<T>(
+        rows: Vec<T>,
+        footer: &BlockFooter,
+        first: u64,
+        last: u64,
+    ) -> Result<Vec<T>, TraceError> {
+        if (first, last) == (footer.min_key, footer.max_key) {
+            Ok(rows)
+        } else {
+            Err(malformed("block keys disagree with its footer"))
+        }
+    }
+
     /// A column of one-byte fields.
     fn bytes(buf: &[u8], pos: &mut usize, n: usize) -> Result<Vec<u8>, TraceError> {
         column(buf, pos, n)?
@@ -2402,8 +2500,9 @@ mod aos_oracle {
     pub(super) fn decode_states_block(
         buf: &[u8],
         cpu: CpuId,
-        rows: usize,
+        footer: &BlockFooter,
     ) -> Result<Vec<StateInterval>, TraceError> {
+        let rows = footer.rows as usize;
         let mut pos = 0usize;
         let heads = bytes(buf, &mut pos, rows)?;
         if rows > 0 && heads[0] >> 5 != 7 {
@@ -2454,7 +2553,14 @@ mod aos_oracle {
                 task,
             ));
         }
-        Ok(rows_out)
+        let first = rows_out.first().map_or(0, |s| s.interval.start.0);
+        let last = rows_out.iter().map(|s| s.interval.end.0).max();
+        keyed(rows_out, footer, first, last.unwrap_or(0))
+    }
+
+    /// The first and last of `ts` (0 for none).
+    fn ends(ts: &[u64]) -> (u64, u64) {
+        (ts.first().map_or(0, |&t| t), ts.last().map_or(0, |&t| t))
     }
 
     /// `rows` timestamps from a column of deltas (the first one from 0).
@@ -2472,8 +2578,9 @@ mod aos_oracle {
     pub(super) fn decode_events_block(
         buf: &[u8],
         cpu: CpuId,
-        rows: usize,
+        footer: &BlockFooter,
     ) -> Result<Vec<DiscreteEvent>, TraceError> {
+        let rows = footer.rows as usize;
         let mut pos = 0usize;
         let flags = take(buf, &mut pos, 1, "truncated event block")?[0];
         let (has_b, has_c) = (flags & 1 != 0, flags & 2 != 0);
@@ -2493,7 +2600,7 @@ mod aos_oracle {
         } else {
             vec![0; rows]
         };
-        Ok((0..rows)
+        let events = (0..rows)
             .map(|i| {
                 DiscreteEvent::new(
                     cpu,
@@ -2501,15 +2608,18 @@ mod aos_oracle {
                     decode_kind(tags[i], pa[i], pb[i], pc[i]),
                 )
             })
-            .collect())
+            .collect();
+        let (first, last) = ends(&ts);
+        keyed(events, footer, first, last)
     }
 
     pub(super) fn decode_samples_block(
         buf: &[u8],
         cpu: CpuId,
         counter: CounterId,
-        rows: usize,
+        footer: &BlockFooter,
     ) -> Result<Vec<CounterSample>, TraceError> {
+        let rows = footer.rows as usize;
         let mut pos = 0usize;
         let mode = take(buf, &mut pos, 1, "truncated sample block")?[0];
         let ts = timestamps(buf, &mut pos, rows)?;
@@ -2531,17 +2641,20 @@ mod aos_oracle {
             }
             _ => return Err(TraceError::Format(format!("invalid sample mode {mode}"))),
         };
-        Ok(ts
+        let samples = ts
             .iter()
             .zip(values)
             .map(|(&t, v)| CounterSample::new(counter, cpu, Timestamp(t), v))
-            .collect())
+            .collect();
+        let (first, last) = ends(&ts);
+        keyed(samples, footer, first, last)
     }
 
     pub(super) fn decode_accesses_block(
         buf: &[u8],
-        rows: usize,
+        footer: &BlockFooter,
     ) -> Result<Vec<MemoryAccess>, TraceError> {
+        let rows = footer.rows as usize;
         let mut pos = 0usize;
         let keys = column(buf, &mut pos, rows)?;
         let addrs = column(buf, &mut pos, rows)?;
@@ -2562,14 +2675,19 @@ mod aos_oracle {
             addr = addr.wrapping_add(signed(addrs[i]) as u64);
             rows_out.push(MemoryAccess::new(TaskId(prev - 1), kind, addr, sizes[i]));
         }
-        Ok(rows_out)
+        let biased = |a: Option<&MemoryAccess>| a.map_or(0, |a| a.task.0 + 1);
+        let (first, last) = (biased(rows_out.first()), biased(rows_out.last()));
+        keyed(rows_out, footer, first, last)
     }
 
+    /// A task block whose first row is lane row `first_row`: each task's id
+    /// is its row.
     pub(super) fn decode_tasks_block(
         buf: &[u8],
-        first_id: u64,
-        rows: usize,
+        first_row: u64,
+        footer: &BlockFooter,
     ) -> Result<Vec<TaskInstance>, TraceError> {
+        let rows = footer.rows as usize;
         let mut pos = 0usize;
         let heads = bytes(buf, &mut pos, rows)?;
         if heads.iter().any(|&h| h >= 128) {
@@ -2631,9 +2749,8 @@ mod aos_oracle {
                 creation
             };
             let end = start.checked_add(durations[i]).ok_or_else(delta_overflow)?;
-            let id = first_id.checked_add(i as u64).ok_or_else(delta_overflow)?;
             rows_out.push(TaskInstance::new(
-                TaskId(id),
+                TaskId(first_row + i as u64),
                 TaskTypeId(ty),
                 CpuId(cpu),
                 CpuId(creator),
@@ -2641,7 +2758,9 @@ mod aos_oracle {
                 TimeInterval::from_cycles(start, end),
             ));
         }
-        Ok(rows_out)
+        let id = |t: Option<&TaskInstance>| t.map_or(0, |t| t.id.0);
+        let (first, last) = (id(rows_out.first()), id(rows_out.last()));
+        keyed(rows_out, footer, first, last)
     }
 }
 
@@ -3243,68 +3362,84 @@ mod tests {
         }
     }
 
-    /// Every block of `stored`, with its lane, footer and payload bytes.
-    fn blocks_of(stored: &StoredTrace, bytes: &[u8]) -> Vec<(LaneId, BlockFooter, Vec<u8>)> {
+    /// Every block of `stored`, with its lane, first row, footer and payload
+    /// bytes.
+    fn blocks_of(stored: &StoredTrace, bytes: &[u8]) -> Vec<(LaneId, u64, BlockFooter, Vec<u8>)> {
         stored
             .directory
             .iter()
-            .flat_map(|dir| dir.blocks.iter().map(move |b| (dir.lane, *b)))
-            .map(|(lane, b)| {
+            .flat_map(|dir| {
+                let blocks = dir.first_rows().zip(&dir.blocks);
+                blocks.map(move |(first, b)| (dir.lane, first, *b))
+            })
+            .map(|(lane, first, b)| {
                 let payload = bytes[b.offset as usize..(b.offset + b.len) as usize].to_vec();
-                (lane, b, payload)
+                (lane, first, b, payload)
             })
             .collect()
     }
 
-    /// Decodes one block the way a one-block lane run does.
-    fn decode_alone(buf: &[u8], lane: LaneId, footer: &BlockFooter) -> Result<Chunk, TraceError> {
+    /// Decodes one block, whose first row is lane row `first_row`, the way a
+    /// one-block lane run does.
+    fn decode_alone(
+        buf: &[u8],
+        lane: LaneId,
+        footer: &BlockFooter,
+        first_row: u64,
+    ) -> Result<Chunk, TraceError> {
         let mut rows = Chunk::with_capacity(lane, footer.rows as usize);
-        rows.decode_block(buf, footer)?;
+        rows.decode_block(buf, footer, first_row)?;
         Ok(rows)
     }
 
-    /// Decodes a run of blocks with the row-at-a-time oracle and pushes the rows
-    /// the way the store used to, giving the chunk the column-direct path must
-    /// equal.
+    /// Decodes a run of blocks, the first of them starting at lane row
+    /// `first_row`, with the row-at-a-time oracle and pushes the rows the way
+    /// the store used to, giving the chunk the column-direct path must equal.
     fn oracle_run<'a>(
         lane: LaneId,
+        mut first_row: u64,
         blocks: impl IntoIterator<Item = (&'a BlockFooter, &'a [u8])>,
     ) -> Result<Chunk, TraceError> {
         let mut chunk = Chunk::with_capacity(lane, 0);
         for (footer, buf) in blocks {
-            let rows = footer.rows as usize;
             match (&mut chunk, lane) {
                 (Chunk::States(col), LaneId::States(cpu)) => {
-                    for r in aos_oracle::decode_states_block(buf, cpu, rows)? {
+                    for r in aos_oracle::decode_states_block(buf, cpu, footer)? {
                         col.push(r);
                     }
                 }
                 (Chunk::Events(col), LaneId::Events(cpu)) => {
-                    for r in aos_oracle::decode_events_block(buf, cpu, rows)? {
+                    for r in aos_oracle::decode_events_block(buf, cpu, footer)? {
                         col.push(r);
                     }
                 }
                 (Chunk::Samples(col), LaneId::Samples(cpu, ctr)) => {
-                    for r in aos_oracle::decode_samples_block(buf, cpu, ctr, rows)? {
+                    for r in aos_oracle::decode_samples_block(buf, cpu, ctr, footer)? {
                         col.push(r);
                     }
                 }
                 (Chunk::Accesses(col), _) => {
-                    for r in aos_oracle::decode_accesses_block(buf, rows)? {
+                    for r in aos_oracle::decode_accesses_block(buf, footer)? {
                         col.push(r);
                     }
                 }
                 (Chunk::Tasks(col), _) => {
-                    col.extend(aos_oracle::decode_tasks_block(buf, footer.min_key, rows)?)
+                    col.extend(aos_oracle::decode_tasks_block(buf, first_row, footer)?)
                 }
                 _ => unreachable!("a chunk of the lane's kind"),
             }
+            first_row += footer.rows;
         }
         Ok(chunk)
     }
 
-    fn oracle_chunk(buf: &[u8], lane: LaneId, footer: &BlockFooter) -> Result<Chunk, TraceError> {
-        oracle_run(lane, [(footer, buf)])
+    fn oracle_chunk(
+        buf: &[u8],
+        lane: LaneId,
+        footer: &BlockFooter,
+        first_row: u64,
+    ) -> Result<Chunk, TraceError> {
+        oracle_run(lane, first_row, [(footer, buf)])
     }
 
     fn assert_same_chunk(direct: &Chunk, oracle: &Chunk, what: &str) {
@@ -3324,10 +3459,10 @@ mod tests {
         for block_rows in [1, 3, 7, DEFAULT_BLOCK_ROWS] {
             let bytes = write_store_bytes(&trace, &StoreOptions { block_rows }).unwrap();
             let stored = StoredTrace::from_bytes(bytes.clone()).unwrap();
-            for (lane, footer, payload) in blocks_of(&stored, &bytes) {
+            for (lane, first, footer, payload) in blocks_of(&stored, &bytes) {
                 let what = format!("{lane} @ {block_rows} rows/block");
-                let direct = decode_alone(&payload, lane, &footer).unwrap();
-                let oracle = oracle_chunk(&payload, lane, &footer).unwrap();
+                let direct = decode_alone(&payload, lane, &footer, first).unwrap();
+                let oracle = oracle_chunk(&payload, lane, &footer, first).unwrap();
                 assert_same_chunk(&direct, &oracle, &what);
                 // Truncated at every length and with every byte damaged in
                 // turn, both decoders accept or reject together, with the
@@ -3341,8 +3476,8 @@ mod tests {
                 );
                 for bad in damaged {
                     match (
-                        decode_alone(&bad, lane, &footer),
-                        oracle_chunk(&bad, lane, &footer),
+                        decode_alone(&bad, lane, &footer, first),
+                        oracle_chunk(&bad, lane, &footer, first),
                     ) {
                         (Ok(d), Ok(o)) => assert_same_chunk(&d, &o, &what),
                         (Err(d), Err(o)) => assert_eq!(
@@ -3354,6 +3489,128 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `bytes` with its directory as `edit` leaves it and the directory's
+    /// checksum re-sealed: a forged footer the checksums cannot see.
+    fn forge_directory(bytes: &[u8], edit: impl FnOnce(&mut [LaneDirectory])) -> Vec<u8> {
+        let trailer = &bytes[bytes.len() - TRAILER_LEN..];
+        let word = |at: usize| u64::from_le_bytes(trailer[at..at + 8].try_into().unwrap());
+        let (dir_offset, dir_len) = (word(0), word(8) as usize);
+        let meta_crc = u32::from_le_bytes(trailer[20..24].try_into().unwrap());
+        let at = dir_offset as usize;
+        let (bounds, mut lanes, num_events) = read_directory(&bytes[at..at + dir_len]).unwrap();
+        edit(&mut lanes);
+        let mut forged = bytes[..at].to_vec();
+        put_directory(
+            &mut forged,
+            dir_offset,
+            (bounds, num_events),
+            &lanes,
+            meta_crc,
+        );
+        forged
+    }
+
+    /// The footer of block `k` of `lane` in `lanes`.
+    fn footer_mut(lanes: &mut [LaneDirectory], lane: LaneId, k: usize) -> &mut BlockFooter {
+        &mut lanes.iter_mut().find(|d| d.lane == lane).unwrap().blocks[k]
+    }
+
+    /// The quarantined blocks of a salvage, as `(lane, block, code)`.
+    fn findings(stored: &StoredTrace) -> Vec<(LaneId, usize, DamageCode)> {
+        let report = stored.damage().unwrap();
+        report
+            .findings
+            .iter()
+            .map(|f| (f.lane, f.block, f.code))
+            .collect()
+    }
+
+    #[test]
+    fn falling_footer_keys_are_refused_at_open() {
+        // CPU 0's state blocks at 2 rows a block hold [10, 100], [210, 300],
+        // [410, 500], ...: block 1 forged to [1 000 000, 1 000 100] would let
+        // a window plan skip blocks it needs.
+        let bytes = write_store_bytes(&sample_trace(), &StoreOptions { block_rows: 2 }).unwrap();
+        assert_eq!(forge_directory(&bytes, |_| {}), bytes);
+        let lane = LaneId::States(CpuId(0));
+        let forged = forge_directory(&bytes, |lanes| {
+            let b = footer_mut(lanes, lane, 1);
+            (b.min_key, b.max_key) = (1_000_000, 1_000_100);
+        });
+        let err = StoredTrace::from_bytes(forged).unwrap_err();
+        assert!(
+            matches!(&err, TraceError::Format(m) if m.contains("keys fall")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_task_id_is_its_row_whatever_the_footer_says() {
+        let trace = sample_trace();
+        for block_rows in [3, DEFAULT_BLOCK_ROWS] {
+            let bytes = write_store_bytes(&trace, &StoreOptions { block_rows }).unwrap();
+            // The first task block says its ids start at 3; its rows are 0...
+            let forged = forge_directory(&bytes, |lanes| {
+                footer_mut(lanes, LaneId::Tasks, 0).min_key = 3;
+            });
+            let mut stored = StoredTrace::from_bytes(forged.clone()).unwrap();
+            let err = stored.ensure(LaneId::Tasks).unwrap_err();
+            assert!(
+                matches!(&err, TraceError::Format(m) if m.contains("footer")),
+                "{err}"
+            );
+            assert!(stored.trace().tasks().is_empty());
+            // ... and a salvage quarantines it (the task table goes whole).
+            let mut salvaged = StoredTrace::from_bytes(forged).unwrap().salvage();
+            let undecodable = DamageCode::BlockUndecodable;
+            assert_eq!(findings(&salvaged), [(LaneId::Tasks, 0, undecodable)]);
+            assert!(salvaged.materialise_all().unwrap().tasks().is_empty());
+            // The store as written loads every task at its row.
+            let mut stored = StoredTrace::from_bytes(bytes).unwrap().salvage();
+            let tasks = stored.materialise_all().unwrap().tasks();
+            assert!(tasks
+                .iter()
+                .enumerate()
+                .all(|(i, t)| t.id == TaskId(i as u64)));
+        }
+    }
+
+    #[test]
+    fn an_ordered_but_wrong_footer_key_is_refused_where_a_block_is_read() {
+        let trace = sample_trace();
+        let bytes = write_store_bytes(&trace, &StoreOptions { block_rows: 2 }).unwrap();
+        // CPU 0's state block 2 holds [410, 500]; a max key of 550 keeps the
+        // lane's keys in order, so only decoding the block can tell.
+        let lane = LaneId::States(CpuId(0));
+        let forged = forge_directory(&bytes, |lanes| footer_mut(lanes, lane, 2).max_key = 550);
+        let mut stored = StoredTrace::from_bytes(forged.clone()).unwrap();
+        let window = TimeInterval::from_cycles(420, 480);
+        let err = stored
+            .ensure_batch(&[LaneRequest::StatesCovering(lane, window)])
+            .unwrap_err();
+        assert!(matches!(err, TraceError::Format(_)), "{err}");
+        assert_eq!(stored.residency(lane), LaneResidency::Absent);
+        let before = TimeInterval::from_cycles(0, 150);
+        stored
+            .ensure_batch(&[LaneRequest::StatesCovering(lane, before)])
+            .unwrap();
+        // The last block of every lane kind, its max key one past its rows':
+        // refused on load, S003 under salvage.
+        let stored = StoredTrace::from_bytes(bytes.clone()).unwrap();
+        for dir in &stored.directory {
+            let last = dir.blocks.len() - 1;
+            let forged = forge_directory(&bytes, |lanes| {
+                footer_mut(lanes, dir.lane, last).max_key += 1;
+            });
+            let mut strict = StoredTrace::from_bytes(forged.clone()).unwrap();
+            let err = strict.ensure(dir.lane).unwrap_err();
+            assert!(matches!(err, TraceError::Format(_)), "{}: {err}", dir.lane);
+            let salvaged = StoredTrace::from_bytes(forged).unwrap().salvage();
+            let undecodable = DamageCode::BlockUndecodable;
+            assert_eq!(findings(&salvaged), [(dir.lane, last, undecodable)]);
         }
     }
 
@@ -3406,8 +3663,8 @@ mod tests {
             crc: 0,
         };
         let lane = LaneId::States(CpuId(0));
-        let direct = decode_alone(&block, lane, &footer).unwrap();
-        let oracle = oracle_chunk(&block, lane, &footer).unwrap();
+        let direct = decode_alone(&block, lane, &footer, 0).unwrap();
+        let oracle = oracle_chunk(&block, lane, &footer, 0).unwrap();
         assert_same_chunk(&direct, &oracle, "wide task ref");
         let (Chunk::States(d), Chunk::States(mut o)) = (direct, oracle) else {
             unreachable!()
@@ -3426,8 +3683,8 @@ mod tests {
         };
         let lane = LaneId::Events(CpuId(0));
         let (Chunk::Events(mut d), Chunk::Events(mut o)) = (
-            decode_alone(&block, lane, &footer).unwrap(),
-            oracle_chunk(&block, lane, &footer).unwrap(),
+            decode_alone(&block, lane, &footer, 0).unwrap(),
+            oracle_chunk(&block, lane, &footer, 0).unwrap(),
         ) else {
             unreachable!()
         };
@@ -3711,7 +3968,7 @@ mod tests {
             let payload = |b: &BlockFooter| &bytes[b.offset as usize..(b.offset + b.len) as usize];
             let source = lane_chunk(trace, lane);
             assert_same_bits(&lane_chunk(&decoded, lane), &source, &what);
-            let oracle = oracle_run(lane, dir.blocks.iter().map(|b| (b, payload(b)))).unwrap();
+            let oracle = oracle_run(lane, 0, dir.blocks.iter().map(|b| (b, payload(b)))).unwrap();
             assert_same_bits(&oracle, &source, &what);
         }
         (bytes, stored)
@@ -4160,8 +4417,8 @@ mod tests {
                 crc: 0,
             };
             match (
-                decode_alone(&payload, lane, &footer),
-                oracle_chunk(&payload, lane, &footer),
+                decode_alone(&payload, lane, &footer, 0),
+                oracle_chunk(&payload, lane, &footer, 0),
             ) {
                 (Err(TraceError::Format(d)), Err(TraceError::Format(_))) => {
                     assert!(d.contains(says), "{what}: {d}")
@@ -4365,11 +4622,12 @@ mod tests {
         (lo, hi): (usize, usize),
         what: &str,
     ) {
-        let footers = &stored.lane_directory(lane).unwrap().blocks[lo..hi];
-        let blocks = footers
+        let dir = stored.lane_directory(lane).unwrap();
+        let first_row = dir.blocks[..lo].iter().map(|b| b.rows).sum();
+        let blocks = dir.blocks[lo..hi]
             .iter()
             .map(|b| (b, &bytes[b.offset as usize..(b.offset + b.len) as usize]));
-        let oracle = oracle_run(lane, blocks).unwrap();
+        let oracle = oracle_run(lane, first_row, blocks).unwrap();
         assert_same_chunk(&lane_chunk(stored.trace(), lane), &oracle, what);
     }
 

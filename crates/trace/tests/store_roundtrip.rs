@@ -105,6 +105,8 @@ proptest! {
         prop_assert_eq!(stored.num_events() as usize, trace.num_events());
         prop_assert_eq!(stored.time_bounds(), trace.time_bounds_opt());
         prop_assert_eq!(stored.materialise_all().unwrap(), &trace);
+        let tasks = stored.trace().tasks();
+        prop_assert!(tasks.iter().enumerate().all(|(i, t)| t.id == TaskId(i as u64)));
         prop_assert_eq!(stored.resident_event_bytes(), trace.resident_event_bytes());
     }
 

@@ -18,7 +18,6 @@
 use aftermath::prelude::*;
 use aftermath_core::kernels::{self, available_levels};
 use aftermath_core::pyramid::{overlap_range, DEFAULT_PYRAMID_FANOUT};
-use aftermath_core::timeline::column_interval;
 use aftermath_core::{SimdLevel, TaskFilter, TimelineEngine, TimelineMode, TimelineModel};
 use aftermath_trace::{AccessKind, NumaNodeId, TaskTypeId};
 use proptest::prelude::*;
@@ -217,7 +216,7 @@ fn frame_covers_a_node(
     let fanout = DEFAULT_PYRAMID_FANOUT;
     session.trace().topology().cpu_ids().any(|cpu| {
         (0..columns).any(|col| {
-            let cell = column_interval(window, columns, col);
+            let cell = window.bin(columns, col);
             let (first, last) = overlap_range(session.states(cpu), cell);
             (first + 1).next_multiple_of(fanout) + fanout < last
         })
