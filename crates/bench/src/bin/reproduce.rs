@@ -240,11 +240,17 @@ fn main() {
             "Column store — compression, lazy open-to-first-frame, capped residency",
             &bench.record(),
         );
-        // Print-only: where the file's block bytes sit — and a Seidel
-        // trace's, whose event and sample lanes the zoom trace lacks — and
-        // which tier checksummed them (`table` under AFTERMATH_NO_SIMD,
-        // which `ci/smoke.sh store` asserts).
+        // Print-only: where the file's block bytes sit, how long each lane
+        // kind takes to materialise — and a Seidel trace's bytes, whose event
+        // and sample lanes the zoom trace lacks — and which tier checksummed
+        // them (`table` under AFTERMATH_NO_SIMD, which `ci/smoke.sh store`
+        // asserts).
         println!("# bytes by lane: {}", bench.lane_bytes);
+        let [states, events, samples, accesses, tasks] = bench.lane_materialise_ms;
+        println!(
+            "# materialise ms by lane: states {states:.1}, events {events:.1}, \
+             samples {samples:.1}, accesses {accesses:.1}, tasks {tasks:.1}"
+        );
         println!(
             "# bytes by lane (seidel): {}",
             store::seidel_lane_bytes(scale)

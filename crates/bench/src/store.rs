@@ -20,6 +20,8 @@
 //! [`crate::gates::GATES`] compare compression against the committed baseline
 //! and bound the latency ratio, the residency and the identity bit.
 
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use aftermath_core::{
@@ -27,7 +29,7 @@ use aftermath_core::{
 };
 use aftermath_sim::RuntimeConfig;
 use aftermath_trace::format;
-use aftermath_trace::store::{write_store_file, LaneBytes, StoreStats, StoredTrace};
+use aftermath_trace::store::{write_store_file, LaneBytes, LaneId, StoreStats, StoredTrace};
 
 use crate::figures::Scale;
 use crate::record::{Fields, Record};
@@ -54,6 +56,9 @@ pub struct StoreBench {
     pub num_blocks: usize,
     /// Encoded block bytes per lane kind (printed, not recorded).
     pub lane_bytes: LaneBytes,
+    /// Milliseconds to materialise each lane kind (`materialise_ms_by_lane`;
+    /// printed, not recorded).
+    pub lane_materialise_ms: [f64; 5],
     /// Resident bytes of the fully decoded SoA columns (the compression
     /// baseline and the capped sweep's 100 % mark).
     pub soa_bytes: usize,
@@ -154,7 +159,13 @@ pub fn run_store_bench(scale: Scale, threads: Threads) -> StoreBench {
     let trace = zoom_trace(scale);
     let soa_bytes = trace.resident_event_bytes();
     let dir = std::env::temp_dir();
-    let tag = std::process::id();
+    // One name per run, not per process: tests run the bench concurrently.
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let tag = format!(
+        "{}-{}",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    );
     let store_path = dir.join(format!("aftermath-store-bench-{tag}.afst"));
     let aftm_path = dir.join(format!("aftermath-store-bench-{tag}.aftm"));
 
@@ -232,6 +243,7 @@ pub fn run_store_bench(scale: Scale, threads: Threads) -> StoreBench {
         }
     }
     let capped_final_resident_bytes = capped.resident_event_bytes();
+    let lane_materialise_ms = materialise_ms_by_lane(&store_path);
 
     let _ = std::fs::remove_file(&store_path);
     let _ = std::fs::remove_file(&aftm_path);
@@ -244,6 +256,7 @@ pub fn run_store_bench(scale: Scale, threads: Threads) -> StoreBench {
         metadata_bytes: stats.metadata_bytes,
         num_blocks: stats.num_blocks,
         lane_bytes: stats.lane_bytes,
+        lane_materialise_ms,
         soa_bytes,
         full_first_frame_seconds,
         open_first_frame_seconds,
@@ -254,6 +267,38 @@ pub fn run_store_bench(scale: Scale, threads: Threads) -> StoreBench {
         capped_peak_resident_bytes,
         capped_final_resident_bytes,
     }
+}
+
+/// Milliseconds to materialise every lane of the store at `path`, per lane
+/// kind in [`LaneBytes`] order (states, events, samples, accesses, tasks): one
+/// single-thread `ensure` per lane on a freshly opened store, summed over the
+/// kind's lanes; the median of three opens.
+fn materialise_ms_by_lane(path: &Path) -> [f64; 5] {
+    let runs: Vec<[f64; 5]> = (0..3)
+        .map(|_| {
+            let mut stored = StoredTrace::open(path).expect("open store");
+            stored.set_decode_threads(Threads::single());
+            let mut ms = [0.0; 5];
+            for lane in stored.lanes().collect::<Vec<_>>() {
+                let kind = match lane {
+                    LaneId::States(_) => 0,
+                    LaneId::Events(_) => 1,
+                    LaneId::Samples(..) => 2,
+                    LaneId::Accesses => 3,
+                    LaneId::Tasks => 4,
+                };
+                let t0 = Instant::now();
+                stored.ensure(lane).expect("materialise lane");
+                ms[kind] += t0.elapsed().as_secs_f64() * 1e3;
+            }
+            ms
+        })
+        .collect();
+    std::array::from_fn(|kind| {
+        let mut ms: Vec<f64> = runs.iter().map(|run| run[kind]).collect();
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    })
 }
 
 /// Encoded block bytes per lane kind of the non-optimised Seidel trace at

@@ -52,9 +52,10 @@
 //! # }
 //! ```
 
-use aftermath_exec::{parallel_map, Threads};
+use aftermath_exec::{parallel_map, parallel_map_chunks, Threads};
 use aftermath_trace::{
-    CpuId, SamplesView, TaskId, TaskInstance, TaskTypeId, TimeInterval, Trace, WorkerState,
+    CpuId, SamplesView, TaskId, TaskInstance, TaskTypeId, TasksView, TimeInterval, Trace,
+    WorkerState,
 };
 
 use crate::counters::SampleCursor;
@@ -355,9 +356,18 @@ impl NumaLocalityDetector {
         // so its floating-point sums do not depend on how the chunks were
         // scheduled.
         let source = session.accesses();
-        // A remote fraction lies in [0, 1]: NaN marks a task without one.
-        let fractions = parallel_map(threads, trace.tasks(), |task| {
-            task_remote_fraction_from(trace, &source, task).unwrap_or(f64::NAN)
+        // A remote fraction lies in [0, 1]: NaN marks a task without one. The
+        // workers fill chunks of the result in place — four a worker, as
+        // `parallel_map` cuts them — and a slot's task is its row.
+        let tasks = trace.tasks();
+        let mut fractions = vec![f64::NAN; tasks.len()];
+        let chunk_len = tasks.len().div_ceil(4 * threads.get());
+        parallel_map_chunks(threads, &mut fractions, chunk_len, |chunk, out| {
+            for (row, fraction) in (chunk * chunk_len..).zip(out) {
+                if let Some(f) = task_remote_fraction_from(trace, &source, &tasks.get(row)) {
+                    *fraction = f;
+                }
+            }
         });
         let attributable = || fractions.iter().filter(|f| !f.is_nan());
         let (n, sum) = attributable().fold((0usize, 0.0), |(n, sum), f| (n + 1, sum + f));
@@ -371,8 +381,7 @@ impl NumaLocalityDetector {
             .min(self.max_threshold)
             .max(self.min_remote_fraction);
 
-        let flagged = trace
-            .tasks()
+        let flagged = tasks
             .iter()
             .zip(&fractions)
             .filter(|(_, &fraction)| fraction > threshold)
@@ -498,7 +507,7 @@ impl CounterOutlierDetector {
             .iter()
             .zip(&z)
             .filter(|(_, &z)| z.abs() > self.k_mad)
-            .map(|(&i, &z)| (&groups.tasks[i as usize], z))
+            .map(|(&i, &z)| (groups.tasks.get(i as usize), z))
             .collect();
         findings(AnomalyKind::CounterOutlier, flagged, gap, |cluster| {
             let explanation = format!(
@@ -520,16 +529,17 @@ impl CounterOutlierDetector {
     }
 }
 
-/// The trace's tasks grouped by task type, once per report, as a counting sort:
-/// `order` lists indices into `tasks` type by type, every run in task order,
-/// `durations` holds the tasks' execution durations in the same order, and
-/// `starts[ty] .. starts[ty + 1]` is the run of `TaskTypeId(ty)` in both.
+/// The trace's tasks grouped by task type, once per report, as a counting sort
+/// over the type column: `order` lists rows of `tasks` type by type, every run
+/// in task order, `durations` holds the tasks' execution durations (end minus
+/// start column) in the same order, and `starts[ty] .. starts[ty + 1]` is the
+/// run of `TaskTypeId(ty)` in both.
 ///
 /// Task-type ids are assigned densely by the trace builder, so runs are indexed
 /// directly by `id.0` (the same layout [`crate::stats::task_type_breakdown`] relies
 /// on); a task naming a type beyond the table belongs to no run.
 struct TypeGroups<'t> {
-    tasks: &'t [TaskInstance],
+    tasks: TasksView<'t>,
     order: Vec<u32>,
     durations: Vec<f64>,
     starts: Vec<usize>,
@@ -545,8 +555,8 @@ impl<'t> TypeGroups<'t> {
         );
         let num_types = trace.task_types().len();
         let mut starts = vec![0usize; num_types + 1];
-        for task in tasks {
-            if let Some(count) = starts.get_mut(task.task_type.0 as usize + 1) {
+        for &ty in tasks.task_types() {
+            if let Some(count) = starts.get_mut(ty as usize + 1) {
                 *count += 1;
             }
         }
@@ -555,9 +565,10 @@ impl<'t> TypeGroups<'t> {
         }
         let mut order = vec![0u32; starts[num_types]];
         let mut durations = vec![0.0; starts[num_types]];
-        for_each_slot(&starts, tasks, |slot, i, task| {
+        let (begins, ends) = (tasks.starts(), tasks.ends());
+        for_each_slot(&starts, tasks.task_types(), |slot, i| {
             order[slot] = i as u32;
-            durations[slot] = task.duration() as f64;
+            durations[slot] = ends[i].saturating_sub(begins[i]) as f64;
         });
         TypeGroups {
             tasks,
@@ -585,8 +596,10 @@ impl<'t> TypeGroups<'t> {
             .map(SampleCursor::new)
             .collect();
         let mut deltas = vec![None; self.order.len()];
-        for_each_slot(&self.starts, self.tasks, |slot, _, task| {
-            deltas[slot] = cursors[task.cpu.0 as usize].delta_for_task(task);
+        let (cpus, starts, ends) = (self.tasks.cpus(), self.tasks.starts(), self.tasks.ends());
+        for_each_slot(&self.starts, self.tasks.task_types(), |slot, i| {
+            let execution = TimeInterval::from_cycles(starts[i], ends[i]);
+            deltas[slot] = cursors[cpus[i] as usize].delta_over(execution);
         });
         deltas
     }
@@ -594,16 +607,12 @@ impl<'t> TypeGroups<'t> {
 
 /// Visits the tasks in task order, each with its slot in the counting sort whose
 /// runs begin at `starts` (one more entry than there are task types): `visit`
-/// receives the slot, the task's index and the task.
-fn for_each_slot<'t>(
-    starts: &[usize],
-    tasks: &'t [TaskInstance],
-    mut visit: impl FnMut(usize, usize, &'t TaskInstance),
-) {
+/// receives the slot and the task's row; `types` is the task-type column.
+fn for_each_slot(starts: &[usize], types: &[u32], mut visit: impl FnMut(usize, usize)) {
     let mut next = starts[..starts.len() - 1].to_vec();
-    for (i, task) in tasks.iter().enumerate() {
-        if let Some(slot) = next.get_mut(task.task_type.0 as usize) {
-            visit(*slot, i, task);
+    for (i, &ty) in types.iter().enumerate() {
+        if let Some(slot) = next.get_mut(ty as usize) {
+            visit(*slot, i);
             *slot += 1;
         }
     }
@@ -684,7 +693,7 @@ impl DurationOutlierDetector {
             .iter()
             .zip(&z)
             .filter(|(_, &z)| z > self.k_mad || (self.detect_fast && z < -self.k_mad))
-            .map(|(&i, &z)| (&groups.tasks[i as usize], z))
+            .map(|(&i, &z)| (groups.tasks.get(i as usize), z))
             .collect();
         findings(AnomalyKind::DurationOutlier, flagged, gap, |cluster| {
             let worst = cluster.members.iter().map(|(t, _)| t.duration()).max();
@@ -836,9 +845,9 @@ fn merge_gap(session: &AnalysisSession<'_>, configured: Option<u64>) -> u64 {
 }
 
 /// One time cluster of flagged tasks, as a detector's wording sees it.
-struct Cluster<'a, 't> {
+struct Cluster<'a> {
     /// The flagged `(task, score)` pairs of the cluster, by start time.
-    members: &'a [(&'t TaskInstance, f64)],
+    members: &'a [(TaskInstance, f64)],
     /// The hull of the members' execution intervals.
     interval: TimeInterval,
     /// The largest score magnitude in the cluster.
@@ -852,9 +861,9 @@ struct Cluster<'a, 't> {
 /// comes from `describe`. No flagged task, no finding.
 fn findings(
     kind: AnomalyKind,
-    mut flagged: Vec<(&TaskInstance, f64)>,
+    mut flagged: Vec<(TaskInstance, f64)>,
     gap: u64,
-    describe: impl Fn(&Cluster<'_, '_>) -> (f64, f64, String),
+    describe: impl Fn(&Cluster<'_>) -> (f64, f64, String),
 ) -> Vec<Anomaly> {
     flagged.sort_by_key(|(t, _)| t.execution.start);
     cluster_by_time(&flagged, |(t, _)| t.execution, gap)
@@ -940,8 +949,8 @@ mod reference {
         configured.unwrap_or_else(|| session.time_bounds().duration() / 64)
     }
 
-    fn group_tasks_by_type(trace: &Trace) -> Vec<Vec<&TaskInstance>> {
-        let mut groups: Vec<Vec<&TaskInstance>> = vec![Vec::new(); trace.task_types().len()];
+    fn group_tasks_by_type(trace: &Trace) -> Vec<Vec<TaskInstance>> {
+        let mut groups: Vec<Vec<TaskInstance>> = vec![Vec::new(); trace.task_types().len()];
         for task in trace.tasks() {
             if let Some(group) = groups.get_mut(task.task_type.0 as usize) {
                 group.push(task);
@@ -955,10 +964,10 @@ mod reference {
         if trace.accesses().is_empty() || trace.topology().num_nodes() < 2 {
             return Vec::new();
         }
-        let tasks: Vec<(&TaskInstance, f64)> = trace
+        let tasks: Vec<(TaskInstance, f64)> = trace
             .tasks()
             .iter()
-            .filter_map(|task| Some((task, task_remote_fraction(trace, task)?)))
+            .filter_map(|task| Some((task, task_remote_fraction(trace, &task)?)))
             .collect();
         if tasks.len() < 2 {
             return Vec::new();
@@ -975,7 +984,7 @@ mod reference {
         let threshold = (mean + d.k_sigma * sigma)
             .min(d.max_threshold)
             .max(d.min_remote_fraction);
-        let mut flagged: Vec<(&TaskInstance, f64)> =
+        let mut flagged: Vec<(TaskInstance, f64)> =
             tasks.into_iter().filter(|(_, f)| *f > threshold).collect();
         if flagged.is_empty() {
             return Vec::new();
@@ -1019,11 +1028,11 @@ mod reference {
         let mut out = Vec::new();
         for desc in trace.counters().iter().filter(|desc| desc.monotone) {
             for ty in trace.task_types() {
-                let tasks: Vec<(&TaskInstance, f64)> = tasks_by_type[ty.id.0 as usize]
+                let tasks: Vec<(TaskInstance, f64)> = tasks_by_type[ty.id.0 as usize]
                     .iter()
                     .filter_map(|&task| {
                         let samples = session.samples(task.cpu, desc.id);
-                        Some((task, counter_delta_for_task(samples, task)?))
+                        Some((task, counter_delta_for_task(samples, &task)?))
                     })
                     .collect();
                 if tasks.len() < d.min_samples.max(2) {
@@ -1033,7 +1042,7 @@ mod reference {
                 let Some(z) = robust_z_scores(&values) else {
                     continue;
                 };
-                let mut flagged: Vec<(&TaskInstance, f64)> = tasks
+                let mut flagged: Vec<(TaskInstance, f64)> = tasks
                     .iter()
                     .zip(&z)
                     .filter(|(_, &z)| z.abs() > d.k_mad)
@@ -1084,7 +1093,7 @@ mod reference {
             let Some(z) = robust_z_scores(&values) else {
                 continue;
             };
-            let mut flagged: Vec<(&TaskInstance, f64)> = tasks
+            let mut flagged: Vec<(TaskInstance, f64)> = tasks
                 .iter()
                 .zip(&z)
                 .filter(|(_, &z)| z > d.k_mad || (d.detect_fast && z < -d.k_mad))

@@ -6,7 +6,7 @@
 //! branch mispredictions, ...) incurred by that task — the quantity Aftermath exports
 //! for external statistical analysis and overlays on the heatmap in Figure 18.
 
-use aftermath_trace::{CounterId, SamplesView, TaskId, TaskInstance, Timestamp};
+use aftermath_trace::{CounterId, SamplesView, TaskId, TaskInstance, TimeInterval, Timestamp};
 
 use crate::error::AnalysisError;
 use crate::filter::TaskFilter;
@@ -75,10 +75,11 @@ impl<'a> SampleCursor<'a> {
             .map(|i| self.samples.value(i))
     }
 
-    /// [`counter_delta_for_task`] through the cursor.
-    pub(crate) fn delta_for_task(&mut self, task: &TaskInstance) -> Option<f64> {
-        let before = self.value_at(task.execution.start)?;
-        let after = self.value_at(task.execution.end)?;
+    /// [`counter_delta_for_task`] through the cursor, for a task executing
+    /// over `execution`.
+    pub(crate) fn delta_over(&mut self, execution: TimeInterval) -> Option<f64> {
+        let before = self.value_at(execution.start)?;
+        let after = self.value_at(execution.end)?;
         Some(after - before)
     }
 }
@@ -103,7 +104,7 @@ pub fn attribute_counter(
     }
     let mut out = Vec::new();
     for task in filter.filter_tasks(trace) {
-        if let Some(delta) = session.counter_delta(task, counter) {
+        if let Some(delta) = session.counter_delta(&task, counter) {
             out.push(TaskCounterDelta {
                 task: task.id,
                 duration_cycles: task.duration(),

@@ -61,7 +61,7 @@ pub fn export_task_records<W: Write>(
             task.duration()
         )?;
         for &c in counters {
-            match session.counter_delta(task, c) {
+            match session.counter_delta(&task, c) {
                 Some(delta) => write!(out, ",{delta}")?,
                 None => write!(out, ",")?,
             }

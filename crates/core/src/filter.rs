@@ -182,10 +182,7 @@ impl TaskFilter {
     }
 
     /// Iterates over the tasks of `trace` accepted by this filter.
-    pub fn filter_tasks<'a>(
-        &'a self,
-        trace: &'a Trace,
-    ) -> impl Iterator<Item = &'a TaskInstance> + 'a {
+    pub fn filter_tasks<'a>(&'a self, trace: &'a Trace) -> impl Iterator<Item = TaskInstance> + 'a {
         trace.tasks().iter().filter(move |t| self.matches(trace, t))
     }
 

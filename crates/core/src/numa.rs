@@ -160,7 +160,7 @@ pub fn remote_access_fraction(session: &AnalysisSession<'_>, filter: &TaskFilter
     let source = session.accesses();
     let (mut local, mut remote) = (0u64, 0u64);
     for task in filter.filter_tasks(trace) {
-        if let Some((l, r)) = local_remote_bytes(trace, &source, task) {
+        if let Some((l, r)) = local_remote_bytes(trace, &source, &task) {
             local += l;
             remote += r;
         }
@@ -296,14 +296,14 @@ mod tests {
         assert!(dominant_read_node(&trace, t3).is_some());
         // Remote fraction of t3: node 0 local; r2+r3 (512 B) remote of 768 B total.
         let task = trace.task(t3).unwrap();
-        let f = task_remote_fraction(&trace, task).unwrap();
+        let f = task_remote_fraction(&trace, &task).unwrap();
         assert!((f - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn task_without_accesses_has_no_locality() {
         let trace = trace_without_accesses();
-        let task = &trace.tasks()[0];
+        let task = &trace.tasks().get(0);
         assert!(task_remote_fraction(&trace, task).is_none());
         assert!(dominant_read_node(&trace, task.id).is_none());
     }

@@ -53,7 +53,7 @@
 //! arbitrary filters.
 
 use aftermath_trace::{
-    AccessKind, NumaNodeId, StatesView, TaskInstance, TaskTypeId, TimeInterval, Trace, WorkerState,
+    AccessKind, NumaNodeId, StatesView, TaskId, TaskTypeId, TimeInterval, Trace, WorkerState,
 };
 
 use crate::access_index::AccessSource;
@@ -134,36 +134,37 @@ fn for_each_exec(states: StatesView<'_>, lo: usize, hi: usize, mut f: impl FnMut
     kernels::for_each_tag_match(&states.state_tags()[lo..hi], exec, |off| f(lo + off));
 }
 
-/// The task execution interval `i` names and its index in `trace.tasks()`, when the
+/// The row in `trace.tasks()` of the task execution interval `i` names, when the
 /// trace has it: only such intervals count towards type cycles, NUMA bytes and the
 /// predominant task.
-fn task_of<'t>(
-    trace: &'t Trace,
-    states: StatesView<'_>,
-    i: usize,
-) -> Option<(usize, &'t TaskInstance)> {
-    let idx = states.task(i)?.0 as usize;
-    Some((idx, trace.tasks().get(idx)?))
+fn task_of(trace: &Trace, states: StatesView<'_>, i: usize) -> Option<usize> {
+    let row = states.task(i)?.0 as usize;
+    (row < trace.tasks().len()).then_some(row)
+}
+
+/// The type of the task at `row` of `trace.tasks()`.
+fn type_of(trace: &Trace, row: usize) -> TaskTypeId {
+    TaskTypeId(trace.tasks().task_types()[row])
 }
 
 /// The predominant-task candidate rule, in its one place: execution interval `i`,
 /// covering `cycles` of the window, replaces the incumbent when it names a task of
 /// the trace that `filter` accepts (`None` accepts all) and covers strictly more —
 /// so nothing yields to zero cycles and of equal candidates the earliest visited
-/// stays. Returns the named task.
-fn consider<'t>(
-    trace: &'t Trace,
+/// stays. Returns the named task's row.
+fn consider(
+    trace: &Trace,
     states: StatesView<'_>,
     filter: Option<&TaskFilter>,
     i: usize,
     cycles: u64,
     best: &mut Option<(u64, usize)>,
-) -> Option<&'t TaskInstance> {
-    let (idx, task) = task_of(trace, states, i)?;
-    if beats(best, cycles) && filter.is_none_or(|f| f.matches(trace, task)) {
-        *best = Some((cycles, idx));
+) -> Option<usize> {
+    let row = task_of(trace, states, i)?;
+    if beats(best, cycles) && filter.is_none_or(|f| f.matches(trace, &trace.tasks().get(row))) {
+        *best = Some((cycles, row));
     }
-    Some(task)
+    Some(row)
 }
 
 /// Strict improvement: whether a candidate covering `cycles` displaces `best`.
@@ -190,16 +191,16 @@ fn consider_run(
     });
 }
 
-/// Calls `f(kind, node, bytes)` for every access of `task` whose data lies on a
-/// known node.
+/// Calls `f(kind, node, bytes)` for every access of the task at `row` of the
+/// task table whose data lies on a known node.
 fn for_each_access<S: AccessSource + ?Sized>(
     trace: &Trace,
     source: &S,
-    task: &TaskInstance,
+    task: usize,
     mut f: impl FnMut(AccessKind, NumaNodeId, u64),
 ) {
     let accesses = trace.accesses();
-    for row in source.rows_of(task.id) {
+    for row in source.rows_of(TaskId(task as u64)) {
         if let Some(node) = source.node_of_row(row) {
             f(accesses.kind(row), node, accesses.size(row));
         }
@@ -265,7 +266,7 @@ impl NodeAccum {
             let Some(task) = consider(trace, states, None, i, duration, best) else {
                 return;
             };
-            acc.type_cycles.add(task.task_type, duration);
+            acc.type_cycles.add(type_of(trace, task), duration);
             for_each_access(trace, source, task, |kind, node, bytes| {
                 let per_node = match kind {
                     AccessKind::Read => &mut acc.node_read_bytes,
@@ -742,8 +743,8 @@ impl<'a> Window<'a> {
         let states = self.states;
         let mut acc = Tally::default();
         let add = |acc: &mut Tally<TaskTypeId>, i: usize, cycles: u64| {
-            if let Some((_, task)) = task_of(trace, states, i) {
-                acc.add(task.task_type, cycles);
+            if let Some(task) = task_of(trace, states, i) {
+                acc.add(type_of(trace, task), cycles);
             }
         };
         for i in self.edges().filter(|&i| states.is_exec(i)) {
@@ -791,7 +792,7 @@ impl<'a> Window<'a> {
         let mut acc = Tally::default();
         self.fold(self.first, self.last, |span| match span {
             Span::Items(lo, hi) => for_each_exec(states, lo, hi, |i| {
-                let Some((_, task)) = task_of(trace, states, i) else {
+                let Some(task) = task_of(trace, states, i) else {
                     return;
                 };
                 for_each_access(trace, source, task, |k, node, bytes| {
@@ -895,7 +896,7 @@ mod tests {
         let got = range(Some(&pyramid), states, 0, n).predominant_task(&trace, &filter);
         assert_eq!(got, expected);
         if let Some(idx) = got {
-            assert_eq!(trace.tasks()[idx].task_type, ty);
+            assert_eq!(trace.tasks().get(idx).task_type, ty);
         }
     }
 
@@ -1004,10 +1005,10 @@ mod tests {
             let overlap = states.interval(i).overlap_cycles(&iv);
             cycles[states.state_index(i)] += overlap;
             let task = states.task(i).filter(|_| states.is_exec(i));
-            let Some(task) = task.and_then(|id| trace.tasks().get(id.0 as usize)) else {
+            let Some(task) = task.and_then(|id| trace.task(id)) else {
                 continue;
             };
-            if filter.matches(trace, task) && overlap > best.map_or(0, |(o, _)| o) {
+            if filter.matches(trace, &task) && overlap > best.map_or(0, |(o, _)| o) {
                 best = Some((overlap, task.id.0 as usize));
             }
         }

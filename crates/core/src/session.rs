@@ -768,7 +768,7 @@ impl<'t> AnalysisSession<'t> {
     }
 
     /// Tasks whose execution interval overlaps `interval`.
-    pub fn tasks_in(&self, interval: TimeInterval) -> Vec<&TaskInstance> {
+    pub fn tasks_in(&self, interval: TimeInterval) -> Vec<TaskInstance> {
         self.trace
             .tasks()
             .iter()
@@ -979,7 +979,7 @@ impl<'t> AnalysisSession<'t> {
         let mut counter_deltas = Vec::new();
         for desc in self.trace.counters() {
             if desc.monotone {
-                if let Some(delta) = self.counter_delta(instance, desc.id) {
+                if let Some(delta) = self.counter_delta(&instance, desc.id) {
                     counter_deltas.push((desc.name.clone(), delta));
                 }
             }
@@ -1048,9 +1048,9 @@ impl<'s, 't> IntervalQuery<'s, 't> {
     }
 
     /// Like [`IntervalQuery::predominant_task_index`] but resolves the task.
-    pub fn predominant_task(&self, cpu: CpuId, filter: &TaskFilter) -> Option<&'t TaskInstance> {
+    pub fn predominant_task(&self, cpu: CpuId, filter: &TaskFilter) -> Option<TaskInstance> {
         self.predominant_task_index(cpu, filter)
-            .and_then(|idx| self.session.trace().tasks().get(idx))
+            .and_then(|idx| self.session.trace().task(TaskId(idx as u64)))
     }
 
     /// Count and min/max duration of the task-execution intervals overlapping the
@@ -1576,8 +1576,7 @@ mod tests {
                     .iter()
                     .filter(|s| {
                         s.state == aftermath_trace::WorkerState::TaskExecution
-                            && s.task
-                                .is_some_and(|id| trace.tasks().get(id.0 as usize).is_some())
+                            && s.task.is_some_and(|id| trace.task(id).is_some())
                     })
                     .map(|s| s.interval.overlap_cycles(&iv))
                     .sum();
@@ -1588,7 +1587,7 @@ mod tests {
                     if s.state != aftermath_trace::WorkerState::TaskExecution {
                         continue;
                     }
-                    let Some(task) = s.task.and_then(|id| trace.tasks().get(id.0 as usize)) else {
+                    let Some(task) = s.task.and_then(|id| trace.task(id)) else {
                         continue;
                     };
                     for a in trace.accesses_of_task(task.id) {

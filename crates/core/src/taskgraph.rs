@@ -57,14 +57,15 @@ impl TaskGraph {
             };
             // Sort writers by execution start so that each reader depends on the last
             // writer that started before it (single-writer regions have exactly one).
+            let starts = trace.tasks().starts();
             let mut region_writers = region_writers.clone();
-            region_writers.sort_by_key(|&w| trace.tasks()[w as usize].execution.start);
+            region_writers.sort_by_key(|&w| starts[w as usize]);
             for &reader in readers_of_region {
-                let reader_start = trace.tasks()[reader as usize].execution.start;
+                let reader_start = starts[reader as usize];
                 let writer = region_writers
                     .iter()
                     .rev()
-                    .find(|&&w| trace.tasks()[w as usize].execution.start <= reader_start)
+                    .find(|&&w| starts[w as usize] <= reader_start)
                     .or_else(|| region_writers.first())
                     .copied();
                 if let Some(writer) = writer {
@@ -162,7 +163,7 @@ impl TaskGraph {
                 .map(|&p| finish[p as usize])
                 .max()
                 .unwrap_or(0);
-            finish[i] = start + trace.tasks()[i].duration();
+            finish[i] = start + trace.tasks().get(i).duration();
             best = best.max(finish[i]);
         }
         best
@@ -254,7 +255,7 @@ fn compute_depths(preds: &[Vec<u32>], succs: &[Vec<u32>], trace: &Trace) -> Vec<
     if processed < n {
         // Defensive fallback: order remaining tasks by execution start.
         let mut rest: Vec<usize> = (0..n).filter(|&i| indegree[i] > 0).collect();
-        rest.sort_by_key(|&i| trace.tasks()[i].execution.start);
+        rest.sort_by_key(|&i| trace.tasks().starts()[i]);
         for t in rest {
             for &p in &preds[t] {
                 depths[t] = depths[t].max(depths[p as usize] + 1);

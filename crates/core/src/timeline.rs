@@ -259,7 +259,7 @@ fn task_cell(
         return TimelineCell::Empty;
     };
     let trace = session.trace();
-    let t = &trace.tasks()[task];
+    let t = trace.tasks().get(task);
     let dominant_node = |kind: AccessKind, scratch: &mut Vec<u64>| {
         dominant_node_from(trace, &session.accesses(), t.id, kind, scratch)
             .map(TimelineCell::Node)
@@ -278,7 +278,7 @@ fn task_cell(
         TimelineMode::TaskType => TimelineCell::Type(t.task_type),
         TimelineMode::NumaRead => dominant_node(AccessKind::Read, scratch),
         TimelineMode::NumaWrite => dominant_node(AccessKind::Write, scratch),
-        TimelineMode::NumaHeat => task_remote_fraction_from(trace, &session.accesses(), t)
+        TimelineMode::NumaHeat => task_remote_fraction_from(trace, &session.accesses(), &t)
             .map(TimelineCell::Shade)
             .unwrap_or(TimelineCell::Empty),
         TimelineMode::State => unreachable!("state mode resolves states, not tasks"),

@@ -167,9 +167,14 @@ fn check_trace(trace: &Trace, seed: u64) {
     let local_remote = naive_local_remote(trace);
     for (task, &(local, remote)) in trace.tasks().iter().zip(&local_remote) {
         let expected = (local + remote > 0).then(|| remote as f64 / (local + remote) as f64);
-        assert_eq!(task_remote_fraction(trace, task), expected, "{:?}", task.id);
         assert_eq!(
-            task_remote_fraction_from(trace, &indexed, task),
+            task_remote_fraction(trace, &task),
+            expected,
+            "{:?}",
+            task.id
+        );
+        assert_eq!(
+            task_remote_fraction_from(trace, &indexed, &task),
             expected,
             "{:?}",
             task.id
@@ -294,7 +299,7 @@ fn check_trace(trace: &Trace, seed: u64) {
                         .and_then(|t| match mode {
                             TimelineMode::NumaRead => node(dominant_read_node(trace, t.id)),
                             TimelineMode::NumaWrite => node(dominant_write_node(trace, t.id)),
-                            _ => task_remote_fraction(trace, t).map(TimelineCell::Shade),
+                            _ => task_remote_fraction(trace, &t).map(TimelineCell::Shade),
                         })
                         .unwrap_or(TimelineCell::Empty);
                     assert_eq!(

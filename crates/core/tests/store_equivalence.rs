@@ -191,7 +191,7 @@ proptest! {
                     (
                         q.state_cycles(cpu),
                         q.predominant_state(cpu),
-                        q.predominant_task(cpu, &filter).cloned(),
+                        q.predominant_task(cpu, &filter),
                         q.task_type_cycles(cpu),
                         q.numa_bytes(cpu, AccessKind::Read),
                         q.numa_bytes(cpu, AccessKind::Write),
@@ -202,7 +202,7 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(got.0, reference.state_cycles(cpu));
             prop_assert_eq!(got.1, reference.predominant_state(cpu));
-            prop_assert_eq!(got.2, reference.predominant_task(cpu, &filter).cloned());
+            prop_assert_eq!(got.2, reference.predominant_task(cpu, &filter));
             prop_assert_eq!(got.3, reference.task_type_cycles(cpu));
             prop_assert_eq!(got.4, reference.numa_bytes(cpu, AccessKind::Read));
             prop_assert_eq!(got.5, reference.numa_bytes(cpu, AccessKind::Write));

@@ -772,7 +772,7 @@ mod tests {
             prev = Some(out);
         }
         let result = Simulator::new(SimConfig::small_test()).run(&spec).unwrap();
-        let mut tasks: Vec<_> = result.trace.tasks().to_vec();
+        let mut tasks: Vec<_> = result.trace.tasks().iter().collect();
         tasks.sort_by_key(|t| t.execution.start);
         for pair in tasks.windows(2) {
             assert!(

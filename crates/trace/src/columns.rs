@@ -1,4 +1,5 @@
-//! Columnar (struct-of-arrays) storage for the three per-CPU event streams.
+//! Columnar (struct-of-arrays) storage for the three per-CPU event streams and
+//! the trace-wide access and task tables.
 //!
 //! The analysis hot paths — session construction, index/pyramid builds, anomaly
 //! detection, timeline scans — iterate millions of events but touch only one or two
@@ -14,11 +15,16 @@
 //!   payload lanes, of which the second and third are only materialised when some
 //!   event in the stream actually uses them,
 //! * [`SampleColumns`] — timestamps and values; the counter id and CPU are stream
-//!   constants and stored once instead of per sample.
+//!   constants and stored once instead of per sample,
+//! * [`AccessColumns`] — the access table, sorted by task,
+//! * the task table — type, CPU and creator CPU (`u32` each), creation, start
+//!   and end (`u64` each) and no id: a task's id is its row.
 //!
 //! Every store hands out a zero-copy **view** ([`StatesView`], [`EventsView`],
-//! [`SamplesView`]): a bundle of column slices that is `Copy`, can be re-sliced to
-//! a sub-range without materialising anything, exposes the raw columns for
+//! [`SamplesView`], [`AccessesView`], [`TasksView`]): a bundle of column
+//! slices that is `Copy`, can be re-sliced to a sub-range without
+//! materialising anything (all but the task view, whose rows are its ids),
+//! exposes the raw columns for
 //! column-wise loops (e.g. binary searches over bare `&[u64]` timestamps) and
 //! materialises single structs on demand (`get`) for code that wants whole events.
 //! The materialising adapters (`to_vec`, iterators of owned structs) reproduce the
@@ -32,9 +38,10 @@
 //! of 40-byte structs.
 
 use crate::event::{CounterSample, DiscreteEvent, DiscreteEventKind};
-use crate::ids::{CounterId, CpuId, TaskId, TimeInterval, Timestamp};
+use crate::ids::{CounterId, CpuId, TaskId, TaskTypeId, TimeInterval, Timestamp};
 use crate::memory::{AccessKind, MemoryAccess};
 use crate::state::{StateInterval, WorkerState};
+use crate::task::TaskInstance;
 
 // ---------------------------------------------------------------------------
 // Sorting helpers (shared by all column stores)
@@ -1426,6 +1433,204 @@ impl<'a> AccessesView<'a> {
 impl<'a> IntoIterator for AccessesView<'a> {
     type Item = MemoryAccess;
     type IntoIter = Box<dyn Iterator<Item = MemoryAccess> + 'a>;
+    fn into_iter(self) -> Self::IntoIter {
+        Box::new(self.iter())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Task columns
+// ---------------------------------------------------------------------------
+
+/// Columnar storage of the trace-wide task table. A task's id is its row, so
+/// no id is stored: each task costs `3 × 4 + 3 × 8` bytes (type, CPU, creator
+/// CPU; creation, start, end) instead of the 48-byte [`TaskInstance`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct TaskColumns {
+    types: Vec<u32>,
+    cpus: Vec<u32>,
+    creators: Vec<u32>,
+    creations: Vec<u64>,
+    starts: Vec<u64>,
+    ends: Vec<u64>,
+}
+
+impl TaskColumns {
+    /// An empty table with room for exactly `rows` tasks (see
+    /// [`StateColumns::with_capacity`]).
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        TaskColumns {
+            types: Vec::with_capacity(rows),
+            cpus: Vec::with_capacity(rows),
+            creators: Vec::with_capacity(rows),
+            creations: Vec::with_capacity(rows),
+            starts: Vec::with_capacity(rows),
+            ends: Vec::with_capacity(rows),
+        }
+    }
+
+    /// The raw columns — type ids, CPUs and creator CPUs; creations, starts
+    /// and ends — for the column store's block decoder: all six must end
+    /// equally long.
+    pub(crate) fn columns_mut(&mut self) -> ([&mut Vec<u32>; 3], [&mut Vec<u64>; 3]) {
+        (
+            [&mut self.types, &mut self.cpus, &mut self.creators],
+            [&mut self.creations, &mut self.starts, &mut self.ends],
+        )
+    }
+
+    /// Number of stored tasks.
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Appends `t` as the next row; its id must be that row.
+    pub(crate) fn push(&mut self, t: TaskInstance) {
+        debug_assert_eq!(t.id.0, self.len() as u64, "a task's id is its row");
+        self.types.push(t.task_type.0);
+        self.cpus.push(t.cpu.0);
+        self.creators.push(t.creator_cpu.0);
+        self.creations.push(t.creation.0);
+        self.starts.push(t.execution.start.0);
+        self.ends.push(t.execution.end.0);
+    }
+
+    /// A zero-copy view of the whole table.
+    #[inline]
+    pub(crate) fn view(&self) -> TasksView<'_> {
+        TasksView {
+            types: &self.types,
+            cpus: &self.cpus,
+            creators: &self.creators,
+            creations: &self.creations,
+            starts: &self.starts,
+            ends: &self.ends,
+        }
+    }
+
+    /// Sorts the table by `(start, row)` — identical to a stable sort by
+    /// execution start — and returns the permutation (`new row → old row`),
+    /// or `None`, moving nothing, when it is already sorted. Every row is
+    /// renumbered with it: callers remap the task references.
+    pub(crate) fn sort_by_start(&mut self) -> Option<Vec<u32>> {
+        let perm = sort_permutation(&self.starts)?;
+        self.types = gather(&self.types, &perm);
+        self.cpus = gather(&self.cpus, &perm);
+        self.creators = gather(&self.creators, &perm);
+        self.creations = gather(&self.creations, &perm);
+        self.starts = gather(&self.starts, &perm);
+        self.ends = gather(&self.ends, &perm);
+        Some(perm)
+    }
+
+    /// Bytes of heap storage used by the columns (allocated capacity, so the
+    /// number matches what is actually resident).
+    pub(crate) fn memory_bytes(&self) -> usize {
+        (self.types.capacity() + self.cpus.capacity() + self.creators.capacity())
+            * std::mem::size_of::<u32>()
+            + (self.creations.capacity() + self.starts.capacity() + self.ends.capacity())
+                * std::mem::size_of::<u64>()
+    }
+
+    /// Releases push-growth capacity slack.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.types.shrink_to_fit();
+        self.cpus.shrink_to_fit();
+        self.creators.shrink_to_fit();
+        self.creations.shrink_to_fit();
+        self.starts.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+}
+
+/// Zero-copy view over the task table.
+///
+/// Cheap to copy; yields whole tasks by value ([`get`](Self::get),
+/// iteration), each with the id its row gives it, and exposes the raw columns
+/// for column-wise loops. It has no sub-views: a row index is a task id only
+/// over the whole table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TasksView<'a> {
+    types: &'a [u32],
+    cpus: &'a [u32],
+    creators: &'a [u32],
+    creations: &'a [u64],
+    starts: &'a [u64],
+    ends: &'a [u64],
+}
+
+impl<'a> TasksView<'a> {
+    /// Number of tasks.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Whether the table is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    /// The raw task-type id column ([`TaskTypeId`]`.0` per task).
+    #[inline]
+    pub fn task_types(&self) -> &'a [u32] {
+        self.types
+    }
+
+    /// The raw CPU column (the CPU each task ran on, [`CpuId`]`.0`).
+    #[inline]
+    pub fn cpus(&self) -> &'a [u32] {
+        self.cpus
+    }
+
+    /// The raw creator-CPU column ([`CpuId`]`.0` per task).
+    #[inline]
+    pub(crate) fn creator_cpus(&self) -> &'a [u32] {
+        self.creators
+    }
+
+    /// The raw creation-time column.
+    #[inline]
+    pub(crate) fn creations(&self) -> &'a [u64] {
+        self.creations
+    }
+
+    /// The raw execution-start column.
+    #[inline]
+    pub fn starts(&self) -> &'a [u64] {
+        self.starts
+    }
+
+    /// The raw execution-end column.
+    #[inline]
+    pub fn ends(&self) -> &'a [u64] {
+        self.ends
+    }
+
+    /// The task at row `i`, materialised; its id is `TaskId(i)`.
+    #[inline]
+    pub fn get(&self, i: usize) -> TaskInstance {
+        TaskInstance::new(
+            TaskId(i as u64),
+            TaskTypeId(self.types[i]),
+            CpuId(self.cpus[i]),
+            CpuId(self.creators[i]),
+            Timestamp(self.creations[i]),
+            TimeInterval::from_cycles(self.starts[i], self.ends[i]),
+        )
+    }
+
+    /// Iterates the table as materialised tasks, in id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = TaskInstance> + 'a {
+        let view = *self;
+        (0..view.len()).map(move |i| view.get(i))
+    }
+}
+
+impl<'a> IntoIterator for TasksView<'a> {
+    type Item = TaskInstance;
+    type IntoIter = Box<dyn Iterator<Item = TaskInstance> + 'a>;
     fn into_iter(self) -> Self::IntoIter {
         Box::new(self.iter())
     }

@@ -166,7 +166,7 @@ fn write_lanes<W: Write>(trace: &Trace, w: &mut W) -> Result<(), TraceError> {
     let per_cpu = trace.per_cpu();
     let tasks = trace.tasks();
     section(w, SectionTag::Tasks, tasks.len(), |p| {
-        for t in tasks {
+        for t in tasks.iter() {
             p.varint(t.id.0);
             p.varint(u64::from(t.task_type.0));
             p.varint(u64::from(t.cpu.0));

@@ -71,7 +71,7 @@ pub mod wire;
 pub use annotations::{Annotation, AnnotationSet};
 pub use columns::{
     AccessColumns, AccessesView, EventColumns, EventsView, SampleColumns, SamplesView,
-    StateColumns, StatesView, TaskRefColumn, TaskRefView,
+    StateColumns, StatesView, TaskRefColumn, TaskRefView, TasksView,
 };
 pub use error::TraceError;
 pub use event::{

@@ -635,9 +635,9 @@ fn bounded_end(data: &TraceData) -> u64 {
             }
         }
     }
-    for t in &data.tasks {
-        if t.execution.end.0 != u64::MAX {
-            end = end.max(t.execution.end.0);
+    for &e in data.tasks.view().ends() {
+        if e != u64::MAX {
+            end = end.max(e);
         }
     }
     for c in &data.comm_events {

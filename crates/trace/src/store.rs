@@ -18,12 +18,12 @@
 //! | events      | payload flags raw `u8`; timestamp deltas; kind tags; payloads a, b, c (lazy lanes elided per block) |
 //! | samples     | mode raw `u8`; timestamp deltas; values: zigzag `i64` deltas when every value of the block is an integer within ±2^53 (not `-0.0`), else IEEE-754 bits LE |
 //! | accesses    | `(task delta << 1) \| kind` over biased task refs (sorted by task); address: zigzag wrapping step from the row before's (0 before the first); size |
-//! | tasks       | dense id implicit; heads (type in bits 0–3: 0–14 inline, 15 escaped; stolen in bit 4; starts at its creation in bit 5; same CPU as the row before in bit 6; bit 7 reserved); escaped types; CPUs, unless bit 6; creator CPUs, only when stolen; creation zigzag wrapping deltas; start zigzag wrapping offsets from creation, unless bit 5; durations |
+//! | tasks       | no id: a task's id is its row, in memory as on disk; heads (type in bits 0–3: 0–14 inline, 15 escaped; stolen in bit 4; starts at its creation in bit 5; same CPU as the row before in bit 6; bit 7 reserved); escaped types; CPUs, unless bit 6; creator CPUs, only when stolen; creation zigzag wrapping deltas; start zigzag wrapping offsets from creation, unless bit 5; durations |
 //!
 //! Every block takes at least a bit a row: the writer pads one whose columns
 //! take less (constant columns pack to no bits at all) with zero bytes. Every
-//! trace the builder accepts encodes, dense task ids aside: gaps, ref steps,
-//! addresses and task timestamps wrap, so no `u64` value lacks a code.
+//! trace the builder accepts encodes: gaps, ref steps, addresses and task
+//! timestamps wrap, so no `u64` value lacks a code.
 //!
 //! Every block is self-contained (delta bases restart per block) and carries a
 //! footer in the file's directory: row count, byte offset/length, and a
@@ -101,15 +101,14 @@ use aftermath_exec::{parallel_map, parallel_map_chunks, Threads};
 
 use crate::columns::{
     decode_kind, encode_kind, extend_lazy, kind_arity, AccessColumns, EventColumns, SampleColumns,
-    StateColumns,
+    StateColumns, TaskColumns,
 };
 use crate::crc::crc32;
 use crate::error::TraceError;
 use crate::format::{self, put_varint};
-use crate::ids::{CounterId, CpuId, TaskId, TaskTypeId, TimeInterval, Timestamp};
+use crate::ids::{CounterId, CpuId, TimeInterval};
 use crate::packed::{get_packed, get_varint, put_packed, take};
 use crate::state::WorkerState;
-use crate::task::TaskInstance;
 use crate::trace::{Trace, TraceData};
 use crate::wire::{WireError, WireReader};
 
@@ -147,7 +146,7 @@ pub enum LaneId {
     Samples(CpuId, CounterId),
     /// The global memory-access table (sorted by task id).
     Accesses,
-    /// The task-instance table (dense task ids).
+    /// The task-instance table (a task's id is its row).
     Tasks,
 }
 
@@ -915,18 +914,22 @@ const TASK_RESERVED: u8 = 1 << 7;
 /// stolen), its start offset only when not zero. Creations step, and starts
 /// sit, by wrapping zig-zag deltas, so every `u64` timestamp encodes.
 fn encode_tasks_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) -> (u64, u64) {
-    let tasks = &trace.tasks()[lo..hi];
-    let mut heads = Vec::with_capacity(tasks.len());
-    let (mut types, mut cpus, mut creators, mut offsets) =
+    let tasks = trace.tasks();
+    let (types, cpus) = (&tasks.task_types()[lo..hi], &tasks.cpus()[lo..hi]);
+    let creators = &tasks.creator_cpus()[lo..hi];
+    let creations = &tasks.creations()[lo..hi];
+    let (starts, ends) = (&tasks.starts()[lo..hi], &tasks.ends()[lo..hi]);
+    let mut heads = Vec::with_capacity(cpus.len());
+    let (mut escaped_types, mut named_cpus, mut stolen_creators, mut offsets) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let mut prev_cpu = None;
     let flag = |set: bool, bit: u8| if set { bit } else { 0 };
-    for t in tasks {
-        let ty = t.task_type.0;
+    for i in 0..cpus.len() {
+        let (ty, cpu, creator) = (types[i], cpus[i], creators[i]);
         let type_code = ty.min(u32::from(TYPE_ESCAPED)) as u8;
-        let stolen = t.creator_cpu != t.cpu;
-        let offset = t.execution.start.0.wrapping_sub(t.creation.0);
-        let same_cpu = prev_cpu == Some(t.cpu);
+        let stolen = creator != cpu;
+        let offset = starts[i].wrapping_sub(creations[i]);
+        let same_cpu = prev_cpu == Some(cpu);
         heads.push(u64::from(
             type_code
                 | flag(stolen, TASK_STOLEN)
@@ -934,23 +937,33 @@ fn encode_tasks_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) ->
                 | flag(same_cpu, TASK_SAME_CPU),
         ));
         if type_code == TYPE_ESCAPED {
-            types.push(u64::from(ty));
+            escaped_types.push(u64::from(ty));
         }
         if !same_cpu {
-            cpus.push(u64::from(t.cpu.0));
+            named_cpus.push(u64::from(cpu));
         }
         if stolen {
-            creators.push(u64::from(t.creator_cpu.0));
+            stolen_creators.push(u64::from(creator));
         }
         if offset != 0 {
             offsets.push(zigzag(offset as i64));
         }
-        prev_cpu = Some(t.cpu);
+        prev_cpu = Some(cpu);
     }
-    let creations = zigzag_deltas(tasks.iter().map(|t| t.creation.0));
-    let durations: Vec<u64> = tasks.iter().map(|t| t.execution.duration()).collect();
+    let creations = zigzag_deltas(creations.iter().copied());
+    let durations: Vec<u64> = starts
+        .iter()
+        .zip(ends)
+        .map(|(&s, &e)| e.saturating_sub(s))
+        .collect();
     for col in [
-        &heads, &types, &cpus, &creators, &creations, &offsets, &durations,
+        &heads,
+        &escaped_types,
+        &named_cpus,
+        &stolen_creators,
+        &creations,
+        &offsets,
+        &durations,
     ] {
         put_packed(out, col);
     }
@@ -958,14 +971,18 @@ fn encode_tasks_block(trace: &Trace, lo: usize, hi: usize, out: &mut Vec<u8>) ->
 }
 
 /// Decodes a task block whose first row is lane row `first_row` onto the end
-/// of `out`; returns its first and last ids. A task's id is its row: ids are
-/// dense, so the block stores none.
+/// of `out`, each column where it will live: the creation steps sum in place,
+/// the durations land where the ends go and add their starts there, and the
+/// heads pick each row's type, CPU, creator and start. Returns the block's
+/// first and last ids. A task's id is its row, so the block stores none.
 fn decode_tasks_block(
     buf: &[u8],
     first_row: u64,
     rows: usize,
-    out: &mut Vec<TaskInstance>,
+    out: &mut TaskColumns,
 ) -> Result<(u64, u64), TraceError> {
+    let ([types, cpus, creators], [creations, starts, ends]) = out.columns_mut();
+    let first = creations.len();
     let mut pos = 0usize;
     let heads = byte_column(buf, &mut pos, rows, "task head")?;
     if heads.iter().any(|&h| h & TASK_RESERVED != 0) {
@@ -982,59 +999,58 @@ fn decode_tasks_block(
             .map(|v| u32::try_from(v).map_err(|_| TraceError::from(WireError::Malformed(what))))
             .collect()
     };
-    let types = ids(
+    let escaped_types = ids(
         &mut pos,
         count(&heads, |h| h & TASK_TYPE == TYPE_ESCAPED),
         "task type id",
     )?;
-    let cpus = ids(
+    let named_cpus = ids(
         &mut pos,
         count(&heads, |h| h & TASK_SAME_CPU == 0),
         "task cpu id",
     )?;
-    let creators = ids(
+    let stolen_creators = ids(
         &mut pos,
         count(&heads, |h| h & TASK_STOLEN != 0),
         "task creator cpu id",
     )?;
-    let mut creations = column(buf, &mut pos, rows)?;
-    wrapping_sums(&mut creations);
+    get_column(buf, &mut pos, rows, creations)?;
+    wrapping_sums(&mut creations[first..]);
     let offsets = column(buf, &mut pos, count(&heads, |h| h & TASK_AT_CREATION == 0))?;
-    let durations = column(buf, &mut pos, rows)?;
-    let (mut types, mut cpus) = (types.into_iter(), cpus.into_iter());
-    let (mut creators, mut offsets) = (creators.into_iter(), offsets.into_iter());
-    let mut cpu = 0;
-    for (i, (&head, (&creation, &duration))) in heads
+    get_column(buf, &mut pos, rows, ends)?;
+
+    let (mut escaped_types, mut named_cpus) = (escaped_types.into_iter(), named_cpus.into_iter());
+    let (mut stolen_creators, mut offsets) = (stolen_creators.into_iter(), offsets.into_iter());
+    let (mut cpu, mut overflow) = (0, false);
+    for (&head, (&creation, end)) in heads
         .iter()
-        .zip(creations.iter().zip(&durations))
-        .enumerate()
+        .zip(creations[first..].iter().zip(&mut ends[first..]))
     {
-        let ty = match head & TASK_TYPE {
-            TYPE_ESCAPED => types.next().expect("one type per escaped row"),
+        types.push(match head & TASK_TYPE {
+            TYPE_ESCAPED => escaped_types.next().expect("one type per escaped row"),
             inline => u32::from(inline),
-        };
+        });
         if head & TASK_SAME_CPU == 0 {
-            cpu = cpus.next().expect("one cpu per row that names one");
+            cpu = named_cpus.next().expect("one cpu per row that names one");
         }
-        let creator = match head & TASK_STOLEN {
+        cpus.push(cpu);
+        creators.push(match head & TASK_STOLEN {
             0 => cpu,
-            _ => creators.next().expect("one creator per stolen row"),
-        };
+            _ => stolen_creators.next().expect("one creator per stolen row"),
+        });
         let start = match head & TASK_AT_CREATION {
             0 => {
                 creation.wrapping_add(unzigzag(offsets.next().expect("one offset per row")) as u64)
             }
             _ => creation,
         };
-        let end = start.checked_add(duration).ok_or_else(delta_overflow)?;
-        out.push(TaskInstance::new(
-            TaskId(first_row + i as u64),
-            TaskTypeId(ty),
-            CpuId(cpu),
-            CpuId(creator),
-            Timestamp(creation),
-            TimeInterval::from_cycles(start, end),
-        ));
+        starts.push(start);
+        let carried;
+        (*end, carried) = start.overflowing_add(*end);
+        overflow |= carried;
+    }
+    if overflow {
+        return Err(delta_overflow());
     }
     Ok((first_row, (first_row + rows as u64).saturating_sub(1)))
 }
@@ -1103,14 +1119,6 @@ fn encode_store(
         return Err(TraceError::Format(
             "store block_rows must be positive".into(),
         ));
-    }
-    for (i, t) in trace.tasks().iter().enumerate() {
-        if t.id.0 != i as u64 {
-            return Err(TraceError::Format(format!(
-                "column store requires dense task ids: task at index {i} has id {}",
-                t.id
-            )));
-        }
     }
     let mut head = Vec::new();
     head.extend_from_slice(&STORE_MAGIC);
@@ -1564,7 +1572,7 @@ enum Chunk {
     Events(EventColumns),
     Samples(SampleColumns),
     Accesses(AccessColumns),
-    Tasks(Vec<TaskInstance>),
+    Tasks(TaskColumns),
 }
 
 impl Chunk {
@@ -1577,7 +1585,7 @@ impl Chunk {
                 Chunk::Samples(SampleColumns::with_capacity(ctr, cpu, rows))
             }
             LaneId::Accesses => Chunk::Accesses(AccessColumns::with_capacity(rows)),
-            LaneId::Tasks => Chunk::Tasks(Vec::with_capacity(rows)),
+            LaneId::Tasks => Chunk::Tasks(TaskColumns::with_capacity(rows)),
         }
     }
 
@@ -2170,7 +2178,7 @@ impl StoredTrace {
                 .and_then(|pc| pc.samples.get(&ctr))
                 .map_or(0, SampleColumns::memory_bytes),
             LaneId::Accesses => self.skeleton.data().accesses.memory_bytes(),
-            LaneId::Tasks => std::mem::size_of_val(self.skeleton.tasks()),
+            LaneId::Tasks => self.skeleton.data().tasks.memory_bytes(),
         }
     }
 
@@ -2768,8 +2776,10 @@ mod aos_oracle {
 mod tests {
     use super::*;
     use crate::event::DiscreteEventKind;
+    use crate::ids::{TaskId, TaskTypeId, Timestamp};
     use crate::memory::AccessKind;
     use crate::state::StateInterval;
+    use crate::task::TaskInstance;
     use crate::topology::MachineTopology;
     use crate::trace::TraceBuilder;
 
@@ -2857,19 +2867,49 @@ mod tests {
         // Nothing but the metadata-resident comm table counts after open.
         let comm_bytes = std::mem::size_of_val(trace.comm_events());
         assert_eq!(stored.resident_event_bytes(), comm_bytes);
-        for lane in stored.lanes().collect::<Vec<_>>() {
+        let lanes: Vec<LaneId> = stored.lanes().collect();
+        for &lane in &lanes {
             assert_eq!(stored.residency(lane), LaneResidency::Absent);
         }
-        // Materialising one lane grows residency by exactly that lane's bytes.
-        let lane = LaneId::States(CpuId(0));
-        stored.ensure(lane).unwrap();
-        assert_eq!(stored.residency(lane), LaneResidency::Full);
-        assert_eq!(
-            stored.resident_event_bytes(),
-            comm_bytes + stored.lane_resident_bytes(lane)
-        );
+        let kinds: std::collections::HashSet<_> =
+            lanes.iter().map(std::mem::discriminant).collect();
+        assert_eq!(kinds.len(), 5, "the sample trace stores every lane kind");
+        // The resident bytes are the comm table's plus each lane's own count,
+        // by one rule for every lane kind: after every lane comes in, and
+        // after every lane goes out again.
+        let sum_of_lanes = |stored: &StoredTrace| {
+            comm_bytes
+                + lanes
+                    .iter()
+                    .map(|&lane| stored.lane_resident_bytes(lane))
+                    .sum::<usize>()
+        };
+        for &lane in &lanes {
+            let before = stored.resident_event_bytes();
+            stored.ensure(lane).unwrap();
+            assert_eq!(stored.residency(lane), LaneResidency::Full);
+            let grown = stored.resident_event_bytes() - before;
+            assert!(grown > 0, "{lane}");
+            assert_eq!(grown, stored.lane_resident_bytes(lane), "{lane}");
+            assert_eq!(
+                stored.resident_event_bytes(),
+                sum_of_lanes(&stored),
+                "{lane} in"
+            );
+        }
+        // A task row is its six columns, no id.
+        let tasks = stored.lane_resident_bytes(LaneId::Tasks);
+        assert_eq!(tasks, trace.tasks().len() * (3 * 4 + 3 * 8));
+        for &lane in &lanes {
+            stored.evict(lane);
+            assert_eq!(stored.lane_resident_bytes(lane), 0, "{lane}");
+            assert_eq!(
+                stored.resident_event_bytes(),
+                sum_of_lanes(&stored),
+                "{lane} out"
+            );
+        }
         // Evicting returns to the post-open footprint.
-        stored.evict(lane);
         assert_eq!(stored.resident_event_bytes(), comm_bytes);
     }
 
@@ -3424,7 +3464,13 @@ mod tests {
                     }
                 }
                 (Chunk::Tasks(col), _) => {
-                    col.extend(aos_oracle::decode_tasks_block(buf, first_row, footer)?)
+                    for r in aos_oracle::decode_tasks_block(buf, first_row, footer)? {
+                        // The columns hold no id: a row's is its place.
+                        col.push(TaskInstance {
+                            id: TaskId(col.len() as u64),
+                            ..r
+                        });
+                    }
                 }
                 _ => unreachable!("a chunk of the lane's kind"),
             }
@@ -3637,7 +3683,7 @@ mod tests {
             let head = u64::from(TYPE_ESCAPED | TASK_STOLEN);
             let (ty, cpu, creator) = (field(0), field(1), field(2));
             let block = block_of(&[], &[&[head], &[ty], &[cpu], &[creator], &[2], &[2], &[2]]);
-            let mut tasks = Vec::new();
+            let mut tasks = TaskColumns::default();
             let err = decode_tasks_block(&block, 0, 1, &mut tasks).unwrap_err();
             assert!(
                 matches!(&err, TraceError::Format(m) if m.contains(what)),
@@ -4609,7 +4655,7 @@ mod tests {
                 Chunk::Samples(trace.cpu(cpu).unwrap().samples[&ctr].clone())
             }
             LaneId::Accesses => Chunk::Accesses(trace.data().accesses.clone()),
-            LaneId::Tasks => Chunk::Tasks(trace.tasks().to_vec()),
+            LaneId::Tasks => Chunk::Tasks(trace.data().tasks.clone()),
         }
     }
 

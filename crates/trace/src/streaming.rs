@@ -560,7 +560,9 @@ impl StreamingTrace {
             });
         }
         let data = self.trace.data_mut();
-        data.tasks.extend(chunk.tasks);
+        for t in chunk.tasks {
+            data.tasks.push(t);
+        }
         for s in chunk.states {
             data.per_cpu[s.cpu.0 as usize].push_state(s);
         }
@@ -784,12 +786,14 @@ impl StreamingTrace {
 pub fn make_streamable(trace: &Trace) -> Trace {
     let mut out = trace.clone();
     let data = out.data_mut();
-    let mut order: Vec<usize> = (0..data.tasks.len()).collect();
-    order.sort_by_key(|&i| (data.tasks[i].execution.start, i));
+    // A task's id is its row, so sorting the rows renumbers the tasks.
+    let Some(order) = data.tasks.sort_by_start() else {
+        return out;
+    };
     // old id -> new id
-    let mut remap: Vec<u64> = vec![0; data.tasks.len()];
+    let mut remap: Vec<u64> = vec![0; order.len()];
     for (new_id, &old_id) in order.iter().enumerate() {
-        remap[old_id] = new_id as u64;
+        remap[old_id as usize] = new_id as u64;
     }
     let map = |id: TaskId| -> TaskId {
         match remap.get(id.0 as usize) {
@@ -799,11 +803,6 @@ pub fn make_streamable(trace: &Trace) -> Trace {
             None => id,
         }
     };
-    let mut tasks: Vec<TaskInstance> = order.iter().map(|&i| data.tasks[i]).collect();
-    for (new_id, t) in tasks.iter_mut().enumerate() {
-        t.id = TaskId(new_id as u64);
-    }
-    data.tasks = tasks;
     for pc in data.per_cpu.iter_mut() {
         pc.states.map_tasks(map);
         pc.events.map_tasks(map);
@@ -837,11 +836,7 @@ pub fn split_at(
     trace: &Trace,
     cuts: &[Timestamp],
 ) -> Result<(TraceBuilder, Vec<TraceChunk>), TraceError> {
-    if trace
-        .tasks()
-        .windows(2)
-        .any(|w| w[1].execution.start < w[0].execution.start)
-    {
+    if trace.tasks().starts().windows(2).any(|w| w[1] < w[0]) {
         return Err(TraceError::UnstreamableChunk(
             "task ids are not ordered by execution start; call make_streamable first".into(),
         ));
@@ -855,9 +850,9 @@ pub fn split_at(
     // `window_of(t)` = index of the chunk whose window contains timestamp `t`.
     let window_of = |t: Timestamp| cuts.partition_point(|&c| c <= t);
 
-    for t in trace.tasks() {
+    for t in trace.tasks().iter() {
         let k = window_of(t.execution.start);
-        chunks[k].tasks.push(*t);
+        chunks[k].tasks.push(t);
         // Accesses are a contiguous, task-sorted run per task.
         chunks[k]
             .accesses
@@ -989,17 +984,11 @@ mod tests {
     fn make_streamable_orders_tasks_and_preserves_attribution() {
         let trace = interleaved_trace();
         assert!(
-            trace
-                .tasks()
-                .windows(2)
-                .any(|w| w[1].execution.start < w[0].execution.start),
+            trace.tasks().starts().windows(2).any(|w| w[1] < w[0]),
             "fixture must be out of order"
         );
         let streamable = make_streamable(&trace);
-        assert!(streamable
-            .tasks()
-            .windows(2)
-            .all(|w| w[0].execution.start <= w[1].execution.start));
+        assert!(streamable.tasks().starts().windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(streamable.tasks().len(), trace.tasks().len());
         // Every exec state still references a task with its own interval.
         for pc in streamable.per_cpu() {
@@ -1296,7 +1285,7 @@ mod tests {
         // and drops, with a record, the one whose consumer does not.
         let mut stream = StreamingTrace::new(prologue).unwrap();
         let mut chunk = TraceChunk::new();
-        chunk.tasks.push(trace.tasks()[1]);
+        chunk.tasks.push(trace.tasks().get(1));
         chunk.tasks[0].id = TaskId(0);
         for consumer in [TaskId(0), ghost] {
             let kind = publish(TaskId(0), consumer);

@@ -16,7 +16,7 @@ use aftermath_exec::{parallel_map_chunks, Threads};
 
 use crate::columns::{
     AccessColumns, AccessesView, EventColumns, EventsView, SampleColumns, SamplesView,
-    StateColumns, StatesView,
+    StateColumns, StatesView, TaskColumns, TasksView,
 };
 use crate::error::TraceError;
 use crate::event::{
@@ -173,7 +173,8 @@ impl PerCpuEvents {
 pub(crate) struct TraceData {
     pub(crate) topology: MachineTopology,
     pub(crate) task_types: Vec<TaskType>,
-    pub(crate) tasks: Vec<TaskInstance>,
+    /// Row `i` is task `TaskId(i)`.
+    pub(crate) tasks: TaskColumns,
     /// Indexed by [`CpuId`]: one entry per CPU of the topology.
     pub(crate) per_cpu: Vec<PerCpuEvents>,
     pub(crate) regions: Vec<MemoryRegion>,
@@ -191,7 +192,7 @@ impl TraceData {
         TraceData {
             topology,
             task_types: Vec::new(),
-            tasks: Vec::new(),
+            tasks: TaskColumns::default(),
             per_cpu,
             regions: Vec::new(),
             accesses: AccessColumns::new(),
@@ -239,14 +240,19 @@ impl Trace {
         self.data.task_types.get(id.0 as usize)
     }
 
-    /// All task instances, indexed by [`TaskId`].
-    pub fn tasks(&self) -> &[TaskInstance] {
-        &self.data.tasks
+    /// The task table, a zero-copy columnar view: row `i` is task
+    /// `TaskId(i)` (`tasks().get(i).id == TaskId(i)`).
+    #[inline]
+    pub fn tasks(&self) -> TasksView<'_> {
+        self.data.tasks.view()
     }
 
-    /// Looks up a task instance by id.
-    pub fn task(&self, id: TaskId) -> Option<&TaskInstance> {
-        self.data.tasks.get(id.0 as usize)
+    /// Looks up a task instance by id: the row `id` names, materialised, or
+    /// `None` past the table.
+    #[inline]
+    pub fn task(&self, id: TaskId) -> Option<TaskInstance> {
+        let tasks = self.tasks();
+        (id.0 < tasks.len() as u64).then(|| tasks.get(id.0 as usize))
     }
 
     /// Per-CPU event streams, indexed by [`CpuId`].
@@ -339,7 +345,7 @@ impl Trace {
             .map(PerCpuEvents::memory_bytes)
             .sum::<usize>()
             + data.accesses.memory_bytes()
-            + std::mem::size_of_val(data.tasks.as_slice())
+            + data.tasks.memory_bytes()
             + std::mem::size_of_val(data.comm_events.as_slice())
     }
 
@@ -353,7 +359,7 @@ impl Trace {
             .map(PerCpuEvents::aos_bytes)
             .sum::<usize>()
             + data.accesses.len() * std::mem::size_of::<MemoryAccess>()
-            + std::mem::size_of_val(data.tasks.as_slice())
+            + data.tasks.len() * std::mem::size_of::<TaskInstance>()
             + std::mem::size_of_val(data.comm_events.as_slice())
     }
 
@@ -384,9 +390,12 @@ impl Trace {
                 .chain(samples.map(|ts| (ts, ts)))
                 .filter_map(span)
         });
-        let tasks = self.data.tasks.iter().map(|t| t.execution);
+        // The task table is not time-sorted: it spans from its least start to
+        // its greatest end.
+        let tasks = self.tasks();
+        let tasks = tasks.starts().iter().min().zip(tasks.ends().iter().max());
         lanes
-            .chain(tasks)
+            .chain(tasks.map(|(&start, &end)| TimeInterval::from_cycles(start, end)))
             .reduce(|a, b| TimeInterval::new(a.start.min(b.start), a.end.max(b.end)))
     }
 
@@ -661,13 +670,6 @@ impl TraceBuilder {
         self.data.tasks.len()
     }
 
-    /// Crate-internal test/seed hook mirroring the old public `tasks` field access:
-    /// registers a raw task instance without id maintenance.
-    #[cfg(test)]
-    pub(crate) fn push_raw_task(&mut self, task: TaskInstance) {
-        self.data.tasks.push(task);
-    }
-
     /// Validates references and intervals, sorts every stream, and produces the trace.
     ///
     /// # Errors
@@ -689,7 +691,7 @@ impl TraceBuilder {
     pub fn finish_with(self, threads: Threads) -> Result<Trace, TraceError> {
         let mut data = self.data;
         // Validate task references.
-        for task in &data.tasks {
+        for task in data.tasks.view().iter() {
             if task.task_type.0 as usize >= data.task_types.len() {
                 return Err(TraceError::UnknownTaskType(task.task_type));
             }
@@ -838,15 +840,15 @@ mod tests {
     #[test]
     fn rejects_unknown_task_type() {
         let mut b = TraceBuilder::new(topo());
-        // Register a task with a type id that was never created.
-        b.push_raw_task(TaskInstance::new(
-            TaskId(0),
+        // Register a task with a type id that was never created: `add_task`
+        // takes it, `finish` validates it.
+        b.add_task(
             TaskTypeId(7),
             CpuId(0),
-            CpuId(0),
             Timestamp(0),
-            TimeInterval::from_cycles(0, 1),
-        ));
+            Timestamp(0),
+            Timestamp(1),
+        );
         assert!(matches!(b.finish(), Err(TraceError::UnknownTaskType(_))));
     }
 

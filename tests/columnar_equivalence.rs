@@ -166,7 +166,7 @@ fn ref_predominant_task(
         }
         let Some(task_id) = s.task else { continue };
         let idx = task_id.0 as usize;
-        if trace.tasks().get(idx).is_none() {
+        if trace.task(task_id).is_none() {
             continue;
         }
         let overlap = s.interval.overlap_cycles(&cell);
@@ -237,7 +237,7 @@ fn ref_cell(
     let Some(idx) = ref_predominant_task(trace, states, cell) else {
         return TimelineCell::Empty;
     };
-    let t = &trace.tasks()[idx];
+    let t = &trace.tasks().get(idx);
     match mode {
         TimelineMode::Heatmap {
             min_duration,
@@ -402,7 +402,7 @@ fn assert_matches_struct_reference(trace: &Trace, columns: usize) {
             (Some(a), Some(b)) => Some(b - a),
             _ => None,
         };
-        assert_eq!(session.counter_delta(task, ctr), expected, "{}", task.id);
+        assert_eq!(session.counter_delta(&task, ctr), expected, "{}", task.id);
     }
 
     // Anomaly ranking: the permutation-based single-pass ranking must equal the

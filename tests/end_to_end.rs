@@ -68,7 +68,7 @@ fn simulated_schedule_respects_reconstructed_dependences() {
         let graph = session.task_graph().unwrap();
         for task in result.trace.tasks() {
             for &pred in graph.predecessors(task.id) {
-                let pred_task = &result.trace.tasks()[pred as usize];
+                let pred_task = &result.trace.tasks().get(pred as usize);
                 assert!(
                     task.execution.start >= pred_task.execution.end,
                     "task {:?} starts before its predecessor {:?} ends ({runtime:?})",

@@ -517,7 +517,7 @@ proptest! {
         let graph = session.task_graph().unwrap();
         for task in result.trace.tasks() {
             for &p in graph.predecessors(task.id) {
-                let pred = &result.trace.tasks()[p as usize];
+                let pred = &result.trace.tasks().get(p as usize);
                 prop_assert!(task.execution.start >= pred.execution.end);
             }
         }
